@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet fmt-check lint lint-report allow-audit vulncheck build test race chaos scale partition storage raster ci
+.PHONY: all vet fmt-check lint lint-report allow-audit vulncheck build test race chaos scale partition storage raster loc ci
 
 all: ci
 
@@ -108,6 +108,12 @@ raster:
 	@dir="$$(mktemp -d)"; \
 	$(GO) run ./cmd/ravebench -extra raster -frames 30 -check -out "$$dir"; \
 	status=$$?; rm -rf "$$dir"; exit $$status
+
+# loc prints the non-test line count ROADMAP item 3 asks every PR to
+# report before and after in CHANGES.md (bench/ is the benchmark harness,
+# not the system, so it is left out).
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1
 
 # ci is the full gate: formatting, static checks (ravelint with the
 # LINT.json artifact and per-analyzer timings, the allow-annotation

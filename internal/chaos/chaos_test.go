@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/balance"
+	"repro/internal/compositor"
 	"repro/internal/core"
 	"repro/internal/dataservice"
 	"repro/internal/device"
@@ -214,11 +215,11 @@ func (h *unstableHandle) Capacity() (transport.CapacityReport, error) {
 	return h.inner.Capacity()
 }
 
-func (h *unstableHandle) RenderSubset(subset *scene.Scene, cam transport.CameraState, w, hh int, deadline time.Time) (*raster.Framebuffer, error) {
+func (h *unstableHandle) Render(job dataservice.RenderJob) (compositor.Tile, error) {
 	if h.dead.Load() {
-		return nil, errCrashed
+		return compositor.Tile{}, errCrashed
 	}
-	return h.inner.RenderSubset(subset, cam, w, hh, deadline)
+	return h.inner.Render(job)
 }
 
 // flakyTransport fails the first `outage` HTTP requests, modeling a UDDI

@@ -2,8 +2,6 @@ package chaos
 
 import (
 	"context"
-	"fmt"
-	"image"
 	"runtime"
 	"strings"
 	"sync"
@@ -15,13 +13,12 @@ import (
 	"repro/internal/dataservice"
 	"repro/internal/raster"
 	"repro/internal/renderservice"
-	"repro/internal/scene"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/vclock"
 )
 
-// stubTile is a TileRenderer that answers instantly (or declines
+// stubTile is a tile renderer that answers instantly (or declines
 // everything), so a whole hedged frame completes without anyone
 // advancing the virtual clock — the fully deterministic scenario the
 // snapshot-identity assertion needs.
@@ -40,11 +37,8 @@ func (s *stubTile) Capacity() (transport.CapacityReport, error) {
 	return transport.CapacityReport{Name: s.name, PolysPerSecond: 1e6, TargetFPS: 10}, nil
 }
 
-func (s *stubTile) RenderSubset(*scene.Scene, transport.CameraState, int, int, time.Time) (*raster.Framebuffer, error) {
-	return nil, fmt.Errorf("not used")
-}
-
-func (s *stubTile) RenderTile(rect image.Rectangle, fullW, fullH int, deadline time.Time, tc telemetry.SpanContext) (compositor.Tile, error) {
+func (s *stubTile) Render(job dataservice.RenderJob) (compositor.Tile, error) {
+	rect, tc := job.Rect, job.Trace
 	s.mu.Lock()
 	s.tcs = append(s.tcs, tc)
 	s.mu.Unlock()

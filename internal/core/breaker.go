@@ -2,16 +2,12 @@ package core
 
 import (
 	"fmt"
-	"image"
 	"time"
 
 	rthin "repro/internal/client"
 	"repro/internal/compositor"
 	"repro/internal/dataservice"
-	"repro/internal/raster"
 	"repro/internal/renderservice"
-	"repro/internal/scene"
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/vclock"
 )
@@ -79,66 +75,39 @@ func (h *BreakerHandle) Capacity() (transport.CapacityReport, error) {
 	return rep, err
 }
 
-// RenderSubset implements dataservice.RenderHandle, forwarding the
-// frame deadline to the wrapped handle.
-func (h *BreakerHandle) RenderSubset(subset *scene.Scene, cam transport.CameraState, w, hgt int, deadline time.Time) (*raster.Framebuffer, error) {
-	if !h.br.Allow() {
-		return nil, h.refused()
-	}
-	fb, err := h.inner.RenderSubset(subset, cam, w, hgt, deadline)
-	h.observe(err, time.Time{})
-	return fb, err
-}
-
-// RenderTile implements dataservice.TileRenderer when the wrapped
-// handle does; otherwise it reports the handle as tile-incapable.
-//
-// With a non-zero deadline the call is deadline-bounded: when the
-// deadline passes with the inner exchange still in flight (a stalled
-// socket), the breaker records the failure and the caller gets a
-// timeout error immediately — the failure streak builds while the peer
-// is stalled, not after it recovers, so the breaker opens mid-stall and
-// routing moves elsewhere. The abandoned exchange drains into a
-// buffered channel when the socket finally unblocks; its late result is
-// discarded (and was already counted as the failure it is).
-func (h *BreakerHandle) RenderTile(rect image.Rectangle, fullW, fullH int, deadline time.Time, tc telemetry.SpanContext) (compositor.Tile, error) {
-	tr, ok := h.inner.(dataservice.TileRenderer)
-	if !ok {
-		return compositor.Tile{}, &renderservice.ErrOverloaded{
-			Service: h.inner.Name(), Reason: "no-tile-support",
-		}
-	}
+// Render implements dataservice.RenderHandle, gated by the breaker and
+// bounded by the job's deadline: when that passes with the inner
+// exchange still in flight (a stalled socket), the breaker records the
+// failure and the caller gets a timeout error immediately — the failure
+// streak builds while the peer is stalled, not after it recovers, so
+// the breaker opens mid-stall and routing moves elsewhere. The abandoned
+// exchange finishes on its own when the socket finally unblocks; its
+// late result is discarded (and was already counted as the failure it
+// is).
+func (h *BreakerHandle) Render(job dataservice.RenderJob) (compositor.Tile, error) {
 	if !h.br.Allow() {
 		return compositor.Tile{}, h.refused()
 	}
-	if deadline.IsZero() {
-		tile, err := tr.RenderTile(rect, fullW, fullH, deadline, tc)
-		h.observe(err, deadline)
-		return tile, err
-	}
-	type outcome struct {
-		tile compositor.Tile
-		err  error
-	}
-	out := make(chan outcome, 1)
+	var tile compositor.Tile
+	var err error
+	done := make(chan struct{})
 	go func() {
-		tile, err := tr.RenderTile(rect, fullW, fullH, deadline, tc)
-		out <- outcome{tile, err}
+		tile, err = h.inner.Render(job)
+		close(done)
 	}()
-	wait := deadline.Sub(h.clock.Now())
-	if wait < 0 {
-		wait = 0
+	var expired <-chan time.Time // nil never fires: an undeadlined job waits
+	if !job.Deadline.IsZero() {
+		expired = h.clock.After(max(job.Deadline.Sub(h.clock.Now()), 0))
 	}
 	select {
-	case o := <-out:
-		h.observe(o.err, deadline)
-		return o.tile, o.err
-	case <-h.clock.After(wait):
+	case <-done:
+		h.observe(err, job.Deadline)
+		return tile, err
+	case <-expired:
 		h.br.Failure()
-		return compositor.Tile{}, fmt.Errorf("core: %s tile render timed out past deadline", h.inner.Name())
+		return compositor.Tile{}, fmt.Errorf("core: %s render timed out past deadline", h.inner.Name())
 	}
 }
 
 var _ dataservice.RenderHandle = (*BreakerHandle)(nil)
-var _ dataservice.TileRenderer = (*BreakerHandle)(nil)
 var _ dataservice.AvailabilityReporter = (*BreakerHandle)(nil)

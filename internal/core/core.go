@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"image"
 	"io"
 	"net"
 	"net/http"
@@ -21,10 +20,7 @@ import (
 	"repro/internal/dataservice"
 	"repro/internal/device"
 	"repro/internal/marshal"
-	"repro/internal/raster"
 	"repro/internal/renderservice"
-	"repro/internal/scene"
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/uddi"
 	"repro/internal/vclock"
@@ -52,31 +48,25 @@ func (h *LocalHandle) Capacity() (transport.CapacityReport, error) {
 	return h.Svc.Capacity(), nil
 }
 
-// RenderSubset implements dataservice.RenderHandle, honouring the
-// propagated frame deadline through the service's admission control.
-func (h *LocalHandle) RenderSubset(subset *scene.Scene, cam transport.CameraState, w, hgt int, deadline time.Time) (*raster.Framebuffer, error) {
-	fb, _, err := h.Svc.RenderSceneOnceBy(subset, renderservice.CameraFromState(cam), w, hgt, deadline)
-	return fb, err
-}
-
-// RenderTile implements dataservice.TileRenderer against the local
-// session replica, honouring the service's admission control and the
-// propagated deadline. The caller's span context is handed to the
-// service so its render span joins the frame's trace tree.
-func (h *LocalHandle) RenderTile(rect image.Rectangle, fullW, fullH int, deadline time.Time, tc telemetry.SpanContext) (compositor.Tile, error) {
-	sess, ok := h.Svc.SessionNamed(h.Session)
-	if !ok {
-		return compositor.Tile{}, fmt.Errorf("core: no session %q on %s", h.Session, h.Svc.Name())
+// Render implements dataservice.RenderHandle: a job that brings its own
+// scene renders statelessly, any other against the local session
+// replica, both under the service's admission control.
+func (h *LocalHandle) Render(job dataservice.RenderJob) (compositor.Tile, error) {
+	if job.Scene == nil {
+		sess, ok := h.Svc.SessionNamed(h.Session)
+		if !ok {
+			return compositor.Tile{}, fmt.Errorf("core: no session %q on %s", h.Session, h.Svc.Name())
+		}
+		job.Session = sess
 	}
-	frame, err := sess.RenderTileTraced(rect, fullW, fullH, deadline, tc)
+	frame, err := h.Svc.Render(job)
 	if err != nil {
 		return compositor.Tile{}, err
 	}
-	return compositor.Tile{Rect: rect, FB: frame.FB, Version: frame.Version}, nil
+	return compositor.Tile{Rect: job.Rect, FB: frame.FB, Version: frame.Version}, nil
 }
 
 var _ dataservice.RenderHandle = (*LocalHandle)(nil)
-var _ dataservice.TileRenderer = (*LocalHandle)(nil)
 
 // SocketHandle drives a remote render service over a direct socket using
 // the subset-assignment protocol. The remote service must already hold
@@ -122,170 +112,133 @@ func (h *SocketHandle) Close() {
 
 // DialSocketHandle performs the thin-client style hello on rw and
 // returns a handle for subset rendering.
-func DialSocketHandle(rw interface {
-	Read([]byte) (int, error)
-	Write([]byte) (int, error)
-}, name, session string) (*SocketHandle, error) {
-	conn := transport.NewConn(rw)
-	err := conn.SendJSON(transport.MsgHello, transport.Hello{
+func DialSocketHandle(rw io.ReadWriter, name, session string) (*SocketHandle, error) {
+	h := &SocketHandle{
+		name: name, session: session, conn: transport.NewConn(rw),
+		sem: make(chan struct{}, 1), done: make(chan struct{}),
+	}
+	err := h.conn.SendJSON(transport.MsgHello, transport.Hello{
 		Role: "peer", Name: "data-service", Session: session,
 	})
 	if err != nil {
 		return nil, err
 	}
-	t, payload, err := conn.Receive()
-	if err != nil {
+	if _, err := h.reply(transport.MsgOK); err != nil {
 		return nil, err
-	}
-	if t == transport.MsgError {
-		var ei transport.ErrorInfo
-		transport.DecodeJSON(payload, &ei)
-		return nil, fmt.Errorf("core: handle refused: %s", ei.Message)
-	}
-	if t != transport.MsgOK {
-		return nil, fmt.Errorf("core: expected ok, got %s", t)
 	}
 	// Attribute subsequent transport failures to the remote service, so
 	// error telemetry can label by peer name.
-	conn.SetPeer(name)
-	return &SocketHandle{
-		name: name, session: session, conn: conn,
-		sem: make(chan struct{}, 1), done: make(chan struct{}),
-	}, nil
+	h.conn.SetPeer(name)
+	return h, nil
 }
 
 // Name implements dataservice.RenderHandle.
 func (h *SocketHandle) Name() string { return h.name }
 
+// reply receives the answer to the request just sent: the wanted
+// message's payload, the typed overload error the resilient layers
+// (hedging, breakers) dispatch on for MsgDeclined, or an error.
+func (h *SocketHandle) reply(want transport.MsgType) ([]byte, error) {
+	t, payload, err := h.conn.Receive()
+	switch {
+	case err != nil:
+		return nil, err
+	case t == want:
+		return payload, nil
+	case t == transport.MsgDeclined:
+		var d transport.Declined
+		transport.DecodeJSON(payload, &d)
+		return nil, &renderservice.ErrOverloaded{
+			Service:    h.name,
+			Reason:     d.Reason,
+			RetryAfter: time.Duration(d.RetryAfterMs) * time.Millisecond,
+		}
+	case t == transport.MsgError:
+		var ei transport.ErrorInfo
+		transport.DecodeJSON(payload, &ei)
+		return nil, fmt.Errorf("core: %s refused: %s", h.name, ei.Message)
+	}
+	return nil, fmt.Errorf("core: expected %s from %s, got %s", want, h.name, t)
+}
+
 // Capacity implements dataservice.RenderHandle.
 func (h *SocketHandle) Capacity() (transport.CapacityReport, error) {
+	var rep transport.CapacityReport
 	if err := h.acquire(); err != nil {
-		return transport.CapacityReport{}, err
+		return rep, err
 	}
 	defer h.release()
 	if err := h.conn.Send(transport.MsgCapacityQuery, nil); err != nil {
-		return transport.CapacityReport{}, err
+		return rep, err
 	}
-	t, payload, err := h.conn.Receive()
+	payload, err := h.reply(transport.MsgCapacityReport)
 	if err != nil {
-		return transport.CapacityReport{}, err
+		return rep, err
 	}
-	if t != transport.MsgCapacityReport {
-		return transport.CapacityReport{}, fmt.Errorf("core: expected capacity report, got %s", t)
-	}
-	var rep transport.CapacityReport
-	if err := transport.DecodeJSON(payload, &rep); err != nil {
-		return transport.CapacityReport{}, err
-	}
-	return rep, nil
+	err = transport.DecodeJSON(payload, &rep)
+	return rep, err
 }
 
-// declined maps a MsgDeclined payload to the typed overload error the
-// resilient layers (hedging, breakers) dispatch on.
-func (h *SocketHandle) declined(payload []byte) error {
-	var d transport.Declined
-	transport.DecodeJSON(payload, &d)
-	return &renderservice.ErrOverloaded{
-		Service:    h.name,
-		Reason:     d.Reason,
-		RetryAfter: time.Duration(d.RetryAfterMs) * time.Millisecond,
+// Render implements dataservice.RenderHandle over the subset- and
+// tile-assignment protocols. The frame deadline rides the assignment as
+// absolute nanoseconds, so the remote service's admission control sees
+// the budget the data service planned with; the caller's span context
+// rides along so the remote render span joins the frame's trace tree.
+func (h *SocketHandle) Render(job dataservice.RenderJob) (compositor.Tile, error) {
+	var snap bytes.Buffer
+	if job.Scene != nil {
+		if err := marshal.WriteScene(&snap, job.Scene); err != nil {
+			return compositor.Tile{}, err
+		}
 	}
-}
-
-// RenderSubset implements dataservice.RenderHandle. The frame deadline
-// rides the assignment as absolute nanoseconds, so the remote service's
-// admission control sees the same budget the data service planned with.
-func (h *SocketHandle) RenderSubset(subset *scene.Scene, cam transport.CameraState, w, hgt int, deadline time.Time) (*raster.Framebuffer, error) {
-	if err := h.acquire(); err != nil {
-		return nil, err
-	}
-	defer h.release()
-	err := h.conn.SendJSON(transport.MsgSubsetAssign, transport.SubsetAssign{
-		Session: h.session, W: w, H: hgt, Camera: cam,
-		DeadlineNanos: transport.DeadlineToNanos(deadline),
-	})
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := marshal.WriteScene(&buf, subset); err != nil {
-		return nil, err
-	}
-	if err := h.conn.Send(transport.MsgSceneSnapshot, buf.Bytes()); err != nil {
-		return nil, err
-	}
-	t, payload, err := h.conn.Receive()
-	if err != nil {
-		return nil, err
-	}
-	if t == transport.MsgDeclined {
-		return nil, h.declined(payload)
-	}
-	if t == transport.MsgError {
-		var ei transport.ErrorInfo
-		transport.DecodeJSON(payload, &ei)
-		return nil, fmt.Errorf("core: subset render refused: %s", ei.Message)
-	}
-	if t != transport.MsgFrameDepth {
-		return nil, fmt.Errorf("core: expected frame+depth, got %s", t)
-	}
-	return marshal.ReadFrame(bytes.NewReader(payload))
-}
-
-// RenderTile implements dataservice.TileRenderer over the tile
-// assignment protocol, propagating the frame deadline so the remote
-// service can decline infeasible work instead of rendering it late,
-// and the caller's span context so the remote render span joins the
-// frame's trace tree.
-func (h *SocketHandle) RenderTile(rect image.Rectangle, fullW, fullH int, deadline time.Time, tc telemetry.SpanContext) (compositor.Tile, error) {
 	if err := h.acquire(); err != nil {
 		return compositor.Tile{}, err
 	}
 	defer h.release()
-	err := h.conn.SendJSON(transport.MsgTileAssign, transport.TileAssign{
-		X0: rect.Min.X, Y0: rect.Min.Y, X1: rect.Max.X, Y1: rect.Max.Y,
-		FullW: fullW, FullH: fullH, Session: h.session,
-		DeadlineNanos: transport.DeadlineToNanos(deadline),
-		Trace:         uint64(tc.Trace), Parent: uint64(tc.Span),
-	})
+
+	tile := compositor.Tile{Rect: job.Rect}
+	deadline, trace, parent := transport.DeadlineToNanos(job.Deadline), uint64(job.Trace.Trace), uint64(job.Trace.Span)
+	if job.Scene != nil {
+		// The subset protocol carries a frame size: subsets render whole.
+		err := h.conn.SendJSON(transport.MsgSubsetAssign, transport.SubsetAssign{
+			Session: h.session, W: job.FullW, H: job.FullH, Camera: renderservice.StateFromCamera(job.Camera),
+			DeadlineNanos: deadline, Trace: trace, Parent: parent,
+		})
+		if err != nil {
+			return compositor.Tile{}, err
+		}
+		if err := h.conn.Send(transport.MsgSceneSnapshot, snap.Bytes()); err != nil {
+			return compositor.Tile{}, err
+		}
+	} else {
+		err := h.conn.SendJSON(transport.MsgTileAssign, transport.TileAssign{
+			X0: job.Rect.Min.X, Y0: job.Rect.Min.Y, X1: job.Rect.Max.X, Y1: job.Rect.Max.Y,
+			FullW: job.FullW, FullH: job.FullH, Session: h.session,
+			DeadlineNanos: deadline, Trace: trace, Parent: parent,
+		})
+		if err != nil {
+			return compositor.Tile{}, err
+		}
+		// A tile's buffer follows a header naming its scene version.
+		payload, err := h.reply(transport.MsgTileFrame)
+		if err != nil {
+			return compositor.Tile{}, err
+		}
+		var hdr transport.TileHeader
+		if err := transport.DecodeJSON(payload, &hdr); err != nil {
+			return compositor.Tile{}, err
+		}
+		tile.Version = hdr.Version
+	}
+	payload, err := h.reply(transport.MsgFrameDepth)
 	if err != nil {
 		return compositor.Tile{}, err
 	}
-	t, payload, err := h.conn.Receive()
-	if err != nil {
-		return compositor.Tile{}, err
-	}
-	if t == transport.MsgDeclined {
-		return compositor.Tile{}, h.declined(payload)
-	}
-	if t == transport.MsgError {
-		var ei transport.ErrorInfo
-		transport.DecodeJSON(payload, &ei)
-		return compositor.Tile{}, fmt.Errorf("core: tile render refused: %s", ei.Message)
-	}
-	if t != transport.MsgTileFrame {
-		return compositor.Tile{}, fmt.Errorf("core: expected tile header, got %s", t)
-	}
-	var hdr transport.TileHeader
-	if err := transport.DecodeJSON(payload, &hdr); err != nil {
-		return compositor.Tile{}, err
-	}
-	t, payload, err = h.conn.Receive()
-	if err != nil {
-		return compositor.Tile{}, err
-	}
-	if t != transport.MsgFrameDepth {
-		return compositor.Tile{}, fmt.Errorf("core: expected tile frame+depth, got %s", t)
-	}
-	fb, err := marshal.ReadFrame(bytes.NewReader(payload))
-	if err != nil {
-		return compositor.Tile{}, err
-	}
-	return compositor.Tile{Rect: rect, FB: fb, Version: hdr.Version}, nil
+	tile.FB, err = marshal.ReadFrame(bytes.NewReader(payload))
+	return tile, err
 }
 
 var _ dataservice.RenderHandle = (*SocketHandle)(nil)
-var _ dataservice.TileRenderer = (*SocketHandle)(nil)
 
 // Deployment assembles a full RAVE installation: a UDDI registry served
 // over HTTP, one data service, any number of render services, and the

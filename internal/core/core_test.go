@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"errors"
+	"image"
 	"net"
 	"testing"
 	"time"
 
 	"repro/internal/balance"
 	"repro/internal/client"
+	"repro/internal/dataservice"
 	"repro/internal/device"
 	"repro/internal/geom/genmodel"
 	"repro/internal/mathx"
@@ -270,10 +272,8 @@ func TestLocalHandle(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	cam := renderservice.StateFromCamera(
-		rasterFit(sc))
-	fb, err := h.RenderSubset(sc, cam, 48, 48, time.Time{})
-	if err != nil || fb.CoveredPixels() == 0 {
+	tile, err := h.Render(dataservice.RenderJob{Scene: sc, Camera: rasterFit(sc), Rect: image.Rect(0, 0, 48, 48), FullW: 48, FullH: 48})
+	if err != nil || tile.FB.CoveredPixels() == 0 {
 		t.Fatalf("local subset render: %v", err)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/balance"
-	"repro/internal/compositor"
 	"repro/internal/raster"
 	"repro/internal/retry"
 	"repro/internal/scene"
@@ -17,22 +16,6 @@ import (
 	"repro/internal/vclock"
 	"repro/internal/wsdl"
 )
-
-// RenderHandle is the data service's view of a connected render service:
-// enough to interrogate capacity, hand it a scene subset and collect the
-// rendered frame+depth buffer. In-process adapters and socket adapters
-// both satisfy it.
-type RenderHandle interface {
-	// Name identifies the render service.
-	Name() string
-	// Capacity interrogates the service (§3.2.5).
-	Capacity() (transport.CapacityReport, error)
-	// RenderSubset renders the given scene subset with the shared camera
-	// and returns the frame+depth buffer for compositing. The deadline is
-	// the frame's absolute budget, propagated so the service's admission
-	// control can decline infeasible work; the zero time means unbounded.
-	RenderSubset(subset *scene.Scene, cam transport.CameraState, w, h int, deadline time.Time) (*raster.Framebuffer, error)
-}
 
 // Distributor manages a session's dataset distribution across render
 // services, its workload migration, and — when services fail mid-session
@@ -98,16 +81,7 @@ func (d *Distributor) RemoveService(name string) {
 }
 
 // ServiceNames lists attached render services, sorted.
-func (d *Distributor) ServiceNames() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []string
-	for n := range d.handles {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
+func (d *Distributor) ServiceNames() []string { return d.snapshot().names }
 
 // capacityOf converts a wire capacity report to the balancer's view.
 func capacityOf(c transport.CapacityReport) balance.ServiceCapacity {
@@ -127,15 +101,8 @@ func (d *Distributor) nodeItems() []balance.NodeItem {
 	var items []balance.NodeItem
 	d.sess.Scene(func(sc *scene.Scene) {
 		for _, id := range sc.PayloadIDs() {
-			cost, err := sc.SubtreeCost(id)
-			if err != nil {
-				continue
-			}
 			// Only the node's own payload: children are separate items.
-			if n := sc.Node(id); n != nil && n.Payload != nil {
-				cost = n.Payload.Cost()
-			}
-			items = append(items, balance.NodeItem{ID: id, Cost: cost})
+			items = append(items, balance.NodeItem{ID: id, Cost: sc.Node(id).Payload.Cost()})
 		}
 	})
 	return items
@@ -146,18 +113,12 @@ func (d *Distributor) nodeItems() []balance.NodeItem {
 // onto them. Returns balance.ErrInsufficient when the attached services
 // cannot hold the dataset — the caller may then Recruit.
 func (d *Distributor) Distribute() (balance.Assignment, error) {
-	d.mu.Lock()
-	handles := make([]RenderHandle, 0, len(d.handles))
-	for _, h := range d.handles {
-		handles = append(handles, h)
-	}
-	d.mu.Unlock()
-
+	snap := d.snapshot()
 	var caps []balance.ServiceCapacity
-	for _, h := range handles {
-		c, err := h.Capacity()
+	for _, name := range snap.names {
+		c, err := snap.handles[name].Capacity()
 		if err != nil {
-			return nil, fmt.Errorf("dataservice: capacity of %s: %w", h.Name(), err)
+			return nil, fmt.Errorf("dataservice: capacity of %s: %w", name, err)
 		}
 		bc := capacityOf(c)
 		caps = append(caps, bc)
@@ -165,7 +126,6 @@ func (d *Distributor) Distribute() (balance.Assignment, error) {
 		d.engine.UpdateCapacity(bc)
 		d.mu.Unlock()
 	}
-	sort.Slice(caps, func(i, j int) bool { return caps[i].Name < caps[j].Name })
 
 	asg, err := balance.DistributeNodes(d.nodeItems(), caps)
 	if err != nil {
@@ -177,110 +137,22 @@ func (d *Distributor) Distribute() (balance.Assignment, error) {
 	return asg, nil
 }
 
-// frameDeadline computes the absolute deadline for a distributed frame
-// starting now, from the service's configured per-frame budget. A zero
-// budget yields the zero time — unbounded, for deployments that never
-// configured a frame deadline.
-func (d *Distributor) frameDeadline() time.Time {
-	budget := d.sess.svc.cfg.Hedge.FrameDeadline
-	if budget <= 0 {
-		return time.Time{}
-	}
-	return d.clock().Now().Add(budget)
-}
-
 // Assignment returns the current assignment (service -> node IDs).
-func (d *Distributor) Assignment() balance.Assignment {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := balance.Assignment{}
-	for k, v := range d.assignment {
-		out[k] = append([]scene.NodeID(nil), v...)
-	}
-	return out
-}
+func (d *Distributor) Assignment() balance.Assignment { return d.snapshot().assignment }
 
-// RenderDistributed performs one distributed frame: every assigned
-// service renders its scene subset (with ancestors retained for world
-// orientation) under the shared camera, and the frame+depth buffers are
-// depth-composited (§3.2.5). The composition is order-independent since
-// payloads are opaque.
-func (d *Distributor) RenderDistributed(w, h int) (*raster.Framebuffer, error) {
-	d.mu.Lock()
-	asg := d.assignment
-	handles := make(map[string]RenderHandle, len(d.handles))
-	for k, v := range d.handles {
-		handles[k] = v
-	}
-	d.mu.Unlock()
-	if len(asg) == 0 {
-		return nil, fmt.Errorf("dataservice: no distribution planned")
-	}
-	cam := d.sess.Camera()
-	deadline := d.frameDeadline()
-
-	type result struct {
-		fb  *raster.Framebuffer
-		err error
-	}
-	names := make([]string, 0, len(asg))
-	for name := range asg {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	results := make([]result, len(names))
-	var wg sync.WaitGroup
-	for i, name := range names {
-		handle, ok := handles[name]
-		if !ok {
-			return nil, fmt.Errorf("dataservice: assigned service %s not attached", name)
-		}
-		var subset *scene.Scene
-		var err error
-		d.sess.Scene(func(sc *scene.Scene) {
-			subset, err = sc.ExtractSubset(asg[name])
-		})
-		if err != nil {
-			return nil, err
-		}
-		wg.Add(1)
-		go func(i int, handle RenderHandle, subset *scene.Scene) {
-			defer wg.Done()
-			fb, err := handle.RenderSubset(subset, cam, w, h, deadline)
-			results[i] = result{fb, err}
-		}(i, handle, subset)
-	}
-	wg.Wait()
-
-	parts := make([]*raster.Framebuffer, 0, len(results))
-	for i, r := range results {
-		if r.err != nil {
-			return nil, fmt.Errorf("dataservice: subset render on %s: %w", names[i], r.err)
-		}
-		parts = append(parts, r.fb)
-	}
-	return compositor.CompositeAll(w, h, parts...)
-}
-
-// PlanTiles computes the framebuffer-distribution tiling for a w x h
-// image across the attached services, proportional to speed (§3.2.5).
+// PlanTiles reports the framebuffer-distribution tiling RenderTilesHedged
+// would use for a w x h image right now: bands proportional to speed
+// across the available services (§3.2.5).
 func (d *Distributor) PlanTiles(w, h int) (map[string]image.Rectangle, error) {
-	d.mu.Lock()
-	handles := make([]RenderHandle, 0, len(d.handles))
-	for _, h := range d.handles {
-		handles = append(handles, h)
+	p, err := d.tileParts(d.snapshot(), w, h)
+	if err != nil {
+		return nil, err
 	}
-	d.mu.Unlock()
-	var caps []balance.ServiceCapacity
-	for _, hd := range handles {
-		c, err := hd.Capacity()
-		if err != nil {
-			return nil, err
-		}
-		caps = append(caps, capacityOf(c))
+	tiles := make(map[string]image.Rectangle, len(p.parts))
+	for _, pt := range p.parts {
+		tiles[pt.service] = pt.job.Rect
 	}
-	return balance.DistributeTiles(w, h, caps), nil
+	return tiles, nil
 }
 
 // handleLoadReport feeds the migration engine from a subscriber's load
@@ -383,12 +255,7 @@ func (d *Distributor) Recruit(proxy RecruitSource, connect Connector) ([]string,
 	if err != nil {
 		return nil, fmt.Errorf("dataservice: recruitment scan: %w", err)
 	}
-	d.mu.Lock()
-	attached := make(map[string]bool, len(d.handles))
-	for n := range d.handles {
-		attached[n] = true
-	}
-	d.mu.Unlock()
+	attached := d.snapshot().handles
 
 	var recruited []string
 	for _, ap := range points {
@@ -396,13 +263,13 @@ func (d *Distributor) Recruit(proxy RecruitSource, connect Connector) ([]string,
 		if err != nil {
 			continue // unreachable services are skipped, not fatal
 		}
-		if attached[h.Name()] {
+		if attached[h.Name()] != nil {
 			continue
 		}
 		if err := d.AddService(h); err != nil {
 			continue
 		}
-		attached[h.Name()] = true
+		attached[h.Name()] = h
 		recruited = append(recruited, h.Name())
 	}
 	if len(recruited) == 0 {
@@ -485,37 +352,22 @@ func (d *Distributor) mergeAssignment(asg balance.Assignment) {
 // with Assigned reflecting the live assignment, so reassignment sees true
 // spare capacity. Services whose interrogation fails are skipped here;
 // the next render round surfaces them as failures.
-func (d *Distributor) survivorCaps() []balance.ServiceCapacity {
-	costByID := map[scene.NodeID]scene.Cost{}
-	for _, it := range d.nodeItems() {
-		costByID[it.ID] = it.Cost
-	}
-	d.mu.Lock()
-	handles := make(map[string]RenderHandle, len(d.handles))
-	for k, v := range d.handles {
-		handles[k] = v
-	}
-	asg := make(map[string][]scene.NodeID, len(d.assignment))
-	for k, v := range d.assignment {
-		asg[k] = append([]scene.NodeID(nil), v...)
-	}
-	d.mu.Unlock()
-
+func (d *Distributor) survivorCaps(costByID map[scene.NodeID]scene.Cost) []balance.ServiceCapacity {
+	snap := d.snapshot()
 	var caps []balance.ServiceCapacity
-	for name, h := range handles {
-		c, err := h.Capacity()
+	for _, name := range snap.names {
+		c, err := snap.handles[name].Capacity()
 		if err != nil {
 			continue
 		}
 		bc := capacityOf(c)
-		for _, id := range asg[name] {
+		for _, id := range snap.assignment[name] {
 			cost := costByID[id]
 			bc.Assigned += cost.Work()
 			bc.AssignedBytes += cost.Bytes
 		}
 		caps = append(caps, bc)
 	}
-	sort.Slice(caps, func(i, j int) bool { return caps[i].Name < caps[j].Name })
 	return caps
 }
 
@@ -543,7 +395,7 @@ func (d *Distributor) recoverOrphans(ctx context.Context, orphanIDs []scene.Node
 	}
 
 	tryPlace := func(overcommit bool) error {
-		asg, err := balance.ReassignNodes(orphans, d.survivorCaps(), overcommit)
+		asg, err := balance.ReassignNodes(orphans, d.survivorCaps(costByID), overcommit)
 		if err != nil {
 			return err
 		}
@@ -582,137 +434,4 @@ func (d *Distributor) recoverOrphans(ctx context.Context, orphanIDs []scene.Node
 	}
 	rep.Overcommitted = true
 	return nil
-}
-
-// renderOnce performs one distributed-frame attempt, isolating failures:
-// instead of aborting on the first broken service, it returns the set of
-// services that failed so recovery can reassign their work. The frame is
-// only returned when every assigned service rendered.
-func (d *Distributor) renderOnce(w, h int) (*raster.Framebuffer, map[string]error, error) {
-	d.mu.Lock()
-	asg := make(map[string][]scene.NodeID, len(d.assignment))
-	for k, v := range d.assignment {
-		asg[k] = v
-	}
-	handles := make(map[string]RenderHandle, len(d.handles))
-	for k, v := range d.handles {
-		handles[k] = v
-	}
-	d.mu.Unlock()
-	if len(asg) == 0 {
-		return nil, nil, fmt.Errorf("dataservice: no distribution planned")
-	}
-	cam := d.sess.Camera()
-	deadline := d.frameDeadline()
-
-	names := make([]string, 0, len(asg))
-	for name := range asg {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	failures := map[string]error{}
-	frames := make([]*raster.Framebuffer, len(names))
-	errs := make([]error, len(names))
-	var wg sync.WaitGroup
-	for i, name := range names {
-		handle, ok := handles[name]
-		if !ok {
-			failures[name] = fmt.Errorf("dataservice: assigned service %s not attached", name)
-			continue
-		}
-		var subset *scene.Scene
-		var err error
-		d.sess.Scene(func(sc *scene.Scene) {
-			subset, err = sc.ExtractSubset(asg[name])
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		wg.Add(1)
-		go func(i int, handle RenderHandle, subset *scene.Scene) {
-			defer wg.Done()
-			frames[i], errs[i] = handle.RenderSubset(subset, cam, w, h, deadline)
-		}(i, handle, subset)
-	}
-	wg.Wait()
-
-	parts := make([]*raster.Framebuffer, 0, len(names))
-	for i, name := range names {
-		if _, bad := failures[name]; bad {
-			continue
-		}
-		if errs[i] != nil {
-			failures[name] = errs[i]
-			continue
-		}
-		parts = append(parts, frames[i])
-	}
-	if len(failures) > 0 {
-		return nil, failures, nil
-	}
-	fb, err := compositor.CompositeAll(w, h, parts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fb, nil, nil
-}
-
-// maxRecoveryRounds bounds how many failure-recovery cycles one frame
-// may trigger before the session gives up.
-const maxRecoveryRounds = 4
-
-// RecoveryReport summarizes what failure recovery did for one frame.
-type RecoveryReport struct {
-	// Failed lists services detected failed this frame (detection order).
-	Failed []string
-	// Reassigned counts orphaned nodes placed onto other services.
-	Reassigned int
-	// Recruited lists services newly attached via UDDI during recovery.
-	Recruited []string
-	// Overcommitted is set when survivors were loaded past capacity to
-	// keep frames flowing.
-	Overcommitted bool
-	// Rounds is the number of render attempts (1 = no failures).
-	Rounds int
-}
-
-// RenderDistributedResilient renders one distributed frame like
-// RenderDistributed, but survives render-service failures mid-frame: a
-// failed service is detached, its orphaned nodes are reassigned to
-// survivors (recruiting replacements through UDDI when capacity runs
-// short), and the frame is re-rendered — so thin clients keep receiving
-// frames while the fabric degrades and heals (§3.2.7).
-func (d *Distributor) RenderDistributedResilient(ctx context.Context, w, h int) (*raster.Framebuffer, *RecoveryReport, error) {
-	rep := &RecoveryReport{}
-	for round := 0; ; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, rep, err
-		}
-		rep.Rounds = round + 1
-		fb, failures, err := d.renderOnce(w, h)
-		if err != nil {
-			return nil, rep, err
-		}
-		if len(failures) == 0 {
-			return fb, rep, nil
-		}
-		if round >= maxRecoveryRounds {
-			return nil, rep, fmt.Errorf("dataservice: recovery exhausted after %d rounds (%d services still failing)",
-				rep.Rounds, len(failures))
-		}
-		names := make([]string, 0, len(failures))
-		for n := range failures {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		var orphans []scene.NodeID
-		for _, n := range names {
-			rep.Failed = append(rep.Failed, n)
-			orphans = append(orphans, d.FailService(n)...)
-		}
-		if err := d.recoverOrphans(ctx, orphans, rep); err != nil {
-			return nil, rep, err
-		}
-	}
 }

@@ -2,8 +2,6 @@ package dataservice
 
 import (
 	"context"
-	"fmt"
-	"image"
 	"sync"
 	"testing"
 	"time"
@@ -12,13 +10,11 @@ import (
 	"repro/internal/compositor"
 	"repro/internal/raster"
 	"repro/internal/renderservice"
-	"repro/internal/scene"
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/vclock"
 )
 
-// fakeTile is a controllable TileRenderer: it answers after a fixed
+// fakeTile is a controllable tile renderer: it answers after a fixed
 // device delay on the virtual clock, or declines everything.
 type fakeTile struct {
 	name    string
@@ -38,11 +34,8 @@ func (h *fakeTile) Capacity() (transport.CapacityReport, error) {
 	return transport.CapacityReport{Name: h.name, PolysPerSecond: 1e6, TargetFPS: 10}, nil
 }
 
-func (h *fakeTile) RenderSubset(*scene.Scene, transport.CameraState, int, int, time.Time) (*raster.Framebuffer, error) {
-	return nil, fmt.Errorf("not used")
-}
-
-func (h *fakeTile) RenderTile(rect image.Rectangle, fullW, fullH int, deadline time.Time, tc telemetry.SpanContext) (compositor.Tile, error) {
+func (h *fakeTile) Render(job RenderJob) (compositor.Tile, error) {
+	rect := job.Rect
 	h.mu.Lock()
 	h.calls++
 	h.mu.Unlock()

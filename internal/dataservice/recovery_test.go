@@ -8,10 +8,9 @@ import (
 	"time"
 
 	"repro/internal/balance"
+	"repro/internal/compositor"
 	"repro/internal/device"
-	"repro/internal/raster"
 	"repro/internal/renderservice"
-	"repro/internal/scene"
 	"repro/internal/transport"
 	"repro/internal/vclock"
 )
@@ -85,11 +84,11 @@ func (h *crashyHandle) Capacity() (transport.CapacityReport, error) {
 	return h.inner.Capacity()
 }
 
-func (h *crashyHandle) RenderSubset(subset *scene.Scene, cam transport.CameraState, w, hh int, deadline time.Time) (*raster.Framebuffer, error) {
+func (h *crashyHandle) Render(job RenderJob) (compositor.Tile, error) {
 	if h.dead.Load() {
-		return nil, errCrashedSvc
+		return compositor.Tile{}, errCrashedSvc
 	}
-	return h.inner.RenderSubset(subset, cam, w, hh, deadline)
+	return h.inner.Render(job)
 }
 
 // TestFailureDuringInFlightMigration: load reports trigger a migration
@@ -160,5 +159,57 @@ func TestFailureDuringInFlightMigration(t *testing.T) {
 	}
 	if frac := float64(diff) / float64(len(whole.Color)); frac > 0.01 {
 		t.Errorf("recovered frame differs from reference on %.2f%% of bytes", frac*100)
+	}
+}
+
+// TestRenderDuringMigration renders frames while another goroutine keeps
+// reporting overload and applying migrations, each of which rewrites the
+// live assignment: rendering must work from its own copy. Run under
+// -race this is the probe for the shared map and the in-place slice
+// shift; the assertions pin that no frame fails and no node is lost.
+func TestRenderDuringMigration(t *testing.T) {
+	svc := New(Config{Name: "data"})
+	sess := multiMeshSession(t, svc, 6)
+	th := balance.DefaultThresholds()
+	th.UnderloadedFor = 1
+	d := sess.NewDistributor(th)
+	d.AddService(&localHandle{newRender("a", device.SGIOnyx)})
+	d.AddService(&localHandle{newRender("b", device.SGIOnyx)})
+	if _, err := d.Distribute(); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	migrated := make(chan int)
+	go func() {
+		moves := 0
+		for over, under := "a", "b"; ; over, under = under, over {
+			select {
+			case <-stop:
+				migrated <- moves
+				return
+			default:
+			}
+			d.ReportLoad(transport.LoadReport{Name: over, FPS: 4})
+			d.ReportLoad(transport.LoadReport{Name: under, FPS: 60})
+			moves += len(d.PlanMigration())
+		}
+	}()
+	for i := 0; i < 40; i++ {
+		if _, err := d.RenderDistributed(32, 32); err != nil {
+			t.Errorf("frame %d: %v", i, err)
+			break
+		}
+	}
+	close(stop)
+	if moves := <-migrated; moves == 0 {
+		t.Error("no migration happened while rendering")
+	}
+	total := 0
+	for _, ids := range d.Assignment() {
+		total += len(ids)
+	}
+	if total != 6 {
+		t.Errorf("assignment holds %d of 6 nodes after concurrent migration", total)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/balance"
+	"repro/internal/compositor"
 	"repro/internal/device"
 	"repro/internal/geom/genmodel"
 	"repro/internal/geom/objply"
@@ -292,9 +293,12 @@ func (h *localHandle) Name() string { return h.svc.Name() }
 func (h *localHandle) Capacity() (transport.CapacityReport, error) {
 	return h.svc.Capacity(), nil
 }
-func (h *localHandle) RenderSubset(subset *scene.Scene, cam transport.CameraState, w, hh int, deadline time.Time) (*raster.Framebuffer, error) {
-	fb, _, err := h.svc.RenderSceneOnceBy(subset, renderservice.CameraFromState(cam), w, hh, deadline)
-	return fb, err
+func (h *localHandle) Render(job RenderJob) (compositor.Tile, error) {
+	frame, err := h.svc.Render(job)
+	if err != nil {
+		return compositor.Tile{}, err
+	}
+	return compositor.Tile{Rect: job.Rect, FB: frame.FB}, nil
 }
 
 func newRender(name string, prof device.Profile) *renderservice.Service {

@@ -1,12 +1,15 @@
 package dataservice
 
 import (
+	"context"
 	"fmt"
+	"image"
 	"sort"
 
 	"repro/internal/compositor"
 	"repro/internal/mathx"
 	"repro/internal/raster"
+	"repro/internal/renderservice"
 	"repro/internal/scene"
 )
 
@@ -18,7 +21,8 @@ import (
 // blending (such as Visapult)." SplitVolumeNode cuts a voxel node into
 // slab nodes through ordinary scene ops (so every replica follows), and
 // RenderVolumeDistributed renders each slab on its assigned service and
-// blends the layers back-to-front.
+// blends the layers back-to-front — the frame pipeline of frame.go with
+// a per-node partitioner and a blending assembler.
 
 // SplitVolumeNode replaces a voxel node with n slab children under a new
 // group node carrying the original transform. The change is applied as
@@ -76,6 +80,49 @@ func (sess *Session) SplitVolumeNode(id scene.NodeID, n int) ([]scene.NodeID, er
 	return ids, nil
 }
 
+// slabParts is the volume-distribution partitioner: every assigned node
+// is its own part — a one-node scene subset rendered over the whole
+// frame on the node's service — carrying the node's world-space
+// distance from the camera for the blend order.
+func (d *Distributor) slabParts(snap snapshot, w, h int) (*plan, error) {
+	if len(snap.assignment) == 0 {
+		return nil, fmt.Errorf("dataservice: no distribution planned")
+	}
+	owner := map[scene.NodeID]string{}
+	var ids []scene.NodeID
+	for name, nodes := range snap.assignment {
+		for _, id := range nodes {
+			owner[id] = name
+			ids = append(ids, id)
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+
+	cam := renderservice.CameraFromState(d.sess.Camera())
+	job := RenderJob{Camera: cam, Rect: image.Rect(0, 0, w, h), FullW: w, FullH: h}
+	p := &plan{span: "render-slab"}
+	var err error
+	d.sess.Scene(func(sc *scene.Scene) {
+		for _, id := range ids {
+			if job.Scene, err = sc.ExtractSubset([]scene.NodeID{id}); err != nil {
+				return
+			}
+			var world mathx.Mat4
+			if world, err = sc.WorldTransform(id); err != nil {
+				return
+			}
+			n := sc.Node(id)
+			if n == nil || n.Payload == nil {
+				err = fmt.Errorf("dataservice: node %d lost during render", id)
+				return
+			}
+			dist := n.Payload.BoundsLocal().Transform(world).Center().Dist(cam.Eye)
+			p.parts = append(p.parts, part{service: owner[id], job: job, viewDistance: dist})
+		}
+	})
+	return p, err
+}
+
 // RenderVolumeDistributed renders each assigned node as its own layer on
 // its assigned service and blends the layers back-to-front by each
 // node's world-space distance from the camera. opacity applies per layer
@@ -83,69 +130,18 @@ func (sess *Session) SplitVolumeNode(id scene.NodeID, n int) ([]scene.NodeID, er
 // blend as opaque-ish layers — but the intended use is a scene of volume
 // slabs from SplitVolumeNode.
 func (d *Distributor) RenderVolumeDistributed(w, h int, opacity float64) (*raster.Framebuffer, error) {
-	d.mu.Lock()
-	asg := d.assignment
-	handles := make(map[string]RenderHandle, len(d.handles))
-	for k, v := range d.handles {
-		handles[k] = v
-	}
-	d.mu.Unlock()
-	if len(asg) == 0 {
-		return nil, fmt.Errorf("dataservice: no distribution planned")
-	}
-	cam := d.sess.Camera()
-	deadline := d.frameDeadline()
-	eye := mathx.V3(cam.Eye[0], cam.Eye[1], cam.Eye[2])
-
-	type job struct {
-		service string
-		node    scene.NodeID
-	}
-	var jobs []job
-	for name, ids := range asg {
-		for _, id := range ids {
-			jobs = append(jobs, job{name, id})
-		}
-	}
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].node < jobs[j].node })
-
-	var layers []compositor.VolumeLayer
-	for _, jb := range jobs {
-		handle, ok := handles[jb.service]
-		if !ok {
-			return nil, fmt.Errorf("dataservice: assigned service %s not attached", jb.service)
-		}
-		var subset *scene.Scene
-		var dist float64
-		var err error
-		d.sess.Scene(func(sc *scene.Scene) {
-			subset, err = sc.ExtractSubset([]scene.NodeID{jb.node})
-			if err != nil {
-				return
-			}
-			world, werr := sc.WorldTransform(jb.node)
-			if werr != nil {
-				err = werr
-				return
-			}
-			n := sc.Node(jb.node)
-			if n == nil || n.Payload == nil {
-				err = fmt.Errorf("dataservice: node %d lost during render", jb.node)
-				return
-			}
-			bounds := n.Payload.BoundsLocal().Transform(world)
-			dist = bounds.Center().Dist(eye)
-		})
+	blend := func(w, h int, p *plan) (*raster.Framebuffer, []image.Rectangle, error) {
+		fbs, err := p.complete()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		fb, err := handle.RenderSubset(subset, cam, w, h, deadline)
-		if err != nil {
-			return nil, fmt.Errorf("dataservice: slab render on %s: %w", jb.service, err)
+		layers := make([]compositor.VolumeLayer, len(fbs))
+		for i, fb := range fbs {
+			layers[i] = compositor.VolumeLayer{FB: fb, Opacity: opacity, ViewDistance: p.parts[i].viewDistance}
 		}
-		layers = append(layers, compositor.VolumeLayer{
-			FB: fb, Opacity: opacity, ViewDistance: dist,
-		})
+		fb, err := compositor.BlendVolume(w, h, layers)
+		return fb, nil, err
 	}
-	return compositor.BlendVolume(w, h, layers)
+	fb, _, err := d.renderFrame(context.TODO(), w, h, HedgeConfig{}, d.slabParts, blend)
+	return fb, err
 }

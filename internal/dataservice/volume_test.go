@@ -8,6 +8,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mathx"
 	"repro/internal/raster"
+	"repro/internal/renderservice"
 	"repro/internal/scene"
 )
 
@@ -128,5 +129,31 @@ func TestRenderVolumeDistributed(t *testing.T) {
 	empty := sess.NewDistributor(balance.DefaultThresholds())
 	if _, err := empty.RenderVolumeDistributed(32, 32, 1); err == nil {
 		t.Error("render without distribution accepted")
+	}
+}
+
+// TestRenderVolumeManySlabsOneService: a service holding more slabs than
+// its admission control lets assists run at once still renders them all
+// — a service's parts go out one at a time, never shed by its own queue.
+func TestRenderVolumeManySlabsOneService(t *testing.T) {
+	sess, id := volumeSession(t)
+	slabs, err := sess.SplitVolumeNode(id, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(slabs) <= renderservice.DefaultQueueDepth/2 {
+		t.Fatalf("precondition: %d slabs fit the background queue", len(slabs))
+	}
+	d := sess.NewDistributor(balance.DefaultThresholds())
+	d.AddService(&localHandle{newRender("only", device.SGIOnyx)})
+	if _, err := d.Distribute(); err != nil {
+		t.Fatal(err)
+	}
+	fb, err := d.RenderVolumeDistributed(64, 64, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fb.CoveredPixels() == 0 {
+		t.Error("blended volume is empty")
 	}
 }

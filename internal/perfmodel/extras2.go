@@ -3,10 +3,10 @@ package perfmodel
 import (
 	"fmt"
 	"image"
-	"time"
 
 	"repro/internal/balance"
 	"repro/internal/compositor"
+	"repro/internal/core"
 	"repro/internal/dataservice"
 	"repro/internal/device"
 	"repro/internal/geom"
@@ -14,20 +14,7 @@ import (
 	"repro/internal/raster"
 	"repro/internal/renderservice"
 	"repro/internal/scene"
-	"repro/internal/transport"
 )
-
-// localVolumeHandle adapts a render service for the volume demo.
-type localVolumeHandle struct{ svc *renderservice.Service }
-
-func (h *localVolumeHandle) Name() string { return h.svc.Name() }
-func (h *localVolumeHandle) Capacity() (transport.CapacityReport, error) {
-	return h.svc.Capacity(), nil
-}
-func (h *localVolumeHandle) RenderSubset(subset *scene.Scene, cam transport.CameraState, w, hh int, deadline time.Time) (*raster.Framebuffer, error) {
-	fb, _, err := h.svc.RenderSceneOnceBy(subset, renderservice.CameraFromState(cam), w, hh, deadline)
-	return fb, err
-}
 
 // VolumeDemoResult reports the X5 volume-distribution demo.
 type VolumeDemoResult struct {
@@ -75,7 +62,7 @@ func VolumeDemo() (*VolumeDemoResult, error) {
 			prof = device.SGIOnyx
 		}
 		rs := renderservice.New(renderservice.Config{Name: name, Device: prof, Workers: 4})
-		if err := dist.AddService(&localVolumeHandle{rs}); err != nil {
+		if err := dist.AddService(&core.LocalHandle{Svc: rs}); err != nil {
 			return nil, err
 		}
 	}

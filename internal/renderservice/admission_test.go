@@ -4,6 +4,7 @@ import (
 	"errors"
 	"image"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -95,7 +96,7 @@ func TestAdmissionBackgroundReservation(t *testing.T) {
 	}
 	waitAdmitted(t, svc, 2)
 
-	_, err = sess.RenderTileBy(image.Rect(0, 0, 16, 16), 32, 32, time.Time{})
+	_, err = sess.RenderTile(image.Rect(0, 0, 16, 16), 32, 32)
 	var ov *ErrOverloaded
 	if !errors.As(err, &ov) || ov.Reason != ReasonQueueFull {
 		t.Fatalf("background work at cap: want queue-full ErrOverloaded, got %v", err)
@@ -117,6 +118,14 @@ func TestAdmissionBackgroundReservation(t *testing.T) {
 	stopAdv()
 }
 
+// frameBy renders bob's 32x32 interactive frame under a deadline.
+func frameBy(sess *Session, deadline time.Time) (*Frame, error) {
+	return sess.svc.Render(Job{
+		Session: sess, Rect: image.Rect(0, 0, 32, 32), FullW: 32, FullH: 32,
+		Viewer: "bob", Interactive: true, Deadline: deadline,
+	})
+}
+
 // TestAdmissionDeadlines proves expired work is cancelled without
 // rendering and infeasible deadlines (closer than the estimated
 // completion time) are declined.
@@ -131,7 +140,7 @@ func TestAdmissionDeadlines(t *testing.T) {
 	defer sess.Close()
 
 	// A deadline at (or before) now is expired on arrival.
-	_, err = sess.RenderFrameBy(32, 32, "bob", clk.Now())
+	_, err = frameBy(sess, clk.Now())
 	var ov *ErrOverloaded
 	if !errors.As(err, &ov) || ov.Reason != ReasonExpired {
 		t.Fatalf("expired deadline: want %q, got %v", ReasonExpired, err)
@@ -142,13 +151,13 @@ func TestAdmissionDeadlines(t *testing.T) {
 	if _, err := sess.RenderFrame(32, 32, "bob"); err != nil {
 		t.Fatal(err)
 	}
-	_, err = sess.RenderFrameBy(32, 32, "bob", clk.Now().Add(time.Nanosecond))
+	_, err = frameBy(sess, clk.Now().Add(time.Nanosecond))
 	if !errors.As(err, &ov) || ov.Reason != ReasonDeadline {
 		t.Fatalf("infeasible deadline: want %q, got %v", ReasonDeadline, err)
 	}
 
 	// A generous deadline is admitted and rendered.
-	if _, err := sess.RenderFrameBy(32, 32, "bob", clk.Now().Add(time.Hour)); err != nil {
+	if _, err := frameBy(sess, clk.Now().Add(time.Hour)); err != nil {
 		t.Fatalf("feasible deadline refused: %v", err)
 	}
 }
@@ -205,6 +214,70 @@ func TestServeClientDeclinesExpired(t *testing.T) {
 	}
 	if mt, _, err := conn.Receive(); err != nil || mt != transport.MsgFrame {
 		t.Fatalf("post-decline frame = %v, %v", mt, err)
+	}
+	if err := conn.Send(transport.MsgBye, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-serveDone; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+}
+
+// TestServeClientRefusesOversizedTile: a tile assignment off the wire
+// naming a frame beyond the size bound is answered with MsgError before
+// anything is admitted or allocated — whether the tile itself is small
+// (which used to render) or as large as the frame (which used to size a
+// framebuffer from the socket) — and the connection keeps serving.
+func TestServeClientRefusesOversizedTile(t *testing.T) {
+	svc := newService("rs")
+	sc := testScene(t)
+	if _, err := svc.OpenSession("s", sc, testCamera(sc)); err != nil {
+		t.Fatal(err)
+	}
+	client, server := net.Pipe()
+	defer client.Close()
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- svc.ServeClient(server, 1e9) }()
+
+	conn := transport.NewConn(client)
+	if err := conn.SendJSON(transport.MsgHello, transport.Hello{Role: "peer", Name: "data", Session: "s"}); err != nil {
+		t.Fatal(err)
+	}
+	if mt, _, err := conn.Receive(); err != nil || mt != transport.MsgOK {
+		t.Fatalf("hello reply = %v, %v", mt, err)
+	}
+
+	const huge = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, ta := range []transport.TileAssign{
+		{X1: 64, Y1: 64, FullW: huge, FullH: huge, Session: "s"},
+		{X1: huge, Y1: huge, FullW: huge, FullH: huge, Session: "s"},
+	} {
+		if err := conn.SendJSON(transport.MsgTileAssign, ta); err != nil {
+			t.Fatal(err)
+		}
+		if mt, _, err := conn.Receive(); err != nil || mt != transport.MsgError {
+			t.Fatalf("tile %+v: reply = %v, %v; want error", ta, mt, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refused tiles allocated %d bytes", grew)
+	}
+	if admitted, _ := svc.AdmissionStats(); admitted != 0 {
+		t.Errorf("refused tiles were admitted %d times", admitted)
+	}
+
+	// The connection survived: a well-formed tile renders.
+	if err := conn.SendJSON(transport.MsgTileAssign, transport.TileAssign{X1: 16, Y1: 16, FullW: 32, FullH: 32, Session: "s"}); err != nil {
+		t.Fatal(err)
+	}
+	if mt, _, err := conn.Receive(); err != nil || mt != transport.MsgTileFrame {
+		t.Fatalf("tile header = %v, %v", mt, err)
+	}
+	if mt, _, err := conn.Receive(); err != nil || mt != transport.MsgFrameDepth {
+		t.Fatalf("tile body = %v, %v", mt, err)
 	}
 	if err := conn.Send(transport.MsgBye, nil); err != nil {
 		t.Fatal(err)

@@ -54,7 +54,7 @@ func (q *OffscreenQueue) Submit(sess *Session, w, h int) (*OffscreenRequest, err
 	if sess == nil {
 		return nil, fmt.Errorf("renderservice: offscreen submit without session")
 	}
-	if w <= 0 || h <= 0 || w > 1<<13 || h > 1<<13 {
+	if w <= 0 || h <= 0 || w > maxFrameDim || h > maxFrameDim {
 		return nil, fmt.Errorf("renderservice: bad offscreen size %dx%d", w, h)
 	}
 	req := &OffscreenRequest{q: q, sess: sess, w: w, h: h}
@@ -64,7 +64,7 @@ func (q *OffscreenQueue) Submit(sess *Session, w, h int) (*OffscreenRequest, err
 	// device's serialized timeline.
 	fb := raster.NewFramebuffer(w, h)
 	sess.mu.Lock()
-	tris := sess.renderLocked(fb, image.Rectangle{}, w, h, "")
+	tris := sess.svc.draw(sess.scene, sess.camera, fb, image.Rectangle{}, w, h, "")
 	version := sess.scene.Version
 	sess.mu.Unlock()
 

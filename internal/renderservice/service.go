@@ -270,22 +270,21 @@ func (sess *Session) SceneCost() scene.Cost {
 	return sess.scene.TotalCost()
 }
 
-// renderLocked draws the replica into fb with the given tile settings,
-// culling whole nodes against the view frustum before they reach the
-// rasterizer. Callers hold sess.mu.
-func (sess *Session) renderLocked(fb *raster.Framebuffer, tile image.Rectangle, fullW, fullH int, viewer string) int {
+// draw rasterizes sc under cam into fb — the tile region of a fullW x
+// fullH image — culling whole nodes against the view frustum first, and
+// returns the triangles drawn. Callers drawing a replica hold its mutex.
+func (s *Service) draw(sc *scene.Scene, cam raster.Camera, fb *raster.Framebuffer, tile image.Rectangle, fullW, fullH int, viewer string) int {
 	r := raster.New(fb)
-	r.Opts.Workers = sess.svc.cfg.Workers
+	r.Opts.Workers = s.cfg.Workers
 	r.Opts.Tile = tile
 	r.Opts.FullW, r.Opts.FullH = fullW, fullH
-	r.Opts.Metrics = sess.svc.cfg.Metrics
-	r.Opts.Service = sess.svc.cfg.Name
-	r.Opts.Clock = sess.svc.cfg.Clock
-	cam := sess.camera
+	r.Opts.Metrics = s.cfg.Metrics
+	r.Opts.Service = s.cfg.Name
+	r.Opts.Clock = s.cfg.Clock
 	aspect := float64(fullW) / float64(fullH)
 	frustum := mathx.FrustumFromMatrix(cam.ViewProjection(aspect))
 	tris := 0
-	sess.scene.Walk(func(n *scene.Node, world mathx.Mat4) bool {
+	sc.Walk(func(n *scene.Node, world mathx.Mat4) bool {
 		if n.Payload != nil {
 			bounds := n.Payload.BoundsLocal().Transform(world)
 			if !frustum.IntersectsAABB(bounds) {
@@ -321,106 +320,118 @@ type Frame struct {
 	DeviceTime time.Duration
 }
 
+// maxFrameDim bounds either side of a frame a request may name, so a
+// size read off a socket cannot drive an arbitrary allocation.
+const maxFrameDim = 1 << 13
+
+// Job is one render request. The three shapes the service renders are
+// all Jobs: an interactive frame (Session, the whole frame, Interactive),
+// a framebuffer-distribution tile (Session, part of the frame) and a
+// dataset-distribution subset (Scene under Camera).
+type Job struct {
+	// Session is the replica to draw under its own camera. Nil draws
+	// Scene under Camera without keeping any state.
+	Session *Session
+	Scene   *scene.Scene
+	Camera  raster.Camera
+	// Rect is the region of the FullW x FullH frame to render.
+	Rect         image.Rectangle
+	FullW, FullH int
+	// Viewer is the user whose own avatar is hidden.
+	Viewer string
+	// Interactive marks a user waiting at a client, who may use the whole
+	// admission queue; assists for peers are capped at half of it.
+	Interactive bool
+	// Deadline is the absolute time by which the result is needed: work
+	// the service cannot finish by then is refused with ErrOverloaded
+	// instead of rendered late. Zero means only the queue bound applies.
+	Deadline time.Time
+	// Trace is the caller's span context; when valid the service's
+	// "render" span joins that trace tree.
+	Trace telemetry.SpanContext
+}
+
 // RenderFrame renders a full frame at w x h for the given viewer (whose
 // own avatar is hidden).
 func (sess *Session) RenderFrame(w, h int, viewer string) (*Frame, error) {
-	return sess.RenderFrameBy(w, h, viewer, time.Time{})
-}
-
-// RenderFrameBy is RenderFrame under admission control with an optional
-// absolute deadline: work the service cannot start (queue full) or
-// cannot finish in time is refused with ErrOverloaded before touching
-// the session, so callers can immediately retry elsewhere. The zero
-// deadline means "no deadline" and only the queue bound applies.
-func (sess *Session) RenderFrameBy(w, h int, viewer string, deadline time.Time) (*Frame, error) {
-	if w <= 0 || h <= 0 || w > 1<<13 || h > 1<<13 {
-		return nil, fmt.Errorf("renderservice: bad frame size %dx%d", w, h)
-	}
-	release, err := sess.svc.admit(true, deadline)
-	if err != nil {
-		return nil, err
-	}
-	fb := raster.NewFramebuffer(w, h)
-	sess.mu.Lock()
-	tris := sess.renderLocked(fb, image.Rectangle{}, w, h, viewer)
-	version := sess.scene.Version
-	dt := sess.svc.cfg.Device.OffScreenTime(device.Workload{
-		Triangles: tris, Pixels: w * h,
-	})
-	sess.lastFrameTime = dt
-	sess.framesDrawn++
-	sess.mu.Unlock()
-	if sess.svc.cfg.SimulateDeviceTime {
-		sess.svc.cfg.Clock.Sleep(dt)
-	}
-	release(dt)
-	sess.svc.cfg.Metrics.Counter(sess.svc.cfg.Name, "frames_total", "").Inc()
-	sess.svc.cfg.Metrics.Histogram(sess.svc.cfg.Name, "render_frame_ns", "").Observe(dt)
-	return &Frame{FB: fb, Version: version, DeviceTime: dt}, nil
+	return sess.svc.Render(Job{Session: sess, Rect: image.Rect(0, 0, w, h), FullW: w, FullH: h, Viewer: viewer, Interactive: true})
 }
 
 // RenderTile renders one tile of a fullW x fullH image — framebuffer
 // distribution's assisting role ("renders to an off-screen buffer, which
 // it then forwards directly to the requesting render service").
 func (sess *Session) RenderTile(rect image.Rectangle, fullW, fullH int) (*Frame, error) {
-	return sess.RenderTileBy(rect, fullW, fullH, time.Time{})
+	return sess.svc.Render(Job{Session: sess, Rect: rect, FullW: fullW, FullH: fullH})
 }
 
-// RenderTileBy is RenderTile under admission control with an optional
-// absolute deadline; tile assists count as background work (half the
-// queue depth) so they cannot starve interactive frames. See
-// RenderFrameBy.
-func (sess *Session) RenderTileBy(rect image.Rectangle, fullW, fullH int, deadline time.Time) (*Frame, error) {
-	if rect.Dx() <= 0 || rect.Dy() <= 0 || fullW <= 0 || fullH <= 0 ||
-		rect.Min.X < 0 || rect.Min.Y < 0 || rect.Max.X > fullW || rect.Max.Y > fullH {
-		return nil, fmt.Errorf("renderservice: bad tile %v of %dx%d", rect, fullW, fullH)
+// RenderSceneOnce renders an arbitrary scene (typically a distribution
+// subset streamed by the data service) without keeping replica state,
+// returning the frame+depth buffer for compositing and the modeled
+// device time.
+func (s *Service) RenderSceneOnce(sc *scene.Scene, cam raster.Camera, w, h int) (*raster.Framebuffer, time.Duration, error) {
+	frame, err := s.Render(Job{Scene: sc, Camera: cam, Rect: image.Rect(0, 0, w, h), FullW: w, FullH: h})
+	if err != nil {
+		return nil, 0, err
 	}
-	release, err := sess.svc.admit(false, deadline)
+	return frame.FB, frame.DeviceTime, nil
+}
+
+// Render is the one render body: validate, admit, rasterize, charge the
+// modeled device time, release, count — under a traced job's span.
+func (s *Service) Render(j Job) (frame *Frame, err error) {
+	span := s.cfg.Tracer.Child(j.Trace, s.cfg.Name, "render")
+	defer func() {
+		var ov *ErrOverloaded
+		switch {
+		case err == nil:
+			span.End()
+		case errors.As(err, &ov):
+			span.EndStatus(telemetry.StatusDeclined)
+		default:
+			span.EndStatus(telemetry.StatusError)
+		}
+	}()
+	if j.FullW <= 0 || j.FullH <= 0 || j.FullW > maxFrameDim || j.FullH > maxFrameDim {
+		return nil, fmt.Errorf("renderservice: bad frame size %dx%d", j.FullW, j.FullH)
+	}
+	if j.Rect.Empty() || !j.Rect.In(image.Rect(0, 0, j.FullW, j.FullH)) {
+		return nil, fmt.Errorf("renderservice: bad tile %v of %dx%d", j.Rect, j.FullW, j.FullH)
+	}
+	release, err := s.admit(j.Interactive, j.Deadline)
 	if err != nil {
 		return nil, err
 	}
-	fb := raster.NewFramebuffer(rect.Dx(), rect.Dy())
-	sess.mu.Lock()
-	tris := sess.renderLocked(fb, rect, fullW, fullH, "")
-	version := sess.scene.Version
-	dt := sess.svc.cfg.Device.OffScreenTime(device.Workload{
-		Triangles: tris, Pixels: rect.Dx() * rect.Dy(),
-	})
-	sess.lastFrameTime = dt
-	sess.framesDrawn++
-	sess.mu.Unlock()
-	if sess.svc.cfg.SimulateDeviceTime {
-		sess.svc.cfg.Clock.Sleep(dt)
+	frame = &Frame{FB: raster.NewFramebuffer(j.Rect.Dx(), j.Rect.Dy())}
+	sc, cam := j.Scene, j.Camera
+	if sess := j.Session; sess != nil {
+		sess.mu.Lock()
+		sc, cam, frame.Version = sess.scene, sess.camera, sess.scene.Version
+	}
+	tris := s.draw(sc, cam, frame.FB, j.Rect, j.FullW, j.FullH, j.Viewer)
+	dt := s.cfg.Device.OffScreenTime(device.Workload{Triangles: tris, Pixels: j.Rect.Dx() * j.Rect.Dy()})
+	frame.DeviceTime = dt
+	if sess := j.Session; sess != nil {
+		sess.lastFrameTime = dt
+		sess.framesDrawn++
+		sess.mu.Unlock()
+	}
+	if s.cfg.SimulateDeviceTime {
+		s.cfg.Clock.Sleep(dt)
 	}
 	release(dt)
-	sess.svc.cfg.Metrics.Counter(sess.svc.cfg.Name, "tiles_total", "").Inc()
-	sess.svc.cfg.Metrics.Histogram(sess.svc.cfg.Name, "render_tile_ns", "").Observe(dt)
-	return &Frame{FB: fb, Version: version, DeviceTime: dt}, nil
-}
-
-// RenderTileTraced is RenderTileBy carrying the caller's span context:
-// the service records a child "render" span covering admission and
-// rasterization, so a distributed frame's trace tree extends into each
-// assisting service. The zero SpanContext renders untraced.
-func (sess *Session) RenderTileTraced(rect image.Rectangle, fullW, fullH int, deadline time.Time, tc telemetry.SpanContext) (*Frame, error) {
-	span := sess.svc.cfg.Tracer.Child(tc, sess.svc.cfg.Name, "render")
-	frame, err := sess.RenderTileBy(rect, fullW, fullH, deadline)
-	endRenderSpan(span, err)
-	return frame, err
-}
-
-// endRenderSpan completes a service-side render span with a status
-// matching the render outcome.
-func endRenderSpan(span *telemetry.ActiveSpan, err error) {
-	var ov *ErrOverloaded
+	metrics, name := s.cfg.Metrics, s.cfg.Name
 	switch {
-	case err == nil:
-		span.End()
-	case errors.As(err, &ov):
-		span.EndStatus(telemetry.StatusDeclined)
+	case j.Session == nil:
+		metrics.Counter(name, "subsets_total", "").Inc()
+		metrics.Histogram(name, "render_subset_ns", "").Observe(dt)
+	case j.Interactive:
+		metrics.Counter(name, "frames_total", "").Inc()
+		metrics.Histogram(name, "render_frame_ns", "").Observe(dt)
 	default:
-		span.EndStatus(telemetry.StatusError)
+		metrics.Counter(name, "tiles_total", "").Inc()
+		metrics.Histogram(name, "render_tile_ns", "").Observe(dt)
 	}
+	return frame, nil
 }
 
 // wireSpan reconstructs a caller's span context from the trace fields
@@ -455,38 +466,6 @@ func (sess *Session) EncodeFrame(f *Frame, codecName string, throughputBps float
 	default:
 		return nil, fmt.Errorf("renderservice: unknown codec %q", codecName)
 	}
-}
-
-// RenderSceneOnce renders an arbitrary scene (typically a distribution
-// subset streamed by the data service) without keeping replica state,
-// returning the frame+depth buffer for compositing and the modeled
-// device time.
-func (s *Service) RenderSceneOnce(sc *scene.Scene, cam raster.Camera, w, h int) (*raster.Framebuffer, time.Duration, error) {
-	return s.RenderSceneOnceBy(sc, cam, w, h, time.Time{})
-}
-
-// RenderSceneOnceBy is RenderSceneOnce under admission control with an
-// optional absolute deadline; subset assists count as background work.
-// See RenderFrameBy.
-func (s *Service) RenderSceneOnceBy(sc *scene.Scene, cam raster.Camera, w, h int, deadline time.Time) (*raster.Framebuffer, time.Duration, error) {
-	if w <= 0 || h <= 0 || w > 1<<13 || h > 1<<13 {
-		return nil, 0, fmt.Errorf("renderservice: bad frame size %dx%d", w, h)
-	}
-	release, err := s.admit(false, deadline)
-	if err != nil {
-		return nil, 0, err
-	}
-	tmp := &Session{name: "once", svc: s, scene: sc, camera: cam}
-	fb := raster.NewFramebuffer(w, h)
-	tris := tmp.renderLocked(fb, image.Rectangle{}, w, h, "")
-	dt := s.cfg.Device.OffScreenTime(device.Workload{Triangles: tris, Pixels: w * h})
-	if s.cfg.SimulateDeviceTime {
-		s.cfg.Clock.Sleep(dt)
-	}
-	release(dt)
-	s.cfg.Metrics.Counter(s.cfg.Name, "subsets_total", "").Inc()
-	s.cfg.Metrics.Histogram(s.cfg.Name, "render_subset_ns", "").Observe(dt)
-	return fb, dt, nil
 }
 
 // Capacity answers capacity interrogation (§3.2.5) from the device
@@ -573,16 +552,6 @@ func (s *Service) ServeClient(rw io.ReadWriter, linkBps float64) error {
 	if err := conn.Send(transport.MsgOK, nil); err != nil {
 		return err
 	}
-	needSession := func() bool {
-		if sess != nil {
-			return false
-		}
-		conn.SendJSON(transport.MsgError, transport.ErrorInfo{
-			Message: fmt.Sprintf("render service %s has no replica of session %q", s.cfg.Name, hello.Session),
-		})
-		return true
-	}
-
 	for {
 		t, payload, err := conn.Receive()
 		if err != nil {
@@ -596,35 +565,13 @@ func (s *Service) ServeClient(rw io.ReadWriter, linkBps float64) error {
 			if err := transport.DecodeJSON(payload, &cs); err != nil {
 				return err
 			}
-			if needSession() {
-				continue
-			}
-			sess.SetCamera(CameraFromState(cs))
-		case transport.MsgFrameRequest:
-			var req transport.FrameRequest
-			if err := transport.DecodeJSON(payload, &req); err != nil {
+			if sess != nil {
+				sess.SetCamera(CameraFromState(cs))
+			} else if err := s.refuseNoReplica(conn, hello.Session); err != nil {
 				return err
 			}
-			if needSession() {
-				continue
-			}
-			span := s.cfg.Tracer.Child(wireSpan(req.Trace, req.Parent), s.cfg.Name, "render")
-			frame, err := sess.RenderFrameBy(req.W, req.H, hello.Name, transport.DeadlineFromNanos(req.DeadlineNanos))
-			endRenderSpan(span, err)
-			if err != nil {
-				if serr := declineOrError(conn, err); serr != nil {
-					return serr
-				}
-				continue
-			}
-			enc, err := sess.EncodeFrame(frame, req.Codec, linkBps)
-			if err != nil {
-				if serr := conn.SendJSON(transport.MsgError, transport.ErrorInfo{Message: err.Error()}); serr != nil {
-					return serr
-				}
-				continue
-			}
-			if err := conn.Send(transport.MsgFrame, enc); err != nil {
+		case transport.MsgFrameRequest, transport.MsgSubsetAssign, transport.MsgTileAssign:
+			if err := s.serveRender(conn, t, payload, sess, hello, linkBps); err != nil {
 				return err
 			}
 		case transport.MsgCapacityQuery:
@@ -633,69 +580,6 @@ func (s *Service) ServeClient(rw io.ReadWriter, linkBps float64) error {
 			}
 		case transport.MsgTelemetryQuery:
 			if err := conn.SendJSON(transport.MsgTelemetryReport, s.cfg.Metrics.Snapshot()); err != nil {
-				return err
-			}
-		case transport.MsgSubsetAssign:
-			var sa transport.SubsetAssign
-			if err := transport.DecodeJSON(payload, &sa); err != nil {
-				return err
-			}
-			// The subset scene follows immediately.
-			t2, snap, err := conn.Receive()
-			if err != nil {
-				return err
-			}
-			if t2 != transport.MsgSceneSnapshot {
-				return fmt.Errorf("renderservice: expected subset snapshot, got %s", t2)
-			}
-			subset, err := marshal.ReadScene(bytes.NewReader(snap))
-			if err != nil {
-				return err
-			}
-			span := s.cfg.Tracer.Child(wireSpan(sa.Trace, sa.Parent), s.cfg.Name, "render")
-			fb, _, err := s.RenderSceneOnceBy(subset, CameraFromState(sa.Camera), sa.W, sa.H, transport.DeadlineFromNanos(sa.DeadlineNanos))
-			endRenderSpan(span, err)
-			if err != nil {
-				if serr := declineOrError(conn, err); serr != nil {
-					return serr
-				}
-				continue
-			}
-			var buf bytes.Buffer
-			if err := marshal.WriteFrame(&buf, fb, true); err != nil {
-				return err
-			}
-			if err := conn.Send(transport.MsgFrameDepth, buf.Bytes()); err != nil {
-				return err
-			}
-		case transport.MsgTileAssign:
-			var ta transport.TileAssign
-			if err := transport.DecodeJSON(payload, &ta); err != nil {
-				return err
-			}
-			if needSession() {
-				continue
-			}
-			rect := image.Rect(ta.X0, ta.Y0, ta.X1, ta.Y1)
-			frame, err := sess.RenderTileTraced(rect, ta.FullW, ta.FullH,
-				transport.DeadlineFromNanos(ta.DeadlineNanos), wireSpan(ta.Trace, ta.Parent))
-			if err != nil {
-				if serr := declineOrError(conn, err); serr != nil {
-					return serr
-				}
-				continue
-			}
-			hdr := transport.TileHeader{
-				X0: ta.X0, Y0: ta.Y0, X1: ta.X1, Y1: ta.Y1, Version: frame.Version,
-			}
-			if err := conn.SendJSON(transport.MsgTileFrame, hdr); err != nil {
-				return err
-			}
-			var buf bytes.Buffer
-			if err := marshal.WriteFrame(&buf, frame.FB, true); err != nil {
-				return err
-			}
-			if err := conn.Send(transport.MsgFrameDepth, buf.Bytes()); err != nil {
 				return err
 			}
 		default:
@@ -708,17 +592,94 @@ func (s *Service) ServeClient(rw io.ReadWriter, linkBps float64) error {
 	}
 }
 
-// declineOrError answers a failed render request: admission refusals
-// become a fast MsgDeclined (the socket session survives, the caller
-// retries elsewhere or later), anything else a MsgError.
-func declineOrError(conn *transport.Conn, err error) error {
+// refuseNoReplica tells a client that the session it named has no
+// replica on this service; the connection survives.
+func (s *Service) refuseNoReplica(conn *transport.Conn, session string) error {
+	return conn.SendJSON(transport.MsgError, transport.ErrorInfo{
+		Message: fmt.Sprintf("render service %s has no replica of session %q", s.cfg.Name, session),
+	})
+}
+
+// serveRender answers one render request off the wire — a thin client's
+// frame, a peer's subset (whose scene follows in a second message) or a
+// peer's tile: build the job, render it, and reply with the encoded
+// frame, the frame+depth buffer (after its header, for a tile), or a
+// refusal. Only a broken connection or an undecodable message is
+// returned as an error; anything else leaves the connection serving.
+func (s *Service) serveRender(conn *transport.Conn, t transport.MsgType, payload []byte, sess *Session, hello transport.Hello, linkBps float64) error {
+	job := Job{Session: sess}
+	var req transport.FrameRequest
+	var ta transport.TileAssign
+	switch t {
+	case transport.MsgFrameRequest:
+		if err := transport.DecodeJSON(payload, &req); err != nil {
+			return err
+		}
+		job.Rect, job.FullW, job.FullH = image.Rect(0, 0, req.W, req.H), req.W, req.H
+		job.Viewer, job.Interactive = hello.Name, true
+		job.Deadline, job.Trace = transport.DeadlineFromNanos(req.DeadlineNanos), wireSpan(req.Trace, req.Parent)
+	case transport.MsgSubsetAssign:
+		var sa transport.SubsetAssign
+		if err := transport.DecodeJSON(payload, &sa); err != nil {
+			return err
+		}
+		// The subset scene follows immediately.
+		t2, snap, err := conn.Receive()
+		if err != nil {
+			return err
+		}
+		if t2 != transport.MsgSceneSnapshot {
+			return fmt.Errorf("renderservice: expected subset snapshot, got %s", t2)
+		}
+		subset, err := marshal.ReadScene(bytes.NewReader(snap))
+		if err != nil {
+			return err
+		}
+		job = Job{
+			Scene: subset, Camera: CameraFromState(sa.Camera),
+			Rect: image.Rect(0, 0, sa.W, sa.H), FullW: sa.W, FullH: sa.H,
+			Deadline: transport.DeadlineFromNanos(sa.DeadlineNanos), Trace: wireSpan(sa.Trace, sa.Parent),
+		}
+	case transport.MsgTileAssign:
+		if err := transport.DecodeJSON(payload, &ta); err != nil {
+			return err
+		}
+		job.Rect, job.FullW, job.FullH = image.Rect(ta.X0, ta.Y0, ta.X1, ta.Y1), ta.FullW, ta.FullH
+		job.Deadline, job.Trace = transport.DeadlineFromNanos(ta.DeadlineNanos), wireSpan(ta.Trace, ta.Parent)
+	}
+	if job.Session == nil && job.Scene == nil {
+		return s.refuseNoReplica(conn, hello.Session)
+	}
+
+	frame, err := s.Render(job)
+	reply, body := transport.MsgFrameDepth, []byte(nil)
+	if err == nil {
+		if t == transport.MsgFrameRequest {
+			reply = transport.MsgFrame
+			body, err = sess.EncodeFrame(frame, req.Codec, linkBps)
+		} else {
+			var buf bytes.Buffer
+			err = marshal.WriteFrame(&buf, frame.FB, true)
+			body = buf.Bytes()
+		}
+	}
+	// An admission refusal becomes a fast MsgDeclined (the caller retries
+	// elsewhere or later), any other failure a MsgError.
 	var ov *ErrOverloaded
-	if errors.As(err, &ov) {
+	switch {
+	case errors.As(err, &ov):
 		return conn.SendJSON(transport.MsgDeclined, transport.Declined{
 			Reason: ov.Reason, RetryAfterMs: ov.RetryAfter.Milliseconds(),
 		})
+	case err != nil:
+		return conn.SendJSON(transport.MsgError, transport.ErrorInfo{Message: err.Error()})
+	case t == transport.MsgTileAssign:
+		hdr := transport.TileHeader{X0: ta.X0, Y0: ta.Y0, X1: ta.X1, Y1: ta.Y1, Version: frame.Version}
+		if err := conn.SendJSON(transport.MsgTileFrame, hdr); err != nil {
+			return err
+		}
 	}
-	return conn.SendJSON(transport.MsgError, transport.ErrorInfo{Message: err.Error()})
+	return conn.Send(reply, body)
 }
 
 // SubscribeOpts tunes the subscription loop's failure handling. The zero
