@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet fmt-check lint lint-report allow-audit vulncheck build test race chaos scale partition storage raster loc ci
+.PHONY: all vet fmt-check lint lint-report allow-audit one-follower vulncheck build test race chaos scale partition storage raster loc ci
 
 all: ci
 
@@ -37,6 +37,17 @@ lint-report:
 # collected.
 allow-audit:
 	$(GO) run ./cmd/ravelint -allow-audit ./...
+
+# one-follower keeps the op-stream follower written once: the versioned
+# op framing and the resync request are spoken only by internal/follow
+# (subscriber side), ServeConn in dataservice/service.go (serving side)
+# and internal/transport (the wire), so a render replica, standby or
+# mirror that grows its own version rule again fails here. bench/ reads
+# the raw stream to time it and is the harness, not the system.
+one-follower:
+	@out="$$(grep -rlE 'UnpackVersioned|MsgResyncRequest' --include='*.go' --exclude='*_test.go' . \
+		| grep -vE '^\./(bench/|internal/transport/|internal/follow/|internal/dataservice/service\.go$$)')"; \
+	if [ -n "$$out" ]; then echo "op-stream follower logic outside internal/follow:"; echo "$$out"; exit 1; fi
 
 # vulncheck runs govulncheck when the binary is available; the offline
 # build container has neither the tool nor network access to the vuln
@@ -117,9 +128,10 @@ loc:
 
 # ci is the full gate: formatting, static checks (ravelint with the
 # LINT.json artifact and per-analyzer timings, the allow-annotation
-# audit, vet, govulncheck when present), a clean build, the test suite
-# under the race detector, a doubled chaos pass (the chaos suite
-# exercises concurrent failure recovery, so -race is part of the bar,
-# not an extra), the reduced fleet-scale load, region-partition, and
-# sick-disk scenarios, and the rasterizer regression benchmark.
-ci: fmt-check lint-report allow-audit lint vulncheck build race chaos scale partition storage raster
+# audit, vet, the one-follower grep gate, govulncheck when present), a
+# clean build, the test suite under the race detector, a doubled chaos
+# pass (the chaos suite exercises concurrent failure recovery, so -race
+# is part of the bar, not an extra), the reduced fleet-scale load,
+# region-partition, and sick-disk scenarios, and the rasterizer
+# regression benchmark.
+ci: fmt-check lint-report allow-audit lint one-follower vulncheck build race chaos scale partition storage raster

@@ -11,13 +11,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"strings"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/device"
+	"repro/internal/transport"
 	"repro/internal/uddi"
 	"repro/internal/vclock"
 	"repro/internal/wsdl"
@@ -64,11 +64,11 @@ func main() {
 		if len(points) == 0 {
 			fail(fmt.Errorf("no data services registered"))
 		}
-		target = strings.TrimPrefix(points[0], "tcp://")
+		target = points[0]
 		fmt.Printf("raveactive: discovered data service at %s\n", target)
 	}
 
-	conn, err := net.Dial("tcp", target)
+	conn, err := transport.Dial(target)
 	if err != nil {
 		fail(err)
 	}

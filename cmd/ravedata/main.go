@@ -40,6 +40,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strings"
@@ -48,8 +49,11 @@ import (
 	"repro/internal/dataservice"
 	"repro/internal/dataservice/failover"
 	"repro/internal/dataservice/wal"
+	"repro/internal/follow"
 	"repro/internal/geom/genmodel"
+	"repro/internal/retry"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 	"repro/internal/uddi"
 	"repro/internal/vclock"
 	"repro/internal/wsdl"
@@ -502,32 +506,30 @@ func runStandby(ctx context.Context, svc *dataservice.Service, metrics *telemetr
 		Region:      rf.region,
 		IdleTimeout: failover.DefaultMissedRenewals * rf.renew, Clock: clock,
 	}
-	// Replication loop: rediscover and redial the primary until promoted.
-	// Discovery through the index (rather than a hardwired address) is
-	// what lets the follower chase the primary across failovers.
+	// Replication loop: rediscover and redial the primary, once per
+	// renewal period, for as long as this node stands by. Discovery
+	// through the index (rather than a hardwired address) is what lets
+	// the follower chase the primary across failovers.
+	following, stopFollowing := context.WithCancel(ctx)
+	defer stopFollowing()
 	go func() {
-		for ctx.Err() == nil && !st.Promoted() {
+		everyRenew := retry.Policy{BaseDelay: rf.renew, MaxDelay: rf.renew}
+		dial := func() (io.ReadWriteCloser, error) {
 			primaryAddr, err := discoverPrimary(proxy, session, rf.region, name)
 			if err != nil {
-				clock.Sleep(rf.renew)
-				continue
+				return nil, err
 			}
-			conn, err := net.Dial("tcp", strings.TrimPrefix(primaryAddr, "tcp://"))
-			if err != nil {
-				clock.Sleep(rf.renew)
-				continue
-			}
-			err = st.Run(ctx, conn)
-			conn.Close()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ravedata: replication:", err)
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-clock.After(rf.renew):
-			}
+			return transport.Dial(primaryAddr)
 		}
+		_ = follow.Redial(following, clock, everyRenew, dial, func(rw io.ReadWriter) (bool, error) {
+			err := st.Run(following, rw)
+			if err == nil {
+				// A primary that says goodbye is still a primary to wait for.
+				err = errors.New("primary closed the stream")
+			}
+			fmt.Fprintln(os.Stderr, "ravedata: replication:", err)
+			return false, err // the pace is constant and unbounded: no budget to reset
+		})
 	}()
 	go reportReplica(ctx, proxy, st, rf, session, name, accessPoint)
 	mon := &failover.Monitor{
@@ -540,6 +542,7 @@ func runStandby(ctx context.Context, svc *dataservice.Service, metrics *telemetr
 	}
 	fmt.Printf("ravedata: standing by for %q in %s (lease %q, primary via replica index)\n", session, rf.region, leaseName)
 	promo, err := mon.Run(ctx)
+	stopFollowing()
 	if err != nil {
 		fail(fmt.Errorf("failover monitor: %w", err))
 	}

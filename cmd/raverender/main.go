@@ -21,6 +21,7 @@ import (
 	"repro/internal/renderservice"
 	"repro/internal/retry"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 	"repro/internal/uddi"
 	"repro/internal/vclock"
 	"repro/internal/wsdl"
@@ -107,7 +108,7 @@ func main() {
 		if len(points) == 0 {
 			fail(fmt.Errorf("no data services registered"))
 		}
-		target = strings.TrimPrefix(points[0], "tcp://")
+		target = points[0]
 		fmt.Printf("raverender: discovered data service at %s\n", target)
 	}
 
@@ -119,7 +120,7 @@ func main() {
 		ProbeInterval:  *probe,
 		ReportInterval: *report,
 	}
-	dial := func() (io.ReadWriteCloser, error) { return net.Dial("tcp", target) }
+	dial := func() (io.ReadWriteCloser, error) { return transport.Dial(target) }
 	subErr := make(chan error, 1)
 	ready := make(chan struct{}, 1)
 	go func() {

@@ -18,14 +18,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/raster"
 	"repro/internal/retry"
+	"repro/internal/transport"
 	"repro/internal/uddi"
 	"repro/internal/vclock"
 	"repro/internal/wsdl"
@@ -58,12 +57,10 @@ func main() {
 	// dial resolves a render service fresh on every attempt: a fixed
 	// address redials it; a registry re-queries UDDI, so a reconnect
 	// after a crash finds whichever render service is registered now.
-	var dial client.Dialer
+	var dial transport.Dialer
 	if *renderAddr != "" {
 		addr := *renderAddr
-		dial = func() (io.ReadWriteCloser, error) {
-			return net.Dial("tcp", addr)
-		}
+		dial = func() (io.ReadWriteCloser, error) { return transport.Dial(addr) }
 	} else {
 		if *registry == "" {
 			fail(fmt.Errorf("need -render or -registry"))
@@ -79,10 +76,9 @@ func main() {
 			}
 			var lastErr error
 			for _, p := range points {
-				target := strings.TrimPrefix(p, "tcp://")
-				conn, err := net.Dial("tcp", target)
+				conn, err := transport.Dial(p)
 				if err == nil {
-					fmt.Printf("ravethin: discovered render service at %s\n", target)
+					fmt.Printf("ravethin: discovered render service at %s\n", p)
 					return conn, nil
 				}
 				lastErr = err

@@ -30,17 +30,12 @@ func (e *RefusedError) Error() string {
 	return fmt.Sprintf("client: %s refused: %s", e.Op, e.Message)
 }
 
-// Dialer opens a fresh connection to a render service — typically a TCP
-// dial, or a UDDI re-discovery scan that finds whichever render service
-// is currently registered.
-type Dialer func() (io.ReadWriteCloser, error)
-
 // ResilientThin is a thin client that survives render-service failures:
 // when an operation fails on a lost connection it redials with backoff,
 // redoes the hello handshake, replays the last camera, and retries the
 // operation. The paper's PDA scenario over flaky wireless, made honest.
 type ResilientThin struct {
-	dial    Dialer
+	dial    transport.Dialer
 	name    string
 	session string
 	policy  retry.Policy
@@ -53,12 +48,9 @@ type ResilientThin struct {
 
 // DialThinResilient connects (retrying per policy) and returns the
 // resilient client. A zero policy uses retry.DefaultPolicy.
-func DialThinResilient(ctx context.Context, dial Dialer, name, session string, policy retry.Policy, clock vclock.Clock) (*ResilientThin, error) {
+func DialThinResilient(ctx context.Context, dial transport.Dialer, name, session string, policy retry.Policy, clock vclock.Clock) (*ResilientThin, error) {
 	if clock == nil {
 		clock = vclock.Real{}
-	}
-	if policy.BaseDelay <= 0 {
-		policy = retry.DefaultPolicy()
 	}
 	r := &ResilientThin{dial: dial, name: name, session: session, policy: policy, clock: clock}
 	if err := r.reconnect(ctx); err != nil {
@@ -72,45 +64,28 @@ func DialThinResilient(ctx context.Context, dial Dialer, name, session string, p
 func (r *ResilientThin) reconnect(ctx context.Context) error {
 	if r.rw != nil {
 		r.rw.Close()
-		r.rw = nil
-		r.thin = nil
+		r.rw, r.thin = nil, nil
 	}
-	attempt := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var lastErr error
+	err := retry.Do(ctx, r.clock, r.policy, func() error {
 		rw, err := r.dial()
 		if err != nil {
-			lastErr = err
-		} else {
-			thin, err := DialThin(rw, r.name, r.session)
-			if err != nil {
-				rw.Close()
-				lastErr = err
-			} else {
-				r.rw, r.thin = rw, thin
-				if r.lastCam != nil {
-					if err := thin.SetCamera(*r.lastCam); err != nil {
-						rw.Close()
-						r.rw, r.thin = nil, nil
-						lastErr = err
-					}
-				}
-				if lastErr == nil {
-					return nil
-				}
-			}
-		}
-		attempt++
-		if r.policy.MaxAttempts > 0 && attempt >= r.policy.MaxAttempts {
-			return fmt.Errorf("client: reconnect gave up after %d attempts: %w", attempt, lastErr)
-		}
-		if err := r.policy.Sleep(ctx, r.clock, attempt); err != nil {
 			return err
 		}
+		thin, err := DialThin(rw, r.name, r.session)
+		if err == nil && r.lastCam != nil {
+			err = thin.SetCamera(*r.lastCam)
+		}
+		if err != nil {
+			rw.Close()
+			return err
+		}
+		r.rw, r.thin = rw, thin
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("client: reconnect: %w", err)
 	}
+	return nil
 }
 
 // do runs op, reconnecting and retrying when the connection is lost.

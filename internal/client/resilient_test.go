@@ -15,12 +15,13 @@ import (
 	"repro/internal/renderservice"
 	"repro/internal/retry"
 	"repro/internal/scene"
+	"repro/internal/transport"
 	"repro/internal/vclock"
 )
 
 // resilientRenderService starts a render service with an open session
 // and returns a dialer that connects a fresh pipe to it per call.
-func resilientRenderService(t *testing.T) (*renderservice.Service, Dialer, *int) {
+func resilientRenderService(t *testing.T) (*renderservice.Service, transport.Dialer, *int) {
 	t.Helper()
 	rs := renderservice.New(renderservice.Config{
 		Name: "rs", Device: device.CentrinoLaptop, Workers: 2,

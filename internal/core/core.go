@@ -7,7 +7,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"net"
@@ -325,7 +324,7 @@ func (d *Deployment) AddRenderService(name string, dev device.Profile, workers i
 // service's subscription loop in the background, returning once the
 // bootstrap snapshot has been applied.
 func (d *Deployment) ConnectRenderToData(rs *renderservice.Service, dataAddr, session string) error {
-	conn, err := net.Dial("tcp", stripScheme(dataAddr))
+	conn, err := transport.Dial(dataAddr)
 	if err != nil {
 		return err
 	}
@@ -349,41 +348,28 @@ func (d *Deployment) ConnectRenderToData(rs *renderservice.Service, dataAddr, se
 	}
 }
 
-// ConnectRenderToDataResilient is ConnectRenderToData with failure
-// recovery: the subscription redials with backoff when the socket breaks
-// or stalls, re-bootstrapping the replica each time. It returns once the
-// first bootstrap completes; the recovery loop then runs until ctx is
-// canceled or the data service says goodbye cleanly.
-func (d *Deployment) ConnectRenderToDataResilient(ctx context.Context, rs *renderservice.Service, dataAddr, session string, opts renderservice.SubscribeOpts) error {
-	dial := func() (io.ReadWriteCloser, error) {
-		return net.Dial("tcp", stripScheme(dataAddr))
-	}
-	ready := make(chan struct{})
-	var once sync.Once
-	errc := make(chan error, 1)
-	go func() {
-		errc <- rs.SubscribeToDataResilient(ctx, dial, session, opts, func(*renderservice.Session) {
-			once.Do(func() { close(ready) })
-		})
-	}()
-	select {
-	case <-ready:
-		return nil
-	case err := <-errc:
-		if err == nil {
-			err = fmt.Errorf("core: subscription ended before bootstrap")
-		}
-		return err
-	case <-d.clock.After(30 * time.Second):
-		return fmt.Errorf("core: bootstrap timed out")
-	}
-}
-
 // AccessScanner is the slice of the UDDI proxy that re-discovery needs:
 // one incremental scan returning current access points for a technical
 // model (*uddi.Proxy satisfies it).
 type AccessScanner interface {
 	ScanAccessPoints(tmodelName string) ([]string, error)
+}
+
+// firstReachable connects to the first access point that answers;
+// connect maps an access point to a stream, nil meaning a plain TCP dial.
+func firstReachable(points []string, connect func(accessPoint string) (io.ReadWriteCloser, error)) (io.ReadWriteCloser, error) {
+	if connect == nil {
+		connect = func(ap string) (io.ReadWriteCloser, error) { return transport.Dial(ap) }
+	}
+	var lastErr error
+	for _, ap := range points {
+		rw, err := connect(ap)
+		if err == nil {
+			return rw, nil
+		}
+		lastErr = err
+	}
+	return nil, lastErr
 }
 
 // DiscoverDialer returns a dialer that re-queries UDDI on every dial:
@@ -393,12 +379,7 @@ type AccessScanner interface {
 // its access point, and the next reconnect attempt discovers it instead
 // of hammering the dead address. connect maps an access point to a
 // stream; nil means a plain TCP dial.
-func DiscoverDialer(scanner AccessScanner, tmodelName string, connect func(accessPoint string) (io.ReadWriteCloser, error)) renderservice.Dialer {
-	if connect == nil {
-		connect = func(ap string) (io.ReadWriteCloser, error) {
-			return net.Dial("tcp", stripScheme(ap))
-		}
-	}
+func DiscoverDialer(scanner AccessScanner, tmodelName string, connect func(accessPoint string) (io.ReadWriteCloser, error)) transport.Dialer {
 	return func() (io.ReadWriteCloser, error) {
 		points, err := scanner.ScanAccessPoints(tmodelName)
 		if err != nil {
@@ -407,21 +388,12 @@ func DiscoverDialer(scanner AccessScanner, tmodelName string, connect func(acces
 		if len(points) == 0 {
 			return nil, fmt.Errorf("core: no %s access points registered", tmodelName)
 		}
-		var lastErr error
-		for _, ap := range points {
-			rw, err := connect(ap)
-			if err == nil {
-				return rw, nil
-			}
-			lastErr = err
+		rw, err := firstReachable(points, connect)
+		if err != nil {
+			return nil, fmt.Errorf("core: all %d %s access points failed: %w", len(points), tmodelName, err)
 		}
-		return nil, fmt.Errorf("core: all %d %s access points failed: %w", len(points), tmodelName, lastErr)
+		return rw, nil
 	}
-}
-
-// DataDialer is DiscoverDialer preconfigured for data services over TCP.
-func DataDialer(proxy *uddi.Proxy) renderservice.Dialer {
-	return DiscoverDialer(proxy, wsdl.DataServicePortType, nil)
 }
 
 // ReplicaScanner is the slice of the UDDI replica index that
@@ -443,36 +415,29 @@ type ReplicaScanner interface {
 // no usable rows or every access point fails. connect maps an access
 // point to a stream; nil means a plain TCP dial. clock supplies the
 // liveness timestamp for TTL'd rows (nil means the real clock).
-func NearestReplicaDialer(scanner ReplicaScanner, clock vclock.Clock, session, fromRegion string, fallback renderservice.Dialer, connect func(accessPoint string) (io.ReadWriteCloser, error)) renderservice.Dialer {
+func NearestReplicaDialer(scanner ReplicaScanner, clock vclock.Clock, session, fromRegion string, fallback transport.Dialer, connect func(accessPoint string) (io.ReadWriteCloser, error)) transport.Dialer {
 	if clock == nil {
 		clock = vclock.Real{}
-	}
-	if connect == nil {
-		connect = func(ap string) (io.ReadWriteCloser, error) {
-			return net.Dial("tcp", stripScheme(ap))
-		}
 	}
 	return func() (io.ReadWriteCloser, error) {
 		rows, err := scanner.QueryReplicas(session, fromRegion, clock.Now())
 		if err != nil && fallback == nil {
 			return nil, fmt.Errorf("core: replica query: %w", err)
 		}
-		var lastErr error
+		var points []string
 		for _, rep := range rows {
-			if rep.AccessPoint == "" {
-				continue
+			if rep.AccessPoint != "" {
+				points = append(points, rep.AccessPoint)
 			}
-			rw, cerr := connect(rep.AccessPoint)
-			if cerr == nil {
-				return rw, nil
-			}
-			lastErr = cerr
 		}
-		if fallback != nil {
+		rw, err := firstReachable(points, connect)
+		switch {
+		case rw != nil:
+			return rw, nil
+		case fallback != nil:
 			return fallback()
-		}
-		if lastErr != nil {
-			return nil, fmt.Errorf("core: every replica of %q failed: %w", session, lastErr)
+		case err != nil:
+			return nil, fmt.Errorf("core: every replica of %q failed: %w", session, err)
 		}
 		return nil, fmt.Errorf("core: no live replicas of %q registered", session)
 	}
@@ -480,7 +445,7 @@ func NearestReplicaDialer(scanner ReplicaScanner, clock vclock.Clock, session, f
 
 // DialThin connects a thin client to a render service address.
 func (d *Deployment) DialThin(renderAddr, user, session string) (*rthin.Thin, error) {
-	conn, err := net.Dial("tcp", stripScheme(renderAddr))
+	conn, err := transport.Dial(renderAddr)
 	if err != nil {
 		return nil, err
 	}
@@ -490,7 +455,7 @@ func (d *Deployment) DialThin(renderAddr, user, session string) (*rthin.Thin, er
 // DialHandle connects a socket render handle (for dataset distribution)
 // to a render service address.
 func (d *Deployment) DialHandle(renderAddr, name, session string) (*SocketHandle, error) {
-	conn, err := net.Dial("tcp", stripScheme(renderAddr))
+	conn, err := transport.Dial(renderAddr)
 	if err != nil {
 		return nil, err
 	}
@@ -523,13 +488,4 @@ func acceptLoop(ln net.Listener, handle func(net.Conn)) {
 		}
 		go handle(c)
 	}
-}
-
-// stripScheme removes a tcp:// prefix from UDDI access points.
-func stripScheme(addr string) string {
-	const p = "tcp://"
-	if len(addr) > len(p) && addr[:len(p)] == p {
-		return addr[len(p):]
-	}
-	return addr
 }

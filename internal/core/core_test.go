@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"image"
-	"net"
 	"testing"
 	"time"
 
@@ -17,13 +16,9 @@ import (
 	"repro/internal/raster"
 	"repro/internal/renderservice"
 	"repro/internal/scene"
+	"repro/internal/transport"
 	"repro/internal/wsdl"
 )
-
-// dialTCP dials an address that may carry a tcp:// scheme.
-func dialTCP(addr string) (net.Conn, error) {
-	return net.Dial("tcp", stripScheme(addr))
-}
 
 // rasterFit frames a camera on a scene's bounds.
 func rasterFit(sc *scene.Scene) raster.Camera {
@@ -199,7 +194,7 @@ func TestActiveClientOverTCP(t *testing.T) {
 	_, dataAddr := startDeployment(t)
 	active := client.NewActive("alice", device.AthlonDesktop, 2)
 
-	conn, err := dialTCP(dataAddr)
+	conn, err := transport.Dial(dataAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,15 +270,6 @@ func TestLocalHandle(t *testing.T) {
 	tile, err := h.Render(dataservice.RenderJob{Scene: sc, Camera: rasterFit(sc), Rect: image.Rect(0, 0, 48, 48), FullW: 48, FullH: 48})
 	if err != nil || tile.FB.CoveredPixels() == 0 {
 		t.Fatalf("local subset render: %v", err)
-	}
-}
-
-func TestStripScheme(t *testing.T) {
-	if stripScheme("tcp://1.2.3.4:80") != "1.2.3.4:80" {
-		t.Error("scheme not stripped")
-	}
-	if stripScheme("1.2.3.4:80") != "1.2.3.4:80" {
-		t.Error("bare address mangled")
 	}
 }
 

@@ -1,18 +1,17 @@
 // Package failover makes the data service highly available: a primary
 // holds a UDDI-registered lease and renews it on the virtual clock
-// (Keeper); a hot standby follows the primary's versioned op stream
-// over the normal transport path, acknowledging applied versions and
-// serving read-only bootstrap snapshots (Standby); and a Monitor on the
-// standby side watches the lease, promoting the standby — claim the
-// lease at the next epoch, lift the read-only guard, re-register the
-// access point — once the primary misses enough renewals for the lease
-// to lapse. The registration epoch is the split-brain guard: a deposed
-// primary that comes back finds its renewals rejected as stale and must
-// stand down.
+// (Keeper); a hot standby follows the primary's op stream into a
+// read-only session of its own data service, acknowledging what it has
+// applied (Standby — the stream itself is internal/follow); and a
+// Monitor on the standby side watches the lease, promoting the standby —
+// claim the lease at the next epoch, lift the read-only guard,
+// re-register the access point — once the primary misses enough
+// renewals for the lease to lapse. The registration epoch is the
+// split-brain guard: a deposed primary that comes back finds its
+// renewals rejected as stale and must stand down.
 package failover
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -21,7 +20,7 @@ import (
 	"time"
 
 	"repro/internal/dataservice"
-	"repro/internal/marshal"
+	"repro/internal/follow"
 	"repro/internal/scene"
 	"repro/internal/transport"
 	"repro/internal/uddi"
@@ -40,7 +39,7 @@ type LeaseAPI interface {
 // ErrReplicationLost means the stream from the primary died without a
 // clean Bye — the standby keeps its replica and waits for the Monitor
 // to decide whether a failover is due.
-var ErrReplicationLost = errors.New("failover: replication stream lost")
+var ErrReplicationLost = follow.ErrLost
 
 // ErrPromoted reports that the standby was promoted mid-stream and has
 // stopped following the (now deposed) primary.
@@ -70,7 +69,6 @@ type Standby struct {
 
 	mu       sync.Mutex
 	sess     *dataservice.Session
-	applied  uint64
 	promoted bool
 }
 
@@ -84,9 +82,10 @@ func (st *Standby) Session() *dataservice.Session {
 
 // Applied returns the highest op version the standby has applied.
 func (st *Standby) Applied() uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.applied
+	if sess := st.Session(); sess != nil {
+		return sess.Version()
+	}
+	return 0
 }
 
 // Promoted reports whether the standby has been promoted.
@@ -113,147 +112,87 @@ func (st *Standby) Promote() (*dataservice.Session, error) {
 	return st.sess, nil
 }
 
-// Run follows the primary at rw: hello (resuming at the last applied
-// version when a replica exists), bootstrap, then the versioned op
-// stream, acknowledging each applied version with MsgStandbyAck. It
-// returns ErrPromoted after a promotion, ErrReplicationLost when the
-// stream dies, and ctx.Err() when cancelled. Safe to call again with a
-// fresh stream after a reconnect — the replica is retained and resumed.
+// Run follows the primary at rw (follow.Stream): hello (resuming at the
+// last applied version when a replica exists), bootstrap, then the
+// versioned op stream, acknowledging each applied version with
+// MsgStandbyAck. It returns ErrPromoted after a promotion, an error
+// wrapping ErrReplicationLost when the stream dies, and ctx.Err() when
+// cancelled. Safe to call again with a fresh stream after a reconnect —
+// the replica is retained and resumed.
 func (st *Standby) Run(ctx context.Context, rw io.ReadWriter) error {
 	conn := transport.NewConn(rw)
-	st.mu.Lock()
-	since := st.applied
-	if st.sess == nil {
-		since = 0
+	stream := &follow.Stream{
+		Conn:        conn,
+		Hello:       transport.Hello{Role: "standby", Name: st.Name, Session: st.SessionName, Region: st.Region},
+		Target:      ackingReplica{st, conn},
+		IdleTimeout: st.IdleTimeout,
+		Clock:       st.Clock,
 	}
-	st.mu.Unlock()
-	err := conn.SendJSON(transport.MsgHello, transport.Hello{
-		Role: "standby", Name: st.Name, Session: st.SessionName,
-		SinceVersion: since, Region: st.Region,
-	})
-	if err != nil {
-		return err
+	_, err := stream.Run(ctx)
+	if err != nil && st.Promoted() {
+		return ErrPromoted
 	}
-	clock := st.Clock
-	if clock == nil {
-		clock = vclock.Real{}
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if st.Promoted() {
-			return ErrPromoted
-		}
-		if st.IdleTimeout > 0 {
-			// Ignore ErrNoDeadline: plain pipes cannot time out.
-			conn.SetReadDeadline(clock.Now().Add(st.IdleTimeout))
-		}
-		t, payload, err := conn.Receive()
-		if err != nil {
-			if st.Promoted() {
-				return ErrPromoted
-			}
-			if err == io.EOF {
-				return fmt.Errorf("%w: stream closed", ErrReplicationLost)
-			}
-			return fmt.Errorf("%w: %v", ErrReplicationLost, err)
-		}
-		if err := st.handle(conn, t, payload); err != nil {
-			return err
-		}
-	}
+	return err
 }
 
-// handle applies one replication message.
-func (st *Standby) handle(conn *transport.Conn, t transport.MsgType, payload []byte) error {
-	switch t {
-	case transport.MsgSceneSnapshot:
-		sc, err := marshal.ReadScene(bytes.NewReader(payload))
-		if err != nil {
-			return err
-		}
-		sess, err := st.installSnapshot(sc)
-		if err != nil {
-			return err
-		}
-		_ = sess
-		return conn.SendJSON(transport.MsgStandbyAck, transport.VersionReport{Version: sc.Version})
-	case transport.MsgResumeOK:
-		// Our replica is current through st.applied; the gap (if any)
-		// follows as MsgSceneOpVer.
-		return nil
-	case transport.MsgSceneOpVer:
-		version, body, err := transport.UnpackVersioned(payload)
-		if err != nil {
-			return err
-		}
-		return st.applyOp(conn, version, body)
-	case transport.MsgCameraUpdate:
-		var cam transport.CameraState
-		if err := transport.DecodeJSON(payload, &cam); err != nil {
-			return err
-		}
-		if sess := st.Session(); sess != nil {
-			return sess.SetCamera(cam, "")
-		}
-		return nil
-	case transport.MsgError:
-		var ei transport.ErrorInfo
-		if err := transport.DecodeJSON(payload, &ei); err != nil {
-			return err
-		}
-		return fmt.Errorf("failover: primary refused standby %q: %s", st.Name, ei.Message)
-	default:
-		// Ignore messages replication does not handle.
-		return nil
-	}
+// ackingReplica is the follow.Target of one replication stream: the
+// standby's read-only session, acknowledging on conn what it applies.
+type ackingReplica struct {
+	st   *Standby
+	conn *transport.Conn
 }
 
-// installSnapshot makes sc the replica's authoritative state.
-func (st *Standby) installSnapshot(sc *scene.Scene) (*dataservice.Session, error) {
+// session returns the replica for a write from the primary — nil when
+// none exists and create is false — or ErrPromoted: a promoted standby
+// takes nothing more from the primary it deposed.
+func (r ackingReplica) session(create bool) (*dataservice.Session, error) {
+	st := r.st
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.sess == nil {
+	if st.promoted {
+		return nil, ErrPromoted
+	}
+	if st.sess == nil && create {
 		sess, err := st.Service.CreateSession(st.SessionName)
 		if err != nil {
 			return nil, fmt.Errorf("failover: standby session: %w", err)
 		}
+		sess.SetReadOnly(true)
 		st.sess = sess
 	}
-	if !st.promoted {
-		st.sess.SetReadOnly(true)
-	}
-	st.sess.InstallScene(sc)
-	st.applied = sc.Version
 	return st.sess, nil
 }
 
-// applyOp applies one versioned op from the primary, acking on success
-// and requesting a resync on a detected gap.
-func (st *Standby) applyOp(conn *transport.Conn, version uint64, body []byte) error {
-	st.mu.Lock()
-	sess, applied, promoted := st.sess, st.applied, st.promoted
-	st.mu.Unlock()
-	if promoted {
-		return ErrPromoted
-	}
-	if sess == nil || version > applied+1 {
-		// Bootstrap missing or gap detected: ask for a fresh snapshot.
-		return conn.Send(transport.MsgResyncRequest, nil)
-	}
-	if version <= applied {
-		return nil // duplicate from a resync overlap
-	}
-	op, err := marshal.ReadOp(bytes.NewReader(body))
+func (r ackingReplica) Version() uint64 { return r.st.Applied() }
+
+func (r ackingReplica) Install(sc *scene.Scene) error {
+	sess, err := r.session(true)
 	if err != nil {
 		return err
 	}
-	if err := sess.ApplyReplicated(op, st.Name); err != nil {
+	sess.InstallScene(sc)
+	return r.ack(sess)
+}
+
+func (r ackingReplica) Apply(op scene.Op) error {
+	sess, err := r.session(false)
+	if err != nil {
 		return err
 	}
-	st.mu.Lock()
-	st.applied = version
-	st.mu.Unlock()
-	return conn.SendJSON(transport.MsgStandbyAck, transport.VersionReport{Version: version})
+	if err := sess.ApplyReplicated(op, r.st.Name); err != nil {
+		return err
+	}
+	return r.ack(sess)
+}
+
+func (r ackingReplica) SetCamera(cam transport.CameraState) error {
+	sess, err := r.session(false)
+	if err != nil || sess == nil {
+		return err
+	}
+	return sess.SetCamera(cam, "")
+}
+
+func (r ackingReplica) ack(sess *dataservice.Session) error {
+	return r.conn.SendJSON(transport.MsgStandbyAck, transport.VersionReport{Version: sess.Version()})
 }

@@ -206,7 +206,19 @@ func TestStandbyRequestsResyncOnGap(t *testing.T) {
 	if _, _, err := prim.Receive(); err != nil { // hello
 		t.Fatal(err)
 	}
-	// An op from far in the future: the standby has no replica at all.
+	// Bootstrap an empty scene (an op ahead of the bootstrap reply is
+	// early, not a gap — see the conformance table in internal/follow)...
+	var boot bytes.Buffer
+	if err := marshal.WriteScene(&boot, scene.New()); err != nil {
+		t.Fatal(err)
+	}
+	if err := prim.Send(transport.MsgSceneSnapshot, boot.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := prim.Receive(); err != nil || typ != transport.MsgStandbyAck {
+		t.Fatalf("after bootstrap got %s, %v, want the ack", typ, err)
+	}
+	// ...then an op from far in the future.
 	var buf bytes.Buffer
 	op := &scene.SetNameOp{ID: scene.RootID, Name: "x"}
 	if err := marshal.WriteOp(&buf, op); err != nil {

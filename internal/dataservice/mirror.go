@@ -2,11 +2,11 @@ package dataservice
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
+	"repro/internal/follow"
 	"repro/internal/marshal"
+	"repro/internal/netsim"
 	"repro/internal/scene"
 	"repro/internal/transport"
 )
@@ -20,21 +20,40 @@ import (
 // primary dies, Promote detaches the mirror and the backup session keeps
 // serving — same name, same scene, same version.
 //
-// The mirror is a VersionedSubscriber with a ready gate: ops that fan
-// out while the bootstrap snapshot (or gap replay) is still being
-// installed are buffered, then drained in version order once the
-// install lands. Without the gate an op racing the install could be
-// clobbered by the snapshot — the version tags make the race harmless.
+// The mirror is the in-process transport of the op-stream follower: the
+// primary's fan-out calls SendOpVer from whichever goroutine committed,
+// so ops can arrive before the bootstrap has been installed or ahead of
+// a slower sibling, and a follow.Sequencer (under mu) puts them in
+// version order.
 type Mirror struct {
 	primary *Session
-	backup  *Session
-	subName string
+	backup  backupCopy
 
 	mu       sync.Mutex
-	ready    bool
-	pending  []ReplayOp // version-tagged ops held back until ready
+	seq      *follow.Sequencer
 	promoted bool
 	applyErr error
+}
+
+// backupCopy is the follow.Target of a mirror: the backup service's
+// session, written through the replication path (which a read-only
+// standby session still accepts) under the mirror's subscriber name.
+type backupCopy struct {
+	sess    *Session
+	subName string
+}
+
+func (c backupCopy) Version() uint64 { return c.sess.Version() }
+
+func (c backupCopy) Install(sc *scene.Scene) error {
+	c.sess.InstallScene(sc)
+	return nil
+}
+
+func (c backupCopy) Apply(op scene.Op) error { return c.sess.ApplyReplicated(op, c.subName) }
+
+func (c backupCopy) SetCamera(cam transport.CameraState) error {
+	return c.sess.SetCamera(cam, c.subName)
 }
 
 // MirrorSession attaches backup service's new session (with the same
@@ -53,21 +72,35 @@ func MirrorSession(primary *Session, backupSvc *Service) (*Mirror, error) {
 // full snapshot would waste the surviving copy. Otherwise the backup
 // session is (re)seeded with a full bootstrap snapshot.
 func MirrorSessionSince(primary *Session, backupSvc *Service) (m *Mirror, resumed bool, err error) {
+	m, land, err := subscribeMirror(primary, backupSvc)
+	if err != nil {
+		return nil, false, err
+	}
+	if resumed, err = land(); err != nil {
+		primary.Unsubscribe(m.backup.subName)
+		return nil, false, fmt.Errorf("dataservice: mirror bootstrap: %w", err)
+	}
+	return m, resumed, nil
+}
+
+// subscribeMirror is the first half of MirrorSessionSince: it registers
+// the mirror with the primary's fan-out, which from then on can deliver
+// ops from any committing goroutine. land, the second half, installs the
+// bootstrap the primary handed over; the sequencer holds whatever
+// arrives in between.
+func subscribeMirror(primary *Session, backupSvc *Service) (m *Mirror, land func() (resumed bool, err error), err error) {
 	if primary == nil || backupSvc == nil {
-		return nil, false, fmt.Errorf("dataservice: mirror needs a primary session and a backup service")
+		return nil, nil, fmt.Errorf("dataservice: mirror needs a primary session and a backup service")
 	}
 	backup, adopted := backupSvc.Session(primary.Name)
 	if !adopted {
 		backup, err = backupSvc.CreateSession(primary.Name)
 		if err != nil {
-			return nil, false, fmt.Errorf("dataservice: backup session: %w", err)
+			return nil, nil, fmt.Errorf("dataservice: backup session: %w", err)
 		}
 	}
-	m = &Mirror{
-		primary: primary,
-		backup:  backup,
-		subName: "mirror:" + backupSvc.Name(),
-	}
+	m = &Mirror{primary: primary, backup: backupCopy{backup, "mirror:" + backupSvc.Name()}}
+	m.seq = follow.NewSequencer(m.backup)
 	since := uint64(0)
 	if adopted {
 		since = backup.Version()
@@ -75,36 +108,39 @@ func MirrorSessionSince(primary *Session, backupSvc *Service) (m *Mirror, resume
 	// Replica seeding is infrastructure traffic: it charges the
 	// bootstrap-bytes series below but stays out of BootstrapStats,
 	// which counts client-visible bootstraps only.
-	ops, snapshot, _, err := primary.subscribeSince(m.subName, m, since, false)
+	ops, snapshot, version, err := primary.subscribeSince(m.backup.subName, m, since, false)
 	if err != nil {
-		return nil, false, err
+		return nil, nil, err
 	}
-	// From here the fan-out can already deliver ops; they buffer in
-	// m.pending until the install below completes.
+	return m, func() (bool, error) {
+		if snapshot != nil {
+			primary.countBootstrapBytes(snapshot, backupSvc.Region())
+		}
+		err := m.bootstrap(ops, snapshot, version)
+		if err == nil {
+			err = m.backup.SetCamera(primary.Camera())
+		}
+		return snapshot == nil, err
+	}, nil
+}
+
+// bootstrap lands what subscribeSince handed over: the snapshot, or the
+// promise that the copy resumes and the ops it was missing.
+func (m *Mirror) bootstrap(ops []ReplayOp, snapshot *scene.Scene, version uint64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if snapshot != nil {
-		primary.countBootstrapBytes(snapshot, backupSvc.Region())
-		backup.InstallScene(snapshot)
-	} else {
-		resumed = true
-		for _, rop := range ops {
-			if rop.Version != backup.Version()+1 {
-				continue // backup already past this op
-			}
-			if err := backup.ApplyReplicated(rop.Op, m.subName); err != nil {
-				primary.Unsubscribe(m.subName)
-				return nil, false, fmt.Errorf("dataservice: mirror gap replay: %w", err)
-			}
+		return m.seq.Install(snapshot)
+	}
+	if err := m.seq.Resume(version); err != nil {
+		return err
+	}
+	for _, rop := range ops {
+		if err := m.seq.Offer(rop.Version, rop.Op); err != nil {
+			return err
 		}
 	}
-	if err := backup.SetCamera(primary.Camera(), ""); err != nil {
-		primary.Unsubscribe(m.subName)
-		return nil, false, err
-	}
-	m.mu.Lock()
-	m.ready = true
-	m.drainLocked()
-	m.mu.Unlock()
-	return m, resumed, nil
+	return nil
 }
 
 // countBootstrapBytes charges a bootstrap snapshot's marshaled size to
@@ -112,122 +148,48 @@ func MirrorSessionSince(primary *Session, backupSvc *Service) (m *Mirror, resume
 // stayed in-region or crossed regions. The partition chaos scenario
 // asserts the cross series stays flat while a region is cut.
 func (sess *Session) countBootstrapBytes(sc *scene.Scene, toRegion string) {
-	var cw countWriter
+	var cw marshal.CountWriter
 	if err := marshal.WriteScene(&cw, sc); err != nil {
 		return // accounting only; the real transfer reports its own error
 	}
-	sess.noteBootstrapBytes(cw.n, toRegion)
+	sess.noteBootstrapBytes(cw.N, toRegion)
 }
 
 // noteBootstrapBytes charges n bootstrap bytes shipped toward toRegion
 // to the local or cross series.
 func (sess *Session) noteBootstrapBytes(n int64, toRegion string) {
 	metrics := sess.svc.cfg.Metrics
-	if crossRegion(sess.svc.cfg.Region, toRegion) {
+	if netsim.CrossRegion(sess.svc.cfg.Region, toRegion) {
 		metrics.Counter(sess.svc.cfg.Name, "bootstrap_bytes_total", "cross").Add(n)
 	} else {
 		metrics.Counter(sess.svc.cfg.Name, "bootstrap_bytes_total", "local").Add(n)
 	}
 }
 
-// countWriter measures a marshal without retaining the bytes.
-type countWriter struct{ n int64 }
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
-}
-
-// crossRegion reports whether two "region" / "region/zone" localities
-// sit in different regions. Unknown (empty) localities count as local:
-// a single-site deployment that never configures regions has no cross
-// traffic by definition.
-func crossRegion(a, b string) bool {
-	ra, _, _ := strings.Cut(a, "/")
-	rb, _, _ := strings.Cut(b, "/")
-	return ra != rb && ra != "" && rb != ""
-}
-
-// SendOp implements Subscriber for completeness; the fan-out prefers
-// SendOpVer. Unversioned ops cannot be ordered against the bootstrap,
-// so they apply only once the mirror is ready.
+// SendOp implements Subscriber; the fan-out prefers SendOpVer. An
+// unversioned op cannot be ordered against the copy, so it is refused.
 func (m *Mirror) SendOp(op scene.Op) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.promoted {
-		return fmt.Errorf("dataservice: mirror already promoted")
-	}
-	if !m.ready {
-		return fmt.Errorf("dataservice: unversioned op before mirror bootstrap")
-	}
-	if err := m.backup.ApplyReplicated(op, m.subName); err != nil {
-		m.applyErr = err
-		return err
-	}
-	return nil
+	return fmt.Errorf("dataservice: mirror follows the versioned op stream only")
 }
 
 // SendOpVer implements VersionedSubscriber: replicate the op onto the
-// backup in version order, buffering ops that arrive before the
-// bootstrap install (or ahead of a slower sibling fan-out goroutine).
+// backup in version order. A failure is sticky — the copy can no longer
+// be trusted to converge (see AckedVersion).
 func (m *Mirror) SendOpVer(op scene.Op, version uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.promoted {
 		return fmt.Errorf("dataservice: mirror already promoted")
 	}
-	if !m.ready {
-		m.pending = append(m.pending, ReplayOp{Version: version, Op: op})
-		return nil
+	if m.applyErr == nil {
+		m.applyErr = m.seq.Offer(version, op)
 	}
-	m.applyLocked(op, version)
 	return m.applyErr
-}
-
-// applyLocked applies one versioned op under m.mu: duplicates (at or
-// below the backup's version) drop, the next-in-sequence op applies and
-// drains any buffered successors, and ahead-of-sequence ops buffer.
-func (m *Mirror) applyLocked(op scene.Op, version uint64) {
-	cur := m.backup.Version()
-	switch {
-	case version <= cur:
-		// Already covered by the snapshot or an earlier apply.
-	case version == cur+1:
-		if err := m.backup.ApplyReplicated(op, m.subName); err != nil {
-			m.applyErr = err
-			return
-		}
-		m.drainLocked()
-	default:
-		m.pending = append(m.pending, ReplayOp{Version: version, Op: op})
-	}
-}
-
-// drainLocked applies buffered ops that have become contiguous with
-// the backup's version, dropping ones the backup is already past.
-func (m *Mirror) drainLocked() {
-	sort.Slice(m.pending, func(i, j int) bool { return m.pending[i].Version < m.pending[j].Version })
-	for len(m.pending) > 0 {
-		next := m.pending[0]
-		cur := m.backup.Version()
-		if next.Version <= cur {
-			m.pending = m.pending[1:]
-			continue
-		}
-		if next.Version != cur+1 {
-			return // gap: wait for the missing op
-		}
-		if err := m.backup.ApplyReplicated(next.Op, m.subName); err != nil {
-			m.applyErr = err
-			return
-		}
-		m.pending = m.pending[1:]
-	}
 }
 
 // SendCamera implements Subscriber.
 func (m *Mirror) SendCamera(cam transport.CameraState) error {
-	return m.backup.SetCamera(cam, m.subName)
+	return m.backup.SetCamera(cam)
 }
 
 // Lag returns how many versions the backup trails the primary (0 when
@@ -263,7 +225,7 @@ func (m *Mirror) Err() error {
 
 // Backup exposes the standby session (e.g. to attach standby render
 // services before a failover).
-func (m *Mirror) Backup() *Session { return m.backup }
+func (m *Mirror) Backup() *Session { return m.backup.sess }
 
 // Promote detaches from the primary and returns the backup session as
 // the new authority. Safe to call after the primary has died — the
@@ -276,8 +238,8 @@ func (m *Mirror) Promote() (*Session, error) {
 	}
 	m.promoted = true
 	m.mu.Unlock()
-	m.primary.Unsubscribe(m.subName)
-	return m.backup, nil
+	m.primary.Unsubscribe(m.backup.subName)
+	return m.backup.sess, nil
 }
 
 // Detach stops following the primary without promoting: the backup
@@ -287,5 +249,5 @@ func (m *Mirror) Detach() {
 	m.mu.Lock()
 	m.promoted = true
 	m.mu.Unlock()
-	m.primary.Unsubscribe(m.subName)
+	m.primary.Unsubscribe(m.backup.subName)
 }

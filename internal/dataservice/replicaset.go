@@ -3,6 +3,8 @@ package dataservice
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/netsim"
 )
 
 // ReplicaSet manages a primary session's N-way mirror fan-out: the
@@ -175,7 +177,7 @@ func (rs *ReplicaSet) Best(preferRegion string, eligible func(name string) bool)
 			continue
 		}
 		ver := mem.mirror.AckedVersion()
-		match := !crossRegion(preferRegion, mem.region)
+		match := !netsim.CrossRegion(preferRegion, mem.region)
 		switch {
 		case !ok, ver > bestVer, ver == bestVer && match && !bestMatch:
 			name, ok = mem.name, true

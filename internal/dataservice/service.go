@@ -444,16 +444,8 @@ func (sess *Session) Camera() transport.CameraState {
 // Subscribe registers a named subscriber and returns a bootstrap
 // snapshot of the current scene. Names must be unique within a session.
 func (sess *Session) Subscribe(name string, sub Subscriber) (*scene.Scene, error) {
-	if name == "" {
-		return nil, fmt.Errorf("dataservice: subscriber name required")
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if _, dup := sess.subscribers[name]; dup {
-		return nil, fmt.Errorf("dataservice: subscriber %q already attached", name)
-	}
-	sess.subscribers[name] = sub
-	return sess.scene.Clone(), nil
+	_, snapshot, _, err := sess.subscribeSince(name, sub, 0, false)
+	return snapshot, err
 }
 
 // ReplayOp is one op returned by SubscribeSince for gap-only resync.
@@ -608,10 +600,30 @@ func (c *connSubscriber) SendCamera(cam transport.CameraState) error {
 	return c.conn.SendJSON(transport.MsgCameraUpdate, cam)
 }
 
+// sendSnapshot ships sc to a subscriber in toRegion as a bootstrap or
+// resync snapshot, charging its size to the bootstrap-bytes series.
+func (sess *Session) sendSnapshot(conn *transport.Conn, sc *scene.Scene, toRegion string) error {
+	var buf bytes.Buffer
+	if err := marshal.WriteScene(&buf, sc); err != nil {
+		return err
+	}
+	sess.noteBootstrapBytes(int64(buf.Len()), toRegion)
+	return conn.Send(transport.MsgSceneSnapshot, buf.Bytes())
+}
+
 // ServeConn runs the data-service side of a direct-socket subscription:
 // hello, bootstrap snapshot, then a receive loop applying the peer's
 // updates while the fan-out path pushes everyone else's. Returns when
 // the peer says Bye or the socket fails.
+//
+// Ordering on the socket is the follower's job, not this function's.
+// The subscriber joins the fan-out under the session lock but its
+// bootstrap (and any later resync snapshot) is marshalled and sent
+// outside it — a lock held across socket I/O would stall every commit
+// behind one slow link — so a commit can put MsgSceneOpVer(V+1) on the
+// wire ahead of MsgSceneSnapshot(V). internal/follow holds such ops and
+// drains them after the install; TestFollowerConformance and
+// TestSubscribeWhileCommitting pin that.
 func (s *Service) ServeConn(rw io.ReadWriter) error {
 	conn := transport.NewConn(rw)
 	t, payload, err := conn.Receive()
@@ -643,12 +655,7 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 	defer sess.Unsubscribe(hello.Name)
 
 	if snapshot != nil {
-		var buf bytes.Buffer
-		if err := marshal.WriteScene(&buf, snapshot); err != nil {
-			return err
-		}
-		sess.noteBootstrapBytes(int64(buf.Len()), hello.Region)
-		if err := conn.Send(transport.MsgSceneSnapshot, buf.Bytes()); err != nil {
+		if err := sess.sendSnapshot(conn, snapshot, hello.Region); err != nil {
 			return err
 		}
 	} else {
@@ -723,12 +730,7 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 		case transport.MsgResyncRequest:
 			// The replica detected a gap: ship a fresh bootstrap snapshot.
 			sess.noteSnapshot()
-			var buf bytes.Buffer
-			if err := marshal.WriteScene(&buf, sess.Snapshot()); err != nil {
-				return err
-			}
-			sess.noteBootstrapBytes(int64(buf.Len()), hello.Region)
-			if err := conn.Send(transport.MsgSceneSnapshot, buf.Bytes()); err != nil {
+			if err := sess.sendSnapshot(conn, sess.Snapshot(), hello.Region); err != nil {
 				return err
 			}
 		case transport.MsgStandbyAck:

@@ -178,15 +178,6 @@ func (g *Gateway) Telemetry() *telemetry.Registry { return g.cfg.Metrics }
 // leaseService maps a session name to its UDDI lease row.
 func leaseService(session string) string { return LeaseServicePrefix + session }
 
-// crossRegion reports whether two localities sit in different regions.
-// Empty localities are local — a flat fleet has no cross traffic.
-func crossRegion(a, b string) bool {
-	if a == "" || b == "" {
-		return false
-	}
-	return netsim.Class(netsim.ParseLocality(a), netsim.ParseLocality(b)) == netsim.LinkWAN
-}
-
 // reachableLocked reports whether the gateway can currently reach the
 // node across the topology (always true on a flat fleet). Callers hold
 // g.mu.
@@ -837,7 +828,7 @@ func (g *Gateway) replicaTargetsLocked(p *placement) []string {
 	}
 	firstIn, firstOut := "", ""
 	for _, c := range cands {
-		if crossRegion(ownerRegion, g.nodes[c].Region()) {
+		if netsim.CrossRegion(ownerRegion, g.nodes[c].Region()) {
 			if firstOut == "" {
 				firstOut = c
 			}

@@ -24,6 +24,14 @@ import (
 // streams from allocating unbounded memory.
 const maxSliceLen = 1 << 28
 
+// CountWriter measures an encoding's size without retaining the bytes.
+type CountWriter struct{ N int64 }
+
+func (c *CountWriter) Write(p []byte) (int, error) {
+	c.N += int64(len(p))
+	return len(p), nil
+}
+
 type writer struct {
 	w   *bufio.Writer
 	err error

@@ -31,6 +31,15 @@ func ParseLocality(s string) Locality {
 	return Locality{Region: region, Zone: zone}
 }
 
+// CrossRegion reports whether two "region" / "region/zone" localities
+// sit in different regions. Unknown (empty) localities count as local:
+// a single-site deployment that never configures regions has no cross
+// traffic by definition.
+func CrossRegion(a, b string) bool {
+	ra, rb := ParseLocality(a).Region, ParseLocality(b).Region
+	return ra != rb && ra != "" && rb != ""
+}
+
 // String renders the canonical "region/zone" (or bare "region") form.
 func (l Locality) String() string {
 	if l.Zone == "" {

@@ -2,26 +2,16 @@ package perfmodel
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/device"
 	"repro/internal/geom"
 	"repro/internal/geom/genmodel"
 	"repro/internal/geom/objply"
+	"repro/internal/marshal"
 	"repro/internal/mathx"
 	"repro/internal/netsim"
 )
-
-// countingWriter measures serialized size without buffering the bytes.
-type countingWriter struct{ n int64 }
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
-}
-
-var _ io.Writer = (*countingWriter)(nil)
 
 // ModelRow is one row of Table 1 (models used in benchmarks).
 type ModelRow struct {
@@ -56,13 +46,13 @@ func Table1(scale float64) ([]ModelRow, error) {
 		for j, p := range mesh.Positions {
 			export.Positions[j] = mathx.V3(quant(p.X), quant(p.Y), quant(p.Z))
 		}
-		var cw countingWriter
+		var cw marshal.CountWriter
 		if err := objply.WriteOBJ(&cw, export); err != nil {
 			return nil, err
 		}
 		// Scale the measured size back up so the row reports the
 		// full-size file even when generated at reduced scale.
-		rows[i].OBJBytes = int64(float64(cw.n) / scale)
+		rows[i].OBJBytes = int64(float64(cw.N) / scale)
 	}
 	return rows, nil
 }

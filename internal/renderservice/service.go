@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/collab"
 	"repro/internal/device"
+	"repro/internal/follow"
 	"repro/internal/imgcodec"
 	"repro/internal/marshal"
 	"repro/internal/mathx"
@@ -174,18 +175,6 @@ func (s *Service) SessionCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.sessions)
-}
-
-// sessionVersion reports a live replica's scene version (0, false when
-// no replica of that session exists).
-func (s *Service) sessionVersion(name string) (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess, ok := s.sessions[name]
-	if !ok {
-		return 0, false
-	}
-	return sess.Version(), true
 }
 
 // SessionNamed returns the live replica of the named session without
@@ -716,9 +705,9 @@ func (s *Service) SubscribeToData(rw io.ReadWriter, sessionName string, onReady 
 }
 
 // heartbeat periodically sends version probes and load reports over the
-// subscription socket until stop closes or a send fails (the read loop
-// surfaces the broken connection).
-func (s *Service) heartbeat(conn *transport.Conn, opts SubscribeOpts, stop <-chan struct{}) {
+// subscription socket until stop closes (nil) or a send fails (the
+// error; the read loop surfaces the broken connection too).
+func (s *Service) heartbeat(conn *transport.Conn, opts SubscribeOpts, stop <-chan struct{}) error {
 	var probeCh, reportCh <-chan time.Time
 	for {
 		if opts.ProbeInterval > 0 && probeCh == nil {
@@ -729,216 +718,118 @@ func (s *Service) heartbeat(conn *transport.Conn, opts SubscribeOpts, stop <-cha
 		}
 		select {
 		case <-stop:
-			return
+			return nil
 		case <-probeCh:
 			probeCh = nil
-			if conn.Send(transport.MsgVersionQuery, nil) != nil {
-				return
+			if err := conn.Send(transport.MsgVersionQuery, nil); err != nil {
+				return err
 			}
 		case <-reportCh:
 			reportCh = nil
-			if conn.SendJSON(transport.MsgLoadReport, s.LoadReport()) != nil {
-				return
+			if err := conn.SendJSON(transport.MsgLoadReport, s.LoadReport()); err != nil {
+				return err
 			}
 		}
 	}
 }
 
-// subscribe performs one subscription: hello, bootstrap, then the op
-// stream. It reports whether the bootstrap completed (so reconnection
-// backoff can reset) alongside the terminal error. The op stream is
-// version-checked: a gap (dropped MsgSceneOpVer) or a version probe
-// showing the replica behind triggers MsgResyncRequest, and the fresh
-// snapshot replaces the replica.
+// replica is the follow.Target behind a subscription: the session's
+// scene replica on this service, holding one reference once open.
+type replica struct {
+	svc  *Service
+	name string
+	sess *Session // nil until a bootstrap snapshot opens it
+}
+
+func (r *replica) Version() uint64 {
+	if r.sess == nil {
+		return 0
+	}
+	return r.sess.Version()
+}
+
+func (r *replica) Install(sc *scene.Scene) (err error) {
+	if r.sess == nil {
+		if r.sess, err = r.svc.OpenSession(r.name, sc, raster.DefaultCamera()); err != nil {
+			return err
+		}
+	}
+	r.sess.ResetScene(sc) // OpenSession may have found another user's replica already open
+	return nil
+}
+
+func (r *replica) Apply(op scene.Op) error { return r.sess.ApplyOp(op) }
+
+// SetCamera drops a camera that overtook the bootstrap snapshot: the
+// data service sends the current one right after it.
+func (r *replica) SetCamera(cs transport.CameraState) error {
+	if r.sess != nil {
+		r.sess.SetCamera(CameraFromState(cs))
+	}
+	return nil
+}
+
+// subscribe follows one subscription stream (follow.Stream) into the
+// session's replica. A replica retained from an earlier connection makes
+// the hello ask to resume at its version: if the data service's op
+// history covers the gap, only the missed ops are replayed. The render
+// service's own part of the socket: after the bootstrap it starts the
+// heartbeat, whose version probes the stream answers with a resync when
+// the replica trails, and capacity and telemetry interrogations are
+// answered in-line.
 func (s *Service) subscribe(ctx context.Context, conn *transport.Conn, sessionName string, opts SubscribeOpts, onReady func(*Session)) (bootstrapped bool, err error) {
-	// A retained replica from a previous connection lets us ask to
-	// resume at its version: if the data service's op history covers the
-	// gap, it replays only the missed ops instead of a full snapshot.
-	since, _ := s.sessionVersion(sessionName)
-	err = conn.SendJSON(transport.MsgHello, transport.Hello{
-		Role: "render-service", Name: s.cfg.Name, Session: sessionName,
-		SinceVersion: since, Region: opts.Region,
-	})
-	if err != nil {
-		return false, err
-	}
-	canDeadline := opts.IdleTimeout > 0
-	if canDeadline {
-		// The bootstrap is covered by the idle watchdog too: a data
-		// service that stalls before sending the snapshot must not hang
-		// the subscription forever.
-		if conn.SetReadDeadline(s.cfg.Clock.Now().Add(opts.IdleTimeout)) != nil {
-			canDeadline = false
-		}
-	}
-	t, payload, err := conn.Receive()
-	if err != nil {
-		return false, err
-	}
-	if t == transport.MsgError {
-		var ei transport.ErrorInfo
-		transport.DecodeJSON(payload, &ei)
-		return false, fmt.Errorf("renderservice: subscription refused: %s", ei.Message)
-	}
-	var sess *Session
-	switch t {
-	case transport.MsgSceneSnapshot:
-		snapshot, err := marshal.ReadScene(bytes.NewReader(payload))
-		if err != nil {
-			return false, err
-		}
-		sess, err = s.OpenSession(sessionName, snapshot, raster.DefaultCamera())
-		if err != nil {
-			return false, err
-		}
-		// Re-bootstrap an already-open replica (reconnection path).
-		sess.ResetScene(snapshot)
-	case transport.MsgResumeOK:
-		// The service accepted our resume point: the retained replica is
-		// the bootstrap, and only the gap follows as MsgSceneOpVer.
-		var ri transport.ResumeInfo
-		if err := transport.DecodeJSON(payload, &ri); err != nil {
-			return false, err
-		}
-		sess, err = s.OpenSession(sessionName, nil, raster.DefaultCamera())
-		if err != nil {
-			return false, fmt.Errorf("renderservice: resume without a replica: %w", err)
-		}
-	default:
-		return false, fmt.Errorf("renderservice: expected snapshot, got %s", t)
-	}
-	defer sess.Close()
-	if onReady != nil {
-		onReady(sess)
-	}
-
+	rep := &replica{svc: s, name: sessionName}
+	rep.sess, _ = s.OpenSession(sessionName, nil, raster.DefaultCamera()) // fails when there is none to resume from
 	stop := make(chan struct{})
-	defer close(stop)
-	if opts.ProbeInterval > 0 || opts.ReportInterval > 0 {
-		go s.heartbeat(conn, opts, stop)
+	defer func() {
+		close(stop)
+		if rep.sess != nil {
+			rep.sess.Close()
+		}
+	}()
+	st := &follow.Stream{
+		Conn:        conn,
+		Hello:       transport.Hello{Role: "render-service", Name: s.cfg.Name, Session: sessionName, Region: opts.Region},
+		Target:      rep,
+		IdleTimeout: opts.IdleTimeout,
+		Clock:       s.cfg.Clock,
 	}
-
-	resyncing := false
-	for {
-		if err := ctx.Err(); err != nil {
-			return true, err
+	st.Ready = func() error {
+		if onReady != nil {
+			onReady(rep.sess)
 		}
-		if canDeadline {
-			if conn.SetReadDeadline(s.cfg.Clock.Now().Add(opts.IdleTimeout)) != nil {
-				canDeadline = false // stream has no deadline support
-			}
+		if opts.ProbeInterval > 0 || opts.ReportInterval > 0 {
+			go s.heartbeat(conn, opts, stop) // its error is the read loop's too
 		}
-		t, payload, err := conn.Receive()
-		if err != nil {
-			if err == io.EOF {
-				// Only an explicit Bye is a clean shutdown. A bare EOF
-				// means the peer died or the link dropped (over TCP a
-				// killed process still produces EOF), so the resilient
-				// loop must treat it as a failure and reconnect.
-				return true, ErrConnectionLost
-			}
-			return true, err
-		}
+		return nil
+	}
+	st.Hook = func(t transport.MsgType, _ []byte) error {
 		switch t {
-		case transport.MsgBye:
-			return true, nil
-		case transport.MsgSceneOp:
-			op, err := marshal.ReadOp(bytes.NewReader(payload))
-			if err != nil {
-				return true, err
-			}
-			if err := sess.ApplyOp(op); err != nil {
-				return true, err
-			}
-		case transport.MsgSceneOpVer:
-			ver, body, err := transport.UnpackVersioned(payload)
-			if err != nil {
-				return true, err
-			}
-			if resyncing {
-				continue // a fresh snapshot is on its way
-			}
-			local := sess.Version()
-			if ver <= local {
-				continue // stale duplicate
-			}
-			if ver > local+1 {
-				// Gap: updates were lost on the wire — request resync.
-				if err := conn.Send(transport.MsgResyncRequest, nil); err != nil {
-					return true, err
-				}
-				resyncing = true
-				continue
-			}
-			op, err := marshal.ReadOp(bytes.NewReader(body))
-			if err != nil {
-				return true, err
-			}
-			if err := sess.ApplyOp(op); err != nil {
-				return true, err
-			}
-		case transport.MsgSceneSnapshot:
-			snap, err := marshal.ReadScene(bytes.NewReader(payload))
-			if err != nil {
-				return true, err
-			}
-			sess.ResetScene(snap)
-			resyncing = false
-		case transport.MsgVersionReport:
-			var vr transport.VersionReport
-			if err := transport.DecodeJSON(payload, &vr); err != nil {
-				return true, err
-			}
-			// Re-request even while resyncing: the snapshot itself may have
-			// been lost, and a duplicate snapshot is harmless.
-			if vr.Version > sess.Version() {
-				if err := conn.Send(transport.MsgResyncRequest, nil); err != nil {
-					return true, err
-				}
-				resyncing = true
-			}
-		case transport.MsgCameraUpdate:
-			var cs transport.CameraState
-			if err := transport.DecodeJSON(payload, &cs); err != nil {
-				return true, err
-			}
-			sess.SetCamera(CameraFromState(cs))
 		case transport.MsgCapacityQuery:
-			if err := conn.SendJSON(transport.MsgCapacityReport, s.Capacity()); err != nil {
-				return true, err
-			}
+			return conn.SendJSON(transport.MsgCapacityReport, s.Capacity())
 		case transport.MsgTelemetryQuery:
-			if err := conn.SendJSON(transport.MsgTelemetryReport, s.cfg.Metrics.Snapshot()); err != nil {
-				return true, err
-			}
-		default:
-			// Ignore messages this role does not handle.
+			return conn.SendJSON(transport.MsgTelemetryReport, s.cfg.Metrics.Snapshot())
 		}
+		return nil
 	}
+	return st.Run(ctx)
 }
 
 // ErrConnectionLost reports a subscription stream that ended without an
 // explicit Bye: the data service died or the link dropped. Resilient
 // subscribers treat it as a reconnect signal, never a clean shutdown.
-var ErrConnectionLost = errors.New("renderservice: data connection lost without bye")
-
-// Dialer opens a fresh connection to the data service.
-type Dialer func() (io.ReadWriteCloser, error)
+var ErrConnectionLost = follow.ErrLost
 
 // SubscribeToDataResilient keeps a data-service subscription alive across
-// failures: when the socket breaks, stalls past the idle timeout, or the
-// dial fails, it backs off per opts.Retry and reconnects, re-bootstrapping
-// the replica from a fresh snapshot. The replica stays open between
+// failures (follow.Redial): when the socket breaks, stalls past the idle
+// timeout, or the dial fails, it backs off per opts.Retry and reconnects,
+// resuming from the replica's version. The replica stays open between
 // reconnects so thin clients keep rendering the last good scene. A clean
 // shutdown (an explicit Bye) or context cancellation ends the loop; a
 // bare EOF is a lost peer (ErrConnectionLost) and reconnects; exhausting
 // the retry budget without ever re-bootstrapping returns the last error.
 // onReady fires after every successful bootstrap.
-func (s *Service) SubscribeToDataResilient(ctx context.Context, dial Dialer, sessionName string, opts SubscribeOpts, onReady func(*Session)) error {
-	policy := opts.Retry
-	if policy.BaseDelay <= 0 {
-		policy = retry.DefaultPolicy()
-	}
+func (s *Service) SubscribeToDataResilient(ctx context.Context, dial transport.Dialer, sessionName string, opts SubscribeOpts, onReady func(*Session)) error {
 	var held *Session
 	defer func() {
 		if held != nil {
@@ -954,39 +845,13 @@ func (s *Service) SubscribeToDataResilient(ctx context.Context, dial Dialer, ses
 			onReady(sess)
 		}
 	}
-
-	attempt := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var lastErr error
-		rw, err := dial()
-		if err != nil {
-			lastErr = err
-		} else {
-			bootstrapped, err := s.subscribe(ctx, transport.NewConn(rw), sessionName, opts, wrapped)
-			rw.Close()
-			if err == nil {
-				return nil
-			}
-			if ctx.Err() != nil {
-				return err
-			}
-			lastErr = err
-			if bootstrapped {
-				attempt = 0 // made real progress: reset the backoff budget
-			}
-		}
-		attempt++
-		if policy.MaxAttempts > 0 && attempt >= policy.MaxAttempts {
-			return fmt.Errorf("renderservice: subscription to %q gave up after %d attempts: %w",
-				sessionName, attempt, lastErr)
-		}
-		if err := policy.Sleep(ctx, s.cfg.Clock, attempt); err != nil {
-			return err
-		}
+	err := follow.Redial(ctx, s.cfg.Clock, opts.Retry, dial, func(rw io.ReadWriter) (bool, error) {
+		return s.subscribe(ctx, transport.NewConn(rw), sessionName, opts, wrapped)
+	})
+	if err != nil {
+		return fmt.Errorf("renderservice: subscription to %q: %w", sessionName, err)
 	}
+	return nil
 }
 
 // StartLoadReporting periodically sends this service's load report over
@@ -998,16 +863,7 @@ func (s *Service) StartLoadReporting(conn *transport.Conn, interval time.Duratio
 	if interval <= 0 {
 		return fmt.Errorf("renderservice: non-positive report interval")
 	}
-	for {
-		select {
-		case <-stop:
-			return nil
-		case <-s.cfg.Clock.After(interval):
-			if err := conn.SendJSON(transport.MsgLoadReport, s.LoadReport()); err != nil {
-				return err
-			}
-		}
-	}
+	return s.heartbeat(conn, SubscribeOpts{ReportInterval: interval}, stop)
 }
 
 // CameraFromState converts the wire camera to a raster camera.

@@ -96,23 +96,44 @@ func (p Policy) Sleep(ctx context.Context, clock vclock.Clock, attempt int) erro
 // Do runs fn until it succeeds, the policy's attempts are exhausted, or
 // the context is done. The returned error wraps the last failure.
 func Do(ctx context.Context, clock vclock.Clock, p Policy, fn func() error) error {
+	return Until(ctx, clock, p, func() (bool, error) { return false, fn() })
+}
+
+// Until is Do for attempts that can get somewhere before they fail — a
+// stream that bootstrapped and then dropped, say. An attempt reporting
+// progress alongside its error starts the budget and the backoff over,
+// so MaxAttempts bounds consecutive fruitless tries, not the lifetime
+// of a long-lived connection. A policy without a BaseDelay means
+// DefaultPolicy. Cancellation returns an error wrapping both ctx.Err()
+// and the last failure.
+func Until(ctx context.Context, clock vclock.Clock, p Policy, attempt func() (progressed bool, err error)) error {
+	if p.BaseDelay <= 0 {
+		p = DefaultPolicy()
+	}
 	var last error
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			if last != nil {
-				return fmt.Errorf("retry: canceled after %d attempts: %w", attempt-1, last)
-			}
-			return err
-		}
-		last = fn()
+	canceled := func(cause error, n int) error {
 		if last == nil {
+			return cause
+		}
+		return fmt.Errorf("retry: canceled after %d attempts: %w (last failure: %w)", n, cause, last)
+	}
+	for n := 1; ; n++ {
+		if err := ctx.Err(); err != nil {
+			return canceled(err, n-1)
+		}
+		progressed, err := attempt()
+		if err == nil {
 			return nil
 		}
-		if p.MaxAttempts > 0 && attempt >= p.MaxAttempts {
-			return fmt.Errorf("retry: %d attempts exhausted: %w", attempt, last)
+		last = err
+		if progressed {
+			n = 1
 		}
-		if err := p.Sleep(ctx, clock, attempt); err != nil {
-			return fmt.Errorf("retry: canceled after %d attempts: %w", attempt, last)
+		if p.MaxAttempts > 0 && n >= p.MaxAttempts {
+			return fmt.Errorf("retry: gave up after %d attempts: %w", n, last)
+		}
+		if err := p.Sleep(ctx, clock, n); err != nil {
+			return canceled(err, n)
 		}
 	}
 }

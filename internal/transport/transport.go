@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -195,6 +197,18 @@ type Conn struct {
 
 // NewConn wraps a byte stream.
 func NewConn(rw io.ReadWriter) *Conn { return &Conn{rw: rw} }
+
+// Dialer opens a fresh stream to a service — a fixed address redialled,
+// or a UDDI re-discovery that finds whichever instance is registered
+// now. Reconnect loops call it once per attempt.
+type Dialer func() (io.ReadWriteCloser, error)
+
+// Dial opens a TCP stream to a UDDI access point; the "tcp://" scheme
+// the registry stores is optional, so flag-supplied host:port addresses
+// dial the same way.
+func Dial(accessPoint string) (net.Conn, error) {
+	return net.Dial("tcp", strings.TrimPrefix(accessPoint, "tcp://"))
+}
 
 // SetPeer records the remote's service name (from the hello exchange).
 // Subsequent Send/Receive failures are wrapped in a PeerError naming

@@ -172,3 +172,29 @@ func TestCapacitySpareWork(t *testing.T) {
 		t.Error("overloaded service reports spare work")
 	}
 }
+
+// TestDialAcceptsSchemeOrBareAddress: UDDI access points carry a tcp://
+// scheme, flag-supplied addresses do not; both reach the same listener.
+func TestDialAcceptsSchemeOrBareAddress(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			c.Close()
+		}
+	}()
+	for _, ap := range []string{"tcp://" + ln.Addr().String(), ln.Addr().String()} {
+		conn, err := Dial(ap)
+		if err != nil {
+			t.Fatalf("Dial(%q): %v", ap, err)
+		}
+		conn.Close()
+	}
+}
