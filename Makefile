@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet fmt-check lint lint-report allow-audit one-follower vulncheck build test race chaos scale partition storage raster loc ci
+.PHONY: all vet fmt-check lint lint-report allow-audit one-follower vulncheck build test race fuzz-smoke chaos scale partition storage raster loc ci
 
 all: ci
 
@@ -70,6 +70,17 @@ test:
 race:
 	$(GO) test -race ./...
 
+# fuzz-smoke gives each fuzz target ten seconds of mutation beyond the
+# seed corpus that `go test` already replays: the decoders that face
+# bytes from outside the process (the op-stream follower, the registry's
+# SOAP dispatcher, the trace header) and the rasterizer's edge functions.
+# go test takes one -fuzz target and one package per run.
+fuzz-smoke:
+	$(GO) test ./internal/follow -run '^$$' -fuzz '^FuzzFollow$$' -fuzztime 10s
+	$(GO) test ./internal/uddi -run '^$$' -fuzz '^FuzzRegistryDispatch$$' -fuzztime 10s
+	$(GO) test ./internal/raster -run '^$$' -fuzz '^FuzzEdgeFunction$$' -fuzztime 10s
+	$(GO) test ./internal/marshal -run '^$$' -fuzz '^FuzzSplitTraceHeader$$' -fuzztime 10s
+
 # chaos runs the kill-and-recover suite twice under the race detector:
 # failover and recovery schedules are goroutine-heavy, and a second run
 # shakes out order-dependent flakes the first can mask.
@@ -129,9 +140,9 @@ loc:
 # ci is the full gate: formatting, static checks (ravelint with the
 # LINT.json artifact and per-analyzer timings, the allow-annotation
 # audit, vet, the one-follower grep gate, govulncheck when present), a
-# clean build, the test suite under the race detector, a doubled chaos
-# pass (the chaos suite exercises concurrent failure recovery, so -race
+# clean build, the test suite under the race detector, ten seconds of
+# fuzzing per target, a doubled chaos pass (the chaos suite exercises concurrent failure recovery, so -race
 # is part of the bar, not an extra), the reduced fleet-scale load,
 # region-partition, and sick-disk scenarios, and the rasterizer
 # regression benchmark.
-ci: fmt-check lint-report allow-audit lint one-follower vulncheck build race chaos scale partition storage raster
+ci: fmt-check lint-report allow-audit lint one-follower vulncheck build race fuzz-smoke chaos scale partition storage raster

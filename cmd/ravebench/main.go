@@ -37,7 +37,7 @@ import (
 func main() {
 	table := flag.Int("table", 0, "regenerate one table (1-5); 0 = all")
 	figure := flag.Int("figure", 0, "regenerate one figure (2-5); 0 = all")
-	extra := flag.String("extra", "", "extension experiment: codec, migrate, marshal, volume, sync, telemetry, raster")
+	extra := flag.String("extra", "", "extension experiment: codec, migrate, marshal, volume, sync, raster")
 	scale := flag.Float64("scale", 0.1, "model scale for generated geometry (1 = paper size)")
 	out := flag.String("out", ".", "output directory for PNGs")
 	frames := flag.Int("frames", 60, "frames per raster benchmark pass")
@@ -171,32 +171,6 @@ func main() {
 		}
 		fmt.Println("Extra: tile synchronization (§5.5)")
 		fmt.Println(perfmodel.FormatSyncDemo(rows))
-	}
-	if all || *extra == "telemetry" {
-		res, err := perfmodel.TelemetryDemo(8)
-		if err != nil {
-			fail(err)
-		}
-		path := filepath.Join(*out, "BENCH_telemetry.json")
-		f, err := os.Create(path)
-		if err != nil {
-			fail(err)
-		}
-		// The versioned envelope (telemetry.BenchVersion) keeps every
-		// BENCH_*.json artifact decodable by one reader as the schema
-		// evolves; ReadBenchArtifact still accepts the pre-envelope
-		// bare-snapshot files this command used to write.
-		werr := telemetry.WriteBenchArtifact(f, telemetry.BenchKindTelemetry, res.Diff)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fail(werr)
-		}
-		fmt.Printf("Extra: session-clock telemetry — %d hedged frames across 2 render services\n", res.Frames)
-		fmt.Printf("wrote %s (v%d, %d metrics in snapshot diff)\n", path, telemetry.BenchVersion, len(res.Diff.Metrics))
-		fmt.Println("first frame's trace tree:")
-		fmt.Println(res.Trace)
 	}
 	if all || *extra == "raster" {
 		// The raster benchmark writes BENCH_raster.json and

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -58,7 +59,7 @@ func main() {
 		ring:  gateway.NewRing(*replicas),
 		ttl:   *leaseTTL,
 	}
-	added, _, err := rt.scan()
+	added, _, _, err := rt.scan()
 	if err != nil {
 		fail(fmt.Errorf("initial registry scan: %w", err))
 	}
@@ -66,7 +67,7 @@ func main() {
 	go func() {
 		for {
 			clock.Sleep(*rescan)
-			added, removed, err := rt.scan()
+			added, removed, degraded, err := rt.scan()
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "ravegw: rescan:", err)
 				continue
@@ -75,6 +76,10 @@ func main() {
 				fmt.Printf("ravegw: member joined: %s\n", m)
 			}
 			for _, m := range removed {
+				if slices.Contains(degraded, m) {
+					fmt.Printf("ravegw: member left: %s (reports %s)\n", m, uddi.HealthStorageDegraded)
+					continue
+				}
 				fmt.Printf("ravegw: member left: %s\n", m)
 			}
 		}
@@ -113,12 +118,21 @@ type router struct {
 
 // scan reconciles the ring with the registry's current view: every
 // binding advertising the data-service port type is a member, keyed by
-// service name. Returns the joins and leaves so the caller can log
-// membership churn without diffing state itself.
-func (rt *router) scan() (added, removed []string, err error) {
+// service name, unless its node currently reports storage-degraded —
+// such a node still serves what it holds but must take no sessions, so
+// it leaves the ring (the next query per session it owned transfers the
+// lease away) and rejoins once it reports ok or its report lapses.
+// Returns the joins and leaves, and the degraded names behind the
+// leaves, so the caller can log membership churn without diffing state
+// itself.
+func (rt *router) scan() (added, removed, degraded []string, err error) {
 	entries, err := rt.proxy.DumpEntries()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
+	}
+	degraded, err = rt.proxy.DegradedNodes(clock.Now())
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	members := make(map[string]string)
 	for _, e := range entries {
@@ -128,6 +142,9 @@ func (rt *router) scan() (added, removed []string, err error) {
 				break
 			}
 		}
+	}
+	for _, m := range degraded {
+		delete(members, m)
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -144,7 +161,7 @@ func (rt *router) scan() (added, removed []string, err error) {
 		}
 	}
 	rt.access = members
-	return added, removed, nil
+	return added, removed, degraded, nil
 }
 
 // route answers one query: ring placement picks the owner, and the

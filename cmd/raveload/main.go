@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/loadgen"
+	"repro/internal/telemetry"
 )
 
 // splitRegions parses the -regions list, dropping empty segments so
@@ -136,7 +137,7 @@ func main() {
 			fmt.Printf("  declined %-12s %d\n", r, res.Declined[r])
 		}
 	}
-	printClass := func(name string, s loadgen.LatencySummary) {
+	printClass := func(name string, s telemetry.Summary) {
 		if s.Count == 0 {
 			return
 		}

@@ -334,19 +334,33 @@ func TestDroppedOpsConvergeViaResync(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dsEnd, rsEnd := netsim.SimPipe(clk, instant(), instant())
-	go svc.ServeConn(dsEnd)
-
 	rs := renderservice.New(renderservice.Config{Name: "rs", Device: device.AthlonDesktop, Workers: 2, Clock: clk})
 	ready := make(chan *renderservice.Session, 1)
 	faults := netsim.NewFaults(21).DropFraction(0.2)
+	// Every dial is a fresh pipe with its own ServeConn, so a redial
+	// after a lost stream is a recovery path; once the degradation has
+	// begun, new pipes carry the same fault plan as the one they replace.
+	var (
+		mu           sync.Mutex
+		dsEnd, rsEnd *netsim.SimConn
+		degraded     bool
+	)
+	dial := func() (io.ReadWriteCloser, error) {
+		dataSide, renderSide := netsim.SimPipe(clk, instant(), instant())
+		mu.Lock()
+		dsEnd, rsEnd = dataSide, renderSide
+		if degraded {
+			dataSide.InjectFaults(faults)
+		}
+		mu.Unlock()
+		go svc.ServeConn(dataSide)
+		return renderSide, nil
+	}
 	errc := make(chan error, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		errc <- rs.SubscribeToDataResilient(ctx, func() (io.ReadWriteCloser, error) {
-			return rsEnd, nil
-		}, "skull", renderservice.SubscribeOpts{ProbeInterval: 50 * time.Millisecond}, func(s *renderservice.Session) {
+		errc <- rs.SubscribeToDataResilient(ctx, dial, "skull", renderservice.SubscribeOpts{ProbeInterval: 50 * time.Millisecond}, func(s *renderservice.Session) {
 			select {
 			case ready <- s:
 			default:
@@ -362,7 +376,10 @@ func TestDroppedOpsConvergeViaResync(t *testing.T) {
 	}
 	// Degrade the stream only after bootstrap, so every drop hits the
 	// live op fan-out, resync snapshots, or version reports.
+	mu.Lock()
+	degraded = true
 	dsEnd.InjectFaults(faults)
+	mu.Unlock()
 
 	for i := 0; i < 30; i++ {
 		op := &scene.AddNodeOp{Parent: scene.RootID, ID: sess.AllocID(), Name: "n", Transform: mathx.Identity()}
@@ -371,13 +388,17 @@ func TestDroppedOpsConvergeViaResync(t *testing.T) {
 		_ = sess.ApplyUpdate(op, "")
 	}
 
-	deadline := time.Now().Add(30 * time.Second)
+	deadline := time.After(30 * time.Second)
 	for replica.Version() < sess.Version() {
-		if time.Now().After(deadline) {
+		select {
+		case err := <-errc:
+			t.Fatalf("subscriber gave up at v%d, authority at v%d (dropped %d writes): %v",
+				replica.Version(), sess.Version(), faults.Dropped(), err)
+		case <-deadline:
 			t.Fatalf("replica stuck at v%d, authority at v%d (dropped %d writes)",
 				replica.Version(), sess.Version(), faults.Dropped())
+		case <-time.After(time.Millisecond):
 		}
-		time.Sleep(time.Millisecond)
 	}
 	if faults.Dropped() == 0 {
 		t.Fatal("fault plan dropped nothing; the resync path was never exercised")
@@ -392,7 +413,9 @@ func TestDroppedOpsConvergeViaResync(t *testing.T) {
 	}
 
 	cancel()
+	mu.Lock()
 	rsEnd.Close()
+	mu.Unlock()
 	select {
 	case <-errc:
 	case <-time.After(10 * time.Second):

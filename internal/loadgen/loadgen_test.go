@@ -274,13 +274,13 @@ func TestRunWithoutFault(t *testing.T) {
 	}
 }
 
-// TestReadArtifactRejectsWrongKind: a telemetry-kind bench file is not
-// a scale artifact.
+// TestReadArtifactRejectsWrongKind: a raster-kind bench file is not a
+// scale artifact.
 func TestReadArtifactRejectsWrongKind(t *testing.T) {
-	if _, err := ReadArtifact(bytes.NewReader([]byte(`{"v":1,"kind":"telemetry","snapshot":{"taken_nanos":1}}`))); err == nil {
-		t.Error("telemetry artifact accepted as scale artifact")
+	if _, err := ReadArtifact(bytes.NewReader([]byte(`{"v":1,"kind":"raster","snapshot":{"taken_nanos":1}}`))); err == nil {
+		t.Error("raster artifact accepted as scale artifact")
 	}
 	if _, err := ReadArtifact(bytes.NewReader([]byte(`{"taken_nanos":1}`))); err == nil {
-		t.Error("legacy bare snapshot accepted as scale artifact")
+		t.Error("bare snapshot accepted as scale artifact")
 	}
 }

@@ -15,20 +15,11 @@ package loadgen
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
-)
 
-// LatencySummary describes one request class's latency distribution,
-// in virtual nanoseconds (the artifact is JSON; everything is explicit
-// int64 so the file diffs cleanly).
-type LatencySummary struct {
-	Count int64 `json:"count"`
-	P50ns int64 `json:"p50_ns"`
-	P99ns int64 `json:"p99_ns"`
-	Maxns int64 `json:"max_ns"`
-}
+	"repro/internal/telemetry"
+)
 
 // statPool accumulates latency samples for one request class. Samples
 // are virtual durations, bounded by requests-per-run (a few 100k at
@@ -45,25 +36,11 @@ func (p *statPool) add(d time.Duration) {
 	p.mu.Unlock()
 }
 
-// summarize sorts and reads exact quantiles.
-func (p *statPool) summarize() LatencySummary {
+// summarize reads the class's exact quantiles.
+func (p *statPool) summarize() telemetry.Summary {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := len(p.samples)
-	if n == 0 {
-		return LatencySummary{}
-	}
-	sort.Slice(p.samples, func(i, j int) bool { return p.samples[i] < p.samples[j] })
-	at := func(q float64) int64 {
-		i := int(q * float64(n-1))
-		return int64(p.samples[i])
-	}
-	return LatencySummary{
-		Count: int64(n),
-		P50ns: at(0.50),
-		P99ns: at(0.99),
-		Maxns: int64(p.samples[n-1]),
-	}
+	return telemetry.Summarize(p.samples)
 }
 
 // Results is the artifact's summary block: what the run offered, what
@@ -89,8 +66,8 @@ type Results struct {
 
 	// Mutate and Frame are per-class latency distributions (virtual
 	// time, gateway admission to completion, retries included).
-	Mutate LatencySummary `json:"mutate"`
-	Frame  LatencySummary `json:"frame"`
+	Mutate telemetry.Summary `json:"mutate"`
+	Frame  telemetry.Summary `json:"frame"`
 
 	// Fleet-health counters lifted from the telemetry snapshot.
 	SessionsRebalanced int64 `json:"sessions_rebalanced"`

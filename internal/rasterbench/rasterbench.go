@@ -14,7 +14,6 @@ package rasterbench
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/compositor"
@@ -53,35 +52,6 @@ type Config struct {
 	Clock vclock.Clock
 }
 
-// StageSummary is one timed stage's distribution, exact quantiles over
-// per-frame samples (the telemetry histogram's ms-scale buckets are
-// too coarse for sub-millisecond frames).
-type StageSummary struct {
-	Count int64 `json:"count"`
-	P50ns int64 `json:"p50_ns"`
-	P99ns int64 `json:"p99_ns"`
-	Maxns int64 `json:"max_ns"`
-}
-
-// summarize sorts and reads exact quantiles.
-func summarize(samples []time.Duration) StageSummary {
-	n := len(samples)
-	if n == 0 {
-		return StageSummary{}
-	}
-	sorted := append([]time.Duration(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	at := func(q float64) int64 {
-		return int64(sorted[int(q*float64(n-1))])
-	}
-	return StageSummary{
-		Count: int64(n),
-		P50ns: at(0.50),
-		P99ns: at(0.99),
-		Maxns: int64(sorted[n-1]),
-	}
-}
-
 // total sums a sample set.
 func total(samples []time.Duration) time.Duration {
 	var t time.Duration
@@ -95,8 +65,8 @@ func total(samples []time.Duration) time.Duration {
 type RasterResults struct {
 	// ReferenceFrame and FixedFrame are single-threaded frame times for
 	// the float reference core and the fixed-point core.
-	ReferenceFrame StageSummary `json:"reference_frame"`
-	FixedFrame     StageSummary `json:"fixed_frame"`
+	ReferenceFrame telemetry.Summary `json:"reference_frame"`
+	FixedFrame     telemetry.Summary `json:"fixed_frame"`
 	// Speedup is reference p50 / fixed p50, same machine same run — the
 	// machine-independent regression invariant. Medians, not totals: one
 	// GC pause in a short run would skew a total-time ratio.
@@ -119,10 +89,10 @@ type RasterResults struct {
 // distributed-rendering pipeline (split scene → render halves →
 // depth-composite → RLE-encode) timed end to end.
 type PipelineResults struct {
-	Total     StageSummary `json:"total"`
-	Render    StageSummary `json:"render"`
-	Composite StageSummary `json:"composite"`
-	Encode    StageSummary `json:"encode"`
+	Total     telemetry.Summary `json:"total"`
+	Render    telemetry.Summary `json:"render"`
+	Composite telemetry.Summary `json:"composite"`
+	Encode    telemetry.Summary `json:"encode"`
 	// PixelsPerSec is full-image pixels through the pipeline per
 	// second of total stage time.
 	PixelsPerSec float64 `json:"pixels_per_sec"`
@@ -184,8 +154,8 @@ func RunRaster(cfg Config) (RasterArtifact, error) {
 
 	fixedTotal := total(fixSamples)
 	res := RasterResults{
-		ReferenceFrame: summarize(refSamples),
-		FixedFrame:     summarize(fixSamples),
+		ReferenceFrame: telemetry.Summarize(refSamples),
+		FixedFrame:     telemetry.Summarize(fixSamples),
 		ParityOK:       parity,
 		TrianglesDrawn: int64(fixR.TrianglesDrawn),
 	}
@@ -263,10 +233,10 @@ func RunPipeline(cfg Config) (PipelineArtifact, error) {
 	}
 
 	res := PipelineResults{
-		Total:        summarize(totalS),
-		Render:       summarize(renderS),
-		Composite:    summarize(compS),
-		Encode:       summarize(encS),
+		Total:        telemetry.Summarize(totalS),
+		Render:       telemetry.Summarize(renderS),
+		Composite:    telemetry.Summarize(compS),
+		Encode:       telemetry.Summarize(encS),
 		EncodedBytes: encodedBytes,
 	}
 	if t := total(totalS); t > 0 {

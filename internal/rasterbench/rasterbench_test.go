@@ -91,7 +91,7 @@ func TestRunPipelineStructure(t *testing.T) {
 	if art.V != telemetry.BenchVersion || art.Kind != telemetry.BenchKindPipeline {
 		t.Fatalf("envelope = v%d kind %q", art.V, art.Kind)
 	}
-	for name, s := range map[string]StageSummary{
+	for name, s := range map[string]telemetry.Summary{
 		"total": art.Results.Total, "render": art.Results.Render,
 		"composite": art.Results.Composite, "encode": art.Results.Encode,
 	} {
@@ -196,7 +196,7 @@ func syntheticRaster(parity bool, speedup, pps float64) RasterArtifact {
 		Results: RasterResults{
 			ParityOK: parity, Speedup: speedup, PixelsPerSec: pps,
 			PixelsFilled: 1000, TrianglesDrawn: 500,
-			FixedFrame: StageSummary{Count: 30, P50ns: 1, P99ns: 2, Maxns: 2},
+			FixedFrame: telemetry.Summary{Count: 30, P50ns: 1, P99ns: 2, Maxns: 2},
 		},
 	}
 }
@@ -206,7 +206,7 @@ func syntheticPipeline(p50, encoded int64) PipelineArtifact {
 		V: telemetry.BenchVersion, Kind: telemetry.BenchKindPipeline,
 		Scenario: DefaultScenario(30),
 		Results: PipelineResults{
-			Total:        StageSummary{Count: 30, P50ns: p50, P99ns: p50 * 2, Maxns: p50 * 2},
+			Total:        telemetry.Summary{Count: 30, P50ns: p50, P99ns: p50 * 2, Maxns: p50 * 2},
 			EncodedBytes: encoded,
 		},
 	}
@@ -263,21 +263,5 @@ func TestCheckPipelineThresholds(t *testing.T) {
 	}
 	if v := CheckPipeline(syntheticPipeline(7_000_000, 4096), &base); len(v) != 0 {
 		t.Errorf("within-noise slowdown flagged: %v", v)
-	}
-}
-
-// TestSummarizeQuantiles pins the exact-quantile math against a known
-// sample set.
-func TestSummarizeQuantiles(t *testing.T) {
-	var samples []time.Duration
-	for i := 100; i >= 1; i-- { // reversed: summarize must sort
-		samples = append(samples, time.Duration(i))
-	}
-	s := summarize(samples)
-	if s.Count != 100 || s.P50ns != 50 || s.P99ns != 99 || s.Maxns != 100 {
-		t.Errorf("summarize = %+v, want count=100 p50=50 p99=99 max=100", s)
-	}
-	if z := summarize(nil); z != (StageSummary{}) {
-		t.Errorf("summarize(nil) = %+v, want zero", z)
 	}
 }

@@ -4,23 +4,23 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"time"
 )
 
 // Versioned BENCH_*.json artifacts. Every benchmark harness that checks
-// a machine-readable result into the repo (ravebench -extra telemetry →
-// BENCH_telemetry.json, raveload → BENCH_scale.json) writes this
-// envelope, so a reader can dispatch on one "v"/"kind" pair instead of
-// sniffing shapes. The schema version is shared across kinds: bump it
-// when any envelope field changes meaning, and keep ReadBenchArtifact
-// decoding every older version forever — checked-in artifacts from old
-// PRs are the perf trajectory, and a trajectory you can no longer parse
-// is lost.
+// a machine-readable result into the repo (raveload → BENCH_scale.json,
+// ravebench -extra raster → BENCH_raster.json) writes this envelope, so
+// a reader can dispatch on one "v"/"kind" pair instead of sniffing
+// shapes. The schema version is shared across kinds: bump it when any
+// envelope field changes meaning, and keep ReadBenchArtifact decoding
+// every version a checked-in artifact was written at — those artifacts
+// are the perf trajectory, and a trajectory you can no longer parse is
+// lost.
 
 // BenchVersion is the current BENCH_*.json envelope schema version.
 // Version history:
 //
-//	0 — (implicit) a bare telemetry.Snapshot, as BENCH_telemetry.json
-//	    was first written; no "v" or "kind" fields.
 //	1 — the BenchArtifact envelope: {"v", "kind", "snapshot", ...}.
 //	    Kind-specific harnesses may add sibling fields (e.g. raveload's
 //	    scenario/results); the envelope ignores fields it does not know.
@@ -28,9 +28,6 @@ const BenchVersion = 1
 
 // Bench artifact kinds.
 const (
-	// BenchKindTelemetry is a snapshot diff from ravebench -extra
-	// telemetry (BENCH_telemetry.json).
-	BenchKindTelemetry = "telemetry"
 	// BenchKindScale is a raveload fleet-scale run (BENCH_scale.json).
 	BenchKindScale = "scale"
 	// BenchKindPartition is a raveload multi-region run with a region
@@ -107,10 +104,8 @@ func WriteBenchArtifact(w io.Writer, kind string, snap Snapshot, siblings ...any
 }
 
 // ReadBenchArtifact decodes a BENCH_*.json envelope of any schema
-// version. Version-0 files — a bare telemetry.Snapshot with no "v" or
-// "kind" field, the format BENCH_telemetry.json used before the
-// envelope existed — are recognized and returned as
-// {V: 0, Kind: BenchKindTelemetry} with the snapshot intact.
+// version. A document without the envelope's "v" and "kind" is not a
+// bench artifact.
 func ReadBenchArtifact(r io.Reader) (BenchArtifact, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -120,19 +115,39 @@ func ReadBenchArtifact(r io.Reader) (BenchArtifact, error) {
 	if err := json.Unmarshal(data, &art); err != nil {
 		return BenchArtifact{}, fmt.Errorf("telemetry: decode bench artifact: %w", err)
 	}
-	if art.V > 0 {
-		if art.Kind == "" {
-			return BenchArtifact{}, fmt.Errorf("telemetry: bench artifact v%d missing kind", art.V)
-		}
-		return art, nil
+	if art.V < 1 || art.Kind == "" {
+		return BenchArtifact{}, fmt.Errorf("telemetry: not a bench artifact (v=%d kind=%q)", art.V, art.Kind)
 	}
-	// Legacy (v0): the whole document is the snapshot itself.
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return BenchArtifact{}, fmt.Errorf("telemetry: decode legacy bench snapshot: %w", err)
+	return art, nil
+}
+
+// Summary is one timed class's distribution as a BENCH_*.json block:
+// exact quantiles over every sample, in nanoseconds (explicit int64 so
+// the file diffs cleanly). The histograms' ms-scale buckets are too
+// coarse for sub-millisecond frames, and a run's sample count is small
+// enough to keep them all.
+type Summary struct {
+	Count int64 `json:"count"`
+	P50ns int64 `json:"p50_ns"`
+	P99ns int64 `json:"p99_ns"`
+	Maxns int64 `json:"max_ns"`
+}
+
+// Summarize sorts a copy of samples and reads exact quantiles.
+func Summarize(samples []time.Duration) Summary {
+	n := len(samples)
+	if n == 0 {
+		return Summary{}
 	}
-	if snap.TakenNanos == 0 && snap.Metrics == nil {
-		return BenchArtifact{}, fmt.Errorf("telemetry: not a bench artifact (no envelope, no snapshot)")
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
+	at := func(q float64) int64 {
+		return int64(sorted[int(q*float64(n-1))])
 	}
-	return BenchArtifact{V: 0, Kind: BenchKindTelemetry, Snapshot: snap}, nil
+	return Summary{
+		Count: int64(n),
+		P50ns: at(0.50),
+		P99ns: at(0.99),
+		Maxns: int64(sorted[n-1]),
+	}
 }

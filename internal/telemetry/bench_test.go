@@ -119,58 +119,36 @@ func TestBenchArtifactSiblings(t *testing.T) {
 	}
 }
 
-// TestBenchArtifactDecodesLegacyFormat: a pre-envelope
-// BENCH_telemetry.json — a bare snapshot with no "v" field, exactly as
-// ravebench wrote it before the schema was versioned — still decodes,
-// reported as version 0 with the telemetry kind.
-func TestBenchArtifactDecodesLegacyFormat(t *testing.T) {
-	legacy := `{
-  "taken_nanos": 1500000000,
-  "metrics": [
-    {
-      "service": "data",
-      "name": "hedge_wins_total",
-      "label": "fast",
-      "kind": "counter",
-      "value": 7
-    },
-    {
-      "service": "rs",
-      "name": "render_frame_ns",
-      "kind": "histogram",
-      "count": 2,
-      "sum_nanos": 6000000,
-      "max_nanos": 4000000,
-      "buckets": [0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
-    }
-  ]
-}`
-	art, err := ReadBenchArtifact(strings.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if art.V != 0 || art.Kind != BenchKindTelemetry {
-		t.Fatalf("legacy envelope: v=%d kind=%q, want v0 telemetry", art.V, art.Kind)
-	}
-	if got := art.Snapshot.CounterValue("data", "hedge_wins_total", "fast"); got != 7 {
-		t.Errorf("legacy counter = %d, want 7", got)
-	}
-	m, ok := art.Snapshot.Get("rs", "render_frame_ns", "")
-	if !ok || m.Kind != KindHistogram || m.Count != 2 {
-		t.Errorf("legacy histogram: %+v ok=%v", m, ok)
-	}
-}
-
-// TestBenchArtifactRejectsGarbage: junk that is neither an envelope nor
-// a legacy snapshot is an error, not a silently empty artifact.
+// TestBenchArtifactRejectsGarbage: a document without the envelope is an
+// error, not a silently empty artifact — a bare telemetry.Snapshot
+// included (no checked-in artifact was ever written without one).
 func TestBenchArtifactRejectsGarbage(t *testing.T) {
 	if _, err := ReadBenchArtifact(strings.NewReader(`{"unrelated": true}`)); err == nil {
 		t.Error("garbage document decoded as a bench artifact")
+	}
+	if _, err := ReadBenchArtifact(strings.NewReader(`{"taken_nanos": 1500000000, "metrics": []}`)); err == nil {
+		t.Error("bare snapshot decoded as a bench artifact")
 	}
 	if _, err := ReadBenchArtifact(strings.NewReader(`{"v": 3}`)); err == nil {
 		t.Error("versioned artifact without kind accepted")
 	}
 	if _, err := ReadBenchArtifact(strings.NewReader(`not json`)); err == nil {
 		t.Error("non-JSON accepted")
+	}
+}
+
+// TestSummarizeQuantiles pins the exact-quantile math against a known
+// sample set.
+func TestSummarizeQuantiles(t *testing.T) {
+	var samples []time.Duration
+	for i := 100; i >= 1; i-- { // reversed: Summarize must sort
+		samples = append(samples, time.Duration(i))
+	}
+	s := Summarize(samples)
+	if s.Count != 100 || s.P50ns != 50 || s.P99ns != 99 || s.Maxns != 100 {
+		t.Errorf("Summarize = %+v, want count=100 p50=50 p99=99 max=100", s)
+	}
+	if z := Summarize(nil); z != (Summary{}) {
+		t.Errorf("Summarize(nil) = %+v, want zero", z)
 	}
 }

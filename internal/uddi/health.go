@@ -35,8 +35,9 @@ type NodeHealth struct {
 	State string `json:"state"`
 	// Detail is a short operator-facing cause ("wal poisoned: ...").
 	Detail string `json:"detail,omitempty"`
-	// Expires is when the row lapses unless re-reported.
-	Expires time.Time `json:"expires"`
+	// Expires is when the row lapses unless re-reported. It does not
+	// cross SOAP: remote callers get live rows, never their expiry.
+	Expires time.Time `json:"-"`
 }
 
 // ReportHealth upserts the node's health row with the given TTL — sent

@@ -118,9 +118,7 @@ func (r *Registry) DropReplica(session, name string) error {
 // from the caller's region: rows whose region matches fromRegion (the
 // component before any "/") sort ahead, then higher applied versions,
 // then name — a total order, so the result is deterministic for any
-// given registry state. Lapsed rows are filtered, not returned. Callers
-// holding a netsim.Topology can re-rank with SortReplicas for real
-// distance classes; the registry itself stays topology-agnostic.
+// given registry state. Lapsed rows are filtered, not returned.
 func (r *Registry) QueryReplicas(session, fromRegion string, now time.Time) []Replica {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -144,20 +142,6 @@ func (r *Registry) QueryReplicas(session, fromRegion string, now time.Time) []Re
 	return out
 }
 
-// ReplicaCount reports the session's live row count — the number the
-// replication-factor enforcer compares against its target.
-func (r *Registry) ReplicaCount(session string, now time.Time) int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	n := 0
-	for _, rep := range r.replicas[session] {
-		if now.Before(rep.Expires) {
-			n++
-		}
-	}
-	return n
-}
-
 // regionOf strips the zone component: "eu/a" → "eu".
 func regionOf(locality string) string {
 	region, _, _ := strings.Cut(locality, "/")
@@ -165,29 +149,11 @@ func regionOf(locality string) string {
 }
 
 // regionMatch is the registry's coarse distance: 0 when the regions
-// match, 1 otherwise. Zone-level ranking needs a topology — that is
-// SortReplicas's job.
+// match, 1 otherwise. The registry stays topology-agnostic: zone-level
+// ranking would need a netsim.Topology, which no caller asks of it.
 func regionMatch(from, locality string) int {
 	if from == regionOf(locality) {
 		return 0
 	}
 	return 1
-}
-
-// SortReplicas re-ranks a QueryReplicas result with a caller-supplied
-// distance function (typically netsim.Topology.Distance over parsed
-// localities), keeping the version-then-name tiebreak. The sort is
-// stable in the strong sense of being a total order: equal-distance,
-// equal-version rows still order by name.
-func SortReplicas(reps []Replica, distance func(locality string) int) {
-	sort.Slice(reps, func(i, j int) bool {
-		di, dj := distance(reps[i].Region), distance(reps[j].Region)
-		if di != dj {
-			return di < dj
-		}
-		if reps[i].Version != reps[j].Version {
-			return reps[i].Version > reps[j].Version
-		}
-		return reps[i].Name < reps[j].Name
-	})
 }

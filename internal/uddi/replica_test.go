@@ -87,9 +87,6 @@ func TestQueryReplicasFiltersLapsedRows(t *testing.T) {
 	if len(got) != 1 || got[0].Name != "ds-02" {
 		t.Fatalf("lapsed row not filtered: got %+v", got)
 	}
-	if n := r.ReplicaCount("s", clk.Now()); n != 1 {
-		t.Errorf("ReplicaCount = %d, want 1", n)
-	}
 }
 
 // TestQueryReplicasOrderingDeterministic is the satellite property test:
@@ -182,7 +179,7 @@ func TestFactorEnforcementConverges(t *testing.T) {
 					t.Fatalf("seed %d: ReportReplica: %v", seed, err)
 				}
 			}
-			for r.ReplicaCount("s", clk.Now()) < factor {
+			for len(r.QueryReplicas("s", "", clk.Now())) < factor {
 				register(RoleReplica)
 			}
 		}
@@ -221,27 +218,9 @@ func TestFactorEnforcementConverges(t *testing.T) {
 				seedReplicas(t, r, clk.Now(), rep)
 			}
 			enforce()
-			if n := r.ReplicaCount("s", clk.Now()); n < factor {
+			if n := len(r.QueryReplicas("s", "", clk.Now())); n < factor {
 				t.Fatalf("seed %d step %d: factor %d not restored, have %d", seed, step, factor, n)
 			}
-		}
-	}
-}
-
-func TestSortReplicasByDistance(t *testing.T) {
-	reps := []Replica{
-		{Session: "s", Name: "ds-03", Region: "us/a", Version: 9},
-		{Session: "s", Name: "ds-01", Region: "eu/b", Version: 5},
-		{Session: "s", Name: "ds-02", Region: "eu/a", Version: 5},
-		{Session: "s", Name: "ds-04", Region: "eu/a", Version: 7},
-	}
-	// Distance as a topology would compute it from eu/a.
-	dist := map[string]int{"eu/a": 0, "eu/b": 1, "us/a": 2}
-	SortReplicas(reps, func(locality string) int { return dist[locality] })
-	want := []string{"ds-04", "ds-02", "ds-01", "ds-03"}
-	for i, rep := range reps {
-		if rep.Name != want[i] {
-			t.Fatalf("SortReplicas order %v, want %v", names(reps), want)
 		}
 	}
 }

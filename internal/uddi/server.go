@@ -4,25 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/soap"
 )
-
-// leaseTimes decodes the shared ttl/now lease parameters.
-func leaseTimes(p soap.Params) (time.Duration, time.Time, error) {
-	ttlNanos, err := strconv.ParseInt(p["ttl"], 10, 64)
-	if err != nil {
-		return 0, time.Time{}, fmt.Errorf("uddi: bad ttl %q", p["ttl"])
-	}
-	nowNanos, err := strconv.ParseInt(p["now"], 10, 64)
-	if err != nil {
-		return 0, time.Time{}, fmt.Errorf("uddi: bad now %q", p["now"])
-	}
-	return time.Duration(ttlNanos), time.Unix(0, nowNanos), nil
-}
 
 // listSep joins multi-valued SOAP parameters.
 const listSep = "\n"
@@ -125,207 +111,49 @@ func NewServer(r *Registry) *soap.Server {
 		return soap.Params{"accessPoints": strings.Join(points, listSep)}, nil
 	})
 
-	// Lease actions carry the caller's clock reading as nanoseconds: the
-	// registry stays a passive store (no clock of its own), and the
-	// chaos suite drives everything from one virtual clock.
-	leaseParams := func(l Lease) soap.Params {
-		return soap.Params{
-			"service": l.Service,
-			"holder":  l.Holder,
-			"epoch":   strconv.FormatUint(l.Epoch, 10),
-			"expires": strconv.FormatInt(l.Expires.UnixNano(), 10),
-		}
-	}
-
-	s.Register("acquire_lease", func(p soap.Params) (soap.Params, error) {
-		ttl, now, err := leaseTimes(p)
-		if err != nil {
-			return nil, err
-		}
-		l, err := r.AcquireLease(p["service"], p["holder"], ttl, now)
-		if err != nil {
-			return nil, err
-		}
-		return leaseParams(l), nil
+	// The lease, replica-index and health tables are not UDDI v2: each
+	// of their actions is one typed call (see handle) onto the Registry
+	// method of the same name.
+	handle(s, "acquire_lease", func(q request[Lease]) (Lease, error) {
+		return r.AcquireLease(q.Row.Service, q.Row.Holder, q.TTL, q.Now.Time)
+	})
+	handle(s, "renew_lease", func(q request[Lease]) (Lease, error) {
+		return r.RenewLease(q.Row.Service, q.Row.Holder, q.Row.Epoch, q.TTL, q.Now.Time)
+	})
+	handle(s, "transfer_lease", func(q request[Lease]) (Lease, error) {
+		return r.TransferLease(q.Row.Service, q.Row.Holder, q.TTL, q.Now.Time)
+	})
+	handle(s, "get_lease", func(q request[Lease]) (status[Lease], error) {
+		l, live, err := r.GetLease(q.Row.Service, q.Now.Time)
+		return status[Lease]{l, live}, err
+	})
+	handle(s, "release_lease", func(l Lease) (struct{}, error) {
+		return struct{}{}, r.ReleaseLease(l.Service, l.Holder, l.Epoch)
 	})
 
-	s.Register("renew_lease", func(p soap.Params) (soap.Params, error) {
-		ttl, now, err := leaseTimes(p)
-		if err != nil {
-			return nil, err
-		}
-		epoch, err := strconv.ParseUint(p["epoch"], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("uddi: bad epoch %q", p["epoch"])
-		}
-		l, err := r.RenewLease(p["service"], p["holder"], epoch, ttl, now)
-		if err != nil {
-			return nil, err
-		}
-		return leaseParams(l), nil
+	handle(s, "register_replica", func(q request[Replica]) (Replica, error) {
+		return r.RegisterReplica(q.Row, q.TTL, q.Now.Time)
+	})
+	handle(s, "report_replica", func(q request[Replica]) (Replica, error) {
+		return r.ReportReplica(q.Row.Session, q.Row.Name, q.Row.Version, q.TTL, q.Now.Time)
+	})
+	handle(s, "drop_replica", func(rep Replica) (struct{}, error) {
+		return struct{}{}, r.DropReplica(rep.Session, rep.Name)
+	})
+	// The row names the session to list and the region to rank from.
+	handle(s, "query_replicas", func(q request[Replica]) ([]Replica, error) {
+		return r.QueryReplicas(q.Row.Session, q.Row.Region, q.Now.Time), nil
 	})
 
-	s.Register("transfer_lease", func(p soap.Params) (soap.Params, error) {
-		ttl, now, err := leaseTimes(p)
-		if err != nil {
-			return nil, err
-		}
-		l, err := r.TransferLease(p["service"], p["holder"], ttl, now)
-		if err != nil {
-			return nil, err
-		}
-		return leaseParams(l), nil
+	handle(s, "report_health", func(q request[NodeHealth]) (NodeHealth, error) {
+		return r.ReportHealth(q.Row.Name, q.Row.State, q.Row.Detail, q.TTL, q.Now.Time)
 	})
-
-	s.Register("get_lease", func(p soap.Params) (soap.Params, error) {
-		nanos, err := strconv.ParseInt(p["now"], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("uddi: bad now %q", p["now"])
-		}
-		l, live, err := r.GetLease(p["service"], time.Unix(0, nanos))
-		if err != nil {
-			return nil, err
-		}
-		if l.Service == "" {
-			return soap.Params{"registered": "false"}, nil
-		}
-		out := leaseParams(l)
-		out["registered"] = "true"
-		out["live"] = strconv.FormatBool(live)
-		return out, nil
+	handle(s, "query_health", func(q request[NodeHealth]) (status[NodeHealth], error) {
+		row, ok := r.QueryHealth(q.Row.Name, q.Now.Time)
+		return status[NodeHealth]{row, ok}, nil
 	})
-
-	s.Register("release_lease", func(p soap.Params) (soap.Params, error) {
-		epoch, err := strconv.ParseUint(p["epoch"], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("uddi: bad epoch %q", p["epoch"])
-		}
-		if err := r.ReleaseLease(p["service"], p["holder"], epoch); err != nil {
-			return nil, err
-		}
-		return soap.Params{}, nil
-	})
-
-	// Replica-index actions follow the lease convention: the caller's
-	// clock reading rides along as nanoseconds and the registry stays
-	// passive.
-	replicaParams := func(rep Replica) soap.Params {
-		return soap.Params{
-			"session":     rep.Session,
-			"name":        rep.Name,
-			"region":      rep.Region,
-			"accessPoint": rep.AccessPoint,
-			"role":        string(rep.Role),
-			"version":     strconv.FormatUint(rep.Version, 10),
-			"expires":     strconv.FormatInt(rep.Expires.UnixNano(), 10),
-		}
-	}
-
-	s.Register("register_replica", func(p soap.Params) (soap.Params, error) {
-		ttl, now, err := leaseTimes(p)
-		if err != nil {
-			return nil, err
-		}
-		version, err := strconv.ParseUint(p["version"], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("uddi: bad version %q", p["version"])
-		}
-		rep, err := r.RegisterReplica(Replica{
-			Session:     p["session"],
-			Name:        p["name"],
-			Region:      p["region"],
-			AccessPoint: p["accessPoint"],
-			Role:        ReplicaRole(p["role"]),
-			Version:     version,
-		}, ttl, now)
-		if err != nil {
-			return nil, err
-		}
-		return replicaParams(rep), nil
-	})
-
-	s.Register("report_replica", func(p soap.Params) (soap.Params, error) {
-		ttl, now, err := leaseTimes(p)
-		if err != nil {
-			return nil, err
-		}
-		version, err := strconv.ParseUint(p["version"], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("uddi: bad version %q", p["version"])
-		}
-		rep, err := r.ReportReplica(p["session"], p["name"], version, ttl, now)
-		if err != nil {
-			return nil, err
-		}
-		return replicaParams(rep), nil
-	})
-
-	s.Register("drop_replica", func(p soap.Params) (soap.Params, error) {
-		if err := r.DropReplica(p["session"], p["name"]); err != nil {
-			return nil, err
-		}
-		return soap.Params{}, nil
-	})
-
-	s.Register("query_replicas", func(p soap.Params) (soap.Params, error) {
-		nanos, err := strconv.ParseInt(p["now"], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("uddi: bad now %q", p["now"])
-		}
-		reps := r.QueryReplicas(p["session"], p["fromRegion"], time.Unix(0, nanos))
-		data, err := json.Marshal(reps)
-		if err != nil {
-			return nil, err
-		}
-		return soap.Params{"replicas": string(data)}, nil
-	})
-
-	// Health-table actions: the node-side heartbeat reports, the
-	// gateway-side sweep queries.
-	s.Register("report_health", func(p soap.Params) (soap.Params, error) {
-		ttl, now, err := leaseTimes(p)
-		if err != nil {
-			return nil, err
-		}
-		row, err := r.ReportHealth(p["name"], p["state"], p["detail"], ttl, now)
-		if err != nil {
-			return nil, err
-		}
-		return soap.Params{
-			"name":    row.Name,
-			"state":   row.State,
-			"detail":  row.Detail,
-			"expires": strconv.FormatInt(row.Expires.UnixNano(), 10),
-		}, nil
-	})
-
-	s.Register("query_health", func(p soap.Params) (soap.Params, error) {
-		nanos, err := strconv.ParseInt(p["now"], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("uddi: bad now %q", p["now"])
-		}
-		row, ok := r.QueryHealth(p["name"], time.Unix(0, nanos))
-		if !ok {
-			return soap.Params{"known": "false"}, nil
-		}
-		return soap.Params{
-			"known":  "true",
-			"name":   row.Name,
-			"state":  row.State,
-			"detail": row.Detail,
-		}, nil
-	})
-
-	s.Register("degraded_nodes", func(p soap.Params) (soap.Params, error) {
-		nanos, err := strconv.ParseInt(p["now"], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("uddi: bad now %q", p["now"])
-		}
-		data, err := json.Marshal(r.DegradedNodes(time.Unix(0, nanos)))
-		if err != nil {
-			return nil, err
-		}
-		return soap.Params{"nodes": string(data)}, nil
+	handle(s, "degraded_nodes", func(q request[NodeHealth]) ([]string, error) {
+		return r.DegradedNodes(q.Now.Time), nil
 	})
 
 	s.Register("dump", func(p soap.Params) (soap.Params, error) {
@@ -502,235 +330,237 @@ func (p *Proxy) ScanAccessPoints(tmodelName string) ([]string, error) {
 	return splitList(res["accessPoints"]), nil
 }
 
-// decodeLease rebuilds a Lease from SOAP response params.
-func decodeLease(res soap.Params) (Lease, error) {
-	epoch, err := strconv.ParseUint(res["epoch"], 10, 64)
-	if err != nil {
-		return Lease{}, fmt.Errorf("uddi: bad lease epoch %q", res["epoch"])
+// Typed control-plane calls. The lease, replica-index and health tables
+// are this registry's own extensions, spoken only by Proxy, so instead of
+// a parameter per field each action carries one JSON document per
+// direction in the envelope's "body" parameter: handle decodes the
+// request and encodes the reply on the server, call does the reverse on
+// the proxy, and nothing else in the package touches the wire form.
+const bodyParam = "body"
+
+// instant is a time.Time that crosses as integer Unix nanoseconds (null
+// when zero). The registry has no clock of its own — callers send their
+// reading and get expiries computed from it — so an instant must decode
+// to exactly the time.Unix value that was sent: a virtual-clock reading
+// round-trips and == on a returned row holds.
+type instant struct{ time.Time }
+
+// MarshalJSON implements json.Marshaler.
+func (t instant) MarshalJSON() ([]byte, error) {
+	if t.IsZero() {
+		return []byte("null"), nil
 	}
-	nanos, err := strconv.ParseInt(res["expires"], 10, 64)
-	if err != nil {
-		return Lease{}, fmt.Errorf("uddi: bad lease expiry %q", res["expires"])
-	}
-	return Lease{
-		Service: res["service"],
-		Holder:  res["holder"],
-		Epoch:   epoch,
-		Expires: time.Unix(0, nanos),
-	}, nil
+	return json.Marshal(t.UnixNano())
 }
 
-// restoreLeaseErr re-types lease faults that crossed the SOAP boundary
-// as strings, so failover code can errors.Is on them.
-func restoreLeaseErr(err error) error {
-	if err == nil {
-		return nil
+// UnmarshalJSON implements json.Unmarshaler.
+func (t *instant) UnmarshalJSON(b []byte) error {
+	var nanos *int64
+	if err := json.Unmarshal(b, &nanos); err != nil || nanos == nil {
+		return err
 	}
-	msg := err.Error()
-	switch {
-	case strings.Contains(msg, ErrLeaseHeld.Error()):
-		return fmt.Errorf("%w: %v", ErrLeaseHeld, err)
-	case strings.Contains(msg, ErrLeaseStale.Error()):
-		return fmt.Errorf("%w: %v", ErrLeaseStale, err)
-	}
+	t.Time = time.Unix(0, *nanos)
+	return nil
+}
+
+// Lease and Replica put their expiry on the wire as an instant and every
+// other field as its json tag says; the local twin type sheds the
+// methods so the inner Marshal/Unmarshal does not recurse. (A health
+// row's expiry stays at the registry: no remote caller reads it.)
+
+// MarshalJSON implements json.Marshaler.
+func (l Lease) MarshalJSON() ([]byte, error) {
+	type row Lease
+	return json.Marshal(struct {
+		row
+		Expires instant `json:"expires"`
+	}{row(l), instant{l.Expires}})
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (l *Lease) UnmarshalJSON(b []byte) error {
+	type row Lease
+	w := struct {
+		*row
+		Expires instant `json:"expires"`
+	}{row: (*row)(l)}
+	err := json.Unmarshal(b, &w)
+	l.Expires = w.Expires.Time
 	return err
+}
+
+// MarshalJSON implements json.Marshaler.
+func (rep Replica) MarshalJSON() ([]byte, error) {
+	type row Replica
+	return json.Marshal(struct {
+		row
+		Expires instant `json:"expires"`
+	}{row(rep), instant{rep.Expires}})
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (rep *Replica) UnmarshalJSON(b []byte) error {
+	type row Replica
+	w := struct {
+		*row
+		Expires instant `json:"expires"`
+	}{row: (*row)(rep)}
+	err := json.Unmarshal(b, &w)
+	rep.Expires = w.Expires.Time
+	return err
+}
+
+// request is the body of every action but the two deletes (which send
+// the bare row): the row the action is about — as much of it as the
+// Registry method takes — and the caller's ttl and clock reading.
+type request[Row any] struct {
+	Row Row           `json:"row"`
+	TTL time.Duration `json:"ttl,omitempty"`
+	Now instant       `json:"now"`
+}
+
+func req[Row any](row Row, ttl time.Duration, now time.Time) request[Row] {
+	return request[Row]{row, ttl, instant{now}}
+}
+
+// check is handle's input check: a missing clock reading must fault,
+// not be taken for year 1.
+func (q request[Row]) check() error {
+	if q.Now.IsZero() {
+		return fmt.Errorf("missing now")
+	}
+	return nil
+}
+
+// status is a lookup's reply: the row (zero when there is none) and
+// whether it is live at the caller's now.
+type status[Row any] struct {
+	Row  Row  `json:"row"`
+	Live bool `json:"live"`
+}
+
+// handle registers a typed action. A body that does not decode into
+// Req, or a request missing its clock reading, faults before fn — and so
+// before any table — is reached; fn's own error (a non-positive ttl, an
+// unknown role or state, a held or stale lease) faults the same way.
+func handle[Req, Resp any](s *soap.Server, action string, fn func(Req) (Resp, error)) {
+	s.Register(action, func(p soap.Params) (soap.Params, error) {
+		var req Req
+		err := json.Unmarshal([]byte(p[bodyParam]), &req)
+		if c, ok := any(req).(interface{ check() error }); ok && err == nil {
+			err = c.check()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("uddi: %s: bad request: %w", action, err)
+		}
+		resp, err := fn(req)
+		if err != nil {
+			return nil, err
+		}
+		data, err := json.Marshal(resp)
+		if err != nil {
+			return nil, err
+		}
+		return soap.Params{bodyParam: string(data)}, nil
+	})
+}
+
+// call performs a typed action against the registry. Lease faults cross
+// SOAP as strings; they are re-typed here, for every action, so callers
+// can errors.Is on ErrLeaseHeld and ErrLeaseStale.
+func call[Resp any](p *Proxy, action string, req any) (Resp, error) {
+	var resp Resp
+	data, err := json.Marshal(req)
+	if err != nil {
+		return resp, err
+	}
+	res, err := p.client.Call(action, soap.Params{bodyParam: string(data)})
+	if err != nil {
+		for _, typed := range []error{ErrLeaseHeld, ErrLeaseStale} {
+			if strings.Contains(err.Error(), typed.Error()) {
+				return resp, fmt.Errorf("%w: %v", typed, err)
+			}
+		}
+		return resp, err
+	}
+	if err := json.Unmarshal([]byte(res[bodyParam]), &resp); err != nil {
+		return resp, fmt.Errorf("uddi: %s: decode reply: %w", action, err)
+	}
+	return resp, nil
 }
 
 // AcquireLease claims a lease through the registry (see
 // Registry.AcquireLease for the epoch rules).
 func (p *Proxy) AcquireLease(service, holder string, ttl time.Duration, now time.Time) (Lease, error) {
-	res, err := p.client.Call("acquire_lease", soap.Params{
-		"service": service, "holder": holder,
-		"ttl": strconv.FormatInt(int64(ttl), 10),
-		"now": strconv.FormatInt(now.UnixNano(), 10),
-	})
-	if err != nil {
-		return Lease{}, restoreLeaseErr(err)
-	}
-	return decodeLease(res)
+	return call[Lease](p, "acquire_lease", req(Lease{Service: service, Holder: holder}, ttl, now))
 }
 
 // RenewLease extends a held lease; ErrLeaseStale means this holder has
 // been deposed and must stand down.
 func (p *Proxy) RenewLease(service, holder string, epoch uint64, ttl time.Duration, now time.Time) (Lease, error) {
-	res, err := p.client.Call("renew_lease", soap.Params{
-		"service": service, "holder": holder,
-		"epoch": strconv.FormatUint(epoch, 10),
-		"ttl":   strconv.FormatInt(int64(ttl), 10),
-		"now":   strconv.FormatInt(now.UnixNano(), 10),
-	})
-	if err != nil {
-		return Lease{}, restoreLeaseErr(err)
-	}
-	return decodeLease(res)
+	return call[Lease](p, "renew_lease", req(Lease{Service: service, Holder: holder, Epoch: epoch}, ttl, now))
 }
 
 // TransferLease reassigns a lease to a new holder at the next epoch
 // (see Registry.TransferLease for the control-plane semantics).
 func (p *Proxy) TransferLease(service, holder string, ttl time.Duration, now time.Time) (Lease, error) {
-	res, err := p.client.Call("transfer_lease", soap.Params{
-		"service": service, "holder": holder,
-		"ttl": strconv.FormatInt(int64(ttl), 10),
-		"now": strconv.FormatInt(now.UnixNano(), 10),
-	})
-	if err != nil {
-		return Lease{}, restoreLeaseErr(err)
-	}
-	return decodeLease(res)
+	return call[Lease](p, "transfer_lease", req(Lease{Service: service, Holder: holder}, ttl, now))
 }
 
 // GetLease polls a lease; live reports whether it is unexpired at now.
+// A lease nobody ever claimed comes back as the zero Lease.
 func (p *Proxy) GetLease(service string, now time.Time) (Lease, bool, error) {
-	res, err := p.client.Call("get_lease", soap.Params{
-		"service": service,
-		"now":     strconv.FormatInt(now.UnixNano(), 10),
-	})
-	if err != nil {
-		return Lease{}, false, err
-	}
-	if res["registered"] != "true" {
-		return Lease{}, false, nil
-	}
-	l, err := decodeLease(res)
-	if err != nil {
-		return Lease{}, false, err
-	}
-	return l, res["live"] == "true", nil
+	f, err := call[status[Lease]](p, "get_lease", req(Lease{Service: service}, 0, now))
+	return f.Row, f.Live, err
 }
 
 // ReleaseLease drops a held lease (clean primary shutdown).
 func (p *Proxy) ReleaseLease(service, holder string, epoch uint64) error {
-	_, err := p.client.Call("release_lease", soap.Params{
-		"service": service, "holder": holder,
-		"epoch": strconv.FormatUint(epoch, 10),
-	})
-	return restoreLeaseErr(err)
-}
-
-// decodeReplica rebuilds a Replica from SOAP response params.
-func decodeReplica(res soap.Params) (Replica, error) {
-	version, err := strconv.ParseUint(res["version"], 10, 64)
-	if err != nil {
-		return Replica{}, fmt.Errorf("uddi: bad replica version %q", res["version"])
-	}
-	nanos, err := strconv.ParseInt(res["expires"], 10, 64)
-	if err != nil {
-		return Replica{}, fmt.Errorf("uddi: bad replica expiry %q", res["expires"])
-	}
-	return Replica{
-		Session:     res["session"],
-		Name:        res["name"],
-		Region:      res["region"],
-		AccessPoint: res["accessPoint"],
-		Role:        ReplicaRole(res["role"]),
-		Version:     version,
-		Expires:     time.Unix(0, nanos),
-	}, nil
+	_, err := call[struct{}](p, "release_lease", Lease{Service: service, Holder: holder, Epoch: epoch})
+	return err
 }
 
 // RegisterReplica upserts a replica-location row through the registry
 // (see Registry.RegisterReplica for the demotion rule).
 func (p *Proxy) RegisterReplica(rep Replica, ttl time.Duration, now time.Time) (Replica, error) {
-	res, err := p.client.Call("register_replica", soap.Params{
-		"session":     rep.Session,
-		"name":        rep.Name,
-		"region":      rep.Region,
-		"accessPoint": rep.AccessPoint,
-		"role":        string(rep.Role),
-		"version":     strconv.FormatUint(rep.Version, 10),
-		"ttl":         strconv.FormatInt(int64(ttl), 10),
-		"now":         strconv.FormatInt(now.UnixNano(), 10),
-	})
-	if err != nil {
-		return Replica{}, err
-	}
-	return decodeReplica(res)
+	return call[Replica](p, "register_replica", req(rep, ttl, now))
 }
 
 // ReportReplica refreshes a row's applied version and TTL — the
 // heartbeat path.
 func (p *Proxy) ReportReplica(session, name string, version uint64, ttl time.Duration, now time.Time) (Replica, error) {
-	res, err := p.client.Call("report_replica", soap.Params{
-		"session": session,
-		"name":    name,
-		"version": strconv.FormatUint(version, 10),
-		"ttl":     strconv.FormatInt(int64(ttl), 10),
-		"now":     strconv.FormatInt(now.UnixNano(), 10),
-	})
-	if err != nil {
-		return Replica{}, err
-	}
-	return decodeReplica(res)
+	return call[Replica](p, "report_replica", req(Replica{Session: session, Name: name, Version: version}, ttl, now))
 }
 
 // DropReplica removes a row (clean detach).
 func (p *Proxy) DropReplica(session, name string) error {
-	_, err := p.client.Call("drop_replica", soap.Params{
-		"session": session, "name": name,
-	})
+	_, err := call[struct{}](p, "drop_replica", Replica{Session: session, Name: name})
 	return err
 }
 
 // QueryReplicas lists the session's live replica rows nearest-first
 // from the caller's region (see Registry.QueryReplicas for the order).
 func (p *Proxy) QueryReplicas(session, fromRegion string, now time.Time) ([]Replica, error) {
-	res, err := p.client.Call("query_replicas", soap.Params{
-		"session":    session,
-		"fromRegion": fromRegion,
-		"now":        strconv.FormatInt(now.UnixNano(), 10),
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []Replica
-	if err := json.Unmarshal([]byte(res["replicas"]), &out); err != nil {
-		return nil, fmt.Errorf("uddi: decode replicas: %w", err)
-	}
-	return out, nil
+	return call[[]Replica](p, "query_replicas", req(Replica{Session: session, Region: fromRegion}, 0, now))
 }
 
 // ReportHealth upserts the caller's node-health row — sent with every
 // heartbeat alongside replica reports.
 func (p *Proxy) ReportHealth(name, state, detail string, ttl time.Duration, now time.Time) error {
-	_, err := p.client.Call("report_health", soap.Params{
-		"name":   name,
-		"state":  state,
-		"detail": detail,
-		"ttl":    strconv.FormatInt(int64(ttl), 10),
-		"now":    strconv.FormatInt(now.UnixNano(), 10),
-	})
+	_, err := call[NodeHealth](p, "report_health", req(NodeHealth{Name: name, State: state, Detail: detail}, ttl, now))
 	return err
 }
 
 // QueryHealth fetches a node's live health row; ok is false when the
 // node never reported or its row lapsed.
 func (p *Proxy) QueryHealth(name string, now time.Time) (NodeHealth, bool, error) {
-	res, err := p.client.Call("query_health", soap.Params{
-		"name": name,
-		"now":  strconv.FormatInt(now.UnixNano(), 10),
-	})
-	if err != nil {
-		return NodeHealth{}, false, err
-	}
-	if res["known"] != "true" {
-		return NodeHealth{}, false, nil
-	}
-	return NodeHealth{Name: res["name"], State: res["state"], Detail: res["detail"]}, true, nil
+	f, err := call[status[NodeHealth]](p, "query_health", req(NodeHealth{Name: name}, 0, now))
+	return f.Row, f.Live, err
 }
 
 // DegradedNodes lists nodes currently reporting storage degradation.
 func (p *Proxy) DegradedNodes(now time.Time) ([]string, error) {
-	res, err := p.client.Call("degraded_nodes", soap.Params{
-		"now": strconv.FormatInt(now.UnixNano(), 10),
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	if err := json.Unmarshal([]byte(res["nodes"]), &out); err != nil {
-		return nil, fmt.Errorf("uddi: decode degraded nodes: %w", err)
-	}
-	return out, nil
+	return call[[]string](p, "degraded_nodes", req(NodeHealth{}, 0, now))
 }
 
 // DumpEntries fetches the registry tree for the browser GUI.
