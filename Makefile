@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet fmt-check lint lint-report allow-audit one-follower vulncheck build test race fuzz-smoke chaos scale partition storage raster loc ci
+.PHONY: all vet fmt-check lint lint-report allow-audit one-follower unreached vulncheck build test race fuzz-smoke chaos scale partition storage raster loc ci
 
 all: ci
 
@@ -49,6 +49,13 @@ one-follower:
 		| grep -vE '^\./(bench/|internal/transport/|internal/follow/|internal/dataservice/service\.go$$)')"; \
 	if [ -n "$$out" ]; then echo "op-stream follower logic outside internal/follow:"; echo "$$out"; exit 1; fi
 
+# unreached keeps the system what something runs: every non-test function
+# in a library package is linked by some main package (cmd/*, examples/*,
+# bench) or covered by a reasoned prefix in unreached.keep, and every
+# keep entry still covers something (see cmd/unreached).
+unreached:
+	$(GO) run ./cmd/unreached
+
 # vulncheck runs govulncheck when the binary is available; the offline
 # build container has neither the tool nor network access to the vuln
 # database, so it skips gracefully there.
@@ -73,13 +80,14 @@ race:
 # fuzz-smoke gives each fuzz target ten seconds of mutation beyond the
 # seed corpus that `go test` already replays: the decoders that face
 # bytes from outside the process (the op-stream follower, the registry's
-# SOAP dispatcher, the trace header) and the rasterizer's edge functions.
+# SOAP dispatcher, the transport's frame reader) and the rasterizer's
+# edge functions.
 # go test takes one -fuzz target and one package per run.
 fuzz-smoke:
 	$(GO) test ./internal/follow -run '^$$' -fuzz '^FuzzFollow$$' -fuzztime 10s
 	$(GO) test ./internal/uddi -run '^$$' -fuzz '^FuzzRegistryDispatch$$' -fuzztime 10s
 	$(GO) test ./internal/raster -run '^$$' -fuzz '^FuzzEdgeFunction$$' -fuzztime 10s
-	$(GO) test ./internal/marshal -run '^$$' -fuzz '^FuzzSplitTraceHeader$$' -fuzztime 10s
+	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzReceive$$' -fuzztime 10s
 
 # chaos runs the kill-and-recover suite twice under the race detector:
 # failover and recovery schedules are goroutine-heavy, and a second run
@@ -117,14 +125,13 @@ storage:
 		-replicas 2 -sick-disk-at 2s -check
 
 # raster runs the reduced deterministic rasterizer benchmark — the
-# galleon through the fixed-point and float-reference cores plus the
-# render→composite→encode pipeline, 30 frames each — and fails on any
-# regression invariant: core parity, the fixed core losing to the
-# reference core, or throughput/latency cliffs against the checked-in
-# BENCH_raster.json / BENCH_pipeline.json baselines (which come from the
-# full-size 60-frame run of the same harness; see EXPERIMENTS.md). The
-# reduced run's artifacts go to a scratch directory so the checked-in
-# baselines are gated against, not overwritten; regenerate them with
+# galleon through the fixed-point and float-reference cores, 30 frames
+# each — and fails on any regression invariant: core parity, the fixed
+# core losing to the reference core, or a throughput cliff against the
+# checked-in BENCH_raster.json baseline (which comes from the full-size
+# 60-frame run of the same harness; see EXPERIMENTS.md). The reduced
+# run's artifact goes to a scratch directory so the checked-in baseline
+# is gated against, not overwritten; regenerate it with
 # `go run ./cmd/ravebench -extra raster -frames 60`.
 raster:
 	@dir="$$(mktemp -d)"; \
@@ -139,10 +146,11 @@ loc:
 
 # ci is the full gate: formatting, static checks (ravelint with the
 # LINT.json artifact and per-analyzer timings, the allow-annotation
-# audit, vet, the one-follower grep gate, govulncheck when present), a
-# clean build, the test suite under the race detector, ten seconds of
+# audit, vet, the one-follower grep gate, the unreached-code gate,
+# govulncheck when present), a clean build, the test suite under the
+# race detector, ten seconds of
 # fuzzing per target, a doubled chaos pass (the chaos suite exercises concurrent failure recovery, so -race
 # is part of the bar, not an extra), the reduced fleet-scale load,
 # region-partition, and sick-disk scenarios, and the rasterizer
 # regression benchmark.
-ci: fmt-check lint-report allow-audit lint one-follower vulncheck build race fuzz-smoke chaos scale partition storage raster
+ci: fmt-check lint-report allow-audit lint one-follower unreached vulncheck build race fuzz-smoke chaos scale partition storage raster

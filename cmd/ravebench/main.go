@@ -173,35 +173,22 @@ func main() {
 		fmt.Println(perfmodel.FormatSyncDemo(rows))
 	}
 	if all || *extra == "raster" {
-		// The raster benchmark writes BENCH_raster.json and
-		// BENCH_pipeline.json through the shared versioned envelope; with
-		// -check, the fresh run is gated against the checked-in baselines.
-		// Baselines are read from the current directory (where the repo's
-		// copies live), artifacts are written to -out: a reduced CI run
-		// pointing -out at a scratch directory still gates against the
-		// full-size baselines without overwriting them, while a full run
-		// with the default -out=. regenerates them in place. Reads happen
-		// before the run so a failed write cannot mask a regression.
-		readBaseline := func(path string, read func(f *os.File)) {
-			f, err := os.Open(path)
-			if err != nil {
-				return // no baseline yet: first run creates it
-			}
-			defer f.Close()
-			read(f)
-		}
+		// The raster benchmark writes BENCH_raster.json through the shared
+		// versioned envelope; with -check, the fresh run is gated against
+		// the checked-in baseline. The baseline is read from the current
+		// directory (where the repo's copy lives), the artifact is written
+		// to -out: a reduced CI run pointing -out at a scratch directory
+		// still gates against the full-size baseline without overwriting
+		// it, while a full run with the default -out=. regenerates it in
+		// place. The read happens before the run so a failed write cannot
+		// mask a regression.
 		var rasterBase *rasterbench.RasterArtifact
-		var pipeBase *rasterbench.PipelineArtifact
-		readBaseline("BENCH_raster.json", func(f *os.File) {
+		if f, err := os.Open("BENCH_raster.json"); err == nil { // no baseline yet: first run creates it
 			if art, err := rasterbench.ReadRasterArtifact(f); err == nil {
 				rasterBase = &art
 			}
-		})
-		readBaseline("BENCH_pipeline.json", func(f *os.File) {
-			if art, err := rasterbench.ReadPipelineArtifact(f); err == nil {
-				pipeBase = &art
-			}
-		})
+			f.Close()
+		}
 
 		sc := rasterbench.DefaultScenario(*frames)
 		sc.Workers = *workers
@@ -220,41 +207,22 @@ func main() {
 		fmt.Printf("  speedup %.2fx, band utilization %.2f (%d workers), parity %v\n",
 			r.Speedup, r.BandUtilization, sc.Workers, r.ParityOK)
 
-		pipeArt, err := rasterbench.RunPipeline(cfg)
+		path := filepath.Join(*out, "BENCH_raster.json")
+		f, err := os.Create(path)
 		if err != nil {
 			fail(err)
 		}
-		p := pipeArt.Results
-		fmt.Printf("  pipeline: total p50 %v (render %v, composite %v, encode %v), %d encoded bytes\n",
-			time.Duration(p.Total.P50ns), time.Duration(p.Render.P50ns),
-			time.Duration(p.Composite.P50ns), time.Duration(p.Encode.P50ns), p.EncodedBytes)
-
-		writeArtifact := func(name string, write func(f *os.File) error) {
-			path := filepath.Join(*out, name)
-			f, err := os.Create(path)
-			if err != nil {
-				fail(err)
-			}
-			werr := write(f)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				fail(werr)
-			}
-			fmt.Printf("wrote %s (v%d)\n", path, telemetry.BenchVersion)
+		werr := rasterbench.WriteRasterArtifact(f, rasterArt)
+		if cerr := f.Close(); werr == nil {
+			werr = cerr
 		}
-		writeArtifact("BENCH_raster.json", func(f *os.File) error {
-			return rasterbench.WriteRasterArtifact(f, rasterArt)
-		})
-		writeArtifact("BENCH_pipeline.json", func(f *os.File) error {
-			return rasterbench.WritePipelineArtifact(f, pipeArt)
-		})
+		if werr != nil {
+			fail(werr)
+		}
+		fmt.Printf("wrote %s (v%d)\n", path, telemetry.BenchVersion)
 
 		if *check {
-			violations := append(rasterbench.CheckRaster(rasterArt, rasterBase),
-				rasterbench.CheckPipeline(pipeArt, pipeBase)...)
-			if len(violations) > 0 {
+			if violations := rasterbench.CheckRaster(rasterArt, rasterBase); len(violations) > 0 {
 				for _, v := range violations {
 					fmt.Fprintln(os.Stderr, "ravebench: raster regression:", v)
 				}

@@ -127,10 +127,6 @@ func main() {
 	leaseRenew := flag.Duration("lease-renew", 2*time.Second, "lease renewal heartbeat interval")
 	replicas := flag.Int("replicas", 0, "replication factor: warn while fewer than N followers report in the replica index (requires -lease)")
 	standby := flag.Bool("standby", false, "run as a replica: discover the primary via the replica index, follow its op stream, race succession most-caught-up-first (requires -registry and -region)")
-	frameDeadline := flag.Duration("frame-deadline", 250*time.Millisecond,
-		"hard per-frame budget for hedged tile rendering: the frame force-assembles (stragglers degraded, never lost) at this deadline")
-	hedgeDelay := flag.Duration("hedge-delay", 0,
-		"soft per-tile deadline before a straggling tile is re-issued to the most-spare peer (0 = frame-deadline/4)")
 	telemetryEvery := flag.Duration("telemetry", 0,
 		"log a telemetry snapshot at this interval (0 = off); on-demand dumps are always served over the control socket")
 	flag.Parse()
@@ -156,7 +152,6 @@ func main() {
 	svc := dataservice.New(dataservice.Config{
 		Name: *name, Clock: clock, Region: *region, Metrics: metrics,
 		Tracer: telemetry.NewTracer(clock),
-		Hedge:  dataservice.HedgeConfig{FrameDeadline: *frameDeadline, HedgeDelay: *hedgeDelay},
 	})
 	if *telemetryEvery > 0 {
 		go logTelemetry(metrics, *telemetryEvery)

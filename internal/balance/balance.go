@@ -487,12 +487,3 @@ func (m *MigrationEngine) Snapshot() []ServiceLoad {
 	sort.Slice(out, func(i, j int) bool { return out[i].Capacity.Name < out[j].Capacity.Name })
 	return out
 }
-
-// UnderStreak exposes a service's consecutive underload count (testing
-// and diagnostics).
-func (m *MigrationEngine) UnderStreak(name string) int {
-	if sl, ok := m.services[name]; ok {
-		return sl.underStreak
-	}
-	return 0
-}

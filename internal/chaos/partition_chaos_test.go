@@ -145,6 +145,15 @@ func TestRegionPartitionUnderLoadHealsGapOnly(t *testing.T) {
 	}
 
 	stopBoot := advance(clk)
+	// SinceVersion 0 means "no replica", so a subscriber cut at version 0
+	// is re-snapshotted, not resumed. Commit one op before the watchers
+	// bootstrap: how many ops the run lands before the cut is up to the
+	// clock pump, and may be none.
+	for _, s := range []string{cutSession, bystander} {
+		if _, err := g.Dispatch(context.Background(), gateway.Request{Tenant: "t", Session: s}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cutReady, cutErr := subscribe(cutSession)
 	byReady, byErr := subscribe(bystander)
 	var cutReplica, byReplica *renderservice.Session

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"context"
+	"encoding/json"
 	"runtime"
 	"strings"
 	"sync"
@@ -116,16 +117,17 @@ func TestTelemetryDeterministicTraceAndSnapshot(t *testing.T) {
 		}
 
 		snap := reg.Snapshot()
-		var text, jsonDoc strings.Builder
+		var text strings.Builder
 		if err := telemetry.WriteText(&text, snap); err != nil {
 			t.Fatal(err)
 		}
-		if err := telemetry.WriteJSON(&jsonDoc, snap); err != nil {
+		jsonDoc, err := json.Marshal(snap)
+		if err != nil {
 			t.Fatal(err)
 		}
 		return outcome{
 			text:    text.String(),
-			jsonDoc: jsonDoc.String(),
+			jsonDoc: string(jsonDoc),
 			trees:   telemetry.BuildTrees(tracer.Spans()),
 			rep:     rep,
 			stubs:   stubs,

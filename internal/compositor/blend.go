@@ -37,21 +37,10 @@ func BlendVolume(w, h int, layers []VolumeLayer) (*raster.Framebuffer, error) {
 	sort.SliceStable(sorted, func(i, j int) bool {
 		return sorted[i].ViewDistance > sorted[j].ViewDistance
 	})
-	return blendInOrder(w, h, sorted)
-}
-
-// BlendVolumeUnordered composites in the given order without sorting —
-// exists so tests and demos can show the artifacts wrong ordering
-// produces.
-func BlendVolumeUnordered(w, h int, layers []VolumeLayer) (*raster.Framebuffer, error) {
-	return blendInOrder(w, h, layers)
-}
-
-func blendInOrder(w, h int, layers []VolumeLayer) (*raster.Framebuffer, error) {
 	out := raster.NewFramebuffer(w, h)
 	// Accumulate in float to avoid quantization across many layers.
 	acc := make([]float64, w*h*3)
-	for li, layer := range layers {
+	for li, layer := range sorted {
 		if layer.FB.W != w || layer.FB.H != h {
 			return nil, fmt.Errorf("compositor: layer %d is %dx%d, want %dx%d",
 				li, layer.FB.W, layer.FB.H, w, h)

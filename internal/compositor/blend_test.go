@@ -55,8 +55,9 @@ func TestBlendOrderMatters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Force the wrong order: near slab first, far slab on top.
-	wrong, err := BlendVolumeUnordered(4, 4, []VolumeLayer{blue, red})
+	// Force the wrong order: the same slabs with their distances swapped.
+	red.ViewDistance, blue.ViewDistance = blue.ViewDistance, red.ViewDistance
+	wrong, err := BlendVolume(4, 4, []VolumeLayer{blue, red})
 	if err != nil {
 		t.Fatal(err)
 	}

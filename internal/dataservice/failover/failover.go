@@ -33,7 +33,6 @@ type LeaseAPI interface {
 	AcquireLease(service, holder string, ttl time.Duration, now time.Time) (uddi.Lease, error)
 	RenewLease(service, holder string, epoch uint64, ttl time.Duration, now time.Time) (uddi.Lease, error)
 	GetLease(service string, now time.Time) (uddi.Lease, bool, error)
-	ReleaseLease(service, holder string, epoch uint64) error
 }
 
 // ErrReplicationLost means the stream from the primary died without a

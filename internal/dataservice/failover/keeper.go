@@ -59,13 +59,6 @@ func (k *Keeper) Acquire() (uddi.Lease, error) {
 	return l, nil
 }
 
-// Lease returns the last granted lease.
-func (k *Keeper) Lease() uddi.Lease {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.lease
-}
-
 // Run renews the lease every Renew interval until ctx is cancelled
 // (returns ctx.Err()) or the renewal is rejected as stale (returns
 // ErrLeaseLost — the caller must demote). Transient registry errors are
@@ -95,18 +88,6 @@ func (k *Keeper) Run(ctx context.Context) error {
 		k.lease = l
 		k.mu.Unlock()
 	}
-}
-
-// Release drops the lease cleanly so a standby can take over without
-// waiting out the TTL.
-func (k *Keeper) Release() error {
-	k.mu.Lock()
-	l := k.lease
-	k.mu.Unlock()
-	if l.Service == "" {
-		return nil
-	}
-	return k.Leases.ReleaseLease(l.Service, l.Holder, l.Epoch)
 }
 
 // Monitor is the standby side: poll the lease, and when it lapses —

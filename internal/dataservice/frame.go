@@ -177,8 +177,6 @@ func (d *Distributor) renderFrame(ctx context.Context, w, h int, timers HedgeCon
 	var deadline time.Time
 	if timers.FrameDeadline > 0 {
 		deadline = start.Add(timers.FrameDeadline)
-	} else if cfg.Hedge.FrameDeadline > 0 {
-		deadline = start.Add(cfg.Hedge.FrameDeadline)
 	}
 	// Root span: one per frame, covering planning, fan-out, hedging and
 	// compositing. The deferred error end is a backstop — EndStatus is
@@ -557,12 +555,6 @@ func (d *Distributor) assembleTiles(w, h int, p *plan) (*raster.Framebuffer, []i
 // is therefore never lost and never later than the deadline plus one
 // scheduling quantum.
 func (d *Distributor) RenderTilesHedged(ctx context.Context, w, h int, cfg HedgeConfig) (*raster.Framebuffer, *HedgeReport, error) {
-	if cfg.FrameDeadline <= 0 {
-		cfg.FrameDeadline = d.sess.svc.cfg.Hedge.FrameDeadline
-	}
-	if cfg.HedgeDelay <= 0 {
-		cfg.HedgeDelay = d.sess.svc.cfg.Hedge.HedgeDelay
-	}
 	if cfg.FrameDeadline <= 0 {
 		cfg.FrameDeadline = 250 * time.Millisecond
 	}

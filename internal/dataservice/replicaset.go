@@ -127,17 +127,6 @@ func (rs *ReplicaSet) Has(name string) bool {
 	return ok
 }
 
-// Region returns the recorded locality of the named member.
-func (rs *ReplicaSet) Region(name string) (string, bool) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	mem, ok := rs.members[name]
-	if !ok {
-		return "", false
-	}
-	return mem.region, true
-}
-
 // Acked returns each member's applied-through version (0 for members
 // whose replication stream failed — their copies are not trustworthy).
 func (rs *ReplicaSet) Acked() map[string]uint64 {

@@ -56,10 +56,6 @@ type Config struct {
 	// on the cross-region bootstrap-bytes series; empty means the
 	// single-site deployment the paper ran, where everything is local.
 	Region string
-	// Hedge sets the deployment-wide defaults for hedged tile
-	// rendering (frame deadline and hedge delay); zero fields fall
-	// back to the package defaults documented on HedgeConfig.
-	Hedge HedgeConfig
 	// Metrics receives the service's telemetry series (hedge outcomes,
 	// WAL latencies, fan-out errors). Defaults to a private registry on
 	// the service clock; simulated deployments pass one shared registry
@@ -89,9 +85,6 @@ func New(cfg Config) *Service {
 	}
 	return &Service{cfg: cfg, sessions: map[string]*Session{}}
 }
-
-// Telemetry returns the service's metrics registry (never nil).
-func (s *Service) Telemetry() *telemetry.Registry { return s.cfg.Metrics }
 
 // Name returns the service name.
 func (s *Service) Name() string { return s.cfg.Name }
@@ -142,6 +135,23 @@ var ErrReadOnly = errors.New("dataservice: session is a read-only standby")
 // evacuation: mark the node storage-degraded and move its sessions to
 // replicas, preferring replica copies over the phantom-op scene.
 var ErrJournalFault = errors.New("dataservice: journal fault")
+
+// FanoutError reports that an update was committed — applied, journalled
+// and given Version — but could not be delivered to a subscriber. The
+// op's author has nothing to retry: the subscriber's own follower redials
+// and resumes from the history ring. ApplyUpdate returns the first one
+// per op; every one is counted on fanout_errors_total{peer}.
+type FanoutError struct {
+	Version    uint64
+	Subscriber string
+	Err        error
+}
+
+func (e *FanoutError) Error() string {
+	return fmt.Sprintf("dataservice: fan-out of version %d to %s: %v", e.Version, e.Subscriber, e.Err)
+}
+
+func (e *FanoutError) Unwrap() error { return e.Err }
 
 // historyCap bounds the per-session resume ring. 512 ops of lag is far
 // beyond any reconnect window the chaos suite exercises; beyond it a
@@ -347,7 +357,9 @@ func (sess *Session) Version() uint64 {
 // the audit trail and the durable journal, and fans it out to every
 // subscriber except origin (which already applied it locally). On a
 // read-only standby session it refuses with ErrReadOnly; the
-// replication path uses ApplyReplicated instead.
+// replication path uses ApplyReplicated instead. A *FanoutError means
+// the op is committed and one subscriber missed it; any other error
+// means it is not.
 func (sess *Session) ApplyUpdate(op scene.Op, origin string) error {
 	return sess.applyUpdate(op, origin, false)
 }
@@ -406,8 +418,12 @@ func (sess *Session) applyUpdate(op scene.Op, origin string, replicated bool) er
 		} else {
 			err = tg.sub.SendOp(op)
 		}
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("dataservice: fan-out to %s: %w", tg.name, err)
+		if err == nil {
+			continue
+		}
+		sess.svc.cfg.Metrics.Counter(sess.svc.cfg.Name, "fanout_errors_total", telemetry.PeerLabel(tg.name)).Inc()
+		if firstErr == nil {
+			firstErr = &FanoutError{Version: version, Subscriber: tg.name, Err: err}
 		}
 	}
 	return firstErr
@@ -690,7 +706,8 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 			if err != nil {
 				return err
 			}
-			if err := sess.ApplyUpdate(op, hello.Name); err != nil {
+			// A fan-out miss is not the author's failure: the op is committed.
+			if err := sess.ApplyUpdate(op, hello.Name); err != nil && !errors.As(err, new(*FanoutError)) {
 				if serr := conn.SendJSON(transport.MsgError, transport.ErrorInfo{Message: err.Error()}); serr != nil {
 					return serr
 				}

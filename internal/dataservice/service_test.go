@@ -582,6 +582,27 @@ func TestServeConnSubscriptionFlow(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
+	// An op the other subscriber cannot be told about is still committed:
+	// its author gets no error, so the next reply is the one it asked for.
+	other.mu.Lock()
+	other.fail = true
+	other.mu.Unlock()
+	var opBuf3 bytes.Buffer
+	if err := marshal.WriteOp(&opBuf3, &scene.SetNameOp{ID: id, Name: "again"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Send(transport.MsgSceneOp, opBuf3.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	queried := make(chan error, 1)
+	go func() { queried <- conn.Send(transport.MsgTelemetryQuery, nil) }() // the pipe is unbuffered
+	if typ, payload, err := conn.Receive(); err != nil || typ != transport.MsgTelemetryReport {
+		t.Fatalf("after a fan-out miss the author got %v %q (err %v), want its telemetry report", typ, payload, err)
+	}
+	if err := <-queried; err != nil {
+		t.Fatal(err)
+	}
+
 	if err := conn.Send(transport.MsgBye, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -40,8 +40,6 @@ type StoreFaults struct {
 	flipAt   map[int]bool // write persists with flipped bits, reports success
 	sickFrom int          // -1 = never; from this index on, every op fails
 	killAt   int          // -1 = never; ops at or past this index fail (crash sweep)
-
-	faults int
 }
 
 // NewStoreFaults returns an empty plan whose bit-flip positions derive
@@ -143,13 +141,6 @@ func (f *StoreFaults) Ops() int {
 	return f.opIdx
 }
 
-// Faults returns how many operations were actually failed or corrupted.
-func (f *StoreFaults) Faults() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.faults
-}
-
 // storeAction is the fault decision for one operation.
 type storeAction struct {
 	fail error // non-nil: the op fails with this, persisting nothing
@@ -182,9 +173,6 @@ func (f *StoreFaults) nextOp() storeAction {
 		if f.flipAt[idx] {
 			act.flip = true
 		}
-	}
-	if act.fail != nil || act.flip {
-		f.faults++
 	}
 	return act
 }
@@ -225,12 +213,6 @@ type FaultStore struct {
 func NewFaultStore(inner Store, plan *StoreFaults) *FaultStore {
 	return &FaultStore{inner: inner, plan: plan}
 }
-
-// Plan returns the store's fault plan.
-func (f *FaultStore) Plan() *StoreFaults { return f.plan }
-
-// Inner returns the wrapped store.
-func (f *FaultStore) Inner() Store { return f.inner }
 
 // Open implements Store.
 func (f *FaultStore) Open() (io.ReadCloser, error) { return f.inner.Open() }

@@ -16,26 +16,18 @@ import (
 // last fsync: Crashed() returns a new MemStore holding only the bytes a
 // Sync call made durable.
 type MemStore struct {
-	mu       sync.Mutex
-	active   []byte
-	synced   int // prefix of active guaranteed durable
-	pending  []byte
-	exists   bool
-	hasPend  bool
-	writeErr error // injected fault: fail the next writes
-	syncErr  error // injected fault: fail the next syncs
-	promErr  error // injected fault: fail the next promotes
+	mu      sync.Mutex
+	active  []byte
+	synced  int // prefix of active guaranteed durable
+	pending []byte
+	exists  bool
+	hasPend bool
+	syncErr error // injected fault: fail the next syncs
+	promErr error // injected fault: fail the next promotes
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore { return &MemStore{} }
-
-// FailWrites makes subsequent segment writes fail with err (nil clears).
-func (m *MemStore) FailWrites(err error) {
-	m.mu.Lock()
-	m.writeErr = err
-	m.mu.Unlock()
-}
 
 // FailSyncs makes subsequent segment syncs fail with err (nil clears).
 func (m *MemStore) FailSyncs(err error) {
@@ -57,14 +49,6 @@ func (m *MemStore) Bytes() []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]byte(nil), m.active...)
-}
-
-// SyncedBytes returns a copy of the active segment's durable prefix —
-// what survives a crash.
-func (m *MemStore) SyncedBytes() []byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]byte(nil), m.active[:m.synced]...)
 }
 
 // Crashed returns a new store as a crash would leave this one: only the
@@ -134,9 +118,6 @@ func (s *memSeg) Write(p []byte) (int, error) {
 	if s.closed {
 		return 0, fmt.Errorf("wal: write on closed segment")
 	}
-	if s.store.writeErr != nil {
-		return 0, s.store.writeErr
-	}
 	if s.replace {
 		s.store.pending = append(s.store.pending, p...)
 	} else {
@@ -173,9 +154,6 @@ type OSStore struct {
 
 // NewOSStore journals to the segment file at path.
 func NewOSStore(path string) *OSStore { return &OSStore{path: path} }
-
-// Path returns the active segment path.
-func (o *OSStore) Path() string { return o.path }
 
 // Open implements Store.
 func (o *OSStore) Open() (io.ReadCloser, error) {

@@ -140,7 +140,7 @@ func TestApplyForceByNode(t *testing.T) {
 
 func TestBridgeRunLoop(t *testing.T) {
 	sess := newSession(t)
-	mol := NewChainMolecule(5)
+	mol := NewWaterlikeMolecule()
 	bridge, err := NewBridge(sess, mol, "sim")
 	if err != nil {
 		t.Fatal(err)

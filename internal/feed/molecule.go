@@ -53,18 +53,6 @@ func NewWaterlikeMolecule() *Molecule {
 	return m
 }
 
-// NewChainMolecule builds a linear chain of n atoms, for stress tests.
-func NewChainMolecule(n int) *Molecule {
-	m := &Molecule{Damping: 0.45, Stiffness: 18}
-	for i := 0; i < n; i++ {
-		m.addAtom(mathx.V3(float64(i)*0.8, 0, 0), 0.25)
-		if i > 0 {
-			m.addBond(i-1, i)
-		}
-	}
-	return m
-}
-
 func (m *Molecule) addAtom(p mathx.Vec3, radius float64) {
 	m.positions = append(m.positions, p)
 	m.velocities = append(m.velocities, mathx.Vec3{})

@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"repro/internal/dataservice/wal"
+	"repro/internal/scene"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 	"repro/internal/uddi"
 	"repro/internal/vclock"
 )
@@ -194,6 +196,52 @@ func TestDegradedOwnerPromotesAckedPrefix(t *testing.T) {
 	// Idempotent: the node is already drained.
 	if moved := gw.EvacuateNode(owner); moved != 0 {
 		t.Errorf("second evacuation moved %d sessions, want 0", moved)
+	}
+}
+
+// deafSubscriber fails every delivery, the way a killed pipe or an
+// already-promoted mirror does.
+type deafSubscriber struct{}
+
+func (deafSubscriber) SendOp(scene.Op) error                  { return errors.New("closed pipe") }
+func (deafSubscriber) SendOpVer(scene.Op, uint64) error       { return errors.New("closed pipe") }
+func (deafSubscriber) SendCamera(transport.CameraState) error { return nil }
+
+// TestApplyLoadOpCommittedDespiteFanoutError: an op that is applied,
+// journalled and versioned is a success for its author even when a
+// subscriber could not be told — the subscriber's follower resumes on
+// its own — and the miss is counted per peer. A journal fault, where
+// the op is not committed, still surfaces.
+func TestApplyLoadOpCommittedDespiteFanoutError(t *testing.T) {
+	met := telemetry.NewRegistry(vclock.Real{})
+	plan := wal.NewStoreFaults(1)
+	node := NewNode(NodeConfig{Name: "ds-0", Metrics: met, OpCost: time.Nanosecond})
+	sess, err := node.Service().CreateSession("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.StartJournal(wal.NewFaultStore(wal.NewMemStore(), plan), 0); err != nil {
+		t.Fatal(err)
+	}
+	node.StampEpoch("s", 1)
+	if _, err := sess.Subscribe("watcher", deafSubscriber{}); err != nil {
+		t.Fatal(err)
+	}
+
+	version, err := node.ApplyLoadOp("s", 1)
+	if err != nil || version != 1 {
+		t.Fatalf("ApplyLoadOp = (%d, %v), want the committed version 1 and no error", version, err)
+	}
+	if sess.Version() != 1 || sess.JournalVersion() != 1 {
+		t.Errorf("session at %d, journal at %d, want both 1", sess.Version(), sess.JournalVersion())
+	}
+	if n := met.Snapshot().CounterValue("ds-0", "fanout_errors_total", telemetry.PeerLabel("watcher")); n != 1 {
+		t.Errorf("fanout_errors_total{watcher} = %d, want 1", n)
+	}
+
+	plan.SickNow()
+	if _, err := node.ApplyLoadOp("s", 1); !errors.Is(err, ErrStorageDegraded) {
+		t.Errorf("sick-disk apply = %v, want ErrStorageDegraded", err)
 	}
 }
 

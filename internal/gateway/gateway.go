@@ -237,20 +237,6 @@ func (g *Gateway) NodeDown(name string) {
 	g.rebalanceLocked()
 }
 
-// NodeUp re-admits a previously removed node — a healed partition or a
-// restarted host rejoining the ring. Sessions whose ring placement
-// points at it migrate back via planned moves, which adopt any copy the
-// node still holds gap-only. Unknown or dead nodes are ignored.
-func (g *Gateway) NodeUp(name string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.servableLocked(name) || g.ring.Has(name) {
-		return
-	}
-	g.ring.Add(name)
-	g.rebalanceLocked()
-}
-
 // EvacuateNode drains a storage-degraded (or otherwise suspect) node:
 // it leaves the placement ring and every session it owns moves to a
 // healthy node through the same lease-transfer-first, epoch-fenced
@@ -342,19 +328,6 @@ func (g *Gateway) Node(name string) (*Node, bool) {
 	defer g.mu.Unlock()
 	n, ok := g.nodes[name]
 	return n, ok
-}
-
-// Nodes lists joined node names (sorted; includes dead nodes until the
-// fleet forgets them).
-func (g *Gateway) Nodes() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]string, 0, len(g.nodes))
-	for name := range g.nodes {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // OpenSession places a new session for a tenant: ownership goes to the

@@ -215,14 +215,6 @@ func (n *Node) startJournal(session string, sess *dataservice.Session) error {
 	return nil
 }
 
-// Epoch returns the lease epoch the node holds for a session (0 if it
-// holds none).
-func (n *Node) Epoch(session string) uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.epochs[session]
-}
-
 // StampEpoch records the lease epoch under which this node owns a
 // session. Requests carrying any other epoch are fenced off with
 // ErrStaleEpoch.
@@ -286,13 +278,6 @@ func (n *Node) reserve() (release func(), err error) {
 	}, nil
 }
 
-// Reserved returns the render slots currently held (for tests).
-func (n *Node) Reserved() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.reserved
-}
-
 // ApplyLoadOp applies one synthetic scene mutation (an empty-transform
 // node under the root — the same minimal op the chaos tests use) to the
 // session, charging the modeled middleware cost. The kill fence is
@@ -318,6 +303,12 @@ func (n *Node) ApplyLoadOp(session string, epoch uint64) (version uint64, err er
 	}
 	op := &scene.AddNodeOp{Parent: scene.RootID, ID: sess.AllocID(), Name: "load", Transform: mathx.Identity()}
 	if err := sess.ApplyUpdate(op, ""); err != nil {
+		var fanout *dataservice.FanoutError
+		if errors.As(err, &fanout) {
+			// Committed here; a subscriber missed it and its follower
+			// redials and resumes. Nothing for the op's author to retry.
+			return fanout.Version, nil
+		}
 		if errors.Is(err, dataservice.ErrJournalFault) {
 			// First contact with the sick disk: the op reached this
 			// node's memory but was never acked, journaled, or fanned

@@ -8,43 +8,18 @@ import (
 	"repro/internal/transport"
 )
 
-// ServeRoute answers route queries over one connection: thin clients
-// send MsgRouteQuery{session} and get back MsgRouteReport with the
-// owning node, its access point (when a resolver is configured) and
-// the ownership lease epoch — then talk to the owner's data service
-// directly. Routing is a separate, cheap protocol precisely so the
-// gateway never sits on the frame path: it decides *where* work goes;
-// the data services do the work.
+// ServeRouteFunc answers route queries over one connection: thin
+// clients send MsgRouteQuery{session} and get back MsgRouteReport with
+// the owning node, its access point and the ownership lease epoch — then
+// talk to the owner's data service directly. Routing is a separate,
+// cheap protocol precisely so the gateway never sits on the frame path:
+// it decides *where* work goes; the data services do the work. route is
+// the resolver (ravegw's UDDI-scan-backed router); an error from it
+// answers that query with MsgError and keeps serving.
 //
 // The loop exits cleanly on MsgBye or EOF. Unknown message types are
 // skipped (older clients may probe with newer messages), mirroring the
 // data-service loop's tolerance.
-func (g *Gateway) ServeRoute(rw io.ReadWriter, accessPoint func(node string) string) error {
-	return ServeRouteFunc(rw, func(session string) (transport.RouteInfo, error) {
-		node, epoch, err := g.Route(session)
-		if err != nil {
-			return transport.RouteInfo{}, err
-		}
-		_, replicas, _, _ := g.Placement(session)
-		info := transport.RouteInfo{
-			Session:  session,
-			Node:     node.Name(),
-			Epoch:    epoch,
-			Replicas: replicas,
-		}
-		if len(replicas) > 0 {
-			info.Standby = replicas[0]
-		}
-		if accessPoint != nil {
-			info.AccessPoint = accessPoint(node.Name())
-		}
-		return info, nil
-	})
-}
-
-// ServeRouteFunc runs the route-query loop against any resolver — the
-// in-process Gateway above, or ravegw's UDDI-scan-backed router. A
-// resolver error answers that query with MsgError and keeps serving.
 func ServeRouteFunc(rw io.ReadWriter, route func(session string) (transport.RouteInfo, error)) error {
 	conn := transport.NewConn(rw)
 	for {

@@ -1,13 +1,11 @@
 // Package geom provides the geometry substrate of RAVE: triangle meshes,
 // point clouds and voxel grids (the three node payload types the paper's
-// scene tree supports), together with normal generation, polygon
-// decimation and marching cubes — the two preprocessing steps the paper's
-// skeleton model went through.
+// scene tree supports), together with normal generation, spatial
+// splitting and marching cubes.
 package geom
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/mathx"
 )
@@ -237,107 +235,6 @@ func (m *Mesh) SplitSpatially(n int) []*Mesh {
 	}
 	if len(out) == 0 {
 		return []*Mesh{m.Clone()}
-	}
-	return out
-}
-
-// Decimate reduces the mesh to approximately targetTriangles using vertex
-// clustering on a uniform grid — the same style of polygon decimation the
-// paper applied to the Visible Man skeleton. The result is a new mesh; the
-// receiver is unchanged. If the mesh already has no more than
-// targetTriangles triangles, a clone is returned.
-func (m *Mesh) Decimate(targetTriangles int) *Mesh {
-	if targetTriangles <= 0 {
-		targetTriangles = 1
-	}
-	if m.TriangleCount() <= targetTriangles {
-		return m.Clone()
-	}
-	bounds := m.Bounds()
-	size := bounds.Size()
-	maxDim := math.Max(size.X, math.Max(size.Y, size.Z))
-	if maxDim <= 0 {
-		return m.Clone()
-	}
-
-	// Binary search the cluster cell size: smaller cells keep more
-	// triangles. Ratio of counts scales roughly with cells^2 for surfaces.
-	lo, hi := maxDim/1024, maxDim
-	best := m.clusterDecimate(lo)
-	for iter := 0; iter < 20; iter++ {
-		mid := (lo + hi) / 2
-		cand := m.clusterDecimate(mid)
-		if cand.TriangleCount() > targetTriangles {
-			lo = mid
-		} else {
-			hi = mid
-			best = cand
-		}
-		if cand.TriangleCount() == targetTriangles {
-			break
-		}
-	}
-	if best.TriangleCount() > targetTriangles {
-		best = m.clusterDecimate(hi)
-	}
-	return best
-}
-
-// clusterDecimate collapses all vertices within each grid cell of the
-// given size to their centroid, dropping degenerate triangles.
-func (m *Mesh) clusterDecimate(cell float64) *Mesh {
-	bounds := m.Bounds()
-	type cellKey struct{ x, y, z int32 }
-	keyOf := func(p mathx.Vec3) cellKey {
-		return cellKey{
-			int32(math.Floor((p.X - bounds.Min.X) / cell)),
-			int32(math.Floor((p.Y - bounds.Min.Y) / cell)),
-			int32(math.Floor((p.Z - bounds.Min.Z) / cell)),
-		}
-	}
-	cells := make(map[cellKey]uint32)
-	var sums []mathx.Vec3
-	var counts []int
-	vertexCell := make([]uint32, len(m.Positions))
-	for i, p := range m.Positions {
-		k := keyOf(p)
-		ci, ok := cells[k]
-		if !ok {
-			ci = uint32(len(sums))
-			cells[k] = ci
-			sums = append(sums, mathx.Vec3{})
-			counts = append(counts, 0)
-		}
-		sums[ci] = sums[ci].Add(p)
-		counts[ci]++
-		vertexCell[i] = ci
-	}
-	out := &Mesh{Positions: make([]mathx.Vec3, len(sums))}
-	for i := range sums {
-		out.Positions[i] = sums[i].Scale(1 / float64(counts[i]))
-	}
-	for i := 0; i < m.TriangleCount(); i++ {
-		a := vertexCell[m.Indices[3*i]]
-		b := vertexCell[m.Indices[3*i+1]]
-		c := vertexCell[m.Indices[3*i+2]]
-		if a == b || b == c || a == c {
-			continue // collapsed to a degenerate triangle
-		}
-		out.Indices = append(out.Indices, a, b, c)
-	}
-	if m.Normals != nil {
-		out.ComputeNormals()
-	}
-	if m.Colors != nil {
-		// Average colors per cluster.
-		colors := make([]mathx.Vec3, len(sums))
-		for i := range m.Positions {
-			colors[vertexCell[i]] = colors[vertexCell[i]].Add(m.Colors[i])
-		}
-		for i := range colors {
-			colors[i] = colors[i].Scale(1 / float64(counts[i]))
-		}
-		out.Colors = colors
 	}
 	return out
 }

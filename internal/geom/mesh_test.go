@@ -3,7 +3,6 @@ package geom
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/mathx"
 )
@@ -224,44 +223,6 @@ func TestMarchingCubesEmptyAndTiny(t *testing.T) {
 	}
 }
 
-func TestDecimateReducesTriangles(t *testing.T) {
-	g := sphereGrid(32, 1)
-	m := MarchingCubes(g, 0)
-	orig := m.TriangleCount()
-	target := orig / 4
-	d := m.Decimate(target)
-	if d.TriangleCount() > orig {
-		t.Fatalf("decimation grew mesh: %d -> %d", orig, d.TriangleCount())
-	}
-	if d.TriangleCount() > target*2 {
-		t.Errorf("decimation too coarse: got %d, target %d", d.TriangleCount(), target)
-	}
-	if d.TriangleCount() == 0 {
-		t.Error("decimated to nothing")
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatalf("decimated mesh invalid: %v", err)
-	}
-	// Shape roughly preserved: vertices still near the unit sphere.
-	for _, p := range d.Positions {
-		if r := p.Len(); r < 0.7 || r > 1.3 {
-			t.Fatalf("decimated vertex at radius %v", r)
-		}
-	}
-	// Original untouched.
-	if m.TriangleCount() != orig {
-		t.Error("Decimate mutated the receiver")
-	}
-}
-
-func TestDecimateNoOpWhenSmall(t *testing.T) {
-	m := quadMesh()
-	d := m.Decimate(10)
-	if d.TriangleCount() != 2 {
-		t.Errorf("small mesh decimated: %d", d.TriangleCount())
-	}
-}
-
 func TestSplitSpatiallyPreservesTriangles(t *testing.T) {
 	g := sphereGrid(24, 1)
 	m := MarchingCubes(g, 0)
@@ -303,17 +264,5 @@ func TestSplitSpatiallyDegenerate(t *testing.T) {
 	pieces := empty.SplitSpatially(4)
 	if len(pieces) != 1 || pieces[0].TriangleCount() != 0 {
 		t.Errorf("empty split: %d pieces", len(pieces))
-	}
-}
-
-func TestPropDecimateNeverGrows(t *testing.T) {
-	g := sphereGrid(16, 1)
-	m := MarchingCubes(g, 0)
-	f := func(target uint16) bool {
-		d := m.Decimate(int(target%2000) + 1)
-		return d.TriangleCount() <= m.TriangleCount() && d.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Error(err)
 	}
 }

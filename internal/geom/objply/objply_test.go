@@ -7,14 +7,14 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/geom/genmodel"
 	"repro/internal/mathx"
 )
 
 func testMesh(t *testing.T) *geom.Mesh {
 	t.Helper()
-	g := geom.NewVoxelGrid(12, 12, 12, mathx.V3(-1.5, -1.5, -1.5), 3.0/11)
-	g.Fill(geom.SphereField(mathx.Vec3{}, 1))
-	m := geom.MarchingCubes(g, 0)
+	m := genmodel.Sphere(mathx.Vec3{}, 1, 12, 8)
+	m.ComputeNormals()
 	if m.TriangleCount() == 0 {
 		t.Fatal("test mesh empty")
 	}

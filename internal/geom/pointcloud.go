@@ -42,13 +42,6 @@ func (pc *PointCloud) Clone() *PointCloud {
 	return out
 }
 
-// Transform applies m to every point in place.
-func (pc *PointCloud) Transform(m mathx.Mat4) {
-	for i, p := range pc.Points {
-		pc.Points[i] = m.TransformPoint(p)
-	}
-}
-
 // FromMeshVertices samples a point cloud from the vertices of a mesh.
 func FromMeshVertices(m *Mesh, stride int) *PointCloud {
 	if stride < 1 {

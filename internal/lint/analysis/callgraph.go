@@ -11,10 +11,10 @@
 //   - EndsSpanParam: the function (transitively) ends the telemetry
 //     span it receives as a parameter, so passing a span to it counts
 //     as ending the span.
-//   - CarriesDeadline: the function's signature receives an absolute
-//     deadline — a time.Time or nanosecond parameter named for one, or
-//     a request struct with a DeadlineNanos field — so downstream
-//     requests it builds must forward it.
+//   - CarriesDeadlineVar: a parameter holds an absolute deadline — a
+//     time.Time or nanosecond value named for one, or a request struct
+//     with a DeadlineNanos field — so downstream requests the function
+//     builds must forward it.
 //
 // Summaries are per-package: calls that cross the package boundary are
 // judged by name-level heuristics in the analyzers themselves. That is
@@ -275,23 +275,4 @@ func CarriesDeadlineVar(v *types.Var) bool {
 		return true
 	}
 	return HasDeadlineNanosField(v.Type())
-}
-
-// CarriesDeadline reports whether f's signature receives an absolute
-// deadline (see CarriesDeadlineVar). A handler that carries a deadline
-// and constructs downstream requests without one is dropping it.
-func CarriesDeadline(f *types.Func) bool {
-	if f == nil {
-		return false
-	}
-	sig, ok := f.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if CarriesDeadlineVar(sig.Params().At(i)) {
-			return true
-		}
-	}
-	return false
 }

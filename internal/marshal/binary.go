@@ -256,10 +256,9 @@ func readPayload(r *reader) scene.Payload {
 	case scene.KindMesh:
 		return &scene.MeshPayload{Mesh: readMesh(r)}
 	case scene.KindPoints:
-		return &scene.PointsPayload{Cloud: &geom.PointCloud{
-			Points: r.vec3Slice(),
-			Colors: r.vec3Slice(),
-		}}
+		cloud := &geom.PointCloud{Points: r.vec3Slice(), Colors: r.vec3Slice()}
+		r.fail(cloud.Validate())
+		return &scene.PointsPayload{Cloud: cloud}
 	case scene.KindVoxels:
 		nx, ny, nz := int(r.u32()), int(r.u32()), int(r.u32())
 		origin := r.vec3()
@@ -277,10 +276,9 @@ func readPayload(r *reader) scene.Payload {
 		for i := range data {
 			data[i] = math.Float32frombits(r.u32())
 		}
-		return &scene.VoxelsPayload{
-			Grid: &geom.VoxelGrid{NX: nx, NY: ny, NZ: nz, Origin: origin, Spacing: spacing, Data: data},
-			Iso:  iso,
-		}
+		grid := &geom.VoxelGrid{NX: nx, NY: ny, NZ: nz, Origin: origin, Spacing: spacing, Data: data}
+		r.fail(grid.Validate())
+		return &scene.VoxelsPayload{Grid: grid, Iso: iso}
 	case scene.KindAvatar:
 		return &scene.AvatarPayload{User: r.str(), Color: r.vec3()}
 	default:

@@ -132,6 +132,22 @@ func TestSceneDecodeErrors(t *testing.T) {
 	if _, err := ReadScene(bytes.NewReader(nil)); err == nil {
 		t.Error("empty stream accepted")
 	}
+
+	// Payloads that decode but are not self-consistent are refused the
+	// way a mesh with out-of-range indices is.
+	for name, p := range map[string]scene.Payload{
+		"points with one colour for two points": &scene.PointsPayload{Cloud: &geom.PointCloud{
+			Points: []mathx.Vec3{{}, {X: 1}}, Colors: []mathx.Vec3{{}}}},
+		"voxels with zero spacing": &scene.VoxelsPayload{Grid: &geom.VoxelGrid{NX: 1, NY: 1, NZ: 1, Data: []float32{0}}},
+	} {
+		buf.Reset()
+		if err := WriteOp(&buf, &scene.SetPayloadOp{ID: 2, Payload: p}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadOp(&buf); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }
 
 func TestOpRoundTrips(t *testing.T) {

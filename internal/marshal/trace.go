@@ -7,8 +7,9 @@ import "encoding/binary"
 // JSON control messages carry trace context as plain optional fields,
 // but op messages (MsgSceneOp / MsgSceneOpVer bodies) are the binary
 // marshal format, which has no extension point. The trace header is a
-// small prologue prepended to the op body for peers that negotiated it
-// (Hello.Trace):
+// small prologue prepended to the op body. No socket carries one today:
+// nothing outside this file's tests appends or splits a header (see
+// unreached.keep).
 //
 //	magic(2) = 0x5254 "RT" | version(1) | size(1) | trace(8) | span(8)
 //

@@ -70,18 +70,6 @@ func (b AABB) Size() Vec3 {
 // Diagonal returns the length of the box diagonal.
 func (b AABB) Diagonal() float64 { return b.Size().Len() }
 
-// SurfaceArea returns the total surface area of the box.
-func (b AABB) SurfaceArea() float64 {
-	s := b.Size()
-	return 2 * (s.X*s.Y + s.Y*s.Z + s.Z*s.X)
-}
-
-// Volume returns the volume of the box.
-func (b AABB) Volume() float64 {
-	s := b.Size()
-	return s.X * s.Y * s.Z
-}
-
 // Transform returns the axis-aligned box containing the 8 transformed
 // corners of b.
 func (b AABB) Transform(m Mat4) AABB {

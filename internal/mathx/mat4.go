@@ -19,12 +19,6 @@ func Identity() Mat4 {
 // At returns element (r, c).
 func (m Mat4) At(r, c int) float64 { return m[r*4+c] }
 
-// Set sets element (r, c) to v and returns the updated matrix.
-func (m Mat4) Set(r, c int, v float64) Mat4 {
-	m[r*4+c] = v
-	return m
-}
-
 // Mul returns the matrix product m * n.
 func (m Mat4) Mul(n Mat4) Mat4 {
 	var out Mat4

@@ -50,10 +50,6 @@ func (v Vec3) Sub(u Vec3) Vec3 { return Vec3{v.X - u.X, v.Y - u.Y, v.Z - u.Z} }
 // Scale returns v scaled by s.
 func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
 
-// Mul returns the component-wise product of v and u (useful for color
-// modulation).
-func (v Vec3) Mul(u Vec3) Vec3 { return Vec3{v.X * u.X, v.Y * u.Y, v.Z * u.Z} }
-
 // Neg returns -v.
 func (v Vec3) Neg() Vec3 { return Vec3{-v.X, -v.Y, -v.Z} }
 
@@ -121,9 +117,6 @@ type Vec4 struct {
 	X, Y, Z, W float64
 }
 
-// V4 is shorthand for Vec4{x, y, z, w}.
-func V4(x, y, z, w float64) Vec4 { return Vec4{x, y, z, w} }
-
 // FromPoint promotes a point to homogeneous coordinates with W=1.
 func FromPoint(v Vec3) Vec4 { return Vec4{v.X, v.Y, v.Z, 1} }
 
@@ -138,16 +131,6 @@ func (v Vec4) Add(u Vec4) Vec4 {
 // Sub returns v - u.
 func (v Vec4) Sub(u Vec4) Vec4 {
 	return Vec4{v.X - u.X, v.Y - u.Y, v.Z - u.Z, v.W - u.W}
-}
-
-// Scale returns v scaled by s.
-func (v Vec4) Scale(s float64) Vec4 {
-	return Vec4{v.X * s, v.Y * s, v.Z * s, v.W * s}
-}
-
-// Dot returns the 4-component dot product of v and u.
-func (v Vec4) Dot(u Vec4) float64 {
-	return v.X*u.X + v.Y*u.Y + v.Z*u.Z + v.W*u.W
 }
 
 // Lerp returns the linear interpolation between v and u at parameter t.
@@ -179,9 +162,6 @@ func Clamp(x, lo, hi float64) float64 {
 	}
 	return x
 }
-
-// Degrees converts radians to degrees.
-func Degrees(rad float64) float64 { return rad * 180 / math.Pi }
 
 // Radians converts degrees to radians.
 func Radians(deg float64) float64 { return deg * math.Pi / 180 }

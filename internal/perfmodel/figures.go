@@ -10,7 +10,6 @@ import (
 	"repro/internal/compositor"
 	"repro/internal/device"
 	"repro/internal/geom/genmodel"
-	"repro/internal/marshal"
 	"repro/internal/mathx"
 	"repro/internal/netsim"
 	"repro/internal/raster"
@@ -258,11 +257,4 @@ func FormatFigure5(rows []TileLagRow, rep compositor.TearReport) string {
 	table := FormatTable([]string{"Model", "Tile update lag"}, out)
 	return table + fmt.Sprintf("\nTorn seams in 2-tile composite with stale remote tile: %d (version %d vs %d)\n",
 		rep.TornSeams, rep.MinVersion, rep.MaxVersion)
-}
-
-// WritePNG is re-exported here so the bench binary does not need the
-// client package for figure output.
-func MarshalFramePNGSize(fb *raster.Framebuffer) int {
-	data := marshal.EncodeFrameDirect(fb)
-	return len(data)
 }

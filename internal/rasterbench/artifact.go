@@ -20,28 +20,11 @@ type RasterArtifact struct {
 	Snapshot telemetry.Snapshot `json:"snapshot"`
 }
 
-// PipelineArtifact is BENCH_pipeline.json: the envelope plus the
-// scenario and per-stage pipeline summary.
-type PipelineArtifact struct {
-	V    int    `json:"v"`
-	Kind string `json:"kind"`
-
-	Scenario Scenario        `json:"scenario"`
-	Results  PipelineResults `json:"results"`
-
-	Snapshot telemetry.Snapshot `json:"snapshot"`
-}
-
 // rasterSiblings is the kind-specific payload merged into the envelope
 // by telemetry.WriteBenchArtifact.
 type rasterSiblings struct {
 	Scenario Scenario      `json:"scenario"`
 	Results  RasterResults `json:"results"`
-}
-
-type pipelineSiblings struct {
-	Scenario Scenario        `json:"scenario"`
-	Results  PipelineResults `json:"results"`
 }
 
 // WriteRasterArtifact writes BENCH_raster.json through the shared
@@ -55,16 +38,6 @@ func WriteRasterArtifact(w io.Writer, art RasterArtifact) error {
 		rasterSiblings{Scenario: art.Scenario, Results: art.Results})
 }
 
-// WritePipelineArtifact writes BENCH_pipeline.json the same way.
-func WritePipelineArtifact(w io.Writer, art PipelineArtifact) error {
-	if art.V != telemetry.BenchVersion || art.Kind != telemetry.BenchKindPipeline {
-		return fmt.Errorf("rasterbench: artifact must be v%d kind %q",
-			telemetry.BenchVersion, telemetry.BenchKindPipeline)
-	}
-	return telemetry.WriteBenchArtifact(w, art.Kind, art.Snapshot,
-		pipelineSiblings{Scenario: art.Scenario, Results: art.Results})
-}
-
 // ReadRasterArtifact decodes a BENCH_raster.json file, rejecting other
 // kinds.
 func ReadRasterArtifact(r io.Reader) (RasterArtifact, error) {
@@ -74,18 +47,6 @@ func ReadRasterArtifact(r io.Reader) (RasterArtifact, error) {
 	}
 	if art.V < 1 || art.Kind != telemetry.BenchKindRaster {
 		return RasterArtifact{}, fmt.Errorf("rasterbench: not a raster artifact (v%d kind %q)", art.V, art.Kind)
-	}
-	return art, nil
-}
-
-// ReadPipelineArtifact decodes a BENCH_pipeline.json file.
-func ReadPipelineArtifact(r io.Reader) (PipelineArtifact, error) {
-	var art PipelineArtifact
-	if err := json.NewDecoder(r).Decode(&art); err != nil {
-		return PipelineArtifact{}, fmt.Errorf("rasterbench: decode pipeline artifact: %w", err)
-	}
-	if art.V < 1 || art.Kind != telemetry.BenchKindPipeline {
-		return PipelineArtifact{}, fmt.Errorf("rasterbench: not a pipeline artifact (v%d kind %q)", art.V, art.Kind)
 	}
 	return art, nil
 }
@@ -119,27 +80,6 @@ func CheckRaster(cur RasterArtifact, base *RasterArtifact) []string {
 			violations = append(violations, fmt.Sprintf(
 				"throughput: %.3g pixels/sec < %.3g (baseline %.3g / 8)",
 				cur.Results.PixelsPerSec, floor, base.Results.PixelsPerSec))
-		}
-	}
-	return violations
-}
-
-// CheckPipeline evaluates a fresh pipeline run: every frame must have
-// encoded to something, and the end-to-end median must stay within 8x
-// of the checked-in baseline.
-func CheckPipeline(cur PipelineArtifact, base *PipelineArtifact) []string {
-	var violations []string
-	if cur.Results.EncodedBytes <= 0 {
-		violations = append(violations, "encode: pipeline produced an empty encoded frame")
-	}
-	if cur.Results.Total.Count <= 0 {
-		violations = append(violations, "frames: pipeline timed no frames")
-	}
-	if base != nil && base.Results.Total.P50ns > 0 {
-		if ceil := base.Results.Total.P50ns * 8; cur.Results.Total.P50ns > ceil {
-			violations = append(violations, fmt.Sprintf(
-				"latency: p50 %dns > %dns (baseline %dns x 8)",
-				cur.Results.Total.P50ns, ceil, base.Results.Total.P50ns))
 		}
 	}
 	return violations

@@ -1,10 +1,11 @@
 // Package rasterbench is the single-node rasterizer benchmark harness
 // behind `ravebench -extra raster` and `make raster`. It measures the
 // fixed-point scanline core against the float reference core on the
-// galleon scene, times the full render→composite→encode pipeline, and
-// packages both into the versioned BENCH_raster.json /
-// BENCH_pipeline.json artifacts (telemetry.BenchArtifact envelope)
-// whose checked-in copies form the repo's raster perf trajectory.
+// galleon scene and packages the result into the versioned
+// BENCH_raster.json artifact (telemetry.BenchArtifact envelope) whose
+// checked-in copy is the baseline `make raster` gates against. The
+// render→composite→encode path is timed through the real services by
+// bench/ (see bench/README.md), not here.
 //
 // The harness takes its time source as a vclock.Clock so tests can
 // drive it deterministically; ravebench passes vclock.Real{}, the one
@@ -16,9 +17,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/compositor"
 	"repro/internal/geom/genmodel"
-	"repro/internal/imgcodec"
 	"repro/internal/mathx"
 	"repro/internal/raster"
 	"repro/internal/telemetry"
@@ -83,21 +82,6 @@ type RasterResults struct {
 	// PixelsFilled and TrianglesDrawn size the workload.
 	PixelsFilled   int64 `json:"pixels_filled"`
 	TrianglesDrawn int64 `json:"triangles_drawn"`
-}
-
-// PipelineResults is BENCH_pipeline.json's summary block: the
-// distributed-rendering pipeline (split scene → render halves →
-// depth-composite → RLE-encode) timed end to end.
-type PipelineResults struct {
-	Total     telemetry.Summary `json:"total"`
-	Render    telemetry.Summary `json:"render"`
-	Composite telemetry.Summary `json:"composite"`
-	Encode    telemetry.Summary `json:"encode"`
-	// PixelsPerSec is full-image pixels through the pipeline per
-	// second of total stage time.
-	PixelsPerSec float64 `json:"pixels_per_sec"`
-	// EncodedBytes is one encoded frame's payload size.
-	EncodedBytes int64 `json:"encoded_bytes"`
 }
 
 // newRenderer builds a renderer wired to the run's metrics registry.
@@ -177,77 +161,5 @@ func RunRaster(cfg Config) (RasterArtifact, error) {
 		Scenario: sc,
 		Results:  res,
 		Snapshot: snap,
-	}, nil
-}
-
-// RunPipeline times the distributed-rendering shape end to end: the
-// scene split spatially in two, each half rendered to its own
-// framebuffer (one render node each in the paper's deployment),
-// depth-composited, and RLE-encoded for the thin client.
-func RunPipeline(cfg Config) (PipelineArtifact, error) {
-	sc := cfg.Scenario
-	if sc.Frames <= 0 || sc.Width <= 0 || sc.Height <= 0 {
-		return PipelineArtifact{}, fmt.Errorf("rasterbench: invalid scenario %+v", sc)
-	}
-	if cfg.Clock == nil {
-		return PipelineArtifact{}, fmt.Errorf("rasterbench: clock required")
-	}
-	model := genmodel.Galleon(sc.Triangles)
-	cam := raster.DefaultCamera().FitToBounds(model.Bounds(), mathx.V3(0.3, 0.2, 1))
-	halves := model.SplitSpatially(2)
-	met := telemetry.NewRegistry(cfg.Clock)
-
-	renderers := make([]*raster.Renderer, len(halves))
-	fbs := make([]*raster.Framebuffer, len(halves))
-	for i := range halves {
-		renderers[i], fbs[i] = newRenderer(sc.Width, sc.Height, met, 1)
-	}
-	out := raster.NewFramebuffer(sc.Width, sc.Height)
-
-	var renderS, compS, encS, totalS []time.Duration
-	var encodedBytes int64
-	for f := 0; f < sc.Frames; f++ {
-		t0 := cfg.Clock.Now()
-		for i, half := range halves {
-			fbs[i].Clear(0, 0, 0)
-			renderers[i].RenderMesh(half, mathx.Identity(), cam)
-		}
-		t1 := cfg.Clock.Now()
-		out.Clear(0, 0, 0)
-		for _, fb := range fbs {
-			if err := compositor.DepthComposite(out, fb); err != nil {
-				return PipelineArtifact{}, err
-			}
-		}
-		t2 := cfg.Clock.Now()
-		frame, err := imgcodec.Encode(imgcodec.RLE, sc.Width, sc.Height, out.Color, nil)
-		if err != nil {
-			return PipelineArtifact{}, err
-		}
-		t3 := cfg.Clock.Now()
-		encodedBytes = int64(len(frame))
-		renderS = append(renderS, t1.Sub(t0))
-		compS = append(compS, t2.Sub(t1))
-		encS = append(encS, t3.Sub(t2))
-		totalS = append(totalS, t3.Sub(t0))
-	}
-
-	res := PipelineResults{
-		Total:        telemetry.Summarize(totalS),
-		Render:       telemetry.Summarize(renderS),
-		Composite:    telemetry.Summarize(compS),
-		Encode:       telemetry.Summarize(encS),
-		EncodedBytes: encodedBytes,
-	}
-	if t := total(totalS); t > 0 {
-		res.PixelsPerSec = float64(sc.Width*sc.Height) * float64(sc.Frames) /
-			(float64(t) / float64(time.Second))
-	}
-	return PipelineArtifact{
-		V:        telemetry.BenchVersion,
-		Kind:     telemetry.BenchKindPipeline,
-		Scenario: sc,
-		Results:  res,
-		Snapshot: met.Snapshot(),
 	}, nil
 }

@@ -82,31 +82,6 @@ func TestRunRasterStructure(t *testing.T) {
 	}
 }
 
-// TestRunPipelineStructure smoke-tests the pipeline harness.
-func TestRunPipelineStructure(t *testing.T) {
-	art, err := RunPipeline(Config{Scenario: smallScenario(), Clock: newStepClock(time.Millisecond)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if art.V != telemetry.BenchVersion || art.Kind != telemetry.BenchKindPipeline {
-		t.Fatalf("envelope = v%d kind %q", art.V, art.Kind)
-	}
-	for name, s := range map[string]telemetry.Summary{
-		"total": art.Results.Total, "render": art.Results.Render,
-		"composite": art.Results.Composite, "encode": art.Results.Encode,
-	} {
-		if s.Count != 3 {
-			t.Errorf("%s samples = %d, want 3", name, s.Count)
-		}
-		if s.P50ns <= 0 || s.Maxns < s.P50ns {
-			t.Errorf("%s quantiles malformed: %+v", name, s)
-		}
-	}
-	if art.Results.EncodedBytes <= 0 {
-		t.Errorf("encoded bytes = %d, want > 0", art.Results.EncodedBytes)
-	}
-}
-
 // TestRunRejectsBadConfig pins the input validation.
 func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := RunRaster(Config{Scenario: Scenario{}, Clock: newStepClock(1)}); err == nil {
@@ -115,34 +90,22 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := RunRaster(Config{Scenario: smallScenario()}); err == nil {
 		t.Error("RunRaster accepted a nil clock")
 	}
-	if _, err := RunPipeline(Config{Scenario: Scenario{}, Clock: newStepClock(1)}); err == nil {
-		t.Error("RunPipeline accepted an empty scenario")
-	}
-	if _, err := RunPipeline(Config{Scenario: smallScenario()}); err == nil {
-		t.Error("RunPipeline accepted a nil clock")
-	}
 }
 
-// TestArtifactRoundTrip writes both artifacts through the shared
-// telemetry envelope writer and reads them back: fields survive, the
-// generic telemetry reader accepts the envelope, and each reader
-// rejects the other kind.
+// TestArtifactRoundTrip writes the artifact through the shared
+// telemetry envelope writer and reads it back: fields survive, the
+// generic telemetry reader accepts the envelope, and the reader rejects
+// another kind.
 func TestArtifactRoundTrip(t *testing.T) {
-	clk := newStepClock(time.Millisecond)
-	rast, err := RunRaster(Config{Scenario: smallScenario(), Clock: clk})
+	rast, err := RunRaster(Config{Scenario: smallScenario(), Clock: newStepClock(time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := RunPipeline(Config{Scenario: smallScenario(), Clock: clk})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var rb, pb bytes.Buffer
+	var rb, other bytes.Buffer
 	if err := WriteRasterArtifact(&rb, rast); err != nil {
 		t.Fatal(err)
 	}
-	if err := WritePipelineArtifact(&pb, pipe); err != nil {
+	if err := telemetry.WriteBenchArtifact(&other, telemetry.BenchKindScale, rast.Snapshot, rasterSiblings{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -153,37 +116,25 @@ func TestArtifactRoundTrip(t *testing.T) {
 	if back.Scenario != rast.Scenario || back.Results != rast.Results {
 		t.Errorf("raster round trip changed payload:\n got %+v\nwant %+v", back.Results, rast.Results)
 	}
-	pback, err := ReadPipelineArtifact(bytes.NewReader(pb.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pback.Scenario != pipe.Scenario || pback.Results != pipe.Results {
-		t.Errorf("pipeline round trip changed payload:\n got %+v\nwant %+v", pback.Results, pipe.Results)
-	}
 
-	// The generic envelope reader must accept both files.
-	for name, buf := range map[string]*bytes.Buffer{"raster": &rb, "pipeline": &pb} {
-		env, err := telemetry.ReadBenchArtifact(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%s: generic reader rejected the artifact: %v", name, err)
-		}
-		if env.Kind != name {
-			t.Errorf("%s: generic reader decoded kind %q", name, env.Kind)
-		}
+	// The generic envelope reader must accept the file.
+	env, err := telemetry.ReadBenchArtifact(bytes.NewReader(rb.Bytes()))
+	if err != nil {
+		t.Fatalf("generic reader rejected the artifact: %v", err)
+	}
+	if env.Kind != telemetry.BenchKindRaster {
+		t.Errorf("generic reader decoded kind %q", env.Kind)
 	}
 
 	// Cross-kind reads must fail loudly.
-	if _, err := ReadRasterArtifact(bytes.NewReader(pb.Bytes())); err == nil {
-		t.Error("ReadRasterArtifact accepted a pipeline artifact")
-	}
-	if _, err := ReadPipelineArtifact(bytes.NewReader(rb.Bytes())); err == nil {
-		t.Error("ReadPipelineArtifact accepted a raster artifact")
+	if _, err := ReadRasterArtifact(bytes.NewReader(other.Bytes())); err == nil {
+		t.Error("ReadRasterArtifact accepted a scale artifact")
 	}
 
 	// Writers must refuse mismatched envelopes.
-	rast.Kind = telemetry.BenchKindPipeline
+	rast.Kind = telemetry.BenchKindScale
 	if err := WriteRasterArtifact(&bytes.Buffer{}, rast); err == nil {
-		t.Error("WriteRasterArtifact accepted a pipeline kind")
+		t.Error("WriteRasterArtifact accepted a scale kind")
 	}
 }
 
@@ -197,17 +148,6 @@ func syntheticRaster(parity bool, speedup, pps float64) RasterArtifact {
 			ParityOK: parity, Speedup: speedup, PixelsPerSec: pps,
 			PixelsFilled: 1000, TrianglesDrawn: 500,
 			FixedFrame: telemetry.Summary{Count: 30, P50ns: 1, P99ns: 2, Maxns: 2},
-		},
-	}
-}
-
-func syntheticPipeline(p50, encoded int64) PipelineArtifact {
-	return PipelineArtifact{
-		V: telemetry.BenchVersion, Kind: telemetry.BenchKindPipeline,
-		Scenario: DefaultScenario(30),
-		Results: PipelineResults{
-			Total:        telemetry.Summary{Count: 30, P50ns: p50, P99ns: p50 * 2, Maxns: p50 * 2},
-			EncodedBytes: encoded,
 		},
 	}
 }
@@ -240,28 +180,6 @@ func TestCheckRasterThresholds(t *testing.T) {
 		t.Errorf("throughput cliff not flagged: %v", v)
 	}
 	if v := CheckRaster(syntheticRaster(true, 3.5, 2.5e7), &base); len(v) != 0 {
-		t.Errorf("within-noise slowdown flagged: %v", v)
-	}
-}
-
-func TestCheckPipelineThresholds(t *testing.T) {
-	good := syntheticPipeline(1_000_000, 4096)
-	if v := CheckPipeline(good, nil); len(v) != 0 {
-		t.Errorf("clean run flagged: %v", v)
-	}
-	base := syntheticPipeline(1_000_000, 4096)
-	if v := CheckPipeline(good, &base); len(v) != 0 {
-		t.Errorf("clean run flagged against equal baseline: %v", v)
-	}
-	if v := CheckPipeline(syntheticPipeline(1_000_000, 0), nil); len(v) != 1 ||
-		!strings.Contains(v[0], "encode") {
-		t.Errorf("empty encode not flagged: %v", v)
-	}
-	if v := CheckPipeline(syntheticPipeline(9_000_000, 4096), &base); len(v) != 1 ||
-		!strings.Contains(v[0], "latency") {
-		t.Errorf("latency cliff not flagged: %v", v)
-	}
-	if v := CheckPipeline(syntheticPipeline(7_000_000, 4096), &base); len(v) != 0 {
 		t.Errorf("within-noise slowdown flagged: %v", v)
 	}
 }

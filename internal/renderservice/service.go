@@ -102,9 +102,6 @@ func New(cfg Config) *Service {
 // Name returns the service name.
 func (s *Service) Name() string { return s.cfg.Name }
 
-// Telemetry returns the service's metrics registry (never nil).
-func (s *Service) Telemetry() *telemetry.Registry { return s.cfg.Metrics }
-
 // Session is one render session: a scene replica plus camera. If several
 // users view the same data-service session, they share one Session ("a
 // single copy of the data are stored in the render service to save
@@ -194,17 +191,6 @@ func (s *Service) SessionNamed(name string) (*Session, bool) {
 	}
 	sess, ok := s.sessions[name]
 	return sess, ok
-}
-
-// Sessions lists live session names.
-func (s *Service) Sessions() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for n := range s.sessions {
-		out = append(out, n)
-	}
-	return out
 }
 
 // ApplyOp applies one scene update to the replica.

@@ -43,10 +43,6 @@ const (
 	// (BENCH_raster.json): fixed-point core frame quantiles, pixels/sec,
 	// speedup over the float reference core, and band utilization.
 	BenchKindRaster = "raster"
-	// BenchKindPipeline is a ravebench render→composite→encode run
-	// (BENCH_pipeline.json): end-to-end frame quantiles with per-stage
-	// breakdown. Same envelope shape as raster, different scenario.
-	BenchKindPipeline = "pipeline"
 )
 
 // BenchArtifact is the common envelope of a BENCH_*.json file: the

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -39,12 +38,4 @@ func WriteText(w io.Writer, snap Snapshot) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON renders a snapshot as indented JSON. Metrics are sorted in
-// the snapshot, so the output is deterministic.
-func WriteJSON(w io.Writer, snap Snapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snap)
 }

@@ -105,14 +105,6 @@ func (g *Gauge) Set(n int64) {
 	g.v.Store(n)
 }
 
-// Add adjusts the gauge by delta (possibly negative).
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -147,16 +139,6 @@ func (h *Histogram) Observe(d time.Duration) {
 		h.max = ns
 	}
 	h.mu.Unlock()
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
 }
 
 // Registry holds all time series for a process (or, in tests, for a
@@ -302,14 +284,6 @@ func (m Metric) Quantile(q float64) time.Duration {
 		}
 	}
 	return time.Duration(m.MaxNanos)
-}
-
-// Mean returns the mean observation of a histogram metric.
-func (m Metric) Mean() time.Duration {
-	if m.Count == 0 {
-		return 0
-	}
-	return time.Duration(m.SumNanos / m.Count)
 }
 
 // Snapshot copies every series into a sorted, timestamped Snapshot.

@@ -166,17 +166,6 @@ func (t *Tracer) Spans() []Span {
 	return out
 }
 
-// Reset discards all recorded spans (the ID counter keeps counting, so
-// IDs stay unique across resets).
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = nil
-	t.mu.Unlock()
-}
-
 // Tree is a span with its children, as assembled by BuildTrees.
 type Tree struct {
 	Span     Span

@@ -147,6 +147,11 @@ const headerSize = 12
 // ~250 MB; leave headroom).
 const MaxPayload = 1 << 30
 
+// eagerPayload is the largest payload Receive allocates on the header's
+// word alone. A longer one grows as its bytes arrive, so twelve bytes
+// claiming MaxPayload cost the receiver this much, not a gigabyte.
+const eagerPayload = 16 << 20
+
 // Typed framing errors, so recovery code can tell a desynced or corrupted
 // stream (reconnect and resync) from a clean shutdown (io.EOF).
 var (
@@ -314,8 +319,13 @@ func (c *Conn) Receive() (MsgType, []byte, error) {
 		return 0, nil, c.wrapPeer("receive", fmt.Errorf("%w: %d bytes", ErrTooLarge, n))
 	}
 	sum := binary.BigEndian.Uint32(hdr[8:])
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(c.rw, payload); err != nil {
+	payload := make([]byte, min(int(n), eagerPayload))
+	_, err := io.ReadFull(c.rw, payload)
+	for have := len(payload); err == nil && have < int(n); have = len(payload) {
+		payload = append(payload, make([]byte, min(int(n)-have, have))...)
+		_, err = io.ReadFull(c.rw, payload[have:])
+	}
+	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return 0, nil, c.wrapPeer("receive", fmt.Errorf("%w: stream ended inside %s payload", ErrTruncated, t))
 		}
@@ -365,12 +375,6 @@ type Hello struct {
 	// MsgResumeOK + the op tail when its history covers the gap, or
 	// falls back to a full MsgSceneSnapshot bootstrap when it does not.
 	SinceVersion uint64 `json:"since_version,omitempty"`
-	// Trace, when true, announces that the subscriber understands the
-	// optional binary trace header on marshalled op messages (see
-	// marshal.AppendTraceHeader). Services only prepend the header for
-	// subscribers that negotiated it; JSON control messages need no
-	// negotiation because unknown fields are skipped on decode.
-	Trace bool `json:"trace,omitempty"`
 	// Region is the subscriber's locality ("region" or "region/zone"),
 	// letting the service classify bootstrap traffic as in-region or
 	// cross-region. Empty means unknown and is treated as local.

@@ -87,11 +87,3 @@ func (r *Registry) DegradedNodes(now time.Time) []string {
 	sort.Strings(out)
 	return out
 }
-
-// DropHealth removes a node's row (clean shutdown). Unknown rows are a
-// no-op — drops race lapses by design.
-func (r *Registry) DropHealth(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.health, name)
-}

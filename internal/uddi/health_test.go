@@ -74,10 +74,6 @@ func TestHealthRecovery(t *testing.T) {
 	if got := r.DegradedNodes(clk.Now()); len(got) != 1 || got[0] != "n2" {
 		t.Fatalf("after recovery: %v, want [n2]", got)
 	}
-	r.DropHealth("n2")
-	if got := r.DegradedNodes(clk.Now()); len(got) != 0 {
-		t.Fatalf("after drop: %v, want []", got)
-	}
 }
 
 // TestHealthSOAPRoundTrip: the report/query/degraded ops survive the

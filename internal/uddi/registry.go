@@ -295,10 +295,3 @@ func (r *Registry) Dump() []Entry {
 	})
 	return out
 }
-
-// Stats reports entity counts.
-func (r *Registry) Stats() (tmodels, businesses, services, bindings int) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.tmodels), len(r.businesses), len(r.services), len(r.bindings)
-}

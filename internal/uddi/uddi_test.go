@@ -129,10 +129,6 @@ func TestRegistryDumpMirrorsFigure4(t *testing.T) {
 	if len(entries[0].TModels) != 1 {
 		t.Errorf("tmodels: %+v", entries[0])
 	}
-	tm, bz, sv, bd := r.Stats()
-	if tm != 2 || bz != 2 || sv != 3 || bd != 3 {
-		t.Errorf("stats: %d %d %d %d", tm, bz, sv, bd)
-	}
 }
 
 // newTestRegistry spins up a SOAP-fronted registry over HTTP.
