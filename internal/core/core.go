@@ -6,7 +6,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -184,9 +183,10 @@ func (h *SocketHandle) Capacity() (transport.CapacityReport, error) {
 // the budget the data service planned with; the caller's span context
 // rides along so the remote render span joins the frame's trace tree.
 func (h *SocketHandle) Render(job dataservice.RenderJob) (compositor.Tile, error) {
-	var snap bytes.Buffer
+	var snap []byte
 	if job.Scene != nil {
-		if err := marshal.WriteScene(&snap, job.Scene); err != nil {
+		var err error
+		if snap, err = marshal.AppendScene(nil, job.Scene); err != nil {
 			return compositor.Tile{}, err
 		}
 	}
@@ -206,7 +206,7 @@ func (h *SocketHandle) Render(job dataservice.RenderJob) (compositor.Tile, error
 		if err != nil {
 			return compositor.Tile{}, err
 		}
-		if err := h.conn.Send(transport.MsgSceneSnapshot, snap.Bytes()); err != nil {
+		if err := h.conn.Send(transport.MsgSceneSnapshot, snap); err != nil {
 			return compositor.Tile{}, err
 		}
 	} else {
@@ -233,7 +233,7 @@ func (h *SocketHandle) Render(job dataservice.RenderJob) (compositor.Tile, error
 	if err != nil {
 		return compositor.Tile{}, err
 	}
-	tile.FB, err = marshal.ReadFrame(bytes.NewReader(payload))
+	tile.FB, err = marshal.DecodeFrame(payload)
 	return tile, err
 }
 

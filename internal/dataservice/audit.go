@@ -1,7 +1,6 @@
 package dataservice
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -35,43 +34,34 @@ func NewRecorder(w io.Writer, base *scene.Scene) (*Recorder, error) {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return nil, fmt.Errorf("dataservice: audit header: %w", err)
 	}
-	var buf bytes.Buffer
-	if err := marshal.WriteScene(&buf, base); err != nil {
+	snap, err := marshal.AppendScene(nil, base)
+	if err != nil {
 		return nil, err
 	}
 	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(buf.Len()))
+	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(snap)))
 	if _, err := w.Write(lenBuf[:]); err != nil {
 		return nil, err
 	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	if _, err := w.Write(snap); err != nil {
 		return nil, err
 	}
 	return &Recorder{w: w}, nil
 }
 
-// Append records one op with its wall-clock (or virtual) timestamp.
-func (r *Recorder) Append(op scene.Op, at time.Time) error {
+// Append records one op, as its marshal encoding, with its wall-clock
+// (or virtual) timestamp.
+func (r *Recorder) Append(op []byte, at time.Time) error {
 	if r.err != nil {
 		return r.err
 	}
-	var buf bytes.Buffer
-	if err := marshal.WriteOp(&buf, op); err != nil {
-		r.err = err
-		return err
-	}
 	var hdr [12]byte
 	binary.BigEndian.PutUint64(hdr[:8], uint64(at.UnixNano()))
-	binary.BigEndian.PutUint32(hdr[8:], uint32(buf.Len()))
-	if _, err := r.w.Write(hdr[:]); err != nil {
-		r.err = err
-		return err
+	binary.BigEndian.PutUint32(hdr[8:], uint32(len(op)))
+	if _, r.err = r.w.Write(hdr[:]); r.err == nil {
+		_, r.err = r.w.Write(op)
 	}
-	if _, err := r.w.Write(buf.Bytes()); err != nil {
-		r.err = err
-		return err
-	}
-	return nil
+	return r.err
 }
 
 // StartRecording attaches an audit recorder to the session; every
@@ -130,7 +120,7 @@ func ReadRecording(r io.Reader) (*Recording, error) {
 	if _, err := io.ReadFull(r, snap); err != nil {
 		return nil, err
 	}
-	base, err := marshal.ReadScene(bytes.NewReader(snap))
+	base, err := marshal.DecodeScene(snap)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +142,7 @@ func ReadRecording(r io.Reader) (*Recording, error) {
 		if _, err := io.ReadFull(r, opBytes); err != nil {
 			return nil, err
 		}
-		op, err := marshal.ReadOp(bytes.NewReader(opBytes))
+		op, err := marshal.DecodeOp(opBytes)
 		if err != nil {
 			return nil, err
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/marshal"
 	"repro/internal/mathx"
 	"repro/internal/netsim"
 	"repro/internal/scene"
@@ -56,7 +57,8 @@ func recordThroughFaults(t *testing.T, faults *netsim.Faults) []byte {
 		}
 		for i := 0; i < 2; i++ {
 			op := &scene.SetTransformOp{ID: id, Transform: mathx.Translate(mathx.V3(float64(i), 0, 0))}
-			if rec.Append(op, time.Unix(int64(i), 0)) != nil {
+			enc, err := marshal.AppendOp(nil, op)
+			if err != nil || rec.Append(enc, time.Unix(int64(i), 0)) != nil {
 				return
 			}
 		}

@@ -200,7 +200,7 @@ func standbyFollower(t *testing.T, dial func() net.Conn, conns int) (uint64, err
 // is a real session: an op frame that is the primary's next version is
 // committed, so the session's own fan-out delivers it; any other op
 // frame is a delivery the fan-out made early, late or twice, replayed by
-// calling SendOpVer as the fan-out does. A connection is one attach; a
+// calling SendUpdate as the fan-out does. A connection is one attach; a
 // dropped link is a Detach with the backup keeping its copy.
 func mirrorFollower(t *testing.T, row conformanceRow) (uint64, error) {
 	primary, err := dataservice.New(dataservice.Config{Name: "primary"}).CreateSession("s")
@@ -247,7 +247,7 @@ func mirrorFollower(t *testing.T, row conformanceRow) (uint64, error) {
 			case f.v == primary.Version()+1:
 				err = commitThrough(f.v)
 			default:
-				err = m.SendOpVer(opFor(f.v), f.v)
+				err = m.SendUpdate(dataservice.Update{Op: opFor(f.v), Version: f.v})
 			}
 			if err != nil {
 				return 0, err

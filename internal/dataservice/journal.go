@@ -24,14 +24,15 @@ type journalSink struct {
 	log *wal.Log
 }
 
-// append journals one just-applied op. Caller holds sess.mu; the scene
-// version has already been bumped by ApplyOp. The append — including
-// the fsync inside wal.Log.Append — is timed on the session clock so
-// the wal_append_ns histogram exposes commit-path stalls.
-func (j *journalSink) append(sess *Session, op scene.Op) error {
+// append journals one just-applied op from its commit's encoding (rec,
+// behind wal.RecordRoom). Caller holds sess.mu; the scene version has
+// already been bumped by ApplyOp. The append — including the fsync
+// inside wal.Log.AppendEncoded — is timed on the session clock so the
+// wal_append_ns histogram exposes commit-path stalls.
+func (j *journalSink) append(sess *Session, rec []byte) error {
 	cfg := sess.svc.cfg
 	start := cfg.Clock.Now()
-	err := j.log.Append(op, sess.scene.Version, start, func() *scene.Scene {
+	err := j.log.AppendEncoded(rec, sess.scene.Version, start, func() *scene.Scene {
 		return sess.scene.Clone()
 	})
 	cfg.Metrics.Histogram(cfg.Name, "wal_append_ns", "").Observe(cfg.Clock.Now().Sub(start))

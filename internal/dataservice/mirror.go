@@ -21,7 +21,7 @@ import (
 // serving — same name, same scene, same version.
 //
 // The mirror is the in-process transport of the op-stream follower: the
-// primary's fan-out calls SendOpVer from whichever goroutine committed,
+// primary's fan-out calls SendUpdate from whichever goroutine committed,
 // so ops can arrive before the bootstrap has been installed or ahead of
 // a slower sibling, and a follow.Sequencer (under mu) puts them in
 // version order.
@@ -148,11 +148,7 @@ func (m *Mirror) bootstrap(ops []ReplayOp, snapshot *scene.Scene, version uint64
 // stayed in-region or crossed regions. The partition chaos scenario
 // asserts the cross series stays flat while a region is cut.
 func (sess *Session) countBootstrapBytes(sc *scene.Scene, toRegion string) {
-	var cw marshal.CountWriter
-	if err := marshal.WriteScene(&cw, sc); err != nil {
-		return // accounting only; the real transfer reports its own error
-	}
-	sess.noteBootstrapBytes(cw.N, toRegion)
+	sess.noteBootstrapBytes(int64(marshal.SceneSize(sc)), toRegion)
 }
 
 // noteBootstrapBytes charges n bootstrap bytes shipped toward toRegion
@@ -166,23 +162,21 @@ func (sess *Session) noteBootstrapBytes(n int64, toRegion string) {
 	}
 }
 
-// SendOp implements Subscriber; the fan-out prefers SendOpVer. An
-// unversioned op cannot be ordered against the copy, so it is refused.
-func (m *Mirror) SendOp(op scene.Op) error {
-	return fmt.Errorf("dataservice: mirror follows the versioned op stream only")
-}
-
-// SendOpVer implements VersionedSubscriber: replicate the op onto the
-// backup in version order. A failure is sticky — the copy can no longer
-// be trusted to converge (see AckedVersion).
-func (m *Mirror) SendOpVer(op scene.Op, version uint64) error {
+// SendUpdate implements Subscriber: replicate the op onto the backup in
+// version order. An interest-filtered stream cannot be ordered against
+// the copy, so it is refused. A failure is sticky — the copy can no
+// longer be trusted to converge (see AckedVersion).
+func (m *Mirror) SendUpdate(u Update) error {
+	if u.Filtered {
+		return fmt.Errorf("dataservice: mirror follows the versioned op stream only")
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.promoted {
 		return fmt.Errorf("dataservice: mirror already promoted")
 	}
 	if m.applyErr == nil {
-		m.applyErr = m.seq.Offer(version, op)
+		m.applyErr = m.seq.Offer(u.Version, u.Op)
 	}
 	return m.applyErr
 }

@@ -115,7 +115,7 @@ func TestMirrorFailover(t *testing.T) {
 	}
 	// Post-promotion ops from the (zombie) primary are refused by the
 	// mirror rather than silently applied.
-	if err := m.SendOp(&scene.SetNameOp{ID: scene.RootID, Name: "zombie"}); err == nil {
+	if err := m.SendUpdate(Update{Op: &scene.SetNameOp{ID: scene.RootID, Name: "zombie"}, Version: promoted.Version() + 1}); err == nil {
 		t.Error("zombie primary op accepted after promotion")
 	}
 	// The promoted session is discoverable on the backup service.

@@ -9,13 +9,13 @@
 package dataservice
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"sync"
 
+	"repro/internal/dataservice/wal"
 	"repro/internal/geom"
 	"repro/internal/geom/objply"
 	"repro/internal/marshal"
@@ -31,20 +31,27 @@ import (
 // render-capable clients implement this; the socket adapter in this
 // package bridges it onto a transport.Conn.
 type Subscriber interface {
-	// SendOp delivers one scene update.
-	SendOp(op scene.Op) error
+	// SendUpdate delivers one committed scene update.
+	SendUpdate(u Update) error
 	// SendCamera delivers a shared-camera change.
 	SendCamera(cam transport.CameraState) error
 }
 
-// VersionedSubscriber is optionally implemented by subscribers that can
-// carry the authoritative scene version with each op (MsgSceneOpVer on
-// the wire), letting replicas detect dropped updates and resync. The
-// fan-out prefers it over plain SendOp.
-type VersionedSubscriber interface {
-	// SendOpVer delivers one scene update tagged with the authoritative
-	// version it produced.
-	SendOpVer(op scene.Op, version uint64) error
+// Update is one committed op on its way to a subscriber: the op for a
+// follower in this process, and for a socket the op's wire bytes, which
+// the commit encoded once for its journal and every subscriber alike.
+type Update struct {
+	Op scene.Op
+	// Version is the authoritative scene version the op produced.
+	Version uint64
+	// Filtered marks delivery to an interest-filtered subscriber. Such a
+	// stream misses ops by design, so it carries no version tags (a gap
+	// there is not a fault) and cannot feed a follower that orders by
+	// version.
+	Filtered bool
+	// Wire is Op's marshal encoding, shared with the commit's other
+	// consumers: read-only.
+	Wire []byte
 }
 
 // Config configures a data service.
@@ -372,52 +379,20 @@ func (sess *Session) ApplyReplicated(op scene.Op, origin string) error {
 }
 
 func (sess *Session) applyUpdate(op scene.Op, origin string, replicated bool) error {
-	sess.mu.Lock()
-	if sess.readOnly && !replicated {
-		sess.mu.Unlock()
-		return fmt.Errorf("%w: session %q", ErrReadOnly, sess.Name)
-	}
-	if err := sess.scene.ApplyOp(op); err != nil {
-		sess.mu.Unlock()
+	// The op is encoded once, before the lock, behind room for the
+	// journal's record header: the audit trail, the journal and every
+	// subscriber are handed these bytes.
+	rec, err := marshal.AppendOp(make([]byte, wal.RecordRoom), op)
+	if err != nil {
 		return err
 	}
-	if sess.recorder != nil {
-		if err := sess.recorder.Append(op, sess.svc.cfg.Clock.Now()); err != nil {
-			sess.mu.Unlock()
-			return fmt.Errorf("dataservice: audit append: %w", err)
-		}
+	version, targets, err := sess.commit(op, rec, origin, replicated)
+	if err != nil {
+		return err
 	}
-	if sess.journal != nil {
-		if err := sess.journal.append(sess, op); err != nil {
-			sess.mu.Unlock()
-			return fmt.Errorf("%w: append: %w", ErrJournalFault, err)
-		}
-	}
-	version := sess.scene.Version
-	sess.history.push(version, op)
-	type target struct {
-		name string
-		sub  Subscriber
-		// Interest-filtered subscribers miss ops by design, so their
-		// stream carries no version tags (a gap there is not a fault).
-		filtered bool
-	}
-	var targets []target
-	for name, sub := range sess.subscribers {
-		if name != origin && sess.wantsOp(name, op) {
-			targets = append(targets, target{name, sub, sess.interests[name] != nil})
-		}
-	}
-	sess.mu.Unlock()
-
 	var firstErr error
 	for _, tg := range targets {
-		var err error
-		if vs, ok := tg.sub.(VersionedSubscriber); ok && !tg.filtered {
-			err = vs.SendOpVer(op, version)
-		} else {
-			err = tg.sub.SendOp(op)
-		}
+		err := tg.sub.SendUpdate(Update{Op: op, Version: version, Filtered: tg.filtered, Wire: rec[wal.RecordRoom:]})
 		if err == nil {
 			continue
 		}
@@ -427,6 +402,47 @@ func (sess *Session) applyUpdate(op scene.Op, origin string, replicated bool) er
 		}
 	}
 	return firstErr
+}
+
+// fanoutTarget is one subscriber a commit must reach.
+type fanoutTarget struct {
+	name string
+	sub  Subscriber
+	// Interest-filtered subscribers miss ops by design, so their
+	// stream carries no version tags (a gap there is not a fault).
+	filtered bool
+}
+
+// commit is applyUpdate's locked half: apply, audit, journal (rec is the
+// op's encoding behind wal.RecordRoom), history, and the subscribers to
+// fan out to once the lock is gone.
+func (sess *Session) commit(op scene.Op, rec []byte, origin string, replicated bool) (version uint64, targets []fanoutTarget, err error) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.readOnly && !replicated {
+		return 0, nil, fmt.Errorf("%w: session %q", ErrReadOnly, sess.Name)
+	}
+	if err := sess.scene.ApplyOp(op); err != nil {
+		return 0, nil, err
+	}
+	if sess.recorder != nil {
+		if err := sess.recorder.Append(rec[wal.RecordRoom:], sess.svc.cfg.Clock.Now()); err != nil {
+			return 0, nil, fmt.Errorf("dataservice: audit append: %w", err)
+		}
+	}
+	if sess.journal != nil {
+		if err := sess.journal.append(sess, rec); err != nil {
+			return 0, nil, fmt.Errorf("%w: append: %w", ErrJournalFault, err)
+		}
+	}
+	version = sess.scene.Version
+	sess.history.push(version, op)
+	for name, sub := range sess.subscribers {
+		if name != origin && sess.wantsOp(name, op) {
+			targets = append(targets, fanoutTarget{name, sub, sess.interests[name] != nil})
+		}
+	}
+	return version, targets, nil
 }
 
 // SetCamera updates the shared camera and fans it out (collaborating
@@ -589,42 +605,44 @@ func (sess *Session) SubscriberNames() []string {
 // connSubscriber adapts a transport.Conn into a Subscriber.
 type connSubscriber struct {
 	conn *transport.Conn
+	sess *Session
+	// camMu makes "read the shared camera, send it" one step on this
+	// socket. ServeConn's camera after the bootstrap and a SetCamera
+	// fan-out come from different goroutines; whichever writes last must
+	// not be carrying the older camera.
+	camMu sync.Mutex
 }
 
-// SendOp implements Subscriber.
-func (c *connSubscriber) SendOp(op scene.Op) error {
-	var buf bytes.Buffer
-	if err := marshal.WriteOp(&buf, op); err != nil {
-		return err
+// SendUpdate implements Subscriber: the op travels as MsgSceneOpVer with
+// the authoritative version prefixed, so the replica can detect missed
+// updates on a lossy or recovering link. An interest-filtered stream
+// gets the bare op. Each socket still gets its own versioned copy of the
+// commit's bytes; DESIGN.md "Wire coding" says what keeps it.
+func (c *connSubscriber) SendUpdate(u Update) error {
+	if u.Filtered {
+		return c.conn.Send(transport.MsgSceneOp, u.Wire)
 	}
-	return c.conn.Send(transport.MsgSceneOp, buf.Bytes())
+	return c.conn.Send(transport.MsgSceneOpVer, transport.PackVersioned(u.Version, u.Wire))
 }
 
-// SendOpVer implements VersionedSubscriber: the op travels as
-// MsgSceneOpVer with the authoritative version prefixed, so the replica
-// can detect missed updates on a lossy or recovering link.
-func (c *connSubscriber) SendOpVer(op scene.Op, version uint64) error {
-	var buf bytes.Buffer
-	if err := marshal.WriteOp(&buf, op); err != nil {
-		return err
-	}
-	return c.conn.Send(transport.MsgSceneOpVer, transport.PackVersioned(version, buf.Bytes()))
-}
-
-// SendCamera implements Subscriber.
-func (c *connSubscriber) SendCamera(cam transport.CameraState) error {
-	return c.conn.SendJSON(transport.MsgCameraUpdate, cam)
+// SendCamera implements Subscriber. What goes out is the session's
+// camera as it stands when the socket's turn comes, which is cam or
+// something newer.
+func (c *connSubscriber) SendCamera(transport.CameraState) error {
+	c.camMu.Lock()
+	defer c.camMu.Unlock()
+	return c.conn.SendJSON(transport.MsgCameraUpdate, c.sess.Camera()) //lint:allow lockedio: camMu only orders this socket's camera sends, which queue on the Conn's own write lock anyway
 }
 
 // sendSnapshot ships sc to a subscriber in toRegion as a bootstrap or
 // resync snapshot, charging its size to the bootstrap-bytes series.
 func (sess *Session) sendSnapshot(conn *transport.Conn, sc *scene.Scene, toRegion string) error {
-	var buf bytes.Buffer
-	if err := marshal.WriteScene(&buf, sc); err != nil {
+	snap, err := marshal.AppendScene(nil, sc)
+	if err != nil {
 		return err
 	}
-	sess.noteBootstrapBytes(int64(buf.Len()), toRegion)
-	return conn.Send(transport.MsgSceneSnapshot, buf.Bytes())
+	sess.noteBootstrapBytes(int64(len(snap)), toRegion)
+	return conn.Send(transport.MsgSceneSnapshot, snap)
 }
 
 // ServeConn runs the data-service side of a direct-socket subscription:
@@ -662,7 +680,7 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 		return fmt.Errorf("dataservice: unknown session %q", hello.Session)
 	}
 
-	sub := &connSubscriber{conn: conn}
+	sub := &connSubscriber{conn: conn, sess: sess}
 	ops, snapshot, version, err := sess.SubscribeSince(hello.Name, sub, hello.SinceVersion)
 	if err != nil {
 		conn.SendJSON(transport.MsgError, transport.ErrorInfo{Message: err.Error()})
@@ -680,13 +698,17 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 		if err := conn.SendJSON(transport.MsgResumeOK, transport.ResumeInfo{Version: version, Since: hello.SinceVersion}); err != nil {
 			return err
 		}
+		var wire []byte
 		for _, rop := range ops {
-			if err := sub.SendOpVer(rop.Op, rop.Version); err != nil {
+			if wire, err = marshal.AppendOp(wire[:0], rop.Op); err != nil {
+				return err
+			}
+			if err := sub.SendUpdate(Update{Op: rop.Op, Version: rop.Version, Wire: wire}); err != nil {
 				return err
 			}
 		}
 	}
-	if err := conn.SendJSON(transport.MsgCameraUpdate, sess.Camera()); err != nil {
+	if err := sub.SendCamera(sess.Camera()); err != nil {
 		return err
 	}
 
@@ -702,7 +724,7 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 		case transport.MsgBye:
 			return nil
 		case transport.MsgSceneOp:
-			op, err := marshal.ReadOp(bytes.NewReader(payload))
+			op, err := marshal.DecodeOp(payload)
 			if err != nil {
 				return err
 			}

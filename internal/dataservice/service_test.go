@@ -34,13 +34,13 @@ type recordingSub struct {
 	fail    bool
 }
 
-func (r *recordingSub) SendOp(op scene.Op) error {
+func (r *recordingSub) SendUpdate(u Update) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.fail {
 		return errors.New("sub down")
 	}
-	r.ops = append(r.ops, op)
+	r.ops = append(r.ops, u.Op)
 	return nil
 }
 

@@ -16,10 +16,13 @@ import (
 // last fsync: Crashed() returns a new MemStore holding only the bytes a
 // Sync call made durable.
 type MemStore struct {
-	mu      sync.Mutex
-	active  []byte
-	synced  int // prefix of active guaranteed durable
-	pending []byte
+	mu sync.Mutex
+	// A segment is the chunks written to it, one exactly sized copy per
+	// Write: a journal that grows by a mesh per commit is never
+	// reallocated and copied to make room for the next.
+	active  [][]byte
+	synced  int // prefix of active guaranteed durable, in bytes
+	pending [][]byte
 	exists  bool
 	hasPend bool
 	syncErr error // injected fault: fail the next syncs
@@ -48,7 +51,7 @@ func (m *MemStore) FailPromotes(err error) {
 func (m *MemStore) Bytes() []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]byte(nil), m.active...)
+	return bytes.Join(m.active, nil)
 }
 
 // Crashed returns a new store as a crash would leave this one: only the
@@ -57,7 +60,7 @@ func (m *MemStore) Bytes() []byte {
 func (m *MemStore) Crashed() *MemStore {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return &MemStore{active: append([]byte(nil), m.active[:m.synced]...), synced: m.synced, exists: m.exists}
+	return &MemStore{active: [][]byte{bytes.Join(m.active, nil)[:m.synced]}, synced: m.synced, exists: m.exists}
 }
 
 // Open implements Store.
@@ -67,7 +70,7 @@ func (m *MemStore) Open() (io.ReadCloser, error) {
 	if !m.exists {
 		return nil, fmt.Errorf("wal: no active segment: %w", fs.ErrNotExist)
 	}
-	return io.NopCloser(bytes.NewReader(append([]byte(nil), m.active...))), nil
+	return io.NopCloser(bytes.NewReader(bytes.Join(m.active, nil))), nil
 }
 
 // Append implements Store.
@@ -98,11 +101,19 @@ func (m *MemStore) Promote() error {
 		return fmt.Errorf("wal: no replacement segment to promote")
 	}
 	m.active = m.pending
-	m.synced = len(m.pending) // Promote is atomic in the model
+	m.synced = segLen(m.pending) // Promote is atomic in the model
 	m.pending = nil
 	m.hasPend = false
 	m.exists = true
 	return nil
+}
+
+// segLen is a segment's length in bytes.
+func segLen(chunks [][]byte) (n int) {
+	for _, c := range chunks {
+		n += len(c)
+	}
+	return n
 }
 
 // memSeg is one open segment handle on a MemStore.
@@ -119,9 +130,9 @@ func (s *memSeg) Write(p []byte) (int, error) {
 		return 0, fmt.Errorf("wal: write on closed segment")
 	}
 	if s.replace {
-		s.store.pending = append(s.store.pending, p...)
+		s.store.pending = append(s.store.pending, bytes.Clone(p))
 	} else {
-		s.store.active = append(s.store.active, p...)
+		s.store.active = append(s.store.active, bytes.Clone(p))
 	}
 	return len(p), nil
 }
@@ -133,7 +144,7 @@ func (s *memSeg) Sync() error {
 		return s.store.syncErr
 	}
 	if !s.replace {
-		s.store.synced = len(s.store.active)
+		s.store.synced = segLen(s.store.active)
 	}
 	return nil
 }

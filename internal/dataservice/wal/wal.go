@@ -23,7 +23,6 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -110,19 +109,23 @@ type Store interface {
 	Promote() error
 }
 
-// writeRecord frames one record as a single Write (header + body), so a
-// crash or injected fault tears whole records, never interleavings.
-func writeRecord(w io.Writer, tag byte, version uint64, at time.Time, body []byte) error {
+// RecordRoom is the headroom a record's header takes in front of its
+// body: AppendEncoded's rec carries an op's encoding behind this much.
+const RecordRoom = recHeaderSize
+
+// writeRecord frames rec — RecordRoom bytes of headroom, then the body —
+// in place and writes it as a single Write (header + body), so a crash
+// or injected fault tears whole records, never interleavings.
+func writeRecord(w io.Writer, tag byte, version uint64, at time.Time, rec []byte) error {
+	body := rec[recHeaderSize:]
 	if len(body) > maxRecord {
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(body))
 	}
-	rec := make([]byte, recHeaderSize+len(body))
 	rec[0] = tag
 	binary.BigEndian.PutUint64(rec[1:], version)
 	binary.BigEndian.PutUint64(rec[9:], uint64(at.UnixNano()))
 	binary.BigEndian.PutUint32(rec[17:], uint32(len(body)))
 	binary.BigEndian.PutUint32(rec[21:], crc32.ChecksumIEEE(body))
-	copy(rec[recHeaderSize:], body)
 	if _, err := w.Write(rec); err != nil {
 		return fmt.Errorf("wal: write record: %w", err)
 	}
@@ -138,6 +141,7 @@ type Log struct {
 	seg     WriteSyncCloser
 	err     error // sticky: a failed append poisons the log
 	version uint64
+	enc     []byte // Append's encode buffer, reused from op to op
 
 	// CompactEvery triggers checkpoint compaction after this many ops
 	// since the last checkpoint (0 = never compact automatically).
@@ -174,12 +178,12 @@ func (l *Log) rewrite(base *scene.Scene, version uint64, at time.Time) error {
 		seg.Close()
 		return fmt.Errorf("wal: write header: %w", err)
 	}
-	var buf bytes.Buffer
-	if err := marshal.WriteScene(&buf, base); err != nil {
+	rec, err := marshal.AppendScene(make([]byte, recHeaderSize), base)
+	if err != nil {
 		seg.Close()
 		return err
 	}
-	if err := writeRecord(seg, tagCheckpoint, version, at, buf.Bytes()); err != nil {
+	if err := writeRecord(seg, tagCheckpoint, version, at, rec); err != nil {
 		seg.Close()
 		return err
 	}
@@ -203,13 +207,31 @@ func (l *Log) rewrite(base *scene.Scene, version uint64, at time.Time) error {
 	return nil
 }
 
-// Append commits one op at the version it produced. The record is
-// synced before Append returns (fsync-on-commit): once Append reports
-// success the op survives any crash. snapshot is consulted only when a
-// compaction threshold is crossed; it must return the scene at exactly
-// the version just appended (the data service passes its authoritative
-// scene under the session lock). A nil snapshot defers compaction.
+// Append encodes op and commits it with AppendEncoded. The data service
+// does not come through here: its commit already holds the op's bytes.
 func (l *Log) Append(op scene.Op, version uint64, at time.Time, snapshot func() *scene.Scene) error {
+	if l.err != nil {
+		return l.err
+	}
+	rec, err := marshal.AppendOp(append(l.enc[:0], make([]byte, RecordRoom)...), op)
+	if err != nil {
+		l.err = err
+		return err
+	}
+	l.enc = rec
+	return l.AppendEncoded(rec, version, at, snapshot)
+}
+
+// AppendEncoded commits one op — rec[RecordRoom:] is its marshal
+// encoding — at the version it produced. The record header is written
+// into rec[:RecordRoom] and rec goes to the segment as it stands; it is
+// not retained. The record is synced before AppendEncoded returns
+// (fsync-on-commit): once it reports success the op survives any crash.
+// snapshot is consulted only when a compaction threshold is crossed; it
+// must return the scene at exactly the version just appended (the data
+// service passes its authoritative scene under the session lock). A nil
+// snapshot defers compaction.
+func (l *Log) AppendEncoded(rec []byte, version uint64, at time.Time, snapshot func() *scene.Scene) error {
 	if l.err != nil {
 		return l.err
 	}
@@ -217,12 +239,7 @@ func (l *Log) Append(op scene.Op, version uint64, at time.Time, snapshot func() 
 		l.err = fmt.Errorf("wal: append version %d does not follow %d", version, l.version)
 		return l.err
 	}
-	var buf bytes.Buffer
-	if err := marshal.WriteOp(&buf, op); err != nil {
-		l.err = err
-		return err
-	}
-	if err := writeRecord(l.seg, tagOp, version, at, buf.Bytes()); err != nil {
+	if err := writeRecord(l.seg, tagOp, version, at, rec); err != nil {
 		l.err = err
 		return err
 	}
@@ -353,7 +370,7 @@ func Scan(r io.Reader) (*Recovered, error) {
 			if version != rec.Version+1 {
 				return nil, fmt.Errorf("%w: op version %d does not follow %d", ErrLogCorrupt, version, rec.Version)
 			}
-			op, err := marshal.ReadOp(bytes.NewReader(body))
+			op, err := marshal.DecodeOp(body)
 			if err != nil {
 				// The CRC matched, so the writer itself journaled garbage.
 				return nil, fmt.Errorf("%w: decode op %d: %w", ErrLogCorrupt, version, err)
@@ -401,7 +418,7 @@ func readCheckpoint(r io.Reader) (*Recovered, error) {
 	if tag != tagCheckpoint {
 		return nil, fmt.Errorf("%w: %w", ErrLogCorrupt, ErrNoCheckpoint)
 	}
-	base, err := marshal.ReadScene(bytes.NewReader(body))
+	base, err := marshal.DecodeScene(body)
 	if err != nil {
 		return nil, fmt.Errorf("%w: decode checkpoint: %w", ErrLogCorrupt, err)
 	}

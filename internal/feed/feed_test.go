@@ -202,7 +202,7 @@ func TestStepValidation(t *testing.T) {
 // countingSub counts delivered ops.
 type countingSub struct{ ops, cams int }
 
-func (c *countingSub) SendOp(scene.Op) error { c.ops++; return nil }
+func (c *countingSub) SendUpdate(dataservice.Update) error { c.ops++; return nil }
 func (c *countingSub) SendCamera(transport.CameraState) error {
 	c.cams++
 	return nil

@@ -9,7 +9,6 @@
 package follow
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -239,7 +238,7 @@ func (s *Stream) Run(ctx context.Context) (bootstrapped bool, err error) {
 func (s *Stream) handle(t transport.MsgType, payload []byte, bootstrapped bool) (landed bool, err error) {
 	switch t {
 	case transport.MsgSceneSnapshot:
-		sc, err := marshal.ReadScene(bytes.NewReader(payload))
+		sc, err := marshal.DecodeScene(payload)
 		if err != nil {
 			return false, err
 		}
@@ -259,7 +258,7 @@ func (s *Stream) handle(t transport.MsgType, payload []byte, bootstrapped bool) 
 		if err != nil {
 			return false, err
 		}
-		op, err := marshal.ReadOp(bytes.NewReader(body))
+		op, err := marshal.DecodeOp(body)
 		if err != nil {
 			return false, err
 		}
@@ -295,7 +294,7 @@ func (s *Stream) handle(t transport.MsgType, payload []byte, bootstrapped bool) 
 	case t == transport.MsgSceneOp:
 		// Interest-filtered streams skip ops by design and so carry no
 		// versions: nothing to order, apply as it comes.
-		op, err := marshal.ReadOp(bytes.NewReader(payload))
+		op, err := marshal.DecodeOp(payload)
 		if err != nil {
 			return false, err
 		}

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dataservice"
 	"repro/internal/dataservice/wal"
-	"repro/internal/scene"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/uddi"
@@ -203,8 +203,7 @@ func TestDegradedOwnerPromotesAckedPrefix(t *testing.T) {
 // already-promoted mirror does.
 type deafSubscriber struct{}
 
-func (deafSubscriber) SendOp(scene.Op) error                  { return errors.New("closed pipe") }
-func (deafSubscriber) SendOpVer(scene.Op, uint64) error       { return errors.New("closed pipe") }
+func (deafSubscriber) SendUpdate(dataservice.Update) error    { return errors.New("closed pipe") }
 func (deafSubscriber) SendCamera(transport.CameraState) error { return nil }
 
 // TestApplyLoadOpCommittedDespiteFanoutError: an op that is applied,

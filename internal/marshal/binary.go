@@ -9,11 +9,12 @@
 package marshal
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/mathx"
@@ -32,183 +33,234 @@ func (c *CountWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-type writer struct {
-	w   *bufio.Writer
+// encoder appends the wire form to b. The direct entry points grow b by
+// the size pass's exact figure first (AppendOp, AppendScene,
+// AppendFrame), so nothing below reallocates; the introspection encoder
+// starts from nothing and lets append grow it.
+type encoder struct {
+	b   []byte
 	err error
 }
 
-func newWriter(w io.Writer) *writer { return &writer{w: bufio.NewWriterSize(w, 1<<16)} }
+func (e *encoder) u8(v uint8)    { e.b = append(e.b, v) }
+func (e *encoder) u32(v uint32)  { e.b = binary.BigEndian.AppendUint32(e.b, v) }
+func (e *encoder) u64(v uint64)  { e.b = binary.BigEndian.AppendUint64(e.b, v) }
+func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
 
-func (w *writer) u8(v uint8) {
-	if w.err == nil {
-		w.err = w.w.WriteByte(v)
-	}
+func (e *encoder) str(s string) {
+	e.u32(uint32(len(s)))
+	e.b = append(e.b, s...)
 }
 
-func (w *writer) u32(v uint32) {
-	if w.err != nil {
-		return
-	}
-	var buf [4]byte
-	binary.BigEndian.PutUint32(buf[:], v)
-	_, w.err = w.w.Write(buf[:])
-}
+func (e *encoder) vec3(v mathx.Vec3) { e.f64(v.X); e.f64(v.Y); e.f64(v.Z) }
 
-func (w *writer) u64(v uint64) {
-	if w.err != nil {
-		return
-	}
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], v)
-	_, w.err = w.w.Write(buf[:])
-}
-
-func (w *writer) f64(v float64) { w.u64(math.Float64bits(v)) }
-
-func (w *writer) str(s string) {
-	w.u32(uint32(len(s)))
-	if w.err == nil {
-		_, w.err = w.w.WriteString(s)
-	}
-}
-
-func (w *writer) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	if w.err == nil {
-		_, w.err = w.w.Write(b)
-	}
-}
-
-func (w *writer) vec3(v mathx.Vec3) { w.f64(v.X); w.f64(v.Y); w.f64(v.Z) }
-
-func (w *writer) mat4(m mathx.Mat4) {
+func (e *encoder) mat4(m mathx.Mat4) {
 	for _, v := range m {
-		w.f64(v)
+		e.f64(v)
 	}
 }
 
-func (w *writer) vec3Slice(vs []mathx.Vec3) {
-	w.u32(uint32(len(vs)))
+// slab appends an n-element length prefix and returns the n*size bytes
+// after it for the caller's loop to fill.
+func (e *encoder) slab(n, size int) []byte {
+	e.u32(uint32(n))
+	at := len(e.b)
+	e.b = slices.Grow(e.b, n*size)[:at+n*size]
+	return e.b[at:]
+}
+
+func (e *encoder) vec3Slice(vs []mathx.Vec3) {
+	out := e.slab(len(vs), 24)
 	for _, v := range vs {
-		w.vec3(v)
+		_ = out[23]
+		binary.BigEndian.PutUint64(out, math.Float64bits(v.X))
+		binary.BigEndian.PutUint64(out[8:], math.Float64bits(v.Y))
+		binary.BigEndian.PutUint64(out[16:], math.Float64bits(v.Z))
+		out = out[24:]
 	}
 }
 
-func (w *writer) flush() error {
-	if w.err != nil {
-		return w.err
+func (e *encoder) u32Slice(vs []uint32) {
+	out := e.slab(len(vs), 4)
+	for i, v := range vs {
+		binary.BigEndian.PutUint32(out[4*i:], v)
 	}
-	return w.w.Flush()
 }
 
-type reader struct {
-	r   *bufio.Reader
+func (e *encoder) f32Slice(vs []float32) {
+	out := e.slab(len(vs), 4)
+	for i, v := range vs {
+		binary.BigEndian.PutUint32(out[4*i:], math.Float32bits(v))
+	}
+}
+
+// room is where an io.Writer entry point encodes size bytes for out: a
+// bytes.Buffer's own spare capacity, so that the Write that follows
+// allocates and moves nothing, or nil for the encoder to allocate.
+func room(out io.Writer, size int) []byte {
+	if buf, ok := out.(*bytes.Buffer); ok {
+		buf.Grow(size)
+		return buf.AvailableBuffer()
+	}
+	return nil
+}
+
+// flush hands a finished encoding to an io.Writer entry point's writer.
+func flush(out io.Writer, b []byte, err error) error {
+	if err == nil {
+		_, err = out.Write(b)
+	}
+	return err
+}
+
+// decoder walks a received encoding; b is what is left of it. The first
+// failure sticks and every later read returns zero.
+type decoder struct {
+	b   []byte
 	err error
 }
 
-func newReader(r io.Reader) *reader { return &reader{r: bufio.NewReaderSize(r, 1<<16)} }
-
-func (r *reader) fail(err error) {
-	if r.err == nil && err != nil {
-		r.err = err
+func (d *decoder) fail(err error) {
+	if d.err == nil && err != nil {
+		d.err = err
 	}
 }
 
-func (r *reader) u8() uint8 {
-	if r.err != nil {
-		return 0
+// take returns the next n bytes, nil once the input has run out.
+func (d *decoder) take(n int) []byte {
+	if d.err == nil && n > len(d.b) {
+		d.err = io.ErrUnexpectedEOF
 	}
-	b, err := r.r.ReadByte()
-	r.fail(err)
-	return b
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	var buf [4]byte
-	_, err := io.ReadFull(r.r, buf[:])
-	r.fail(err)
-	return binary.BigEndian.Uint32(buf[:])
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	var buf [8]byte
-	_, err := io.ReadFull(r.r, buf[:])
-	r.fail(err)
-	return binary.BigEndian.Uint64(buf[:])
-}
-
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *reader) strN(max int) string {
-	n := int(r.u32())
-	if r.err != nil {
-		return ""
-	}
-	if n < 0 || n > max {
-		r.fail(fmt.Errorf("marshal: string length %d exceeds %d", n, max))
-		return ""
-	}
-	buf := make([]byte, n)
-	_, err := io.ReadFull(r.r, buf)
-	r.fail(err)
-	return string(buf)
-}
-
-func (r *reader) str() string { return r.strN(1 << 20) }
-
-func (r *reader) byteSlice() []byte {
-	n := int(r.u32())
-	if r.err != nil {
+	if d.err != nil {
 		return nil
 	}
-	if n < 0 || n > maxSliceLen {
-		r.fail(fmt.Errorf("marshal: byte slice length %d exceeds %d", n, maxSliceLen))
-		return nil
-	}
-	buf := make([]byte, n)
-	_, err := io.ReadFull(r.r, buf)
-	r.fail(err)
-	return buf
+	out := d.b[:n:n]
+	d.b = d.b[n:]
+	return out
 }
 
-func (r *reader) vec3() mathx.Vec3 { return mathx.V3(r.f64(), r.f64(), r.f64()) }
+// uint reads an n-byte big-endian scalar.
+func (d *decoder) uint(n int) (v uint64) {
+	for _, b := range d.take(n) {
+		v = v<<8 | uint64(b)
+	}
+	return v
+}
 
-func (r *reader) mat4() mathx.Mat4 {
+func (d *decoder) u8() uint8    { return uint8(d.uint(1)) }
+func (d *decoder) u32() uint32  { return uint32(d.uint(4)) }
+func (d *decoder) u64() uint64  { return d.uint(8) }
+func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
+
+// slab reads an element count and returns that many size-byte elements
+// still encoded. A count the format forbids or the bytes left cannot
+// hold fails here, before the caller allocates anything for it.
+func (d *decoder) slab(size, limit int, what string) (n int, raw []byte) {
+	n = int(d.u32())
+	if d.err != nil {
+		return 0, nil
+	}
+	if n < 0 || n > limit {
+		d.fail(fmt.Errorf("marshal: %s length %d exceeds %d", what, n, limit))
+		return 0, nil
+	}
+	return n, d.take(n * size)
+}
+
+func (d *decoder) str() string {
+	_, raw := d.slab(1, 1<<20, "string")
+	return string(raw)
+}
+
+func (d *decoder) vec3() mathx.Vec3 { return mathx.V3(d.f64(), d.f64(), d.f64()) }
+
+func (d *decoder) mat4() mathx.Mat4 {
 	var m mathx.Mat4
-	for i := range m {
-		m[i] = r.f64()
+	if raw := d.take(8 * len(m)); raw != nil {
+		for i := range m {
+			m[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[8*i:]))
+		}
 	}
 	return m
 }
 
-func (r *reader) vec3Slice() []mathx.Vec3 {
-	n := int(r.u32())
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > maxSliceLen/24 {
-		r.fail(fmt.Errorf("marshal: vec3 slice length %d too large", n))
-		return nil
-	}
-	if n == 0 {
+func (d *decoder) vec3Slice() []mathx.Vec3 {
+	n, raw := d.slab(24, maxSliceLen/24, "vec3 slice")
+	if len(raw) == 0 {
 		return nil
 	}
 	out := make([]mathx.Vec3, n)
 	for i := range out {
-		out[i] = r.vec3()
+		_ = raw[23]
+		out[i] = mathx.Vec3{
+			X: math.Float64frombits(binary.BigEndian.Uint64(raw)),
+			Y: math.Float64frombits(binary.BigEndian.Uint64(raw[8:])),
+			Z: math.Float64frombits(binary.BigEndian.Uint64(raw[16:])),
+		}
+		raw = raw[24:]
 	}
 	return out
 }
 
+func (d *decoder) u32Slice(what string) []uint32 {
+	n, raw := d.slab(4, maxSliceLen/4, what)
+	if d.err != nil {
+		return nil
+	}
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = binary.BigEndian.Uint32(raw[4*i:])
+	}
+	return out
+}
+
+// f32s converts raw, n encoded float32s, into out[:n].
+func f32s(out []float32, raw []byte) {
+	for i := range out {
+		out[i] = math.Float32frombits(binary.BigEndian.Uint32(raw[4*i:]))
+	}
+}
+
+// end fails a decode that did not use every byte it was handed: each
+// caller holds exactly one value (a transport payload, a journal or
+// audit record), so leftovers mean a framing fault, not a second value.
+func (d *decoder) end() error {
+	if d.err == nil && len(d.b) != 0 {
+		d.err = fmt.Errorf("marshal: %d trailing bytes", len(d.b))
+	}
+	return d.err
+}
+
+// readAll drains an io.Reader entry point's reader, in one exactly sized
+// read when the reader knows its length (bytes.Reader, bytes.Buffer).
+func readAll(in io.Reader) ([]byte, error) {
+	if l, ok := in.(interface{ Len() int }); ok {
+		b := make([]byte, l.Len())
+		_, err := io.ReadFull(in, b)
+		return b, err
+	}
+	return io.ReadAll(in)
+}
+
 // --- payloads ---
 
-func writePayload(w *writer, p scene.Payload) {
+// payloadSize is the encoded size of p with its kind byte.
+func payloadSize(p scene.Payload) int {
+	switch pl := p.(type) {
+	case *scene.MeshPayload:
+		m := pl.Mesh
+		return 1 + 4*4 + 24*(len(m.Positions)+len(m.Normals)+len(m.Colors)) + 4*len(m.Indices)
+	case *scene.PointsPayload:
+		return 1 + 2*4 + 24*(len(pl.Cloud.Points)+len(pl.Cloud.Colors))
+	case *scene.VoxelsPayload:
+		return 1 + 3*4 + 24 + 8 + 8 + 4 + 4*len(pl.Grid.Data)
+	case *scene.AvatarPayload:
+		return 1 + 4 + len(pl.User) + 24
+	}
+	return 1
+}
+
+func writePayload(w *encoder, p scene.Payload) {
 	if p == nil {
 		w.u8(uint8(scene.KindGroup))
 		return
@@ -218,10 +270,14 @@ func writePayload(w *writer, p scene.Payload) {
 }
 
 // writePayloadBody writes the payload content after the kind byte.
-func writePayloadBody(w *writer, p scene.Payload) {
+func writePayloadBody(w *encoder, p scene.Payload) {
 	switch pl := p.(type) {
 	case *scene.MeshPayload:
-		writeMesh(w, pl.Mesh)
+		m := pl.Mesh
+		w.vec3Slice(m.Positions)
+		w.vec3Slice(m.Normals)
+		w.vec3Slice(m.Colors)
+		w.u32Slice(m.Indices)
 	case *scene.PointsPayload:
 		w.vec3Slice(pl.Cloud.Points)
 		w.vec3Slice(pl.Cloud.Colors)
@@ -233,10 +289,7 @@ func writePayloadBody(w *writer, p scene.Payload) {
 		w.vec3(g.Origin)
 		w.f64(g.Spacing)
 		w.f64(pl.Iso)
-		w.u32(uint32(len(g.Data)))
-		for _, v := range g.Data {
-			w.u32(math.Float32bits(v))
-		}
+		w.f32Slice(g.Data)
 	case *scene.AvatarPayload:
 		w.str(pl.User)
 		w.vec3(pl.Color)
@@ -245,7 +298,7 @@ func writePayloadBody(w *writer, p scene.Payload) {
 	}
 }
 
-func readPayload(r *reader) scene.Payload {
+func readPayload(r *decoder) scene.Payload {
 	kind := scene.Kind(r.u8())
 	if r.err != nil {
 		return nil
@@ -254,29 +307,37 @@ func readPayload(r *reader) scene.Payload {
 	case scene.KindGroup:
 		return nil
 	case scene.KindMesh:
-		return &scene.MeshPayload{Mesh: readMesh(r)}
+		m := &geom.Mesh{
+			Positions: r.vec3Slice(),
+			Normals:   r.vec3Slice(),
+			Colors:    r.vec3Slice(),
+			Indices:   r.u32Slice("index slice"),
+		}
+		if r.err == nil {
+			r.fail(m.Validate())
+		}
+		return &scene.MeshPayload{Mesh: m}
 	case scene.KindPoints:
 		cloud := &geom.PointCloud{Points: r.vec3Slice(), Colors: r.vec3Slice()}
-		r.fail(cloud.Validate())
+		if r.err == nil {
+			r.fail(cloud.Validate())
+		}
 		return &scene.PointsPayload{Cloud: cloud}
 	case scene.KindVoxels:
 		nx, ny, nz := int(r.u32()), int(r.u32()), int(r.u32())
 		origin := r.vec3()
 		spacing := r.f64()
 		iso := r.f64()
-		n := int(r.u32())
+		n, raw := r.slab(4, maxSliceLen/4, "voxel data")
 		if r.err != nil {
 			return nil
 		}
-		if n < 0 || n > maxSliceLen/4 || n != nx*ny*nz {
+		if n != nx*ny*nz {
 			r.fail(fmt.Errorf("marshal: voxel data length %d for %dx%dx%d", n, nx, ny, nz))
 			return nil
 		}
-		data := make([]float32, n)
-		for i := range data {
-			data[i] = math.Float32frombits(r.u32())
-		}
-		grid := &geom.VoxelGrid{NX: nx, NY: ny, NZ: nz, Origin: origin, Spacing: spacing, Data: data}
+		grid := &geom.VoxelGrid{NX: nx, NY: ny, NZ: nz, Origin: origin, Spacing: spacing, Data: make([]float32, n)}
+		f32s(grid.Data, raw)
 		r.fail(grid.Validate())
 		return &scene.VoxelsPayload{Grid: grid, Iso: iso}
 	case scene.KindAvatar:
@@ -287,49 +348,35 @@ func readPayload(r *reader) scene.Payload {
 	}
 }
 
-func writeMesh(w *writer, m *geom.Mesh) {
-	w.vec3Slice(m.Positions)
-	w.vec3Slice(m.Normals)
-	w.vec3Slice(m.Colors)
-	w.u32(uint32(len(m.Indices)))
-	for _, i := range m.Indices {
-		w.u32(i)
-	}
-}
-
-func readMesh(r *reader) *geom.Mesh {
-	m := &geom.Mesh{
-		Positions: r.vec3Slice(),
-		Normals:   r.vec3Slice(),
-		Colors:    r.vec3Slice(),
-	}
-	n := int(r.u32())
-	if r.err != nil {
-		return m
-	}
-	if n < 0 || n > maxSliceLen/4 {
-		r.fail(fmt.Errorf("marshal: index count %d too large", n))
-		return m
-	}
-	m.Indices = make([]uint32, n)
-	for i := range m.Indices {
-		m.Indices[i] = r.u32()
-	}
-	if r.err == nil {
-		r.fail(m.Validate())
-	}
-	return m
-}
-
 // --- scene ---
 
 // sceneMagic guards against decoding garbage as a scene.
 const sceneMagic = 0x52415645 // "RAVE"
 
-// WriteScene serializes a full scene snapshot — what a render service
-// bootstraps from (Table 5's "service bootstrap" payload).
-func WriteScene(out io.Writer, s *scene.Scene) error {
-	w := newWriter(out)
+// nodeFixed is a node's encoding without its name and payload: ID, name
+// length, transform and child count.
+const nodeFixed = 8 + 4 + 128 + 4
+
+// SceneSize is the length of s's encoding, from one pass over its nodes
+// that touches no array.
+func SceneSize(s *scene.Scene) int {
+	var nodeSize func(n *scene.Node) int
+	nodeSize = func(n *scene.Node) int {
+		size := nodeFixed + len(n.Name) + payloadSize(n.Payload)
+		for _, c := range n.Children {
+			size += nodeSize(c)
+		}
+		return size
+	}
+	return 4 + 8 + nodeSize(s.Root)
+}
+
+// AppendScene appends a full scene snapshot — what a render service
+// bootstraps from (Table 5's "service bootstrap" payload) — to dst,
+// growing it once by SceneSize. Callers that send the snapshot leave
+// their header's room in dst and so never copy it.
+func AppendScene(dst []byte, s *scene.Scene) ([]byte, error) {
+	w := encoder{b: slices.Grow(dst, SceneSize(s))}
 	w.u32(sceneMagic)
 	w.u64(s.Version)
 	var writeNode func(n *scene.Node)
@@ -337,53 +384,60 @@ func WriteScene(out io.Writer, s *scene.Scene) error {
 		w.u64(uint64(n.ID))
 		w.str(n.Name)
 		w.mat4(n.Transform)
-		writePayload(w, n.Payload)
+		writePayload(&w, n.Payload)
 		w.u32(uint32(len(n.Children)))
 		for _, c := range n.Children {
 			writeNode(c)
 		}
 	}
 	writeNode(s.Root)
-	return w.flush()
+	return w.b, w.err
 }
 
-// ReadScene reconstructs a scene snapshot.
+// WriteScene writes AppendScene's bytes to out.
+func WriteScene(out io.Writer, s *scene.Scene) error {
+	b, err := AppendScene(room(out, SceneSize(s)), s)
+	return flush(out, b, err)
+}
+
+// ReadScene decodes everything in reads as one scene snapshot.
 func ReadScene(in io.Reader) (*scene.Scene, error) {
-	r := newReader(in)
+	b, err := readAll(in)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeScene(b)
+}
+
+// DecodeScene reconstructs a scene snapshot from exactly b.
+func DecodeScene(b []byte) (*scene.Scene, error) {
+	r := decoder{b: b}
 	if magic := r.u32(); r.err == nil && magic != sceneMagic {
 		return nil, fmt.Errorf("marshal: bad scene magic %#x", magic)
 	}
 	version := r.u64()
 
-	type rawNode struct {
-		node     *scene.Node
-		children uint32
-	}
-	var readNode func() *rawNode
-	readNode = func() *rawNode {
-		if r.err != nil {
-			return nil
-		}
-		n := &scene.Node{
+	readNode := func() (n *scene.Node, children uint32) {
+		n = &scene.Node{
 			ID:        scene.NodeID(r.u64()),
 			Name:      r.str(),
 			Transform: r.mat4(),
-			Payload:   readPayload(r),
+			Payload:   readPayload(&r),
 		}
-		return &rawNode{node: n, children: r.u32()}
+		return n, r.u32()
 	}
 
-	root := readNode()
+	root, rootChildren := readNode()
 	if r.err != nil {
 		return nil, r.err
 	}
-	if root.node.ID != scene.RootID {
-		return nil, fmt.Errorf("marshal: scene root has ID %d", root.node.ID)
+	if root.ID != scene.RootID {
+		return nil, fmt.Errorf("marshal: scene root has ID %d", root.ID)
 	}
 	s := scene.New()
-	s.Root.Name = root.node.Name
-	s.Root.Transform = root.node.Transform
-	s.Root.Payload = root.node.Payload
+	s.Root.Name = root.Name
+	s.Root.Transform = root.Transform
+	s.Root.Payload = root.Payload
 	s.Version = version
 
 	var attachChildren func(parent scene.NodeID, count uint32) error
@@ -392,33 +446,54 @@ func ReadScene(in io.Reader) (*scene.Scene, error) {
 			return fmt.Errorf("marshal: node claims %d children", count)
 		}
 		for i := uint32(0); i < count; i++ {
-			rn := readNode()
+			n, children := readNode()
 			if r.err != nil {
 				return r.err
 			}
-			if err := s.Attach(parent, rn.node); err != nil {
+			if err := s.Attach(parent, n); err != nil {
 				return err
 			}
-			if err := attachChildren(rn.node.ID, rn.children); err != nil {
+			if err := attachChildren(n.ID, children); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := attachChildren(scene.RootID, root.children); err != nil {
+	if err := attachChildren(scene.RootID, rootChildren); err != nil {
 		return nil, err
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.end(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
 // --- ops ---
 
-// WriteOp serializes one update op.
-func WriteOp(out io.Writer, op scene.Op) error {
-	w := newWriter(out)
+// opSize is the length of op's encoding.
+func opSize(op scene.Op) int {
+	switch o := op.(type) {
+	case *scene.AddNodeOp:
+		return 1 + 8 + 8 + 4 + len(o.Name) + 128 + payloadSize(o.Payload)
+	case *scene.SetTransformOp:
+		return 1 + 8 + 128
+	case *scene.SetNameOp:
+		return 1 + 8 + 4 + len(o.Name)
+	case *scene.SetPayloadOp:
+		return 1 + 8 + payloadSize(o.Payload)
+	}
+	return 1 + 8
+}
+
+// AppendOp appends one update op's encoding to dst, growing it once by
+// the op's exact size. A commit encodes its op through here once, behind
+// the room its journal record and transport frame need, and every
+// consumer is handed those bytes.
+func AppendOp(dst []byte, op scene.Op) ([]byte, error) {
+	if op == nil {
+		return dst, fmt.Errorf("marshal: nil op")
+	}
+	w := encoder{b: slices.Grow(dst, opSize(op))}
 	w.u8(uint8(op.Kind()))
 	switch o := op.(type) {
 	case *scene.AddNodeOp:
@@ -426,7 +501,7 @@ func WriteOp(out io.Writer, op scene.Op) error {
 		w.u64(uint64(o.ID))
 		w.str(o.Name)
 		w.mat4(o.Transform)
-		writePayload(w, o.Payload)
+		writePayload(&w, o.Payload)
 	case *scene.RemoveNodeOp:
 		w.u64(uint64(o.ID))
 	case *scene.SetTransformOp:
@@ -437,16 +512,31 @@ func WriteOp(out io.Writer, op scene.Op) error {
 		w.str(o.Name)
 	case *scene.SetPayloadOp:
 		w.u64(uint64(o.ID))
-		writePayload(w, o.Payload)
+		writePayload(&w, o.Payload)
 	default:
-		return fmt.Errorf("marshal: unknown op type %T", op)
+		return dst, fmt.Errorf("marshal: unknown op type %T", op)
 	}
-	return w.flush()
+	return w.b, w.err
 }
 
-// ReadOp deserializes one update op.
+// WriteOp writes AppendOp's bytes to out.
+func WriteOp(out io.Writer, op scene.Op) error {
+	b, err := AppendOp(room(out, opSize(op)), op)
+	return flush(out, b, err)
+}
+
+// ReadOp decodes everything in reads as one update op.
 func ReadOp(in io.Reader) (scene.Op, error) {
-	r := newReader(in)
+	b, err := readAll(in)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeOp(b)
+}
+
+// DecodeOp deserializes one update op from exactly b.
+func DecodeOp(b []byte) (scene.Op, error) {
+	r := decoder{b: b}
 	kind := scene.OpKind(r.u8())
 	if r.err != nil {
 		return nil, r.err
@@ -459,7 +549,7 @@ func ReadOp(in io.Reader) (scene.Op, error) {
 			ID:        scene.NodeID(r.u64()),
 			Name:      r.str(),
 			Transform: r.mat4(),
-			Payload:   readPayload(r),
+			Payload:   readPayload(&r),
 		}
 	case scene.OpRemoveNode:
 		op = &scene.RemoveNodeOp{ID: scene.NodeID(r.u64())}
@@ -468,12 +558,12 @@ func ReadOp(in io.Reader) (scene.Op, error) {
 	case scene.OpSetName:
 		op = &scene.SetNameOp{ID: scene.NodeID(r.u64()), Name: r.str()}
 	case scene.OpSetPayload:
-		op = &scene.SetPayloadOp{ID: scene.NodeID(r.u64()), Payload: readPayload(r)}
+		op = &scene.SetPayloadOp{ID: scene.NodeID(r.u64()), Payload: readPayload(&r)}
 	default:
 		return nil, fmt.Errorf("marshal: unknown op kind %d", kind)
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.end(); err != nil {
+		return nil, err
 	}
 	return op, nil
 }

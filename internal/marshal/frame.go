@@ -6,14 +6,16 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/raster"
 )
 
-// WriteFrame serializes a framebuffer (color + depth) — what one render
-// service sends another for depth compositing under dataset distribution.
-func WriteFrame(out io.Writer, fb *raster.Framebuffer, includeDepth bool) error {
-	w := newWriter(out)
+// AppendFrame appends a framebuffer (color, and depth when asked) to dst,
+// growing it once by the frame's exact size — what one render service
+// sends another for depth compositing under dataset distribution.
+func AppendFrame(dst []byte, fb *raster.Framebuffer, includeDepth bool) []byte {
+	w := encoder{b: slices.Grow(dst, frameSize(fb, includeDepth))}
 	w.u32(uint32(fb.W))
 	w.u32(uint32(fb.H))
 	if includeDepth {
@@ -21,51 +23,76 @@ func WriteFrame(out io.Writer, fb *raster.Framebuffer, includeDepth bool) error 
 	} else {
 		w.u8(0)
 	}
-	w.bytes(fb.Color)
+	copy(w.slab(len(fb.Color), 1), fb.Color)
 	if includeDepth {
-		w.u32(uint32(len(fb.Depth)))
-		for _, d := range fb.Depth {
-			w.u32(math.Float32bits(d))
-		}
+		w.f32Slice(fb.Depth)
 	}
-	return w.flush()
+	return w.b
 }
 
-// ReadFrame deserializes a framebuffer written by WriteFrame. Frames
-// without depth get a cleared (all +Inf) depth plane.
+// frameSize is the length of fb's encoding.
+func frameSize(fb *raster.Framebuffer, includeDepth bool) int {
+	size := 4 + 4 + 1 + 4 + len(fb.Color)
+	if includeDepth {
+		size += 4 + 4*len(fb.Depth)
+	}
+	return size
+}
+
+// WriteFrame writes AppendFrame's bytes to out.
+func WriteFrame(out io.Writer, fb *raster.Framebuffer, includeDepth bool) error {
+	return flush(out, AppendFrame(room(out, frameSize(fb, includeDepth)), fb, includeDepth), nil)
+}
+
+// ReadFrame decodes everything in reads as one framebuffer.
 func ReadFrame(in io.Reader) (*raster.Framebuffer, error) {
-	r := newReader(in)
+	b, err := readAll(in)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeFrame(b)
+}
+
+// DecodeFrame deserializes a framebuffer from exactly b, each plane
+// converted straight into the framebuffer's own. Frames without depth
+// get a cleared (all +Inf) depth plane.
+func DecodeFrame(b []byte) (*raster.Framebuffer, error) {
+	r := decoder{b: b}
 	w := int(r.u32())
 	h := int(r.u32())
-	hasDepth := r.u8() == 1
+	depthFlag := r.u8()
 	if r.err != nil {
 		return nil, r.err
 	}
 	if w <= 0 || h <= 0 || w > 1<<14 || h > 1<<14 {
 		return nil, fmt.Errorf("marshal: frame dimensions %dx%d out of range", w, h)
 	}
-	color := r.byteSlice()
-	if r.err != nil {
-		return nil, r.err
+	if depthFlag > 1 {
+		return nil, fmt.Errorf("marshal: frame depth flag %d", depthFlag)
 	}
-	if len(color) != w*h*3 {
-		return nil, fmt.Errorf("marshal: color plane %d bytes, want %d", len(color), w*h*3)
+	nColor, color := r.slab(1, maxSliceLen, "color plane")
+	if r.err == nil && nColor != w*h*3 {
+		return nil, fmt.Errorf("marshal: color plane %d bytes, want %d", nColor, w*h*3)
 	}
-	fb := raster.NewFramebuffer(w, h)
+	var depth []byte
+	if depthFlag == 1 {
+		var nDepth int
+		nDepth, depth = r.slab(4, maxSliceLen/4, "depth plane")
+		if r.err == nil && nDepth != w*h {
+			return nil, fmt.Errorf("marshal: depth plane %d floats, want %d", nDepth, w*h)
+		}
+	}
+	if err := r.end(); err != nil {
+		return nil, err
+	}
+	fb := &raster.Framebuffer{W: w, H: h, Color: make([]uint8, len(color)), Depth: make([]float32, w*h)}
 	copy(fb.Color, color)
-	if hasDepth {
-		n := int(r.u32())
-		if r.err != nil {
-			return nil, r.err
-		}
-		if n != w*h {
-			return nil, fmt.Errorf("marshal: depth plane %d floats, want %d", n, w*h)
-		}
-		for i := 0; i < n; i++ {
-			fb.Depth[i] = math.Float32frombits(r.u32())
-		}
-		if r.err != nil {
-			return nil, r.err
+	if depthFlag == 1 {
+		f32s(fb.Depth, depth)
+	} else {
+		inf := float32(math.Inf(1))
+		for i := range fb.Depth {
+			fb.Depth[i] = inf
 		}
 	}
 	return fb, nil

@@ -12,7 +12,7 @@ import (
 )
 
 // richScene builds a scene exercising every payload kind.
-func richScene(t *testing.T) *scene.Scene {
+func richScene(t testing.TB) *scene.Scene {
 	t.Helper()
 	s := scene.New()
 	mesh := genmodel.Galleon(800)

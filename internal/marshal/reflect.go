@@ -17,7 +17,7 @@ import (
 // network", §5.5). BenchmarkMarshal* quantifies the gap against the
 // direct encoder.
 func ReflectWriteScene(out io.Writer, s *scene.Scene) error {
-	w := newWriter(out)
+	w := &encoder{}
 	w.u32(sceneMagic)
 	w.u64(s.Version)
 	var writeNode func(n *scene.Node)
@@ -36,29 +36,29 @@ func ReflectWriteScene(out io.Writer, s *scene.Scene) error {
 		}
 	}
 	writeNode(s.Root)
-	return w.flush()
+	return flush(out, w.b, w.err)
 }
 
-func reflectMat4(w *writer, v reflect.Value) {
+func reflectMat4(w *encoder, v reflect.Value) {
 	for i := 0; i < v.Len(); i++ {
 		w.f64(v.Index(i).Float())
 	}
 }
 
-func reflectVec3(w *writer, v reflect.Value) {
+func reflectVec3(w *encoder, v reflect.Value) {
 	w.f64(v.FieldByName("X").Float())
 	w.f64(v.FieldByName("Y").Float())
 	w.f64(v.FieldByName("Z").Float())
 }
 
-func reflectVec3Slice(w *writer, v reflect.Value) {
+func reflectVec3Slice(w *encoder, v reflect.Value) {
 	w.u32(uint32(v.Len()))
 	for i := 0; i < v.Len(); i++ {
 		reflectVec3(w, v.Index(i))
 	}
 }
 
-func reflectPayload(w *writer, p scene.Payload) {
+func reflectPayload(w *encoder, p scene.Payload) {
 	if p == nil {
 		w.u8(uint8(scene.KindGroup))
 		return

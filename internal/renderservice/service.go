@@ -7,7 +7,6 @@
 package renderservice
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -606,7 +605,7 @@ func (s *Service) serveRender(conn *transport.Conn, t transport.MsgType, payload
 		if t2 != transport.MsgSceneSnapshot {
 			return fmt.Errorf("renderservice: expected subset snapshot, got %s", t2)
 		}
-		subset, err := marshal.ReadScene(bytes.NewReader(snap))
+		subset, err := marshal.DecodeScene(snap)
 		if err != nil {
 			return err
 		}
@@ -633,9 +632,7 @@ func (s *Service) serveRender(conn *transport.Conn, t transport.MsgType, payload
 			reply = transport.MsgFrame
 			body, err = sess.EncodeFrame(frame, req.Codec, linkBps)
 		} else {
-			var buf bytes.Buffer
-			err = marshal.WriteFrame(&buf, frame.FB, true)
-			body = buf.Bytes()
+			body = marshal.AppendFrame(nil, frame.FB, true)
 		}
 	}
 	// An admission refusal becomes a fast MsgDeclined (the caller retries

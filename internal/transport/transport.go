@@ -260,19 +260,35 @@ func (c *Conn) SetReadDeadline(t time.Time) error {
 	return ErrNoDeadline
 }
 
-// Send writes one message as a single underlying Write (header, CRC and
-// payload together), so a simulated-link fault drops or truncates whole
-// messages, never interleavings. Safe for concurrent use.
+// vectoredMin is the smallest payload Send hands a TCP stream beside its
+// header in one vectored write; a smaller one is cheaper to copy.
+const vectoredMin = 16 << 10
+
+// Send writes one t message whole (header, CRC and payload together), so
+// a simulated-link fault drops or truncates whole messages, never
+// interleavings: header and payload copied into one buffer for one
+// Write, or, for a large payload on a TCP stream, handed to the kernel
+// side by side in one vectored write, so that a frame, snapshot or
+// reshape is not copied just to sit behind twelve bytes. payload is not
+// retained. Safe for concurrent use.
 func (c *Conn) Send(t MsgType, payload []byte) error {
 	if len(payload) > MaxPayload {
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
 	}
-	msg := make([]byte, headerSize+len(payload))
+	_, tcp := c.rw.(*net.TCPConn)
+	vectored := tcp && len(payload) >= vectoredMin
+	size := headerSize
+	if !vectored {
+		size += len(payload)
+	}
+	msg := make([]byte, headerSize, size)
 	binary.BigEndian.PutUint16(msg[0:], frameMagic)
 	binary.BigEndian.PutUint16(msg[2:], uint16(t))
 	binary.BigEndian.PutUint32(msg[4:], uint32(len(payload)))
 	binary.BigEndian.PutUint32(msg[8:], crc32.ChecksumIEEE(payload))
-	copy(msg[headerSize:], payload)
+	if !vectored {
+		msg = append(msg, payload...)
+	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	// wmu exists solely to keep concurrent frames from interleaving on
@@ -280,7 +296,13 @@ func (c *Conn) Send(t MsgType, payload []byte) error {
 	// blocks only this Conn's senders. This is the one sanctioned
 	// mutex-across-I/O in the codebase; callers must never hold their
 	// own locks across Send (the lockedio analyzer enforces that).
-	if _, err := c.rw.Write(msg); err != nil { //lint:allow lockedio: wmu only serializes this stream's writes
+	var err error
+	if vectored {
+		_, err = (&net.Buffers{msg, payload}).WriteTo(c.rw) //lint:allow lockedio: wmu only serializes this stream's writes
+	} else {
+		_, err = c.rw.Write(msg) //lint:allow lockedio: wmu only serializes this stream's writes
+	}
+	if err != nil {
 		return c.wrapPeer("send", fmt.Errorf("transport: send %s: %w", t, err))
 	}
 	return nil

@@ -198,3 +198,61 @@ func TestDialAcceptsSchemeOrBareAddress(t *testing.T) {
 		conn.Close()
 	}
 }
+
+// TestSendPathsAgreeOnTCP: on a TCP stream a large payload leaves as one
+// vectored write beside its header and a small one as one copied buffer;
+// the receiver cannot tell, and concurrent senders of both still never
+// interleave.
+func TestSendPathsAgreeOnTCP(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	near, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer near.Close()
+	far, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer far.Close()
+
+	const rounds = 20
+	sizes := []int{100, vectoredMin - 1, vectoredMin, 1 << 20}
+	var wg sync.WaitGroup
+	ca := NewConn(near)
+	for i, size := range sizes {
+		wg.Add(1)
+		payload := bytes.Repeat([]byte{byte(i + 1)}, size)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < rounds; k++ {
+				if err := ca.Send(MsgFrame, payload); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	cb := NewConn(far)
+	got := map[int]int{}
+	for k := 0; k < rounds*len(sizes); k++ {
+		_, payload, err := cb.Receive()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bytes.Repeat(payload[:1], len(payload)); !bytes.Equal(payload, want) {
+			t.Fatalf("message %d: interleaved payload", k)
+		}
+		got[len(payload)]++
+	}
+	wg.Wait()
+	for _, size := range sizes {
+		if got[size] != rounds {
+			t.Errorf("%d messages of %d bytes, want %d", got[size], size, rounds)
+		}
+	}
+}
