@@ -12,13 +12,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/transport"
-	"repro/internal/uddi"
 	"repro/internal/vclock"
 	"repro/internal/wsdl"
 )
@@ -33,7 +31,7 @@ func main() {
 	dataAddr := flag.String("data", "", "data service address (skips UDDI discovery)")
 	registry := flag.String("registry", "", "UDDI registry URL for discovery")
 	session := flag.String("session", "default", "session to join")
-	dev := flag.String("device", "athlon", "local device profile: centrino, athlon, v880z, xeon, onyx")
+	dev := flag.String("device", "athlon", "local device profile: centrino, athlon, v880z, xeon, onyx, pda")
 	workers := flag.Int("workers", 4, "parallel rasterizer bands")
 	frames := flag.Int("frames", 1, "frames to render locally")
 	width := flag.Int("width", 640, "frame width")
@@ -46,29 +44,17 @@ func main() {
 		os.Exit(1)
 	}
 
-	profile, err := deviceByKey(*dev)
+	profile, err := device.ByName(*dev)
 	if err != nil {
 		fail(err)
 	}
 
-	target := *dataAddr
-	if target == "" {
-		if *registry == "" {
-			fail(fmt.Errorf("need -data or -registry"))
-		}
-		proxy := uddi.Connect(*registry)
-		points, err := proxy.Bootstrap("RAVE", wsdl.DataServicePortType)
-		if err != nil {
-			fail(fmt.Errorf("UDDI discovery: %w", err))
-		}
-		if len(points) == 0 {
-			fail(fmt.Errorf("no data services registered"))
-		}
-		target = points[0]
-		fmt.Printf("raveactive: discovered data service at %s\n", target)
+	if *dataAddr == "" && *registry == "" {
+		fail(fmt.Errorf("need -data or -registry"))
 	}
-
-	conn, err := transport.Dial(target)
+	conn, err := core.ServiceDialer(*dataAddr, *registry, wsdl.DataServicePortType, func(ap string) {
+		fmt.Printf("raveactive: discovered data service at %s\n", ap)
+	})()
 	if err != nil {
 		fail(err)
 	}
@@ -102,22 +88,4 @@ func main() {
 	elapsed := clock.Now().Sub(start)
 	fmt.Printf("raveactive: rendered %d frame(s) of %dx%d locally in %v; wrote %s\n",
 		*frames, *width, *height, elapsed.Round(time.Millisecond), *out)
-}
-
-// deviceByKey maps short CLI names onto testbed profiles.
-func deviceByKey(key string) (device.Profile, error) {
-	switch strings.ToLower(key) {
-	case "centrino", "laptop":
-		return device.CentrinoLaptop, nil
-	case "athlon":
-		return device.AthlonDesktop, nil
-	case "v880z", "sun":
-		return device.SunV880z, nil
-	case "xeon":
-		return device.XeonDesktop, nil
-	case "onyx", "sgi":
-		return device.SGIOnyx, nil
-	default:
-		return device.Profile{}, fmt.Errorf("unknown device %q (centrino|athlon|v880z|xeon|onyx)", key)
-	}
 }

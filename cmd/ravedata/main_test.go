@@ -4,72 +4,76 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // TestReplicationFlagValidation: contradictory or underspecified
 // replication flags are rejected with an explanatory error instead of
 // being papered over with silent defaults.
 func TestReplicationFlagValidation(t *testing.T) {
-	valid := replicationFlags{
-		registry: "http://host:8090", region: "eu",
-		replicas: 2, lease: true, renew: 2 * time.Second,
+	valid := func() *core.DataNode {
+		return &core.DataNode{
+			Registry: "http://host:8090", Region: "eu",
+			Replicas: 2, Lease: true, Renew: 2 * time.Second,
+		}
 	}
 	cases := []struct {
 		name string
-		mut  func(*replicationFlags)
+		mut  func(*core.DataNode)
 		want string // substring of the error; empty means accepted
 	}{
-		{"primary with factor", func(rf *replicationFlags) {}, ""},
-		{"standby", func(rf *replicationFlags) {
-			rf.replicas, rf.lease, rf.standby = 0, false, true
+		{"primary with factor", func(rf *core.DataNode) {}, ""},
+		{"standby", func(rf *core.DataNode) {
+			rf.Replicas, rf.Lease, rf.Standby = 0, false, true
 		}, ""},
-		{"standalone", func(rf *replicationFlags) {
-			*rf = replicationFlags{renew: time.Second}
+		{"standalone", func(rf *core.DataNode) {
+			*rf = core.DataNode{Renew: time.Second}
 		}, ""},
-		{"negative factor", func(rf *replicationFlags) {
-			rf.replicas = -1
+		{"negative factor", func(rf *core.DataNode) {
+			rf.Replicas = -1
 		}, "cannot be negative"},
-		{"zero heartbeat", func(rf *replicationFlags) {
-			rf.renew = 0
+		{"zero heartbeat", func(rf *core.DataNode) {
+			rf.Renew = 0
 		}, "must be positive"},
-		{"standby with factor", func(rf *replicationFlags) {
-			rf.standby = true
+		{"standby with factor", func(rf *core.DataNode) {
+			rf.Standby = true
 		}, "mutually exclusive"},
-		{"factor without registry", func(rf *replicationFlags) {
-			rf.registry = ""
+		{"factor without registry", func(rf *core.DataNode) {
+			rf.Registry = ""
 		}, "requires -registry"},
-		{"factor without lease", func(rf *replicationFlags) {
-			rf.lease = false
+		{"factor without lease", func(rf *core.DataNode) {
+			rf.Lease = false
 		}, "requires -lease"},
-		{"standby without registry", func(rf *replicationFlags) {
-			*rf = replicationFlags{standby: true, region: "us", renew: time.Second}
+		{"standby without registry", func(rf *core.DataNode) {
+			*rf = core.DataNode{Standby: true, Region: "us", Renew: time.Second}
 		}, "requires -registry"},
-		{"factor without region", func(rf *replicationFlags) {
-			rf.region = ""
+		{"factor without region", func(rf *core.DataNode) {
+			rf.Region = ""
 		}, "-region is required"},
-		{"standby without region", func(rf *replicationFlags) {
-			rf.replicas, rf.lease, rf.standby, rf.region = 0, false, true, ""
+		{"standby without region", func(rf *core.DataNode) {
+			rf.Replicas, rf.Lease, rf.Standby, rf.Region = 0, false, true, ""
 		}, "-region is required"},
-		{"lease without registry", func(rf *replicationFlags) {
-			rf.replicas, rf.registry = 0, ""
+		{"lease without registry", func(rf *core.DataNode) {
+			rf.Replicas, rf.Registry = 0, ""
 		}, "-lease requires -registry"},
-		{"malformed region", func(rf *replicationFlags) {
-			rf.region = "eu, us"
+		{"malformed region", func(rf *core.DataNode) {
+			rf.Region = "eu, us"
 		}, "single region"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rf := valid
-			tc.mut(&rf)
-			err := rf.validate()
+			rf := valid()
+			tc.mut(rf)
+			err := rf.Validate()
 			if tc.want == "" {
 				if err != nil {
-					t.Fatalf("validate(%+v) = %v, want accepted", rf, err)
+					t.Fatalf("Validate(%+v) = %v, want accepted", rf, err)
 				}
 				return
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("validate(%+v) = %v, want error containing %q", rf, err, tc.want)
+				t.Fatalf("Validate(%+v) = %v, want error containing %q", rf, err, tc.want)
 			}
 		})
 	}

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/transport"
 	"repro/internal/uddi"
@@ -90,18 +91,8 @@ func main() {
 		fail(err)
 	}
 	fmt.Printf("ravegw: answering route queries on %s (rescan every %v)\n", ln.Addr(), *rescan)
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			fail(err)
-		}
-		go func(c net.Conn) {
-			defer c.Close()
-			if err := gateway.ServeRouteFunc(c, rt.route); err != nil {
-				fmt.Fprintln(os.Stderr, "ravegw: connection:", err)
-			}
-		}(conn)
-	}
+	fail(core.Serve(ln, func(c net.Conn) error { return gateway.ServeRouteFunc(c, rt.route) },
+		func(err error) { fmt.Fprintln(os.Stderr, "ravegw: connection:", err) }))
 }
 
 // router maps sessions to registered data services: a consistent-hash

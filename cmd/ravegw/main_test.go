@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/transport"
 	"repro/internal/uddi"
@@ -23,7 +24,7 @@ func TestScanDropsStorageDegradedNodes(t *testing.T) {
 	node := uddi.Connect(ts.URL)
 	names := []string{"ds-01", "ds-02", "ds-03"}
 	for _, name := range names {
-		if _, err := node.RegisterService("RAVE", name, "tcp://"+name+":7000", wsdl.DataServicePortType); err != nil {
+		if err := core.Register(ts.URL, name, "tcp://"+name+":7000", wsdl.DataServicePortType); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,44 +8,23 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"os"
-	"strings"
+	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/renderservice"
 	"repro/internal/retry"
 	"repro/internal/telemetry"
-	"repro/internal/transport"
-	"repro/internal/uddi"
 	"repro/internal/vclock"
 	"repro/internal/wsdl"
 )
-
-// deviceByKey maps short CLI names onto testbed profiles.
-func deviceByKey(key string) (device.Profile, error) {
-	switch strings.ToLower(key) {
-	case "centrino", "laptop":
-		return device.CentrinoLaptop, nil
-	case "athlon":
-		return device.AthlonDesktop, nil
-	case "v880z", "sun":
-		return device.SunV880z, nil
-	case "xeon":
-		return device.XeonDesktop, nil
-	case "onyx", "sgi":
-		return device.SGIOnyx, nil
-	case "pda", "zaurus":
-		return device.ZaurusPDA, nil
-	default:
-		return device.Profile{}, fmt.Errorf("unknown device %q (centrino|athlon|v880z|xeon|onyx|pda)", key)
-	}
-}
 
 func main() {
 	name := flag.String("name", "rave-render", "service name")
@@ -71,46 +50,32 @@ func main() {
 		os.Exit(1)
 	}
 
-	profile, err := deviceByKey(*dev)
+	profile, err := device.ByName(*dev)
 	if err != nil {
 		fail(err)
 	}
 	// The binary's clock is real time, but routed through vclock so the
 	// code path matches what deterministic harnesses drive with a Virtual.
 	clock := vclock.Real{}
+	ctx := context.Background()
 	metrics := telemetry.NewRegistry(clock)
 	rs := renderservice.New(renderservice.Config{
 		Name: *name, Device: profile, Workers: *workers, QueueDepth: *queueDepth,
 		Clock: clock, Metrics: metrics, Tracer: telemetry.NewTracer(clock),
 	})
 	if *telemetryEvery > 0 {
-		go func() {
-			for {
-				clock.Sleep(*telemetryEvery)
-				if err := telemetry.WriteText(os.Stderr, metrics.Snapshot()); err != nil {
-					return
-				}
-			}
-		}()
+		go core.LogTelemetry(ctx, clock, metrics, *telemetryEvery, os.Stderr)
 	}
 
-	// Locate the data service.
-	target := *dataAddr
-	if target == "" {
-		if *registry == "" {
-			fail(fmt.Errorf("need -data or -registry to find a data service"))
-		}
-		proxy := uddi.Connect(*registry)
-		points, err := proxy.Bootstrap("RAVE", wsdl.DataServicePortType)
-		if err != nil {
-			fail(fmt.Errorf("UDDI discovery: %w", err))
-		}
-		if len(points) == 0 {
-			fail(fmt.Errorf("no data services registered"))
-		}
-		target = points[0]
-		fmt.Printf("raverender: discovered data service at %s\n", target)
+	// Locate the data service, afresh on every (re)connect: with -registry
+	// that is a UDDI scan, so the subscription follows a promoted standby.
+	source := cmp.Or(*dataAddr, *registry)
+	if source == "" {
+		fail(fmt.Errorf("need -data or -registry to find a data service"))
 	}
+	dial := core.ServiceDialer(*dataAddr, *registry, wsdl.DataServicePortType, func(ap string) {
+		fmt.Printf("raverender: discovered data service at %s\n", ap)
+	})
 
 	policy := retry.DefaultPolicy()
 	policy.MaxAttempts = *reconnects
@@ -120,21 +85,16 @@ func main() {
 		ProbeInterval:  *probe,
 		ReportInterval: *report,
 	}
-	dial := func() (io.ReadWriteCloser, error) { return transport.Dial(target) }
 	subErr := make(chan error, 1)
-	ready := make(chan struct{}, 1)
+	ready := make(chan struct{})
+	var first sync.Once // onReady fires after every re-bootstrap too
 	go func() {
-		subErr <- rs.SubscribeToDataResilient(context.Background(), dial, *session, opts,
-			func(*renderservice.Session) {
-				select {
-				case ready <- struct{}{}:
-				default:
-				}
-			})
+		subErr <- rs.SubscribeToDataResilient(ctx, dial, *session, opts,
+			func(*renderservice.Session) { first.Do(func() { close(ready) }) })
 	}()
 	select {
 	case <-ready:
-		fmt.Printf("raverender: bootstrapped session %q from %s\n", *session, target)
+		fmt.Printf("raverender: bootstrapped session %q from %s\n", *session, source)
 	case err := <-subErr:
 		fail(fmt.Errorf("subscription: %v", err))
 	}
@@ -146,10 +106,8 @@ func main() {
 	fmt.Printf("raverender: serving clients on tcp://%s (device %s)\n", ln.Addr(), profile.Name)
 
 	if *registry != "" {
-		proxy := uddi.Connect(*registry)
-		_, err := proxy.RegisterService("RAVE", *name, "tcp://"+ln.Addr().String(), wsdl.RenderServicePortType)
-		if err != nil {
-			fail(fmt.Errorf("UDDI registration: %w", err))
+		if err := core.Register(*registry, *name, "tcp://"+ln.Addr().String(), wsdl.RenderServicePortType); err != nil {
+			fail(err)
 		}
 		fmt.Printf("raverender: registered with %s\n", *registry)
 	}
@@ -162,16 +120,6 @@ func main() {
 		os.Exit(0)
 	}()
 
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			fail(err)
-		}
-		go func(c net.Conn) {
-			defer c.Close()
-			if err := rs.ServeClient(c, *linkBps); err != nil {
-				fmt.Fprintln(os.Stderr, "raverender: client:", err)
-			}
-		}(c)
-	}
+	fail(core.Serve(ln, func(c net.Conn) error { return rs.ServeClient(c, *linkBps) },
+		func(err error) { fmt.Fprintln(os.Stderr, "raverender: client:", err) }))
 }

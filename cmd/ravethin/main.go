@@ -17,15 +17,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/raster"
 	"repro/internal/retry"
-	"repro/internal/transport"
-	"repro/internal/uddi"
 	"repro/internal/vclock"
 	"repro/internal/wsdl"
 )
@@ -57,35 +55,12 @@ func main() {
 	// dial resolves a render service fresh on every attempt: a fixed
 	// address redials it; a registry re-queries UDDI, so a reconnect
 	// after a crash finds whichever render service is registered now.
-	var dial transport.Dialer
-	if *renderAddr != "" {
-		addr := *renderAddr
-		dial = func() (io.ReadWriteCloser, error) { return transport.Dial(addr) }
-	} else {
-		if *registry == "" {
-			fail(fmt.Errorf("need -render or -registry"))
-		}
-		proxy := uddi.Connect(*registry)
-		dial = func() (io.ReadWriteCloser, error) {
-			points, err := proxy.Bootstrap("RAVE", wsdl.RenderServicePortType)
-			if err != nil {
-				return nil, fmt.Errorf("UDDI discovery: %w", err)
-			}
-			if len(points) == 0 {
-				return nil, fmt.Errorf("no render services registered")
-			}
-			var lastErr error
-			for _, p := range points {
-				conn, err := transport.Dial(p)
-				if err == nil {
-					fmt.Printf("ravethin: discovered render service at %s\n", p)
-					return conn, nil
-				}
-				lastErr = err
-			}
-			return nil, fmt.Errorf("all %d discovered render services failed: %w", len(points), lastErr)
-		}
+	if *renderAddr == "" && *registry == "" {
+		fail(fmt.Errorf("need -render or -registry"))
 	}
+	dial := core.ServiceDialer(*renderAddr, *registry, wsdl.RenderServicePortType, func(ap string) {
+		fmt.Printf("ravethin: discovered render service at %s\n", ap)
+	})
 
 	policy := retry.DefaultPolicy()
 	policy.MaxAttempts = *maxAttempts

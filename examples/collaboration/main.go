@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/collab"
+	"repro/internal/core"
 	"repro/internal/dataservice"
 	"repro/internal/device"
 	"repro/internal/geom/genmodel"
@@ -44,15 +45,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer ln.Close()
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() { defer c.Close(); ds.ServeConn(c) }()
-		}
-	}()
+	go core.Serve(ln, func(c net.Conn) error { return ds.ServeConn(c) }, nil)
 
 	users := []*user{
 		{name: "immersadesk", active: client.NewActive("immersadesk", device.SGIOnyx, 4), cam: baseCam},

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/dataservice"
 	"repro/internal/device"
 	"repro/internal/feed"
@@ -52,15 +53,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer ln.Close()
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() { defer c.Close(); ds.ServeConn(c) }()
-		}
-	}()
+	go core.Serve(ln, func(c net.Conn) error { return ds.ServeConn(c) }, nil)
 	rs := renderservice.New(renderservice.Config{
 		Name: "sim-render", Device: device.AthlonDesktop, Workers: 4,
 	})
@@ -78,15 +71,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer rln.Close()
-	go func() {
-		for {
-			c, err := rln.Accept()
-			if err != nil {
-				return
-			}
-			go func() { defer c.Close(); rs.ServeClient(c, 94e6) }()
-		}
-	}()
+	go core.Serve(rln, func(c net.Conn) error { return rs.ServeClient(c, 94e6) }, nil)
 	tconn, err := net.Dial("tcp", rln.Addr().String())
 	if err != nil {
 		log.Fatal(err)

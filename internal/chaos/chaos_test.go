@@ -271,7 +271,7 @@ func TestRecruitmentDuringRegistryOutage(t *testing.T) {
 	reg := uddi.NewRegistry()
 	ts := httptest.NewServer(uddi.NewServer(reg))
 	defer ts.Close()
-	if _, err := uddi.Connect(ts.URL).RegisterService("RAVE", "onyx2", "local://onyx2", wsdl.RenderServicePortType); err != nil {
+	if err := core.Register(ts.URL, "onyx2", "local://onyx2", wsdl.RenderServicePortType); err != nil {
 		t.Fatal(err)
 	}
 	flaky := &flakyTransport{inner: http.DefaultTransport, outage: 3}

@@ -99,7 +99,7 @@ func TestPrimaryDeathFailsOverToStandby(t *testing.T) {
 	ts := httptest.NewServer(uddi.NewServer(reg))
 	defer ts.Close()
 	proxy := uddi.Connect(ts.URL)
-	if _, err := proxy.RegisterService("RAVE", "data-a", "sim://data-a", wsdl.DataServicePortType); err != nil {
+	if err := core.Register(ts.URL, "data-a", "sim://data-a", wsdl.DataServicePortType); err != nil {
 		t.Fatal(err)
 	}
 
@@ -146,8 +146,7 @@ func TestPrimaryDeathFailsOverToStandby(t *testing.T) {
 	mon := &failover.Monitor{
 		Leases: proxy, Clock: clk, Service: leaseName, Holder: "data-b", Poll: poll, Standby: st,
 		Reregister: func() error {
-			_, err := proxy.RegisterService("RAVE", "data-b", "sim://data-b", wsdl.DataServicePortType)
-			return err
+			return core.Register(ts.URL, "data-b", "sim://data-b", wsdl.DataServicePortType)
 		},
 	}
 	monCtx, monCancel := context.WithCancel(context.Background())

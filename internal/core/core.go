@@ -1,11 +1,14 @@
 // Package core is RAVE's public facade: it assembles complete
 // deployments — UDDI registry, data service, render services, thin and
 // active clients — either in-process or across real TCP sockets, wiring
-// the pieces exactly as Figure 1 shows. Examples and the command-line
-// tools build on this package.
+// the pieces exactly as Figure 1 shows. The examples and the benchmark
+// build on Deployment; the daemons (cmd/ravedata, raverender, ravethin,
+// raveactive, ravegw) run the same pieces: Serve, Register, LogTelemetry,
+// ServiceDialer, and DataNode for a data service's whole life-cycle.
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -19,6 +22,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/marshal"
 	"repro/internal/renderservice"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/uddi"
 	"repro/internal/vclock"
@@ -247,10 +251,7 @@ type Deployment struct {
 	RegistryURL string
 	Data        *dataservice.Service
 
-	clock vclock.Clock
-
 	mu        sync.Mutex
-	renders   map[string]*renderservice.Service
 	listeners []net.Listener
 	httpSrv   *http.Server
 }
@@ -265,37 +266,38 @@ func NewDeployment(dataName string) (*Deployment, error) {
 	}
 	srv := &http.Server{Handler: uddi.NewServer(reg)}
 	go srv.Serve(ln)
-	d := &Deployment{
+	return &Deployment{
 		Registry:    reg,
 		RegistryURL: "http://" + ln.Addr().String(),
 		Data:        dataservice.New(dataservice.Config{Name: dataName}),
-		clock:       vclock.Real{},
-		renders:     map[string]*renderservice.Service{},
 		httpSrv:     srv,
-	}
-	return d, nil
+	}, nil
 }
 
 // Proxy returns a fresh UDDI proxy on the deployment's registry.
 func (d *Deployment) Proxy() *uddi.Proxy { return uddi.Connect(d.RegistryURL) }
 
-// ServeData starts a TCP listener for the data service's direct-socket
-// subscriptions, registers its access point in UDDI and returns the
-// address.
-func (d *Deployment) ServeData() (string, error) {
+// listen opens a loopback listener served by handle and registers its
+// access point in UDDI as name's portType endpoint.
+func (d *Deployment) listen(name, portType string, handle func(net.Conn) error) (addr string, err error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", err
 	}
-	d.track(ln)
-	go acceptLoop(ln, func(c net.Conn) { d.Data.ServeConn(c); c.Close() })
-	addr := ln.Addr().String()
-	proxy := d.Proxy()
-	_, err = proxy.RegisterService(BusinessName, d.Data.Name(), "tcp://"+addr, wsdl.DataServicePortType)
-	if err != nil {
-		return "", fmt.Errorf("core: register data service: %w", err)
-	}
-	return addr, nil
+	d.mu.Lock()
+	d.listeners = append(d.listeners, ln)
+	d.mu.Unlock()
+	go Serve(ln, handle, nil)
+	addr = ln.Addr().String()
+	return addr, Register(d.RegistryURL, name, "tcp://"+addr, portType)
+}
+
+// ServeData starts a TCP listener for the data service's direct-socket
+// subscriptions, registers its access point in UDDI and returns the
+// address.
+func (d *Deployment) ServeData() (string, error) {
+	return d.listen(d.Data.Name(), wsdl.DataServicePortType,
+		func(c net.Conn) error { return d.Data.ServeConn(c) })
 }
 
 // AddRenderService creates a render service on the given device profile,
@@ -303,20 +305,11 @@ func (d *Deployment) ServeData() (string, error) {
 // linkBps is the throughput estimate fed to the adaptive codec.
 func (d *Deployment) AddRenderService(name string, dev device.Profile, workers int, linkBps float64) (*renderservice.Service, string, error) {
 	rs := renderservice.New(renderservice.Config{Name: name, Device: dev, Workers: workers})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	addr, err := d.listen(name, wsdl.RenderServicePortType,
+		func(c net.Conn) error { return rs.ServeClient(c, linkBps) })
 	if err != nil {
 		return nil, "", err
 	}
-	d.track(ln)
-	go acceptLoop(ln, func(c net.Conn) { rs.ServeClient(c, linkBps); c.Close() })
-	addr := ln.Addr().String()
-	proxy := d.Proxy()
-	if _, err := proxy.RegisterService(BusinessName, name, "tcp://"+addr, wsdl.RenderServicePortType); err != nil {
-		return nil, "", fmt.Errorf("core: register render service: %w", err)
-	}
-	d.mu.Lock()
-	d.renders[name] = rs
-	d.mu.Unlock()
 	return rs, addr, nil
 }
 
@@ -342,17 +335,10 @@ func (d *Deployment) ConnectRenderToData(rs *renderservice.Service, dataAddr, se
 			err = fmt.Errorf("core: subscription ended before bootstrap")
 		}
 		return err
-	case <-d.clock.After(30 * time.Second):
+	case <-vclock.Real{}.After(30 * time.Second):
 		conn.Close()
 		return fmt.Errorf("core: bootstrap timed out")
 	}
-}
-
-// AccessScanner is the slice of the UDDI proxy that re-discovery needs:
-// one incremental scan returning current access points for a technical
-// model (*uddi.Proxy satisfies it).
-type AccessScanner interface {
-	ScanAccessPoints(tmodelName string) ([]string, error)
 }
 
 // firstReachable connects to the first access point that answers;
@@ -373,15 +359,15 @@ func firstReachable(points []string, connect func(accessPoint string) (io.ReadWr
 }
 
 // DiscoverDialer returns a dialer that re-queries UDDI on every dial:
-// it scans the registry for access points advertising tmodelName and
-// connects to the first that answers. This is how a subscriber finds a
-// promoted standby after its primary dies — the standby re-registers
-// its access point, and the next reconnect attempt discovers it instead
-// of hammering the dead address. connect maps an access point to a
-// stream; nil means a plain TCP dial.
-func DiscoverDialer(scanner AccessScanner, tmodelName string, connect func(accessPoint string) (io.ReadWriteCloser, error)) transport.Dialer {
+// one incremental scan (§5.5) for access points advertising tmodelName,
+// then a connection to the first that answers. This is how a subscriber
+// finds a promoted standby after its primary dies — the standby
+// re-registers its access point, and the next reconnect attempt discovers
+// it instead of hammering the dead address. connect maps an access point
+// to a stream; nil means a plain TCP dial.
+func DiscoverDialer(proxy *uddi.Proxy, tmodelName string, connect func(accessPoint string) (io.ReadWriteCloser, error)) transport.Dialer {
 	return func() (io.ReadWriteCloser, error) {
-		points, err := scanner.ScanAccessPoints(tmodelName)
+		points, err := proxy.ScanAccessPoints(tmodelName)
 		if err != nil {
 			return nil, fmt.Errorf("core: discovery scan: %w", err)
 		}
@@ -394,6 +380,23 @@ func DiscoverDialer(scanner AccessScanner, tmodelName string, connect func(acces
 		}
 		return rw, nil
 	}
+}
+
+// ServiceDialer is how a daemon reaches the service it was pointed at:
+// addr, when given, is redialled as it stands; otherwise the registry at
+// registryURL is re-scanned for portType on every dial (DiscoverDialer),
+// and found, when set, is told which access point answered.
+func ServiceDialer(addr, registryURL, portType string, found func(accessPoint string)) transport.Dialer {
+	if addr != "" {
+		return func() (io.ReadWriteCloser, error) { return transport.Dial(addr) }
+	}
+	return DiscoverDialer(uddi.Connect(registryURL), portType, func(ap string) (io.ReadWriteCloser, error) {
+		conn, err := transport.Dial(ap)
+		if err == nil && found != nil {
+			found(ap)
+		}
+		return conn, err
+	})
 }
 
 // ReplicaScanner is the slice of the UDDI replica index that
@@ -414,11 +417,8 @@ type ReplicaScanner interface {
 // point are skipped; fallback (may be nil) is tried when the index has
 // no usable rows or every access point fails. connect maps an access
 // point to a stream; nil means a plain TCP dial. clock supplies the
-// liveness timestamp for TTL'd rows (nil means the real clock).
+// liveness timestamp for TTL'd rows.
 func NearestReplicaDialer(scanner ReplicaScanner, clock vclock.Clock, session, fromRegion string, fallback transport.Dialer, connect func(accessPoint string) (io.ReadWriteCloser, error)) transport.Dialer {
-	if clock == nil {
-		clock = vclock.Real{}
-	}
 	return func() (io.ReadWriteCloser, error) {
 		rows, err := scanner.QueryReplicas(session, fromRegion, clock.Now())
 		if err != nil && fallback == nil {
@@ -452,16 +452,6 @@ func (d *Deployment) DialThin(renderAddr, user, session string) (*rthin.Thin, er
 	return rthin.DialThin(conn, user, session)
 }
 
-// DialHandle connects a socket render handle (for dataset distribution)
-// to a render service address.
-func (d *Deployment) DialHandle(renderAddr, name, session string) (*SocketHandle, error) {
-	conn, err := transport.Dial(renderAddr)
-	if err != nil {
-		return nil, err
-	}
-	return DialSocketHandle(conn, name, session)
-}
-
 // Close shuts down listeners and the registry server.
 func (d *Deployment) Close() {
 	d.mu.Lock()
@@ -469,23 +459,69 @@ func (d *Deployment) Close() {
 	for _, ln := range d.listeners {
 		ln.Close()
 	}
-	if d.httpSrv != nil {
-		d.httpSrv.Close()
-	}
+	d.httpSrv.Close()
 }
 
-func (d *Deployment) track(ln net.Listener) {
-	d.mu.Lock()
-	d.listeners = append(d.listeners, ln)
-	d.mu.Unlock()
-}
-
-func acceptLoop(ln net.Listener, handle func(net.Conn)) {
+// Serve accepts connections on ln and runs handle on each in its own
+// goroutine, closing the connection when handle returns and passing a
+// failed handler's error to onErr (nil drops it). When Accept fails —
+// the listener was closed — Serve closes every connection still open,
+// waits for the handlers and returns Accept's error, so closing the
+// listener stops everything it started.
+func Serve(ln net.Listener, handle func(net.Conn) error, onErr func(error)) error {
+	var mu sync.Mutex
+	open := map[net.Conn]struct{}{}
+	var wg sync.WaitGroup
 	for {
 		c, err := ln.Accept()
 		if err != nil {
+			mu.Lock()
+			for c := range open {
+				c.Close()
+			}
+			mu.Unlock()
+			wg.Wait()
+			return err
+		}
+		mu.Lock()
+		open[c] = struct{}{}
+		mu.Unlock()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			err := handle(c)
+			c.Close()
+			mu.Lock()
+			delete(open, c)
+			mu.Unlock()
+			if err != nil && onErr != nil {
+				onErr(err)
+			}
+		}()
+	}
+}
+
+// Register publishes a service's access point in the UDDI registry at
+// registryURL, under the RAVE business entity and advertising portType.
+func Register(registryURL, service, accessPoint, portType string) error {
+	if _, err := uddi.Connect(registryURL).RegisterService(BusinessName, service, accessPoint, portType); err != nil {
+		return fmt.Errorf("UDDI registration of %s: %w", service, err)
+	}
+	return nil
+}
+
+// LogTelemetry writes a snapshot of metrics to w every interval — the
+// operator's running view of queue depths, hedge activity and WAL cost —
+// until ctx is done or a write fails.
+func LogTelemetry(ctx context.Context, clock vclock.Clock, metrics *telemetry.Registry, every time.Duration, w io.Writer) {
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-clock.After(every):
+		}
+		if err := telemetry.WriteText(w, metrics.Snapshot()); err != nil {
 			return
 		}
-		go handle(c)
 	}
 }

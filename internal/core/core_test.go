@@ -148,14 +148,19 @@ func TestSocketHandleDistribution(t *testing.T) {
 	dist := sess.NewDistributor(balance.DefaultThresholds())
 	sess.AttachDistributor(dist)
 
-	h1, err := d.DialHandle(addr1, "rs1", "galleon")
-	if err != nil {
-		t.Fatal(err)
+	dialHandle := func(addr, name string) *SocketHandle {
+		conn, err := transport.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		h, err := DialSocketHandle(conn, name, "galleon")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
 	}
-	h2, err := d.DialHandle(addr2, "rs2", "galleon")
-	if err != nil {
-		t.Fatal(err)
-	}
+	h1, h2 := dialHandle(addr1, "rs1"), dialHandle(addr2, "rs2")
 	if err := dist.AddService(h1); err != nil {
 		t.Fatal(err)
 	}

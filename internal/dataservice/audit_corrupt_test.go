@@ -3,13 +3,13 @@ package dataservice
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/marshal"
+	"repro/internal/dataservice/wal"
 	"repro/internal/mathx"
 	"repro/internal/netsim"
 	"repro/internal/scene"
@@ -21,10 +21,10 @@ import (
 // different session. The damage is injected with netsim fault plans, so
 // every byte of corruption is deterministic.
 //
-// Write-index map of a recorded trail (one Write per field):
+// Write-index map of a recorded trail (a wal segment, one Write per
+// record):
 //
-//	0: magic  1: snapshot length  2: snapshot
-//	3: op0 header  4: op0 body  5: op1 header  6: op1 body ...
+//	0: segment header  1: checkpoint  2: op0  3: op1 ...
 
 // instantLink is effectively instantaneous so deliveries need no clock
 // advancement.
@@ -40,9 +40,13 @@ func recordThroughFaults(t *testing.T, faults *netsim.Faults) []byte {
 	a, b := netsim.SimPipe(clk, instantLink(), instantLink())
 	a.InjectFaults(faults)
 
-	base := scene.New()
-	id := base.AllocID()
-	if err := base.ApplyOp(&scene.AddNodeOp{Parent: scene.RootID, ID: id, Transform: mathx.Identity()}); err != nil {
+	svc := New(Config{Name: "data", Clock: clk})
+	sess, err := svc.CreateSession("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := sess.AllocID()
+	if err := sess.ApplyUpdate(&scene.AddNodeOp{Parent: scene.RootID, ID: id, Transform: mathx.Identity()}, ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -51,14 +55,12 @@ func recordThroughFaults(t *testing.T, faults *netsim.Faults) []byte {
 	go func() {
 		defer wg.Done()
 		defer a.Close()
-		rec, err := NewRecorder(a, base)
-		if err != nil {
+		if sess.StartRecording(a) != nil {
 			return // the fault plan may kill the link mid-header
 		}
 		for i := 0; i < 2; i++ {
 			op := &scene.SetTransformOp{ID: id, Transform: mathx.Translate(mathx.V3(float64(i), 0, 0))}
-			enc, err := marshal.AppendOp(nil, op)
-			if err != nil || rec.Append(enc, time.Unix(int64(i), 0)) != nil {
+			if sess.ApplyUpdate(op, "") != nil {
 				return
 			}
 		}
@@ -80,42 +82,38 @@ func TestAuditTruncatedHeader(t *testing.T) {
 	}
 }
 
-// TestAuditCorruptSnapshotLength: a bit-flipped snapshot length (write
-// index 1) desynchronizes the whole stream; the reader must error, not
-// replay garbage.
+// TestAuditCorruptSnapshotLength: bits flipped in the snapshot record
+// (write index 1) fail its CRC or break its framing; the reader must
+// error, not replay garbage.
 func TestAuditCorruptSnapshotLength(t *testing.T) {
 	img := recordThroughFaults(t, netsim.NewFaults(7).CorruptWrite(1))
-	if _, err := ReadRecording(bytes.NewReader(img)); err == nil {
-		t.Fatal("corrupt snapshot length accepted")
+	if _, err := ReadRecording(bytes.NewReader(img)); !errors.Is(err, wal.ErrLogCorrupt) {
+		t.Fatalf("corrupt snapshot record: %v, want wal.ErrLogCorrupt", err)
 	}
 }
 
 // TestAuditOversizedSnapshotLength: a length field claiming a >1GiB
 // snapshot is rejected before any allocation.
 func TestAuditOversizedSnapshotLength(t *testing.T) {
-	var img bytes.Buffer
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], auditMagic)
-	img.Write(hdr[:])
-	binary.BigEndian.PutUint32(hdr[:], 1<<30+1)
-	img.Write(hdr[:])
-	_, err := ReadRecording(&img)
-	if err == nil {
-		t.Fatal("oversized snapshot length accepted")
-	}
-	if !strings.Contains(err.Error(), "too large") {
-		t.Errorf("error %v does not identify the oversized length", err)
+	img := binary.BigEndian.AppendUint32(nil, wal.Magic)
+	img = binary.BigEndian.AppendUint16(img, wal.Format)
+	snap := make([]byte, wal.RecordRoom)
+	snap[0] = 'S'
+	binary.BigEndian.PutUint32(snap[17:], 1<<30+1)
+	_, err := ReadRecording(bytes.NewReader(append(img, snap...)))
+	if !errors.Is(err, wal.ErrTooLarge) {
+		t.Errorf("oversized snapshot length: %v, want wal.ErrTooLarge", err)
 	}
 }
 
 // TestAuditMidRecordTruncation: truncating inside the final op's body
-// (write index 6) and inside its header (write index 5) both error —
-// the audit reader is strict, unlike the WAL's torn-tail tolerance,
-// because a recording is only opened after a clean close.
+// and inside its header (write index 3) both error — the audit reader
+// is strict where journal recovery tolerates a torn tail, because a
+// recording is only opened after a clean close.
 func TestAuditMidRecordTruncation(t *testing.T) {
 	for name, faults := range map[string]*netsim.Faults{
-		"body":   netsim.NewFaults(1).TruncateWrite(6, 3),
-		"header": netsim.NewFaults(1).TruncateWrite(5, 4).DropWrites(6),
+		"body":   netsim.NewFaults(1).TruncateWrite(3, wal.RecordRoom+3),
+		"header": netsim.NewFaults(1).TruncateWrite(3, 4),
 	} {
 		img := recordThroughFaults(t, faults)
 		if _, err := ReadRecording(bytes.NewReader(img)); err == nil {
@@ -135,7 +133,7 @@ func TestAuditCleanRoundTripThroughSim(t *testing.T) {
 	if len(rec.Ops) != 2 {
 		t.Fatalf("recovered %d ops, want 2", len(rec.Ops))
 	}
-	if _, err := rec.Replay(); err != nil {
+	if _, err := rec.Scene(); err != nil {
 		t.Fatal(err)
 	}
 }

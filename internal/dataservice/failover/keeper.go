@@ -30,22 +30,16 @@ type Keeper struct {
 	Clock   vclock.Clock
 	Service string // logical lease name, e.g. "data:" + session
 	Holder  string // this instance
-	// Renew is the heartbeat interval; TTL defaults to
-	// DefaultMissedRenewals * Renew when zero.
+	// Renew is the heartbeat interval; the lease's TTL is
+	// DefaultMissedRenewals of them.
 	Renew time.Duration
-	TTL   time.Duration
 
 	mu    sync.Mutex
 	lease uddi.Lease
 }
 
-// ttl resolves the effective lease TTL.
-func (k *Keeper) ttl() time.Duration {
-	if k.TTL > 0 {
-		return k.TTL
-	}
-	return time.Duration(DefaultMissedRenewals) * k.Renew
-}
+// ttl is the lease TTL.
+func (k *Keeper) ttl() time.Duration { return DefaultMissedRenewals * k.Renew }
 
 // Acquire claims the lease (epoch rules per uddi.Registry.AcquireLease).
 func (k *Keeper) Acquire() (uddi.Lease, error) {
@@ -98,10 +92,9 @@ type Monitor struct {
 	Clock   vclock.Clock
 	Service string // logical lease name (must match the Keeper's)
 	Holder  string // this standby instance
-	// Poll is the lease polling interval; TTL is the lease TTL this
-	// monitor will hold after promotion (defaults to the Keeper rule).
+	// Poll is the lease polling interval; the lease this monitor claims
+	// lives DefaultMissedRenewals of them, the Keeper's rule.
 	Poll time.Duration
-	TTL  time.Duration
 
 	Standby *Standby
 	// Handicap, when non-nil, returns how long this monitor must wait
@@ -123,9 +116,6 @@ type Monitor struct {
 	// point in UDDI after promotion so re-discovering subscribers find
 	// the new primary.
 	Reregister func() error
-	// OnPromote, when non-nil, runs after a successful promotion (e.g.
-	// re-attach live feeds, restart a migration).
-	OnPromote func(sess *dataservice.Session)
 }
 
 // Promotion describes a completed failover.
@@ -148,10 +138,7 @@ func (m *Monitor) Run(ctx context.Context) (*Promotion, error) {
 	if m.Poll <= 0 {
 		return nil, fmt.Errorf("failover: monitor needs a positive poll interval")
 	}
-	ttl := m.TTL
-	if ttl <= 0 {
-		ttl = time.Duration(DefaultMissedRenewals) * m.Poll
-	}
+	ttl := DefaultMissedRenewals * m.Poll
 	for {
 		select {
 		case <-ctx.Done():
@@ -203,9 +190,6 @@ func (m *Monitor) Run(ctx context.Context) (*Promotion, error) {
 			if err := m.Reregister(); err != nil {
 				return nil, fmt.Errorf("failover: re-register after promotion: %w", err)
 			}
-		}
-		if m.OnPromote != nil {
-			m.OnPromote(sess)
 		}
 		return &Promotion{Lease: claimed, Session: sess, Version: m.Standby.Applied(), At: m.Clock.Now()}, nil
 	}

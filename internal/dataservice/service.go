@@ -110,7 +110,7 @@ type Session struct {
 	camera      transport.CameraState
 	subscribers map[string]Subscriber
 	interests   map[string]*interestSet
-	recorder    *Recorder
+	recorder    *recorder
 	journal     *journalSink
 	distributor *Distributor
 
@@ -425,9 +425,12 @@ func (sess *Session) commit(op scene.Op, rec []byte, origin string, replicated b
 	if err := sess.scene.ApplyOp(op); err != nil {
 		return 0, nil, err
 	}
-	if sess.recorder != nil {
-		if err := sess.recorder.Append(rec[wal.RecordRoom:], sess.svc.cfg.Clock.Now()); err != nil {
-			return 0, nil, fmt.Errorf("dataservice: audit append: %w", err)
+	if r := sess.recorder; r != nil {
+		if r.err == nil {
+			r.err = wal.WriteOp(r.w, rec, sess.scene.Version, sess.svc.cfg.Clock.Now())
+		}
+		if r.err != nil {
+			return 0, nil, fmt.Errorf("dataservice: audit append: %w", r.err)
 		}
 	}
 	if sess.journal != nil {

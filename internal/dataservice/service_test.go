@@ -238,7 +238,7 @@ func TestAuditRecordReplay(t *testing.T) {
 	if !rec.Ops[1].At.After(rec.Ops[0].At) || !rec.Ops[2].At.After(rec.Ops[1].At) {
 		t.Error("timestamps not increasing")
 	}
-	final, err := rec.Replay()
+	final, err := rec.Scene()
 	if err != nil {
 		t.Fatal(err)
 	}

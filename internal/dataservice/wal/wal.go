@@ -1,12 +1,15 @@
-// Package wal is the data service's durable session journal: a
-// fsync-on-commit write-ahead log that generalizes the audit trail's
-// RAVA layout (base snapshot + ops) with versioned, CRC-guarded records
-// and checkpoint compaction. Where the audit trail exists for playback
-// and asynchronous collaboration, the WAL exists for crash recovery:
+// Package wal is the data service's on-disk session history: a base
+// snapshot followed by versioned, timestamped, CRC-guarded op records.
+// One format serves two writers. The journal (Log) is a fsync-on-commit
+// write-ahead log with checkpoint compaction, there for crash recovery:
 // after a power cut mid-session, Recover replays the log to the exact
 // op version that was last committed, tolerating a torn tail (a record
 // that was being written when the machine died) without losing any
-// record that a commit acknowledged.
+// record that a commit acknowledged. The audit trail (Begin + WriteOp,
+// dataservice.Session.StartRecording) is the same segment written
+// unsynced and never compacted, there for playback and asynchronous
+// collaboration; it replaced the older RAVA layout this format grew
+// out of.
 //
 // Segment layout (all integers big-endian):
 //
@@ -55,6 +58,11 @@ const recHeaderSize = 25
 
 // maxRecord bounds one record body (matches transport.MaxPayload).
 const maxRecord = 1 << 30
+
+// eagerBody is the largest body readRecord allocates on the header's
+// word alone. A longer one grows as its bytes arrive, so a damaged
+// length field costs what the segment holds, not what it claims.
+const eagerBody = 64 << 10
 
 // Typed errors for damaged segments. Recover treats damage at the tail
 // as a survivable crash artifact; damage before the tail, or in strict
@@ -112,6 +120,28 @@ type Store interface {
 // RecordRoom is the headroom a record's header takes in front of its
 // body: AppendEncoded's rec carries an op's encoding behind this much.
 const RecordRoom = recHeaderSize
+
+// Begin opens a segment on w: the header, then base as the checkpoint at
+// version, in two Writes and unsynced.
+func Begin(w io.Writer, base *scene.Scene, version uint64, at time.Time) error {
+	var hdr [headerSize]byte
+	binary.BigEndian.PutUint32(hdr[:4], Magic)
+	binary.BigEndian.PutUint16(hdr[4:], Format)
+	if _, err := w.Write(hdr[:]); err != nil {
+		return fmt.Errorf("wal: write header: %w", err)
+	}
+	rec, err := marshal.AppendScene(make([]byte, recHeaderSize), base)
+	if err != nil {
+		return err
+	}
+	return writeRecord(w, tagCheckpoint, version, at, rec)
+}
+
+// WriteOp appends the record of the op that produced version to a
+// segment Begin opened; rec is as AppendEncoded takes it.
+func WriteOp(w io.Writer, rec []byte, version uint64, at time.Time) error {
+	return writeRecord(w, tagOp, version, at, rec)
+}
 
 // writeRecord frames rec — RecordRoom bytes of headroom, then the body —
 // in place and writes it as a single Write (header + body), so a crash
@@ -171,19 +201,7 @@ func (l *Log) rewrite(base *scene.Scene, version uint64, at time.Time) error {
 	if err != nil {
 		return fmt.Errorf("wal: begin segment: %w", err)
 	}
-	var hdr [headerSize]byte
-	binary.BigEndian.PutUint32(hdr[:4], Magic)
-	binary.BigEndian.PutUint16(hdr[4:], Format)
-	if _, err := seg.Write(hdr[:]); err != nil {
-		seg.Close()
-		return fmt.Errorf("wal: write header: %w", err)
-	}
-	rec, err := marshal.AppendScene(make([]byte, recHeaderSize), base)
-	if err != nil {
-		seg.Close()
-		return err
-	}
-	if err := writeRecord(seg, tagCheckpoint, version, at, rec); err != nil {
+	if err := Begin(seg, base, version, at); err != nil {
 		seg.Close()
 		return err
 	}
@@ -239,7 +257,7 @@ func (l *Log) AppendEncoded(rec []byte, version uint64, at time.Time, snapshot f
 		l.err = fmt.Errorf("wal: append version %d does not follow %d", version, l.version)
 		return l.err
 	}
-	if err := writeRecord(l.seg, tagOp, version, at, rec); err != nil {
+	if err := WriteOp(l.seg, rec, version, at); err != nil {
 		l.err = err
 		return err
 	}
@@ -422,6 +440,10 @@ func readCheckpoint(r io.Reader) (*Recovered, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: decode checkpoint: %w", ErrLogCorrupt, err)
 	}
+	if base.Version != version {
+		// The header's version is outside the CRC; the scene's is inside.
+		return nil, fmt.Errorf("%w: checkpoint record says version %d, its scene %d", ErrLogCorrupt, version, base.Version)
+	}
 	return &Recovered{Base: base, BaseVersion: version, BaseAt: at, Version: version}, nil
 }
 
@@ -471,8 +493,13 @@ func readRecord(r io.Reader) (tag byte, version uint64, at time.Time, body []byt
 		return 0, 0, time.Time{}, nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 	}
 	sum := binary.BigEndian.Uint32(hdr[21:])
-	body = make([]byte, n)
-	if _, err = io.ReadFull(r, body); err != nil {
+	body = make([]byte, min(int(n), eagerBody))
+	_, err = io.ReadFull(r, body)
+	for have := len(body); err == nil && have < int(n); have = len(body) {
+		body = append(body, make([]byte, min(int(n)-have, have))...)
+		_, err = io.ReadFull(r, body[have:])
+	}
+	if err != nil {
 		return 0, 0, time.Time{}, nil, fmt.Errorf("%w: record body", ErrTruncated)
 	}
 	if crc32.ChecksumIEEE(body) != sum {

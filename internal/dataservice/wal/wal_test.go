@@ -29,7 +29,7 @@ func testScene(n int) *scene.Scene {
 
 // appendOps applies count transform ops to live and journals each one,
 // returning the version after the last append.
-func appendOps(t *testing.T, l *Log, live *scene.Scene, count int) uint64 {
+func appendOps(t testing.TB, l *Log, live *scene.Scene, count int) uint64 {
 	t.Helper()
 	at := time.Unix(100, 0)
 	for i := 0; i < count; i++ {

@@ -28,6 +28,7 @@ package device
 
 import (
 	"fmt"
+	"strings"
 	"time"
 )
 
@@ -283,12 +284,26 @@ func Testbed() []Profile {
 	return []Profile{CentrinoLaptop, AthlonDesktop, SunV880z, XeonDesktop, SGIOnyx, ZaurusPDA}
 }
 
-// ByName finds a profile by its Name field.
+// keys are the short names the command-line tools take for a profile.
+var keys = map[string]Profile{
+	"centrino": CentrinoLaptop, "laptop": CentrinoLaptop,
+	"athlon": AthlonDesktop,
+	"v880z":  SunV880z, "sun": SunV880z,
+	"xeon": XeonDesktop,
+	"onyx": SGIOnyx, "sgi": SGIOnyx,
+	"pda": ZaurusPDA, "zaurus": ZaurusPDA,
+}
+
+// ByName finds a profile by its short key, in any case, or by its Name
+// field.
 func ByName(name string) (Profile, error) {
+	if p, ok := keys[strings.ToLower(name)]; ok {
+		return p, nil
+	}
 	for _, p := range Testbed() {
 		if p.Name == name {
 			return p, nil
 		}
 	}
-	return Profile{}, fmt.Errorf("device: unknown profile %q", name)
+	return Profile{}, fmt.Errorf("device: unknown profile %q (centrino|athlon|v880z|xeon|onyx|pda)", name)
 }

@@ -143,6 +143,9 @@ func TestByName(t *testing.T) {
 	if err != nil || !p.OffscreenSoftware {
 		t.Errorf("ByName: %+v %v", p, err)
 	}
+	if p, err := ByName("SGI"); err != nil || p.Name != SGIOnyx.Name {
+		t.Errorf("ByName by short key: %+v %v", p, err)
+	}
 	if _, err := ByName("Cray T3E"); err == nil {
 		t.Error("unknown device accepted")
 	}

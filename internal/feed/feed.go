@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/scene"
-	"repro/internal/telemetry"
 	"repro/internal/vclock"
 )
 
@@ -45,26 +44,9 @@ type Bridge struct {
 	sess Session
 	name string
 
-	metrics *telemetry.Registry
-	service string
-	clock   vclock.Clock
-
 	mu      sync.Mutex
 	steps   int
 	lastErr error
-}
-
-// Instrument attaches a metrics registry: each Step records
-// feed_steps_total / feed_errors_total and a feed_step_ns histogram
-// timed on clock (the session clock, so step cost — the feed's lag
-// behind its cadence — is deterministic under a virtual clock).
-func (b *Bridge) Instrument(reg *telemetry.Registry, service string, clock vclock.Clock) {
-	if clock == nil {
-		clock = vclock.Real{}
-	}
-	b.mu.Lock()
-	b.metrics, b.service, b.clock = reg, service, clock
-	b.mu.Unlock()
 }
 
 // NewBridge attaches the source to the session (applying its initial
@@ -104,27 +86,16 @@ func (b *Bridge) Retarget(sess Session) error {
 // Step advances the simulation once and applies its updates.
 func (b *Bridge) Step(dt time.Duration) error {
 	b.mu.Lock()
-	sess, reg, service, clock := b.sess, b.metrics, b.service, b.clock
+	sess := b.sess
 	b.mu.Unlock()
-	var start time.Time
-	if clock != nil {
-		start = clock.Now()
-	}
 	err := b.stepInto(sess, dt)
-	if clock != nil {
-		reg.Histogram(service, "feed_step_ns", "").Observe(clock.Now().Sub(start))
-	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if err != nil {
-		reg.Counter(service, "feed_errors_total", "").Inc()
-		b.mu.Lock()
 		b.lastErr = err
-		b.mu.Unlock()
 		return err
 	}
-	reg.Counter(service, "feed_steps_total", "").Inc()
-	b.mu.Lock()
 	b.steps++
-	b.mu.Unlock()
 	return nil
 }
 

@@ -482,13 +482,6 @@ type CapacityReport struct {
 	OffscreenHardware bool    `json:"offscreen_hardware"`
 }
 
-// SpareWork returns how much additional per-frame work the service can
-// absorb while holding its target frame rate.
-func (c CapacityReport) SpareWork() float64 {
-	budget := c.PolysPerSecond / c.TargetFPS
-	return budget - c.CurrentWork
-}
-
 // LoadReport is the periodic load signal driving workload migration
 // (§3.2.7): a render rate below threshold marks the service overloaded.
 type LoadReport struct {

@@ -162,17 +162,6 @@ func TestMsgTypeStrings(t *testing.T) {
 	}
 }
 
-func TestCapacitySpareWork(t *testing.T) {
-	c := CapacityReport{PolysPerSecond: 1_000_000, TargetFPS: 10, CurrentWork: 60_000}
-	if got := c.SpareWork(); got != 40_000 {
-		t.Errorf("SpareWork = %v", got)
-	}
-	over := CapacityReport{PolysPerSecond: 100_000, TargetFPS: 10, CurrentWork: 20_000}
-	if over.SpareWork() >= 0 {
-		t.Error("overloaded service reports spare work")
-	}
-}
-
 // TestDialAcceptsSchemeOrBareAddress: UDDI access points carry a tcp://
 // scheme, flag-supplied addresses do not; both reach the same listener.
 func TestDialAcceptsSchemeOrBareAddress(t *testing.T) {

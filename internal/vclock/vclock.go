@@ -113,16 +113,6 @@ func (v *Virtual) Advance(d time.Duration) {
 	v.mu.Unlock()
 }
 
-// AdvanceTo moves the clock forward to t (no-op if t is in the past).
-func (v *Virtual) AdvanceTo(t time.Time) {
-	v.mu.Lock()
-	now := v.now
-	v.mu.Unlock()
-	if t.After(now) {
-		v.Advance(t.Sub(now))
-	}
-}
-
 // PendingWaiters reports how many timers are waiting on the clock.
 func (v *Virtual) PendingWaiters() int {
 	v.mu.Lock()

@@ -19,20 +19,6 @@ func TestVirtualNowAdvance(t *testing.T) {
 	}
 }
 
-func TestVirtualAdvanceTo(t *testing.T) {
-	v := NewVirtual(epoch)
-	target := epoch.Add(3 * time.Minute)
-	v.AdvanceTo(target)
-	if !v.Now().Equal(target) {
-		t.Fatalf("AdvanceTo: %v", v.Now())
-	}
-	// Going backwards is a no-op.
-	v.AdvanceTo(epoch)
-	if !v.Now().Equal(target) {
-		t.Fatalf("AdvanceTo past: %v", v.Now())
-	}
-}
-
 func TestVirtualSleepWakesInOrder(t *testing.T) {
 	v := NewVirtual(epoch)
 	var mu sync.Mutex
