@@ -136,6 +136,60 @@ func TestSickDiskEvacuation(t *testing.T) {
 	}
 }
 
+// TestEvacuatedNodeStaysOffRingAcrossTopologyEvents: ring membership
+// has one rule, so a topology event cannot undo an evacuation. With
+// membership restated per call site, TopologyChanged re-added the sick
+// node (servable, though not placeable): every later rebalance then
+// tried and refused to move its share of the sessions back, and every
+// new session that hashed there was refused.
+func TestEvacuatedNodeStaysOffRingAcrossTopologyEvents(t *testing.T) {
+	gw, met, clk, plans := journalFleet(t, 4, 2)
+	stop := pace(clk)
+	defer stop()
+
+	var sessions []string
+	for i := 0; i < 12; i++ {
+		s := fmt.Sprintf("sess-%02d", i)
+		sessions = append(sessions, s)
+		if err := gw.OpenSession("t", s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim, owned := "", map[string]int{}
+	for _, owner := range gw.Placements() {
+		owned[owner]++
+		if owned[owner] > owned[victim] || (owned[owner] == owned[victim] && owner < victim) {
+			victim = owner
+		}
+	}
+	plans[victim].SickNow()
+	mutateAll(t, gw, sessions)
+
+	gw.TopologyChanged()
+	gw.TopologyChanged()
+
+	if gw.ring.Has(victim) {
+		t.Errorf("evacuated node %s is back on the ring after a topology event", victim)
+	}
+	if n := met.Snapshot().CounterValue("gw", "rebalance_errors_total", ""); n != 0 {
+		t.Errorf("rebalance_errors_total = %d, want 0: the gateway refused moves its own ring asked for", n)
+	}
+	for i := 0; i < 40; i++ {
+		s := fmt.Sprintf("fresh-%02d", i)
+		if err := gw.OpenSession("t", s); err != nil {
+			t.Errorf("OpenSession(%s): %v", s, err)
+		}
+	}
+	for s, v := range mutateAll(t, gw, sessions) {
+		if v != 2 {
+			t.Errorf("session %s at version %d after two mutates, want exactly 2", s, v)
+		}
+		if owner, _, _, _ := gw.Placement(s); owner == victim {
+			t.Errorf("session %s is back on sick node %s", s, victim)
+		}
+	}
+}
+
 // TestDegradedOwnerPromotesAckedPrefix: the op in flight when the disk
 // goes sick reaches the owner's memory but is never acked or fanned
 // out. Evacuation must promote the replica's acked prefix — not adopt

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -19,11 +20,14 @@ import (
 // UDDI registry: session "s" is governed by lease "gwsess:s".
 const LeaseServicePrefix = "gwsess:"
 
-// DefaultLeaseTTL is the ownership lease TTL when Config.LeaseTTL is
-// zero. Ownership changes are pushed through TransferLease (which
-// works on live leases), so the TTL only matters for crash recovery of
-// the gateway itself; a few seconds keeps the registry rows fresh.
+// DefaultLeaseTTL is the per-session ownership lease TTL. Ownership
+// changes are pushed through TransferLease (which works on live
+// leases), so the TTL only matters for crash recovery of the gateway
+// itself; a few seconds keeps the registry rows fresh.
 const DefaultLeaseTTL = 3 * time.Second
+
+// serviceName labels the gateway tier's telemetry, its nodes' included.
+const serviceName = "gw"
 
 // maxDispatchAttempts bounds the internal re-route loop. Two attempts
 // handle the common case (owner died, retry on the promoted standby);
@@ -51,8 +55,6 @@ const (
 
 // Config configures a Gateway.
 type Config struct {
-	// Name labels the gateway's telemetry service (default "gw").
-	Name string
 	// Clock drives lease timestamps and latency measurement; required
 	// for deterministic runs (defaults to the real clock).
 	Clock vclock.Clock
@@ -77,9 +79,6 @@ type Config struct {
 	// QueueDepth bounds concurrently admitted dispatches
 	// (0 = DefaultQueueDepth).
 	QueueDepth int
-	// LeaseTTL is the per-session ownership lease TTL
-	// (0 = DefaultLeaseTTL).
-	LeaseTTL time.Duration
 }
 
 // Request is one thin-client call routed through the gateway.
@@ -113,7 +112,6 @@ type Result struct {
 // N mirrors at region-spread ring successors.
 type placement struct {
 	session  string
-	tenant   string
 	owner    string
 	epoch    uint64
 	replicas *dataservice.ReplicaSet
@@ -140,6 +138,7 @@ type Gateway struct {
 	mu         sync.Mutex
 	ring       *Ring
 	nodes      map[string]*Node
+	drained    map[string]bool // nodes NodeDown or EvacuateNode named
 	placements map[string]*placement
 }
 
@@ -148,26 +147,21 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Leases == nil {
 		return nil, fmt.Errorf("gateway: Config.Leases required")
 	}
-	if cfg.Name == "" {
-		cfg.Name = "gw"
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.Real{}
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = telemetry.NewRegistry(cfg.Clock)
 	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = DefaultLeaseTTL
-	}
 	if cfg.ReplicationFactor <= 0 {
 		cfg.ReplicationFactor = 1
 	}
 	return &Gateway{
 		cfg:        cfg,
-		adm:        newAdmission(cfg.Name, cfg.QueueDepth, cfg.Clock, cfg.Metrics),
+		adm:        newAdmission(serviceName, cfg.QueueDepth, cfg.Clock, cfg.Metrics),
 		ring:       NewRing(cfg.Replicas),
 		nodes:      map[string]*Node{},
+		drained:    map[string]bool{},
 		placements: map[string]*placement{},
 	}, nil
 }
@@ -178,34 +172,32 @@ func (g *Gateway) Telemetry() *telemetry.Registry { return g.cfg.Metrics }
 // leaseService maps a session name to its UDDI lease row.
 func leaseService(session string) string { return LeaseServicePrefix + session }
 
-// reachableLocked reports whether the gateway can currently reach the
-// node across the topology (always true on a flat fleet). Callers hold
+// factsLocked gathers what the decisions in decide.go read about the
+// named node: liveness, reachability across the topology (always true
+// on a flat fleet), storage health and the drain mark. Callers hold
 // g.mu.
-func (g *Gateway) reachableLocked(n *Node) bool {
-	if g.cfg.Topology == nil {
-		return true
-	}
-	return g.cfg.Topology.Reachable(netsim.ParseLocality(g.cfg.Region), netsim.ParseLocality(n.Region()))
-}
-
-// servableLocked reports whether the named node can serve requests
-// routed by this gateway: joined, alive, and on this side of any
-// partition. An unreachable node is handled exactly like a dead one —
-// the difference only matters at heal time, when its state is still
-// there to resume from. Callers hold g.mu.
-func (g *Gateway) servableLocked(name string) bool {
+func (g *Gateway) factsLocked(name string) nodeFacts {
 	n := g.nodes[name]
-	return n != nil && n.Alive() && g.reachableLocked(n)
+	if n == nil {
+		return nodeFacts{name: name}
+	}
+	return nodeFacts{
+		name: name, region: n.Region(), alive: n.Alive(), degraded: n.StorageDegraded(), drained: g.drained[name],
+		reachable: g.cfg.Topology == nil ||
+			g.cfg.Topology.Reachable(netsim.ParseLocality(g.cfg.Region), netsim.ParseLocality(n.Region())),
+	}
 }
 
-// placeableLocked reports whether the named node may receive new work:
-// servable and its storage is healthy. The distinction matters for a
-// sick-disk node — still servable (its memory answers frames, its
-// copies are promotion sources) but never placeable (no new primaries,
-// no new replicas land on a disk that cannot commit). Callers hold
-// g.mu.
-func (g *Gateway) placeableLocked(name string) bool {
-	return g.servableLocked(name) && !g.nodes[name].StorageDegraded()
+// syncRingLocked makes the ring's membership equal nodeFacts.ringMember
+// over the joined nodes; nothing else edits the ring. Callers hold g.mu.
+func (g *Gateway) syncRingLocked() {
+	for name := range g.nodes {
+		if g.factsLocked(name).ringMember() {
+			g.ring.Add(name)
+		} else {
+			g.ring.Remove(name)
+		}
+	}
 }
 
 // AddNode joins a node to the fleet and rebalances: consistent hashing
@@ -217,23 +209,23 @@ func (g *Gateway) AddNode(n *Node) error {
 		return fmt.Errorf("gateway: node %q already joined", n.Name())
 	}
 	g.nodes[n.Name()] = n
-	g.ring.Add(n.Name())
 	g.rebalanceLocked()
 	return nil
 }
 
-// NodeDown removes a node from the placement ring and rebalances its
-// sessions away (promoting their replicas when the node is dead).
+// NodeDown drains a node: it leaves the placement ring and its sessions
+// rebalance away (promoting their replicas when the node is dead).
 // Dispatch also self-heals — a failed call to a killed node triggers
 // the same path — so calling NodeDown is an optimization, not a
-// correctness requirement.
+// correctness requirement. The drain is permanent: a live drained node
+// stays off the ring through every later event (nodeFacts.ringMember).
 func (g *Gateway) NodeDown(name string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if !g.ring.Has(name) {
 		return
 	}
-	g.ring.Remove(name)
+	g.drained[name] = true
 	g.rebalanceLocked()
 }
 
@@ -247,32 +239,29 @@ func (g *Gateway) NodeDown(name string) {
 func (g *Gateway) EvacuateNode(name string) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.evacuateLocked(name)
+	return g.evacuateLocked(name)[name]
 }
 
-// evacuateLocked is EvacuateNode's core. Callers hold g.mu.
-func (g *Gateway) evacuateLocked(name string) int {
-	if g.nodes[name] == nil {
-		return 0
-	}
-	owned := func() int {
-		c := 0
-		for _, p := range g.placements {
-			if p.owner == name {
-				c++
-			}
+// evacuateLocked drains each named node still on the ring or still
+// owning sessions, in one rebalance, and returns how many sessions moved
+// off each; nil when none needed it. Callers hold g.mu.
+func (g *Gateway) evacuateLocked(names ...string) map[string]int {
+	owned, moved := g.ownedLocked(), map[string]int{}
+	for _, name := range names {
+		if g.ring.Has(name) || owned[name] > 0 {
+			g.drained[name] = true
+			moved[name] = 0
 		}
-		return c
 	}
-	before := owned()
-	if !g.ring.Has(name) && before == 0 {
-		return 0 // already drained
+	if len(moved) == 0 {
+		return nil
 	}
-	g.ring.Remove(name)
-	g.rebalanceLocked()
-	moved := before - owned()
-	if moved > 0 {
-		g.cfg.Metrics.Counter(g.cfg.Name, "sessions_evacuated_total", "").Add(int64(moved))
+	all := g.rebalanceLocked()
+	for name := range moved {
+		moved[name] = all[name]
+		if all[name] > 0 {
+			g.cfg.Metrics.Counter(serviceName, "sessions_evacuated_total", "").Add(int64(all[name]))
+		}
 	}
 	return moved
 }
@@ -286,39 +275,27 @@ func (g *Gateway) evacuateLocked(name string) int {
 func (g *Gateway) SyncStorageHealth() []string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	var drained []string
-	names := make([]string, 0, len(g.nodes))
-	for name := range g.nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if !g.nodes[name].StorageDegraded() {
-			continue
-		}
-		inRing := g.ring.Has(name)
-		if g.evacuateLocked(name) > 0 || inRing {
-			drained = append(drained, name)
+	var degraded, drained []string
+	for name, n := range g.nodes {
+		if n.StorageDegraded() {
+			degraded = append(degraded, name)
 		}
 	}
+	for name := range g.evacuateLocked(degraded...) {
+		drained = append(drained, name)
+	}
+	sort.Strings(drained)
 	return drained
 }
 
-// TopologyChanged re-derives ring membership from current liveness and
-// reachability — the hook a partition or heal event drives. Nodes that
-// became unreachable leave the ring (their sessions promote onto
-// surviving replicas); nodes that became reachable again rejoin and
-// catch up gap-only through the rebalance.
+// TopologyChanged re-derives ring membership from the current facts —
+// the hook a partition or heal event drives. Nodes that became
+// unreachable leave the ring (their sessions promote onto surviving
+// replicas); nodes that became reachable again rejoin and catch up
+// gap-only through the rebalance.
 func (g *Gateway) TopologyChanged() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for name := range g.nodes {
-		if g.servableLocked(name) {
-			g.ring.Add(name)
-		} else {
-			g.ring.Remove(name)
-		}
-	}
 	g.rebalanceLocked()
 }
 
@@ -347,11 +324,11 @@ func (g *Gateway) OpenSession(tenant, session string) error {
 	if !ok {
 		return fmt.Errorf("gateway: no nodes joined")
 	}
-	if !g.placeableLocked(owner) {
+	if !g.factsLocked(owner).placeable() {
 		return fmt.Errorf("gateway: ring owner %q not placeable", owner)
 	}
 	node := g.nodes[owner]
-	lease, err := g.cfg.Leases.TransferLease(leaseService(session), owner, g.cfg.LeaseTTL, g.cfg.Clock.Now())
+	lease, err := g.cfg.Leases.TransferLease(leaseService(session), owner, DefaultLeaseTTL, g.cfg.Clock.Now())
 	if err != nil {
 		return fmt.Errorf("gateway: lease session %q: %w", session, err)
 	}
@@ -363,10 +340,10 @@ func (g *Gateway) OpenSession(tenant, session string) error {
 		return err
 	}
 	node.StampEpoch(session, lease.Epoch)
-	p := &placement{session: session, tenant: tenant, owner: owner, epoch: lease.Epoch}
+	p := &placement{session: session, owner: owner, epoch: lease.Epoch}
 	g.placements[session] = p
 	g.ensureReplicasLocked(p)
-	g.cfg.Metrics.Gauge(g.cfg.Name, "sessions_open", "").Set(int64(len(g.placements)))
+	g.cfg.Metrics.Gauge(serviceName, "sessions_open", "").Set(int64(len(g.placements)))
 	return nil
 }
 
@@ -414,35 +391,27 @@ func (g *Gateway) Placements() map[string]string {
 }
 
 // Route resolves a session to its live owning node and lease epoch,
-// self-healing placement if the recorded owner has died or dropped off
-// the reachable side of a partition. Socket-serving front ends use this
-// to pick the data service a thin client should stream from.
+// self-healing placement (a rebalance, promoting replicas) if the
+// recorded owner has died or dropped off the reachable side of a
+// partition. Socket-serving front ends use this to pick the data service
+// a thin client should stream from.
 func (g *Gateway) Route(session string) (*Node, uint64, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.routeHealthyLocked(session)
-}
-
-// routeHealthyLocked returns the session's owner if servable; if the
-// owner has died (or a partition cut it off) it removes it from the
-// ring, rebalances (promoting replicas), and returns the new owner.
-// Callers hold g.mu.
-func (g *Gateway) routeHealthyLocked(session string) (*Node, uint64, error) {
 	p, ok := g.placements[session]
 	if !ok {
 		return nil, 0, fmt.Errorf("gateway: unknown session %q", session)
 	}
-	if g.servableLocked(p.owner) {
+	if g.factsLocked(p.owner).servable() {
 		return g.nodes[p.owner], p.epoch, nil
 	}
 	// The recorded owner is gone: heal the ring and re-place. This is
 	// the detection path when nobody called NodeDown — the first
 	// failed dispatch lands here.
 	if g.ring.Has(p.owner) {
-		g.ring.Remove(p.owner)
 		g.rebalanceLocked()
 	}
-	if !g.servableLocked(p.owner) {
+	if !g.factsLocked(p.owner).servable() {
 		return nil, 0, fmt.Errorf("gateway: no live node for session %q", session)
 	}
 	return g.nodes[p.owner], p.epoch, nil
@@ -482,7 +451,7 @@ func (g *Gateway) Dispatch(ctx context.Context, req Request) (Result, error) {
 		case KindFrame:
 			rel, resErr := node.reserve()
 			if errors.Is(resErr, errNoCapacity) {
-				g.cfg.Metrics.Counter(g.cfg.Name, "declined_total", ReasonCapacity).Inc()
+				g.cfg.Metrics.Counter(serviceName, "declined_total", ReasonCapacity).Inc()
 				return Result{}, &ErrDeclined{Tenant: req.Tenant, Reason: ReasonCapacity, RetryAfter: g.adm.retryAfter()}
 			}
 			if resErr != nil {
@@ -498,15 +467,16 @@ func (g *Gateway) Dispatch(ctx context.Context, req Request) (Result, error) {
 		}
 		if derr == nil {
 			if req.Kind == KindFrame {
-				g.cfg.Metrics.Counter(g.cfg.Name, "requests_total", "frame").Inc()
-				g.cfg.Metrics.Histogram(g.cfg.Name, "dispatch_latency_ns", "frame").Observe(g.cfg.Clock.Now().Sub(start))
+				g.cfg.Metrics.Counter(serviceName, "requests_total", "frame").Inc()
+				g.cfg.Metrics.Histogram(serviceName, "dispatch_latency_ns", "frame").Observe(g.cfg.Clock.Now().Sub(start))
 			} else {
-				g.cfg.Metrics.Counter(g.cfg.Name, "requests_total", "mutate").Inc()
-				g.cfg.Metrics.Histogram(g.cfg.Name, "dispatch_latency_ns", "mutate").Observe(g.cfg.Clock.Now().Sub(start))
+				g.cfg.Metrics.Counter(serviceName, "requests_total", "mutate").Inc()
+				g.cfg.Metrics.Histogram(serviceName, "dispatch_latency_ns", "mutate").Observe(g.cfg.Clock.Now().Sub(start))
 			}
 			return Result{Node: node.Name(), Version: version}, nil
 		}
-		if errors.Is(derr, ErrStorageDegraded) {
+		switch {
+		case errors.Is(derr, ErrStorageDegraded):
 			// The owner's disk went sick under this very request: the op
 			// touched only the owner's memory — never acked, never
 			// replicated. Evacuate the node's sessions onto healthy
@@ -514,16 +484,13 @@ func (g *Gateway) Dispatch(ctx context.Context, req Request) (Result, error) {
 			// commits the op exactly once. Like a node death, a sick
 			// disk is a routing fault, not a client error.
 			g.EvacuateNode(node.Name())
-			g.cfg.Metrics.Counter(g.cfg.Name, "dispatch_retries_total", "").Inc()
-			continue
-		}
-		if errors.Is(derr, ErrNodeDown) || errors.Is(derr, ErrStaleEpoch) {
+		case errors.Is(derr, ErrNodeDown), errors.Is(derr, ErrStaleEpoch):
 			// Routing fault: the placement healed (or is about to) —
 			// retry against the current owner.
-			g.cfg.Metrics.Counter(g.cfg.Name, "dispatch_retries_total", "").Inc()
-			continue
+		default:
+			return Result{}, derr
 		}
-		return Result{}, derr
+		g.cfg.Metrics.Counter(serviceName, "dispatch_retries_total", "").Inc()
 	}
 	return Result{}, fmt.Errorf("gateway: dispatch for session %q exhausted %d attempts", req.Session, maxDispatchAttempts)
 }
@@ -536,199 +503,148 @@ func (a *admission) retryAfter() time.Duration {
 	return a.retryAfterLocked()
 }
 
-// rebalanceLocked re-derives every session's desired owner and moves
-// the strays: lease transfer first (epoch bump), then state handoff.
+// rebalanceLocked is what every membership event comes down to once the
+// fact behind it has changed: sync the ring, then re-derive every
+// session's desired owner and move the strays — lease transfer first
+// (epoch bump), then state handoff.
 // When a session's owner is dead or unreachable, the desired owner is
 // not the bare ring successor but the *most-caught-up servable replica*
 // (in-region preferred) — on a flat single-region fleet the two
 // coincide, because replicas sit at ring successors and stay fully
-// caught up. Callers hold g.mu.
-func (g *Gateway) rebalanceLocked() {
+// caught up. Returns how many sessions moved off each previous owner.
+// Callers hold g.mu.
+func (g *Gateway) rebalanceLocked() map[string]int {
+	g.syncRingLocked()
 	sessions := make([]string, 0, len(g.placements))
 	for s := range g.placements {
 		sessions = append(sessions, s)
 	}
 	sort.Strings(sessions)
-	moved := 0
+	moved, total := map[string]int{}, 0
 	for _, s := range sessions {
 		p := g.placements[s]
 		desired, ok := g.ring.Owner(s)
 		if !ok {
 			continue // no members: placements freeze until a node joins
 		}
-		if !g.servableLocked(p.owner) && p.replicas != nil {
-			prefer := g.cfg.Region
-			if old := g.nodes[p.owner]; old != nil {
-				prefer = old.Region()
-			}
+		if owner := g.factsLocked(p.owner); !owner.servable() && p.replicas != nil {
 			// The next owner must be placeable, not merely servable: a
 			// sick-disk replica holder can donate its copy but must not
 			// become primary for new writes.
-			if best, bok := p.replicas.Best(prefer, func(name string) bool {
-				return g.placeableLocked(name)
+			if best, bok := p.replicas.Best(owner.region, func(name string) bool {
+				return g.factsLocked(name).placeable()
 			}); bok {
 				desired = best
 			}
 		}
-		if desired != p.owner {
+		if prev := p.owner; desired != prev {
 			if err := g.movePlacementLocked(p, desired); err != nil {
-				g.cfg.Metrics.Counter(g.cfg.Name, "rebalance_errors_total", "").Inc()
+				// A failed hand-off can be news (a target found sick latches
+				// degraded): the rest of the pass must not ask a stale ring.
+				g.cfg.Metrics.Counter(serviceName, "rebalance_errors_total", "").Inc()
+				g.syncRingLocked()
 				continue
 			}
-			moved++
+			moved[prev]++
+			total++
 		}
 		g.ensureReplicasLocked(p)
 	}
-	if moved > 0 {
-		g.cfg.Metrics.Counter(g.cfg.Name, "sessions_rebalanced_total", "").Add(int64(moved))
+	if total > 0 {
+		g.cfg.Metrics.Counter(serviceName, "sessions_rebalanced_total", "").Add(int64(total))
 	}
-	g.observeOwnershipLocked()
+	owned := g.ownedLocked()
+	for name := range g.nodes {
+		g.cfg.Metrics.Gauge(serviceName, "sessions_owned", telemetry.PeerLabel(name)).Set(int64(owned[name]))
+	}
+	return moved
 }
 
-// observeOwnershipLocked mirrors per-node session counts into
-// telemetry. Callers hold g.mu.
-func (g *Gateway) observeOwnershipLocked() {
-	counts := map[string]int{}
+// ownedLocked counts the sessions each node owns. Callers hold g.mu.
+func (g *Gateway) ownedLocked() map[string]int {
+	owned := make(map[string]int, len(g.nodes))
 	for _, p := range g.placements {
-		counts[p.owner]++
+		owned[p.owner]++
 	}
-	for name := range g.nodes {
-		g.cfg.Metrics.Gauge(g.cfg.Name, "sessions_owned", telemetry.PeerLabel(name)).Set(int64(counts[name]))
-	}
+	return owned
 }
 
 // movePlacementLocked transfers one session to a new owner. Order
 // matters: the lease transfer commits the move (epoch bump) before any
 // state lands on the target, so even a crash mid-move cannot leave two
-// nodes both believing they own the epoch. State handoff prefers the
-// cheapest path that preserves the op-history ring: promote the
-// target's own replica when it has one, otherwise adopt whatever stale
-// copy the target holds gap-only, falling back to a snapshot only when
-// the history cannot cover the gap. One exception to "cheapest": a
-// storage-degraded owner's memory may hold a phantom op — applied
-// locally the instant its journal faulted, never acked or fanned out —
-// so the handoff prefers a replica's acked prefix over mirror-adopting
-// from a degraded owner, and only falls back to the degraded memory
-// when no replica survives (better a phantom than an empty scene).
-// Callers hold g.mu.
+// nodes both believing they own the epoch. The state then comes from
+// wherever handoffSource says, and reaches the target gap-only when the
+// target still holds a resumable copy, by snapshot only when the
+// op-history ring cannot cover the gap. Callers hold g.mu.
 func (g *Gateway) movePlacementLocked(p *placement, to string) error {
-	if !g.placeableLocked(to) {
+	target := g.factsLocked(to)
+	if !target.placeable() {
 		return fmt.Errorf("gateway: move target %q not placeable", to)
 	}
 	newNode := g.nodes[to]
-	lease, err := g.cfg.Leases.TransferLease(leaseService(p.session), to, g.cfg.LeaseTTL, g.cfg.Clock.Now())
+	lease, err := g.cfg.Leases.TransferLease(leaseService(p.session), to, DefaultLeaseTTL, g.cfg.Clock.Now())
 	if err != nil {
 		return fmt.Errorf("gateway: lease transfer %q -> %q: %w", p.session, to, err)
 	}
-	oldNode := g.nodes[p.owner]
-	oldServable := g.servableLocked(p.owner)
-	oldPlaceable := g.placeableLocked(p.owner)
+	prev, oldNode := g.factsLocked(p.owner), g.nodes[p.owner]
+	hasReplica, survivor := false, ""
+	if p.replicas != nil {
+		hasReplica = p.replicas.Has(to)
+		// A donor only needs to be servable — a sick-disk holder's memory
+		// is a valid acked prefix even though it can never own again.
+		survivor, _ = p.replicas.Best(target.region, func(name string) bool {
+			return g.factsLocked(name).servable()
+		})
+	}
+	from, mirror := handoffSource(to, hasReplica, prev, survivor)
+	var src *dataservice.Session
 	switch {
-	case p.replicas != nil && p.replicas.Has(to):
-		// The target already follows the session in the replica set:
-		// promote its mirror. The backup session keeps the op-history
-		// ring it accumulated while mirroring, so reconnecting
-		// subscribers resume gap-only instead of re-snapshotting.
-		m, _ := p.replicas.Take(to)
-		promoted, perr := m.Promote()
-		if perr != nil {
-			return perr
+	case mirror:
+		m, _ := p.replicas.Take(from)
+		if src, err = m.Promote(); err != nil {
+			return err
 		}
-		g.cfg.Metrics.Counter(g.cfg.Name, "promotions_total", "").Inc()
-		// The remaining members still follow the deposed primary;
-		// detach them (their copies freeze) and let ensureReplicas
+		g.cfg.Metrics.Counter(serviceName, "promotions_total", "").Inc()
+	case from != "":
+		var ok bool
+		if src, ok = oldNode.svc.Session(p.session); !ok {
+			return fmt.Errorf("gateway: session %q missing on owner %q", p.session, p.owner)
+		}
+	default:
+		// Every copy is gone: re-open empty on the target rather than
+		// wedge the session forever.
+		newNode.svc.RemoveSession(p.session)
+		if src, err = newNode.svc.CreateSession(p.session); err != nil {
+			return err
+		}
+	}
+	if from != prev.name && p.replicas != nil {
+		// The owner is deposed and the remaining members still follow
+		// it; detach them (their copies freeze) and let ensureReplicas
 		// re-attach them to the new primary gap-only.
 		p.replicas.DetachAll()
 		p.replicas = nil
 		p.seeded = false
-		if jerr := newNode.startJournal(p.session, promoted); jerr != nil {
-			return jerr
-		}
-	case oldPlaceable:
-		// Planned move off a live, healthy owner: mirror-adopt onto the
-		// target — gap-only when the target still holds a resumable
-		// copy, full snapshot otherwise — then promote immediately.
-		oldSess, ok := oldNode.svc.Session(p.session)
-		if !ok {
-			return fmt.Errorf("gateway: session %q missing on owner %q", p.session, p.owner)
-		}
-		m, _, merr := dataservice.MirrorSessionSince(oldSess, newNode.svc)
-		if merr != nil {
-			return merr
-		}
-		promoted, perr := m.Promote()
-		if perr != nil {
-			return perr
-		}
-		if jerr := newNode.startJournal(p.session, promoted); jerr != nil {
-			return jerr
-		}
-	case p.replicas != nil:
-		// Owner dead (or degraded) and the target holds no replica
-		// (several membership changes landed at once): promote the best
-		// surviving copy, then hand the target its state. The donor only
-		// needs to be servable — a sick-disk holder's memory is a valid
-		// acked-prefix source even though it can never own again.
-		best, bok := p.replicas.Best(newNode.Region(), func(name string) bool {
-			return g.servableLocked(name)
-		})
-		if !bok {
-			p.replicas.DetachAll()
-			p.replicas = nil
-			p.seeded = false
-			return g.reopenLostLocked(p, newNode, lease.Epoch, to)
-		}
-		m, _ := p.replicas.Take(best)
-		promoted, perr := m.Promote()
-		if perr != nil {
-			return perr
-		}
-		g.cfg.Metrics.Counter(g.cfg.Name, "promotions_total", "").Inc()
-		p.replicas.DetachAll()
-		p.replicas = nil
-		p.seeded = false
-		m2, _, merr := dataservice.MirrorSessionSince(promoted, newNode.svc)
-		if merr != nil {
-			return merr
-		}
-		adopted, perr := m2.Promote()
-		if perr != nil {
-			return perr
-		}
-		if jerr := newNode.startJournal(p.session, adopted); jerr != nil {
-			return jerr
-		}
-	case oldServable:
-		// Degraded owner with no replicas at all (replication never
-		// seeded — a single-node fleet, say): mirror-adopt its memory as
-		// a last resort. The copy may carry a phantom op past the acked
-		// prefix, but it beats reopening the session empty.
-		oldSess, ok := oldNode.svc.Session(p.session)
-		if !ok {
-			return fmt.Errorf("gateway: session %q missing on owner %q", p.session, p.owner)
-		}
-		m, _, merr := dataservice.MirrorSessionSince(oldSess, newNode.svc)
-		if merr != nil {
-			return merr
-		}
-		promoted, perr := m.Promote()
-		if perr != nil {
-			return perr
-		}
-		if jerr := newNode.startJournal(p.session, promoted); jerr != nil {
-			return jerr
-		}
-	default:
-		// Owner dead with no replicas (single-node fleet): the scene
-		// state is gone. Re-open empty rather than wedge the session
-		// forever, and account for the loss.
-		return g.reopenLostLocked(p, newNode, lease.Epoch, to)
 	}
-	prevOwner := p.owner
+	if from != "" && from != to {
+		m, _, merr := dataservice.MirrorSessionSince(src, newNode.svc)
+		if merr != nil {
+			return merr
+		}
+		if src, err = m.Promote(); err != nil {
+			return err
+		}
+	}
+	if err := newNode.startJournal(p.session, src); err != nil {
+		return err
+	}
+	if from == "" {
+		g.cfg.Metrics.Counter(serviceName, "sessions_lost_total", "").Inc()
+	}
 	newNode.StampEpoch(p.session, lease.Epoch)
 	p.owner = to
 	p.epoch = lease.Epoch
-	if oldNode != nil && prevOwner != to && oldServable {
+	if prev.servable() {
 		// A live owner was drained deliberately. If it is about to come
 		// straight back as a replica target (a heal moving the session
 		// home demotes the partition-era primary to its cross-region
@@ -740,13 +656,7 @@ func (g *Gateway) movePlacementLocked(p *placement, to string) error {
 		// A dead or partitioned owner is left untouched either way: we
 		// cannot reach it, and the copy it strands is exactly what a
 		// post-heal rebalance resumes from.
-		keep := false
-		for _, tgt := range g.replicaTargetsLocked(p) {
-			if tgt == prevOwner {
-				keep = true
-			}
-		}
-		if keep {
+		if slices.Contains(g.replicaTargetsLocked(p), prev.name) {
 			oldNode.StampEpoch(p.session, 0)
 		} else {
 			oldNode.DropSession(p.session)
@@ -755,78 +665,15 @@ func (g *Gateway) movePlacementLocked(p *placement, to string) error {
 	return nil
 }
 
-// reopenLostLocked re-creates a session whose every copy is gone —
-// empty, accounted as lost. Callers hold g.mu.
-func (g *Gateway) reopenLostLocked(p *placement, newNode *Node, epoch uint64, to string) error {
-	newNode.svc.RemoveSession(p.session)
-	fresh, cerr := newNode.svc.CreateSession(p.session)
-	if cerr != nil {
-		return cerr
-	}
-	if jerr := newNode.startJournal(p.session, fresh); jerr != nil {
-		return jerr
-	}
-	g.cfg.Metrics.Counter(g.cfg.Name, "sessions_lost_total", "").Inc()
-	newNode.StampEpoch(p.session, epoch)
-	p.owner = to
-	p.epoch = epoch
-	return nil
-}
-
-// replicaTargetsLocked picks the session's desired replica holders:
-// the first ReplicationFactor distinct servable ring successors, with
-// region spread forced when the fleet has regions — the walk's first
-// in-owner-region candidate and first out-of-region candidate are
-// always included (when they exist), so a session survives both a node
-// loss and a whole-region loss. On a flat fleet this degenerates to
-// the plain successor walk, whose first entry is PR 6's standby.
-// Callers hold g.mu.
+// replicaTargetsLocked gathers the session's ring successors and asks
+// replicaTargets for its desired replica holders. Callers hold g.mu.
 func (g *Gateway) replicaTargetsLocked(p *placement) []string {
-	factor := g.cfg.ReplicationFactor
-	ownerRegion := ""
-	if n := g.nodes[p.owner]; n != nil {
-		ownerRegion = n.Region()
+	succ := g.ring.Successors(p.session, len(g.nodes))
+	walk := make([]nodeFacts, len(succ))
+	for i, name := range succ {
+		walk[i] = g.factsLocked(name)
 	}
-	var cands []string
-	for _, m := range g.ring.Successors(p.session, len(g.nodes)) {
-		// Placeable, not just servable: new replicas never land on a
-		// sick disk — re-replication after an evacuation must restore
-		// factor N on nodes that can actually keep the copies.
-		if m != p.owner && g.placeableLocked(m) {
-			cands = append(cands, m)
-		}
-	}
-	if len(cands) <= factor {
-		return cands
-	}
-	firstIn, firstOut := "", ""
-	for _, c := range cands {
-		if netsim.CrossRegion(ownerRegion, g.nodes[c].Region()) {
-			if firstOut == "" {
-				firstOut = c
-			}
-		} else if firstIn == "" {
-			firstIn = c
-		}
-	}
-	picked := make([]string, 0, factor)
-	chosen := map[string]bool{}
-	for _, guaranteed := range []string{firstIn, firstOut} {
-		if guaranteed != "" && len(picked) < factor && !chosen[guaranteed] {
-			picked = append(picked, guaranteed)
-			chosen[guaranteed] = true
-		}
-	}
-	for _, c := range cands {
-		if len(picked) >= factor {
-			break
-		}
-		if !chosen[c] {
-			picked = append(picked, c)
-			chosen[c] = true
-		}
-	}
-	return picked
+	return replicaTargets(g.cfg.ReplicationFactor, g.factsLocked(p.owner), walk)
 }
 
 // ensureReplicasLocked converges the session's replica set on its
@@ -836,7 +683,7 @@ func (g *Gateway) replicaTargetsLocked(p *placement) []string {
 // set first reached full strength count as re-replication. Callers
 // hold g.mu.
 func (g *Gateway) ensureReplicasLocked(p *placement) {
-	if !g.servableLocked(p.owner) {
+	if !g.factsLocked(p.owner).servable() {
 		return
 	}
 	primary, ok := g.nodes[p.owner].svc.Session(p.session)
@@ -851,12 +698,8 @@ func (g *Gateway) ensureReplicasLocked(p *placement) {
 		p.seeded = false
 	}
 	targets := g.replicaTargetsLocked(p)
-	want := make(map[string]bool, len(targets))
-	for _, tgt := range targets {
-		want[tgt] = true
-	}
 	for _, name := range p.replicas.Names() {
-		if !want[name] || !g.servableLocked(name) {
+		if !slices.Contains(targets, name) || !g.factsLocked(name).servable() {
 			p.replicas.Detach(name)
 		}
 	}
@@ -866,37 +709,29 @@ func (g *Gateway) ensureReplicasLocked(p *placement) {
 		}
 		node := g.nodes[tgt]
 		if _, err := p.replicas.Attach(tgt, node.Region(), node.svc); err != nil {
-			g.cfg.Metrics.Counter(g.cfg.Name, "mirror_errors_total", "").Inc()
+			g.cfg.Metrics.Counter(serviceName, "mirror_errors_total", "").Inc()
 			continue
 		}
 		// A rejoining node may still carry an epoch stamp from a
 		// primaryship it held before a partition; clear it so only the
 		// current owner can serve dispatches for the session.
 		node.StampEpoch(p.session, 0)
-		g.cfg.Metrics.Counter(g.cfg.Name, "mirror_seeds_total", "").Inc()
+		g.cfg.Metrics.Counter(serviceName, "mirror_seeds_total", "").Inc()
 		if p.seeded {
-			g.cfg.Metrics.Counter(g.cfg.Name, "rereplications_total", "").Inc()
+			g.cfg.Metrics.Counter(serviceName, "rereplications_total", "").Inc()
 		}
 	}
 	if !p.seeded && p.replicas.Size() >= len(targets) && len(targets) > 0 {
 		p.seeded = true
 	}
-	g.observeReplicationLocked(p, primary)
-}
-
-// observeReplicationLocked publishes each replica's version delta
-// behind the primary as the per-node replication-lag gauge. Callers
-// hold g.mu.
-func (g *Gateway) observeReplicationLocked(p *placement, primary *dataservice.Session) {
-	if p.replicas == nil {
-		return
-	}
+	// Each replica's version delta behind the primary is the per-node
+	// replication-lag gauge.
 	version := primary.Version()
 	for name, acked := range p.replicas.Acked() {
 		lag := int64(0)
 		if version > acked {
 			lag = int64(version - acked)
 		}
-		g.cfg.Metrics.Gauge(g.cfg.Name, "replication_lag", telemetry.PeerLabel(name)).Set(lag)
+		g.cfg.Metrics.Gauge(serviceName, "replication_lag", telemetry.PeerLabel(name)).Set(lag)
 	}
 }

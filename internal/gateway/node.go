@@ -14,11 +14,11 @@ import (
 	"repro/internal/vclock"
 )
 
-// Default node capacity/cost model. The render cost is the calibrated
-// SGI-class off-screen figure the perf model uses for small tiles; the
-// op cost is middleware fan-out latency. Both are modeled on the
-// virtual clock, so a fleet-scale run is deterministic and takes
-// milliseconds of wall time.
+// Node capacity/cost model. The render cost is the calibrated SGI-class
+// off-screen figure the perf model uses for small tiles; the op cost is
+// middleware fan-out latency. Both are modeled on the virtual clock, so
+// a fleet-scale run is deterministic and takes milliseconds of wall
+// time.
 const (
 	DefaultRenderSlots = 4
 	DefaultRenderCost  = 25 * time.Millisecond
@@ -67,9 +67,6 @@ type NodeConfig struct {
 	// RenderSlots is the render capacity reserved before dispatch
 	// (0 = DefaultRenderSlots).
 	RenderSlots int
-	// RenderCost is the modeled per-frame device time
-	// (0 = DefaultRenderCost).
-	RenderCost time.Duration
 	// OpCost is the modeled per-mutation middleware time
 	// (0 = DefaultOpCost).
 	OpCost time.Duration
@@ -79,9 +76,6 @@ type NodeConfig struct {
 	// earlier PRs. Replica mirrors are never journaled — durability is
 	// the primary's job; the mirrors are the redundancy.
 	Journal func(session string) wal.Store
-	// JournalCompactEvery bounds journal segment growth
-	// (0 = DefaultJournalCompactEvery).
-	JournalCompactEvery int
 }
 
 // Node is one data service in the sharded fleet: the real
@@ -92,16 +86,14 @@ type NodeConfig struct {
 // contention and tail latency emerge from the same calibrated costs the
 // perf model uses rather than from wall-clock noise.
 type Node struct {
-	name       string
-	region     string
-	svc        *dataservice.Service
-	clock      vclock.Clock
-	metrics    *telemetry.Registry
-	renderCost time.Duration
-	opCost     time.Duration
-	slots      int
-	journal    func(session string) wal.Store
-	compactEv  int
+	name    string
+	region  string
+	svc     *dataservice.Service
+	clock   vclock.Clock
+	metrics *telemetry.Registry
+	opCost  time.Duration
+	slots   int
+	journal func(session string) wal.Store
 
 	mu       sync.Mutex
 	alive    bool
@@ -122,14 +114,8 @@ func NewNode(cfg NodeConfig) *Node {
 	if cfg.RenderSlots <= 0 {
 		cfg.RenderSlots = DefaultRenderSlots
 	}
-	if cfg.RenderCost <= 0 {
-		cfg.RenderCost = DefaultRenderCost
-	}
 	if cfg.OpCost <= 0 {
 		cfg.OpCost = DefaultOpCost
-	}
-	if cfg.JournalCompactEvery <= 0 {
-		cfg.JournalCompactEvery = DefaultJournalCompactEvery
 	}
 	return &Node{
 		name:   cfg.Name,
@@ -140,15 +126,13 @@ func NewNode(cfg NodeConfig) *Node {
 			Clock:   cfg.Clock,
 			Metrics: cfg.Metrics,
 		}),
-		clock:      cfg.Clock,
-		metrics:    cfg.Metrics,
-		renderCost: cfg.RenderCost,
-		opCost:     cfg.OpCost,
-		slots:      cfg.RenderSlots,
-		journal:    cfg.Journal,
-		compactEv:  cfg.JournalCompactEvery,
-		alive:      true,
-		epochs:     map[string]uint64{},
+		clock:   cfg.Clock,
+		metrics: cfg.Metrics,
+		opCost:  cfg.OpCost,
+		slots:   cfg.RenderSlots,
+		journal: cfg.Journal,
+		alive:   true,
+		epochs:  map[string]uint64{},
 	}
 }
 
@@ -197,18 +181,22 @@ func (n *Node) markStorageDegraded() {
 	n.degraded = true
 	n.mu.Unlock()
 	if !already {
-		n.metrics.Gauge("gw", "storage_degraded", telemetry.PeerLabel(n.name)).Set(1)
+		n.metrics.Gauge(serviceName, "storage_degraded", telemetry.PeerLabel(n.name)).Set(1)
 	}
 }
 
 // startJournal attaches a durable journal to a session this node just
 // became primary for (no-op on memory-only nodes). A store that cannot
-// even open a journal marks the node degraded on the spot.
+// even open a journal marks the node degraded on the spot. A copy kept
+// from an earlier term as primary (demoted to a replica, or stranded
+// behind a partition) still holds that term's journal; the new term
+// starts its own, from a checkpoint of the scene as promoted.
 func (n *Node) startJournal(session string, sess *dataservice.Session) error {
 	if n.journal == nil {
 		return nil
 	}
-	if err := sess.StartJournal(n.journal(session), n.compactEv); err != nil {
+	_ = sess.StopJournal() // the stale term's segment is discarded either way
+	if err := sess.StartJournal(n.journal(session), DefaultJournalCompactEvery); err != nil {
 		n.markStorageDegraded()
 		return fmt.Errorf("%w (%s): %w", ErrStorageDegraded, n.name, err)
 	}
@@ -266,13 +254,13 @@ func (n *Node) reserve() (release func(), err error) {
 		return nil, errNoCapacity
 	}
 	n.reserved++
-	n.metrics.Gauge("gw", "render_reserved", telemetry.PeerLabel(n.name)).Set(int64(n.reserved))
+	n.metrics.Gauge(serviceName, "render_reserved", telemetry.PeerLabel(n.name)).Set(int64(n.reserved))
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			n.mu.Lock()
 			n.reserved--
-			n.metrics.Gauge("gw", "render_reserved", telemetry.PeerLabel(n.name)).Set(int64(n.reserved))
+			n.metrics.Gauge(serviceName, "render_reserved", telemetry.PeerLabel(n.name)).Set(int64(n.reserved))
 			n.mu.Unlock()
 		})
 	}, nil
@@ -334,7 +322,7 @@ func (n *Node) RenderFrame(session string, epoch uint64) (version uint64, err er
 	if !ok {
 		return 0, fmt.Errorf("%w (%s: session %q gone)", ErrStaleEpoch, n.name, session)
 	}
-	n.clock.Sleep(n.renderCost)
+	n.clock.Sleep(DefaultRenderCost)
 	if err := n.check(session, epoch); err != nil {
 		return 0, err
 	}

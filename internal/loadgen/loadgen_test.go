@@ -222,6 +222,49 @@ func TestRunSurvivesSickDisk(t *testing.T) {
 	}
 }
 
+// TestRunSurvivesSickDiskThenPartition: the faults stacked — a disk goes
+// sick, then a region is cut, then it heals. The two topology events
+// must not undo the evacuation: a sick node back on the ring makes
+// every later rebalance ask for moves the placement rules refuse, which
+// Check reads off rebalance_errors_total.
+func TestRunSurvivesSickDiskThenPartition(t *testing.T) {
+	fleet, err := BuildFleet(Scenario{
+		Nodes:       4,
+		Sessions:    40,
+		Tenants:     4,
+		Interval:    250 * time.Millisecond,
+		Duration:    6 * time.Second,
+		FrameEvery:  4,
+		Seed:        7,
+		Regions:     []string{"eu", "us"},
+		Replicas:    2,
+		SickDiskAt:  1 * time.Second,
+		PartitionAt: 2 * time.Second,
+		HealAt:      4 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := NewReporter()
+	fleet.Run(context.Background(), rep)
+	art := fleet.Artifact(rep)
+	res := art.Results
+	if err := res.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if !res.SickDiskInjected || !res.PartitionInjected || res.SessionsEvacuated == 0 || res.Promotions == 0 {
+		t.Errorf("a fault was not exercised: %+v", res)
+	}
+	// Moving a session home after the heal lands it on a copy that still
+	// holds the journal of its pre-partition term; that is not a disk
+	// fault, and only the poisoned node may end the run degraded.
+	for _, n := range fleet.Nodes {
+		if n.StorageDegraded() != (n.Name() == art.SickDisk.Node) {
+			t.Errorf("node %s degraded=%v; the sick disk was on %s", n.Name(), n.StorageDegraded(), art.SickDisk.Node)
+		}
+	}
+}
+
 // TestScenarioValidate: impossible scenario combinations are rejected
 // up front (raveload surfaces these as flag-validation errors).
 func TestScenarioValidate(t *testing.T) {

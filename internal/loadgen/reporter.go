@@ -152,6 +152,7 @@ func (r *Reporter) Summarize(snap telemetry.Snapshot) Results {
 	res.DispatchRetries = snap.CounterValue("gw", "dispatch_retries_total", "")
 	res.SessionsLost = snap.CounterValue("gw", "sessions_lost_total", "")
 	res.SessionsEvacuated = snap.CounterValue("gw", "sessions_evacuated_total", "")
+	res.RebalanceErrors = snap.CounterValue("gw", "rebalance_errors_total", "")
 	return res
 }
 

@@ -75,6 +75,9 @@ type Results struct {
 	DispatchRetries    int64 `json:"dispatch_retries"`
 	SessionsLost       int64 `json:"sessions_lost"`
 	SessionsEvacuated  int64 `json:"sessions_evacuated,omitempty"`
+	// RebalanceErrors counts moves the gateway's own ring asked for that
+	// then failed or were refused; a consistent gateway has zero.
+	RebalanceErrors int64 `json:"rebalance_errors"`
 
 	// SickDiskInjected records that the run poisoned a node's disk
 	// mid-run; the two end-of-run gauges below must both be zero.
@@ -110,7 +113,8 @@ func (r Results) declinedTotal() int64 {
 // Check verifies the run's acceptance invariants: every issued request
 // is accounted for exactly once (conservation), no client-visible
 // errors leaked through the gateway's retry loop, no session state was
-// lost, and the run actually exercised the fleet.
+// lost, no move the gateway's own ring asked for failed, and the run
+// actually exercised the fleet.
 func (r Results) Check() error {
 	if r.Issued == 0 {
 		return fmt.Errorf("loadgen: run issued no requests")
@@ -124,6 +128,9 @@ func (r Results) Check() error {
 	}
 	if r.SessionsLost != 0 {
 		return fmt.Errorf("loadgen: %d sessions lost state in failover", r.SessionsLost)
+	}
+	if r.RebalanceErrors != 0 {
+		return fmt.Errorf("loadgen: %d session moves the gateway's ring asked for failed (rebalance_errors_total)", r.RebalanceErrors)
 	}
 	if r.OK == 0 {
 		return fmt.Errorf("loadgen: no request succeeded")

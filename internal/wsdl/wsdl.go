@@ -1,205 +1,9 @@
-// Package wsdl generates and parses the Web Service Definition Language
-// documents RAVE services advertise themselves with (§3.2.2): "WSDL can
-// be registered with a UDDI server, enabling remote users to find our
-// publicly-available resources and connect automatically". A WSDL
-// document here describes a SOAP endpoint's operations; two services
-// advertising WSDL with the same port type name implement the same API —
-// the paper's "technical model" contract.
+// Package wsdl names the two port types RAVE services register under
+// (§3.2.2): "WSDL can be registered with a UDDI server, enabling remote
+// users to find our publicly-available resources and connect
+// automatically". Two services registered under the same port type
+// implement the same API — the paper's "technical model" contract.
 package wsdl
-
-import (
-	"bytes"
-	"encoding/xml"
-	"fmt"
-	"io"
-	"sort"
-)
-
-// Operation is one callable action with named input and output parts.
-type Operation struct {
-	Name    string
-	Inputs  []string
-	Outputs []string
-}
-
-// Definition describes a service: its name, port type (the API contract
-// UDDI technical models reference) and endpoint address.
-type Definition struct {
-	ServiceName string
-	PortType    string
-	Endpoint    string
-	Operations  []Operation
-}
-
-// Generate renders the definition as a WSDL XML document.
-func Generate(d Definition) ([]byte, error) {
-	if d.ServiceName == "" || d.PortType == "" {
-		return nil, fmt.Errorf("wsdl: service name and port type required")
-	}
-	var buf bytes.Buffer
-	buf.WriteString(xml.Header)
-	enc := xml.NewEncoder(&buf)
-	enc.Indent("", "  ")
-
-	// The encoder can reject tokens (mismatched nesting, invalid names)
-	// even though the buffer itself cannot fail; the first error sticks
-	// and surfaces from Generate instead of crashing the service.
-	var encErr error
-	start := func(name string, attrs ...xml.Attr) xml.StartElement {
-		el := xml.StartElement{Name: xml.Name{Local: name}, Attr: attrs}
-		if err := enc.EncodeToken(el); err != nil && encErr == nil {
-			encErr = err
-		}
-		return el
-	}
-	end := func(el xml.StartElement) {
-		if err := enc.EncodeToken(el.End()); err != nil && encErr == nil {
-			encErr = err
-		}
-	}
-	attr := func(name, value string) xml.Attr {
-		return xml.Attr{Name: xml.Name{Local: name}, Value: value}
-	}
-
-	defs := start("definitions",
-		attr("name", d.ServiceName),
-		attr("xmlns", "http://schemas.xmlsoap.org/wsdl/"))
-
-	ops := append([]Operation(nil), d.Operations...)
-	sort.Slice(ops, func(i, j int) bool { return ops[i].Name < ops[j].Name })
-
-	// Messages.
-	for _, op := range ops {
-		in := start("message", attr("name", op.Name+"Input"))
-		for _, p := range op.Inputs {
-			end(start("part", attr("name", p), attr("type", "xsd:string")))
-		}
-		end(in)
-		out := start("message", attr("name", op.Name+"Output"))
-		for _, p := range op.Outputs {
-			end(start("part", attr("name", p), attr("type", "xsd:string")))
-		}
-		end(out)
-	}
-
-	// Port type: the technical-model contract.
-	pt := start("portType", attr("name", d.PortType))
-	for _, op := range ops {
-		o := start("operation", attr("name", op.Name))
-		end(start("input", attr("message", op.Name+"Input")))
-		end(start("output", attr("message", op.Name+"Output")))
-		end(o)
-	}
-	end(pt)
-
-	// Service with its SOAP address.
-	svc := start("service", attr("name", d.ServiceName))
-	port := start("port", attr("name", d.PortType+"Port"), attr("binding", d.PortType+"Binding"))
-	end(start("address", attr("location", d.Endpoint)))
-	end(port)
-	end(svc)
-	end(defs)
-
-	if encErr != nil {
-		return nil, fmt.Errorf("wsdl: encode %s: %w", d.ServiceName, encErr)
-	}
-	if err := enc.Flush(); err != nil {
-		return nil, err
-	}
-	buf.WriteByte('\n')
-	return buf.Bytes(), nil
-}
-
-// Parse extracts a Definition from a WSDL document generated by Generate
-// (or any document using the same subset).
-func Parse(data []byte) (Definition, error) {
-	d := Definition{}
-	dec := xml.NewDecoder(bytes.NewReader(data))
-	type msgParts map[string][]string
-	messages := msgParts{}
-	var curMsg string
-	var curOp *Operation
-	inPortType := false
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return d, fmt.Errorf("wsdl: parse: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			get := func(name string) string {
-				for _, a := range t.Attr {
-					if a.Name.Local == name {
-						return a.Value
-					}
-				}
-				return ""
-			}
-			switch t.Name.Local {
-			case "definitions":
-				d.ServiceName = get("name")
-			case "message":
-				curMsg = get("name")
-			case "part":
-				if curMsg != "" {
-					messages[curMsg] = append(messages[curMsg], get("name"))
-				}
-			case "portType":
-				d.PortType = get("name")
-				inPortType = true
-			case "operation":
-				if inPortType {
-					d.Operations = append(d.Operations, Operation{Name: get("name")})
-					curOp = &d.Operations[len(d.Operations)-1]
-				}
-			case "input":
-				if curOp != nil {
-					curOp.Inputs = messages[get("message")]
-				}
-			case "output":
-				if curOp != nil {
-					curOp.Outputs = messages[get("message")]
-				}
-			case "address":
-				d.Endpoint = get("location")
-			}
-		case xml.EndElement:
-			switch t.Name.Local {
-			case "message":
-				curMsg = ""
-			case "portType":
-				inPortType = false
-				curOp = nil
-			}
-		}
-	}
-	if d.ServiceName == "" || d.PortType == "" {
-		return d, fmt.Errorf("wsdl: document missing service name or port type")
-	}
-	return d, nil
-}
-
-// Compatible reports whether two definitions implement the same API: same
-// port type with the same operations and parts. Endpoints are expected to
-// differ — that is the point of discovery.
-func Compatible(a, b Definition) bool {
-	if a.PortType != b.PortType || len(a.Operations) != len(b.Operations) {
-		return false
-	}
-	key := func(ops []Operation) string {
-		sorted := append([]Operation(nil), ops...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-		var buf bytes.Buffer
-		for _, op := range sorted {
-			fmt.Fprintf(&buf, "%s(%v)->(%v);", op.Name, op.Inputs, op.Outputs)
-		}
-		return buf.String()
-	}
-	return key(a.Operations) == key(b.Operations)
-}
 
 // DataServicePortType and RenderServicePortType are RAVE's two technical
 // models (§4.3: "we have two technical models, one for the data service
@@ -208,35 +12,3 @@ const (
 	DataServicePortType   = "RAVEDataService"
 	RenderServicePortType = "RAVERenderService"
 )
-
-// DataServiceDefinition returns the WSDL definition of a data service at
-// the given SOAP endpoint.
-func DataServiceDefinition(serviceName, endpoint string) Definition {
-	return Definition{
-		ServiceName: serviceName,
-		PortType:    DataServicePortType,
-		Endpoint:    endpoint,
-		Operations: []Operation{
-			{Name: "ListSessions", Inputs: nil, Outputs: []string{"sessions"}},
-			{Name: "CreateSession", Inputs: []string{"name", "dataURL"}, Outputs: []string{"session"}},
-			{Name: "Subscribe", Inputs: []string{"session", "role", "name"}, Outputs: []string{"socket"}},
-			{Name: "SessionStatus", Inputs: []string{"session"}, Outputs: []string{"version", "subscribers"}},
-		},
-	}
-}
-
-// RenderServiceDefinition returns the WSDL definition of a render service
-// at the given SOAP endpoint.
-func RenderServiceDefinition(serviceName, endpoint string) Definition {
-	return Definition{
-		ServiceName: serviceName,
-		PortType:    RenderServicePortType,
-		Endpoint:    endpoint,
-		Operations: []Operation{
-			{Name: "ListInstances", Inputs: nil, Outputs: []string{"instances"}},
-			{Name: "CreateInstance", Inputs: []string{"dataService", "session"}, Outputs: []string{"instance"}},
-			{Name: "Capacity", Inputs: nil, Outputs: []string{"polys_per_second", "texture_memory", "hardware_volume"}},
-			{Name: "Connect", Inputs: []string{"instance", "name"}, Outputs: []string{"socket"}},
-		},
-	}
-}
