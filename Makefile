@@ -82,7 +82,8 @@ race:
 # bytes from outside the process (the op-stream follower, the registry's
 # SOAP dispatcher, the transport's frame reader, marshal's op, scene and
 # frame decoders, the wal segment scanner that reads journals and audit
-# trails back) and the rasterizer's edge functions.
+# trails back, the thin client's image decoder) and the rasterizer's
+# edge functions.
 # go test takes one -fuzz target and one package per run.
 fuzz-smoke:
 	$(GO) test ./internal/follow -run '^$$' -fuzz '^FuzzFollow$$' -fuzztime 10s
@@ -91,6 +92,7 @@ fuzz-smoke:
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzReceive$$' -fuzztime 10s
 	$(GO) test ./internal/marshal -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
 	$(GO) test ./internal/dataservice/wal -run '^$$' -fuzz '^FuzzScan$$' -fuzztime 10s
+	$(GO) test ./internal/imgcodec -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
 
 # chaos runs the kill-and-recover suite twice under the race detector:
 # failover and recovery schedules are goroutine-heavy, and a second run

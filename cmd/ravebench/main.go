@@ -204,6 +204,8 @@ func main() {
 			time.Duration(r.FixedFrame.P50ns), time.Duration(r.FixedFrame.P99ns), r.PixelsPerSec)
 		fmt.Printf("  reference core: p50 %v  p99 %v\n",
 			time.Duration(r.ReferenceFrame.P50ns), time.Duration(r.ReferenceFrame.P99ns))
+		fmt.Printf("  fixed core, a Renderer per frame: p50 %v  p99 %v\n",
+			time.Duration(r.FreshRendererFrame.P50ns), time.Duration(r.FreshRendererFrame.P99ns))
 		fmt.Printf("  speedup %.2fx, band utilization %.2f (%d workers), parity %v\n",
 			r.Speedup, r.BandUtilization, sc.Workers, r.ParityOK)
 

@@ -172,10 +172,15 @@ func rleEncode(src []byte) []byte {
 }
 
 // rleDecode expands (count, r, g, b) quads and checks the exact output
-// size.
+// size. want comes from a header off the wire: it is checked against
+// what the quads present could expand to — 255 pixels each — before
+// anything is allocated for it.
 func rleDecode(src []byte, want int) ([]byte, error) {
 	if len(src)%4 != 0 {
 		return nil, fmt.Errorf("imgcodec: RLE payload length %d not a multiple of 4", len(src))
+	}
+	if most := len(src) / 4 * 255 * 3; want > most {
+		return nil, fmt.Errorf("imgcodec: RLE payload of %d bytes cannot fill a %d-byte frame", len(src), want)
 	}
 	out := make([]byte, 0, want)
 	for i := 0; i < len(src); i += 4 {
@@ -272,27 +277,33 @@ func flateEncode(frame []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// flateDecode inflates a frame and checks the exact output size.
+// maxFlateRatio is DEFLATE's expansion limit: a 258-byte match costs at
+// least two bits.
+const maxFlateRatio = 1032
+
+// flateDecode inflates a frame and checks the exact output size. want
+// comes from a header off the wire: a size the payload could not
+// inflate to is refused before anything is allocated for it.
 func flateDecode(payload []byte, want int) ([]byte, error) {
+	if want > len(payload)*maxFlateRatio {
+		return nil, fmt.Errorf("imgcodec: flate payload of %d bytes cannot fill a %d-byte frame", len(payload), want)
+	}
 	r := flate.NewReader(bytes.NewReader(payload))
 	defer r.Close()
-	out := make([]byte, 0, want)
-	buf := make([]byte, 32<<10)
-	for {
-		n, err := r.Read(buf)
-		out = append(out, buf[:n]...)
-		if len(out) > want {
-			return nil, fmt.Errorf("imgcodec: flate output exceeds %d bytes", want)
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("imgcodec: flate read: %w", err)
-		}
+	out := make([]byte, want)
+	if n, err := io.ReadFull(r, out); err == io.EOF || err == io.ErrUnexpectedEOF {
+		return nil, fmt.Errorf("imgcodec: flate produced %d bytes, want %d", n, want)
+	} else if err != nil {
+		return nil, fmt.Errorf("imgcodec: flate read: %w", err)
 	}
-	if len(out) != want {
-		return nil, fmt.Errorf("imgcodec: flate produced %d bytes, want %d", len(out), want)
+	// The stream must end where the frame does.
+	var more [1]byte
+	switch _, err := io.ReadFull(r, more[:]); err {
+	case io.EOF:
+		return out, nil
+	case nil:
+		return nil, fmt.Errorf("imgcodec: flate output exceeds %d bytes", want)
+	default:
+		return nil, fmt.Errorf("imgcodec: flate read: %w", err)
 	}
-	return out, nil
 }

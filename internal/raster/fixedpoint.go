@@ -90,8 +90,8 @@ func snapCoord(v float64) int32 {
 // positions for the reference core, and the interpolation attributes
 // both cores feed through identical float expressions.
 type triSetup struct {
-	// Pixel bounding box, clamped to the framebuffer (empty when
-	// minX > maxX or minY > maxY).
+	// The pixels whose centres the triangle's bounding box holds,
+	// clamped to the framebuffer (see pixelBox); never empty.
 	minX, minY, maxX, maxY int
 
 	// Edge values at the centre of pixel (minX, minY) and their
@@ -133,31 +133,32 @@ func edgeBias(dx, dy int64) int64 {
 	return 1
 }
 
-// setupTri builds the shared per-triangle setup from snapped screen
-// vertices, writing into out (the caller's slice slot — kept
-// allocation-free). The bounding box is clamped to the framebuffer;
-// fully off-screen triangles yield an empty box and are skipped by the
-// band loops (but still count as drawn, like the pre-fixed-point core).
-func (r *Renderer) setupTri(out *triSetup, v0, v1, v2 *screenVert) {
-	fb := r.FB
-	minX := int(math.Floor(math.Min(v0.x, math.Min(v1.x, v2.x))))
-	maxX := int(math.Ceil(math.Max(v0.x, math.Max(v1.x, v2.x))))
-	minY := int(math.Floor(math.Min(v0.y, math.Min(v1.y, v2.y))))
-	maxY := int(math.Ceil(math.Max(v0.y, math.Max(v1.y, v2.y))))
-	if minX < 0 {
-		minX = 0
-	}
-	if maxX >= fb.W {
-		maxX = fb.W - 1
-	}
-	if minY < 0 {
-		minY = 0
-	}
-	if maxY >= fb.H {
-		maxY = fb.H - 1
-	}
+// pixelBox returns the range of pixels whose centres lie inside the
+// snapped triangle's bounding box, clamped to a w x h framebuffer; the
+// box is empty when minX > maxX or minY > maxY. Pixel i's centre sits at
+// subpixel i*64+32, so the range is exact integer arithmetic on the
+// snapped coordinates. Coverage is decided at pixel centres, so a pixel
+// outside this box is outside the triangle.
+func pixelBox(v0, v1, v2 *screenVert, w, h int) (minX, minY, maxX, maxY int) {
+	minX = max(int((min(v0.sx, v1.sx, v2.sx)+subHalf-1)>>subBits), 0)
+	maxX = min(int((max(v0.sx, v1.sx, v2.sx)-subHalf)>>subBits), w-1)
+	minY = max(int((min(v0.sy, v1.sy, v2.sy)+subHalf-1)>>subBits), 0)
+	maxY = min(int((max(v0.sy, v1.sy, v2.sy)-subHalf)>>subBits), h-1)
+	return
+}
 
-	t := out
+// appendSetup builds the shared per-triangle setup from snapped screen
+// vertices in a new slot at the end of out (appended in place — kept
+// allocation-free once out has grown). A triangle whose pixel box is
+// empty — off the framebuffer, or a sliver between pixel centres — can
+// shade nothing and gets no slot; the caller still counts it as drawn.
+func appendSetup(out []triSetup, v0, v1, v2 *screenVert, w, h int) []triSetup {
+	minX, minY, maxX, maxY := pixelBox(v0, v1, v2, w, h)
+	if minX > maxX || minY > maxY {
+		return out
+	}
+	out = append(out, triSetup{})
+	t := &out[len(out)-1]
 	t.minX, t.minY, t.maxX, t.maxY = minX, minY, maxX, maxY
 	t.x0f, t.y0f = v0.x, v0.y
 	t.x1f, t.y1f = v1.x, v1.y
@@ -197,6 +198,7 @@ func (r *Renderer) setupTri(out *triSetup, v0, v1, v2 *screenVert) {
 	// area the reference core computes from the snapped float coords.
 	area2 := (x1-x0)*(y2-y0) - (x2-x0)*(y1-y0)
 	t.invArea = 1 / (float64(area2) * fixedToFloat)
+	return out
 }
 
 // floorDiv returns floor(a / b) for b > 0.
@@ -374,7 +376,7 @@ func (r *Renderer) bandRaster(setups []triSetup, y0, y1 int, sc *bandScratch) {
 		if yE > y1-1 {
 			yE = y1 - 1
 		}
-		if yS > yE || t.minX > t.maxX {
+		if yS > yE {
 			continue
 		}
 		sc.sinceScan++

@@ -1,5 +1,7 @@
 package raster
 
+import "math"
+
 // Float reference core for differential testing.
 //
 // referenceBand rasterizes the same triSetup list as bandRaster
@@ -23,19 +25,17 @@ func (r *Renderer) referenceBand(setups []triSetup, y0, y1 int, sc *bandScratch)
 	fb := r.FB
 	for ti := range setups {
 		t := &setups[ti]
-		yS, yE := t.minY, t.maxY
-		if yS < y0 {
-			yS = y0
-		}
-		if yE > y1-1 {
-			yE = y1 - 1
-		}
-		if yS > yE || t.minX > t.maxX {
-			continue
-		}
+		// The floor/ceil box of the snapped corners, not the setup's
+		// pixel-centre box: the reference tests every pixel near the
+		// triangle, so a covered pixel that pixelBox left out is a
+		// parity failure.
+		minX := max(int(math.Floor(min(t.x0f, t.x1f, t.x2f))), 0)
+		maxX := min(int(math.Ceil(max(t.x0f, t.x1f, t.x2f))), fb.W-1)
+		yS := max(int(math.Floor(min(t.y0f, t.y1f, t.y2f))), y0)
+		yE := min(int(math.Ceil(max(t.y0f, t.y1f, t.y2f))), y1-1)
 		for y := yS; y <= yE; y++ {
 			py := float64(y) + 0.5
-			for x := t.minX; x <= t.maxX; x++ {
+			for x := minX; x <= maxX; x++ {
 				px := float64(x) + 0.5
 				// Edge functions from the snapped float positions; the
 				// interior is where all three are <= 0, with pixel

@@ -18,8 +18,9 @@ type Options struct {
 	Light mathx.Vec3
 	// Ambient is the ambient light fraction in [0, 1].
 	Ambient float64
-	// Workers is the number of goroutines rasterizing scanline bands in
-	// parallel; values below 2 render sequentially.
+	// Workers is the number of goroutines a mesh's vertex, setup and
+	// scanline-band stages are each split across; values below 2 render
+	// sequentially. The image does not depend on it.
 	Workers int
 	// Tile restricts rendering to this rectangle of the full image
 	// (framebuffer distribution). The framebuffer must be exactly the
@@ -49,7 +50,11 @@ func DefaultOptions() Options {
 	}
 }
 
-// Renderer draws geometry into a Framebuffer.
+// Renderer draws geometry into a Framebuffer. It owns no working
+// memory: RenderMesh takes its vertex and setup scratch from a package
+// pool and returns it before it returns, so a Renderer built per frame
+// (as the render service builds one) costs only this struct. It is not
+// safe for concurrent render calls (TrianglesDrawn).
 type Renderer struct {
 	FB   *Framebuffer
 	Opts Options
@@ -62,16 +67,6 @@ type Renderer struct {
 	// float reference core instead of the fixed-point scanline core.
 	// The two are byte-identical by construction; see reference.go.
 	useReference bool
-
-	// Per-frame scratch reused across RenderMesh calls so the vertex
-	// and assembly stages are allocation-free in steady state. A
-	// Renderer already isn't safe for concurrent RenderMesh calls
-	// (TrianglesDrawn); the scratch shares that contract. Band workers
-	// only read setupScratch, so parallel rasterization is unaffected.
-	vertScratch  []shadedVert
-	projScratch  []screenVert
-	flagScratch  []uint8
-	setupScratch []triSetup
 }
 
 // UseReferenceCore selects between the fixed-point scanline core (the
@@ -124,88 +119,179 @@ type screenVert struct {
 	color  mathx.Vec3
 }
 
+// forkMinVerts is the mesh size below which the vertex and setup stages
+// run inline whatever Opts.Workers says. Measured with Workers 2 (spheres,
+// EXPERIMENTS.md PR 21): inline is 5 to 20 % faster from 270 to 1,500
+// vertices, the two tie near 2,000, forking wins 15 to 40 % from 3,500.
+const forkMinVerts = 2048
+
+// fork calls fn(w, lo, hi) for worker w's contiguous share [lo, hi) of n
+// items and returns when every call has. With fewer than two workers the
+// one call runs on the caller's goroutine; workers left without a share
+// (n < workers) are not started.
+func fork(workers, n int, fn func(w, lo, hi int)) {
+	if workers < 2 {
+		fn(0, 0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	per := (n + workers - 1) / workers
+	for w := 0; w*per < n; w++ {
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			fn(w, lo, hi)
+		}(w, w*per, min((w+1)*per, n))
+	}
+	wg.Wait()
+}
+
+// meshScratch is the working memory of one RenderMesh call: the vertex
+// stage's per-vertex outputs and each setup worker's triangle list.
+type meshScratch struct {
+	verts []shadedVert
+	proj  []screenVert
+	flags []uint8
+	// lists[w] holds the triangles worker w set up, in index order.
+	// Workers take contiguous index ranges, so walking the lists in
+	// worker order visits triangles in exactly the serial order.
+	lists [][]triSetup
+	// drawn[w] is how many triangles worker w counted as drawn.
+	drawn []int
+}
+
+// meshPool recycles meshScratch across meshes, frames and Renderers, so
+// a steady-state frame allocates no per-vertex or per-triangle memory.
+var meshPool = sync.Pool{New: func() any { return new(meshScratch) }}
+
+// size readies the scratch for a mesh of nv vertices set up by the
+// given number of workers.
+func (ms *meshScratch) size(nv, workers int) {
+	if cap(ms.verts) < nv {
+		ms.verts = make([]shadedVert, nv)
+		ms.proj = make([]screenVert, nv)
+		ms.flags = make([]uint8, nv)
+	}
+	ms.verts, ms.proj, ms.flags = ms.verts[:nv], ms.proj[:nv], ms.flags[:nv]
+	for len(ms.lists) < workers {
+		ms.lists, ms.drawn = append(ms.lists, nil), append(ms.drawn, 0)
+	}
+	for w := range ms.lists {
+		ms.lists[w], ms.drawn[w] = ms.lists[w][:0], 0
+	}
+}
+
+// meshPass is what every vertex and triangle of one RenderMesh call
+// shares; the stage workers only read it.
+type meshPass struct {
+	mesh         *geom.Mesh
+	mvp, model   mathx.Mat4
+	light        mathx.Vec3
+	ambient      float64
+	defaultColor mathx.Vec3
+	// Full image size, the tile's origin in it, and the tile's own size.
+	fullW, fullH, ox, oy, fbW, fbH int
+}
+
 // RenderMesh draws the mesh under the given model transform and camera.
 func (r *Renderer) RenderMesh(m *geom.Mesh, model mathx.Mat4, cam Camera) {
-	fullW, fullH := r.fullSize()
-	aspect := float64(fullW) / float64(fullH)
-	mvp := cam.ViewProjection(aspect).Mul(model)
-	light := r.Opts.Light.Normalize()
-	ambient := mathx.Clamp(r.Opts.Ambient, 0, 1)
-
-	// Vertex stage: transform, light, and project every vertex once.
-	// Each vertex records whether it is near-plane inside (bit 0) and
-	// projectable (bit 1); vertices with both bits set get their screen
-	// position up front, so shared-vertex meshes project each vertex
-	// once instead of once per incident triangle.
-	ox, oy := r.tileOrigin()
-	nv := len(m.Positions)
-	if cap(r.vertScratch) < nv {
-		r.vertScratch = make([]shadedVert, nv)
-		r.projScratch = make([]screenVert, nv)
-		r.flagScratch = make([]uint8, nv)
+	p := meshPass{
+		mesh: m, model: model,
+		light:        r.Opts.Light.Normalize(),
+		ambient:      mathx.Clamp(r.Opts.Ambient, 0, 1),
+		defaultColor: r.Opts.DefaultColor,
+		fbW:          r.FB.W, fbH: r.FB.H,
 	}
-	verts := r.vertScratch[:nv]
-	proj := r.projScratch[:nv]
-	flags := r.flagScratch[:nv]
-	for i, p := range m.Positions {
-		clip := mvp.MulVec4(mathx.FromPoint(p))
-		base := r.Opts.DefaultColor
+	p.fullW, p.fullH = r.fullSize()
+	p.ox, p.oy = r.tileOrigin()
+	p.mvp = cam.ViewProjection(float64(p.fullW) / float64(p.fullH)).Mul(model)
+
+	workers := max(r.Opts.Workers, 1)
+	if len(m.Positions) < forkMinVerts {
+		workers = 1
+	}
+	ms := meshPool.Get().(*meshScratch)
+	ms.size(len(m.Positions), workers)
+	fork(workers, len(m.Positions), func(_, lo, hi int) { p.shade(ms, lo, hi) })
+	fork(workers, m.TriangleCount(), func(w, lo, hi int) {
+		ms.lists[w], ms.drawn[w] = p.setup(ms, ms.lists[w], lo, hi)
+	})
+	r.TrianglesDrawn = 0
+	for _, n := range ms.drawn {
+		r.TrianglesDrawn += n
+	}
+	r.Opts.Metrics.Counter(r.Opts.Service, "raster_triangles_total", "").Add(int64(r.TrianglesDrawn))
+	// Fill, a band of rows to a worker: the lists are shared read-only
+	// and the bands are disjoint, so the pixel buffers need no locking.
+	fork(r.Opts.Workers, r.FB.H, func(_, y0, y1 int) { r.timedBand(ms.lists, y0, y1) })
+	meshPool.Put(ms)
+}
+
+// shade is the vertex stage over vertices [lo, hi): transform, light,
+// and project every vertex once. Each vertex records whether it is
+// near-plane inside (bit 0) and projectable (bit 1); vertices with both
+// bits set get their screen position up front, so shared-vertex meshes
+// project each vertex once instead of once per incident triangle.
+func (p *meshPass) shade(ms *meshScratch, lo, hi int) {
+	m := p.mesh
+	for i := lo; i < hi; i++ {
+		clip := p.mvp.MulVec4(mathx.FromPoint(m.Positions[i]))
+		base := p.defaultColor
 		if m.Colors != nil {
 			base = m.Colors[i]
 		}
 		intensity := 1.0
 		if m.Normals != nil {
-			n := model.TransformDir(m.Normals[i]).Normalize()
-			diffuse := math.Max(0, n.Dot(light))
-			intensity = ambient + (1-ambient)*diffuse
+			n := p.model.TransformDir(m.Normals[i]).Normalize()
+			diffuse := math.Max(0, n.Dot(p.light))
+			intensity = p.ambient + (1-p.ambient)*diffuse
 		}
-		verts[i] = shadedVert{clip: clip, color: base.Scale(intensity)}
+		ms.verts[i] = shadedVert{clip: clip, color: base.Scale(intensity)}
 		f := uint8(0)
 		if clip.Z+clip.W > nearEps {
 			f = 1
 		}
 		if clip.W > nearEps {
 			f |= 2
-			proj[i] = projectVert(&verts[i], fullW, fullH, ox, oy)
+			ms.proj[i] = projectVert(&ms.verts[i], p.fullW, p.fullH, p.ox, p.oy)
 		}
-		flags[i] = f
+		ms.flags[i] = f
 	}
+}
 
-	// Assemble, clip and set up triangles, allocation-free. Triangles
-	// whose vertices are all inside and projectable reuse the
-	// per-vertex projections directly; only triangles straddling the
-	// near plane take the clipping slow path (which re-projects with
-	// the same expressions, so the result is bit-identical).
-	setups := r.setupScratch[:0]
+// setup assembles, clips and sets up triangles [lo, hi), appending to
+// out, and returns the list with the number of triangles drawn — which
+// counts the ones appendSetup found to cover no pixel and gave no slot.
+// Triangles whose vertices are all inside and projectable reuse the
+// per-vertex projections directly; only triangles straddling the near
+// plane take the clipping slow path (which re-projects with the same
+// expressions, so the result is bit-identical).
+func (p *meshPass) setup(ms *meshScratch, out []triSetup, lo, hi int) ([]triSetup, int) {
+	m, drawn := p.mesh, 0
 	var poly [4]shadedVert
 	var clipped [3]shadedVert
 	var sv [3]screenVert
-	for i := 0; i < m.TriangleCount(); i++ {
+	for i := lo; i < hi; i++ {
 		i0, i1, i2 := m.Indices[3*i], m.Indices[3*i+1], m.Indices[3*i+2]
-		if flags[i0]&flags[i1]&flags[i2] == 3 {
-			v0, v1, v2 := &proj[i0], &proj[i1], &proj[i2]
-			if !frontFacing(v0, v1, v2) {
-				continue
+		if ms.flags[i0]&ms.flags[i1]&ms.flags[i2] == 3 {
+			v0, v1, v2 := &ms.proj[i0], &ms.proj[i1], &ms.proj[i2]
+			if frontFacing(v0, v1, v2) {
+				drawn++
+				out = appendSetup(out, v0, v1, v2, p.fbW, p.fbH)
 			}
-			setups = append(setups, triSetup{})
-			r.setupTri(&setups[len(setups)-1], v0, v1, v2)
 			continue
 		}
-		tri := [3]shadedVert{verts[i0], verts[i1], verts[i2]}
+		tri := [3]shadedVert{ms.verts[i0], ms.verts[i1], ms.verts[i2]}
 		n := clipNear(&tri, &poly)
 		for k := 1; k+1 < n; k++ {
 			clipped[0], clipped[1], clipped[2] = poly[0], poly[k], poly[k+1]
-			if !toScreen(&clipped, &sv, fullW, fullH, ox, oy) {
-				continue
+			if toScreen(&clipped, &sv, p.fullW, p.fullH, p.ox, p.oy) {
+				drawn++
+				out = appendSetup(out, &sv[0], &sv[1], &sv[2], p.fbW, p.fbH)
 			}
-			setups = append(setups, triSetup{})
-			r.setupTri(&setups[len(setups)-1], &sv[0], &sv[1], &sv[2])
 		}
 	}
-	r.setupScratch = setups
-	r.TrianglesDrawn = len(setups)
-	r.Opts.Metrics.Counter(r.Opts.Service, "raster_triangles_total", "").Add(int64(len(setups)))
-	r.rasterize(setups)
+	return out, drawn
 }
 
 // RenderPoints draws a point cloud as single-pixel splats.
@@ -369,55 +455,24 @@ func toScreen(tri *[3]shadedVert, out *[3]screenVert, fullW, fullH, ox, oy int) 
 	return frontFacing(&out[0], &out[1], &out[2])
 }
 
-// rasterize fills the set-up triangles into the framebuffer, optionally
-// in parallel across horizontal bands. The setup slice is shared
-// read-only by every band; each worker owns a disjoint band of rows, so
-// no synchronization is needed on the pixel buffers.
-func (r *Renderer) rasterize(setups []triSetup) {
-	workers := r.Opts.Workers
-	if workers < 2 {
-		r.timedBand(setups, 0, r.FB.H)
-		return
-	}
-	if workers > r.FB.H {
-		workers = r.FB.H
-	}
-	var wg sync.WaitGroup
-	rowsPer := (r.FB.H + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		y0 := w * rowsPer
-		y1 := y0 + rowsPer
-		if y1 > r.FB.H {
-			y1 = r.FB.H
-		}
-		if y0 >= y1 {
-			break
-		}
-		wg.Add(1)
-		go func(y0, y1 int) {
-			defer wg.Done()
-			r.timedBand(setups, y0, y1)
-		}(y0, y1)
-	}
-	wg.Wait()
-}
-
 // timedBand rasterizes one band and flushes its work counters to
 // telemetry. Band durations are recorded on the session clock when one
 // is wired up; with a nil Clock the timing alone is skipped — work
 // counters (spans, pixels, early-z rejections) are still recorded.
-func (r *Renderer) timedBand(setups []triSetup, y0, y1 int) {
+func (r *Renderer) timedBand(lists [][]triSetup, y0, y1 int) {
 	timed := r.Opts.Metrics != nil && r.Opts.Clock != nil
 	var start time.Time
 	if timed {
 		start = r.Opts.Clock.Now()
 	}
 	sc := scratchPool.Get().(*bandScratch)
-	sc.init(len(setups))
-	if r.useReference {
-		r.referenceBand(setups, y0, y1, sc)
-	} else {
-		r.bandRaster(setups, y0, y1, sc)
+	sc.init(r.TrianglesDrawn)
+	for _, setups := range lists {
+		if r.useReference {
+			r.referenceBand(setups, y0, y1, sc)
+		} else {
+			r.bandRaster(setups, y0, y1, sc)
+		}
 	}
 	m := r.Opts.Metrics
 	m.Counter(r.Opts.Service, "raster_spans_total", "").Add(sc.spans)

@@ -66,6 +66,10 @@ type RasterResults struct {
 	// the float reference core and the fixed-point core.
 	ReferenceFrame telemetry.Summary `json:"reference_frame"`
 	FixedFrame     telemetry.Summary `json:"fixed_frame"`
+	// FreshRendererFrame is the fixed single-threaded pass again with a
+	// Renderer built for every frame, the way renderservice.draw builds
+	// one — the path the daemons run. The passes above reuse one.
+	FreshRendererFrame telemetry.Summary `json:"fresh_renderer_frame"`
 	// Speedup is reference p50 / fixed p50, same machine same run — the
 	// machine-independent regression invariant. Medians, not totals: one
 	// GC pause in a short run would skew a total-time ratio.
@@ -84,14 +88,13 @@ type RasterResults struct {
 	TrianglesDrawn int64 `json:"triangles_drawn"`
 }
 
-// newRenderer builds a renderer wired to the run's metrics registry.
-func newRenderer(w, h int, met *telemetry.Registry, workers int) (*raster.Renderer, *raster.Framebuffer) {
-	fb := raster.NewFramebuffer(w, h)
+// newRenderer builds a renderer on fb wired to the run's metrics registry.
+func newRenderer(fb *raster.Framebuffer, met *telemetry.Registry, workers int) *raster.Renderer {
 	r := raster.New(fb)
 	r.Opts.Workers = workers
 	r.Opts.Metrics = met
 	r.Opts.Service = "rasterbench"
-	return r, fb
+	return r
 }
 
 // RunRaster renders the scenario through both cores and returns the
@@ -109,39 +112,48 @@ func RunRaster(cfg Config) (RasterArtifact, error) {
 	cam := raster.DefaultCamera().FitToBounds(model.Bounds(), mathx.V3(0.3, 0.2, 1))
 	met := telemetry.NewRegistry(cfg.Clock)
 
-	timePass := func(r *raster.Renderer, fb *raster.Framebuffer) []time.Duration {
-		samples := make([]time.Duration, 0, sc.Frames)
-		for f := 0; f < sc.Frames; f++ {
-			start := cfg.Clock.Now()
-			fb.Clear(0, 0, 0)
-			r.RenderMesh(model, mathx.Identity(), cam)
-			samples = append(samples, cfg.Clock.Now().Sub(start))
-		}
-		return samples
+	// timeFrame times one frame into fb, drawn by the renderer frame
+	// hands it (inside the timed region).
+	timeFrame := func(fb *raster.Framebuffer, frame func() *raster.Renderer) time.Duration {
+		start := cfg.Clock.Now()
+		fb.Clear(0, 0, 0)
+		frame().RenderMesh(model, mathx.Identity(), cam)
+		return cfg.Clock.Now().Sub(start)
+	}
+	reusing := func(r *raster.Renderer) func() *raster.Renderer {
+		return func() *raster.Renderer { return r }
+	}
+	newFB := func() *raster.Framebuffer { return raster.NewFramebuffer(sc.Width, sc.Height) }
+
+	// Four passes: the reference core; the fixed-point core, counting
+	// pixels; the fixed core with a Renderer per frame, counting into a
+	// registry of its own so it carries the same metrics cost; and the
+	// fixed core across Workers bands. The first three are single-threaded.
+	refFB, fixFB, freshFB, parFB := newFB(), newFB(), newFB(), newFB()
+	refR, fixR, parR := newRenderer(refFB, nil, 1), newRenderer(fixFB, met, 1), newRenderer(parFB, nil, sc.Workers)
+	refR.UseReferenceCore(true)
+	freshMet := telemetry.NewRegistry(cfg.Clock)
+	fresh := func() *raster.Renderer { return newRenderer(freshFB, freshMet, 1) }
+	// The passes take turns frame by frame, so a busy stretch of a shared
+	// machine lands on every side of the ratios below.
+	var refSamples, fixSamples, freshSamples, parSamples []time.Duration
+	for f := 0; f < sc.Frames; f++ {
+		refSamples = append(refSamples, timeFrame(refFB, reusing(refR)))
+		fixSamples = append(fixSamples, timeFrame(fixFB, reusing(fixR)))
+		freshSamples = append(freshSamples, timeFrame(freshFB, fresh))
+		parSamples = append(parSamples, timeFrame(parFB, reusing(parR)))
 	}
 
-	// Reference core, single thread.
-	refR, refFB := newRenderer(sc.Width, sc.Height, nil, 1)
-	refR.UseReferenceCore(true)
-	refSamples := timePass(refR, refFB)
-
-	// Fixed-point core, single thread, counting pixels.
-	fixR, fixFB := newRenderer(sc.Width, sc.Height, met, 1)
-	fixSamples := timePass(fixR, fixFB)
-
-	// Parity: the two passes' final frames must agree byte for byte.
+	// Parity: the two cores' final frames must agree byte for byte.
 	parity := bytes.Equal(refFB.Color, fixFB.Color)
-
-	// Band utilization: the same scene across Workers bands.
-	parR, parFB := newRenderer(sc.Width, sc.Height, nil, sc.Workers)
-	parSamples := timePass(parR, parFB)
 
 	fixedTotal := total(fixSamples)
 	res := RasterResults{
-		ReferenceFrame: telemetry.Summarize(refSamples),
-		FixedFrame:     telemetry.Summarize(fixSamples),
-		ParityOK:       parity,
-		TrianglesDrawn: int64(fixR.TrianglesDrawn),
+		ReferenceFrame:     telemetry.Summarize(refSamples),
+		FixedFrame:         telemetry.Summarize(fixSamples),
+		FreshRendererFrame: telemetry.Summarize(freshSamples),
+		ParityOK:           parity,
+		TrianglesDrawn:     int64(fixR.TrianglesDrawn),
 	}
 	snap := met.Snapshot()
 	res.PixelsFilled = snap.CounterValue("rasterbench", "raster_pixels_total", "") / int64(sc.Frames)

@@ -63,6 +63,9 @@ func TestRunRasterStructure(t *testing.T) {
 	if got := art.Results.ReferenceFrame.Count; got != 3 {
 		t.Errorf("reference frame samples = %d, want 3", got)
 	}
+	if got := art.Results.FreshRendererFrame.Count; got != 3 {
+		t.Errorf("fresh-renderer frame samples = %d, want 3", got)
+	}
 	if art.Results.PixelsFilled <= 0 {
 		t.Errorf("pixels filled = %d, want > 0", art.Results.PixelsFilled)
 	}

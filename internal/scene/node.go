@@ -8,6 +8,7 @@ package scene
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/mathx"
@@ -63,9 +64,15 @@ type Payload interface {
 	BoundsLocal() mathx.AABB
 }
 
-// MeshPayload wraps a triangle mesh.
+// MeshPayload wraps a triangle mesh. A payload a scene holds is never
+// changed in place — ops clone their payload in and SetPayloadOp replaces
+// the node's — so its bounds are computed once, not once per frame's
+// frustum cull; set Mesh before the first BoundsLocal call and leave it.
 type MeshPayload struct {
 	Mesh *geom.Mesh
+
+	boundsOnce sync.Once
+	bounds     mathx.AABB
 }
 
 // Kind implements Payload.
@@ -84,7 +91,10 @@ func (p *MeshPayload) Cost() Cost {
 func (p *MeshPayload) ClonePayload() Payload { return &MeshPayload{Mesh: p.Mesh.Clone()} }
 
 // BoundsLocal implements Payload.
-func (p *MeshPayload) BoundsLocal() mathx.AABB { return p.Mesh.Bounds() }
+func (p *MeshPayload) BoundsLocal() mathx.AABB {
+	p.boundsOnce.Do(func() { p.bounds = p.Mesh.Bounds() })
+	return p.bounds
+}
 
 // PointsPayload wraps a point cloud.
 type PointsPayload struct {

@@ -503,3 +503,38 @@ func TestSetPayloadOp(t *testing.T) {
 	_ = orig
 	_ = aID
 }
+
+// A payload in a scene is replaced, never edited, so its bounds are
+// worked out on the first call and not again — the render service asks
+// for them on every frame's frustum cull. The test edits a held mesh in
+// place, which nothing in the system does, to see that the second call
+// did not walk it; a payload SetPayloadOp installs is a new payload and
+// reports its own mesh's bounds.
+func TestMeshBoundsComputedOncePerPayload(t *testing.T) {
+	s, _, mID, _ := buildTestScene(t)
+	held := s.Node(mID).Payload.(*MeshPayload)
+	first := held.BoundsLocal()
+	if first != held.Mesh.Bounds() || first.IsEmpty() {
+		t.Fatalf("BoundsLocal = %+v, mesh bounds %+v", first, held.Mesh.Bounds())
+	}
+	held.Mesh.Positions[0] = mathx.V3(100, 100, 100)
+	if again := held.BoundsLocal(); again != first {
+		t.Errorf("second BoundsLocal walked the mesh again: %+v, first %+v", again, first)
+	}
+
+	bigger := genmodel.Sphere(mathx.V3(0, 3, 0), 4, 8, 6)
+	if err := s.ApplyOp(&SetPayloadOp{ID: mID, Payload: &MeshPayload{Mesh: bigger}}); err != nil {
+		t.Fatal(err)
+	}
+	installed := s.Node(mID).Payload
+	if installed == Payload(held) {
+		t.Fatal("SetPayloadOp kept the old payload")
+	}
+	if got := installed.BoundsLocal(); got != bigger.Bounds() {
+		t.Errorf("replaced payload reports bounds %+v, its mesh has %+v", got, bigger.Bounds())
+	}
+	// A clone taken after the bounds were computed computes its own.
+	if got := installed.ClonePayload().BoundsLocal(); got != bigger.Bounds() {
+		t.Errorf("cloned payload reports bounds %+v, want %+v", got, bigger.Bounds())
+	}
+}
