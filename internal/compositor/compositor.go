@@ -10,9 +10,18 @@ package compositor
 import (
 	"fmt"
 	"image"
+	"math"
 
 	"repro/internal/raster"
 )
+
+// cleared8 reports whether the eight depths d starts with are all +Inf:
+// pixels that win no depth test, and most of a subset's buffer.
+func cleared8(d []float32) bool {
+	const m = math.MaxFloat32
+	_ = d[7]
+	return d[0] > m && d[1] > m && d[2] > m && d[3] > m && d[4] > m && d[5] > m && d[6] > m && d[7] > m
+}
 
 // DepthComposite merges the source framebuffer into dst: for every pixel
 // the nearer depth wins. Both buffers must be the same size and share the
@@ -22,24 +31,42 @@ func DepthComposite(dst, src *raster.Framebuffer) error {
 	if dst.W != src.W || dst.H != src.H {
 		return fmt.Errorf("compositor: size mismatch %dx%d vs %dx%d", dst.W, dst.H, src.W, src.H)
 	}
-	for i := range dst.Depth {
-		if src.Depth[i] < dst.Depth[i] {
+	for i, n := 0, len(dst.Depth); i < n; i++ {
+		if i+8 <= n && cleared8(src.Depth[i:]) {
+			i += 7 // and the loop's one
+		} else if src.Depth[i] < dst.Depth[i] {
 			dst.Depth[i] = src.Depth[i]
-			ci := i * 3
-			dst.Color[ci] = src.Color[ci]
-			dst.Color[ci+1] = src.Color[ci+1]
-			dst.Color[ci+2] = src.Color[ci+2]
+			dst.Color[3*i], dst.Color[3*i+1], dst.Color[3*i+2] = src.Color[3*i], src.Color[3*i+1], src.Color[3*i+2]
 		}
 	}
 	return nil
 }
 
 // CompositeAll depth-composites any number of partial renderings into a
-// fresh framebuffer of the given size. Order does not matter (opaque
-// solids only, as in the paper).
+// fresh framebuffer of the given size, leaving the parts as they were.
+// The result is what merging each in turn into a cleared buffer gives (a
+// pixel no part drew nearer than +Inf stays cleared whatever its colour,
+// the earlier part wins a tie), but the first part is taken, not compared.
 func CompositeAll(w, h int, parts ...*raster.Framebuffer) (*raster.Framebuffer, error) {
-	out := raster.NewFramebuffer(w, h)
-	for _, p := range parts {
+	if len(parts) == 0 {
+		return raster.NewFramebuffer(w, h), nil
+	}
+	first := parts[0]
+	if first.W != w || first.H != h { // the rest are DepthComposite's to refuse
+		return nil, fmt.Errorf("compositor: size mismatch %dx%d vs %dx%d", w, h, first.W, first.H)
+	}
+	out := &raster.Framebuffer{W: w, H: h, Color: make([]uint8, len(first.Color)), Depth: append([]float32(nil), first.Depth...)}
+	inf := float32(math.Inf(1))
+	for i, n := 0, len(out.Depth); i < n; i++ {
+		if i+8 <= n && cleared8(out.Depth[i:]) {
+			i += 7 // and the loop's one
+		} else if d := out.Depth[i]; d < inf {
+			out.Color[3*i], out.Color[3*i+1], out.Color[3*i+2] = first.Color[3*i], first.Color[3*i+1], first.Color[3*i+2]
+		} else if d != inf {
+			out.Depth[i] = inf // NaN never wins a depth test
+		}
+	}
+	for _, p := range parts[1:] {
 		if err := DepthComposite(out, p); err != nil {
 			return nil, err
 		}

@@ -237,8 +237,15 @@ func (h *SocketHandle) Render(job dataservice.RenderJob) (compositor.Tile, error
 	if err != nil {
 		return compositor.Tile{}, err
 	}
-	tile.FB, err = marshal.DecodeFrame(payload)
-	return tile, err
+	// A frame's header, not its length, says what its decoder builds, so
+	// only the size this job asked for is let through to it.
+	if w, ht, err := marshal.FrameDims(payload); err != nil || w != job.Rect.Dx() || ht != job.Rect.Dy() {
+		return compositor.Tile{}, fmt.Errorf("core: %s answered a %dx%d job with a %dx%d frame", h.name, job.Rect.Dx(), job.Rect.Dy(), w, ht)
+	}
+	if tile.FB, err = marshal.DecodeFrame(payload); err != nil {
+		return compositor.Tile{}, fmt.Errorf("core: frame from %s: %w", h.name, err)
+	}
+	return tile, nil
 }
 
 var _ dataservice.RenderHandle = (*SocketHandle)(nil)

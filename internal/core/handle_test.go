@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"image"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +17,7 @@ import (
 	"repro/internal/dataservice"
 	"repro/internal/device"
 	"repro/internal/geom/genmodel"
+	"repro/internal/marshal"
 	"repro/internal/mathx"
 	"repro/internal/raster"
 	"repro/internal/renderservice"
@@ -144,5 +148,129 @@ func TestBreakerBoundsSubsetJobByDeadline(t *testing.T) {
 	}
 	if bh.Available() {
 		t.Fatal("the timeout was not counted as a breaker failure")
+	}
+}
+
+// lyingService speaks a render service's side of the peer protocol but
+// answers every tile job with frame(), whatever was asked: the frame a
+// handle must not take a peer's word for.
+func lyingService(conn net.Conn, name string, frame func() []byte) {
+	c := transport.NewConn(conn)
+	for {
+		t, _, err := c.Receive()
+		if err != nil {
+			return
+		}
+		switch t {
+		case transport.MsgHello:
+			err = c.Send(transport.MsgOK, nil)
+		case transport.MsgCapacityQuery:
+			rep := renderservice.New(renderservice.Config{Name: name, Device: device.XeonDesktop, Workers: 1}).Capacity()
+			err = c.SendJSON(transport.MsgCapacityReport, rep)
+		case transport.MsgTileAssign:
+			if err = c.SendJSON(transport.MsgTileFrame, transport.TileHeader{Version: 1}); err == nil {
+				err = c.Send(transport.MsgFrameDepth, frame())
+			}
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// TestWrongSizedFrameIsAPartFailure: a spans frame's header, not its
+// length, is what its decoder builds, so a handle lets through only the
+// size it asked for. A peer answering a 640×240 tile job with a
+// 16384×16384 header costs its caller an error naming it and next to no
+// memory; one answering with a well-formed 8×8 frame is refused too,
+// here and not in BlitTile; and to the distributor either is a failed
+// part like any other — re-issued, counted by the peer's breaker.
+func TestWrongSizedFrameIsAPartFailure(t *testing.T) {
+	huge := marshal.AppendFrame(nil, raster.NewFramebuffer(1, 1), true)
+	huge[2], huge[6] = 0x40, 0x40 // 1x1 -> 16384x16384
+	small := raster.NewFramebuffer(8, 8)
+	small.Plot(3, 3, 0.5, 1, 2, 3)
+	lies := map[string][]byte{"a 16384x16384 header": huge, "a valid 8x8 frame": marshal.AppendFrame(nil, small, true)}
+	if len(huge) >= 64 {
+		t.Fatalf("the oversized frame is %d bytes", len(huge))
+	}
+	dial := func(frame func() []byte) *SocketHandle {
+		dataEnd, peerEnd := net.Pipe()
+		t.Cleanup(func() { dataEnd.Close() })
+		go lyingService(peerEnd, "liar", frame)
+		h, err := DialSocketHandle(dataEnd, "liar", "s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	for what, lie := range lies {
+		h := dial(func() []byte { return lie })
+		job := dataservice.RenderJob{Rect: image.Rect(0, 240, 640, 480), FullW: 640, FullH: 480}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tile, err := h.Render(job)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "liar") {
+			t.Errorf("%s: got a %v tile and error %v, want a refusal naming the peer", what, tile.Rect, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+			t.Errorf("%s: refusing it allocated %d bytes", what, grew)
+		}
+		// The exchange was consumed whole: the connection is still usable.
+		if _, err := h.Capacity(); err != nil {
+			t.Errorf("%s: handle unusable after the refusal: %v", what, err)
+		}
+	}
+
+	// The same liar beside an honest service, under the distributor.
+	data := dataservice.New(dataservice.Config{Name: "data"})
+	sess, err := data.CreateSession("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh := genmodel.Elle(2000)
+	if _, err := sess.AddMesh("elle", mesh, mathx.Identity()); err != nil {
+		t.Fatal(err)
+	}
+	cam := raster.DefaultCamera().FitToBounds(mesh.Bounds(), mathx.V3(0.3, 0.2, 1))
+	if err := sess.SetCamera(renderservice.StateFromCamera(cam), ""); err != nil {
+		t.Fatal(err)
+	}
+	honest := renderservice.New(renderservice.Config{Name: "honest", Device: device.XeonDesktop, Workers: 1})
+	if _, err := honest.OpenSession("s", sess.Snapshot(), cam); err != nil {
+		t.Fatal(err)
+	}
+	dataEnd, renderEnd := net.Pipe()
+	t.Cleanup(func() { dataEnd.Close() })
+	go honest.ServeClient(renderEnd, 50e6)
+	hh, err := DialSocketHandle(dataEnd, "honest", "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	liar := NewBreakerHandle(dial(func() []byte { return lies["a valid 8x8 frame"] }),
+		rthin.BreakerConfig{Threshold: 1, Cooldown: time.Hour}, nil)
+	dist := sess.NewDistributor(balance.DefaultThresholds())
+	for _, h := range []dataservice.RenderHandle{hh, liar} {
+		if err := dist.AddService(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fb, rep, err := dist.RenderTilesHedged(context.Background(), 64, 48, dataservice.HedgeConfig{FrameDeadline: 10 * time.Second, HedgeDelay: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Tiles != 2 || rep.Hedged != 1 || rep.HedgeWins != 1 || len(rep.Degraded) != 0 {
+		t.Errorf("report %+v, want the liar's tile re-issued to the honest service and won there", rep)
+	}
+	whole, _, err := honest.RenderSceneOnce(sess.Snapshot(), cam, 64, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fb.Color, whole.Color) {
+		t.Error("the frame assembled around the liar differs from a one-piece render")
+	}
+	if liar.Available() {
+		t.Error("the refused frame was not counted as a breaker failure")
 	}
 }

@@ -87,10 +87,15 @@ func (e *encoder) u32Slice(vs []uint32) {
 	}
 }
 
-func (e *encoder) f32Slice(vs []float32) {
-	out := e.slab(len(vs), 4)
-	for i, v := range vs {
-		binary.BigEndian.PutUint32(out[4*i:], math.Float32bits(v))
+func (e *encoder) f32Slice(vs []float32) { putF32s(e.slab(len(vs), 4), vs) }
+
+// putF32s encodes vs into out, two to a store.
+func putF32s(out []byte, vs []float32) {
+	for ; len(vs) >= 2; vs, out = vs[2:], out[8:] {
+		binary.BigEndian.PutUint64(out, uint64(math.Float32bits(vs[0]))<<32|uint64(math.Float32bits(vs[1])))
+	}
+	if len(vs) == 1 {
+		binary.BigEndian.PutUint32(out, math.Float32bits(vs[0]))
 	}
 }
 
@@ -214,10 +219,14 @@ func (d *decoder) u32Slice(what string) []uint32 {
 	return out
 }
 
-// f32s converts raw, n encoded float32s, into out[:n].
+// f32s converts raw, n encoded float32s, into out[:n], two to a load.
 func f32s(out []float32, raw []byte) {
-	for i := range out {
-		out[i] = math.Float32frombits(binary.BigEndian.Uint32(raw[4*i:]))
+	for ; len(out) >= 2; out, raw = out[2:], raw[8:] {
+		v := binary.BigEndian.Uint64(raw)
+		out[0], out[1] = math.Float32frombits(uint32(v>>32)), math.Float32frombits(uint32(v))
+	}
+	if len(out) == 1 {
+		out[0] = math.Float32frombits(binary.BigEndian.Uint32(raw))
 	}
 }
 

@@ -7,18 +7,20 @@ import (
 
 	"repro/internal/geom/genmodel"
 	"repro/internal/mathx"
-	"repro/internal/raster"
 	"repro/internal/scene"
 )
 
 // FuzzDecode holds the three decoders that face bytes from a socket or a
 // disk to what their callers rely on: arbitrary input is refused or
 // decoded, never a panic; a decode allocates in proportion to the bytes
-// it was given, whatever their length prefixes claim; and, the format
-// being canonical, whatever decodes encodes back to the same bytes. The
-// seeds are the golden corpus but for its meshes, frames and model —
-// too large to mutate or minimize usefully — which a small mesh op and a
-// small depth frame stand in for.
+// it was given, whatever their length prefixes claim — but for a spans
+// frame, whose header names the framebuffer to build and may cost that
+// framebuffer, capped (SocketHandle.Render refuses a header it did not
+// ask for before it gets here); and, the format being canonical, whatever
+// decodes encodes back to the same bytes. The seeds are the golden
+// corpus but for its meshes, big frames and model — too large to mutate
+// or minimize usefully — which a small mesh op and the span cases stand
+// in for.
 func FuzzDecode(f *testing.F) {
 	for _, enc := range goldenCorpus(f) {
 		if len(enc) <= 1<<10 {
@@ -30,7 +32,9 @@ func FuzzDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(mesh)
-	f.Add(AppendFrame(nil, raster.NewFramebuffer(8, 6), true))
+	for _, fb := range spanCases() {
+		f.Add(AppendFrame(nil, fb, true))
+	}
 
 	decoders := map[string]func([]byte) ([]byte, error){
 		"op": func(b []byte) ([]byte, error) {
@@ -52,7 +56,7 @@ func FuzzDecode(f *testing.F) {
 			if err != nil {
 				return nil, err
 			}
-			return AppendFrame(nil, fb, b[8] == 1), nil
+			return AppendFrame(nil, fb, b[8] == frameSpans), nil
 		},
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -66,8 +70,13 @@ func FuzzDecode(f *testing.F) {
 		runtime.ReadMemStats(&after)
 		// A decoded value and its re-encoding are each a few times the
 		// input: a node costs 145 bytes on the wire and a scene.Node, two
-		// map entries and a slice slot in memory.
-		if grew, most := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+32*len(data)); grew > most {
+		// map entries and a slice slot in memory. A spans frame may add
+		// the seven bytes a pixel its header's framebuffer takes.
+		most := uint64(64<<10 + 32*len(data))
+		if w, h, err := FrameDims(data); err == nil && len(data) > 8 && data[8] == frameSpans {
+			most += 7 * uint64(min(w*h, maxSpanFramePixels))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > most {
 			t.Errorf("decoding %d bytes allocated %d", len(data), grew)
 		}
 	})

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -20,16 +21,18 @@ import (
 
 // updateGolden rewrites testdata/wire.sha256 from this tree's encoders.
 // The checked-in file was generated at the commit before the codec moved
-// onto byte slices; regenerating it is a wire-format change.
+// onto byte slices, and its two depth-frame lines again when depth frames
+// became spans; regenerating it is a wire-format change.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/wire.sha256")
 
 const goldenPath = "testdata/wire.sha256"
 
 // goldenCorpus is the fixed set of values whose encodings pin the wire
 // format: the bench's 50 k-triangle Elle scene in eight parts, one op of
-// each kind carrying each payload kind, and a 64×48 frame with and
-// without its depth plane. It goes through the io.Writer entry points,
-// which exist on both sides of the codec rewrite.
+// each kind carrying each payload kind, a 64×48 frame with every third
+// pixel drawn with and without its depth, and one with a few short runs.
+// It goes through the io.Writer entry points, which exist on both sides
+// of the codec rewrite.
 func goldenCorpus(t testing.TB) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}
@@ -89,6 +92,20 @@ func goldenCorpus(t testing.TB) map[string][]byte {
 	}
 	put("frame/64x48-depth", func(b *bytes.Buffer) error { return WriteFrame(b, fb, true) })
 	put("frame/64x48-colour", func(b *bytes.Buffer) error { return WriteFrame(b, fb, false) })
+	// A run inside a row, one across a row's end, a NaN depth, a colour
+	// with no depth beside a drawn pixel, and the last pixel alone.
+	spans := raster.NewFramebuffer(64, 48)
+	for i := 200; i < 217; i++ {
+		spans.Plot(i%64, i/64, float32(i)/512, uint8(i), 9, 0)
+	}
+	for i := 20*64 - 5; i < 20*64+4; i++ {
+		spans.Plot(i%64, i/64, -0.5, 0, uint8(i), 200)
+	}
+	spans.Depth[30*64+7] = float32(math.NaN())
+	spans.Plot(9, 30, 0.125, 1, 2, 3)
+	spans.Set(10, 30, 0, 0, 77)
+	spans.Plot(63, 47, 0, 255, 255, 255)
+	put("frame/64x48-spans", func(b *bytes.Buffer) error { return WriteFrame(b, spans, true) })
 	return out
 }
 

@@ -52,7 +52,8 @@ func TestLengthPrefixIsNotAnAllocationOrder(t *testing.T) {
 }
 
 // TestDecodeStrict: every decoder is handed exactly one value, so bytes
-// left over are a framing fault, and a frame's depth flag is 0 or 1.
+// left over are a framing fault, and a frame's flag is 0 (colour) or 2
+// (spans) — 1, the retired whole depth plane, is refused like any other.
 func TestDecodeStrict(t *testing.T) {
 	corpus := goldenCorpus(t)
 	decoders := map[string]func([]byte) error{
@@ -72,11 +73,11 @@ func TestDecodeStrict(t *testing.T) {
 			t.Errorf("%s: a missing byte accepted", name)
 		}
 	}
-	for name, flag := range map[string]byte{"frame/64x48-depth": 2, "frame/64x48-colour": 0xff} {
+	for name, flag := range map[string]byte{"frame/64x48-depth": 1, "frame/64x48-spans": 3, "frame/64x48-colour": 0xff} {
 		enc := bytes.Clone(corpus[name])
 		enc[8] = flag
 		if _, err := DecodeFrame(enc); err == nil {
-			t.Errorf("%s: depth flag %d accepted", name, flag)
+			t.Errorf("%s: frame flag %d accepted", name, flag)
 		}
 	}
 	// The io.Reader entry points are the same decoders.
@@ -87,13 +88,20 @@ func TestDecodeStrict(t *testing.T) {
 }
 
 // TestEncodeOnceAllocatesOnce: the size pass is exact, so an encoding is
-// one allocation however many arrays it carries, and a frame decodes into
-// the framebuffer and its two planes and nothing else.
+// one allocation however many arrays or runs it carries, and a frame
+// decodes into the framebuffer and its two planes and nothing else. The
+// counts are not asserted under -race, whose runtime allocates too; the
+// byte checks below are.
 func TestEncodeOnceAllocatesOnce(t *testing.T) {
 	move := &scene.SetTransformOp{ID: 6, Transform: mathx.RotateY(0.3)}
 	s := richScene(t)
 	fb := raster.NewFramebuffer(320, 480)
 	fb.Plot(3, 4, 0.25, 10, 20, 30)
+	for y := 100; y < 300; y++ { // 200 runs
+		for x := 50 + y%7; x < 200; x++ {
+			fb.Plot(x, y, float32(x-y)/320, uint8(x), uint8(y), 1)
+		}
+	}
 	frame := AppendFrame(nil, fb, true)
 	var sink []byte
 	for name, c := range map[string]struct {
@@ -106,7 +114,7 @@ func TestEncodeOnceAllocatesOnce(t *testing.T) {
 		"re-encode into its buffer":    {0, func() { sink, _ = AppendScene(sink[:0], s) }},
 		"decode a 320x480 depth frame": {3, func() { DecodeFrame(frame) }},
 	} {
-		if got := testing.AllocsPerRun(20, c.fn); got > c.max {
+		if got := testing.AllocsPerRun(20, c.fn); got > c.max && !raceEnabled {
 			t.Errorf("%s: %.0f allocations, want at most %.0f", name, got, c.max)
 		}
 	}

@@ -23,7 +23,8 @@ type Framebuffer struct {
 	Depth []float32 // one float per pixel
 }
 
-// NewFramebuffer allocates a cleared framebuffer.
+// NewFramebuffer allocates a cleared framebuffer: black, which is how make
+// hands the colour plane over, and +Inf depth.
 func NewFramebuffer(w, h int) *Framebuffer {
 	fb := &Framebuffer{
 		W:     w,
@@ -31,21 +32,22 @@ func NewFramebuffer(w, h int) *Framebuffer {
 		Color: make([]uint8, w*h*3),
 		Depth: make([]float32, w*h),
 	}
-	fb.Clear(0, 0, 0)
+	fill(fb.Depth, float32(math.Inf(1)))
 	return fb
 }
 
 // Clear fills the color buffer with the given RGB background and resets
 // depth to +Inf.
 func (fb *Framebuffer) Clear(r, g, b uint8) {
-	for i := 0; i < len(fb.Color); i += 3 {
-		fb.Color[i] = r
-		fb.Color[i+1] = g
-		fb.Color[i+2] = b
-	}
-	inf := float32(math.Inf(1))
-	for i := range fb.Depth {
-		fb.Depth[i] = inf
+	fill(fb.Color, r, g, b)
+	fill(fb.Depth, float32(math.Inf(1)))
+}
+
+// fill repeats pattern over s: once, then by copying what is filled onto
+// what is not, doubling it, so any pattern goes down at copy speed.
+func fill[T any](s []T, pattern ...T) {
+	for n := copy(s, pattern); 0 < n && n < len(s); {
+		n += copy(s[n:], s[:n])
 	}
 }
 

@@ -1,6 +1,7 @@
 package raster
 
 import (
+	"bytes"
 	"image"
 	"math"
 	"testing"
@@ -127,5 +128,61 @@ func TestSubTileBounds(t *testing.T) {
 	tile := NewFramebuffer(3, 3)
 	if err := fb.BlitTile(tile, 2, 2); err == nil {
 		t.Error("out-of-range blit accepted")
+	}
+}
+
+// clearByLoops is Clear as it was before it filled by doubling copies:
+// the oracle for TestClearMatchesThePerElementLoops.
+func clearByLoops(fb *Framebuffer, r, g, b uint8) {
+	for i := 0; i < len(fb.Color); i += 3 {
+		fb.Color[i], fb.Color[i+1], fb.Color[i+2] = r, g, b
+	}
+	for i := range fb.Depth {
+		fb.Depth[i] = float32(math.Inf(1))
+	}
+}
+
+// TestClearMatchesThePerElementLoops: NewFramebuffer and Clear leave
+// exactly what the per-element loops left, at sizes on both sides of
+// every doubling and for colours whose three bytes differ.
+func TestClearMatchesThePerElementLoops(t *testing.T) {
+	same := func(a, b *Framebuffer) bool {
+		for i := range a.Depth {
+			if math.Float32bits(a.Depth[i]) != math.Float32bits(b.Depth[i]) {
+				return false
+			}
+		}
+		return bytes.Equal(a.Color, b.Color) && len(a.Depth) == len(b.Depth)
+	}
+	for _, size := range [][2]int{{0, 0}, {1, 1}, {3, 5}, {640, 480}} {
+		w, h := size[0], size[1]
+		want := &Framebuffer{W: w, H: h, Color: make([]uint8, w*h*3), Depth: make([]float32, w*h)}
+		clearByLoops(want, 0, 0, 0)
+		got := NewFramebuffer(w, h)
+		if got.W != w || got.H != h || !same(got, want) {
+			t.Errorf("NewFramebuffer(%d, %d) is not a cleared buffer", w, h)
+		}
+		for _, c := range [][3]uint8{{0, 0, 0}, {10, 20, 30}, {255, 0, 1}} {
+			for i := range got.Depth { // something to clear
+				got.Depth[i], got.Color[3*i+1] = float32(i), uint8(i)
+			}
+			got.Clear(c[0], c[1], c[2])
+			clearByLoops(want, c[0], c[1], c[2])
+			if !same(got, want) {
+				t.Errorf("%dx%d Clear(%v) differs from the per-element loops", w, h, c)
+			}
+		}
+	}
+}
+
+var sinkFB *Framebuffer
+
+// BenchmarkNewFramebuffer is what every tile, subset buffer, decoded
+// frame and composite pays before a pixel is drawn. Recorded in
+// EXPERIMENTS.md, gated nowhere.
+func BenchmarkNewFramebuffer(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkFB = NewFramebuffer(640, 480)
 	}
 }
