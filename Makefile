@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet fmt-check lint lint-report allow-audit one-follower unreached vulncheck build test race fuzz-smoke chaos scale partition storage raster loc ci
+.PHONY: all vet fmt-check lint lint-report allow-audit one-follower one-reply unreached vulncheck build test race fuzz-smoke chaos scale partition storage raster loc ci
 
 all: ci
 
@@ -39,15 +39,25 @@ allow-audit:
 	$(GO) run ./cmd/ravelint -allow-audit ./...
 
 # one-follower keeps the op-stream follower written once: the versioned
-# op framing and the resync request are spoken only by internal/follow
+# op message and the resync request are spoken only by internal/follow
 # (subscriber side), ServeConn in dataservice/service.go (serving side)
 # and internal/transport (the wire), so a render replica, standby or
 # mirror that grows its own version rule again fails here. bench/ reads
 # the raw stream to time it and is the harness, not the system.
 one-follower:
-	@out="$$(grep -rlE 'UnpackVersioned|MsgResyncRequest' --include='*.go' --exclude='*_test.go' . \
+	@out="$$(grep -rlE 'transport\.(MsgSceneOpVer|MsgResyncRequest)' --include='*.go' --exclude='*_test.go' . \
 		| grep -vE '^\./(bench/|internal/transport/|internal/follow/|internal/dataservice/service\.go$$)')"; \
 	if [ -n "$$out" ]; then echo "op-stream follower logic outside internal/follow:"; echo "$$out"; exit 1; fi
+
+# one-reply keeps "request → answer or typed refusal" written once: how a
+# refusal or a decline crosses a socket is Conn.Refuse and how it comes
+# back is Conn.Expect (Conn.Refused for a loop reading many types), so
+# nothing outside internal/transport names the two messages or decodes
+# their bodies by hand again.
+one-reply:
+	@out="$$(grep -rlE 'transport\.(MsgError|MsgDeclined|ErrorInfo|Declined)' --include='*.go' --exclude='*_test.go' . \
+		| grep -vE '^\./(bench/|internal/transport/)')"; \
+	if [ -n "$$out" ]; then echo "a refusal read or written by hand outside internal/transport:"; echo "$$out"; exit 1; fi
 
 # unreached keeps the system what something runs: every non-test function
 # in a library package is linked by some main package (cmd/*, examples/*,
@@ -151,11 +161,11 @@ loc:
 
 # ci is the full gate: formatting, static checks (ravelint with the
 # LINT.json artifact and per-analyzer timings, the allow-annotation
-# audit, vet, the one-follower grep gate, the unreached-code gate,
+# audit, vet, the one-follower and one-reply grep gates, the unreached-code gate,
 # govulncheck when present), a clean build, the test suite under the
 # race detector, ten seconds of
 # fuzzing per target, a doubled chaos pass (the chaos suite exercises concurrent failure recovery, so -race
 # is part of the bar, not an extra), the reduced fleet-scale load,
 # region-partition, and sick-disk scenarios, and the rasterizer
 # regression benchmark.
-ci: fmt-check lint-report allow-audit lint one-follower unreached vulncheck build race fuzz-smoke chaos scale partition storage raster
+ci: fmt-check lint-report allow-audit lint one-follower one-reply unreached vulncheck build race fuzz-smoke chaos scale partition storage raster

@@ -25,34 +25,17 @@ import (
 // out remotely whilst the local client only deals with information
 // presentation."
 type Thin struct {
-	conn    *transport.Conn
-	name    string
-	session string
-	prev    []byte // previous decoded frame for delta codecs
+	conn *transport.Conn
+	prev []byte // the last frame decoded, in any codec: what a delta is against
 }
 
 // DialThin performs the hello handshake on an established socket.
 func DialThin(rw io.ReadWriter, name, session string) (*Thin, error) {
 	conn := transport.NewConn(rw)
-	err := conn.SendJSON(transport.MsgHello, transport.Hello{
-		Role: "thin-client", Name: name, Session: session,
-	})
-	if err != nil {
-		return nil, err
+	if err := conn.Greet(transport.Hello{Role: "thin-client", Name: name, Session: session}); err != nil {
+		return nil, fmt.Errorf("client: hello: %w", err)
 	}
-	t, payload, err := conn.Receive()
-	if err != nil {
-		return nil, err
-	}
-	if t == transport.MsgError {
-		var ei transport.ErrorInfo
-		transport.DecodeJSON(payload, &ei)
-		return nil, fmt.Errorf("client: connection refused: %s", ei.Message)
-	}
-	if t != transport.MsgOK {
-		return nil, fmt.Errorf("client: expected ok, got %s", t)
-	}
-	return &Thin{conn: conn, name: name, session: session}, nil
+	return &Thin{conn: conn}, nil
 }
 
 // SetCamera sends a camera update (stylus drag on the PDA).
@@ -61,7 +44,9 @@ func (c *Thin) SetCamera(cam raster.Camera) error {
 }
 
 // RequestFrame asks for one rendered frame and decodes it. codec may be
-// "raw", "rle", "delta-rle", "adaptive" or empty (raw).
+// "raw", "rle", "delta-rle", "flate", "adaptive" or empty (raw). Several
+// viewers may share a session on any codec: the reference frame of a
+// delta is the connection's, here and at the service.
 func (c *Thin) RequestFrame(w, h int, codec string) (*raster.Framebuffer, error) {
 	return c.RequestFrameBy(w, h, codec, time.Time{})
 }
@@ -69,37 +54,19 @@ func (c *Thin) RequestFrame(w, h int, codec string) (*raster.Framebuffer, error)
 // RequestFrameBy is RequestFrame with an absolute deadline propagated
 // to the render service (zero means none): a service that cannot meet
 // it answers with a typed *renderservice.ErrOverloaded instead of a
-// frame, and the caller can retry elsewhere or after the hint.
+// frame, and the caller can retry elsewhere or after the hint. That and
+// a *RefusedError are answers on a healthy stream, typed so resilient
+// wrappers know not to reconnect over them.
 func (c *Thin) RequestFrameBy(w, h int, codec string, deadline time.Time) (*raster.Framebuffer, error) {
-	err := c.conn.SendJSON(transport.MsgFrameRequest, transport.FrameRequest{
-		W: w, H: h, Codec: codec, DeadlineNanos: transport.DeadlineToNanos(deadline),
+	err := c.conn.SendJSON(transport.MsgRender, transport.RenderRequest{
+		X1: w, Y1: h, FullW: w, FullH: h, Codec: codec, DeadlineNanos: transport.DeadlineToNanos(deadline),
 	})
 	if err != nil {
 		return nil, err
 	}
-	t, payload, err := c.conn.Receive()
+	payload, err := c.conn.Expect(transport.MsgFrame)
 	if err != nil {
 		return nil, err
-	}
-	if t == transport.MsgError {
-		var ei transport.ErrorInfo
-		transport.DecodeJSON(payload, &ei)
-		// A refusal is an application answer on a healthy stream, typed
-		// so resilient wrappers know not to reconnect over it.
-		return nil, &RefusedError{Op: "frame", Message: ei.Message}
-	}
-	if t == transport.MsgDeclined {
-		var d transport.Declined
-		transport.DecodeJSON(payload, &d)
-		// The thin client does not know the service's name; the typed
-		// reason and hint are what resilient wrappers act on.
-		return nil, &renderservice.ErrOverloaded{
-			Reason:     d.Reason,
-			RetryAfter: time.Duration(d.RetryAfterMs) * time.Millisecond,
-		}
-	}
-	if t != transport.MsgFrame {
-		return nil, fmt.Errorf("client: expected frame, got %s", t)
 	}
 	_, fw, fh, frame, err := imgcodec.Decode(payload, c.prev)
 	if err != nil {
@@ -112,22 +79,11 @@ func (c *Thin) RequestFrameBy(w, h int, codec string, deadline time.Time) (*rast
 }
 
 // Capacity interrogates the render service.
-func (c *Thin) Capacity() (transport.CapacityReport, error) {
-	if err := c.conn.Send(transport.MsgCapacityQuery, nil); err != nil {
-		return transport.CapacityReport{}, err
+func (c *Thin) Capacity() (rep transport.CapacityReport, err error) {
+	if err = c.conn.Send(transport.MsgCapacityQuery, nil); err == nil {
+		err = c.conn.ExpectJSON(transport.MsgCapacityReport, &rep)
 	}
-	t, payload, err := c.conn.Receive()
-	if err != nil {
-		return transport.CapacityReport{}, err
-	}
-	if t != transport.MsgCapacityReport {
-		return transport.CapacityReport{}, fmt.Errorf("client: expected capacity report, got %s", t)
-	}
-	var rep transport.CapacityReport
-	if err := transport.DecodeJSON(payload, &rep); err != nil {
-		return transport.CapacityReport{}, err
-	}
-	return rep, nil
+	return rep, err
 }
 
 // Close ends the session cleanly.

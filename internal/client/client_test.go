@@ -38,15 +38,85 @@ func startRenderWithSession(t *testing.T) (*renderservice.Service, *Thin) {
 	}
 	t.Cleanup(sess.Close)
 
+	return rs, dialViewer(t, rs, "zaurus")
+}
+
+// dialViewer connects one more thin client to rs's session over its own
+// net.Pipe, served on a slow link so the adaptive codec compresses.
+func dialViewer(t *testing.T, rs *renderservice.Service, name string) *Thin {
+	t.Helper()
 	cEnd, sEnd := net.Pipe()
 	go rs.ServeClient(sEnd, 5e6)
 	t.Cleanup(func() { cEnd.Close(); sEnd.Close() })
-
-	thin, err := DialThin(cEnd, "zaurus", "galleon")
+	thin, err := DialThin(cEnd, name, "galleon")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rs, thin
+	return thin
+}
+
+// orbitAndCheck moves the shared camera a step along an orbit through
+// thin and checks the frame thin then gets in codec (its i-th, for the
+// failure message) against the service's own render of the session, byte
+// for byte.
+func orbitAndCheck(t *testing.T, rs *renderservice.Service, thin *Thin, i int, codec string) {
+	t.Helper()
+	sess, ok := rs.SessionNamed("galleon")
+	if !ok {
+		t.Fatal("session gone")
+	}
+	if err := thin.SetCamera(sess.Camera().Orbit(0.3, 0)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := thin.RequestFrame(96, 96, codec)
+	if err != nil {
+		t.Fatalf("frame %d (%s): %v", i, codec, err)
+	}
+	want, err := sess.RenderFrame(96, 96, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diff := 0
+	for j := range want.FB.Color {
+		if got.Color[j] != want.FB.Color[j] {
+			diff++
+		}
+	}
+	if diff != 0 {
+		t.Fatalf("frame %d (%s): %d of %d bytes differ from a raw frame", i, codec, diff, len(want.FB.Color))
+	}
+}
+
+// TestSecondViewerSeesTheScene: the previous frame a delta is against
+// belongs to the connection, not to the session several viewers share. A
+// collaborator joining a session someone is three frames into gets the
+// scene — not the first viewer's delta decoded against nothing — and both
+// stay right from then on.
+func TestSecondViewerSeesTheScene(t *testing.T) {
+	for _, codec := range []string{"delta-rle", "adaptive"} {
+		rs, first := startRenderWithSession(t)
+		for i := 0; i < 3; i++ {
+			orbitAndCheck(t, rs, first, i, codec)
+		}
+		second := dialViewer(t, rs, "ipaq")
+		orbitAndCheck(t, rs, second, 3, codec)
+		orbitAndCheck(t, rs, first, 4, codec)
+		orbitAndCheck(t, rs, second, 5, codec)
+		first.Close()
+		second.Close()
+	}
+}
+
+// TestCodecChangeKeepsDeltaReference: a viewer's reference frame is the
+// last one sent to it in any codec, which is what its decoder holds, so
+// changing codec between frames under a moving camera costs nothing.
+func TestCodecChangeKeepsDeltaReference(t *testing.T) {
+	rs, thin := startRenderWithSession(t)
+	defer thin.Close()
+	for i, codec := range []string{"delta-rle", "adaptive", "delta-rle", "rle", "adaptive", "delta-rle"} {
+		orbitAndCheck(t, rs, thin, 2*i, codec)
+		orbitAndCheck(t, rs, thin, 2*i+1, "raw")
+	}
 }
 
 func TestThinClientFrames(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"repro/internal/raster"
+	"repro/internal/renderservice"
 	"repro/internal/retry"
 	"repro/internal/transport"
 	"repro/internal/vclock"
@@ -20,15 +21,8 @@ var ErrConnectionLost = errors.New("client: render connection lost without bye")
 
 // RefusedError is an application-level refusal relayed by the render
 // service (e.g. a bad frame size). The connection is healthy; resilient
-// wrappers surface it without reconnecting.
-type RefusedError struct {
-	Op      string
-	Message string
-}
-
-func (e *RefusedError) Error() string {
-	return fmt.Sprintf("client: %s refused: %s", e.Op, e.Message)
-}
+// wrappers surface it, and a typed decline, without reconnecting.
+type RefusedError = transport.Refusal
 
 // ResilientThin is a thin client that survives render-service failures:
 // when an operation fails on a lost connection it redials with backoff,
@@ -88,8 +82,9 @@ func (r *ResilientThin) reconnect(ctx context.Context) error {
 	return nil
 }
 
-// do runs op, reconnecting and retrying when the connection is lost.
-// Application-level refusals pass through untouched.
+// do runs op, reconnecting and retrying when the connection is lost. A
+// refusal or a decline was read off a healthy stream and passes through
+// untouched.
 func (r *ResilientThin) do(ctx context.Context, op func(*Thin) error) error {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -99,8 +94,7 @@ func (r *ResilientThin) do(ctx context.Context, op func(*Thin) error) error {
 		if err == nil {
 			return nil
 		}
-		var refused *RefusedError
-		if errors.As(err, &refused) {
+		if errors.As(err, new(*RefusedError)) || errors.As(err, new(*renderservice.ErrOverloaded)) {
 			return err
 		}
 		// Anything else is a dead or desynced stream: a bare EOF, a

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -122,6 +123,68 @@ func TestResilientThinRefusalPassesThrough(t *testing.T) {
 	// The same connection keeps serving.
 	if _, err := thin.RequestFrame(context.Background(), 32, 32, "raw"); err != nil {
 		t.Fatalf("connection broken after refusal: %v", err)
+	}
+}
+
+// TestResilientThinDeclinePassesThrough: a typed decline is as much an
+// answer on a healthy stream as a refusal. A request whose deadline has
+// passed comes back as the decline with its reason, on the first
+// connection — not as thousands of redials ending in "connection lost".
+func TestResilientThinDeclinePassesThrough(t *testing.T) {
+	_, dial, dials := resilientRenderService(t)
+	policy := retry.DefaultPolicy()
+	policy.BaseDelay = time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	thin, err := DialThinResilient(ctx, dial, "zaurus", "galleon", policy, vclock.Real{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer thin.Close()
+
+	err = thin.do(ctx, func(c *Thin) error {
+		_, err := c.RequestFrameBy(32, 32, "raw", time.Now().Add(-time.Second))
+		return err
+	})
+	var declined *renderservice.ErrOverloaded
+	if !errors.As(err, &declined) || declined.Reason != renderservice.ReasonExpired {
+		t.Fatalf("expired request = %v, want a decline with reason %q", err, renderservice.ReasonExpired)
+	}
+	if *dials != 1 {
+		t.Errorf("decline triggered %d reconnects", *dials-1)
+	}
+}
+
+// TestResilientThinDeltaAfterRedial: a redial is a new connection with no
+// previous frame at either end, so the first delta-rle frame after one is
+// the scene, not a delta against a frame the old connection was sent.
+func TestResilientThinDeltaAfterRedial(t *testing.T) {
+	rs, dial, _ := resilientRenderService(t)
+	policy := retry.DefaultPolicy()
+	policy.BaseDelay = time.Millisecond
+	ctx := context.Background()
+	thin, err := DialThinResilient(ctx, dial, "zaurus", "galleon", policy, vclock.Real{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer thin.Close()
+	for i := 0; i < 2; i++ {
+		if _, err := thin.RequestFrame(ctx, 64, 64, "delta-rle"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	thin.rw.Close()
+	got, err := thin.RequestFrame(ctx, 64, 64, "delta-rle")
+	if err != nil {
+		t.Fatalf("frame after dead link: %v", err)
+	}
+	sess, _ := rs.SessionNamed("galleon")
+	want, err := sess.RenderFrame(64, 64, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Color, want.FB.Color) {
+		t.Error("the first delta-rle frame after a redial differs from a raw frame")
 	}
 }
 

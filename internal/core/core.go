@@ -70,9 +70,10 @@ func (h *LocalHandle) Render(job dataservice.RenderJob) (compositor.Tile, error)
 
 var _ dataservice.RenderHandle = (*LocalHandle)(nil)
 
-// SocketHandle drives a remote render service over a direct socket using
-// the subset-assignment protocol. The remote service must already hold
-// the session (SubscribeToData) so the hello succeeds.
+// SocketHandle drives a remote render service over a direct socket as a
+// "peer": every job is one MsgRender exchange. The remote service needs
+// the session's replica by the time a job draws from it, not by the
+// hello.
 //
 // Request/response exchanges are serialized by a channel semaphore, not
 // a mutex: the lockedio contract forbids holding a sync.Mutex across
@@ -81,8 +82,7 @@ var _ dataservice.RenderHandle = (*LocalHandle)(nil)
 // stall confines itself to the in-flight exchange, and acquisition stays
 // interruptible (a future caller can select against it).
 type SocketHandle struct {
-	name    string
-	session string
+	name string
 
 	sem      chan struct{} // capacity 1: owns the conn's request pipeline
 	done     chan struct{} // closed by Close: unblocks queued acquirers
@@ -112,83 +112,55 @@ func (h *SocketHandle) Close() {
 	h.stopOnce.Do(func() { close(h.done) })
 }
 
-// DialSocketHandle performs the thin-client style hello on rw and
-// returns a handle for subset rendering.
+// DialSocketHandle says hello on rw as a peer of the render service name
+// and returns a handle on its replica of session.
 func DialSocketHandle(rw io.ReadWriter, name, session string) (*SocketHandle, error) {
 	h := &SocketHandle{
-		name: name, session: session, conn: transport.NewConn(rw),
+		name: name, conn: transport.NewConn(rw),
 		sem: make(chan struct{}, 1), done: make(chan struct{}),
 	}
-	err := h.conn.SendJSON(transport.MsgHello, transport.Hello{
-		Role: "peer", Name: "data-service", Session: session,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := h.reply(transport.MsgOK); err != nil {
-		return nil, err
-	}
-	// Attribute subsequent transport failures to the remote service, so
+	// Attribute transport failures and refusals to the remote service, so
 	// error telemetry can label by peer name.
 	h.conn.SetPeer(name)
+	if err := h.conn.Greet(transport.Hello{Role: "peer", Name: "data-service", Session: session}); err != nil {
+		return nil, err
+	}
 	return h, nil
 }
 
 // Name implements dataservice.RenderHandle.
 func (h *SocketHandle) Name() string { return h.name }
 
-// reply receives the answer to the request just sent: the wanted
-// message's payload, the typed overload error the resilient layers
-// (hedging, breakers) dispatch on for MsgDeclined, or an error.
-func (h *SocketHandle) reply(want transport.MsgType) ([]byte, error) {
-	t, payload, err := h.conn.Receive()
-	switch {
-	case err != nil:
-		return nil, err
-	case t == want:
-		return payload, nil
-	case t == transport.MsgDeclined:
-		var d transport.Declined
-		transport.DecodeJSON(payload, &d)
-		return nil, &renderservice.ErrOverloaded{
-			Service:    h.name,
-			Reason:     d.Reason,
-			RetryAfter: time.Duration(d.RetryAfterMs) * time.Millisecond,
-		}
-	case t == transport.MsgError:
-		var ei transport.ErrorInfo
-		transport.DecodeJSON(payload, &ei)
-		return nil, fmt.Errorf("core: %s refused: %s", h.name, ei.Message)
-	}
-	return nil, fmt.Errorf("core: expected %s from %s, got %s", want, h.name, t)
-}
-
 // Capacity implements dataservice.RenderHandle.
-func (h *SocketHandle) Capacity() (transport.CapacityReport, error) {
-	var rep transport.CapacityReport
-	if err := h.acquire(); err != nil {
+func (h *SocketHandle) Capacity() (rep transport.CapacityReport, err error) {
+	if err = h.acquire(); err != nil {
 		return rep, err
 	}
 	defer h.release()
-	if err := h.conn.Send(transport.MsgCapacityQuery, nil); err != nil {
-		return rep, err
+	if err = h.conn.Send(transport.MsgCapacityQuery, nil); err == nil {
+		err = h.conn.ExpectJSON(transport.MsgCapacityReport, &rep)
 	}
-	payload, err := h.reply(transport.MsgCapacityReport)
-	if err != nil {
-		return rep, err
-	}
-	err = transport.DecodeJSON(payload, &rep)
 	return rep, err
 }
 
-// Render implements dataservice.RenderHandle over the subset- and
-// tile-assignment protocols. The frame deadline rides the assignment as
-// absolute nanoseconds, so the remote service's admission control sees
-// the budget the data service planned with; the caller's span context
-// rides along so the remote render span joins the frame's trace tree.
+// Render implements dataservice.RenderHandle: the job as a MsgRender,
+// its scene behind it when it brings one. The frame deadline rides the
+// request as absolute nanoseconds, so the remote service's admission
+// control sees the budget the data service planned with; the caller's
+// span context rides along so the remote render span joins the frame's
+// trace tree. A typed decline comes back as the *renderservice.ErrOverloaded
+// the resilient layers (hedging, breakers) dispatch on.
 func (h *SocketHandle) Render(job dataservice.RenderJob) (compositor.Tile, error) {
+	req := transport.RenderRequest{
+		X0: job.Rect.Min.X, Y0: job.Rect.Min.Y, X1: job.Rect.Max.X, Y1: job.Rect.Max.Y,
+		FullW: job.FullW, FullH: job.FullH,
+		DeadlineNanos: transport.DeadlineToNanos(job.Deadline),
+		Trace:         uint64(job.Trace.Trace), Parent: uint64(job.Trace.Span),
+	}
 	var snap []byte
 	if job.Scene != nil {
+		cam := renderservice.StateFromCamera(job.Camera)
+		req.Camera = &cam
 		var err error
 		if snap, err = marshal.AppendScene(nil, job.Scene); err != nil {
 			return compositor.Tile{}, err
@@ -199,53 +171,29 @@ func (h *SocketHandle) Render(job dataservice.RenderJob) (compositor.Tile, error
 	}
 	defer h.release()
 
-	tile := compositor.Tile{Rect: job.Rect}
-	deadline, trace, parent := transport.DeadlineToNanos(job.Deadline), uint64(job.Trace.Trace), uint64(job.Trace.Span)
-	if job.Scene != nil {
-		// The subset protocol carries a frame size: subsets render whole.
-		err := h.conn.SendJSON(transport.MsgSubsetAssign, transport.SubsetAssign{
-			Session: h.session, W: job.FullW, H: job.FullH, Camera: renderservice.StateFromCamera(job.Camera),
-			DeadlineNanos: deadline, Trace: trace, Parent: parent,
-		})
-		if err != nil {
-			return compositor.Tile{}, err
-		}
-		if err := h.conn.Send(transport.MsgSceneSnapshot, snap); err != nil {
-			return compositor.Tile{}, err
-		}
-	} else {
-		err := h.conn.SendJSON(transport.MsgTileAssign, transport.TileAssign{
-			X0: job.Rect.Min.X, Y0: job.Rect.Min.Y, X1: job.Rect.Max.X, Y1: job.Rect.Max.Y,
-			FullW: job.FullW, FullH: job.FullH, Session: h.session,
-			DeadlineNanos: deadline, Trace: trace, Parent: parent,
-		})
-		if err != nil {
-			return compositor.Tile{}, err
-		}
-		// A tile's buffer follows a header naming its scene version.
-		payload, err := h.reply(transport.MsgTileFrame)
-		if err != nil {
-			return compositor.Tile{}, err
-		}
-		var hdr transport.TileHeader
-		if err := transport.DecodeJSON(payload, &hdr); err != nil {
-			return compositor.Tile{}, err
-		}
-		tile.Version = hdr.Version
+	err := h.conn.SendJSON(transport.MsgRender, req)
+	if err == nil && job.Scene != nil {
+		err = h.conn.Send(transport.MsgSceneSnapshot, snap)
 	}
-	payload, err := h.reply(transport.MsgFrameDepth)
+	if err != nil {
+		return compositor.Tile{}, err
+	}
+	payload, err := h.conn.Expect(transport.MsgFrameDepth)
 	if err != nil {
 		return compositor.Tile{}, err
 	}
 	// A frame's header, not its length, says what its decoder builds, so
-	// only the size this job asked for is let through to it.
-	if w, ht, err := marshal.FrameDims(payload); err != nil || w != job.Rect.Dx() || ht != job.Rect.Dy() {
+	// only the size this job asked for is let through to it (a reply too
+	// short for its version has no frame and so no size).
+	version, frame, _ := transport.UnpackVersioned(payload)
+	if w, ht, err := marshal.FrameDims(frame); err != nil || w != job.Rect.Dx() || ht != job.Rect.Dy() {
 		return compositor.Tile{}, fmt.Errorf("core: %s answered a %dx%d job with a %dx%d frame", h.name, job.Rect.Dx(), job.Rect.Dy(), w, ht)
 	}
-	if tile.FB, err = marshal.DecodeFrame(payload); err != nil {
+	fb, err := marshal.DecodeFrame(frame)
+	if err != nil {
 		return compositor.Tile{}, fmt.Errorf("core: frame from %s: %w", h.name, err)
 	}
-	return tile, nil
+	return compositor.Tile{Rect: job.Rect, FB: fb, Version: version}, nil
 }
 
 var _ dataservice.RenderHandle = (*SocketHandle)(nil)

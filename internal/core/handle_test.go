@@ -30,7 +30,7 @@ import (
 // TestSubsetFrameTraceSpansServices: a dataset-distributed frame over
 // two socket handles yields one trace tree — frame → plan, one launch
 // span per service (each holding that service's own render span, which
-// crossed the wire in the subset assignment), composite.
+// crossed the wire in the render request), composite.
 func TestSubsetFrameTraceSpansServices(t *testing.T) {
 	tracer := telemetry.NewTracer(nil)
 	data := dataservice.New(dataservice.Config{Name: "data", Tracer: tracer})
@@ -101,6 +101,44 @@ func TestSubsetFrameTraceSpansServices(t *testing.T) {
 	}
 }
 
+// TestPeerDialsBeforeReplicaLands: a peer's hello names a session, it
+// does not pin one. A distributor that finds a render service in the
+// registry may dial it before that service's subscription has landed the
+// replica; the tile job it sends once the replica is there is served.
+func TestPeerDialsBeforeReplicaLands(t *testing.T) {
+	rs := renderservice.New(renderservice.Config{Name: "late", Device: device.XeonDesktop, Workers: 1})
+	dataEnd, renderEnd := net.Pipe()
+	t.Cleanup(func() { dataEnd.Close() })
+	go rs.ServeClient(renderEnd, 50e6)
+	h, err := DialSocketHandle(dataEnd, "late", "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := dataservice.RenderJob{Rect: image.Rect(0, 16, 32, 32), FullW: 32, FullH: 32}
+	var refusal *transport.Refusal
+	if _, err := h.Render(job); !errors.As(err, &refusal) || refusal.Peer != "late" {
+		t.Fatalf("tile job before the replica landed: %v, want a refusal from the service", err)
+	}
+
+	sc := scene.New()
+	mesh := genmodel.Elle(500)
+	if err := sc.ApplyOp(&scene.AddNodeOp{Parent: scene.RootID, ID: sc.AllocID(), Name: "elle", Transform: mathx.Identity(), Payload: &scene.MeshPayload{Mesh: mesh}}); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := rs.OpenSession("s", sc, raster.DefaultCamera().FitToBounds(mesh.Bounds(), mathx.V3(0.3, 0.2, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	tile, err := h.Render(job)
+	if err != nil {
+		t.Fatalf("tile job after the replica landed: %v", err)
+	}
+	if tile.FB.W != 32 || tile.FB.H != 16 || tile.Version != sess.Version() || tile.FB.CoveredPixels() == 0 {
+		t.Errorf("tile %dx%d at version %d with %d pixels drawn", tile.FB.W, tile.FB.H, tile.Version, tile.FB.CoveredPixels())
+	}
+}
+
 // stalledHandle never answers until released.
 type stalledHandle struct{ release chan struct{} }
 
@@ -167,10 +205,8 @@ func lyingService(conn net.Conn, name string, frame func() []byte) {
 		case transport.MsgCapacityQuery:
 			rep := renderservice.New(renderservice.Config{Name: name, Device: device.XeonDesktop, Workers: 1}).Capacity()
 			err = c.SendJSON(transport.MsgCapacityReport, rep)
-		case transport.MsgTileAssign:
-			if err = c.SendJSON(transport.MsgTileFrame, transport.TileHeader{Version: 1}); err == nil {
-				err = c.Send(transport.MsgFrameDepth, frame())
-			}
+		case transport.MsgRender:
+			err = c.Send(transport.MsgFrameDepth, transport.PackVersioned(1, frame()))
 		}
 		if err != nil {
 			return

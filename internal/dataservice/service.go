@@ -662,31 +662,21 @@ func (sess *Session) sendSnapshot(conn *transport.Conn, sc *scene.Scene, toRegio
 // drains them after the install; TestFollowerConformance and
 // TestSubscribeWhileCommitting pin that.
 func (s *Service) ServeConn(rw io.ReadWriter) error {
-	conn := transport.NewConn(rw)
-	t, payload, err := conn.Receive()
+	conn, hello, err := transport.Accept(rw)
 	if err != nil {
 		return err
 	}
-	if t != transport.MsgHello {
-		return fmt.Errorf("dataservice: expected hello, got %s", t)
-	}
-	var hello transport.Hello
-	if err := transport.DecodeJSON(payload, &hello); err != nil {
-		return err
-	}
-	conn.SetPeer(hello.Name)
 	sess, ok := s.Session(hello.Session)
 	if !ok {
-		conn.SendJSON(transport.MsgError, transport.ErrorInfo{
-			Message: fmt.Sprintf("no session %q on data service %s", hello.Session, s.cfg.Name),
-		})
-		return fmt.Errorf("dataservice: unknown session %q", hello.Session)
+		err := fmt.Errorf("no session %q on data service %s", hello.Session, s.cfg.Name)
+		conn.Refuse(err)
+		return fmt.Errorf("dataservice: %w", err)
 	}
 
 	sub := &connSubscriber{conn: conn, sess: sess}
 	ops, snapshot, version, err := sess.SubscribeSince(hello.Name, sub, hello.SinceVersion)
 	if err != nil {
-		conn.SendJSON(transport.MsgError, transport.ErrorInfo{Message: err.Error()})
+		conn.Refuse(err)
 		return err
 	}
 	defer sess.Unsubscribe(hello.Name)
@@ -733,7 +723,7 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 			}
 			// A fan-out miss is not the author's failure: the op is committed.
 			if err := sess.ApplyUpdate(op, hello.Name); err != nil && !errors.As(err, new(*FanoutError)) {
-				if serr := conn.SendJSON(transport.MsgError, transport.ErrorInfo{Message: err.Error()}); serr != nil {
+				if serr := conn.Refuse(err); serr != nil {
 					return serr
 				}
 			}
@@ -755,7 +745,7 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 				ids = append(ids, scene.NodeID(id))
 			}
 			if err := sess.SetInterest(hello.Name, ids); err != nil {
-				if serr := conn.SendJSON(transport.MsgError, transport.ErrorInfo{Message: err.Error()}); serr != nil {
+				if serr := conn.Refuse(err); serr != nil {
 					return serr
 				}
 			}

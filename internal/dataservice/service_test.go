@@ -631,13 +631,10 @@ func TestServeConnUnknownSession(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := conn.Receive()
-	if err != nil || typ != transport.MsgError {
-		t.Fatalf("want refusal: %v %v", typ, err)
-	}
-	var ei transport.ErrorInfo
-	if err := transport.DecodeJSON(payload, &ei); err != nil || !strings.Contains(ei.Message, "ghost") {
-		t.Errorf("refusal message: %+v", ei)
+	_, err := conn.Expect(transport.MsgSceneSnapshot)
+	var refusal *transport.Refusal
+	if !errors.As(err, &refusal) || !strings.Contains(refusal.Message, "ghost") {
+		t.Errorf("want a refusal naming the session, got %v", err)
 	}
 }
 

@@ -285,11 +285,10 @@ func (s *Stream) handle(t transport.MsgType, payload []byte, bootstrapped bool) 
 		return false, nil
 	}
 	switch {
-	case !bootstrapped && t == transport.MsgError:
-		var ei transport.ErrorInfo
-		_ = transport.DecodeJSON(payload, &ei) // an unreadable refusal is still a refusal
-		return false, fmt.Errorf("follow: subscription of %q to %q refused: %s", s.Hello.Name, s.Hello.Session, ei.Message)
 	case !bootstrapped:
+		if err := s.Conn.Refused(t, payload); err != nil {
+			return false, fmt.Errorf("follow: subscription of %q to %q: %w", s.Hello.Name, s.Hello.Session, err)
+		}
 		return false, fmt.Errorf("follow: expected snapshot or resume-ok, got %s", t)
 	case t == transport.MsgSceneOp:
 		// Interest-filtered streams skip ops by design and so carry no

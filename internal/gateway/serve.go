@@ -15,7 +15,7 @@ import (
 // cheap protocol precisely so the gateway never sits on the frame path:
 // it decides *where* work goes; the data services do the work. route is
 // the resolver (ravegw's UDDI-scan-backed router); an error from it
-// answers that query with MsgError and keeps serving.
+// refuses that query and keeps serving.
 //
 // The loop exits cleanly on MsgBye or EOF. Unknown message types are
 // skipped (older clients may probe with newer messages), mirroring the
@@ -36,14 +36,13 @@ func ServeRouteFunc(rw io.ReadWriter, route func(session string) (transport.Rout
 			if err := transport.DecodeJSON(payload, &q); err != nil {
 				return err
 			}
-			info, rerr := route(q.Session)
-			if rerr != nil {
-				if err := conn.SendJSON(transport.MsgError, transport.ErrorInfo{Message: rerr.Error()}); err != nil {
-					return err
-				}
-				continue
+			info, err := route(q.Session)
+			if err == nil {
+				err = conn.SendJSON(transport.MsgRouteReport, info)
+			} else {
+				err = conn.Refuse(err)
 			}
-			if err := conn.SendJSON(transport.MsgRouteReport, info); err != nil {
+			if err != nil {
 				return err
 			}
 		case transport.MsgBye:
@@ -57,28 +56,12 @@ func ServeRouteFunc(rw io.ReadWriter, route func(session string) (transport.Rout
 
 // QueryRoute is the client side of the route protocol: one
 // query/report exchange on an established connection.
-func QueryRoute(conn *transport.Conn, session string) (transport.RouteInfo, error) {
-	if err := conn.SendJSON(transport.MsgRouteQuery, transport.RouteQuery{Session: session}); err != nil {
-		return transport.RouteInfo{}, err
+func QueryRoute(conn *transport.Conn, session string) (info transport.RouteInfo, err error) {
+	if err = conn.SendJSON(transport.MsgRouteQuery, transport.RouteQuery{Session: session}); err == nil {
+		err = conn.ExpectJSON(transport.MsgRouteReport, &info)
 	}
-	t, payload, err := conn.Receive()
 	if err != nil {
-		return transport.RouteInfo{}, err
+		return transport.RouteInfo{}, fmt.Errorf("gateway: route query: %w", err)
 	}
-	switch t {
-	case transport.MsgRouteReport:
-		var info transport.RouteInfo
-		if err := transport.DecodeJSON(payload, &info); err != nil {
-			return transport.RouteInfo{}, err
-		}
-		return info, nil
-	case transport.MsgError:
-		var e transport.ErrorInfo
-		if err := transport.DecodeJSON(payload, &e); err != nil {
-			return transport.RouteInfo{}, err
-		}
-		return transport.RouteInfo{}, fmt.Errorf("gateway: route query: %s", e.Message)
-	default:
-		return transport.RouteInfo{}, fmt.Errorf("gateway: route query answered with %s", t)
-	}
+	return info, nil
 }

@@ -1,9 +1,9 @@
-// Package objply reads and writes triangle meshes in the two formats the
-// paper's workflow used: the Georgia Tech models arrived as PLY, were
-// converted to Wavefront OBJ, and were then imported into the data
-// service. Both codecs handle the subset of each format those models use:
-// positions, normals, vertex colors and triangle/polygon faces (polygons
-// are fan-triangulated on import).
+// Package objply reads and writes triangle meshes as Wavefront OBJ, the
+// format the paper's models were imported into the data service in (they
+// arrived as PLY and were converted first; the package keeps that
+// workflow's name). It handles the subset those models use: positions,
+// normals, vertex colors and triangle/polygon faces (polygons are
+// fan-triangulated on import).
 package objply
 
 import (

@@ -2,7 +2,6 @@ package objply
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 
@@ -121,128 +120,4 @@ func TestOBJErrors(t *testing.T) {
 			t.Errorf("case %d: bad OBJ accepted", i)
 		}
 	}
-}
-
-func TestPLYBinaryRoundTrip(t *testing.T) {
-	m := testMesh(t)
-	m.SetUniformColor(mathx.V3(1, 0, 0))
-	var buf bytes.Buffer
-	if err := WritePLY(&buf, m); err != nil {
-		t.Fatalf("WritePLY: %v", err)
-	}
-	back, err := ReadPLY(&buf)
-	if err != nil {
-		t.Fatalf("ReadPLY: %v", err)
-	}
-	meshesApproxEqual(t, m, back, 1e-4)
-	if back.Normals == nil || back.Colors == nil {
-		t.Error("attributes lost in PLY round trip")
-	}
-	if math.Abs(back.Colors[0].X-1) > 0.01 {
-		t.Errorf("red channel: %v", back.Colors[0])
-	}
-}
-
-func TestPLYAscii(t *testing.T) {
-	src := `ply
-format ascii 1.0
-comment a triangle
-element vertex 3
-property float x
-property float y
-property float z
-element face 1
-property list uchar int vertex_indices
-end_header
-0 0 0
-1 0 0
-0 1 0
-3 0 1 2
-`
-	m, err := ReadPLY(strings.NewReader(src))
-	if err != nil {
-		t.Fatalf("ReadPLY ascii: %v", err)
-	}
-	if m.VertexCount() != 3 || m.TriangleCount() != 1 {
-		t.Errorf("counts: %d verts %d tris", m.VertexCount(), m.TriangleCount())
-	}
-	if !m.Positions[1].ApproxEq(mathx.V3(1, 0, 0)) {
-		t.Errorf("vertex 1: %v", m.Positions[1])
-	}
-}
-
-func TestPLYAsciiQuadFace(t *testing.T) {
-	src := `ply
-format ascii 1.0
-element vertex 4
-property float x
-property float y
-property float z
-element face 1
-property list uchar int vertex_indices
-end_header
-0 0 0
-1 0 0
-1 1 0
-0 1 0
-4 0 1 2 3
-`
-	m, err := ReadPLY(strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.TriangleCount() != 2 {
-		t.Errorf("quad face gave %d triangles", m.TriangleCount())
-	}
-}
-
-func TestPLYHeaderErrors(t *testing.T) {
-	cases := []string{
-		"not a ply\n",
-		"ply\nformat binary_big_endian 1.0\nend_header\n",
-		"ply\nproperty float x\nend_header\n",    // property before element
-		"ply\nelement vertex nope\nend_header\n", // bad count
-		"ply\nformat ascii 1.0\nwhatisthis\nend_header\n",
-		"ply\nend_header\n", // missing format
-	}
-	for i, src := range cases {
-		if _, err := ReadPLY(strings.NewReader(src)); err == nil {
-			t.Errorf("case %d: bad PLY accepted", i)
-		}
-	}
-}
-
-func TestPLYTruncatedBody(t *testing.T) {
-	m := testMesh(t)
-	var buf bytes.Buffer
-	if err := WritePLY(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-10]
-	if _, err := ReadPLY(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated PLY accepted")
-	}
-}
-
-// The paper's pipeline: PLY in, OBJ out, import. Check the full conversion
-// chain preserves geometry.
-func TestPLYToOBJConversionChain(t *testing.T) {
-	m := testMesh(t)
-	var ply bytes.Buffer
-	if err := WritePLY(&ply, m); err != nil {
-		t.Fatal(err)
-	}
-	fromPLY, err := ReadPLY(&ply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var obj bytes.Buffer
-	if err := WriteOBJ(&obj, fromPLY); err != nil {
-		t.Fatal(err)
-	}
-	final, err := ReadOBJ(&obj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meshesApproxEqual(t, m, final, 1e-3)
 }

@@ -202,64 +202,68 @@ func rleDecode(src []byte, want int) ([]byte, error) {
 	return out, nil
 }
 
-// Adaptive chooses a codec per frame from the link's measured throughput
-// and the frame's compressibility — the paper's "compression algorithm
-// that can adapt on the fly to changing network conditions" (§5.1).
+// Adaptive is one viewer's encoder. It keeps exactly one previous frame,
+// the last it encoded in any codec, which is by construction the frame
+// the viewer's decoder holds: a delta is never against a frame some other
+// viewer, or some other codec, saw last. Its "adaptive" codec chooses per
+// frame from the link's measured throughput and the frame's
+// compressibility — the paper's "compression algorithm that can adapt on
+// the fly to changing network conditions" (§5.1).
 type Adaptive struct {
-	// RawThresholdBps: above this measured throughput the raw codec is
-	// used (compression would waste CPU for no latency win).
+	// RawThresholdBps: above this measured throughput the adaptive codec
+	// sends raw (compression would waste CPU for no latency win).
 	RawThresholdBps float64
 	prev            []byte
 }
 
-// NewAdaptive returns an adaptive codec with a threshold tuned so that a
+// NewAdaptive returns an encoder with a threshold tuned so that a
 // 100 Mbit LAN ships raw frames while an 11 Mbit (or degraded) wireless
 // link compresses.
 func NewAdaptive() *Adaptive {
 	return &Adaptive{RawThresholdBps: 50e6}
 }
 
-// EncodeFrame encodes the frame, choosing the codec from the current
-// throughput estimate (bits per second). It remembers the frame for
-// delta coding of the next one.
-func (a *Adaptive) EncodeFrame(w, h int, frame []byte, throughputBps float64) ([]byte, Codec, error) {
-	if throughputBps >= a.RawThresholdBps {
-		out, err := Encode(Raw, w, h, frame, nil)
-		if err != nil {
-			return nil, Raw, err
-		}
+// codecNames are the fixed codecs a viewer may ask for by name; "adaptive"
+// is the fifth.
+var codecNames = map[string]Codec{"": Raw, "raw": Raw, "rle": RLE, "delta-rle": DeltaRLE, "flate": Flate}
+
+// Encode encodes the frame in the named codec — throughputBps (bits per
+// second) is the adaptive choice's input — and remembers it as the
+// reference for the next delta.
+func (a *Adaptive) Encode(name string, w, h int, frame []byte, throughputBps float64) (out []byte, err error) {
+	if codec, ok := codecNames[name]; ok {
+		out, err = Encode(codec, w, h, frame, a.prev)
+	} else if name == "adaptive" {
+		out, err = a.choose(w, h, frame, throughputBps)
+	} else {
+		err = fmt.Errorf("imgcodec: unknown codec %q", name)
+	}
+	if err == nil {
 		a.prev = append(a.prev[:0], frame...)
-		return out, Raw, nil
 	}
-	// Slow link: try the run-length family (delta when a reference frame
-	// exists) and DEFLATE, and send the smallest; raw remains the floor
-	// for incompressible content.
-	primary := RLE
-	if a.prev != nil && len(a.prev) == len(frame) {
-		primary = DeltaRLE
-	}
-	best, err := Encode(primary, w, h, frame, a.prev)
-	if err != nil {
-		return nil, primary, err
-	}
-	bestCodec := Codec(best[0])
-	if fl, err := Encode(Flate, w, h, frame, nil); err == nil && len(fl) < len(best) {
-		best, bestCodec = fl, Flate
-	}
-	if len(best) >= len(frame)+headerSize {
-		best, err = Encode(Raw, w, h, frame, nil)
-		bestCodec = Raw
-		if err != nil {
-			return nil, bestCodec, err
-		}
-	}
-	a.prev = append(a.prev[:0], frame...)
-	return best, bestCodec, nil
+	return out, err
 }
 
-// Reset forgets the previous frame (e.g. after a scene change or a
-// dropped connection).
-func (a *Adaptive) Reset() { a.prev = nil }
+// choose is the adaptive codec: raw on a fast link; on a slow one the
+// smallest of the run-length family (Encode makes it a delta when a
+// reference frame exists) and DEFLATE, with raw the floor for
+// incompressible content.
+func (a *Adaptive) choose(w, h int, frame []byte, throughputBps float64) ([]byte, error) {
+	if throughputBps >= a.RawThresholdBps {
+		return Encode(Raw, w, h, frame, nil)
+	}
+	best, err := Encode(DeltaRLE, w, h, frame, a.prev)
+	if err != nil {
+		return nil, err
+	}
+	if fl, err := Encode(Flate, w, h, frame, nil); err == nil && len(fl) < len(best) {
+		best = fl
+	}
+	if len(best) >= len(frame)+headerSize {
+		return Encode(Raw, w, h, frame, nil)
+	}
+	return best, nil
+}
 
 // flateEncode DEFLATE-compresses a frame at BestSpeed (interactive use).
 func flateEncode(frame []byte) ([]byte, error) {

@@ -146,11 +146,21 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// encodeAdaptive encodes frame with a's adaptive codec and reports which
+// codec the choice fell on.
+func encodeAdaptive(a *Adaptive, w, h int, frame []byte, bps float64) ([]byte, Codec, error) {
+	enc, err := a.Encode("adaptive", w, h, frame, bps)
+	if err != nil {
+		return nil, 0, err
+	}
+	return enc, Codec(enc[0]), nil
+}
+
 func TestAdaptiveChoosesByThroughput(t *testing.T) {
 	a := NewAdaptive()
 	frame := flatFrame(32, 32, 9, 9, 9)
 
-	_, codec, err := a.EncodeFrame(32, 32, frame, 100e6)
+	_, codec, err := encodeAdaptive(a, 32, 32, frame, 100e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +168,7 @@ func TestAdaptiveChoosesByThroughput(t *testing.T) {
 		t.Errorf("fast link chose %v, want raw", codec)
 	}
 
-	_, codec, err = a.EncodeFrame(32, 32, frame, 11e6)
+	_, codec, err = encodeAdaptive(a, 32, 32, frame, 11e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,22 +180,22 @@ func TestAdaptiveChoosesByThroughput(t *testing.T) {
 func TestAdaptiveDeltaAfterFirstFrame(t *testing.T) {
 	a := NewAdaptive()
 	frame := flatFrame(16, 16, 1, 1, 1)
-	if _, codec, _ := a.EncodeFrame(16, 16, frame, 1e6); codec != RLE {
+	if _, codec, _ := encodeAdaptive(a, 16, 16, frame, 1e6); codec != RLE {
 		t.Errorf("first slow frame: %v, want rle", codec)
 	}
-	if _, codec, _ := a.EncodeFrame(16, 16, frame, 1e6); codec != DeltaRLE {
+	if _, codec, _ := encodeAdaptive(a, 16, 16, frame, 1e6); codec != DeltaRLE {
 		t.Errorf("second slow frame: %v, want delta-rle", codec)
 	}
-	a.Reset()
-	if _, codec, _ := a.EncodeFrame(16, 16, frame, 1e6); codec != RLE {
-		t.Errorf("after reset: %v, want rle", codec)
+	// A new connection is a new encoder: nothing to delta against.
+	if _, codec, _ := encodeAdaptive(NewAdaptive(), 16, 16, frame, 1e6); codec != RLE {
+		t.Errorf("fresh encoder: %v, want rle", codec)
 	}
 }
 
 func TestAdaptiveFallsBackToRawOnNoise(t *testing.T) {
 	a := NewAdaptive()
 	frame := noiseFrame(32, 32, 4)
-	enc, codec, err := a.EncodeFrame(32, 32, frame, 1e6)
+	enc, codec, err := encodeAdaptive(a, 32, 32, frame, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +214,7 @@ func TestAdaptiveStreamRoundTrip(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		frame := append([]byte(nil), base...)
 		frame[i*3] = byte(i) // small temporal change
-		enc, _, err := a.EncodeFrame(24, 24, frame, 5e6)
+		enc, _, err := encodeAdaptive(a, 24, 24, frame, 5e6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +320,7 @@ func TestAdaptivePrefersFlateForGradients(t *testing.T) {
 		}
 	}
 	a := NewAdaptive()
-	enc, codec, err := a.EncodeFrame(w, h, frame, 1e6)
+	enc, codec, err := encodeAdaptive(a, w, h, frame, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,9 @@
 // a handler that holds an absolute frame deadline must hand it to every
 // downstream request it constructs, or check expiry itself before
 // expensive work. PR 4's admission control only sheds infeasible work
-// because the deadline survives each hop — a FrameRequest, TileAssign
-// or SubsetAssign built without its caller's DeadlineNanos silently
-// converts "decline late work at the door" back into "render frames
-// nobody will display".
+// because the deadline survives each hop — a transport.RenderRequest
+// built without its caller's DeadlineNanos silently converts "decline
+// late work at the door" back into "render frames nobody will display".
 //
 // The rule applies under internal/ and cmd/. A function carries a
 // deadline when its signature or locals hold one (see

@@ -5,15 +5,15 @@ package example
 
 import "time"
 
-// FrameRequest mirrors the wire request shape: any struct with a
+// RenderRequest mirrors the wire request shape: any struct with a
 // DeadlineNanos field is under the rule.
-type FrameRequest struct {
+type RenderRequest struct {
 	W, H          int
 	DeadlineNanos int64
 }
 
-// TileAssign is a second request shape.
-type TileAssign struct {
+// RelayedRequest is a second request shape.
+type RelayedRequest struct {
 	X, Y, W, H    int
 	DeadlineNanos int64
 }
@@ -26,30 +26,30 @@ func (c *conn) send(v interface{}) error { return nil }
 // without it: admission control downstream sees "no deadline" and
 // renders late work.
 func dropped(c *conn, deadline time.Time) error {
-	return c.send(FrameRequest{W: 64, H: 64}) // want `request constructed without the handler's deadline`
+	return c.send(RenderRequest{W: 64, H: 64}) // want `request constructed without the handler's deadline`
 }
 
 // zeroed sets the field to literal zero, which is the same drop.
 func zeroed(c *conn, deadline time.Time) error {
-	return c.send(TileAssign{W: 32, H: 32, DeadlineNanos: 0}) // want `request constructed without the handler's deadline`
+	return c.send(RelayedRequest{W: 32, H: 32, DeadlineNanos: 0}) // want `request constructed without the handler's deadline`
 }
 
 // droppedFromNanos holds the deadline in wire form (int64) and still
 // drops it.
 func droppedFromNanos(c *conn, deadlineNanos int64) error {
-	req := &FrameRequest{W: 8, H: 8} // want `request constructed without the handler's deadline`
+	req := &RenderRequest{W: 8, H: 8} // want `request constructed without the handler's deadline`
 	return c.send(req)
 }
 
 // forwarded converts and forwards: the compliant shape.
 func forwarded(c *conn, deadline time.Time) error {
-	return c.send(FrameRequest{W: 64, H: 64, DeadlineNanos: deadline.UnixNano()})
+	return c.send(RenderRequest{W: 64, H: 64, DeadlineNanos: deadline.UnixNano()})
 }
 
 // relayed receives a decoded request and forwards its deadline onto the
 // next hop.
-func relayed(c *conn, req FrameRequest) error {
-	return c.send(TileAssign{W: req.W, H: req.H, DeadlineNanos: req.DeadlineNanos})
+func relayed(c *conn, req RenderRequest) error {
+	return c.send(RelayedRequest{W: req.W, H: req.H, DeadlineNanos: req.DeadlineNanos})
 }
 
 // checked validates expiry itself before the expensive work, so the
@@ -59,7 +59,7 @@ func checked(c *conn, deadline time.Time, now time.Time) error {
 	if now.After(deadline) {
 		return nil
 	}
-	return c.send(FrameRequest{W: 64, H: 64})
+	return c.send(RenderRequest{W: 64, H: 64})
 }
 
 // checkedNanos compares in wire form.
@@ -67,20 +67,20 @@ func checkedNanos(c *conn, deadlineNanos, nowNanos int64) error {
 	if nowNanos >= deadlineNanos {
 		return nil
 	}
-	return c.send(TileAssign{W: 16, H: 16})
+	return c.send(RelayedRequest{W: 16, H: 16})
 }
 
 // noDeadline holds no deadline: constructing a bare request is the
 // caller's responsibility to fill, not this function's drop.
 func noDeadline(c *conn, w, h int) error {
-	return c.send(FrameRequest{W: w, H: h})
+	return c.send(RenderRequest{W: w, H: h})
 }
 
 // constructionOnly builds a request into a local: the request-typed
 // local is the construction under judgment, not a deadline source, so
 // the function does not count as deadline-carrying.
 func constructionOnly(c *conn, w, h int) error {
-	req := FrameRequest{W: w, H: h}
+	req := RenderRequest{W: w, H: h}
 	return c.send(req)
 }
 
@@ -88,5 +88,5 @@ func constructionOnly(c *conn, w, h int) error {
 // handling the analyzer cannot see.
 func annotated(c *conn, deadline time.Time) error {
 	//lint:allow deadlineprop: deadline stamped by the transport layer on send
-	return c.send(FrameRequest{W: 4, H: 4})
+	return c.send(RenderRequest{W: 4, H: 4})
 }

@@ -13,11 +13,11 @@
 package renderservice
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 )
 
 // DefaultQueueDepth bounds concurrently admitted render calls when
@@ -37,25 +37,9 @@ const (
 	ReasonDeadline = "deadline"
 )
 
-// ErrOverloaded is the admission gate's typed refusal. Callers should
-// route the work to another service, or retry here after RetryAfter.
-type ErrOverloaded struct {
-	// Service names the refusing render service.
-	Service string
-	// Reason is one of ReasonQueueFull, ReasonExpired, ReasonDeadline.
-	Reason string
-	// RetryAfter hints how long until this service expects free
-	// capacity; zero when retrying here is pointless (expired work).
-	RetryAfter time.Duration
-}
-
-// Error implements error.
-func (e *ErrOverloaded) Error() string {
-	if e.RetryAfter > 0 {
-		return fmt.Sprintf("renderservice %s overloaded (%s): retry after %v", e.Service, e.Reason, e.RetryAfter)
-	}
-	return fmt.Sprintf("renderservice %s overloaded (%s)", e.Service, e.Reason)
-}
+// ErrOverloaded is the admission gate's typed refusal: transport.Decline,
+// which is also how it crosses a socket (MsgDeclined) and comes back.
+type ErrOverloaded = transport.Decline
 
 // admission is the bounded render-work queue. inflight counts admitted
 // render calls that have not released yet; est is an EWMA of recent
@@ -144,7 +128,7 @@ func (s *Service) retryAfterLocked() time.Duration {
 	a := &s.adm
 	est := a.est
 	if est <= 0 {
-		est = time.Duration(float64(time.Second) / s.cfg.TargetFPS)
+		est = time.Second / targetFPS
 	}
 	return est * time.Duration(a.inflight)
 }

@@ -189,27 +189,23 @@ func TestServeClientDeclinesExpired(t *testing.T) {
 		t.Fatalf("hello reply = %v, %v", mt, err)
 	}
 
-	expired := transport.DeadlineToNanos(clk.Now())
-	if err := conn.SendJSON(transport.MsgFrameRequest, transport.FrameRequest{W: 32, H: 32, DeadlineNanos: expired}); err != nil {
+	frame := transport.RenderRequest{X1: 32, Y1: 32, FullW: 32, FullH: 32}
+	expired := frame
+	expired.DeadlineNanos = transport.DeadlineToNanos(clk.Now())
+	if err := conn.SendJSON(transport.MsgRender, expired); err != nil {
 		t.Fatal(err)
 	}
-	mt, payload, err := conn.Receive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mt != transport.MsgDeclined {
-		t.Fatalf("reply = %s, want declined", mt)
-	}
-	var d transport.Declined
-	if err := transport.DecodeJSON(payload, &d); err != nil {
-		t.Fatal(err)
+	_, err := conn.Expect(transport.MsgFrame)
+	var d *ErrOverloaded
+	if !errors.As(err, &d) {
+		t.Fatalf("reply = %v, want a decline", err)
 	}
 	if d.Reason != ReasonExpired {
 		t.Fatalf("decline reason = %q, want %q", d.Reason, ReasonExpired)
 	}
 
 	// The session is still usable: an undeadlined request renders.
-	if err := conn.SendJSON(transport.MsgFrameRequest, transport.FrameRequest{W: 32, H: 32}); err != nil {
+	if err := conn.SendJSON(transport.MsgRender, frame); err != nil {
 		t.Fatal(err)
 	}
 	if mt, _, err := conn.Receive(); err != nil || mt != transport.MsgFrame {
@@ -223,7 +219,7 @@ func TestServeClientDeclinesExpired(t *testing.T) {
 	}
 }
 
-// TestServeClientRefusesOversizedTile: a tile assignment off the wire
+// TestServeClientRefusesOversizedTile: a tile request off the wire
 // naming a frame beyond the size bound is answered with MsgError before
 // anything is admitted or allocated — whether the tile itself is small
 // (which used to render) or as large as the frame (which used to size a
@@ -250,15 +246,15 @@ func TestServeClientRefusesOversizedTile(t *testing.T) {
 	const huge = 1 << 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for _, ta := range []transport.TileAssign{
-		{X1: 64, Y1: 64, FullW: huge, FullH: huge, Session: "s"},
-		{X1: huge, Y1: huge, FullW: huge, FullH: huge, Session: "s"},
+	for _, tile := range []transport.RenderRequest{
+		{X1: 64, Y1: 64, FullW: huge, FullH: huge},
+		{X1: huge, Y1: huge, FullW: huge, FullH: huge},
 	} {
-		if err := conn.SendJSON(transport.MsgTileAssign, ta); err != nil {
+		if err := conn.SendJSON(transport.MsgRender, tile); err != nil {
 			t.Fatal(err)
 		}
-		if mt, _, err := conn.Receive(); err != nil || mt != transport.MsgError {
-			t.Fatalf("tile %+v: reply = %v, %v; want error", ta, mt, err)
+		if _, err := conn.Expect(transport.MsgFrameDepth); !errors.As(err, new(*transport.Refusal)) {
+			t.Fatalf("tile %+v: reply = %v; want a refusal", tile, err)
 		}
 	}
 	runtime.ReadMemStats(&after)
@@ -270,14 +266,11 @@ func TestServeClientRefusesOversizedTile(t *testing.T) {
 	}
 
 	// The connection survived: a well-formed tile renders.
-	if err := conn.SendJSON(transport.MsgTileAssign, transport.TileAssign{X1: 16, Y1: 16, FullW: 32, FullH: 32, Session: "s"}); err != nil {
+	if err := conn.SendJSON(transport.MsgRender, transport.RenderRequest{X1: 16, Y1: 16, FullW: 32, FullH: 32}); err != nil {
 		t.Fatal(err)
 	}
-	if mt, _, err := conn.Receive(); err != nil || mt != transport.MsgTileFrame {
-		t.Fatalf("tile header = %v, %v", mt, err)
-	}
-	if mt, _, err := conn.Receive(); err != nil || mt != transport.MsgFrameDepth {
-		t.Fatalf("tile body = %v, %v", mt, err)
+	if _, err := conn.Expect(transport.MsgFrameDepth); err != nil {
+		t.Fatalf("tile reply: %v", err)
 	}
 	if err := conn.Send(transport.MsgBye, nil); err != nil {
 		t.Fatal(err)

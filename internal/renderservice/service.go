@@ -38,9 +38,6 @@ type Config struct {
 	Device device.Profile
 	// Workers is the rasterizer's parallel band count.
 	Workers int
-	// TargetFPS is the interactive rate the service tries to hold; the
-	// migration threshold discussion (§3.2.7) is relative to this.
-	TargetFPS float64
 	// Clock drives timing; defaults to the real clock.
 	Clock vclock.Clock
 	// SimulateDeviceTime, when set, makes render calls sleep for the
@@ -63,6 +60,10 @@ type Config struct {
 	Tracer *telemetry.Tracer
 }
 
+// targetFPS is the interactive rate a service tries to hold; the
+// migration threshold discussion (§3.2.7) is relative to it.
+const targetFPS = 10
+
 // Service is a render service hosting any number of render sessions.
 // "Multiple render sessions are supported by each render service, so
 // multiple users may share available rendering resources."
@@ -78,9 +79,6 @@ type Service struct {
 func New(cfg Config) *Service {
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.Real{}
-	}
-	if cfg.TargetFPS <= 0 {
-		cfg.TargetFPS = 10
 	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
@@ -118,8 +116,9 @@ type Session struct {
 	lastFrameTime time.Duration
 	framesDrawn   int
 
-	adaptive *imgcodec.Adaptive
-	prevSent []byte
+	// enc encodes for the session's in-process users (EncodeFrame); a
+	// viewer on a socket has its own (ServeClient).
+	enc *imgcodec.Adaptive
 }
 
 // OpenSession creates (or attaches to) the session replica bootstrapped
@@ -146,7 +145,7 @@ func (s *Service) OpenSession(name string, snapshot *scene.Scene, cam raster.Cam
 		scene:    snapshot.Clone(),
 		camera:   cam,
 		refcount: 1,
-		adaptive: imgcodec.NewAdaptive(),
+		enc:      imgcodec.NewAdaptive(),
 	}
 	s.sessions[name] = sess
 	return sess, nil
@@ -408,38 +407,15 @@ func (s *Service) Render(j Job) (frame *Frame, err error) {
 	return frame, nil
 }
 
-// wireSpan reconstructs a caller's span context from the trace fields
-// carried on a wire message. Zero fields yield an invalid context, so
-// untraced requests produce no spans.
-func wireSpan(trace, parent uint64) telemetry.SpanContext {
-	return telemetry.SpanContext{Trace: telemetry.TraceID(trace), Span: telemetry.SpanID(parent)}
-}
-
 // EncodeFrame encodes a rendered frame with the requested codec ("raw",
-// "rle", "delta-rle", "adaptive"), using the link throughput estimate for
-// the adaptive choice.
+// "rle", "flate", "delta-rle", "adaptive") on the session's own encoder
+// — what one in-process viewer of the session uses; each viewer on a
+// socket has an encoder of its own — with the link throughput estimate
+// for the adaptive choice.
 func (sess *Session) EncodeFrame(f *Frame, codecName string, throughputBps float64) ([]byte, error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	switch codecName {
-	case "", "raw":
-		return imgcodec.Encode(imgcodec.Raw, f.FB.W, f.FB.H, f.FB.Color, nil)
-	case "rle":
-		return imgcodec.Encode(imgcodec.RLE, f.FB.W, f.FB.H, f.FB.Color, nil)
-	case "flate":
-		return imgcodec.Encode(imgcodec.Flate, f.FB.W, f.FB.H, f.FB.Color, nil)
-	case "delta-rle":
-		enc, err := imgcodec.Encode(imgcodec.DeltaRLE, f.FB.W, f.FB.H, f.FB.Color, sess.prevSent)
-		if err == nil {
-			sess.prevSent = append(sess.prevSent[:0], f.FB.Color...)
-		}
-		return enc, err
-	case "adaptive":
-		enc, _, err := sess.adaptive.EncodeFrame(f.FB.W, f.FB.H, f.FB.Color, throughputBps)
-		return enc, err
-	default:
-		return nil, fmt.Errorf("renderservice: unknown codec %q", codecName)
-	}
+	return sess.enc.Encode(codecName, f.FB.W, f.FB.H, f.FB.Color, throughputBps)
 }
 
 // Capacity answers capacity interrogation (§3.2.5) from the device
@@ -459,7 +435,7 @@ func (s *Service) Capacity() transport.CapacityReport {
 		TextureMemory:     s.cfg.Device.TextureMemory,
 		HardwareVolume:    s.cfg.Device.HardwareVolume,
 		CurrentWork:       work,
-		TargetFPS:         s.cfg.TargetFPS,
+		TargetFPS:         targetFPS,
 		OffscreenHardware: !s.cfg.Device.OffscreenSoftware,
 	}
 }
@@ -494,34 +470,46 @@ func (s *Service) LoadReport() transport.LoadReport {
 	}
 }
 
-// ServeClient runs the thin-client protocol on a direct socket: the
-// client sends camera updates and frame requests; the service replies
-// with encoded frames. Returns when the client says Bye or the socket
-// fails. linkBps is the throughput estimate handed to the adaptive codec.
+// viewer is one ServeClient connection and what its asker owns: the
+// hello (who asks, of which session — looked up when a request needs it,
+// so a replica may land, or be replaced, while the connection stands) and
+// the encoder whose one previous frame is the last sent on this
+// connection, which is the one the thin client at the other end decodes
+// against. The session owns only what every viewer shares: the scene and
+// the camera.
+type viewer struct {
+	svc     *Service
+	conn    *transport.Conn
+	hello   transport.Hello
+	enc     *imgcodec.Adaptive
+	linkBps float64
+}
+
+// session resolves the replica the hello named.
+func (v *viewer) session() (*Session, error) {
+	v.svc.mu.Lock()
+	defer v.svc.mu.Unlock()
+	if sess, ok := v.svc.sessions[v.hello.Session]; ok {
+		return sess, nil
+	}
+	return nil, fmt.Errorf("no session %q on render service %s", v.hello.Session, v.svc.cfg.Name)
+}
+
+// ServeClient serves one direct socket: camera updates, render requests
+// and capacity and telemetry interrogations, until the asker says Bye or
+// the socket fails. A viewer (any role but "peer") must name a session
+// the service holds; a peer may say hello first and bring the replica, or
+// its own scene, later. linkBps is the throughput estimate handed to the
+// adaptive codec.
 func (s *Service) ServeClient(rw io.ReadWriter, linkBps float64) error {
-	conn := transport.NewConn(rw)
-	t, payload, err := conn.Receive()
+	conn, hello, err := transport.Accept(rw)
 	if err != nil {
 		return err
 	}
-	if t != transport.MsgHello {
-		return fmt.Errorf("renderservice: expected hello, got %s", t)
-	}
-	var hello transport.Hello
-	if err := transport.DecodeJSON(payload, &hello); err != nil {
-		return err
-	}
-	conn.SetPeer(hello.Name)
-	s.mu.Lock()
-	sess, ok := s.sessions[hello.Session]
-	s.mu.Unlock()
-	// Peers (other services driving subset renders) may connect before
-	// this service has joined the session: subset rendering is stateless.
-	if !ok && hello.Role != "peer" {
-		conn.SendJSON(transport.MsgError, transport.ErrorInfo{
-			Message: fmt.Sprintf("no session %q on render service %s", hello.Session, s.cfg.Name),
-		})
-		return fmt.Errorf("renderservice: unknown session %q", hello.Session)
+	v := &viewer{svc: s, conn: conn, hello: hello, enc: imgcodec.NewAdaptive(), linkBps: linkBps}
+	if _, err := v.session(); err != nil && hello.Role != "peer" {
+		conn.Refuse(err)
+		return fmt.Errorf("renderservice: %w", err)
 	}
 	if err := conn.Send(transport.MsgOK, nil); err != nil {
 		return err
@@ -536,122 +524,78 @@ func (s *Service) ServeClient(rw io.ReadWriter, linkBps float64) error {
 			return nil
 		case transport.MsgCameraUpdate:
 			var cs transport.CameraState
-			if err := transport.DecodeJSON(payload, &cs); err != nil {
+			if err = transport.DecodeJSON(payload, &cs); err != nil {
 				return err
 			}
-			if sess != nil {
+			// The message has no answer to carry a refusal: without the
+			// replica the camera is dropped, and the request after it is
+			// what gets refused.
+			if sess, serr := v.session(); serr == nil {
 				sess.SetCamera(CameraFromState(cs))
-			} else if err := s.refuseNoReplica(conn, hello.Session); err != nil {
-				return err
 			}
-		case transport.MsgFrameRequest, transport.MsgSubsetAssign, transport.MsgTileAssign:
-			if err := s.serveRender(conn, t, payload, sess, hello, linkBps); err != nil {
-				return err
-			}
+		case transport.MsgRender:
+			err = v.render(payload)
 		case transport.MsgCapacityQuery:
-			if err := conn.SendJSON(transport.MsgCapacityReport, s.Capacity()); err != nil {
-				return err
-			}
+			err = conn.SendJSON(transport.MsgCapacityReport, s.Capacity())
 		case transport.MsgTelemetryQuery:
-			if err := conn.SendJSON(transport.MsgTelemetryReport, s.cfg.Metrics.Snapshot()); err != nil {
-				return err
-			}
+			err = conn.SendJSON(transport.MsgTelemetryReport, s.cfg.Metrics.Snapshot())
 		default:
-			if err := conn.SendJSON(transport.MsgError, transport.ErrorInfo{
-				Message: fmt.Sprintf("unexpected message %s", t),
-			}); err != nil {
-				return err
-			}
+			err = conn.Refuse(fmt.Errorf("unexpected message %s", t))
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
 
-// refuseNoReplica tells a client that the session it named has no
-// replica on this service; the connection survives.
-func (s *Service) refuseNoReplica(conn *transport.Conn, session string) error {
-	return conn.SendJSON(transport.MsgError, transport.ErrorInfo{
-		Message: fmt.Sprintf("render service %s has no replica of session %q", s.cfg.Name, session),
-	})
-}
-
-// serveRender answers one render request off the wire — a thin client's
-// frame, a peer's subset (whose scene follows in a second message) or a
-// peer's tile: build the job, render it, and reply with the encoded
-// frame, the frame+depth buffer (after its header, for a tile), or a
-// refusal. Only a broken connection or an undecodable message is
-// returned as an error; anything else leaves the connection serving.
-func (s *Service) serveRender(conn *transport.Conn, t transport.MsgType, payload []byte, sess *Session, hello transport.Hello, linkBps float64) error {
-	job := Job{Session: sess}
-	var req transport.FrameRequest
-	var ta transport.TileAssign
-	switch t {
-	case transport.MsgFrameRequest:
-		if err := transport.DecodeJSON(payload, &req); err != nil {
-			return err
-		}
-		job.Rect, job.FullW, job.FullH = image.Rect(0, 0, req.W, req.H), req.W, req.H
-		job.Viewer, job.Interactive = hello.Name, true
-		job.Deadline, job.Trace = transport.DeadlineFromNanos(req.DeadlineNanos), wireSpan(req.Trace, req.Parent)
-	case transport.MsgSubsetAssign:
-		var sa transport.SubsetAssign
-		if err := transport.DecodeJSON(payload, &sa); err != nil {
-			return err
-		}
-		// The subset scene follows immediately.
-		t2, snap, err := conn.Receive()
+// render answers one MsgRender: decode it into the Job it is, render,
+// and reply as the hello's role has it — the encoded frame to a viewer,
+// version and frame+depth buffer to a peer — or with a refusal. Only a
+// broken connection or an undecodable message is returned as an error;
+// anything else leaves the connection serving.
+func (v *viewer) render(payload []byte) error {
+	var req transport.RenderRequest
+	if err := transport.DecodeJSON(payload, &req); err != nil {
+		return err
+	}
+	peer := v.hello.Role == "peer"
+	job := Job{
+		Rect: image.Rect(req.X0, req.Y0, req.X1, req.Y1), FullW: req.FullW, FullH: req.FullH,
+		Interactive: !peer,
+		Deadline:    transport.DeadlineFromNanos(req.DeadlineNanos),
+		Trace:       telemetry.SpanContext{Trace: telemetry.TraceID(req.Trace), Span: telemetry.SpanID(req.Parent)},
+	}
+	if !peer {
+		job.Viewer = v.hello.Name
+	}
+	if req.Camera != nil {
+		// The scene to draw follows immediately.
+		snap, err := v.conn.Expect(transport.MsgSceneSnapshot)
 		if err != nil {
 			return err
 		}
-		if t2 != transport.MsgSceneSnapshot {
-			return fmt.Errorf("renderservice: expected subset snapshot, got %s", t2)
-		}
-		subset, err := marshal.DecodeScene(snap)
-		if err != nil {
+		if job.Scene, err = marshal.DecodeScene(snap); err != nil {
 			return err
 		}
-		job = Job{
-			Scene: subset, Camera: CameraFromState(sa.Camera),
-			Rect: image.Rect(0, 0, sa.W, sa.H), FullW: sa.W, FullH: sa.H,
-			Deadline: transport.DeadlineFromNanos(sa.DeadlineNanos), Trace: wireSpan(sa.Trace, sa.Parent),
-		}
-	case transport.MsgTileAssign:
-		if err := transport.DecodeJSON(payload, &ta); err != nil {
-			return err
-		}
-		job.Rect, job.FullW, job.FullH = image.Rect(ta.X0, ta.Y0, ta.X1, ta.Y1), ta.FullW, ta.FullH
-		job.Deadline, job.Trace = transport.DeadlineFromNanos(ta.DeadlineNanos), wireSpan(ta.Trace, ta.Parent)
-	}
-	if job.Session == nil && job.Scene == nil {
-		return s.refuseNoReplica(conn, hello.Session)
-	}
-
-	frame, err := s.Render(job)
-	reply, body := transport.MsgFrameDepth, []byte(nil)
-	if err == nil {
-		if t == transport.MsgFrameRequest {
-			reply = transport.MsgFrame
-			body, err = sess.EncodeFrame(frame, req.Codec, linkBps)
-		} else {
-			body = marshal.AppendFrame(nil, frame.FB, true)
+		job.Camera = CameraFromState(*req.Camera)
+	} else {
+		var err error
+		if job.Session, err = v.session(); err != nil {
+			return v.conn.Refuse(err)
 		}
 	}
-	// An admission refusal becomes a fast MsgDeclined (the caller retries
-	// elsewhere or later), any other failure a MsgError.
-	var ov *ErrOverloaded
-	switch {
-	case errors.As(err, &ov):
-		return conn.SendJSON(transport.MsgDeclined, transport.Declined{
-			Reason: ov.Reason, RetryAfterMs: ov.RetryAfter.Milliseconds(),
-		})
-	case err != nil:
-		return conn.SendJSON(transport.MsgError, transport.ErrorInfo{Message: err.Error()})
-	case t == transport.MsgTileAssign:
-		hdr := transport.TileHeader{X0: ta.X0, Y0: ta.Y0, X1: ta.X1, Y1: ta.Y1, Version: frame.Version}
-		if err := conn.SendJSON(transport.MsgTileFrame, hdr); err != nil {
-			return err
-		}
+	frame, err := v.svc.Render(job)
+	if err != nil {
+		return v.conn.Refuse(err)
 	}
-	return conn.Send(reply, body)
+	if peer {
+		return v.conn.Send(transport.MsgFrameDepth, marshal.AppendFrame(transport.PackVersioned(frame.Version, nil), frame.FB, true))
+	}
+	body, err := v.enc.Encode(req.Codec, frame.FB.W, frame.FB.H, frame.FB.Color, v.linkBps)
+	if err != nil {
+		return v.conn.Refuse(err)
+	}
+	return v.conn.Send(transport.MsgFrame, body)
 }
 
 // SubscribeOpts tunes the subscription loop's failure handling. The zero

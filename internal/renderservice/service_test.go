@@ -2,6 +2,7 @@ package renderservice
 
 import (
 	"bytes"
+	"errors"
 	"image"
 	"net"
 	"testing"
@@ -296,7 +297,7 @@ func TestServeClientProtocol(t *testing.T) {
 	if err := conn.SendJSON(transport.MsgCameraUpdate, StateFromCamera(testCamera(sc))); err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.SendJSON(transport.MsgFrameRequest, transport.FrameRequest{W: 50, H: 40, Codec: "rle"}); err != nil {
+	if err := conn.SendJSON(transport.MsgRender, transport.RenderRequest{X1: 50, Y1: 40, FullW: 50, FullH: 40, Codec: "rle"}); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := conn.Receive()
@@ -321,32 +322,23 @@ func TestServeClientProtocol(t *testing.T) {
 		t.Fatalf("capacity: %+v %v", rep, err)
 	}
 
-	// Tile assignment returns header then frame+depth.
-	err = conn.SendJSON(transport.MsgTileAssign, transport.TileAssign{
-		X0: 0, Y0: 0, X1: 25, Y1: 20, FullW: 50, FullH: 40, Session: "skull",
+	// A region of the frame is the same request; a viewer gets it encoded.
+	err = conn.SendJSON(transport.MsgRender, transport.RenderRequest{
+		X0: 0, Y0: 0, X1: 25, Y1: 20, FullW: 50, FullH: 40,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err = conn.Receive()
-	if err != nil || typ != transport.MsgTileFrame {
-		t.Fatalf("tile header: %v %v", typ, err)
+	if err != nil || typ != transport.MsgFrame {
+		t.Fatalf("region reply: %v %v", typ, err)
 	}
-	var hdr transport.TileHeader
-	if err := transport.DecodeJSON(payload, &hdr); err != nil || hdr.X1 != 25 {
-		t.Fatalf("tile header: %+v %v", hdr, err)
-	}
-	typ, payload, err = conn.Receive()
-	if err != nil || typ != transport.MsgFrameDepth {
-		t.Fatalf("tile body: %v %v", typ, err)
-	}
-	tileFB, err := marshal.ReadFrame(bytes.NewReader(payload))
-	if err != nil || tileFB.W != 25 || tileFB.H != 20 {
-		t.Fatalf("tile frame: %v", err)
+	if _, w, h, _, err := imgcodec.Decode(payload, nil); err != nil || w != 25 || h != 20 {
+		t.Fatalf("region decode: %dx%d %v", w, h, err)
 	}
 
 	// Bad frame request produces an error message, not a dropped conn.
-	if err := conn.SendJSON(transport.MsgFrameRequest, transport.FrameRequest{W: -5, H: 2}); err != nil {
+	if err := conn.SendJSON(transport.MsgRender, transport.RenderRequest{X1: -5, Y1: 2, FullW: -5, FullH: 2}); err != nil {
 		t.Fatal(err)
 	}
 	typ, _, err = conn.Receive()
@@ -367,13 +359,10 @@ func TestServeClientUnknownSession(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := conn.Receive()
-	if err != nil || typ != transport.MsgError {
-		t.Fatalf("want error, got %v %v", typ, err)
-	}
-	var ei transport.ErrorInfo
-	if err := transport.DecodeJSON(payload, &ei); err != nil || ei.Message == "" {
-		t.Error("no explanatory error message")
+	_, err := conn.Expect(transport.MsgOK)
+	var refusal *transport.Refusal
+	if !errors.As(err, &refusal) || refusal.Message == "" {
+		t.Errorf("want a refusal with an explanatory message, got %v", err)
 	}
 }
 
@@ -390,11 +379,11 @@ func TestServeClientPeerSubsetWithoutSession(t *testing.T) {
 	if err != nil || typ != transport.MsgOK {
 		t.Fatalf("peer hello: %v %v", typ, err)
 	}
-	// Subset render works statelessly.
-	err = conn.SendJSON(transport.MsgSubsetAssign, transport.SubsetAssign{
-		Session: "not-held", W: 40, H: 30, Camera: StateFromCamera(testCamera(sc)),
-	})
-	if err != nil {
+	// Subset render works statelessly: the request names the camera and
+	// the scene follows.
+	cam := StateFromCamera(testCamera(sc))
+	subset := transport.RenderRequest{X1: 40, Y1: 30, FullW: 40, FullH: 30, Camera: &cam}
+	if err := conn.SendJSON(transport.MsgRender, subset); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -404,21 +393,71 @@ func TestServeClientPeerSubsetWithoutSession(t *testing.T) {
 	if err := conn.Send(transport.MsgSceneSnapshot, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := conn.Receive()
-	if err != nil || typ != transport.MsgFrameDepth {
-		t.Fatalf("subset reply: %v %v", typ, err)
+	payload, err := conn.Expect(transport.MsgFrameDepth)
+	if err != nil {
+		t.Fatalf("subset reply: %v", err)
 	}
-	fb, err := marshal.ReadFrame(bytes.NewReader(payload))
+	version, frame, err := transport.UnpackVersioned(payload)
+	if err != nil || version != 0 {
+		t.Fatalf("subset reply carries version %d, %v; want 0 for a scene the peer sent", version, err)
+	}
+	fb, err := marshal.ReadFrame(bytes.NewReader(frame))
 	if err != nil || fb.CoveredPixels() == 0 {
 		t.Fatalf("subset frame empty: %v", err)
 	}
-	// But a frame request (needs the replica) errors gracefully.
-	if err := conn.SendJSON(transport.MsgFrameRequest, transport.FrameRequest{W: 10, H: 10}); err != nil {
+	// But the same request without a camera (needs the replica) is refused
+	// gracefully.
+	subset.Camera = nil
+	if err := conn.SendJSON(transport.MsgRender, subset); err != nil {
 		t.Fatal(err)
 	}
-	typ, _, err = conn.Receive()
-	if err != nil || typ != transport.MsgError {
-		t.Fatalf("session-less frame request: %v %v", typ, err)
+	if _, err := conn.Expect(transport.MsgFrameDepth); !errors.As(err, new(*transport.Refusal)) {
+		t.Fatalf("session-less render request: %v", err)
+	}
+}
+
+// TestSameRequestTwoRoles: the hello's role, not the request, says who is
+// asking. A thin client and a peer send the same MsgRender; the viewer
+// gets MsgFrame in the codec it asked for, the peer MsgFrameDepth with
+// the replica's scene version in front of the pixels — and they show the
+// same picture.
+func TestSameRequestTwoRoles(t *testing.T) {
+	svc := newService("rs")
+	sc := testScene(t)
+	sess, err := svc.OpenSession("skull", sc, testCamera(sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	req := transport.RenderRequest{X0: 8, Y0: 4, X1: 40, Y1: 28, FullW: 48, FullH: 32, Codec: "rle"}
+	ask := func(role string, want transport.MsgType) []byte {
+		conn := startServeClient(t, svc)
+		if err := conn.Greet(transport.Hello{Role: role, Name: role, Session: "skull"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.SendJSON(transport.MsgRender, req); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := conn.Expect(want)
+		if err != nil {
+			t.Fatalf("%s: %v", role, err)
+		}
+		return payload
+	}
+	codec, w, h, viewed, err := imgcodec.Decode(ask("thin-client", transport.MsgFrame), nil)
+	if err != nil || codec != imgcodec.RLE || w != 32 || h != 24 {
+		t.Fatalf("viewer's frame: %v %dx%d, %v", codec, w, h, err)
+	}
+	version, frame, err := transport.UnpackVersioned(ask("peer", transport.MsgFrameDepth))
+	if err != nil || version != sess.Version() {
+		t.Fatalf("peer's frame shows version %d, %v; replica is at %d", version, err, sess.Version())
+	}
+	fb, err := marshal.DecodeFrame(frame)
+	if err != nil || fb.W != 32 || fb.H != 24 {
+		t.Fatalf("peer's frame: %v", err)
+	}
+	if !bytes.Equal(fb.Color, viewed) {
+		t.Error("the two roles were shown different pixels")
 	}
 }
 

@@ -30,7 +30,7 @@ func TestSubscribeRefused(t *testing.T) {
 		if _, _, err := conn.Receive(); err != nil {
 			return
 		}
-		conn.SendJSON(transport.MsgError, transport.ErrorInfo{Message: "no such session"})
+		conn.Refuse(errors.New("no such session"))
 	})
 	err := rs.SubscribeToData(conn, "ghost", nil)
 	if err == nil {

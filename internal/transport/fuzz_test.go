@@ -73,6 +73,17 @@ func FuzzReceive(f *testing.F) {
 	}
 	f.Add(good.Bytes())
 	f.Add(good.Bytes()[:good.Len()-3])
+	// One render exchange: the request, and a peer's versioned depth reply.
+	var exchange bytes.Buffer
+	c = NewConn(&exchange)
+	cam := CameraState{Eye: [3]float64{0, 0, 5}, Up: [3]float64{0, 1, 0}, FovY: 0.8, Near: 0.1, Far: 100}
+	if err := c.SendJSON(MsgRender, RenderRequest{Y0: 240, X1: 640, Y1: 480, FullW: 640, FullH: 480, Camera: &cam, DeadlineNanos: 1}); err != nil {
+		f.Fatal(err)
+	}
+	if err := c.Send(MsgFrameDepth, PackVersioned(7, []byte{0, 0, 0, 1, 0, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(exchange.Bytes())
 	f.Add(header(MsgFrame, MaxPayload, 0))
 	f.Add(header(MsgFrame, MaxPayload+1, 0))
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0})

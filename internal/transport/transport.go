@@ -22,13 +22,15 @@ import (
 // MsgType tags a protocol message.
 type MsgType uint16
 
-// Protocol messages.
+// Protocol messages. A retired message's number stays a gap, so every
+// surviving type keeps its wire value.
 const (
 	// MsgHello opens a socket session; payload: Hello (JSON).
 	MsgHello MsgType = iota + 1
 	// MsgOK acknowledges; payload optional.
 	MsgOK
-	// MsgError reports failure; payload: ErrorInfo (JSON).
+	// MsgError refuses a request with an explanatory message; Conn.Refuse
+	// writes it and Conn.Expect reads it back as a *Refusal.
 	MsgError
 	// MsgSceneSnapshot carries a full marshalled scene.
 	MsgSceneSnapshot
@@ -36,20 +38,17 @@ const (
 	MsgSceneOp
 	// MsgCameraUpdate carries a CameraState (JSON).
 	MsgCameraUpdate
-	// MsgFrameRequest asks a render service for a frame; payload:
-	// FrameRequest (JSON).
-	MsgFrameRequest
-	// MsgFrame carries an imgcodec-encoded color frame.
+	_ // 7: the thin client's own frame request, now MsgRender
+	// MsgFrame answers a thin client's MsgRender: an imgcodec-encoded
+	// colour frame.
 	MsgFrame
-	// MsgFrameDepth carries a marshalled frame+depth buffer for
+	// MsgFrameDepth answers a peer's MsgRender: the scene version the
+	// pixels show (PackVersioned framing; 0 for a scene the peer sent
+	// along) followed by the marshalled frame+depth buffer, for
 	// compositing.
 	MsgFrameDepth
-	// MsgTileAssign asks a render service to render a tile; payload:
-	// TileAssign (JSON).
-	MsgTileAssign
-	// MsgTileFrame returns a rendered tile; payload: TileHeader (JSON)
-	// followed by the raw frame in the next message.
-	MsgTileFrame
+	_ // 10: the tile assignment, now MsgRender
+	_ // 11: the tile header that preceded a tile's MsgFrameDepth
 	// MsgCapacityQuery interrogates a render service's capacity.
 	MsgCapacityQuery
 	// MsgCapacityReport answers with a CapacityReport (JSON).
@@ -57,9 +56,7 @@ const (
 	// MsgLoadReport is a render service's periodic load report to the
 	// data service (JSON LoadReport).
 	MsgLoadReport
-	// MsgSubsetAssign gives a render service a scene subset to render
-	// (JSON SubsetAssign; the subset scene follows as MsgSceneSnapshot).
-	MsgSubsetAssign
+	_ // 15: the subset assignment, now MsgRender
 	// MsgBye closes the session cleanly.
 	MsgBye
 	// MsgSetInterest registers a subscriber's dataset-distribution
@@ -89,11 +86,11 @@ const (
 	// (JSON) naming the current version, then replays only the missed
 	// ops as MsgSceneOpVer messages.
 	MsgResumeOK
-	// MsgDeclined is a render service's fast refusal of a frame, tile or
-	// subset request it cannot serve in time — its admission queue is
-	// full or the request's deadline is infeasible (JSON Declined). The
-	// caller should retry elsewhere or after the hinted backoff; unlike
-	// MsgError it does not terminate the socket session.
+	// MsgDeclined is a render service's fast refusal of a render request
+	// it cannot serve in time — its admission queue is full or the
+	// request's deadline is infeasible. The caller should retry elsewhere
+	// or after the hinted backoff. Conn.Refuse writes it for a *Decline
+	// and Conn.Expect reads it back as one.
 	MsgDeclined
 	// MsgTelemetryQuery asks a service for a telemetry snapshot over its
 	// existing control socket; payload empty. Pre-telemetry peers ignore
@@ -109,6 +106,11 @@ const (
 	// and the ownership lease epoch (RouteInfo payload). An unknown
 	// session answers MsgError instead.
 	MsgRouteReport
+	// MsgRender asks a render service to draw; payload: RenderRequest
+	// (JSON), followed by a MsgSceneSnapshot when the request names a
+	// camera. The hello's role decides the answer: MsgFrame for a thin
+	// client, MsgFrameDepth for a peer.
+	MsgRender
 )
 
 // String names the message type.
@@ -116,12 +118,11 @@ func (t MsgType) String() string {
 	names := map[MsgType]string{
 		MsgHello: "hello", MsgOK: "ok", MsgError: "error",
 		MsgSceneSnapshot: "scene-snapshot", MsgSceneOp: "scene-op",
-		MsgCameraUpdate: "camera-update", MsgFrameRequest: "frame-request",
-		MsgFrame: "frame", MsgFrameDepth: "frame-depth",
-		MsgTileAssign: "tile-assign", MsgTileFrame: "tile-frame",
+		MsgCameraUpdate: "camera-update",
+		MsgFrame:        "frame", MsgFrameDepth: "frame-depth",
 		MsgCapacityQuery: "capacity-query", MsgCapacityReport: "capacity-report",
-		MsgLoadReport: "load-report", MsgSubsetAssign: "subset-assign",
-		MsgBye: "bye", MsgSetInterest: "set-interest",
+		MsgLoadReport: "load-report",
+		MsgBye:        "bye", MsgSetInterest: "set-interest",
 		MsgSceneOpVer: "scene-op-ver", MsgVersionQuery: "version-query",
 		MsgVersionReport: "version-report", MsgResyncRequest: "resync-request",
 		MsgStandbyAck: "standby-ack", MsgResumeOK: "resume-ok",
@@ -130,6 +131,7 @@ func (t MsgType) String() string {
 		MsgTelemetryReport: "telemetry-report",
 		MsgRouteQuery:      "route-query",
 		MsgRouteReport:     "route-report",
+		MsgRender:          "render",
 	}
 	if n, ok := names[t]; ok {
 		return n
@@ -364,8 +366,89 @@ func DecodeJSON(payload []byte, v interface{}) error {
 	return json.Unmarshal(payload, v)
 }
 
-// PackVersioned prefixes a marshalled scene op with the authoritative
-// scene version it produced, for MsgSceneOpVer.
+// Accept is the serving side of the hello: it wraps rw, receives the
+// peer's Hello and records the name it gives, so every later failure on
+// the connection is attributed to it. What answers the hello — an OK, a
+// bootstrap snapshot, a refusal — is the service's own.
+func Accept(rw io.ReadWriter) (*Conn, Hello, error) {
+	c := NewConn(rw)
+	var hello Hello
+	if err := c.ExpectJSON(MsgHello, &hello); err != nil {
+		return nil, Hello{}, err
+	}
+	c.SetPeer(hello.Name)
+	return c, hello, nil
+}
+
+// Greet is the asking side of a hello answered with MsgOK.
+func (c *Conn) Greet(hello Hello) error {
+	if err := c.SendJSON(MsgHello, hello); err != nil {
+		return err
+	}
+	_, err := c.Expect(MsgOK)
+	return err
+}
+
+// Expect receives the answer to the request just sent: the payload of a
+// want message, the peer's *Refusal or *Decline when it said no, or an
+// error naming both types when it said something else. A refusal is an
+// answer on a healthy connection, which is what its type tells a caller
+// deciding whether to redial. Receive's errors, io.EOF included, pass
+// through as they are.
+func (c *Conn) Expect(want MsgType) ([]byte, error) {
+	t, payload, err := c.Receive()
+	switch {
+	case err != nil:
+		return nil, err
+	case t == want:
+		return payload, nil
+	}
+	if err := c.Refused(t, payload); err != nil {
+		return nil, err
+	}
+	return nil, fmt.Errorf("transport: expected %s, got %s", want, t)
+}
+
+// ExpectJSON is Expect for an answer whose payload is JSON.
+func (c *Conn) ExpectJSON(want MsgType, v interface{}) error {
+	payload, err := c.Expect(want)
+	if err != nil {
+		return err
+	}
+	return DecodeJSON(payload, v)
+}
+
+// Refused is Expect's classification alone, for a loop that reads many
+// types: the typed error a MsgError or MsgDeclined carries, nil for any
+// other message. A refusal whose body does not decode is still one.
+func (c *Conn) Refused(t MsgType, payload []byte) error {
+	switch t {
+	case MsgError:
+		var ei errorInfo
+		_ = json.Unmarshal(payload, &ei)
+		return &Refusal{Peer: c.Peer(), Message: ei.Message}
+	case MsgDeclined:
+		var d declined
+		_ = json.Unmarshal(payload, &d)
+		return &Decline{Service: c.Peer(), Reason: d.Reason, RetryAfter: time.Duration(d.RetryAfterMs) * time.Millisecond}
+	}
+	return nil
+}
+
+// Refuse answers a request with err: as MsgDeclined when err is (or
+// wraps) a *Decline, as MsgError carrying its text otherwise. Neither
+// ends the session.
+func (c *Conn) Refuse(err error) error {
+	var d *Decline
+	if errors.As(err, &d) {
+		return c.SendJSON(MsgDeclined, declined{Reason: d.Reason, RetryAfterMs: d.RetryAfter.Milliseconds()})
+	}
+	return c.SendJSON(MsgError, errorInfo{Message: err.Error()})
+}
+
+// PackVersioned prefixes body with a scene version: the version an op
+// produced (MsgSceneOpVer) or the one a frame shows (MsgFrameDepth). A nil
+// body gives the bare prefix, for an encoder to append to.
 func PackVersioned(version uint64, body []byte) []byte {
 	out := make([]byte, 8+len(body))
 	binary.BigEndian.PutUint64(out, version)
@@ -373,21 +456,27 @@ func PackVersioned(version uint64, body []byte) []byte {
 	return out
 }
 
-// UnpackVersioned splits a MsgSceneOpVer payload.
+// UnpackVersioned splits a PackVersioned payload.
 func UnpackVersioned(payload []byte) (version uint64, body []byte, err error) {
 	if len(payload) < 8 {
-		return 0, nil, fmt.Errorf("%w: versioned op shorter than its prefix", ErrTruncated)
+		return 0, nil, fmt.Errorf("%w: versioned payload shorter than its prefix", ErrTruncated)
 	}
 	return binary.BigEndian.Uint64(payload), payload[8:], nil
 }
 
 // --- typed control payloads ---
 
-// Hello opens a session on a direct socket. Role distinguishes render
-// services (which receive updates and serve render requests) from thin
-// clients (which only receive frames).
+// Hello opens a session on a direct socket, and its Role says what the
+// sender gets there. Of a data service, "render-service" and "standby"
+// get the session's op stream (a standby acks what it applies). Of a
+// render service, "thin-client" is a viewer — the session must be held,
+// a MsgRender is interactive, hides the viewer's own avatar and is
+// answered with MsgFrame in the codec asked for — and "peer" is another
+// service asking for help: it may say hello before the replica lands, a
+// MsgRender is an assist under the background admission cap, and the
+// answer is MsgFrameDepth for compositing.
 type Hello struct {
-	Role     string `json:"role"` // "render-service", "thin-client", "peer", "standby"
+	Role     string `json:"role"`
 	Name     string `json:"name"`
 	Session  string `json:"session"`
 	Instance string `json:"instance,omitempty"`
@@ -403,11 +492,27 @@ type Hello struct {
 	Region string `json:"region,omitempty"`
 }
 
-// ErrorInfo carries a failure back to the peer — e.g. the paper's
-// "request is refused with an explanatory error message" when resources
-// are insufficient (§3.2.5).
-type ErrorInfo struct {
+// errorInfo is MsgError's wire form and Refusal its Go form — e.g. the
+// paper's "request is refused with an explanatory error message" when
+// resources are insufficient (§3.2.5).
+type errorInfo struct {
 	Message string `json:"message"`
+}
+
+// Refusal is a peer's MsgError: an application-level answer (no such
+// session, a bad frame size) on a connection that stays healthy.
+type Refusal struct {
+	// Peer is the refusing service as the connection knows it; a thin
+	// client never learns its render service's name and leaves it empty.
+	Peer    string
+	Message string
+}
+
+func (e *Refusal) Error() string {
+	if e.Peer == "" {
+		return "refused: " + e.Message
+	}
+	return fmt.Sprintf("%s refused: %s", e.Peer, e.Message)
 }
 
 // CameraState is the shared camera of a collaborative session.
@@ -420,51 +525,36 @@ type CameraState struct {
 	Far    float64    `json:"far"`
 }
 
-// FrameRequest asks a render service for a rendered frame.
-type FrameRequest struct {
-	W int `json:"w"`
-	H int `json:"h"`
-	// Codec: "raw", "rle", "delta-rle", "adaptive".
+// RenderRequest is the payload of MsgRender, the one way to ask a render
+// service to draw: a region of a full frame, by a deadline, under the
+// caller's trace. The connection's hello says which session and who is
+// asking (see Hello).
+type RenderRequest struct {
+	// X0,Y0-X1,Y1 is the region of the FullW x FullH frame to render: all
+	// of it for a viewer's frame or a scene subset, a band for a tile.
+	X0    int `json:"x0"`
+	Y0    int `json:"y0"`
+	X1    int `json:"x1"`
+	Y1    int `json:"y1"`
+	FullW int `json:"full_w"`
+	FullH int `json:"full_h"`
+	// Codec encodes a MsgFrame answer: "raw" (or empty), "rle",
+	// "delta-rle", "flate", "adaptive".
 	Codec string `json:"codec,omitempty"`
-	// DeadlineNanos, when non-zero, is the absolute deadline for this
-	// frame in nanoseconds on the session clock (time.Time.UnixNano). A
-	// service that cannot meet it answers MsgDeclined instead of
-	// rendering a frame nobody will display.
+	// Camera, when set, means "my scene follows as MsgSceneSnapshot; draw
+	// it under this camera and keep nothing" — dataset distribution's
+	// subset. Unset draws the session's replica under the shared camera.
+	Camera *CameraState `json:"camera,omitempty"`
+	// DeadlineNanos, when non-zero, is the absolute deadline for the
+	// result in nanoseconds on the session clock (time.Time.UnixNano). A
+	// service that cannot meet it answers MsgDeclined instead of rendering
+	// a frame nobody will display.
 	DeadlineNanos int64 `json:"deadline_nanos,omitempty"`
 	// Trace/Parent carry the caller's telemetry span context so the
 	// service's render span joins the caller's trace tree. Zero means
-	// untraced; pre-telemetry decoders skip the fields (unknown JSON
-	// fields are ignored).
+	// untraced.
 	Trace  uint64 `json:"trace,omitempty"`
 	Parent uint64 `json:"parent,omitempty"`
-}
-
-// TileAssign assigns a tile of the full image to an assisting render
-// service.
-type TileAssign struct {
-	X0      int    `json:"x0"`
-	Y0      int    `json:"y0"`
-	X1      int    `json:"x1"`
-	Y1      int    `json:"y1"`
-	FullW   int    `json:"full_w"`
-	FullH   int    `json:"full_h"`
-	Session string `json:"session"`
-	// DeadlineNanos, when non-zero, is the absolute deadline for this
-	// tile on the session clock (time.Time.UnixNano); see
-	// FrameRequest.DeadlineNanos.
-	DeadlineNanos int64 `json:"deadline_nanos,omitempty"`
-	// Trace/Parent: caller's span context; see FrameRequest.
-	Trace  uint64 `json:"trace,omitempty"`
-	Parent uint64 `json:"parent,omitempty"`
-}
-
-// TileHeader precedes a tile's pixels.
-type TileHeader struct {
-	X0      int    `json:"x0"`
-	Y0      int    `json:"y0"`
-	X1      int    `json:"x1"`
-	Y1      int    `json:"y1"`
-	Version uint64 `json:"version"`
 }
 
 // CapacityReport answers a capacity interrogation: "available polygons
@@ -516,33 +606,33 @@ type SetInterest struct {
 	NodeIDs []uint64 `json:"node_ids"`
 }
 
-// SubsetAssign asks a render service to render a scene subset under
-// dataset distribution: the subset scene itself follows in the next
-// message as a MsgSceneSnapshot, and the service replies with a
-// MsgFrameDepth for compositing.
-type SubsetAssign struct {
-	Session string      `json:"session"`
-	NodeIDs []uint64    `json:"node_ids,omitempty"`
-	W       int         `json:"w"`
-	H       int         `json:"h"`
-	Camera  CameraState `json:"camera"`
-	// DeadlineNanos, when non-zero, is the absolute deadline for this
-	// subset render on the session clock (time.Time.UnixNano); see
-	// FrameRequest.DeadlineNanos.
-	DeadlineNanos int64 `json:"deadline_nanos,omitempty"`
-	// Trace/Parent: caller's span context; see FrameRequest.
-	Trace  uint64 `json:"trace,omitempty"`
-	Parent uint64 `json:"parent,omitempty"`
-}
-
-// Declined is the payload of MsgDeclined: a fast, typed refusal from an
-// overloaded render service. Reason is one of "queue-full", "expired" or
-// "deadline"; RetryAfterMs hints how long the caller should wait before
-// retrying this service (zero when retrying here is pointless, e.g. the
-// request itself had already expired).
-type Declined struct {
+// declined is MsgDeclined's wire form and Decline its Go form.
+type declined struct {
 	Reason       string `json:"reason"`
 	RetryAfterMs int64  `json:"retry_after_ms,omitempty"`
+}
+
+// Decline is a render service's typed refusal of work it cannot finish in
+// time: from its admission gate in-process, read back from MsgDeclined
+// over a socket, or from a breaker standing in for a peer. Callers route
+// the work to another service, or retry here after RetryAfter.
+type Decline struct {
+	// Service names the declining render service (the connection's peer,
+	// when the decline came over one).
+	Service string
+	// Reason is "queue-full", "expired" or "deadline" from an admission
+	// gate (renderservice.Reason*), "breaker-open" from a breaker.
+	Reason string
+	// RetryAfter hints how long until the service expects free capacity;
+	// zero when retrying there is pointless (the request had expired).
+	RetryAfter time.Duration
+}
+
+func (e *Decline) Error() string {
+	if e.RetryAfter > 0 {
+		return fmt.Sprintf("renderservice %s overloaded (%s): retry after %v", e.Service, e.Reason, e.RetryAfter)
+	}
+	return fmt.Sprintf("renderservice %s overloaded (%s)", e.Service, e.Reason)
 }
 
 // RouteQuery is the payload of MsgRouteQuery: which data service owns
