@@ -119,6 +119,27 @@ func TestCodecChangeKeepsDeltaReference(t *testing.T) {
 	}
 }
 
+// TestDeltaWithoutReferenceIsAnError: a delta that arrives when the
+// client does not hold the frame it is a difference against is an error,
+// not a picture; the client keeps what it held, and the connection and
+// the next complete frame are good.
+func TestDeltaWithoutReferenceIsAnError(t *testing.T) {
+	rs, thin := startRenderWithSession(t)
+	defer thin.Close()
+	orbitAndCheck(t, rs, thin, 0, "delta-rle")
+	for name, held := range map[string][]byte{"no frame": nil, "a frame of another size": make([]byte, 32*32*3)} {
+		thin.prev = held // the service still holds its 96x96 reference
+		if fb, err := thin.RequestFrame(96, 96, "delta-rle"); err == nil {
+			t.Fatalf("holding %s: a delta decoded to a %dx%d frame with no error", name, fb.W, fb.H)
+		}
+		if len(thin.prev) != len(held) {
+			t.Fatalf("holding %s: the refused delta replaced the held frame with %d bytes", name, len(thin.prev))
+		}
+		orbitAndCheck(t, rs, thin, 1, "raw")
+		orbitAndCheck(t, rs, thin, 2, "delta-rle")
+	}
+}
+
 func TestThinClientFrames(t *testing.T) {
 	_, thin := startRenderWithSession(t)
 	defer thin.Close()

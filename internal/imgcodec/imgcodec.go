@@ -11,6 +11,7 @@ package imgcodec
 import (
 	"bytes"
 	"compress/flate"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -72,13 +73,11 @@ func Encode(codec Codec, w, h int, frame, prev []byte) ([]byte, error) {
 	case DeltaRLE:
 		if prev != nil && len(prev) == len(frame) {
 			diff := make([]byte, len(frame))
-			for i := range frame {
-				diff[i] = frame[i] ^ prev[i]
-			}
+			subtle.XORBytes(diff, frame, prev)
 			payload = rleEncode(diff)
 		} else {
 			// No usable reference frame: the stream must not claim to be
-			// a delta or the decoder would XOR against its own state.
+			// a delta, which a decoder without the reference refuses.
 			codec = RLE
 			payload = rleEncode(frame)
 		}
@@ -101,7 +100,9 @@ func Encode(codec Codec, w, h int, frame, prev []byte) ([]byte, error) {
 }
 
 // Decode decompresses an encoded frame. prev is the previously decoded
-// frame, required to reverse DeltaRLE when the encoder had one.
+// frame, which a DeltaRLE frame is a difference against: the encoder
+// only sends one when it held a reference of the frame's size, so a
+// DeltaRLE frame arriving without that reference is refused.
 func Decode(data, prev []byte) (codec Codec, w, h int, frame []byte, err error) {
 	if len(data) < headerSize {
 		return 0, 0, 0, nil, fmt.Errorf("imgcodec: short header (%d bytes)", len(data))
@@ -128,16 +129,14 @@ func Decode(data, prev []byte) (codec Codec, w, h int, frame []byte, err error) 
 			return 0, 0, 0, nil, err
 		}
 	case DeltaRLE:
-		diff, derr := rleDecode(payload, want)
-		if derr != nil {
-			return 0, 0, 0, nil, derr
+		if len(prev) != want {
+			return 0, 0, 0, nil, fmt.Errorf("imgcodec: delta-rle frame of %d bytes against a reference of %d", want, len(prev))
 		}
-		frame = diff
-		if prev != nil && len(prev) == want {
-			for i := range frame {
-				frame[i] ^= prev[i]
-			}
+		frame, err = rleDecode(payload, want)
+		if err != nil {
+			return 0, 0, 0, nil, err
 		}
+		subtle.XORBytes(frame, frame, prev)
 	case Flate:
 		var ferr error
 		frame, ferr = flateDecode(payload, want)
@@ -153,20 +152,28 @@ func Decode(data, prev []byte) (codec Codec, w, h int, frame []byte, err error) 
 // rleEncode run-length encodes 3-byte RGB pixels as
 // (count uint8, r, g, b) quads with a 255-pixel run cap. Operating on
 // pixels rather than bytes is what lets flat regions of a 24bpp frame
-// collapse.
+// collapse. A run of equal pixels lasts while every byte equals the byte
+// three before it, which is tested eight bytes at a time.
 func rleEncode(src []byte) []byte {
 	out := make([]byte, 0, len(src)/8+16)
-	n := len(src) / 3
-	i := 0
-	for i < n {
-		r, g, b := src[3*i], src[3*i+1], src[3*i+2]
-		run := 1
-		for i+run < n && run < 255 &&
-			src[3*(i+run)] == r && src[3*(i+run)+1] == g && src[3*(i+run)+2] == b {
-			run++
+	n := len(src) / 3 * 3
+	for i := 0; i < n; {
+		// j: the first byte past pixel i that differs from the byte three
+		// before it; every pixel that ends at or before j repeats pixel i.
+		j := i + 3
+		for j+8 <= n && binary.LittleEndian.Uint64(src[j:]) == binary.LittleEndian.Uint64(src[j-3:]) {
+			j += 8
+		}
+		for j < n && src[j] == src[j-3] {
+			j++
+		}
+		r, g, b := src[i], src[i+1], src[i+2]
+		run := (j - i) / 3
+		i += run * 3
+		for ; run > 255; run -= 255 {
+			out = append(out, 255, r, g, b)
 		}
 		out = append(out, byte(run), r, g, b)
-		i += run
 	}
 	return out
 }
@@ -174,7 +181,7 @@ func rleEncode(src []byte) []byte {
 // rleDecode expands (count, r, g, b) quads and checks the exact output
 // size. want comes from a header off the wire: it is checked against
 // what the quads present could expand to — 255 pixels each — before
-// anything is allocated for it.
+// the output is allocated, once, at that size.
 func rleDecode(src []byte, want int) ([]byte, error) {
 	if len(src)%4 != 0 {
 		return nil, fmt.Errorf("imgcodec: RLE payload length %d not a multiple of 4", len(src))
@@ -182,22 +189,29 @@ func rleDecode(src []byte, want int) ([]byte, error) {
 	if most := len(src) / 4 * 255 * 3; want > most {
 		return nil, fmt.Errorf("imgcodec: RLE payload of %d bytes cannot fill a %d-byte frame", len(src), want)
 	}
-	out := make([]byte, 0, want)
+	out := make([]byte, want)
+	at := 0
 	for i := 0; i < len(src); i += 4 {
-		run := int(src[i])
-		if run == 0 {
+		n := int(src[i]) * 3
+		if n == 0 {
 			return nil, fmt.Errorf("imgcodec: zero-length run at %d", i)
 		}
-		if len(out)+run*3 > want {
+		if at+n > want {
 			return nil, fmt.Errorf("imgcodec: RLE output overflows %d bytes", want)
 		}
-		r, g, b := src[i+1], src[i+2], src[i+3]
-		for k := 0; k < run; k++ {
-			out = append(out, r, g, b)
+		// A black run is the zeroes out already holds; any other is its
+		// pixel written once and copied onto the rest, doubling.
+		if r, g, b := src[i+1], src[i+2], src[i+3]; r|g|b != 0 {
+			run := out[at : at+n]
+			run[0], run[1], run[2] = r, g, b
+			for filled := 3; filled < n; filled *= 2 {
+				copy(run[filled:], run[:filled])
+			}
 		}
+		at += n
 	}
-	if len(out) != want {
-		return nil, fmt.Errorf("imgcodec: RLE produced %d bytes, want %d", len(out), want)
+	if at != want {
+		return nil, fmt.Errorf("imgcodec: RLE produced %d bytes, want %d", at, want)
 	}
 	return out, nil
 }

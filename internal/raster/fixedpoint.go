@@ -3,8 +3,6 @@ package raster
 import (
 	"math"
 	"sync"
-
-	"repro/internal/mathx"
 )
 
 // Fixed-point scanline core.
@@ -34,7 +32,8 @@ import (
 // Instead of testing every bounding-box pixel, each covered scanline is
 // reduced to one span [lo, hi] by solving the three half-plane
 // constraints e + i*d <= 0 for the pixel index i (exact integer floor /
-// ceil division). Spans are buffered in struct-of-arrays span buffers
+// ceil division; across a box at most narrowBox pixels wide the three
+// values are stepped and tested instead). Spans are buffered in struct-of-arrays span buffers
 // sized per band, and a separate flat attribute loop interpolates
 // depth and color over the buffered spans — the layout keeps the hot
 // loop free of per-pixel coverage branches.
@@ -68,6 +67,10 @@ const (
 	// spanBufCap is the per-band span buffer capacity between attribute
 	// flushes.
 	spanBufCap = 512
+	// narrowBox is the pixel-box width up to which a row's covered run
+	// is found by stepping the edge values across it instead of by three
+	// 64-bit divisions (spanBounds).
+	narrowBox = 8
 )
 
 // snapCoord converts a float screen coordinate (in pixels) to 26.6
@@ -85,14 +88,17 @@ func snapCoord(v float64) int32 {
 	return int32(s)
 }
 
-// triSetup is one projected triangle after shared setup: the integer
-// edge equations for the fixed-point core, the snapped float vertex
-// positions for the reference core, and the interpolation attributes
-// both cores feed through identical float expressions.
+// triSetup is one projected triangle after shared setup. It holds only
+// what the triangle owns — the pixel box, the integer edge equations,
+// 1/area and the early-z bound — and names its three vertex records
+// (setupList) for everything a vertex owns: depth, 1/w, colour and the
+// snapped position the reference core evaluates its float edges from.
+// One is written and read back per drawn triangle per frame, so its size
+// is memory traffic (TestSetupRecordStaysLean).
 type triSetup struct {
 	// The pixels whose centres the triangle's bounding box holds,
 	// clamped to the framebuffer (see pixelBox); never empty.
-	minX, minY, maxX, maxY int
+	minX, minY, maxX, maxY int32
 
 	// Edge values at the centre of pixel (minX, minY) and their
 	// per-pixel / per-row deltas, in subpixel^2 units. Edge k runs from
@@ -100,27 +106,22 @@ type triSetup struct {
 	e0, e1, e2          int64
 	dE0dx, dE1dx, dE2dx int64
 	dE0dy, dE1dy, dE2dy int64
-	// bias folds the top-left fill rule into the interior test: 0 for
-	// top-left edges (pixel centres exactly on the edge are covered),
-	// 1 otherwise.
-	bias0, bias1, bias2 int64
 
 	// invArea is 1 / (signed double area in pixels^2), negative for
 	// front faces.
 	invArea float64
 
-	// Snapped float vertex positions (multiples of 1/64 pixel), used by
-	// the reference core's direct float edge evaluation.
-	x0f, y0f, x1f, y1f, x2f, y2f float64
-
-	// Interpolation attributes.
-	z0, z1, z2    float64
-	iw0, iw1, iw2 float64
-	c0, c1, c2    mathx.Vec3
-
 	// minZ is the smallest vertex depth — the conservative early-z
 	// bound for the whole triangle.
 	minZ float64
+
+	// v names the three vertex records (setupList says how).
+	v [3]int32
+
+	// bias folds the top-left fill rule into the interior test: 0 for
+	// top-left edges (pixel centres exactly on the edge are covered),
+	// 1 otherwise.
+	bias0, bias1, bias2 int8
 }
 
 // edgeBias returns the fill-rule bias for an edge with direction
@@ -148,25 +149,26 @@ func pixelBox(v0, v1, v2 *screenVert, w, h int) (minX, minY, maxX, maxY int) {
 }
 
 // appendSetup builds the shared per-triangle setup from snapped screen
-// vertices in a new slot at the end of out (appended in place — kept
-// allocation-free once out has grown). A triangle whose pixel box is
-// empty — off the framebuffer, or a sliver between pixel centres — can
-// shade nothing and gets no slot; the caller still counts it as drawn.
-func appendSetup(out []triSetup, v0, v1, v2 *screenVert, w, h int) []triSetup {
+// vertices (i0, i1, i2 are the indices the record names them by) in a
+// new slot at the end of out, appended in place — kept allocation-free
+// once out has grown, and every field is assigned, so a reused slot is
+// not cleared first. A triangle whose pixel box is empty — off the
+// framebuffer, or a sliver between pixel centres — can shade nothing and
+// gets no slot; the caller still counts it as drawn.
+func appendSetup(out []triSetup, v0, v1, v2 *screenVert, i0, i1, i2 int32, w, h int) []triSetup {
 	minX, minY, maxX, maxY := pixelBox(v0, v1, v2, w, h)
 	if minX > maxX || minY > maxY {
 		return out
 	}
-	out = append(out, triSetup{})
+	if len(out) < cap(out) {
+		out = out[:len(out)+1]
+	} else {
+		out = append(out, triSetup{})
+	}
 	t := &out[len(out)-1]
-	t.minX, t.minY, t.maxX, t.maxY = minX, minY, maxX, maxY
-	t.x0f, t.y0f = v0.x, v0.y
-	t.x1f, t.y1f = v1.x, v1.y
-	t.x2f, t.y2f = v2.x, v2.y
-	t.z0, t.z1, t.z2 = v0.z, v1.z, v2.z
-	t.iw0, t.iw1, t.iw2 = v0.invW, v1.invW, v2.invW
-	t.c0, t.c1, t.c2 = v0.color, v1.color, v2.color
-	t.minZ = math.Min(v0.z, math.Min(v1.z, v2.z))
+	t.minX, t.minY, t.maxX, t.maxY = int32(minX), int32(minY), int32(maxX), int32(maxY)
+	t.v = [3]int32{i0, i1, i2}
+	t.minZ = min(v0.z, v1.z, v2.z)
 
 	x0, y0 := int64(v0.sx), int64(v0.sy)
 	x1, y1 := int64(v1.sx), int64(v1.sy)
@@ -180,19 +182,19 @@ func appendSetup(out []triSetup, v0, v1, v2 *screenVert, w, h int) []triSetup {
 	t.e0 = dx*(py-y1) - dy*(px-x1)
 	t.dE0dx = -dy * subScale
 	t.dE0dy = dx * subScale
-	t.bias0 = edgeBias(dx, dy)
+	t.bias0 = int8(edgeBias(dx, dy))
 	// Edge 1: v2 -> v0.
 	dx, dy = x0-x2, y0-y2
 	t.e1 = dx*(py-y2) - dy*(px-x2)
 	t.dE1dx = -dy * subScale
 	t.dE1dy = dx * subScale
-	t.bias1 = edgeBias(dx, dy)
+	t.bias1 = int8(edgeBias(dx, dy))
 	// Edge 2: v0 -> v1.
 	dx, dy = x1-x0, y1-y0
 	t.e2 = dx*(py-y0) - dy*(px-x0)
 	t.dE2dx = -dy * subScale
 	t.dE2dy = dx * subScale
-	t.bias2 = edgeBias(dx, dy)
+	t.bias2 = int8(edgeBias(dx, dy))
 
 	// float64(area2) * fixedToFloat is exactly the float signed double
 	// area the reference core computes from the snapped float coords.
@@ -243,6 +245,20 @@ func edgeClip(E, D, lo, hi int64) (int64, int64) {
 // inputs are the biased edge values at pixel index 0 and the per-pixel
 // deltas; n is the scanline width in pixels.
 func spanBounds(E0, D0, E1, D1, E2, D2, n int64) (int64, int64) {
+	if n <= narrowBox {
+		// Step the three values across the box: E <= 0 is the sign bit
+		// of E-1, and the covered pixels are one contiguous run.
+		lo, hi := n, int64(-1)
+		for i := int64(0); i < n; i++ {
+			if (E0-1)&(E1-1)&(E2-1) < 0 {
+				lo, hi = min(lo, i), i
+			} else if hi >= 0 {
+				break
+			}
+			E0, E1, E2 = E0+D0, E1+D1, E2+D2
+		}
+		return lo, hi
+	}
 	lo, hi := int64(0), n-1
 	lo, hi = edgeClip(E0, D0, lo, hi)
 	if lo > hi {
@@ -326,22 +342,23 @@ func (sc *bandScratch) rescanZ(fb *Framebuffer, y0, y1 int) {
 
 // spanZ interpolates depth at one span endpoint from the two edge
 // values (the same expression shape the attribute loop uses).
-func spanZ(t *triSetup, e0, e1 int64) float64 {
+func spanZ(t *triSetup, z0, z1, z2 float64, e0, e1 int64) float64 {
 	w0 := (float64(e0) * fixedToFloat) * t.invArea
 	w1 := (float64(e1) * fixedToFloat) * t.invArea
-	return w0*t.z0 + w1*t.z1 + (1-w0-w1)*t.z2
+	return w0*z0 + w1*z1 + (1-w0-w1)*z2
 }
 
 // admitSpan applies the early-z span test: when the band's depth bound
 // is finite and the span's conservative minimum depth (z is linear
 // along the span, so the minimum is at an endpoint) cannot beat it,
 // the span is rejected before any per-pixel work.
-func (sc *bandScratch) admitSpan(t *triSetup, e0, e1, iMax int64) bool {
+func (sc *bandScratch) admitSpan(ms *meshScratch, l *setupList, t *triSetup, e0, e1, iMax int64) bool {
 	if !sc.zFinite {
 		return true
 	}
-	zLo := spanZ(t, e0, e1)
-	zHi := spanZ(t, e0+iMax*t.dE0dx, e1+iMax*t.dE1dx)
+	z0, z1, z2 := ms.vert(l, t.v[0]).z, ms.vert(l, t.v[1]).z, ms.vert(l, t.v[2]).z
+	zLo := spanZ(t, z0, z1, z2, e0, e1)
+	zHi := spanZ(t, z0, z1, z2, e0+iMax*t.dE0dx, e1+iMax*t.dE1dx)
 	if math.Min(zLo, zHi)-zSlack >= float64(sc.zBound) {
 		sc.earlySpans++
 		return false
@@ -358,30 +375,24 @@ func (sc *bandScratch) push(tri, y, x0, n int32, e0, e1 int64) {
 	sc.e1 = append(sc.e1, e1)
 }
 
-// bandRaster is the fixed-point core for one band of rows [y0, y1):
-// walk each triangle's scanlines with incremental integer edge values,
-// reduce every covered row to one span, buffer spans, and flush them
-// through the flat attribute loop.
-func (r *Renderer) bandRaster(setups []triSetup, y0, y1 int, sc *bandScratch) {
+// bandRaster is the fixed-point core for one band of rows [y0, y1) over
+// one setup list: walk each triangle's scanlines with incremental
+// integer edge values, reduce every covered row to one span, buffer
+// spans, and flush them through the flat attribute loop.
+func (r *Renderer) bandRaster(ms *meshScratch, l *setupList, y0, y1 int, sc *bandScratch) {
 	if y1 <= y0 {
 		return
 	}
 	fb := r.FB
-	for ti := range setups {
-		t := &setups[ti]
-		yS, yE := t.minY, t.maxY
-		if yS < y0 {
-			yS = y0
-		}
-		if yE > y1-1 {
-			yE = y1 - 1
-		}
+	for ti := range l.tris {
+		t := &l.tris[ti]
+		yS, yE := max(int(t.minY), y0), min(int(t.maxY), y1-1)
 		if yS > yE {
 			continue
 		}
 		sc.sinceScan++
 		if sc.sinceScan >= sc.scanEvery {
-			r.flushSpans(setups, sc) // pending writes must land before the scan
+			r.flushSpans(ms, l, sc) // pending writes must land before the scan
 			sc.rescanZ(fb, y0, y1)
 			sc.sinceScan = 0
 		}
@@ -390,19 +401,20 @@ func (r *Renderer) bandRaster(setups []triSetup, y0, y1 int, sc *bandScratch) {
 			continue
 		}
 		n := int64(t.maxX - t.minX + 1)
-		rowOff := int64(yS - t.minY)
-		e0 := t.e0 + rowOff*t.dE0dy
-		e1 := t.e1 + rowOff*t.dE1dy
-		e2 := t.e2 + rowOff*t.dE2dy
+		rowOff := int64(yS) - int64(t.minY)
+		e0 := t.e0 + rowOff*t.dE0dy + int64(t.bias0)
+		e1 := t.e1 + rowOff*t.dE1dy + int64(t.bias1)
+		e2 := t.e2 + rowOff*t.dE2dy + int64(t.bias2)
 		for y := yS; y <= yE; y++ {
-			lo, hi := spanBounds(e0+t.bias0, t.dE0dx, e1+t.bias1, t.dE1dx, e2+t.bias2, t.dE2dx, n)
+			lo, hi := spanBounds(e0, t.dE0dx, e1, t.dE1dx, e2, t.dE2dx, n)
 			if lo <= hi {
-				s0 := e0 + lo*t.dE0dx
-				s1 := e1 + lo*t.dE1dx
-				if sc.admitSpan(t, s0, s1, hi-lo) {
-					sc.push(int32(ti), int32(y), int32(t.minX)+int32(lo), int32(hi-lo+1), s0, s1)
+				// The attribute loop takes the unbiased edge values.
+				s0 := e0 - int64(t.bias0) + lo*t.dE0dx
+				s1 := e1 - int64(t.bias1) + lo*t.dE1dx
+				if sc.admitSpan(ms, l, t, s0, s1, hi-lo) {
+					sc.push(int32(ti), int32(y), t.minX+int32(lo), int32(hi-lo+1), s0, s1)
 					if len(sc.tri) == spanBufCap {
-						r.flushSpans(setups, sc)
+						r.flushSpans(ms, l, sc)
 					}
 				}
 			}
@@ -411,18 +423,21 @@ func (r *Renderer) bandRaster(setups []triSetup, y0, y1 int, sc *bandScratch) {
 			e2 += t.dE2dy
 		}
 	}
-	r.flushSpans(setups, sc)
+	r.flushSpans(ms, l, sc)
 }
 
-// flushSpans runs the attribute-interpolation loop over the buffered
-// spans: every pixel in a span is inside its triangle, so the loop is
-// flat — step the two edge values, derive barycentrics, interpolate
-// depth and perspective-correct color. The float expressions are
-// kept identical to reference.go's so the two cores agree bit for bit.
-func (r *Renderer) flushSpans(setups []triSetup, sc *bandScratch) {
+// flushSpans runs the attribute-interpolation loop over the spans
+// buffered from list l: every pixel in a span is inside its triangle, so
+// the loop is flat — step the two edge values, derive barycentrics,
+// interpolate depth and, for a pixel that passes the depth test,
+// perspective-correct color from the triangle's vertex records. The
+// float expressions are kept identical to reference.go's so the two
+// cores agree bit for bit.
+func (r *Renderer) flushSpans(ms *meshScratch, l *setupList, sc *bandScratch) {
 	fb := r.FB
 	for si, ti := range sc.tri {
-		t := &setups[ti]
+		t := &l.tris[ti]
+		v0, v1, v2 := ms.vert(l, t.v[0]), ms.vert(l, t.v[1]), ms.vert(l, t.v[2])
 		e0, e1 := sc.e0[si], sc.e1[si]
 		di := int(sc.y[si])*fb.W + int(sc.x0[si])
 		cnt := int(sc.n[si])
@@ -430,15 +445,15 @@ func (r *Renderer) flushSpans(setups []triSetup, sc *bandScratch) {
 			w0 := (float64(e0) * fixedToFloat) * t.invArea
 			w1 := (float64(e1) * fixedToFloat) * t.invArea
 			w2 := 1 - w0 - w1
-			z := w0*t.z0 + w1*t.z1 + w2*t.z2
+			z := w0*v0.z + w1*v1.z + w2*v2.z
 			if z >= -1 && z <= 1 {
 				zf := float32(z)
 				if zf < fb.Depth[di] {
 					// Perspective-correct color interpolation.
-					iw := w0*t.iw0 + w1*t.iw1 + w2*t.iw2
-					cr := (w0*t.c0.X*t.iw0 + w1*t.c1.X*t.iw1 + w2*t.c2.X*t.iw2) / iw
-					cg := (w0*t.c0.Y*t.iw0 + w1*t.c1.Y*t.iw1 + w2*t.c2.Y*t.iw2) / iw
-					cb := (w0*t.c0.Z*t.iw0 + w1*t.c1.Z*t.iw1 + w2*t.c2.Z*t.iw2) / iw
+					iw := w0*v0.invW + w1*v1.invW + w2*v2.invW
+					cr := (w0*v0.color.X*v0.invW + w1*v1.color.X*v1.invW + w2*v2.color.X*v2.invW) / iw
+					cg := (w0*v0.color.Y*v0.invW + w1*v1.color.Y*v1.invW + w2*v2.color.Y*v2.invW) / iw
+					cb := (w0*v0.color.Z*v0.invW + w1*v1.color.Z*v1.invW + w2*v2.color.Z*v2.invW) / iw
 					fb.Depth[di] = zf
 					ci := di * 3
 					fb.Color[ci] = toByte(cr)

@@ -4,7 +4,7 @@ import "math"
 
 // Float reference core for differential testing.
 //
-// referenceBand rasterizes the same triSetup list as bandRaster
+// referenceBand rasterizes the same setup lists as bandRaster
 // (fixedpoint.go), but the slow, obvious way: every bounding-box pixel
 // evaluates all three edge functions directly in float64 from the
 // snapped vertex positions. Snapped coordinates are multiples of 1/64
@@ -21,18 +21,23 @@ import "math"
 
 // referenceBand fills triangles into rows [y0, y1) by direct per-pixel
 // float edge evaluation. Selected via (*Renderer).UseReferenceCore.
-func (r *Renderer) referenceBand(setups []triSetup, y0, y1 int, sc *bandScratch) {
+func (r *Renderer) referenceBand(ms *meshScratch, l *setupList, y0, y1 int, sc *bandScratch) {
 	fb := r.FB
-	for ti := range setups {
-		t := &setups[ti]
+	for ti := range l.tris {
+		t := &l.tris[ti]
+		v0, v1, v2 := ms.vert(l, t.v[0]), ms.vert(l, t.v[1]), ms.vert(l, t.v[2])
+		// The snapped positions as floats: multiples of 1/64 pixel.
+		x0f, y0f := float64(v0.sx)/subScale, float64(v0.sy)/subScale
+		x1f, y1f := float64(v1.sx)/subScale, float64(v1.sy)/subScale
+		x2f, y2f := float64(v2.sx)/subScale, float64(v2.sy)/subScale
 		// The floor/ceil box of the snapped corners, not the setup's
 		// pixel-centre box: the reference tests every pixel near the
 		// triangle, so a covered pixel that pixelBox left out is a
 		// parity failure.
-		minX := max(int(math.Floor(min(t.x0f, t.x1f, t.x2f))), 0)
-		maxX := min(int(math.Ceil(max(t.x0f, t.x1f, t.x2f))), fb.W-1)
-		yS := max(int(math.Floor(min(t.y0f, t.y1f, t.y2f))), y0)
-		yE := min(int(math.Ceil(max(t.y0f, t.y1f, t.y2f))), y1-1)
+		minX := max(int(math.Floor(min(x0f, x1f, x2f))), 0)
+		maxX := min(int(math.Ceil(max(x0f, x1f, x2f))), fb.W-1)
+		yS := max(int(math.Floor(min(y0f, y1f, y2f))), y0)
+		yE := min(int(math.Ceil(max(y0f, y1f, y2f))), y1-1)
 		for y := yS; y <= yE; y++ {
 			py := float64(y) + 0.5
 			for x := minX; x <= maxX; x++ {
@@ -41,22 +46,22 @@ func (r *Renderer) referenceBand(setups []triSetup, y0, y1 int, sc *bandScratch)
 				// interior is where all three are <= 0, with pixel
 				// centres exactly on a non-top-left edge excluded (the
 				// same top-left rule the integer bias encodes).
-				e0 := (t.x2f-t.x1f)*(py-t.y1f) - (t.y2f-t.y1f)*(px-t.x1f)
+				e0 := (x2f-x1f)*(py-y1f) - (y2f-y1f)*(px-x1f)
 				if e0 > 0 || (e0 == 0 && t.bias0 != 0) {
 					continue
 				}
-				e1 := (t.x0f-t.x2f)*(py-t.y2f) - (t.y0f-t.y2f)*(px-t.x2f)
+				e1 := (x0f-x2f)*(py-y2f) - (y0f-y2f)*(px-x2f)
 				if e1 > 0 || (e1 == 0 && t.bias1 != 0) {
 					continue
 				}
-				e2 := (t.x1f-t.x0f)*(py-t.y0f) - (t.y1f-t.y0f)*(px-t.x0f)
+				e2 := (x1f-x0f)*(py-y0f) - (y1f-y0f)*(px-x0f)
 				if e2 > 0 || (e2 == 0 && t.bias2 != 0) {
 					continue
 				}
 				w0 := e0 * t.invArea
 				w1 := e1 * t.invArea
 				w2 := 1 - w0 - w1
-				z := w0*t.z0 + w1*t.z1 + w2*t.z2
+				z := w0*v0.z + w1*v1.z + w2*v2.z
 				if z < -1 || z > 1 {
 					continue
 				}
@@ -66,10 +71,10 @@ func (r *Renderer) referenceBand(setups []triSetup, y0, y1 int, sc *bandScratch)
 					continue
 				}
 				// Perspective-correct color interpolation.
-				iw := w0*t.iw0 + w1*t.iw1 + w2*t.iw2
-				cr := (w0*t.c0.X*t.iw0 + w1*t.c1.X*t.iw1 + w2*t.c2.X*t.iw2) / iw
-				cg := (w0*t.c0.Y*t.iw0 + w1*t.c1.Y*t.iw1 + w2*t.c2.Y*t.iw2) / iw
-				cb := (w0*t.c0.Z*t.iw0 + w1*t.c1.Z*t.iw1 + w2*t.c2.Z*t.iw2) / iw
+				iw := w0*v0.invW + w1*v1.invW + w2*v2.invW
+				cr := (w0*v0.color.X*v0.invW + w1*v1.color.X*v1.invW + w2*v2.color.X*v2.invW) / iw
+				cg := (w0*v0.color.Y*v0.invW + w1*v1.color.Y*v1.invW + w2*v2.color.Y*v2.invW) / iw
+				cb := (w0*v0.color.Z*v0.invW + w1*v1.color.Z*v1.invW + w2*v2.color.Z*v2.invW) / iw
 				fb.Depth[di] = zf
 				ci := di * 3
 				fb.Color[ci] = toByte(cr)

@@ -101,28 +101,32 @@ func (r *Renderer) tileOrigin() (int, int) {
 	return r.Opts.Tile.Min.X, r.Opts.Tile.Min.Y
 }
 
-// shadedVert is a vertex after the vertex stage: clip-space position plus
-// a lit RGB color.
-type shadedVert struct {
+// screenVert is the one record the vertex stage writes per vertex and
+// every later stage reads in place: the lit colour, and — for a vertex
+// in front of the near plane — its position snapped to the 26.6 subpixel
+// grid (tile-local), NDC depth and 1/w. A triangle's setup refers to its
+// three records by index instead of copying them. Nothing else is kept
+// per vertex: the near-plane clip path recomputes the clip positions of
+// the few triangles that need one (clipPos, the expression shade uses).
+type screenVert struct {
+	sx, sy int32      // 26.6 fixed-point screen position
+	z      float64    // NDC depth, linear in screen space
+	invW   float64    // 1/w for perspective-correct attribute interpolation
+	color  mathx.Vec3 // lit RGB
+}
+
+// clipVert is a vertex on the near-plane clip path: clip-space position
+// plus the lit colour, both interpolated where an edge crosses the plane.
+type clipVert struct {
 	clip  mathx.Vec4
 	color mathx.Vec3
 }
 
-// screenVert is a vertex ready for rasterization. Positions are
-// snapped to the 26.6 subpixel grid: sx, sy are the fixed-point
-// coordinates and x, y the exact float equivalents (sx/64, sy/64).
-type screenVert struct {
-	x, y   float64
-	sx, sy int32   // 26.6 fixed-point screen position
-	z      float64 // NDC depth, linear in screen space
-	invW   float64 // 1/w for perspective-correct attribute interpolation
-	color  mathx.Vec3
-}
-
 // forkMinVerts is the mesh size below which the vertex and setup stages
-// run inline whatever Opts.Workers says. Measured with Workers 2 (spheres,
-// EXPERIMENTS.md PR 21): inline is 5 to 20 % faster from 270 to 1,500
-// vertices, the two tie near 2,000, forking wins 15 to 40 % from 3,500.
+// run inline whatever Opts.Workers says. Measured with Workers 2 on two
+// hyperthread siblings (spheres, EXPERIMENTS.md PR 24): inline is 5 to
+// 15 % faster up to 1,000 vertices, the two tie from 1,400 to 10,000,
+// forking wins 10 % at 16,000.
 const forkMinVerts = 2048
 
 // fork calls fn(w, lo, hi) for worker w's contiguous share [lo, hi) of n
@@ -146,18 +150,28 @@ func fork(workers, n int, fn func(w, lo, hi int)) {
 	wg.Wait()
 }
 
+// setupList is what one setup worker produced: its triangles in index
+// order, the vertices near-plane clipping made for them, and how many
+// triangles it counted as drawn. A triSetup's vertex index below the
+// mesh's vertex count names a vertex-stage record; index nv+k names
+// clip[k] of the list the triangle is in, so clip may grow (and move)
+// while the list is being built.
+type setupList struct {
+	tris  []triSetup
+	clip  []screenVert
+	drawn int
+}
+
 // meshScratch is the working memory of one RenderMesh call: the vertex
-// stage's per-vertex outputs and each setup worker's triangle list.
+// stage's record per vertex and each setup worker's list.
 type meshScratch struct {
-	verts []shadedVert
-	proj  []screenVert
-	flags []uint8
-	// lists[w] holds the triangles worker w set up, in index order.
+	verts []screenVert
+	// ready[i] is 1 when vertex i is in front of the near plane and
+	// projectable, so verts[i] holds its screen position; else 0.
+	ready []uint8
 	// Workers take contiguous index ranges, so walking the lists in
 	// worker order visits triangles in exactly the serial order.
-	lists [][]triSetup
-	// drawn[w] is how many triangles worker w counted as drawn.
-	drawn []int
+	lists []setupList
 }
 
 // meshPool recycles meshScratch across meshes, frames and Renderers, so
@@ -168,17 +182,25 @@ var meshPool = sync.Pool{New: func() any { return new(meshScratch) }}
 // given number of workers.
 func (ms *meshScratch) size(nv, workers int) {
 	if cap(ms.verts) < nv {
-		ms.verts = make([]shadedVert, nv)
-		ms.proj = make([]screenVert, nv)
-		ms.flags = make([]uint8, nv)
+		ms.verts = make([]screenVert, nv)
+		ms.ready = make([]uint8, nv)
 	}
-	ms.verts, ms.proj, ms.flags = ms.verts[:nv], ms.proj[:nv], ms.flags[:nv]
+	ms.verts, ms.ready = ms.verts[:nv], ms.ready[:nv]
 	for len(ms.lists) < workers {
-		ms.lists, ms.drawn = append(ms.lists, nil), append(ms.drawn, 0)
+		ms.lists = append(ms.lists, setupList{})
 	}
 	for w := range ms.lists {
-		ms.lists[w], ms.drawn[w] = ms.lists[w][:0], 0
+		l := &ms.lists[w]
+		l.tris, l.clip, l.drawn = l.tris[:0], l.clip[:0], 0
 	}
+}
+
+// vert resolves a triSetup vertex index of list l (see setupList).
+func (ms *meshScratch) vert(l *setupList, i int32) *screenVert {
+	if int(i) < len(ms.verts) {
+		return &ms.verts[i]
+	}
+	return &l.clip[int(i)-len(ms.verts)]
 }
 
 // meshPass is what every vertex and triangle of one RenderMesh call
@@ -189,8 +211,10 @@ type meshPass struct {
 	light        mathx.Vec3
 	ambient      float64
 	defaultColor mathx.Vec3
-	// Full image size, the tile's origin in it, and the tile's own size.
-	fullW, fullH, ox, oy, fbW, fbH int
+	// Full image size and the tile's origin in it, as the floats the
+	// projection multiplies by, and the tile's own size.
+	fullW, fullH, ox, oy float64
+	fbW, fbH             int
 }
 
 // RenderMesh draws the mesh under the given model transform and camera.
@@ -202,9 +226,10 @@ func (r *Renderer) RenderMesh(m *geom.Mesh, model mathx.Mat4, cam Camera) {
 		defaultColor: r.Opts.DefaultColor,
 		fbW:          r.FB.W, fbH: r.FB.H,
 	}
-	p.fullW, p.fullH = r.fullSize()
-	p.ox, p.oy = r.tileOrigin()
-	p.mvp = cam.ViewProjection(float64(p.fullW) / float64(p.fullH)).Mul(model)
+	fullW, fullH := r.fullSize()
+	ox, oy := r.tileOrigin()
+	p.fullW, p.fullH, p.ox, p.oy = float64(fullW), float64(fullH), float64(ox), float64(oy)
+	p.mvp = cam.ViewProjection(float64(fullW) / float64(fullH)).Mul(model)
 
 	workers := max(r.Opts.Workers, 1)
 	if len(m.Positions) < forkMinVerts {
@@ -213,85 +238,92 @@ func (r *Renderer) RenderMesh(m *geom.Mesh, model mathx.Mat4, cam Camera) {
 	ms := meshPool.Get().(*meshScratch)
 	ms.size(len(m.Positions), workers)
 	fork(workers, len(m.Positions), func(_, lo, hi int) { p.shade(ms, lo, hi) })
-	fork(workers, m.TriangleCount(), func(w, lo, hi int) {
-		ms.lists[w], ms.drawn[w] = p.setup(ms, ms.lists[w], lo, hi)
-	})
+	fork(workers, m.TriangleCount(), func(w, lo, hi int) { p.setup(ms, &ms.lists[w], lo, hi) })
 	r.TrianglesDrawn = 0
-	for _, n := range ms.drawn {
-		r.TrianglesDrawn += n
+	for w := range ms.lists {
+		r.TrianglesDrawn += ms.lists[w].drawn
 	}
 	r.Opts.Metrics.Counter(r.Opts.Service, "raster_triangles_total", "").Add(int64(r.TrianglesDrawn))
 	// Fill, a band of rows to a worker: the lists are shared read-only
 	// and the bands are disjoint, so the pixel buffers need no locking.
-	fork(r.Opts.Workers, r.FB.H, func(_, y0, y1 int) { r.timedBand(ms.lists, y0, y1) })
+	fork(r.Opts.Workers, r.FB.H, func(_, y0, y1 int) { r.timedBand(ms, y0, y1) })
 	meshPool.Put(ms)
 }
 
-// shade is the vertex stage over vertices [lo, hi): transform, light,
-// and project every vertex once. Each vertex records whether it is
-// near-plane inside (bit 0) and projectable (bit 1); vertices with both
-// bits set get their screen position up front, so shared-vertex meshes
-// project each vertex once instead of once per incident triangle.
+// clipPos is vertex i's clip-space position. shade and the clip path
+// both call it, so a clip position recomputed for a straddling triangle
+// is the one the vertex stage saw.
+func (p *meshPass) clipPos(i uint32) mathx.Vec4 {
+	return p.mvp.MulVec4(mathx.FromPoint(p.mesh.Positions[i]))
+}
+
+// shade is the vertex stage over vertices [lo, hi): light every vertex
+// and, when it is in front of the near plane, project it — each record
+// written once, in place, so a mesh with shared vertices projects each
+// once instead of once per incident triangle.
 func (p *meshPass) shade(ms *meshScratch, lo, hi int) {
 	m := p.mesh
 	for i := lo; i < hi; i++ {
-		clip := p.mvp.MulVec4(mathx.FromPoint(m.Positions[i]))
-		base := p.defaultColor
+		v := &ms.verts[i]
+		base := &p.defaultColor
 		if m.Colors != nil {
-			base = m.Colors[i]
+			base = &m.Colors[i]
 		}
 		intensity := 1.0
 		if m.Normals != nil {
 			n := p.model.TransformDir(m.Normals[i]).Normalize()
-			diffuse := math.Max(0, n.Dot(p.light))
+			diffuse := max(0, n.Dot(p.light))
 			intensity = p.ambient + (1-p.ambient)*diffuse
 		}
-		ms.verts[i] = shadedVert{clip: clip, color: base.Scale(intensity)}
-		f := uint8(0)
-		if clip.Z+clip.W > nearEps {
-			f = 1
+		v.color = base.Scale(intensity)
+		clip := p.clipPos(uint32(i))
+		ms.ready[i] = 0
+		if clip.Z+clip.W > nearEps && clip.W > nearEps {
+			ms.ready[i] = 1
+			p.project(v, clip)
 		}
-		if clip.W > nearEps {
-			f |= 2
-			ms.proj[i] = projectVert(&ms.verts[i], p.fullW, p.fullH, p.ox, p.oy)
-		}
-		ms.flags[i] = f
 	}
 }
 
-// setup assembles, clips and sets up triangles [lo, hi), appending to
-// out, and returns the list with the number of triangles drawn — which
-// counts the ones appendSetup found to cover no pixel and gave no slot.
-// Triangles whose vertices are all inside and projectable reuse the
-// per-vertex projections directly; only triangles straddling the near
-// plane take the clipping slow path (which re-projects with the same
-// expressions, so the result is bit-identical).
-func (p *meshPass) setup(ms *meshScratch, out []triSetup, lo, hi int) ([]triSetup, int) {
-	m, drawn := p.mesh, 0
-	var poly [4]shadedVert
-	var clipped [3]shadedVert
-	var sv [3]screenVert
+// setup assembles, clips and sets up triangles [lo, hi) into l. The
+// drawn count includes the triangles appendSetup found to cover no pixel
+// and gave no slot. Triangles whose vertices are all ready use the
+// vertex stage's records directly; only triangles straddling the near
+// plane take the clipping slow path, which projects what it makes into
+// l.clip with the same expressions, so the result is bit-identical.
+func (p *meshPass) setup(ms *meshScratch, l *setupList, lo, hi int) {
+	m, nv := p.mesh, int32(len(ms.verts))
+	var tri [3]clipVert
+	var poly [4]clipVert
 	for i := lo; i < hi; i++ {
 		i0, i1, i2 := m.Indices[3*i], m.Indices[3*i+1], m.Indices[3*i+2]
-		if ms.flags[i0]&ms.flags[i1]&ms.flags[i2] == 3 {
-			v0, v1, v2 := &ms.proj[i0], &ms.proj[i1], &ms.proj[i2]
+		if ms.ready[i0]&ms.ready[i1]&ms.ready[i2] != 0 {
+			v0, v1, v2 := &ms.verts[i0], &ms.verts[i1], &ms.verts[i2]
 			if frontFacing(v0, v1, v2) {
-				drawn++
-				out = appendSetup(out, v0, v1, v2, p.fbW, p.fbH)
+				l.drawn++
+				l.tris = appendSetup(l.tris, v0, v1, v2, int32(i0), int32(i1), int32(i2), p.fbW, p.fbH)
 			}
 			continue
 		}
-		tri := [3]shadedVert{ms.verts[i0], ms.verts[i1], ms.verts[i2]}
+		for k, idx := range [3]uint32{i0, i1, i2} {
+			tri[k] = clipVert{clip: p.clipPos(idx), color: ms.verts[idx].color}
+		}
 		n := clipNear(&tri, &poly)
 		for k := 1; k+1 < n; k++ {
-			clipped[0], clipped[1], clipped[2] = poly[0], poly[k], poly[k+1]
-			if toScreen(&clipped, &sv, p.fullW, p.fullH, p.ox, p.oy) {
-				drawn++
-				out = appendSetup(out, &sv[0], &sv[1], &sv[2], p.fbW, p.fbH)
+			// Three new records at the end of l.clip, kept only if the
+			// triangle is drawn.
+			at := len(l.clip)
+			l.clip = append(l.clip, screenVert{}, screenVert{}, screenVert{})
+			sv := l.clip[at : at+3]
+			if p.toScreen([3]*clipVert{&poly[0], &poly[k], &poly[k+1]}, sv) {
+				l.drawn++
+				c := nv + int32(at)
+				l.tris = appendSetup(l.tris, &sv[0], &sv[1], &sv[2], c, c+1, c+2, p.fbW, p.fbH)
+			} else {
+				l.clip = l.clip[:at]
 			}
 		}
 	}
-	return out, drawn
 }
 
 // RenderPoints draws a point cloud as single-pixel splats.
@@ -383,7 +415,7 @@ const nearEps = 1e-6
 // into poly, returning the vertex count: 0 (fully clipped), 3, or 4
 // (the caller fans poly[0], poly[k], poly[k+1] into triangles). The
 // fixed-size output keeps the per-triangle clip allocation-free.
-func clipNear(tri *[3]shadedVert, poly *[4]shadedVert) int {
+func clipNear(tri *[3]clipVert, poly *[4]clipVert) int {
 	n := 0
 	for i := 0; i < 3; i++ {
 		cur, next := &tri[i], &tri[(i+1)%3]
@@ -398,7 +430,7 @@ func clipNear(tri *[3]shadedVert, poly *[4]shadedVert) int {
 			d0 := cur.clip.Z + cur.clip.W
 			d1 := next.clip.Z + next.clip.W
 			t := d0 / (d0 - d1)
-			poly[n] = shadedVert{
+			poly[n] = clipVert{
 				clip:  cur.clip.Lerp(next.clip, t),
 				color: cur.color.Lerp(next.color, t),
 			}
@@ -411,24 +443,18 @@ func clipNear(tri *[3]shadedVert, poly *[4]shadedVert) int {
 	return n
 }
 
-// projectVert projects one clip-space vertex into screen space
-// (tile-local coordinates) and snaps it to the 26.6 subpixel grid. The
-// caller must have checked clip.W > nearEps. Both the once-per-vertex
-// fast path and the clip-path toScreen go through this helper, so a
-// re-projected clipped vertex is bit-identical to its precomputed one.
-func projectVert(v *shadedVert, fullW, fullH, ox, oy int) screenVert {
-	ndc := v.clip.PerspectiveDivide()
-	sx := snapCoord((ndc.X*0.5+0.5)*float64(fullW) - float64(ox))
-	sy := snapCoord((0.5-ndc.Y*0.5)*float64(fullH) - float64(oy))
-	return screenVert{
-		x:     float64(sx) / subScale,
-		y:     float64(sy) / subScale,
-		sx:    sx,
-		sy:    sy,
-		z:     ndc.Z,
-		invW:  1 / v.clip.W,
-		color: v.color,
-	}
+// project fills v's screen position (tile-local, snapped to the 26.6
+// subpixel grid), depth and 1/w from its clip-space position; the
+// colour is the caller's. The caller must have checked clip.W > nearEps.
+// Both the once-per-vertex fast path and the clip path's toScreen go
+// through this helper, so a re-projected clipped vertex is bit-identical
+// to its precomputed one.
+func (p *meshPass) project(v *screenVert, clip mathx.Vec4) {
+	ndc := clip.PerspectiveDivide()
+	v.sx = snapCoord((ndc.X*0.5+0.5)*p.fullW - p.ox)
+	v.sy = snapCoord((0.5-ndc.Y*0.5)*p.fullH - p.oy)
+	v.z = ndc.Z
+	v.invW = 1 / clip.W
 }
 
 // frontFacing reports whether the snapped triangle is front-facing.
@@ -443,14 +469,15 @@ func frontFacing(v0, v1, v2 *screenVert) bool {
 	return (x1-x0)*(y2-y0)-(x2-x0)*(y1-y0) < 0
 }
 
-// toScreen projects a clipped triangle into screen space and
-// backface-culls it on the snapped integer area.
-func toScreen(tri *[3]shadedVert, out *[3]screenVert, fullW, fullH, ox, oy int) bool {
-	for i := range tri {
-		if tri[i].clip.W <= nearEps {
+// toScreen projects a clipped triangle into the three records of out
+// and backface-culls it on the snapped integer area.
+func (p *meshPass) toScreen(tri [3]*clipVert, out []screenVert) bool {
+	for i, cv := range tri {
+		if cv.clip.W <= nearEps {
 			return false
 		}
-		out[i] = projectVert(&tri[i], fullW, fullH, ox, oy)
+		out[i].color = cv.color
+		p.project(&out[i], cv.clip)
 	}
 	return frontFacing(&out[0], &out[1], &out[2])
 }
@@ -459,7 +486,7 @@ func toScreen(tri *[3]shadedVert, out *[3]screenVert, fullW, fullH, ox, oy int) 
 // telemetry. Band durations are recorded on the session clock when one
 // is wired up; with a nil Clock the timing alone is skipped — work
 // counters (spans, pixels, early-z rejections) are still recorded.
-func (r *Renderer) timedBand(lists [][]triSetup, y0, y1 int) {
+func (r *Renderer) timedBand(ms *meshScratch, y0, y1 int) {
 	timed := r.Opts.Metrics != nil && r.Opts.Clock != nil
 	var start time.Time
 	if timed {
@@ -467,11 +494,11 @@ func (r *Renderer) timedBand(lists [][]triSetup, y0, y1 int) {
 	}
 	sc := scratchPool.Get().(*bandScratch)
 	sc.init(r.TrianglesDrawn)
-	for _, setups := range lists {
+	for w := range ms.lists {
 		if r.useReference {
-			r.referenceBand(setups, y0, y1, sc)
+			r.referenceBand(ms, &ms.lists[w], y0, y1, sc)
 		} else {
-			r.bandRaster(setups, y0, y1, sc)
+			r.bandRaster(ms, &ms.lists[w], y0, y1, sc)
 		}
 	}
 	m := r.Opts.Metrics
