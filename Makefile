@@ -92,13 +92,14 @@ race:
 # bytes from outside the process (the op-stream follower, the registry's
 # SOAP dispatcher, the transport's frame reader, marshal's op, scene and
 # frame decoders, the wal segment scanner that reads journals and audit
-# trails back, the thin client's image decoder) and the rasterizer's
-# edge functions.
+# trails back, the thin client's image decoder), the rasterizer's edge
+# functions, and the tile frustum the render service culls nodes with.
 # go test takes one -fuzz target and one package per run.
 fuzz-smoke:
 	$(GO) test ./internal/follow -run '^$$' -fuzz '^FuzzFollow$$' -fuzztime 10s
 	$(GO) test ./internal/uddi -run '^$$' -fuzz '^FuzzRegistryDispatch$$' -fuzztime 10s
 	$(GO) test ./internal/raster -run '^$$' -fuzz '^FuzzEdgeFunction$$' -fuzztime 10s
+	$(GO) test ./internal/raster -run '^$$' -fuzz '^FuzzTileCull$$' -fuzztime 10s
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzReceive$$' -fuzztime 10s
 	$(GO) test ./internal/marshal -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
 	$(GO) test ./internal/dataservice/wal -run '^$$' -fuzz '^FuzzScan$$' -fuzztime 10s

@@ -16,9 +16,6 @@ func Identity() Mat4 {
 	}
 }
 
-// At returns element (r, c).
-func (m Mat4) At(r, c int) float64 { return m[r*4+c] }
-
 // Mul returns the matrix product m * n.
 func (m Mat4) Mul(n Mat4) Mat4 {
 	var out Mat4
@@ -59,17 +56,6 @@ func (m Mat4) TransformPoint(p Vec3) Vec3 {
 // TransformDir applies m to a direction (W=0); translation is ignored.
 func (m *Mat4) TransformDir(d Vec3) Vec3 {
 	return m.MulVec4(FromDir(d)).XYZ()
-}
-
-// Transpose returns the transpose of m.
-func (m Mat4) Transpose() Mat4 {
-	var out Mat4
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			out[c*4+r] = m[r*4+c]
-		}
-	}
-	return out
 }
 
 // Translate returns a translation matrix.
@@ -168,37 +154,6 @@ func Perspective(fovy, aspect, near, far float64) Mat4 {
 		0, 0, (far + near) / (near - far), 2 * far * near / (near - far),
 		0, 0, -1, 0,
 	}
-}
-
-// Orthographic returns a right-handed orthographic projection mapping the
-// given box to NDC [-1, 1].
-func Orthographic(left, right, bottom, top, near, far float64) Mat4 {
-	return Mat4{
-		2 / (right - left), 0, 0, -(right + left) / (right - left),
-		0, 2 / (top - bottom), 0, -(top + bottom) / (top - bottom),
-		0, 0, -2 / (far - near), -(far + near) / (far - near),
-		0, 0, 0, 1,
-	}
-}
-
-// Determinant returns the determinant of m.
-func (m Mat4) Determinant() float64 {
-	// Cofactor expansion along the first row, using 2x2 sub-determinants.
-	s0 := m[0]*m[5] - m[4]*m[1]
-	s1 := m[0]*m[6] - m[4]*m[2]
-	s2 := m[0]*m[7] - m[4]*m[3]
-	s3 := m[1]*m[6] - m[5]*m[2]
-	s4 := m[1]*m[7] - m[5]*m[3]
-	s5 := m[2]*m[7] - m[6]*m[3]
-
-	c5 := m[10]*m[15] - m[14]*m[11]
-	c4 := m[9]*m[15] - m[13]*m[11]
-	c3 := m[9]*m[14] - m[13]*m[10]
-	c2 := m[8]*m[15] - m[12]*m[11]
-	c1 := m[8]*m[14] - m[12]*m[10]
-	c0 := m[8]*m[13] - m[12]*m[9]
-
-	return s0*c5 - s1*c4 + s2*c3 + s3*c2 - s4*c1 + s5*c0
 }
 
 // Invert returns the inverse of m. The second result is false when m is

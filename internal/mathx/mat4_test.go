@@ -70,26 +70,6 @@ func TestMulAssociative(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	m := Mat4{
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-		9, 10, 11, 12,
-		13, 14, 15, 16,
-	}
-	mt := m.Transpose()
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			if mt.At(c, r) != m.At(r, c) {
-				t.Fatalf("transpose (%d,%d)", r, c)
-			}
-		}
-	}
-	if !m.Transpose().Transpose().ApproxEq(m, 0) {
-		t.Error("double transpose != original")
-	}
-}
-
 func randomAffine(rng *rand.Rand) Mat4 {
 	m := Translate(V3(rng.Float64()*10-5, rng.Float64()*10-5, rng.Float64()*10-5))
 	m = m.Mul(RotateAxis(V3(rng.Float64()-0.5, rng.Float64()-0.5, rng.Float64()-0.5), rng.Float64()*6))
@@ -122,13 +102,6 @@ func TestInvertSingular(t *testing.T) {
 	}
 }
 
-func TestDeterminant(t *testing.T) {
-	almostEq(t, Identity().Determinant(), 1, 1e-12, "det(I)")
-	almostEq(t, UniformScale(2).Determinant(), 8, 1e-12, "det(scale 2)")
-	almostEq(t, RotateY(1.1).Determinant(), 1, 1e-12, "det(rotation)")
-	almostEq(t, Translate(V3(9, 9, 9)).Determinant(), 1, 1e-12, "det(translation)")
-}
-
 func TestLookAtMapsEyeToOrigin(t *testing.T) {
 	eye := V3(3, 4, 5)
 	view := LookAt(eye, V3(0, 0, 0), V3(0, 1, 0))
@@ -148,18 +121,6 @@ func TestPerspectiveDepthRange(t *testing.T) {
 	far := p.MulVec4(FromPoint(V3(0, 0, -100))).PerspectiveDivide()
 	almostEq(t, near.Z, -1, 1e-9, "near plane NDC depth")
 	almostEq(t, far.Z, 1, 1e-9, "far plane NDC depth")
-}
-
-func TestOrthographicMapsBoxToNDC(t *testing.T) {
-	o := Orthographic(-2, 2, -1, 1, 0.5, 10)
-	p := o.TransformPoint(V3(-2, 1, -0.5))
-	if !p.ApproxEq(V3(-1, 1, -1)) {
-		t.Errorf("ortho corner: got %v", p)
-	}
-	p = o.TransformPoint(V3(2, -1, -10))
-	if !p.ApproxEq(V3(1, -1, 1)) {
-		t.Errorf("ortho far corner: got %v", p)
-	}
 }
 
 func TestPropRotationPreservesLength(t *testing.T) {

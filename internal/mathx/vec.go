@@ -12,27 +12,6 @@ import "math"
 // package.
 const Epsilon = 1e-9
 
-// Vec2 is a 2-component vector, used for texture coordinates and
-// screen-space positions.
-type Vec2 struct {
-	X, Y float64
-}
-
-// Add returns v + u.
-func (v Vec2) Add(u Vec2) Vec2 { return Vec2{v.X + u.X, v.Y + u.Y} }
-
-// Sub returns v - u.
-func (v Vec2) Sub(u Vec2) Vec2 { return Vec2{v.X - u.X, v.Y - u.Y} }
-
-// Scale returns v scaled by s.
-func (v Vec2) Scale(s float64) Vec2 { return Vec2{v.X * s, v.Y * s} }
-
-// Dot returns the dot product of v and u.
-func (v Vec2) Dot(u Vec2) float64 { return v.X*u.X + v.Y*u.Y }
-
-// Len returns the Euclidean length of v.
-func (v Vec2) Len() float64 { return math.Hypot(v.X, v.Y) }
-
 // Vec3 is a 3-component vector: positions, directions and RGB colors.
 type Vec3 struct {
 	X, Y, Z float64

@@ -76,21 +76,6 @@ func TestVec3MinMaxDist(t *testing.T) {
 	almostEq(t, V3(0, 0, 0).Dist(V3(3, 4, 0)), 5, 1e-12, "dist")
 }
 
-func TestVec2Basics(t *testing.T) {
-	a, b := Vec2{1, 2}, Vec2{3, -1}
-	if got := a.Add(b); got != (Vec2{4, 1}) {
-		t.Errorf("Add: got %v", got)
-	}
-	if got := a.Sub(b); got != (Vec2{-2, 3}) {
-		t.Errorf("Sub: got %v", got)
-	}
-	almostEq(t, a.Dot(b), 1, 1e-12, "dot")
-	almostEq(t, (Vec2{3, 4}).Len(), 5, 1e-12, "len")
-	if got := a.Scale(3); got != (Vec2{3, 6}) {
-		t.Errorf("Scale: got %v", got)
-	}
-}
-
 func TestVec4PerspectiveDivide(t *testing.T) {
 	v := Vec4{2, 4, 6, 2}
 	if got := v.PerspectiveDivide(); got != (Vec3{1, 2, 3}) {

@@ -394,8 +394,8 @@ func (r *Renderer) RenderVoxels(g *geom.VoxelGrid, iso float64, model mathx.Mat4
 				if size < 1 {
 					size = 1
 				}
-				if size > 8 {
-					size = 8
+				if size > maxSplat {
+					size = maxSplat
 				}
 				bright := mathx.Clamp(0.3+0.7*(v-iso)/span, 0, 1)
 				c := r.Opts.DefaultColor.Scale(bright)
@@ -455,6 +455,52 @@ func (p *meshPass) project(v *screenVert, clip mathx.Vec4) {
 	v.sy = snapCoord((0.5-ndc.Y*0.5)*p.fullH - p.oy)
 	v.z = ndc.Z
 	v.invW = 1 / clip.W
+}
+
+// maxSplat is the largest side, in pixels, of a voxel splat.
+const maxSplat = 8
+
+// Frustum returns the view frustum of the pixels this renderer draws
+// into under cam: the tile (the full image when Opts.Tile is empty)
+// padded by one pixel on every side, with cam's near and far planes. A
+// mesh or point cloud whose bounds it rejects writes no pixel of the
+// tile: coverage is decided at pixel centres, which sit at least half a
+// pixel inside the tile's edges, and snapping moves a vertex by at most
+// 1/128 px. For the full image it is the frustum of cam alone, widened
+// by the pixel of margin.
+func (r *Renderer) Frustum(cam Camera) mathx.Frustum {
+	return r.frustum(cam, 1)
+}
+
+// SplatFrustum is Frustum for RenderVoxels, whose splats reach up to
+// maxSplat-1 pixels right of and below their cell's pixel: the window
+// grows by that much up and to the left.
+func (r *Renderer) SplatFrustum(cam Camera) mathx.Frustum {
+	return r.frustum(cam, maxSplat)
+}
+
+// frustum is the frustum of the tile padded by one pixel right and
+// below and by lead pixels left and above. It inverts project's
+// convention: a matrix taking the padded window's NDC rectangle onto
+// [-1, 1] is applied after cam's view-projection, leaving z and w — so
+// the near and far planes — as they are.
+func (r *Renderer) frustum(cam Camera, lead int) mathx.Frustum {
+	fullW, fullH := r.fullSize()
+	win := r.Opts.Tile
+	if win.Empty() {
+		win = image.Rect(0, 0, fullW, fullH)
+	}
+	fw, fh := float64(fullW), float64(fullH)
+	// NDC of the window's edges: x grows right, y grows up.
+	left, right := 2*float64(win.Min.X-lead)/fw-1, 2*float64(win.Max.X+1)/fw-1
+	bottom, top := 1-2*float64(win.Max.Y+1)/fh, 1-2*float64(win.Min.Y-lead)/fh
+	window := mathx.Mat4{
+		2 / (right - left), 0, 0, -(right + left) / (right - left),
+		0, 2 / (top - bottom), 0, -(top + bottom) / (top - bottom),
+		0, 0, 1, 0,
+		0, 0, 0, 1,
+	}
+	return mathx.FrustumFromMatrix(window.Mul(cam.ViewProjection(fw / fh)))
 }
 
 // frontFacing reports whether the snapped triangle is front-facing.

@@ -36,7 +36,10 @@ func pinnedScene(t *testing.T) *scene.Scene {
 // load reports and the planner, so it is part of the service's contract.
 // The values are the ones this scene had before the rasterizer's vertex
 // and setup stages ran across workers and before triangles that cover no
-// pixel centre stopped taking a setup slot; neither may move them.
+// pixel centre stopped taking a setup slot; neither may move them. The
+// one thing that may move a tile's charge is a node whose bounds miss
+// the tile's own frustum (raster.Renderer.Frustum) and so is not drawn
+// there — here both nodes reach both tiles, so nothing is culled.
 func TestRenderChargesArePinned(t *testing.T) {
 	const (
 		wantFrame = 16395564 * time.Nanosecond

@@ -244,8 +244,11 @@ func (sess *Session) SceneCost() scene.Cost {
 }
 
 // draw rasterizes sc under cam into fb — the tile region of a fullW x
-// fullH image — culling whole nodes against the view frustum first, and
-// returns the triangles drawn. Callers drawing a replica hold its mutex.
+// fullH image — and returns the triangles drawn. A node is drawn only if
+// its bounds reach the tile's own frustum, so a part of a distributed
+// frame sets up only the triangles that can land in it; a tile is still
+// the crop of the frame it belongs to, byte for byte. Callers drawing a
+// replica hold its mutex.
 func (s *Service) draw(sc *scene.Scene, cam raster.Camera, fb *raster.Framebuffer, tile image.Rectangle, fullW, fullH int, viewer string) int {
 	r := raster.New(fb)
 	r.Opts.Workers = s.cfg.Workers
@@ -254,29 +257,33 @@ func (s *Service) draw(sc *scene.Scene, cam raster.Camera, fb *raster.Framebuffe
 	r.Opts.Metrics = s.cfg.Metrics
 	r.Opts.Service = s.cfg.Name
 	r.Opts.Clock = s.cfg.Clock
-	aspect := float64(fullW) / float64(fullH)
-	frustum := mathx.FrustumFromMatrix(cam.ViewProjection(aspect))
+	frustum, splats := r.Frustum(cam), r.SplatFrustum(cam)
 	tris := 0
 	sc.Walk(func(n *scene.Node, world mathx.Mat4) bool {
-		if n.Payload != nil {
-			bounds := n.Payload.BoundsLocal().Transform(world)
-			if !frustum.IntersectsAABB(bounds) {
-				// Off-screen node: skip the payload (children keep their
-				// own bounds, so keep walking).
-				return true
-			}
-		}
+		// Off-tile nodes are skipped; children keep their own bounds, so
+		// the walk goes on.
 		switch p := n.Payload.(type) {
 		case *scene.MeshPayload:
-			r.RenderMesh(p.Mesh, world, cam)
-			tris += r.TrianglesDrawn
+			if frustum.IntersectsAABB(p.BoundsLocal().Transform(world)) {
+				r.RenderMesh(p.Mesh, world, cam)
+				tris += r.TrianglesDrawn
+			}
 		case *scene.PointsPayload:
-			r.RenderPoints(p.Cloud, world, cam)
+			if frustum.IntersectsAABB(p.BoundsLocal().Transform(world)) {
+				r.RenderPoints(p.Cloud, world, cam)
+			}
 		case *scene.VoxelsPayload:
-			r.RenderVoxels(p.Grid, p.Iso, world, cam)
+			if splats.IntersectsAABB(p.BoundsLocal().Transform(world)) {
+				r.RenderVoxels(p.Grid, p.Iso, world, cam)
+			}
 		case *scene.AvatarPayload:
-			if p.User != viewer {
-				r.RenderMesh(collab.AvatarMesh(p.Color), world, cam)
+			if p.User == viewer {
+				break
+			}
+			// Culled on the mesh it draws, which the payload's nominal
+			// box does not contain.
+			if m := collab.AvatarMesh(p.Color); frustum.IntersectsAABB(m.Bounds().Transform(world)) {
+				r.RenderMesh(m, world, cam)
 				tris += r.TrianglesDrawn
 			}
 		}

@@ -163,7 +163,9 @@ const avatarTriangles = 32
 // ClonePayload implements Payload.
 func (p *AvatarPayload) ClonePayload() Payload { cp := *p; return &cp }
 
-// BoundsLocal implements Payload: a unit-ish cone around the origin.
+// BoundsLocal implements Payload: a unit-ish cone around the origin. It
+// is nominal — collab.AvatarMesh, the cone drawn, lies outside it — so
+// the render service culls avatars on that mesh's bounds instead.
 func (p *AvatarPayload) BoundsLocal() mathx.AABB {
 	return mathx.AABB{Min: mathx.V3(-0.5, -0.5, -1), Max: mathx.V3(0.5, 0.5, 0)}
 }
