@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet fmt-check lint lint-report allow-audit one-follower one-reply unreached vulncheck build test race fuzz-smoke chaos scale partition storage raster loc ci
+.PHONY: all vet fmt-check lint lint-report allow-audit one-follower one-reply unreached vulncheck build test race fuzz-smoke bench-smoke chaos scale partition storage raster loc ci
 
 all: ci
 
@@ -105,6 +105,13 @@ fuzz-smoke:
 	$(GO) test ./internal/dataservice/wal -run '^$$' -fuzz '^FuzzScan$$' -fuzztime 10s
 	$(GO) test ./internal/imgcodec -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
 
+# bench-smoke runs each rasterizer and render-service microbenchmark
+# once, so the ones EXPERIMENTS.md cites (BenchmarkElleFrame's per-mesh
+# and batched frames, BenchmarkRenderTile) keep compiling and running;
+# it times nothing.
+bench-smoke:
+	$(GO) test ./internal/raster ./internal/renderservice -run '^$$' -bench 'ElleFrame|RenderTile' -benchtime 1x
+
 # chaos runs the kill-and-recover suite twice under the race detector:
 # failover and recovery schedules are goroutine-heavy, and a second run
 # shakes out order-dependent flakes the first can mask.
@@ -165,8 +172,8 @@ loc:
 # audit, vet, the one-follower and one-reply grep gates, the unreached-code gate,
 # govulncheck when present), a clean build, the test suite under the
 # race detector, ten seconds of
-# fuzzing per target, a doubled chaos pass (the chaos suite exercises concurrent failure recovery, so -race
+# fuzzing per target, one run of each raster microbenchmark, a doubled chaos pass (the chaos suite exercises concurrent failure recovery, so -race
 # is part of the bar, not an extra), the reduced fleet-scale load,
 # region-partition, and sick-disk scenarios, and the rasterizer
 # regression benchmark.
-ci: fmt-check lint-report allow-audit lint one-follower one-reply unreached vulncheck build race fuzz-smoke chaos scale partition storage raster
+ci: fmt-check lint-report allow-audit lint one-follower one-reply unreached vulncheck build race fuzz-smoke bench-smoke chaos scale partition storage raster

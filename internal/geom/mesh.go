@@ -1,7 +1,7 @@
 // Package geom provides the geometry substrate of RAVE: triangle meshes,
 // point clouds and voxel grids (the three node payload types the paper's
-// scene tree supports), together with normal generation, spatial
-// splitting and marching cubes.
+// scene tree supports), together with normal generation and spatial
+// splitting.
 package geom
 
 import (
@@ -109,16 +109,6 @@ func (m *Mesh) ComputeNormals() {
 		normals[i] = normals[i].Normalize()
 	}
 	m.Normals = normals
-}
-
-// SurfaceArea returns the total area of all triangles.
-func (m *Mesh) SurfaceArea() float64 {
-	total := 0.0
-	for i := 0; i < m.TriangleCount(); i++ {
-		a, b, c := m.Triangle(i)
-		total += b.Sub(a).Cross(c.Sub(a)).Len() / 2
-	}
-	return total
 }
 
 // Append merges other into m, offsetting indices. Attribute presence is

@@ -94,13 +94,6 @@ func TestComputeNormalsFlatQuad(t *testing.T) {
 	}
 }
 
-func TestSurfaceArea(t *testing.T) {
-	m := quadMesh()
-	if got := m.SurfaceArea(); math.Abs(got-1) > 1e-12 {
-		t.Errorf("unit quad area = %v", got)
-	}
-}
-
 func TestMeshTransform(t *testing.T) {
 	m := quadMesh()
 	m.ComputeNormals()
@@ -141,91 +134,29 @@ func TestMeshAppend(t *testing.T) {
 	}
 }
 
-func sphereGrid(n int, r float64) *VoxelGrid {
-	g := NewVoxelGrid(n, n, n, mathx.V3(-1.5, -1.5, -1.5), 3.0/float64(n-1))
-	g.Fill(SphereField(mathx.V3(0, 0, 0), r))
-	return g
-}
-
-func TestMarchingCubesSphere(t *testing.T) {
-	g := sphereGrid(32, 1)
-	m := MarchingCubes(g, 0)
-	if m.TriangleCount() < 100 {
-		t.Fatalf("sphere produced only %d triangles", m.TriangleCount())
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatalf("invalid mesh: %v", err)
-	}
-	// Surface area should approximate 4*pi*r^2 within a few percent.
-	want := 4 * math.Pi
-	got := m.SurfaceArea()
-	if math.Abs(got-want)/want > 0.05 {
-		t.Errorf("sphere area = %v, want approx %v", got, want)
-	}
-	// All vertices near radius 1.
-	for _, p := range m.Positions {
-		if r := p.Len(); r < 0.9 || r > 1.1 {
-			t.Fatalf("vertex at radius %v", r)
+// sphereMesh is a unit sphere at the origin, stacks x slices quads of
+// latitude and longitude.
+func sphereMesh(stacks, slices int) *Mesh {
+	m := &Mesh{}
+	for i := 0; i <= stacks; i++ {
+		theta := math.Pi * float64(i) / float64(stacks)
+		for j := 0; j <= slices; j++ {
+			phi := 2 * math.Pi * float64(j) / float64(slices)
+			m.Positions = append(m.Positions, mathx.V3(math.Sin(theta)*math.Cos(phi), math.Cos(theta), math.Sin(theta)*math.Sin(phi)))
 		}
 	}
-}
-
-func TestMarchingCubesWatertight(t *testing.T) {
-	g := sphereGrid(16, 1)
-	m := MarchingCubes(g, 0)
-	// Every undirected edge of a closed surface is shared by exactly 2
-	// triangles.
-	type edge struct{ a, b uint32 }
-	edges := map[edge]int{}
-	for i := 0; i < m.TriangleCount(); i++ {
-		idx := [3]uint32{m.Indices[3*i], m.Indices[3*i+1], m.Indices[3*i+2]}
-		for e := 0; e < 3; e++ {
-			a, b := idx[e], idx[(e+1)%3]
-			if a > b {
-				a, b = b, a
-			}
-			edges[edge{a, b}]++
+	for i := 0; i < stacks; i++ {
+		for j := 0; j < slices; j++ {
+			a := uint32(i*(slices+1) + j)
+			b, c, d := a+1, a+uint32(slices+1), a+uint32(slices+2)
+			m.Indices = append(m.Indices, a, c, b, b, c, d)
 		}
 	}
-	for e, count := range edges {
-		if count != 2 {
-			t.Fatalf("edge %v shared by %d triangles, want 2", e, count)
-		}
-	}
-}
-
-func TestMarchingCubesOutwardNormals(t *testing.T) {
-	g := sphereGrid(24, 1)
-	m := MarchingCubes(g, 0)
-	outward := 0
-	for i := 0; i < m.TriangleCount(); i++ {
-		a, b, c := m.Triangle(i)
-		n := b.Sub(a).Cross(c.Sub(a))
-		centroid := a.Add(b).Add(c).Scale(1.0 / 3)
-		if n.Dot(centroid) > 0 {
-			outward++
-		}
-	}
-	if frac := float64(outward) / float64(m.TriangleCount()); frac < 0.99 {
-		t.Errorf("only %.1f%% of triangles face outward", frac*100)
-	}
-}
-
-func TestMarchingCubesEmptyAndTiny(t *testing.T) {
-	g := NewVoxelGrid(8, 8, 8, mathx.V3(0, 0, 0), 1)
-	m := MarchingCubes(g, 0.5) // all zeros: no surface
-	if m.TriangleCount() != 0 {
-		t.Errorf("flat field produced %d triangles", m.TriangleCount())
-	}
-	tiny := NewVoxelGrid(1, 1, 1, mathx.V3(0, 0, 0), 1)
-	if got := MarchingCubes(tiny, 0); got.TriangleCount() != 0 {
-		t.Errorf("1x1x1 grid produced triangles")
-	}
+	return m
 }
 
 func TestSplitSpatiallyPreservesTriangles(t *testing.T) {
-	g := sphereGrid(24, 1)
-	m := MarchingCubes(g, 0)
+	m := sphereMesh(24, 48)
 	for _, n := range []int{1, 2, 3, 5} {
 		pieces := m.SplitSpatially(n)
 		total := 0
@@ -245,8 +176,7 @@ func TestSplitSpatiallyPreservesTriangles(t *testing.T) {
 }
 
 func TestSplitSpatiallySeparates(t *testing.T) {
-	g := sphereGrid(24, 1)
-	m := MarchingCubes(g, 0)
+	m := sphereMesh(24, 48)
 	pieces := m.SplitSpatially(2)
 	if len(pieces) != 2 {
 		t.Fatalf("want 2 pieces, got %d", len(pieces))

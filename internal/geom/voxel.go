@@ -2,15 +2,13 @@ package geom
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/mathx"
 )
 
 // VoxelGrid is a regular scalar field: NX*NY*NZ samples with the sample
-// (i,j,k) located at Origin + (i,j,k)*Spacing. It is both a renderable
-// payload (the paper's planned voxel support, §6) and the input to
-// marching cubes (how the paper's skeleton model was produced).
+// (i,j,k) located at Origin + (i,j,k)*Spacing: a renderable payload (the
+// paper's planned voxel support, §6).
 type VoxelGrid struct {
 	NX, NY, NZ int
 	Origin     mathx.Vec3
@@ -124,51 +122,5 @@ func (g *VoxelGrid) SplitSlabs(n int) []*VoxelGrid {
 func SphereField(center mathx.Vec3, radius float64) func(p mathx.Vec3) float64 {
 	return func(p mathx.Vec3) float64 {
 		return radius - p.Sub(center).Len()
-	}
-}
-
-// MetaballField sums classic metaball contributions: each ball adds
-// r^2/d^2 and the field is compared against a threshold (positive inside).
-// Metaball isosurfaces are how the procedural "hand" and "skeleton" models
-// are sculpted.
-func MetaballField(centers []mathx.Vec3, radii []float64, threshold float64) func(p mathx.Vec3) float64 {
-	return func(p mathx.Vec3) float64 {
-		sum := 0.0
-		for i, c := range centers {
-			d2 := p.Sub(c).LenSq()
-			if d2 < 1e-12 {
-				d2 = 1e-12
-			}
-			sum += radii[i] * radii[i] / d2
-		}
-		return sum - threshold
-	}
-}
-
-// CapsuleField returns a field positive inside a capsule (a segment with
-// radius), used to sculpt bone-like shapes.
-func CapsuleField(a, b mathx.Vec3, radius float64) func(p mathx.Vec3) float64 {
-	ab := b.Sub(a)
-	abLenSq := ab.LenSq()
-	return func(p mathx.Vec3) float64 {
-		t := 0.0
-		if abLenSq > 0 {
-			t = mathx.Clamp(p.Sub(a).Dot(ab)/abLenSq, 0, 1)
-		}
-		closest := a.Add(ab.Scale(t))
-		return radius - p.Sub(closest).Len()
-	}
-}
-
-// MaxField combines fields with a union (max), so separate solids merge.
-func MaxField(fields ...func(p mathx.Vec3) float64) func(p mathx.Vec3) float64 {
-	return func(p mathx.Vec3) float64 {
-		best := math.Inf(-1)
-		for _, f := range fields {
-			if v := f(p); v > best {
-				best = v
-			}
-		}
-		return best
 	}
 }

@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/mathx"
@@ -69,53 +68,6 @@ func TestVoxelFillAndFields(t *testing.T) {
 	}
 }
 
-func TestCapsuleField(t *testing.T) {
-	f := CapsuleField(mathx.V3(0, 0, 0), mathx.V3(10, 0, 0), 1)
-	if f(mathx.V3(5, 0.5, 0)) <= 0 {
-		t.Error("point near axis not inside capsule")
-	}
-	if f(mathx.V3(5, 2, 0)) >= 0 {
-		t.Error("point far from axis inside capsule")
-	}
-	if f(mathx.V3(-0.5, 0, 0)) <= 0 {
-		t.Error("end cap not inside")
-	}
-	if f(mathx.V3(-2, 0, 0)) >= 0 {
-		t.Error("beyond end cap inside")
-	}
-	// Degenerate capsule is a sphere.
-	s := CapsuleField(mathx.V3(1, 1, 1), mathx.V3(1, 1, 1), 2)
-	if s(mathx.V3(1, 1, 2)) <= 0 {
-		t.Error("degenerate capsule rejects interior point")
-	}
-}
-
-func TestMetaballField(t *testing.T) {
-	f := MetaballField(
-		[]mathx.Vec3{mathx.V3(0, 0, 0), mathx.V3(4, 0, 0)},
-		[]float64{1, 1},
-		1,
-	)
-	if f(mathx.V3(0, 0.5, 0)) <= 0 {
-		t.Error("point inside first ball rejected")
-	}
-	if f(mathx.V3(2, 3, 0)) >= 0 {
-		t.Error("distant point accepted")
-	}
-}
-
-func TestMaxField(t *testing.T) {
-	a := SphereField(mathx.V3(0, 0, 0), 1)
-	b := SphereField(mathx.V3(5, 0, 0), 1)
-	u := MaxField(a, b)
-	if u(mathx.V3(0, 0, 0)) <= 0 || u(mathx.V3(5, 0, 0)) <= 0 {
-		t.Error("union misses component interiors")
-	}
-	if u(mathx.V3(2.5, 0, 0)) >= 0 {
-		t.Error("union includes gap between spheres")
-	}
-}
-
 func TestSplitSlabsCoversGrid(t *testing.T) {
 	g := NewVoxelGrid(4, 4, 9, mathx.V3(0, 0, 0), 1)
 	for i := range g.Data {
@@ -162,21 +114,5 @@ func TestSplitSlabsDegenerate(t *testing.T) {
 	one := g.SplitSlabs(1)
 	if len(one) != 1 || one[0].NZ != 2 {
 		t.Errorf("single slab: %d pieces", len(one))
-	}
-}
-
-func TestSlabIsosurfaceMatchesWhole(t *testing.T) {
-	// Extracting the isosurface from slabs and merging should give about
-	// the same total area as extracting from the whole grid.
-	g := NewVoxelGrid(24, 24, 24, mathx.V3(-1.5, -1.5, -1.5), 3.0/23)
-	g.Fill(SphereField(mathx.Vec3{}, 1))
-	whole := MarchingCubes(g, 0).SurfaceArea()
-	slabs := g.SplitSlabs(3)
-	part := 0.0
-	for _, s := range slabs {
-		part += MarchingCubes(s, 0).SurfaceArea()
-	}
-	if math.Abs(part-whole)/whole > 0.01 {
-		t.Errorf("slab area %v vs whole %v", part, whole)
 	}
 }

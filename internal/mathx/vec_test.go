@@ -76,6 +76,48 @@ func TestVec3MinMaxDist(t *testing.T) {
 	almostEq(t, V3(0, 0, 0).Dist(V3(3, 4, 0)), 5, 1e-12, "dist")
 }
 
+// Vec3.Min and Max use the builtins, which inline where math.Min and
+// math.Max do not; every bounds in the system is built through them, so
+// they must agree with the math package on zeros of both signs,
+// infinities, NaN and ordinary values, in every component. The one
+// difference is pinned too: math.Min(NaN, -Inf) is -Inf and
+// math.Max(NaN, +Inf) is +Inf, where the builtins return NaN as they do
+// for every other NaN operand. A box with a NaN corner is never culled
+// (Frustum.IntersectsAABB's comparisons are all false), so the change
+// keeps culling conservative.
+func TestVec3MinMaxMatchMathPackage(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	values := []float64{nan, inf, -inf, 0, negZero, 1, -1, 2.5, -3.75, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	// want is fn(x, y) except where NaN meets the infinity fn returns.
+	want := func(fn func(x, y float64) float64, bound, x, y float64) float64 {
+		if (math.IsNaN(x) && y == bound) || (x == bound && math.IsNaN(y)) {
+			return nan
+		}
+		return fn(x, y)
+	}
+	for _, a := range values {
+		for _, b := range values {
+			lo, hi := V3(a, b, a).Min(V3(b, a, b)), V3(a, b, a).Max(V3(b, a, b))
+			los, his := [3]float64{lo.X, lo.Y, lo.Z}, [3]float64{hi.X, hi.Y, hi.Z}
+			for i := 0; i < 3; i++ {
+				x, y := a, b
+				if i == 1 {
+					x, y = b, a
+				}
+				if w := want(math.Min, -inf, x, y); !same(los[i], w) {
+					t.Errorf("Min(%v, %v) component %d = %v, want %v", x, y, i, los[i], w)
+				}
+				if w := want(math.Max, inf, x, y); !same(his[i], w) {
+					t.Errorf("Max(%v, %v) component %d = %v, want %v", x, y, i, his[i], w)
+				}
+			}
+		}
+	}
+}
+
 func TestVec4PerspectiveDivide(t *testing.T) {
 	v := Vec4{2, 4, 6, 2}
 	if got := v.PerspectiveDivide(); got != (Vec3{1, 2, 3}) {

@@ -74,7 +74,7 @@ func TestClippedVertexStorageGrowsInsideOneMesh(t *testing.T) {
 		t.Fatalf("%d vertices: too few to fork", len(sc.mesh.Positions))
 	}
 	emptyPool := func() {
-		for meshPool.Get().(*meshScratch).verts != nil {
+		for len(meshPool.Get().(*Scratch).meshes) != 0 {
 		}
 	}
 	for _, tile := range []image.Rectangle{{}, image.Rect(30, 10, 96, 64)} {

@@ -18,7 +18,7 @@ type Options struct {
 	Light mathx.Vec3
 	// Ambient is the ambient light fraction in [0, 1].
 	Ambient float64
-	// Workers is the number of goroutines a mesh's vertex, setup and
+	// Workers is the number of goroutines a batch's vertex, setup and
 	// scanline-band stages are each split across; values below 2 render
 	// sequentially. The image does not depend on it.
 	Workers int
@@ -51,13 +51,18 @@ func DefaultOptions() Options {
 }
 
 // Renderer draws geometry into a Framebuffer. It owns no working
-// memory: RenderMesh takes its vertex and setup scratch from a package
-// pool and returns it before it returns, so a Renderer built per frame
-// (as the render service builds one) costs only this struct. It is not
-// safe for concurrent render calls (TrianglesDrawn).
+// memory: a mesh batch draws on Scratch, or on scratch taken from a
+// package pool and returned before the call returns, so a Renderer built
+// per frame (as the render service builds one) costs only this struct.
+// It is not safe for concurrent render calls (TrianglesDrawn).
 type Renderer struct {
 	FB   *Framebuffer
 	Opts Options
+
+	// Scratch, when set, is the working memory RenderMeshes and
+	// RenderMesh draw with, kept by its owner from one call to the next;
+	// nil draws on pooled scratch.
+	Scratch *Scratch
 
 	// TrianglesDrawn counts triangles that survived culling and clipping
 	// in the last render call — the quantity device cost models charge.
@@ -122,11 +127,12 @@ type clipVert struct {
 	color mathx.Vec3
 }
 
-// forkMinVerts is the mesh size below which the vertex and setup stages
-// run inline whatever Opts.Workers says. Measured with Workers 2 on two
-// hyperthread siblings (spheres, EXPERIMENTS.md PR 24): inline is 5 to
-// 15 % faster up to 1,000 vertices, the two tie from 1,400 to 10,000,
-// forking wins 10 % at 16,000.
+// forkMinVerts is the batch size, in vertices over all its meshes, below
+// which the vertex and setup stages run inline whatever Opts.Workers
+// says. Measured with Workers 2 on two hyperthread siblings for one
+// mesh a batch (spheres, EXPERIMENTS.md PR 24): inline is 5 to 15 %
+// faster up to 1,000 vertices, the two tie from 1,400 to 10,000, forking
+// wins 10 % at 16,000.
 const forkMinVerts = 2048
 
 // fork calls fn(w, lo, hi) for worker w's contiguous share [lo, hi) of n
@@ -162,8 +168,8 @@ type setupList struct {
 	drawn int
 }
 
-// meshScratch is the working memory of one RenderMesh call: the vertex
-// stage's record per vertex and each setup worker's list.
+// meshScratch is one mesh's share of a batch's working memory: the
+// vertex stage's record per vertex and each setup worker's list.
 type meshScratch struct {
 	verts []screenVert
 	// ready[i] is 1 when vertex i is in front of the near plane and
@@ -174,9 +180,35 @@ type meshScratch struct {
 	lists []setupList
 }
 
-// meshPool recycles meshScratch across meshes, frames and Renderers, so
-// a steady-state frame allocates no per-vertex or per-triangle memory.
-var meshPool = sync.Pool{New: func() any { return new(meshScratch) }}
+// Scratch is the working memory of a mesh batch: every mesh's vertex
+// records and setup lists, all held until the batch's bands are filled.
+// Mesh k of a batch reuses what mesh k of the last batch grew, so an
+// owner that draws the same scene frame after frame (the render service
+// keeps one per replica) stops allocating after the first frames. It
+// serves one render call at a time.
+type Scratch struct {
+	passes []meshPass
+	meshes []meshScratch
+}
+
+// meshPool recycles Scratch for renderers that bring none, across
+// meshes, frames and Renderers, so a steady-state frame allocates no
+// per-vertex or per-triangle memory.
+var meshPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// split calls fn(k, a, b) for each mesh k of the batch holding part of
+// [lo, hi) of the concatenation of every mesh's n-item sequence, with
+// [a, b) that part in mesh k's own numbering.
+func (s *Scratch) split(lo, hi int, n func(*geom.Mesh) int, fn func(k, a, b int)) {
+	base := 0
+	for k := range s.passes {
+		nk := n(s.passes[k].mesh)
+		if a, b := max(lo-base, 0), min(hi-base, nk); a < b {
+			fn(k, a, b)
+		}
+		base += nk
+	}
+}
 
 // size readies the scratch for a mesh of nv vertices set up by the
 // given number of workers.
@@ -203,7 +235,7 @@ func (ms *meshScratch) vert(l *setupList, i int32) *screenVert {
 	return &l.clip[int(i)-len(ms.verts)]
 }
 
-// meshPass is what every vertex and triangle of one RenderMesh call
+// meshPass is what every vertex and triangle of one mesh of a batch
 // shares; the stage workers only read it.
 type meshPass struct {
 	mesh         *geom.Mesh
@@ -217,37 +249,80 @@ type meshPass struct {
 	fbW, fbH             int
 }
 
-// RenderMesh draws the mesh under the given model transform and camera.
+// MeshDraw is one mesh of a RenderMeshes batch under its model
+// transform.
+type MeshDraw struct {
+	Mesh  *geom.Mesh
+	Model mathx.Mat4
+}
+
+// RenderMesh draws the mesh under the given model transform and camera:
+// a batch of one.
 func (r *Renderer) RenderMesh(m *geom.Mesh, model mathx.Mat4, cam Camera) {
-	p := meshPass{
-		mesh: m, model: model,
-		light:        r.Opts.Light.Normalize(),
-		ambient:      mathx.Clamp(r.Opts.Ambient, 0, 1),
-		defaultColor: r.Opts.DefaultColor,
-		fbW:          r.FB.W, fbH: r.FB.H,
+	r.RenderMeshes([]MeshDraw{{Mesh: m, Model: model}}, cam)
+}
+
+// RenderMeshes draws the batch's meshes in order under cam with one fork
+// per stage for the whole batch: worker w shades its contiguous share of
+// the batch's concatenated vertices and sets up its share of the
+// concatenated triangles, into a list of its own per mesh; then each band
+// fills from every mesh's lists, meshes in batch order and a mesh's lists
+// in worker order — the serial order, so every depth tie, and the image,
+// is what RenderMesh on each mesh in turn draws, at any Workers.
+// TrianglesDrawn is the batch's total.
+func (r *Renderer) RenderMeshes(batch []MeshDraw, cam Camera) {
+	s := r.Scratch
+	if s == nil {
+		s = meshPool.Get().(*Scratch)
+		defer meshPool.Put(s)
 	}
 	fullW, fullH := r.fullSize()
 	ox, oy := r.tileOrigin()
-	p.fullW, p.fullH, p.ox, p.oy = float64(fullW), float64(fullH), float64(ox), float64(oy)
-	p.mvp = cam.ViewProjection(float64(fullW) / float64(fullH)).Mul(model)
-
+	frame := meshPass{
+		light:        r.Opts.Light.Normalize(),
+		ambient:      mathx.Clamp(r.Opts.Ambient, 0, 1),
+		defaultColor: r.Opts.DefaultColor,
+		fullW:        float64(fullW), fullH: float64(fullH), ox: float64(ox), oy: float64(oy),
+		fbW: r.FB.W, fbH: r.FB.H,
+	}
+	vp := cam.ViewProjection(float64(fullW) / float64(fullH))
+	nv, nt := 0, 0
+	for _, d := range batch {
+		nv += len(d.Mesh.Positions)
+		nt += d.Mesh.TriangleCount()
+	}
 	workers := max(r.Opts.Workers, 1)
-	if len(m.Positions) < forkMinVerts {
+	if nv < forkMinVerts {
 		workers = 1
 	}
-	ms := meshPool.Get().(*meshScratch)
-	ms.size(len(m.Positions), workers)
-	fork(workers, len(m.Positions), func(_, lo, hi int) { p.shade(ms, lo, hi) })
-	fork(workers, m.TriangleCount(), func(w, lo, hi int) { p.setup(ms, &ms.lists[w], lo, hi) })
+	for len(s.meshes) < len(batch) {
+		s.meshes = append(s.meshes, meshScratch{})
+	}
+	s.passes = s.passes[:0]
+	for k, d := range batch {
+		p := frame
+		p.mesh, p.model, p.mvp = d.Mesh, d.Model, vp.Mul(d.Model)
+		s.passes = append(s.passes, p)
+		s.meshes[k].size(len(d.Mesh.Positions), workers)
+	}
+	meshes := s.meshes[:len(batch)]
+	fork(workers, nv, func(_, lo, hi int) {
+		s.split(lo, hi, (*geom.Mesh).VertexCount, func(k, a, b int) { s.passes[k].shade(&meshes[k], a, b) })
+	})
+	fork(workers, nt, func(w, lo, hi int) {
+		s.split(lo, hi, (*geom.Mesh).TriangleCount, func(k, a, b int) { s.passes[k].setup(&meshes[k], &meshes[k].lists[w], a, b) })
+	})
 	r.TrianglesDrawn = 0
-	for w := range ms.lists {
-		r.TrianglesDrawn += ms.lists[w].drawn
+	for k := range meshes {
+		for w := range meshes[k].lists {
+			r.TrianglesDrawn += meshes[k].lists[w].drawn
+		}
 	}
 	r.Opts.Metrics.Counter(r.Opts.Service, "raster_triangles_total", "").Add(int64(r.TrianglesDrawn))
 	// Fill, a band of rows to a worker: the lists are shared read-only
 	// and the bands are disjoint, so the pixel buffers need no locking.
-	fork(r.Opts.Workers, r.FB.H, func(_, y0, y1 int) { r.timedBand(ms, y0, y1) })
-	meshPool.Put(ms)
+	fork(r.Opts.Workers, r.FB.H, func(_, y0, y1 int) { r.timedBand(meshes, y0, y1) })
+	clear(s.passes) // the scratch outlives the call; the meshes are not its to keep
 }
 
 // clipPos is vertex i's clip-space position. shade and the clip path
@@ -528,11 +603,12 @@ func (p *meshPass) toScreen(tri [3]*clipVert, out []screenVert) bool {
 	return frontFacing(&out[0], &out[1], &out[2])
 }
 
-// timedBand rasterizes one band and flushes its work counters to
-// telemetry. Band durations are recorded on the session clock when one
-// is wired up; with a nil Clock the timing alone is skipped — work
-// counters (spans, pixels, early-z rejections) are still recorded.
-func (r *Renderer) timedBand(ms *meshScratch, y0, y1 int) {
+// timedBand rasterizes one band of a batch's meshes and flushes its work
+// counters to telemetry. Band durations are recorded on the session
+// clock when one is wired up; with a nil Clock the timing alone is
+// skipped — work counters (spans, pixels, early-z rejections) are still
+// recorded.
+func (r *Renderer) timedBand(meshes []meshScratch, y0, y1 int) {
 	timed := r.Opts.Metrics != nil && r.Opts.Clock != nil
 	var start time.Time
 	if timed {
@@ -540,11 +616,14 @@ func (r *Renderer) timedBand(ms *meshScratch, y0, y1 int) {
 	}
 	sc := scratchPool.Get().(*bandScratch)
 	sc.init(r.TrianglesDrawn)
-	for w := range ms.lists {
-		if r.useReference {
-			r.referenceBand(ms, &ms.lists[w], y0, y1, sc)
-		} else {
-			r.bandRaster(ms, &ms.lists[w], y0, y1, sc)
+	for k := range meshes {
+		ms := &meshes[k]
+		for w := range ms.lists {
+			if r.useReference {
+				r.referenceBand(ms, &ms.lists[w], y0, y1, sc)
+			} else {
+				r.bandRaster(ms, &ms.lists[w], y0, y1, sc)
+			}
 		}
 	}
 	m := r.Opts.Metrics

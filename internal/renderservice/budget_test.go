@@ -9,6 +9,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/geom/genmodel"
 	"repro/internal/mathx"
+	"repro/internal/raster"
 	"repro/internal/scene"
 	"repro/internal/telemetry"
 )
@@ -95,46 +96,61 @@ func TestRenderChargesArePinned(t *testing.T) {
 
 // A frame pays for what changed, and between two frames of a replica
 // nothing about the rasterizer's working memory does: once two frames
-// have sized the pooled scratch, a frame allocates its framebuffer and
+// have sized the replica's scratch, a frame allocates its framebuffer and
 // bookkeeping that does not grow with the scene. A renderer that went
 // back to building its vertex or setup arrays per frame (312 bytes a
-// triangle) would fail here, not in a benchmark.
+// triangle) would fail here, not in a benchmark. The second case is the
+// bench's thin frame, eight slabs drawn as one batch, which holds every
+// slab's records at once: its scratch must be reused, not regrown.
 func TestSteadyStateFrameAllocatesOnlyItsFramebuffer(t *testing.T) {
-	const w, h = 200, 150
-	svc := New(Config{Name: "steady", Device: device.CentrinoLaptop, Workers: 2})
-	sc := pinnedScene(t)
-	sess, err := svc.OpenSession("s", sc, testCamera(sc))
-	if err != nil {
-		t.Fatal(err)
+	pinned := pinnedScene(t)
+	elle, elleCam := elleSlabs(t, genmodel.PaperElleTriangles)
+	for _, c := range []struct {
+		name string
+		sc   *scene.Scene
+		cam  raster.Camera
+		w, h int
+	}{
+		{"pinned", pinned, testCamera(pinned), 200, 150},
+		{"elle-slabs", elle, elleCam, 400, 400},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w, h := c.w, c.h
+			svc := New(Config{Name: "steady", Device: device.CentrinoLaptop, Workers: 2})
+			sess, err := svc.OpenSession("s", c.sc, c.cam)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			frame := func() uint64 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if _, err := sess.RenderFrame(w, h, "alice"); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				return after.TotalAlloc - before.TotalAlloc
+			}
+			frame()
+			frame()
+			// The least of several frames: a collection may empty the pools
+			// between two of them (and the race detector makes sync.Pool drop
+			// a quarter of what it is given), which costs that frame a refill
+			// but is not what a frame costs.
+			least := frame()
+			for i := 0; i < 15; i++ {
+				least = min(least, frame())
+			}
+			framebuffer := uint64(w * h * (3 + 4))
+			// 64 KB covers the allocator rounding the two planes up to its size
+			// classes, a frame's closures, wait groups and span (8 KB together),
+			// and a band's 16 KB span buffer or two refilled; the pinned scene's
+			// vertex and setup scratch is 2.5 MB, the slabs' 4 MB.
+			if most := framebuffer + 64<<10; least > most {
+				t.Errorf("a steady-state frame allocated %d bytes, want at most %d (a %d-byte framebuffer and 64 KB)",
+					least, most, framebuffer)
+			}
+			t.Logf("steady-state frame: %d bytes over its %d-byte framebuffer", least-framebuffer, framebuffer)
+		})
 	}
-	defer sess.Close()
-	frame := func() uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := sess.RenderFrame(w, h, "alice"); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	frame()
-	frame()
-	// The least of several frames: a collection may empty the pools
-	// between two of them (and the race detector makes sync.Pool drop
-	// a quarter of what it is given), which costs that frame a refill
-	// but is not what a frame costs.
-	least := frame()
-	for i := 0; i < 15; i++ {
-		least = min(least, frame())
-	}
-	const framebuffer = w * h * (3 + 4)
-	// 64 KB covers the allocator rounding the two planes up to its size
-	// classes, a frame's closures, wait groups and span (8 KB together),
-	// and a band's 16 KB span buffer or two refilled; this scene's vertex
-	// and setup scratch is 2.5 MB.
-	if most := uint64(framebuffer + 64<<10); least > most {
-		t.Errorf("a steady-state frame allocated %d bytes, want at most %d (a %d-byte framebuffer and 64 KB)",
-			least, most, framebuffer)
-	}
-	t.Logf("steady-state frame: %d bytes over its %d-byte framebuffer", least-framebuffer, framebuffer)
 }

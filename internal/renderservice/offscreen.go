@@ -64,7 +64,7 @@ func (q *OffscreenQueue) Submit(sess *Session, w, h int) (*OffscreenRequest, err
 	// device's serialized timeline.
 	fb := raster.NewFramebuffer(w, h)
 	sess.mu.Lock()
-	tris := sess.svc.draw(sess.scene, sess.camera, fb, image.Rectangle{}, w, h, "")
+	tris := sess.svc.draw(sess.scene, sess.camera, fb, image.Rectangle{}, w, h, "", &sess.scratch)
 	version := sess.scene.Version
 	sess.mu.Unlock()
 

@@ -18,6 +18,7 @@ import (
 	"repro/internal/collab"
 	"repro/internal/device"
 	"repro/internal/follow"
+	"repro/internal/geom"
 	"repro/internal/imgcodec"
 	"repro/internal/marshal"
 	"repro/internal/mathx"
@@ -115,6 +116,10 @@ type Session struct {
 	// Frame statistics for load reports.
 	lastFrameTime time.Duration
 	framesDrawn   int
+
+	// scratch is the rasterizer's working memory for this replica's
+	// frames, sized by the first and reused by every one after.
+	scratch raster.Scratch
 
 	// enc encodes for the session's in-process users (EncodeFrame); a
 	// viewer on a socket has its own (ServeClient).
@@ -248,8 +253,14 @@ func (sess *Session) SceneCost() scene.Cost {
 // its bounds reach the tile's own frustum, so a part of a distributed
 // frame sets up only the triangles that can land in it; a tile is still
 // the crop of the frame it belongs to, byte for byte. Callers drawing a
-// replica hold its mutex.
-func (s *Service) draw(sc *scene.Scene, cam raster.Camera, fb *raster.Framebuffer, tile image.Rectangle, fullW, fullH int, viewer string) int {
+// replica hold its mutex and pass its scratch; then, with workers to
+// fork across, the mesh and avatar nodes are drawn as raster batches,
+// one flushed before each point cloud or voxel grid so scene order — and
+// with it every depth tie — is kept. Without a replica's scratch, or
+// with one worker, meshes are drawn one at a time on pooled scratch: a
+// batch holds every mesh's records at once, which only scratch that
+// lives with the replica pays for once.
+func (s *Service) draw(sc *scene.Scene, cam raster.Camera, fb *raster.Framebuffer, tile image.Rectangle, fullW, fullH int, viewer string, scratch *raster.Scratch) int {
 	r := raster.New(fb)
 	r.Opts.Workers = s.cfg.Workers
 	r.Opts.Tile = tile
@@ -257,23 +268,41 @@ func (s *Service) draw(sc *scene.Scene, cam raster.Camera, fb *raster.Framebuffe
 	r.Opts.Metrics = s.cfg.Metrics
 	r.Opts.Service = s.cfg.Name
 	r.Opts.Clock = s.cfg.Clock
+	if s.cfg.Workers >= 2 {
+		r.Scratch = scratch
+	}
 	frustum, splats := r.Frustum(cam), r.SplatFrustum(cam)
 	tris := 0
+	var batch []raster.MeshDraw
+	flush := func() {
+		if len(batch) > 0 {
+			r.RenderMeshes(batch, cam)
+			tris += r.TrianglesDrawn
+			batch = batch[:0]
+		}
+	}
+	add := func(m *geom.Mesh, world mathx.Mat4) {
+		batch = append(batch, raster.MeshDraw{Mesh: m, Model: world})
+		if r.Scratch == nil {
+			flush()
+		}
+	}
 	sc.Walk(func(n *scene.Node, world mathx.Mat4) bool {
 		// Off-tile nodes are skipped; children keep their own bounds, so
 		// the walk goes on.
 		switch p := n.Payload.(type) {
 		case *scene.MeshPayload:
 			if frustum.IntersectsAABB(p.BoundsLocal().Transform(world)) {
-				r.RenderMesh(p.Mesh, world, cam)
-				tris += r.TrianglesDrawn
+				add(p.Mesh, world)
 			}
 		case *scene.PointsPayload:
 			if frustum.IntersectsAABB(p.BoundsLocal().Transform(world)) {
+				flush()
 				r.RenderPoints(p.Cloud, world, cam)
 			}
 		case *scene.VoxelsPayload:
 			if splats.IntersectsAABB(p.BoundsLocal().Transform(world)) {
+				flush()
 				r.RenderVoxels(p.Grid, p.Iso, world, cam)
 			}
 		case *scene.AvatarPayload:
@@ -283,12 +312,12 @@ func (s *Service) draw(sc *scene.Scene, cam raster.Camera, fb *raster.Framebuffe
 			// Culled on the mesh it draws, which the payload's nominal
 			// box does not contain.
 			if m := collab.AvatarMesh(p.Color); frustum.IntersectsAABB(m.Bounds().Transform(world)) {
-				r.RenderMesh(m, world, cam)
-				tris += r.TrianglesDrawn
+				add(m, world)
 			}
 		}
 		return true
 	})
+	flush()
 	return tris
 }
 
@@ -383,11 +412,12 @@ func (s *Service) Render(j Job) (frame *Frame, err error) {
 	}
 	frame = &Frame{FB: raster.NewFramebuffer(j.Rect.Dx(), j.Rect.Dy())}
 	sc, cam := j.Scene, j.Camera
+	var scratch *raster.Scratch
 	if sess := j.Session; sess != nil {
 		sess.mu.Lock()
-		sc, cam, frame.Version = sess.scene, sess.camera, sess.scene.Version
+		sc, cam, frame.Version, scratch = sess.scene, sess.camera, sess.scene.Version, &sess.scratch
 	}
-	tris := s.draw(sc, cam, frame.FB, j.Rect, j.FullW, j.FullH, j.Viewer)
+	tris := s.draw(sc, cam, frame.FB, j.Rect, j.FullW, j.FullH, j.Viewer, scratch)
 	dt := s.cfg.Device.OffScreenTime(device.Workload{Triangles: tris, Pixels: j.Rect.Dx() * j.Rect.Dy()})
 	frame.DeviceTime = dt
 	if sess := j.Session; sess != nil {
