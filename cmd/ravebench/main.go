@@ -184,7 +184,8 @@ func main() {
 		// mask a regression.
 		var rasterBase *rasterbench.RasterArtifact
 		if f, err := os.Open("BENCH_raster.json"); err == nil { // no baseline yet: first run creates it
-			if art, err := rasterbench.ReadRasterArtifact(f); err == nil {
+			var art rasterbench.RasterArtifact
+			if err := telemetry.ReadBenchArtifact(f, &art, telemetry.BenchKindRaster); err == nil {
 				rasterBase = &art
 			}
 			f.Close()
@@ -214,7 +215,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		werr := rasterbench.WriteRasterArtifact(f, rasterArt)
+		werr := telemetry.WriteBenchArtifact(f, &rasterArt, telemetry.BenchKindRaster)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}

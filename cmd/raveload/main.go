@@ -153,7 +153,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		werr := loadgen.WriteArtifact(f, art)
+		werr := telemetry.WriteBenchArtifact(f, &art, loadgen.ArtifactKinds...)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/balance"
 	"repro/internal/compositor"
 	"repro/internal/dataservice"
@@ -44,7 +45,7 @@ func (s *stubTile) Render(job dataservice.RenderJob) (compositor.Tile, error) {
 	s.tcs = append(s.tcs, tc)
 	s.mu.Unlock()
 	if s.decline {
-		return compositor.Tile{}, &renderservice.ErrOverloaded{Service: s.name, Reason: renderservice.ReasonQueueFull}
+		return compositor.Tile{}, &renderservice.ErrOverloaded{Service: s.name, Reason: admission.ReasonQueueFull}
 	}
 	fb := raster.NewFramebuffer(rect.Dx(), rect.Dy())
 	for i := range fb.Color {

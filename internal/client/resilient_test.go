@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/device"
 	"repro/internal/geom/genmodel"
 	"repro/internal/mathx"
@@ -147,8 +148,8 @@ func TestResilientThinDeclinePassesThrough(t *testing.T) {
 		return err
 	})
 	var declined *renderservice.ErrOverloaded
-	if !errors.As(err, &declined) || declined.Reason != renderservice.ReasonExpired {
-		t.Fatalf("expired request = %v, want a decline with reason %q", err, renderservice.ReasonExpired)
+	if !errors.As(err, &declined) || declined.Reason != admission.ReasonExpired {
+		t.Fatalf("expired request = %v, want a decline with reason %q", err, admission.ReasonExpired)
 	}
 	if *dials != 1 {
 		t.Errorf("decline triggered %d reconnects", *dials-1)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/balance"
 	"repro/internal/compositor"
 	"repro/internal/raster"
@@ -40,7 +41,7 @@ func (h *fakeTile) Render(job RenderJob) (compositor.Tile, error) {
 	h.calls++
 	h.mu.Unlock()
 	if h.decline {
-		return compositor.Tile{}, &renderservice.ErrOverloaded{Service: h.name, Reason: renderservice.ReasonQueueFull}
+		return compositor.Tile{}, &renderservice.ErrOverloaded{Service: h.name, Reason: admission.ReasonQueueFull}
 	}
 	h.clk.Sleep(h.delay)
 	fb := raster.NewFramebuffer(rect.Dx(), rect.Dy())

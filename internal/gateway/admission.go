@@ -1,184 +1,10 @@
 package gateway
 
-import (
-	"fmt"
-	"sync"
-	"time"
-
-	"repro/internal/telemetry"
-	"repro/internal/vclock"
-)
-
 // DefaultQueueDepth bounds concurrently admitted gateway dispatches
 // when Config.QueueDepth is zero. Larger than the render service's
 // per-node queue: the gateway fronts a whole fleet.
 const DefaultQueueDepth = 64
 
-// Decline reasons carried by ErrDeclined. The first two reuse the
-// render service's two-class semantics verbatim; the last two are
-// gateway-specific.
-const (
-	// ReasonQueueFull: the gateway's bounded dispatch queue (whole
-	// depth for interactive, half for background) is at capacity.
-	ReasonQueueFull = "queue-full"
-	// ReasonExpired: the request's deadline had already passed on
-	// arrival.
-	ReasonExpired = "expired"
-	// ReasonTenantShare: the gate is contended and this tenant is
-	// already at its fair share of the class limit.
-	ReasonTenantShare = "tenant-share"
-	// ReasonCapacity: the owning node had no free render slot to
-	// reserve for the frame.
-	ReasonCapacity = "capacity"
-)
-
-// ErrDeclined is the gateway's typed refusal — the only "failure" a
-// well-behaved client ever sees. It is backpressure, not an error: the
-// request was never dispatched, and RetryAfter hints when to try again.
-type ErrDeclined struct {
-	// Tenant is the declining request's tenant.
-	Tenant string
-	// Reason is one of the Reason* constants.
-	Reason string
-	// RetryAfter hints how long until capacity is expected; zero when
-	// retrying is pointless (expired work).
-	RetryAfter time.Duration
-}
-
-// Error implements error.
-func (e *ErrDeclined) Error() string {
-	if e.RetryAfter > 0 {
-		return fmt.Sprintf("gateway declined %s (%s): retry after %v", e.Tenant, e.Reason, e.RetryAfter)
-	}
-	return fmt.Sprintf("gateway declined %s (%s)", e.Tenant, e.Reason)
-}
-
-// admission is the gateway's front-door gate: the render service's
-// two-class bounded queue (interactive may fill the whole depth,
-// background half of it) extended with per-tenant fair sharing. Each
-// tenant's concurrent dispatches are capped at classLimit/tenants once
-// the gate is contended (at least half full); while the gate is idle a
-// tenant may burst past its share — the same work-conserving borrowing
-// rule the render service applies between classes, applied between
-// tenants.
-type admission struct {
-	clock   vclock.Clock
-	metrics *telemetry.Registry
-	service string
-
-	mu       sync.Mutex
-	depth    int
-	inflight int
-	est      time.Duration
-	tenants  map[string]*tenantState
-}
-
-// tenantState tracks one tenant's concurrent dispatches.
-type tenantState struct {
-	inflight int
-}
-
-// newAdmission creates the gate. Tenants are registered as sessions
-// open, so the fair share reflects who is actually present.
-func newAdmission(service string, depth int, clock vclock.Clock, metrics *telemetry.Registry) *admission {
-	if depth <= 0 {
-		depth = DefaultQueueDepth
-	}
-	return &admission{
-		clock:   clock,
-		metrics: metrics,
-		service: service,
-		depth:   depth,
-		tenants: map[string]*tenantState{},
-	}
-}
-
-// register ensures a tenant participates in the fair share (idempotent).
-func (a *admission) register(tenant string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if _, ok := a.tenants[tenant]; !ok {
-		a.tenants[tenant] = &tenantState{}
-		a.metrics.Gauge(a.service, "admission_tenants", "").Set(int64(len(a.tenants)))
-	}
-}
-
-// admit gates one dispatch. On success the returned release must be
-// called exactly once with the dispatch's observed (virtual) duration.
-func (a *admission) admit(tenant string, interactive bool, deadline time.Time) (release func(time.Duration), err error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !deadline.IsZero() && !a.clock.Now().Before(deadline) {
-		a.metrics.Counter(a.service, "declined_total", ReasonExpired).Inc()
-		return nil, &ErrDeclined{Tenant: tenant, Reason: ReasonExpired}
-	}
-	limit := a.depth
-	if !interactive {
-		limit = a.depth / 2
-		if limit < 1 {
-			limit = 1
-		}
-	}
-	if a.inflight >= limit {
-		a.metrics.Counter(a.service, "declined_total", ReasonQueueFull).Inc()
-		return nil, &ErrDeclined{Tenant: tenant, Reason: ReasonQueueFull, RetryAfter: a.retryAfterLocked()}
-	}
-	ts := a.tenants[tenant]
-	if ts == nil {
-		ts = &tenantState{}
-		a.tenants[tenant] = ts
-	}
-	// Fair share only binds while the gate is contended; an idle gate
-	// lets any tenant use spare capacity (work conservation).
-	if contended := a.inflight*2 >= a.depth; contended {
-		share := limit / len(a.tenants)
-		if share < 1 {
-			share = 1
-		}
-		if ts.inflight >= share {
-			a.metrics.Counter(a.service, "declined_total", ReasonTenantShare).Inc()
-			return nil, &ErrDeclined{Tenant: tenant, Reason: ReasonTenantShare, RetryAfter: a.retryAfterLocked()}
-		}
-	}
-	a.inflight++
-	ts.inflight++
-	a.metrics.Counter(a.service, "admitted_total", "").Inc()
-	a.metrics.Gauge(a.service, "admission_inflight", "").Set(int64(a.inflight))
-	var once sync.Once
-	return func(dt time.Duration) {
-		once.Do(func() { a.releaseOne(ts, dt) })
-	}, nil
-}
-
-// retryAfterLocked estimates drain time: the per-dispatch EWMA times
-// the queue length (one modeled render frame before any sample).
-// Callers hold a.mu.
-func (a *admission) retryAfterLocked() time.Duration {
-	est := a.est
-	if est <= 0 {
-		est = DefaultRenderCost
-	}
-	n := a.inflight
-	if n < 1 {
-		n = 1
-	}
-	return est * time.Duration(n)
-}
-
-// releaseOne returns a slot and folds the observed duration into the
-// EWMA (1/4 weight on the newest sample).
-func (a *admission) releaseOne(ts *tenantState, dt time.Duration) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.inflight--
-	ts.inflight--
-	if dt > 0 {
-		if a.est == 0 {
-			a.est = dt
-		} else {
-			a.est = (3*a.est + dt) / 4
-		}
-	}
-	a.metrics.Gauge(a.service, "admission_inflight", "").Set(int64(a.inflight))
-	a.metrics.Gauge(a.service, "admission_ewma_ns", "").Set(int64(a.est))
-}
+// ReasonCapacity declines a frame whose owning node had no free render
+// slot to reserve. The gate's own reasons are admission.Reason*.
+const ReasonCapacity = "capacity"

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/dataservice"
 	"repro/internal/netsim"
 	"repro/internal/telemetry"
@@ -93,8 +94,9 @@ type Request struct {
 	// Interactive requests may fill the whole admission queue;
 	// background ones only half (PR 4 two-class semantics).
 	Interactive bool
-	// Deadline, when non-zero, declines already-expired work at the
-	// door.
+	// Deadline, when non-zero, declines at the door work that has
+	// already expired or that the queue ahead of it cannot finish in
+	// time (admission.ReasonExpired, admission.ReasonDeadline).
 	Deadline time.Time
 }
 
@@ -133,7 +135,7 @@ type placement struct {
 // gap-only.
 type Gateway struct {
 	cfg Config
-	adm *admission
+	adm *admission.Gate
 
 	mu         sync.Mutex
 	ring       *Ring
@@ -156,9 +158,12 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.ReplicationFactor <= 0 {
 		cfg.ReplicationFactor = 1
 	}
+	if cfg.QueueDepth <= 0 {
+		cfg.QueueDepth = DefaultQueueDepth
+	}
 	return &Gateway{
 		cfg:        cfg,
-		adm:        newAdmission(serviceName, cfg.QueueDepth, cfg.Clock, cfg.Metrics),
+		adm:        admission.New(serviceName, cfg.QueueDepth, DefaultRenderCost, cfg.Clock, cfg.Metrics),
 		ring:       NewRing(cfg.Replicas),
 		nodes:      map[string]*Node{},
 		drained:    map[string]bool{},
@@ -314,7 +319,7 @@ func (g *Gateway) OpenSession(tenant, session string) error {
 	if tenant == "" || session == "" {
 		return fmt.Errorf("gateway: tenant and session required")
 	}
-	g.adm.register(tenant)
+	g.adm.Register(tenant)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if _, ok := g.placements[session]; ok {
@@ -428,7 +433,7 @@ func (g *Gateway) Dispatch(ctx context.Context, req Request) (Result, error) {
 	if req.Kind == "" {
 		req.Kind = KindMutate
 	}
-	release, err := g.adm.admit(req.Tenant, req.Interactive, req.Deadline)
+	release, err := g.adm.Admit(req.Tenant, req.Interactive, req.Deadline)
 	if err != nil {
 		return Result{}, err
 	}
@@ -451,8 +456,7 @@ func (g *Gateway) Dispatch(ctx context.Context, req Request) (Result, error) {
 		case KindFrame:
 			rel, resErr := node.reserve()
 			if errors.Is(resErr, errNoCapacity) {
-				g.cfg.Metrics.Counter(serviceName, "declined_total", ReasonCapacity).Inc()
-				return Result{}, &ErrDeclined{Tenant: req.Tenant, Reason: ReasonCapacity, RetryAfter: g.adm.retryAfter()}
+				return Result{}, g.adm.Decline(ReasonCapacity)
 			}
 			if resErr != nil {
 				derr = resErr // node died between route and reserve
@@ -493,14 +497,6 @@ func (g *Gateway) Dispatch(ctx context.Context, req Request) (Result, error) {
 		g.cfg.Metrics.Counter(serviceName, "dispatch_retries_total", "").Inc()
 	}
 	return Result{}, fmt.Errorf("gateway: dispatch for session %q exhausted %d attempts", req.Session, maxDispatchAttempts)
-}
-
-// retryAfter exposes the admission EWMA drain estimate for capacity
-// declines.
-func (a *admission) retryAfter() time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.retryAfterLocked()
 }
 
 // rebalanceLocked is what every membership event comes down to once the

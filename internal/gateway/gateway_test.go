@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 	"repro/internal/uddi"
 	"repro/internal/vclock"
 )
@@ -154,7 +156,7 @@ func TestFrameCapacityDecline(t *testing.T) {
 	}
 	defer release()
 	_, err = gw.Dispatch(context.Background(), Request{Tenant: "t", Session: "s", Kind: KindFrame})
-	var dec *ErrDeclined
+	var dec *transport.Decline
 	if !errors.As(err, &dec) || dec.Reason != ReasonCapacity {
 		t.Fatalf("err = %v, want capacity decline", err)
 	}
@@ -170,13 +172,13 @@ func TestFrameCapacityDecline(t *testing.T) {
 func TestAdmissionFairShare(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
 	met := telemetry.NewRegistry(clk)
-	adm := newAdmission("gw", 8, clk, met)
-	adm.register("t1")
-	adm.register("t2")
+	adm := admission.New("gw", 8, DefaultRenderCost, clk, met)
+	adm.Register("t1")
+	adm.Register("t2")
 
 	var releases []func(time.Duration)
 	for i := 0; i < 4; i++ {
-		rel, err := adm.admit("t1", true, time.Time{})
+		rel, err := adm.Admit("t1", true, time.Time{})
 		if err != nil {
 			t.Fatalf("t1 admit %d: %v", i, err)
 		}
@@ -184,12 +186,12 @@ func TestAdmissionFairShare(t *testing.T) {
 	}
 	// Gate is now contended (inflight 4 of depth 8): t1 is at its
 	// share (8/2 tenants = 4) and gets a tenant-share decline...
-	var dec *ErrDeclined
-	if _, err := adm.admit("t1", true, time.Time{}); !errors.As(err, &dec) || dec.Reason != ReasonTenantShare {
+	var dec *transport.Decline
+	if _, err := adm.Admit("t1", true, time.Time{}); !errors.As(err, &dec) || dec.Reason != admission.ReasonTenantShare {
 		t.Fatalf("t1 over share: %v, want tenant-share decline", err)
 	}
 	// ...while t2 still gets in.
-	rel, err := adm.admit("t2", true, time.Time{})
+	rel, err := adm.Admit("t2", true, time.Time{})
 	if err != nil {
 		t.Fatalf("t2 admit while t1 at share: %v", err)
 	}
@@ -199,13 +201,13 @@ func TestAdmissionFairShare(t *testing.T) {
 	}
 	// Uncontended again: t1 may burst past its share (work
 	// conservation — idle capacity is never withheld).
-	if _, err := adm.admit("t1", true, time.Time{}); err != nil {
+	if _, err := adm.Admit("t1", true, time.Time{}); err != nil {
 		t.Fatalf("t1 burst on idle gate: %v", err)
 	}
 
 	// Expired deadlines are declined at the door.
 	clk.Advance(time.Second)
-	if _, err := adm.admit("t2", true, clk.Now().Add(-time.Millisecond)); !errors.As(err, &dec) || dec.Reason != ReasonExpired {
+	if _, err := adm.Admit("t2", true, clk.Now().Add(-time.Millisecond)); !errors.As(err, &dec) || dec.Reason != admission.ReasonExpired {
 		t.Fatalf("expired admit: %v", err)
 	}
 }
@@ -214,25 +216,79 @@ func TestAdmissionFairShare(t *testing.T) {
 // half the queue; interactive may take it all.
 func TestAdmissionBackgroundHalfDepth(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
-	adm := newAdmission("gw", 8, clk, telemetry.NewRegistry(clk))
-	adm.register("t1")
+	adm := admission.New("gw", 8, DefaultRenderCost, clk, telemetry.NewRegistry(clk))
+	adm.Register("t1")
 	for i := 0; i < 4; i++ {
-		if _, err := adm.admit("t1", false, time.Time{}); err != nil {
+		if _, err := adm.Admit("t1", false, time.Time{}); err != nil {
 			t.Fatalf("background admit %d: %v", i, err)
 		}
 	}
-	var dec *ErrDeclined
-	if _, err := adm.admit("t1", false, time.Time{}); !errors.As(err, &dec) || dec.Reason != ReasonQueueFull {
+	var dec *transport.Decline
+	if _, err := adm.Admit("t1", false, time.Time{}); !errors.As(err, &dec) || dec.Reason != admission.ReasonQueueFull {
 		t.Fatalf("background over half depth: %v, want queue-full", err)
 	}
 	// The remaining half is still open to interactive work.
 	for i := 0; i < 4; i++ {
-		if _, err := adm.admit("t1", true, time.Time{}); err != nil {
+		if _, err := adm.Admit("t1", true, time.Time{}); err != nil {
 			t.Fatalf("interactive admit %d over background load: %v", i, err)
 		}
 	}
-	if _, err := adm.admit("t1", true, time.Time{}); !errors.As(err, &dec) || dec.Reason != ReasonQueueFull {
+	if _, err := adm.Admit("t1", true, time.Time{}); !errors.As(err, &dec) || dec.Reason != admission.ReasonQueueFull {
 		t.Fatalf("interactive over full depth: %v, want queue-full", err)
+	}
+}
+
+// TestDispatchDeclinesInfeasibleDeadline: once the gate has timed a
+// dispatch, a request whose deadline is ahead of now but behind the
+// estimated completion is declined at the door, before routing.
+func TestDispatchDeclinesInfeasibleDeadline(t *testing.T) {
+	gw, _, clk := testFleet(t, 2, NodeConfig{})
+	if err := gw.OpenSession("t", "s"); err != nil {
+		t.Fatal(err)
+	}
+	stop := pace(clk)
+	_, err := gw.Dispatch(context.Background(), Request{Tenant: "t", Session: "s"})
+	stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The clock is stopped, so the deadline cannot expire under us:
+	// it is one nanosecond out, and the timed dispatch took at least
+	// the modeled op cost.
+	req := Request{Tenant: "t", Session: "ghost", Deadline: clk.Now().Add(time.Nanosecond)}
+	var dec *transport.Decline
+	if _, err := gw.Dispatch(context.Background(), req); !errors.As(err, &dec) || dec.Reason != admission.ReasonDeadline {
+		t.Fatalf("infeasible deadline: %v, want %q decline", err, admission.ReasonDeadline)
+	}
+}
+
+// TestAdmissionSeries pins the gate's series names on the gateway tier
+// after an admit, a decline and a release.
+func TestAdmissionSeries(t *testing.T) {
+	gw, _, clk := testFleet(t, 2, NodeConfig{})
+	if err := gw.OpenSession("t", "s"); err != nil {
+		t.Fatal(err)
+	}
+	stop := pace(clk)
+	_, err := gw.Dispatch(context.Background(), Request{Tenant: "t", Session: "s"})
+	stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gw.Dispatch(context.Background(), Request{Tenant: "t", Session: "s", Deadline: clk.Now()}); err == nil {
+		t.Fatal("expired dispatch admitted")
+	}
+	snap := gw.Telemetry().Snapshot()
+	for _, s := range []struct{ name, label string }{
+		{"admission_admitted_total", ""},
+		{"admission_declined_total", admission.ReasonExpired},
+		{"admission_inflight", ""},
+		{"admission_ewma_ns", ""},
+		{"admission_tenants", ""},
+	} {
+		if _, ok := snap.Get(serviceName, s.name, s.label); !ok {
+			t.Errorf("series %s{%s} missing", s.name, s.label)
+		}
 	}
 }
 

@@ -49,12 +49,12 @@ func TestRunSurvivesNodeKill(t *testing.T) {
 		t.Fatalf("artifact missing kill event: %+v", art.Kill)
 	}
 	var buf bytes.Buffer
-	if err := WriteArtifact(&buf, art); err != nil {
+	if err := telemetry.WriteBenchArtifact(&buf, &art, ArtifactKinds...); err != nil {
 		t.Fatal(err)
 	}
 	// Round-trips through the scale reader...
-	got, err := ReadArtifact(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	var got Artifact
+	if err := telemetry.ReadBenchArtifact(bytes.NewReader(buf.Bytes()), &got, ArtifactKinds...); err != nil {
 		t.Fatal(err)
 	}
 	if got.Results.Issued != res.Issued || got.Scenario.Sessions != sc.Sessions {
@@ -62,8 +62,8 @@ func TestRunSurvivesNodeKill(t *testing.T) {
 	}
 	// ...and through the shared versioned bench envelope, which sees
 	// the same v/kind/snapshot and ignores the scale-specific fields.
-	env, err := telemetry.ReadBenchArtifact(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	var env telemetry.BenchArtifact
+	if err := telemetry.ReadBenchArtifact(bytes.NewReader(buf.Bytes()), &env); err != nil {
 		t.Fatal(err)
 	}
 	if env.V != telemetry.BenchVersion || env.Kind != telemetry.BenchKindScale {
@@ -127,18 +127,18 @@ func TestRunSurvivesRegionPartition(t *testing.T) {
 		t.Errorf("bootstrap bytes crossed the partition: cross %d victim %d", p.CrossBootstrapBytes, p.VictimBootstrapBytes)
 	}
 	var buf bytes.Buffer
-	if err := WriteArtifact(&buf, art); err != nil {
+	if err := telemetry.WriteBenchArtifact(&buf, &art, ArtifactKinds...); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadArtifact(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	var got Artifact
+	if err := telemetry.ReadBenchArtifact(bytes.NewReader(buf.Bytes()), &got, ArtifactKinds...); err != nil {
 		t.Fatal(err)
 	}
 	if got.Partition == nil || got.Partition.Region != "us" {
 		t.Errorf("artifact round trip lost the partition event: %+v", got.Partition)
 	}
-	env, err := telemetry.ReadBenchArtifact(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	var env telemetry.BenchArtifact
+	if err := telemetry.ReadBenchArtifact(bytes.NewReader(buf.Bytes()), &env); err != nil {
 		t.Fatal(err)
 	}
 	if env.Kind != telemetry.BenchKindPartition {
@@ -203,18 +203,18 @@ func TestRunSurvivesSickDisk(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := WriteArtifact(&buf, art); err != nil {
+	if err := telemetry.WriteBenchArtifact(&buf, &art, ArtifactKinds...); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadArtifact(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	var got Artifact
+	if err := telemetry.ReadBenchArtifact(bytes.NewReader(buf.Bytes()), &got, ArtifactKinds...); err != nil {
 		t.Fatal(err)
 	}
 	if got.SickDisk == nil || got.SickDisk.Node != sick || !got.Results.SickDiskInjected {
 		t.Errorf("artifact round trip lost the sick-disk event: %+v", got.SickDisk)
 	}
-	env, err := telemetry.ReadBenchArtifact(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	var env telemetry.BenchArtifact
+	if err := telemetry.ReadBenchArtifact(bytes.NewReader(buf.Bytes()), &env); err != nil {
 		t.Fatal(err)
 	}
 	if env.Kind != telemetry.BenchKindStorage {
@@ -320,10 +320,10 @@ func TestRunWithoutFault(t *testing.T) {
 // TestReadArtifactRejectsWrongKind: a raster-kind bench file is not a
 // scale artifact.
 func TestReadArtifactRejectsWrongKind(t *testing.T) {
-	if _, err := ReadArtifact(bytes.NewReader([]byte(`{"v":1,"kind":"raster","snapshot":{"taken_nanos":1}}`))); err == nil {
+	if err := telemetry.ReadBenchArtifact(bytes.NewReader([]byte(`{"v":1,"kind":"raster","snapshot":{"taken_nanos":1}}`)), &Artifact{}, ArtifactKinds...); err == nil {
 		t.Error("raster artifact accepted as scale artifact")
 	}
-	if _, err := ReadArtifact(bytes.NewReader([]byte(`{"taken_nanos":1}`))); err == nil {
+	if err := telemetry.ReadBenchArtifact(bytes.NewReader([]byte(`{"taken_nanos":1}`)), &Artifact{}, ArtifactKinds...); err == nil {
 		t.Error("bare snapshot accepted as scale artifact")
 	}
 }

@@ -1,15 +1,13 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"sync"
 	"time"
 
 	"repro/internal/gateway"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 )
 
 // maxErrorSamples bounds how many error strings the artifact keeps.
@@ -57,7 +55,7 @@ func (r *Reporter) record(kind gateway.Kind, d time.Duration, err error) {
 	case err == nil:
 		r.ok++
 	default:
-		var dec *gateway.ErrDeclined
+		var dec *transport.Decline
 		if errors.As(err, &dec) {
 			r.declined[dec.Reason]++
 		} else {
@@ -189,23 +187,23 @@ type PartitionEvent struct {
 	VictimBootstrapBytes int64 `json:"victim_bootstrap_bytes"`
 }
 
-// Artifact is BENCH_scale.json or BENCH_partition.json: the shared
-// versioned bench envelope (v, kind, snapshot — readable by
-// telemetry.ReadBenchArtifact, which ignores the raveload-specific
-// siblings) plus the scenario that produced the run, the faults
-// injected, and the summary results.
+// Artifact is BENCH_scale.json, BENCH_partition.json or
+// BENCH_storage.json: the shared versioned bench envelope (v, kind,
+// snapshot) plus the scenario that produced the run, the faults
+// injected, and the summary results. telemetry.WriteBenchArtifact and
+// ReadBenchArtifact write and read it, given ArtifactKinds.
 type Artifact struct {
-	V    int    `json:"v"`
-	Kind string `json:"kind"`
+	telemetry.BenchArtifact
 
 	Scenario  Scenario        `json:"scenario"`
 	Kill      *KillEvent      `json:"kill,omitempty"`
 	SickDisk  *SickDiskEvent  `json:"sick_disk,omitempty"`
 	Partition *PartitionEvent `json:"partition,omitempty"`
 	Results   Results         `json:"results"`
-
-	Snapshot telemetry.Snapshot `json:"snapshot"`
 }
+
+// ArtifactKinds are the bench artifact kinds a raveload run writes.
+var ArtifactKinds = []string{telemetry.BenchKindScale, telemetry.BenchKindPartition, telemetry.BenchKindStorage}
 
 // Artifact assembles the versioned artifact for a completed run. Runs
 // that injected a region partition are kind "partition", runs that
@@ -213,11 +211,13 @@ type Artifact struct {
 // kind "scale".
 func (f *Fleet) Artifact(rep *Reporter) Artifact {
 	art := Artifact{
-		V:        telemetry.BenchVersion,
-		Kind:     telemetry.BenchKindScale,
+		BenchArtifact: telemetry.BenchArtifact{
+			V:        telemetry.BenchVersion,
+			Kind:     telemetry.BenchKindScale,
+			Snapshot: f.Metrics.Snapshot(),
+		},
 		Scenario: f.Scenario,
 		Results:  rep.Summarize(f.Metrics.Snapshot()),
-		Snapshot: f.Metrics.Snapshot(),
 	}
 	rep.mu.Lock()
 	killNode, killAtNs := rep.killNode, rep.killAtNs
@@ -247,36 +247,4 @@ func (f *Fleet) Artifact(rep *Reporter) Artifact {
 		}
 	}
 	return art
-}
-
-// raveloadKind reports whether kind is one this harness writes.
-func raveloadKind(kind string) bool {
-	return kind == telemetry.BenchKindScale || kind == telemetry.BenchKindPartition ||
-		kind == telemetry.BenchKindStorage
-}
-
-// WriteArtifact writes the artifact as indented JSON (snapshot metrics
-// are sorted, so output is stable for a given run).
-func WriteArtifact(w io.Writer, art Artifact) error {
-	if art.V != telemetry.BenchVersion || !raveloadKind(art.Kind) {
-		return fmt.Errorf("loadgen: artifact must be v%d kind %q, %q or %q",
-			telemetry.BenchVersion, telemetry.BenchKindScale, telemetry.BenchKindPartition,
-			telemetry.BenchKindStorage)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(art)
-}
-
-// ReadArtifact decodes a BENCH_scale.json / BENCH_partition.json file,
-// rejecting other kinds.
-func ReadArtifact(r io.Reader) (Artifact, error) {
-	var art Artifact
-	if err := json.NewDecoder(r).Decode(&art); err != nil {
-		return Artifact{}, fmt.Errorf("loadgen: decode raveload artifact: %w", err)
-	}
-	if art.V < 1 || !raveloadKind(art.Kind) {
-		return Artifact{}, fmt.Errorf("loadgen: not a raveload artifact (v%d kind %q)", art.V, art.Kind)
-	}
-	return art, nil
 }

@@ -1,6 +1,6 @@
 // Package mathx provides the small linear-algebra substrate used by the
 // RAVE scene graph and software rasterizer: vectors, 4x4 matrices,
-// quaternions, axis-aligned bounding boxes, planes and view frustums.
+// axis-aligned bounding boxes, planes and view frustums.
 //
 // Matrices are row-major: element (r, c) is stored at index r*4+c, and
 // vectors are treated as columns (points transform as M * v).

@@ -1,54 +1,20 @@
 package rasterbench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/telemetry"
 )
 
 // RasterArtifact is BENCH_raster.json: the shared versioned bench
-// envelope plus the scenario and raster summary.
+// envelope plus the scenario and raster summary, written and read by
+// telemetry.WriteBenchArtifact and ReadBenchArtifact with kind
+// telemetry.BenchKindRaster.
 type RasterArtifact struct {
-	V    int    `json:"v"`
-	Kind string `json:"kind"`
+	telemetry.BenchArtifact
 
 	Scenario Scenario      `json:"scenario"`
 	Results  RasterResults `json:"results"`
-
-	Snapshot telemetry.Snapshot `json:"snapshot"`
-}
-
-// rasterSiblings is the kind-specific payload merged into the envelope
-// by telemetry.WriteBenchArtifact.
-type rasterSiblings struct {
-	Scenario Scenario      `json:"scenario"`
-	Results  RasterResults `json:"results"`
-}
-
-// WriteRasterArtifact writes BENCH_raster.json through the shared
-// telemetry envelope writer.
-func WriteRasterArtifact(w io.Writer, art RasterArtifact) error {
-	if art.V != telemetry.BenchVersion || art.Kind != telemetry.BenchKindRaster {
-		return fmt.Errorf("rasterbench: artifact must be v%d kind %q",
-			telemetry.BenchVersion, telemetry.BenchKindRaster)
-	}
-	return telemetry.WriteBenchArtifact(w, art.Kind, art.Snapshot,
-		rasterSiblings{Scenario: art.Scenario, Results: art.Results})
-}
-
-// ReadRasterArtifact decodes a BENCH_raster.json file, rejecting other
-// kinds.
-func ReadRasterArtifact(r io.Reader) (RasterArtifact, error) {
-	var art RasterArtifact
-	if err := json.NewDecoder(r).Decode(&art); err != nil {
-		return RasterArtifact{}, fmt.Errorf("rasterbench: decode raster artifact: %w", err)
-	}
-	if art.V < 1 || art.Kind != telemetry.BenchKindRaster {
-		return RasterArtifact{}, fmt.Errorf("rasterbench: not a raster artifact (v%d kind %q)", art.V, art.Kind)
-	}
-	return art, nil
 }
 
 // CheckRaster evaluates a fresh run against the regression invariants

@@ -168,10 +168,8 @@ func RunRaster(cfg Config) (RasterArtifact, error) {
 		res.BandUtilization = float64(fixedTotal) / (float64(sc.Workers) * float64(parTotal))
 	}
 	return RasterArtifact{
-		V:        telemetry.BenchVersion,
-		Kind:     telemetry.BenchKindRaster,
-		Scenario: sc,
-		Results:  res,
-		Snapshot: snap,
+		BenchArtifact: telemetry.BenchArtifact{V: telemetry.BenchVersion, Kind: telemetry.BenchKindRaster, Snapshot: snap},
+		Scenario:      sc,
+		Results:       res,
 	}, nil
 }

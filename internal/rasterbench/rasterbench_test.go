@@ -96,48 +96,48 @@ func TestRunRejectsBadConfig(t *testing.T) {
 }
 
 // TestArtifactRoundTrip writes the artifact through the shared
-// telemetry envelope writer and reads it back: fields survive, the
-// generic telemetry reader accepts the envelope, and the reader rejects
-// another kind.
+// telemetry writer and reads it back: fields survive, the bare envelope
+// reader accepts the file, and the raster reader rejects another kind.
 func TestArtifactRoundTrip(t *testing.T) {
 	rast, err := RunRaster(Config{Scenario: smallScenario(), Clock: newStepClock(time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rb, other bytes.Buffer
-	if err := WriteRasterArtifact(&rb, rast); err != nil {
+	if err := telemetry.WriteBenchArtifact(&rb, &rast, telemetry.BenchKindRaster); err != nil {
 		t.Fatal(err)
 	}
-	if err := telemetry.WriteBenchArtifact(&other, telemetry.BenchKindScale, rast.Snapshot, rasterSiblings{}); err != nil {
+	scale := telemetry.BenchArtifact{V: telemetry.BenchVersion, Kind: telemetry.BenchKindScale, Snapshot: rast.Snapshot}
+	if err := telemetry.WriteBenchArtifact(&other, &scale); err != nil {
 		t.Fatal(err)
 	}
 
-	back, err := ReadRasterArtifact(bytes.NewReader(rb.Bytes()))
-	if err != nil {
+	var back RasterArtifact
+	if err := telemetry.ReadBenchArtifact(bytes.NewReader(rb.Bytes()), &back, telemetry.BenchKindRaster); err != nil {
 		t.Fatal(err)
 	}
 	if back.Scenario != rast.Scenario || back.Results != rast.Results {
 		t.Errorf("raster round trip changed payload:\n got %+v\nwant %+v", back.Results, rast.Results)
 	}
 
-	// The generic envelope reader must accept the file.
-	env, err := telemetry.ReadBenchArtifact(bytes.NewReader(rb.Bytes()))
-	if err != nil {
-		t.Fatalf("generic reader rejected the artifact: %v", err)
+	// The bare envelope reader must accept the file.
+	var env telemetry.BenchArtifact
+	if err := telemetry.ReadBenchArtifact(bytes.NewReader(rb.Bytes()), &env); err != nil {
+		t.Fatalf("envelope reader rejected the artifact: %v", err)
 	}
 	if env.Kind != telemetry.BenchKindRaster {
-		t.Errorf("generic reader decoded kind %q", env.Kind)
+		t.Errorf("envelope reader decoded kind %q", env.Kind)
 	}
 
 	// Cross-kind reads must fail loudly.
-	if _, err := ReadRasterArtifact(bytes.NewReader(other.Bytes())); err == nil {
-		t.Error("ReadRasterArtifact accepted a scale artifact")
+	if err := telemetry.ReadBenchArtifact(bytes.NewReader(other.Bytes()), &RasterArtifact{}, telemetry.BenchKindRaster); err == nil {
+		t.Error("raster reader accepted a scale artifact")
 	}
 
 	// Writers must refuse mismatched envelopes.
 	rast.Kind = telemetry.BenchKindScale
-	if err := WriteRasterArtifact(&bytes.Buffer{}, rast); err == nil {
-		t.Error("WriteRasterArtifact accepted a scale kind")
+	if err := telemetry.WriteBenchArtifact(&bytes.Buffer{}, &rast, telemetry.BenchKindRaster); err == nil {
+		t.Error("raster writer accepted a scale kind")
 	}
 }
 
@@ -145,8 +145,8 @@ func TestArtifactRoundTrip(t *testing.T) {
 // tests: no rendering, just the numbers the checks read.
 func syntheticRaster(parity bool, speedup, pps float64) RasterArtifact {
 	return RasterArtifact{
-		V: telemetry.BenchVersion, Kind: telemetry.BenchKindRaster,
-		Scenario: DefaultScenario(30),
+		BenchArtifact: telemetry.BenchArtifact{V: telemetry.BenchVersion, Kind: telemetry.BenchKindRaster},
+		Scenario:      DefaultScenario(30),
 		Results: RasterResults{
 			ParityOK: parity, Speedup: speedup, PixelsPerSec: pps,
 			PixelsFilled: 1000, TrianglesDrawn: 500,

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/device"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/vclock"
 )
@@ -50,8 +52,8 @@ func TestAdmissionQueueFullSheds(t *testing.T) {
 	if !errors.As(err, &ov) {
 		t.Fatalf("want ErrOverloaded, got %v", err)
 	}
-	if ov.Reason != ReasonQueueFull {
-		t.Fatalf("reason = %q, want %q", ov.Reason, ReasonQueueFull)
+	if ov.Reason != admission.ReasonQueueFull {
+		t.Fatalf("reason = %q, want %q", ov.Reason, admission.ReasonQueueFull)
 	}
 	if ov.RetryAfter <= 0 {
 		t.Fatalf("retry-after hint = %v, want > 0", ov.RetryAfter)
@@ -98,7 +100,7 @@ func TestAdmissionBackgroundReservation(t *testing.T) {
 
 	_, err = sess.RenderTile(image.Rect(0, 0, 16, 16), 32, 32)
 	var ov *ErrOverloaded
-	if !errors.As(err, &ov) || ov.Reason != ReasonQueueFull {
+	if !errors.As(err, &ov) || ov.Reason != admission.ReasonQueueFull {
 		t.Fatalf("background work at cap: want queue-full ErrOverloaded, got %v", err)
 	}
 
@@ -142,8 +144,8 @@ func TestAdmissionDeadlines(t *testing.T) {
 	// A deadline at (or before) now is expired on arrival.
 	_, err = frameBy(sess, clk.Now())
 	var ov *ErrOverloaded
-	if !errors.As(err, &ov) || ov.Reason != ReasonExpired {
-		t.Fatalf("expired deadline: want %q, got %v", ReasonExpired, err)
+	if !errors.As(err, &ov) || ov.Reason != admission.ReasonExpired {
+		t.Fatalf("expired deadline: want %q, got %v", admission.ReasonExpired, err)
 	}
 
 	// Seed the completion estimate with one real render, then ask for a
@@ -152,13 +154,45 @@ func TestAdmissionDeadlines(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = frameBy(sess, clk.Now().Add(time.Nanosecond))
-	if !errors.As(err, &ov) || ov.Reason != ReasonDeadline {
-		t.Fatalf("infeasible deadline: want %q, got %v", ReasonDeadline, err)
+	if !errors.As(err, &ov) || ov.Reason != admission.ReasonDeadline {
+		t.Fatalf("infeasible deadline: want %q, got %v", admission.ReasonDeadline, err)
 	}
 
 	// A generous deadline is admitted and rendered.
 	if _, err := frameBy(sess, clk.Now().Add(time.Hour)); err != nil {
 		t.Fatalf("feasible deadline refused: %v", err)
+	}
+}
+
+// TestAdmissionSeries pins the gate's series names on the render tier
+// after an admit, a release and a decline.
+func TestAdmissionSeries(t *testing.T) {
+	clk := vclock.NewVirtual(time.Unix(0, 0))
+	met := telemetry.NewRegistry(clk)
+	svc := New(Config{Name: "rs-adm", Device: device.CentrinoLaptop, Clock: clk, Metrics: met})
+	sc := testScene(t)
+	sess, err := svc.OpenSession("s", sc, testCamera(sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if _, err := sess.RenderFrame(32, 32, "bob"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := frameBy(sess, clk.Now()); err == nil {
+		t.Fatal("expired frame admitted")
+	}
+	snap := met.Snapshot()
+	for _, s := range []struct{ name, label string }{
+		{"admission_admitted_total", ""},
+		{"admission_declined_total", admission.ReasonExpired},
+		{"admission_inflight", ""},
+		{"admission_ewma_ns", ""},
+		{"admission_tenants", ""},
+	} {
+		if _, ok := snap.Get("rs-adm", s.name, s.label); !ok {
+			t.Errorf("series %s{%s} missing", s.name, s.label)
+		}
 	}
 }
 
@@ -200,8 +234,8 @@ func TestServeClientDeclinesExpired(t *testing.T) {
 	if !errors.As(err, &d) {
 		t.Fatalf("reply = %v, want a decline", err)
 	}
-	if d.Reason != ReasonExpired {
-		t.Fatalf("decline reason = %q, want %q", d.Reason, ReasonExpired)
+	if d.Reason != admission.ReasonExpired {
+		t.Fatalf("decline reason = %q, want %q", d.Reason, admission.ReasonExpired)
 	}
 
 	// The session is still usable: an undeadlined request renders.

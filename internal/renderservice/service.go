@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/collab"
 	"repro/internal/device"
 	"repro/internal/follow"
@@ -70,7 +71,7 @@ const targetFPS = 10
 // multiple users may share available rendering resources."
 type Service struct {
 	cfg Config
-	adm admission
+	adm *admission.Gate
 
 	mu       sync.Mutex
 	sessions map[string]*Session
@@ -90,11 +91,13 @@ func New(cfg Config) *Service {
 	if cfg.Metrics == nil {
 		cfg.Metrics = telemetry.NewRegistry(cfg.Clock)
 	}
-	s := &Service{cfg: cfg, sessions: map[string]*Session{}}
-	s.adm.depth = cfg.QueueDepth
-	s.adm.metrics = cfg.Metrics
-	s.adm.service = cfg.Name
-	return s
+	return &Service{
+		cfg: cfg,
+		// Before any call has completed, a retry-after hint assumes
+		// one target-FPS frame per queued call.
+		adm:      admission.New(cfg.Name, cfg.QueueDepth, time.Second/targetFPS, cfg.Clock, cfg.Metrics),
+		sessions: map[string]*Session{},
+	}
 }
 
 // Name returns the service name.
@@ -406,7 +409,7 @@ func (s *Service) Render(j Job) (frame *Frame, err error) {
 	if j.Rect.Empty() || !j.Rect.In(image.Rect(0, 0, j.FullW, j.FullH)) {
 		return nil, fmt.Errorf("renderservice: bad tile %v of %dx%d", j.Rect, j.FullW, j.FullH)
 	}
-	release, err := s.admit(j.Interactive, j.Deadline)
+	release, err := s.adm.Admit(s.cfg.Name, j.Interactive, j.Deadline)
 	if err != nil {
 		return nil, err
 	}

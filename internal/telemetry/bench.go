@@ -22,8 +22,9 @@ import (
 // Version history:
 //
 //	1 — the BenchArtifact envelope: {"v", "kind", "snapshot", ...}.
-//	    Kind-specific harnesses may add sibling fields (e.g. raveload's
-//	    scenario/results); the envelope ignores fields it does not know.
+//	    Kind-specific harnesses embed it and add fields of their own
+//	    (e.g. raveload's scenario/results); a reader decoding just the
+//	    envelope ignores fields it does not know.
 const BenchVersion = 1
 
 // Bench artifact kinds.
@@ -48,7 +49,9 @@ const (
 // BenchArtifact is the common envelope of a BENCH_*.json file: the
 // schema version, the artifact kind, and the run's telemetry snapshot
 // (for counter/histogram detail beyond the kind-specific summary
-// fields, which live alongside the envelope in kind-owning packages).
+// fields). A harness's artifact embeds it and adds its own fields
+// (raveload's scenario/results, the raster benchmark's), so every kind
+// is written and read by the same two functions below.
 type BenchArtifact struct {
 	V    int    `json:"v"`
 	Kind string `json:"kind"`
@@ -56,65 +59,48 @@ type BenchArtifact struct {
 	Snapshot Snapshot `json:"snapshot"`
 }
 
-// WriteBenchArtifact writes a current-version envelope around snap as
-// indented JSON (deterministic: snapshot metrics are sorted, object
-// keys too). Optional siblings are kind-specific payloads (a harness's
-// scenario/results blocks) merged into the envelope object — the shape
-// raveload pioneered, available to any harness without each one
-// re-implementing the envelope. A sibling key colliding with another
-// sibling's (or the envelope's) is an error, not a silent overwrite.
-func WriteBenchArtifact(w io.Writer, kind string, snap Snapshot, siblings ...any) error {
-	if kind == "" {
-		return fmt.Errorf("telemetry: bench artifact kind required")
+// Envelope returns the artifact's envelope; an artifact that embeds
+// BenchArtifact inherits it, which is what WriteBenchArtifact and
+// ReadBenchArtifact take.
+func (a *BenchArtifact) Envelope() *BenchArtifact { return a }
+
+// Enveloped is any bench artifact: BenchArtifact or a struct embedding
+// it.
+type Enveloped interface{ Envelope() *BenchArtifact }
+
+// check accepts a versioned envelope whose kind is one of kinds (any
+// kind when kinds is empty).
+func (a *BenchArtifact) check(kinds []string) error {
+	if a.V < 1 || a.Kind == "" || (len(kinds) > 0 && !slices.Contains(kinds, a.Kind)) {
+		return fmt.Errorf("telemetry: not a bench artifact of kind %v (v%d kind %q)", kinds, a.V, a.Kind)
+	}
+	return nil
+}
+
+// WriteBenchArtifact writes art as indented JSON (deterministic:
+// snapshot metrics are sorted). Its envelope must be the current
+// version and one of kinds.
+func WriteBenchArtifact(w io.Writer, art Enveloped, kinds ...string) error {
+	if v := art.Envelope().V; v != BenchVersion {
+		return fmt.Errorf("telemetry: bench artifact written at v%d, want v%d", v, BenchVersion)
+	}
+	if err := art.Envelope().check(kinds); err != nil {
+		return err
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if len(siblings) == 0 {
-		return enc.Encode(BenchArtifact{V: BenchVersion, Kind: kind, Snapshot: snap})
-	}
-	obj := map[string]json.RawMessage{}
-	env, err := json.Marshal(BenchArtifact{V: BenchVersion, Kind: kind, Snapshot: snap})
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(env, &obj); err != nil {
-		return err
-	}
-	for _, s := range siblings {
-		raw, err := json.Marshal(s)
-		if err != nil {
-			return err
-		}
-		var fields map[string]json.RawMessage
-		if err := json.Unmarshal(raw, &fields); err != nil {
-			return fmt.Errorf("telemetry: bench artifact sibling must be a JSON object: %w", err)
-		}
-		for k, v := range fields {
-			if _, dup := obj[k]; dup {
-				return fmt.Errorf("telemetry: bench artifact sibling key %q collides", k)
-			}
-			obj[k] = v
-		}
-	}
-	return enc.Encode(obj)
+	return enc.Encode(art)
 }
 
-// ReadBenchArtifact decodes a BENCH_*.json envelope of any schema
-// version. A document without the envelope's "v" and "kind" is not a
+// ReadBenchArtifact decodes a BENCH_*.json file of any schema version
+// into art, rejecting a kind outside kinds (any kind when kinds is
+// empty). A document without the envelope's "v" and "kind" is not a
 // bench artifact.
-func ReadBenchArtifact(r io.Reader) (BenchArtifact, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return BenchArtifact{}, err
+func ReadBenchArtifact(r io.Reader, art Enveloped, kinds ...string) error {
+	if err := json.NewDecoder(r).Decode(art); err != nil {
+		return fmt.Errorf("telemetry: decode bench artifact: %w", err)
 	}
-	var art BenchArtifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		return BenchArtifact{}, fmt.Errorf("telemetry: decode bench artifact: %w", err)
-	}
-	if art.V < 1 || art.Kind == "" {
-		return BenchArtifact{}, fmt.Errorf("telemetry: not a bench artifact (v=%d kind=%q)", art.V, art.Kind)
-	}
-	return art, nil
+	return art.Envelope().check(kinds)
 }
 
 // Summary is one timed class's distribution as a BENCH_*.json block:

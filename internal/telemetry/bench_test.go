@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -19,14 +21,15 @@ func TestBenchArtifactRoundTrip(t *testing.T) {
 	reg.Histogram("gw", "request_latency_ns", "").Observe(4 * time.Millisecond)
 
 	var buf bytes.Buffer
-	if err := WriteBenchArtifact(&buf, BenchKindScale, reg.Snapshot()); err != nil {
+	in := BenchArtifact{V: BenchVersion, Kind: BenchKindScale, Snapshot: reg.Snapshot()}
+	if err := WriteBenchArtifact(&buf, &in, BenchKindScale); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"v": 1`) {
 		t.Fatalf("artifact missing schema version field:\n%s", buf.String())
 	}
-	art, err := ReadBenchArtifact(&buf)
-	if err != nil {
+	var art BenchArtifact
+	if err := ReadBenchArtifact(&buf, &art, BenchKindScale); err != nil {
 		t.Fatal(err)
 	}
 	if art.V != BenchVersion || art.Kind != BenchKindScale {
@@ -38,13 +41,21 @@ func TestBenchArtifactRoundTrip(t *testing.T) {
 	if art.Snapshot.TakenNanos != int64(3*time.Second) {
 		t.Errorf("round trip timestamp = %d", art.Snapshot.TakenNanos)
 	}
+
+	// The writer refuses a stale version or a kind the caller does not
+	// write.
+	if err := WriteBenchArtifact(&buf, &BenchArtifact{V: BenchVersion + 1, Kind: BenchKindScale}); err == nil {
+		t.Error("artifact at a future version written")
+	}
+	if err := WriteBenchArtifact(&buf, &in, BenchKindRaster); err == nil {
+		t.Error("scale artifact written as raster")
+	}
 }
 
-// TestBenchArtifactSiblings: kind-specific sibling payloads are merged
-// into the envelope object (the shape raveload's artifacts pioneered),
-// the result still decodes through the generic reader, and a sibling
-// key colliding with the envelope or another sibling is an error
-// rather than a silent overwrite.
+// TestBenchArtifactSiblings: a harness's artifact embeds the envelope
+// and adds its own fields; the fields sit beside v/kind/snapshot in one
+// object, round-trip through the typed reader, the bare envelope reader
+// still accepts the file, and the output is deterministic.
 func TestBenchArtifactSiblings(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
 	reg := NewRegistry(clk)
@@ -56,84 +67,104 @@ func TestBenchArtifactSiblings(t *testing.T) {
 	type results struct {
 		Speedup float64 `json:"speedup"`
 	}
+	type harness struct {
+		BenchArtifact
+		Scenario scenario `json:"scenario"`
+		Results  results  `json:"results"`
+	}
+	in := harness{
+		BenchArtifact: BenchArtifact{V: BenchVersion, Kind: BenchKindRaster, Snapshot: reg.Snapshot()},
+		Scenario:      scenario{Frames: 30},
+		Results:       results{Speedup: 4.35},
+	}
 
 	var buf bytes.Buffer
-	err := WriteBenchArtifact(&buf, BenchKindRaster, reg.Snapshot(),
-		struct {
-			Scenario scenario `json:"scenario"`
-			Results  results  `json:"results"`
-		}{scenario{Frames: 30}, results{Speedup: 4.35}})
-	if err != nil {
+	if err := WriteBenchArtifact(&buf, &in, BenchKindRaster); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, want := range []string{`"kind": "raster"`, `"frames": 30`, `"speedup": 4.35`} {
 		if !strings.Contains(out, want) {
-			t.Errorf("merged artifact missing %s:\n%s", want, out)
+			t.Errorf("embedded artifact missing %s:\n%s", want, out)
 		}
 	}
-	art, err := ReadBenchArtifact(&buf)
-	if err != nil {
+	var back harness
+	if err := ReadBenchArtifact(bytes.NewReader(buf.Bytes()), &back, BenchKindRaster); err != nil {
 		t.Fatal(err)
 	}
-	if art.V != BenchVersion || art.Kind != BenchKindRaster {
-		t.Fatalf("sibling envelope: %+v", art)
+	if back.Scenario != in.Scenario || back.Results != in.Results {
+		t.Errorf("harness fields round trip: %+v", back)
 	}
-	if got := art.Snapshot.CounterValue("rb", "pixels_total", ""); got != 9 {
-		t.Errorf("snapshot survived merge wrong: counter = %d, want 9", got)
+	var env BenchArtifact
+	if err := ReadBenchArtifact(bytes.NewReader(buf.Bytes()), &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.V != BenchVersion || env.Kind != BenchKindRaster {
+		t.Fatalf("embedded envelope: %+v", env)
+	}
+	if got := env.Snapshot.CounterValue("rb", "pixels_total", ""); got != 9 {
+		t.Errorf("snapshot survived embedding wrong: counter = %d, want 9", got)
 	}
 
 	// Deterministic output: the same write twice is byte-identical.
 	var again bytes.Buffer
-	if err := WriteBenchArtifact(&again, BenchKindRaster, reg.Snapshot(),
-		struct {
-			Scenario scenario `json:"scenario"`
-			Results  results  `json:"results"`
-		}{scenario{Frames: 30}, results{Speedup: 4.35}}); err != nil {
+	if err := WriteBenchArtifact(&again, &in, BenchKindRaster); err != nil {
 		t.Fatal(err)
 	}
 	if out2 := again.String(); out != out2 {
-		t.Errorf("sibling merge not deterministic:\n%s\nvs\n%s", out, out2)
-	}
-
-	// Collisions: a sibling may not shadow an envelope field or repeat
-	// another sibling's key; a non-object sibling cannot merge at all.
-	var sink bytes.Buffer
-	if err := WriteBenchArtifact(&sink, BenchKindRaster, reg.Snapshot(),
-		struct {
-			Kind string `json:"kind"`
-		}{"evil"}); err == nil {
-		t.Error("sibling shadowing the envelope's kind accepted")
-	}
-	if err := WriteBenchArtifact(&sink, BenchKindRaster, reg.Snapshot(),
-		struct {
-			A int `json:"a"`
-		}{1},
-		struct {
-			A int `json:"a"`
-		}{2}); err == nil {
-		t.Error("two siblings with the same key accepted")
-	}
-	if err := WriteBenchArtifact(&sink, BenchKindRaster, reg.Snapshot(), 42); err == nil {
-		t.Error("non-object sibling accepted")
+		t.Errorf("embedded write not deterministic:\n%s\nvs\n%s", out, out2)
 	}
 }
 
 // TestBenchArtifactRejectsGarbage: a document without the envelope is an
 // error, not a silently empty artifact — a bare telemetry.Snapshot
-// included (no checked-in artifact was ever written without one).
+// included (no checked-in artifact was ever written without one) — and
+// so is an envelope of a kind the caller does not read.
 func TestBenchArtifactRejectsGarbage(t *testing.T) {
-	if _, err := ReadBenchArtifact(strings.NewReader(`{"unrelated": true}`)); err == nil {
+	read := func(doc string, kinds ...string) error {
+		return ReadBenchArtifact(strings.NewReader(doc), &BenchArtifact{}, kinds...)
+	}
+	if read(`{"unrelated": true}`) == nil {
 		t.Error("garbage document decoded as a bench artifact")
 	}
-	if _, err := ReadBenchArtifact(strings.NewReader(`{"taken_nanos": 1500000000, "metrics": []}`)); err == nil {
+	if read(`{"taken_nanos": 1500000000, "metrics": []}`) == nil {
 		t.Error("bare snapshot decoded as a bench artifact")
 	}
-	if _, err := ReadBenchArtifact(strings.NewReader(`{"v": 3}`)); err == nil {
+	if read(`{"v": 3}`) == nil {
 		t.Error("versioned artifact without kind accepted")
 	}
-	if _, err := ReadBenchArtifact(strings.NewReader(`not json`)); err == nil {
+	if read(`not json`) == nil {
 		t.Error("non-JSON accepted")
+	}
+	if read(`{"v":1,"kind":"raster","snapshot":{"taken_nanos":1}}`, BenchKindScale, BenchKindStorage) == nil {
+		t.Error("raster artifact accepted by a scale reader")
+	}
+}
+
+// TestCheckedInBenchArtifacts reads every BENCH_*.json at the repo root
+// through the envelope reader: the perf trajectory stays parseable.
+func TestCheckedInBenchArtifacts(t *testing.T) {
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no checked-in BENCH_*.json found")
+	}
+	kinds := []string{BenchKindScale, BenchKindPartition, BenchKindStorage, BenchKindRaster}
+	for _, p := range paths {
+		f, err := os.Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var art BenchArtifact
+		err = ReadBenchArtifact(f, &art, kinds...)
+		f.Close()
+		if err != nil {
+			t.Errorf("%s: %v", p, err)
+		} else if len(art.Snapshot.Metrics) == 0 {
+			t.Errorf("%s: empty snapshot", p)
+		}
 	}
 }
 

@@ -87,7 +87,7 @@ const (
 	// ops as MsgSceneOpVer messages.
 	MsgResumeOK
 	// MsgDeclined is a render service's fast refusal of a render request
-	// it cannot serve in time — its admission queue is full or the
+	// it cannot serve in time — its admission gate is full or the
 	// request's deadline is infeasible. The caller should retry elsewhere
 	// or after the hinted backoff. Conn.Refuse writes it for a *Decline
 	// and Conn.Expect reads it back as one.
@@ -612,16 +612,18 @@ type declined struct {
 	RetryAfterMs int64  `json:"retry_after_ms,omitempty"`
 }
 
-// Decline is a render service's typed refusal of work it cannot finish in
-// time: from its admission gate in-process, read back from MsgDeclined
-// over a socket, or from a breaker standing in for a peer. Callers route
-// the work to another service, or retry here after RetryAfter.
+// Decline is a service's typed refusal of work it cannot finish in time:
+// from an admission gate in-process (a render service's or the
+// gateway's), read back from MsgDeclined over a socket, or from a
+// breaker standing in for a peer. Callers route the work elsewhere, or
+// retry here after RetryAfter.
 type Decline struct {
-	// Service names the declining render service (the connection's peer,
-	// when the decline came over one).
+	// Service names whoever declined (the connection's peer, when the
+	// decline came over one).
 	Service string
-	// Reason is "queue-full", "expired" or "deadline" from an admission
-	// gate (renderservice.Reason*), "breaker-open" from a breaker.
+	// Reason is one of admission.Reason* from an admission gate, the
+	// gateway's "capacity" (no free render slot on the owning node), or
+	// "breaker-open" from a breaker.
 	Reason string
 	// RetryAfter hints how long until the service expects free capacity;
 	// zero when retrying there is pointless (the request had expired).
@@ -630,9 +632,9 @@ type Decline struct {
 
 func (e *Decline) Error() string {
 	if e.RetryAfter > 0 {
-		return fmt.Sprintf("renderservice %s overloaded (%s): retry after %v", e.Service, e.Reason, e.RetryAfter)
+		return fmt.Sprintf("%s declined (%s): retry after %v", e.Service, e.Reason, e.RetryAfter)
 	}
-	return fmt.Sprintf("renderservice %s overloaded (%s)", e.Service, e.Reason)
+	return fmt.Sprintf("%s declined (%s)", e.Service, e.Reason)
 }
 
 // RouteQuery is the payload of MsgRouteQuery: which data service owns
