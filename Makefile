@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet fmt-check lint lint-report allow-audit one-follower one-reply one-gate unreached vulncheck build test race fuzz-smoke bench-smoke chaos scale partition storage raster loc ci
+.PHONY: all vet fmt-check lint lint-report allow-audit one-follower one-reply one-gate one-quantile unreached vulncheck build test race fuzz-smoke bench-smoke chaos scale partition storage raster loc ci
 
 all: ci
 
@@ -67,6 +67,16 @@ one-gate:
 	@out="$$(grep -rnE '([=:][[:space:]]*"(queue-full|tenant-share|deadline)")|"admission_[a-z_]*"' --include='*.go' --exclude='*_test.go' . \
 		| grep -v '^\./internal/admission/')"; \
 	if [ -n "$$out" ]; then echo "admission state outside internal/admission:"; echo "$$out"; exit 1; fi
+
+# one-quantile keeps latency summaries written once: every latency is a
+# telemetry histogram and Metric.Quantile is the one routine that reads
+# it, so a sample pool ([]time.Duration) or a second quantile/percentile
+# function outside internal/telemetry fails here. bench/ times the
+# system from outside and is the harness, not the system.
+one-quantile:
+	@out="$$(grep -rnE '\[\]time\.Duration|func .*([Qq]uantile|[Pp]ercentile)\(' --include='*.go' --exclude='*_test.go' . \
+		| grep -vE '^\./(bench/|internal/telemetry/)')"; \
+	if [ -n "$$out" ]; then echo "a sample pool or second quantile routine outside internal/telemetry:"; echo "$$out"; exit 1; fi
 
 # unreached keeps the system what something runs: every non-test function
 # in a library package is linked by some main package (cmd/*, examples/*,
@@ -178,11 +188,11 @@ loc:
 
 # ci is the full gate: formatting, static checks (ravelint with the
 # LINT.json artifact and per-analyzer timings, the allow-annotation
-# audit, vet, the one-follower, one-reply and one-gate grep gates, the unreached-code gate,
+# audit, vet, the one-follower, one-reply, one-gate and one-quantile grep gates, the unreached-code gate,
 # govulncheck when present), a clean build, the test suite under the
 # race detector, ten seconds of
 # fuzzing per target, one run of each raster microbenchmark, a doubled chaos pass (the chaos suite exercises concurrent failure recovery, so -race
 # is part of the bar, not an extra), the reduced fleet-scale load,
 # region-partition, and sick-disk scenarios, and the rasterizer
 # regression benchmark.
-ci: fmt-check lint-report allow-audit lint one-follower one-reply one-gate unreached vulncheck build race fuzz-smoke bench-smoke chaos scale partition storage raster
+ci: fmt-check lint-report allow-audit lint one-follower one-reply one-gate one-quantile unreached vulncheck build race fuzz-smoke bench-smoke chaos scale partition storage raster

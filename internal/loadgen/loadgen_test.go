@@ -74,6 +74,42 @@ func TestRunSurvivesNodeKill(t *testing.T) {
 	}
 }
 
+// TestResultsLatencyIsGatewayHistogram: the results' latency blocks are
+// the gateway's dispatch histograms read through Metric.Summary, one
+// recorder and one quantile definition, counting exactly the successful
+// dispatches of each class.
+func TestResultsLatencyIsGatewayHistogram(t *testing.T) {
+	sc := Scenario{
+		Nodes:      4,
+		Sessions:   20,
+		Tenants:    2,
+		Interval:   250 * time.Millisecond,
+		Duration:   2 * time.Second,
+		FrameEvery: 4,
+		Seed:       7,
+	}
+	fleet, err := BuildFleet(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := NewReporter()
+	fleet.Run(context.Background(), rep)
+	art := fleet.Artifact(rep)
+	res := art.Results
+	for kind, got := range map[string]telemetry.Summary{"mutate": res.Mutate, "frame": res.Frame} {
+		m, ok := art.Snapshot.Get("gw", "dispatch_latency_ns", kind)
+		if !ok || got != m.Summary() {
+			t.Errorf("%s: results %+v, gw/dispatch_latency_ns %+v", kind, got, m.Summary())
+		}
+		if n := art.Snapshot.CounterValue("gw", "requests_total", kind); got.Count == 0 || got.Count != n {
+			t.Errorf("%s: results count %d, requests_total %d", kind, got.Count, n)
+		}
+	}
+	if res.Mutate.Count+res.Frame.Count != res.OK {
+		t.Errorf("mutate %d + frame %d != ok %d", res.Mutate.Count, res.Frame.Count, res.OK)
+	}
+}
+
 // TestRunSurvivesRegionPartition: the reduced partition scenario — a
 // two-region fleet loses its second region mid-run and heals before
 // the end. Acceptance: the usual conservation/zero-error/zero-lost

@@ -14,8 +14,8 @@ import (
 const maxErrorSamples = 5
 
 // Reporter aggregates request outcomes. Requesters call record
-// concurrently; aggregation is a mutex over plain counters and sample
-// pools — no channels, no goroutines, nothing to leak or overflow.
+// concurrently; aggregation is a mutex over plain counters — no
+// channels, no goroutines, nothing to leak or overflow.
 type Reporter struct {
 	mu         sync.Mutex
 	issued     int64
@@ -37,9 +37,6 @@ type Reporter struct {
 	partitionAtNs, healAtNs  int64
 	crossAtCut, crossAtHeal  int64
 	victimAtCut, victimAtEnd int64
-
-	mutate statPool
-	frame  statPool
 }
 
 // NewReporter creates an empty reporter.
@@ -47,9 +44,10 @@ func NewReporter() *Reporter {
 	return &Reporter{declined: map[string]int64{}}
 }
 
-// record files one request outcome under its class.
-func (r *Reporter) record(kind gateway.Kind, d time.Duration, err error) {
+// record files one request outcome.
+func (r *Reporter) record(err error) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.issued++
 	switch {
 	case err == nil:
@@ -63,14 +61,6 @@ func (r *Reporter) record(kind gateway.Kind, d time.Duration, err error) {
 			if len(r.errSamples) < maxErrorSamples {
 				r.errSamples = append(r.errSamples, err.Error())
 			}
-		}
-	}
-	r.mu.Unlock()
-	if err == nil {
-		if kind == gateway.KindFrame {
-			r.frame.add(d)
-		} else {
-			r.mutate.add(d)
 		}
 	}
 }
@@ -119,7 +109,8 @@ func (r *Reporter) setVirtualDuration(d time.Duration) {
 }
 
 // Summarize folds the reporter's counters and the fleet's telemetry
-// snapshot into the artifact's results block.
+// snapshot into the artifact's results block; the latency blocks are
+// the snapshot's gw/dispatch_latency_ns histograms.
 func (r *Reporter) Summarize(snap telemetry.Snapshot) Results {
 	r.mu.Lock()
 	declined := make(map[string]int64, len(r.declined))
@@ -143,8 +134,9 @@ func (r *Reporter) Summarize(snap telemetry.Snapshot) Results {
 	if res.VirtualDurationNs > 0 {
 		res.ThroughputRPS = float64(res.OK) / (float64(res.VirtualDurationNs) / float64(time.Second))
 	}
-	res.Mutate = r.mutate.summarize()
-	res.Frame = r.frame.summarize()
+	mutate, _ := snap.Get("gw", "dispatch_latency_ns", string(gateway.KindMutate))
+	frame, _ := snap.Get("gw", "dispatch_latency_ns", string(gateway.KindFrame))
+	res.Mutate, res.Frame = mutate.Summary(), frame.Summary()
 	res.SessionsRebalanced = snap.CounterValue("gw", "sessions_rebalanced_total", "")
 	res.Promotions = snap.CounterValue("gw", "promotions_total", "")
 	res.DispatchRetries = snap.CounterValue("gw", "dispatch_retries_total", "")
@@ -210,22 +202,21 @@ var ArtifactKinds = []string{telemetry.BenchKindScale, telemetry.BenchKindPartit
 // poisoned a disk are kind "storage"; plain (and node-kill) runs are
 // kind "scale".
 func (f *Fleet) Artifact(rep *Reporter) Artifact {
+	snap := f.Metrics.Snapshot()
 	art := Artifact{
 		BenchArtifact: telemetry.BenchArtifact{
 			V:        telemetry.BenchVersion,
 			Kind:     telemetry.BenchKindScale,
-			Snapshot: f.Metrics.Snapshot(),
+			Snapshot: snap,
 		},
 		Scenario: f.Scenario,
-		Results:  rep.Summarize(f.Metrics.Snapshot()),
+		Results:  rep.Summarize(snap),
 	}
 	rep.mu.Lock()
 	killNode, killAtNs := rep.killNode, rep.killAtNs
 	sickNode, sickAtNs := rep.sickNode, rep.sickAtNs
 	partitionRegion := rep.partitionRegion
 	partitionAtNs, healAtNs := rep.partitionAtNs, rep.healAtNs
-	crossDelta := rep.crossAtHeal - rep.crossAtCut
-	victimDelta := rep.victimAtEnd - rep.victimAtCut
 	rep.mu.Unlock()
 	if killNode != "" {
 		art.Kill = &KillEvent{Node: killNode, AtNs: killAtNs}
@@ -242,8 +233,8 @@ func (f *Fleet) Artifact(rep *Reporter) Artifact {
 			Region:               partitionRegion,
 			AtNs:                 partitionAtNs,
 			HealedAtNs:           healAtNs,
-			CrossBootstrapBytes:  crossDelta,
-			VictimBootstrapBytes: victimDelta,
+			CrossBootstrapBytes:  art.Results.PartitionCrossBootstrapBytes,
+			VictimBootstrapBytes: art.Results.PartitionVictimBootstrapBytes,
 		}
 	}
 	return art

@@ -159,9 +159,8 @@ func (f *Fleet) runSession(ctx context.Context, idx int, jitter time.Duration, e
 			req.Kind = gateway.KindFrame
 			req.Interactive = true
 		}
-		issueAt := f.Clock.Now()
 		_, err := f.Gateway.Dispatch(ctx, req)
-		rep.record(req.Kind, f.Clock.Now().Sub(issueAt), err)
+		rep.record(err)
 		next = next.Add(sc.Interval)
 		if now := f.Clock.Now(); next.Before(now) {
 			next = now

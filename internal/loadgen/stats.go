@@ -9,39 +9,15 @@
 // The harness splits four ways: the loader builds the fleet and opens
 // the session population, requesters drive the per-session open-loop
 // schedules, the reporter aggregates outcomes and writes the artifact,
-// and stats (this file) turns raw samples into the summary
-// distributions.
+// and stats (this file) holds the results block and its acceptance
+// check.
 package loadgen
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/telemetry"
 )
-
-// statPool accumulates latency samples for one request class. Samples
-// are virtual durations, bounded by requests-per-run (a few 100k at
-// most), so keeping them all and sorting once at summary time buys
-// exact quantiles for free.
-type statPool struct {
-	mu      sync.Mutex
-	samples []time.Duration
-}
-
-func (p *statPool) add(d time.Duration) {
-	p.mu.Lock()
-	p.samples = append(p.samples, d)
-	p.mu.Unlock()
-}
-
-// summarize reads the class's exact quantiles.
-func (p *statPool) summarize() telemetry.Summary {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return telemetry.Summarize(p.samples)
-}
 
 // Results is the artifact's summary block: what the run offered, what
 // came back, and how fast.
@@ -64,8 +40,10 @@ type Results struct {
 	// ThroughputRPS is OK requests per virtual second.
 	ThroughputRPS float64 `json:"throughput_rps"`
 
-	// Mutate and Frame are per-class latency distributions (virtual
-	// time, gateway admission to completion, retries included).
+	// Mutate and Frame are per-class latency distributions of the
+	// successful dispatches (virtual time, gateway admission to
+	// completion, retries included), read from the gateway's
+	// gw/dispatch_latency_ns{mutate|frame} histograms.
 	Mutate telemetry.Summary `json:"mutate"`
 	Frame  telemetry.Summary `json:"frame"`
 

@@ -51,26 +51,19 @@ type Config struct {
 	Clock vclock.Clock
 }
 
-// total sums a sample set.
-func total(samples []time.Duration) time.Duration {
-	var t time.Duration
-	for _, d := range samples {
-		t += d
-	}
-	return t
-}
-
 // RasterResults is BENCH_raster.json's summary block.
 type RasterResults struct {
 	// ReferenceFrame and FixedFrame are single-threaded frame times for
-	// the float reference core and the fixed-point core.
+	// the float reference core and the fixed-point core; each frame block
+	// is its rasterbench/*_frame_ns histogram's Summary.
 	ReferenceFrame telemetry.Summary `json:"reference_frame"`
 	FixedFrame     telemetry.Summary `json:"fixed_frame"`
 	// FreshRendererFrame is the fixed single-threaded pass again with a
 	// Renderer built for every frame, the way renderservice.draw builds
 	// one — the path the daemons run. The passes above reuse one.
 	FreshRendererFrame telemetry.Summary `json:"fresh_renderer_frame"`
-	// Speedup is reference p50 / fixed p50, same machine same run — the
+	// Speedup is reference p50 / fixed p50 (bucket bounds, each within
+	// 12.5% of its median), same machine same run — the
 	// machine-independent regression invariant. Medians, not totals: one
 	// GC pause in a short run would skew a total-time ratio.
 	Speedup float64 `json:"speedup"`
@@ -113,12 +106,13 @@ func RunRaster(cfg Config) (RasterArtifact, error) {
 	met := telemetry.NewRegistry(cfg.Clock)
 
 	// timeFrame times one frame into fb, drawn by the renderer frame
-	// hands it (inside the timed region).
-	timeFrame := func(fb *raster.Framebuffer, frame func() *raster.Renderer) time.Duration {
+	// hands it (inside the timed region), and files the time in h
+	// (outside it).
+	timeFrame := func(h *telemetry.Histogram, fb *raster.Framebuffer, frame func() *raster.Renderer) {
 		start := cfg.Clock.Now()
 		fb.Clear(0, 0, 0)
 		frame().RenderMesh(model, mathx.Identity(), cam)
-		return cfg.Clock.Now().Sub(start)
+		h.Observe(cfg.Clock.Now().Sub(start))
 	}
 	reusing := func(r *raster.Renderer) func() *raster.Renderer {
 		return func() *raster.Renderer { return r }
@@ -136,36 +130,41 @@ func RunRaster(cfg Config) (RasterArtifact, error) {
 	fresh := func() *raster.Renderer { return newRenderer(freshFB, freshMet, 1) }
 	// The passes take turns frame by frame, so a busy stretch of a shared
 	// machine lands on every side of the ratios below.
-	var refSamples, fixSamples, freshSamples, parSamples []time.Duration
+	refH := met.Histogram("rasterbench", "reference_frame_ns", "")
+	fixH := met.Histogram("rasterbench", "fixed_frame_ns", "")
+	freshH := met.Histogram("rasterbench", "fresh_frame_ns", "")
+	parH := met.Histogram("rasterbench", "parallel_frame_ns", "")
 	for f := 0; f < sc.Frames; f++ {
-		refSamples = append(refSamples, timeFrame(refFB, reusing(refR)))
-		fixSamples = append(fixSamples, timeFrame(fixFB, reusing(fixR)))
-		freshSamples = append(freshSamples, timeFrame(freshFB, fresh))
-		parSamples = append(parSamples, timeFrame(parFB, reusing(parR)))
+		timeFrame(refH, refFB, reusing(refR))
+		timeFrame(fixH, fixFB, reusing(fixR))
+		timeFrame(freshH, freshFB, fresh)
+		timeFrame(parH, parFB, reusing(parR))
 	}
 
-	// Parity: the two cores' final frames must agree byte for byte.
-	parity := bytes.Equal(refFB.Color, fixFB.Color)
-
-	fixedTotal := total(fixSamples)
-	res := RasterResults{
-		ReferenceFrame:     telemetry.Summarize(refSamples),
-		FixedFrame:         telemetry.Summarize(fixSamples),
-		FreshRendererFrame: telemetry.Summarize(freshSamples),
-		ParityOK:           parity,
-		TrianglesDrawn:     int64(fixR.TrianglesDrawn),
-	}
 	snap := met.Snapshot()
-	res.PixelsFilled = snap.CounterValue("rasterbench", "raster_pixels_total", "") / int64(sc.Frames)
-	if fixedTotal > 0 {
+	pass := func(name string) telemetry.Metric {
+		m, _ := snap.Get("rasterbench", name, "")
+		return m
+	}
+	fixed, par := pass("fixed_frame_ns"), pass("parallel_frame_ns")
+	res := RasterResults{
+		ReferenceFrame:     pass("reference_frame_ns").Summary(),
+		FixedFrame:         fixed.Summary(),
+		FreshRendererFrame: pass("fresh_frame_ns").Summary(),
+		// Parity: the two cores' final frames must agree byte for byte.
+		ParityOK:       bytes.Equal(refFB.Color, fixFB.Color),
+		TrianglesDrawn: int64(fixR.TrianglesDrawn),
+		PixelsFilled:   snap.CounterValue("rasterbench", "raster_pixels_total", "") / int64(sc.Frames),
+	}
+	if fixed.SumNanos > 0 {
 		res.PixelsPerSec = float64(res.PixelsFilled) * float64(sc.Frames) /
-			(float64(fixedTotal) / float64(time.Second))
+			(float64(fixed.SumNanos) / float64(time.Second))
 	}
 	if res.FixedFrame.P50ns > 0 {
 		res.Speedup = float64(res.ReferenceFrame.P50ns) / float64(res.FixedFrame.P50ns)
 	}
-	if parTotal := total(parSamples); parTotal > 0 && sc.Workers > 0 {
-		res.BandUtilization = float64(fixedTotal) / (float64(sc.Workers) * float64(parTotal))
+	if par.SumNanos > 0 && sc.Workers > 0 {
+		res.BandUtilization = float64(fixed.SumNanos) / (float64(sc.Workers) * float64(par.SumNanos))
 	}
 	return RasterArtifact{
 		BenchArtifact: telemetry.BenchArtifact{V: telemetry.BenchVersion, Kind: telemetry.BenchKindRaster, Snapshot: snap},

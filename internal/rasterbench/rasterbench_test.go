@@ -85,6 +85,29 @@ func TestRunRasterStructure(t *testing.T) {
 	}
 }
 
+// TestSummariesAreSnapshotHistograms: every frame block in the results
+// is the Summary of the histogram in the artifact's own snapshot that
+// recorded the pass, and the parallel pass is recorded too.
+func TestSummariesAreSnapshotHistograms(t *testing.T) {
+	art, err := RunRaster(Config{Scenario: smallScenario(), Clock: newStepClock(time.Millisecond)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]telemetry.Summary{
+		"reference_frame_ns": art.Results.ReferenceFrame,
+		"fixed_frame_ns":     art.Results.FixedFrame,
+		"fresh_frame_ns":     art.Results.FreshRendererFrame,
+	} {
+		m, ok := art.Snapshot.Get("rasterbench", name, "")
+		if !ok || got != m.Summary() {
+			t.Errorf("%s: results %+v, snapshot %+v", name, got, m.Summary())
+		}
+	}
+	if m, _ := art.Snapshot.Get("rasterbench", "parallel_frame_ns", ""); m.Count != 3 {
+		t.Errorf("parallel pass recorded %d frames, want 3", m.Count)
+	}
+}
+
 // TestRunRejectsBadConfig pins the input validation.
 func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := RunRaster(Config{Scenario: Scenario{}, Clock: newStepClock(1)}); err == nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"time"
 )
 
 // Versioned BENCH_*.json artifacts. Every benchmark harness that checks
@@ -24,8 +23,15 @@ import (
 //	1 — the BenchArtifact envelope: {"v", "kind", "snapshot", ...}.
 //	    Kind-specific harnesses embed it and add fields of their own
 //	    (e.g. raveload's scenario/results); a reader decoding just the
-//	    envelope ignores fields it does not know.
-const BenchVersion = 1
+//	    envelope ignores fields it does not know. Snapshot histograms
+//	    have 14 fixed bounds (0, 1ms … 5s, +Inf), and latency
+//	    summaries are exact quantiles over samples kept beside them.
+//	    Metric.Quantile reads v2 buckets, not these.
+//	2 — snapshot histograms have the log-linear layout (see
+//	    bucketIndex), cut after their last non-empty bucket, and every
+//	    latency summary is Metric.Summary of a histogram in the same
+//	    snapshot.
+const BenchVersion = 2
 
 // Bench artifact kinds.
 const (
@@ -103,33 +109,14 @@ func ReadBenchArtifact(r io.Reader, art Enveloped, kinds ...string) error {
 	return art.Envelope().check(kinds)
 }
 
-// Summary is one timed class's distribution as a BENCH_*.json block:
-// exact quantiles over every sample, in nanoseconds (explicit int64 so
-// the file diffs cleanly). The histograms' ms-scale buckets are too
-// coarse for sub-millisecond frames, and a run's sample count is small
-// enough to keep them all.
+// Summary is one timed class's distribution as a BENCH_*.json block,
+// in nanoseconds (explicit int64 so the file diffs cleanly): the
+// count, the p50 and p99 bucket upper bounds and the exact max of the
+// histogram that recorded the class (Metric.Summary), so every summary
+// in an artifact can be checked against the artifact's own snapshot.
 type Summary struct {
 	Count int64 `json:"count"`
 	P50ns int64 `json:"p50_ns"`
 	P99ns int64 `json:"p99_ns"`
 	Maxns int64 `json:"max_ns"`
-}
-
-// Summarize sorts a copy of samples and reads exact quantiles.
-func Summarize(samples []time.Duration) Summary {
-	n := len(samples)
-	if n == 0 {
-		return Summary{}
-	}
-	sorted := slices.Clone(samples)
-	slices.Sort(sorted)
-	at := func(q float64) int64 {
-		return int64(sorted[int(q*float64(n-1))])
-	}
-	return Summary{
-		Count: int64(n),
-		P50ns: at(0.50),
-		P99ns: at(0.99),
-		Maxns: int64(sorted[n-1]),
-	}
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,7 +26,7 @@ func TestBenchArtifactRoundTrip(t *testing.T) {
 	if err := WriteBenchArtifact(&buf, &in, BenchKindScale); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"v": 1`) {
+	if !strings.Contains(buf.String(), `"v": 2`) {
 		t.Fatalf("artifact missing schema version field:\n%s", buf.String())
 	}
 	var art BenchArtifact
@@ -139,10 +140,16 @@ func TestBenchArtifactRejectsGarbage(t *testing.T) {
 	if read(`{"v":1,"kind":"raster","snapshot":{"taken_nanos":1}}`, BenchKindScale, BenchKindStorage) == nil {
 		t.Error("raster artifact accepted by a scale reader")
 	}
+	if err := read(`{"v":1,"kind":"scale","snapshot":{"taken_nanos":1}}`, BenchKindScale); err != nil {
+		t.Errorf("v1 artifact rejected: %v", err)
+	}
 }
 
 // TestCheckedInBenchArtifacts reads every BENCH_*.json at the repo root
-// through the envelope reader: the perf trajectory stays parseable.
+// through the envelope reader: the perf trajectory stays parseable, each
+// file is at the current version, and every latency summary in it is
+// the Summary of the histogram in the file's own snapshot that recorded
+// it.
 func TestCheckedInBenchArtifacts(t *testing.T) {
 	paths, err := filepath.Glob("../../BENCH_*.json")
 	if err != nil {
@@ -151,35 +158,77 @@ func TestCheckedInBenchArtifacts(t *testing.T) {
 	if len(paths) == 0 {
 		t.Fatal("no checked-in BENCH_*.json found")
 	}
-	kinds := []string{BenchKindScale, BenchKindPartition, BenchKindStorage, BenchKindRaster}
+	type series struct{ service, name, label string }
+	fleet := map[string]series{
+		"mutate": {"gw", "dispatch_latency_ns", "mutate"},
+		"frame":  {"gw", "dispatch_latency_ns", "frame"},
+	}
+	latencies := map[string]map[string]series{
+		BenchKindScale: fleet, BenchKindPartition: fleet, BenchKindStorage: fleet,
+		BenchKindRaster: {
+			"reference_frame":      {"rasterbench", "reference_frame_ns", ""},
+			"fixed_frame":          {"rasterbench", "fixed_frame_ns", ""},
+			"fresh_renderer_frame": {"rasterbench", "fresh_frame_ns", ""},
+		},
+	}
 	for _, p := range paths {
 		f, err := os.Open(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var art BenchArtifact
-		err = ReadBenchArtifact(f, &art, kinds...)
+		var art struct {
+			BenchArtifact
+			Results map[string]json.RawMessage `json:"results"`
+		}
+		err = ReadBenchArtifact(f, &art, BenchKindScale, BenchKindPartition, BenchKindStorage, BenchKindRaster)
 		f.Close()
 		if err != nil {
 			t.Errorf("%s: %v", p, err)
-		} else if len(art.Snapshot.Metrics) == 0 {
+			continue
+		}
+		if art.V != BenchVersion {
+			t.Errorf("%s: v%d, want v%d (regenerate it)", p, art.V, BenchVersion)
+		}
+		if len(art.Snapshot.Metrics) == 0 {
 			t.Errorf("%s: empty snapshot", p)
+		}
+		for block, s := range latencies[art.Kind] {
+			var got Summary
+			if err := json.Unmarshal(art.Results[block], &got); err != nil {
+				t.Errorf("%s: results.%s: %v", p, block, err)
+				continue
+			}
+			m, ok := art.Snapshot.Get(s.service, s.name, s.label)
+			if want := m.Summary(); !ok || got.Count == 0 || got != want {
+				t.Errorf("%s: results.%s = %+v, want %s/%s{%s} %+v", p, block, got, s.service, s.name, s.label, want)
+			}
 		}
 	}
 }
 
-// TestSummarizeQuantiles pins the exact-quantile math against a known
-// sample set.
+// TestSummarizeQuantiles pins Metric.Summary's nearest-rank reads on a
+// known spread: 1..100 ms, observed in reverse.
 func TestSummarizeQuantiles(t *testing.T) {
-	var samples []time.Duration
-	for i := 100; i >= 1; i-- { // reversed: Summarize must sort
-		samples = append(samples, time.Duration(i))
+	reg := NewRegistry(vclock.NewVirtual(time.Unix(0, 0)))
+	h := reg.Histogram("s", "h", "")
+	for i := 100; i >= 1; i-- {
+		h.Observe(time.Duration(i) * time.Millisecond)
 	}
-	s := Summarize(samples)
-	if s.Count != 100 || s.P50ns != 50 || s.P99ns != 99 || s.Maxns != 100 {
-		t.Errorf("Summarize = %+v, want count=100 p50=50 p99=99 max=100", s)
+	m, _ := reg.Snapshot().Get("s", "h", "")
+	// p50 is the 50th value, 50ms, in (48ms, 2^25 + 4·2^22]; p99 is the
+	// 99th, 99ms, in (92.27ms, 2^26 + 4·2^23]; p0 is 1ms, in
+	// (0.98ms, 2^20].
+	want := Summary{Count: 100, P50ns: 50331648, P99ns: 100663296, Maxns: int64(100 * time.Millisecond)}
+	if s := m.Summary(); s != want {
+		t.Errorf("Summary = %+v, want %+v", s, want)
 	}
-	if z := Summarize(nil); z != (Summary{}) {
-		t.Errorf("Summarize(nil) = %+v, want zero", z)
+	if q := m.Quantile(0); q != 1048576 {
+		t.Errorf("p0 = %d, want 1048576", q)
+	}
+	if len(m.Buckets) != bucketIndex(int64(100*time.Millisecond))+1 {
+		t.Errorf("snapshot keeps %d buckets, want through the last non-empty one", len(m.Buckets))
+	}
+	if z := (Metric{Kind: KindHistogram}).Summary(); z != (Summary{}) {
+		t.Errorf("empty histogram Summary = %+v, want zero", z)
 	}
 }

@@ -1,5 +1,5 @@
 // Package telemetry provides the session-clock instrumentation layer:
-// a lock-cheap metrics registry (counters, gauges, fixed-bucket
+// a lock-cheap metrics registry (counters, gauges, log-linear
 // histograms keyed by service/metric/label) and frame tracing (spans
 // with virtual-clock timestamps carried across service boundaries).
 //
@@ -16,6 +16,7 @@ package telemetry
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -31,31 +32,46 @@ const (
 	KindHistogram = "histogram"
 )
 
-// bucketBounds are the fixed histogram bucket upper bounds in
-// nanoseconds. The leading 0 bucket exists because operations on a
-// non-advancing virtual clock legitimately take zero time; the final
-// implicit bucket is +Inf. Fixed bounds (rather than per-histogram
-// configuration) keep snapshots comparable across services and diffs
-// well-defined.
-var bucketBounds = []int64{
-	0,
-	int64(1 * time.Millisecond),
-	int64(2 * time.Millisecond),
-	int64(5 * time.Millisecond),
-	int64(10 * time.Millisecond),
-	int64(25 * time.Millisecond),
-	int64(50 * time.Millisecond),
-	int64(100 * time.Millisecond),
-	int64(250 * time.Millisecond),
-	int64(500 * time.Millisecond),
-	int64(1 * time.Second),
-	int64(2 * time.Second),
-	int64(5 * time.Second),
+// Histogram buckets are log-linear and the same for every histogram, so
+// snapshots stay comparable and Diff well-defined. Bucket 0 holds d <= 0
+// (virtual-clock work legitimately takes zero time), bucket 1 (0, 1024ns];
+// each octave (2^k, 2^(k+1)] for k = 10..33 splits into 8 equal
+// sub-buckets, so above 1024ns a bound is at most 12.5% above any value in
+// its bucket; the last bucket is the overflow, above 2^34ns (≈ 17.2s).
+const (
+	subBits    = 3
+	minOctave  = 10 // bucket 1's bound is 2^minOctave
+	maxOctave  = 34 // the overflow bucket starts above 2^maxOctave
+	numBuckets = 2 + (maxOctave-minOctave)<<subBits + 1
+	overflow   = numBuckets - 1
+)
+
+// bucketIndex is the bucket holding a duration of ns nanoseconds.
+func bucketIndex(ns int64) int {
+	switch {
+	case ns <= 0:
+		return 0
+	case ns <= 1<<minOctave:
+		return 1
+	case ns > 1<<maxOctave:
+		return overflow
+	}
+	v := uint64(ns - 1) // 2^k <= v < 2^(k+1)
+	k := bits.Len64(v) - 1
+	j := int(v>>(k-subBits)) & (1<<subBits - 1)
+	return 2 + (k-minOctave)<<subBits + j
 }
 
-// NumBuckets is the number of histogram buckets including the
-// overflow (+Inf) bucket.
-const NumBuckets = 14
+// bucketBound is bucket i's upper bound in nanoseconds: 0, 1024, then
+// 2^k + (j+1)·2^(k-3) for sub-bucket j of octave k. The overflow bucket
+// has none (Quantile reads the max there).
+func bucketBound(i int) int64 {
+	if i < 2 {
+		return int64(i) << minOctave
+	}
+	k, j := minOctave+(i-2)>>subBits, int64((i-2)&(1<<subBits-1))
+	return 1<<k + (j+1)<<(k-subBits)
+}
 
 // PeerLabel marks a peer/service name as a metric label. Peer names
 // come from the deployment's fixed service fleet — a bounded set — so
@@ -113,12 +129,12 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Histogram is a fixed-bucket duration histogram. Buckets are shared
-// across all histograms (see bucketBounds); observation is a mutex
+// Histogram is a log-linear duration histogram. Buckets are shared
+// across all histograms (see bucketIndex); observation is a mutex
 // bump of one bucket counter, cheap enough for per-tile hot paths.
 type Histogram struct {
 	mu      sync.Mutex
-	buckets [NumBuckets]int64
+	buckets [numBuckets]int64
 	count   int64
 	sum     int64 // nanoseconds
 	max     int64 // nanoseconds
@@ -130,7 +146,7 @@ func (h *Histogram) Observe(d time.Duration) {
 		return
 	}
 	ns := int64(d)
-	i := sort.Search(len(bucketBounds), func(i int) bool { return ns <= bucketBounds[i] })
+	i := bucketIndex(ns)
 	h.mu.Lock()
 	h.buckets[i]++
 	h.count++
@@ -259,16 +275,18 @@ type Snapshot struct {
 	Metrics    []Metric `json:"metrics"`
 }
 
-// Quantile estimates the q-th quantile (0..1) of a histogram metric
-// from its cumulative buckets, returning the upper bound of the bucket
-// containing the quantile (the max for the overflow bucket). Returns 0
-// for empty or non-histogram metrics.
+// Quantile is the one quantile routine: the q-th quantile (0..1) of a
+// histogram metric by nearest rank over its cumulative buckets,
+// returned as the upper bound of the bucket holding that rank (the max
+// for the overflow bucket). Returns 0 for empty or non-histogram
+// metrics.
 func (m Metric) Quantile(q float64) time.Duration {
 	if m.Kind != KindHistogram || m.Count == 0 {
 		return 0
 	}
 	// Nearest-rank: the smallest observation with at least q*count
-	// observations at or below it, so p99 of a small sample is its max.
+	// observations at or below it, so p99 of a small sample lands in its
+	// max's bucket.
 	rank := int64(math.Ceil(q*float64(m.Count))) - 1
 	if rank < 0 {
 		rank = 0
@@ -277,13 +295,24 @@ func (m Metric) Quantile(q float64) time.Duration {
 	for i, n := range m.Buckets {
 		cum += n
 		if cum > rank {
-			if i < len(bucketBounds) {
-				return time.Duration(bucketBounds[i])
+			if i == overflow {
+				return time.Duration(m.MaxNanos)
 			}
-			return time.Duration(m.MaxNanos)
+			return time.Duration(bucketBound(i))
 		}
 	}
 	return time.Duration(m.MaxNanos)
+}
+
+// Summary is the metric's BENCH_*.json latency block, read through
+// Quantile.
+func (m Metric) Summary() Summary {
+	return Summary{
+		Count: m.Count,
+		P50ns: int64(m.Quantile(0.50)),
+		P99ns: int64(m.Quantile(0.99)),
+		Maxns: m.MaxNanos,
+	}
 }
 
 // Snapshot copies every series into a sorted, timestamped Snapshot.
@@ -307,10 +336,14 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for k, h := range r.hists {
 		h.mu.Lock()
+		last := len(h.buckets)
+		for last > 0 && h.buckets[last-1] == 0 {
+			last--
+		}
 		m := Metric{
 			Service: k.service, Name: k.metric, Label: k.label,
 			Kind: KindHistogram, Count: h.count, SumNanos: h.sum, MaxNanos: h.max,
-			Buckets: append([]int64(nil), h.buckets[:]...),
+			Buckets: append([]int64(nil), h.buckets[:last]...),
 		}
 		h.mu.Unlock()
 		snap.Metrics = append(snap.Metrics, m)

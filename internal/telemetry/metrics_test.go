@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -36,7 +37,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	h.Observe(0)
 	h.Observe(3 * time.Millisecond)
 	h.Observe(70 * time.Millisecond)
-	h.Observe(10 * time.Second) // overflow bucket
+	h.Observe(20 * time.Second) // overflow bucket
 	snap := reg.Snapshot()
 	if snap.TakenNanos != clk.Now().UnixNano() {
 		t.Fatalf("snapshot timestamp %d, want %d", snap.TakenNanos, clk.Now().UnixNano())
@@ -45,14 +46,67 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if !ok || m.Kind != KindHistogram {
 		t.Fatalf("histogram metric missing from snapshot: %+v", snap)
 	}
-	if m.Count != 4 || m.MaxNanos != int64(10*time.Second) {
+	if m.Count != 4 || m.MaxNanos != int64(20*time.Second) || len(m.Buckets) != numBuckets {
 		t.Fatalf("histogram snapshot %+v", m)
 	}
-	if q := m.Quantile(0.5); q != 5*time.Millisecond {
-		t.Fatalf("p50 = %v, want bucket bound 5ms", q)
+	// 3ms lies in (2^21 + 3·2^18, 2^21 + 4·2^18] ns.
+	if q := m.Quantile(0.5); q != 3145728 {
+		t.Fatalf("p50 = %v, want bucket bound 3.145728ms", q)
 	}
-	if q := m.Quantile(0.99); q != 10*time.Second {
-		t.Fatalf("p99 = %v, want max 10s (overflow bucket)", q)
+	if q := m.Quantile(0.99); q != 20*time.Second {
+		t.Fatalf("p99 = %v, want max 20s (overflow bucket)", q)
+	}
+}
+
+// TestBucketLayout pins the log-linear layout: where the edges land,
+// that every finite bound is the last value of its bucket, that no
+// octave bucket is wider than 1/8 of its lower edge, and that the
+// sub-millisecond range a collab_edit commit runs at spreads over
+// several buckets.
+func TestBucketLayout(t *testing.T) {
+	if numBuckets != 195 {
+		t.Fatalf("numBuckets = %d, want 195", numBuckets)
+	}
+	for _, c := range []struct {
+		ns   int64
+		want int
+	}{
+		{-5, 0}, {0, 0}, {1, 1}, {1024, 1}, {1025, 2}, {1152, 2}, {1153, 3},
+		{2048, 9}, {2049, 10},
+		{int64(2 * time.Millisecond), 89}, {int64(25 * time.Millisecond), 117},
+		{1 << 34, overflow - 1}, {1<<34 + 1, overflow}, {math.MaxInt64, overflow},
+	} {
+		if got := bucketIndex(c.ns); got != c.want {
+			t.Errorf("bucketIndex(%d) = %d, want %d", c.ns, got, c.want)
+		}
+	}
+	if b := bucketBound(89); b != 2097152 {
+		t.Errorf("2ms bucket bound = %d, want 2097152", b)
+	}
+	if b := bucketBound(117); b != 25165824 {
+		t.Errorf("25ms bucket bound = %d, want 25165824", b)
+	}
+	for i := 0; i < overflow; i++ {
+		b := bucketBound(i)
+		if got := bucketIndex(b); got != i {
+			t.Errorf("bucketIndex(bound(%d) = %d) = %d", i, b, got)
+		}
+		if got := bucketIndex(b + 1); got != i+1 {
+			t.Errorf("bucketIndex(bound(%d)+1 = %d) = %d, want %d", i, b+1, got, i+1)
+		}
+		if i >= 2 {
+			if lo := bucketBound(i - 1); (b-lo)*8 > lo {
+				t.Errorf("bucket %d (%d, %d] wider than 1/8 of its lower edge", i, lo, b)
+			}
+		}
+	}
+
+	spanned := map[int]bool{}
+	for d := 600 * time.Microsecond; d <= 1100*time.Microsecond; d += 10 * time.Microsecond {
+		spanned[bucketIndex(int64(d))] = true
+	}
+	if len(spanned) < 3 {
+		t.Errorf("600–1100µs spans %d buckets, want >= 3", len(spanned))
 	}
 }
 
