@@ -219,6 +219,11 @@ func TestSynchronizerValidation(t *testing.T) {
 	if _, err := NewSynchronizer(8, 8, []image.Rectangle{image.Rect(0, 0, 4, 8)}); err == nil {
 		t.Error("partial coverage accepted")
 	}
+	// Overlapping regions whose areas sum to the frame's leave a gap
+	// (rows 8–9 here) that no tile would fill and no report would name.
+	if _, err := NewSynchronizer(10, 10, []image.Rectangle{image.Rect(0, 0, 10, 5), image.Rect(0, 3, 10, 8)}); err == nil {
+		t.Error("overlapping regions with a gap accepted")
+	}
 	// Region outside the frame.
 	if _, err := NewSynchronizer(8, 8, []image.Rectangle{image.Rect(0, 0, 9, 8)}); err == nil {
 		t.Error("oversized region accepted")

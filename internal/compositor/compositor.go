@@ -11,7 +11,9 @@ import (
 	"fmt"
 	"image"
 	"math"
+	"slices"
 
+	"repro/internal/marshal"
 	"repro/internal/raster"
 )
 
@@ -43,31 +45,27 @@ func DepthComposite(dst, src *raster.Framebuffer) error {
 }
 
 // CompositeAll depth-composites any number of partial renderings into a
-// fresh framebuffer of the given size, leaving the parts as they were.
-// The result is what merging each in turn into a cleared buffer gives (a
-// pixel no part drew nearer than +Inf stays cleared whatever its colour,
-// the earlier part wins a tie), but the first part is taken, not compared.
+// fresh framebuffer of the given size: CompositeTiles over dense parts.
 func CompositeAll(w, h int, parts ...*raster.Framebuffer) (*raster.Framebuffer, error) {
-	if len(parts) == 0 {
-		return raster.NewFramebuffer(w, h), nil
+	tiles := make([]Tile, len(parts))
+	for i, p := range parts {
+		tiles[i] = Tile{Rect: image.Rect(0, 0, p.W, p.H), FB: p}
 	}
-	first := parts[0]
-	if first.W != w || first.H != h { // the rest are DepthComposite's to refuse
-		return nil, fmt.Errorf("compositor: size mismatch %dx%d vs %dx%d", w, h, first.W, first.H)
-	}
-	out := &raster.Framebuffer{W: w, H: h, Color: make([]uint8, len(first.Color)), Depth: append([]float32(nil), first.Depth...)}
-	inf := float32(math.Inf(1))
-	for i, n := 0, len(out.Depth); i < n; i++ {
-		if i+8 <= n && cleared8(out.Depth[i:]) {
-			i += 7 // and the loop's one
-		} else if d := out.Depth[i]; d < inf {
-			out.Color[3*i], out.Color[3*i+1], out.Color[3*i+2] = first.Color[3*i], first.Color[3*i+1], first.Color[3*i+2]
-		} else if d != inf {
-			out.Depth[i] = inf // NaN never wins a depth test
+	return CompositeTiles(w, h, tiles)
+}
+
+// CompositeTiles depth-composites whole-frame parts into a fresh
+// framebuffer of the given size: each is painted in turn into one cleared
+// frame, a pixel only where it is strictly nearer than what is there. A
+// pixel no part drew nearer than +Inf stays cleared whatever its colour,
+// NaN never wins, and the earlier part wins a tie.
+func CompositeTiles(w, h int, parts []Tile) (*raster.Framebuffer, error) {
+	out := raster.NewFramebuffer(w, h)
+	for _, p := range parts {
+		if pw, ph := p.size(); pw != w || ph != h {
+			return nil, fmt.Errorf("compositor: size mismatch %dx%d vs %dx%d", w, h, pw, ph)
 		}
-	}
-	for _, p := range parts[1:] {
-		if err := DepthComposite(out, p); err != nil {
+		if err := p.paint(out, marshal.PaintNearer); err != nil {
 			return nil, err
 		}
 	}
@@ -78,22 +76,65 @@ func CompositeAll(w, h int, parts ...*raster.Framebuffer) (*raster.Framebuffer, 
 // and the scene version it was rendered from. Version mismatches between
 // adjacent tiles are what produce the tearing artifact in Figure 5.
 type Tile struct {
-	Rect    image.Rectangle
+	Rect image.Rectangle
+	// FB holds the tile's pixels or, when nil, Frame holds them as a render
+	// service sent them, passed by marshal.CheckFrame, to be painted
+	// straight into the frame they are assembled into.
 	FB      *raster.Framebuffer
+	Frame   []byte
 	Version uint64
 }
 
-// AssembleTiles blits tiles into a full framebuffer of the given size.
+// size is the tile's width and height as its pixels have them.
+func (t Tile) size() (w, h int) {
+	if t.FB != nil {
+		return t.FB.W, t.FB.H
+	}
+	w, h, _ = marshal.FrameDims(t.Frame)
+	return w, h
+}
+
+// paint writes the tile's pixels into dst at its rectangle. A tile that
+// is a whole frame is the only kind PaintNearer composites.
+func (t Tile) paint(dst *raster.Framebuffer, mode marshal.PaintMode) error {
+	switch {
+	case t.FB == nil:
+		return marshal.PaintFrame(dst, t.Frame, t.Rect.Min.X, t.Rect.Min.Y, mode)
+	case mode == marshal.PaintNearer:
+		return DepthComposite(dst, t.FB)
+	default:
+		return dst.BlitTile(t.FB, t.Rect.Min.X, t.Rect.Min.Y)
+	}
+}
+
+// Dense returns the tile's pixels as a framebuffer: FB, or Frame decoded.
+func (t Tile) Dense() (*raster.Framebuffer, error) {
+	if t.FB != nil {
+		return t.FB, nil
+	}
+	return marshal.DecodeFrame(t.Frame)
+}
+
+// AssembleTiles paints tiles into a full framebuffer of the given size.
 // Tiles must lie within the image and match their rectangle's size; they
 // may overlap (later tiles win), as when a local renderer covered a
-// remote tile's region while waiting for it.
+// remote tile's region while waiting for it — a tile as sent names only
+// the pixels it drew, so one that overlaps an earlier tile has its
+// rectangle cleared first.
 func AssembleTiles(w, h int, tiles []Tile) (*raster.Framebuffer, error) {
 	out := raster.NewFramebuffer(w, h)
 	for i, t := range tiles {
-		if t.FB.W != t.Rect.Dx() || t.FB.H != t.Rect.Dy() {
-			return nil, fmt.Errorf("compositor: tile %d is %dx%d but rect %v", i, t.FB.W, t.FB.H, t.Rect)
+		if tw, th := t.size(); tw != t.Rect.Dx() || th != t.Rect.Dy() {
+			return nil, fmt.Errorf("compositor: tile %d is %dx%d but rect %v", i, tw, th, t.Rect)
 		}
-		if err := out.BlitTile(t.FB, t.Rect.Min.X, t.Rect.Min.Y); err != nil {
+		var err error
+		if t.FB == nil && slices.ContainsFunc(tiles[:i], func(o Tile) bool { return o.Rect.Overlaps(t.Rect) }) {
+			err = out.BlitTile(raster.NewFramebuffer(t.Rect.Dx(), t.Rect.Dy()), t.Rect.Min.X, t.Rect.Min.Y)
+		}
+		if err == nil {
+			err = t.paint(out, marshal.PaintAll)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("compositor: tile %d: %w", i, err)
 		}
 	}
@@ -104,18 +145,7 @@ func AssembleTiles(w, h int, tiles []Tile) (*raster.Framebuffer, error) {
 // how a straggler's tile is synthesized from the last good frame when
 // the deadline forces assembly without it.
 func Crop(fb *raster.Framebuffer, rect image.Rectangle) (*raster.Framebuffer, error) {
-	if rect.Min.X < 0 || rect.Min.Y < 0 || rect.Max.X > fb.W || rect.Max.Y > fb.H ||
-		rect.Dx() <= 0 || rect.Dy() <= 0 {
-		return nil, fmt.Errorf("compositor: crop %v outside %dx%d frame", rect, fb.W, fb.H)
-	}
-	out := raster.NewFramebuffer(rect.Dx(), rect.Dy())
-	for y := 0; y < rect.Dy(); y++ {
-		srcRow := (rect.Min.Y+y)*fb.W + rect.Min.X
-		dstRow := y * out.W
-		copy(out.Color[dstRow*3:(dstRow+out.W)*3], fb.Color[srcRow*3:(srcRow+rect.Dx())*3])
-		copy(out.Depth[dstRow:dstRow+out.W], fb.Depth[srcRow:srcRow+rect.Dx()])
-	}
-	return out, nil
+	return fb.SubTile(rect)
 }
 
 // SplitTiles divides a w x h image into a grid of cols x rows tile

@@ -3,6 +3,7 @@ package compositor
 import (
 	"fmt"
 	"image"
+	"slices"
 
 	"repro/internal/raster"
 )
@@ -21,15 +22,19 @@ type Synchronizer struct {
 	latest map[int]Tile
 }
 
-// NewSynchronizer expects one tile per rectangle of a w x h frame.
+// NewSynchronizer expects one tile per rectangle of a w x h frame, which
+// the rectangles must cover exactly: no two overlapping, none outside.
 func NewSynchronizer(w, h int, rects []image.Rectangle) (*Synchronizer, error) {
 	if len(rects) == 0 {
 		return nil, fmt.Errorf("compositor: synchronizer needs at least one tile region")
 	}
 	area := 0
-	for _, r := range rects {
+	for i, r := range rects {
 		if r.Min.X < 0 || r.Min.Y < 0 || r.Max.X > w || r.Max.Y > h || r.Dx() <= 0 || r.Dy() <= 0 {
 			return nil, fmt.Errorf("compositor: region %v outside %dx%d frame", r, w, h)
+		}
+		if slices.ContainsFunc(rects[:i], r.Overlaps) {
+			return nil, fmt.Errorf("compositor: region %v overlaps another", r)
 		}
 		area += r.Dx() * r.Dy()
 	}
@@ -72,7 +77,7 @@ func (s *Synchronizer) Synced() bool {
 	return true
 }
 
-// Complete reports how many regions still miss a tile at the newest
+// Pending reports how many regions still miss a tile at the newest
 // version seen so far.
 func (s *Synchronizer) Pending() int {
 	if len(s.latest) < len(s.rects) {

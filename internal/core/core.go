@@ -182,18 +182,18 @@ func (h *SocketHandle) Render(job dataservice.RenderJob) (compositor.Tile, error
 	if err != nil {
 		return compositor.Tile{}, err
 	}
-	// A frame's header, not its length, says what its decoder builds, so
-	// only the size this job asked for is let through to it (a reply too
-	// short for its version has no frame and so no size).
+	// Checked here, in the part's goroutine, a bad reply is a failed part.
+	// The tile keeps the bytes (Receive allocates each payload afresh):
+	// they are painted only when the frame is assembled.
 	version, frame, _ := transport.UnpackVersioned(payload)
-	if w, ht, err := marshal.FrameDims(frame); err != nil || w != job.Rect.Dx() || ht != job.Rect.Dy() {
-		return compositor.Tile{}, fmt.Errorf("core: %s answered a %dx%d job with a %dx%d frame", h.name, job.Rect.Dx(), job.Rect.Dy(), w, ht)
-	}
-	fb, err := marshal.DecodeFrame(frame)
+	w, ht, err := marshal.CheckFrame(frame)
 	if err != nil {
 		return compositor.Tile{}, fmt.Errorf("core: frame from %s: %w", h.name, err)
 	}
-	return compositor.Tile{Rect: job.Rect, FB: fb, Version: version}, nil
+	if w != job.Rect.Dx() || ht != job.Rect.Dy() {
+		return compositor.Tile{}, fmt.Errorf("core: %s answered a %dx%d job with a %dx%d frame", h.name, job.Rect.Dx(), job.Rect.Dy(), w, ht)
+	}
+	return compositor.Tile{Rect: job.Rect, Frame: frame, Version: version}, nil
 }
 
 var _ dataservice.RenderHandle = (*SocketHandle)(nil)

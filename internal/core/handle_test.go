@@ -134,8 +134,13 @@ func TestPeerDialsBeforeReplicaLands(t *testing.T) {
 	if err != nil {
 		t.Fatalf("tile job after the replica landed: %v", err)
 	}
-	if tile.FB.W != 32 || tile.FB.H != 16 || tile.Version != sess.Version() || tile.FB.CoveredPixels() == 0 {
-		t.Errorf("tile %dx%d at version %d with %d pixels drawn", tile.FB.W, tile.FB.H, tile.Version, tile.FB.CoveredPixels())
+	// The tile holds the reply as sent; its pixels are read by painting it.
+	frame, err := compositor.AssembleTiles(32, 32, []compositor.Tile{tile})
+	if err != nil || tile.Rect != job.Rect || tile.Version != sess.Version() || frame.CoveredPixels() == 0 {
+		t.Errorf("tile %v at version %d painted with %v", tile.Rect, tile.Version, err)
+	}
+	if top, _ := frame.SubTile(image.Rect(0, 0, 32, 16)); top.CoveredPixels() != 0 {
+		t.Error("the tile painted outside its rectangle")
 	}
 }
 
@@ -219,7 +224,7 @@ func lyingService(conn net.Conn, name string, frame func() []byte) {
 // size it asked for. A peer answering a 640×240 tile job with a
 // 16384×16384 header costs its caller an error naming it and next to no
 // memory; one answering with a well-formed 8×8 frame is refused too,
-// here and not in BlitTile; and to the distributor either is a failed
+// here and not at assembly; and to the distributor either is a failed
 // part like any other — re-issued, counted by the peer's breaker.
 func TestWrongSizedFrameIsAPartFailure(t *testing.T) {
 	huge := marshal.AppendFrame(nil, raster.NewFramebuffer(1, 1), true)

@@ -122,13 +122,13 @@ func (e *partsError) Error() string {
 
 func (e *partsError) Unwrap() error { return e.first }
 
-// complete returns the buffers of a plan that needs every part, in plan
+// complete returns the results of a plan that needs every part, in plan
 // order, or a *partsError naming the services that failed.
-func (p *plan) complete() ([]*raster.Framebuffer, error) {
-	fbs := make([]*raster.Framebuffer, len(p.parts))
+func (p *plan) complete() ([]compositor.Tile, error) {
+	tiles := make([]compositor.Tile, len(p.parts))
 	var failed *partsError
 	for i, pt := range p.parts {
-		fbs[i] = pt.tile.FB
+		tiles[i] = pt.tile
 		if !pt.ok {
 			if failed == nil {
 				failed = &partsError{first: pt.err}
@@ -139,7 +139,7 @@ func (p *plan) complete() ([]*raster.Framebuffer, error) {
 	if failed != nil {
 		return nil, failed
 	}
-	return fbs, nil
+	return tiles, nil
 }
 
 // isDecline reports whether an error is a typed overload refusal.
@@ -376,14 +376,15 @@ func (d *Distributor) subsetParts(snap snapshot, w, h int) (*plan, error) {
 }
 
 // compositeSubsets is the dataset-distribution assembler: the parts'
-// frame+depth buffers are depth-composited. The composition is
-// order-independent since payloads are opaque.
+// frame+depth buffers are depth-composited, each painted into the frame
+// as it was sent. The composition is order-independent since payloads
+// are opaque, but for ties, which go to the part planned first.
 func compositeSubsets(w, h int, p *plan) (*raster.Framebuffer, []image.Rectangle, error) {
-	fbs, err := p.complete()
+	tiles, err := p.complete()
 	if err != nil {
 		return nil, nil, err
 	}
-	fb, err := compositor.CompositeAll(w, h, fbs...)
+	fb, err := compositor.CompositeTiles(w, h, tiles)
 	return fb, nil, err
 }
 
@@ -514,7 +515,7 @@ func (d *Distributor) tileParts(snap snapshot, w, h int) (*plan, error) {
 }
 
 // assembleTiles is the framebuffer-distribution assembler: arrived
-// tiles are blitted into place and a missing one degrades to its region
+// tiles are painted into place and a missing one degrades to its region
 // of the last good frame of this size, which this frame then becomes.
 func (d *Distributor) assembleTiles(w, h int, p *plan) (*raster.Framebuffer, []image.Rectangle, error) {
 	rects := make([]image.Rectangle, len(p.parts))

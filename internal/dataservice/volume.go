@@ -131,12 +131,16 @@ func (d *Distributor) slabParts(snap snapshot, w, h int) (*plan, error) {
 // slabs from SplitVolumeNode.
 func (d *Distributor) RenderVolumeDistributed(w, h int, opacity float64) (*raster.Framebuffer, error) {
 	blend := func(w, h int, p *plan) (*raster.Framebuffer, []image.Rectangle, error) {
-		fbs, err := p.complete()
+		tiles, err := p.complete()
 		if err != nil {
 			return nil, nil, err
 		}
-		layers := make([]compositor.VolumeLayer, len(fbs))
-		for i, fb := range fbs {
+		layers := make([]compositor.VolumeLayer, len(tiles))
+		for i, t := range tiles {
+			fb, err := t.Dense() // blending reads every pixel of every layer
+			if err != nil {
+				return nil, nil, err
+			}
 			layers[i] = compositor.VolumeLayer{FB: fb, Opacity: opacity, ViewDistance: p.parts[i].viewDistance}
 		}
 		fb, err := compositor.BlendVolume(w, h, layers)

@@ -139,27 +139,6 @@ func Torus(center mathx.Vec3, R, r float64, arc float64, u, v int) *geom.Mesh {
 	})
 }
 
-// Box generates an axis-aligned box with n x n quads per face.
-func Box(min, max mathx.Vec3, n int) *geom.Mesh {
-	m := &geom.Mesh{}
-	size := max.Sub(min)
-	face := func(origin, du, dv mathx.Vec3) {
-		m.Append(ParamSurface(n, n, false, false, func(s, t float64) mathx.Vec3 {
-			return origin.Add(du.Scale(s)).Add(dv.Scale(t))
-		}))
-	}
-	dx := mathx.V3(size.X, 0, 0)
-	dy := mathx.V3(0, size.Y, 0)
-	dz := mathx.V3(0, 0, size.Z)
-	face(min, dx, dy)         // back (z = min)
-	face(min.Add(dz), dy, dx) // front (z = max), flipped winding
-	face(min, dy, dz)         // left
-	face(min.Add(dx), dz, dy) // right
-	face(min, dz, dx)         // bottom
-	face(min.Add(dy), dx, dz) // top
-	return m
-}
-
 // Sheet generates a gently curved rectangular sheet (used for sails): a
 // grid over du x dv, bulged along the normal by bulge at the center.
 func Sheet(origin, du, dv mathx.Vec3, bulge float64, u, v int) *geom.Mesh {

@@ -119,20 +119,6 @@ func TestTorusGeometry(t *testing.T) {
 	}
 }
 
-func TestBoxGeometry(t *testing.T) {
-	m := Box(mathx.V3(0, 0, 0), mathx.V3(1, 2, 3), 2)
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if m.TriangleCount() != 6*2*2*2 {
-		t.Errorf("box triangles: %d", m.TriangleCount())
-	}
-	b := m.Bounds()
-	if !b.Min.ApproxEq(mathx.V3(0, 0, 0)) || !b.Max.ApproxEq(mathx.V3(1, 2, 3)) {
-		t.Errorf("box bounds: %+v", b)
-	}
-}
-
 func TestSheetBulge(t *testing.T) {
 	m := Sheet(mathx.Vec3{}, mathx.V3(2, 0, 0), mathx.V3(0, 2, 0), 0.5, 8, 8)
 	maxZ := 0.0

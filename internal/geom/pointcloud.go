@@ -41,76 +41,3 @@ func (pc *PointCloud) Clone() *PointCloud {
 	}
 	return out
 }
-
-// FromMeshVertices samples a point cloud from the vertices of a mesh.
-func FromMeshVertices(m *Mesh, stride int) *PointCloud {
-	if stride < 1 {
-		stride = 1
-	}
-	pc := &PointCloud{}
-	for i := 0; i < len(m.Positions); i += stride {
-		pc.Points = append(pc.Points, m.Positions[i])
-		if m.Colors != nil {
-			pc.Colors = append(pc.Colors, m.Colors[i])
-		}
-	}
-	if m.Colors == nil {
-		pc.Colors = nil
-	}
-	return pc
-}
-
-// SplitSpatially partitions the cloud into at most n pieces along the
-// longest bounding-box axis, for dataset distribution.
-func (pc *PointCloud) SplitSpatially(n int) []*PointCloud {
-	if n <= 1 || len(pc.Points) == 0 {
-		return []*PointCloud{pc.Clone()}
-	}
-	bounds := pc.Bounds()
-	size := bounds.Size()
-	axis := 0
-	if size.Y > size.X && size.Y >= size.Z {
-		axis = 1
-	} else if size.Z > size.X && size.Z > size.Y {
-		axis = 2
-	}
-	axisValue := func(v mathx.Vec3) float64 {
-		switch axis {
-		case 1:
-			return v.Y
-		case 2:
-			return v.Z
-		default:
-			return v.X
-		}
-	}
-	lo := axisValue(bounds.Min)
-	span := axisValue(bounds.Max) - lo
-	if span <= 0 {
-		return []*PointCloud{pc.Clone()}
-	}
-	pieces := make([]*PointCloud, n)
-	for i := range pieces {
-		pieces[i] = &PointCloud{}
-	}
-	for i, p := range pc.Points {
-		k := int(float64(n) * (axisValue(p) - lo) / span)
-		if k >= n {
-			k = n - 1
-		}
-		pieces[k].Points = append(pieces[k].Points, p)
-		if pc.Colors != nil {
-			pieces[k].Colors = append(pieces[k].Colors, pc.Colors[i])
-		}
-	}
-	var out []*PointCloud
-	for _, piece := range pieces {
-		if len(piece.Points) > 0 {
-			if pc.Colors == nil {
-				piece.Colors = nil
-			}
-			out = append(out, piece)
-		}
-	}
-	return out
-}

@@ -126,68 +126,147 @@ func ReadFrame(in io.Reader) (*raster.Framebuffer, error) {
 	return DecodeFrame(b)
 }
 
-// FrameDims reads the size an encoded frame claims, for a caller that
-// knows what it asked for to refuse anything else before it is built.
+// FrameDims reads the size an encoded frame claims, without checking it.
 func FrameDims(b []byte) (w, h int, err error) {
 	r := decoder{b: b}
 	w, h = int(r.u32()), int(r.u32())
 	return w, h, r.err
 }
 
-// DecodeFrame deserializes a framebuffer from exactly b. A colour frame
-// gets a cleared depth plane. A spans frame is checked before anything is
-// allocated for it — at most maxSpanFramePixels, three slabs and nothing
-// after, every run non-empty, inside w×h and past the end of the one
-// before, lengths summing to the pixels sent — then built cleared and
-// filled; a run holding a cleared pixel is refused there, so only what
-// AppendFrame writes is accepted.
-func DecodeFrame(b []byte) (*raster.Framebuffer, error) {
+// frameParts is a frame's size and its slabs, still encoded: the colour
+// plane (dense), or the run index, colours and depths of its spans.
+type frameParts struct {
+	w, h, runs, pixels   int
+	dense                bool
+	index, colour, depth []byte
+}
+
+// splitFrame reads exactly one frame's header and slabs, refusing a size
+// beyond 16384 a side (maxSpanFramePixels in all for spans), an unknown
+// flag, a colour plane of the wrong size and anything after the slabs.
+func splitFrame(b []byte) (f frameParts, err error) {
 	r := decoder{b: b}
-	w, h, flag := int(r.u32()), int(r.u32()), r.u8()
+	f.w, f.h = int(r.u32()), int(r.u32())
+	flag := r.u8()
 	if r.err != nil {
-		return nil, r.err
+		return f, r.err
 	}
-	if w <= 0 || h <= 0 || w > 1<<14 || h > 1<<14 || (flag == frameSpans && w*h > maxSpanFramePixels) || (flag != frameColour && flag != frameSpans) {
-		return nil, fmt.Errorf("marshal: frame %dx%d with flag %d out of range", w, h, flag)
+	if f.w <= 0 || f.h <= 0 || f.w > 1<<14 || f.h > 1<<14 || (flag == frameSpans && f.w*f.h > maxSpanFramePixels) || (flag != frameColour && flag != frameSpans) {
+		return f, fmt.Errorf("marshal: frame %dx%d with flag %d out of range", f.w, f.h, flag)
 	}
-	if flag == frameColour {
-		nColor, color := r.slab(1, maxSliceLen, "color plane")
-		if r.err == nil && nColor != w*h*3 {
-			return nil, fmt.Errorf("marshal: color plane %d bytes, want %d", nColor, w*h*3)
+	if f.dense = flag == frameColour; f.dense {
+		var n int
+		if n, f.colour = r.slab(1, maxSliceLen, "color plane"); r.err == nil && n != f.w*f.h*3 {
+			return f, fmt.Errorf("marshal: color plane %d bytes, want %d", n, f.w*f.h*3)
 		}
-		if err := r.end(); err != nil {
-			return nil, err
-		}
-		fb := raster.NewFramebuffer(w, h)
-		copy(fb.Color, color)
-		return fb, nil
+		return f, r.end()
 	}
-	nRuns, index := r.slab(8, w*h, "run index")
-	nColour, colour := r.slab(1, 3*w*h, "span colours")
-	pixels, depth := r.slab(4, w*h, "span depths")
-	if err := r.end(); err != nil {
-		return nil, err
+	f.runs, f.index = r.slab(8, f.w*f.h, "run index")
+	_, f.colour = r.slab(1, 3*f.w*f.h, "span colours")
+	f.pixels, f.depth = r.slab(4, f.w*f.h, "span depths")
+	return f, r.end()
+}
+
+// CheckFrame checks, allocating nothing, that b is one frame as
+// AppendFrame writes them and returns its size: beyond splitFrame's
+// checks, every run non-empty, inside w×h and past the end of the one
+// before, lengths summing to the pixels sent, and no pixel sent cleared
+// (read as depth bits and colour off the wire), so that a run is exactly
+// what nextRun finds.
+func CheckFrame(b []byte) (w, h int, err error) {
+	f, err := splitFrame(b)
+	if err != nil || f.dense {
+		return f.w, f.h, err
 	}
 	next, sum := 0, 0 // the least start the next run may have; pixels so far
-	for i := 0; i < nRuns; i++ {
-		start, n := int(binary.BigEndian.Uint32(index[8*i:])), int(binary.BigEndian.Uint32(index[8*i+4:]))
-		if start < next || n < 1 || n > w*h-start {
-			return nil, fmt.Errorf("marshal: run %d [%d,+%d) out of order or outside %dx%d", i, start, n, w, h)
+	for i := 0; i < f.runs; i++ {
+		start, n := int(binary.BigEndian.Uint32(f.index[8*i:])), int(binary.BigEndian.Uint32(f.index[8*i+4:]))
+		if start < next || n < 1 || n > f.w*f.h-start {
+			return 0, 0, fmt.Errorf("marshal: run %d [%d,+%d) out of order or outside %dx%d", i, start, n, f.w, f.h)
 		}
 		next, sum = start+n+1, sum+n
 	}
-	if sum != pixels || nColour != 3*pixels {
-		return nil, fmt.Errorf("marshal: runs cover %d pixels, %d depths and %d colour bytes sent", sum, pixels, nColour)
+	if sum != f.pixels || len(f.colour) != 3*f.pixels {
+		return 0, 0, fmt.Errorf("marshal: runs cover %d pixels, %d depths and %d colour bytes sent", sum, f.pixels, len(f.colour))
+	}
+	for i, c := 0, f.colour; i < f.pixels; i++ {
+		if binary.BigEndian.Uint32(f.depth[4*i:]) == clearedDepth && c[3*i]|c[3*i+1]|c[3*i+2] == 0 {
+			return 0, 0, fmt.Errorf("marshal: pixel %d sent is cleared", i)
+		}
+	}
+	return f.w, f.h, nil
+}
+
+// PaintMode is what PaintFrame writes of each pixel a frame carries.
+type PaintMode uint8
+
+const (
+	PaintAll     PaintMode = iota // the pixel: a tile into its cleared region
+	PaintNearer                   // the pixel if its depth is strictly less, as DepthComposite
+	PaintCleared                  // a cleared pixel: a drawn buffer back to a fresh one
+)
+
+// PaintFrame writes a frame CheckFrame accepted into dst with its
+// top-left corner at (x0, y0). A spans frame touches only its runs' pixels,
+// a row at a time where a run wraps, so painting costs what was drawn,
+// not the viewport; a colour frame is one run over every pixel at depth
+// +Inf. Painting PaintAll into a cleared buffer decodes the frame.
+func PaintFrame(dst *raster.Framebuffer, b []byte, x0, y0 int, mode PaintMode) error {
+	f, err := splitFrame(b)
+	if err != nil {
+		return err
+	}
+	if x0 < 0 || y0 < 0 || x0+f.w > dst.W || y0+f.h > dst.H {
+		return fmt.Errorf("marshal: %dx%d frame at (%d,%d) outside %dx%d framebuffer", f.w, f.h, x0, y0, dst.W, dst.H)
+	}
+	index, colour, depth := f.index, f.colour, f.depth
+	if f.dense {
+		index = binary.BigEndian.AppendUint32(make([]byte, 4, 8), uint32(f.w*f.h))
+	}
+	for ; len(index) > 0 && !(f.dense && mode == PaintNearer); index = index[8:] { // +Inf is never nearer
+		for p, n := int(binary.BigEndian.Uint32(index)), int(binary.BigEndian.Uint32(index[4:])); n > 0; {
+			seg := min(n, f.w-p%f.w)
+			i := (y0+p/f.w)*dst.W + x0 + p%f.w
+			c, d := dst.Color[3*i:3*(i+seg)], dst.Depth[i:i+seg]
+			switch {
+			case mode == PaintNearer:
+				for k := range d {
+					if z := math.Float32frombits(binary.BigEndian.Uint32(depth[4*k:])); z < d[k] {
+						d[k] = z
+						c[3*k], c[3*k+1], c[3*k+2] = colour[3*k], colour[3*k+1], colour[3*k+2]
+					}
+				}
+			case mode == PaintAll && !f.dense:
+				copy(c, colour)
+				f32s(d, depth)
+			default: // cleared depth, under the colour plane or cleared colour
+				if clear(c); mode == PaintAll {
+					copy(c, colour)
+				}
+				for k := range d {
+					d[k] = float32(math.Inf(1))
+				}
+			}
+			p, n, colour = p+seg, n-seg, colour[3*seg:]
+			if !f.dense {
+				depth = depth[4*seg:]
+			}
+		}
+	}
+	return nil
+}
+
+// DecodeFrame deserializes a framebuffer from exactly b: CheckFrame
+// accepts it before anything is allocated for it, and it is painted into
+// a cleared framebuffer — a colour frame over a cleared depth plane.
+func DecodeFrame(b []byte) (*raster.Framebuffer, error) {
+	w, h, err := CheckFrame(b)
+	if err != nil {
+		return nil, err
 	}
 	fb := raster.NewFramebuffer(w, h)
-	for ; len(index) > 0; index = index[8:] {
-		start, n := int(binary.BigEndian.Uint32(index)), int(binary.BigEndian.Uint32(index[4:]))
-		f32s(fb.Depth[start:start+n], depth)
-		if s, e := nextRun(fb.Depth[start:start+n], colour, 0); s != 0 || e != n {
-			return nil, fmt.Errorf("marshal: run at %d carries a cleared pixel", start)
-		}
-		copy(fb.Color[3*start:], colour[:3*n])
-		colour, depth = colour[3*n:], depth[4*n:]
+	if err := PaintFrame(fb, b, 0, 0, PaintAll); err != nil {
+		return nil, err
 	}
 	return fb, nil
 }

@@ -156,53 +156,6 @@ func Perspective(fovy, aspect, near, far float64) Mat4 {
 	}
 }
 
-// Invert returns the inverse of m. The second result is false when m is
-// singular, in which case the identity is returned.
-func (m Mat4) Invert() (Mat4, bool) {
-	s0 := m[0]*m[5] - m[4]*m[1]
-	s1 := m[0]*m[6] - m[4]*m[2]
-	s2 := m[0]*m[7] - m[4]*m[3]
-	s3 := m[1]*m[6] - m[5]*m[2]
-	s4 := m[1]*m[7] - m[5]*m[3]
-	s5 := m[2]*m[7] - m[6]*m[3]
-
-	c5 := m[10]*m[15] - m[14]*m[11]
-	c4 := m[9]*m[15] - m[13]*m[11]
-	c3 := m[9]*m[14] - m[13]*m[10]
-	c2 := m[8]*m[15] - m[12]*m[11]
-	c1 := m[8]*m[14] - m[12]*m[10]
-	c0 := m[8]*m[13] - m[12]*m[9]
-
-	det := s0*c5 - s1*c4 + s2*c3 + s3*c2 - s4*c1 + s5*c0
-	if math.Abs(det) < Epsilon {
-		return Identity(), false
-	}
-	inv := 1 / det
-
-	var out Mat4
-	out[0] = (m[5]*c5 - m[6]*c4 + m[7]*c3) * inv
-	out[1] = (-m[1]*c5 + m[2]*c4 - m[3]*c3) * inv
-	out[2] = (m[13]*s5 - m[14]*s4 + m[15]*s3) * inv
-	out[3] = (-m[9]*s5 + m[10]*s4 - m[11]*s3) * inv
-
-	out[4] = (-m[4]*c5 + m[6]*c2 - m[7]*c1) * inv
-	out[5] = (m[0]*c5 - m[2]*c2 + m[3]*c1) * inv
-	out[6] = (-m[12]*s5 + m[14]*s2 - m[15]*s1) * inv
-	out[7] = (m[8]*s5 - m[10]*s2 + m[11]*s1) * inv
-
-	out[8] = (m[4]*c4 - m[5]*c2 + m[7]*c0) * inv
-	out[9] = (-m[0]*c4 + m[1]*c2 - m[3]*c0) * inv
-	out[10] = (m[12]*s4 - m[13]*s2 + m[15]*s0) * inv
-	out[11] = (-m[8]*s4 + m[9]*s2 - m[11]*s0) * inv
-
-	out[12] = (-m[4]*c3 + m[5]*c1 - m[6]*c0) * inv
-	out[13] = (m[0]*c3 - m[1]*c1 + m[2]*c0) * inv
-	out[14] = (-m[12]*s3 + m[13]*s1 - m[14]*s0) * inv
-	out[15] = (m[8]*s3 - m[9]*s1 + m[10]*s0) * inv
-
-	return out, true
-}
-
 // ApproxEq reports whether every element of m and n differs by less than
 // tol.
 func (m Mat4) ApproxEq(n Mat4, tol float64) bool {

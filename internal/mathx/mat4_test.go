@@ -2,7 +2,6 @@ package mathx
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -70,38 +69,6 @@ func TestMulAssociative(t *testing.T) {
 	}
 }
 
-func randomAffine(rng *rand.Rand) Mat4 {
-	m := Translate(V3(rng.Float64()*10-5, rng.Float64()*10-5, rng.Float64()*10-5))
-	m = m.Mul(RotateAxis(V3(rng.Float64()-0.5, rng.Float64()-0.5, rng.Float64()-0.5), rng.Float64()*6))
-	s := rng.Float64()*3 + 0.2
-	return m.Mul(UniformScale(s))
-}
-
-func TestInvertRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 50; i++ {
-		m := randomAffine(rng)
-		inv, ok := m.Invert()
-		if !ok {
-			t.Fatalf("iteration %d: affine matrix reported singular", i)
-		}
-		if !m.Mul(inv).ApproxEq(Identity(), 1e-8) {
-			t.Fatalf("iteration %d: m * m^-1 != I", i)
-		}
-	}
-}
-
-func TestInvertSingular(t *testing.T) {
-	var zero Mat4
-	if _, ok := zero.Invert(); ok {
-		t.Error("zero matrix inverted")
-	}
-	flat := Scale(V3(1, 1, 0))
-	if _, ok := flat.Invert(); ok {
-		t.Error("rank-deficient scale inverted")
-	}
-}
-
 func TestLookAtMapsEyeToOrigin(t *testing.T) {
 	eye := V3(3, 4, 5)
 	view := LookAt(eye, V3(0, 0, 0), V3(0, 1, 0))
@@ -132,21 +99,5 @@ func TestPropRotationPreservesLength(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPropInverseTransformRoundTrips(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 40; i++ {
-		m := randomAffine(rng)
-		inv, ok := m.Invert()
-		if !ok {
-			t.Fatal("singular affine")
-		}
-		p := V3(rng.Float64()*8-4, rng.Float64()*8-4, rng.Float64()*8-4)
-		back := inv.TransformPoint(m.TransformPoint(p))
-		if back.Sub(p).Len() > 1e-7 {
-			t.Fatalf("round trip error %v", back.Sub(p).Len())
-		}
 	}
 }

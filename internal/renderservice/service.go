@@ -390,7 +390,11 @@ func (s *Service) RenderSceneOnce(sc *scene.Scene, cam raster.Camera, w, h int) 
 
 // Render is the one render body: validate, admit, rasterize, charge the
 // modeled device time, release, count — under a traced job's span.
-func (s *Service) Render(j Job) (frame *Frame, err error) {
+func (s *Service) Render(j Job) (*Frame, error) { return s.renderInto(j, nil) }
+
+// renderInto is Render drawing into fb when it is a cleared buffer of the
+// job's size, and into a new one when fb is nil or another size.
+func (s *Service) renderInto(j Job, fb *raster.Framebuffer) (frame *Frame, err error) {
 	span := s.cfg.Tracer.Child(j.Trace, s.cfg.Name, "render")
 	defer func() {
 		var ov *ErrOverloaded
@@ -413,7 +417,10 @@ func (s *Service) Render(j Job) (frame *Frame, err error) {
 	if err != nil {
 		return nil, err
 	}
-	frame = &Frame{FB: raster.NewFramebuffer(j.Rect.Dx(), j.Rect.Dy())}
+	if fb == nil || fb.W != j.Rect.Dx() || fb.H != j.Rect.Dy() {
+		fb = raster.NewFramebuffer(j.Rect.Dx(), j.Rect.Dy())
+	}
+	frame = &Frame{FB: fb}
 	sc, cam := j.Scene, j.Camera
 	var scratch *raster.Scratch
 	if sess := j.Session; sess != nil {
@@ -512,17 +519,18 @@ func (s *Service) LoadReport() transport.LoadReport {
 
 // viewer is one ServeClient connection and what its asker owns: the
 // hello (who asks, of which session — looked up when a request needs it,
-// so a replica may land, or be replaced, while the connection stands) and
-// the encoder whose one previous frame is the last sent on this
-// connection, which is the one the thin client at the other end decodes
-// against. The session owns only what every viewer shares: the scene and
-// the camera.
+// so a replica may land, or be replaced, while the connection stands),
+// the encoder whose one previous frame is the last sent here, which the
+// thin client at the other end decodes against, and a peer's framebuffer,
+// kept cleared between jobs. The session owns only what every viewer
+// shares: the scene and the camera.
 type viewer struct {
 	svc     *Service
 	conn    *transport.Conn
 	hello   transport.Hello
 	enc     *imgcodec.Adaptive
 	linkBps float64
+	fb      *raster.Framebuffer
 }
 
 // session resolves the replica the hello named.
@@ -624,18 +632,32 @@ func (v *viewer) render(payload []byte) error {
 			return v.conn.Refuse(err)
 		}
 	}
-	frame, err := v.svc.Render(job)
+	frame, err := v.svc.renderInto(job, v.fb) // a viewer keeps none
 	if err != nil {
 		return v.conn.Refuse(err)
 	}
 	if peer {
-		return v.conn.Send(transport.MsgFrameDepth, marshal.AppendFrame(transport.PackVersioned(frame.Version, nil), frame.FB, true))
+		return v.replyPeer(frame)
 	}
 	body, err := v.enc.Encode(req.Codec, frame.FB.W, frame.FB.H, frame.FB.Color, v.linkBps)
 	if err != nil {
 		return v.conn.Refuse(err)
 	}
 	return v.conn.Send(transport.MsgFrame, body)
+}
+
+// replyPeer sends a peer the frame's version and drawn pixels as spans,
+// then clears those runs and keeps the buffer for the next job: every
+// pixel outside a run is cleared (that is what a run is), so the reset
+// costs what was drawn, not the viewport.
+func (v *viewer) replyPeer(frame *Frame) error {
+	head := transport.PackVersioned(frame.Version, nil)
+	reply := marshal.AppendFrame(head, frame.FB, true)
+	if err := marshal.PaintFrame(frame.FB, reply[len(head):], 0, 0, marshal.PaintCleared); err != nil {
+		return err
+	}
+	v.fb = frame.FB
+	return v.conn.Send(transport.MsgFrameDepth, reply)
 }
 
 // SubscribeOpts tunes the subscription loop's failure handling. The zero

@@ -2,8 +2,10 @@ package renderservice
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"image"
+	"math"
 	"net"
 	"testing"
 
@@ -533,4 +535,95 @@ func TestFrustumCullingSkipsOffscreenNodes(t *testing.T) {
 	if both.DeviceTime != only.DeviceTime {
 		t.Errorf("culled node charged device time: %v vs %v", both.DeviceTime, only.DeviceTime)
 	}
+}
+
+// TestPeerKeepsItsBufferCleared: after every reply to a peer, the buffer
+// its connection draws into is bitwise a fresh one of its size — across
+// jobs whose rectangle changes size, a decline, and pixels drawn as NaN,
+// -0 or +Inf with colour, which a scene does not produce and so are
+// planted — and every reply is the frame a fresh buffer would have sent.
+func TestPeerKeepsItsBufferCleared(t *testing.T) {
+	svc := newService("rs")
+	sc := testScene(t)
+	sess, err := svc.OpenSession("skull", sc, testCamera(sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	cEnd, sEnd := net.Pipe()
+	t.Cleanup(func() { cEnd.Close(); sEnd.Close() })
+	v := &viewer{svc: svc, conn: transport.NewConn(sEnd), hello: transport.Hello{Role: "peer", Session: "skull"}}
+	client := transport.NewConn(cEnd)
+	// exchange runs one server-side step against the client's read.
+	exchange := func(step func() error) ([]byte, error) {
+		done := make(chan error, 1)
+		go func() { done <- step() }()
+		payload, err := client.Expect(transport.MsgFrameDepth)
+		if serr := <-done; serr != nil {
+			t.Fatal(serr)
+		}
+		return payload, err
+	}
+	kept := func(what string) {
+		t.Helper()
+		if v.fb == nil {
+			t.Fatalf("%s: no buffer kept", what)
+		}
+		if i := firstDiff(v.fb, raster.NewFramebuffer(v.fb.W, v.fb.H)); i >= 0 {
+			t.Fatalf("%s: kept buffer not cleared at pixel %d", what, i)
+		}
+	}
+
+	for _, req := range []transport.RenderRequest{
+		{X1: 48, Y1: 32, FullW: 48, FullH: 32},
+		{X0: 8, Y0: 4, X1: 40, Y1: 28, FullW: 48, FullH: 32},
+		{X0: 8, Y0: 4, X1: 40, Y1: 28, FullW: 48, FullH: 32, DeadlineNanos: 1},
+		{X0: 8, Y0: 4, X1: 40, Y1: 28, FullW: 48, FullH: 32},
+		{X1: 48, Y1: 32, FullW: 48, FullH: 32},
+	} {
+		rect := image.Rect(req.X0, req.Y0, req.X1, req.Y1)
+		body, _ := json.Marshal(req)
+		payload, err := exchange(func() error { return v.render(body) })
+		if req.DeadlineNanos != 0 {
+			var ov *ErrOverloaded
+			if !errors.As(err, &ov) {
+				t.Fatalf("expired job: %v, want a decline", err)
+			}
+			kept("after a decline")
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, frame, _ := transport.UnpackVersioned(payload)
+		got, err := marshal.DecodeFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sess.RenderTile(rect, req.FullW, req.FullH)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.W != rect.Dx() || got.H != rect.Dy() || firstDiff(got, want.FB) >= 0 || got.CoveredPixels() == 0 {
+			t.Fatalf("%v: the reply is not the job's frame", rect)
+		}
+		kept(rect.String())
+	}
+
+	nan, negZero, inf := float32(math.NaN()), float32(math.Copysign(0, -1)), float32(math.Inf(1))
+	drawn := raster.NewFramebuffer(37, 5)
+	drawn.Depth[40], drawn.Depth[41], drawn.Depth[100] = nan, negZero, nan
+	drawn.Set(5, 1, 0, 0, 1)
+	drawn.Depth[60], drawn.Color[3*60+1] = inf, 200
+	drawn.Plot(36, 4, 0.5, 1, 2, 3)
+	sent := drawn.Clone()
+	payload, err := exchange(func() error { return v.replyPeer(&Frame{FB: drawn}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, frame, _ := transport.UnpackVersioned(payload)
+	if got, err := marshal.DecodeFrame(frame); err != nil || firstDiff(got, sent) >= 0 {
+		t.Fatalf("planted pixels sent wrong: %v", err)
+	}
+	kept("after NaN, -0 and +Inf-with-colour pixels")
 }
