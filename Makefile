@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet fmt-check lint lint-report allow-audit one-follower one-reply one-gate one-quantile unreached vulncheck build test race fuzz-smoke bench-smoke chaos scale partition storage raster loc ci
+.PHONY: all vet fmt-check lint lint-report allow-audit one-follower one-reply one-gate one-quantile one-health unreached vulncheck build test race fuzz-smoke bench-smoke chaos scale partition storage raster loc ci
 
 all: ci
 
@@ -77,6 +77,18 @@ one-quantile:
 	@out="$$(grep -rnE '\[\]time\.Duration|func .*([Qq]uantile|[Pp]ercentile)\(' --include='*.go' --exclude='*_test.go' . \
 		| grep -vE '^\./(bench/|internal/telemetry/)')"; \
 	if [ -n "$$out" ]; then echo "a sample pool or second quantile routine outside internal/telemetry:"; echo "$$out"; exit 1; fi
+
+# one-health keeps a render service's health in one place, the
+# distributor's frame loop (dataservice.Distributor's peer records): no
+# non-test file outside internal/dataservice declares a Breaker type or an
+# Available() bool method — a wrapper that keeps a breaker of its own and
+# the side channel that reports it — and nothing names the resilient frame
+# variant, since every distributed frame recovers.
+one-health:
+	@out="$$( { grep -rnE '^type [A-Za-z0-9_]*Breaker|^func \([^)]*\) Available\(\) bool' --include='*.go' --exclude='*_test.go' . \
+		| grep -v '^\./internal/dataservice/'; \
+		grep -rn 'RenderDistributedResilient' --include='*.go' --exclude='*_test.go' .; } )"; \
+	if [ -n "$$out" ]; then echo "peer health kept outside the distributor's frame loop:"; echo "$$out"; exit 1; fi
 
 # unreached keeps the system what something runs: every non-test function
 # in a library package is linked by some main package (cmd/*, examples/*,
@@ -190,11 +202,11 @@ loc:
 
 # ci is the full gate: formatting, static checks (ravelint with the
 # LINT.json artifact and per-analyzer timings, the allow-annotation
-# audit, vet, the one-follower, one-reply, one-gate and one-quantile grep gates, the unreached-code gate,
+# audit, vet, the one-follower, one-reply, one-gate, one-quantile and one-health grep gates, the unreached-code gate,
 # govulncheck when present), a clean build, the test suite under the
 # race detector, ten seconds of
 # fuzzing per target, one run of each raster microbenchmark, a doubled chaos pass (the chaos suite exercises concurrent failure recovery, so -race
 # is part of the bar, not an extra), the reduced fleet-scale load,
 # region-partition, and sick-disk scenarios, and the rasterizer
 # regression benchmark.
-ci: fmt-check lint-report allow-audit lint one-follower one-reply one-gate one-quantile unreached vulncheck build race fuzz-smoke bench-smoke chaos scale partition storage raster
+ci: fmt-check lint-report allow-audit lint one-follower one-reply one-gate one-quantile one-health unreached vulncheck build race fuzz-smoke bench-smoke chaos scale partition storage raster

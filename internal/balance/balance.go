@@ -111,11 +111,33 @@ func DistributeNodes(nodes []NodeItem, services []ServiceCapacity) (Assignment, 
 	for _, s := range services {
 		totalSpare += s.Spare()
 	}
-	need := totalWork(nodes)
-	if need > totalSpare {
+	if need := totalWork(nodes); need > totalSpare {
 		return nil, &ErrInsufficient{Needed: need, Available: totalSpare}
 	}
+	return pack(nodes, services, false)
+}
 
+// ReassignNodes places orphaned nodes (work whose render service failed)
+// onto the surviving services. services must carry their current Assigned
+// load so spare capacity is accurate. Without overcommit it is
+// DistributeNodes and returns ErrInsufficient when the orphans do not fit
+// — the caller may then recruit replacements via UDDI. With
+// allowOvercommit the placement degrades gracefully instead: an orphan no
+// survivor can hold lands on the least-utilized one past its capacity,
+// keeping frames flowing (slower) rather than stalling the session.
+func ReassignNodes(orphans []NodeItem, services []ServiceCapacity, allowOvercommit bool) (Assignment, error) {
+	if !allowOvercommit || len(services) == 0 {
+		return DistributeNodes(orphans, services)
+	}
+	return pack(orphans, services, true)
+}
+
+// pack is the one placement loop: largest node first onto the service
+// with the most spare capacity that can hold it. A node no service can
+// hold fails the packing with ErrInsufficient (aggregate capacity may
+// exist, fragmented, or texture memory may be short), or with overcommit
+// lands on the least-utilized service.
+func pack(nodes []NodeItem, services []ServiceCapacity, overcommit bool) (Assignment, error) {
 	sorted := append([]NodeItem(nil), nodes...)
 	sort.Slice(sorted, func(i, j int) bool {
 		if sorted[i].Cost.Work() != sorted[j].Cost.Work() {
@@ -138,58 +160,8 @@ func DistributeNodes(nodes []NodeItem, services []ServiceCapacity) (Assignment, 
 				bestSpare = spare
 			}
 		}
-		if best == -1 {
-			// Aggregate capacity exists but no single service can take
-			// this node (fragmentation or texture memory).
+		if best == -1 && !overcommit {
 			return nil, &ErrInsufficient{Needed: n.Cost.Work(), Available: maxSpare(caps)}
-		}
-		caps[best].Assigned += n.Cost.Work()
-		caps[best].AssignedBytes += n.Cost.Bytes
-		out[caps[best].Name] = append(out[caps[best].Name], n.ID)
-	}
-	return out, nil
-}
-
-// ReassignNodes places orphaned nodes (work whose render service failed)
-// onto the surviving services. services must carry their current Assigned
-// load so spare capacity is accurate. Without overcommit it behaves like
-// DistributeNodes and returns ErrInsufficient when the orphans do not fit
-// — the caller may then recruit replacements via UDDI. With
-// allowOvercommit the placement degrades gracefully instead: every orphan
-// lands on the least-loaded survivor even past its capacity, keeping
-// frames flowing (slower) rather than stalling the session.
-func ReassignNodes(orphans []NodeItem, services []ServiceCapacity, allowOvercommit bool) (Assignment, error) {
-	if len(services) == 0 {
-		return nil, &ErrInsufficient{Needed: totalWork(orphans), Available: 0}
-	}
-	if !allowOvercommit {
-		return DistributeNodes(orphans, services)
-	}
-
-	sorted := append([]NodeItem(nil), orphans...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Cost.Work() != sorted[j].Cost.Work() {
-			return sorted[i].Cost.Work() > sorted[j].Cost.Work()
-		}
-		return sorted[i].ID < sorted[j].ID
-	})
-	caps := append([]ServiceCapacity(nil), services...)
-	sort.Slice(caps, func(i, j int) bool { return caps[i].Name < caps[j].Name })
-
-	out := Assignment{}
-	for _, n := range sorted {
-		// Prefer a survivor that can hold the node outright; otherwise
-		// overcommit the one with the lowest utilization.
-		best := -1
-		var bestSpare float64
-		for i := range caps {
-			spare := caps[i].Spare()
-			if spare >= n.Cost.Work() &&
-				caps[i].TextureBytes-caps[i].AssignedBytes >= n.Cost.Bytes &&
-				(best == -1 || spare > bestSpare) {
-				best = i
-				bestSpare = spare
-			}
 		}
 		if best == -1 {
 			for i := range caps {

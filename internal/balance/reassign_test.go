@@ -2,7 +2,11 @@ package balance
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
+
+	"repro/internal/scene"
 )
 
 func TestReassignNodesFitsSurvivors(t *testing.T) {
@@ -115,6 +119,58 @@ func TestReassignNodesDeterministic(t *testing.T) {
 					t.Fatalf("run %d: order differs for %s", i, name)
 				}
 			}
+		}
+	}
+}
+
+// TestPropPlacementEntryPointsAgree: over random nodes and capacities,
+// DistributeNodes and ReassignNodes are one packing. Without overcommit
+// they agree — the same assignment, or both refuse. With overcommit no
+// node is dropped: every node lands exactly once, and wherever the
+// packing fits without overcommit it is that packing.
+func TestPropPlacementEntryPointsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		nodes := make([]NodeItem, 1+rng.Intn(12))
+		for i := range nodes {
+			nodes[i] = item(scene.NodeID(i+1), 1+rng.Intn(4000))
+		}
+		services := make([]ServiceCapacity, 1+rng.Intn(4))
+		for i := range services {
+			services[i] = ServiceCapacity{
+				Name:         string(rune('a' + i)),
+				WorkPerFrame: float64(rng.Intn(12000)),
+				Assigned:     float64(rng.Intn(3000)),
+				TextureBytes: int64(rng.Intn(400_000)),
+			}
+		}
+
+		want, wantErr := DistributeNodes(nodes, services)
+		got, err := ReassignNodes(nodes, services, false)
+		if (err == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: ReassignNodes without overcommit = %v, %v; DistributeNodes = %v, %v", trial, got, err, want, wantErr)
+		}
+
+		over, err := ReassignNodes(nodes, services, true)
+		if err != nil {
+			t.Fatalf("trial %d: overcommit refused: %v", trial, err)
+		}
+		placed := map[scene.NodeID]int{}
+		for _, ids := range over {
+			for _, id := range ids {
+				placed[id]++
+			}
+		}
+		for _, n := range nodes {
+			if placed[n.ID] != 1 {
+				t.Fatalf("trial %d: node %d placed %d times: %v", trial, n.ID, placed[n.ID], over)
+			}
+		}
+		if len(placed) != len(nodes) {
+			t.Fatalf("trial %d: %d nodes placed for %d orphans: %v", trial, len(placed), len(nodes), over)
+		}
+		if wantErr == nil && !reflect.DeepEqual(over, want) {
+			t.Fatalf("trial %d: a packing that fits was overcommitted differently: %v vs %v", trial, over, want)
 		}
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"repro/internal/renderservice"
 	"repro/internal/retry"
 	"repro/internal/scene"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/uddi"
 	"repro/internal/vclock"
@@ -86,6 +87,30 @@ func distSession(t *testing.T, svc *dataservice.Service, tris, n int) *dataservi
 	return sess
 }
 
+// subsetsDrawn reads how many subset parts each named render service has
+// drawn, from the registry the services count into.
+func subsetsDrawn(reg *telemetry.Registry, names ...string) map[string]int64 {
+	snap := reg.Snapshot()
+	out := map[string]int64{}
+	for _, name := range names {
+		out[name] = snap.CounterValue(name, "subsets_total", "")
+	}
+	return out
+}
+
+// holdsNodes reports, per named service, whether the distributor's
+// assignment gives it any node — that is, whether a frame gives it a part.
+func holdsNodes(d *dataservice.Distributor, names ...string) map[string]int64 {
+	asg := d.Assignment()
+	out := map[string]int64{}
+	for _, name := range names {
+		if len(asg[name]) > 0 {
+			out[name] = 1
+		}
+	}
+	return out
+}
+
 // TestKillMidFrameReassignsWork is the headline chaos scenario: a socket
 // render service holding the whole dataset is killed in the middle of
 // writing its MsgFrameDepth reply. The distributor must detect the
@@ -96,15 +121,16 @@ func TestKillMidFrameReassignsWork(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
 	stop := advance(clk)
 	defer stop()
-	svc := dataservice.New(dataservice.Config{Name: "data", Clock: clk})
+	reg := telemetry.NewRegistry(clk)
+	svc := dataservice.New(dataservice.Config{Name: "data", Clock: clk, Metrics: reg})
 	sess := distSession(t, svc, 12000, 6)
 	d := sess.NewDistributor(balance.DefaultThresholds())
 	sess.AttachDistributor(d)
 
 	// Two modest survivors in-process, one fast victim over a simulated
 	// socket. Greedy most-spare packing sends every node to the Onyx.
-	athlon := renderservice.New(renderservice.Config{Name: "athlon", Device: device.AthlonDesktop, Workers: 2, Clock: clk})
-	xeon := renderservice.New(renderservice.Config{Name: "xeon", Device: device.XeonDesktop, Workers: 2, Clock: clk})
+	athlon := renderservice.New(renderservice.Config{Name: "athlon", Device: device.AthlonDesktop, Workers: 2, Clock: clk, Metrics: reg})
+	xeon := renderservice.New(renderservice.Config{Name: "xeon", Device: device.XeonDesktop, Workers: 2, Clock: clk, Metrics: reg})
 	if err := d.AddService(&core.LocalHandle{Svc: athlon}); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +138,7 @@ func TestKillMidFrameReassignsWork(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	victim := renderservice.New(renderservice.Config{Name: "victim", Device: device.SGIOnyx, Workers: 2, Clock: clk})
+	victim := renderservice.New(renderservice.Config{Name: "victim", Device: device.SGIOnyx, Workers: 2, Clock: clk, Metrics: reg})
 	dataEnd, renderEnd := netsim.SimPipe(clk, instant(), instant())
 	serveDone := make(chan struct{})
 	go func() {
@@ -141,24 +167,38 @@ func TestKillMidFrameReassignsWork(t *testing.T) {
 	// lands mid-message, mid-frame.
 	renderEnd.InjectFaults(netsim.NewFaults(11).KillAtByte(100))
 
-	fb, rep, err := d.RenderDistributedResilient(context.Background(), 96, 96)
+	fb, err := d.RenderDistributed(96, 96)
 	if err != nil {
-		t.Fatalf("resilient render: %v (report %+v)", err, rep)
+		t.Fatalf("render through the kill: %v", err)
 	}
 	if fb == nil {
 		t.Fatal("no frame despite successful recovery")
 	}
-	if rep.Rounds != 2 {
-		t.Errorf("recovery rounds: %d, want 2 (one failure, one clean re-render)", rep.Rounds)
+	// One failure, recovered within the frame: the victim drew its part
+	// once before dying, and each survivor drew the part it took over
+	// once.
+	want := holdsNodes(d, "athlon", "xeon")
+	want["victim"] = 1
+	got := subsetsDrawn(reg, "athlon", "xeon", "victim")
+	for _, name := range []string{"athlon", "xeon", "victim"} {
+		if got[name] != want[name] {
+			t.Errorf("parts drawn: %v, want %v", got, want)
+			break
+		}
 	}
-	if len(rep.Failed) != 1 || rep.Failed[0] != "victim" {
-		t.Errorf("failed services: %v, want [victim]", rep.Failed)
+	if failed := d.FailedServices(); len(failed) != 1 || failed[0] != "victim" {
+		t.Errorf("failed services: %v, want [victim]", failed)
 	}
-	if rep.Reassigned != 6 {
-		t.Errorf("reassigned %d nodes, want all 6 orphans", rep.Reassigned)
+	snap := reg.Snapshot()
+	reassigned := 0
+	for _, ids := range d.Assignment() {
+		reassigned += len(ids)
 	}
-	if rep.Overcommitted {
-		t.Error("survivors had ample capacity; overcommit flag must stay clear")
+	if n := snap.CounterValue("data", "recovery_reassigned_nodes_total", ""); reassigned != 6 || n != 6 {
+		t.Errorf("reassigned %d nodes (%d assigned), want all 6 orphans", n, reassigned)
+	}
+	if snap.CounterValue("data", "recovery_overcommits_total", "") != 0 {
+		t.Error("survivors had ample capacity; nothing may be overcommitted")
 	}
 	for _, name := range d.ServiceNames() {
 		if name == "victim" {
@@ -181,13 +221,20 @@ func TestKillMidFrameReassignsWork(t *testing.T) {
 		t.Errorf("recovered frame differs from reference on %.2f%% of bytes", frac*100)
 	}
 
-	// Steady state: the next frame needs no recovery at all.
-	_, rep2, err := d.RenderDistributedResilient(context.Background(), 96, 96)
-	if err != nil {
+	// Steady state: the next frame needs no recovery at all — each holder
+	// draws its one part once more, and nothing else fails.
+	before := subsetsDrawn(reg, "athlon", "xeon")
+	if _, err := d.RenderDistributed(96, 96); err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Rounds != 1 || len(rep2.Failed) != 0 {
-		t.Errorf("post-recovery frame not clean: %+v", rep2)
+	after, holders := subsetsDrawn(reg, "athlon", "xeon"), holdsNodes(d, "athlon", "xeon")
+	for _, name := range []string{"athlon", "xeon"} {
+		if after[name]-before[name] != holders[name] {
+			t.Errorf("post-recovery frame not clean: parts drawn %v then %v", before, after)
+		}
+	}
+	if failed := d.FailedServices(); len(failed) != 1 {
+		t.Errorf("post-recovery frame failed services: %v", failed)
 	}
 
 	select {
@@ -248,7 +295,8 @@ func TestRecruitmentDuringRegistryOutage(t *testing.T) {
 	stop := advance(clk)
 	defer stop()
 
-	svc := dataservice.New(dataservice.Config{Name: "data", Clock: clk})
+	metrics := telemetry.NewRegistry(clk)
+	svc := dataservice.New(dataservice.Config{Name: "data", Clock: clk, Metrics: metrics})
 	sess := distSession(t, svc, 30000, 4)
 	d := sess.NewDistributor(balance.DefaultThresholds())
 	sess.AttachDistributor(d)
@@ -287,21 +335,22 @@ func TestRecruitmentDuringRegistryOutage(t *testing.T) {
 
 	victim.dead.Store(true)
 
-	fb, rep, err := d.RenderDistributedResilient(context.Background(), 64, 64)
+	fb, err := d.RenderDistributed(64, 64)
 	if err != nil {
-		t.Fatalf("resilient render: %v (report %+v)", err, rep)
+		t.Fatalf("render through the crash: %v", err)
 	}
 	if fb == nil {
 		t.Fatal("no frame after recruitment recovery")
 	}
-	if len(rep.Recruited) != 1 || rep.Recruited[0] != "onyx2" {
-		t.Errorf("recruited: %v, want [onyx2]", rep.Recruited)
+	snap := metrics.Snapshot()
+	if n := snap.CounterValue("data", "recovery_recruited_total", "onyx2"); n != 1 {
+		t.Errorf("onyx2 recruited %d times, want once", n)
 	}
-	if rep.Overcommitted {
+	if snap.CounterValue("data", "recovery_overcommits_total", "") != 0 {
 		t.Error("recruitment succeeded; the PDA must not be overcommitted")
 	}
-	if len(rep.Failed) != 1 || rep.Failed[0] != "onyx1" {
-		t.Errorf("failed services: %v, want [onyx1]", rep.Failed)
+	if failed := d.FailedServices(); len(failed) != 1 || failed[0] != "onyx1" {
+		t.Errorf("failed services: %v, want [onyx1]", failed)
 	}
 	if got := atomic.LoadInt32(&flaky.calls); got <= flaky.outage {
 		t.Errorf("registry saw %d requests; recruitment never outlived the %d-request outage", got, flaky.outage)

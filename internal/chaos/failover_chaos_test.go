@@ -31,6 +31,7 @@ import (
 	"repro/internal/renderservice"
 	"repro/internal/retry"
 	"repro/internal/scene"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/uddi"
 	"repro/internal/vclock"
@@ -358,8 +359,9 @@ func TestKillPrimaryMidMigrationStandbyRestarts(t *testing.T) {
 	th.UnderloadedFor = 2
 	d := sess.NewDistributor(th)
 	sess.AttachDistributor(d)
-	slowSvc := renderservice.New(renderservice.Config{Name: "slow", Device: device.CentrinoLaptop, Workers: 2, Clock: clk})
-	fastSvc := renderservice.New(renderservice.Config{Name: "fast", Device: device.SGIOnyx, Workers: 2, Clock: clk})
+	reg := telemetry.NewRegistry(clk)
+	slowSvc := renderservice.New(renderservice.Config{Name: "slow", Device: device.CentrinoLaptop, Workers: 2, Clock: clk, Metrics: reg})
+	fastSvc := renderservice.New(renderservice.Config{Name: "fast", Device: device.SGIOnyx, Workers: 2, Clock: clk, Metrics: reg})
 	if err := d.AddService(&core.LocalHandle{Svc: slowSvc}); err != nil {
 		t.Fatal(err)
 	}
@@ -443,12 +445,14 @@ func TestKillPrimaryMidMigrationStandbyRestarts(t *testing.T) {
 		t.Errorf("restarted distribution lost nodes: %d of 6 assigned (%v)", total, asg)
 	}
 
-	fb, rep, err := d2.RenderDistributedResilient(context.Background(), 96, 96)
+	fb, err := d2.RenderDistributed(96, 96)
 	if err != nil {
-		t.Fatalf("render on promoted session: %v (report %+v)", err, rep)
+		t.Fatalf("render on promoted session: %v", err)
 	}
-	if rep.Rounds != 1 || len(rep.Failed) != 0 {
-		t.Errorf("restarted migration not clean: %+v", rep)
+	// Clean: nothing failed, and each holder drew its one part once.
+	if drawn, want := subsetsDrawn(reg, "slow", "fast"), holdsNodes(d2, "slow", "fast"); len(d2.FailedServices()) != 0 ||
+		drawn["slow"] != want["slow"] || drawn["fast"] != want["fast"] {
+		t.Errorf("restarted migration not clean: failed %v, parts drawn %v for holders %v", d2.FailedServices(), drawn, want)
 	}
 	whole, _, err := slowSvc.RenderSceneOnce(promoted.Snapshot(), renderservice.CameraFromState(promoted.Camera()), 96, 96)
 	if err != nil {

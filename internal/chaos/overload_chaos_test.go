@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/balance"
-	rthin "repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/dataservice"
 	"repro/internal/device"
@@ -19,7 +18,7 @@ import (
 
 // containsSeq reports whether states contains want as a (not
 // necessarily contiguous) subsequence.
-func containsSeq(states, want []rthin.BreakerState) bool {
+func containsSeq(states, want []dataservice.BreakerState) bool {
 	i := 0
 	for _, s := range states {
 		if i < len(want) && s == want[i] {
@@ -46,10 +45,11 @@ func percentile(ds []time.Duration, p float64) time.Duration {
 //     allowed while the stall lasts, lost frames are not;
 //   - p99 frame latency stays within the deadline (plus the clock
 //     advancement quantum);
-//   - the stalled peer's circuit breaker opens during the stall
-//     (deadline-bounded calls fail while the socket is wedged), then
-//     half-opens and closes after recovery, returning the peer to the
-//     tile rotation.
+//   - the stalled peer's circuit breaker — kept by the distributor, the
+//     handle is a bare socket — opens during the stall (each part still
+//     unanswered at its deadline counts a failure while the socket is
+//     wedged), then half-opens and closes after recovery, returning the
+//     peer to the tile rotation.
 //
 // Everything runs on the virtual clock; assertions are aggregate, so
 // the test is deterministic under -race -count=2.
@@ -72,10 +72,8 @@ func TestOverloadStalledPeerDegradesNotFreezes(t *testing.T) {
 	snapshot := sess.Snapshot()
 	cam := renderservice.CameraFromState(sess.Camera())
 
-	brCfg := rthin.BreakerConfig{Threshold: 3, Cooldown: 200 * time.Millisecond}
-
 	// Two healthy in-process services.
-	var breakers []*core.BreakerHandle
+	healthy := []string{"athlon", "xeon"}
 	for _, spec := range []struct {
 		name string
 		dev  device.Profile
@@ -84,9 +82,7 @@ func TestOverloadStalledPeerDegradesNotFreezes(t *testing.T) {
 		if _, err := rs.OpenSession("dist", snapshot, cam); err != nil {
 			t.Fatal(err)
 		}
-		bh := core.NewBreakerHandle(&core.LocalHandle{Svc: rs}, brCfg, clk)
-		breakers = append(breakers, bh)
-		if err := d.AddService(bh); err != nil {
+		if err := d.AddService(&core.LocalHandle{Svc: rs}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,8 +100,7 @@ func TestOverloadStalledPeerDegradesNotFreezes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer vh.Close()
-	vb := core.NewBreakerHandle(vh, brCfg, clk)
-	if err := d.AddService(vb); err != nil {
+	if err := d.AddService(vh); err != nil {
 		t.Fatal(err)
 	}
 
@@ -154,8 +149,8 @@ func TestOverloadStalledPeerDegradesNotFreezes(t *testing.T) {
 		stalledDegraded += len(rep.Degraded)
 		stalledHedged += rep.Hedged
 	}
-	if openedDuringStall := vb.Breaker().State(); openedDuringStall == rthin.BreakerClosed {
-		t.Fatalf("victim breaker still closed after stall window (transitions %v)", vb.Breaker().Transitions())
+	if openedDuringStall := d.Health("victim").State; openedDuringStall == dataservice.BreakerClosed {
+		t.Fatalf("victim breaker still closed after stall window (transitions %v)", d.Health("victim").Transitions)
 	}
 	if stalledHedged == 0 && stalledDegraded == 0 {
 		t.Fatal("stall window engaged neither hedging nor degradation")
@@ -169,25 +164,25 @@ func TestOverloadStalledPeerDegradesNotFreezes(t *testing.T) {
 	recovered := false
 	for clk.Now().Before(budget) {
 		rep := render()
-		if vb.Breaker().State() == rthin.BreakerClosed && rep.Tiles == 3 && len(rep.Degraded) == 0 {
+		if d.Health("victim").State == dataservice.BreakerClosed && rep.Tiles == 3 && len(rep.Degraded) == 0 {
 			recovered = true
 			break
 		}
 	}
 	if !recovered {
 		t.Fatalf("victim never recovered: breaker %v, transitions %v",
-			vb.Breaker().State(), vb.Breaker().Transitions())
+			d.Health("victim").State, d.Health("victim").Transitions)
 	}
-	if !containsSeq(vb.Breaker().Transitions(), []rthin.BreakerState{
-		rthin.BreakerOpen, rthin.BreakerHalfOpen, rthin.BreakerClosed,
+	if !containsSeq(d.Health("victim").Transitions, []dataservice.BreakerState{
+		dataservice.BreakerOpen, dataservice.BreakerHalfOpen, dataservice.BreakerClosed,
 	}) {
-		t.Fatalf("breaker lifecycle open→half-open→closed missing: %v", vb.Breaker().Transitions())
+		t.Fatalf("breaker lifecycle open→half-open→closed missing: %v", d.Health("victim").Transitions)
 	}
 
 	// The healthy peers' breakers never opened.
-	for _, bh := range breakers {
-		if len(bh.Breaker().Transitions()) != 0 {
-			t.Fatalf("healthy peer breaker transitioned: %v", bh.Breaker().Transitions())
+	for _, name := range healthy {
+		if tr := d.Health(name).Transitions; len(tr) != 0 {
+			t.Fatalf("healthy peer breaker transitioned: %v", tr)
 		}
 	}
 
@@ -204,7 +199,7 @@ func TestOverloadStalledPeerDegradesNotFreezes(t *testing.T) {
 	}
 	t.Logf("frames %d (lost 0), p50 %v, p99 %v, hedged %d (wins %d), declined %d, degraded tiles %d during stall, breaker %v",
 		len(latencies), percentile(latencies, 0.5), percentile(latencies, 0.99),
-		totalHedged, totalWins, totalDeclined, stalledDegraded, vb.Breaker().Transitions())
+		totalHedged, totalWins, totalDeclined, stalledDegraded, d.Health("victim").Transitions)
 
 	// --- trace trees: one per frame, structure matching its report ----
 	// Root spans are created sequentially (render() is called serially),
@@ -275,8 +270,8 @@ func TestOverloadStalledPeerDegradesNotFreezes(t *testing.T) {
 	for _, peer := range []string{"athlon", "xeon", "victim"} {
 		declines += snap.CounterValue("data", "hedge_declines_total", peer)
 	}
-	// Declined counts typed refusals; breaker refusals and timeouts land
-	// in the same report field, so the per-peer counters cannot exceed it.
+	// Declined counts typed refusals, which the per-peer counters count
+	// too, so they cannot exceed it.
 	if declines > int64(totalDeclined) {
 		t.Fatalf("per-peer decline counters sum to %d, reports say %d", declines, totalDeclined)
 	}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/balance"
-	rthin "repro/internal/client"
 	"repro/internal/compositor"
 	"repro/internal/dataservice"
 	"repro/internal/device"
@@ -150,7 +149,7 @@ type stalledHandle struct{ release chan struct{} }
 func (h *stalledHandle) Name() string { return "stalled" }
 
 func (h *stalledHandle) Capacity() (transport.CapacityReport, error) {
-	return transport.CapacityReport{Name: "stalled"}, nil
+	return transport.CapacityReport{Name: "stalled", PolysPerSecond: 1e6, TargetFPS: 10}, nil
 }
 
 func (h *stalledHandle) Render(dataservice.RenderJob) (compositor.Tile, error) {
@@ -158,39 +157,52 @@ func (h *stalledHandle) Render(dataservice.RenderJob) (compositor.Tile, error) {
 	return compositor.Tile{}, errors.New("released")
 }
 
-// TestBreakerBoundsSubsetJobByDeadline: a subset job on a stalled peer
-// returns at its deadline — not when the peer finally answers — and the
-// timeout counts as a breaker failure.
-func TestBreakerBoundsSubsetJobByDeadline(t *testing.T) {
+// TestStalledPartCountsAtFrameDeadline: a tile frame whose only peer is
+// stalled is assembled at its deadline — not when the peer finally
+// answers — and the part still unanswered there counts one failure
+// against the peer at that instant, while the peer is still stalled.
+func TestStalledPartCountsAtFrameDeadline(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(1000, 0))
 	inner := &stalledHandle{release: make(chan struct{})}
 	defer close(inner.release)
-	bh := NewBreakerHandle(inner, rthin.BreakerConfig{Threshold: 1, Cooldown: time.Hour}, clk)
+	data := dataservice.New(dataservice.Config{Name: "data", Clock: clk})
+	sess, err := data.CreateSession("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist := sess.NewDistributor(balance.DefaultThresholds())
+	if err := dist.AddService(inner); err != nil {
+		t.Fatal(err)
+	}
 
-	errc := make(chan error, 1)
+	type result struct {
+		rep *dataservice.HedgeReport
+		err error
+	}
+	got := make(chan result, 1)
 	go func() {
-		_, err := bh.Render(dataservice.RenderJob{
-			Scene: scene.New(), Rect: image.Rect(0, 0, 8, 8), FullW: 8, FullH: 8,
-			Deadline: clk.Now().Add(50 * time.Millisecond),
-		})
-		errc <- err
+		_, rep, err := dist.RenderTilesHedged(context.Background(), 8, 8, dataservice.HedgeConfig{FrameDeadline: 50 * time.Millisecond})
+		got <- result{rep, err}
 	}()
-	for start := time.Now(); clk.PendingWaiters() != 1; runtime.Gosched() {
+	for start := time.Now(); clk.PendingWaiters() != 2; runtime.Gosched() { // the hedge and deadline timers
 		if time.Since(start) > 5*time.Second {
-			t.Fatal("the job never armed its deadline timer")
+			t.Fatal("the frame never armed its deadline timer")
 		}
 	}
 	clk.Advance(50 * time.Millisecond)
 	select {
-	case err := <-errc:
-		if err == nil {
-			t.Fatal("stalled job returned without error")
+	case r := <-got:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.rep.Latency != 50*time.Millisecond || len(r.rep.Degraded) != 1 {
+			t.Fatalf("stalled frame: %+v, want its one region degraded at the 50ms deadline", r.rep)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("stalled subset job did not return at its deadline")
+		t.Fatal("stalled tile frame did not return at its deadline")
 	}
-	if bh.Available() {
-		t.Fatal("the timeout was not counted as a breaker failure")
+	if h := dist.Health("stalled"); h.Failures != 1 {
+		t.Fatalf("the unanswered part was not counted at the deadline: %+v", h)
 	}
 }
 
@@ -225,7 +237,8 @@ func lyingService(conn net.Conn, name string, frame func() []byte) {
 // 16384×16384 header costs its caller an error naming it and next to no
 // memory; one answering with a well-formed 8×8 frame is refused too,
 // here and not at assembly; and to the distributor either is a failed
-// part like any other — re-issued, counted by the peer's breaker.
+// part like any other — re-issued, and counted against the peer, which is
+// planned around after three lying frames.
 func TestWrongSizedFrameIsAPartFailure(t *testing.T) {
 	huge := marshal.AppendFrame(nil, raster.NewFramebuffer(1, 1), true)
 	huge[2], huge[6] = 0x40, 0x40 // 1x1 -> 16384x16384
@@ -289,29 +302,38 @@ func TestWrongSizedFrameIsAPartFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	liar := NewBreakerHandle(dial(func() []byte { return lies["a valid 8x8 frame"] }),
-		rthin.BreakerConfig{Threshold: 1, Cooldown: time.Hour}, nil)
+	liar := dial(func() []byte { return lies["a valid 8x8 frame"] })
 	dist := sess.NewDistributor(balance.DefaultThresholds())
 	for _, h := range []dataservice.RenderHandle{hh, liar} {
 		if err := dist.AddService(h); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fb, rep, err := dist.RenderTilesHedged(context.Background(), 64, 48, dataservice.HedgeConfig{FrameDeadline: 10 * time.Second, HedgeDelay: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Tiles != 2 || rep.Hedged != 1 || rep.HedgeWins != 1 || len(rep.Degraded) != 0 {
-		t.Errorf("report %+v, want the liar's tile re-issued to the honest service and won there", rep)
-	}
 	whole, _, err := honest.RenderSceneOnce(sess.Snapshot(), cam, 64, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fb.Color, whole.Color) {
-		t.Error("the frame assembled around the liar differs from a one-piece render")
+	cfg := dataservice.HedgeConfig{FrameDeadline: 10 * time.Second, HedgeDelay: 5 * time.Second}
+	for frame := 1; frame <= 3; frame++ {
+		fb, rep, err := dist.RenderTilesHedged(context.Background(), 64, 48, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Tiles != 2 || rep.Hedged != 1 || rep.HedgeWins != 1 || len(rep.Degraded) != 0 {
+			t.Errorf("frame %d: report %+v, want the liar's tile re-issued to the honest service and won there", frame, rep)
+		}
+		if !bytes.Equal(fb.Color, whole.Color) {
+			t.Errorf("frame %d: the frame assembled around the liar differs from a one-piece render", frame)
+		}
 	}
-	if liar.Available() {
-		t.Error("the refused frame was not counted as a breaker failure")
+	if h := dist.Health("liar"); h.State != dataservice.BreakerOpen {
+		t.Errorf("three refused frames were not counted as failures: %+v", h)
+	}
+	fb, rep, err := dist.RenderTilesHedged(context.Background(), 64, 48, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Tiles != 1 || rep.Hedged != 0 || !bytes.Equal(fb.Color, whole.Color) {
+		t.Errorf("report %+v, want the open liar planned around", rep)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/raster"
 	"repro/internal/retry"
 	"repro/internal/scene"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/vclock"
 	"repro/internal/wsdl"
@@ -21,16 +22,16 @@ import (
 // services, its workload migration, and — when services fail mid-session
 // — the recovery path: failure detection via broken sockets or missed
 // load reports, reassignment of orphaned work to survivors, and UDDI
-// recruitment of replacements.
+// recruitment of replacements. It is the only keeper of a render
+// service's health: the frame loop records every part's outcome in the
+// service's record (peer, below), and a handle knows nothing of it.
 type Distributor struct {
 	sess *Session
 
 	mu         sync.Mutex
-	handles    map[string]RenderHandle
+	peers      map[string]*peer
 	assignment balance.Assignment
 	engine     *balance.MigrationEngine
-	lastSeen   map[string]time.Time
-	failures   map[string]int
 	// lastFrame is the most recent assembled frame — the degraded-tile
 	// fallback when a straggler misses the frame deadline.
 	lastFrame *raster.Framebuffer
@@ -44,28 +45,198 @@ type Distributor struct {
 // migration thresholds.
 func (sess *Session) NewDistributor(th balance.Thresholds) *Distributor {
 	return &Distributor{
-		sess:     sess,
-		handles:  map[string]RenderHandle{},
-		engine:   balance.NewMigrationEngine(th),
-		lastSeen: map[string]time.Time{},
-		failures: map[string]int{},
+		sess:   sess,
+		peers:  map[string]*peer{},
+		engine: balance.NewMigrationEngine(th),
+	}
+}
+
+// peer is everything the distributor knows of one render service: the
+// handle it renders through, when it was last heard from, whether it ever
+// failed, and its circuit breaker. The record outlives the attachment, so
+// FailedServices remembers who failed.
+//
+// The breaker: breakerThreshold failures in a row open the peer, and an
+// open peer is planned around. Once its cooldown — twice the deadline
+// budget of the frame that opened it — is spent, its next part is a single
+// half-open probe. Any part that succeeds in time closes the peer.
+type peer struct {
+	name     string
+	handle   RenderHandle // nil once detached
+	lastSeen time.Time
+	failed   bool
+
+	state       BreakerState
+	failures    int // the current streak
+	openedAt    time.Time
+	cooldown    time.Duration
+	probing     bool // a half-open probe is out
+	transitions []BreakerState
+	calls       map[*call]bool // parts out on the peer, not yet counted
+}
+
+// call is one part out on a peer.
+type call struct {
+	peer     *peer
+	deadline time.Time     // zero: the frame waits for the answer
+	budget   time.Duration // the frame's deadline budget
+}
+
+// breakerThreshold is the failure streak that opens a peer.
+const breakerThreshold = 3
+
+// BreakerState is a peer's circuit-breaker position.
+type BreakerState int
+
+// Breaker states: closed (planned, failures counted), open (no work until
+// the cooldown is spent), half-open (one probe out decides).
+const (
+	BreakerClosed BreakerState = iota
+	BreakerOpen
+	BreakerHalfOpen
+)
+
+// String names the state.
+func (s BreakerState) String() string { return [...]string{"closed", "open", "half-open"}[s] }
+
+// PeerHealth is a render service's breaker as the frame loop keeps it.
+type PeerHealth struct {
+	State       BreakerState
+	Failures    int            // the current streak
+	Transitions []BreakerState // every state entered, in order
+}
+
+// Health reports a render service's breaker: closed with no history for
+// a service never attached.
+func (d *Distributor) Health(name string) PeerHealth {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	p := d.peers[name]
+	if p == nil {
+		return PeerHealth{}
+	}
+	return PeerHealth{State: p.state, Failures: p.failures, Transitions: append([]BreakerState(nil), p.transitions...)}
+}
+
+// available reports whether p may be given a part at now: closed, open
+// with its cooldown spent (the part is its probe), or half-open with no
+// probe out.
+func (p *peer) available(now time.Time) bool {
+	switch p.state {
+	case BreakerOpen:
+		return now.Sub(p.openedAt) >= p.cooldown
+	case BreakerHalfOpen:
+		return !p.probing
+	}
+	return true
+}
+
+// The breaker's moves, each called with d.mu held.
+
+// begin records a part going out to the named service at now. An open
+// peer whose cooldown is spent goes half-open, and this part is its probe.
+func (d *Distributor) begin(name string, now, deadline time.Time, budget time.Duration) *call {
+	p := d.peers[name]
+	if p.state != BreakerClosed && p.available(now) {
+		if p.state == BreakerOpen {
+			d.enter(p, BreakerHalfOpen)
+		}
+		p.probing = true
+	}
+	c := &call{peer: p, deadline: deadline, budget: budget}
+	if p.calls == nil {
+		p.calls = map[*call]bool{}
+	}
+	p.calls[c] = true
+	return c
+}
+
+// settle records a part's answer at now, unless the part was already
+// counted at its deadline: a success in time closes the peer; an error, a
+// typed decline or a late result counts one failure.
+func (d *Distributor) settle(c *call, err error, now time.Time) {
+	p := c.peer
+	if !p.calls[c] {
+		return
+	}
+	delete(p.calls, c)
+	if err != nil || !c.deadline.IsZero() && now.After(c.deadline) {
+		d.fail(p, now, c.budget)
+		return
+	}
+	p.failures, p.probing = 0, false
+	if p.state != BreakerClosed {
+		d.enter(p, BreakerClosed)
+	}
+}
+
+// sweep counts one failure for every part still unanswered at its
+// deadline, so a stalled peer's streak builds while it is stalled.
+func (d *Distributor) sweep(now time.Time) {
+	for _, p := range d.peers {
+		for c := range p.calls {
+			if !c.deadline.IsZero() && !now.Before(c.deadline) {
+				delete(p.calls, c)
+				d.fail(p, now, c.budget)
+			}
+		}
+	}
+}
+
+// fail counts one failure against p: a half-open peer re-opens, a closed
+// one opens at the threshold.
+func (d *Distributor) fail(p *peer, now time.Time, budget time.Duration) {
+	p.probing = false
+	if p.state == BreakerClosed {
+		p.failures++
+	}
+	if p.state == BreakerHalfOpen || p.state == BreakerClosed && p.failures >= breakerThreshold {
+		p.openedAt, p.cooldown = now, 2*budget
+		d.enter(p, BreakerOpen)
+	}
+}
+
+// enter moves p to state s: the transition is logged and counted, and the
+// migration engine learns whether the peer takes work, so open peers feed
+// NeedRecruitment.
+func (d *Distributor) enter(p *peer, s BreakerState) {
+	p.state = s
+	p.transitions = append(p.transitions, s)
+	if p.handle != nil {
+		d.engine.SetAvailable(p.name, s != BreakerOpen)
+	}
+	cfg := d.sess.svc.cfg
+	switch s {
+	case BreakerOpen:
+		cfg.Metrics.Counter(cfg.Name, "breaker_open_total", telemetry.PeerLabel(p.name)).Inc()
+	case BreakerHalfOpen:
+		cfg.Metrics.Counter(cfg.Name, "breaker_half_open_total", telemetry.PeerLabel(p.name)).Inc()
+	case BreakerClosed:
+		cfg.Metrics.Counter(cfg.Name, "breaker_closed_total", telemetry.PeerLabel(p.name)).Inc()
 	}
 }
 
 // clock returns the owning service's time source.
 func (d *Distributor) clock() vclock.Clock { return d.sess.svc.cfg.Clock }
 
-// AddService attaches a render service for distribution.
+// AddService attaches a render service for distribution, with a closed
+// breaker when it was not attached already.
 func (d *Distributor) AddService(h RenderHandle) error {
 	cap, err := h.Capacity()
 	if err != nil {
 		return fmt.Errorf("dataservice: capacity interrogation of %s: %w", h.Name(), err)
 	}
+	now := d.clock().Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.handles[h.Name()] = h
+	name := h.Name()
+	p := d.peers[name]
+	if p == nil || p.handle == nil {
+		p = &peer{name: name, failed: p != nil && p.failed}
+		d.peers[name] = p
+	}
+	p.handle, p.lastSeen = h, now
 	d.engine.UpdateCapacity(capacityOf(cap))
-	d.lastSeen[h.Name()] = d.clock().Now()
 	return nil
 }
 
@@ -74,10 +245,16 @@ func (d *Distributor) AddService(h RenderHandle) error {
 func (d *Distributor) RemoveService(name string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	delete(d.handles, name)
+	d.detach(name)
+}
+
+// detach drops a service from planning and placement; its record stays.
+func (d *Distributor) detach(name string) {
+	if p := d.peers[name]; p != nil {
+		p.handle = nil
+	}
 	d.engine.Remove(name)
 	delete(d.assignment, name)
-	delete(d.lastSeen, name)
 }
 
 // ServiceNames lists attached render services, sorted.
@@ -179,10 +356,11 @@ func (sess *Session) AttachDistributor(d *Distributor) {
 // service is overloaded (§3.2.7). The report also refreshes the
 // service's liveness timestamp for failure detection.
 func (d *Distributor) ReportLoad(lr transport.LoadReport) bool {
+	now := d.clock().Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, attached := d.handles[lr.Name]; attached {
-		d.lastSeen[lr.Name] = d.clock().Now()
+	if p := d.peers[lr.Name]; p != nil && p.handle != nil {
+		p.lastSeen = now
 	}
 	return d.engine.ReportLoad(lr.Name, lr.FPS)
 }
@@ -298,11 +476,10 @@ func (d *Distributor) FailService(name string) []scene.NodeID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	orphans := append([]scene.NodeID(nil), d.assignment[name]...)
-	delete(d.assignment, name)
-	delete(d.handles, name)
-	d.engine.Remove(name)
-	delete(d.lastSeen, name)
-	d.failures[name]++
+	d.detach(name)
+	if p := d.peers[name]; p != nil {
+		p.failed = true
+	}
 	return orphans
 }
 
@@ -315,8 +492,8 @@ func (d *Distributor) DeadServices(timeout time.Duration) []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var out []string
-	for name := range d.handles {
-		if seen, ok := d.lastSeen[name]; ok && now.Sub(seen) > timeout {
+	for name, p := range d.peers {
+		if p.handle != nil && now.Sub(p.lastSeen) > timeout {
 			out = append(out, name)
 		}
 	}
@@ -329,8 +506,10 @@ func (d *Distributor) FailedServices() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var out []string
-	for n := range d.failures {
-		out = append(out, n)
+	for name, p := range d.peers {
+		if p.failed {
+			out = append(out, name)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -348,14 +527,17 @@ func (d *Distributor) mergeAssignment(asg balance.Assignment) {
 	}
 }
 
-// survivorCaps interrogates every attached service and returns capacities
-// with Assigned reflecting the live assignment, so reassignment sees true
-// spare capacity. Services whose interrogation fails are skipped here;
-// the next render round surfaces them as failures.
+// survivorCaps interrogates every attached service whose breaker is not
+// open (a stalled peer would block recovery) and returns capacities with
+// Assigned reflecting the live assignment, so reassignment sees true spare
+// capacity. Services whose interrogation fails are skipped here.
 func (d *Distributor) survivorCaps(costByID map[scene.NodeID]scene.Cost) []balance.ServiceCapacity {
 	snap := d.snapshot()
 	var caps []balance.ServiceCapacity
 	for _, name := range snap.names {
+		if d.Health(name).State == BreakerOpen {
+			continue
+		}
 		c, err := snap.handles[name].Capacity()
 		if err != nil {
 			continue
@@ -375,8 +557,9 @@ func (d *Distributor) survivorCaps(costByID map[scene.NodeID]scene.Cost) []balan
 // survivors' spare capacity, then — if that is insufficient and a
 // recruiter is armed — after recruiting replacements through UDDI with
 // retry, and finally by overcommitting survivors so frames keep flowing
-// (graceful degradation) rather than stalling the session.
-func (d *Distributor) recoverOrphans(ctx context.Context, orphanIDs []scene.NodeID, rep *RecoveryReport) error {
+// (graceful degradation) rather than stalling the session. The recovery_*
+// series count what it did.
+func (d *Distributor) recoverOrphans(ctx context.Context, orphanIDs []scene.NodeID) error {
 	if len(orphanIDs) == 0 {
 		return nil
 	}
@@ -393,6 +576,7 @@ func (d *Distributor) recoverOrphans(ctx context.Context, orphanIDs []scene.Node
 		seen[id] = true
 		orphans = append(orphans, balance.NodeItem{ID: id, Cost: costByID[id]})
 	}
+	cfg := d.sess.svc.cfg
 
 	tryPlace := func(overcommit bool) error {
 		asg, err := balance.ReassignNodes(orphans, d.survivorCaps(costByID), overcommit)
@@ -400,7 +584,7 @@ func (d *Distributor) recoverOrphans(ctx context.Context, orphanIDs []scene.Node
 			return err
 		}
 		d.mergeAssignment(asg)
-		rep.Reassigned += len(orphans)
+		cfg.Metrics.Counter(cfg.Name, "recovery_reassigned_nodes_total", "").Add(int64(len(orphans)))
 		return nil
 	}
 
@@ -412,18 +596,15 @@ func (d *Distributor) recoverOrphans(ctx context.Context, orphanIDs []scene.Node
 	src, connect, policy := d.recruitSrc, d.recruitConnect, d.recruitPolicy
 	d.mu.Unlock()
 	if src != nil && connect != nil {
-		var newNames []string
 		// Recruitment failure is not fatal: overcommit still degrades
 		// gracefully below.
 		_ = retry.Do(ctx, d.clock(), policy, func() error {
 			names, err := d.Recruit(src, connect)
-			if err != nil {
-				return err
+			for _, name := range names {
+				cfg.Metrics.Counter(cfg.Name, "recovery_recruited_total", telemetry.PeerLabel(name)).Inc()
 			}
-			newNames = append(newNames, names...)
-			return nil
+			return err
 		})
-		rep.Recruited = append(rep.Recruited, newNames...)
 		if err := tryPlace(false); err == nil {
 			return nil
 		}
@@ -432,6 +613,6 @@ func (d *Distributor) recoverOrphans(ctx context.Context, orphanIDs []scene.Node
 	if err := tryPlace(true); err != nil {
 		return fmt.Errorf("dataservice: no surviving render services for %d orphaned nodes: %w", len(orphans), err)
 	}
-	rep.Overcommitted = true
+	cfg.Metrics.Counter(cfg.Name, "recovery_overcommits_total", "").Inc()
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"image"
+	"slices"
 	"sort"
 	"time"
 
@@ -44,16 +45,6 @@ type RenderHandle interface {
 // session, which the handle supplies.
 type RenderJob = renderservice.Job
 
-// AvailabilityReporter is the optional RenderHandle extension a
-// circuit-breaker wrapper implements; the distributor folds the
-// verdicts into its migration engine so breaker-open peers are planned
-// around and NeedRecruitment fires when capacity is truly gone.
-type AvailabilityReporter interface {
-	// Available reports whether the peer should receive work right now
-	// (false while its breaker is open).
-	Available() bool
-}
-
 // snapshot is a private copy of the distributor's handles and node
 // assignment: what planning and rendering read while migration, failure
 // handling and recruitment go on changing the live maps.
@@ -67,12 +58,14 @@ func (d *Distributor) snapshot() snapshot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s := snapshot{
-		handles:    make(map[string]RenderHandle, len(d.handles)),
+		handles:    make(map[string]RenderHandle, len(d.peers)),
 		assignment: make(balance.Assignment, len(d.assignment)),
 	}
-	for name, h := range d.handles {
-		s.handles[name] = h
-		s.names = append(s.names, name)
+	for name, p := range d.peers {
+		if p.handle != nil {
+			s.handles[name] = p.handle
+			s.names = append(s.names, name)
+		}
 	}
 	sort.Strings(s.names)
 	for name, ids := range d.assignment {
@@ -86,13 +79,17 @@ func (d *Distributor) snapshot() snapshot {
 type part struct {
 	service string
 	job     RenderJob
+	// nodes are the scene nodes a subset or slab part draws; a tile part
+	// draws from the replica and holds none.
+	nodes []scene.NodeID
 	// viewDistance places a volume slab in the blend order.
 	viewDistance float64
 
 	// Filled in by the loop: the first successful result (until ok, the
-	// last attempt's error), attempts out, the next alternate to try.
+	// last attempt's error), attempts out, the next alternate to try, and
+	// whether parts launched on other services took over its nodes.
 	tile              compositor.Tile
-	ok                bool
+	ok, replaced      bool
 	err               error
 	inflight, nextAlt int
 }
@@ -103,43 +100,27 @@ type plan struct {
 	// span names a part's launch span ("-hedge" appended for a re-issue).
 	span  string
 	parts []part
-	// alternates lists, most spare capacity first, the services a part
-	// may be re-issued to. Only tile plans have any: every peer holds the
-	// replica, whereas a subset or slab lives where the assignment put it.
+	// alternates lists, most spare capacity first, the closed-breaker
+	// services a tile part may be re-issued to. Subset and slab plans
+	// have none: their parts live where the assignment put them.
 	alternates []balance.ServiceCapacity
 }
 
-// partsError reports the services whose parts of a frame could not be
-// rendered, in plan order.
-type partsError struct {
-	services []string
-	first    error
-}
-
-func (e *partsError) Error() string {
-	return fmt.Sprintf("dataservice: render on %s: %v", e.services[0], e.first)
-}
-
-func (e *partsError) Unwrap() error { return e.first }
-
-// complete returns the results of a plan that needs every part, in plan
-// order, or a *partsError naming the services that failed.
-func (p *plan) complete() ([]compositor.Tile, error) {
-	tiles := make([]compositor.Tile, len(p.parts))
-	var failed *partsError
-	for i, pt := range p.parts {
-		tiles[i] = pt.tile
-		if !pt.ok {
-			if failed == nil {
-				failed = &partsError{first: pt.err}
-			}
-			failed.services = append(failed.services, pt.service)
+// complete returns the parts of a plan that needs every one — those not
+// replaced, in plan order — or the first failure.
+func (p *plan) complete() ([]*part, error) {
+	out := make([]*part, 0, len(p.parts))
+	for i := range p.parts {
+		pt := &p.parts[i]
+		switch {
+		case pt.replaced:
+		case !pt.ok:
+			return nil, fmt.Errorf("dataservice: render on %s: %w", pt.service, pt.err)
+		default:
+			out = append(out, pt)
 		}
 	}
-	if failed != nil {
-		return nil, failed
-	}
-	return tiles, nil
+	return out, nil
 }
 
 // isDecline reports whether an error is a typed overload refusal.
@@ -153,19 +134,21 @@ func isDecline(err error) bool {
 // a service's further parts wait their turn), collect, and assemble.
 //
 // Every job carries the frame's absolute deadline — now plus
-// timers.FrameDeadline, else plus the service's configured per-frame
-// budget, else none — so a service declines work it cannot finish in
-// time instead of rendering it late. The two fields of timers also arm
-// the loop: a part still missing after HedgeDelay is re-issued to the
-// most-spare alternate not yet tried on it (first result wins), and
-// after FrameDeadline the collection is cut short. A part that fails is
-// re-issued at once. The zero HedgeConfig arms neither timer.
+// timers.FrameDeadline, or none when that is zero — so a service declines
+// work it cannot finish in time instead of rendering it late. The timers
+// also arm the loop: a tile part still missing after HedgeDelay is
+// re-issued to the most-spare alternate not yet tried on it (first result
+// wins), and after FrameDeadline the collection is cut short.
+//
+// A failed part is re-issued, the one failure rule: a tile part at once to
+// the next alternate; a subset or slab part whose service failed with
+// anything but a typed decline, as parts for just its nodes on the
+// services recovery re-placed them on (replace). Every outcome is recorded
+// in the part's peer record.
 //
 // The collection ends when every part has a result, when nothing is in
-// flight or queued (each missing part has failed wherever it may
-// render), when the FrameDeadline timer fires, or when ctx is done. The
-// assembler decides what a missing part means: an error or a degraded
-// region.
+// flight or queued, when the FrameDeadline timer fires, or when ctx is
+// done; the assembler decides what a missing part means.
 func (d *Distributor) renderFrame(ctx context.Context, w, h int, timers HedgeConfig,
 	partition func(snap snapshot, w, h int) (*plan, error),
 	assemble func(w, h int, p *plan) (*raster.Framebuffer, []image.Rectangle, error),
@@ -201,11 +184,15 @@ func (d *Distributor) renderFrame(ctx context.Context, w, h int, timers HedgeCon
 		tile  compositor.Tile
 		err   error
 	}
-	// Sized for every possible launch (each part once on its own service
-	// and once on each alternate), so result sends cannot block; the done
-	// guard additionally unblocks stragglers replying after the frame
-	// returned.
-	results := make(chan attempt, len(p.parts)*(1+len(p.alternates)))
+	// Sized for every launch the frame may make — each part once on its
+	// own service and once on each alternate, plus one replacement per
+	// node — so result sends cannot block; the done guard additionally
+	// unblocks stragglers replying after the frame returned.
+	spare := 0
+	for _, pt := range p.parts {
+		spare += len(pt.nodes)
+	}
+	results := make(chan attempt, len(p.parts)*(1+len(p.alternates))+spare)
 	done := make(chan struct{})
 	defer close(done)
 	launch := func(i int, name string, hedge bool) {
@@ -223,8 +210,16 @@ func (d *Distributor) renderFrame(ctx context.Context, w, h int, timers HedgeCon
 		span.SetAttr(job.Rect.String())
 		job.Trace = span.Context()
 		p.parts[i].inflight++
+		handle := snap.handles[name]
+		d.mu.Lock()
+		c := d.begin(name, clock.Now(), deadline, timers.FrameDeadline)
+		d.mu.Unlock()
 		go func() {
-			tile, err := snap.handles[name].Render(job)
+			tile, err := handle.Render(job)
+			now := clock.Now()
+			d.mu.Lock()
+			d.settle(c, err, now)
+			d.mu.Unlock()
 			switch {
 			case err == nil:
 				span.End()
@@ -243,11 +238,11 @@ func (d *Distributor) renderFrame(ctx context.Context, w, h int, timers HedgeCon
 	rep := &HedgeReport{Tiles: len(p.parts)}
 	pending := 0                 // parts queued or in flight, plus re-issues in flight
 	queued := map[string][]int{} // per busy service, the parts waiting their turn
-	for i := range p.parts {
+	dispatch := func(i int) {
 		pt := &p.parts[i]
 		if snap.handles[pt.service] == nil {
 			pt.err = fmt.Errorf("dataservice: assigned service %s not attached", pt.service)
-			continue
+			return
 		}
 		pending++
 		if q, busy := queued[pt.service]; busy {
@@ -256,6 +251,9 @@ func (d *Distributor) renderFrame(ctx context.Context, w, h int, timers HedgeCon
 			queued[pt.service] = nil
 			launch(i, pt.service, false)
 		}
+	}
+	for i := range p.parts {
+		dispatch(i)
 	}
 	reissue := func(i int) { // no-op once every alternate has been tried
 		pt := &p.parts[i]
@@ -271,6 +269,63 @@ func (d *Distributor) renderFrame(ctx context.Context, w, h int, timers HedgeCon
 			}
 		}
 	}
+	filled := 0 // parts with a result, or replaced
+	// replace detaches a service whose subset or slab part failed,
+	// re-places its nodes, and launches parts for just the nodes its
+	// unfinished parts held where they now live: survivors never redraw
+	// their own shares. A replacement carries at least one node, so the
+	// plan's node count bounds them; a typed decline never gets here.
+	replace := func(name string, cause error) error {
+		var missing []scene.NodeID
+		var gone []int
+		for i := range p.parts {
+			if pt := &p.parts[i]; pt.service == name && !pt.ok && !pt.replaced {
+				pt.err = cause
+				missing = append(missing, pt.nodes...)
+				gone = append(gone, i)
+			}
+		}
+		pending -= len(queued[name])
+		delete(queued, name)
+		if err := d.recoverOrphans(ctx, d.FailService(name)); err != nil {
+			return err
+		}
+		live := d.snapshot()
+		owner := map[scene.NodeID]string{}
+		for svc, ids := range live.assignment {
+			for _, id := range ids {
+				owner[id] = svc
+			}
+		}
+		placed := balance.Assignment{}
+		for _, id := range missing {
+			if svc, ok := owner[id]; ok { // else the node left the scene
+				placed[svc] = append(placed[svc], id)
+			}
+		}
+		var more []part
+		if len(placed) > 0 {
+			np, err := partition(snapshot{handles: live.handles, assignment: placed}, w, h)
+			if err != nil {
+				return err
+			}
+			more = np.parts
+		}
+		if len(more) > spare {
+			return fmt.Errorf("dataservice: %s failed with no replacement left in this frame", name)
+		}
+		spare -= len(more)
+		for _, i := range gone {
+			p.parts[i].replaced = true
+			filled++
+		}
+		for _, pt := range more {
+			snap.handles[pt.service] = live.handles[pt.service]
+			p.parts = append(p.parts, pt)
+			dispatch(len(p.parts) - 1)
+		}
+		return nil
+	}
 
 	var hedgeCh, forceCh <-chan time.Time // a nil channel never fires
 	if timers.HedgeDelay > 0 {
@@ -279,7 +334,6 @@ func (d *Distributor) renderFrame(ctx context.Context, w, h int, timers HedgeCon
 	if timers.FrameDeadline > 0 {
 		forceCh = clock.After(timers.FrameDeadline)
 	}
-	filled := 0
 collect:
 	for filled < len(p.parts) && pending > 0 {
 		select {
@@ -289,9 +343,18 @@ collect:
 			pending--
 			pt := &p.parts[r.part]
 			pt.inflight--
+			if r.err != nil && !isDecline(r.err) && len(pt.nodes) > 0 {
+				metrics.Counter(service, "tile_errors_total", telemetry.PeerLabel(r.name)).Inc()
+				if err := replace(r.name, r.err); err != nil {
+					p.parts[r.part].err = err
+				}
+				continue
+			}
 			if q := queued[r.name]; !r.hedge && len(q) > 0 {
 				queued[r.name] = q[1:]
 				launch(q[0], r.name, false)
+			} else if !r.hedge {
+				delete(queued, r.name) // idle: a replacement part launches at once
 			}
 			switch {
 			case r.err != nil:
@@ -325,6 +388,10 @@ collect:
 			break collect
 		}
 	}
+	now := clock.Now()
+	d.mu.Lock()
+	d.sweep(now)
+	d.mu.Unlock()
 
 	compSpan := cfg.Tracer.Child(root.Context(), service, "composite")
 	fb, degraded, err := assemble(w, h, p)
@@ -369,7 +436,7 @@ func (d *Distributor) subsetParts(snap snapshot, w, h int) (*plan, error) {
 			if job.Scene, err = sc.ExtractSubset(snap.assignment[name]); err != nil {
 				return
 			}
-			p.parts = append(p.parts, part{service: name, job: job})
+			p.parts = append(p.parts, part{service: name, job: job, nodes: snap.assignment[name]})
 		}
 	})
 	return p, err
@@ -380,9 +447,13 @@ func (d *Distributor) subsetParts(snap snapshot, w, h int) (*plan, error) {
 // as it was sent. The composition is order-independent since payloads
 // are opaque, but for ties, which go to the part planned first.
 func compositeSubsets(w, h int, p *plan) (*raster.Framebuffer, []image.Rectangle, error) {
-	tiles, err := p.complete()
+	parts, err := p.complete()
 	if err != nil {
 		return nil, nil, err
+	}
+	tiles := make([]compositor.Tile, len(parts))
+	for i, pt := range parts {
+		tiles[i] = pt.tile
 	}
 	fb, err := compositor.CompositeTiles(w, h, tiles)
 	return fb, nil, err
@@ -390,62 +461,13 @@ func compositeSubsets(w, h int, p *plan) (*raster.Framebuffer, []image.Rectangle
 
 // RenderDistributed performs one distributed frame by dataset
 // distribution: every assigned service renders its scene subset and the
-// results are depth-composited (§3.2.5). Any part failing fails the
-// frame.
+// results are depth-composited (§3.2.5). A service that fails mid-frame
+// is detached and what it had not drawn is re-placed and drawn elsewhere
+// within the frame, so thin clients keep receiving frames while the
+// fabric degrades and heals (§3.2.7); a typed decline fails the frame.
 func (d *Distributor) RenderDistributed(w, h int) (*raster.Framebuffer, error) {
 	fb, _, err := d.renderFrame(context.TODO(), w, h, HedgeConfig{}, d.subsetParts, compositeSubsets)
 	return fb, err
-}
-
-// maxRecoveryRounds bounds how many failure-recovery cycles one frame
-// may trigger before the session gives up.
-const maxRecoveryRounds = 4
-
-// RecoveryReport summarizes what failure recovery did for one frame.
-type RecoveryReport struct {
-	// Failed lists services detected failed this frame (detection order).
-	Failed []string
-	// Reassigned counts orphaned nodes placed onto other services.
-	Reassigned int
-	// Recruited lists services newly attached via UDDI during recovery.
-	Recruited []string
-	// Overcommitted is set when survivors were loaded past capacity to
-	// keep frames flowing.
-	Overcommitted bool
-	// Rounds is the number of render attempts (1 = no failures).
-	Rounds int
-}
-
-// RenderDistributedResilient renders one distributed frame like
-// RenderDistributed, but survives render-service failures mid-frame: a
-// failed service is detached, its orphaned nodes are reassigned to
-// survivors (recruiting replacements through UDDI when capacity runs
-// short), and the frame is re-rendered — so thin clients keep receiving
-// frames while the fabric degrades and heals (§3.2.7).
-func (d *Distributor) RenderDistributedResilient(ctx context.Context, w, h int) (*raster.Framebuffer, *RecoveryReport, error) {
-	rep := &RecoveryReport{}
-	for rep.Rounds = 1; ; rep.Rounds++ {
-		if err := ctx.Err(); err != nil {
-			return nil, rep, err
-		}
-		fb, _, err := d.renderFrame(ctx, w, h, HedgeConfig{}, d.subsetParts, compositeSubsets)
-		var failed *partsError
-		if !errors.As(err, &failed) {
-			return fb, rep, err
-		}
-		if rep.Rounds > maxRecoveryRounds {
-			return nil, rep, fmt.Errorf("dataservice: recovery exhausted after %d rounds (%d services still failing)",
-				rep.Rounds, len(failed.services))
-		}
-		var orphans []scene.NodeID
-		for _, n := range failed.services {
-			rep.Failed = append(rep.Failed, n)
-			orphans = append(orphans, d.FailService(n)...)
-		}
-		if err := d.recoverOrphans(ctx, orphans, rep); err != nil {
-			return nil, rep, err
-		}
-	}
 }
 
 // HedgeConfig tunes the hedged tile path.
@@ -469,7 +491,7 @@ type HedgeReport struct {
 	Hedged int
 	// HedgeWins counts regions whose first result came from a backup.
 	HedgeWins int
-	// Declined counts typed refusals (admission control or breakers).
+	// Declined counts typed refusals.
 	Declined int
 	// Degraded lists regions force-assembled from the fallback frame.
 	Degraded []image.Rectangle
@@ -479,24 +501,26 @@ type HedgeReport struct {
 
 // tileParts is the framebuffer-distribution partitioner (§3.2.5): the
 // frame is cut into bands proportional to speed across the attached
-// services whose breakers are not open. It plans from *cached*
-// capacities — interrogating a stalled peer would block planning — and
-// ranks the same peers by spare capacity as re-issue alternates.
+// services whose breakers are not open (a half-open one gets its probe).
+// It plans from *cached* capacities — interrogating a stalled peer would
+// block planning — and ranks the closed peers by spare capacity as
+// re-issue alternates: a probe is never hedged onto.
 func (d *Distributor) tileParts(snap snapshot, w, h int) (*plan, error) {
-	for name, h := range snap.handles {
-		if ar, ok := h.(AvailabilityReporter); ok {
-			available := ar.Available()
-			d.mu.Lock()
-			d.engine.SetAvailable(name, available)
-			d.mu.Unlock()
-		}
-	}
+	now := d.clock().Now()
 	var caps []balance.ServiceCapacity
-	for _, sl := range d.LoadSnapshot() {
-		if snap.handles[sl.Capacity.Name] != nil && !sl.Unavailable {
+	var probes []string
+	loads := d.LoadSnapshot()
+	d.mu.Lock()
+	for _, sl := range loads {
+		name := sl.Capacity.Name
+		if pr := d.peers[name]; snap.handles[name] != nil && pr.available(now) {
 			caps = append(caps, sl.Capacity)
+			if pr.state != BreakerClosed {
+				probes = append(probes, name)
+			}
 		}
 	}
+	d.mu.Unlock()
 	cfg := d.sess.svc.cfg
 	cfg.Metrics.Gauge(cfg.Name, "hedge_available_peers", "").Set(int64(len(caps)))
 	tiles := balance.DistributeTiles(w, h, caps)
@@ -509,8 +533,14 @@ func (d *Distributor) tileParts(snap snapshot, w, h int) (*plan, error) {
 			p.parts = append(p.parts, part{service: c.Name, job: RenderJob{Rect: rect, FullW: w, FullH: h}})
 		}
 	}
-	sort.SliceStable(caps, func(i, j int) bool { return caps[i].Spare() > caps[j].Spare() })
-	p.alternates = caps
+	alternates := caps[:0]
+	for _, c := range caps {
+		if !slices.Contains(probes, c.Name) {
+			alternates = append(alternates, c)
+		}
+	}
+	sort.SliceStable(alternates, func(i, j int) bool { return alternates[i].Spare() > alternates[j].Spare() })
+	p.alternates = alternates
 	return p, nil
 }
 
@@ -550,8 +580,7 @@ func (d *Distributor) assembleTiles(w, h int, p *plan) (*raster.Framebuffer, []i
 }
 
 // RenderTilesHedged renders one frame by framebuffer distribution with
-// overload protection end to end: tileParts plans around breaker-open
-// peers, renderFrame hedges stragglers and cuts the collection at the
+// overload protection end to end: tileParts plans around open peers, renderFrame hedges stragglers and cuts the collection at the
 // hard deadline, assembleTiles degrades what is still missing. The frame
 // is therefore never lost and never later than the deadline plus one
 // scheduling quantum.

@@ -26,7 +26,6 @@ type fakeTile struct {
 
 	mu    sync.Mutex
 	calls int
-	avail bool
 }
 
 func (h *fakeTile) Name() string { return h.name }
@@ -39,8 +38,9 @@ func (h *fakeTile) Render(job RenderJob) (compositor.Tile, error) {
 	rect := job.Rect
 	h.mu.Lock()
 	h.calls++
+	decline := h.decline
 	h.mu.Unlock()
-	if h.decline {
+	if decline {
 		return compositor.Tile{}, &renderservice.ErrOverloaded{Service: h.name, Reason: admission.ReasonQueueFull}
 	}
 	h.clk.Sleep(h.delay)
@@ -49,12 +49,6 @@ func (h *fakeTile) Render(job RenderJob) (compositor.Tile, error) {
 		fb.Color[i] = h.shade
 	}
 	return compositor.Tile{Rect: rect, FB: fb, Version: 1}, nil
-}
-
-func (h *fakeTile) Available() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.avail
 }
 
 func (h *fakeTile) callCount() int {
@@ -105,8 +99,8 @@ func drive(clk *vclock.Virtual) (stop func()) {
 func TestHedgedAllFast(t *testing.T) {
 	// Nonzero epoch: UnixNano()==0 reads as "no deadline" on the wire.
 	clk := vclock.NewVirtual(time.Unix(1000, 0))
-	a := &fakeTile{name: "a", clk: clk, delay: 5 * time.Millisecond, shade: 10, avail: true}
-	b := &fakeTile{name: "b", clk: clk, delay: 5 * time.Millisecond, shade: 20, avail: true}
+	a := &fakeTile{name: "a", clk: clk, delay: 5 * time.Millisecond, shade: 10}
+	b := &fakeTile{name: "b", clk: clk, delay: 5 * time.Millisecond, shade: 20}
 	d := hedgeHarness(t, clk, a, b)
 	stop := drive(clk)
 	defer stop()
@@ -136,8 +130,8 @@ func TestHedgedAllFast(t *testing.T) {
 // the frame completes before the hard deadline with nothing degraded.
 func TestHedgedStragglerRescued(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(1000, 0))
-	fast := &fakeTile{name: "fast", clk: clk, delay: 5 * time.Millisecond, shade: 10, avail: true}
-	slow := &fakeTile{name: "slow", clk: clk, delay: time.Hour, shade: 20, avail: true}
+	fast := &fakeTile{name: "fast", clk: clk, delay: 5 * time.Millisecond, shade: 10}
+	slow := &fakeTile{name: "slow", clk: clk, delay: time.Hour, shade: 20}
 	d := hedgeHarness(t, clk, fast, slow)
 	stop := drive(clk)
 	defer stop()
@@ -167,7 +161,7 @@ func TestHedgedStragglerRescued(t *testing.T) {
 // the last good frame, and the frame is never lost.
 func TestHedgedDegradesWhenNoSpare(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(1000, 0))
-	only := &fakeTile{name: "only", clk: clk, delay: 5 * time.Millisecond, shade: 77, avail: true}
+	only := &fakeTile{name: "only", clk: clk, delay: 5 * time.Millisecond, shade: 77}
 	d := hedgeHarness(t, clk, only)
 	stop := drive(clk)
 	defer stop()
@@ -202,8 +196,8 @@ func TestHedgedDegradesWhenNoSpare(t *testing.T) {
 // hedge timer.
 func TestHedgedDeclineFailsOverImmediately(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(1000, 0))
-	busy := &fakeTile{name: "busy", clk: clk, decline: true, avail: true}
-	calm := &fakeTile{name: "calm", clk: clk, delay: 5 * time.Millisecond, shade: 30, avail: true}
+	busy := &fakeTile{name: "busy", clk: clk, decline: true}
+	calm := &fakeTile{name: "calm", clk: clk, delay: 5 * time.Millisecond, shade: 30}
 	d := hedgeHarness(t, clk, busy, calm)
 	stop := drive(clk)
 	defer stop()
@@ -227,24 +221,36 @@ func TestHedgedDeclineFailsOverImmediately(t *testing.T) {
 	}
 }
 
-// TestHedgedPlansAroundUnavailable: a breaker-open peer (Available()
-// false) receives no tiles at all.
+// TestHedgedPlansAroundUnavailable: a peer whose breaker opened — three
+// frames of declines — receives no tiles at all.
 func TestHedgedPlansAroundUnavailable(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(1000, 0))
-	open := &fakeTile{name: "open", clk: clk, delay: 5 * time.Millisecond, shade: 1, avail: false}
-	ok := &fakeTile{name: "ok", clk: clk, delay: 5 * time.Millisecond, shade: 2, avail: true}
+	open := &fakeTile{name: "open", clk: clk, delay: 5 * time.Millisecond, shade: 1, decline: true}
+	ok := &fakeTile{name: "ok", clk: clk, delay: 5 * time.Millisecond, shade: 2}
 	d := hedgeHarness(t, clk, open, ok)
 	stop := drive(clk)
 	defer stop()
 
-	_, rep, err := d.RenderTilesHedged(context.Background(), 32, 32, HedgeConfig{
-		FrameDeadline: 100 * time.Millisecond,
-	})
+	cfg := HedgeConfig{FrameDeadline: 100 * time.Millisecond}
+	for i := 0; i < breakerThreshold; i++ {
+		if _, _, err := d.RenderTilesHedged(context.Background(), 32, 32, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := d.Health("open").State; got != BreakerOpen {
+		t.Fatalf("after %d declining frames the peer is %v", breakerThreshold, got)
+	}
+	open.mu.Lock()
+	open.decline = false
+	open.mu.Unlock()
+	before := open.callCount()
+
+	_, rep, err := d.RenderTilesHedged(context.Background(), 32, 32, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if open.callCount() != 0 {
-		t.Fatalf("breaker-open peer received %d tile calls", open.callCount())
+	if got := open.callCount() - before; got != 0 {
+		t.Fatalf("breaker-open peer received %d tile calls", got)
 	}
 	if rep.Tiles != 1 || len(rep.Degraded) != 0 {
 		t.Fatalf("plan around open breaker failed: %+v", rep)

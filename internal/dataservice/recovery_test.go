@@ -1,8 +1,8 @@
 package dataservice
 
 import (
-	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +11,7 @@ import (
 	"repro/internal/compositor"
 	"repro/internal/device"
 	"repro/internal/renderservice"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/vclock"
 )
@@ -67,10 +68,13 @@ func TestDeadServicesLivenessTimeout(t *testing.T) {
 }
 
 // crashyHandle is a render handle with a kill switch, for failing a
-// service at a precise point in a test.
+// service at a precise point in a test. With dieReplying set, its next
+// render is drawn and then lost with the service, as when a process dies
+// writing its reply.
 type crashyHandle struct {
-	inner RenderHandle
-	dead  atomic.Bool
+	inner       RenderHandle
+	dead        atomic.Bool
+	dieReplying bool
 }
 
 var errCrashedSvc = errors.New("render service crashed")
@@ -88,7 +92,91 @@ func (h *crashyHandle) Render(job RenderJob) (compositor.Tile, error) {
 	if h.dead.Load() {
 		return compositor.Tile{}, errCrashedSvc
 	}
-	return h.inner.Render(job)
+	tile, err := h.inner.Render(job)
+	if h.dieReplying {
+		h.dead.Store(true)
+		return compositor.Tile{}, errCrashedSvc
+	}
+	return tile, err
+}
+
+// TestKilledPeerPartIsReplaced: three services each own nodes, and one is
+// killed mid-reply. RenderDistributed detaches it, re-places its nodes on
+// the survivors and draws just those there, within the same frame: the
+// frame matches a whole-scene render, and each survivor draws each of its
+// parts once — its own share is not redrawn. Nothing here waits on the
+// clock, which no one advances.
+func TestKilledPeerPartIsReplaced(t *testing.T) {
+	clk := vclock.NewVirtual(time.Unix(1000, 0))
+	reg := telemetry.NewRegistry(clk)
+	svc := New(Config{Name: "data", Clock: clk, Metrics: reg})
+	sess := multiMeshSession(t, svc, 6)
+	d := sess.NewDistributor(balance.DefaultThresholds())
+	renders := map[string]*renderservice.Service{}
+	for _, name := range []string{"a", "b", "victim"} {
+		renders[name] = renderservice.New(renderservice.Config{Name: name, Device: device.SGIOnyx, Workers: 2, Clock: clk, Metrics: reg})
+	}
+	victim := &crashyHandle{inner: &localHandle{renders["victim"]}, dieReplying: true}
+	for _, h := range []RenderHandle{&localHandle{renders["a"]}, &localHandle{renders["b"]}, victim} {
+		if err := d.AddService(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	asg, err := d.Distribute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b", "victim"} {
+		if len(asg[name]) == 0 {
+			t.Fatalf("precondition: every service owns nodes, got %v", asg)
+		}
+	}
+	orphans := asg["victim"]
+
+	fb, err := d.RenderDistributed(64, 64)
+	if err != nil {
+		t.Fatalf("frame lost with its victim: %v", err)
+	}
+	if failed := d.FailedServices(); len(failed) != 1 || failed[0] != "victim" {
+		t.Errorf("failed services: %v, want [victim]", failed)
+	}
+	if names := d.ServiceNames(); slices.Contains(names, "victim") {
+		t.Errorf("victim still attached: %v", names)
+	}
+	after := d.Assignment()
+	snap := reg.Snapshot()
+	for _, name := range []string{"a", "b"} {
+		want := int64(1) // its own share
+		for _, id := range orphans {
+			if slices.Contains(after[name], id) {
+				want = 2 // and one part for the victim's nodes it took over
+				break
+			}
+		}
+		if got := snap.CounterValue(name, "subsets_total", ""); got != want {
+			t.Errorf("survivor %s drew %d parts, want %d", name, got, want)
+		}
+	}
+	if got := snap.CounterValue("victim", "subsets_total", ""); got != 1 {
+		t.Errorf("victim drew %d parts, want 1 (then died replying)", got)
+	}
+	if got := snap.CounterValue("data", "recovery_reassigned_nodes_total", ""); got != int64(len(orphans)) {
+		t.Errorf("reassigned %d nodes, want the victim's %d", got, len(orphans))
+	}
+
+	whole, _, err := renders["a"].RenderSceneOnce(sess.Snapshot(), renderservice.CameraFromState(sess.Camera()), 64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diff := 0
+	for i := range whole.Color {
+		if whole.Color[i] != fb.Color[i] {
+			diff++
+		}
+	}
+	if frac := float64(diff) / float64(len(whole.Color)); frac > 0.01 {
+		t.Errorf("recovered frame differs from reference on %.2f%% of bytes", frac*100)
+	}
 }
 
 // TestFailureDuringInFlightMigration: load reports trigger a migration
@@ -126,12 +214,12 @@ func TestFailureDuringInFlightMigration(t *testing.T) {
 	// The migration destination crashes with the moves in flight.
 	fast.dead.Store(true)
 
-	fb, rep, err := d.RenderDistributedResilient(context.Background(), 64, 64)
+	fb, err := d.RenderDistributed(64, 64)
 	if err != nil {
-		t.Fatalf("resilient render: %v (report %+v)", err, rep)
+		t.Fatalf("render through the failure: %v", err)
 	}
-	if len(rep.Failed) != 1 || rep.Failed[0] != "fast" {
-		t.Errorf("failed services: %v, want [fast]", rep.Failed)
+	if failed := d.FailedServices(); len(failed) != 1 || failed[0] != "fast" {
+		t.Errorf("failed services: %v, want [fast]", failed)
 	}
 
 	// No node may be lost: everything lands on the survivor.

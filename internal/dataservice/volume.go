@@ -117,7 +117,7 @@ func (d *Distributor) slabParts(snap snapshot, w, h int) (*plan, error) {
 				return
 			}
 			dist := n.Payload.BoundsLocal().Transform(world).Center().Dist(cam.Eye)
-			p.parts = append(p.parts, part{service: owner[id], job: job, viewDistance: dist})
+			p.parts = append(p.parts, part{service: owner[id], job: job, nodes: []scene.NodeID{id}, viewDistance: dist})
 		}
 	})
 	return p, err
@@ -128,20 +128,21 @@ func (d *Distributor) slabParts(snap snapshot, w, h int) (*plan, error) {
 // node's world-space distance from the camera. opacity applies per layer
 // (1 = opaque slabs). Non-volume nodes participate too — they simply
 // blend as opaque-ish layers — but the intended use is a scene of volume
-// slabs from SplitVolumeNode.
+// slabs from SplitVolumeNode. A service that fails mid-frame is handled
+// as in RenderDistributed: its slabs are re-placed and drawn elsewhere.
 func (d *Distributor) RenderVolumeDistributed(w, h int, opacity float64) (*raster.Framebuffer, error) {
 	blend := func(w, h int, p *plan) (*raster.Framebuffer, []image.Rectangle, error) {
-		tiles, err := p.complete()
+		parts, err := p.complete()
 		if err != nil {
 			return nil, nil, err
 		}
-		layers := make([]compositor.VolumeLayer, len(tiles))
-		for i, t := range tiles {
-			fb, err := t.Dense() // blending reads every pixel of every layer
+		layers := make([]compositor.VolumeLayer, len(parts))
+		for i, pt := range parts {
+			fb, err := pt.tile.Dense() // blending reads every pixel of every layer
 			if err != nil {
 				return nil, nil, err
 			}
-			layers[i] = compositor.VolumeLayer{FB: fb, Opacity: opacity, ViewDistance: p.parts[i].viewDistance}
+			layers[i] = compositor.VolumeLayer{FB: fb, Opacity: opacity, ViewDistance: pt.viewDistance}
 		}
 		fb, err := compositor.BlendVolume(w, h, layers)
 		return fb, nil, err

@@ -76,21 +76,6 @@ func (m *Mesh) Clone() *Mesh {
 	return out
 }
 
-// Transform applies m4 to all positions (and rotates normals) in place.
-func (m *Mesh) Transform(m4 mathx.Mat4) {
-	for i, p := range m.Positions {
-		m.Positions[i] = m4.TransformPoint(p)
-	}
-	if m.Normals != nil {
-		// Correct for non-uniform scale would need the inverse transpose;
-		// the scene graph only composes rigid transforms and uniform scale,
-		// for which the rotation part suffices.
-		for i, n := range m.Normals {
-			m.Normals[i] = m4.TransformDir(n).Normalize()
-		}
-	}
-}
-
 // ComputeNormals replaces the mesh normals with area-weighted smooth
 // per-vertex normals.
 func (m *Mesh) ComputeNormals() {

@@ -94,26 +94,12 @@ func TestComputeNormalsFlatQuad(t *testing.T) {
 	}
 }
 
-func TestMeshTransform(t *testing.T) {
-	m := quadMesh()
-	m.ComputeNormals()
-	m.Transform(mathx.Translate(mathx.V3(5, 0, 0)))
-	if m.Positions[0] != (mathx.Vec3{X: 5, Y: 0, Z: 0}) {
-		t.Errorf("translated position: %v", m.Positions[0])
-	}
-	if !m.Normals[0].ApproxEq(mathx.V3(0, 0, 1)) {
-		t.Errorf("normal changed by translation: %v", m.Normals[0])
-	}
-	m.Transform(mathx.RotateX(math.Pi / 2))
-	if !m.Normals[0].ApproxEq(mathx.V3(0, -1, 0)) {
-		t.Errorf("rotated normal: %v", m.Normals[0])
-	}
-}
-
 func TestMeshAppend(t *testing.T) {
 	a := quadMesh()
 	b := quadMesh()
-	b.Transform(mathx.Translate(mathx.V3(0, 0, 2)))
+	for i, p := range b.Positions {
+		b.Positions[i] = p.Add(mathx.V3(0, 0, 2))
+	}
 	b.SetUniformColor(mathx.V3(1, 0, 0))
 	a.Append(b)
 	if a.TriangleCount() != 4 {

@@ -46,16 +46,6 @@ func (b AABB) Contains(p Vec3) bool {
 		p.Z >= b.Min.Z && p.Z <= b.Max.Z
 }
 
-// Intersects reports whether b and o overlap (touching counts).
-func (b AABB) Intersects(o AABB) bool {
-	if b.IsEmpty() || o.IsEmpty() {
-		return false
-	}
-	return b.Min.X <= o.Max.X && b.Max.X >= o.Min.X &&
-		b.Min.Y <= o.Max.Y && b.Max.Y >= o.Min.Y &&
-		b.Min.Z <= o.Max.Z && b.Max.Z >= o.Min.Z
-}
-
 // Center returns the midpoint of the box.
 func (b AABB) Center() Vec3 { return b.Min.Add(b.Max).Scale(0.5) }
 
@@ -128,16 +118,6 @@ func FrustumFromMatrix(vp Mat4) Frustum {
 		mk(r3.Add(r2)), // near
 		mk(r3.Sub(r2)), // far
 	}
-}
-
-// ContainsPoint reports whether p is inside the frustum.
-func (f Frustum) ContainsPoint(p Vec3) bool {
-	for _, pl := range f {
-		if pl.SignedDist(p) < 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // IntersectsAABB conservatively reports whether the box may intersect the

@@ -44,27 +44,6 @@ func TestAABBUnionContains(t *testing.T) {
 	}
 }
 
-func TestAABBIntersects(t *testing.T) {
-	a := AABB{V3(0, 0, 0), V3(2, 2, 2)}
-	cases := []struct {
-		b    AABB
-		want bool
-	}{
-		{AABB{V3(1, 1, 1), V3(3, 3, 3)}, true},
-		{AABB{V3(2, 0, 0), V3(3, 1, 1)}, true}, // touching counts
-		{AABB{V3(2.1, 0, 0), V3(3, 1, 1)}, false},
-		{AABB{V3(-1, -1, -1), V3(3, 3, 3)}, true}, // containment
-	}
-	for i, tc := range cases {
-		if got := a.Intersects(tc.b); got != tc.want {
-			t.Errorf("case %d: got %v want %v", i, got, tc.want)
-		}
-	}
-	if a.Intersects(EmptyAABB()) {
-		t.Error("intersects empty box")
-	}
-}
-
 func TestAABBMetrics(t *testing.T) {
 	b := AABB{V3(0, 0, 0), V3(2, 3, 4)}
 	if got := b.Center(); got != (Vec3{1, 1.5, 2}) {
@@ -91,29 +70,6 @@ func TestAABBTransform(t *testing.T) {
 	// Empty stays empty.
 	if !EmptyAABB().Transform(RotateY(1)).IsEmpty() {
 		t.Error("transformed empty box not empty")
-	}
-}
-
-func TestFrustumContainsPoint(t *testing.T) {
-	proj := Perspective(Radians(90), 1, 0.1, 100)
-	view := LookAt(V3(0, 0, 0), V3(0, 0, -1), V3(0, 1, 0))
-	f := FrustumFromMatrix(proj.Mul(view))
-
-	if !f.ContainsPoint(V3(0, 0, -5)) {
-		t.Error("point ahead of camera not in frustum")
-	}
-	if f.ContainsPoint(V3(0, 0, 5)) {
-		t.Error("point behind camera in frustum")
-	}
-	if f.ContainsPoint(V3(0, 0, -200)) {
-		t.Error("point beyond far plane in frustum")
-	}
-	// 90 degree fov: at z=-10 the frustum extends to |y|=10.
-	if !f.ContainsPoint(V3(0, 9.9, -10)) {
-		t.Error("point just inside top plane rejected")
-	}
-	if f.ContainsPoint(V3(0, 10.5, -10)) {
-		t.Error("point outside top plane accepted")
 	}
 }
 

@@ -155,7 +155,7 @@ func TestEarlyZRejectsOccluded(t *testing.T) {
 	// the per-band depth bound stays +Inf (early-z disarmed) until the
 	// whole band has been written.
 	m := sharedEdgeMesh()
-	m.Transform(mathx.Scale(mathx.V3(4, 4, 1)))
+	transformMesh(m, mathx.Scale(mathx.V3(4, 4, 1)))
 	m.SetUniformColor(mathx.V3(0.2, 0.4, 0.9))
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 600; i++ {

@@ -70,7 +70,7 @@ func renderOverlapZ(cfg func(*Renderer)) *Framebuffer {
 	near.SetUniformColor(mathx.V3(1, 0, 0))
 	far := frontTriangle()
 	far.SetUniformColor(mathx.V3(0, 1, 0))
-	far.Transform(mathx.Translate(mathx.V3(0.4, 0, -2)))
+	transformMesh(far, mathx.Translate(mathx.V3(0.4, 0, -2)))
 	fb := NewFramebuffer(64, 64)
 	r := New(fb)
 	r.Opts.Ambient = 1 // flat shading: exact colors pin the depth winner

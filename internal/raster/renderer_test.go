@@ -10,6 +10,17 @@ import (
 	"repro/internal/mathx"
 )
 
+// transformMesh applies m4 to a fixture mesh in place: positions as
+// points, normals as directions, renormalized.
+func transformMesh(m *geom.Mesh, m4 mathx.Mat4) {
+	for i, p := range m.Positions {
+		m.Positions[i] = m4.TransformPoint(p)
+	}
+	for i, n := range m.Normals {
+		m.Normals[i] = m4.TransformDir(n).Normalize()
+	}
+}
+
 // frontTriangle returns a CCW triangle at the origin facing +Z.
 func frontTriangle() *geom.Mesh {
 	m := &geom.Mesh{
@@ -67,7 +78,7 @@ func TestDepthOrdering(t *testing.T) {
 	near.SetUniformColor(mathx.V3(1, 0, 0))
 	far := frontTriangle()
 	far.SetUniformColor(mathx.V3(0, 1, 0))
-	far.Transform(mathx.Translate(mathx.V3(0, 0, -2)))
+	transformMesh(far, mathx.Translate(mathx.V3(0, 0, -2)))
 
 	// Render far first then near: near must win.
 	fb := NewFramebuffer(64, 64)
@@ -119,7 +130,7 @@ func TestNearPlaneClipping(t *testing.T) {
 
 func TestTriangleFullyBehindCameraDropped(t *testing.T) {
 	m := frontTriangle()
-	m.Transform(mathx.Translate(mathx.V3(0, 0, 50))) // behind eye at z=5
+	transformMesh(m, mathx.Translate(mathx.V3(0, 0, 50))) // behind eye at z=5
 	fb := NewFramebuffer(32, 32)
 	r := New(fb)
 	r.RenderMesh(m, mathx.Identity(), lookingCamera())
