@@ -83,11 +83,14 @@ one-quantile:
 # non-test file outside internal/dataservice declares a Breaker type or an
 # Available() bool method — a wrapper that keeps a breaker of its own and
 # the side channel that reports it — and nothing names the resilient frame
-# variant, since every distributed frame recovers.
+# variant, since every distributed frame recovers. Nor does a second table
+# of render services come back: the migration policy reads the peer
+# records, so nothing names a MigrationEngine, its SetAvailable feed or
+# the distributor's LoadSnapshot copy of it.
 one-health:
 	@out="$$( { grep -rnE '^type [A-Za-z0-9_]*Breaker|^func \([^)]*\) Available\(\) bool' --include='*.go' --exclude='*_test.go' . \
 		| grep -v '^\./internal/dataservice/'; \
-		grep -rn 'RenderDistributedResilient' --include='*.go' --exclude='*_test.go' .; } )"; \
+		grep -rnE 'RenderDistributedResilient|MigrationEngine|SetAvailable|LoadSnapshot' --include='*.go' --exclude='*_test.go' .; } )"; \
 	if [ -n "$$out" ]; then echo "peer health kept outside the distributor's frame loop:"; echo "$$out"; exit 1; fi
 
 # unreached keeps the system what something runs: every non-test function

@@ -12,7 +12,6 @@ import (
 	"image"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/scene"
 )
@@ -21,11 +20,6 @@ import (
 // service.
 type ServiceCapacity struct {
 	Name string
-	// Region is the service's locality ("region" or "region/zone");
-	// empty means the flat single-site deployment. The migration engine
-	// prefers same-region helpers so shed work does not cross the WAN
-	// when a neighbour has capacity.
-	Region string
 	// WorkPerFrame is how much weighted work (scene.Cost.Work units) the
 	// service can render per frame at its target rate.
 	WorkPerFrame float64
@@ -177,15 +171,6 @@ func pack(nodes []NodeItem, services []ServiceCapacity, overcommit bool) (Assign
 	return out, nil
 }
 
-// sameRegion reports whether two "region" / "region/zone" localities
-// share a region. Empty localities count as local everywhere: a flat
-// deployment that never configures regions has no WAN by definition.
-func sameRegion(a, b string) bool {
-	ra, _, _ := strings.Cut(a, "/")
-	rb, _, _ := strings.Cut(b, "/")
-	return ra == rb || ra == "" || rb == ""
-}
-
 func totalWork(nodes []NodeItem) float64 {
 	t := 0.0
 	for _, n := range nodes {
@@ -243,7 +228,9 @@ func DistributeTiles(w, h int, services []ServiceCapacity) map[string]image.Rect
 	return out
 }
 
-// Thresholds configure the migration engine (§3.2.7).
+// Thresholds configure the migration policy (§3.2.7): the functions on
+// Thresholds read and update services' ServiceLoad records, which their
+// owner (the data service's distributor) keeps.
 type Thresholds struct {
 	// OverloadedFPS: a service reporting a rate below this is overloaded.
 	OverloadedFPS float64
@@ -256,14 +243,14 @@ type Thresholds struct {
 	UnderloadedFor int
 }
 
-// DefaultThresholds returns the engine defaults: 10 fps interactive
+// DefaultThresholds returns the policy defaults: 10 fps interactive
 // floor, 50% utilization spare mark, 3-report smoothing.
 func DefaultThresholds() Thresholds {
 	return Thresholds{OverloadedFPS: 10, UnderloadedUtil: 0.5, UnderloadedFor: 3}
 }
 
-// ServiceLoad tracks one service's recent reports for the migration
-// engine.
+// ServiceLoad is what the migration policy reads of one service: its
+// capacity as last interrogated and its recent load reports.
 type ServiceLoad struct {
 	Capacity ServiceCapacity
 	LastFPS  float64
@@ -275,72 +262,35 @@ type ServiceLoad struct {
 	underStreak int
 }
 
-// MigrationEngine accumulates load reports and proposes node moves.
-type MigrationEngine struct {
-	Thresholds Thresholds
-	services   map[string]*ServiceLoad
-}
-
-// NewMigrationEngine returns an engine with the given thresholds.
-func NewMigrationEngine(th Thresholds) *MigrationEngine {
-	return &MigrationEngine{Thresholds: th, services: map[string]*ServiceLoad{}}
-}
-
-// UpdateCapacity registers or refreshes a service's capacity.
-func (m *MigrationEngine) UpdateCapacity(c ServiceCapacity) {
-	sl, ok := m.services[c.Name]
-	if !ok {
-		sl = &ServiceLoad{}
-		m.services[c.Name] = sl
-	}
-	sl.Capacity = c
-}
-
-// Remove forgets a service (it left the session).
-func (m *MigrationEngine) Remove(name string) { delete(m.services, name) }
-
-// SetAvailable records a circuit-breaker verdict for a service: false
-// when the peer's breaker opened (consecutive declines or timeouts),
-// true once a half-open probe succeeded. Unavailable services are
-// excluded from helper selection and count as overload pressure in
-// NeedRecruitment.
-func (m *MigrationEngine) SetAvailable(name string, available bool) {
-	sl, ok := m.services[name]
-	if !ok {
-		sl = &ServiceLoad{}
-		m.services[name] = sl
-	}
-	sl.Unavailable = !available
-}
-
-// Available reports whether a service is currently usable (unknown
-// services default to available).
-func (m *MigrationEngine) Available(name string) bool {
-	if sl, ok := m.services[name]; ok {
-		return !sl.Unavailable
-	}
-	return true
-}
-
-// ReportLoad records a load report and returns whether the service is
-// currently overloaded.
-func (m *MigrationEngine) ReportLoad(name string, fps float64) (overloaded bool) {
-	sl, ok := m.services[name]
-	if !ok {
-		sl = &ServiceLoad{}
-		m.services[name] = sl
-	}
+// Observe records one load report in sl and returns whether it shows the
+// service overloaded (a positive rate below the floor). An overloaded
+// report, or one from a service at or above the underload mark, ends the
+// underload streak; any other extends it.
+func (th Thresholds) Observe(sl *ServiceLoad, fps float64) (overloaded bool) {
 	sl.LastFPS = fps
-	if fps < m.Thresholds.OverloadedFPS && fps > 0 {
+	if fps < th.OverloadedFPS && fps > 0 {
 		sl.underStreak = 0
 		return true
 	}
-	if sl.Capacity.Utilization() < m.Thresholds.UnderloadedUtil {
+	if sl.Capacity.Utilization() < th.UnderloadedUtil {
 		sl.underStreak++
 	} else {
 		sl.underStreak = 0
 	}
 	return false
+}
+
+// overloaded reports whether sl is overload pressure: its breaker is
+// open (its work has nowhere to go but the others), or it last reported
+// a rate below the floor.
+func (th Thresholds) overloaded(sl ServiceLoad) bool {
+	return sl.Unavailable || sl.LastFPS > 0 && sl.LastFPS < th.OverloadedFPS
+}
+
+// helps reports whether sl can take migrated work: available, underloaded
+// for long enough, and with spare capacity.
+func (th Thresholds) helps(sl ServiceLoad) bool {
+	return !sl.Unavailable && sl.underStreak >= th.UnderloadedFor && sl.Capacity.Spare() > 0
 }
 
 // Move is one proposed node migration.
@@ -350,54 +300,36 @@ type Move struct {
 	To     string
 }
 
-// NeedRecruitment reports whether the engine has an overloaded service
-// but no smoothed-underloaded helper — the trigger for discovering fresh
+// NeedRecruitment reports whether some service is overloaded but none is
+// a smoothed-underloaded helper — the trigger for discovering fresh
 // render services through UDDI (§3.2.7).
-func (m *MigrationEngine) NeedRecruitment() bool {
-	over := false
-	helper := false
-	for _, sl := range m.services {
-		if sl.Unavailable {
-			// A breaker-open peer is overload pressure: its share of the
-			// work has nowhere to go but the survivors.
-			over = true
-			continue
-		}
-		if sl.LastFPS > 0 && sl.LastFPS < m.Thresholds.OverloadedFPS {
-			over = true
-		}
-		if sl.underStreak >= m.Thresholds.UnderloadedFor && sl.Capacity.Spare() > 0 {
-			helper = true
-		}
+func (th Thresholds) NeedRecruitment(loads []ServiceLoad) bool {
+	over, helper := false, false
+	for _, sl := range loads {
+		over = over || th.overloaded(sl)
+		helper = helper || th.helps(sl)
 	}
 	return over && !helper
 }
 
 // PlanMigration proposes fine-grained node moves from overloaded services
-// to smoothed-underloaded ones. assigned maps service -> its current
-// nodes with costs. Nodes are moved smallest-first so the helper is not
-// tipped into overload, and never beyond the helper's spare capacity.
-func (m *MigrationEngine) PlanMigration(assigned map[string][]NodeItem) []Move {
+// to smoothed-underloaded ones, visiting both in the order of loads.
+// assigned maps service -> its current nodes with costs. Nodes are moved
+// smallest-first so the helper is not tipped into overload, and never
+// beyond the helper's spare capacity.
+func (th Thresholds) PlanMigration(loads []ServiceLoad, assigned map[string][]NodeItem) []Move {
 	var over, under []string
-	for name, sl := range m.services {
-		if sl.Unavailable {
-			// Drain a breaker-open peer; never migrate work onto it.
-			over = append(over, name)
-		} else if sl.LastFPS > 0 && sl.LastFPS < m.Thresholds.OverloadedFPS {
-			over = append(over, name)
-		} else if sl.underStreak >= m.Thresholds.UnderloadedFor && sl.Capacity.Spare() > 0 {
-			under = append(under, name)
+	spare := map[string]float64{}
+	for _, sl := range loads {
+		if th.overloaded(sl) {
+			over = append(over, sl.Capacity.Name)
+		} else if th.helps(sl) {
+			under = append(under, sl.Capacity.Name)
+			spare[sl.Capacity.Name] = sl.Capacity.Spare()
 		}
 	}
-	sort.Strings(over)
-	sort.Strings(under)
 	if len(over) == 0 || len(under) == 0 {
 		return nil
-	}
-
-	spare := map[string]float64{}
-	for _, u := range under {
-		spare[u] = m.services[u].Capacity.Spare()
 	}
 
 	var moves []Move
@@ -413,26 +345,12 @@ func (m *MigrationEngine) PlanMigration(assigned map[string][]NodeItem) []Move {
 		// Shed up to half of the overloaded service's work.
 		target := totalWork(nodes) / 2
 		shed := 0.0
-		// Same-region helpers first: shedding across the WAN is a last
-		// resort, taken only when no neighbour has room.
-		fromRegion := m.services[o].Capacity.Region
-		ranked := make([]string, 0, len(under))
-		for _, u := range under {
-			if sameRegion(fromRegion, m.services[u].Capacity.Region) {
-				ranked = append(ranked, u)
-			}
-		}
-		for _, u := range under {
-			if !sameRegion(fromRegion, m.services[u].Capacity.Region) {
-				ranked = append(ranked, u)
-			}
-		}
 		for _, n := range nodes {
 			if shed >= target {
 				break
 			}
 			placed := false
-			for _, u := range ranked {
+			for _, u := range under {
 				if spare[u] >= n.Cost.Work() {
 					moves = append(moves, Move{NodeID: n.ID, From: o, To: u})
 					spare[u] -= n.Cost.Work()
@@ -447,15 +365,4 @@ func (m *MigrationEngine) PlanMigration(assigned map[string][]NodeItem) []Move {
 		}
 	}
 	return moves
-}
-
-// Snapshot returns current per-service state sorted by name, for
-// diagnostics and the registry browser.
-func (m *MigrationEngine) Snapshot() []ServiceLoad {
-	var out []ServiceLoad
-	for _, sl := range m.services {
-		out = append(out, *sl)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Capacity.Name < out[j].Capacity.Name })
-	return out
 }

@@ -185,38 +185,39 @@ func TestDistributeTilesDegenerate(t *testing.T) {
 }
 
 func TestMigrationOverloadDetection(t *testing.T) {
-	e := NewMigrationEngine(DefaultThresholds())
-	e.UpdateCapacity(svc("a", 10_000))
-	if !e.ReportLoad("a", 5) {
+	th := DefaultThresholds()
+	a := ServiceLoad{Capacity: svc("a", 10_000)}
+	if !th.Observe(&a, 5) {
 		t.Error("5 fps not overloaded (threshold 10)")
 	}
-	if e.ReportLoad("a", 30) {
+	if th.Observe(&a, 30) {
 		t.Error("30 fps overloaded")
 	}
-	// Unknown service gets tracked on first report.
-	if !e.ReportLoad("ghost", 2) {
-		t.Error("unknown service report dropped")
+	// A record with no capacity yet is judged on its first report.
+	var ghost ServiceLoad
+	if !th.Observe(&ghost, 2) {
+		t.Error("first report of a fresh record dropped")
 	}
 }
 
 func TestMigrationUnderloadSmoothing(t *testing.T) {
-	e := NewMigrationEngine(DefaultThresholds())
+	th := DefaultThresholds()
 	c := svc("idle", 10_000)
 	c.Assigned = 1000 // 10% utilization
-	e.UpdateCapacity(c)
+	loads := []ServiceLoad{{Capacity: svc("busy", 1000)}, {Capacity: c}}
+	busy, idle := &loads[0], &loads[1]
 
 	over := map[string][]NodeItem{"busy": {item(2, 500), item(3, 800)}}
-	e.UpdateCapacity(svc("busy", 1000))
-	e.ReportLoad("busy", 4) // overloaded
+	th.Observe(busy, 4) // overloaded
 
 	// One underload report is not enough (spike smoothing).
-	e.ReportLoad("idle", 60)
-	if moves := e.PlanMigration(over); len(moves) != 0 {
+	th.Observe(idle, 60)
+	if moves := th.PlanMigration(loads, over); len(moves) != 0 {
 		t.Errorf("migrated after one report: %v", moves)
 	}
-	e.ReportLoad("idle", 60)
-	e.ReportLoad("idle", 60)
-	moves := e.PlanMigration(over)
+	th.Observe(idle, 60)
+	th.Observe(idle, 60)
+	moves := th.PlanMigration(loads, over)
 	if len(moves) == 0 {
 		t.Fatal("no migration after smoothing window")
 	}
@@ -234,16 +235,14 @@ func TestMigrationUnderloadSmoothing(t *testing.T) {
 func TestMigrationRespectsHelperCapacity(t *testing.T) {
 	th := DefaultThresholds()
 	th.UnderloadedFor = 1
-	e := NewMigrationEngine(th)
 	helper := svc("helper", 1000)
 	helper.Assigned = 400 // spare 600
-	e.UpdateCapacity(helper)
-	e.UpdateCapacity(svc("busy", 100))
-	e.ReportLoad("busy", 3)
-	e.ReportLoad("helper", 60)
+	loads := []ServiceLoad{{Capacity: svc("busy", 100)}, {Capacity: helper}}
+	th.Observe(&loads[0], 3)
+	th.Observe(&loads[1], 60)
 
 	over := map[string][]NodeItem{"busy": {item(2, 500), item(3, 500), item(4, 500)}}
-	moves := e.PlanMigration(over)
+	moves := th.PlanMigration(loads, over)
 	// Helper can absorb only one 500-work node.
 	if len(moves) != 1 {
 		t.Fatalf("moves: %v", moves)
@@ -253,33 +252,20 @@ func TestMigrationRespectsHelperCapacity(t *testing.T) {
 func TestNeedRecruitment(t *testing.T) {
 	th := DefaultThresholds()
 	th.UnderloadedFor = 1
-	e := NewMigrationEngine(th)
-	e.UpdateCapacity(svc("busy", 100))
-	e.ReportLoad("busy", 2)
-	if !e.NeedRecruitment() {
+	idle := svc("idle", 10_000)
+	idle.Assigned = 10
+	loads := []ServiceLoad{{Capacity: svc("busy", 100)}, {Capacity: idle}}
+	th.Observe(&loads[0], 2)
+	if !th.NeedRecruitment(loads[:1]) {
 		t.Error("overloaded alone should trigger recruitment")
 	}
 	// A smoothed underloaded helper cancels recruitment.
-	idle := svc("idle", 10_000)
-	idle.Assigned = 10
-	e.UpdateCapacity(idle)
-	e.ReportLoad("idle", 60)
-	if e.NeedRecruitment() {
+	th.Observe(&loads[1], 60)
+	if th.NeedRecruitment(loads) {
 		t.Error("recruitment despite available helper")
 	}
 	// Removing the helper restores the need.
-	e.Remove("idle")
-	if !e.NeedRecruitment() {
+	if !th.NeedRecruitment(loads[:1]) {
 		t.Error("recruitment not needed after helper left")
-	}
-}
-
-func TestSnapshotSorted(t *testing.T) {
-	e := NewMigrationEngine(DefaultThresholds())
-	e.UpdateCapacity(svc("zeta", 1))
-	e.UpdateCapacity(svc("alpha", 1))
-	snap := e.Snapshot()
-	if len(snap) != 2 || snap[0].Capacity.Name != "alpha" {
-		t.Errorf("snapshot: %+v", snap)
 	}
 }

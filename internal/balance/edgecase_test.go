@@ -16,31 +16,33 @@ import (
 // means there is no helper — the plan is empty (migration cannot help;
 // NeedRecruitment is the escalation path).
 func TestPlanMigrationAllOverloaded(t *testing.T) {
-	e := NewMigrationEngine(DefaultThresholds())
+	th := DefaultThresholds()
+	var loads []ServiceLoad
 	for _, n := range []string{"a", "b", "c"} {
-		e.UpdateCapacity(svc(n, 1000))
-		e.ReportLoad(n, 3) // all overloaded
+		sl := ServiceLoad{Capacity: svc(n, 1000)}
+		th.Observe(&sl, 3) // all overloaded
+		loads = append(loads, sl)
 	}
 	assigned := map[string][]NodeItem{
 		"a": {item(2, 500)}, "b": {item(3, 500)}, "c": {item(4, 500)},
 	}
-	if moves := e.PlanMigration(assigned); len(moves) != 0 {
+	if moves := th.PlanMigration(loads, assigned); len(moves) != 0 {
 		t.Fatalf("all-overloaded plan should be empty, got %v", moves)
 	}
-	if !e.NeedRecruitment() {
+	if !th.NeedRecruitment(loads) {
 		t.Fatal("all services overloaded must escalate to recruitment")
 	}
 }
 
-// TestPlanMigrationEmptyEngine: an engine that has never seen a service
+// TestPlanMigrationEmptyEngine: with no services at all the policy
 // plans nothing and needs no recruitment (nothing is overloaded).
 func TestPlanMigrationEmptyEngine(t *testing.T) {
-	e := NewMigrationEngine(DefaultThresholds())
-	if moves := e.PlanMigration(map[string][]NodeItem{}); len(moves) != 0 {
-		t.Fatalf("empty engine planned moves: %v", moves)
+	th := DefaultThresholds()
+	if moves := th.PlanMigration(nil, map[string][]NodeItem{}); len(moves) != 0 {
+		t.Fatalf("no services planned moves: %v", moves)
 	}
-	if e.NeedRecruitment() {
-		t.Fatal("empty engine should not recruit")
+	if th.NeedRecruitment(nil) {
+		t.Fatal("no services should not recruit")
 	}
 }
 
@@ -48,23 +50,23 @@ func TestPlanMigrationEmptyEngine(t *testing.T) {
 // migrate to — the plan is empty whether the service is healthy or
 // overloaded, and only the overloaded case recruits.
 func TestPlanMigrationSingleService(t *testing.T) {
-	e := NewMigrationEngine(DefaultThresholds())
-	e.UpdateCapacity(svc("solo", 1000))
+	th := DefaultThresholds()
+	loads := []ServiceLoad{{Capacity: svc("solo", 1000)}}
 	assigned := map[string][]NodeItem{"solo": {item(2, 500), item(3, 300)}}
 
-	e.ReportLoad("solo", 60) // healthy
-	if moves := e.PlanMigration(assigned); len(moves) != 0 {
+	th.Observe(&loads[0], 60) // healthy
+	if moves := th.PlanMigration(loads, assigned); len(moves) != 0 {
 		t.Fatalf("healthy solo service planned moves: %v", moves)
 	}
-	if e.NeedRecruitment() {
+	if th.NeedRecruitment(loads) {
 		t.Fatal("healthy solo service should not recruit")
 	}
 
-	e.ReportLoad("solo", 3) // overloaded
-	if moves := e.PlanMigration(assigned); len(moves) != 0 {
+	th.Observe(&loads[0], 3) // overloaded
+	if moves := th.PlanMigration(loads, assigned); len(moves) != 0 {
 		t.Fatalf("solo service cannot migrate to itself, got %v", moves)
 	}
-	if !e.NeedRecruitment() {
+	if !th.NeedRecruitment(loads) {
 		t.Fatal("overloaded solo service must recruit")
 	}
 }
@@ -75,35 +77,33 @@ func TestPlanMigrationSingleService(t *testing.T) {
 func TestPlanMigrationUnavailablePeer(t *testing.T) {
 	th := DefaultThresholds()
 	th.UnderloadedFor = 1
-	e := NewMigrationEngine(th)
 
-	broken := svc("broken", 10_000)
-	e.UpdateCapacity(broken)
-	e.ReportLoad("broken", 60) // looked healthy and idle...
 	helper := svc("helper", 10_000)
 	helper.Assigned = 100
-	e.UpdateCapacity(helper)
-	e.ReportLoad("helper", 60)
-	e.SetAvailable("broken", false) // ...then its breaker opened
+	loads := []ServiceLoad{{Capacity: svc("broken", 10_000)}, {Capacity: helper}}
+	broken, help := &loads[0], &loads[1]
+	th.Observe(broken, 60) // looked healthy and idle...
+	th.Observe(help, 60)
+	broken.Unavailable = true // ...then its breaker opened
 
 	assigned := map[string][]NodeItem{"broken": {item(2, 500)}}
-	moves := e.PlanMigration(assigned)
+	moves := th.PlanMigration(loads, assigned)
 	if len(moves) != 1 || moves[0].From != "broken" || moves[0].To != "helper" {
 		t.Fatalf("want broken->helper drain, got %v", moves)
 	}
 
 	// With the only helper broken, recruitment becomes necessary.
-	e.SetAvailable("broken", true)
-	e.SetAvailable("helper", false)
-	e.ReportLoad("broken", 3)
-	if !e.NeedRecruitment() {
+	broken.Unavailable = false
+	help.Unavailable = true
+	th.Observe(broken, 3)
+	if !th.NeedRecruitment(loads) {
 		t.Fatal("breaker-open helper must not cancel recruitment")
 	}
-	if e.Available("helper") {
-		t.Fatal("helper still reported available")
+	if th.helps(*help) {
+		t.Fatal("helper still counted as available")
 	}
-	if !e.Available("unknown") {
-		t.Fatal("unknown services default to available")
+	if th.overloaded(ServiceLoad{Capacity: svc("unknown", 1000)}) {
+		t.Fatal("a service with no reports and no breaker verdict must count as available")
 	}
 }
 
@@ -180,57 +180,5 @@ func TestImbalance(t *testing.T) {
 				t.Errorf("Imbalance(%v) = %v, want %v", tc.counts, got, tc.want)
 			}
 		})
-	}
-}
-
-// TestPlanMigrationPrefersSameRegionHelper: with helpers in two
-// regions, shed work lands on the in-region one even when the
-// cross-region helper sorts first alphabetically; the WAN helper is
-// used only once the neighbour is full.
-func TestPlanMigrationPrefersSameRegionHelper(t *testing.T) {
-	th := DefaultThresholds()
-	th.UnderloadedFor = 1
-	e := NewMigrationEngine(th)
-
-	over := svc("over", 1000)
-	over.Region = "eu/a"
-	e.UpdateCapacity(over)
-	e.ReportLoad("over", 3) // below the FPS floor
-
-	far := svc("a-far", 10_000)
-	far.Region = "us/a"
-	e.UpdateCapacity(far)
-	e.ReportLoad("a-far", 60)
-
-	near := svc("b-near", 10_000)
-	near.Region = "eu/b"
-	e.UpdateCapacity(near)
-	e.ReportLoad("b-near", 60)
-
-	assigned := map[string][]NodeItem{"over": {item(2, 200), item(3, 300)}}
-	moves := e.PlanMigration(assigned)
-	if len(moves) == 0 {
-		t.Fatal("overload with idle helpers produced no moves")
-	}
-	for _, mv := range moves {
-		if mv.To != "b-near" {
-			t.Errorf("move %v crossed the WAN; in-region helper had capacity", mv)
-		}
-	}
-
-	// Shrink the neighbour so it cannot take anything: the WAN helper
-	// is better than stalling.
-	tiny := near
-	tiny.Assigned = tiny.WorkPerFrame - 1
-	e.UpdateCapacity(tiny)
-	e.ReportLoad("b-near", 60)
-	moves = e.PlanMigration(assigned)
-	if len(moves) == 0 {
-		t.Fatal("full neighbour must fall back to the cross-region helper")
-	}
-	for _, mv := range moves {
-		if mv.To != "a-far" {
-			t.Errorf("move %v ignored the only helper with room", mv)
-		}
 	}
 }

@@ -13,11 +13,12 @@ import (
 	"repro/internal/transport"
 )
 
-// TestLoadReportingDrivesMigrationEngine closes the §3.2.7 loop over
-// real sockets: a render service renders (so it has a frame rate),
-// streams periodic load reports to the data service over the wire
-// protocol, and the session's migration engine records them.
-func TestLoadReportingDrivesMigrationEngine(t *testing.T) {
+// TestLoadReportingDrivesMigration closes the §3.2.7 loop over real
+// sockets: a render service attached to the session's distributor
+// renders (so it has a frame rate), streams periodic load reports to the
+// data service over the wire protocol, and the distributor records them
+// in the service's record, where the migration policy reads them.
+func TestLoadReportingDrivesMigration(t *testing.T) {
 	ds := dataservice.New(dataservice.Config{Name: "data"})
 	sess, err := ds.CreateSessionFromMesh("s", "m", genmodel.Galleon(1200))
 	if err != nil {
@@ -29,6 +30,9 @@ func TestLoadReportingDrivesMigrationEngine(t *testing.T) {
 	rs := renderservice.New(renderservice.Config{
 		Name: "laptop", Device: device.CentrinoLaptop, Workers: 2,
 	})
+	if err := dist.AddService(&LocalHandle{Svc: rs}); err != nil {
+		t.Fatal(err)
+	}
 	// Subscribe over one socket (keeps the replica fresh).
 	subDS, subRS := net.Pipe()
 	defer subDS.Close()
@@ -66,17 +70,11 @@ func TestLoadReportingDrivesMigrationEngine(t *testing.T) {
 		reporterDone <- rs.StartLoadReporting(repConn, 3*time.Millisecond, stop)
 	}()
 
-	// Wait for the engine to record the laptop's report.
+	// Wait for the distributor to record the laptop's report.
 	deadline := time.Now().Add(5 * time.Second)
-	seen := false
-	for !seen {
-		for _, sl := range dist.LoadSnapshot() {
-			if sl.Capacity.Name == "laptop" || sl.LastFPS > 0 {
-				seen = true
-			}
-		}
+	for dist.Health("laptop").FPS <= 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("load report never reached the migration engine")
+			t.Fatal("load report never reached the distributor")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -31,7 +31,7 @@ type Distributor struct {
 	mu         sync.Mutex
 	peers      map[string]*peer
 	assignment balance.Assignment
-	engine     *balance.MigrationEngine
+	th         balance.Thresholds
 	// lastFrame is the most recent assembled frame — the degraded-tile
 	// fallback when a straggler misses the frame deadline.
 	lastFrame *raster.Framebuffer
@@ -45,16 +45,17 @@ type Distributor struct {
 // migration thresholds.
 func (sess *Session) NewDistributor(th balance.Thresholds) *Distributor {
 	return &Distributor{
-		sess:   sess,
-		peers:  map[string]*peer{},
-		engine: balance.NewMigrationEngine(th),
+		sess:  sess,
+		peers: map[string]*peer{},
+		th:    th,
 	}
 }
 
 // peer is everything the distributor knows of one render service: the
 // handle it renders through, when it was last heard from, whether it ever
-// failed, and its circuit breaker. The record outlives the attachment, so
-// FailedServices remembers who failed.
+// failed, what the migration policy reads of it, and its circuit breaker.
+// The record outlives the attachment, so FailedServices remembers who
+// failed.
 //
 // The breaker: breakerThreshold failures in a row open the peer, and an
 // open peer is planned around. Once its cooldown — twice the deadline
@@ -65,6 +66,10 @@ type peer struct {
 	handle   RenderHandle // nil once detached
 	lastSeen time.Time
 	failed   bool
+	// load is the capacity as last interrogated, the last reported frame
+	// rate and the underload streak; Unavailable is derived from state
+	// when loads are listed.
+	load balance.ServiceLoad
 
 	state       BreakerState
 	failures    int // the current streak
@@ -99,11 +104,13 @@ const (
 // String names the state.
 func (s BreakerState) String() string { return [...]string{"closed", "open", "half-open"}[s] }
 
-// PeerHealth is a render service's breaker as the frame loop keeps it.
+// PeerHealth is a render service's breaker as the frame loop keeps it,
+// and the frame rate of its last load report.
 type PeerHealth struct {
 	State       BreakerState
 	Failures    int            // the current streak
 	Transitions []BreakerState // every state entered, in order
+	FPS         float64
 }
 
 // Health reports a render service's breaker: closed with no history for
@@ -115,7 +122,7 @@ func (d *Distributor) Health(name string) PeerHealth {
 	if p == nil {
 		return PeerHealth{}
 	}
-	return PeerHealth{State: p.state, Failures: p.failures, Transitions: append([]BreakerState(nil), p.transitions...)}
+	return PeerHealth{State: p.state, Failures: p.failures, Transitions: append([]BreakerState(nil), p.transitions...), FPS: p.load.LastFPS}
 }
 
 // available reports whether p may be given a part at now: closed, open
@@ -196,15 +203,10 @@ func (d *Distributor) fail(p *peer, now time.Time, budget time.Duration) {
 	}
 }
 
-// enter moves p to state s: the transition is logged and counted, and the
-// migration engine learns whether the peer takes work, so open peers feed
-// NeedRecruitment.
+// enter moves p to state s: the transition is logged and counted.
 func (d *Distributor) enter(p *peer, s BreakerState) {
 	p.state = s
 	p.transitions = append(p.transitions, s)
-	if p.handle != nil {
-		d.engine.SetAvailable(p.name, s != BreakerOpen)
-	}
 	cfg := d.sess.svc.cfg
 	switch s {
 	case BreakerOpen:
@@ -236,7 +238,7 @@ func (d *Distributor) AddService(h RenderHandle) error {
 		d.peers[name] = p
 	}
 	p.handle, p.lastSeen = h, now
-	d.engine.UpdateCapacity(capacityOf(cap))
+	p.load.Capacity = capacityOf(cap)
 	return nil
 }
 
@@ -253,7 +255,6 @@ func (d *Distributor) detach(name string) {
 	if p := d.peers[name]; p != nil {
 		p.handle = nil
 	}
-	d.engine.Remove(name)
 	delete(d.assignment, name)
 }
 
@@ -300,7 +301,9 @@ func (d *Distributor) Distribute() (balance.Assignment, error) {
 		bc := capacityOf(c)
 		caps = append(caps, bc)
 		d.mu.Lock()
-		d.engine.UpdateCapacity(bc)
+		if p := d.peers[name]; p.handle != nil {
+			p.load.Capacity = bc
+		}
 		d.mu.Unlock()
 	}
 
@@ -332,8 +335,8 @@ func (d *Distributor) PlanTiles(w, h int) (map[string]image.Rectangle, error) {
 	return tiles, nil
 }
 
-// handleLoadReport feeds the migration engine from a subscriber's load
-// report. It is called from the socket serve loop; in-process setups call
+// handleLoadReport feeds the distributor a subscriber's load report. It
+// is called from the socket serve loop; in-process setups call
 // ReportLoad directly.
 func (sess *Session) handleLoadReport(lr transport.LoadReport) {
 	sess.mu.Lock()
@@ -352,21 +355,37 @@ func (sess *Session) AttachDistributor(d *Distributor) {
 	sess.mu.Unlock()
 }
 
-// ReportLoad records one load report and returns whether the reporting
-// service is overloaded (§3.2.7). The report also refreshes the
-// service's liveness timestamp for failure detection.
-func (d *Distributor) ReportLoad(lr transport.LoadReport) bool {
+// ReportLoad records one load report from an attached service for the
+// migration policy (§3.2.7), and refreshes the service's liveness
+// timestamp for failure detection. A report from a service not attached
+// is dropped.
+func (d *Distributor) ReportLoad(lr transport.LoadReport) {
 	now := d.clock().Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if p := d.peers[lr.Name]; p != nil && p.handle != nil {
 		p.lastSeen = now
+		d.th.Observe(&p.load, lr.FPS)
 	}
-	return d.engine.ReportLoad(lr.Name, lr.FPS)
 }
 
-// PlanMigration proposes node moves per the engine's thresholds, based
-// on the current assignment and node costs.
+// loads lists the attached services' loads sorted by name, each marked
+// unavailable while its breaker is open. Called with d.mu held.
+func (d *Distributor) loads() []balance.ServiceLoad {
+	var out []balance.ServiceLoad
+	for _, p := range d.peers {
+		if p.handle != nil {
+			sl := p.load
+			sl.Unavailable = p.state == BreakerOpen
+			out = append(out, sl)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Capacity.Name < out[j].Capacity.Name })
+	return out
+}
+
+// PlanMigration proposes node moves per the distributor's thresholds,
+// based on the current assignment and node costs.
 func (d *Distributor) PlanMigration() []balance.Move {
 	items := map[scene.NodeID]balance.NodeItem{}
 	for _, it := range d.nodeItems() {
@@ -381,7 +400,7 @@ func (d *Distributor) PlanMigration() []balance.Move {
 			}
 		}
 	}
-	moves := d.engine.PlanMigration(assigned)
+	moves := d.th.PlanMigration(d.loads(), assigned)
 	// Apply the moves to the assignment.
 	for _, mv := range moves {
 		src := d.assignment[mv.From]
@@ -397,19 +416,11 @@ func (d *Distributor) PlanMigration() []balance.Move {
 	return moves
 }
 
-// LoadSnapshot exposes the migration engine's per-service view, for
-// diagnostics and tests.
-func (d *Distributor) LoadSnapshot() []balance.ServiceLoad {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.engine.Snapshot()
-}
-
 // NeedRecruitment reports whether migration is blocked on fresh capacity.
 func (d *Distributor) NeedRecruitment() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.engine.NeedRecruitment()
+	return d.th.NeedRecruitment(d.loads())
 }
 
 // Connector dials a render service discovered at a UDDI access point and

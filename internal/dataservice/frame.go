@@ -509,12 +509,10 @@ func (d *Distributor) tileParts(snap snapshot, w, h int) (*plan, error) {
 	now := d.clock().Now()
 	var caps []balance.ServiceCapacity
 	var probes []string
-	loads := d.LoadSnapshot()
 	d.mu.Lock()
-	for _, sl := range loads {
-		name := sl.Capacity.Name
-		if pr := d.peers[name]; snap.handles[name] != nil && pr.available(now) {
-			caps = append(caps, sl.Capacity)
+	for _, name := range snap.names {
+		if pr := d.peers[name]; pr.handle != nil && pr.available(now) {
+			caps = append(caps, pr.load.Capacity)
 			if pr.state != BreakerClosed {
 				probes = append(probes, name)
 			}

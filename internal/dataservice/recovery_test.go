@@ -34,8 +34,13 @@ func TestDeadServicesLivenessTimeout(t *testing.T) {
 
 	clk.Advance(10 * time.Second)
 	d.ReportLoad(transport.LoadReport{Name: "chatty", FPS: 30})
-	// A report from a detached service must not create liveness state.
+	// A report from a detached service must not create liveness state,
+	// nor count as overload pressure.
 	d.ReportLoad(transport.LoadReport{Name: "ghost", FPS: 30})
+	d.ReportLoad(transport.LoadReport{Name: "ghost", FPS: 2})
+	if d.NeedRecruitment() {
+		t.Fatal("an unattached service's report triggered recruitment")
+	}
 
 	if dead := d.DeadServices(5 * time.Second); len(dead) != 1 || dead[0] != "silent" {
 		t.Fatalf("dead services: %v, want [silent]", dead)
@@ -64,6 +69,33 @@ func TestDeadServicesLivenessTimeout(t *testing.T) {
 	failed := d.FailedServices()
 	if len(failed) != 1 || failed[0] != "silent" {
 		t.Errorf("failed services: %v", failed)
+	}
+
+	// A failed service that keeps reporting is not attached either.
+	d.ReportLoad(transport.LoadReport{Name: "silent", FPS: 2})
+	if d.NeedRecruitment() {
+		t.Error("a failed service's report triggered recruitment")
+	}
+	for _, mv := range d.PlanMigration() {
+		if mv.From == "ghost" || mv.To == "ghost" || mv.From == "silent" || mv.To == "silent" {
+			t.Errorf("migration names a service not attached: %+v", mv)
+		}
+	}
+}
+
+// TestLoadsSortedByName: the attached services' loads the migration policy
+// reads are listed by name, whatever the attachment order.
+func TestLoadsSortedByName(t *testing.T) {
+	svc := New(Config{Name: "data"})
+	sess := multiMeshSession(t, svc, 2)
+	d := sess.NewDistributor(balance.DefaultThresholds())
+	d.AddService(&localHandle{newRender("zeta", device.AthlonDesktop)})
+	d.AddService(&localHandle{newRender("alpha", device.CentrinoLaptop)})
+	d.mu.Lock()
+	loads := d.loads()
+	d.mu.Unlock()
+	if len(loads) != 2 || loads[0].Capacity.Name != "alpha" {
+		t.Errorf("loads: %+v", loads)
 	}
 }
 

@@ -137,13 +137,11 @@ func MigrationTrace() ([]MigrationEvent, error) {
 
 	th := balance.DefaultThresholds()
 	th.UnderloadedFor = 2
-	engine := balance.NewMigrationEngine(th)
-	engine.UpdateCapacity(balance.ServiceCapacity{
-		Name: "laptop", WorkPerFrame: laptop.TriRate / 10, TextureBytes: laptop.TextureMemory,
-	})
-	engine.UpdateCapacity(balance.ServiceCapacity{
-		Name: "desktop", WorkPerFrame: desktop.TriRate / 10, TextureBytes: desktop.TextureMemory,
-	})
+	loads := []balance.ServiceLoad{
+		{Capacity: balance.ServiceCapacity{Name: "desktop", WorkPerFrame: desktop.TriRate / 10, TextureBytes: desktop.TextureMemory}},
+		{Capacity: balance.ServiceCapacity{Name: "laptop", WorkPerFrame: laptop.TriRate / 10, TextureBytes: laptop.TextureMemory}},
+	}
+	loadOf := map[string]*balance.ServiceLoad{"desktop": &loads[0], "laptop": &loads[1]}
 
 	assigned := map[string][]balance.NodeItem{"laptop": items, "desktop": nil}
 	workOf := func(name string) float64 {
@@ -165,7 +163,7 @@ func MigrationTrace() ([]MigrationEvent, error) {
 				slow = 1
 			}
 			fps := fpsOf(dev, workOf(name), slow)
-			engine.ReportLoad(name, fps)
+			th.Observe(loadOf[name], fps)
 			events = append(events, MigrationEvent{
 				Step: step, Service: name, FPS: fps, Nodes: countOf(name), Note: note,
 			})
@@ -174,13 +172,13 @@ func MigrationTrace() ([]MigrationEvent, error) {
 
 	// Steps 1-2: healthy. Step 3: a local user logs onto the laptop and
 	// its effective rate collapses (the paper's §6 stop-using-a-machine
-	// scenario). Steps 4+: migration engine reacts.
+	// scenario). Steps 4+: the migration policy reacts.
 	record(1, "steady state", 1)
 	record(2, "steady state", 1)
 	record(3, "local user loads laptop", 20)
 	record(4, "overload persists", 20)
 
-	moves := engine.PlanMigration(assigned)
+	moves := th.PlanMigration(loads, assigned)
 	for _, mv := range moves {
 		for i, it := range assigned[mv.From] {
 			if it.ID == mv.NodeID {

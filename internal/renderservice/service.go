@@ -3,7 +3,7 @@
 // renders on demand for thin clients (off-screen) or a local console
 // (on-screen), reports its capacity when interrogated, renders scene
 // subsets or framebuffer tiles during workload distribution, and monitors
-// its own frame rate to feed the migration engine.
+// its own frame rate for the data service's migration policy.
 package renderservice
 
 import (
@@ -487,8 +487,9 @@ func (s *Service) Capacity() transport.CapacityReport {
 	}
 }
 
-// LoadReport summarizes the service's current rendering rate for the
-// data service's migration engine.
+// LoadReport summarizes the service's current rendering rate; the data
+// service's distributor records it in this service's peer record, where
+// the migration policy reads it.
 func (s *Service) LoadReport() transport.LoadReport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -844,8 +845,10 @@ func (s *Service) SubscribeToDataResilient(ctx context.Context, dial transport.D
 }
 
 // StartLoadReporting periodically sends this service's load report over
-// the data-service subscription socket (the §3.2.7 signal driving the
-// migration engine) until stop is closed or a send fails. Run it in a
+// the data-service subscription socket (the §3.2.7 signal the
+// distributor's migration policy reads; a report under a name the
+// distributor has not attached is dropped) until stop is closed or a send
+// fails. Run it in a
 // goroutine alongside SubscribeToData, passing the same underlying
 // stream (transport.Conn serializes concurrent sends).
 func (s *Service) StartLoadReporting(conn *transport.Conn, interval time.Duration, stop <-chan struct{}) error {
