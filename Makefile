@@ -86,17 +86,21 @@ one-quantile:
 # variant, since every distributed frame recovers. Nor does a second table
 # of render services come back: the migration policy reads the peer
 # records, so nothing names a MigrationEngine, its SetAvailable feed or
-# the distributor's LoadSnapshot copy of it.
+# the distributor's LoadSnapshot copy of it. Membership is the record's
+# too: a failed service is read as Health's Failed flag and a service
+# leaves through FailService, so nothing names FailedServices or
+# RemoveService.
 one-health:
 	@out="$$( { grep -rnE '^type [A-Za-z0-9_]*Breaker|^func \([^)]*\) Available\(\) bool' --include='*.go' --exclude='*_test.go' . \
 		| grep -v '^\./internal/dataservice/'; \
-		grep -rnE 'RenderDistributedResilient|MigrationEngine|SetAvailable|LoadSnapshot' --include='*.go' --exclude='*_test.go' .; } )"; \
+		grep -rnE 'RenderDistributedResilient|MigrationEngine|SetAvailable|LoadSnapshot|FailedServices|RemoveService' --include='*.go' --exclude='*_test.go' .; } )"; \
 	if [ -n "$$out" ]; then echo "peer health kept outside the distributor's frame loop:"; echo "$$out"; exit 1; fi
 
 # unreached keeps the system what something runs: every non-test function
 # in a library package is linked by some main package (cmd/*, examples/*,
-# bench) or covered by a reasoned prefix in unreached.keep, and every
-# keep entry still covers something (see cmd/unreached).
+# bench) or covered by a reasoned prefix in unreached.keep, every keep
+# entry still covers something, and the debt section holds no entry (see
+# cmd/unreached).
 unreached:
 	$(GO) run ./cmd/unreached
 

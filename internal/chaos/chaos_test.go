@@ -111,6 +111,17 @@ func holdsNodes(d *dataservice.Distributor, names ...string) map[string]int64 {
 	return out
 }
 
+// failedOf lists the named services whose peer record is marked failed.
+func failedOf(d *dataservice.Distributor, names ...string) []string {
+	var out []string
+	for _, name := range names {
+		if d.Health(name).Failed {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
 // TestKillMidFrameReassignsWork is the headline chaos scenario: a socket
 // render service holding the whole dataset is killed in the middle of
 // writing its MsgFrameDepth reply. The distributor must detect the
@@ -186,7 +197,7 @@ func TestKillMidFrameReassignsWork(t *testing.T) {
 			break
 		}
 	}
-	if failed := d.FailedServices(); len(failed) != 1 || failed[0] != "victim" {
+	if failed := failedOf(d, "athlon", "xeon", "victim"); len(failed) != 1 || failed[0] != "victim" {
 		t.Errorf("failed services: %v, want [victim]", failed)
 	}
 	snap := reg.Snapshot()
@@ -233,7 +244,7 @@ func TestKillMidFrameReassignsWork(t *testing.T) {
 			t.Errorf("post-recovery frame not clean: parts drawn %v then %v", before, after)
 		}
 	}
-	if failed := d.FailedServices(); len(failed) != 1 {
+	if failed := failedOf(d, "athlon", "xeon", "victim"); len(failed) != 1 {
 		t.Errorf("post-recovery frame failed services: %v", failed)
 	}
 
@@ -349,7 +360,7 @@ func TestRecruitmentDuringRegistryOutage(t *testing.T) {
 	if snap.CounterValue("data", "recovery_overcommits_total", "") != 0 {
 		t.Error("recruitment succeeded; the PDA must not be overcommitted")
 	}
-	if failed := d.FailedServices(); len(failed) != 1 || failed[0] != "onyx1" {
+	if failed := failedOf(d, "onyx1", "pda", "onyx2"); len(failed) != 1 || failed[0] != "onyx1" {
 		t.Errorf("failed services: %v, want [onyx1]", failed)
 	}
 	if got := atomic.LoadInt32(&flaky.calls); got <= flaky.outage {

@@ -450,9 +450,9 @@ func TestKillPrimaryMidMigrationStandbyRestarts(t *testing.T) {
 		t.Fatalf("render on promoted session: %v", err)
 	}
 	// Clean: nothing failed, and each holder drew its one part once.
-	if drawn, want := subsetsDrawn(reg, "slow", "fast"), holdsNodes(d2, "slow", "fast"); len(d2.FailedServices()) != 0 ||
+	if drawn, want := subsetsDrawn(reg, "slow", "fast"), holdsNodes(d2, "slow", "fast"); len(failedOf(d2, "slow", "fast")) != 0 ||
 		drawn["slow"] != want["slow"] || drawn["fast"] != want["fast"] {
-		t.Errorf("restarted migration not clean: failed %v, parts drawn %v for holders %v", d2.FailedServices(), drawn, want)
+		t.Errorf("restarted migration not clean: failed %v, parts drawn %v for holders %v", failedOf(d2, "slow", "fast"), drawn, want)
 	}
 	whole, _, err := slowSvc.RenderSceneOnce(promoted.Snapshot(), renderservice.CameraFromState(promoted.Camera()), 96, 96)
 	if err != nil {

@@ -54,8 +54,8 @@ func (sess *Session) NewDistributor(th balance.Thresholds) *Distributor {
 // peer is everything the distributor knows of one render service: the
 // handle it renders through, when it was last heard from, whether it ever
 // failed, what the migration policy reads of it, and its circuit breaker.
-// The record outlives the attachment, so FailedServices remembers who
-// failed.
+// The record outlives the attachment, so Health still reports a failed
+// service as Failed.
 //
 // The breaker: breakerThreshold failures in a row open the peer, and an
 // open peer is planned around. Once its cooldown — twice the deadline
@@ -105,12 +105,13 @@ const (
 func (s BreakerState) String() string { return [...]string{"closed", "open", "half-open"}[s] }
 
 // PeerHealth is a render service's breaker as the frame loop keeps it,
-// and the frame rate of its last load report.
+// the frame rate of its last load report, and whether it was ever failed.
 type PeerHealth struct {
 	State       BreakerState
 	Failures    int            // the current streak
 	Transitions []BreakerState // every state entered, in order
 	FPS         float64
+	Failed      bool // FailService named it (latched)
 }
 
 // Health reports a render service's breaker: closed with no history for
@@ -122,7 +123,7 @@ func (d *Distributor) Health(name string) PeerHealth {
 	if p == nil {
 		return PeerHealth{}
 	}
-	return PeerHealth{State: p.state, Failures: p.failures, Transitions: append([]BreakerState(nil), p.transitions...), FPS: p.load.LastFPS}
+	return PeerHealth{State: p.state, Failures: p.failures, Transitions: append([]BreakerState(nil), p.transitions...), FPS: p.load.LastFPS, Failed: p.failed}
 }
 
 // available reports whether p may be given a part at now: closed, open
@@ -242,14 +243,6 @@ func (d *Distributor) AddService(h RenderHandle) error {
 	return nil
 }
 
-// RemoveService detaches a render service (its nodes return to the
-// unassigned pool on the next Distribute call).
-func (d *Distributor) RemoveService(name string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.detach(name)
-}
-
 // detach drops a service from planning and placement; its record stays.
 func (d *Distributor) detach(name string) {
 	if p := d.peers[name]; p != nil {
@@ -288,8 +281,9 @@ func (d *Distributor) nodeItems() []balance.NodeItem {
 
 // Distribute (re)plans the dataset distribution: interrogate every
 // attached service's current capacity and pack the scene's payload nodes
-// onto them. Returns balance.ErrInsufficient when the attached services
-// cannot hold the dataset — the caller may then Recruit.
+// onto them. It returns the new assignment as the caller's own copy, or
+// balance.ErrInsufficient when the attached services cannot hold the
+// dataset — the caller may then Recruit.
 func (d *Distributor) Distribute() (balance.Assignment, error) {
 	snap := d.snapshot()
 	var caps []balance.ServiceCapacity
@@ -314,7 +308,7 @@ func (d *Distributor) Distribute() (balance.Assignment, error) {
 	d.mu.Lock()
 	d.assignment = asg
 	d.mu.Unlock()
-	return asg, nil
+	return d.Assignment(), nil
 }
 
 // Assignment returns the current assignment (service -> node IDs).
@@ -505,20 +499,6 @@ func (d *Distributor) DeadServices(timeout time.Duration) []string {
 	var out []string
 	for name, p := range d.peers {
 		if p.handle != nil && now.Sub(p.lastSeen) > timeout {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// FailedServices lists every service ever marked failed, sorted.
-func (d *Distributor) FailedServices() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []string
-	for name, p := range d.peers {
-		if p.failed {
 			out = append(out, name)
 		}
 	}

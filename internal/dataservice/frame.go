@@ -578,9 +578,10 @@ func (d *Distributor) assembleTiles(w, h int, p *plan) (*raster.Framebuffer, []i
 }
 
 // RenderTilesHedged renders one frame by framebuffer distribution with
-// overload protection end to end: tileParts plans around open peers, renderFrame hedges stragglers and cuts the collection at the
-// hard deadline, assembleTiles degrades what is still missing. The frame
-// is therefore never lost and never later than the deadline plus one
+// overload protection end to end: tileParts plans around open peers,
+// renderFrame hedges stragglers and cuts the collection at the hard
+// deadline, assembleTiles degrades what is still missing. The frame is
+// therefore never lost and never later than the deadline plus one
 // scheduling quantum.
 func (d *Distributor) RenderTilesHedged(ctx context.Context, w, h int, cfg HedgeConfig) (*raster.Framebuffer, *HedgeReport, error) {
 	if cfg.FrameDeadline <= 0 {

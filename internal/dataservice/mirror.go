@@ -56,14 +56,6 @@ func (c backupCopy) SetCamera(cam transport.CameraState) error {
 	return c.sess.SetCamera(cam, c.subName)
 }
 
-// MirrorSession attaches backup service's new session (with the same
-// name) as a mirror of primary. The backup session starts from a
-// snapshot and then follows the update stream.
-func MirrorSession(primary *Session, backupSvc *Service) (*Mirror, error) {
-	m, _, err := MirrorSessionSince(primary, backupSvc)
-	return m, err
-}
-
 // MirrorSessionSince attaches backup service's session as a mirror of
 // primary, resuming from an existing copy when the backup already
 // holds the session: if the primary's op history is contiguous from

@@ -15,7 +15,7 @@ func TestMirrorReplicatesUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	backupSvc := New(Config{Name: "backup"})
-	m, err := MirrorSession(sess, backupSvc)
+	m, _, err := MirrorSessionSince(sess, backupSvc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestMirrorBackupServesItsOwnSubscribers(t *testing.T) {
 		t.Fatal(err)
 	}
 	backupSvc := New(Config{Name: "backup"})
-	m, err := MirrorSession(sess, backupSvc)
+	m, _, err := MirrorSessionSince(sess, backupSvc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestMirrorFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	backupSvc := New(Config{Name: "backup"})
-	m, err := MirrorSession(sess, backupSvc)
+	m, _, err := MirrorSessionSince(sess, backupSvc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,21 +125,21 @@ func TestMirrorFailover(t *testing.T) {
 }
 
 func TestMirrorErrors(t *testing.T) {
-	if _, err := MirrorSession(nil, New(Config{Name: "b"})); err == nil {
+	if _, _, err := MirrorSessionSince(nil, New(Config{Name: "b"})); err == nil {
 		t.Error("nil primary accepted")
 	}
 	primarySvc := New(Config{Name: "p"})
 	sess, _ := primarySvc.CreateSession("s")
-	if _, err := MirrorSession(sess, nil); err == nil {
+	if _, _, err := MirrorSessionSince(sess, nil); err == nil {
 		t.Error("nil backup accepted")
 	}
 	backupSvc := New(Config{Name: "b"})
-	if _, err := MirrorSession(sess, backupSvc); err != nil {
+	if _, _, err := MirrorSessionSince(sess, backupSvc); err != nil {
 		t.Fatal(err)
 	}
 	// Mirroring the same session twice onto one backup collides on the
 	// session name.
-	if _, err := MirrorSession(sess, backupSvc); err == nil {
+	if _, _, err := MirrorSessionSince(sess, backupSvc); err == nil {
 		t.Error("duplicate mirror accepted")
 	}
 }

@@ -16,6 +16,17 @@ import (
 	"repro/internal/vclock"
 )
 
+// failedOf lists the named services whose peer record is marked failed.
+func failedOf(d *Distributor, names ...string) []string {
+	var out []string
+	for _, name := range names {
+		if d.Health(name).Failed {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
 // TestDeadServicesLivenessTimeout: a service that stops sending load
 // reports is flagged dead after the timeout, while one that keeps
 // reporting stays live — the paper's missed-load-report failure signal.
@@ -66,9 +77,14 @@ func TestDeadServicesLivenessTimeout(t *testing.T) {
 	if after+len(orphans) != before {
 		t.Errorf("orphan accounting: %d assigned + %d orphans != %d before", after, len(orphans), before)
 	}
-	failed := d.FailedServices()
+	failed := failedOf(d, "chatty", "silent")
 	if len(failed) != 1 || failed[0] != "silent" {
 		t.Errorf("failed services: %v", failed)
+	}
+	// A departed service gets no parts: no nodes, no tile.
+	tiles, err := d.PlanTiles(32, 32)
+	if _, tiled := tiles["silent"]; err != nil || tiled || len(d.Assignment()["silent"]) > 0 {
+		t.Errorf("failed service still planned: tiles %v (%v), assigned %v", tiles, err, d.Assignment())
 	}
 
 	// A failed service that keeps reporting is not attached either.
@@ -169,7 +185,7 @@ func TestKilledPeerPartIsReplaced(t *testing.T) {
 	if err != nil {
 		t.Fatalf("frame lost with its victim: %v", err)
 	}
-	if failed := d.FailedServices(); len(failed) != 1 || failed[0] != "victim" {
+	if failed := failedOf(d, "a", "b", "victim"); len(failed) != 1 || failed[0] != "victim" {
 		t.Errorf("failed services: %v, want [victim]", failed)
 	}
 	if names := d.ServiceNames(); slices.Contains(names, "victim") {
@@ -250,7 +266,7 @@ func TestFailureDuringInFlightMigration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("render through the failure: %v", err)
 	}
-	if failed := d.FailedServices(); len(failed) != 1 || failed[0] != "fast" {
+	if failed := failedOf(d, "slow", "fast"); len(failed) != 1 || failed[0] != "fast" {
 		t.Errorf("failed services: %v, want [fast]", failed)
 	}
 

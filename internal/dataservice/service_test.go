@@ -485,20 +485,26 @@ func TestPlanTiles(t *testing.T) {
 	}
 }
 
-func TestRemoveService(t *testing.T) {
+// TestDistributeReturnsCopy: the assignment Distribute returns is the
+// caller's own. Failing a service afterwards rewrites the distributor's
+// live assignment under its lock, and must not reach into the map the
+// caller is reading without it.
+func TestDistributeReturnsCopy(t *testing.T) {
 	svc := New(Config{Name: "data"})
-	sess := multiMeshSession(t, svc, 2)
+	sess := multiMeshSession(t, svc, 4)
 	d := sess.NewDistributor(balance.DefaultThresholds())
 	d.AddService(&localHandle{newRender("a", device.SGIOnyx)})
-	if _, err := d.Distribute(); err != nil {
+	d.AddService(&localHandle{newRender("b", device.SGIOnyx)})
+	asg, err := d.Distribute()
+	if err != nil {
 		t.Fatal(err)
 	}
-	d.RemoveService("a")
-	if len(d.ServiceNames()) != 0 {
-		t.Error("service not removed")
+	if len(asg) != 2 {
+		t.Fatalf("precondition: both services own nodes, got %v", asg)
 	}
-	if _, err := d.RenderDistributed(32, 32); err == nil {
-		t.Error("render with departed service succeeded")
+	d.FailService("a")
+	if len(asg) != 2 || len(asg["a"]) == 0 {
+		t.Errorf("FailService rewrote the caller's assignment: %v", asg)
 	}
 }
 

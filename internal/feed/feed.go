@@ -112,14 +112,10 @@ func (b *Bridge) stepInto(sess Session, dt time.Duration) error {
 	return nil
 }
 
-// Run steps the simulation until stop is closed, at the given period on
-// the real clock. Errors stop the loop and are available via Err.
-func (b *Bridge) Run(period time.Duration, stop <-chan struct{}) {
-	b.RunClock(vclock.Real{}, period, stop)
-}
-
-// RunClock is Run on an injected clock, so bridged simulations pace
-// deterministically under a vclock.Virtual in tests and replays.
+// RunClock steps the simulation every period on clock until stop is
+// closed; vclock.Real paces a live feed, a vclock.Virtual paces it
+// deterministically in tests and replays. Errors stop the loop and are
+// available via Err.
 func (b *Bridge) RunClock(clock vclock.Clock, period time.Duration, stop <-chan struct{}) {
 	for {
 		select {

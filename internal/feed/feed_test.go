@@ -9,6 +9,7 @@ import (
 	"repro/internal/mathx"
 	"repro/internal/scene"
 	"repro/internal/transport"
+	"repro/internal/vclock"
 )
 
 func newSession(t *testing.T) *dataservice.Session {
@@ -151,7 +152,7 @@ func TestBridgeRunLoop(t *testing.T) {
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		bridge.Run(2*time.Millisecond, stop)
+		bridge.RunClock(vclock.Real{}, 2*time.Millisecond, stop)
 		close(done)
 	}()
 	deadline := time.After(3 * time.Second)

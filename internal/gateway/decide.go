@@ -17,7 +17,7 @@ type nodeFacts struct {
 	alive        bool // not killed
 	reachable    bool // on the gateway's side of any partition
 	degraded     bool // its journal has faulted (latched)
-	drained      bool // NodeDown or EvacuateNode named it (latched)
+	drained      bool // EvacuateNode named it (latched)
 }
 
 // servable: the node can answer requests and donate the copies it

@@ -140,7 +140,7 @@ type Gateway struct {
 	mu         sync.Mutex
 	ring       *Ring
 	nodes      map[string]*Node
-	drained    map[string]bool // nodes NodeDown or EvacuateNode named
+	drained    map[string]bool // nodes EvacuateNode named
 	placements map[string]*placement
 }
 
@@ -216,22 +216,6 @@ func (g *Gateway) AddNode(n *Node) error {
 	g.nodes[n.Name()] = n
 	g.rebalanceLocked()
 	return nil
-}
-
-// NodeDown drains a node: it leaves the placement ring and its sessions
-// rebalance away (promoting their replicas when the node is dead).
-// Dispatch also self-heals — a failed call to a killed node triggers
-// the same path — so calling NodeDown is an optimization, not a
-// correctness requirement. The drain is permanent: a live drained node
-// stays off the ring through every later event (nodeFacts.ringMember).
-func (g *Gateway) NodeDown(name string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.ring.Has(name) {
-		return
-	}
-	g.drained[name] = true
-	g.rebalanceLocked()
 }
 
 // EvacuateNode drains a storage-degraded (or otherwise suspect) node:
@@ -411,7 +395,7 @@ func (g *Gateway) Route(session string) (*Node, uint64, error) {
 		return g.nodes[p.owner], p.epoch, nil
 	}
 	// The recorded owner is gone: heal the ring and re-place. This is
-	// the detection path when nobody called NodeDown — the first
+	// the detection path when nobody called EvacuateNode — the first
 	// failed dispatch lands here.
 	if g.ring.Has(p.owner) {
 		g.rebalanceLocked()

@@ -292,8 +292,8 @@ func TestAdmissionSeries(t *testing.T) {
 	}
 }
 
-// TestKillPromotesStandby: killing a node (with no NodeDown call — the
-// gateway discovers the death through a failed dispatch) moves every
+// TestKillPromotesStandby: killing a node (with no EvacuateNode call —
+// the gateway discovers the death through a failed dispatch) moves every
 // session it owned to that session's standby via mirror promotion:
 // dispatches keep succeeding, versions continue without loss, and the
 // registry shows a bumped epoch for each moved session.
@@ -372,10 +372,10 @@ func TestKillPromotesStandby(t *testing.T) {
 	}
 }
 
-// TestNodeDownPlannedDrain: an operator-initiated NodeDown on a *live*
-// node drains its sessions to their standbys without touching anyone
-// else's placement, and the drained node no longer hosts the moved
-// sessions.
+// TestNodeDownPlannedDrain: an operator-initiated EvacuateNode on a
+// *live* node drains its sessions to their standbys without touching
+// anyone else's placement, and the drained node no longer hosts the
+// moved sessions.
 func TestNodeDownPlannedDrain(t *testing.T) {
 	gw, _, clk := testFleet(t, 3, NodeConfig{})
 	const sessions = 18
@@ -402,7 +402,9 @@ func TestNodeDownPlannedDrain(t *testing.T) {
 		}
 	}
 	victim := preOwner["sess-00"]
-	gw.NodeDown(victim)
+	if moved := gw.EvacuateNode(victim); moved == 0 {
+		t.Fatalf("draining %s moved no session", victim)
+	}
 	vn, _ := gw.Node(victim)
 	for i := 0; i < sessions; i++ {
 		s := fmt.Sprintf("sess-%02d", i)
@@ -499,7 +501,7 @@ func TestEpochFencesDeposedNode(t *testing.T) {
 	stop := pace(clk)
 	defer stop()
 	old, _ := gw.Node(owner)
-	gw.NodeDown(owner) // planned move to the standby
+	gw.EvacuateNode(owner) // planned move to the standby
 	newOwner, _, newEpoch, _ := gw.Placement("s")
 	if newOwner != standby || newEpoch <= epoch {
 		t.Fatalf("move: owner %s epoch %d -> owner %s epoch %d", owner, epoch, newOwner, newEpoch)

@@ -13,19 +13,18 @@ import (
 	"repro/internal/vclock"
 )
 
-// These tests are the shutdown-path audit for the two goroutines a
-// subscription spawns alongside its read loop: heartbeat (version
-// probes + load reports) and StartLoadReporting. Both must exit
-// promptly in each of their two termination modes — the stop channel
-// closing (the subscribe read loop returned and ran `defer
-// close(stop)`) and the connection dying abruptly under them (the next
-// Send fails). The dangerous shape is a goroutine parked in a blocking
-// Write on a peer that stopped reading: stop can never interrupt it, so
-// the contract is that whoever owns the stream must close it —
-// SubscribeToDataResilient does (rw.Close() after every subscribe
-// attempt), and plain SubscribeToData callers own rw themselves. An
-// abrupt close unblocks the Write with an error and the goroutine
-// exits; these tests pin that behaviour down.
+// These tests are the shutdown-path audit for the goroutine a
+// subscription spawns alongside its read loop: heartbeat (version probes
+// + load reports). It must exit promptly in each of its two termination
+// modes — the stop channel closing (the subscribe read loop returned and
+// ran `defer close(stop)`) and the connection dying abruptly under it
+// (the next Send fails). The dangerous shape is a goroutine parked in a
+// blocking Write on a peer that stopped reading: stop can never
+// interrupt it, so the contract is that whoever owns the stream must
+// close it — SubscribeToDataResilient does (rw.Close() after every
+// subscribe attempt), and plain SubscribeToData callers own rw
+// themselves. An abrupt close unblocks the Write with an error and the
+// goroutine exits; these tests pin that behaviour down.
 
 // waitWaiters blocks until at least n timers are armed on the virtual
 // clock, so an Advance is guaranteed to fire them (registering a timer
@@ -113,8 +112,9 @@ func TestHeartbeatExitsOnAbruptClose(t *testing.T) {
 	}
 }
 
-// TestLoadReportingExitsOnStop proves StartLoadReporting returns nil
-// when stopped, even with its interval timer pending.
+// TestLoadReportingExitsOnStop proves a report-only heartbeat (what
+// raverender -probe-interval 0 runs) returns nil when stopped, even with
+// its report timer pending.
 func TestLoadReportingExitsOnStop(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(1000, 0))
 	svc := New(Config{Name: "rs", Device: device.CentrinoLaptop, Clock: clk})
@@ -126,7 +126,7 @@ func TestLoadReportingExitsOnStop(t *testing.T) {
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- svc.StartLoadReporting(transport.NewConn(client), 50*time.Millisecond, stop)
+		done <- svc.heartbeat(transport.NewConn(client), SubscribeOpts{ReportInterval: 50 * time.Millisecond}, stop)
 	}()
 	waitWaiters(t, clk, 1)
 	clk.Advance(60 * time.Millisecond) // one report goes out
@@ -137,13 +137,13 @@ func TestLoadReportingExitsOnStop(t *testing.T) {
 			t.Fatalf("stopped load reporting returned %v, want nil", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("StartLoadReporting goroutine leaked after stop closed")
+		t.Fatal("load-reporting heartbeat leaked after stop closed")
 	}
 }
 
-// TestLoadReportingExitsOnAbruptClose proves a dead connection
-// surfaces as an error from StartLoadReporting instead of a wedged
-// goroutine.
+// TestLoadReportingExitsOnAbruptClose proves a dead connection surfaces
+// as an error from a report-only heartbeat at its next report instead of
+// a wedged goroutine.
 func TestLoadReportingExitsOnAbruptClose(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(1000, 0))
 	svc := New(Config{Name: "rs", Device: device.CentrinoLaptop, Clock: clk})
@@ -154,7 +154,7 @@ func TestLoadReportingExitsOnAbruptClose(t *testing.T) {
 	defer close(stop)
 	done := make(chan error, 1)
 	go func() {
-		done <- svc.StartLoadReporting(transport.NewConn(client), 50*time.Millisecond, stop)
+		done <- svc.heartbeat(transport.NewConn(client), SubscribeOpts{ReportInterval: 50 * time.Millisecond}, stop)
 	}()
 	waitWaiters(t, clk, 1)
 	server.Close()
@@ -165,7 +165,7 @@ func TestLoadReportingExitsOnAbruptClose(t *testing.T) {
 			t.Fatal("load reporting on a dead connection returned nil, want error")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("StartLoadReporting goroutine leaked after abrupt connection close")
+		t.Fatal("load-reporting heartbeat leaked after abrupt connection close")
 	}
 }
 

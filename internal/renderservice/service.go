@@ -844,20 +844,6 @@ func (s *Service) SubscribeToDataResilient(ctx context.Context, dial transport.D
 	return nil
 }
 
-// StartLoadReporting periodically sends this service's load report over
-// the data-service subscription socket (the §3.2.7 signal the
-// distributor's migration policy reads; a report under a name the
-// distributor has not attached is dropped) until stop is closed or a send
-// fails. Run it in a
-// goroutine alongside SubscribeToData, passing the same underlying
-// stream (transport.Conn serializes concurrent sends).
-func (s *Service) StartLoadReporting(conn *transport.Conn, interval time.Duration, stop <-chan struct{}) error {
-	if interval <= 0 {
-		return fmt.Errorf("renderservice: non-positive report interval")
-	}
-	return s.heartbeat(conn, SubscribeOpts{ReportInterval: interval}, stop)
-}
-
 // CameraFromState converts the wire camera to a raster camera.
 func CameraFromState(cs transport.CameraState) raster.Camera {
 	cam := raster.Camera{
