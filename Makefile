@@ -143,14 +143,16 @@ fuzz-smoke:
 	$(GO) test ./internal/dataservice/wal -run '^$$' -fuzz '^FuzzScan$$' -fuzztime 10s
 	$(GO) test ./internal/imgcodec -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
 
-# bench-smoke runs each rasterizer, render-service and assembly
+# bench-smoke runs each rasterizer, render-service, assembly and commit
 # microbenchmark once, so the ones EXPERIMENTS.md cites (BenchmarkElleFrame's
 # per-mesh and batched frames, BenchmarkRenderTile, BenchmarkAssemble's
-# tiles and subsets painted from their replies as sent) keep compiling
-# and running; it times nothing.
+# tiles and subsets painted from their replies as sent, BenchmarkCommitReshape's
+# journalled reshape fanned out to two sockets) keep compiling and running;
+# it times nothing.
 bench-smoke:
 	$(GO) test ./internal/raster ./internal/renderservice -run '^$$' -bench 'ElleFrame|RenderTile' -benchtime 1x
 	$(GO) test ./internal/compositor -run '^$$' -bench '^BenchmarkAssemble$$' -benchtime 1x -benchmem
+	$(GO) test ./internal/dataservice -run '^$$' -bench '^BenchmarkCommitReshape$$' -benchtime 1x -benchmem
 
 # chaos runs the kill-and-recover suite twice under the race detector:
 # failover and recovery schedules are goroutine-heavy, and a second run

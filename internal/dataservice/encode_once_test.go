@@ -2,6 +2,7 @@ package dataservice
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"testing"
 
@@ -27,11 +28,27 @@ func (w *wireSub) SendUpdate(u Update) error {
 
 func (w *wireSub) SendCamera(transport.CameraState) error { return nil }
 
-// TestCommitEncodesOnce is the "encoded once" promise: a commit with an
-// audit trail, a journal and subscribers of every kind marshals its op
-// one time. The in-process subscribers are handed one backing array, the
-// journal record and the audit record end in those bytes, a socket gets
-// them behind the version and an interest-filtered socket bare.
+// socketProbe is a socket subscriber that also keeps the versioned
+// payload each update carried to its socket.
+type socketProbe struct {
+	*connSubscriber
+	sent [][]byte
+}
+
+func (p *socketProbe) SendUpdate(u Update) error {
+	err := p.connSubscriber.SendUpdate(u)
+	p.sent = append(p.sent, u.versioned())
+	return err
+}
+
+// TestCommitEncodesOnce is the "encoded once, packed once" promise: a
+// commit with an audit trail, a journal and subscribers of every kind
+// marshals its op one time. The in-process subscribers are handed one
+// backing array, the journal record and the audit record end in those
+// bytes, the versioned sockets send one backing array holding them
+// behind the version, and an interest-filtered socket sends them bare.
+// A socket's SendUpdate allocates nothing beyond the Send it makes, so
+// it cannot be packing a copy of its own.
 func TestCommitEncodesOnce(t *testing.T) {
 	svc := New(Config{Name: "data"})
 	sess, err := svc.CreateSession("s")
@@ -56,17 +73,24 @@ func TestCommitEncodesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Two sockets, one of them interest-filtered, read by goroutines.
+	// Three sockets, one of them interest-filtered, read by goroutines.
 	type message struct {
 		t       transport.MsgType
 		payload []byte
 	}
-	received := map[string]chan message{"versioned": make(chan message, 2), "filtered": make(chan message, 2)}
+	received := map[string]chan message{"versioned-1": make(chan message, 2), "versioned-2": make(chan message, 2), "filtered": make(chan message, 2)}
+	probes := map[string]*socketProbe{}
 	for name, ch := range received {
 		near, far := net.Pipe()
 		defer near.Close()
 		defer far.Close()
-		if _, err := sess.Subscribe(name, &connSubscriber{conn: transport.NewConn(near), sess: sess}); err != nil {
+		socket := &connSubscriber{conn: transport.NewConn(near), sess: sess}
+		var sub Subscriber = socket
+		if name != "filtered" {
+			probes[name] = &socketProbe{connSubscriber: socket}
+			sub = probes[name]
+		}
+		if _, err := sess.Subscribe(name, sub); err != nil {
 			t.Fatal(err)
 		}
 		go func() {
@@ -110,8 +134,17 @@ func TestCommitEncodesOnce(t *testing.T) {
 		if !bytes.HasSuffix(audit.Bytes(), want) {
 			t.Errorf("op %d: the audit record's body is not the op's encoding", i)
 		}
-		if m := <-received["versioned"]; m.t != transport.MsgSceneOpVer || !bytes.Equal(m.payload, transport.PackVersioned(sess.Version(), want)) {
-			t.Errorf("op %d: the socket received %s, %d bytes", i, m.t, len(m.payload))
+		packed := transport.PackVersioned(sess.Version(), want)
+		for _, name := range []string{"versioned-1", "versioned-2"} {
+			if m := <-received[name]; m.t != transport.MsgSceneOpVer || !bytes.Equal(m.payload, packed) {
+				t.Errorf("op %d: socket %s received %s, %d bytes", i, name, m.t, len(m.payload))
+			}
+			if sent := probes[name].sent[i]; !bytes.Equal(sent, packed) {
+				t.Errorf("op %d: socket %s was sent bytes that are not the versioned op", i, name)
+			}
+		}
+		if &probes["versioned-1"].sent[i][0] != &probes["versioned-2"].sent[i][0] {
+			t.Errorf("op %d: the versioned sockets were sent different arrays", i)
 		}
 		if m := <-received["filtered"]; m.t != transport.MsgSceneOp || !bytes.Equal(m.payload, want) {
 			t.Errorf("op %d: the filtered socket received %s, %d bytes", i, m.t, len(m.payload))
@@ -123,6 +156,18 @@ func TestCommitEncodesOnce(t *testing.T) {
 	rec, err := wal.Recover(store)
 	if err != nil || rec.Torn != nil || len(rec.Ops) != len(ops) {
 		t.Fatalf("journal recovered %d ops, torn %v, err %v", len(rec.Ops), rec.Torn, err)
+	}
+
+	near, far := net.Pipe()
+	defer near.Close()
+	go io.Copy(io.Discard, far)
+	sock := &connSubscriber{conn: transport.NewConn(near), sess: sess}
+	u := Update{Version: sess.Version(), Wire: probes["versioned-1"].sent[1][8:], packed: new([]byte)}
+	payload := u.versioned()
+	send := testing.AllocsPerRun(20, func() { sock.conn.Send(transport.MsgSceneOpVer, payload) })
+	update := testing.AllocsPerRun(20, func() { sock.SendUpdate(u) })
+	if update > send {
+		t.Errorf("SendUpdate allocates %v times, the Send it makes %v", update, send)
 	}
 }
 
@@ -159,5 +204,56 @@ func TestSocketCameraIsNeverStale(t *testing.T) {
 	}
 	if got != fresh {
 		t.Errorf("socket carried eye %v, session's camera is at %v", got.Eye, fresh.Eye)
+	}
+}
+
+// BenchmarkCommitReshape times the commit path on its own: one
+// SetPayloadOp carrying a 6 k-triangle mesh (an eighth of the 50 k
+// Elle, the size of the reshape bench/'s collab_edit commits) applied
+// to a session that journals to a wal.MemStore and fans out to two
+// versioned subscribers on loopback TCP sockets, whose far ends discard
+// what they read. Run it with -benchmem.
+func BenchmarkCommitReshape(b *testing.B) {
+	piece := genmodel.Elle(genmodel.PaperElleTriangles).SplitSpatially(8)[0]
+	sess, err := New(Config{Name: "data"}).CreateSessionFromMesh("s", "part", piece)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var id scene.NodeID
+	sess.Scene(func(sc *scene.Scene) { id = sc.PayloadIDs()[0] })
+	// Compaction keeps the in-memory journal to a few dozen records.
+	if err := sess.StartJournal(wal.NewMemStore(), 32); err != nil {
+		b.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	for _, name := range []string{"socket-1", "socket-2"} {
+		far, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer far.Close()
+		near, err := ln.Accept()
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer near.Close()
+		go io.Copy(io.Discard, far)
+		if _, err := sess.Subscribe(name, &connSubscriber{conn: transport.NewConn(near), sess: sess}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	mesh := piece.Clone()
+	mesh.SetUniformColor(mathx.V3(0.8, 0.3, 0.2))
+	op := &scene.SetPayloadOp{ID: id, Payload: &scene.MeshPayload{Mesh: mesh}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sess.ApplyUpdate(op, ""); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

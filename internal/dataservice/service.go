@@ -52,6 +52,24 @@ type Update struct {
 	// Wire is Op's marshal encoding, shared with the commit's other
 	// consumers: read-only.
 	Wire []byte
+	// packed holds Wire behind its version prefix once a socket of this
+	// commit has asked for it (see versioned); nil outside a fan-out.
+	packed *[]byte
+}
+
+// versioned returns the MsgSceneOpVer payload: Version ahead of Wire
+// (transport.PackVersioned). A commit's fan-out packs it on the first
+// call and every versioned socket of that commit sends the same
+// read-only bytes, so a commit with no socket packs nothing. The fan-out
+// calls its subscribers one at a time, so the first call needs no lock.
+func (u Update) versioned() []byte {
+	if u.packed == nil {
+		return transport.PackVersioned(u.Version, u.Wire)
+	}
+	if *u.packed == nil {
+		*u.packed = transport.PackVersioned(u.Version, u.Wire)
+	}
+	return *u.packed
 }
 
 // Config configures a data service.
@@ -171,21 +189,41 @@ type histOp struct {
 	op      scene.Op
 }
 
-// opHistory is a contiguous ring of the most recent committed ops.
+// opHistory is a ring of the most recent committed ops: it fills to
+// historyCap and then each push overwrites the oldest slot, so an op
+// that drops out of the ring (its payload included) is unreachable
+// from it at once.
 type opHistory struct {
-	ops []histOp
+	ops  []histOp // at most historyCap, allocated at that capacity
+	next int      // once full, the slot of the oldest op: the next overwritten
 }
 
+// at returns the i-th retained op, oldest first.
+func (h *opHistory) at(i int) histOp { return h.ops[(h.next+i)%len(h.ops)] }
+
 func (h *opHistory) push(version uint64, op scene.Op) {
-	if len(h.ops) > 0 && h.ops[len(h.ops)-1].version+1 != version {
+	if n := len(h.ops); n > 0 && h.at(n-1).version+1 != version {
 		// A discontinuity (e.g. a recovered session resuming at a later
 		// version) invalidates the ring; restart it.
-		h.ops = h.ops[:0]
+		h.reset()
 	}
-	h.ops = append(h.ops, histOp{version, op})
-	if len(h.ops) > historyCap {
-		h.ops = h.ops[len(h.ops)-historyCap:]
+	if h.ops == nil {
+		h.ops = make([]histOp, 0, historyCap)
 	}
+	if len(h.ops) < historyCap {
+		h.ops = append(h.ops, histOp{version, op})
+		return
+	}
+	h.ops[h.next] = histOp{version, op}
+	h.next = (h.next + 1) % historyCap
+}
+
+// reset empties the ring, clearing its slots so nothing it held stays
+// reachable through it.
+func (h *opHistory) reset() {
+	clear(h.ops)
+	h.ops = h.ops[:0]
+	h.next = 0
 }
 
 // since returns the ops covering (v, latest] and true when the ring is
@@ -195,14 +233,19 @@ func (h *opHistory) since(v, latest uint64) ([]histOp, bool) {
 	if v == latest {
 		return nil, true
 	}
-	if len(h.ops) == 0 || h.ops[0].version > v+1 || h.ops[len(h.ops)-1].version != latest {
+	n := len(h.ops)
+	if n == 0 || h.at(0).version > v+1 || h.at(n-1).version != latest {
 		return nil, false
 	}
-	start := int(v + 1 - h.ops[0].version)
-	if start < 0 || start >= len(h.ops) {
+	start := int(v + 1 - h.at(0).version)
+	if start < 0 || start >= n {
 		return nil, false
 	}
-	return append([]histOp(nil), h.ops[start:]...), true
+	out := make([]histOp, 0, n-start)
+	for i := start; i < n; i++ {
+		out = append(out, h.at(i))
+	}
+	return out, true
 }
 
 // CreateSession creates an empty session.
@@ -342,7 +385,7 @@ func (sess *Session) Scene(fn func(sc *scene.Scene)) {
 func (sess *Session) InstallScene(sc *scene.Scene) {
 	sess.mu.Lock()
 	sess.scene = sc
-	sess.history.ops = sess.history.ops[:0]
+	sess.history.reset()
 	sess.mu.Unlock()
 }
 
@@ -381,7 +424,8 @@ func (sess *Session) ApplyReplicated(op scene.Op, origin string) error {
 func (sess *Session) applyUpdate(op scene.Op, origin string, replicated bool) error {
 	// The op is encoded once, before the lock, behind room for the
 	// journal's record header: the audit trail, the journal and every
-	// subscriber are handed these bytes.
+	// subscriber are handed these bytes, and the versioned sockets one
+	// copy of them behind the version.
 	rec, err := marshal.AppendOp(make([]byte, wal.RecordRoom), op)
 	if err != nil {
 		return err
@@ -391,8 +435,9 @@ func (sess *Session) applyUpdate(op scene.Op, origin string, replicated bool) er
 		return err
 	}
 	var firstErr error
+	var packed []byte // the versioned sockets' payload, packed by the first of them
 	for _, tg := range targets {
-		err := tg.sub.SendUpdate(Update{Op: op, Version: version, Filtered: tg.filtered, Wire: rec[wal.RecordRoom:]})
+		err := tg.sub.SendUpdate(Update{Op: op, Version: version, Filtered: tg.filtered, Wire: rec[wal.RecordRoom:], packed: &packed})
 		if err == nil {
 			continue
 		}
@@ -618,14 +663,13 @@ type connSubscriber struct {
 
 // SendUpdate implements Subscriber: the op travels as MsgSceneOpVer with
 // the authoritative version prefixed, so the replica can detect missed
-// updates on a lossy or recovering link. An interest-filtered stream
-// gets the bare op. Each socket still gets its own versioned copy of the
-// commit's bytes; DESIGN.md "Wire coding" says what keeps it.
+// updates on a lossy or recovering link; the commit packs those bytes
+// once for all its sockets. An interest-filtered stream gets the bare op.
 func (c *connSubscriber) SendUpdate(u Update) error {
 	if u.Filtered {
 		return c.conn.Send(transport.MsgSceneOp, u.Wire)
 	}
-	return c.conn.Send(transport.MsgSceneOpVer, transport.PackVersioned(u.Version, u.Wire))
+	return c.conn.Send(transport.MsgSceneOpVer, u.versioned())
 }
 
 // SendCamera implements Subscriber. What goes out is the session's

@@ -708,3 +708,48 @@ func TestRenderServiceSubscribeToDataEndToEnd(t *testing.T) {
 		t.Errorf("rendered version %d, authority %d", frame.Version, sess.Version())
 	}
 }
+
+// The resume ring holds historyCap ops and nothing more: an op pushed
+// out of it is overwritten in its slot, so no dead prefix of the
+// backing array keeps old ops (and their payloads) reachable, and a
+// discontinuity clears every slot.
+func TestOpHistoryRingHoldsOnlyItsCap(t *testing.T) {
+	var h opHistory
+	const pushes = 3 * historyCap
+	for v := uint64(1); v <= pushes; v++ {
+		h.push(v, &scene.SetNameOp{ID: scene.RootID, Name: "n"})
+	}
+	if len(h.ops) != historyCap || cap(h.ops) != historyCap {
+		t.Fatalf("ring len %d cap %d after %d pushes, want both %d", len(h.ops), cap(h.ops), pushes, historyCap)
+	}
+	for i, slot := range h.ops[:cap(h.ops)] {
+		if slot.version <= pushes-historyCap {
+			t.Fatalf("slot %d still holds version %d, which left the ring", i, slot.version)
+		}
+	}
+	tail, ok := h.since(pushes-historyCap, pushes)
+	if !ok || len(tail) != historyCap {
+		t.Fatalf("since(%d) = %d ops, %v; want the last %d", pushes-historyCap, len(tail), ok, historyCap)
+	}
+	for i, op := range tail {
+		if want := uint64(pushes - historyCap + 1 + i); op.version != want {
+			t.Fatalf("tail[%d] is version %d, want %d", i, op.version, want)
+		}
+	}
+	if _, ok := h.since(pushes-historyCap-1, pushes); ok {
+		t.Error("since reached past the oldest retained op")
+	}
+	if tail, ok := h.since(pushes-1, pushes); !ok || len(tail) != 1 || tail[0].version != pushes {
+		t.Errorf("since(latest-1) = %v, %v", tail, ok)
+	}
+
+	h.push(pushes+10, &scene.SetNameOp{ID: scene.RootID, Name: "after a gap"})
+	if len(h.ops) != 1 || h.ops[0].version != pushes+10 {
+		t.Fatalf("after a discontinuity the ring holds %d ops", len(h.ops))
+	}
+	for i, slot := range h.ops[1:cap(h.ops)] {
+		if slot.op != nil {
+			t.Fatalf("slot %d still holds version %d after the ring restarted", i+1, slot.version)
+		}
+	}
+}

@@ -51,7 +51,11 @@ func (k Kind) String() string {
 	}
 }
 
-// Payload is the geometric content of a node.
+// Payload is the geometric content of a node. A payload a scene holds
+// is immutable: an op hands its payload to the scene it is applied to
+// (see Op), scenes applying one op share it, and a change to a node's
+// geometry is a SetPayloadOp with a new payload, never an edit of the
+// held one. Scene.Clone and ExtractSubset still deep-copy.
 type Payload interface {
 	// Kind identifies the payload type.
 	Kind() Kind
@@ -65,9 +69,9 @@ type Payload interface {
 }
 
 // MeshPayload wraps a triangle mesh. A payload a scene holds is never
-// changed in place — ops clone their payload in and SetPayloadOp replaces
-// the node's — so its bounds are computed once, not once per frame's
-// frustum cull; set Mesh before the first BoundsLocal call and leave it.
+// changed in place (see Payload), so its bounds are computed once, not
+// once per frame's frustum cull; set Mesh before the first BoundsLocal
+// call and leave it.
 type MeshPayload struct {
 	Mesh *geom.Mesh
 

@@ -22,6 +22,14 @@ const (
 // its authoritative scene, appends to the audit trail, and fans out to
 // every subscribed render service (§3.1.1–3.1.2). Applying the same op
 // stream to any replica of the same base scene yields the same scene.
+//
+// An op hands its payload over: the scene that applies an AddNodeOp or
+// SetPayloadOp stores the op's Payload itself, not a copy, so from then
+// on the payload is the scene's and is never mutated — by the op's
+// builder least of all. Build a payload, then hand it over. The same
+// op may be applied to several scenes (the data service's and an
+// in-process mirror's); they share the payload, which ops replace and
+// never edit.
 type Op interface {
 	Kind() OpKind
 	// Apply mutates the scene. On success the scene version is bumped by
@@ -51,7 +59,7 @@ type AddNodeOp struct {
 	ID        NodeID
 	Name      string
 	Transform mathx.Mat4
-	Payload   Payload // may be nil (group node)
+	Payload   Payload // may be nil (group node); the scene adopts it (see Op)
 }
 
 // Kind implements Op.
@@ -61,11 +69,7 @@ func (o *AddNodeOp) Kind() OpKind { return OpAddNode }
 func (o *AddNodeOp) Touches() NodeID { return o.ID }
 
 func (o *AddNodeOp) apply(s *Scene) error {
-	n := &Node{ID: o.ID, Name: o.Name, Transform: o.Transform}
-	if o.Payload != nil {
-		n.Payload = o.Payload.ClonePayload()
-	}
-	return s.Attach(o.Parent, n)
+	return s.Attach(o.Parent, &Node{ID: o.ID, Name: o.Name, Transform: o.Transform, Payload: o.Payload})
 }
 
 // RemoveNodeOp removes a node and its subtree.
@@ -122,7 +126,7 @@ func (o *SetNameOp) apply(s *Scene) error {
 // disturbing its identity, children or transform.
 type SetPayloadOp struct {
 	ID      NodeID
-	Payload Payload // nil clears the payload (node becomes a group)
+	Payload Payload // nil clears the payload (node becomes a group); the scene adopts it (see Op)
 }
 
 // Kind implements Op.
@@ -136,11 +140,7 @@ func (o *SetPayloadOp) apply(s *Scene) error {
 	if n == nil {
 		return fmt.Errorf("scene: node %d not found", o.ID)
 	}
-	if o.Payload == nil {
-		n.Payload = nil
-		return nil
-	}
-	n.Payload = o.Payload.ClonePayload()
+	n.Payload = o.Payload
 	return nil
 }
 

@@ -340,18 +340,48 @@ func TestOpReplayConvergence(t *testing.T) {
 	}
 }
 
-func TestAddNodeOpClonesPayload(t *testing.T) {
+// An op hands its payload over: the node holds the op's payload itself,
+// not a copy, whichever op installed it.
+func TestAppliedOpAdoptsPayload(t *testing.T) {
 	s := New()
 	pl := meshPayload(40)
 	id := s.AllocID()
 	if err := s.ApplyOp(&AddNodeOp{Parent: RootID, ID: id, Transform: mathx.Identity(), Payload: pl}); err != nil {
 		t.Fatal(err)
 	}
-	// Mutating the original payload must not affect the scene.
-	pl.Mesh.Positions[0] = mathx.V3(99, 99, 99)
-	got := s.Node(id).Payload.(*MeshPayload).Mesh.Positions[0]
-	if got == (mathx.Vec3{X: 99, Y: 99, Z: 99}) {
-		t.Error("op shares payload storage with caller")
+	if got := s.Node(id).Payload; got != Payload(pl) {
+		t.Errorf("AddNodeOp installed %p, want the op's payload %p", got, pl)
+	}
+	next := &PointsPayload{Cloud: &geom.PointCloud{Points: make([]mathx.Vec3, 3)}}
+	if err := s.ApplyOp(&SetPayloadOp{ID: id, Payload: next}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Node(id).Payload; got != Payload(next) {
+		t.Errorf("SetPayloadOp installed %p, want the op's payload %p", got, next)
+	}
+}
+
+// Ops replace payloads and never edit them, so a clone taken before a
+// SetPayloadOp keeps the payload it was taken with, and the original
+// moves to the new one.
+func TestCloneKeepsPayloadAcrossSetPayload(t *testing.T) {
+	s, _, mID, _ := buildTestScene(t)
+	before := s.Node(mID).Payload.(*MeshPayload)
+	tris := before.Mesh.TriangleCount()
+	c := s.Clone()
+	replacement := meshPayload(400)
+	if err := s.ApplyOp(&SetPayloadOp{ID: mID, Payload: replacement}); err != nil {
+		t.Fatal(err)
+	}
+	kept := c.Node(mID).Payload.(*MeshPayload)
+	if kept == replacement || kept.Mesh.TriangleCount() != tris {
+		t.Errorf("clone's payload has %d triangles after the original's SetPayloadOp, want %d", kept.Mesh.TriangleCount(), tris)
+	}
+	if s.Node(mID).Payload != Payload(replacement) {
+		t.Error("the original did not adopt the replacement")
+	}
+	if before.Mesh.TriangleCount() != tris {
+		t.Error("the replaced payload was edited")
 	}
 }
 
@@ -480,10 +510,8 @@ func TestSetPayloadOp(t *testing.T) {
 	if s.Node(mID).Kind() != KindPoints {
 		t.Errorf("payload kind after set: %v", s.Node(mID).Kind())
 	}
-	// The op cloned the payload.
-	pc.Cloud.Points = append(pc.Cloud.Points, mathx.V3(1, 2, 3))
 	if s.Node(mID).Payload.Cost().Points != 7 {
-		t.Error("op shares payload storage with caller")
+		t.Errorf("set payload has %d points, want 7", s.Node(mID).Payload.Cost().Points)
 	}
 	// Clearing the payload turns the node into a group.
 	if err := s.ApplyOp(&SetPayloadOp{ID: mID}); err != nil {
