@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet fmt-check lint lint-report allow-audit one-follower one-reply one-gate one-quantile one-health unreached vulncheck build test race fuzz-smoke bench-smoke chaos scale partition storage raster loc ci
+.PHONY: all vet fmt-check lint lint-report allow-audit one-follower one-reply one-gate one-quantile one-health one-frame unreached vulncheck build test race fuzz-smoke bench-smoke chaos scale partition storage raster loc ci
 
 all: ci
 
@@ -95,6 +95,16 @@ one-health:
 		| grep -v '^\./internal/dataservice/'; \
 		grep -rnE 'RenderDistributedResilient|MigrationEngine|SetAvailable|LoadSnapshot|FailedServices|RemoveService' --include='*.go' --exclude='*_test.go' .; } )"; \
 	if [ -n "$$out" ]; then echo "peer health kept outside the distributor's frame loop:"; echo "$$out"; exit 1; fi
+
+# one-frame keeps a distributed frame asked for one way: Distributor.Render
+# takes a FrameRequest whose Mode names the partitioning (tiles, subsets,
+# slabs) and returns a FrameReport for every mode, so no Go file outside
+# bench/, tests included, calls a per-mode frame method or names the old
+# tile-only report. bench/ still calls the two deprecated shims.
+one-frame:
+	@out="$$(grep -rnE '\.(RenderDistributed|RenderTilesHedged|RenderVolumeDistributed)\(|HedgeReport' --include='*.go' . \
+		| grep -v '^\./bench/')"; \
+	if [ -n "$$out" ]; then echo "a distributed frame asked for outside Distributor.Render:"; echo "$$out"; exit 1; fi
 
 # unreached keeps the system what something runs: every non-test function
 # in a library package is linked by some main package (cmd/*, examples/*,
@@ -211,11 +221,11 @@ loc:
 
 # ci is the full gate: formatting, static checks (ravelint with the
 # LINT.json artifact and per-analyzer timings, the allow-annotation
-# audit, vet, the one-follower, one-reply, one-gate, one-quantile and one-health grep gates, the unreached-code gate,
+# audit, vet, the one-follower, one-reply, one-gate, one-quantile, one-health and one-frame grep gates, the unreached-code gate,
 # govulncheck when present), a clean build, the test suite under the
 # race detector, ten seconds of
 # fuzzing per target, one run of each raster microbenchmark, a doubled chaos pass (the chaos suite exercises concurrent failure recovery, so -race
 # is part of the bar, not an extra), the reduced fleet-scale load,
 # region-partition, and sick-disk scenarios, and the rasterizer
 # regression benchmark.
-ci: fmt-check lint-report allow-audit lint one-follower one-reply one-gate one-quantile one-health unreached vulncheck build race fuzz-smoke bench-smoke chaos scale partition storage raster
+ci: fmt-check lint-report allow-audit lint one-follower one-reply one-gate one-quantile one-health one-frame unreached vulncheck build race fuzz-smoke bench-smoke chaos scale partition storage raster

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"image/png"
@@ -103,7 +104,7 @@ func main() {
 	for name, ids := range asg {
 		fmt.Printf("  %s renders %d nodes\n", name, len(ids))
 	}
-	fb, err := dist.RenderDistributed(400, 300)
+	fb, _, err := dist.Render(context.Background(), dataservice.FrameRequest{W: 400, H: 300, Mode: dataservice.Subsets})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -178,7 +178,7 @@ func TestKillMidFrameReassignsWork(t *testing.T) {
 	// lands mid-message, mid-frame.
 	renderEnd.InjectFaults(netsim.NewFaults(11).KillAtByte(100))
 
-	fb, err := d.RenderDistributed(96, 96)
+	fb, _, err := d.Render(context.Background(), dataservice.FrameRequest{W: 96, H: 96, Mode: dataservice.Subsets})
 	if err != nil {
 		t.Fatalf("render through the kill: %v", err)
 	}
@@ -235,7 +235,7 @@ func TestKillMidFrameReassignsWork(t *testing.T) {
 	// Steady state: the next frame needs no recovery at all — each holder
 	// draws its one part once more, and nothing else fails.
 	before := subsetsDrawn(reg, "athlon", "xeon")
-	if _, err := d.RenderDistributed(96, 96); err != nil {
+	if _, _, err := d.Render(context.Background(), dataservice.FrameRequest{W: 96, H: 96, Mode: dataservice.Subsets}); err != nil {
 		t.Fatal(err)
 	}
 	after, holders := subsetsDrawn(reg, "athlon", "xeon"), holdsNodes(d, "athlon", "xeon")
@@ -346,7 +346,7 @@ func TestRecruitmentDuringRegistryOutage(t *testing.T) {
 
 	victim.dead.Store(true)
 
-	fb, err := d.RenderDistributed(64, 64)
+	fb, _, err := d.Render(context.Background(), dataservice.FrameRequest{W: 64, H: 64, Mode: dataservice.Subsets})
 	if err != nil {
 		t.Fatalf("render through the crash: %v", err)
 	}

@@ -445,7 +445,7 @@ func TestKillPrimaryMidMigrationStandbyRestarts(t *testing.T) {
 		t.Errorf("restarted distribution lost nodes: %d of 6 assigned (%v)", total, asg)
 	}
 
-	fb, err := d2.RenderDistributed(96, 96)
+	fb, _, err := d2.Render(context.Background(), dataservice.FrameRequest{W: 96, H: 96, Mode: dataservice.Subsets})
 	if err != nil {
 		t.Fatalf("render on promoted session: %v", err)
 	}

@@ -106,12 +106,12 @@ func TestOverloadStalledPeerDegradesNotFreezes(t *testing.T) {
 
 	cfg := dataservice.HedgeConfig{FrameDeadline: 100 * time.Millisecond, HedgeDelay: 30 * time.Millisecond}
 	var latencies []time.Duration
-	var reports []*dataservice.HedgeReport
+	var reports []*dataservice.FrameReport
 	var stalledDegraded, stalledHedged int
 	var totalHedged, totalWins, totalDeclined int
-	render := func() *dataservice.HedgeReport {
+	render := func() *dataservice.FrameReport {
 		t.Helper()
-		fb, rep, err := d.RenderTilesHedged(context.Background(), 96, 96, cfg)
+		fb, rep, err := d.Render(context.Background(), dataservice.FrameRequest{W: 96, H: 96, Mode: dataservice.Tiles, Timers: cfg})
 		if err != nil {
 			t.Fatalf("frame lost: %v (report %+v)", err, rep)
 		}
@@ -130,7 +130,7 @@ func TestOverloadStalledPeerDegradesNotFreezes(t *testing.T) {
 	// the second becomes the last-good fallback for the stall window.
 	for i := 0; i < 2; i++ {
 		rep := render()
-		if rep.Tiles != 3 || len(rep.Degraded) != 0 {
+		if rep.Parts != 3 || len(rep.Degraded) != 0 {
 			t.Fatalf("healthy frame %d: %+v", i, rep)
 		}
 	}
@@ -164,7 +164,7 @@ func TestOverloadStalledPeerDegradesNotFreezes(t *testing.T) {
 	recovered := false
 	for clk.Now().Before(budget) {
 		rep := render()
-		if d.Health("victim").State == dataservice.BreakerClosed && rep.Tiles == 3 && len(rep.Degraded) == 0 {
+		if d.Health("victim").State == dataservice.BreakerClosed && rep.Parts == 3 && len(rep.Degraded) == 0 {
 			recovered = true
 			break
 		}
@@ -216,9 +216,9 @@ func TestOverloadStalledPeerDegradesNotFreezes(t *testing.T) {
 	hedgedTreeChecked := false
 	for i, tr := range frames {
 		rep := reports[i]
-		if got := tr.Count("render-tile"); got != rep.Tiles {
+		if got := tr.Count("render-tile"); got != rep.Parts {
 			t.Fatalf("frame %d: %d primary launch spans for %d tiles\n%s",
-				i, got, rep.Tiles, telemetry.FormatTrees(frames[i:i+1]))
+				i, got, rep.Parts, telemetry.FormatTrees(frames[i:i+1]))
 		}
 		if got := tr.Count("render-tile-hedge"); got != rep.Hedged {
 			t.Fatalf("frame %d: %d hedge spans, report says %d\n%s",

@@ -79,7 +79,7 @@ func TestTelemetryDeterministicTraceAndSnapshot(t *testing.T) {
 		text    string
 		jsonDoc string
 		trees   []*telemetry.Tree
-		rep     *dataservice.HedgeReport
+		rep     *dataservice.FrameReport
 		stubs   []*stubTile
 	}
 
@@ -109,7 +109,7 @@ func TestTelemetryDeterministicTraceAndSnapshot(t *testing.T) {
 		}
 
 		cfg := dataservice.HedgeConfig{FrameDeadline: 100 * time.Millisecond, HedgeDelay: 30 * time.Millisecond}
-		fb, rep, err := d.RenderTilesHedged(context.Background(), 96, 96, cfg)
+		fb, rep, err := d.Render(context.Background(), dataservice.FrameRequest{W: 96, H: 96, Mode: dataservice.Tiles, Timers: cfg})
 		if err != nil {
 			t.Fatalf("frame lost: %v (report %+v)", err, rep)
 		}
@@ -153,8 +153,8 @@ func TestTelemetryDeterministicTraceAndSnapshot(t *testing.T) {
 	if tree.Count("plan") != 1 || tree.Count("composite") != 1 {
 		t.Fatalf("root must cover planning and compositing\n%s", dump)
 	}
-	if got := tree.Count("render-tile"); got != first.rep.Tiles {
-		t.Fatalf("%d primary launch spans for %d tiles\n%s", got, first.rep.Tiles, dump)
+	if got := tree.Count("render-tile"); got != first.rep.Parts {
+		t.Fatalf("%d primary launch spans for %d tiles\n%s", got, first.rep.Parts, dump)
 	}
 	// The satellite contract: a hedged frame's trace shows exactly one
 	// re-issue span, and no tile was lost (every region assembled from a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"image"
 	"testing"
@@ -170,7 +171,7 @@ func TestSocketHandleDistribution(t *testing.T) {
 	if _, err := dist.Distribute(); err != nil {
 		t.Fatal(err)
 	}
-	fb, err := dist.RenderDistributed(120, 90)
+	fb, _, err := dist.Render(context.Background(), dataservice.FrameRequest{W: 120, H: 90, Mode: dataservice.Subsets})
 	if err != nil {
 		t.Fatal(err)
 	}

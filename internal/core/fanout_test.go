@@ -103,7 +103,7 @@ func TestSocketPartsPaintAsCompositeAll(t *testing.T) {
 	sphere := genmodel.Sphere(mathx.Vec3{}, 1, 24, 12)
 	sess, dist, handles := socketFanout(t, tinted(sphere, mathx.V3(1, 0, 0)), tinted(sphere, mathx.V3(0, 0, 1)))
 	const w, h = 96, 72
-	fb, err := dist.RenderDistributed(w, h)
+	fb, _, err := dist.Render(context.Background(), dataservice.FrameRequest{W: w, H: h, Mode: dataservice.Subsets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +130,8 @@ func TestSocketPartsPaintAsCompositeAll(t *testing.T) {
 		t.Error("the parts do not tie: the test shows nothing about who wins a tie")
 	}
 
-	tiled, rep, err := dist.RenderTilesHedged(context.Background(), w, h, dataservice.HedgeConfig{FrameDeadline: 10 * time.Second, HedgeDelay: 5 * time.Second})
-	if err != nil || rep.Tiles != 2 || len(rep.Degraded) != 0 {
+	tiled, rep, err := dist.Render(context.Background(), dataservice.FrameRequest{W: w, H: h, Mode: dataservice.Tiles, Timers: dataservice.HedgeConfig{FrameDeadline: 10 * time.Second, HedgeDelay: 5 * time.Second}})
+	if err != nil || rep.Parts != 2 || len(rep.Degraded) != 0 {
 		t.Fatalf("tiled frame: %+v, %v", rep, err)
 	}
 	whole, _, err := renderservice.New(renderservice.Config{Name: "one", Device: device.XeonDesktop}).
@@ -155,7 +155,7 @@ func TestSubsetFrameAllocations(t *testing.T) {
 	}
 	_, dist, _ := socketFanout(t, genmodel.Elle(2000).SplitSpatially(4)...)
 	for i := 0; i < 3; i++ {
-		if _, err := dist.RenderDistributed(640, 480); err != nil {
+		if _, _, err := dist.Render(context.Background(), dataservice.FrameRequest{W: 640, H: 480, Mode: dataservice.Subsets}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,7 +163,7 @@ func TestSubsetFrameAllocations(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < frames; i++ {
-		if _, err := dist.RenderDistributed(640, 480); err != nil {
+		if _, _, err := dist.Render(context.Background(), dataservice.FrameRequest{W: 640, H: 480, Mode: dataservice.Subsets}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -65,7 +65,7 @@ func TestSubsetFrameTraceSpansServices(t *testing.T) {
 	if asg, err := dist.Distribute(); err != nil || len(asg) != 2 {
 		t.Fatalf("distribute: %v, %v", asg, err)
 	}
-	if _, err := dist.RenderDistributed(64, 48); err != nil {
+	if _, _, err := dist.Render(context.Background(), dataservice.FrameRequest{W: 64, H: 48, Mode: dataservice.Subsets}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -176,12 +176,12 @@ func TestStalledPartCountsAtFrameDeadline(t *testing.T) {
 	}
 
 	type result struct {
-		rep *dataservice.HedgeReport
+		rep *dataservice.FrameReport
 		err error
 	}
 	got := make(chan result, 1)
 	go func() {
-		_, rep, err := dist.RenderTilesHedged(context.Background(), 8, 8, dataservice.HedgeConfig{FrameDeadline: 50 * time.Millisecond})
+		_, rep, err := dist.Render(context.Background(), dataservice.FrameRequest{W: 8, H: 8, Mode: dataservice.Tiles, Timers: dataservice.HedgeConfig{FrameDeadline: 50 * time.Millisecond}})
 		got <- result{rep, err}
 	}()
 	for start := time.Now(); clk.PendingWaiters() != 2; runtime.Gosched() { // the hedge and deadline timers
@@ -315,11 +315,11 @@ func TestWrongSizedFrameIsAPartFailure(t *testing.T) {
 	}
 	cfg := dataservice.HedgeConfig{FrameDeadline: 10 * time.Second, HedgeDelay: 5 * time.Second}
 	for frame := 1; frame <= 3; frame++ {
-		fb, rep, err := dist.RenderTilesHedged(context.Background(), 64, 48, cfg)
+		fb, rep, err := dist.Render(context.Background(), dataservice.FrameRequest{W: 64, H: 48, Mode: dataservice.Tiles, Timers: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Tiles != 2 || rep.Hedged != 1 || rep.HedgeWins != 1 || len(rep.Degraded) != 0 {
+		if rep.Parts != 2 || rep.Hedged != 1 || rep.HedgeWins != 1 || len(rep.Degraded) != 0 {
 			t.Errorf("frame %d: report %+v, want the liar's tile re-issued to the honest service and won there", frame, rep)
 		}
 		if !bytes.Equal(fb.Color, whole.Color) {
@@ -329,11 +329,11 @@ func TestWrongSizedFrameIsAPartFailure(t *testing.T) {
 	if h := dist.Health("liar"); h.State != dataservice.BreakerOpen {
 		t.Errorf("three refused frames were not counted as failures: %+v", h)
 	}
-	fb, rep, err := dist.RenderTilesHedged(context.Background(), 64, 48, cfg)
+	fb, rep, err := dist.Render(context.Background(), dataservice.FrameRequest{W: 64, H: 48, Mode: dataservice.Tiles, Timers: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Tiles != 1 || rep.Hedged != 0 || !bytes.Equal(fb.Color, whole.Color) {
+	if rep.Parts != 1 || rep.Hedged != 0 || !bytes.Equal(fb.Color, whole.Color) {
 		t.Errorf("report %+v, want the open liar planned around", rep)
 	}
 }

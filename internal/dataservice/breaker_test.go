@@ -200,12 +200,12 @@ func TestStalledPeerOpensAndRecovers(t *testing.T) {
 	// peers' replies are recorded.
 	for frame := 1; frame <= breakerThreshold; frame++ {
 		type result struct {
-			rep *HedgeReport
+			rep *FrameReport
 			err error
 		}
 		got := make(chan result, 1)
 		go func() {
-			_, rep, err := d.RenderTilesHedged(context.Background(), 32, 32, cfg)
+			_, rep, err := d.Render(context.Background(), FrameRequest{W: 32, H: 32, Mode: Tiles, Timers: cfg})
 			got <- result{rep, err}
 		}()
 		waitUntil("the frame to arm its timers and the healthy replies to land", func() bool {
@@ -216,8 +216,8 @@ func TestStalledPeerOpensAndRecovers(t *testing.T) {
 		if r.err != nil {
 			t.Fatalf("frame %d: %v", frame, r.err)
 		}
-		if r.rep.Tiles != 3 {
-			t.Fatalf("frame %d planned %d tiles, want 3 while the peer is closed", frame, r.rep.Tiles)
+		if r.rep.Parts != 3 {
+			t.Fatalf("frame %d planned %d tiles, want 3 while the peer is closed", frame, r.rep.Parts)
 		}
 		h := d.Health("s")
 		if frame < breakerThreshold && (h.State != BreakerClosed || h.Failures != frame) {
@@ -230,11 +230,11 @@ func TestStalledPeerOpensAndRecovers(t *testing.T) {
 
 	// Planned around: the healthy peers share the frame and answer at once.
 	calls := s.callCount()
-	_, rep, err := d.RenderTilesHedged(context.Background(), 32, 32, cfg)
+	_, rep, err := d.Render(context.Background(), FrameRequest{W: 32, H: 32, Mode: Tiles, Timers: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Tiles != 2 || len(rep.Degraded) != 0 || s.callCount() != calls {
+	if rep.Parts != 2 || len(rep.Degraded) != 0 || s.callCount() != calls {
 		t.Fatalf("open peer not planned around: %+v, %d new calls", rep, s.callCount()-calls)
 	}
 
@@ -242,11 +242,11 @@ func TestStalledPeerOpensAndRecovers(t *testing.T) {
 	// again) and the cooldown passes: one probe, which closes the peer.
 	close(s.release)
 	clk.Advance(2 * cfg.FrameDeadline)
-	_, rep, err = d.RenderTilesHedged(context.Background(), 32, 32, cfg)
+	_, rep, err = d.Render(context.Background(), FrameRequest{W: 32, H: 32, Mode: Tiles, Timers: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Tiles != 3 || rep.Hedged != 0 || len(rep.Degraded) != 0 {
+	if rep.Parts != 3 || rep.Hedged != 0 || len(rep.Degraded) != 0 {
 		t.Fatalf("probe frame: %+v", rep)
 	}
 	want := []BreakerState{BreakerOpen, BreakerHalfOpen, BreakerClosed}

@@ -314,7 +314,7 @@ func (d *Distributor) Distribute() (balance.Assignment, error) {
 // Assignment returns the current assignment (service -> node IDs).
 func (d *Distributor) Assignment() balance.Assignment { return d.snapshot().assignment }
 
-// PlanTiles reports the framebuffer-distribution tiling RenderTilesHedged
+// PlanTiles reports the framebuffer-distribution tiling a Tiles frame
 // would use for a w x h image right now: bands proportional to speed
 // across the available services (§3.2.5).
 func (d *Distributor) PlanTiles(w, h int) (map[string]image.Rectangle, error) {

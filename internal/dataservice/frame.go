@@ -1,9 +1,10 @@
 // The distributed-frame pipeline. Dataset distribution (scene subsets,
 // depth-composited), framebuffer distribution (tiles, §3.2.5) and §6's
 // Visapult-style slab blending are one act — give each service its share
-// under the shared camera, collect, assemble — so they share one
-// implementation: a partitioner plans the jobs, renderFrame runs them
-// (deadlines, hedging, forced assembly), an assembler makes the frame.
+// under the shared camera, collect, assemble — so they share one entry
+// point, Distributor.Render, whose request names the partitioning: a
+// partitioner plans the jobs, the one loop runs them (deadlines, hedging,
+// forced assembly), the assembler makes the frame.
 package dataservice
 
 import (
@@ -17,6 +18,7 @@ import (
 
 	"repro/internal/balance"
 	"repro/internal/compositor"
+	"repro/internal/mathx"
 	"repro/internal/raster"
 	"repro/internal/renderservice"
 	"repro/internal/scene"
@@ -106,35 +108,80 @@ type plan struct {
 	alternates []balance.ServiceCapacity
 }
 
-// complete returns the parts of a plan that needs every one — those not
-// replaced, in plan order — or the first failure.
-func (p *plan) complete() ([]*part, error) {
-	out := make([]*part, 0, len(p.parts))
-	for i := range p.parts {
-		pt := &p.parts[i]
-		switch {
-		case pt.replaced:
-		case !pt.ok:
-			return nil, fmt.Errorf("dataservice: render on %s: %w", pt.service, pt.err)
-		default:
-			out = append(out, pt)
-		}
-	}
-	return out, nil
-}
-
 // isDecline reports whether an error is a typed overload refusal.
 func isDecline(err error) bool {
 	var ov *renderservice.ErrOverloaded
 	return errors.As(err, &ov)
 }
 
-// renderFrame runs one distributed frame: partition a snapshot into a
-// plan, launch every part on its service (one job in flight per service;
-// a service's further parts wait their turn), collect, and assemble.
+// Mode is how a distributed frame is shared among the render services.
+type Mode int
+
+const (
+	// Tiles is framebuffer distribution (§3.2.5): every available service
+	// draws a band of the frame, sized to its speed, from its replica, and
+	// the bands are painted into place.
+	Tiles Mode = iota
+	// Subsets is dataset distribution (§3.2.5): every assigned service
+	// draws its nodes, shipped as a scene subset, over the whole frame, and
+	// the parts are depth-composited.
+	Subsets
+	// Slabs is volume distribution (§6): every assigned node is a layer of
+	// its own, drawn on its service over the whole frame, and the layers are
+	// blended back to front by their distance from the camera.
+	Slabs
+)
+
+// FrameRequest is one distributed frame.
+type FrameRequest struct {
+	W, H int
+	Mode Mode
+	// Opacity is every layer's opacity, in (0,1] (1 = opaque slabs); read
+	// by Slabs only.
+	Opacity float64
+	// Timers arm the frame's deadline and hedging; zero waits for every
+	// part.
+	Timers HedgeConfig
+}
+
+// HedgeConfig holds a frame's timers.
+type HedgeConfig struct {
+	// FrameDeadline is the hard per-frame budget: every job carries it, and
+	// at this point the frame assembles from what arrived, missing tiles
+	// degraded. Zero sets no deadline.
+	FrameDeadline time.Duration
+	// HedgeDelay is the soft per-tile deadline: a tile still missing after
+	// it is re-issued to the most-spare other peer. Defaults to
+	// FrameDeadline/4.
+	HedgeDelay time.Duration
+}
+
+// FrameReport summarizes one distributed frame.
+type FrameReport struct {
+	// Parts is the number of planned parts.
+	Parts int
+	// Hedged counts backup requests issued (soft-deadline misses and
+	// immediate re-issues after a failed tile).
+	Hedged int
+	// HedgeWins counts parts whose first result came from a backup.
+	HedgeWins int
+	// Declined counts typed refusals.
+	Declined int
+	// Degraded lists regions force-assembled from the fallback frame.
+	Degraded []image.Rectangle
+	// Latency is the frame's wall time on the session clock.
+	Latency time.Duration
+}
+
+// Render runs one distributed frame: check the request, partition a
+// snapshot into a plan by its mode, launch every part on its service (one
+// job in flight per service; a service's further parts wait their turn),
+// collect, and assemble. A request no service would draw — a bad size or a
+// slab opacity outside (0,1] — is refused before anything is planned or
+// launched, so it costs no service its health.
 //
 // Every job carries the frame's absolute deadline — now plus
-// timers.FrameDeadline, or none when that is zero — so a service declines
+// Timers.FrameDeadline, or none when that is zero — so a service declines
 // work it cannot finish in time instead of rendering it late. The timers
 // also arm the loop: a tile part still missing after HedgeDelay is
 // re-issued to the most-spare alternate not yet tried on it (first result
@@ -143,16 +190,24 @@ func isDecline(err error) bool {
 // A failed part is re-issued, the one failure rule: a tile part at once to
 // the next alternate; a subset or slab part whose service failed with
 // anything but a typed decline, as parts for just its nodes on the
-// services recovery re-placed them on (replace). Every outcome is recorded
-// in the part's peer record.
+// services recovery re-placed them on (replace). A declined subset or slab
+// fails the frame. Every outcome is recorded in the part's peer record.
 //
 // The collection ends when every part has a result, when nothing is in
 // flight or queued, when the FrameDeadline timer fires, or when ctx is
-// done; the assembler decides what a missing part means.
-func (d *Distributor) renderFrame(ctx context.Context, w, h int, timers HedgeConfig,
-	partition func(snap snapshot, w, h int) (*plan, error),
-	assemble func(w, h int, p *plan) (*raster.Framebuffer, []image.Rectangle, error),
-) (*raster.Framebuffer, *HedgeReport, error) {
+// done, which fails the frame with ctx's error; the assembler decides what
+// a missing part means.
+func (d *Distributor) Render(ctx context.Context, req FrameRequest) (*raster.Framebuffer, *FrameReport, error) {
+	w, h, timers := req.W, req.H, req.Timers
+	if err := (RenderJob{Rect: image.Rect(0, 0, w, h), FullW: w, FullH: h}).Check(); err != nil {
+		return nil, nil, err
+	}
+	if req.Mode == Slabs && !(req.Opacity > 0 && req.Opacity <= 1) {
+		return nil, nil, fmt.Errorf("dataservice: slab opacity %v outside (0,1]", req.Opacity)
+	}
+	if timers.HedgeDelay <= 0 {
+		timers.HedgeDelay = timers.FrameDeadline / 4
+	}
 	clock := d.clock()
 	cfg := d.sess.svc.cfg
 	metrics, service := cfg.Metrics, cfg.Name
@@ -170,7 +225,13 @@ func (d *Distributor) renderFrame(ctx context.Context, w, h int, timers HedgeCon
 
 	planSpan := cfg.Tracer.Child(root.Context(), service, "plan")
 	snap := d.snapshot()
-	p, err := partition(snap, w, h)
+	var p *plan
+	var err error
+	if req.Mode == Tiles {
+		p, err = d.tileParts(snap, w, h)
+	} else {
+		p, err = d.nodeParts(snap, req)
+	}
 	if err != nil {
 		planSpan.EndStatus(telemetry.StatusError)
 		return nil, nil, err
@@ -235,7 +296,7 @@ func (d *Distributor) renderFrame(ctx context.Context, w, h int, timers HedgeCon
 		}()
 	}
 
-	rep := &HedgeReport{Tiles: len(p.parts)}
+	rep := &FrameReport{Parts: len(p.parts)}
 	pending := 0                 // parts queued or in flight, plus re-issues in flight
 	queued := map[string][]int{} // per busy service, the parts waiting their turn
 	dispatch := func(i int) {
@@ -305,7 +366,7 @@ func (d *Distributor) renderFrame(ctx context.Context, w, h int, timers HedgeCon
 		}
 		var more []part
 		if len(placed) > 0 {
-			np, err := partition(snapshot{handles: live.handles, assignment: placed}, w, h)
+			np, err := d.nodeParts(snapshot{handles: live.handles, assignment: placed}, req)
 			if err != nil {
 				return err
 			}
@@ -388,13 +449,16 @@ collect:
 			break collect
 		}
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, rep, err
+	}
 	now := clock.Now()
 	d.mu.Lock()
 	d.sweep(now)
 	d.mu.Unlock()
 
 	compSpan := cfg.Tracer.Child(root.Context(), service, "composite")
-	fb, degraded, err := assemble(w, h, p)
+	fb, degraded, err := d.assemble(req, p)
 	if err != nil {
 		compSpan.EndStatus(telemetry.StatusError)
 		return nil, rep, err
@@ -414,89 +478,63 @@ collect:
 	return fb, rep, nil
 }
 
-// subsetParts is the dataset-distribution partitioner (§3.2.5): every
-// assigned service gets its nodes as a scene subset (with ancestors
-// retained for world orientation) to render over the whole frame under
-// the shared camera.
-func (d *Distributor) subsetParts(snap snapshot, w, h int) (*plan, error) {
+// nodeParts is the partitioner of the node modes, from the assignment.
+// Subsets gives every assigned service one part, its nodes as a scene
+// subset (with ancestors retained for world orientation), in service
+// order. Slabs gives every assigned node a part of its own on its service,
+// in node order, carrying the node's world-space distance from the camera
+// for the blend order. Every part is drawn over the whole frame under the
+// shared camera.
+func (d *Distributor) nodeParts(snap snapshot, req FrameRequest) (*plan, error) {
 	if len(snap.assignment) == 0 {
 		return nil, fmt.Errorf("dataservice: no distribution planned")
 	}
-	names := make([]string, 0, len(snap.assignment))
-	for name := range snap.assignment {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	cam := renderservice.CameraFromState(d.sess.Camera())
-	job := RenderJob{Camera: cam, Rect: image.Rect(0, 0, w, h), FullW: w, FullH: h}
 	p := &plan{span: "render-subset"}
+	if req.Mode == Slabs {
+		p.span = "render-slab"
+	}
+	for name, ids := range snap.assignment {
+		if req.Mode == Subsets {
+			p.parts = append(p.parts, part{service: name, nodes: ids})
+			continue
+		}
+		for _, id := range ids {
+			p.parts = append(p.parts, part{service: name, nodes: []scene.NodeID{id}})
+		}
+	}
+	sort.Slice(p.parts, func(i, j int) bool {
+		if req.Mode == Subsets {
+			return p.parts[i].service < p.parts[j].service
+		}
+		return p.parts[i].nodes[0] < p.parts[j].nodes[0]
+	})
+	cam := renderservice.CameraFromState(d.sess.Camera())
+	job := RenderJob{Camera: cam, Rect: image.Rect(0, 0, req.W, req.H), FullW: req.W, FullH: req.H}
 	var err error
 	d.sess.Scene(func(sc *scene.Scene) {
-		for _, name := range names {
-			if job.Scene, err = sc.ExtractSubset(snap.assignment[name]); err != nil {
+		for i := range p.parts {
+			pt := &p.parts[i]
+			pt.job = job
+			if pt.job.Scene, err = sc.ExtractSubset(pt.nodes); err != nil {
 				return
 			}
-			p.parts = append(p.parts, part{service: name, job: job, nodes: snap.assignment[name]})
+			if req.Mode == Subsets {
+				continue
+			}
+			id := pt.nodes[0]
+			var world mathx.Mat4
+			if world, err = sc.WorldTransform(id); err != nil {
+				return
+			}
+			n := sc.Node(id)
+			if n == nil || n.Payload == nil {
+				err = fmt.Errorf("dataservice: node %d lost during render", id)
+				return
+			}
+			pt.viewDistance = n.Payload.BoundsLocal().Transform(world).Center().Dist(cam.Eye)
 		}
 	})
 	return p, err
-}
-
-// compositeSubsets is the dataset-distribution assembler: the parts'
-// frame+depth buffers are depth-composited, each painted into the frame
-// as it was sent. The composition is order-independent since payloads
-// are opaque, but for ties, which go to the part planned first.
-func compositeSubsets(w, h int, p *plan) (*raster.Framebuffer, []image.Rectangle, error) {
-	parts, err := p.complete()
-	if err != nil {
-		return nil, nil, err
-	}
-	tiles := make([]compositor.Tile, len(parts))
-	for i, pt := range parts {
-		tiles[i] = pt.tile
-	}
-	fb, err := compositor.CompositeTiles(w, h, tiles)
-	return fb, nil, err
-}
-
-// RenderDistributed performs one distributed frame by dataset
-// distribution: every assigned service renders its scene subset and the
-// results are depth-composited (§3.2.5). A service that fails mid-frame
-// is detached and what it had not drawn is re-placed and drawn elsewhere
-// within the frame, so thin clients keep receiving frames while the
-// fabric degrades and heals (§3.2.7); a typed decline fails the frame.
-func (d *Distributor) RenderDistributed(w, h int) (*raster.Framebuffer, error) {
-	fb, _, err := d.renderFrame(context.TODO(), w, h, HedgeConfig{}, d.subsetParts, compositeSubsets)
-	return fb, err
-}
-
-// HedgeConfig tunes the hedged tile path.
-type HedgeConfig struct {
-	// FrameDeadline is the hard per-frame budget: at this point the
-	// frame force-assembles with missing tiles degraded. Defaults to
-	// 250ms.
-	FrameDeadline time.Duration
-	// HedgeDelay is the soft per-tile deadline: a tile still missing
-	// after it is re-issued to the most-spare other peer. Defaults to
-	// FrameDeadline/4 (and is clamped below FrameDeadline).
-	HedgeDelay time.Duration
-}
-
-// HedgeReport summarizes one hedged frame.
-type HedgeReport struct {
-	// Tiles is the number of planned tile regions.
-	Tiles int
-	// Hedged counts backup requests issued (soft-deadline misses and
-	// immediate re-issues after a decline).
-	Hedged int
-	// HedgeWins counts regions whose first result came from a backup.
-	HedgeWins int
-	// Declined counts typed refusals.
-	Declined int
-	// Degraded lists regions force-assembled from the fallback frame.
-	Degraded []image.Rectangle
-	// Latency is the frame's wall time on the session clock.
-	Latency time.Duration
 }
 
 // tileParts is the framebuffer-distribution partitioner (§3.2.5): the
@@ -542,53 +580,83 @@ func (d *Distributor) tileParts(snap snapshot, w, h int) (*plan, error) {
 	return p, nil
 }
 
-// assembleTiles is the framebuffer-distribution assembler: arrived
-// tiles are painted into place and a missing one degrades to its region
-// of the last good frame of this size, which this frame then becomes.
-func (d *Distributor) assembleTiles(w, h int, p *plan) (*raster.Framebuffer, []image.Rectangle, error) {
-	rects := make([]image.Rectangle, len(p.parts))
-	for i, pt := range p.parts {
-		rects[i] = pt.job.Rect
-	}
-	sync, err := compositor.NewSynchronizer(w, h, rects)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, pt := range p.parts {
-		if pt.ok {
-			if err := sync.Submit(pt.tile); err != nil {
-				return nil, nil, err
+// assemble makes a plan's frame by its mode. Tiles: arrived tiles are
+// painted into place and a missing one degrades to its region of the last
+// good frame of this size, which this frame then becomes. The node modes
+// need every part not replaced, taken in plan order: subsets are
+// depth-composited, each painted into the frame as it was sent
+// (order-independent since payloads are opaque, but for ties, which go to
+// the part planned first); slabs are blended back to front by view
+// distance at the request's opacity.
+func (d *Distributor) assemble(req FrameRequest, p *plan) (*raster.Framebuffer, []image.Rectangle, error) {
+	w, h := req.W, req.H
+	if req.Mode == Tiles {
+		rects := make([]image.Rectangle, len(p.parts))
+		for i, pt := range p.parts {
+			rects[i] = pt.job.Rect
+		}
+		sync, err := compositor.NewSynchronizer(w, h, rects)
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, pt := range p.parts {
+			if pt.ok {
+				if err := sync.Submit(pt.tile); err != nil {
+					return nil, nil, err
+				}
 			}
 		}
+		d.mu.Lock()
+		fallback := d.lastFrame
+		d.mu.Unlock()
+		if fallback != nil && (fallback.W != w || fallback.H != h) {
+			fallback = nil
+		}
+		fb, _, degraded, err := sync.AssembleDegraded(fallback)
+		if err != nil {
+			return nil, nil, err
+		}
+		d.mu.Lock()
+		d.lastFrame = fb
+		d.mu.Unlock()
+		return fb, degraded, nil
 	}
-	d.mu.Lock()
-	fallback := d.lastFrame
-	d.mu.Unlock()
-	if fallback != nil && (fallback.W != w || fallback.H != h) {
-		fallback = nil
+	var tiles []compositor.Tile
+	var layers []compositor.VolumeLayer
+	for i := range p.parts {
+		switch pt := &p.parts[i]; {
+		case pt.replaced:
+		case !pt.ok:
+			return nil, nil, fmt.Errorf("dataservice: render on %s: %w", pt.service, pt.err)
+		case req.Mode == Subsets:
+			tiles = append(tiles, pt.tile)
+		default:
+			fb, err := pt.tile.Dense() // blending reads every pixel of every layer
+			if err != nil {
+				return nil, nil, err
+			}
+			layers = append(layers, compositor.VolumeLayer{FB: fb, Opacity: req.Opacity, ViewDistance: pt.viewDistance})
+		}
 	}
-	fb, _, degraded, err := sync.AssembleDegraded(fallback)
-	if err != nil {
-		return nil, nil, err
+	if req.Mode == Subsets {
+		fb, err := compositor.CompositeTiles(w, h, tiles)
+		return fb, nil, err
 	}
-	d.mu.Lock()
-	d.lastFrame = fb
-	d.mu.Unlock()
-	return fb, degraded, nil
+	fb, err := compositor.BlendVolume(w, h, layers)
+	return fb, nil, err
 }
 
-// RenderTilesHedged renders one frame by framebuffer distribution with
-// overload protection end to end: tileParts plans around open peers,
-// renderFrame hedges stragglers and cuts the collection at the hard
-// deadline, assembleTiles degrades what is still missing. The frame is
-// therefore never lost and never later than the deadline plus one
-// scheduling quantum.
-func (d *Distributor) RenderTilesHedged(ctx context.Context, w, h int, cfg HedgeConfig) (*raster.Framebuffer, *HedgeReport, error) {
-	if cfg.FrameDeadline <= 0 {
-		cfg.FrameDeadline = 250 * time.Millisecond
-	}
-	if cfg.HedgeDelay <= 0 || cfg.HedgeDelay >= cfg.FrameDeadline {
-		cfg.HedgeDelay = cfg.FrameDeadline / 4
-	}
-	return d.renderFrame(ctx, w, h, cfg, d.tileParts, d.assembleTiles)
+// RenderDistributed is Render of a Subsets frame without timers.
+//
+// Deprecated: bench/ only, until the benchmark harness calls Render.
+func (d *Distributor) RenderDistributed(w, h int) (*raster.Framebuffer, error) {
+	fb, _, err := d.Render(context.TODO(), FrameRequest{W: w, H: h, Mode: Subsets})
+	return fb, err
+}
+
+// RenderTilesHedged is Render of a Tiles frame under cfg's timers.
+//
+// Deprecated: bench/ only, until the benchmark harness calls Render.
+func (d *Distributor) RenderTilesHedged(ctx context.Context, w, h int, cfg HedgeConfig) (*raster.Framebuffer, *FrameReport, error) {
+	return d.Render(ctx, FrameRequest{W: w, H: h, Mode: Tiles, Timers: cfg})
 }

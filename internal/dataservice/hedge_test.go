@@ -105,9 +105,9 @@ func TestHedgedAllFast(t *testing.T) {
 	stop := drive(clk)
 	defer stop()
 
-	fb, rep, err := d.RenderTilesHedged(context.Background(), 32, 32, HedgeConfig{
+	fb, rep, err := d.Render(context.Background(), FrameRequest{W: 32, H: 32, Mode: Tiles, Timers: HedgeConfig{
 		FrameDeadline: 100 * time.Millisecond, HedgeDelay: 40 * time.Millisecond,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +117,8 @@ func TestHedgedAllFast(t *testing.T) {
 	if rep.Hedged != 0 || rep.HedgeWins != 0 || len(rep.Degraded) != 0 {
 		t.Fatalf("fast path hedged/degraded: %+v", rep)
 	}
-	if rep.Tiles != 2 {
-		t.Fatalf("tiles = %d, want 2", rep.Tiles)
+	if rep.Parts != 2 {
+		t.Fatalf("tiles = %d, want 2", rep.Parts)
 	}
 	if rep.Latency <= 0 || rep.Latency > 100*time.Millisecond {
 		t.Fatalf("latency = %v", rep.Latency)
@@ -136,9 +136,9 @@ func TestHedgedStragglerRescued(t *testing.T) {
 	stop := drive(clk)
 	defer stop()
 
-	fb, rep, err := d.RenderTilesHedged(context.Background(), 32, 32, HedgeConfig{
+	fb, rep, err := d.Render(context.Background(), FrameRequest{W: 32, H: 32, Mode: Tiles, Timers: HedgeConfig{
 		FrameDeadline: 200 * time.Millisecond, HedgeDelay: 30 * time.Millisecond,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +168,14 @@ func TestHedgedDegradesWhenNoSpare(t *testing.T) {
 
 	cfg := HedgeConfig{FrameDeadline: 100 * time.Millisecond, HedgeDelay: 30 * time.Millisecond}
 	// Frame 1 succeeds and becomes the last good frame.
-	if _, _, err := d.RenderTilesHedged(context.Background(), 32, 32, cfg); err != nil {
+	if _, _, err := d.Render(context.Background(), FrameRequest{W: 32, H: 32, Mode: Tiles, Timers: cfg}); err != nil {
 		t.Fatal(err)
 	}
 	// Frame 2: the peer stalls; the frame must still ship by deadline.
 	only.mu.Lock()
 	only.delay = time.Hour
 	only.mu.Unlock()
-	fb, rep, err := d.RenderTilesHedged(context.Background(), 32, 32, cfg)
+	fb, rep, err := d.Render(context.Background(), FrameRequest{W: 32, H: 32, Mode: Tiles, Timers: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,9 +204,9 @@ func TestHedgedDeclineFailsOverImmediately(t *testing.T) {
 
 	// HedgeDelay far beyond the hard deadline would never fire; only the
 	// decline-driven failover can rescue the busy peer's tile.
-	_, rep, err := d.RenderTilesHedged(context.Background(), 32, 32, HedgeConfig{
+	_, rep, err := d.Render(context.Background(), FrameRequest{W: 32, H: 32, Mode: Tiles, Timers: HedgeConfig{
 		FrameDeadline: 100 * time.Millisecond, HedgeDelay: 90 * time.Millisecond,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestHedgedPlansAroundUnavailable(t *testing.T) {
 
 	cfg := HedgeConfig{FrameDeadline: 100 * time.Millisecond}
 	for i := 0; i < breakerThreshold; i++ {
-		if _, _, err := d.RenderTilesHedged(context.Background(), 32, 32, cfg); err != nil {
+		if _, _, err := d.Render(context.Background(), FrameRequest{W: 32, H: 32, Mode: Tiles, Timers: cfg}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,14 +245,14 @@ func TestHedgedPlansAroundUnavailable(t *testing.T) {
 	open.mu.Unlock()
 	before := open.callCount()
 
-	_, rep, err := d.RenderTilesHedged(context.Background(), 32, 32, cfg)
+	_, rep, err := d.Render(context.Background(), FrameRequest{W: 32, H: 32, Mode: Tiles, Timers: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := open.callCount() - before; got != 0 {
 		t.Fatalf("breaker-open peer received %d tile calls", got)
 	}
-	if rep.Tiles != 1 || len(rep.Degraded) != 0 {
+	if rep.Parts != 1 || len(rep.Degraded) != 0 {
 		t.Fatalf("plan around open breaker failed: %+v", rep)
 	}
 	if !d.NeedRecruitment() {

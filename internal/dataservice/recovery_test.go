@@ -1,7 +1,9 @@
 package dataservice
 
 import (
+	"context"
 	"errors"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/compositor"
 	"repro/internal/device"
 	"repro/internal/renderservice"
+	"repro/internal/retry"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/vclock"
@@ -149,7 +152,7 @@ func (h *crashyHandle) Render(job RenderJob) (compositor.Tile, error) {
 }
 
 // TestKilledPeerPartIsReplaced: three services each own nodes, and one is
-// killed mid-reply. RenderDistributed detaches it, re-places its nodes on
+// killed mid-reply. A subset frame detaches it, re-places its nodes on
 // the survivors and draws just those there, within the same frame: the
 // frame matches a whole-scene render, and each survivor draws each of its
 // parts once — its own share is not redrawn. Nothing here waits on the
@@ -181,7 +184,7 @@ func TestKilledPeerPartIsReplaced(t *testing.T) {
 	}
 	orphans := asg["victim"]
 
-	fb, err := d.RenderDistributed(64, 64)
+	fb, _, err := d.Render(context.Background(), FrameRequest{W: 64, H: 64, Mode: Subsets})
 	if err != nil {
 		t.Fatalf("frame lost with its victim: %v", err)
 	}
@@ -262,7 +265,7 @@ func TestFailureDuringInFlightMigration(t *testing.T) {
 	// The migration destination crashes with the moves in flight.
 	fast.dead.Store(true)
 
-	fb, err := d.RenderDistributed(64, 64)
+	fb, _, err := d.Render(context.Background(), FrameRequest{W: 64, H: 64, Mode: Subsets})
 	if err != nil {
 		t.Fatalf("render through the failure: %v", err)
 	}
@@ -332,7 +335,7 @@ func TestRenderDuringMigration(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 40; i++ {
-		if _, err := d.RenderDistributed(32, 32); err != nil {
+		if _, _, err := d.Render(context.Background(), FrameRequest{W: 32, H: 32, Mode: Subsets}); err != nil {
 			t.Errorf("frame %d: %v", i, err)
 			break
 		}
@@ -347,5 +350,55 @@ func TestRenderDuringMigration(t *testing.T) {
 	}
 	if total != 6 {
 		t.Errorf("assignment holds %d of 6 nodes after concurrent migration", total)
+	}
+}
+
+// failingSource is a discovery source that never answers.
+type failingSource struct{}
+
+func (failingSource) ScanAccessPoints(string) ([]string, error) {
+	return nil, errors.New("registry unreachable")
+}
+
+// TestSubsetFrameCancelledDuringRecovery: the only service fails its part,
+// and recovery retries recruitment forever on a clock no one advances.
+// Cancelling the frame's ctx ends it with context.Canceled.
+func TestSubsetFrameCancelledDuringRecovery(t *testing.T) {
+	clk := vclock.NewVirtual(time.Unix(1000, 0))
+	svc := New(Config{Name: "data", Clock: clk})
+	sess := multiMeshSession(t, svc, 2)
+	d := sess.NewDistributor(balance.DefaultThresholds())
+	victim := &crashyHandle{inner: &localHandle{newRender("victim", device.SGIOnyx)}}
+	if err := d.AddService(victim); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Distribute(); err != nil {
+		t.Fatal(err)
+	}
+	d.SetRecruiter(failingSource{}, func(string) (RenderHandle, error) {
+		return nil, errors.New("nothing to dial")
+	}, retry.Policy{MaxAttempts: 0, BaseDelay: time.Second})
+	victim.dead.Store(true)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := d.Render(ctx, FrameRequest{W: 32, H: 32, Mode: Subsets})
+		done <- err
+	}()
+	for start := time.Now(); clk.PendingWaiters() == 0; runtime.Gosched() { // recruitment's backoff
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("recovery never backed off")
+		}
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled frame returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the frame did not return once cancelled")
 	}
 }

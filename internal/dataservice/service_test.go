@@ -2,6 +2,7 @@ package dataservice
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net"
 	"net/http/httptest"
@@ -355,7 +356,7 @@ func TestDistributeAndRenderDistributed(t *testing.T) {
 	}
 
 	// Distributed render equals a single whole-scene render.
-	combined, err := d.RenderDistributed(96, 96)
+	combined, _, err := d.Render(context.Background(), FrameRequest{W: 96, H: 96, Mode: Subsets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,6 +372,47 @@ func TestDistributeAndRenderDistributed(t *testing.T) {
 	}
 	if frac := float64(diff) / float64(len(whole.Color)); frac > 0.01 {
 		t.Errorf("distributed render differs on %.2f%% of bytes", frac*100)
+	}
+}
+
+// TestBadFrameSizeFailsNoService: a frame no service would draw — either
+// side zero, negative or past the 8192 limit — is refused before it is
+// planned, in every mode. No service is asked to render it, none is
+// failed for refusing it, and the next frame renders on the same plan.
+func TestBadFrameSizeFailsNoService(t *testing.T) {
+	svc := New(Config{Name: "data"})
+	sess := multiMeshSession(t, svc, 4)
+	d := sess.NewDistributor(balance.DefaultThresholds())
+	rs1, rs2 := newRender("rs1", device.AthlonDesktop), newRender("rs2", device.AthlonDesktop)
+	for _, rs := range []*renderservice.Service{rs1, rs2} {
+		if err := d.AddService(&localHandle{rs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := d.Distribute(); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []Mode{Tiles, Subsets, Slabs} {
+		for _, size := range [][2]int{{0, 0}, {9000, 10}, {-1, 5}} {
+			req := FrameRequest{W: size[0], H: size[1], Mode: mode, Opacity: 1}
+			if _, _, err := d.Render(context.Background(), req); err == nil {
+				t.Errorf("mode %d: a %dx%d frame rendered", mode, size[0], size[1])
+			}
+		}
+	}
+	if failed := failedOf(d, "rs1", "rs2"); len(failed) != 0 {
+		t.Errorf("failed for a bad request: %v", failed)
+	}
+	for _, rs := range []*renderservice.Service{rs1, rs2} {
+		if admitted, _ := rs.AdmissionStats(); admitted != 0 {
+			t.Errorf("%s admitted %d renders of a bad size", rs.Name(), admitted)
+		}
+	}
+	if asg := d.Assignment(); len(asg) != 2 {
+		t.Errorf("assignment after bad frames: %v", asg)
+	}
+	if fb, _, err := d.Render(context.Background(), FrameRequest{W: 64, H: 64, Mode: Subsets}); err != nil || fb.CoveredPixels() == 0 {
+		t.Errorf("the frame after the bad ones: %v", err)
 	}
 }
 
@@ -462,7 +504,7 @@ func TestMigrationViaLoadReports(t *testing.T) {
 		}
 	}
 	// The distributed render still works after migration.
-	if _, err := d.RenderDistributed(64, 64); err != nil {
+	if _, _, err := d.Render(context.Background(), FrameRequest{W: 64, H: 64, Mode: Subsets}); err != nil {
 		t.Fatal(err)
 	}
 }

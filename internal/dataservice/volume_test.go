@@ -1,6 +1,7 @@
 package dataservice
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/balance"
@@ -102,7 +103,7 @@ func TestRenderVolumeDistributed(t *testing.T) {
 
 	// Opaque layers: the blended result covers about what a single
 	// whole-volume render covers.
-	blended, err := d.RenderVolumeDistributed(96, 96, 1.0)
+	blended, _, err := d.Render(context.Background(), FrameRequest{W: 96, H: 96, Mode: Slabs, Opacity: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestRenderVolumeDistributed(t *testing.T) {
 	}
 
 	// Semi-transparent layers still render, and differ from opaque.
-	translucent, err := d.RenderVolumeDistributed(96, 96, 0.4)
+	translucent, _, err := d.Render(context.Background(), FrameRequest{W: 96, H: 96, Mode: Slabs, Opacity: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +128,31 @@ func TestRenderVolumeDistributed(t *testing.T) {
 
 	// Without a plan there is nothing to render.
 	empty := sess.NewDistributor(balance.DefaultThresholds())
-	if _, err := empty.RenderVolumeDistributed(32, 32, 1); err == nil {
+	if _, _, err := empty.Render(context.Background(), FrameRequest{W: 32, H: 32, Mode: Slabs, Opacity: 1}); err == nil {
 		t.Error("render without distribution accepted")
+	}
+}
+
+// TestSlabOpacityRefusedBeforeRendering: a slab frame at an opacity no
+// blend accepts is refused before any slab is rendered.
+func TestSlabOpacityRefusedBeforeRendering(t *testing.T) {
+	sess, id := volumeSession(t)
+	if _, err := sess.SplitVolumeNode(id, 3); err != nil {
+		t.Fatal(err)
+	}
+	d := sess.NewDistributor(balance.DefaultThresholds())
+	rs := newRender("v1", device.SGIOnyx)
+	d.AddService(&localHandle{rs})
+	if _, err := d.Distribute(); err != nil {
+		t.Fatal(err)
+	}
+	for _, opacity := range []float64{0, -0.5, 1.5} {
+		if _, _, err := d.Render(context.Background(), FrameRequest{W: 64, H: 64, Mode: Slabs, Opacity: opacity}); err == nil {
+			t.Errorf("opacity %v accepted", opacity)
+		}
+	}
+	if admitted, _ := rs.AdmissionStats(); admitted != 0 {
+		t.Errorf("%d slab renders admitted before the opacity was refused", admitted)
 	}
 }
 
@@ -149,7 +173,7 @@ func TestRenderVolumeManySlabsOneService(t *testing.T) {
 	if _, err := d.Distribute(); err != nil {
 		t.Fatal(err)
 	}
-	fb, err := d.RenderVolumeDistributed(64, 64, 1.0)
+	fb, _, err := d.Render(context.Background(), FrameRequest{W: 64, H: 64, Mode: Slabs, Opacity: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}

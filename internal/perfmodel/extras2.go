@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"context"
 	"fmt"
 	"image"
 
@@ -69,11 +70,11 @@ func VolumeDemo() (*VolumeDemoResult, error) {
 	if _, err := dist.Distribute(); err != nil {
 		return nil, err
 	}
-	opaque, err := dist.RenderVolumeDistributed(320, 240, 1.0)
+	opaque, _, err := dist.Render(context.TODO(), dataservice.FrameRequest{W: 320, H: 240, Mode: dataservice.Slabs, Opacity: 1})
 	if err != nil {
 		return nil, err
 	}
-	translucent, err := dist.RenderVolumeDistributed(320, 240, 0.35)
+	translucent, _, err := dist.Render(context.TODO(), dataservice.FrameRequest{W: 320, H: 240, Mode: dataservice.Slabs, Opacity: 0.35})
 	if err != nil {
 		return nil, err
 	}

@@ -363,6 +363,19 @@ type Job struct {
 	Trace telemetry.SpanContext
 }
 
+// Check reports whether the service renders the job's size: either side
+// of the frame in 1..8192 and a non-empty region inside it. A job that
+// fails it is refused before admission.
+func (j Job) Check() error {
+	if j.FullW <= 0 || j.FullH <= 0 || j.FullW > maxFrameDim || j.FullH > maxFrameDim {
+		return fmt.Errorf("renderservice: bad frame size %dx%d", j.FullW, j.FullH)
+	}
+	if j.Rect.Empty() || !j.Rect.In(image.Rect(0, 0, j.FullW, j.FullH)) {
+		return fmt.Errorf("renderservice: bad tile %v of %dx%d", j.Rect, j.FullW, j.FullH)
+	}
+	return nil
+}
+
 // RenderFrame renders a full frame at w x h for the given viewer (whose
 // own avatar is hidden).
 func (sess *Session) RenderFrame(w, h int, viewer string) (*Frame, error) {
@@ -407,11 +420,8 @@ func (s *Service) renderInto(j Job, fb *raster.Framebuffer) (frame *Frame, err e
 			span.EndStatus(telemetry.StatusError)
 		}
 	}()
-	if j.FullW <= 0 || j.FullH <= 0 || j.FullW > maxFrameDim || j.FullH > maxFrameDim {
-		return nil, fmt.Errorf("renderservice: bad frame size %dx%d", j.FullW, j.FullH)
-	}
-	if j.Rect.Empty() || !j.Rect.In(image.Rect(0, 0, j.FullW, j.FullH)) {
-		return nil, fmt.Errorf("renderservice: bad tile %v of %dx%d", j.Rect, j.FullW, j.FullH)
+	if err := j.Check(); err != nil {
+		return nil, err
 	}
 	release, err := s.adm.Admit(s.cfg.Name, j.Interactive, j.Deadline)
 	if err != nil {
