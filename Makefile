@@ -140,9 +140,10 @@ race:
 # bytes from outside the process (the op-stream follower, the registry's
 # SOAP dispatcher, the transport's frame reader, marshal's op, scene and
 # frame decoders, the wal segment scanner that reads journals and audit
-# trails back, the thin client's image decoder), the rasterizer's edge
-# functions, and the tile frustum the render service culls nodes with.
-# go test takes one -fuzz target and one package per run.
+# trails back, the thin client's image decoder, the OBJ reader behind
+# -model file.obj), the rasterizer's edge functions, and the tile
+# frustum the render service culls nodes with: nine targets. go test
+# takes one -fuzz target and one package per run.
 fuzz-smoke:
 	$(GO) test ./internal/follow -run '^$$' -fuzz '^FuzzFollow$$' -fuzztime 10s
 	$(GO) test ./internal/uddi -run '^$$' -fuzz '^FuzzRegistryDispatch$$' -fuzztime 10s
@@ -152,10 +153,12 @@ fuzz-smoke:
 	$(GO) test ./internal/marshal -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
 	$(GO) test ./internal/dataservice/wal -run '^$$' -fuzz '^FuzzScan$$' -fuzztime 10s
 	$(GO) test ./internal/imgcodec -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
+	$(GO) test ./internal/geom/objply -run '^$$' -fuzz '^FuzzReadOBJ$$' -fuzztime 10s
 
 # bench-smoke runs each rasterizer, render-service, assembly and commit
 # microbenchmark once, so the ones EXPERIMENTS.md cites (BenchmarkElleFrame's
-# per-mesh and batched frames, BenchmarkRenderTile, BenchmarkAssemble's
+# per-mesh and batched frames, full-w2-batch reusing its lighting records
+# and full-w2-batch-moving relighting every frame, BenchmarkRenderTile, BenchmarkAssemble's
 # tiles and subsets painted from their replies as sent, BenchmarkCommitReshape's
 # journalled reshape fanned out to two sockets) keep compiling and running;
 # it times nothing.

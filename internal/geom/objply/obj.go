@@ -63,7 +63,7 @@ func ReadOBJ(r io.Reader) (*geom.Mesh, error) {
 	vertNormal := map[uint32]int{}
 
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // lines up to 1 MB; the buffer grows to the longest
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

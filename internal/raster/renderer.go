@@ -243,6 +243,11 @@ type meshPass struct {
 	light        mathx.Vec3
 	ambient      float64
 	defaultColor mathx.Vec3
+	// lit is the colours of the draw's Lighting record, nil without one.
+	// When reuse is set the vertex stage copies each colour from there;
+	// else it lights the vertex and, with a record, writes the colour back.
+	lit   []mathx.Vec3
+	reuse bool
 	// Full image size and the tile's origin in it, as the floats the
 	// projection multiplies by, and the tile's own size.
 	fullW, fullH, ox, oy float64
@@ -250,10 +255,55 @@ type meshPass struct {
 }
 
 // MeshDraw is one mesh of a RenderMeshes batch under its model
-// transform.
+// transform, lit from Lit when it is set.
 type MeshDraw struct {
 	Mesh  *geom.Mesh
 	Model mathx.Mat4
+	Lit   *Lighting
+}
+
+// Lighting is one mesh's lit colour per vertex, kept by the caller from
+// one draw to the next. Under the fixed world light a vertex's colour
+// reads the mesh, the model matrix, Opts.Light (normalized), Opts.Ambient
+// (clamped) and Opts.DefaultColor, and never the camera; the record keeps
+// those as its key. A draw whose key compares equal, value by value,
+// copies the colours; any other draw lights every vertex with the same
+// expressions in the same vertex stage and writes key and colours back. Equal inputs
+// light alike, so a copied colour is the one lighting would compute (a
+// NaN in the key never compares equal, so it relights every draw; -0 and
+// +0 compare equal and can change a colour only in the sign of a zero,
+// which no later stage tells apart). The whole model matrix is in the
+// key: lighting multiplies its translation column by 0, which is NaN for
+// a translation that is not finite. The owner must not change a mesh in
+// place while a record keyed on it is kept. A record serves one draw of
+// one render call at a time; a second draw of a batch naming it is lit
+// without it. The zero value is an empty record.
+type Lighting struct {
+	mesh         *geom.Mesh
+	model        mathx.Mat4
+	light        mathx.Vec3
+	ambient      float64
+	defaultColor mathx.Vec3
+	colors       []mathx.Vec3
+	busy         bool
+}
+
+// claim gives p the record's colours and reports whether they are p's:
+// the key equals p's. When it does not, it is set to p's.
+func (l *Lighting) claim(p *meshPass) bool {
+	nv := len(p.mesh.Positions)
+	hit := l.mesh == p.mesh && l.model == p.model && l.light == p.light &&
+		l.ambient == p.ambient && l.defaultColor == p.defaultColor && len(l.colors) == nv
+	if !hit {
+		l.mesh, l.model, l.light, l.ambient, l.defaultColor = p.mesh, p.model, p.light, p.ambient, p.defaultColor
+		if cap(l.colors) < nv {
+			l.colors = make([]mathx.Vec3, nv)
+		}
+		l.colors = l.colors[:nv]
+	}
+	l.busy = true
+	p.lit = l.colors
+	return hit
 }
 
 // RenderMesh draws the mesh under the given model transform and camera:
@@ -302,6 +352,9 @@ func (r *Renderer) RenderMeshes(batch []MeshDraw, cam Camera) {
 	for k, d := range batch {
 		p := frame
 		p.mesh, p.model, p.mvp = d.Mesh, d.Model, vp.Mul(d.Model)
+		if d.Lit != nil && !d.Lit.busy {
+			p.reuse = d.Lit.claim(&p)
+		}
 		s.passes = append(s.passes, p)
 		s.meshes[k].size(len(d.Mesh.Positions), workers)
 	}
@@ -323,6 +376,11 @@ func (r *Renderer) RenderMeshes(batch []MeshDraw, cam Camera) {
 	// and the bands are disjoint, so the pixel buffers need no locking.
 	fork(r.Opts.Workers, r.FB.H, func(_, y0, y1 int) { r.timedBand(meshes, y0, y1) })
 	clear(s.passes) // the scratch outlives the call; the meshes are not its to keep
+	for _, d := range batch {
+		if d.Lit != nil {
+			d.Lit.busy = false
+		}
+	}
 }
 
 // clipPos is vertex i's clip-space position. shade and the clip path
@@ -332,25 +390,33 @@ func (p *meshPass) clipPos(i uint32) mathx.Vec4 {
 	return p.mvp.MulVec4(mathx.FromPoint(p.mesh.Positions[i]))
 }
 
-// shade is the vertex stage over vertices [lo, hi): light every vertex
-// and, when it is in front of the near plane, project it — each record
-// written once, in place, so a mesh with shared vertices projects each
-// once instead of once per incident triangle.
+// shade is the vertex stage over vertices [lo, hi): light every vertex,
+// or copy its colour from a Lighting record whose key matched, and, when
+// it is in front of the near plane, project it — each record written
+// once, in place, so a mesh with shared vertices projects each once
+// instead of once per incident triangle.
 func (p *meshPass) shade(ms *meshScratch, lo, hi int) {
 	m := p.mesh
 	for i := lo; i < hi; i++ {
 		v := &ms.verts[i]
-		base := &p.defaultColor
-		if m.Colors != nil {
-			base = &m.Colors[i]
+		if p.reuse {
+			v.color = p.lit[i]
+		} else {
+			base := &p.defaultColor
+			if m.Colors != nil {
+				base = &m.Colors[i]
+			}
+			intensity := 1.0
+			if m.Normals != nil {
+				n := p.model.TransformDir(m.Normals[i]).Normalize()
+				diffuse := max(0, n.Dot(p.light))
+				intensity = p.ambient + (1-p.ambient)*diffuse
+			}
+			v.color = base.Scale(intensity)
+			if p.lit != nil {
+				p.lit[i] = v.color
+			}
 		}
-		intensity := 1.0
-		if m.Normals != nil {
-			n := p.model.TransformDir(m.Normals[i]).Normalize()
-			diffuse := max(0, n.Dot(p.light))
-			intensity = p.ambient + (1-p.ambient)*diffuse
-		}
-		v.color = base.Scale(intensity)
 		clip := p.clipPos(uint32(i))
 		ms.ready[i] = 0
 		if clip.Z+clip.W > nearEps && clip.W > nearEps {

@@ -124,6 +124,17 @@ type Session struct {
 	// frames, sized by the first and reused by every one after.
 	scratch raster.Scratch
 
+	// lit holds the lighting record of each mesh payload the replica's
+	// last frame or tile drew, so the next one lit under the same model
+	// transform copies its colours instead of relighting them. A payload
+	// is a sound key because a scene never mutates one it holds (see
+	// scene.Payload): a changed mesh arrives as a new payload. After each
+	// draw only the payloads it drew keep a record (draws stamps them),
+	// and an op or reset that replaces a payload drops its record, so
+	// the records keep no replaced payload alive.
+	lit   map[*scene.MeshPayload]*litRecord
+	draws uint64
+
 	// enc encodes for the session's in-process users (EncodeFrame); a
 	// viewer on a socket has its own (ServeClient).
 	enc *imgcodec.Adaptive
@@ -199,19 +210,46 @@ func (s *Service) SessionNamed(name string) (*Session, bool) {
 	return sess, ok
 }
 
-// ApplyOp applies one scene update to the replica.
+// ApplyOp applies one scene update to the replica. A mesh payload the op
+// replaces or removes loses its lighting record at once: a replica that
+// draws rarely (its viewers idle while an editor reshapes the model)
+// would otherwise keep the replaced meshes until its next frame.
 func (sess *Session) ApplyOp(op scene.Op) error {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
+	switch o := op.(type) {
+	case *scene.SetPayloadOp:
+		sess.forget(sess.scene.Node(o.ID), false)
+	case *scene.RemoveNodeOp:
+		sess.forget(sess.scene.Node(o.ID), true)
+	}
 	return sess.scene.ApplyOp(op)
+}
+
+// forget drops the lighting record of n's mesh payload and, with
+// subtree, those of its descendants' payloads; n may be nil.
+func (sess *Session) forget(n *scene.Node, subtree bool) {
+	if n == nil {
+		return
+	}
+	if p, ok := n.Payload.(*scene.MeshPayload); ok {
+		delete(sess.lit, p)
+	}
+	if subtree {
+		for _, c := range n.Children {
+			sess.forget(c, true)
+		}
+	}
 }
 
 // ResetScene replaces the replica with a fresh snapshot — the resync path
 // after the versioned op stream detects dropped updates, and the
-// re-bootstrap path after a subscription reconnects.
+// re-bootstrap path after a subscription reconnects — and drops the
+// lighting records of the scene it replaces.
 func (sess *Session) ResetScene(snapshot *scene.Scene) {
 	sess.mu.Lock()
 	sess.scene = snapshot.Clone()
+	clear(sess.lit)
 	sess.mu.Unlock()
 }
 
@@ -251,19 +289,45 @@ func (sess *Session) SceneCost() scene.Cost {
 	return sess.scene.TotalCost()
 }
 
+// litRecord is a replica's lighting record for one mesh payload and the
+// draw that last used it.
+type litRecord struct {
+	raster.Lighting
+	draw uint64
+}
+
+// lighting returns p's record for the current draw, made on first use;
+// a nil session keeps none.
+func (sess *Session) lighting(p *scene.MeshPayload) *raster.Lighting {
+	if sess == nil {
+		return nil
+	}
+	rec := sess.lit[p]
+	if rec == nil {
+		if sess.lit == nil {
+			sess.lit = make(map[*scene.MeshPayload]*litRecord)
+		}
+		rec = new(litRecord)
+		sess.lit[p] = rec
+	}
+	rec.draw = sess.draws
+	return &rec.Lighting
+}
+
 // draw rasterizes sc under cam into fb — the tile region of a fullW x
 // fullH image — and returns the triangles drawn. A node is drawn only if
 // its bounds reach the tile's own frustum, so a part of a distributed
 // frame sets up only the triangles that can land in it; a tile is still
 // the crop of the frame it belongs to, byte for byte. Callers drawing a
-// replica hold its mutex and pass its scratch; then, with workers to
-// fork across, the mesh and avatar nodes are drawn as raster batches,
-// one flushed before each point cloud or voxel grid so scene order — and
-// with it every depth tie — is kept. Without a replica's scratch, or
-// with one worker, meshes are drawn one at a time on pooled scratch: a
-// batch holds every mesh's records at once, which only scratch that
-// lives with the replica pays for once.
-func (s *Service) draw(sc *scene.Scene, cam raster.Camera, fb *raster.Framebuffer, tile image.Rectangle, fullW, fullH int, viewer string, scratch *raster.Scratch) int {
+// replica hold its mutex and pass it (nil draws sc keeping no state):
+// its mesh payloads are lit from the replica's lighting records, and,
+// with workers to fork across, the mesh and avatar nodes are drawn as
+// raster batches on its scratch, one flushed before each point cloud or
+// voxel grid so scene order — and with it every depth tie — is kept.
+// Without a replica, or with one worker, meshes are drawn one at a time
+// on pooled scratch: a batch holds every mesh's records at once, which
+// only scratch that lives with the replica pays for once.
+func (s *Service) draw(sc *scene.Scene, cam raster.Camera, fb *raster.Framebuffer, tile image.Rectangle, fullW, fullH int, viewer string, sess *Session) int {
 	r := raster.New(fb)
 	r.Opts.Workers = s.cfg.Workers
 	r.Opts.Tile = tile
@@ -271,8 +335,11 @@ func (s *Service) draw(sc *scene.Scene, cam raster.Camera, fb *raster.Framebuffe
 	r.Opts.Metrics = s.cfg.Metrics
 	r.Opts.Service = s.cfg.Name
 	r.Opts.Clock = s.cfg.Clock
-	if s.cfg.Workers >= 2 {
-		r.Scratch = scratch
+	if sess != nil {
+		sess.draws++
+		if s.cfg.Workers >= 2 {
+			r.Scratch = &sess.scratch
+		}
 	}
 	frustum, splats := r.Frustum(cam), r.SplatFrustum(cam)
 	tris := 0
@@ -284,8 +351,8 @@ func (s *Service) draw(sc *scene.Scene, cam raster.Camera, fb *raster.Framebuffe
 			batch = batch[:0]
 		}
 	}
-	add := func(m *geom.Mesh, world mathx.Mat4) {
-		batch = append(batch, raster.MeshDraw{Mesh: m, Model: world})
+	add := func(m *geom.Mesh, world mathx.Mat4, lit *raster.Lighting) {
+		batch = append(batch, raster.MeshDraw{Mesh: m, Model: world, Lit: lit})
 		if r.Scratch == nil {
 			flush()
 		}
@@ -296,7 +363,7 @@ func (s *Service) draw(sc *scene.Scene, cam raster.Camera, fb *raster.Framebuffe
 		switch p := n.Payload.(type) {
 		case *scene.MeshPayload:
 			if frustum.IntersectsAABB(p.BoundsLocal().Transform(world)) {
-				add(p.Mesh, world)
+				add(p.Mesh, world, sess.lighting(p))
 			}
 		case *scene.PointsPayload:
 			if frustum.IntersectsAABB(p.BoundsLocal().Transform(world)) {
@@ -313,14 +380,22 @@ func (s *Service) draw(sc *scene.Scene, cam raster.Camera, fb *raster.Framebuffe
 				break
 			}
 			// Culled on the mesh it draws, which the payload's nominal
-			// box does not contain.
+			// box does not contain; lit every frame, since the mesh is
+			// new every frame.
 			if m := collab.AvatarMesh(p.Color); frustum.IntersectsAABB(m.Bounds().Transform(world)) {
-				add(m, world)
+				add(m, world, nil)
 			}
 		}
 		return true
 	})
 	flush()
+	if sess != nil {
+		for p, rec := range sess.lit {
+			if rec.draw != sess.draws {
+				delete(sess.lit, p)
+			}
+		}
+	}
 	return tris
 }
 
@@ -432,12 +507,11 @@ func (s *Service) renderInto(j Job, fb *raster.Framebuffer) (frame *Frame, err e
 	}
 	frame = &Frame{FB: fb}
 	sc, cam := j.Scene, j.Camera
-	var scratch *raster.Scratch
 	if sess := j.Session; sess != nil {
 		sess.mu.Lock()
-		sc, cam, frame.Version, scratch = sess.scene, sess.camera, sess.scene.Version, &sess.scratch
+		sc, cam, frame.Version = sess.scene, sess.camera, sess.scene.Version
 	}
-	tris := s.draw(sc, cam, frame.FB, j.Rect, j.FullW, j.FullH, j.Viewer, scratch)
+	tris := s.draw(sc, cam, frame.FB, j.Rect, j.FullW, j.FullH, j.Viewer, j.Session)
 	dt := s.cfg.Device.OffScreenTime(device.Workload{Triangles: tris, Pixels: j.Rect.Dx() * j.Rect.Dy()})
 	frame.DeviceTime = dt
 	if sess := j.Session; sess != nil {
