@@ -169,9 +169,14 @@ bench-smoke:
 
 # chaos runs the kill-and-recover suite twice under the race detector:
 # failover and recovery schedules are goroutine-heavy, and a second run
-# shakes out order-dependent flakes the first can mask.
+# shakes out order-dependent flakes the first can mask. The scenarios
+# on the driven clock (vclock's Drive) are then run at GOMAXPROCS 1, 2
+# and 8: a deadline a frame part misses must not depend on how many
+# goroutines run beside it.
 chaos:
 	$(GO) test ./internal/chaos/ -race -count=2
+	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test ./internal/chaos/ -count=3 \
+		-run '^(TestOverloadStalledPeerDegradesNotFreezes|TestStalledSubscriptionReconnects)$$' || exit 1; done
 
 # scale runs the reduced deterministic raveload scenario — 100 sessions
 # on 4 nodes with a mid-run node kill — and fails on any acceptance

@@ -44,9 +44,15 @@ func instant() netsim.Link {
 }
 
 // advance drives the virtual clock from a background goroutine until the
-// returned stop function is called. Fault decisions are pure functions
-// of (seed, write index), never of the advancement pace, so this only
-// provides liveness for clock-waiting code paths.
+// returned stop function is called, 5ms a step whatever else is running.
+// Fault decisions are pure functions of (seed, write index), never of the
+// advancement pace, but the pace turns host CPU time into virtual time:
+// it decides which deadlines a busy goroutine misses, so a scenario
+// whose assertions depend on a deadline or an idle timeout runs on
+// (*vclock.Virtual).Drive instead, which moves time only when every
+// goroutine is blocked. Drive does not fit a scenario that serves a real
+// socket (the httptest registry) or polls with a real time.Sleep
+// (waitFor): a goroutine in IO wait or a real sleep holds a driven clock.
 func advance(clk *vclock.Virtual) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -489,7 +495,7 @@ func TestDroppedOpsConvergeViaResync(t *testing.T) {
 // bootstrap cleanly on the second connection.
 func TestStalledSubscriptionReconnects(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
-	stop := advance(clk)
+	stop := clk.Drive()
 	defer stop()
 
 	svc := dataservice.New(dataservice.Config{Name: "data", Clock: clk})

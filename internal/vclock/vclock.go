@@ -2,10 +2,20 @@
 // device cost models can run either against the wall clock or against a
 // deterministic virtual clock that tests and the benchmark harness advance
 // manually.
+//
+// A Virtual clock is moved by Advance, or by Drive, which moves it only
+// when no other goroutine can run without it: every goroutine is parked
+// on a channel, a select or a sync primitive. It then jumps exactly to the
+// earliest pending timer. A goroutine on the CPU, in a system call, in a
+// real time.Sleep or waiting on a socket holds the clock, so real work
+// costs zero virtual time and only what a caller charges on the clock (the
+// device cost models) moves it.
 package vclock
 
 import (
+	"bytes"
 	"container/heap"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -102,7 +112,13 @@ func (v *Virtual) Sleep(d time.Duration) {
 // are reached, in deadline order.
 func (v *Virtual) Advance(d time.Duration) {
 	v.mu.Lock()
-	target := v.now.Add(d)
+	v.advanceTo(v.now.Add(d))
+	v.mu.Unlock()
+}
+
+// advanceTo fires the timers due by target, in deadline order, and sets
+// the clock to target. The caller holds v.mu.
+func (v *Virtual) advanceTo(target time.Time) {
 	for len(v.waiters) > 0 && !v.waiters[0].deadline.After(target) {
 		w := heap.Pop(&v.waiters).(*waiter)
 		v.now = w.deadline
@@ -110,7 +126,119 @@ func (v *Virtual) Advance(d time.Duration) {
 		w.ch <- v.now
 	}
 	v.now = target
-	v.mu.Unlock()
+}
+
+// advanceToNext moves the clock exactly to the earliest pending deadline,
+// firing every timer due then. It reports false when no timer is pending.
+func (v *Virtual) advanceToNext() bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if len(v.waiters) == 0 {
+		return false
+	}
+	v.advanceTo(v.waiters[0].deadline)
+	return true
+}
+
+// Drive moves the clock from a goroutine of its own until the returned
+// stop function is called. It advances only when every other goroutine
+// is durably blocked — parked in a wait that only another goroutine of
+// this process can end — and then exactly to the earliest pending
+// timer's deadline, never past it. So real CPU work costs zero virtual
+// time, and the deadlines a scenario sets are missed only by the cost it
+// charges on the clock, whatever GOMAXPROCS is and however fast the host.
+//
+// Each check reads the goroutine headers of one runtime.Stack snapshot,
+// which stops the world, so the states it reads are consistent. A state
+// it does not know as a wait — running, runnable, a system call, a real
+// time.Sleep, IO wait on a socket — holds the clock: a misread can stall
+// a run but never move time early. Two limits follow. A goroutine waiting
+// on a socket holds the clock for as long as the socket is open, so Drive
+// does not fit code with real network I/O. A goroutine receiving from a
+// real-time timer's channel reads as blocked, so code under Drive takes
+// its time from this clock.
+func (v *Virtual) Drive() (stop func()) {
+	done := make(chan struct{})
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		v.drive(done)
+	}()
+	return func() { close(done); <-exited }
+}
+
+// Polling bounds of Drive while some goroutine holds the clock: each
+// check stops the world, so an idle driver backs off rather than spin.
+const (
+	driveMinIdle = 20 * time.Microsecond
+	driveMaxIdle = time.Millisecond
+)
+
+// drive is Drive's loop.
+func (v *Virtual) drive(done <-chan struct{}) {
+	// Drivers, this one and any other in the process, are skipped by the
+	// name of this function in their stacks: they only sleep between
+	// checks and would otherwise hold each other's clocks.
+	pc, _, _, _ := runtime.Caller(0)
+	self := []byte("\n" + runtime.FuncForPC(pc).Name() + "(")
+	buf := make([]byte, 64<<10)
+	idle := driveMinIdle
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		var n int
+		for n = runtime.Stack(buf, true); n == len(buf); n = runtime.Stack(buf, true) {
+			buf = make([]byte, 2*len(buf))
+		}
+		if allBlocked(buf[:n], self) && v.advanceToNext() {
+			idle = driveMinIdle
+			runtime.Gosched()
+			continue
+		}
+		time.Sleep(idle)
+		idle = min(2*idle, driveMaxIdle)
+	}
+}
+
+// blockedStates are the goroutine wait states that only another goroutine
+// of this process can end (the runtime's waitReason strings, as printed
+// in a stack header "goroutine N [state, M minutes]:").
+var blockedStates = map[string]bool{
+	"chan receive":            true,
+	"chan receive (nil chan)": true,
+	"chan send":               true,
+	"chan send (nil chan)":    true,
+	"select":                  true,
+	"select (no cases)":       true,
+	"sync.Mutex.Lock":         true,
+	"sync.RWMutex.Lock":       true,
+	"sync.RWMutex.RLock":      true,
+	"sync.Cond.Wait":          true,
+	"sync.WaitGroup.Wait":     true,
+	"semacquire":              true,
+}
+
+// allBlocked reports whether every goroutine in the runtime.Stack dump,
+// apart from those whose stack holds the frame self, is in one of
+// blockedStates.
+func allBlocked(dump, self []byte) bool {
+	for _, g := range bytes.Split(dump, []byte("\n\n")) {
+		if bytes.Contains(g, self) {
+			continue
+		}
+		open, end := bytes.IndexByte(g, '['), bytes.IndexByte(g, ']')
+		if !bytes.HasPrefix(g, []byte("goroutine ")) || open < 0 || end < open {
+			return false
+		}
+		state, _, _ := bytes.Cut(g[open+1:end], []byte(","))
+		if !blockedStates[string(state)] {
+			return false
+		}
+	}
+	return true
 }
 
 // PendingWaiters reports how many timers are waiting on the clock.

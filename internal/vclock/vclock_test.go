@@ -139,3 +139,68 @@ func TestVirtualAdvanceFiresIntermediateDeadlines(t *testing.T) {
 		t.Errorf("waiters left: %d", v.PendingWaiters())
 	}
 }
+
+// TestDriveHoldsWhileAGoroutineRuns: a goroutine busy on the CPU holds a
+// driven clock, even with a timer pending; once it parks, the clock
+// moves to the timer.
+func TestDriveHoldsWhileAGoroutineRuns(t *testing.T) {
+	v := NewVirtual(epoch)
+	timer := v.After(time.Second)
+	spun := make(chan time.Time)
+	go func() {
+		for start := time.Now(); time.Since(start) < 100*time.Millisecond; {
+		}
+		spun <- v.Now()
+	}()
+	stop := v.Drive()
+	defer stop()
+	if got := <-spun; !got.Equal(epoch) {
+		t.Fatalf("clock moved to %v while a goroutine was running", got)
+	}
+	if got := <-timer; !got.Equal(epoch.Add(time.Second)) {
+		t.Fatalf("timer fired at %v", got)
+	}
+}
+
+// TestDriveJumpsToEarliestDeadline: with every goroutine blocked, a
+// driven clock moves exactly to the earliest pending deadline and stops
+// there until the woken goroutine blocks again. The deadlines lie off any
+// round step, so a clock that moves in fixed steps overshoots them.
+func TestDriveJumpsToEarliestDeadline(t *testing.T) {
+	v := NewVirtual(epoch)
+	d1, d2 := 3*time.Second+time.Microsecond, 7*time.Second+3*time.Microsecond
+	first, second := v.After(d1), v.After(d2)
+	stop := v.Drive()
+	defer stop()
+	for _, c := range []struct {
+		ch <-chan time.Time
+		d  time.Duration
+	}{{first, d1}, {second, d2}} {
+		if got := <-c.ch; !got.Equal(epoch.Add(c.d)) {
+			t.Fatalf("timer due at +%v fired at %v", c.d, got)
+		}
+		if got := v.Now(); !got.Equal(epoch.Add(c.d)) {
+			t.Fatalf("clock at %v after the timer due at +%v, want exactly its deadline", got, c.d)
+		}
+	}
+}
+
+// TestDriveHoldsDuringRealSleep: a goroutine in a real time.Sleep holds a
+// driven clock.
+func TestDriveHoldsDuringRealSleep(t *testing.T) {
+	v := NewVirtual(epoch)
+	timer := v.After(time.Second)
+	slept := make(chan time.Time)
+	go func() {
+		time.Sleep(100 * time.Millisecond)
+		slept <- v.Now()
+	}()
+	stop := v.Drive()
+	defer stop()
+	if got := <-slept; !got.Equal(epoch) {
+		t.Fatalf("clock moved to %v during a real sleep", got)
+	}
+	if got := <-timer; !got.Equal(epoch.Add(time.Second)) {
+		t.Fatalf("timer fired at %v", got)
+	}
+}
