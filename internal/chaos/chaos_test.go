@@ -11,7 +11,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -41,35 +40,6 @@ import (
 // timers (retry backoff, probes, idle watchdogs), never for transit.
 func instant() netsim.Link {
 	return netsim.Link{BandwidthBps: 1e15, Efficiency: 1, Latency: 0, Quality: 1}
-}
-
-// advance drives the virtual clock from a background goroutine until the
-// returned stop function is called, 5ms a step whatever else is running.
-// Fault decisions are pure functions of (seed, write index), never of the
-// advancement pace, but the pace turns host CPU time into virtual time:
-// it decides which deadlines a busy goroutine misses, so a scenario
-// whose assertions depend on a deadline or an idle timeout runs on
-// (*vclock.Virtual).Drive instead, which moves time only when every
-// goroutine is blocked. Drive does not fit a scenario that serves a real
-// socket (the httptest registry) or polls with a real time.Sleep
-// (waitFor): a goroutine in IO wait or a real sleep holds a driven clock.
-func advance(clk *vclock.Virtual) (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				clk.Advance(5 * time.Millisecond)
-				runtime.Gosched()
-			}
-		}
-	}()
-	return func() { close(done); wg.Wait() }
 }
 
 // distSession builds a data-service session whose mesh is split into n
@@ -136,7 +106,7 @@ func failedOf(d *dataservice.Distributor, names ...string) []string {
 // whole-scene reference render.
 func TestKillMidFrameReassignsWork(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
-	stop := advance(clk)
+	stop := clk.Drive()
 	defer stop()
 	reg := telemetry.NewRegistry(clk)
 	svc := dataservice.New(dataservice.Config{Name: "data", Clock: clk, Metrics: reg})
@@ -286,6 +256,22 @@ func (h *unstableHandle) Render(job dataservice.RenderJob) (compositor.Tile, err
 	return h.inner.Render(job)
 }
 
+// inProcess answers HTTP requests by calling a handler directly, so a
+// registry served this way has no socket: a goroutine in IO wait on one
+// would hold a driven clock.
+type inProcess struct{ h http.Handler }
+
+func (p inProcess) RoundTrip(req *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	p.h.ServeHTTP(rec, req)
+	return rec.Result(), nil
+}
+
+// localRegistry returns a proxy to reg's SOAP server, served in process.
+func localRegistry(reg *uddi.Registry) *uddi.Proxy {
+	return uddi.ConnectHTTP("http://registry.local", &http.Client{Transport: inProcess{uddi.NewServer(reg)}})
+}
+
 // flakyTransport fails the first `outage` HTTP requests, modeling a UDDI
 // registry that is unreachable when recruitment first needs it.
 type flakyTransport struct {
@@ -309,7 +295,7 @@ func (f *flakyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // and recover without overcommitting the PDA.
 func TestRecruitmentDuringRegistryOutage(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
-	stop := advance(clk)
+	stop := clk.Drive()
 	defer stop()
 
 	metrics := telemetry.NewRegistry(clk)
@@ -331,16 +317,15 @@ func TestRecruitmentDuringRegistryOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Real registry over HTTP; a healthy proxy registers the replacement,
-	// while the distributor's recruitment proxy sees the outage.
+	// The registry's SOAP server, in process; a healthy proxy registers
+	// the replacement, while the distributor's recruitment proxy sees the
+	// outage.
 	reg := uddi.NewRegistry()
-	ts := httptest.NewServer(uddi.NewServer(reg))
-	defer ts.Close()
-	if err := core.Register(ts.URL, "onyx2", "local://onyx2", wsdl.RenderServicePortType); err != nil {
+	if _, err := localRegistry(reg).RegisterService(core.BusinessName, "onyx2", "local://onyx2", wsdl.RenderServicePortType); err != nil {
 		t.Fatal(err)
 	}
-	flaky := &flakyTransport{inner: http.DefaultTransport, outage: 3}
-	proxy := uddi.ConnectHTTP(ts.URL, &http.Client{Transport: flaky})
+	flaky := &flakyTransport{inner: inProcess{uddi.NewServer(reg)}, outage: 3}
+	proxy := uddi.ConnectHTTP("http://registry.local", &http.Client{Transport: flaky})
 
 	onyx2 := renderservice.New(renderservice.Config{Name: "onyx2", Device: device.SGIOnyx, Workers: 2, Clock: clk})
 	d.SetRecruiter(proxy, func(ap string) (dataservice.RenderHandle, error) {
@@ -391,7 +376,7 @@ func TestRecruitmentDuringRegistryOutage(t *testing.T) {
 // authoritative version.
 func TestDroppedOpsConvergeViaResync(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
-	stop := advance(clk)
+	stop := clk.Drive()
 	defer stop()
 
 	svc := dataservice.New(dataservice.Config{Name: "data", Clock: clk})

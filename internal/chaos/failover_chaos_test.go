@@ -11,8 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/http/httptest"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -38,69 +36,49 @@ import (
 	"repro/internal/wsdl"
 )
 
-// pacedAdvance drives the virtual clock like advance, but throttled
-// against real time (5ms virtual per 0.5ms real). The failover monitor
-// talks to UDDI over real HTTP, so an unthrottled driver would let
-// hours of virtual time gallop past during one SOAP round trip and
-// wreck the time-to-promote measurement.
-func pacedAdvance(clk *vclock.Virtual) (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				clk.Advance(5 * time.Millisecond)
-				time.Sleep(500 * time.Microsecond)
-			}
-		}
-	}()
-	return func() { close(done); wg.Wait() }
-}
-
-// waitFor spins (wall-clock bounded) until cond holds. The condition
-// must be monotonic: once true it stays true.
-func waitFor(t *testing.T, what string, cond func() bool) {
+// waitFor polls cond on the virtual clock, a millisecond at a time, until
+// it holds or a real-time bound passes. The clock must be driven. The
+// condition must be monotonic: once true it stays true.
+func waitFor(t *testing.T, clk *vclock.Virtual, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for !cond() {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
+		clk.Sleep(time.Millisecond)
 	}
 }
 
 // TestPrimaryDeathFailsOverToStandby is the headline failover scenario.
-// Timeline (all virtual time; the clock is frozen at t=0 through setup
-// and the kill, so the schedule is exact):
+// Timeline (all virtual time, on a driven clock, which moves only when
+// every goroutine is blocked, so the schedule is exact):
 //
 //  1. primary data service registers in UDDI and acquires the session
 //     lease; a hot standby replicates over the op stream; a render
 //     service subscribes via UDDI discovery; a thin client draws.
 //  2. the primary dies mid-fan-out: a KillAtByte fault plan lands on
 //     every primary conn, and the keeper stops renewing.
-//  3. the clock starts moving: the lease lapses, the standby's monitor
-//     claims it at the next epoch and re-registers, the render service
-//     re-discovers the promoted standby and resumes gap-only, and the
-//     thin client keeps getting frames throughout.
+//  3. the lease lapses, the standby's monitor claims it at the next
+//     epoch and re-registers, the render service re-discovers the
+//     promoted standby and resumes gap-only, and the thin client keeps
+//     getting frames throughout.
 func TestPrimaryDeathFailsOverToStandby(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
+	stop := clk.Drive()
+	defer stop()
 	const leaseName = "data:skull"
 	const renew = 100 * time.Millisecond
 	const poll = 50 * time.Millisecond
 	const ttl = failover.DefaultMissedRenewals * renew
 
 	reg := uddi.NewRegistry()
-	ts := httptest.NewServer(uddi.NewServer(reg))
-	defer ts.Close()
-	proxy := uddi.Connect(ts.URL)
-	if err := core.Register(ts.URL, "data-a", "sim://data-a", wsdl.DataServicePortType); err != nil {
+	proxy := localRegistry(reg)
+	register := func(name string) error {
+		_, err := proxy.RegisterService(core.BusinessName, name, "sim://"+name, wsdl.DataServicePortType)
+		return err
+	}
+	if err := register("data-a"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -140,15 +118,13 @@ func TestPrimaryDeathFailsOverToStandby(t *testing.T) {
 	defer stCancel()
 	stErr := make(chan error, 1)
 	go func() { stErr <- st.Run(stCtx, repB) }()
-	waitFor(t, "standby bootstrap", func() bool {
+	waitFor(t, clk, "standby bootstrap", func() bool {
 		return st.Session() != nil && st.Applied() == sessA.Version()
 	})
 
 	mon := &failover.Monitor{
 		Leases: proxy, Clock: clk, Service: leaseName, Holder: "data-b", Poll: poll, Standby: st,
-		Reregister: func() error {
-			return core.Register(ts.URL, "data-b", "sim://data-b", wsdl.DataServicePortType)
-		},
+		Reregister: func() error { return register("data-b") },
 	}
 	monCtx, monCancel := context.WithCancel(context.Background())
 	defer monCancel()
@@ -214,8 +190,8 @@ func TestPrimaryDeathFailsOverToStandby(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "standby caught up", func() bool { return st.Applied() == sessA.Version() })
-	waitFor(t, "render replica caught up", func() bool { return replica.Version() == sessA.Version() })
+	waitFor(t, clk, "standby caught up", func() bool { return st.Applied() == sessA.Version() })
+	waitFor(t, clk, "render replica caught up", func() bool { return replica.Version() == sessA.Version() })
 
 	thinDial := func() (io.ReadWriteCloser, error) {
 		cEnd, sEnd := netsim.SimPipe(clk, instant(), instant())
@@ -273,9 +249,6 @@ func TestPrimaryDeathFailsOverToStandby(t *testing.T) {
 	// keeps serving thin clients at the last replicated version.
 	frame("during the outage")
 
-	stop := pacedAdvance(clk)
-	defer stop()
-
 	var promo *failover.Promotion
 	select {
 	case r := <-promoCh:
@@ -306,7 +279,7 @@ func TestPrimaryDeathFailsOverToStandby(t *testing.T) {
 	// The render service re-discovers the promoted standby through UDDI
 	// and resumes at its replica's version — no full snapshot.
 	promoted := promo.Session
-	waitFor(t, "render service re-discovery", func() bool {
+	waitFor(t, clk, "render service re-discovery", func() bool {
 		_, resumes := promoted.BootstrapStats()
 		return resumes >= 1
 	})
@@ -321,7 +294,7 @@ func TestPrimaryDeathFailsOverToStandby(t *testing.T) {
 			t.Fatalf("write on promoted session: %v", err)
 		}
 	}
-	waitFor(t, "replica follows the new primary", func() bool {
+	waitFor(t, clk, "replica follows the new primary", func() bool {
 		return replica.Version() == promoted.Version()
 	})
 	frame("after the failover")
@@ -350,7 +323,7 @@ func TestKillPrimaryMidMigrationStandbyRestarts(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
 	// Large snapshots take ≥1ns of simulated transit even on an instant
 	// link, so the clock must be moving for the bootstrap to deliver.
-	stop := advance(clk)
+	stop := clk.Drive()
 	defer stop()
 	svcA := dataservice.New(dataservice.Config{Name: "data-a", Clock: clk})
 	sess := distSession(t, svcA, 12000, 6)
@@ -381,7 +354,7 @@ func TestKillPrimaryMidMigrationStandbyRestarts(t *testing.T) {
 	defer stCancel()
 	stErr := make(chan error, 1)
 	go func() { stErr <- st.Run(stCtx, repB) }()
-	waitFor(t, "standby caught up", func() bool {
+	waitFor(t, clk, "standby caught up", func() bool {
 		s := st.Session()
 		return s != nil && st.Applied() == sess.Version() && s.Camera() == sess.Camera()
 	})
@@ -477,6 +450,9 @@ func TestKillPrimaryMidMigrationStandbyRestarts(t *testing.T) {
 // service re-bootstraps and converges on that exact version.
 func TestJournaledPrimaryCrashRecoveryResumesSubscribers(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
+	// The subscriber's redial backoff runs on the virtual clock.
+	stop := clk.Drive()
+	defer stop()
 	svcA := dataservice.New(dataservice.Config{Name: "data-a", Clock: clk})
 	sessA, err := svcA.CreateSessionFromMesh("skull", "skull", genmodel.Galleon(800))
 	if err != nil {
@@ -536,7 +512,7 @@ func TestJournaledPrimaryCrashRecoveryResumesSubscribers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "replica caught up", func() bool { return replica.Version() == sessA.Version() })
+	waitFor(t, clk, "replica caught up", func() bool { return replica.Version() == sessA.Version() })
 	preCrash := sessA.Version()
 	if jv := sessA.JournalVersion(); jv != preCrash {
 		t.Fatalf("journal at v%d, session at v%d", jv, preCrash)
@@ -571,14 +547,10 @@ func TestJournaledPrimaryCrashRecoveryResumesSubscribers(t *testing.T) {
 	current = svcB
 	svcMu.Unlock()
 
-	// The subscriber's redial backoff runs on the virtual clock.
-	stop := advance(clk)
-	defer stop()
-
 	// The returning subscriber re-bootstraps (the op history died with
 	// the process, so recovery serves a full snapshot) and converges on
 	// the exact recovered version — the crash lost nothing durable.
-	waitFor(t, "replica resynced with the recovered service", func() bool {
+	waitFor(t, clk, "replica resynced with the recovered service", func() bool {
 		return replica.Version() == recovered.Version()
 	})
 	snaps, resumes := recovered.BootstrapStats()

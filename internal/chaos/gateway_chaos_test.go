@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -132,7 +131,7 @@ func TestGatewayKillUnderLoadGapOnlyResume(t *testing.T) {
 		return ready, errc
 	}
 
-	stopBoot := advance(clk)
+	stopBoot := clk.Drive()
 	onReady, onErr := subscribe(onVictim)
 	byReady, byErr := subscribe(bystander)
 	var onReplica, byReplica *renderservice.Session
@@ -148,39 +147,32 @@ func TestGatewayKillUnderLoadGapOnlyResume(t *testing.T) {
 	}
 	stopBoot()
 
-	// The kill severs the victim's live sockets the instant it lands —
-	// the subscriber must discover the death as a connection loss and
-	// chase the gateway's rerouting, exactly like a host going dark.
-	watcherStop := make(chan struct{})
-	watcherDone := make(chan struct{})
+	// The kill severs the victim's live sockets a nanosecond after it
+	// lands — the subscriber must discover the death as a connection loss
+	// and chase the gateway's rerouting, exactly like a host going dark.
+	// The run starts now and its clock moves only when every goroutine is
+	// blocked, so by then the fleet has killed the victim.
+	severAt := clk.After(sc.KillNodeAt + time.Nanosecond)
+	severed := make(chan bool, 1)
 	go func() {
-		defer close(watcherDone)
-		for victim.Alive() {
-			select {
-			case <-watcherStop:
-				return
-			default:
-				runtime.Gosched()
-			}
-		}
+		<-severAt
 		connMu.Lock()
 		for _, c := range victimConns {
 			c.Close()
 		}
 		connMu.Unlock()
+		severed <- !victim.Alive()
 	}()
 
 	rep := loadgen.NewReporter()
 	f.Run(context.Background(), rep)
-	close(watcherStop)
-	<-watcherDone
-	if victim.Alive() {
-		t.Fatal("scenario never killed the victim")
+	if !<-severed {
+		t.Fatal("sockets severed before the scenario killed the victim")
 	}
 
 	art := f.Artifact(rep)
 	res := art.Results
-	if err := res.Check(); err != nil {
+	if err := res.Check(f.Scenario); err != nil {
 		t.Fatalf("client-visible damage under the kill: %v", err)
 	}
 	if res.Promotions == 0 {
@@ -189,7 +181,7 @@ func TestGatewayKillUnderLoadGapOnlyResume(t *testing.T) {
 
 	// Settle phase: the clock advances again so the severed subscriber
 	// can finish its backoff-and-resume if the run ended mid-chase.
-	stopSettle := advance(clk)
+	stopSettle := clk.Drive()
 	defer stopSettle()
 
 	newOwner, _, _, ok := g.Placement(onVictim)
@@ -222,14 +214,14 @@ func TestGatewayKillUnderLoadGapOnlyResume(t *testing.T) {
 				name, acked, promoted.Version())
 		}
 	}
-	waitFor(t, "rerouted subscriber resume", func() bool {
+	waitFor(t, clk, "rerouted subscriber resume", func() bool {
 		_, resumes := promoted.BootstrapStats()
 		return resumes >= 1
 	})
 	if snaps, resumes := promoted.BootstrapStats(); snaps != 0 || resumes != 1 {
 		t.Errorf("promoted session served %d snapshots / %d resumes; want exactly one gap-only resume", snaps, resumes)
 	}
-	waitFor(t, "rerouted replica catch-up", func() bool {
+	waitFor(t, clk, "rerouted replica catch-up", func() bool {
 		return onReplica.Version() == promoted.Version()
 	})
 
@@ -246,7 +238,7 @@ func TestGatewayKillUnderLoadGapOnlyResume(t *testing.T) {
 	if snaps, resumes := bySess.BootstrapStats(); snaps != 1 || resumes != 0 {
 		t.Errorf("bystander session served %d snapshots / %d resumes; want the single initial bootstrap", snaps, resumes)
 	}
-	waitFor(t, "bystander replica in sync", func() bool {
+	waitFor(t, clk, "bystander replica in sync", func() bool {
 		return byReplica.Version() == bySess.Version()
 	})
 

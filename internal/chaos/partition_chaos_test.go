@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -144,11 +143,11 @@ func TestRegionPartitionUnderLoadHealsGapOnly(t *testing.T) {
 		return ready, errc
 	}
 
-	stopBoot := advance(clk)
+	stopBoot := clk.Drive()
 	// SinceVersion 0 means "no replica", so a subscriber cut at version 0
 	// is re-snapshotted, not resumed. Commit one op before the watchers
-	// bootstrap: how many ops the run lands before the cut is up to the
-	// clock pump, and may be none.
+	// bootstrap, so each is past version 0 whatever the run lands on its
+	// session before the cut.
 	for _, s := range []string{cutSession, bystander} {
 		if _, err := g.Dispatch(context.Background(), gateway.Request{Tenant: "t", Session: s}); err != nil {
 			t.Fatal(err)
@@ -169,36 +168,32 @@ func TestRegionPartitionUnderLoadHealsGapOnly(t *testing.T) {
 	}
 	stopBoot()
 
-	// The cut severs live sockets into the partitioned region the
-	// instant it lands — the subscriber discovers the partition as a
-	// connection loss and chases the gateway's re-route.
-	watcherStop := make(chan struct{})
-	watcherDone := make(chan struct{})
+	// The cut severs live sockets into the partitioned region a
+	// nanosecond after it lands — the subscriber discovers the partition
+	// as a connection loss and chases the gateway's re-route. The run
+	// starts now and its clock moves only when every goroutine is
+	// blocked, so by then the fleet has cut the region.
+	severAt := clk.After(sc.PartitionAt + time.Nanosecond)
+	severed := make(chan bool, 1)
 	go func() {
-		defer close(watcherDone)
-		for !f.Topology.Partitioned() {
-			select {
-			case <-watcherStop:
-				return
-			default:
-				runtime.Gosched()
-			}
-		}
+		<-severAt
 		connMu.Lock()
 		for _, c := range usConns {
 			c.Close()
 		}
 		connMu.Unlock()
+		severed <- f.Topology.Partitioned()
 	}()
 
 	rep := loadgen.NewReporter()
 	f.Run(context.Background(), rep)
-	close(watcherStop)
-	<-watcherDone
+	if !<-severed {
+		t.Fatal("sockets severed before the scenario cut the region")
+	}
 
 	art := f.Artifact(rep)
 	res := art.Results
-	if err := res.Check(); err != nil {
+	if err := res.Check(f.Scenario); err != nil {
 		t.Fatalf("client-visible damage under the partition: %v", err)
 	}
 	if res.Promotions == 0 {
@@ -224,7 +219,7 @@ func TestRegionPartitionUnderLoadHealsGapOnly(t *testing.T) {
 
 	// Settle phase: the clock advances again so the severed subscriber
 	// can finish its backoff-and-resume if the run ended mid-chase.
-	stopSettle := advance(clk)
+	stopSettle := clk.Drive()
 	defer stopSettle()
 
 	// The heal restored the pre-partition placement; the promoted
@@ -259,14 +254,14 @@ func TestRegionPartitionUnderLoadHealsGapOnly(t *testing.T) {
 		}
 		return snaps, resumes
 	}
-	waitFor(t, "rerouted subscriber resume", func() bool {
+	waitFor(t, clk, "rerouted subscriber resume", func() bool {
 		_, resumes := countBootstraps()
 		return resumes >= 1
 	})
 	if snaps, resumes := countBootstraps(); snaps != 1 {
 		t.Errorf("cut session served %d snapshots / %d resumes fleet-wide; want the single initial snapshot, all reconnects gap-only", snaps, resumes)
 	}
-	waitFor(t, "cut-session copies converged", func() bool {
+	waitFor(t, clk, "cut-session copies converged", func() bool {
 		v := ownerSess.Version()
 		if cutReplica.Version() != v {
 			return false
@@ -292,7 +287,7 @@ func TestRegionPartitionUnderLoadHealsGapOnly(t *testing.T) {
 	if snaps, resumes := bySess.BootstrapStats(); snaps != 1 || resumes != 0 {
 		t.Errorf("bystander served %d snapshots / %d resumes; want the single initial bootstrap", snaps, resumes)
 	}
-	waitFor(t, "bystander replica in sync", func() bool {
+	waitFor(t, clk, "bystander replica in sync", func() bool {
 		return byReplica.Version() == bySess.Version()
 	})
 

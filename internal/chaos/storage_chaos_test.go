@@ -69,7 +69,7 @@ func TestSickDiskEvacuationUnderLoad(t *testing.T) {
 
 	art := f.Artifact(rep)
 	res := art.Results
-	if err := res.Check(); err != nil {
+	if err := res.Check(f.Scenario); err != nil {
 		t.Fatalf("client-visible damage under the sick disk: %v", err)
 	}
 	if art.SickDisk == nil || art.SickDisk.Node == "" {

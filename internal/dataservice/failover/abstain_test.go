@@ -31,7 +31,7 @@ func TestMonitorAbstainsWhileSick(t *testing.T) {
 		Name:        "standby-1",
 	}
 	kill, _ := connectStandby(context.Background(), primary, st)
-	waitFor(t, "replication", func() bool { return st.Applied() == sess.Version() })
+	waitFor(t, vclock.Real{}, "replication", func() bool { return st.Applied() == sess.Version() })
 	kill() // primary dies; no more renewals
 
 	var sick atomic.Bool
@@ -47,12 +47,12 @@ func TestMonitorAbstainsWhileSick(t *testing.T) {
 	var promo *Promotion
 	var monErr error
 	go func() { defer close(done); promo, monErr = mon.Run(context.Background()) }()
-	stop := advance(clk)
+	stop := clk.Drive()
 	defer stop()
 
 	// The lease lapses and stays lapsed: the sick standby keeps seeing
 	// the opening (Abstain consulted repeatedly) yet never claims.
-	waitFor(t, "abstain polls", func() bool { return polled.Load() >= 5 })
+	waitFor(t, clk, "abstain polls", func() bool { return polled.Load() >= 5 })
 	if _, live, err := reg.GetLease("data:ha", clk.Now()); err != nil || live {
 		t.Fatalf("lease live=%v err=%v while only claimant abstains, want lapsed", live, err)
 	}

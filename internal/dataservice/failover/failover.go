@@ -23,17 +23,8 @@ import (
 	"repro/internal/follow"
 	"repro/internal/scene"
 	"repro/internal/transport"
-	"repro/internal/uddi"
 	"repro/internal/vclock"
 )
-
-// LeaseAPI is the slice of the registry the failover protocol needs.
-// Both *uddi.Registry (in-process) and *uddi.Proxy (SOAP) satisfy it.
-type LeaseAPI interface {
-	AcquireLease(service, holder string, ttl time.Duration, now time.Time) (uddi.Lease, error)
-	RenewLease(service, holder string, epoch uint64, ttl time.Duration, now time.Time) (uddi.Lease, error)
-	GetLease(service string, now time.Time) (uddi.Lease, bool, error)
-}
 
 // ErrReplicationLost means the stream from the primary died without a
 // clean Bye — the standby keeps its replica and waits for the Monitor

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,39 +27,20 @@ func instantLink() netsim.Link {
 	return netsim.Link{BandwidthBps: 1e15, Efficiency: 1, Quality: 1}
 }
 
-// waitFor polls cond until it holds or the real-time deadline passes.
-// Replication in these tests runs over net.Pipe, so progress is driven
-// by goroutine scheduling, not any clock.
-func waitFor(t *testing.T, what string, cond func() bool) {
+// waitFor polls cond on clk, every 10 ms of it, until it holds or a
+// real-time bound passes. Replication in these tests runs over net.Pipe,
+// so progress is driven by goroutine scheduling; a virtual clock must be
+// driven while a test waits on it, and each poll is a step of the driver,
+// so the step is coarse next to the monitors' one-second polls.
+func waitFor(t *testing.T, clk vclock.Clock, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for !cond() {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
+		clk.Sleep(10 * time.Millisecond)
 	}
-}
-
-// advance drives a virtual clock from a background goroutine until
-// stopped, so code blocked on Clock.After makes progress.
-func advance(clk *vclock.Virtual) (stop func()) {
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				clk.Advance(50 * time.Millisecond)
-				runtime.Gosched()
-			}
-		}
-	}()
-	return func() { close(done); <-finished }
 }
 
 // primaryWithSession builds a data service hosting a 2-node session.
@@ -108,7 +88,7 @@ func TestStandbyReplicatesAndAcks(t *testing.T) {
 	kill, _ := connectStandby(context.Background(), primary, st)
 	defer kill()
 
-	waitFor(t, "bootstrap", func() bool { return st.Applied() == sess.Version() })
+	waitFor(t, vclock.Real{}, "bootstrap", func() bool { return st.Applied() == sess.Version() })
 
 	for i := 0; i < 3; i++ {
 		op := &scene.SetTransformOp{ID: ids[0], Transform: mathx.Translate(mathx.V3(float64(i+1), 0, 0))}
@@ -117,7 +97,7 @@ func TestStandbyReplicatesAndAcks(t *testing.T) {
 		}
 	}
 	want := sess.Version()
-	waitFor(t, "op stream", func() bool { return st.Applied() == want })
+	waitFor(t, vclock.Real{}, "op stream", func() bool { return st.Applied() == want })
 
 	replica := st.Session()
 	if replica == nil {
@@ -136,7 +116,7 @@ func TestStandbyReplicatesAndAcks(t *testing.T) {
 	if err := replica.ApplyUpdate(&scene.SetTransformOp{ID: ids[0], Transform: mathx.Identity()}, "rogue"); !errors.Is(err, dataservice.ErrReadOnly) {
 		t.Errorf("standby write = %v, want ErrReadOnly", err)
 	}
-	waitFor(t, "acks", func() bool { return sess.StandbyAcks()["standby-1"] == want })
+	waitFor(t, vclock.Real{}, "acks", func() bool { return sess.StandbyAcks()["standby-1"] == want })
 }
 
 // TestStandbyResumesAtVersionAfterReconnect: when the stream dies and
@@ -151,7 +131,7 @@ func TestStandbyResumesAtVersionAfterReconnect(t *testing.T) {
 	}
 	ctx := context.Background()
 	kill, done := connectStandby(ctx, primary, st)
-	waitFor(t, "bootstrap", func() bool { return st.Applied() == sess.Version() })
+	waitFor(t, vclock.Real{}, "bootstrap", func() bool { return st.Applied() == sess.Version() })
 
 	// The link dies; the replica is retained.
 	kill()
@@ -160,7 +140,7 @@ func TestStandbyResumesAtVersionAfterReconnect(t *testing.T) {
 	}
 	// Let the primary's serve loop notice the dead link and detach the
 	// subscriber before new ops fan out.
-	waitFor(t, "unsubscribe", func() bool { return len(sess.SubscriberNames()) == 0 })
+	waitFor(t, vclock.Real{}, "unsubscribe", func() bool { return len(sess.SubscriberNames()) == 0 })
 	before := st.Applied()
 
 	// The primary advances while the standby is gone.
@@ -174,7 +154,7 @@ func TestStandbyResumesAtVersionAfterReconnect(t *testing.T) {
 
 	kill2, _ := connectStandby(ctx, primary, st)
 	defer kill2()
-	waitFor(t, "gap replay", func() bool { return st.Applied() == want })
+	waitFor(t, vclock.Real{}, "gap replay", func() bool { return st.Applied() == want })
 	if st.Applied() <= before {
 		t.Fatal("no progress after reconnect")
 	}
@@ -281,7 +261,7 @@ func TestKeeperLosesLeaseToNewerEpoch(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() { done <- k.Run(ctx) }()
-	stop := advance(clk)
+	stop := clk.Drive()
 	defer stop()
 	select {
 	case err := <-done:
@@ -312,7 +292,7 @@ func TestMonitorPromotesOnLapse(t *testing.T) {
 		Name:        "standby-1",
 	}
 	kill, _ := connectStandby(context.Background(), primary, st)
-	waitFor(t, "replication", func() bool { return st.Applied() == sess.Version() })
+	waitFor(t, vclock.Real{}, "replication", func() bool { return st.Applied() == sess.Version() })
 	// The primary dies: no more renewals, stream severed.
 	kill()
 
@@ -327,7 +307,7 @@ func TestMonitorPromotesOnLapse(t *testing.T) {
 	var promo *Promotion
 	var monErr error
 	go func() { defer close(done); promo, monErr = mon.Run(context.Background()) }()
-	stop := advance(clk)
+	stop := clk.Drive()
 	defer stop()
 	select {
 	case <-done:
@@ -395,7 +375,7 @@ func TestMonitorHandicapYieldsToFasterClaimant(t *testing.T) {
 
 	st := &Standby{Service: dataservice.New(dataservice.Config{Name: "laggard-svc"}), SessionName: "ha", Name: "laggard"}
 	kill, _ := connectStandby(context.Background(), primary, st)
-	waitFor(t, "replication", func() bool { return st.Applied() == sess.Version() })
+	waitFor(t, vclock.Real{}, "replication", func() bool { return st.Applied() == sess.Version() })
 	kill()
 
 	var handicaps atomic.Int32
@@ -417,11 +397,11 @@ func TestMonitorHandicapYieldsToFasterClaimant(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { _, err := mon.Run(ctx); done <- err }()
-	stop := advance(clk)
-	waitFor(t, "handicap consulted", func() bool { return handicaps.Load() >= 1 })
+	stop := clk.Drive()
+	waitFor(t, clk, "handicap consulted", func() bool { return handicaps.Load() >= 1 })
 	// Give the monitor time to finish its wait and re-check; the rival's
 	// hour-long lease stays live, so it must keep watching, not promote.
-	waitFor(t, "lease settled on rival", func() bool {
+	waitFor(t, clk, "lease settled on rival", func() bool {
 		l, live, err := reg.GetLease("data:ha", clk.Now())
 		return err == nil && live && l.Holder == "rival"
 	})
@@ -455,7 +435,7 @@ func TestMonitorHandicapStillPromotesUnopposed(t *testing.T) {
 
 	st := &Standby{Service: dataservice.New(dataservice.Config{Name: "slow-svc"}), SessionName: "ha", Name: "slow"}
 	kill, _ := connectStandby(context.Background(), primary, st)
-	waitFor(t, "replication", func() bool { return st.Applied() == sess.Version() })
+	waitFor(t, vclock.Real{}, "replication", func() bool { return st.Applied() == sess.Version() })
 	kill()
 
 	mon := &Monitor{
@@ -468,7 +448,7 @@ func TestMonitorHandicapStillPromotesUnopposed(t *testing.T) {
 	var promo *Promotion
 	var monErr error
 	go func() { defer close(done); promo, monErr = mon.Run(context.Background()) }()
-	stop := advance(clk)
+	stop := clk.Drive()
 	defer stop()
 	select {
 	case <-done:

@@ -26,7 +26,7 @@ const DefaultMissedRenewals = 3
 // Keeper is the primary side of the lease protocol: acquire once, then
 // renew every Renew until cancelled or deposed.
 type Keeper struct {
-	Leases  LeaseAPI
+	Leases  uddi.Leases
 	Clock   vclock.Clock
 	Service string // logical lease name, e.g. "data:" + session
 	Holder  string // this instance
@@ -88,7 +88,7 @@ func (k *Keeper) Run(ctx context.Context) error {
 // the primary missed enough renewals — claim it at the next epoch and
 // promote the standby.
 type Monitor struct {
-	Leases  LeaseAPI
+	Leases  uddi.Leases
 	Clock   vclock.Clock
 	Service string // logical lease name (must match the Keeper's)
 	Holder  string // this standby instance

@@ -75,25 +75,6 @@ func hedgeHarness(t *testing.T, clk vclock.Clock, handles ...RenderHandle) *Dist
 	return d
 }
 
-// drive advances the virtual clock in small steps until stop is called.
-func drive(clk *vclock.Virtual) (stop func()) {
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				clk.Advance(2 * time.Millisecond)
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
-	}()
-	return func() { close(done); <-finished }
-}
-
 // TestHedgedAllFast: every peer answers within the soft deadline — no
 // hedges, no degradation, frame complete.
 func TestHedgedAllFast(t *testing.T) {
@@ -102,7 +83,7 @@ func TestHedgedAllFast(t *testing.T) {
 	a := &fakeTile{name: "a", clk: clk, delay: 5 * time.Millisecond, shade: 10}
 	b := &fakeTile{name: "b", clk: clk, delay: 5 * time.Millisecond, shade: 20}
 	d := hedgeHarness(t, clk, a, b)
-	stop := drive(clk)
+	stop := clk.Drive()
 	defer stop()
 
 	fb, rep, err := d.Render(context.Background(), FrameRequest{W: 32, H: 32, Mode: Tiles, Timers: HedgeConfig{
@@ -133,7 +114,7 @@ func TestHedgedStragglerRescued(t *testing.T) {
 	fast := &fakeTile{name: "fast", clk: clk, delay: 5 * time.Millisecond, shade: 10}
 	slow := &fakeTile{name: "slow", clk: clk, delay: time.Hour, shade: 20}
 	d := hedgeHarness(t, clk, fast, slow)
-	stop := drive(clk)
+	stop := clk.Drive()
 	defer stop()
 
 	fb, rep, err := d.Render(context.Background(), FrameRequest{W: 32, H: 32, Mode: Tiles, Timers: HedgeConfig{
@@ -163,7 +144,7 @@ func TestHedgedDegradesWhenNoSpare(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(1000, 0))
 	only := &fakeTile{name: "only", clk: clk, delay: 5 * time.Millisecond, shade: 77}
 	d := hedgeHarness(t, clk, only)
-	stop := drive(clk)
+	stop := clk.Drive()
 	defer stop()
 
 	cfg := HedgeConfig{FrameDeadline: 100 * time.Millisecond, HedgeDelay: 30 * time.Millisecond}
@@ -199,7 +180,7 @@ func TestHedgedDeclineFailsOverImmediately(t *testing.T) {
 	busy := &fakeTile{name: "busy", clk: clk, decline: true}
 	calm := &fakeTile{name: "calm", clk: clk, delay: 5 * time.Millisecond, shade: 30}
 	d := hedgeHarness(t, clk, busy, calm)
-	stop := drive(clk)
+	stop := clk.Drive()
 	defer stop()
 
 	// HedgeDelay far beyond the hard deadline would never fire; only the
@@ -228,7 +209,7 @@ func TestHedgedPlansAroundUnavailable(t *testing.T) {
 	open := &fakeTile{name: "open", clk: clk, delay: 5 * time.Millisecond, shade: 1, decline: true}
 	ok := &fakeTile{name: "ok", clk: clk, delay: 5 * time.Millisecond, shade: 2}
 	d := hedgeHarness(t, clk, open, ok)
-	stop := drive(clk)
+	stop := clk.Drive()
 	defer stop()
 
 	cfg := HedgeConfig{FrameDeadline: 100 * time.Millisecond}

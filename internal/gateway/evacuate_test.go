@@ -67,7 +67,7 @@ func mutateAll(t *testing.T, gw *Gateway, sessions []string) map[string]uint64 {
 // replication factor on healthy disks.
 func TestSickDiskEvacuation(t *testing.T) {
 	gw, met, clk, plans := journalFleet(t, 4, 2)
-	stop := pace(clk)
+	stop := clk.Drive()
 	defer stop()
 
 	var sessions []string
@@ -144,7 +144,7 @@ func TestSickDiskEvacuation(t *testing.T) {
 // new session that hashed there was refused.
 func TestEvacuatedNodeStaysOffRingAcrossTopologyEvents(t *testing.T) {
 	gw, met, clk, plans := journalFleet(t, 4, 2)
-	stop := pace(clk)
+	stop := clk.Drive()
 	defer stop()
 
 	var sessions []string
@@ -197,7 +197,7 @@ func TestEvacuatedNodeStaysOffRingAcrossTopologyEvents(t *testing.T) {
 // exactly once on the successor.
 func TestDegradedOwnerPromotesAckedPrefix(t *testing.T) {
 	gw, _, clk, plans := journalFleet(t, 2, 1)
-	stop := pace(clk)
+	stop := clk.Drive()
 	defer stop()
 	if err := gw.OpenSession("t", "phantom"); err != nil {
 		t.Fatal(err)
@@ -303,7 +303,7 @@ func TestApplyLoadOpCommittedDespiteFanoutError(t *testing.T) {
 // land on a ring whose owner cannot commit.
 func TestSyncStorageHealth(t *testing.T) {
 	gw, _, clk, _ := journalFleet(t, 3, 1)
-	stop := pace(clk)
+	stop := clk.Drive()
 	defer stop()
 	for i := 0; i < 9; i++ {
 		if err := gw.OpenSession("t", fmt.Sprintf("s-%d", i)); err != nil {

@@ -35,13 +35,6 @@ const serviceName = "gw"
 // the margin covers a second membership change racing the retry.
 const maxDispatchAttempts = 4
 
-// LeaseAPI is the slice of the UDDI lease surface the gateway needs:
-// control-plane ownership moves. Satisfied by *uddi.Registry
-// (in-process) and *uddi.Proxy (SOAP).
-type LeaseAPI interface {
-	TransferLease(service, holder string, ttl time.Duration, now time.Time) (uddi.Lease, error)
-}
-
 // Kind classifies a dispatched request.
 type Kind string
 
@@ -61,7 +54,7 @@ type Config struct {
 	Clock vclock.Clock
 	// Leases is the UDDI lease surface; required. Every ownership
 	// change is stamped here before any node serves the new epoch.
-	Leases LeaseAPI
+	Leases uddi.Leases
 	// Metrics receives gateway telemetry; share one registry with the
 	// nodes so a single snapshot covers the fleet.
 	Metrics *telemetry.Registry
@@ -259,8 +252,8 @@ func (g *Gateway) evacuateLocked(names ...string) map[string]int {
 // storage-degraded and drains any still holding ring membership or
 // sessions. Dispatch already self-heals (the first failed write
 // evacuates), so this sweep — called from a control loop or the load
-// harness pacer — only shortens the window for sessions that had no
-// write traffic to trip on. Returns the drained node names, sorted.
+// harness's millisecond timer — only shortens the window for sessions
+// that had no write traffic to trip on. Returns the drained node names, sorted.
 func (g *Gateway) SyncStorageHealth() []string {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,29 +13,6 @@ import (
 	"repro/internal/uddi"
 	"repro/internal/vclock"
 )
-
-// pace drives the virtual clock from a background goroutine so modeled
-// node costs (vclock.Sleep) make progress, until the returned stop
-// function is called. Assertions never depend on the pace — only on
-// virtual timestamps.
-func pace(clk *vclock.Virtual) (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				clk.Advance(time.Millisecond)
-				runtime.Gosched()
-			}
-		}
-	}()
-	return func() { close(done); wg.Wait() }
-}
 
 // testFleet builds a gateway fronting n nodes on one virtual clock,
 // one UDDI registry and one shared telemetry registry.
@@ -103,7 +78,7 @@ func TestDispatchMutateAndFrame(t *testing.T) {
 	if err := gw.OpenSession("t", "s"); err != nil {
 		t.Fatal(err)
 	}
-	stop := pace(clk)
+	stop := clk.Drive()
 	defer stop()
 	ctx := context.Background()
 	for want := uint64(1); want <= 3; want++ {
@@ -246,7 +221,7 @@ func TestDispatchDeclinesInfeasibleDeadline(t *testing.T) {
 	if err := gw.OpenSession("t", "s"); err != nil {
 		t.Fatal(err)
 	}
-	stop := pace(clk)
+	stop := clk.Drive()
 	_, err := gw.Dispatch(context.Background(), Request{Tenant: "t", Session: "s"})
 	stop()
 	if err != nil {
@@ -269,7 +244,7 @@ func TestAdmissionSeries(t *testing.T) {
 	if err := gw.OpenSession("t", "s"); err != nil {
 		t.Fatal(err)
 	}
-	stop := pace(clk)
+	stop := clk.Drive()
 	_, err := gw.Dispatch(context.Background(), Request{Tenant: "t", Session: "s"})
 	stop()
 	if err != nil {
@@ -305,7 +280,7 @@ func TestKillPromotesStandby(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stop := pace(clk)
+	stop := clk.Drive()
 	defer stop()
 	ctx := context.Background()
 	for i := 0; i < sessions; i++ {
@@ -384,7 +359,7 @@ func TestNodeDownPlannedDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stop := pace(clk)
+	stop := clk.Drive()
 	defer stop()
 	for i := 0; i < sessions; i++ {
 		if _, err := gw.Dispatch(context.Background(), Request{Tenant: "t", Session: fmt.Sprintf("sess-%02d", i)}); err != nil {
@@ -439,7 +414,7 @@ func TestAddNodeRebalances(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stop := pace(clk)
+	stop := clk.Drive()
 	defer stop()
 	for i := 0; i < sessions; i++ {
 		if _, err := gw.Dispatch(context.Background(), Request{Tenant: "t", Session: fmt.Sprintf("sess-%02d", i)}); err != nil {
@@ -498,7 +473,7 @@ func TestEpochFencesDeposedNode(t *testing.T) {
 		t.Fatal("two-node fleet must have a standby replica")
 	}
 	standby := replicas[0]
-	stop := pace(clk)
+	stop := clk.Drive()
 	defer stop()
 	old, _ := gw.Node(owner)
 	gw.EvacuateNode(owner) // planned move to the standby

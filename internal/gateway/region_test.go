@@ -115,7 +115,7 @@ func TestPartitionFailsOverAndFencesDeposedPrimaries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stop := pace(clk)
+	stop := clk.Drive()
 	defer stop()
 	ctx := context.Background()
 	for i := 0; i < sessions; i++ {
@@ -210,7 +210,7 @@ func TestHealReattachesStrandedCopiesGapOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stop := pace(clk)
+	stop := clk.Drive()
 	defer stop()
 	ctx := context.Background()
 	mutateAll := func(tag string) {

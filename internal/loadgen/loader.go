@@ -132,31 +132,22 @@ func (sc Scenario) nodeRegion(i int) string {
 
 // withDefaults fills zero fields.
 func (sc Scenario) withDefaults() Scenario {
-	if sc.Nodes <= 0 {
-		sc.Nodes = DefaultNodes
-	}
-	if sc.Sessions <= 0 {
-		sc.Sessions = DefaultSessions
-	}
-	if sc.Tenants <= 0 {
-		sc.Tenants = DefaultTenants
-	}
-	if sc.Interval <= 0 {
-		sc.Interval = DefaultInterval
-	}
-	if sc.Duration <= 0 {
-		sc.Duration = DefaultDuration
-	}
-	if sc.FrameEvery <= 0 {
-		sc.FrameEvery = DefaultFrameEvery
-	}
-	if sc.QueueDepth <= 0 {
-		sc.QueueDepth = DefaultQueueDepth
-	}
-	if sc.RenderSlots <= 0 {
-		sc.RenderSlots = DefaultRenderSlots
-	}
+	orDefault(&sc.Nodes, DefaultNodes)
+	orDefault(&sc.Sessions, DefaultSessions)
+	orDefault(&sc.Tenants, DefaultTenants)
+	orDefault(&sc.Interval, DefaultInterval)
+	orDefault(&sc.Duration, DefaultDuration)
+	orDefault(&sc.FrameEvery, DefaultFrameEvery)
+	orDefault(&sc.QueueDepth, DefaultQueueDepth)
+	orDefault(&sc.RenderSlots, DefaultRenderSlots)
 	return sc
+}
+
+// orDefault sets *v to def when it is not positive.
+func orDefault[T int | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
 }
 
 // Fleet is a built scenario: the gateway tier fronting its nodes, plus
@@ -174,14 +165,6 @@ type Fleet struct {
 	// only): journal-backed nodes share one plan per node, so poisoning
 	// it fails every session journal on that node at once.
 	plans map[string]*wal.StoreFaults
-}
-
-// PoisonDisk makes the named node's disk sick: every subsequent WAL
-// commit on it fails. Only valid on a sick-disk scenario fleet.
-func (f *Fleet) PoisonDisk(node string) {
-	if plan, ok := f.plans[node]; ok {
-		plan.SickNow()
-	}
 }
 
 // nodeName and sessionName/tenantOf fix the naming scheme the whole
@@ -234,7 +217,7 @@ func BuildFleet(sc Scenario) (*Fleet, error) {
 		}
 		if sc.SickDiskAt > 0 {
 			// Sick-disk runs pay for durability: every primary journals
-			// through a per-node fault plan, so PoisonDisk can fail the
+			// through a per-node fault plan, so poisoning it fails the
 			// whole node's storage mid-run. Other scenarios keep the
 			// memory-only nodes of earlier PRs — their BENCH artifacts
 			// stay comparable across the PR sequence.
@@ -289,17 +272,7 @@ func (f *Fleet) storageOutcome(sickNode string) (owns, deficit int64) {
 			healthy++
 		}
 	}
-	factor := f.Scenario.Replicas
-	if factor <= 0 {
-		factor = 1
-	}
-	expected := factor
-	if healthy-1 < expected {
-		expected = healthy - 1
-	}
-	if expected < 0 {
-		expected = 0
-	}
+	expected := max(min(max(f.Scenario.Replicas, 1), healthy-1), 0)
 	for i := 0; i < f.Scenario.Sessions; i++ {
 		owner, replicas, _, ok := f.Gateway.Placement(sessionName(i))
 		if !ok {

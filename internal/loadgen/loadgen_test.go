@@ -31,7 +31,7 @@ func TestRunSurvivesNodeKill(t *testing.T) {
 	rep := NewReporter()
 	fleet.Run(context.Background(), rep)
 	res := rep.Summarize(fleet.Metrics.Snapshot())
-	if err := res.Check(); err != nil {
+	if err := res.Check(fleet.Scenario); err != nil {
 		t.Fatal(err)
 	}
 	if res.Promotions == 0 {
@@ -138,7 +138,7 @@ func TestRunSurvivesRegionPartition(t *testing.T) {
 	rep := NewReporter()
 	fleet.Run(context.Background(), rep)
 	res := rep.Summarize(fleet.Metrics.Snapshot())
-	if err := res.Check(); err != nil {
+	if err := res.Check(fleet.Scenario); err != nil {
 		t.Fatal(err)
 	}
 	if !res.PartitionInjected {
@@ -208,7 +208,7 @@ func TestRunSurvivesSickDisk(t *testing.T) {
 	fleet.Run(context.Background(), rep)
 	art := fleet.Artifact(rep)
 	res := art.Results
-	if err := res.Check(); err != nil {
+	if err := res.Check(fleet.Scenario); err != nil {
 		t.Fatal(err)
 	}
 	if !res.SickDiskInjected {
@@ -285,7 +285,7 @@ func TestRunSurvivesSickDiskThenPartition(t *testing.T) {
 	fleet.Run(context.Background(), rep)
 	art := fleet.Artifact(rep)
 	res := art.Results
-	if err := res.Check(); err != nil {
+	if err := res.Check(fleet.Scenario); err != nil {
 		t.Fatal(err)
 	}
 	if !res.SickDiskInjected || !res.PartitionInjected || res.SessionsEvacuated == 0 || res.Promotions == 0 {
@@ -297,6 +297,48 @@ func TestRunSurvivesSickDiskThenPartition(t *testing.T) {
 	for _, n := range fleet.Nodes {
 		if n.StorageDegraded() != (n.Name() == art.SickDisk.Node) {
 			t.Errorf("node %s degraded=%v; the sick disk was on %s", n.Name(), n.StorageDegraded(), art.SickDisk.Node)
+		}
+	}
+}
+
+// TestCheckRefusesARunThatLostPace: Check reads a run against the
+// schedule its scenario holds, not only against itself. The first case is
+// a run of make scale's scenario whose clock outran its requesters: 267
+// of the 1,842 scheduled requests issued, p99 38 s, and 40.3 s of virtual
+// time for a 5 s run. Its conservation held, so only the schedule, length
+// and latency checks tell it from a run that kept pace.
+func TestCheckRefusesARunThatLostPace(t *testing.T) {
+	sc := Scenario{Nodes: 4, Sessions: 100, Duration: 5 * time.Second, KillNodeAt: 2 * time.Second, Seed: 42}.withDefaults()
+	if n := sc.scheduled(); n != 1842 {
+		t.Fatalf("make scale's schedule holds %d requests, want 1842", n)
+	}
+	kept := Results{
+		Issued: 1842, OK: 1842, VirtualDurationNs: int64(5248 * time.Millisecond),
+		Mutate: telemetry.Summary{Count: 1420, P50ns: 2097152, P99ns: 2097152},
+		Frame:  telemetry.Summary{Count: 422, P50ns: 25165824, P99ns: 25165824},
+	}
+	if err := kept.Check(sc); err != nil {
+		t.Fatalf("a run that kept pace refused: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*Results)
+	}{
+		{"pacer run", func(r *Results) {
+			r.Issued, r.OK = 267, 267
+			r.Mutate.P99ns, r.Frame.P99ns = int64(38*time.Second), int64(38*time.Second)
+			r.VirtualDurationNs = int64(40300 * time.Millisecond)
+		}},
+		{"one request short", func(r *Results) { r.Issued, r.OK = 1841, 1841 }},
+		{"one request over", func(r *Results) { r.Issued, r.OK = 1843, 1843 }},
+		{"ran past its last interval", func(r *Results) { r.VirtualDurationNs = int64(5251 * time.Millisecond) }},
+		{"mutate p99 over twice its cost", func(r *Results) { r.Mutate.P99ns = int64(4200 * time.Microsecond) }},
+		{"frame p99 over twice its cost", func(r *Results) { r.Frame.P99ns = int64(51 * time.Millisecond) }},
+	} {
+		r := kept
+		c.edit(&r)
+		if err := r.Check(sc); err == nil {
+			t.Errorf("%s: accepted %+v", c.name, r)
 		}
 	}
 }
@@ -342,7 +384,7 @@ func TestRunWithoutFault(t *testing.T) {
 	rep := NewReporter()
 	fleet.Run(context.Background(), rep)
 	res := rep.Summarize(fleet.Metrics.Snapshot())
-	if err := res.Check(); err != nil {
+	if err := res.Check(fleet.Scenario); err != nil {
 		t.Fatal(err)
 	}
 	if res.Promotions != 0 || res.SessionsRebalanced != 0 {

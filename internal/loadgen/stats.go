@@ -2,9 +2,10 @@
 // open-loop generator driving a thousand-plus concurrent sessions
 // through the gateway tier on the virtual clock, with node kills
 // injected mid-run. All pacing and every latency sample is virtual
-// time, so a fleet-seconds-long run finishes in wall-milliseconds and
-// replays the same request schedule every time; the output is a
-// versioned BENCH_scale.json throughput/latency artifact.
+// time, and the clock moves only when every requester and node is
+// blocked on it, so the modeled costs are the only thing a latency
+// reads and a run replays the same request schedule every time; the
+// output is a versioned BENCH_scale.json throughput/latency artifact.
 //
 // The harness splits four ways: the loader builds the fleet and opens
 // the session population, requesters drive the per-session open-loop
@@ -15,7 +16,9 @@ package loadgen
 
 import (
 	"fmt"
+	"time"
 
+	"repro/internal/gateway"
 	"repro/internal/telemetry"
 )
 
@@ -88,14 +91,26 @@ func (r Results) declinedTotal() int64 {
 	return n
 }
 
-// Check verifies the run's acceptance invariants: every issued request
-// is accounted for exactly once (conservation), no client-visible
-// errors leaked through the gateway's retry loop, no session state was
-// lost, no move the gateway's own ring asked for failed, and the run
-// actually exercised the fleet.
-func (r Results) Check() error {
-	if r.Issued == 0 {
-		return fmt.Errorf("loadgen: run issued no requests")
+// Check verifies the run's acceptance invariants against the scenario sc
+// that produced it, as BuildFleet filled it in. The generators issued
+// every request the seeded schedule holds, the run ended within one
+// interval of its duration, and each class's p99 is within twice its
+// modeled cost: a run whose clock outran its requesters fails these.
+// Every issued request is accounted for exactly once, no client-visible
+// error leaked through the gateway's retry loop, no session state was
+// lost, no move the gateway's own ring asked for failed, and some request
+// succeeded.
+func (r Results) Check(sc Scenario) error {
+	if want := sc.scheduled(); r.Issued != want {
+		return fmt.Errorf("loadgen: issued %d of the %d requests the schedule holds", r.Issued, want)
+	}
+	if limit := sc.Duration + sc.Interval; time.Duration(r.VirtualDurationNs) > limit {
+		return fmt.Errorf("loadgen: run took %v of virtual time; a %v run at a %v interval ends by %v",
+			time.Duration(r.VirtualDurationNs), sc.Duration, sc.Interval, limit)
+	}
+	if mutate, frame := time.Duration(r.Mutate.P99ns), time.Duration(r.Frame.P99ns); mutate > 2*gateway.DefaultOpCost || frame > 2*gateway.DefaultRenderCost {
+		return fmt.Errorf("loadgen: p99 mutate %v / frame %v; the modeled costs are %v / %v and a p99 may be twice that",
+			mutate, frame, gateway.DefaultOpCost, gateway.DefaultRenderCost)
 	}
 	if got := r.OK + r.declinedTotal() + r.Errors; got != r.Issued {
 		return fmt.Errorf("loadgen: conservation violated: ok %d + declined %d + errors %d != issued %d",

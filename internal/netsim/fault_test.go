@@ -17,28 +17,6 @@ func fastLink() Link {
 	return Link{BandwidthBps: 1e15, Efficiency: 1, Latency: 0, Quality: 1}
 }
 
-// advance drives a virtual clock from a background goroutine until the
-// returned stop function is called, so reads blocked on delivery timers
-// make progress. Fault decisions never depend on the advancement pace.
-func advance(clk *vclock.Virtual) (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				clk.Advance(5 * time.Millisecond)
-				runtime.Gosched()
-			}
-		}
-	}()
-	return func() { close(done); wg.Wait() }
-}
-
 func TestDropWritesDeterministic(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
 	a, b := SimPipe(clk, fastLink(), fastLink())
@@ -204,7 +182,7 @@ func TestReadDeadlineExpires(t *testing.T) {
 	_, b := SimPipe(clk, fastLink(), fastLink())
 	b.SetReadDeadline(clk.Now().Add(time.Second))
 
-	stop := advance(clk)
+	stop := clk.Drive()
 	defer stop()
 	buf := make([]byte, 8)
 	_, err := b.Read(buf)
@@ -221,7 +199,7 @@ func TestReadDeadlineThenDataAfterClear(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
 	a, b := SimPipe(clk, fastLink(), fastLink())
 	b.SetReadDeadline(clk.Now().Add(time.Second))
-	stop := advance(clk)
+	stop := clk.Drive()
 	defer stop()
 	buf := make([]byte, 8)
 	if _, err := b.Read(buf); err != ErrTimeout {
@@ -248,7 +226,7 @@ func TestStallUntilHoldsDelivery(t *testing.T) {
 	}
 	// Before the stall release the read must time out.
 	b.SetReadDeadline(clk.Now().Add(time.Second))
-	stop := advance(clk)
+	stop := clk.Drive()
 	buf := make([]byte, 8)
 	if _, err := b.Read(buf); err != ErrTimeout {
 		stop()
@@ -274,7 +252,7 @@ func TestLatencySpike(t *testing.T) {
 	if _, err := a.Write([]byte("slow")); err != nil {
 		t.Fatal(err)
 	}
-	stop := advance(clk)
+	stop := clk.Drive()
 	buf := make([]byte, 8)
 	n, err := b.Read(buf)
 	stop()

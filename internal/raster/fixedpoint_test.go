@@ -89,18 +89,16 @@ func TestSpanBoundsBruteForce(t *testing.T) {
 	}
 }
 
-// TestWorkCountersWithoutClock pins the nil-Clock skip path: with
-// Metrics set but Clock nil, the band timing histogram must be skipped
-// while the work counters are still recorded. (The pre-fixed-point
-// renderer dropped both.)
-func TestWorkCountersWithoutClock(t *testing.T) {
+// TestBandWorkCounters: with Metrics set, each band flushes its work
+// counters. (The pre-fixed-point renderer dropped them.)
+func TestBandWorkCounters(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
 	met := telemetry.NewRegistry(clk)
 	fb := NewFramebuffer(64, 64)
 	r := New(fb)
 	r.Opts.Metrics = met
 	r.Opts.Service = "render"
-	r.Opts.Clock = nil
+	r.Opts.Workers = 4
 	r.RenderMesh(frontTriangle(), mathx.Identity(), lookingCamera())
 
 	snap := met.Snapshot()
@@ -108,36 +106,10 @@ func TestWorkCountersWithoutClock(t *testing.T) {
 		t.Errorf("raster_triangles_total = %d, want 1", got)
 	}
 	if got := snap.CounterValue("render", "raster_pixels_total", ""); got == 0 {
-		t.Error("raster_pixels_total = 0, want > 0 with nil Clock")
+		t.Error("raster_pixels_total = 0, want > 0")
 	}
 	if got := snap.CounterValue("render", "raster_spans_total", ""); got == 0 {
-		t.Error("raster_spans_total = 0, want > 0 with nil Clock")
-	}
-	if m, ok := snap.Get("render", "raster_band_ns", ""); ok && m.Count > 0 {
-		t.Errorf("raster_band_ns recorded %d observations with nil Clock, want none", m.Count)
-	}
-}
-
-// TestBandTimingsWithClock is the complementary path: with a clock,
-// both the counters and the band histogram are recorded.
-func TestBandTimingsWithClock(t *testing.T) {
-	clk := vclock.NewVirtual(time.Unix(0, 0))
-	met := telemetry.NewRegistry(clk)
-	fb := NewFramebuffer(64, 64)
-	r := New(fb)
-	r.Opts.Metrics = met
-	r.Opts.Service = "render"
-	r.Opts.Clock = clk
-	r.Opts.Workers = 4
-	r.RenderMesh(frontTriangle(), mathx.Identity(), lookingCamera())
-
-	snap := met.Snapshot()
-	if got := snap.CounterValue("render", "raster_pixels_total", ""); got == 0 {
-		t.Error("raster_pixels_total = 0")
-	}
-	m, ok := snap.Get("render", "raster_band_ns", "")
-	if !ok || m.Count != 4 {
-		t.Errorf("raster_band_ns observations = %+v, want one per band (4)", m)
+		t.Error("raster_spans_total = 0, want > 0")
 	}
 }
 

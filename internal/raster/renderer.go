@@ -4,12 +4,10 @@ import (
 	"image"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/geom"
 	"repro/internal/mathx"
 	"repro/internal/telemetry"
-	"repro/internal/vclock"
 )
 
 // Options controls a render pass.
@@ -31,14 +29,10 @@ type Options struct {
 	FullW, FullH int
 	// DefaultColor is used for meshes without vertex colors.
 	DefaultColor mathx.Vec3
-	// Metrics, when set, receives rasterizer work counters and
-	// scanline-band timings attributed to Service. Clock is the time
-	// source for band timings (the session clock — never the wall
-	// clock); when nil, band timing is skipped and only work counters
-	// are recorded.
+	// Metrics, when set, receives rasterizer work counters attributed
+	// to Service.
 	Metrics *telemetry.Registry
 	Service string
-	Clock   vclock.Clock
 }
 
 // DefaultOptions returns a headlight-style setup.
@@ -374,7 +368,7 @@ func (r *Renderer) RenderMeshes(batch []MeshDraw, cam Camera) {
 	r.Opts.Metrics.Counter(r.Opts.Service, "raster_triangles_total", "").Add(int64(r.TrianglesDrawn))
 	// Fill, a band of rows to a worker: the lists are shared read-only
 	// and the bands are disjoint, so the pixel buffers need no locking.
-	fork(r.Opts.Workers, r.FB.H, func(_, y0, y1 int) { r.timedBand(meshes, y0, y1) })
+	fork(r.Opts.Workers, r.FB.H, func(_, y0, y1 int) { r.band(meshes, y0, y1) })
 	clear(s.passes) // the scratch outlives the call; the meshes are not its to keep
 	for _, d := range batch {
 		if d.Lit != nil {
@@ -669,17 +663,9 @@ func (p *meshPass) toScreen(tri [3]*clipVert, out []screenVert) bool {
 	return frontFacing(&out[0], &out[1], &out[2])
 }
 
-// timedBand rasterizes one band of a batch's meshes and flushes its work
-// counters to telemetry. Band durations are recorded on the session
-// clock when one is wired up; with a nil Clock the timing alone is
-// skipped — work counters (spans, pixels, early-z rejections) are still
-// recorded.
-func (r *Renderer) timedBand(meshes []meshScratch, y0, y1 int) {
-	timed := r.Opts.Metrics != nil && r.Opts.Clock != nil
-	var start time.Time
-	if timed {
-		start = r.Opts.Clock.Now()
-	}
+// band rasterizes one band of a batch's meshes and flushes its work
+// counters (spans, pixels, early-z rejections) to telemetry.
+func (r *Renderer) band(meshes []meshScratch, y0, y1 int) {
 	sc := scratchPool.Get().(*bandScratch)
 	sc.init(r.TrianglesDrawn)
 	for k := range meshes {
@@ -698,9 +684,6 @@ func (r *Renderer) timedBand(meshes []meshScratch, y0, y1 int) {
 	m.Counter(r.Opts.Service, "raster_earlyz_spans_total", "").Add(sc.earlySpans)
 	m.Counter(r.Opts.Service, "raster_earlyz_tris_total", "").Add(sc.earlyTris)
 	scratchPool.Put(sc)
-	if timed {
-		m.Histogram(r.Opts.Service, "raster_band_ns", "").Observe(r.Opts.Clock.Now().Sub(start))
-	}
 }
 
 func toByte(v float64) uint8 {

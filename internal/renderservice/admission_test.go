@@ -63,7 +63,7 @@ func TestAdmissionQueueFullSheds(t *testing.T) {
 	}
 
 	// Drain the queue and prove the gate reopens.
-	stopAdv := startAdvance(clk)
+	stopAdv := clk.Drive()
 	for i := 0; i < 2; i++ {
 		if err := <-done; err != nil {
 			t.Fatalf("parked render failed: %v", err)
@@ -111,7 +111,7 @@ func TestAdmissionBackgroundReservation(t *testing.T) {
 	}()
 	waitAdmitted(t, svc, 3)
 
-	stopAdv := startAdvance(clk)
+	stopAdv := clk.Drive()
 	for i := 0; i < 3; i++ {
 		if err := <-done; err != nil {
 			t.Fatalf("parked render failed: %v", err)
@@ -328,24 +328,4 @@ func waitAdmitted(t *testing.T, svc *Service, n int) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-}
-
-// startAdvance drives a virtual clock from the background until the
-// returned stop function is called (the chaos suite's idiom).
-func startAdvance(clk *vclock.Virtual) (stop func()) {
-	quit := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-quit:
-				return
-			default:
-				clk.Advance(5 * time.Millisecond)
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
-	}()
-	return func() { close(quit); <-done }
 }

@@ -334,7 +334,6 @@ func (s *Service) draw(sc *scene.Scene, cam raster.Camera, fb *raster.Framebuffe
 	r.Opts.FullW, r.Opts.FullH = fullW, fullH
 	r.Opts.Metrics = s.cfg.Metrics
 	r.Opts.Service = s.cfg.Name
-	r.Opts.Clock = s.cfg.Clock
 	if sess != nil {
 		sess.draws++
 		if s.cfg.Workers >= 2 {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -47,29 +45,9 @@ func TestDelayJitterBounded(t *testing.T) {
 	}
 }
 
-// drive advances a virtual clock until stop is called.
-func drive(clk *vclock.Virtual) (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				clk.Advance(50 * time.Millisecond)
-				runtime.Gosched()
-			}
-		}
-	}()
-	return func() { close(done); wg.Wait() }
-}
-
 func TestDoSucceedsAfterFailures(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
-	stop := drive(clk)
+	stop := clk.Drive()
 	defer stop()
 	calls := 0
 	err := Do(context.Background(), clk, DefaultPolicy(), func() error {
@@ -86,7 +64,7 @@ func TestDoSucceedsAfterFailures(t *testing.T) {
 
 func TestDoExhaustsAttempts(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
-	stop := drive(clk)
+	stop := clk.Drive()
 	defer stop()
 	sentinel := errors.New("down")
 	calls := 0
@@ -147,15 +125,10 @@ func TestSleepVirtualClockDeterministicSchedule(t *testing.T) {
 				waits = append(waits, clk.Now().Sub(before))
 			}
 		}()
-		for {
-			select {
-			case <-done:
-				return waits
-			default:
-				clk.Advance(10 * time.Millisecond)
-				runtime.Gosched()
-			}
-		}
+		stop := clk.Drive()
+		defer stop()
+		<-done
+		return waits
 	}
 	w1, w2 := run(), run()
 	if len(w1) != 3 || len(w2) != 3 {

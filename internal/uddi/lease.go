@@ -31,6 +31,16 @@ type Lease struct {
 	Expires time.Time `json:"expires"`
 }
 
+// Leases is the lease surface: a holder defends its own lease (acquire,
+// renew, get) and the gateway, the fleet's authority, moves ownership
+// (transfer). *Registry serves it in process and *Proxy over SOAP.
+type Leases interface {
+	AcquireLease(service, holder string, ttl time.Duration, now time.Time) (Lease, error)
+	RenewLease(service, holder string, epoch uint64, ttl time.Duration, now time.Time) (Lease, error)
+	TransferLease(service, holder string, ttl time.Duration, now time.Time) (Lease, error)
+	GetLease(service string, now time.Time) (Lease, bool, error)
+}
+
 // Lease errors. ErrLeaseHeld means an acquire raced a live holder;
 // ErrLeaseStale means a renew presented a deposed holder or epoch.
 var (

@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"container/heap"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 )
@@ -65,10 +66,10 @@ func (h *waiterHeap) Pop() interface{} {
 	return w
 }
 
-// Virtual is a deterministic Clock that only advances when Advance is
-// called. Sleep blocks until another goroutine advances the clock past the
-// deadline, which makes time-dependent service behaviour fully
-// reproducible in tests.
+// Virtual is a deterministic Clock that advances only by Advance or while
+// Drive runs. Sleep blocks until the clock is moved past the deadline,
+// which makes time-dependent service behaviour fully reproducible in
+// tests.
 type Virtual struct {
 	mu      sync.Mutex
 	now     time.Time
@@ -156,7 +157,9 @@ func (v *Virtual) advanceToNext() bool {
 // on a socket holds the clock for as long as the socket is open, so Drive
 // does not fit code with real network I/O. A goroutine receiving from a
 // real-time timer's channel reads as blocked, so code under Drive takes
-// its time from this clock.
+// its time from this clock. The CPU profiler's writer, which sleeps on the
+// real clock while a profile runs, is not read. One driver moves a clock
+// at a time: two would each advance on the same all-blocked reading.
 func (v *Virtual) Drive() (stop func()) {
 	done := make(chan struct{})
 	exited := make(chan struct{})
@@ -178,9 +181,14 @@ const (
 func (v *Virtual) drive(done <-chan struct{}) {
 	// Drivers, this one and any other in the process, are skipped by the
 	// name of this function in their stacks: they only sleep between
-	// checks and would otherwise hold each other's clocks.
+	// checks and would otherwise hold each other's clocks. So is the CPU
+	// profiler's writer, which sleeps on the real clock for as long as a
+	// profile runs.
 	pc, _, _, _ := runtime.Caller(0)
-	self := []byte("\n" + runtime.FuncForPC(pc).Name() + "(")
+	skip := [][]byte{
+		[]byte("\n" + runtime.FuncForPC(pc).Name() + "("),
+		[]byte("\nruntime/pprof.profileWriter("),
+	}
 	buf := make([]byte, 64<<10)
 	idle := driveMinIdle
 	for {
@@ -193,7 +201,7 @@ func (v *Virtual) drive(done <-chan struct{}) {
 		for n = runtime.Stack(buf, true); n == len(buf); n = runtime.Stack(buf, true) {
 			buf = make([]byte, 2*len(buf))
 		}
-		if allBlocked(buf[:n], self) && v.advanceToNext() {
+		if allBlocked(buf[:n], skip) && v.advanceToNext() {
 			idle = driveMinIdle
 			runtime.Gosched()
 			continue
@@ -222,11 +230,11 @@ var blockedStates = map[string]bool{
 }
 
 // allBlocked reports whether every goroutine in the runtime.Stack dump,
-// apart from those whose stack holds the frame self, is in one of
-// blockedStates.
-func allBlocked(dump, self []byte) bool {
+// apart from those whose stack holds one of the frames in skip, is in one
+// of blockedStates.
+func allBlocked(dump []byte, skip [][]byte) bool {
 	for _, g := range bytes.Split(dump, []byte("\n\n")) {
-		if bytes.Contains(g, self) {
+		if slices.ContainsFunc(skip, func(frame []byte) bool { return bytes.Contains(g, frame) }) {
 			continue
 		}
 		open, end := bytes.IndexByte(g, '['), bytes.IndexByte(g, ']')

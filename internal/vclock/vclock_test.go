@@ -1,6 +1,8 @@
 package vclock
 
 import (
+	"io"
+	"runtime/pprof"
 	"sync"
 	"testing"
 	"time"
@@ -202,5 +204,24 @@ func TestDriveHoldsDuringRealSleep(t *testing.T) {
 	}
 	if got := <-timer; !got.Equal(epoch.Add(time.Second)) {
 		t.Fatalf("timer fired at %v", got)
+	}
+}
+
+// TestDriveUnderCPUProfile: the CPU profiler's writer goroutine sleeps on
+// the real clock for as long as a profile runs, and a driven clock does
+// not wait for it.
+func TestDriveUnderCPUProfile(t *testing.T) {
+	if err := pprof.StartCPUProfile(io.Discard); err != nil {
+		t.Skipf("a CPU profile is already running: %v", err)
+	}
+	defer pprof.StopCPUProfile()
+	v := NewVirtual(epoch)
+	timer := v.After(time.Second)
+	stop := v.Drive()
+	defer stop()
+	select {
+	case <-timer:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a CPU profile held the driven clock")
 	}
 }
