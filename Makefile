@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet fmt-check lint lint-report allow-audit one-follower one-reply one-gate one-quantile one-health one-frame one-clock unreached vulncheck build test race fuzz-smoke bench-smoke chaos scale partition storage raster loc ci
+.PHONY: all vet fmt-check lint lint-report allow-audit one-follower one-reply one-gate one-quantile one-health one-frame one-clock unreached vulncheck build test race fuzz-smoke bench-smoke chaos scale partition storage replay raster loc ci
 
 all: ci
 
@@ -184,12 +184,13 @@ bench-smoke:
 # chaos runs the kill-and-recover suite twice under the race detector:
 # failover and recovery schedules are goroutine-heavy, and a second run
 # shakes out order-dependent flakes the first can mask. Every scenario
-# runs on the driven clock (vclock's Drive), so the suite is then run at
-# GOMAXPROCS 1, 2 and 8: a deadline a part misses or a lease a monitor
-# claims must not depend on how many goroutines run beside it.
+# runs on the driven clock (vclock's Drive), so the suite and the fleet
+# harness's own runs (internal/loadgen) are then run at GOMAXPROCS 1, 2
+# and 8: a deadline a part misses or a lease a monitor claims must not
+# depend on how many goroutines run beside it.
 chaos:
 	$(GO) test ./internal/chaos/ -race -count=2
-	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test ./internal/chaos/ -count=3 || exit 1; done
+	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test ./internal/chaos/ ./internal/loadgen/ -count=3 || exit 1; done
 
 # scale runs the reduced deterministic raveload scenario — 100 sessions
 # on 4 nodes with a mid-run node kill — and fails on any acceptance
@@ -220,6 +221,22 @@ storage:
 	$(GO) run -race ./cmd/raveload -sessions 100 -nodes 4 -duration 5s \
 		-replicas 2 -sick-disk-at 2s -check
 
+# replay regenerates the checked-in BENCH_partition.json from the
+# scenario it records (its "scenario" block, the EXPERIMENTS.md command)
+# at GOMAXPROCS 1 and 2, and fails unless each run writes the file byte
+# for byte: a full-size fleet artifact is a pure function of its seed and
+# scenario, at any GOMAXPROCS.
+replay:
+	@dir="$$(mktemp -d)"; status=0; \
+	for p in 1 2; do \
+		GOMAXPROCS=$$p $(GO) run ./cmd/raveload -nodes 8 -sessions 600 -duration 12s \
+			-regions eu,us -replicas 2 -partition-at 4s -heal-at 8s \
+			-out "$$dir/BENCH_partition.json" -check >/dev/null \
+		&& cmp "$$dir/BENCH_partition.json" BENCH_partition.json \
+		&& echo "replay: BENCH_partition.json regenerated byte for byte at GOMAXPROCS=$$p" \
+		|| { status=1; break; }; \
+	done; rm -rf "$$dir"; exit $$status
+
 # raster runs the reduced deterministic rasterizer benchmark — the
 # galleon through the fixed-point and float-reference cores, 30 frames
 # each — and fails on any regression invariant: core parity, the fixed
@@ -234,9 +251,9 @@ raster:
 	$(GO) run ./cmd/ravebench -extra raster -frames 30 -check -out "$$dir"; \
 	status=$$?; rm -rf "$$dir"; exit $$status
 
-# loc prints the non-test line count ROADMAP item 3 asks every PR to
-# report before and after in CHANGES.md (bench/ is the benchmark harness,
-# not the system, so it is left out).
+# loc prints the non-test line count, which CHANGES.md reports before
+# and after each change (bench/ is the benchmark harness, not the system,
+# so it is left out).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1
 
@@ -247,6 +264,7 @@ loc:
 # race detector, ten seconds of
 # fuzzing per target, one run of each raster microbenchmark, a doubled chaos pass (the chaos suite exercises concurrent failure recovery, so -race
 # is part of the bar, not an extra), the reduced fleet-scale load,
-# region-partition, and sick-disk scenarios, and the rasterizer
-# regression benchmark.
-ci: fmt-check lint-report allow-audit lint one-follower one-reply one-gate one-quantile one-health one-frame one-clock unreached vulncheck build race fuzz-smoke bench-smoke chaos scale partition storage raster
+# region-partition, and sick-disk scenarios, the full-size partition
+# artifact replayed byte for byte, and the rasterizer regression
+# benchmark.
+ci: fmt-check lint-report allow-audit lint one-follower one-reply one-gate one-quantile one-health one-frame one-clock unreached vulncheck build race fuzz-smoke bench-smoke chaos scale partition storage replay raster

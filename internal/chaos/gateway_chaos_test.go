@@ -152,17 +152,15 @@ func TestGatewayKillUnderLoadGapOnlyResume(t *testing.T) {
 	// and chase the gateway's rerouting, exactly like a host going dark.
 	// The run starts now and its clock moves only when every goroutine is
 	// blocked, so by then the fleet has killed the victim.
-	severAt := clk.After(sc.KillNodeAt + time.Nanosecond)
 	severed := make(chan bool, 1)
-	go func() {
-		<-severAt
+	clk.AfterFunc(sc.KillNodeAt+time.Nanosecond, func() {
 		connMu.Lock()
 		for _, c := range victimConns {
 			c.Close()
 		}
 		connMu.Unlock()
 		severed <- !victim.Alive()
-	}()
+	})
 
 	rep := loadgen.NewReporter()
 	f.Run(context.Background(), rep)

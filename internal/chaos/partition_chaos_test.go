@@ -173,17 +173,15 @@ func TestRegionPartitionUnderLoadHealsGapOnly(t *testing.T) {
 	// as a connection loss and chases the gateway's re-route. The run
 	// starts now and its clock moves only when every goroutine is
 	// blocked, so by then the fleet has cut the region.
-	severAt := clk.After(sc.PartitionAt + time.Nanosecond)
 	severed := make(chan bool, 1)
-	go func() {
-		<-severAt
+	clk.AfterFunc(sc.PartitionAt+time.Nanosecond, func() {
 		connMu.Lock()
 		for _, c := range usConns {
 			c.Close()
 		}
 		connMu.Unlock()
 		severed <- f.Topology.Partitioned()
-	}()
+	})
 
 	rep := loadgen.NewReporter()
 	f.Run(context.Background(), rep)

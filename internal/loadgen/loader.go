@@ -80,11 +80,15 @@ type Scenario struct {
 	HealAt time.Duration `json:"heal_at_ns,omitempty"`
 }
 
-// Validate rejects scenario combinations that cannot run: a partition
-// needs at least two regions to cut between, and a heal needs a
-// partition to heal. Flag parsing in raveload surfaces these as usage
-// errors instead of mid-run panics.
+// Validate rejects scenarios that cannot run as asked: a negative size,
+// period or fault offset, a partition without two regions to cut between,
+// or a heal without a partition. Flag parsing in raveload surfaces these
+// as usage errors instead of mid-run panics or a quietly different run.
 func (sc Scenario) Validate() error {
+	if min(sc.Nodes, sc.Sessions, sc.Tenants, sc.FrameEvery, sc.QueueDepth, sc.RenderSlots, sc.Replicas) < 0 ||
+		min(sc.Interval, sc.Duration, sc.KillNodeAt, sc.SickDiskAt, sc.PartitionAt, sc.HealAt) < 0 {
+		return fmt.Errorf("loadgen: negative size, period or fault offset in %+v", sc)
+	}
 	if sc.PartitionAt > 0 && len(sc.Regions) < 2 {
 		return fmt.Errorf("loadgen: -partition-at needs at least two regions (got %d)", len(sc.Regions))
 	}
@@ -93,9 +97,6 @@ func (sc Scenario) Validate() error {
 	}
 	if sc.HealAt > 0 && sc.HealAt <= sc.PartitionAt {
 		return fmt.Errorf("loadgen: -heal-at %v must come after -partition-at %v", sc.HealAt, sc.PartitionAt)
-	}
-	if sc.Replicas < 0 {
-		return fmt.Errorf("loadgen: negative replication factor %d", sc.Replicas)
 	}
 	if sc.SickDiskAt > 0 && sc.Nodes > 0 && sc.Nodes < 2 {
 		return fmt.Errorf("loadgen: -sick-disk-at needs at least two nodes to evacuate onto")
@@ -143,9 +144,9 @@ func (sc Scenario) withDefaults() Scenario {
 	return sc
 }
 
-// orDefault sets *v to def when it is not positive.
+// orDefault sets *v to def when it is unset (zero).
 func orDefault[T int | time.Duration](v *T, def T) {
-	if *v <= 0 {
+	if *v == 0 {
 		*v = def
 	}
 }

@@ -344,7 +344,10 @@ func TestCheckRefusesARunThatLostPace(t *testing.T) {
 }
 
 // TestScenarioValidate: impossible scenario combinations are rejected
-// up front (raveload surfaces these as flag-validation errors).
+// up front (raveload surfaces these as flag-validation errors). So is a
+// negative size, period or fault offset: filled with its default it would
+// run a different scenario than the one asked for (raveload -sessions -5
+// ran 100 sessions), and a negative fault offset would mean no fault.
 func TestScenarioValidate(t *testing.T) {
 	bad := []Scenario{
 		{PartitionAt: time.Second},
@@ -355,6 +358,18 @@ func TestScenarioValidate(t *testing.T) {
 		{Regions: []string{"eu", ""}},
 		{SickDiskAt: time.Second, Nodes: 1},
 		{SickDiskAt: time.Second, KillNodeAt: time.Second},
+		{Nodes: -3},
+		{Sessions: -5},
+		{Tenants: -1},
+		{Interval: -time.Millisecond},
+		{Duration: -time.Second},
+		{FrameEvery: -4},
+		{QueueDepth: -1},
+		{RenderSlots: -2},
+		{KillNodeAt: -time.Second},
+		{SickDiskAt: -time.Second},
+		{PartitionAt: -time.Second, Regions: []string{"eu", "us"}},
+		{HealAt: -time.Second},
 	}
 	for i, sc := range bad {
 		if _, err := BuildFleet(sc); err == nil {

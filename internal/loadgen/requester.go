@@ -3,19 +3,17 @@ package loadgen
 import (
 	"context"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/gateway"
 )
 
-// Run drives the scenario to completion: one requester goroutine per
-// session issues the open-loop schedule, while this goroutine sleeps on
-// the clock to each scheduled fault and injects it. Run drives the clock
-// (vclock's Drive), so time moves only when every requester and node is
-// blocked, and nothing else may drive it meanwhile. Returns once every
-// requester has drained; record of the run accumulates in rep.
+// Run drives the scenario to completion. Each session, each fault and the
+// storage sweep is a callback on the fleet's clock (vclock's AfterFunc),
+// which Run drives (vclock's Drive): time moves only when every request in
+// flight and every node is blocked, and nothing else may drive it
+// meanwhile. Returns once every session has ended; rep records the run.
 func (f *Fleet) Run(ctx context.Context, rep *Reporter) {
 	stopClock := f.Clock.Drive()
 	defer stopClock()
@@ -23,111 +21,86 @@ func (f *Fleet) Run(ctx context.Context, rep *Reporter) {
 	start := f.Clock.Now()
 	end := start.Add(sc.Duration)
 
-	var wg sync.WaitGroup
+	var sessions sync.WaitGroup
 	sc.eachJitter(func(idx int, jitter time.Duration) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f.runSession(ctx, idx, jitter, end, rep)
-		}()
+		sessions.Add(1)
+		f.Clock.AfterFunc(jitter, f.session(ctx, idx, start.Add(jitter), end, rep, sessions.Done))
 	})
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
 
+	// after arms fire d from now (nothing when d is zero: the fault is
+	// unset). Faults and the sweep fire one at a time under mu, and none
+	// fires once the run has ended or ctx is cancelled.
+	var mu sync.Mutex
+	ended, cut := false, false
+	after := func(d time.Duration, fire func()) {
+		if d > 0 {
+			f.Clock.AfterFunc(d, func() {
+				mu.Lock()
+				defer mu.Unlock()
+				if !ended && ctx.Err() == nil {
+					fire()
+				}
+			})
+		}
+	}
+	// sweep is the control-loop pass the gateway tier would run: it drains
+	// any session the dispatch path's own retries have not already pushed
+	// off the sick disk, and is a cheap no-op once the node is drained.
+	var sweep func()
+	sweep = func() {
+		f.Gateway.SyncStorageHealth()
+		after(time.Millisecond, sweep)
+	}
 	victimRegion := sc.victimRegion()
-	partitioned, healed, sickened := false, false, false
-	faults := []struct {
-		at   time.Duration
-		fire func(at time.Duration)
-	}{
-		{sc.KillNodeAt, func(at time.Duration) {
-			// Kill the most-loaded node, telling nobody: the gateway
-			// must discover the death from its own failed dispatches
-			// and heal.
-			victim := f.PickVictim()
-			victim.Kill()
-			rep.noteKill(victim.Name(), at)
-		}},
-		{sc.PartitionAt, func(at time.Duration) {
-			// Cut the last region off mid-run. Unlike the node kill,
-			// the topology event is visible control-plane state, so
-			// the gateway is told — what it must get right is serving
-			// every cut-region session from a surviving replica
-			// without moving a bootstrap byte across the partition.
-			cross, victim := f.bootstrapBytes(victimRegion)
-			f.Topology.Partition(victimRegion)
-			f.Gateway.TopologyChanged()
-			rep.notePartition(victimRegion, at, cross, victim)
-			partitioned = true
-		}},
-		{sc.SickDiskAt, func(at time.Duration) {
-			// Poison the most-loaded node's disk, telling nobody: the
-			// node stays alive and keeps serving frames, but its next
-			// WAL commit fails and the gateway must evacuate.
-			victim := f.PickVictim()
-			f.plans[victim.Name()].SickNow()
-			rep.noteSickDisk(victim.Name(), at)
-			sickened = true
-		}},
-		{sc.HealAt, func(at time.Duration) {
-			// Sample the accounting window before reconnecting:
-			// post-heal catch-up traffic is legitimate.
-			cross, victim := f.bootstrapBytes(victimRegion)
-			f.Topology.Heal()
-			f.Gateway.TopologyChanged()
-			rep.noteHeal(at, cross, victim)
-			healed = true
-		}},
-	}
-	// Unset faults (at 0) go; the rest fire in time order.
-	sort.SliceStable(faults, func(i, j int) bool { return faults[i].at < faults[j].at })
-	for len(faults) > 0 && faults[0].at <= 0 {
-		faults = faults[1:]
-	}
+	after(sc.KillNodeAt, func() {
+		// Kill the most-loaded node, telling nobody: the gateway must
+		// discover the death from its own failed dispatches and heal.
+		victim := f.PickVictim()
+		victim.Kill()
+		rep.noteKill(victim.Name(), sc.KillNodeAt)
+	})
+	after(sc.PartitionAt, func() {
+		// Cut the last region off mid-run. Unlike the node kill, the
+		// topology event is visible control-plane state, so the gateway
+		// is told — what it must get right is serving every cut-region
+		// session from a surviving replica without moving a bootstrap
+		// byte across the partition.
+		cross, victim := f.bootstrapBytes(victimRegion)
+		f.Topology.Partition(victimRegion)
+		f.Gateway.TopologyChanged()
+		rep.notePartition(victimRegion, sc.PartitionAt, cross, victim)
+		cut = true
+	})
+	after(sc.SickDiskAt, func() {
+		// Poison the most-loaded node's disk, telling nobody: the node
+		// stays alive and keeps serving frames, but its next WAL commit
+		// fails and the gateway must evacuate.
+		victim := f.PickVictim()
+		f.plans[victim.Name()].SickNow()
+		rep.noteSickDisk(victim.Name(), sc.SickDiskAt)
+		sweep()
+	})
+	after(sc.HealAt, func() {
+		// Sample the accounting window before reconnecting: post-heal
+		// catch-up traffic is legitimate.
+		cross, victim := f.bootstrapBytes(victimRegion)
+		f.Topology.Heal()
+		f.Gateway.TopologyChanged()
+		rep.noteHeal(sc.HealAt, cross, victim)
+		cut = false
+	})
 
-	for {
-		var wake <-chan time.Time // nil once nothing is left to wake for
-		now := f.Clock.Now().Sub(start)
-		switch sweep := time.Millisecond; { // the storage sweep's cadence
-		case len(faults) > 0 && (!sickened || faults[0].at-now < sweep):
-			wake = f.Clock.After(faults[0].at - now)
-		case sickened:
-			wake = f.Clock.After(sweep)
-		}
-		select {
-		case <-done:
-			if partitioned && !healed {
-				// The run ended still cut; close the partition-era
-				// accounting window at end-of-run instead of heal time.
-				cross, victim := f.bootstrapBytes(victimRegion)
-				rep.noteHeal(0, cross, victim)
-			}
-			rep.setVirtualDuration(f.Clock.Now().Sub(start))
-			return
-		case <-wake:
-		}
-		if ctx.Err() != nil {
-			// Cancelled: inject nothing more and wait for the
-			// requesters, which see the same context, to drain.
-			faults, sickened = nil, false
-			continue
-		}
-		at := f.Clock.Now().Sub(start)
-		for len(faults) > 0 && faults[0].at <= at {
-			faults[0].fire(at)
-			faults = faults[1:]
-		}
-		if sickened {
-			// The control-loop sweep the gateway tier would run: drains
-			// any session the dispatch path's own retries have not
-			// already pushed off the sick disk. Cheap no-op once the
-			// node is fully drained.
-			f.Gateway.SyncStorageHealth()
-		}
+	sessions.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	ended = true
+	if cut {
+		// The run ended still cut; close the partition-era accounting
+		// window at end-of-run instead of heal time.
+		cross, victim := f.bootstrapBytes(victimRegion)
+		rep.noteHeal(0, cross, victim)
 	}
+	rep.setVirtualDuration(f.Clock.Now().Sub(start))
 }
 
 // eachJitter draws each session's start phase from the seed, in session
@@ -156,42 +129,44 @@ func (sc Scenario) scheduled() int64 {
 	return n
 }
 
-// runSession is one session's open-loop driver: requests fire on the
-// absolute virtual timeline (start + k·interval), so a slow response
-// does not stretch the schedule — it overlaps the next tick, exactly
-// the backlog behavior an open-loop generator exists to create. Every
-// FrameEvery-th request is an interactive frame; the rest are
-// background scene mutations, exercising both admission classes.
-func (f *Fleet) runSession(ctx context.Context, idx int, jitter time.Duration, end time.Time, rep *Reporter) {
+// session returns one session's open-loop driver, a clock callback that
+// issues the request due at next and re-arms itself for the one after:
+// requests fire on the absolute virtual timeline (start + jitter +
+// k·interval), so a slow response does not stretch the schedule — it
+// overlaps the next tick, exactly the backlog behavior an open-loop
+// generator exists to create. Every FrameEvery-th request is an
+// interactive frame; the rest are background scene mutations, exercising
+// both admission classes. The session calls done once the run's end or
+// ctx stops it.
+func (f *Fleet) session(ctx context.Context, idx int, next, end time.Time, rep *Reporter, done func()) func() {
 	sc := f.Scenario
-	tenant := sc.tenant(idx)
-	session := sessionName(idx)
-	f.Clock.Sleep(jitter)
-	next := f.Clock.Now()
+	tenant, session := sc.tenant(idx), sessionName(idx)
 	k := 0
-	for {
-		if ctx.Err() != nil {
-			return
+	var tick func()
+	tick = func() {
+		for ctx.Err() == nil {
+			now := f.Clock.Now()
+			if !now.Before(end) {
+				break
+			}
+			if now.Before(next) {
+				f.Clock.AfterFunc(next.Sub(now), tick)
+				return
+			}
+			k++
+			req := gateway.Request{Tenant: tenant, Session: session, Kind: gateway.KindMutate}
+			if k%sc.FrameEvery == 0 {
+				req.Kind = gateway.KindFrame
+				req.Interactive = true
+			}
+			_, err := f.Gateway.Dispatch(ctx, req)
+			rep.record(err)
+			next = next.Add(sc.Interval)
+			if now := f.Clock.Now(); next.Before(now) {
+				next = now
+			}
 		}
-		now := f.Clock.Now()
-		if !now.Before(end) {
-			return
-		}
-		if now.Before(next) {
-			f.Clock.Sleep(next.Sub(now))
-			continue
-		}
-		k++
-		req := gateway.Request{Tenant: tenant, Session: session, Kind: gateway.KindMutate}
-		if k%sc.FrameEvery == 0 {
-			req.Kind = gateway.KindFrame
-			req.Interactive = true
-		}
-		_, err := f.Gateway.Dispatch(ctx, req)
-		rep.record(err)
-		next = next.Add(sc.Interval)
-		if now := f.Clock.Now(); next.Before(now) {
-			next = now
-		}
+		done()
 	}
+	return tick
 }

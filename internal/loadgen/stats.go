@@ -2,16 +2,16 @@
 // open-loop generator driving a thousand-plus concurrent sessions
 // through the gateway tier on the virtual clock, with node kills
 // injected mid-run. All pacing and every latency sample is virtual
-// time, and the clock moves only when every requester and node is
-// blocked on it, so the modeled costs are the only thing a latency
-// reads and a run replays the same request schedule every time; the
-// output is a versioned BENCH_scale.json throughput/latency artifact.
+// time, and the clock moves only when every request in flight and every
+// node is blocked on it, so the modeled costs are the only thing a
+// latency reads and a run replays the same request schedule every time;
+// the output is a versioned BENCH_scale.json throughput/latency artifact.
 //
 // The harness splits four ways: the loader builds the fleet and opens
-// the session population, requesters drive the per-session open-loop
-// schedules, the reporter aggregates outcomes and writes the artifact,
-// and stats (this file) holds the results block and its acceptance
-// check.
+// the session population, the requester runs each session's open-loop
+// schedule and each fault as callbacks on the virtual clock, the
+// reporter aggregates outcomes and writes the artifact, and stats (this
+// file) holds the results block and its acceptance check.
 package loadgen
 
 import (

@@ -44,10 +44,11 @@ func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 // After implements Clock.
 func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-// waiter is a pending timer on a virtual clock.
+// waiter is a pending timer on a virtual clock: it sends on ch or starts fn.
 type waiter struct {
 	deadline time.Time
 	ch       chan time.Time
+	fn       func()
 	index    int
 }
 
@@ -101,6 +102,20 @@ func (v *Virtual) After(d time.Duration) <-chan time.Time {
 	return ch
 }
 
+// AfterFunc starts fn in a goroutine of its own once d has elapsed on the
+// clock, or at once when d <= 0. Until then no goroutine waits on the
+// timer, so a chain of callbacks that re-arm themselves holds a goroutine
+// only while one of them runs.
+func (v *Virtual) AfterFunc(d time.Duration, fn func()) {
+	if d <= 0 {
+		go fn()
+		return
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	heap.Push(&v.waiters, &waiter{deadline: v.now.Add(d), fn: fn})
+}
+
 // Sleep implements Clock.
 func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
@@ -123,6 +138,10 @@ func (v *Virtual) advanceTo(target time.Time) {
 	for len(v.waiters) > 0 && !v.waiters[0].deadline.After(target) {
 		w := heap.Pop(&v.waiters).(*waiter)
 		v.now = w.deadline
+		if w.fn != nil {
+			go w.fn()
+			continue
+		}
 		//lint:allow unboundedsend: w.ch is per-waiter with capacity 1 (see After) and each waiter is popped, hence sent to, exactly once
 		w.ch <- v.now
 	}
@@ -192,14 +211,15 @@ func (v *Virtual) drive(done <-chan struct{}) {
 	buf := make([]byte, 64<<10)
 	idle := driveMinIdle
 	for {
+		var n int
+		for n = runtime.Stack(buf, true); n == len(buf); n = runtime.Stack(buf, true) {
+			buf = make([]byte, 2*len(buf))
+		}
+		// Checked after the snapshot, which reads a caller parked in stop as blocked.
 		select {
 		case <-done:
 			return
 		default:
-		}
-		var n int
-		for n = runtime.Stack(buf, true); n == len(buf); n = runtime.Stack(buf, true) {
-			buf = make([]byte, 2*len(buf))
 		}
 		if allBlocked(buf[:n], skip) && v.advanceToNext() {
 			idle = driveMinIdle

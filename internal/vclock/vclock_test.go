@@ -225,3 +225,144 @@ func TestDriveUnderCPUProfile(t *testing.T) {
 		t.Fatal("a CPU profile held the driven clock")
 	}
 }
+
+// TestAfterFuncFiresInDeadlineOrder: under Advance, callbacks start in
+// deadline order, whatever order they were registered in, and none starts
+// before its deadline.
+func TestAfterFuncFiresInDeadlineOrder(t *testing.T) {
+	v := NewVirtual(epoch)
+	fired := make(chan int, 3)
+	for _, id := range []int{3, 1, 2} {
+		v.AfterFunc(time.Duration(id)*100*time.Millisecond, func() { fired <- id })
+	}
+	for want := 1; want <= 3; want++ {
+		v.Advance(100 * time.Millisecond)
+		select {
+		case got := <-fired:
+			if got != want {
+				t.Fatalf("step %d started callback %d", want, got)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("callback %d did not start at its deadline", want)
+		}
+	}
+	select {
+	case got := <-fired:
+		t.Fatalf("callback %d started twice", got)
+	default:
+	}
+}
+
+// TestAfterFuncBlockingCallbackDoesNotBlockAdvance: a callback runs in a
+// goroutine of its own, so one that blocks neither holds Advance nor
+// keeps the timers after it from firing.
+func TestAfterFuncBlockingCallbackDoesNotBlockAdvance(t *testing.T) {
+	v := NewVirtual(epoch)
+	release, entered := make(chan struct{}), make(chan struct{})
+	v.AfterFunc(time.Second, func() {
+		close(entered)
+		<-release
+	})
+	later := v.After(2 * time.Second)
+	advanced := make(chan struct{})
+	go func() {
+		v.Advance(3 * time.Second)
+		close(advanced)
+	}()
+	for _, c := range []struct {
+		ch   <-chan struct{}
+		what string
+	}{{advanced, "Advance returned"}, {entered, "the callback started"}} {
+		select {
+		case <-c.ch:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s never happened", c.what)
+		}
+	}
+	if got := <-later; !got.Equal(epoch.Add(2 * time.Second)) {
+		t.Fatalf("timer after the blocked callback fired at %v", got)
+	}
+	close(release)
+}
+
+// TestAfterFuncNonPositiveRunsAtOnce: a callback due now or in the past
+// starts without the clock moving and leaves no timer behind.
+func TestAfterFuncNonPositiveRunsAtOnce(t *testing.T) {
+	v := NewVirtual(epoch)
+	ran := make(chan time.Time, 2)
+	v.AfterFunc(0, func() { ran <- v.Now() })
+	v.AfterFunc(-time.Second, func() { ran <- v.Now() })
+	for i := 0; i < 2; i++ {
+		select {
+		case got := <-ran:
+			if !got.Equal(epoch) {
+				t.Fatalf("callback ran at %v, want epoch", got)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a non-positive AfterFunc did not run")
+		}
+	}
+	if n := v.PendingWaiters(); n != 0 {
+		t.Fatalf("%d timers left behind", n)
+	}
+}
+
+// TestDriveRunsCallbackChain: under Drive, a chain of callbacks that
+// each re-arm the next holds no goroutine between links, and the clock
+// still moves link by link to the chain's last deadline.
+func TestDriveRunsCallbackChain(t *testing.T) {
+	const links = 1000
+	v := NewVirtual(epoch)
+	finished := make(chan time.Time, 1)
+	n := 0
+	var link func()
+	link = func() {
+		if n++; n == links {
+			finished <- v.Now()
+			return
+		}
+		v.AfterFunc(time.Millisecond, link)
+	}
+	v.AfterFunc(time.Millisecond, link)
+	stop := v.Drive()
+	defer stop()
+	if got, want := <-finished, epoch.Add(links*time.Millisecond); !got.Equal(want) {
+		t.Fatalf("chain ended at %v, want %v", got, want)
+	}
+}
+
+// TestDriveCallbackSleepsOnClock: a callback that sleeps on the clock is
+// a parked goroutine like any other, so Drive moves the clock to wake it.
+func TestDriveCallbackSleepsOnClock(t *testing.T) {
+	v := NewVirtual(epoch)
+	woke := make(chan time.Time, 1)
+	v.AfterFunc(time.Second, func() {
+		v.Sleep(time.Second)
+		woke <- v.Now()
+	})
+	stop := v.Drive()
+	defer stop()
+	if got := <-woke; !got.Equal(epoch.Add(2 * time.Second)) {
+		t.Fatalf("sleeping callback woke at %v", got)
+	}
+}
+
+// TestDriveStopMovesNothing: once stop is called the clock stays put. The
+// caller parks in stop until the Drive goroutine exits, so a Drive goroutine
+// that took its snapshot then would read every goroutine as blocked and fire
+// the next timer after the run it drove had ended.
+func TestDriveStopMovesNothing(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		v := NewVirtual(epoch)
+		v.After(time.Millisecond)
+		stop := v.Drive()
+		// Running holds the clock; spin a varying while so that stop
+		// lands at every point of the Drive goroutine's check loop.
+		for start := time.Now(); time.Since(start) < time.Duration(i%40)*5*time.Microsecond; {
+		}
+		stop()
+		if got := v.Now(); !got.Equal(epoch) {
+			t.Fatalf("run %d: clock moved to %v after stop", i, got)
+		}
+	}
+}
