@@ -99,10 +99,11 @@ one-health:
 # one-frame keeps a distributed frame asked for one way: Distributor.Render
 # takes a FrameRequest whose Mode names the partitioning (tiles, subsets,
 # slabs) and returns a FrameReport for every mode, so no Go file outside
-# bench/, tests included, calls a per-mode frame method or names the old
-# tile-only report. bench/ still calls the two deprecated shims.
+# bench/, tests included, calls or takes as a method value a per-mode
+# frame method or names the old tile-only report. bench/ still calls the
+# two deprecated shims.
 one-frame:
-	@out="$$(grep -rnE '\.(RenderDistributed|RenderTilesHedged|RenderVolumeDistributed)\(|HedgeReport' --include='*.go' . \
+	@out="$$(grep -rnE '\.(RenderDistributed|RenderTilesHedged|RenderVolumeDistributed)\b|HedgeReport' --include='*.go' . \
 		| grep -v '^\./bench/')"; \
 	if [ -n "$$out" ]; then echo "a distributed frame asked for outside Distributor.Render:"; echo "$$out"; exit 1; fi
 
@@ -174,10 +175,12 @@ fuzz-smoke:
 # per-mesh and batched frames, full-w2-batch reusing its lighting records
 # and full-w2-batch-moving relighting every frame, BenchmarkRenderTile, BenchmarkAssemble's
 # tiles and subsets painted from their replies as sent, BenchmarkCommitReshape's
-# journalled reshape fanned out to two sockets) keep compiling and running;
+# journalled reshape fanned out to two sockets, BenchmarkDeltaRLE's
+# thin-client delta frame encoded and decoded) keep compiling and running;
 # it times nothing.
 bench-smoke:
 	$(GO) test ./internal/raster ./internal/renderservice -run '^$$' -bench 'ElleFrame|RenderTile' -benchtime 1x
+	$(GO) test ./internal/imgcodec -run '^$$' -bench '^BenchmarkDeltaRLE$$' -benchtime 1x -benchmem
 	$(GO) test ./internal/compositor -run '^$$' -bench '^BenchmarkAssemble$$' -benchtime 1x -benchmem
 	$(GO) test ./internal/dataservice -run '^$$' -bench '^BenchmarkCommitReshape$$' -benchtime 1x -benchmem
 

@@ -59,11 +59,27 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{byte(RLE), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	f.Add([]byte{byte(Flate), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 2, 0x03, 0x00})
+	// Delta frames against prev's 30 pixels that are refused once the
+	// reference is copied: a zero-length run, runs that overflow the
+	// frame after a changed one, and runs that fall short of it.
+	for _, runs := range [][]byte{
+		{0, 1, 2, 3, 30, 0, 0, 0},
+		{20, 1, 2, 3, 20, 0, 0, 0},
+		{10, 1, 2, 3, 10, 0, 0, 0},
+	} {
+		f.Add(append([]byte{byte(DeltaRLE), 0, 6, 0, 5, 0, 0, 0, byte(len(runs))}, runs...))
+	}
+	kept := append([]byte(nil), prev...)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err, grew := decodeAllocs(data, prev)
 		if most := decodeBudget(len(data)); grew > most {
 			t.Errorf("decoding %d bytes allocated %d, want at most %d", len(data), grew, most)
+		}
+		// A delta is decoded into a frame of its own: the reference, which
+		// the caller goes on decoding against, is never written.
+		if !bytes.Equal(prev, kept) {
+			t.Fatalf("decoding (err %v) wrote the reference frame", err)
 		}
 		if err != nil {
 			return

@@ -11,7 +11,6 @@ package imgcodec
 import (
 	"bytes"
 	"compress/flate"
-	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -56,7 +55,8 @@ const headerSize = 1 + 2 + 2 + 4
 
 // Encode compresses an RGB frame (3 bytes per pixel) with the given codec.
 // prev is the previous frame for DeltaRLE and may be nil, in which case
-// DeltaRLE degrades to RLE of the raw frame.
+// DeltaRLE degrades to RLE of the raw frame. The payload is appended
+// straight after the header in the one buffer returned.
 func Encode(codec Codec, w, h int, frame, prev []byte) ([]byte, error) {
 	if len(frame) != w*h*3 {
 		return nil, fmt.Errorf("imgcodec: frame is %d bytes, want %d", len(frame), w*h*3)
@@ -64,45 +64,39 @@ func Encode(codec Codec, w, h int, frame, prev []byte) ([]byte, error) {
 	if w < 0 || h < 0 || w > 0xffff || h > 0xffff {
 		return nil, fmt.Errorf("imgcodec: dimensions %dx%d out of range", w, h)
 	}
-	var payload []byte
+	if codec == DeltaRLE && (prev == nil || len(prev) != len(frame)) {
+		// No usable reference frame: the stream must not claim to be a
+		// delta, which a decoder without the reference refuses.
+		codec = RLE
+	}
+	var out []byte
 	switch codec {
 	case Raw:
-		payload = frame
+		out = append(make([]byte, headerSize, headerSize+len(frame)), frame...)
 	case RLE:
-		payload = rleEncode(frame)
+		out = rleAppend(rleBuffer(frame), frame)
 	case DeltaRLE:
-		if prev != nil && len(prev) == len(frame) {
-			diff := make([]byte, len(frame))
-			subtle.XORBytes(diff, frame, prev)
-			payload = rleEncode(diff)
-		} else {
-			// No usable reference frame: the stream must not claim to be
-			// a delta, which a decoder without the reference refuses.
-			codec = RLE
-			payload = rleEncode(frame)
-		}
+		out = deltaAppend(rleBuffer(frame), frame, prev)
 	case Flate:
 		var err error
-		payload, err = flateEncode(frame)
-		if err != nil {
+		if out, err = flateEncode(frame); err != nil {
 			return nil, err
 		}
 	default:
 		return nil, fmt.Errorf("imgcodec: unknown codec %d", codec)
 	}
-	out := make([]byte, headerSize+len(payload))
 	out[0] = byte(codec)
 	binary.BigEndian.PutUint16(out[1:], uint16(w))
 	binary.BigEndian.PutUint16(out[3:], uint16(h))
-	binary.BigEndian.PutUint32(out[5:], uint32(len(payload)))
-	copy(out[headerSize:], payload)
+	binary.BigEndian.PutUint32(out[5:], uint32(len(out)-headerSize))
 	return out, nil
 }
 
 // Decode decompresses an encoded frame. prev is the previously decoded
 // frame, which a DeltaRLE frame is a difference against: the encoder
 // only sends one when it held a reference of the frame's size, so a
-// DeltaRLE frame arriving without that reference is refused.
+// DeltaRLE frame arriving without that reference is refused. prev is
+// only read; the frame returned is a buffer of its own.
 func Decode(data, prev []byte) (codec Codec, w, h int, frame []byte, err error) {
 	if len(data) < headerSize {
 		return 0, 0, 0, nil, fmt.Errorf("imgcodec: short header (%d bytes)", len(data))
@@ -124,38 +118,35 @@ func Decode(data, prev []byte) (codec Codec, w, h int, frame []byte, err error) 
 		}
 		frame = append([]byte(nil), payload...)
 	case RLE:
-		frame, err = rleDecode(payload, want)
-		if err != nil {
-			return 0, 0, 0, nil, err
-		}
+		frame, err = rleApply(payload, want, nil)
 	case DeltaRLE:
 		if len(prev) != want {
 			return 0, 0, 0, nil, fmt.Errorf("imgcodec: delta-rle frame of %d bytes against a reference of %d", want, len(prev))
 		}
-		frame, err = rleDecode(payload, want)
-		if err != nil {
-			return 0, 0, 0, nil, err
-		}
-		subtle.XORBytes(frame, frame, prev)
+		frame, err = rleApply(payload, want, prev)
 	case Flate:
-		var ferr error
-		frame, ferr = flateDecode(payload, want)
-		if ferr != nil {
-			return 0, 0, 0, nil, ferr
-		}
+		frame, err = flateDecode(payload, want)
 	default:
-		return 0, 0, 0, nil, fmt.Errorf("imgcodec: unknown codec %d", codec)
+		err = fmt.Errorf("imgcodec: unknown codec %d", codec)
+	}
+	if err != nil {
+		return 0, 0, 0, nil, err
 	}
 	return codec, w, h, frame, nil
 }
 
-// rleEncode run-length encodes 3-byte RGB pixels as
-// (count uint8, r, g, b) quads with a 255-pixel run cap. Operating on
+// rleBuffer is an output buffer holding a header's room, sized for a
+// run-length payload of frame.
+func rleBuffer(frame []byte) []byte {
+	return make([]byte, headerSize, headerSize+len(frame)/8+16)
+}
+
+// rleAppend run-length encodes 3-byte RGB pixels as (count uint8, r, g,
+// b) quads with a 255-pixel run cap, appending them to out. Operating on
 // pixels rather than bytes is what lets flat regions of a 24bpp frame
 // collapse. A run of equal pixels lasts while every byte equals the byte
 // three before it, which is tested eight bytes at a time.
-func rleEncode(src []byte) []byte {
-	out := make([]byte, 0, len(src)/8+16)
+func rleAppend(out, src []byte) []byte {
 	n := len(src) / 3 * 3
 	for i := 0; i < n; {
 		// j: the first byte past pixel i that differs from the byte three
@@ -167,29 +158,79 @@ func rleEncode(src []byte) []byte {
 		for j < n && src[j] == src[j-3] {
 			j++
 		}
-		r, g, b := src[i], src[i+1], src[i+2]
 		run := (j - i) / 3
+		out = appendRun(out, run, src[i], src[i+1], src[i+2])
 		i += run * 3
-		for ; run > 255; run -= 255 {
-			out = append(out, 255, r, g, b)
-		}
-		out = append(out, byte(run), r, g, b)
 	}
 	return out
 }
 
-// rleDecode expands (count, r, g, b) quads and checks the exact output
-// size. want comes from a header off the wire: it is checked against
-// what the quads present could expand to — 255 pixels each — before
-// the output is allocated, once, at that size.
-func rleDecode(src []byte, want int) ([]byte, error) {
+// deltaBlock is how many bytes of an unchanged stretch deltaAppend
+// compares at a time.
+const deltaBlock = 64
+
+// deltaAppend appends the quads of frame⊕prev to out, computing the XOR
+// as it scans instead of into a plane of its own. A run of unchanged
+// pixels — the XOR's zero pixel, most of a delta — lasts while frame and
+// prev are equal, which is tested a block at a time with bytes.Equal
+// before the eight-byte and byte loops finish it.
+func deltaAppend(out, frame, prev []byte) []byte {
+	n := len(frame) / 3 * 3
+	prev = prev[:len(frame)]
+	for i := 0; i < n; {
+		r, g, b := frame[i]^prev[i], frame[i+1]^prev[i+1], frame[i+2]^prev[i+2]
+		j := i + 3
+		// Most changed pixels differ from the next one: a run of one.
+		if j < n && frame[j]^prev[j] == r {
+			if r|g|b == 0 {
+				for j+deltaBlock <= n && bytes.Equal(frame[j:j+deltaBlock], prev[j:j+deltaBlock]) {
+					j += deltaBlock
+				}
+			}
+			for j+8 <= n && binary.LittleEndian.Uint64(frame[j:])^binary.LittleEndian.Uint64(prev[j:]) ==
+				binary.LittleEndian.Uint64(frame[j-3:])^binary.LittleEndian.Uint64(prev[j-3:]) {
+				j += 8
+			}
+			for j < n && frame[j]^prev[j] == frame[j-3]^prev[j-3] {
+				j++
+			}
+		}
+		run := (j - i) / 3
+		out = appendRun(out, run, r, g, b)
+		i += run * 3
+	}
+	return out
+}
+
+// appendRun appends a run of the pixel (r, g, b), split at the 255-pixel
+// cap.
+func appendRun(out []byte, run int, r, g, b byte) []byte {
+	for ; run > 255; run -= 255 {
+		out = append(out, 255, r, g, b)
+	}
+	return append(out, byte(run), r, g, b)
+}
+
+// rleApply decodes (count, r, g, b) quads into a frame of exactly want
+// bytes: the expanded runs themselves when prev is nil, and when it is
+// not, a copy of prev with each run XORed in — a zero run is unchanged
+// pixels and is skipped. want comes from a header off the wire: it is
+// checked against what the quads present could expand to — 255 pixels
+// each — before the output is allocated, once, at that size. prev is
+// never written, and a refused payload returns no frame.
+func rleApply(src []byte, want int, prev []byte) ([]byte, error) {
 	if len(src)%4 != 0 {
 		return nil, fmt.Errorf("imgcodec: RLE payload length %d not a multiple of 4", len(src))
 	}
 	if most := len(src) / 4 * 255 * 3; want > most {
 		return nil, fmt.Errorf("imgcodec: RLE payload of %d bytes cannot fill a %d-byte frame", len(src), want)
 	}
-	out := make([]byte, want)
+	var out []byte
+	if prev == nil {
+		out = make([]byte, want)
+	} else {
+		out = append([]byte(nil), prev[:want]...)
+	}
 	at := 0
 	for i := 0; i < len(src); i += 4 {
 		n := int(src[i]) * 3
@@ -199,13 +240,22 @@ func rleDecode(src []byte, want int) ([]byte, error) {
 		if at+n > want {
 			return nil, fmt.Errorf("imgcodec: RLE output overflows %d bytes", want)
 		}
-		// A black run is the zeroes out already holds; any other is its
+		// A black run is the zeroes out already holds, or the pixels of
+		// prev it keeps. Any other is XORed into prev's pixels, or is its
 		// pixel written once and copied onto the rest, doubling.
 		if r, g, b := src[i+1], src[i+2], src[i+3]; r|g|b != 0 {
 			run := out[at : at+n]
-			run[0], run[1], run[2] = r, g, b
-			for filled := 3; filled < n; filled *= 2 {
-				copy(run[filled:], run[:filled])
+			if prev != nil {
+				for ; len(run) >= 3; run = run[3:] {
+					run[0] ^= r
+					run[1] ^= g
+					run[2] ^= b
+				}
+			} else {
+				run[0], run[1], run[2] = r, g, b
+				for filled := 3; filled < n; filled *= 2 {
+					copy(run[filled:], run[:filled])
+				}
 			}
 		}
 		at += n
@@ -279,10 +329,11 @@ func (a *Adaptive) choose(w, h int, frame []byte, throughputBps float64) ([]byte
 	return best, nil
 }
 
-// flateEncode DEFLATE-compresses a frame at BestSpeed (interactive use).
+// flateEncode DEFLATE-compresses a frame at BestSpeed (interactive use)
+// after a header's room.
 func flateEncode(frame []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestSpeed)
+	buf := bytes.NewBuffer(make([]byte, headerSize))
+	w, err := flate.NewWriter(buf, flate.BestSpeed)
 	if err != nil {
 		return nil, fmt.Errorf("imgcodec: flate init: %w", err)
 	}

@@ -2,12 +2,19 @@ package imgcodec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 )
+
+// rleEncode and rleDecode are the run-length payload alone, as Encode
+// appends it after the header and Decode expands it.
+func rleEncode(src []byte) []byte { return rleAppend(nil, src) }
+
+func rleDecode(src []byte, want int) ([]byte, error) { return rleApply(src, want, nil) }
 
 // The run-length loops as they were before they ran over words, one
 // byte at a time: the oracles the word-wise loops must equal byte for
@@ -221,4 +228,101 @@ func TestDeltaWithoutReferenceRefused(t *testing.T) {
 	if _, _, _, got, err := Decode(enc, prev); err != nil || !bytes.Equal(got, frame) {
 		t.Errorf("with its reference: %v", err)
 	}
+}
+
+// deltaPair is a reference frame of n pixels and a frame that differs
+// from it in stretches: unchanged stretches of 0 to 300 pixels between
+// changed ones of 1 to 600, a changed stretch either one XOR repeated —
+// equal neighbouring XORs, runs past the 255-pixel cap — or a new XOR
+// per pixel.
+func deltaPair(rng *rand.Rand, n int) (frame, prev []byte) {
+	prev = make([]byte, 3*n)
+	rng.Read(prev)
+	frame = append([]byte(nil), prev...)
+	for p := rng.Intn(301); p < n; p += rng.Intn(301) {
+		end := min(n, p+1+rng.Intn(600))
+		x := [3]byte{byte(rng.Intn(256)), byte(rng.Intn(256)), 1}
+		same := rng.Intn(2) == 0
+		for ; p < end; p++ {
+			if !same {
+				x = [3]byte{byte(rng.Intn(256)), byte(rng.Intn(256)), byte(1 + rng.Intn(255))}
+			}
+			for k := range x {
+				frame[3*p+k] ^= x[k]
+			}
+		}
+	}
+	return frame, prev
+}
+
+// checkDelta holds one frame/prev pair to the per-byte oracle: the
+// encoding is today's header and the run-length quads of frame⊕prev byte
+// for byte, and it decodes back to frame without writing prev.
+func checkDelta(t *testing.T, name string, frame, prev []byte) {
+	t.Helper()
+	w, h := len(frame)/3, 1
+	diff := make([]byte, len(frame))
+	for i := range frame {
+		diff[i] = frame[i] ^ prev[i]
+	}
+	payload := rleEncodeOracle(diff)
+	want := make([]byte, headerSize, headerSize+len(payload))
+	want[0] = byte(DeltaRLE)
+	binary.BigEndian.PutUint16(want[1:], uint16(w))
+	binary.BigEndian.PutUint16(want[3:], uint16(h))
+	binary.BigEndian.PutUint32(want[5:], uint32(len(payload)))
+	want = append(want, payload...)
+	got, err := Encode(DeltaRLE, w, h, frame, prev)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("%s: encoding differs from the per-byte oracle's (%v; %d bytes against %d)", name, err, len(got), len(want))
+	}
+	kept := append([]byte(nil), prev...)
+	if _, _, _, back, err := Decode(got, prev); err != nil || !bytes.Equal(back, frame) {
+		t.Fatalf("%s: decode is not the frame: %v", name, err)
+	}
+	if !bytes.Equal(prev, kept) {
+		t.Fatalf("%s: decode wrote the reference frame", name)
+	}
+}
+
+// The one-pass delta encoder, whose unchanged stretches are compared a
+// 64-byte block at a time, and the copy-and-apply decoder against the
+// per-byte loops, on frames whose byte lengths are mostly no multiple of
+// 8 or 64.
+func TestOnePassDeltaEqualsOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for i := 0; i < 300; i++ {
+		n := 1 + rng.Intn(3000)
+		frame, prev := deltaPair(rng, n)
+		checkDelta(t, fmt.Sprintf("pair %d (%d pixels)", i, n), frame, prev)
+	}
+	// One changed byte at each edge of the blocks of an unchanged stretch.
+	// The stretch starts after lead changed pixels; its blocks start at
+	// its second pixel, byte 3*(lead+1).
+	for lead := 0; lead < 3; lead++ {
+		for block := 0; block < 3; block++ {
+			for _, at := range []int{62, 63, 64, 65, 66} {
+				n := lead + 1 + (3+64*block+at)/3 + 1 + rng.Intn(100)
+				prev := make([]byte, 3*n)
+				rng.Read(prev)
+				frame := append([]byte(nil), prev...)
+				for p := 0; p < lead; p++ {
+					frame[3*p] ^= 0x80
+				}
+				frame[3*(lead+1)+64*block+at] ^= 1
+				checkDelta(t, fmt.Sprintf("lead %d, byte %d of block %d", lead, at, block), frame, prev)
+			}
+		}
+	}
+	// Every unchanged stretch from 0 to 300 pixels between two changed
+	// pixels, and a frame wholly unchanged for longer than the run cap.
+	for gap := 0; gap <= 300; gap++ {
+		prev := noiseFrame(gap+2, 1, int64(gap))
+		frame := append([]byte(nil), prev...)
+		frame[0] ^= 9
+		frame[len(frame)-1] ^= 9
+		checkDelta(t, fmt.Sprintf("gap %d", gap), frame, prev)
+	}
+	still := noiseFrame(700, 1, 7)
+	checkDelta(t, "700 unchanged pixels", still, append([]byte(nil), still...))
 }

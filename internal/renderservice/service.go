@@ -605,9 +605,9 @@ func (s *Service) LoadReport() transport.LoadReport {
 // hello (who asks, of which session — looked up when a request needs it,
 // so a replica may land, or be replaced, while the connection stands),
 // the encoder whose one previous frame is the last sent here, which the
-// thin client at the other end decodes against, and a peer's framebuffer,
-// kept cleared between jobs. The session owns only what every viewer
-// shares: the scene and the camera.
+// thin client at the other end decodes against, and the framebuffer its
+// jobs draw into, kept cleared between them. The session owns only what
+// every viewer shares: the scene and the camera.
 type viewer struct {
 	svc     *Service
 	conn    *transport.Conn
@@ -716,7 +716,7 @@ func (v *viewer) render(payload []byte) error {
 			return v.conn.Refuse(err)
 		}
 	}
-	frame, err := v.svc.renderInto(job, v.fb) // a viewer keeps none
+	frame, err := v.svc.renderInto(job, v.fb)
 	if err != nil {
 		return v.conn.Refuse(err)
 	}
@@ -724,6 +724,10 @@ func (v *viewer) render(payload []byte) error {
 		return v.replyPeer(frame)
 	}
 	body, err := v.enc.Encode(req.Codec, frame.FB.W, frame.FB.H, frame.FB.Color, v.linkBps)
+	// The encoder keeps a copy of its own, so the buffer is cleared —
+	// bitwise a new one again — and kept for the next job.
+	frame.FB.Clear(0, 0, 0)
+	v.fb = frame.FB
 	if err != nil {
 		return v.conn.Refuse(err)
 	}

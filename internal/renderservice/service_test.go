@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"image"
 	"math"
 	"net"
+	"runtime"
 	"testing"
 
 	"repro/internal/device"
@@ -626,4 +628,122 @@ func TestPeerKeepsItsBufferCleared(t *testing.T) {
 		t.Fatalf("planted pixels sent wrong: %v", err)
 	}
 	kept("after NaN, -0 and +Inf-with-colour pixels")
+}
+
+// TestThinViewerKeepsItsBufferCleared: a thin viewer's connection keeps
+// the buffer its frames are drawn into, so a pixel left from the frame
+// before would show in the next one. One viewer pulls delta frames while
+// the camera pans the ship out of the frame, across a size change and
+// back and a declined request, and every frame it decodes is the frame a
+// fresh buffer draws for its camera, pixel for pixel. A frame of the
+// kept size allocates no buffer.
+func TestThinViewerKeepsItsBufferCleared(t *testing.T) {
+	svc := newService("rs")
+	sc := testScene(t)
+	ship := genmodel.Galleon(2000).Bounds()
+	base := raster.DefaultCamera().FitToBounds(ship, mathx.V3(0.3, 0.2, 1))
+	sess, err := svc.OpenSession("skull", sc, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	conn := startServeClient(t, svc)
+	if err := conn.Greet(transport.Hello{Role: "thin-client", Name: "zaurus", Session: "skull"}); err != nil {
+		t.Fatal(err)
+	}
+	// pan is the camera framing the ship moved k quarters of the ship's
+	// diagonal to its right, which moves the ship out of the frame's left.
+	right := base.Target.Sub(base.Eye).Cross(base.Up).Normalize()
+	pan := func(k float64) raster.Camera {
+		c := base
+		shift := right.Scale(k * ship.Diagonal() / 4)
+		c.Eye, c.Target = c.Eye.Add(shift), c.Target.Add(shift)
+		return c
+	}
+	var prev []byte
+	// pull asks for a w x h frame under cam and returns the reply's
+	// encoding, checking that the frame decodes to the reference; a
+	// decline is returned as its error.
+	pull := func(cam raster.Camera, w, h int, deadline int64) ([]byte, error) {
+		t.Helper()
+		if err := conn.SendJSON(transport.MsgCameraUpdate, StateFromCamera(cam)); err != nil {
+			t.Fatal(err)
+		}
+		req := transport.RenderRequest{X1: w, Y1: h, FullW: w, FullH: h, Codec: "delta-rle", DeadlineNanos: deadline}
+		if err := conn.SendJSON(transport.MsgRender, req); err != nil {
+			t.Fatal(err)
+		}
+		return conn.Expect(transport.MsgFrame)
+	}
+	check := func(what string, cam raster.Camera, w, h int, enc []byte) {
+		t.Helper()
+		_, _, _, got, err := imgcodec.Decode(enc, prev)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		prev = got
+		want, _, err := svc.RenderSceneOnce(sc, cam, w, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Color) {
+			i := 0
+			for got[i] == want.Color[i] {
+				i++
+			}
+			t.Fatalf("%s: decoded frame differs from a fresh buffer's at pixel %d", what, i/3)
+		}
+	}
+
+	for i, step := range []struct {
+		pan     float64
+		w, h    int
+		decline bool
+	}{
+		{0, 64, 48, false},
+		{0.5, 64, 48, false},
+		{1, 64, 48, true},
+		{1, 64, 48, false},
+		{1.5, 40, 30, false},
+		{2, 64, 48, false},
+		{3, 64, 48, false},
+		{0, 64, 48, false},
+	} {
+		what := fmt.Sprintf("step %d (pan %v, %dx%d)", i, step.pan, step.w, step.h)
+		cam := pan(step.pan)
+		if step.decline {
+			if _, err := pull(cam, step.w, step.h, 1); !errors.As(err, new(*ErrOverloaded)) {
+				t.Fatalf("%s: %v, want a decline", what, err)
+			}
+			continue
+		}
+		enc, err := pull(cam, step.w, step.h, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		check(what, cam, step.w, step.h, enc)
+	}
+
+	// At the thin client's 400x400 the buffer is 1.1 MB; once it is kept,
+	// a frame of that size allocates its encoding and its message, a
+	// fraction of that.
+	const w, h = 400, 400
+	bufBytes := uint64(w * h * (3 + 4))
+	for i, k := range []float64{0, 0.25, 0.5} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		enc, err := pull(pan(k), w, h, 0)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("%dx%d frame %d", w, h, i), pan(k), w, h, enc)
+		grew := after.TotalAlloc - before.TotalAlloc
+		switch {
+		case i == 0 && grew < bufBytes:
+			t.Fatalf("the first %dx%d frame allocated %d bytes, less than its buffer: nothing measured", w, h, grew)
+		case i > 0 && grew > bufBytes/2:
+			t.Errorf("%dx%d frame %d allocated %d bytes; its buffer is %d and kept", w, h, i, grew, bufBytes)
+		}
+	}
 }

@@ -191,7 +191,13 @@ func (v *Virtual) Drive() (stop func()) {
 
 // Polling bounds of Drive while some goroutine holds the clock: each
 // check stops the world, so an idle driver backs off rather than spin.
+// What holds the clock is most often a callback just started, running on
+// another P for microseconds, while a sleep can last a timer tick. So a
+// held check is first retried driveYields times, each after the driver
+// yields for as long as the check took — the world gets back the time
+// the snapshot stopped it for — and only then does the driver sleep.
 const (
+	driveYields  = 8
 	driveMinIdle = 20 * time.Microsecond
 	driveMaxIdle = time.Millisecond
 )
@@ -209,12 +215,14 @@ func (v *Virtual) drive(done <-chan struct{}) {
 		[]byte("\nruntime/pprof.profileWriter("),
 	}
 	buf := make([]byte, 64<<10)
-	idle := driveMinIdle
+	idle, yields := driveMinIdle, 0
 	for {
+		start := time.Now()
 		var n int
 		for n = runtime.Stack(buf, true); n == len(buf); n = runtime.Stack(buf, true) {
 			buf = make([]byte, 2*len(buf))
 		}
+		check := time.Since(start)
 		// Checked after the snapshot, which reads a caller parked in stop as blocked.
 		select {
 		case <-done:
@@ -222,8 +230,15 @@ func (v *Virtual) drive(done <-chan struct{}) {
 		default:
 		}
 		if allBlocked(buf[:n], skip) && v.advanceToNext() {
-			idle = driveMinIdle
+			idle, yields = driveMinIdle, 0
 			runtime.Gosched()
+			continue
+		}
+		if yields < driveYields {
+			yields++
+			for until := time.Now().Add(check); time.Now().Before(until); {
+				runtime.Gosched()
+			}
 			continue
 		}
 		time.Sleep(idle)
@@ -233,7 +248,8 @@ func (v *Virtual) drive(done <-chan struct{}) {
 
 // blockedStates are the goroutine wait states that only another goroutine
 // of this process can end (the runtime's waitReason strings, as printed
-// in a stack header "goroutine N [state, M minutes]:").
+// in a stack header "goroutine N [state, M minutes]:"). A plain
+// "semacquire" is one only as a sync-package wait (see syncSemacquire).
 var blockedStates = map[string]bool{
 	"chan receive":            true,
 	"chan receive (nil chan)": true,
@@ -249,6 +265,14 @@ var blockedStates = map[string]bool{
 	"semacquire":              true,
 }
 
+// syncSemacquire is the first frame of a "semacquire" wait that the sync
+// package parks on (a WaitGroup before go1.24 prints so). The runtime's
+// own semaphores print the same state over the user frame that entered
+// the runtime: a goroutine starting a GC parks on one while a
+// stop-the-world — this driver's snapshot among them — holds it, and it
+// goes on when the runtime lets go, with no goroutine's help.
+var syncSemacquire = []byte("sync.runtime_Semacquire")
+
 // allBlocked reports whether every goroutine in the runtime.Stack dump,
 // apart from those whose stack holds one of the frames in skip, is in one
 // of blockedStates.
@@ -262,7 +286,9 @@ func allBlocked(dump []byte, skip [][]byte) bool {
 			return false
 		}
 		state, _, _ := bytes.Cut(g[open+1:end], []byte(","))
-		if !blockedStates[string(state)] {
+		_, frames, _ := bytes.Cut(g, []byte("\n"))
+		if !blockedStates[string(state)] ||
+			string(state) == "semacquire" && !bytes.HasPrefix(frames, syncSemacquire) {
 			return false
 		}
 	}

@@ -366,3 +366,28 @@ func TestDriveStopMovesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestAllBlockedReadsRuntimeSemaphoresAsRunning: "semacquire" is a
+// goroutine parked until another one releases it only when the sync
+// package parked it. A goroutine that starts a GC while a stop-the-world
+// holds the runtime's semaphore prints the same state over the user
+// frame that allocated; it runs on as soon as the runtime lets go, so
+// it holds the clock. Read as blocked, the driver moved the clock in the
+// middle of a commit that takes no virtual time.
+func TestAllBlockedReadsRuntimeSemaphoresAsRunning(t *testing.T) {
+	const waiting = "goroutine 1 [chan receive]:\nmain.main()\n\t/src/main.go:9 +0x1d"
+	for _, c := range []struct {
+		name, g string
+		blocked bool
+	}{
+		{"WaitGroup, go1.24", "goroutine 7 [sync.WaitGroup.Wait]:\nsync.runtime_SemacquireWaitGroup(0xc0000a4008?)\n\t/go/src/runtime/sema.go:110 +0x25\nsync.(*WaitGroup).Wait(0xc0000a4000?)", true},
+		{"WaitGroup, go1.22", "goroutine 7 [semacquire]:\nsync.runtime_Semacquire(0xc0000a4008?)\n\t/go/src/runtime/sema.go:62 +0x25\nsync.(*WaitGroup).Wait(0xc0000a4000?)", true},
+		{"GC start", "goroutine 542 [semacquire]:\nrepro/internal/scene.(*AddNodeOp).apply(0xc0007e2e70, 0xc0001da4b0)\n\t/src/internal/scene/ops.go:72 +0x28", false},
+		{"fd lock", "goroutine 9 [semacquire]:\ninternal/poll.runtime_Semacquire(0xc000120038?)\n\t/go/src/runtime/sema.go:76 +0x25", false},
+		{"mutex", "goroutine 8 [sync.Mutex.Lock, 2 minutes]:\nsync.runtime_SemacquireMutex(0xc000010010?, 0x0?, 0x1?)", true},
+	} {
+		if got := allBlocked([]byte(waiting+"\n\n"+c.g+"\n"), nil); got != c.blocked {
+			t.Errorf("%s: allBlocked = %v, want %v", c.name, got, c.blocked)
+		}
+	}
+}
