@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet fmt-check lint lint-report allow-audit one-follower one-reply one-gate one-quantile one-health one-frame one-clock unreached vulncheck build test race fuzz-smoke bench-smoke chaos scale partition storage replay raster loc ci
+.PHONY: all vet fmt-check lint lint-report allow-audit transport-unaliased one-follower one-reply one-gate one-quantile one-health one-frame one-clock unreached vulncheck build test race fuzz-smoke bench-smoke chaos order scale partition storage replay raster loc ci
 
 all: ci
 
@@ -38,13 +38,22 @@ lint-report:
 allow-audit:
 	$(GO) run ./cmd/ravelint -allow-audit ./...
 
+# transport-unaliased backs one-follower and one-reply, which match the
+# text "transport.": no non-test file outside internal/transport imports
+# repro/internal/transport under another name (an alias, "." or "_"),
+# so an import cannot rename its way past them.
+transport-unaliased:
+	@out="$$(grep -rnE '^([[:space:]]+|import[[:space:]]+)[A-Za-z_.][A-Za-z0-9_]*[[:space:]]+"repro/internal/transport"' --include='*.go' --exclude='*_test.go' . \
+		| grep -v '^\./internal/transport/')"; \
+	if [ -n "$$out" ]; then echo "repro/internal/transport imported under another name:"; echo "$$out"; exit 1; fi
+
 # one-follower keeps the op-stream follower written once: the versioned
 # op message and the resync request are spoken only by internal/follow
 # (subscriber side), ServeConn in dataservice/service.go (serving side)
 # and internal/transport (the wire), so a render replica, standby or
 # mirror that grows its own version rule again fails here. bench/ reads
 # the raw stream to time it and is the harness, not the system.
-one-follower:
+one-follower: transport-unaliased
 	@out="$$(grep -rlE 'transport\.(MsgSceneOpVer|MsgResyncRequest)' --include='*.go' --exclude='*_test.go' . \
 		| grep -vE '^\./(bench/|internal/transport/|internal/follow/|internal/dataservice/service\.go$$)')"; \
 	if [ -n "$$out" ]; then echo "op-stream follower logic outside internal/follow:"; echo "$$out"; exit 1; fi
@@ -54,7 +63,7 @@ one-follower:
 # back is Conn.Expect (Conn.Refused for a loop reading many types), so
 # nothing outside internal/transport names the two messages or decodes
 # their bodies by hand again.
-one-reply:
+one-reply: transport-unaliased
 	@out="$$(grep -rlE 'transport\.(MsgError|MsgDeclined|ErrorInfo|Declined)' --include='*.go' --exclude='*_test.go' . \
 		| grep -vE '^\./(bench/|internal/transport/)')"; \
 	if [ -n "$$out" ]; then echo "a refusal read or written by hand outside internal/transport:"; echo "$$out"; exit 1; fi
@@ -195,6 +204,16 @@ chaos:
 	$(GO) test ./internal/chaos/ -race -count=2
 	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test ./internal/chaos/ ./internal/loadgen/ -count=3 || exit 1; done
 
+# order runs the ordered-stream tests twenty times at GOMAXPROCS 1, 2
+# and 8 and once under the race detector: the follower conformance table
+# and TestSubscribeWhileCommitting, whose wire-order input checks that a
+# subscriber's stream is in commit order across subscribes, resumes and
+# resyncs while three goroutines commit. An ordering race shows only on
+# some interleavings, and how many goroutines run at once changes which.
+order:
+	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test ./internal/dataservice -run '^(TestFollowerConformance|TestSubscribeWhileCommitting)$$' -count=20 || exit 1; done
+	$(GO) test ./internal/dataservice -race -run '^(TestFollowerConformance|TestSubscribeWhileCommitting)$$'
+
 # scale runs the reduced deterministic raveload scenario — 100 sessions
 # on 4 nodes with a mid-run node kill — and fails on any acceptance
 # violation (request conservation, client-visible errors, lost
@@ -254,20 +273,22 @@ raster:
 	$(GO) run ./cmd/ravebench -extra raster -frames 30 -check -out "$$dir"; \
 	status=$$?; rm -rf "$$dir"; exit $$status
 
-# loc prints the non-test line count, which CHANGES.md reports before
-# and after each change (bench/ is the benchmark harness, not the system,
-# so it is left out).
+# loc prints the non-test line count, which ROADMAP.md's standing
+# pay-down asks each change to report before and after in CHANGES.md
+# (bench/ is the benchmark harness, not the system, so it is left out).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1
 
 # ci is the full gate: formatting, static checks (ravelint with the
 # LINT.json artifact and per-analyzer timings, the allow-annotation
-# audit, vet, the one-follower, one-reply, one-gate, one-quantile, one-health, one-frame and one-clock grep gates, the unreached-code gate,
+# audit, vet, the one-follower, one-reply, one-gate, one-quantile, one-health, one-frame and one-clock grep gates and the unaliased
+# transport import they rely on, the unreached-code gate,
 # govulncheck when present), a clean build, the test suite under the
 # race detector, ten seconds of
 # fuzzing per target, one run of each raster microbenchmark, a doubled chaos pass (the chaos suite exercises concurrent failure recovery, so -race
-# is part of the bar, not an extra), the reduced fleet-scale load,
+# is part of the bar, not an extra), the ordered-stream tests at three
+# GOMAXPROCS settings and under -race, the reduced fleet-scale load,
 # region-partition, and sick-disk scenarios, the full-size partition
 # artifact replayed byte for byte, and the rasterizer regression
 # benchmark.
-ci: fmt-check lint-report allow-audit lint one-follower one-reply one-gate one-quantile one-health one-frame one-clock unreached vulncheck build race fuzz-smoke bench-smoke chaos scale partition storage replay raster
+ci: fmt-check lint-report allow-audit lint one-follower one-reply one-gate one-quantile one-health one-frame one-clock unreached vulncheck build race fuzz-smoke bench-smoke chaos order scale partition storage replay raster

@@ -3,15 +3,19 @@ package dataservice_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dataservice"
 	"repro/internal/dataservice/failover"
 	"repro/internal/device"
+	"repro/internal/follow"
+	"repro/internal/geom/genmodel"
 	"repro/internal/marshal"
 	"repro/internal/mathx"
 	"repro/internal/renderservice"
@@ -21,22 +25,25 @@ import (
 )
 
 // The op-stream follower conformance table: every row is a scripted
-// primary, and every follower built on internal/follow — the render
-// service's replica, the hot standby, the in-process mirror — must end
-// at the same version having asked for the same number of resyncs.
+// primary, and every socket follower built on internal/follow — the
+// render service's replica, the hot standby — must end at the same
+// version having asked for the same number of resyncs. The in-process
+// mirror plays each row against a real primary's fan-out, which sends
+// only in order: it must end at the same version.
 
 // base is the primary's version when each script starts.
 const base = 5
 
 // frame is one message of a scripted primary.
 type frame struct {
-	kind byte // 's' snapshot at v, 'r' resume-ok through v, 'o' the op producing v
+	kind byte // 's' snapshot at v, 'r' resume-ok through v, 'o' the op producing v, 'v' a version report of v
 	v    uint64
 }
 
 func snap(v uint64) frame   { return frame{'s', v} }
 func resume(v uint64) frame { return frame{'r', v} }
 func op(v uint64) frame     { return frame{'o', v} }
+func report(v uint64) frame { return frame{'v', v} }
 
 // opFor builds the op that produces version v: it hangs a node under
 // the one op v-1 added, so an op applied twice or out of order fails and
@@ -70,6 +77,8 @@ func (f frame) wire() (transport.MsgType, []byte) {
 		err = marshal.WriteScene(&buf, sceneAt(f.v))
 	case 'r':
 		return transport.MsgResumeOK, []byte(fmt.Sprintf(`{"version":%d}`, f.v))
+	case 'v':
+		return transport.MsgVersionReport, []byte(fmt.Sprintf(`{"version":%d}`, f.v))
 	default:
 		err = marshal.WriteOp(&buf, opFor(f.v))
 	}
@@ -92,11 +101,17 @@ type conformanceRow struct {
 	since uint64
 	// resyncs is how many MsgResyncRequests a socket follower sends.
 	resyncs int
-	// lossy rows need a transport that loses messages, so they skip the
-	// in-process mirror: the session fan-out delivers every op once.
-	lossy bool
+	// lost rows end the socket follower's stream as follow.ErrLost before
+	// it has a copy: an op came ahead of the bootstrap reply. The mirror's
+	// primary queues the base ahead of every op, and it ends at want.
+	lost bool
 }
 
+// The rows that script a delivery an ordered authority does not make —
+// an op overtaking the bootstrap reply or the ops before it — assert
+// what a follower makes of it: an op before the bootstrap reply ends the
+// stream, and an op out of turn after it opens a gap, in which every op
+// is dropped until the resync answer.
 var conformance = []conformanceRow{
 	{name: "in order",
 		conns: [][]frame{{snap(5), op(6), op(7)}}, want: 7},
@@ -105,17 +120,20 @@ var conformance = []conformanceRow{
 	{name: "resume-ok and the gap",
 		conns: [][]frame{{snap(5), op(6)}, {resume(8), op(7), op(8)}}, want: 8, since: 6},
 	{name: "fan-out overtakes the resume replay",
-		conns: [][]frame{{snap(5)}, {resume(7), op(8), op(6), op(7)}}, want: 8, since: 5},
+		conns: [][]frame{{snap(5)}, {resume(7), op(8), op(6), op(7), snap(8)}}, want: 8, since: 5, resyncs: 1},
 	{name: "op before its bootstrap snapshot",
-		conns: [][]frame{{op(6), snap(5)}}, want: 6},
+		conns: [][]frame{{op(6), snap(5)}}, want: 6, lost: true},
 	{name: "ahead, then filled in",
-		conns: [][]frame{{snap(5), op(7), op(6)}}, want: 7, resyncs: 1},
+		conns: [][]frame{{snap(5), op(7), op(6), snap(7)}}, want: 7, resyncs: 1},
 	{name: "gap followed by further ops",
-		conns: [][]frame{{snap(5), op(7), op(8), op(9), op(10), snap(10)}}, want: 10, resyncs: 1, lossy: true},
+		conns: [][]frame{{snap(5), op(7), op(8), op(9), op(10), snap(10)}}, want: 10, resyncs: 1},
 	{name: "op racing the resync snapshot",
-		conns: [][]frame{{snap(5), op(7), op(9), snap(8), op(10)}}, want: 10, resyncs: 1, lossy: true},
+		conns: [][]frame{{snap(5), op(7), op(9), snap(8), op(9), op(10)}}, want: 10, resyncs: 1},
+	// A probe answered ahead of the copy asks for a resync with no gap
+	// open: the ops the copy was behind arrive and apply first, so the
+	// answer is below the copy and dropped, and its replay is stale.
 	{name: "resync answer older than the copy",
-		conns: [][]frame{{snap(5), op(7), op(6), op(8), snap(7)}}, want: 8, resyncs: 1, lossy: true},
+		conns: [][]frame{{snap(5), report(7), op(6), op(7), op(8), snap(7), op(8)}}, want: 8, resyncs: 1},
 }
 
 // primaryLog is what a scripted primary saw from its follower.
@@ -175,10 +193,13 @@ func renderFollower(t *testing.T, dial func() net.Conn, conns int) (uint64, erro
 	var replica *renderservice.Session
 	err := rs.SubscribeToDataResilient(context.Background(),
 		func() (io.ReadWriteCloser, error) { return dial(), nil }, "s",
-		renderservice.SubscribeOpts{Retry: retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond}},
+		renderservice.SubscribeOpts{Retry: retry.Policy{MaxAttempts: conns, BaseDelay: time.Millisecond}},
 		func(sess *renderservice.Session) { replica = sess })
-	if err != nil || replica == nil {
-		return 0, fmt.Errorf("subscription: %v (bootstrapped: %t)", err, replica != nil)
+	if err != nil {
+		return 0, err
+	}
+	if replica == nil {
+		return 0, errors.New("subscription ended without a bootstrap")
 	}
 	return replica.Version(), nil
 }
@@ -196,12 +217,15 @@ func standbyFollower(t *testing.T, dial func() net.Conn, conns int) (uint64, err
 	return st.Applied(), nil
 }
 
-// mirrorFollower plays row against the in-process mirror. The primary
-// is a real session: an op frame that is the primary's next version is
-// committed, so the session's own fan-out delivers it; any other op
-// frame is a delivery the fan-out made early, late or twice, replayed by
-// calling SendUpdate as the fan-out does. A connection is one attach; a
-// dropped link is a Detach with the backup keeping its copy.
+// mirrorFollower plays row against the in-process mirror of a real
+// primary, whose fan-out sends only in order. A connection is one
+// attach, at its first snapshot or resume-ok, and a dropped link a
+// Detach with the backup keeping its copy. An op frame is committed on
+// the primary, with any version below it not yet committed: before the
+// attach the mirror's base covers it, after it the fan-out delivers it.
+// Resume-ok's version is committed while the mirror is detached, for the
+// primary to replay. What an ordered fan-out never sends — an op again,
+// a resync answer, a version report — is skipped.
 func mirrorFollower(t *testing.T, row conformanceRow) (uint64, error) {
 	primary, err := dataservice.New(dataservice.Config{Name: "primary"}).CreateSession("s")
 	if err != nil {
@@ -223,31 +247,17 @@ func mirrorFollower(t *testing.T, row conformanceRow) (uint64, error) {
 	backupSvc := dataservice.New(dataservice.Config{Name: "backup"})
 	var m *dataservice.Mirror
 	for _, script := range row.conns {
+		attached := false
 		for _, f := range script {
-			if f.kind == 'r' { // what the primary will replay was committed while detached
-				if err := commitThrough(f.v); err != nil {
-					return 0, err
-				}
-			}
-		}
-		var land func() (bool, error)
-		if m, land, err = dataservice.SubscribeMirror(primary, backupSvc); err != nil {
-			return 0, err
-		}
-		for _, f := range script {
-			switch {
-			case f.kind != 'o':
-				resumed, err := land()
-				if err != nil {
-					return 0, err
-				}
-				if resumed != (f.kind == 'r') {
-					return 0, fmt.Errorf("bootstrap resumed = %t on a %q frame", resumed, f.kind)
-				}
-			case f.v == primary.Version()+1:
+			if f.kind == 'o' || f.kind == 'r' && !attached {
 				err = commitThrough(f.v)
-			default:
-				err = m.SendUpdate(dataservice.Update{Op: opFor(f.v), Version: f.v})
+			}
+			if err == nil && !attached && (f.kind == 's' || f.kind == 'r') {
+				var resumed bool
+				if m, resumed, err = dataservice.MirrorSessionSince(primary, backupSvc); err == nil && resumed != (f.kind == 'r') {
+					err = fmt.Errorf("bootstrap resumed = %t on a %q frame", resumed, f.kind)
+				}
+				attached = true
 			}
 			if err != nil {
 				return 0, err
@@ -293,10 +303,12 @@ func TestFollowerConformance(t *testing.T) {
 				case <-time.After(10 * time.Second):
 					t.Fatal("follower never finished the script")
 				}
-				if got.err != nil {
+				switch {
+				case row.lost && !errors.Is(got.err, follow.ErrLost):
+					t.Fatalf("follower ended with %v, want follow.ErrLost", got.err)
+				case !row.lost && got.err != nil:
 					t.Fatalf("follower failed: %v", got.err)
-				}
-				if got.version != row.want {
+				case !row.lost && got.version != row.want:
 					t.Errorf("copy ended at version %d, want %d", got.version, row.want)
 				}
 				var resyncs int
@@ -314,9 +326,6 @@ func TestFollowerConformance(t *testing.T) {
 				}
 			})
 		}
-		if row.lossy {
-			continue
-		}
 		t.Run(row.name+"/mirror", func(t *testing.T) {
 			got, err := mirrorFollower(t, row)
 			if err != nil {
@@ -329,34 +338,92 @@ func TestFollowerConformance(t *testing.T) {
 	}
 }
 
-// TestSubscribeWhileCommitting: ServeConn registers the subscriber with
-// the fan-out before it has sent the bootstrap snapshot, so under write
-// load an op regularly reaches the socket first. A plain SubscribeToData
-// must hold it, bootstrap, and converge — not die on "expected snapshot".
-func TestSubscribeWhileCommitting(t *testing.T) {
-	svc := dataservice.New(dataservice.Config{Name: "data"})
-	sess, err := svc.CreateSession("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := sess.AllocID()
-	if err := sess.ApplyUpdate(&scene.AddNodeOp{Parent: scene.RootID, ID: id, Name: "n", Transform: mathx.Identity()}, ""); err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	committed := make(chan struct{})
-	go func() {
-		defer close(committed)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
+// committers commit to one node of a session from several goroutines
+// as fast as they can, until halted. Pausing them waits for none of
+// their commits: a commit in flight may be waiting for a subscriber to
+// read. Only the test's goroutine pauses, resumes and halts them.
+type committers struct {
+	gate   sync.RWMutex // held to pause them
+	paused bool
+	stop   chan struct{}
+	wg     sync.WaitGroup
+}
+
+func startCommitters(sess *dataservice.Session, id scene.NodeID, n int) *committers {
+	c := &committers{stop: make(chan struct{})}
+	for g := 0; g < n; g++ {
+		c.wg.Add(1)
+		go func() {
+			defer c.wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-c.stop:
+					return
+				default:
+				}
+				// Pass the gate without holding it through the commit.
+				c.gate.RLock()
+				c.gate.RUnlock()
 				// Fan-out errors are subscribers leaving mid-send, not a failed commit.
 				_ = sess.ApplyUpdate(&scene.SetTransformOp{ID: id, Transform: mathx.Translate(mathx.V3(float64(i), 0, 0))}, "")
 			}
-		}
-	}()
+		}()
+	}
+	return c
+}
+
+func (c *committers) pause() {
+	if !c.paused {
+		c.gate.Lock()
+		c.paused = true
+	}
+}
+
+func (c *committers) resume() {
+	if c.paused {
+		c.gate.Unlock()
+		c.paused = false
+	}
+}
+
+func (c *committers) halt() {
+	close(c.stop)
+	c.resume()
+	c.wg.Wait()
+}
+
+// TestSubscribeWhileCommitting: subscribers join a session whose mesh
+// takes milliseconds to encode while three goroutines commit to it as
+// fast as they can. Each subscriber's stream must be in commit order —
+// its bootstrap reply first, then every op the version after the one
+// before — whatever the commits overtake: the snapshot's encoding, a
+// resume's replay, a resync answer.
+func TestSubscribeWhileCommitting(t *testing.T) {
+	for _, input := range []struct {
+		name string
+		run  func(t *testing.T, svc *dataservice.Service, sess *dataservice.Session, c *committers)
+	}{
+		{"render service", subscribeRenderServices},
+		{"wire order", checkWireOrder},
+	} {
+		t.Run(input.name, func(t *testing.T) {
+			svc := dataservice.New(dataservice.Config{Name: "data"})
+			sess, err := svc.CreateSessionFromMesh("s", "mesh", genmodel.Sphere(mathx.Vec3{}, 1, 160, 120))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var id scene.NodeID
+			sess.Scene(func(sc *scene.Scene) { id = sc.PayloadIDs()[0] })
+			c := startCommitters(sess, id, 3)
+			defer c.halt()
+			input.run(t, svc, sess, c)
+		})
+	}
+}
+
+// subscribeRenderServices subscribes render services one after another;
+// each must bootstrap, and the last must converge once the commits stop.
+func subscribeRenderServices(t *testing.T, svc *dataservice.Service, sess *dataservice.Session, c *committers) {
 	for i := 0; i < 50; i++ {
 		dsEnd, rsEnd := net.Pipe()
 		served := make(chan struct{})
@@ -374,8 +441,7 @@ func TestSubscribeWhileCommitting(t *testing.T) {
 			t.Fatalf("subscribe %d never bootstrapped", i)
 		}
 		if i == 49 {
-			close(stop)
-			<-committed
+			c.pause()
 			deadline := time.Now().Add(10 * time.Second)
 			for replica.Version() != sess.Version() {
 				select {
@@ -388,10 +454,126 @@ func TestSubscribeWhileCommitting(t *testing.T) {
 				}
 				time.Sleep(time.Millisecond)
 			}
+			c.resume()
 		}
 		rsEnd.Close()
 		dsEnd.Close()
 		<-done
 		<-served
 	}
+}
+
+// checkWireOrder reads subscriptions off the socket as they are written.
+// Every other one resumes the copy the one before it reached, attached
+// while the commits are paused so the history still reaches back to it;
+// each asks for one resync while the commits run.
+func checkWireOrder(t *testing.T, svc *dataservice.Service, sess *dataservice.Session, c *committers) {
+	const rounds = 6
+	var copyAt uint64 // the version the last subscription's ops reached
+	for round := 0; round < rounds; round++ {
+		resuming := round%2 == 1
+		since := uint64(0)
+		if resuming {
+			// Paused since the last round ended; these are what the
+			// resume replays, along with whatever was in flight.
+			for i := 0; i < 10; i++ {
+				if err := sess.ApplyUpdate(&scene.SetNameOp{ID: scene.RootID, Name: fmt.Sprint(i)}, ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+			since = copyAt
+		} else {
+			c.resume()
+		}
+		var err error
+		if copyAt, err = readInOrder(svc, sess, c, since); err != nil {
+			t.Fatalf("round %d (resuming %t): %v", round, resuming, err)
+		}
+	}
+	if _, resumes := sess.BootstrapStats(); resumes != rounds/2 {
+		t.Errorf("%d subscriptions resumed, want %d", resumes, rounds/2)
+	}
+}
+
+// readInOrder subscribes with a copy at since (none when 0), checks the
+// stream's order through one resync, then pauses the commits, reads on
+// to the session's version and returns the version its ops reached. A
+// resume is attached with the commits paused, and they resume at its
+// reply.
+func readInOrder(svc *dataservice.Service, sess *dataservice.Session, c *committers, since uint64) (uint64, error) {
+	const opsPerLeg = 40
+	dsEnd, subEnd := net.Pipe()
+	served := make(chan struct{})
+	go func() { svc.ServeConn(dsEnd); close(served) }()
+	defer func() {
+		c.pause()
+		subEnd.Close()
+		<-served
+	}()
+	conn := transport.NewConn(subEnd)
+	if err := conn.SendJSON(transport.MsgHello, transport.Hello{Role: "render-service", Name: "raw", Session: "s", SinceVersion: since}); err != nil {
+		return 0, err
+	}
+	var prev uint64 // the version the next op must follow
+	mt, payload, err := conn.Receive()
+	switch {
+	case err != nil:
+		return 0, fmt.Errorf("no bootstrap reply: %w", err)
+	case since > 0 && mt == transport.MsgResumeOK:
+		prev = since
+		c.resume()
+	case since == 0 && mt == transport.MsgSceneSnapshot:
+		sc, err := marshal.DecodeScene(payload)
+		if err != nil {
+			return 0, err
+		}
+		prev = sc.Version
+	default:
+		return 0, fmt.Errorf("the first message after the hello is %s, want the bootstrap reply", mt)
+	}
+	asked := make(chan error, 1) // the request's one send never blocks
+	ops, answered, target := 0, false, uint64(0)
+	for {
+		if answered && ops >= 2*opsPerLeg {
+			if target == 0 {
+				// A commit that passed the gate may still land; the
+				// history holds it for the next round's resume.
+				c.pause()
+				target = sess.Version()
+			}
+			if prev >= target {
+				break
+			}
+		}
+		mt, payload, err := conn.Receive()
+		if err != nil {
+			return 0, fmt.Errorf("stream ended after %d ops: %w", ops, err)
+		}
+		switch mt {
+		case transport.MsgSceneOpVer:
+			version, _, err := transport.UnpackVersioned(payload)
+			if err != nil {
+				return 0, err
+			}
+			if version != prev+1 {
+				return 0, fmt.Errorf("the op for version %d follows version %d", version, prev)
+			}
+			prev = version
+			if ops++; ops == opsPerLeg {
+				// Sent beside the reads: the service may be writing to
+				// this socket, and a net.Pipe write waits for its reader.
+				go func() { asked <- conn.Send(transport.MsgResyncRequest, nil) }()
+			}
+		case transport.MsgSceneSnapshot:
+			if ops < opsPerLeg {
+				return 0, fmt.Errorf("a snapshot nobody asked for")
+			}
+			sc, err := marshal.DecodeScene(payload)
+			if err != nil {
+				return 0, err
+			}
+			prev, answered = sc.Version, true
+		}
+	}
+	return prev, <-asked
 }

@@ -2,9 +2,13 @@ package dataservice
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dataservice/wal"
 	"repro/internal/geom/genmodel"
@@ -84,7 +88,7 @@ func TestCommitEncodesOnce(t *testing.T) {
 		near, far := net.Pipe()
 		defer near.Close()
 		defer far.Close()
-		socket := &connSubscriber{conn: transport.NewConn(near), sess: sess}
+		socket := &connSubscriber{conn: transport.NewConn(near)}
 		var sub Subscriber = socket
 		if name != "filtered" {
 			probes[name] = &socketProbe{connSubscriber: socket}
@@ -161,8 +165,8 @@ func TestCommitEncodesOnce(t *testing.T) {
 	near, far := net.Pipe()
 	defer near.Close()
 	go io.Copy(io.Discard, far)
-	sock := &connSubscriber{conn: transport.NewConn(near), sess: sess}
-	u := Update{Version: sess.Version(), Wire: probes["versioned-1"].sent[1][8:], packed: new([]byte)}
+	sock := &connSubscriber{conn: transport.NewConn(near)}
+	u := Update{Version: sess.Version(), Wire: probes["versioned-1"].sent[1][8:], packed: new(packedOp)}
 	payload := u.versioned()
 	send := testing.AllocsPerRun(20, func() { sock.conn.Send(transport.MsgSceneOpVer, payload) })
 	update := testing.AllocsPerRun(20, func() { sock.SendUpdate(u) })
@@ -171,40 +175,158 @@ func TestCommitEncodesOnce(t *testing.T) {
 	}
 }
 
-// TestSocketCameraIsNeverStale: a socket's camera message carries the
-// session's camera at the moment it is written, not the one its sender
-// read earlier. ServeConn's camera after the bootstrap used to be able
-// to land behind a newer SetCamera fan-out and leave the replica on the
-// old view for good.
+// TestSocketCameraIsNeverStale: a socket that subscribes while the
+// shared camera keeps changing never carries a camera older than one it
+// has already carried, and ends on the session's camera. The camera
+// after the bootstrap used to be able to land behind a newer SetCamera
+// fan-out and leave the replica on the old view for good; the outbox
+// now queues both in the order the session took them.
 func TestSocketCameraIsNeverStale(t *testing.T) {
 	svc := New(Config{Name: "data"})
 	sess, err := svc.CreateSession("s")
 	if err != nil {
 		t.Fatal(err)
 	}
+	const moves = 200
+	camera := func(i int) transport.CameraState {
+		cam := sess.Camera()
+		cam.Eye[0] = float64(i)
+		return cam
+	}
+	if err := sess.SetCamera(camera(0), ""); err != nil {
+		t.Fatal(err)
+	}
+	moved := make(chan struct{})
+	go func() {
+		defer close(moved)
+		for i := 1; i <= moves; i++ {
+			_ = sess.SetCamera(camera(i), "") // a fan-out error is the socket closing at the end
+		}
+	}()
+	near, far := net.Pipe()
+	defer near.Close()
+	served := make(chan struct{})
+	go func() { svc.ServeConn(near); close(served) }()
+	conn := transport.NewConn(far)
+	if err := conn.SendJSON(transport.MsgHello, transport.Hello{Role: "render-service", Name: "r", Session: "s"}); err != nil {
+		t.Fatal(err)
+	}
+	last := -1.0
+	for last < moves {
+		mt, payload, err := conn.Receive()
+		if err != nil {
+			t.Fatalf("stream ended at camera %v: %v", last, err)
+		}
+		if mt != transport.MsgCameraUpdate {
+			continue
+		}
+		var got transport.CameraState
+		if err := transport.DecodeJSON(payload, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Eye[0] < last {
+			t.Fatalf("socket carried camera %v after camera %v", got.Eye[0], last)
+		}
+		last = got.Eye[0]
+	}
+	<-moved
+	far.Close()
+	<-served
+}
+
+// TestPackedOnceAcrossFlushers: several goroutines commit while two
+// sockets follow, so one commit's packed payload can be sent to the two
+// sockets by two flushers at once. Each socket must carry every version
+// once, in order, with an op that decodes. Run it under -race.
+func TestPackedOnceAcrossFlushers(t *testing.T) {
+	sess, err := New(Config{Name: "data"}).CreateSession("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const committers, perCommitter = 3, 100
+	read := make(chan error, 2) // one send per reader
+	for _, name := range []string{"a", "b"} {
+		near, far := net.Pipe()
+		defer near.Close()
+		if _, err := sess.Subscribe(name, &connSubscriber{conn: transport.NewConn(near)}); err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			defer far.Close()
+			conn := transport.NewConn(far)
+			for want := uint64(1); want <= committers*perCommitter; want++ {
+				mt, payload, err := conn.Receive()
+				if err != nil {
+					read <- err
+					return
+				}
+				version, body, err := transport.UnpackVersioned(payload)
+				if mt != transport.MsgSceneOpVer || err != nil || version != want {
+					read <- fmt.Errorf("received %s version %d (%v), want version %d", mt, version, err, want)
+					return
+				}
+				if _, err := marshal.DecodeOp(body); err != nil {
+					read <- err
+					return
+				}
+			}
+			read <- nil
+		}()
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < committers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perCommitter; i++ {
+				if err := sess.ApplyUpdate(&scene.SetNameOp{ID: scene.RootID, Name: fmt.Sprint(i)}, ""); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < 2; i++ {
+		if err := <-read; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestSentBootstrapIsReleased: once a socket's bootstrap snapshot has
+// been sent, the subscriber's outbox no longer reaches it, so the scene
+// clone and its encoding are not kept for the subscription's lifetime.
+func TestSentBootstrapIsReleased(t *testing.T) {
+	sess, err := New(Config{Name: "data"}).CreateSessionFromMesh("s", "m", genmodel.Sphere(mathx.Vec3{}, 1, 12, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
 	near, far := net.Pipe()
 	defer near.Close()
 	defer far.Close()
-	sub := &connSubscriber{conn: transport.NewConn(near), sess: sess}
-
-	stale := sess.Camera()
-	fresh := stale
-	fresh.Eye[0] += 5
-	if err := sess.SetCamera(fresh, ""); err != nil {
+	go io.Copy(io.Discard, far)
+	ob := &outbox{name: "r", sub: &connSubscriber{transport.NewConn(near)}, socket: true}
+	defer runtime.KeepAlive(ob) // the subscription stays attached
+	sent, _, err := sess.queueBase(ob, 0, true)
+	if err != nil {
 		t.Fatal(err)
 	}
-	go sub.SendCamera(stale)
-	mt, payload, err := transport.NewConn(far).Receive()
-	if err != nil || mt != transport.MsgCameraUpdate {
-		t.Fatalf("received %s, %v", mt, err)
-	}
-	var got transport.CameraState
-	if err := transport.DecodeJSON(payload, &got); err != nil {
+	released := make(chan struct{})
+	runtime.SetFinalizer(sent[0].base.scene, func(*scene.Scene) { close(released) })
+	if err := waitAll(sent); err != nil {
 		t.Fatal(err)
 	}
-	if got != fresh {
-		t.Errorf("socket carried eye %v, session's camera is at %v", got.Eye, fresh.Eye)
+	sent = nil
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-released:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
+	t.Fatal("the sent bootstrap's scene is still reachable")
 }
 
 // BenchmarkCommitReshape times the commit path on its own: one
@@ -242,7 +364,7 @@ func BenchmarkCommitReshape(b *testing.B) {
 		}
 		defer near.Close()
 		go io.Copy(io.Discard, far)
-		if _, err := sess.Subscribe(name, &connSubscriber{conn: transport.NewConn(near), sess: sess}); err != nil {
+		if _, err := sess.Subscribe(name, &connSubscriber{conn: transport.NewConn(near)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -177,7 +177,7 @@ func (r ackingReplica) Apply(op scene.Op) error {
 
 func (r ackingReplica) SetCamera(cam transport.CameraState) error {
 	sess, err := r.session(false)
-	if err != nil || sess == nil {
+	if err != nil {
 		return err
 	}
 	return sess.SetCamera(cam, "")

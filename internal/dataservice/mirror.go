@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/follow"
-	"repro/internal/marshal"
 	"repro/internal/netsim"
 	"repro/internal/scene"
 	"repro/internal/transport"
@@ -20,11 +19,10 @@ import (
 // primary dies, Promote detaches the mirror and the backup session keeps
 // serving — same name, same scene, same version.
 //
-// The mirror is the in-process transport of the op-stream follower: the
-// primary's fan-out calls SendUpdate from whichever goroutine committed,
-// so ops can arrive before the bootstrap has been installed or ahead of
-// a slower sibling, and a follow.Sequencer (under mu) puts them in
-// version order.
+// The mirror is the in-process transport of the op-stream follower: its
+// outbox on the primary carries the bootstrap first and every op after it
+// in commit order, and a follow.Sequencer (under mu) applies them. The
+// fan-out loses nothing, so there is no resync: a gap is a sticky error.
 type Mirror struct {
 	primary *Session
 	backup  backupCopy
@@ -64,31 +62,14 @@ func (c backupCopy) SetCamera(cam transport.CameraState) error {
 // full snapshot would waste the surviving copy. Otherwise the backup
 // session is (re)seeded with a full bootstrap snapshot.
 func MirrorSessionSince(primary *Session, backupSvc *Service) (m *Mirror, resumed bool, err error) {
-	m, land, err := subscribeMirror(primary, backupSvc)
-	if err != nil {
-		return nil, false, err
-	}
-	if resumed, err = land(); err != nil {
-		primary.Unsubscribe(m.backup.subName)
-		return nil, false, fmt.Errorf("dataservice: mirror bootstrap: %w", err)
-	}
-	return m, resumed, nil
-}
-
-// subscribeMirror is the first half of MirrorSessionSince: it registers
-// the mirror with the primary's fan-out, which from then on can deliver
-// ops from any committing goroutine. land, the second half, installs the
-// bootstrap the primary handed over; the sequencer holds whatever
-// arrives in between.
-func subscribeMirror(primary *Session, backupSvc *Service) (m *Mirror, land func() (resumed bool, err error), err error) {
 	if primary == nil || backupSvc == nil {
-		return nil, nil, fmt.Errorf("dataservice: mirror needs a primary session and a backup service")
+		return nil, false, fmt.Errorf("dataservice: mirror needs a primary session and a backup service")
 	}
 	backup, adopted := backupSvc.Session(primary.Name)
 	if !adopted {
 		backup, err = backupSvc.CreateSession(primary.Name)
 		if err != nil {
-			return nil, nil, fmt.Errorf("dataservice: backup session: %w", err)
+			return nil, false, fmt.Errorf("dataservice: backup session: %w", err)
 		}
 	}
 	m = &Mirror{primary: primary, backup: backupCopy{backup, "mirror:" + backupSvc.Name()}}
@@ -97,50 +78,15 @@ func subscribeMirror(primary *Session, backupSvc *Service) (m *Mirror, land func
 	if adopted {
 		since = backup.Version()
 	}
-	// Replica seeding is infrastructure traffic: it charges the
-	// bootstrap-bytes series below but stays out of BootstrapStats,
-	// which counts client-visible bootstraps only.
-	ops, snapshot, version, err := primary.subscribeSince(m.backup.subName, m, since, false)
+	sent, resumed, err := primary.queueBase(&outbox{name: m.backup.subName, sub: m, region: backupSvc.Region()}, since, true)
 	if err != nil {
-		return nil, nil, err
+		return nil, false, err
 	}
-	return m, func() (bool, error) {
-		if snapshot != nil {
-			primary.countBootstrapBytes(snapshot, backupSvc.Region())
-		}
-		err := m.bootstrap(ops, snapshot, version)
-		if err == nil {
-			err = m.backup.SetCamera(primary.Camera())
-		}
-		return snapshot == nil, err
-	}, nil
-}
-
-// bootstrap lands what subscribeSince handed over: the snapshot, or the
-// promise that the copy resumes and the ops it was missing.
-func (m *Mirror) bootstrap(ops []ReplayOp, snapshot *scene.Scene, version uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if snapshot != nil {
-		return m.seq.Install(snapshot)
+	if err := waitAll(sent); err != nil {
+		primary.Unsubscribe(m.backup.subName)
+		return nil, false, fmt.Errorf("dataservice: mirror bootstrap: %w", err)
 	}
-	if err := m.seq.Resume(version); err != nil {
-		return err
-	}
-	for _, rop := range ops {
-		if err := m.seq.Offer(rop.Version, rop.Op); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// countBootstrapBytes charges a bootstrap snapshot's marshaled size to
-// the session's bootstrap-bytes counter, labelled by whether the bytes
-// stayed in-region or crossed regions. The partition chaos scenario
-// asserts the cross series stays flat while a region is cut.
-func (sess *Session) countBootstrapBytes(sc *scene.Scene, toRegion string) {
-	sess.noteBootstrapBytes(int64(marshal.SceneSize(sc)), toRegion)
+	return m, resumed, nil
 }
 
 // noteBootstrapBytes charges n bootstrap bytes shipped toward toRegion
@@ -152,6 +98,19 @@ func (sess *Session) noteBootstrapBytes(n int64, toRegion string) {
 	} else {
 		metrics.Counter(sess.svc.cfg.Name, "bootstrap_bytes_total", "local").Add(n)
 	}
+}
+
+// sendBase lands the mirror's bootstrap: the snapshot, or the word that
+// the backup's copy resumes.
+func (m *Mirror) sendBase(b *base) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if b.scene == nil {
+		m.seq.Resume()
+		return nil
+	}
+	m.applyErr = m.seq.Install(b.scene)
+	return m.applyErr
 }
 
 // SendUpdate implements Subscriber: replicate the op onto the backup in
@@ -169,6 +128,9 @@ func (m *Mirror) SendUpdate(u Update) error {
 	}
 	if m.applyErr == nil {
 		m.applyErr = m.seq.Offer(u.Version, u.Op)
+	}
+	if m.applyErr == nil && m.seq.Gap() {
+		m.applyErr = fmt.Errorf("dataservice: mirror at version %d was sent the op for %d", m.backup.Version(), u.Version)
 	}
 	return m.applyErr
 }

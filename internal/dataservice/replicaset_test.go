@@ -141,9 +141,9 @@ func TestReplicaSetBestPrefersCaughtUpThenRegion(t *testing.T) {
 }
 
 func TestReplicaSetConcurrentOpsDuringAttach(t *testing.T) {
-	// The race MirrorSessionSince must survive: ops fanning out while
-	// the bootstrap installs. Buffered versioned ops drain in order, so
-	// the replica converges on the primary's exact version.
+	// The race MirrorSessionSince must survive: ops committed while the
+	// bootstrap is taken. They follow the bootstrap in the mirror's
+	// outbox, so the replica converges on the primary's exact version.
 	sess, backups, _ := newReplicaFixture(t, "eu", "eu")
 	rs := NewReplicaSet(sess)
 	var wg sync.WaitGroup

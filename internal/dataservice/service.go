@@ -39,7 +39,8 @@ type Subscriber interface {
 
 // Update is one committed op on its way to a subscriber: the op for a
 // follower in this process, and for a socket the op's wire bytes, which
-// the commit encoded once for its journal and every subscriber alike.
+// the commit encoded once for its journal and every subscriber alike
+// (nil for an op replayed from the history, which keeps ops only).
 type Update struct {
 	Op scene.Op
 	// Version is the authoritative scene version the op produced.
@@ -52,24 +53,28 @@ type Update struct {
 	// Wire is Op's marshal encoding, shared with the commit's other
 	// consumers: read-only.
 	Wire []byte
-	// packed holds Wire behind its version prefix once a socket of this
-	// commit has asked for it (see versioned); nil outside a fan-out.
-	packed *[]byte
+	// packed is the commit's one versioned payload (see versioned); nil
+	// outside a commit's fan-out.
+	packed *packedOp
+}
+
+// packedOp is a commit's MsgSceneOpVer payload. The commit's outboxes
+// may be flushed from several goroutines at once, so whichever socket
+// asks first packs it, behind the Once.
+type packedOp struct {
+	once sync.Once
+	b    []byte
 }
 
 // versioned returns the MsgSceneOpVer payload: Version ahead of Wire
-// (transport.PackVersioned). A commit's fan-out packs it on the first
-// call and every versioned socket of that commit sends the same
-// read-only bytes, so a commit with no socket packs nothing. The fan-out
-// calls its subscribers one at a time, so the first call needs no lock.
+// (transport.PackVersioned). Every versioned socket of one commit sends
+// the same read-only bytes, and a commit with no socket packs nothing.
 func (u Update) versioned() []byte {
 	if u.packed == nil {
 		return transport.PackVersioned(u.Version, u.Wire)
 	}
-	if *u.packed == nil {
-		*u.packed = transport.PackVersioned(u.Version, u.Wire)
-	}
-	return *u.packed
+	u.packed.once.Do(func() { u.packed.b = transport.PackVersioned(u.Version, u.Wire) })
+	return u.packed.b
 }
 
 // Config configures a data service.
@@ -118,7 +123,7 @@ func (s *Service) Name() string { return s.cfg.Name }
 func (s *Service) Region() string { return s.cfg.Region }
 
 // Session is one hosted collaborative session: the authoritative scene,
-// the shared camera, the subscriber set and the audit recorder.
+// the shared camera, the subscribers' outboxes and the audit recorder.
 type Session struct {
 	Name string
 	svc  *Service
@@ -126,7 +131,7 @@ type Session struct {
 	mu          sync.Mutex
 	scene       *scene.Scene
 	camera      transport.CameraState
-	subscribers map[string]Subscriber
+	subscribers map[string]*outbox
 	interests   map[string]*interestSet
 	recorder    *recorder
 	journal     *journalSink
@@ -165,7 +170,8 @@ var ErrJournalFault = errors.New("dataservice: journal fault")
 // and given Version — but could not be delivered to a subscriber. The
 // op's author has nothing to retry: the subscriber's own follower redials
 // and resumes from the history ring. ApplyUpdate returns the first one
-// per op; every one is counted on fanout_errors_total{peer}.
+// per op; every one it waits for is counted on fanout_errors_total{peer}
+// (not an op queued behind a snapshot still being encoded).
 type FanoutError struct {
 	Version    uint64
 	Subscriber string
@@ -262,7 +268,7 @@ func (s *Service) CreateSession(name string) (*Session, error) {
 		Name:        name,
 		svc:         s,
 		scene:       scene.New(),
-		subscribers: map[string]Subscriber{},
+		subscribers: map[string]*outbox{},
 		interests:   map[string]*interestSet{},
 		standbyAcks: map[string]uint64{},
 	}
@@ -430,38 +436,26 @@ func (sess *Session) applyUpdate(op scene.Op, origin string, replicated bool) er
 	if err != nil {
 		return err
 	}
-	version, targets, err := sess.commit(op, rec, origin, replicated)
+	version, sent, err := sess.commit(op, rec, origin, replicated)
 	if err != nil {
 		return err
 	}
 	var firstErr error
-	var packed []byte // the versioned sockets' payload, packed by the first of them
-	for _, tg := range targets {
-		err := tg.sub.SendUpdate(Update{Op: op, Version: version, Filtered: tg.filtered, Wire: rec[wal.RecordRoom:], packed: &packed})
-		if err == nil {
-			continue
-		}
-		sess.svc.cfg.Metrics.Counter(sess.svc.cfg.Name, "fanout_errors_total", telemetry.PeerLabel(tg.name)).Inc()
-		if firstErr == nil {
-			firstErr = &FanoutError{Version: version, Subscriber: tg.name, Err: err}
+	for _, d := range sent {
+		if err := d.wait(); err != nil {
+			sess.svc.cfg.Metrics.Counter(sess.svc.cfg.Name, "fanout_errors_total", telemetry.PeerLabel(d.ob.name)).Inc()
+			if firstErr == nil {
+				firstErr = &FanoutError{Version: version, Subscriber: d.ob.name, Err: err}
+			}
 		}
 	}
 	return firstErr
 }
 
-// fanoutTarget is one subscriber a commit must reach.
-type fanoutTarget struct {
-	name string
-	sub  Subscriber
-	// Interest-filtered subscribers miss ops by design, so their
-	// stream carries no version tags (a gap there is not a fault).
-	filtered bool
-}
-
 // commit is applyUpdate's locked half: apply, audit, journal (rec is the
-// op's encoding behind wal.RecordRoom), history, and the subscribers to
-// fan out to once the lock is gone.
-func (sess *Session) commit(op scene.Op, rec []byte, origin string, replicated bool) (version uint64, targets []fanoutTarget, err error) {
+// op's encoding behind wal.RecordRoom), history, and the op queued on
+// every outbox it goes to, to be sent once the lock is gone.
+func (sess *Session) commit(op scene.Op, rec []byte, origin string, replicated bool) (version uint64, sent []*delivery, err error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.readOnly && !replicated {
@@ -485,12 +479,14 @@ func (sess *Session) commit(op scene.Op, rec []byte, origin string, replicated b
 	}
 	version = sess.scene.Version
 	sess.history.push(version, op)
-	for name, sub := range sess.subscribers {
+	u := Update{Op: op, Version: version, Wire: rec[wal.RecordRoom:], packed: new(packedOp)}
+	for name, ob := range sess.subscribers {
 		if name != origin && sess.wantsOp(name, op) {
-			targets = append(targets, fanoutTarget{name, sub, sess.interests[name] != nil})
+			u.Filtered = sess.interests[name] != nil
+			sent = append(sent, ob.push(delivery{u: u}))
 		}
 	}
-	return version, targets, nil
+	return version, sent, nil
 }
 
 // SetCamera updates the shared camera and fans it out (collaborating
@@ -498,17 +494,17 @@ func (sess *Session) commit(op scene.Op, rec []byte, origin string, replicated b
 func (sess *Session) SetCamera(cam transport.CameraState, origin string) error {
 	sess.mu.Lock()
 	sess.camera = cam
-	subs := make(map[string]Subscriber, len(sess.subscribers))
-	for name, sub := range sess.subscribers {
+	var sent []*delivery
+	for name, ob := range sess.subscribers {
 		if name != origin {
-			subs[name] = sub
+			sent = append(sent, ob.push(delivery{cam: &cam}))
 		}
 	}
 	sess.mu.Unlock()
 	var firstErr error
-	for name, sub := range subs {
-		if err := sub.SendCamera(cam); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("dataservice: camera fan-out to %s: %w", name, err)
+	for _, d := range sent {
+		if err := d.wait(); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("dataservice: camera fan-out to %s: %w", d.ob.name, err)
 		}
 	}
 	return firstErr
@@ -524,58 +520,74 @@ func (sess *Session) Camera() transport.CameraState {
 // Subscribe registers a named subscriber and returns a bootstrap
 // snapshot of the current scene. Names must be unique within a session.
 func (sess *Session) Subscribe(name string, sub Subscriber) (*scene.Scene, error) {
-	_, snapshot, _, err := sess.subscribeSince(name, sub, 0, false)
-	return snapshot, err
-}
-
-// ReplayOp is one op returned by SubscribeSince for gap-only resync.
-type ReplayOp struct {
-	Version uint64
-	Op      scene.Op
-}
-
-// SubscribeSince registers a subscriber that may already hold a replica
-// at scene version since. When the session's op history is contiguous
-// from since+1, it returns the missed ops (possibly empty) and a nil
-// snapshot — the subscriber resyncs only the gap. Otherwise it falls
-// back to Subscribe semantics and returns a full bootstrap snapshot.
-// The returned version is the authoritative version the subscriber will
-// be at after applying what it was given.
-func (sess *Session) SubscribeSince(name string, sub Subscriber, since uint64) (ops []ReplayOp, snapshot *scene.Scene, version uint64, err error) {
-	return sess.subscribeSince(name, sub, since, true)
-}
-
-// subscribeSince implements SubscribeSince; count selects whether the
-// bootstrap lands in BootstrapStats. Client-facing paths count;
-// replica seeding (the Mirror) does not, so the stats stay a pure
-// client-visible observable the chaos tests can assert exactly.
-func (sess *Session) subscribeSince(name string, sub Subscriber, since uint64, count bool) (ops []ReplayOp, snapshot *scene.Scene, version uint64, err error) {
-	if name == "" {
-		return nil, nil, 0, fmt.Errorf("dataservice: subscriber name required")
-	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if _, dup := sess.subscribers[name]; dup {
-		return nil, nil, 0, fmt.Errorf("dataservice: subscriber %q already attached", name)
+	if err := sess.join(&outbox{name: name, sub: sub}); err != nil {
+		return nil, err
 	}
-	sess.subscribers[name] = sub
-	version = sess.scene.Version
-	// since == 0 means "no replica": always a full bootstrap.
-	if since > 0 && since <= version {
-		if tail, ok := sess.history.since(since, version); ok {
-			if count {
-				sess.resumesServed++
-			}
-			for _, h := range tail {
-				ops = append(ops, ReplayOp{Version: h.version, Op: h.op})
-			}
-			return ops, nil, version, nil
+	sess.snapshotsServed++
+	return sess.scene.Clone(), nil
+}
+
+// join adds ob to the fan-out. Callers hold sess.mu.
+func (sess *Session) join(ob *outbox) error {
+	if ob.name == "" {
+		return fmt.Errorf("dataservice: subscriber name required")
+	}
+	if _, dup := sess.subscribers[ob.name]; dup {
+		return fmt.Errorf("dataservice: subscriber %q already attached", ob.name)
+	}
+	sess.subscribers[ob.name] = ob
+	return nil
+}
+
+// queueBase queues on ob, whose subscriber takes its bootstrap in its
+// outbox (a baseSender), a base its copy continues from, and returns
+// what it queued: on attach it joins ob to the fan-out in the same step
+// and the shared camera follows the base; otherwise the base answers a
+// resync. The base resumes a copy at since when the op history reaches
+// back to it, the ops the copy missed queued after it, and is a snapshot
+// otherwise. A socket's snapshot is cloned under the lock but encoded
+// outside it: it holds its place in ob's queue, the ops committed
+// meanwhile queue behind it, and no commit waits for the encoding.
+func (sess *Session) queueBase(ob *outbox, since uint64, attach bool) (sent []*delivery, resumed bool, err error) {
+	sess.mu.Lock()
+	if attach {
+		if err := sess.join(ob); err != nil {
+			sess.mu.Unlock()
+			return nil, false, err
 		}
 	}
-	if count {
-		sess.snapshotsServed++
+	b := &base{since: since, version: sess.scene.Version}
+	var tail []histOp
+	if since > 0 && since <= b.version {
+		tail, resumed = sess.history.since(since, b.version)
 	}
-	return nil, sess.scene.Clone(), version, nil
+	served := &sess.resumesServed
+	if !resumed {
+		b.scene, served = sess.scene.Clone(), &sess.snapshotsServed
+		sess.noteBootstrapBytes(int64(marshal.SceneSize(b.scene)), ob.region)
+	}
+	if ob.socket {
+		*served++
+	}
+	encoding := ob.socket && !resumed
+	sent = append(sent, ob.push(delivery{base: b, encoding: encoding}))
+	for _, h := range tail { // an attaching subscriber has no interest set yet
+		sent = append(sent, ob.push(delivery{u: Update{Op: h.op, Version: h.version}}))
+	}
+	if attach {
+		cam := sess.camera
+		sent = append(sent, ob.push(delivery{cam: &cam}))
+	}
+	sess.mu.Unlock()
+	if encoding {
+		b.wire, b.err = marshal.AppendScene(nil, b.scene)
+		ob.mu.Lock()
+		sent[0].encoding = false
+		ob.mu.Unlock()
+	}
+	return sent, resumed, nil
 }
 
 // BootstrapStats reports how many subscriber bootstraps were served as
@@ -584,13 +596,6 @@ func (sess *Session) BootstrapStats() (snapshots, resumes uint64) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	return sess.snapshotsServed, sess.resumesServed
-}
-
-// noteSnapshot counts a resync snapshot served outside SubscribeSince.
-func (sess *Session) noteSnapshot() {
-	sess.mu.Lock()
-	sess.snapshotsServed++
-	sess.mu.Unlock()
 }
 
 // SetReadOnly marks or unmarks the session as a standby: while set,
@@ -650,15 +655,112 @@ func (sess *Session) SubscriberNames() []string {
 	return out
 }
 
+// outbox is one attached subscriber's stream. Everything the session
+// sends it — its bootstrap, the ops after it, camera changes, resync
+// answers — is queued under the session lock, so the queue is in commit
+// order, and sent once the lock is gone by one flusher at a time, so
+// the stream is too. Whoever queues a delivery waits for it, which keeps
+// a slow subscriber's backpressure on the commits that feed it, unless
+// it is queued behind a snapshot still being encoded.
+type outbox struct {
+	name string
+	sub  Subscriber
+	// region is where bootstrap bytes are charged. A socket's snapshots
+	// are encoded, and its bootstraps count in BootstrapStats (a
+	// mirror's are not a client's).
+	region string
+	socket bool
+
+	mu      sync.Mutex // guards queue and each queued delivery's encoding
+	queue   []*delivery
+	sending sync.Mutex // held by the one flusher: it serializes this stream's writes
+}
+
+// delivery is one queued message: an op, a camera change (cam set) or a
+// base (base set).
+type delivery struct {
+	ob   *outbox
+	u    Update
+	cam  *transport.CameraState
+	base *base
+	// encoding marks a snapshot base whose bytes are not ready yet;
+	// nothing from it on is sent until they are.
+	encoding bool
+	err      error // how sending it went, once sent
+}
+
+// base is the head of a stream a subscriber's copy continues from: a
+// snapshot of the scene at version (wire and err its encoding, for a
+// socket), or with no scene the word that the copy at since resumes and
+// is replayed the ops through version.
+type base struct {
+	scene          *scene.Scene
+	wire           []byte
+	err            error
+	since, version uint64
+}
+
+// baseSender is a Subscriber whose bootstrap travels in its outbox: a
+// socket (ServeConn) or a Mirror.
+type baseSender interface {
+	Subscriber
+	sendBase(b *base) error
+}
+
+// push queues d. Callers hold the session lock.
+func (ob *outbox) push(d delivery) *delivery {
+	d.ob = ob
+	ob.mu.Lock()
+	ob.queue = append(ob.queue, &d)
+	ob.mu.Unlock()
+	return &d
+}
+
+// wait sends what d's outbox has queued, in order, up to a snapshot
+// still being encoded, and returns how sending d went: at once, nil,
+// when d is queued behind such a snapshot, whose encoder sends it.
+func (d *delivery) wait() error {
+	ob := d.ob
+	ob.sending.Lock()
+	defer ob.sending.Unlock()
+	ob.mu.Lock()
+	n := 0
+	for n < len(ob.queue) && !ob.queue[n].encoding {
+		n++
+	}
+	// The rest moves to a new array: the sent deliveries, a bootstrap's
+	// scene among them, are not to stay reachable from the queue.
+	batch := ob.queue[:n]
+	ob.queue = append([]*delivery(nil), ob.queue[n:]...)
+	ob.mu.Unlock()
+	for _, q := range batch {
+		switch {
+		case q.base != nil:
+			q.err = ob.sub.(baseSender).sendBase(q.base)
+		case q.cam != nil:
+			q.err = ob.sub.SendCamera(*q.cam)
+		default:
+			q.err = ob.sub.SendUpdate(q.u)
+		}
+	}
+	return d.err
+}
+
+// waitAll waits for deliveries queued on one outbox and returns the
+// first error among them.
+func waitAll(sent []*delivery) error {
+	var first error
+	for _, d := range sent {
+		if err := d.wait(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
 // connSubscriber adapts a transport.Conn into a Subscriber.
 type connSubscriber struct {
 	conn *transport.Conn
-	sess *Session
-	// camMu makes "read the shared camera, send it" one step on this
-	// socket. ServeConn's camera after the bootstrap and a SetCamera
-	// fan-out come from different goroutines; whichever writes last must
-	// not be carrying the older camera.
-	camMu sync.Mutex
 }
 
 // SendUpdate implements Subscriber: the op travels as MsgSceneOpVer with
@@ -666,45 +768,42 @@ type connSubscriber struct {
 // updates on a lossy or recovering link; the commit packs those bytes
 // once for all its sockets. An interest-filtered stream gets the bare op.
 func (c *connSubscriber) SendUpdate(u Update) error {
+	if u.Wire == nil {
+		wire, err := marshal.AppendOp(nil, u.Op)
+		if err != nil {
+			return err
+		}
+		u.Wire = wire
+	}
 	if u.Filtered {
 		return c.conn.Send(transport.MsgSceneOp, u.Wire)
 	}
 	return c.conn.Send(transport.MsgSceneOpVer, u.versioned())
 }
 
-// SendCamera implements Subscriber. What goes out is the session's
-// camera as it stands when the socket's turn comes, which is cam or
-// something newer.
-func (c *connSubscriber) SendCamera(transport.CameraState) error {
-	c.camMu.Lock()
-	defer c.camMu.Unlock()
-	return c.conn.SendJSON(transport.MsgCameraUpdate, c.sess.Camera()) //lint:allow lockedio: camMu only orders this socket's camera sends, which queue on the Conn's own write lock anyway
+// SendCamera implements Subscriber.
+func (c *connSubscriber) SendCamera(cam transport.CameraState) error {
+	return c.conn.SendJSON(transport.MsgCameraUpdate, cam)
 }
 
-// sendSnapshot ships sc to a subscriber in toRegion as a bootstrap or
-// resync snapshot, charging its size to the bootstrap-bytes series.
-func (sess *Session) sendSnapshot(conn *transport.Conn, sc *scene.Scene, toRegion string) error {
-	snap, err := marshal.AppendScene(nil, sc)
-	if err != nil {
-		return err
+// sendBase sends a snapshot base, or resume-ok for a resumed copy.
+func (c *connSubscriber) sendBase(b *base) error {
+	switch {
+	case b.scene == nil:
+		return c.conn.SendJSON(transport.MsgResumeOK, transport.ResumeInfo{Version: b.version, Since: b.since})
+	case b.err != nil:
+		return b.err
 	}
-	sess.noteBootstrapBytes(int64(len(snap)), toRegion)
-	return conn.Send(transport.MsgSceneSnapshot, snap)
+	return c.conn.Send(transport.MsgSceneSnapshot, b.wire)
 }
 
 // ServeConn runs the data-service side of a direct-socket subscription:
-// hello, bootstrap snapshot, then a receive loop applying the peer's
-// updates while the fan-out path pushes everyone else's. Returns when
-// the peer says Bye or the socket fails.
-//
-// Ordering on the socket is the follower's job, not this function's.
-// The subscriber joins the fan-out under the session lock but its
-// bootstrap (and any later resync snapshot) is marshalled and sent
-// outside it — a lock held across socket I/O would stall every commit
-// behind one slow link — so a commit can put MsgSceneOpVer(V+1) on the
-// wire ahead of MsgSceneSnapshot(V). internal/follow holds such ops and
-// drains them after the install; TestFollowerConformance and
-// TestSubscribeWhileCommitting pin that.
+// hello, then the subscriber's stream — the bootstrap reply (a snapshot,
+// or resume-ok and the ops the subscriber's copy missed), the ops
+// committed after it, camera changes and resync answers, all in commit
+// order through the subscriber's outbox — while a receive loop applies
+// the peer's own updates and answers its requests. Returns when the peer
+// says Bye or the socket fails.
 func (s *Service) ServeConn(rw io.ReadWriter) error {
 	conn, hello, err := transport.Accept(rw)
 	if err != nil {
@@ -717,35 +816,14 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 		return fmt.Errorf("dataservice: %w", err)
 	}
 
-	sub := &connSubscriber{conn: conn, sess: sess}
-	ops, snapshot, version, err := sess.SubscribeSince(hello.Name, sub, hello.SinceVersion)
+	ob := &outbox{name: hello.Name, sub: &connSubscriber{conn}, region: hello.Region, socket: true}
+	sent, _, err := sess.queueBase(ob, hello.SinceVersion, true)
 	if err != nil {
 		conn.Refuse(err)
 		return err
 	}
 	defer sess.Unsubscribe(hello.Name)
-
-	if snapshot != nil {
-		if err := sess.sendSnapshot(conn, snapshot, hello.Region); err != nil {
-			return err
-		}
-	} else {
-		// The subscriber's replica is close enough to resume: confirm,
-		// then replay only the gap as versioned ops.
-		if err := conn.SendJSON(transport.MsgResumeOK, transport.ResumeInfo{Version: version, Since: hello.SinceVersion}); err != nil {
-			return err
-		}
-		var wire []byte
-		for _, rop := range ops {
-			if wire, err = marshal.AppendOp(wire[:0], rop.Op); err != nil {
-				return err
-			}
-			if err := sub.SendUpdate(Update{Op: rop.Op, Version: rop.Version, Wire: wire}); err != nil {
-				return err
-			}
-		}
-	}
-	if err := sub.SendCamera(sess.Camera()); err != nil {
+	if err := waitAll(sent); err != nil {
 		return err
 	}
 
@@ -804,9 +882,9 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 				return err
 			}
 		case transport.MsgResyncRequest:
-			// The replica detected a gap: ship a fresh bootstrap snapshot.
-			sess.noteSnapshot()
-			if err := sess.sendSnapshot(conn, sess.Snapshot(), hello.Region); err != nil {
+			// The replica detected a gap: queue a fresh snapshot.
+			sent, _, _ := sess.queueBase(ob, 0, false) // joins nothing, so cannot fail
+			if err := waitAll(sent); err != nil {
 				return err
 			}
 		case transport.MsgStandbyAck:

@@ -28,121 +28,77 @@ type Target interface {
 	Version() uint64
 	// Install replaces the copy with a snapshot from the authority.
 	Install(sc *scene.Scene) error
-	// Apply applies the op that takes the copy from Version to Version+1;
-	// a Stream calls it only once a copy exists.
+	// Apply applies the op that takes the copy from Version to Version+1.
 	Apply(op scene.Op) error
 	// SetCamera updates the session's shared camera.
 	SetCamera(cam transport.CameraState) error
+	// A Stream calls Apply and SetCamera only once a copy exists.
 }
 
-// maxHeld bounds the ops held ahead of a copy. In-order delivery holds
-// none, a reordering fan-out one per concurrent committer, a follower
-// awaiting a resync what the authority commits in one round trip; past
-// this the op being waited for is not coming.
-const maxHeld = 1024
-
-// Sequencer applies a versioned op stream to a Target in version order,
-// whatever order it arrives in:
+// Sequencer applies an authority's op stream to a Target. The authority
+// sends each follower its bootstrap reply, then the ops after it, in
+// commit order, so an op out of turn means one was lost:
 //
-//	stale  (version <= copy)      dropped
-//	next   (version == copy + 1)  applied, then held successors drained
-//	ahead  (version >  copy + 1)  held
-//	before the bootstrap lands    held, whatever the version: the copy's
-//	                              old version says nothing about the new
-//	                              authority's numbering
-//	install                       held ops the snapshot covers dropped,
-//	                              the rest drained; only the bootstrap
-//	                              may take the copy backwards
+//	before the bootstrap         the stream is broken: ErrLost
+//	stale  (version <= copy)     dropped
+//	next   (version == copy + 1) applied
+//	ahead  (version >  copy + 1) a gap: dropped, and so is every op after
+//	                             it until a snapshot lands — the resync
+//	                             answer, which the authority follows with
+//	                             the ops committed since it
+//	the bootstrap reply          installed unconditionally
+//	a later snapshot             installed unless older than the copy
 //
 // Not safe for concurrent use.
 type Sequencer struct {
 	target Target
 	based  bool // the bootstrap (Install or Resume) has landed
-	// replayTo is the version a resume promised to replay through; until
-	// the copy reaches it, a held op is early, not evidence of a loss.
-	replayTo uint64
-	held     map[uint64]scene.Op
+	gap    bool // an op was lost: ops are dropped until the next snapshot
 }
 
 // NewSequencer returns a Sequencer feeding target, awaiting its bootstrap.
-func NewSequencer(target Target) *Sequencer {
-	return &Sequencer{target: target, held: map[uint64]scene.Op{}}
-}
+func NewSequencer(target Target) *Sequencer { return &Sequencer{target: target} }
 
 // Offer hands the Sequencer the op that produced version.
 func (q *Sequencer) Offer(version uint64, op scene.Op) error {
-	if q.based {
-		cur := q.target.Version()
-		if version <= cur {
-			return nil
-		}
-		if version == cur+1 {
-			if err := q.target.Apply(op); err != nil {
-				return err
-			}
-			return q.drain()
-		}
+	if !q.based {
+		return fmt.Errorf("%w: the op for version %d came before the bootstrap reply", ErrLost, version)
 	}
-	if len(q.held) >= maxHeld {
-		return fmt.Errorf("follow: %d ops held ahead of version %d", len(q.held), q.target.Version())
+	cur := q.target.Version()
+	switch {
+	case q.gap || version <= cur:
+		return nil
+	case version == cur+1:
+		return q.target.Apply(op)
 	}
-	q.held[version] = op
+	q.gap = true
 	return nil
 }
 
-// Install makes sc the copy. The bootstrap snapshot installs
-// unconditionally: it is the authority's answer to the hello even when
-// it takes the copy backwards (a promoted standby that had not caught up
-// with this follower). A later snapshot — a resync answer — older than
-// the copy was overtaken by ops already applied, and is dropped rather
-// than lose them.
+// Install makes sc the copy and closes any gap. The bootstrap snapshot
+// installs unconditionally: it is the authority's answer to the hello
+// even when it takes the copy backwards (a promoted standby that had not
+// caught up with this follower). A later snapshot — a resync answer —
+// older than the copy was overtaken by ops already applied, and is
+// dropped rather than lose them; the ops after it are stale.
 func (q *Sequencer) Install(sc *scene.Scene) error {
+	q.gap = false
 	if q.based && sc.Version < q.target.Version() {
 		return nil
 	}
 	if err := q.target.Install(sc); err != nil {
 		return err
 	}
-	return q.Resume(sc.Version)
-}
-
-// Resume accepts the existing copy as the bootstrap: the authority will
-// replay the ops the copy is missing, through version through.
-func (q *Sequencer) Resume(through uint64) error {
-	q.based, q.replayTo = true, through
-	return q.drain()
-}
-
-// drain applies held ops for as long as they continue the copy, then
-// forgets the ones it has passed.
-func (q *Sequencer) drain() error {
-	for len(q.held) > 0 {
-		cur := q.target.Version()
-		op, ok := q.held[cur+1]
-		if !ok {
-			for v := range q.held {
-				if v <= cur {
-					delete(q.held, v)
-				}
-			}
-			break
-		}
-		delete(q.held, cur+1)
-		if err := q.target.Apply(op); err != nil {
-			return err
-		}
-	}
+	q.based = true
 	return nil
 }
 
-// Gap reports a missing op: the copy has everything it was promised,
-// yet ops beyond its next one are held.
-func (q *Sequencer) Gap() bool {
-	return q.based && len(q.held) > 0 && q.target.Version() >= q.replayTo
-}
+// Resume accepts the existing copy as the bootstrap: the authority
+// replays the ops the copy is missing next.
+func (q *Sequencer) Resume() { q.based = true }
 
-// Behind reports whether the copy trails an authority at version.
-func (q *Sequencer) Behind(version uint64) bool { return version > q.target.Version() }
+// Gap reports a missing op: ops are being dropped until a snapshot lands.
+func (q *Sequencer) Gap() bool { return q.gap }
 
 // ErrLost reports a stream that ended without an explicit Bye: the peer
 // died, the link dropped or stalled past the idle timeout, or a frame
@@ -155,10 +111,10 @@ var ErrLost = errors.New("op stream lost without bye")
 // (DESIGN.md "Op-stream follower" tabulates who sends what): hello with
 // the copy's version, the bootstrap reply (snapshot, resume-ok or
 // refusal), then versioned ops, camera updates, and one resync request
-// per gap answered by a snapshot, until Bye. The authority does not order
-// its fan-out behind a snapshot it has promised, so ops may overtake the
-// bootstrap reply or a resync answer; the Sequencer holds them. Anything
-// else on the socket belongs to the follower's role and goes to Hook.
+// per gap answered by a snapshot, until Bye. The authority writes all of
+// it in commit order, so nothing overtakes the bootstrap reply and a
+// resync answer is followed by every op after it. Anything else on the
+// socket belongs to the follower's role and goes to Hook.
 type Stream struct {
 	Conn *transport.Conn
 	// Hello opens the subscription; Run fills in SinceVersion.
@@ -233,8 +189,7 @@ func (s *Stream) Run(ctx context.Context) (bootstrapped bool, err error) {
 }
 
 // handle applies one message; landed reports a bootstrap reply or resync
-// answer. Before the bootstrap reply only fan-out that overtook it is
-// tolerated.
+// answer. Before the bootstrap reply the authority sends nothing else.
 func (s *Stream) handle(t transport.MsgType, payload []byte, bootstrapped bool) (landed bool, err error) {
 	switch t {
 	case transport.MsgSceneSnapshot:
@@ -252,7 +207,8 @@ func (s *Stream) handle(t transport.MsgType, payload []byte, bootstrapped bool) 
 		if s.since == 0 {
 			return false, fmt.Errorf("follow: resume-ok for a follower that holds no copy")
 		}
-		return true, s.seq.Resume(ri.Version)
+		s.seq.Resume()
+		return true, nil
 	case transport.MsgSceneOpVer:
 		version, body, err := transport.UnpackVersioned(payload)
 		if err != nil {
@@ -263,34 +219,15 @@ func (s *Stream) handle(t transport.MsgType, payload []byte, bootstrapped bool) 
 			return false, err
 		}
 		return false, s.seq.Offer(version, op)
-	case transport.MsgCameraUpdate:
-		var cam transport.CameraState
-		if err := transport.DecodeJSON(payload, &cam); err != nil {
-			return false, err
-		}
-		return false, s.Target.SetCamera(cam)
-	case transport.MsgVersionReport:
-		// The answer to a role's own MsgVersionQuery probe. Trailing it
-		// with nothing held means the op stream went quiet after a lost
-		// op; trailing it with a request unanswered means the request or
-		// its answer was lost. Either way ask (again): on a faulty link
-		// this is the only retry there is.
-		var vr transport.VersionReport
-		if err := transport.DecodeJSON(payload, &vr); err != nil {
-			return false, err
-		}
-		if bootstrapped && s.seq.Behind(vr.Version) {
-			return false, s.resync()
-		}
-		return false, nil
 	}
-	switch {
-	case !bootstrapped:
+	if !bootstrapped {
 		if err := s.Conn.Refused(t, payload); err != nil {
 			return false, fmt.Errorf("follow: subscription of %q to %q: %w", s.Hello.Name, s.Hello.Session, err)
 		}
 		return false, fmt.Errorf("follow: expected snapshot or resume-ok, got %s", t)
-	case t == transport.MsgSceneOp:
+	}
+	switch t {
+	case transport.MsgSceneOp:
 		// Interest-filtered streams skip ops by design and so carry no
 		// versions: nothing to order, apply as it comes.
 		op, err := marshal.DecodeOp(payload)
@@ -298,7 +235,29 @@ func (s *Stream) handle(t transport.MsgType, payload []byte, bootstrapped bool) 
 			return false, err
 		}
 		return false, s.Target.Apply(op)
-	case s.Hook != nil:
+	case transport.MsgCameraUpdate:
+		var cam transport.CameraState
+		if err := transport.DecodeJSON(payload, &cam); err != nil {
+			return false, err
+		}
+		return false, s.Target.SetCamera(cam)
+	case transport.MsgVersionReport:
+		// The answer to a role's own MsgVersionQuery probe, sent outside
+		// the op stream. Trailing it with no gap open means the stream
+		// went quiet after a lost op (or the ops are still on their way);
+		// trailing it with a request unanswered means the request or its
+		// answer was lost. Either way ask (again): on a faulty link
+		// this is the only retry there is.
+		var vr transport.VersionReport
+		if err := transport.DecodeJSON(payload, &vr); err != nil {
+			return false, err
+		}
+		if vr.Version > s.Target.Version() {
+			return false, s.resync()
+		}
+		return false, nil
+	}
+	if s.Hook != nil {
 		return false, s.Hook(t, payload)
 	}
 	return false, nil

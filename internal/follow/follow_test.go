@@ -61,49 +61,39 @@ func sceneAt(v uint64) *scene.Scene {
 
 // TestSequencerRule walks the version rule one row at a time.
 func TestSequencerRule(t *testing.T) {
-	tgt := &copyTarget{t: t}
+	tgt := &copyTarget{t: t, sc: sceneAt(20)}
 	q := NewSequencer(tgt)
-	step := func(what string, err error, wantVersion uint64, wantHeld int, wantGap bool) {
+	step := func(what string, err error, wantVersion uint64, wantGap bool) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		if tgt.Version() != wantVersion || len(q.held) != wantHeld || q.Gap() != wantGap {
-			t.Fatalf("%s: version %d, %d held, gap %t; want version %d, %d held, gap %t",
-				what, tgt.Version(), len(q.held), q.Gap(), wantVersion, wantHeld, wantGap)
+		if tgt.Version() != wantVersion || q.Gap() != wantGap {
+			t.Fatalf("%s: version %d, gap %t; want version %d, gap %t", what, tgt.Version(), q.Gap(), wantVersion, wantGap)
 		}
 	}
-	step("before the bootstrap everything is held", q.Offer(11, rename(11)), 0, 1, false)
-	step("even a version the old copy had", q.Offer(3, rename(3)), 0, 2, false)
-	step("install drops what it covers, drains the rest", q.Install(sceneAt(10)), 11, 0, false)
+	if err := q.Offer(21, rename(21)); !errors.Is(err, ErrLost) {
+		t.Fatalf("an op before the bootstrap: %v, want ErrLost", err)
+	}
+	step("the bootstrap may take the copy backwards", q.Install(sceneAt(10)), 10, false)
 	tgt.based = true
-	step("stale", q.Offer(11, rename(11)), 11, 0, false)
-	step("next", q.Offer(12, rename(12)), 12, 0, false)
-	step("ahead", q.Offer(15, rename(15)), 12, 1, true)
-	step("ahead again", q.Offer(14, rename(14)), 12, 2, true)
-	step("the missing op drains its successors", q.Offer(13, rename(13)), 15, 0, false)
-	step("ahead once more", q.Offer(18, rename(18)), 15, 1, true)
-	step("a snapshot short of the held op keeps it", q.Install(sceneAt(16)), 16, 1, true)
-	step("one that reaches it drains it", q.Install(sceneAt(17)), 18, 0, false)
-	step("one older than the copy is dropped", q.Install(sceneAt(12)), 18, 0, false)
-	step("early during a promised replay is not a gap", errors.Join(q.Resume(20), q.Offer(21, rename(21))), 18, 1, false)
-	step("the replay arrives", errors.Join(q.Offer(19, rename(19)), q.Offer(20, rename(20))), 21, 0, false)
-	if got := tgt.sc.Root.Name; got != "v21" {
-		t.Errorf("last op applied was %q, want v21", got)
+	step("stale", q.Offer(10, rename(10)), 10, false)
+	step("next", q.Offer(11, rename(11)), 11, false)
+	step("ahead opens a gap", q.Offer(13, rename(13)), 11, true)
+	step("in a gap even the next op is dropped", q.Offer(12, rename(12)), 11, true)
+	step("a snapshot closes it", q.Install(sceneAt(13)), 13, false)
+	step("next after the snapshot", q.Offer(14, rename(14)), 14, false)
+	step("a later snapshot older than the copy is dropped", q.Install(sceneAt(12)), 14, false)
+	step("and closes a gap all the same", errors.Join(q.Offer(16, rename(16)), q.Install(sceneAt(13))), 14, false)
+	if got := tgt.sc.Root.Name; got != "v14" {
+		t.Errorf("last op applied was %q, want v14", got)
 	}
-}
 
-// TestSequencerBoundsHeldOps: a follower this far ahead of its copy
-// fails loudly instead of buffering without limit.
-func TestSequencerBoundsHeldOps(t *testing.T) {
-	q := NewSequencer(&copyTarget{t: t})
-	for v := uint64(1); v <= maxHeld; v++ {
-		if err := q.Offer(v+1, rename(v+1)); err != nil {
-			t.Fatalf("op %d of %d refused: %v", v, maxHeld, err)
-		}
-	}
-	if err := q.Offer(maxHeld+2, rename(maxHeld+2)); err == nil {
-		t.Fatal("held op past the bound accepted")
+	resumed := &copyTarget{t: t, sc: sceneAt(20)}
+	q = NewSequencer(resumed)
+	q.Resume()
+	if err := errors.Join(q.Offer(20, rename(20)), q.Offer(21, rename(21))); err != nil || resumed.Version() != 21 {
+		t.Fatalf("a resumed copy at 20 offered 20 and 21: version %d, %v; want 21", resumed.Version(), err)
 	}
 }
 
@@ -208,6 +198,10 @@ func resume(v uint64) frame {
 	return frame{transport.MsgResumeOK, []byte(fmt.Sprintf(`{"version":%d}`, v))}
 }
 
+func report(v uint64) frame {
+	return frame{transport.MsgVersionReport, []byte(fmt.Sprintf(`{"version":%d}`, v))}
+}
+
 func raw(t transport.MsgType, payload string) frame { return frame{t, []byte(payload)} }
 
 // seedScripts are the socket scripts of the conformance table
@@ -222,12 +216,12 @@ func seedScripts() []*scripted {
 		script(snap(5), op(6), op(7)),
 		script(snap(5), op(6), op(6), op(7), op(6)),
 		script(resume(8), op(7), op(8)),
-		script(resume(7), op(8), op(6), op(7)),
+		script(resume(7), op(8), op(6), op(7), snap(8)),
 		script(op(6), snap(5)),
-		script(snap(5), op(7), op(6)),
+		script(snap(5), op(7), op(6), snap(7)),
 		script(snap(5), op(7), op(8), op(9), op(10), snap(10)),
-		script(snap(5), op(7), op(9), snap(8), op(10)),
-		script(snap(5), op(7), op(6), op(8), snap(7)),
+		script(snap(5), op(7), op(9), snap(8), op(9), op(10)),
+		script(snap(5), report(7), op(6), op(7), op(8), snap(7), op(8)),
 		script(snap(5), raw(transport.MsgCameraUpdate, `{"eye":[1,2,3],"fov_y":0.7}`),
 			raw(transport.MsgSceneOp, plainOp.String()), op(7), raw(transport.MsgBye, "")),
 		script(raw(transport.MsgError, `{"message":"no such session"}`)),
@@ -246,7 +240,7 @@ func TestStreamScripts(t *testing.T) {
 	want := []struct {
 		start, version uint64
 		requests       int
-	}{{0, 7, 0}, {0, 7, 0}, {6, 8, 0}, {5, 8, 0}, {0, 6, 0}, {0, 7, 1}, {0, 10, 1}, {0, 10, 1}, {0, 8, 1}}
+	}{{0, 7, 0}, {0, 7, 0}, {6, 8, 0}, {5, 8, 1}, {0, 0, 0}, {0, 7, 1}, {0, 10, 1}, {0, 10, 1}, {0, 8, 1}}
 	for i, p := range seedScripts()[:len(want)] {
 		version, requests := play(t, p, want[i].start)
 		if version != want[i].version || requests != want[i].requests {

@@ -837,12 +837,8 @@ func (r *replica) Install(sc *scene.Scene) (err error) {
 
 func (r *replica) Apply(op scene.Op) error { return r.sess.ApplyOp(op) }
 
-// SetCamera drops a camera that overtook the bootstrap snapshot: the
-// data service sends the current one right after it.
 func (r *replica) SetCamera(cs transport.CameraState) error {
-	if r.sess != nil {
-		r.sess.SetCamera(CameraFromState(cs))
-	}
+	r.sess.SetCamera(CameraFromState(cs))
 	return nil
 }
 
