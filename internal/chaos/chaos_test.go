@@ -371,9 +371,10 @@ func TestRecruitmentDuringRegistryOutage(t *testing.T) {
 
 // TestDroppedOpsConvergeViaResync degrades the data→render op stream
 // with a 20% whole-message drop rate. The versioned op stream must
-// detect gaps (or the version probe must catch trailing-edge drops) and
-// resynchronize the replica from snapshots until it converges on the
-// authoritative version.
+// detect gaps (or the version probe must catch trailing-edge drops, and
+// the idle watchdog a dropped bootstrap reply) and end the stream, and
+// each redial must resume the replica gap-only until it converges on
+// the authoritative version: a lost op costs its gap, never the scene.
 func TestDroppedOpsConvergeViaResync(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
 	stop := clk.Drive()
@@ -395,11 +396,13 @@ func TestDroppedOpsConvergeViaResync(t *testing.T) {
 		mu           sync.Mutex
 		dsEnd, rsEnd *netsim.SimConn
 		degraded     bool
+		dials        int
 	)
 	dial := func() (io.ReadWriteCloser, error) {
 		dataSide, renderSide := netsim.SimPipe(clk, instant(), instant())
 		mu.Lock()
 		dsEnd, rsEnd = dataSide, renderSide
+		dials++
 		if degraded {
 			dataSide.InjectFaults(faults)
 		}
@@ -411,7 +414,9 @@ func TestDroppedOpsConvergeViaResync(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		errc <- rs.SubscribeToDataResilient(ctx, dial, "skull", renderservice.SubscribeOpts{ProbeInterval: 50 * time.Millisecond}, func(s *renderservice.Session) {
+		// A dropped resume-ok leaves a silent stream: the watchdog ends it.
+		opts := renderservice.SubscribeOpts{ProbeInterval: 50 * time.Millisecond, IdleTimeout: time.Second}
+		errc <- rs.SubscribeToDataResilient(ctx, dial, "skull", opts, func(s *renderservice.Session) {
 			select {
 			case ready <- s:
 			default:
@@ -426,7 +431,7 @@ func TestDroppedOpsConvergeViaResync(t *testing.T) {
 		t.Fatal("bootstrap timed out")
 	}
 	// Degrade the stream only after bootstrap, so every drop hits the
-	// live op fan-out, resync snapshots, or version reports.
+	// live op fan-out, a resume's reply and replay, or version reports.
 	mu.Lock()
 	degraded = true
 	dsEnd.InjectFaults(faults)
@@ -452,8 +457,17 @@ func TestDroppedOpsConvergeViaResync(t *testing.T) {
 		}
 	}
 	if faults.Dropped() == 0 {
-		t.Fatal("fault plan dropped nothing; the resync path was never exercised")
+		t.Fatal("fault plan dropped nothing; the redial path was never exercised")
 	}
+	snapshots, resumes := sess.BootstrapStats()
+	if snapshots != 1 || resumes == 0 {
+		t.Errorf("%d snapshots and %d resumes served, want the bootstrap snapshot and gap-only resumes", snapshots, resumes)
+	}
+	mu.Lock()
+	// A hello that reaches the session before the old connection has
+	// left it is refused as already attached, and the redial retries.
+	t.Logf("%d writes dropped; %d dials, %d resumed, %d refused", faults.Dropped(), dials, resumes, uint64(dials)-snapshots-resumes)
+	mu.Unlock()
 	// The converged replica renders the authoritative scene version.
 	frame, err := replica.RenderFrame(32, 32, "")
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,16 +28,17 @@ import (
 // The op-stream follower conformance table: every row is a scripted
 // primary, and every socket follower built on internal/follow — the
 // render service's replica, the hot standby — must end at the same
-// version having asked for the same number of resyncs. The in-process
-// mirror plays each row against a real primary's fan-out, which sends
-// only in order: it must end at the same version.
+// version, having ended the same connections itself and resumed at the
+// same version. The in-process mirror plays each row against a real
+// primary's fan-out, which sends only in order: it must end at the same
+// version.
 
 // base is the primary's version when each script starts.
 const base = 5
 
-// frame is one message of a scripted primary.
+// frame is one message of a scripted primary, or the link dropping.
 type frame struct {
-	kind byte // 's' snapshot at v, 'r' resume-ok through v, 'o' the op producing v, 'v' a version report of v
+	kind byte // 's' snapshot at v, 'r' resume-ok through v, 'o' the op producing v, 'v' a version report of v, 'x' the cut
 	v    uint64
 }
 
@@ -44,6 +46,7 @@ func snap(v uint64) frame   { return frame{'s', v} }
 func resume(v uint64) frame { return frame{'r', v} }
 func op(v uint64) frame     { return frame{'o', v} }
 func report(v uint64) frame { return frame{'v', v} }
+func cut() frame            { return frame{'x', 0} }
 
 // opFor builds the op that produces version v: it hangs a node under
 // the one op v-1 added, so an op applied twice or out of order fails and
@@ -93,14 +96,13 @@ func (f frame) wire() (transport.MsgType, []byte) {
 
 type conformanceRow struct {
 	name string
-	// conns is one script per connection; every connection but the last
-	// ends in a dropped link, the last in Bye.
+	// conns is one script per connection. The last ends in Bye, one that
+	// ends in cut() in a dropped link, and any other is left open: the
+	// follower must end it, or the row never finishes.
 	conns [][]frame
 	want  uint64 // the copy's final version
 	// since is the SinceVersion a socket follower's last hello must carry.
 	since uint64
-	// resyncs is how many MsgResyncRequests a socket follower sends.
-	resyncs int
 	// lost rows end the socket follower's stream as follow.ErrLost before
 	// it has a copy: an op came ahead of the bootstrap reply. The mirror's
 	// primary queues the base ahead of every op, and it ends at want.
@@ -110,78 +112,78 @@ type conformanceRow struct {
 // The rows that script a delivery an ordered authority does not make —
 // an op overtaking the bootstrap reply or the ops before it — assert
 // what a follower makes of it: an op before the bootstrap reply ends the
-// stream, and an op out of turn after it opens a gap, in which every op
-// is dropped until the resync answer.
+// stream, and an op out of turn after it, or a version report ahead of
+// the copy, ends the connection, and the next hello resumes at the copy.
 var conformance = []conformanceRow{
 	{name: "in order",
 		conns: [][]frame{{snap(5), op(6), op(7)}}, want: 7},
 	{name: "duplicates",
 		conns: [][]frame{{snap(5), op(6), op(6), op(7), op(6)}}, want: 7},
 	{name: "resume-ok and the gap",
-		conns: [][]frame{{snap(5), op(6)}, {resume(8), op(7), op(8)}}, want: 8, since: 6},
+		conns: [][]frame{{snap(5), op(6), cut()}, {resume(8), op(7), op(8)}}, want: 8, since: 6},
 	{name: "fan-out overtakes the resume replay",
-		conns: [][]frame{{snap(5)}, {resume(7), op(8), op(6), op(7), snap(8)}}, want: 8, since: 5, resyncs: 1},
+		conns: [][]frame{{snap(5), cut()}, {resume(7), op(8), op(6), op(7)}, {resume(8), op(6), op(7), op(8)}}, want: 8, since: 5},
 	{name: "op before its bootstrap snapshot",
 		conns: [][]frame{{op(6), snap(5)}}, want: 6, lost: true},
 	{name: "ahead, then filled in",
-		conns: [][]frame{{snap(5), op(7), op(6), snap(7)}}, want: 7, resyncs: 1},
+		conns: [][]frame{{snap(5), op(7), op(6)}, {resume(7), op(6), op(7)}}, want: 7, since: 5},
 	{name: "gap followed by further ops",
-		conns: [][]frame{{snap(5), op(7), op(8), op(9), op(10), snap(10)}}, want: 10, resyncs: 1},
+		conns: [][]frame{{snap(5), op(7), op(8), op(9), op(10)}, {resume(10), op(6), op(7), op(8), op(9), op(10)}}, want: 10, since: 5},
+	// The first connections of these two rows are what an authority with
+	// an in-stream resync sent, a snapshot after the bootstrap among it.
+	// The follower ends each at the op or report ahead of its copy, before
+	// the snapshot, and resumes.
 	{name: "op racing the resync snapshot",
-		conns: [][]frame{{snap(5), op(7), op(9), snap(8), op(9), op(10)}}, want: 10, resyncs: 1},
-	// A probe answered ahead of the copy asks for a resync with no gap
-	// open: the ops the copy was behind arrive and apply first, so the
-	// answer is below the copy and dropped, and its replay is stale.
+		conns: [][]frame{{snap(5), op(7), op(9), snap(8), op(9), op(10)}, {resume(10), op(6), op(7), op(8), op(9), op(10)}}, want: 10, since: 5},
 	{name: "resync answer older than the copy",
-		conns: [][]frame{{snap(5), report(7), op(6), op(7), op(8), snap(7), op(8)}}, want: 8, resyncs: 1},
-}
-
-// primaryLog is what a scripted primary saw from its follower.
-type primaryLog struct {
-	since   uint64
-	resyncs int
+		conns: [][]frame{{snap(5), report(7), op(6), op(7), op(8), snap(7), op(8)}, {resume(8), op(6), op(7), op(8)}}, want: 8, since: 5},
+	// A version report counts the ops queued before it: at the copy it
+	// says nothing was lost, ahead of it that the op between was.
+	{name: "version report at the copy",
+		conns: [][]frame{{snap(5), op(6), report(6), op(7)}}, want: 7},
+	{name: "version report ahead of the copy",
+		conns: [][]frame{{snap(5), op(6), report(7)}, {resume(7), op(7)}}, want: 7, since: 6},
 }
 
 // scriptedPrimary plays script on one end of a net.Pipe and returns the
-// other; log delivers what the follower sent once the pipe is closed.
-// net.Pipe is unbuffered, so a frame is sent only once the follower has
-// read the one before: the follower sees the script in order, however
-// its own acks and requests interleave.
-func scriptedPrimary(script []frame, last bool) (follower net.Conn, log <-chan primaryLog) {
+// other; since delivers the SinceVersion of the follower's hello once the
+// pipe is closed. net.Pipe is unbuffered, so a frame is sent only once
+// the follower has read the one before: the follower sees the script in
+// order, however its own acks interleave.
+func scriptedPrimary(script []frame, last bool) (follower net.Conn, since <-chan uint64) {
 	server, client := net.Pipe()
 	conn := transport.NewConn(server)
-	logc := make(chan primaryLog, 1) // the reader's one send never blocks
+	sincec := make(chan uint64, 1) // the reader's one send never blocks
 	go func() {
-		var log primaryLog
+		var since uint64
 		for {
 			mt, payload, err := conn.Receive()
 			if err != nil {
-				logc <- log
+				sincec <- since
 				return
 			}
-			switch mt {
-			case transport.MsgHello:
+			if mt == transport.MsgHello {
 				var hello transport.Hello
 				_ = transport.DecodeJSON(payload, &hello)
-				log.since = hello.SinceVersion
-			case transport.MsgResyncRequest:
-				log.resyncs++
+				since = hello.SinceVersion
 			}
 		}
 	}()
 	go func() {
 		for _, f := range script {
+			if f.kind == 'x' {
+				server.Close()
+				return
+			}
 			if conn.Send(f.wire()) != nil {
 				return
 			}
 		}
 		if last {
 			_ = conn.Send(transport.MsgBye, nil)
-		} else {
-			server.Close()
 		}
 	}()
-	return client, logc
+	return client, sincec
 }
 
 // socketFollower runs one kind of socket follower over the connections
@@ -225,7 +227,7 @@ func standbyFollower(t *testing.T, dial func() net.Conn, conns int) (uint64, err
 // attach the mirror's base covers it, after it the fan-out delivers it.
 // Resume-ok's version is committed while the mirror is detached, for the
 // primary to replay. What an ordered fan-out never sends — an op again,
-// a resync answer, a version report — is skipped.
+// a version report — and the cut are skipped.
 func mirrorFollower(t *testing.T, row conformanceRow) (uint64, error) {
 	primary, err := dataservice.New(dataservice.Config{Name: "primary"}).CreateSession("s")
 	if err != nil {
@@ -276,16 +278,16 @@ func TestFollowerConformance(t *testing.T) {
 	for _, row := range conformance {
 		for _, sf := range sockets {
 			t.Run(row.name+"/"+sf.name, func(t *testing.T) {
-				var logs []<-chan primaryLog
+				var sinces []<-chan uint64
 				var clients []net.Conn
 				dial := func() net.Conn {
-					i := len(logs)
+					i := len(sinces)
 					if i >= len(row.conns) {
 						t.Errorf("follower dialled %d times, script has %d connections", i+1, len(row.conns))
 						i = len(row.conns) - 1
 					}
-					client, log := scriptedPrimary(row.conns[i], i == len(row.conns)-1)
-					logs, clients = append(logs, log), append(clients, client)
+					client, since := scriptedPrimary(row.conns[i], i == len(row.conns)-1)
+					sinces, clients = append(sinces, since), append(clients, client)
 					return client
 				}
 				type result struct {
@@ -301,7 +303,7 @@ func TestFollowerConformance(t *testing.T) {
 				select {
 				case got = <-done:
 				case <-time.After(10 * time.Second):
-					t.Fatal("follower never finished the script")
+					t.Fatal("follower never finished the script: is a connection it should end still open?")
 				}
 				switch {
 				case row.lost && !errors.Is(got.err, follow.ErrLost):
@@ -311,15 +313,10 @@ func TestFollowerConformance(t *testing.T) {
 				case !row.lost && got.version != row.want:
 					t.Errorf("copy ended at version %d, want %d", got.version, row.want)
 				}
-				var resyncs int
 				var since uint64
-				for i, log := range logs {
+				for i, c := range sinces {
 					clients[i].Close()
-					l := <-log
-					resyncs, since = resyncs+l.resyncs, l.since
-				}
-				if resyncs != row.resyncs {
-					t.Errorf("follower sent %d resync requests, want %d", resyncs, row.resyncs)
+					since = <-c
 				}
 				if since != row.since {
 					t.Errorf("last hello carried SinceVersion %d, want %d", since, row.since)
@@ -396,8 +393,9 @@ func (c *committers) halt() {
 // takes milliseconds to encode while three goroutines commit to it as
 // fast as they can. Each subscriber's stream must be in commit order —
 // its bootstrap reply first, then every op the version after the one
-// before — whatever the commits overtake: the snapshot's encoding, a
-// resume's replay, a resync answer.
+// before, and every version report the version of the op before it —
+// whatever the commits overtake: the snapshot's encoding, a resume's
+// replay, a version query.
 func TestSubscribeWhileCommitting(t *testing.T) {
 	for _, input := range []struct {
 		name string
@@ -466,7 +464,7 @@ func subscribeRenderServices(t *testing.T, svc *dataservice.Service, sess *datas
 // checkWireOrder reads subscriptions off the socket as they are written.
 // Every other one resumes the copy the one before it reached, attached
 // while the commits are paused so the history still reaches back to it;
-// each asks for one resync while the commits run.
+// each sends version queries while the commits run.
 func checkWireOrder(t *testing.T, svc *dataservice.Service, sess *dataservice.Session, c *committers) {
 	const rounds = 6
 	var copyAt uint64 // the version the last subscription's ops reached
@@ -496,12 +494,12 @@ func checkWireOrder(t *testing.T, svc *dataservice.Service, sess *dataservice.Se
 }
 
 // readInOrder subscribes with a copy at since (none when 0), checks the
-// stream's order through one resync, then pauses the commits, reads on
-// to the session's version and returns the version its ops reached. A
-// resume is attached with the commits paused, and they resume at its
-// reply.
+// stream's order through a run of version queries, then pauses the
+// commits, reads on to the session's version and returns the version its
+// ops reached. A resume is attached with the commits paused, and they
+// resume at its reply.
 func readInOrder(svc *dataservice.Service, sess *dataservice.Session, c *committers, since uint64) (uint64, error) {
-	const opsPerLeg = 40
+	const opsPerLeg, queries = 40, 5
 	dsEnd, subEnd := net.Pipe()
 	served := make(chan struct{})
 	go func() { svc.ServeConn(dsEnd); close(served) }()
@@ -531,10 +529,10 @@ func readInOrder(svc *dataservice.Service, sess *dataservice.Session, c *committ
 	default:
 		return 0, fmt.Errorf("the first message after the hello is %s, want the bootstrap reply", mt)
 	}
-	asked := make(chan error, 1) // the request's one send never blocks
-	ops, answered, target := 0, false, uint64(0)
+	asked := make(chan error, 1) // the queries' one send never blocks
+	ops, reports, target := 0, 0, uint64(0)
 	for {
-		if answered && ops >= 2*opsPerLeg {
+		if reports == queries && ops >= 2*opsPerLeg {
 			if target == 0 {
 				// A commit that passed the gate may still land; the
 				// history holds it for the next round's resume.
@@ -562,18 +560,94 @@ func readInOrder(svc *dataservice.Service, sess *dataservice.Session, c *committ
 			if ops++; ops == opsPerLeg {
 				// Sent beside the reads: the service may be writing to
 				// this socket, and a net.Pipe write waits for its reader.
-				go func() { asked <- conn.Send(transport.MsgResyncRequest, nil) }()
+				go func() {
+					for i := 0; i < queries; i++ {
+						if err := conn.Send(transport.MsgVersionQuery, nil); err != nil {
+							asked <- err
+							return
+						}
+					}
+					asked <- nil
+				}()
 			}
-		case transport.MsgSceneSnapshot:
-			if ops < opsPerLeg {
-				return 0, fmt.Errorf("a snapshot nobody asked for")
-			}
-			sc, err := marshal.DecodeScene(payload)
-			if err != nil {
+		case transport.MsgVersionReport:
+			var vr transport.VersionReport
+			if err := transport.DecodeJSON(payload, &vr); err != nil {
 				return 0, err
 			}
-			prev, answered = sc.Version, true
+			if vr.Version != prev {
+				return 0, fmt.Errorf("version %d reported after the op for version %d", vr.Version, prev)
+			}
+			reports++
+		case transport.MsgSceneSnapshot, transport.MsgResumeOK:
+			return 0, fmt.Errorf("a second bootstrap reply, %s", mt)
 		}
 	}
 	return prev, <-asked
+}
+
+// TestProbingReplicaTakesOneSnapshot: a render service probes the data
+// service's version every millisecond over TCP loopback while two
+// goroutines commit as fast as they can. Each report follows the ops it
+// counts, so none is ahead of the replica: the subscription takes its
+// bootstrap snapshot and never redials.
+func TestProbingReplicaTakesOneSnapshot(t *testing.T) {
+	svc := dataservice.New(dataservice.Config{Name: "data"})
+	sess, err := svc.CreateSessionFromMesh("s", "mesh", genmodel.Sphere(mathx.Vec3{}, 1, 16, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var id scene.NodeID
+	sess.Scene(func(sc *scene.Scene) { id = sc.PayloadIDs()[0] })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() { svc.ServeConn(c); c.Close() }()
+		}
+	}()
+	var dials atomic.Int32
+	dial := func() (io.ReadWriteCloser, error) {
+		dials.Add(1)
+		return net.Dial("tcp", ln.Addr().String())
+	}
+	rs := renderservice.New(renderservice.Config{Name: "rs", Device: device.CentrinoLaptop, Workers: 1})
+	ready := make(chan struct{}, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1) // the subscription's one send never blocks
+	go func() {
+		done <- rs.SubscribeToDataResilient(ctx, dial, "s", renderservice.SubscribeOpts{ProbeInterval: time.Millisecond},
+			func(*renderservice.Session) {
+				select {
+				case ready <- struct{}{}:
+				default:
+				}
+			})
+	}()
+	select {
+	case <-ready:
+	case err := <-done:
+		t.Fatalf("subscription ended before its bootstrap: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("never bootstrapped")
+	}
+	c := startCommitters(sess, id, 2)
+	time.Sleep(500 * time.Millisecond)
+	c.halt()
+	cancel() // the next report wakes the stream to see it
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Errorf("subscription ended with %v, want it cancelled", err)
+	}
+	snapshots, resumes := sess.BootstrapStats()
+	if snapshots != 1 || resumes != 0 || dials.Load() != 1 {
+		t.Errorf("%d snapshots and %d resumes over %d dials, want the bootstrap snapshot over one", snapshots, resumes, dials.Load())
+	}
 }

@@ -308,7 +308,7 @@ func TestSentBootstrapIsReleased(t *testing.T) {
 	go io.Copy(io.Discard, far)
 	ob := &outbox{name: "r", sub: &connSubscriber{transport.NewConn(near)}, socket: true}
 	defer runtime.KeepAlive(ob) // the subscription stays attached
-	sent, _, err := sess.queueBase(ob, 0, true)
+	sent, _, err := sess.queueBase(ob, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,10 +167,11 @@ func TestStandbyResumesAtVersionAfterReconnect(t *testing.T) {
 	}
 }
 
-// TestStandbyRequestsResyncOnGap: a versioned op that skips past
-// applied+1 makes the standby ask for a fresh snapshot instead of
-// applying it blind.
-func TestStandbyRequestsResyncOnGap(t *testing.T) {
+// TestStandbyEndsStreamOnGap: a versioned op that skips past applied+1
+// means one was lost, so the standby ends the stream with
+// ErrReplicationLost instead of applying it blind; its redial resumes at
+// the copy.
+func TestStandbyEndsStreamOnGap(t *testing.T) {
 	st := &Standby{
 		Service:     dataservice.New(dataservice.Config{Name: "standby-svc"}),
 		SessionName: "ha",
@@ -186,8 +187,8 @@ func TestStandbyRequestsResyncOnGap(t *testing.T) {
 	if _, _, err := prim.Receive(); err != nil { // hello
 		t.Fatal(err)
 	}
-	// Bootstrap an empty scene (an op ahead of the bootstrap reply is
-	// early, not a gap — see the conformance table in internal/follow)...
+	// Bootstrap an empty scene (an op before the bootstrap reply is lost
+	// as well — see TestFollowerConformance in internal/dataservice)...
 	var boot bytes.Buffer
 	if err := marshal.WriteScene(&boot, scene.New()); err != nil {
 		t.Fatal(err)
@@ -207,31 +208,11 @@ func TestStandbyRequestsResyncOnGap(t *testing.T) {
 	if err := prim.Send(transport.MsgSceneOpVer, transport.PackVersioned(100, buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	typ, _, err := prim.Receive()
-	if err != nil {
-		t.Fatal(err)
+	if err := <-done; !errors.Is(err, ErrReplicationLost) {
+		t.Fatalf("standby ended with %v, want ErrReplicationLost", err)
 	}
-	if typ != transport.MsgResyncRequest {
-		t.Fatalf("standby sent %s, want resync request", typ)
-	}
-
-	// Serve the snapshot; the standby installs and acks it.
-	sc := scene.New()
-	sc.Version = 100
-	var snap bytes.Buffer
-	if err := marshal.WriteScene(&snap, sc); err != nil {
-		t.Fatal(err)
-	}
-	if err := prim.Send(transport.MsgSceneSnapshot, snap.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := prim.Receive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vr transport.VersionReport
-	if typ != transport.MsgStandbyAck || transport.DecodeJSON(payload, &vr) != nil || vr.Version != 100 {
-		t.Fatalf("after resync got %s %+v, want ack at 100", typ, vr)
+	if v := st.Applied(); v != 0 {
+		t.Errorf("standby applied through %d, want its bootstrap's 0", v)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // The mirror is the in-process transport of the op-stream follower: its
 // outbox on the primary carries the bootstrap first and every op after it
 // in commit order, and a follow.Sequencer (under mu) applies them. The
-// fan-out loses nothing, so there is no resync: a gap is a sticky error.
+// fan-out loses nothing, so there is no redial: a gap is a sticky error.
 type Mirror struct {
 	primary *Session
 	backup  backupCopy
@@ -78,7 +78,7 @@ func MirrorSessionSince(primary *Session, backupSvc *Service) (m *Mirror, resume
 	if adopted {
 		since = backup.Version()
 	}
-	sent, resumed, err := primary.queueBase(&outbox{name: m.backup.subName, sub: m, region: backupSvc.Region()}, since, true)
+	sent, resumed, err := primary.queueBase(&outbox{name: m.backup.subName, sub: m, region: backupSvc.Region()}, since)
 	if err != nil {
 		return nil, false, err
 	}
@@ -128,9 +128,6 @@ func (m *Mirror) SendUpdate(u Update) error {
 	}
 	if m.applyErr == nil {
 		m.applyErr = m.seq.Offer(u.Version, u.Op)
-	}
-	if m.applyErr == nil && m.seq.Gap() {
-		m.applyErr = fmt.Errorf("dataservice: mirror at version %d was sent the op for %d", m.backup.Version(), u.Version)
 	}
 	return m.applyErr
 }

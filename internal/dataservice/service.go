@@ -386,8 +386,8 @@ func (sess *Session) Scene(fn func(sc *scene.Scene)) {
 }
 
 // InstallScene replaces the authoritative scene wholesale — the
-// replication path installing a bootstrap or resync snapshot from a
-// primary. The op-history ring is reset (it described the old scene).
+// replication path installing a bootstrap snapshot from a primary. The
+// op-history ring is reset (it described the old scene).
 func (sess *Session) InstallScene(sc *scene.Scene) {
 	sess.mu.Lock()
 	sess.scene = sc
@@ -440,16 +440,24 @@ func (sess *Session) applyUpdate(op scene.Op, origin string, replicated bool) er
 	if err != nil {
 		return err
 	}
-	var firstErr error
+	if miss := sess.fanOut(sent); miss != nil {
+		return &FanoutError{Version: version, Subscriber: miss.ob.name, Err: miss.err}
+	}
+	return nil
+}
+
+// fanOut waits for the deliveries a commit or a camera change queued,
+// counts each miss on fanout_errors_total{peer} and returns the first.
+func (sess *Session) fanOut(sent []*delivery) (miss *delivery) {
 	for _, d := range sent {
-		if err := d.wait(); err != nil {
+		if d.wait() != nil {
 			sess.svc.cfg.Metrics.Counter(sess.svc.cfg.Name, "fanout_errors_total", telemetry.PeerLabel(d.ob.name)).Inc()
-			if firstErr == nil {
-				firstErr = &FanoutError{Version: version, Subscriber: d.ob.name, Err: err}
+			if miss == nil {
+				miss = d
 			}
 		}
 	}
-	return firstErr
+	return miss
 }
 
 // commit is applyUpdate's locked half: apply, audit, journal (rec is the
@@ -490,7 +498,8 @@ func (sess *Session) commit(op scene.Op, rec []byte, origin string, replicated b
 }
 
 // SetCamera updates the shared camera and fans it out (collaborating
-// render services share the camera so framebuffers align, §3.1.2).
+// render services share the camera so framebuffers align, §3.1.2). Its
+// error is a subscriber's miss, counted like an op's: the camera is set.
 func (sess *Session) SetCamera(cam transport.CameraState, origin string) error {
 	sess.mu.Lock()
 	sess.camera = cam
@@ -501,13 +510,10 @@ func (sess *Session) SetCamera(cam transport.CameraState, origin string) error {
 		}
 	}
 	sess.mu.Unlock()
-	var firstErr error
-	for _, d := range sent {
-		if err := d.wait(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("dataservice: camera fan-out to %s: %w", d.ob.name, err)
-		}
+	if miss := sess.fanOut(sent); miss != nil {
+		return fmt.Errorf("dataservice: camera fan-out to %s: %w", miss.ob.name, miss.err)
 	}
-	return firstErr
+	return nil
 }
 
 // Camera returns the shared camera.
@@ -541,22 +547,19 @@ func (sess *Session) join(ob *outbox) error {
 	return nil
 }
 
-// queueBase queues on ob, whose subscriber takes its bootstrap in its
-// outbox (a baseSender), a base its copy continues from, and returns
-// what it queued: on attach it joins ob to the fan-out in the same step
-// and the shared camera follows the base; otherwise the base answers a
-// resync. The base resumes a copy at since when the op history reaches
+// queueBase joins ob, whose subscriber takes its bootstrap in its outbox
+// (a baseSender), to the fan-out, and in the same step queues on it the
+// base its copy continues from and the shared camera; it returns what it
+// queued. The base resumes a copy at since when the op history reaches
 // back to it, the ops the copy missed queued after it, and is a snapshot
 // otherwise. A socket's snapshot is cloned under the lock but encoded
 // outside it: it holds its place in ob's queue, the ops committed
 // meanwhile queue behind it, and no commit waits for the encoding.
-func (sess *Session) queueBase(ob *outbox, since uint64, attach bool) (sent []*delivery, resumed bool, err error) {
+func (sess *Session) queueBase(ob *outbox, since uint64) (sent []*delivery, resumed bool, err error) {
 	sess.mu.Lock()
-	if attach {
-		if err := sess.join(ob); err != nil {
-			sess.mu.Unlock()
-			return nil, false, err
-		}
+	if err := sess.join(ob); err != nil {
+		sess.mu.Unlock()
+		return nil, false, err
 	}
 	b := &base{since: since, version: sess.scene.Version}
 	var tail []histOp
@@ -576,10 +579,8 @@ func (sess *Session) queueBase(ob *outbox, since uint64, attach bool) (sent []*d
 	for _, h := range tail { // an attaching subscriber has no interest set yet
 		sent = append(sent, ob.push(delivery{u: Update{Op: h.op, Version: h.version}}))
 	}
-	if attach {
-		cam := sess.camera
-		sent = append(sent, ob.push(delivery{cam: &cam}))
-	}
+	cam := sess.camera
+	sent = append(sent, ob.push(delivery{cam: &cam}))
 	sess.mu.Unlock()
 	if encoding {
 		b.wire, b.err = marshal.AppendScene(nil, b.scene)
@@ -590,8 +591,8 @@ func (sess *Session) queueBase(ob *outbox, since uint64, attach bool) (sent []*d
 	return sent, resumed, nil
 }
 
-// BootstrapStats reports how many subscriber bootstraps were served as
-// full snapshots vs. gap-only resumes (including resync snapshots).
+// BootstrapStats reports how many socket subscribers' bootstraps were
+// served as full snapshots vs. gap-only resumes.
 func (sess *Session) BootstrapStats() (snapshots, resumes uint64) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -656,8 +657,8 @@ func (sess *Session) SubscriberNames() []string {
 }
 
 // outbox is one attached subscriber's stream. Everything the session
-// sends it — its bootstrap, the ops after it, camera changes, resync
-// answers — is queued under the session lock, so the queue is in commit
+// sends it — its bootstrap, the ops after it, camera changes, version
+// reports — is queued under the session lock, so the queue is in commit
 // order, and sent once the lock is gone by one flusher at a time, so
 // the stream is too. Whoever queues a delivery waits for it, which keeps
 // a slow subscriber's backpressure on the commits that feed it, unless
@@ -676,13 +677,14 @@ type outbox struct {
 	sending sync.Mutex // held by the one flusher: it serializes this stream's writes
 }
 
-// delivery is one queued message: an op, a camera change (cam set) or a
-// base (base set).
+// delivery is one queued message: an op, a camera change (cam set), a
+// base (base set) or a socket's version report (report set).
 type delivery struct {
-	ob   *outbox
-	u    Update
-	cam  *transport.CameraState
-	base *base
+	ob     *outbox
+	u      Update
+	cam    *transport.CameraState
+	base   *base
+	report *transport.VersionReport
 	// encoding marks a snapshot base whose bytes are not ready yet;
 	// nothing from it on is sent until they are.
 	encoding bool
@@ -739,6 +741,8 @@ func (d *delivery) wait() error {
 			q.err = ob.sub.(baseSender).sendBase(q.base)
 		case q.cam != nil:
 			q.err = ob.sub.SendCamera(*q.cam)
+		case q.report != nil:
+			q.err = ob.sub.(*connSubscriber).sendReport(*q.report)
 		default:
 			q.err = ob.sub.SendUpdate(q.u)
 		}
@@ -797,10 +801,15 @@ func (c *connSubscriber) sendBase(b *base) error {
 	return c.conn.Send(transport.MsgSceneSnapshot, b.wire)
 }
 
+// sendReport answers the socket's version query.
+func (c *connSubscriber) sendReport(vr transport.VersionReport) error {
+	return c.conn.SendJSON(transport.MsgVersionReport, vr)
+}
+
 // ServeConn runs the data-service side of a direct-socket subscription:
 // hello, then the subscriber's stream — the bootstrap reply (a snapshot,
 // or resume-ok and the ops the subscriber's copy missed), the ops
-// committed after it, camera changes and resync answers, all in commit
+// committed after it, camera changes and version reports, all in commit
 // order through the subscriber's outbox — while a receive loop applies
 // the peer's own updates and answers its requests. Returns when the peer
 // says Bye or the socket fails.
@@ -817,7 +826,7 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 	}
 
 	ob := &outbox{name: hello.Name, sub: &connSubscriber{conn}, region: hello.Region, socket: true}
-	sent, _, err := sess.queueBase(ob, hello.SinceVersion, true)
+	sent, _, err := sess.queueBase(ob, hello.SinceVersion)
 	if err != nil {
 		conn.Refuse(err)
 		return err
@@ -854,9 +863,7 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 			if err := transport.DecodeJSON(payload, &cs); err != nil {
 				return err
 			}
-			if err := sess.SetCamera(cs, hello.Name); err != nil {
-				return err
-			}
+			_ = sess.SetCamera(cs, hello.Name) // a miss is the other subscriber's, and counted
 		case transport.MsgSetInterest:
 			var si transport.SetInterest
 			if err := transport.DecodeJSON(payload, &si); err != nil {
@@ -878,13 +885,12 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 			}
 			sess.handleLoadReport(lr)
 		case transport.MsgVersionQuery:
-			if err := conn.SendJSON(transport.MsgVersionReport, transport.VersionReport{Version: sess.Version()}); err != nil {
-				return err
-			}
-		case transport.MsgResyncRequest:
-			// The replica detected a gap: queue a fresh snapshot.
-			sent, _, _ := sess.queueBase(ob, 0, false) // joins nothing, so cannot fail
-			if err := waitAll(sent); err != nil {
+			// Queued behind the ops it counts, so a report ahead of the
+			// subscriber's copy means an op was lost.
+			sess.mu.Lock()
+			d := ob.push(delivery{report: &transport.VersionReport{Version: sess.scene.Version}})
+			sess.mu.Unlock()
+			if err := d.wait(); err != nil {
 				return err
 			}
 		case transport.MsgStandbyAck:

@@ -21,6 +21,7 @@ import (
 	"repro/internal/raster"
 	"repro/internal/renderservice"
 	"repro/internal/scene"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/uddi"
 	"repro/internal/vclock"
@@ -664,6 +665,49 @@ func TestServeConnSubscriptionFlow(t *testing.T) {
 			t.Fatalf("subscriber not detached: %v", sess.SubscriberNames())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCameraMissKeepsAuthorsStream: a camera change another subscriber
+// cannot be told about is set all the same, so, as for an op, its
+// author's stream stays up and the miss is counted against the
+// subscriber that missed it.
+func TestCameraMissKeepsAuthorsStream(t *testing.T) {
+	met := telemetry.NewRegistry(vclock.Real{})
+	svc := New(Config{Name: "data", Metrics: met})
+	sess, err := svc.CreateSession("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Subscribe("broken", &recordingSub{fail: true}); err != nil {
+		t.Fatal(err)
+	}
+	dsEnd, authorEnd := net.Pipe()
+	defer dsEnd.Close()
+	defer authorEnd.Close()
+	served := make(chan error, 1)
+	go func() { served <- svc.ServeConn(dsEnd) }()
+	conn := transport.NewConn(authorEnd)
+	if err := conn.SendJSON(transport.MsgHello, transport.Hello{Role: "render-service", Name: "author", Session: "s"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []transport.MsgType{transport.MsgSceneSnapshot, transport.MsgCameraUpdate} {
+		if typ, _, err := conn.Receive(); err != nil || typ != want {
+			t.Fatalf("bootstrap: got %v (err %v), want %v", typ, err, want)
+		}
+	}
+	if err := conn.SendJSON(transport.MsgCameraUpdate, transport.CameraState{Eye: [3]float64{1, 2, 3}, FovY: 0.7}); err != nil {
+		t.Fatal(err)
+	}
+	go conn.Send(transport.MsgBye, nil) // unread if the stream has ended; the deferred close frees it
+	if err := <-served; err != nil {
+		t.Fatalf("the author's stream ended after a camera miss: %v", err)
+	}
+	if got := sess.Camera().Eye; got != [3]float64{1, 2, 3} {
+		t.Errorf("shared camera eye %v, want the author's", got)
+	}
+	if n := met.Snapshot().CounterValue("data", "fanout_errors_total", telemetry.PeerLabel("broken")); n != 1 {
+		t.Errorf("fanout_errors_total{broken} = %d, want 1", n)
 	}
 }
 

@@ -37,23 +37,19 @@ type Target interface {
 
 // Sequencer applies an authority's op stream to a Target. The authority
 // sends each follower its bootstrap reply, then the ops after it, in
-// commit order, so an op out of turn means one was lost:
+// commit order, so an op out of turn means one was lost, and the stream
+// with it:
 //
-//	before the bootstrap         the stream is broken: ErrLost
+//	before the bootstrap         ErrLost
 //	stale  (version <= copy)     dropped
 //	next   (version == copy + 1) applied
-//	ahead  (version >  copy + 1) a gap: dropped, and so is every op after
-//	                             it until a snapshot lands — the resync
-//	                             answer, which the authority follows with
-//	                             the ops committed since it
-//	the bootstrap reply          installed unconditionally
-//	a later snapshot             installed unless older than the copy
+//	ahead  (version >  copy + 1) ErrLost: a redial resumes at the copy
 //
-// Not safe for concurrent use.
+// The bootstrap reply installs unconditionally. Not safe for concurrent
+// use.
 type Sequencer struct {
 	target Target
 	based  bool // the bootstrap (Install or Resume) has landed
-	gap    bool // an op was lost: ops are dropped until the next snapshot
 }
 
 // NewSequencer returns a Sequencer feeding target, awaiting its bootstrap.
@@ -66,26 +62,19 @@ func (q *Sequencer) Offer(version uint64, op scene.Op) error {
 	}
 	cur := q.target.Version()
 	switch {
-	case q.gap || version <= cur:
+	case version <= cur:
 		return nil
 	case version == cur+1:
 		return q.target.Apply(op)
 	}
-	q.gap = true
-	return nil
+	return fmt.Errorf("%w: the op for version %d came to a copy at %d", ErrLost, version, cur)
 }
 
-// Install makes sc the copy and closes any gap. The bootstrap snapshot
-// installs unconditionally: it is the authority's answer to the hello
-// even when it takes the copy backwards (a promoted standby that had not
-// caught up with this follower). A later snapshot — a resync answer —
-// older than the copy was overtaken by ops already applied, and is
-// dropped rather than lose them; the ops after it are stale.
+// Install makes the bootstrap snapshot sc the copy, unconditionally: it
+// is the authority's answer to the hello even when it takes the copy
+// backwards (a promoted standby that had not caught up with this
+// follower).
 func (q *Sequencer) Install(sc *scene.Scene) error {
-	q.gap = false
-	if q.based && sc.Version < q.target.Version() {
-		return nil
-	}
 	if err := q.target.Install(sc); err != nil {
 		return err
 	}
@@ -97,12 +86,9 @@ func (q *Sequencer) Install(sc *scene.Scene) error {
 // replays the ops the copy is missing next.
 func (q *Sequencer) Resume() { q.based = true }
 
-// Gap reports a missing op: ops are being dropped until a snapshot lands.
-func (q *Sequencer) Gap() bool { return q.gap }
-
 // ErrLost reports a stream that ended without an explicit Bye: the peer
-// died, the link dropped or stalled past the idle timeout, or a frame
-// arrived damaged. Over TCP a killed process still produces a bare EOF,
+// died, the link dropped or stalled past the idle timeout, a frame
+// arrived damaged, or an op or version report showed one lost. Over TCP a killed process still produces a bare EOF,
 // so only Bye is a clean shutdown; everything else is a reconnect
 // signal. The cause is wrapped alongside.
 var ErrLost = errors.New("op stream lost without bye")
@@ -110,11 +96,13 @@ var ErrLost = errors.New("op stream lost without bye")
 // Stream is the subscriber side of one data-service subscription socket
 // (DESIGN.md "Op-stream follower" tabulates who sends what): hello with
 // the copy's version, the bootstrap reply (snapshot, resume-ok or
-// refusal), then versioned ops, camera updates, and one resync request
-// per gap answered by a snapshot, until Bye. The authority writes all of
-// it in commit order, so nothing overtakes the bootstrap reply and a
-// resync answer is followed by every op after it. Anything else on the
-// socket belongs to the follower's role and goes to Hook.
+// refusal), then versioned ops, camera updates and version reports,
+// until Bye. The authority writes all of it in commit order, so nothing
+// overtakes the bootstrap reply and a version report counts the ops
+// before it: an op or a report ahead of the copy means an op was lost,
+// and the stream ends as ErrLost for a redial to resume at the copy.
+// Anything else on the socket belongs to the follower's role and goes
+// to Hook.
 type Stream struct {
 	Conn *transport.Conn
 	// Hello opens the subscription; Run fills in SinceVersion.
@@ -132,9 +120,8 @@ type Stream struct {
 	// not own (capacity and telemetry queries, ...).
 	Hook func(t transport.MsgType, payload []byte) error
 
-	seq       *Sequencer
-	since     uint64 // the version the hello advertised
-	resyncing bool   // a resync request is unanswered
+	seq   *Sequencer
+	since uint64 // the version the hello advertised
 }
 
 // Run follows the stream until it ends: nil after the authority's Bye,
@@ -144,7 +131,7 @@ type Stream struct {
 // bootstrap reply landed, which is how a redial loop tells progress
 // from a dead address.
 func (s *Stream) Run(ctx context.Context) (bootstrapped bool, err error) {
-	s.seq, s.since, s.resyncing = NewSequencer(s.Target), s.Target.Version(), false
+	s.seq, s.since = NewSequencer(s.Target), s.Target.Version()
 	hello := s.Hello
 	hello.SinceVersion = s.since
 	if err := s.Conn.SendJSON(transport.MsgHello, hello); err != nil {
@@ -173,14 +160,11 @@ func (s *Stream) Run(ctx context.Context) (bootstrapped bool, err error) {
 			return bootstrapped, nil
 		}
 		landed, err := s.handle(t, payload, bootstrapped)
-		if err == nil && landed && !bootstrapped {
+		if err == nil && landed {
 			bootstrapped = true
 			if s.Ready != nil {
 				err = s.Ready()
 			}
-		}
-		if err == nil && !s.resyncing && s.seq.Gap() {
-			err = s.resync()
 		}
 		if err != nil {
 			return bootstrapped, err
@@ -188,16 +172,19 @@ func (s *Stream) Run(ctx context.Context) (bootstrapped bool, err error) {
 	}
 }
 
-// handle applies one message; landed reports a bootstrap reply or resync
-// answer. Before the bootstrap reply the authority sends nothing else.
+// handle applies one message; landed reports the bootstrap reply, which
+// comes once and first: the authority sends nothing before it, and no
+// snapshot or resume-ok after it.
 func (s *Stream) handle(t transport.MsgType, payload []byte, bootstrapped bool) (landed bool, err error) {
+	if bootstrapped && (t == transport.MsgSceneSnapshot || t == transport.MsgResumeOK) {
+		return false, fmt.Errorf("follow: %s after the bootstrap reply", t)
+	}
 	switch t {
 	case transport.MsgSceneSnapshot:
 		sc, err := marshal.DecodeScene(payload)
 		if err != nil {
 			return false, err
 		}
-		s.resyncing = false
 		return true, s.seq.Install(sc)
 	case transport.MsgResumeOK:
 		var ri transport.ResumeInfo
@@ -242,18 +229,15 @@ func (s *Stream) handle(t transport.MsgType, payload []byte, bootstrapped bool) 
 		}
 		return false, s.Target.SetCamera(cam)
 	case transport.MsgVersionReport:
-		// The answer to a role's own MsgVersionQuery probe, sent outside
-		// the op stream. Trailing it with no gap open means the stream
-		// went quiet after a lost op (or the ops are still on their way);
-		// trailing it with a request unanswered means the request or its
-		// answer was lost. Either way ask (again): on a faulty link
-		// this is the only retry there is.
+		// The answer to a role's own MsgVersionQuery probe, queued behind
+		// the ops it counts: ahead of the copy, an op was lost, which a
+		// quiet stream shows no other way.
 		var vr transport.VersionReport
 		if err := transport.DecodeJSON(payload, &vr); err != nil {
 			return false, err
 		}
-		if vr.Version > s.Target.Version() {
-			return false, s.resync()
+		if cur := s.Target.Version(); vr.Version > cur {
+			return false, fmt.Errorf("%w: version %d reported to a copy at %d", ErrLost, vr.Version, cur)
 		}
 		return false, nil
 	}
@@ -261,12 +245,6 @@ func (s *Stream) handle(t transport.MsgType, payload []byte, bootstrapped bool) 
 		return false, s.Hook(t, payload)
 	}
 	return false, nil
-}
-
-// resync asks the authority for a fresh snapshot.
-func (s *Stream) resync() error {
-	s.resyncing = true
-	return s.Conn.Send(transport.MsgResyncRequest, nil)
 }
 
 // Redial keeps a followed stream alive: dial, run, and when run fails

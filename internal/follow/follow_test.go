@@ -63,30 +63,27 @@ func sceneAt(v uint64) *scene.Scene {
 func TestSequencerRule(t *testing.T) {
 	tgt := &copyTarget{t: t, sc: sceneAt(20)}
 	q := NewSequencer(tgt)
-	step := func(what string, err error, wantVersion uint64, wantGap bool) {
+	step := func(what string, err error, wantVersion uint64) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		if tgt.Version() != wantVersion || q.Gap() != wantGap {
-			t.Fatalf("%s: version %d, gap %t; want version %d, gap %t", what, tgt.Version(), q.Gap(), wantVersion, wantGap)
+		if tgt.Version() != wantVersion {
+			t.Fatalf("%s: version %d, want %d", what, tgt.Version(), wantVersion)
 		}
 	}
 	if err := q.Offer(21, rename(21)); !errors.Is(err, ErrLost) {
 		t.Fatalf("an op before the bootstrap: %v, want ErrLost", err)
 	}
-	step("the bootstrap may take the copy backwards", q.Install(sceneAt(10)), 10, false)
+	step("the bootstrap may take the copy backwards", q.Install(sceneAt(10)), 10)
 	tgt.based = true
-	step("stale", q.Offer(10, rename(10)), 10, false)
-	step("next", q.Offer(11, rename(11)), 11, false)
-	step("ahead opens a gap", q.Offer(13, rename(13)), 11, true)
-	step("in a gap even the next op is dropped", q.Offer(12, rename(12)), 11, true)
-	step("a snapshot closes it", q.Install(sceneAt(13)), 13, false)
-	step("next after the snapshot", q.Offer(14, rename(14)), 14, false)
-	step("a later snapshot older than the copy is dropped", q.Install(sceneAt(12)), 14, false)
-	step("and closes a gap all the same", errors.Join(q.Offer(16, rename(16)), q.Install(sceneAt(13))), 14, false)
-	if got := tgt.sc.Root.Name; got != "v14" {
-		t.Errorf("last op applied was %q, want v14", got)
+	step("stale", q.Offer(10, rename(10)), 10)
+	step("next", q.Offer(11, rename(11)), 11)
+	if err := q.Offer(13, rename(13)); !errors.Is(err, ErrLost) || tgt.Version() != 11 {
+		t.Fatalf("an op ahead of the copy at 11: %v, version %d; want ErrLost at 11", err, tgt.Version())
+	}
+	if got := tgt.sc.Root.Name; got != "v11" {
+		t.Errorf("last op applied was %q, want v11", got)
 	}
 
 	resumed := &copyTarget{t: t, sc: sceneAt(20)}
@@ -98,21 +95,16 @@ func TestSequencerRule(t *testing.T) {
 }
 
 // scripted is the primary's side of a stream played from memory: Read
-// serves the frames in order, Write parses what the follower sends. It
-// checks, as the stream runs, that no resync request is sent while an
-// earlier one is unanswered — a request counts as answered once the
-// follower has read the next snapshot, or given up on once it has read a
-// version report, off the wire.
+// serves the frames in order, Write checks that the follower sends its
+// hello and nothing else — a lost op is recovered by a redial, never by
+// asking on the stream.
 type scripted struct {
 	t      *testing.T
 	frames [][]byte // encoded transport frames, primary → follower
 	kinds  []transport.MsgType
 	next   int // frames[next:] are unread
 	cur    []byte
-	sent   bytes.Buffer // follower → primary, frames appended whole
-
-	outstanding int
-	requests    int
+	hello  bool // the follower has sent its hello
 }
 
 // frame is one message of a script.
@@ -143,30 +135,22 @@ func (p *scripted) Read(b []byte) (int, error) {
 	}
 	n := copy(b, p.cur)
 	p.cur = p.cur[n:]
-	if k := p.kinds[p.next-1]; len(p.cur) == 0 && (k == transport.MsgSceneSnapshot || k == transport.MsgVersionReport) {
-		// Whatever the follower sends from here on, it has the answer —
-		// or the authority's word that a probe sent after the request
-		// was answered and the request was not.
-		p.outstanding = 0
-	}
 	return n, nil
 }
 
 func (p *scripted) Write(b []byte) (int, error) {
-	p.sent.Write(b)
-	if transport.MsgType(binary.BigEndian.Uint16(b[2:])) == transport.MsgResyncRequest {
-		p.requests++
-		if p.outstanding++; p.outstanding > 1 {
-			p.t.Errorf("resync request %d sent while one is unanswered", p.requests)
-		}
+	if t := transport.MsgType(binary.BigEndian.Uint16(b[2:])); t != transport.MsgHello || p.hello {
+		p.t.Errorf("the follower sent %s after its hello", t)
 	}
+	p.hello = true
 	return len(b), nil
 }
 
 // play runs a Stream with no Hook against the script, the follower
 // holding a copy at version start (none when 0), and returns the copy's
-// final version and the resync requests sent.
-func play(t *testing.T, p *scripted, start uint64) (version uint64, requests int) {
+// final version, how many frames the follower read before the stream
+// ended, and how it ended.
+func play(t *testing.T, p *scripted, start uint64) (version uint64, read int, err error) {
 	p.t = t
 	tgt := &copyTarget{t: t}
 	if start > 0 {
@@ -174,8 +158,8 @@ func play(t *testing.T, p *scripted, start uint64) (version uint64, requests int
 	}
 	st := &Stream{Conn: transport.NewConn(p), Hello: transport.Hello{Role: "test", Name: "f", Session: "s"}, Target: tgt}
 	st.Ready = func() error { tgt.based = true; return nil }
-	_, _ = st.Run(context.Background()) // how the stream ended is the caller's row to judge
-	return tgt.Version(), p.requests
+	_, err = st.Run(context.Background())
+	return tgt.Version(), p.next, err
 }
 
 func snap(v uint64) frame {
@@ -204,26 +188,33 @@ func report(v uint64) frame {
 
 func raw(t transport.MsgType, payload string) frame { return frame{t, []byte(payload)} }
 
-// seedScripts are the socket scripts of the conformance table
-// (internal/dataservice TestFollowerConformance), one connection each,
-// followed by frames no well-behaved primary sends.
+var bye = raw(transport.MsgBye, "")
+
+// seedScripts are the connections of the conformance table's socket
+// scripts (internal/dataservice TestFollowerConformance) up to where the
+// follower ends them, then two bootstrap replies after the bootstrap,
+// then frames no well-behaved primary sends.
 func seedScripts() []*scripted {
 	var plainOp bytes.Buffer
 	if err := marshal.WriteOp(&plainOp, &scene.SetTransformOp{ID: scene.RootID, Transform: mathx.Identity()}); err != nil {
 		panic(err)
 	}
 	return []*scripted{
-		script(snap(5), op(6), op(7)),
-		script(snap(5), op(6), op(6), op(7), op(6)),
-		script(resume(8), op(7), op(8)),
-		script(resume(7), op(8), op(6), op(7), snap(8)),
+		script(snap(5), op(6), op(7), bye),
+		script(snap(5), op(6), op(6), op(7), op(6), bye),
+		script(resume(8), op(7), op(8), bye),
+		script(resume(7), op(8), op(6), op(7)),
 		script(op(6), snap(5)),
-		script(snap(5), op(7), op(6), snap(7)),
-		script(snap(5), op(7), op(8), op(9), op(10), snap(10)),
+		script(snap(5), op(7), op(6)),
+		script(snap(5), op(7), op(8), op(9), op(10)),
 		script(snap(5), op(7), op(9), snap(8), op(9), op(10)),
 		script(snap(5), report(7), op(6), op(7), op(8), snap(7), op(8)),
+		script(snap(5), op(6), report(6), op(7), bye),
+		script(snap(5), op(6), report(7), op(7)),
+		script(snap(5), op(6), snap(6)),
+		script(snap(5), resume(7)),
 		script(snap(5), raw(transport.MsgCameraUpdate, `{"eye":[1,2,3],"fov_y":0.7}`),
-			raw(transport.MsgSceneOp, plainOp.String()), op(7), raw(transport.MsgBye, "")),
+			raw(transport.MsgSceneOp, plainOp.String()), op(7), bye),
 		script(raw(transport.MsgError, `{"message":"no such session"}`)),
 		script(raw(transport.MsgOK, ""), snap(5)),
 		script(snap(5), raw(transport.MsgSceneOpVer, "short"), op(6)),
@@ -234,27 +225,41 @@ func seedScripts() []*scripted {
 }
 
 // TestStreamScripts pins what the follower makes of the well-formed
-// seeds: the same rows, versions and resync counts as the conformance
-// table, here against the bare Stream.
+// seeds: the conformance table's versions, and where and how each
+// connection ends — at Bye, or at the frame that shows an op lost, or at
+// a second bootstrap reply, which is a protocol error.
 func TestStreamScripts(t *testing.T) {
+	const clean, lost, protocol = 0, 1, 2
 	want := []struct {
 		start, version uint64
-		requests       int
-	}{{0, 7, 0}, {0, 7, 0}, {6, 8, 0}, {5, 8, 1}, {0, 0, 0}, {0, 7, 1}, {0, 10, 1}, {0, 10, 1}, {0, 8, 1}}
+		read, end      int
+	}{
+		{0, 7, 4, clean}, {0, 7, 6, clean}, {6, 8, 4, clean}, {5, 5, 2, lost}, {0, 0, 1, lost},
+		{0, 5, 2, lost}, {0, 5, 2, lost}, {0, 5, 2, lost}, {0, 5, 2, lost}, {0, 7, 5, clean},
+		{0, 6, 3, lost}, {0, 6, 3, protocol}, {0, 5, 2, protocol},
+	}
 	for i, p := range seedScripts()[:len(want)] {
-		version, requests := play(t, p, want[i].start)
-		if version != want[i].version || requests != want[i].requests {
-			t.Errorf("script %d: version %d after %d resync requests, want %d after %d", i, version, requests, want[i].version, want[i].requests)
+		version, read, err := play(t, p, want[i].start)
+		end := clean
+		switch {
+		case errors.Is(err, ErrLost):
+			end = lost
+		case err != nil:
+			end = protocol
+		}
+		if version != want[i].version || read != want[i].read || end != want[i].end {
+			t.Errorf("script %d: version %d, ended at frame %d with %v; want version %d, frame %d, end %d",
+				i, version, read, err, want[i].version, want[i].read, want[i].end)
 		}
 	}
 }
 
 // FuzzFollow feeds the shared loop arbitrary frames from the primary's
 // side: it must not panic, must not take the copy backwards once
-// bootstrapped (copyTarget), and must never have two resync requests
-// unanswered (scripted). The input is a sequence of
-// [type:1][len:2][payload] records, each sent as one well-framed
-// message — the transport's own framing has its own tests.
+// bootstrapped (copyTarget), and must send nothing after its hello
+// (scripted). The input is a sequence of [type:1][len:2][payload]
+// records, each sent as one well-framed message — the transport's own
+// framing has its own tests.
 func FuzzFollow(f *testing.F) {
 	for _, p := range seedScripts() {
 		var in []byte

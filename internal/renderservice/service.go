@@ -242,10 +242,10 @@ func (sess *Session) forget(n *scene.Node, subtree bool) {
 	}
 }
 
-// ResetScene replaces the replica with a fresh snapshot — the resync path
-// after the versioned op stream detects dropped updates, and the
-// re-bootstrap path after a subscription reconnects — and drops the
-// lighting records of the scene it replaces.
+// ResetScene replaces the replica with a bootstrap snapshot — the first
+// of a subscription, or of a reconnect the data service's op history no
+// longer reaches back for — and drops the lighting records of the scene
+// it replaces.
 func (sess *Session) ResetScene(snapshot *scene.Scene) {
 	sess.mu.Lock()
 	sess.scene = snapshot.Clone()
@@ -758,8 +758,9 @@ type SubscribeOpts struct {
 	// camera, or probe reply) arrives within it. Requires the underlying
 	// stream to support read deadlines; zero disables the watchdog.
 	IdleTimeout time.Duration
-	// ProbeInterval is how often to send MsgVersionQuery so dropped
-	// trailing ops are detected even when the op stream goes quiet.
+	// ProbeInterval is how often to send MsgVersionQuery. The report
+	// follows the ops it counts, so one ahead of the replica reveals a
+	// lost op even on a quiet stream, and the subscription redials.
 	ProbeInterval time.Duration
 	// ReportInterval is how often to send load reports over the
 	// subscription socket (the §3.2.7 migration signal).
@@ -847,8 +848,8 @@ func (r *replica) SetCamera(cs transport.CameraState) error {
 // the hello ask to resume at its version: if the data service's op
 // history covers the gap, only the missed ops are replayed. The render
 // service's own part of the socket: after the bootstrap it starts the
-// heartbeat, whose version probes the stream answers with a resync when
-// the replica trails, and capacity and telemetry interrogations are
+// heartbeat, whose version probes end the stream when a report shows the
+// replica missed an op, and capacity and telemetry interrogations are
 // answered in-line.
 func (s *Service) subscribe(ctx context.Context, conn *transport.Conn, sessionName string, opts SubscribeOpts, onReady func(*Session)) (bootstrapped bool, err error) {
 	rep := &replica{svc: s, name: sessionName}

@@ -156,7 +156,7 @@ func TestWireValuesKept(t *testing.T) {
 		MsgHello: 1, MsgOK: 2, MsgError: 3, MsgSceneSnapshot: 4, MsgSceneOp: 5, MsgCameraUpdate: 6,
 		MsgFrame: 8, MsgFrameDepth: 9, MsgCapacityQuery: 12, MsgCapacityReport: 13, MsgLoadReport: 14,
 		MsgBye: 16, MsgSetInterest: 17, MsgSceneOpVer: 18, MsgVersionQuery: 19, MsgVersionReport: 20,
-		MsgResyncRequest: 21, MsgStandbyAck: 22, MsgResumeOK: 23, MsgDeclined: 24, MsgTelemetryQuery: 25,
+		MsgStandbyAck: 22, MsgResumeOK: 23, MsgDeclined: 24, MsgTelemetryQuery: 25,
 		MsgTelemetryReport: 26, MsgRouteQuery: 27, MsgRouteReport: 28, MsgRender: 29,
 	} {
 		if uint16(mt) != want {

@@ -64,17 +64,14 @@ const (
 	MsgSetInterest
 	// MsgSceneOpVer carries one marshalled scene op prefixed with the
 	// authoritative scene version it produced (PackVersioned framing), so
-	// replicas detect dropped updates and resynchronize.
+	// replicas detect a dropped update and redial.
 	MsgSceneOpVer
 	// MsgVersionQuery asks the data service for the session's current
 	// scene version; payload empty.
 	MsgVersionQuery
 	// MsgVersionReport answers with a VersionReport (JSON).
 	MsgVersionReport
-	// MsgResyncRequest asks the data service for a fresh bootstrap
-	// snapshot after a detected update gap; the service replies with a
-	// MsgSceneSnapshot.
-	MsgResyncRequest
+	_ // 21: the resync request; a lost op now ends the stream
 	// MsgStandbyAck is a hot-standby replica's acknowledgement that it
 	// has durably applied the op stream up to a version (JSON
 	// VersionReport). The primary tracks acks per standby so operators
@@ -124,8 +121,8 @@ func (t MsgType) String() string {
 		MsgLoadReport: "load-report",
 		MsgBye:        "bye", MsgSetInterest: "set-interest",
 		MsgSceneOpVer: "scene-op-ver", MsgVersionQuery: "version-query",
-		MsgVersionReport: "version-report", MsgResyncRequest: "resync-request",
-		MsgStandbyAck: "standby-ack", MsgResumeOK: "resume-ok",
+		MsgVersionReport: "version-report",
+		MsgStandbyAck:    "standby-ack", MsgResumeOK: "resume-ok",
 		MsgDeclined:        "declined",
 		MsgTelemetryQuery:  "telemetry-query",
 		MsgTelemetryReport: "telemetry-report",
@@ -155,7 +152,7 @@ const MaxPayload = 1 << 30
 const eagerPayload = 16 << 20
 
 // Typed framing errors, so recovery code can tell a desynced or corrupted
-// stream (reconnect and resync) from a clean shutdown (io.EOF).
+// stream (reconnect) from a clean shutdown (io.EOF).
 var (
 	// ErrBadMagic means the stream lost framing sync.
 	ErrBadMagic = errors.New("transport: bad frame magic")
@@ -581,9 +578,10 @@ type LoadReport struct {
 	TextureUsed int64   `json:"texture_used"`
 }
 
-// VersionReport answers a MsgVersionQuery with the session's current
-// authoritative scene version; replicas compare it against their own to
-// detect missed updates. It is also the MsgStandbyAck payload, where
+// VersionReport answers a MsgVersionQuery with the session's version
+// where the report stands in the subscriber's stream, behind the ops it
+// counts: a replica behind it has missed one. It is also the
+// MsgStandbyAck payload, where
 // Version is the highest op version the standby has applied.
 type VersionReport struct {
 	Version uint64 `json:"version"`
