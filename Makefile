@@ -48,13 +48,14 @@ transport-unaliased:
 	if [ -n "$$out" ]; then echo "repro/internal/transport imported under another name:"; echo "$$out"; exit 1; fi
 
 # one-follower keeps the op-stream follower written once: the versioned
-# op message and the version report are spoken only by internal/follow
-# (subscriber side), ServeConn in dataservice/service.go (serving side)
-# and internal/transport (the wire), so a render replica, standby or
-# mirror that grows its own version rule again fails here. bench/ reads
-# the raw stream to time it and is the harness, not the system.
+# op message and the resume-ok bootstrap reply are spoken only by
+# internal/follow (subscriber side), dataservice/service.go (serving
+# side) and internal/transport (the wire), so a render replica, standby
+# or mirror that grows its own version rule or resume handling again
+# fails here. bench/ reads the raw stream to time it and is the harness,
+# not the system.
 one-follower: transport-unaliased
-	@out="$$(grep -rlE 'transport\.(MsgSceneOpVer|MsgVersionReport)' --include='*.go' --exclude='*_test.go' . \
+	@out="$$(grep -rlE 'transport\.(MsgSceneOpVer|MsgResumeOK)' --include='*.go' --exclude='*_test.go' . \
 		| grep -vE '^\./(bench/|internal/transport/|internal/follow/|internal/dataservice/service\.go$$)')"; \
 	if [ -n "$$out" ]; then echo "op-stream follower logic outside internal/follow:"; echo "$$out"; exit 1; fi
 
@@ -207,15 +208,15 @@ chaos:
 # order runs the ordered-stream tests twenty times at GOMAXPROCS 1, 2
 # and 8 and once under the race detector: the follower conformance table;
 # TestSubscribeWhileCommitting, whose wire-order input checks that a
-# subscriber's stream is in commit order, version reports included,
-# across subscribes and resumes while three goroutines commit; and
-# TestProbingReplicaTakesOneSnapshot, a replica probing every millisecond
-# beside two committers that must never read a report ahead of its copy.
-# An ordering race shows only on some interleavings, and how many
-# goroutines run at once changes which.
+# subscriber's stream is in commit order across subscribes and resumes
+# while three goroutines commit; and TestFailedDeliveryCutsSubscriber,
+# a socket that fails a write beside two committers, which must be closed
+# with nothing more written to it and resumed gap-only. An ordering race
+# shows only on some interleavings, and how many goroutines run at once
+# changes which.
 order:
-	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test ./internal/dataservice -run '^(TestFollowerConformance|TestSubscribeWhileCommitting|TestProbingReplicaTakesOneSnapshot)$$' -count=20 || exit 1; done
-	$(GO) test ./internal/dataservice -race -run '^(TestFollowerConformance|TestSubscribeWhileCommitting|TestProbingReplicaTakesOneSnapshot)$$'
+	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test ./internal/dataservice -run '^(TestFollowerConformance|TestSubscribeWhileCommitting|TestFailedDeliveryCutsSubscriber)$$' -count=20 || exit 1; done
+	$(GO) test ./internal/dataservice -race -run '^(TestFollowerConformance|TestSubscribeWhileCommitting|TestFailedDeliveryCutsSubscriber)$$'
 
 # scale runs the reduced deterministic raveload scenario — 100 sessions
 # on 4 nodes with a mid-run node kill — and fails on any acceptance

@@ -37,7 +37,6 @@ func main() {
 	linkBps := flag.Float64("linkbps", 94e6, "client link throughput estimate for the adaptive codec")
 	reconnects := flag.Int("reconnects", 5, "reconnection attempts after the data connection fails (0 = forever)")
 	idle := flag.Duration("idle-timeout", 30*time.Second, "declare the data connection dead after this silence (0 disables)")
-	probe := flag.Duration("probe-interval", 5*time.Second, "version-probe cadence for dropped-update detection (0 disables)")
 	report := flag.Duration("report-interval", 2*time.Second, "load-report cadence (0 disables)")
 	queueDepth := flag.Int("queue-depth", renderservice.DefaultQueueDepth,
 		"admission-control render queue depth: at most this many frames/tiles in flight before excess work is declined (background tile/subset work is capped at half)")
@@ -82,7 +81,6 @@ func main() {
 	opts := renderservice.SubscribeOpts{
 		Retry:          policy,
 		IdleTimeout:    *idle,
-		ProbeInterval:  *probe,
 		ReportInterval: *report,
 	}
 	subErr := make(chan error, 1)

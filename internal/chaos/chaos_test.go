@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -369,11 +370,12 @@ func TestRecruitmentDuringRegistryOutage(t *testing.T) {
 	}
 }
 
-// TestDroppedOpsConvergeViaResync degrades the data→render op stream
-// with a 20% whole-message drop rate. The versioned op stream must
-// detect gaps (or the version probe must catch trailing-edge drops, and
-// the idle watchdog a dropped bootstrap reply) and end the stream, and
-// each redial must resume the replica gap-only until it converges on
+// TestDroppedOpsConvergeViaResync cuts the data→render op stream again
+// and again while 30 scene ops fan out, one every 10 ms of virtual time:
+// every connection's data side is killed after a seeded number of
+// writes, the way TCP loses a stream — whole, never one message out of
+// the middle. Each cut loses the op it was writing and ends the stream,
+// and each redial must resume the replica gap-only until it converges on
 // the authoritative version: a lost op costs its gap, never the scene.
 func TestDroppedOpsConvergeViaResync(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
@@ -388,10 +390,13 @@ func TestDroppedOpsConvergeViaResync(t *testing.T) {
 
 	rs := renderservice.New(renderservice.Config{Name: "rs", Device: device.AthlonDesktop, Workers: 2, Clock: clk})
 	ready := make(chan *renderservice.Session, 1)
-	faults := netsim.NewFaults(21).DropFraction(0.2)
 	// Every dial is a fresh pipe with its own ServeConn, so a redial
 	// after a lost stream is a recovery path; once the degradation has
-	// begun, new pipes carry the same fault plan as the one they replace.
+	// begun, each pipe's data side dies after 10–19 writes, drawn from
+	// one seeded source: more than a redial's replay of the ops committed
+	// during its backoff, so each connection gets the copy further.
+	rng := rand.New(rand.NewSource(21))
+	kill := func(c *netsim.SimConn) { c.InjectFaults(netsim.NewFaults(21).KillAfterWrites(10 + rng.Intn(10))) }
 	var (
 		mu           sync.Mutex
 		dsEnd, rsEnd *netsim.SimConn
@@ -404,7 +409,7 @@ func TestDroppedOpsConvergeViaResync(t *testing.T) {
 		dsEnd, rsEnd = dataSide, renderSide
 		dials++
 		if degraded {
-			dataSide.InjectFaults(faults)
+			kill(dataSide)
 		}
 		mu.Unlock()
 		go svc.ServeConn(dataSide)
@@ -414,9 +419,7 @@ func TestDroppedOpsConvergeViaResync(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		// A dropped resume-ok leaves a silent stream: the watchdog ends it.
-		opts := renderservice.SubscribeOpts{ProbeInterval: 50 * time.Millisecond, IdleTimeout: time.Second}
-		errc <- rs.SubscribeToDataResilient(ctx, dial, "skull", opts, func(s *renderservice.Session) {
+		errc <- rs.SubscribeToDataResilient(ctx, dial, "skull", renderservice.SubscribeOpts{}, func(s *renderservice.Session) {
 			select {
 			case ready <- s:
 			default:
@@ -430,34 +433,36 @@ func TestDroppedOpsConvergeViaResync(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("bootstrap timed out")
 	}
-	// Degrade the stream only after bootstrap, so every drop hits the
-	// live op fan-out, a resume's reply and replay, or version reports.
+	// Degrade the stream only after bootstrap, so every cut hits the
+	// live op fan-out or a resume's reply and replay.
 	mu.Lock()
 	degraded = true
-	dsEnd.InjectFaults(faults)
+	kill(dsEnd)
 	mu.Unlock()
 
 	for i := 0; i < 30; i++ {
 		op := &scene.AddNodeOp{Parent: scene.RootID, ID: sess.AllocID(), Name: "n", Transform: mathx.Identity()}
 		// Fan-out send errors are the session's subscriber-health signal,
-		// not a failure here: drops are silent, and the stream recovers.
+		// not a failure here: the cut stream recovers.
 		_ = sess.ApplyUpdate(op, "")
+		clk.Sleep(10 * time.Millisecond)
 	}
 
 	deadline := time.After(30 * time.Second)
 	for replica.Version() < sess.Version() {
 		select {
 		case err := <-errc:
-			t.Fatalf("subscriber gave up at v%d, authority at v%d (dropped %d writes): %v",
-				replica.Version(), sess.Version(), faults.Dropped(), err)
+			t.Fatalf("subscriber gave up at v%d, authority at v%d: %v", replica.Version(), sess.Version(), err)
 		case <-deadline:
-			t.Fatalf("replica stuck at v%d, authority at v%d (dropped %d writes)",
-				replica.Version(), sess.Version(), faults.Dropped())
+			t.Fatalf("replica stuck at v%d, authority at v%d", replica.Version(), sess.Version())
 		case <-time.After(time.Millisecond):
 		}
 	}
-	if faults.Dropped() == 0 {
-		t.Fatal("fault plan dropped nothing; the redial path was never exercised")
+	mu.Lock()
+	redials := dials - 1
+	mu.Unlock()
+	if redials == 0 {
+		t.Fatal("no connection was cut; the redial path was never exercised")
 	}
 	snapshots, resumes := sess.BootstrapStats()
 	if snapshots != 1 || resumes == 0 {
@@ -466,7 +471,7 @@ func TestDroppedOpsConvergeViaResync(t *testing.T) {
 	mu.Lock()
 	// A hello that reaches the session before the old connection has
 	// left it is refused as already attached, and the redial retries.
-	t.Logf("%d writes dropped; %d dials, %d resumed, %d refused", faults.Dropped(), dials, resumes, uint64(dials)-snapshots-resumes)
+	t.Logf("%d dials, %d resumed, %d refused", dials, resumes, uint64(dials)-snapshots-resumes)
 	mu.Unlock()
 	// The converged replica renders the authoritative scene version.
 	frame, err := replica.RenderFrame(32, 32, "")
@@ -523,9 +528,8 @@ func TestStalledSubscriptionReconnects(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		errc <- rs.SubscribeToDataResilient(ctx, dial, "skull", renderservice.SubscribeOpts{
-			Retry:         retry.Policy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, Multiplier: 2},
-			IdleTimeout:   300 * time.Millisecond,
-			ProbeInterval: 50 * time.Millisecond,
+			Retry:       retry.Policy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, Multiplier: 2},
+			IdleTimeout: 300 * time.Millisecond,
 		}, func(s *renderservice.Session) { ready <- s })
 	}()
 

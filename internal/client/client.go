@@ -7,6 +7,7 @@
 package client
 
 import (
+	"errors"
 	"fmt"
 	"image/png"
 	"io"
@@ -27,6 +28,10 @@ import (
 type Thin struct {
 	conn *transport.Conn
 	prev []byte // the last frame decoded, in any codec: what a delta is against
+	// err ends the Thin: a transport failure, or a frame it could not
+	// decode, which the service has made its reference all the same, so
+	// the next delta would decode against the wrong frame.
+	err error
 }
 
 // DialThin performs the hello handshake on an established socket.
@@ -38,9 +43,27 @@ func DialThin(rw io.ReadWriter, name, session string) (*Thin, error) {
 	return &Thin{conn: conn}, nil
 }
 
+// answered reports an error that is an answer on a healthy stream: a
+// refusal or a typed decline. Anything else ends the stream.
+func answered(err error) bool {
+	return errors.As(err, new(*RefusedError)) || errors.As(err, new(*renderservice.ErrOverloaded))
+}
+
+// fail keeps err as the Thin's end unless it was answered, and returns
+// it.
+func (c *Thin) fail(err error) error {
+	if err != nil && !answered(err) {
+		c.err = err
+	}
+	return err
+}
+
 // SetCamera sends a camera update (stylus drag on the PDA).
 func (c *Thin) SetCamera(cam raster.Camera) error {
-	return c.conn.SendJSON(transport.MsgCameraUpdate, renderservice.StateFromCamera(cam))
+	if c.err != nil {
+		return c.err
+	}
+	return c.fail(c.conn.SendJSON(transport.MsgCameraUpdate, renderservice.StateFromCamera(cam)))
 }
 
 // RequestFrame asks for one rendered frame and decodes it. codec may be
@@ -56,21 +79,26 @@ func (c *Thin) RequestFrame(w, h int, codec string) (*raster.Framebuffer, error)
 // it answers with a typed *renderservice.ErrOverloaded instead of a
 // frame, and the caller can retry elsewhere or after the hint. That and
 // a *RefusedError are answers on a healthy stream, typed so resilient
-// wrappers know not to reconnect over them.
+// wrappers know not to reconnect over them. Any other failure, a frame
+// that does not decode among them, ends the Thin: every later call
+// returns it and sends nothing.
 func (c *Thin) RequestFrameBy(w, h int, codec string, deadline time.Time) (*raster.Framebuffer, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
 	err := c.conn.SendJSON(transport.MsgRender, transport.RenderRequest{
 		X1: w, Y1: h, FullW: w, FullH: h, Codec: codec, DeadlineNanos: transport.DeadlineToNanos(deadline),
 	})
 	if err != nil {
-		return nil, err
+		return nil, c.fail(err)
 	}
 	payload, err := c.conn.Expect(transport.MsgFrame)
 	if err != nil {
-		return nil, err
+		return nil, c.fail(err)
 	}
 	_, fw, fh, frame, err := imgcodec.Decode(payload, c.prev)
 	if err != nil {
-		return nil, err
+		return nil, c.fail(err)
 	}
 	c.prev = frame
 	fb := raster.NewFramebuffer(fw, fh)
@@ -80,15 +108,21 @@ func (c *Thin) RequestFrameBy(w, h int, codec string, deadline time.Time) (*rast
 
 // Capacity interrogates the render service.
 func (c *Thin) Capacity() (rep transport.CapacityReport, err error) {
+	if c.err != nil {
+		return rep, c.err
+	}
 	if err = c.conn.Send(transport.MsgCapacityQuery, nil); err == nil {
 		err = c.conn.ExpectJSON(transport.MsgCapacityReport, &rep)
 	}
-	return rep, err
+	return rep, c.fail(err)
 }
 
 // Close ends the session cleanly.
 func (c *Thin) Close() error {
-	return c.conn.Send(transport.MsgBye, nil)
+	if c.err != nil {
+		return c.err
+	}
+	return c.fail(c.conn.Send(transport.MsgBye, nil))
 }
 
 // WritePNG saves a received frame — the PDA screenshots of Figure 2.

@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -9,10 +10,12 @@ import (
 	"repro/internal/dataservice"
 	"repro/internal/device"
 	"repro/internal/geom/genmodel"
+	"repro/internal/imgcodec"
 	"repro/internal/mathx"
 	"repro/internal/raster"
 	"repro/internal/renderservice"
 	"repro/internal/scene"
+	"repro/internal/transport"
 )
 
 // startRenderWithSession returns a render service already holding a
@@ -121,22 +124,130 @@ func TestCodecChangeKeepsDeltaReference(t *testing.T) {
 
 // TestDeltaWithoutReferenceIsAnError: a delta that arrives when the
 // client does not hold the frame it is a difference against is an error,
-// not a picture; the client keeps what it held, and the connection and
-// the next complete frame are good.
+// not a picture, and the client keeps what it held. The service has made
+// the refused frame its reference all the same, so the Thin is done: its
+// next call returns the same error. A new connection starts clean.
 func TestDeltaWithoutReferenceIsAnError(t *testing.T) {
-	rs, thin := startRenderWithSession(t)
-	defer thin.Close()
-	orbitAndCheck(t, rs, thin, 0, "delta-rle")
+	rs, first := startRenderWithSession(t)
+	defer first.Close()
 	for name, held := range map[string][]byte{"no frame": nil, "a frame of another size": make([]byte, 32*32*3)} {
+		thin := dialViewer(t, rs, name)
+		orbitAndCheck(t, rs, thin, 0, "delta-rle")
 		thin.prev = held // the service still holds its 96x96 reference
-		if fb, err := thin.RequestFrame(96, 96, "delta-rle"); err == nil {
+		fb, err := thin.RequestFrame(96, 96, "delta-rle")
+		if err == nil {
 			t.Fatalf("holding %s: a delta decoded to a %dx%d frame with no error", name, fb.W, fb.H)
 		}
 		if len(thin.prev) != len(held) {
 			t.Fatalf("holding %s: the refused delta replaced the held frame with %d bytes", name, len(thin.prev))
 		}
-		orbitAndCheck(t, rs, thin, 1, "raw")
-		orbitAndCheck(t, rs, thin, 2, "delta-rle")
+		if _, again := thin.RequestFrame(96, 96, "raw"); again != err {
+			t.Errorf("holding %s: the frame after the refused delta = %v, want its error again", name, again)
+		}
+		orbitAndCheck(t, rs, dialViewer(t, rs, name+", redialled"), 1, "raw")
+		orbitAndCheck(t, rs, first, 2, "delta-rle")
+	}
+}
+
+// scriptedRender is a render service that answers a thin client's hello
+// and then each render request it reads with the next reply, and none
+// past the last. Once the client's end closes it sends how many requests
+// it read.
+func scriptedRender(replies ...func(*transport.Conn) error) (client net.Conn, requests <-chan int) {
+	cEnd, sEnd := net.Pipe()
+	count := make(chan int, 1) // the one send never blocks
+	go func() {
+		defer sEnd.Close()
+		conn := transport.NewConn(sEnd)
+		n := 0
+		defer func() { count <- n }()
+		for {
+			mt, _, err := conn.Receive()
+			switch {
+			case err != nil:
+				return
+			case mt == transport.MsgHello:
+				err = conn.Send(transport.MsgOK, nil)
+			case mt == transport.MsgRender:
+				if n < len(replies) {
+					err = replies[n](conn)
+				}
+				n++
+			}
+			if err != nil {
+				return
+			}
+		}
+	}()
+	return cEnd, count
+}
+
+// sendFrame replies with frame in codec against prev, a 4x4 frame whose
+// encoding spoil may damage.
+func sendFrame(codec imgcodec.Codec, frame, prev []byte, spoil func([]byte)) func(*transport.Conn) error {
+	return func(c *transport.Conn) error {
+		b, err := imgcodec.Encode(codec, 4, 4, frame, prev)
+		if err != nil {
+			return err
+		}
+		if spoil != nil {
+			spoil(b)
+		}
+		return c.Send(transport.MsgFrame, b)
+	}
+}
+
+// TestThinRefusedFrameEndsIt: a service whose encoder has made a frame
+// its reference sends a delta against it. When the Thin could not decode
+// that frame, the delta is against a frame the Thin does not hold, so the
+// Thin is done: the next call returns the decode error and sends nothing,
+// instead of the wrong pixels. A refusal and a decline are answers on a
+// healthy stream and leave it usable.
+func TestThinRefusedFrameEndsIt(t *testing.T) {
+	pixels := func(seed byte) []byte {
+		f := make([]byte, 4*4*3)
+		for i := range f {
+			f[i] = seed * byte(i+1)
+		}
+		return f
+	}
+	a, b, c := pixels(3), pixels(5), pixels(7)
+	zeroRun := func(enc []byte) { enc[9] = 0 } // the first run's count, past the 9-byte header
+	cEnd, requests := scriptedRender(
+		func(c *transport.Conn) error { return c.Refuse(errors.New("bad size")) },
+		func(c *transport.Conn) error {
+			return c.Refuse(&renderservice.ErrOverloaded{Service: "rs", Reason: "queue-full"})
+		},
+		sendFrame(imgcodec.RLE, a, nil, nil),
+		sendFrame(imgcodec.DeltaRLE, b, a, zeroRun),
+		sendFrame(imgcodec.DeltaRLE, c, b, nil),
+	)
+	thin, err := DialThin(cEnd, "zaurus", "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refused *RefusedError
+	if _, err := thin.RequestFrame(4, 4, "rle"); !errors.As(err, &refused) {
+		t.Fatalf("first frame = %v, want the refusal", err)
+	}
+	var declined *renderservice.ErrOverloaded
+	if _, err := thin.RequestFrame(4, 4, "rle"); !errors.As(err, &declined) {
+		t.Fatalf("second frame = %v, want the decline", err)
+	}
+	if fb, err := thin.RequestFrame(4, 4, "rle"); err != nil || !bytes.Equal(fb.Color, a) {
+		t.Fatalf("frame after a refusal and a decline = %v, want frame A", err)
+	}
+	_, spoilt := thin.RequestFrame(4, 4, "delta-rle")
+	if spoilt == nil {
+		t.Fatal("a delta with a zero-length run decoded")
+	}
+	if fb, err := thin.RequestFrame(4, 4, "delta-rle"); err != spoilt {
+		wrong := fb != nil && !bytes.Equal(fb.Color, c)
+		t.Errorf("frame after the undecodable one = %v (wrong pixels: %t), want its error again", err, wrong)
+	}
+	cEnd.Close()
+	if n := <-requests; n != 4 {
+		t.Errorf("the service read %d render requests, want 4: none after the undecodable frame", n)
 	}
 }
 

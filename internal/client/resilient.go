@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"repro/internal/raster"
-	"repro/internal/renderservice"
 	"repro/internal/retry"
 	"repro/internal/transport"
 	"repro/internal/vclock"
@@ -94,7 +93,7 @@ func (r *ResilientThin) do(ctx context.Context, op func(*Thin) error) error {
 		if err == nil {
 			return nil
 		}
-		if errors.As(err, new(*RefusedError)) || errors.As(err, new(*renderservice.ErrOverloaded)) {
+		if answered(err) {
 			return err
 		}
 		// Anything else is a dead or desynced stream: a bare EOF, a

@@ -12,6 +12,7 @@ import (
 	"repro/internal/admission"
 	"repro/internal/device"
 	"repro/internal/geom/genmodel"
+	"repro/internal/imgcodec"
 	"repro/internal/mathx"
 	"repro/internal/raster"
 	"repro/internal/renderservice"
@@ -186,6 +187,39 @@ func TestResilientThinDeltaAfterRedial(t *testing.T) {
 	}
 	if !bytes.Equal(got.Color, want.FB.Color) {
 		t.Error("the first delta-rle frame after a redial differs from a raw frame")
+	}
+}
+
+// TestResilientThinRedialsOnRefusedFrame: a frame the Thin could not
+// decode ends the connection, and ResilientThin redials and asks again.
+func TestResilientThinRedialsOnRefusedFrame(t *testing.T) {
+	full := make([]byte, 4*4*3)
+	for i := range full {
+		full[i] = byte(i)
+	}
+	dials := 0
+	dial := func() (io.ReadWriteCloser, error) {
+		dials++
+		reply := sendFrame(imgcodec.RLE, full, nil, nil)
+		if dials == 1 {
+			reply = sendFrame(imgcodec.RLE, full, nil, func(enc []byte) { enc[9] = 0 })
+		}
+		cEnd, _ := scriptedRender(reply)
+		return cEnd, nil
+	}
+	policy := retry.DefaultPolicy()
+	policy.BaseDelay = time.Millisecond
+	thin, err := DialThinResilient(context.Background(), dial, "zaurus", "s", policy, vclock.Real{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer thin.Close()
+	fb, err := thin.RequestFrame(context.Background(), 4, 4, "rle")
+	if err != nil || !bytes.Equal(fb.Color, full) {
+		t.Fatalf("frame = %v, want the second connection's frame", err)
+	}
+	if dials != 2 {
+		t.Errorf("%d dials, want a redial after the undecodable frame", dials)
 	}
 }
 

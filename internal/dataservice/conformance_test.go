@@ -7,8 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,6 +23,7 @@ import (
 	"repro/internal/retry"
 	"repro/internal/scene"
 	"repro/internal/transport"
+	"repro/internal/vclock"
 )
 
 // The op-stream follower conformance table: every row is a scripted
@@ -38,14 +39,13 @@ const base = 5
 
 // frame is one message of a scripted primary, or the link dropping.
 type frame struct {
-	kind byte // 's' snapshot at v, 'r' resume-ok through v, 'o' the op producing v, 'v' a version report of v, 'x' the cut
+	kind byte // 's' snapshot at v, 'r' resume-ok through v, 'o' the op producing v, 'x' the cut
 	v    uint64
 }
 
 func snap(v uint64) frame   { return frame{'s', v} }
 func resume(v uint64) frame { return frame{'r', v} }
 func op(v uint64) frame     { return frame{'o', v} }
-func report(v uint64) frame { return frame{'v', v} }
 func cut() frame            { return frame{'x', 0} }
 
 // opFor builds the op that produces version v: it hangs a node under
@@ -80,8 +80,6 @@ func (f frame) wire() (transport.MsgType, []byte) {
 		err = marshal.WriteScene(&buf, sceneAt(f.v))
 	case 'r':
 		return transport.MsgResumeOK, []byte(fmt.Sprintf(`{"version":%d}`, f.v))
-	case 'v':
-		return transport.MsgVersionReport, []byte(fmt.Sprintf(`{"version":%d}`, f.v))
 	default:
 		err = marshal.WriteOp(&buf, opFor(f.v))
 	}
@@ -112,8 +110,8 @@ type conformanceRow struct {
 // The rows that script a delivery an ordered authority does not make —
 // an op overtaking the bootstrap reply or the ops before it — assert
 // what a follower makes of it: an op before the bootstrap reply ends the
-// stream, and an op out of turn after it, or a version report ahead of
-// the copy, ends the connection, and the next hello resumes at the copy.
+// stream, and an op out of turn after it ends the connection, and the
+// next hello resumes at the copy.
 var conformance = []conformanceRow{
 	{name: "in order",
 		conns: [][]frame{{snap(5), op(6), op(7)}}, want: 7},
@@ -131,18 +129,12 @@ var conformance = []conformanceRow{
 		conns: [][]frame{{snap(5), op(7), op(8), op(9), op(10)}, {resume(10), op(6), op(7), op(8), op(9), op(10)}}, want: 10, since: 5},
 	// The first connections of these two rows are what an authority with
 	// an in-stream resync sent, a snapshot after the bootstrap among it.
-	// The follower ends each at the op or report ahead of its copy, before
-	// the snapshot, and resumes.
+	// The follower ends each at the op ahead of its copy, before the
+	// snapshot, and resumes.
 	{name: "op racing the resync snapshot",
 		conns: [][]frame{{snap(5), op(7), op(9), snap(8), op(9), op(10)}, {resume(10), op(6), op(7), op(8), op(9), op(10)}}, want: 10, since: 5},
 	{name: "resync answer older than the copy",
-		conns: [][]frame{{snap(5), report(7), op(6), op(7), op(8), snap(7), op(8)}, {resume(8), op(6), op(7), op(8)}}, want: 8, since: 5},
-	// A version report counts the ops queued before it: at the copy it
-	// says nothing was lost, ahead of it that the op between was.
-	{name: "version report at the copy",
-		conns: [][]frame{{snap(5), op(6), report(6), op(7)}}, want: 7},
-	{name: "version report ahead of the copy",
-		conns: [][]frame{{snap(5), op(6), report(7)}, {resume(7), op(7)}}, want: 7, since: 6},
+		conns: [][]frame{{snap(5), op(7), op(6), op(7), op(8), snap(7), op(8)}, {resume(8), op(6), op(7), op(8)}}, want: 8, since: 5},
 }
 
 // scriptedPrimary plays script on one end of a net.Pipe and returns the
@@ -226,8 +218,8 @@ func standbyFollower(t *testing.T, dial func() net.Conn, conns int) (uint64, err
 // the primary, with any version below it not yet committed: before the
 // attach the mirror's base covers it, after it the fan-out delivers it.
 // Resume-ok's version is committed while the mirror is detached, for the
-// primary to replay. What an ordered fan-out never sends — an op again,
-// a version report — and the cut are skipped.
+// primary to replay. What an ordered fan-out never sends — an op again —
+// and the cut are skipped.
 func mirrorFollower(t *testing.T, row conformanceRow) (uint64, error) {
 	primary, err := dataservice.New(dataservice.Config{Name: "primary"}).CreateSession("s")
 	if err != nil {
@@ -393,9 +385,8 @@ func (c *committers) halt() {
 // takes milliseconds to encode while three goroutines commit to it as
 // fast as they can. Each subscriber's stream must be in commit order —
 // its bootstrap reply first, then every op the version after the one
-// before, and every version report the version of the op before it —
-// whatever the commits overtake: the snapshot's encoding, a resume's
-// replay, a version query.
+// before — whatever the commits overtake: the snapshot's encoding, a
+// resume's replay.
 func TestSubscribeWhileCommitting(t *testing.T) {
 	for _, input := range []struct {
 		name string
@@ -463,8 +454,7 @@ func subscribeRenderServices(t *testing.T, svc *dataservice.Service, sess *datas
 
 // checkWireOrder reads subscriptions off the socket as they are written.
 // Every other one resumes the copy the one before it reached, attached
-// while the commits are paused so the history still reaches back to it;
-// each sends version queries while the commits run.
+// while the commits are paused so the history still reaches back to it.
 func checkWireOrder(t *testing.T, svc *dataservice.Service, sess *dataservice.Session, c *committers) {
 	const rounds = 6
 	var copyAt uint64 // the version the last subscription's ops reached
@@ -494,12 +484,12 @@ func checkWireOrder(t *testing.T, svc *dataservice.Service, sess *dataservice.Se
 }
 
 // readInOrder subscribes with a copy at since (none when 0), checks the
-// stream's order through a run of version queries, then pauses the
-// commits, reads on to the session's version and returns the version its
-// ops reached. A resume is attached with the commits paused, and they
-// resume at its reply.
+// stream's order over a run of ops, then pauses the commits, reads on to
+// the session's version and returns the version its ops reached. A
+// resume is attached with the commits paused, and they resume at its
+// reply.
 func readInOrder(svc *dataservice.Service, sess *dataservice.Session, c *committers, since uint64) (uint64, error) {
-	const opsPerLeg, queries = 40, 5
+	const run = 80
 	dsEnd, subEnd := net.Pipe()
 	served := make(chan struct{})
 	go func() { svc.ServeConn(dsEnd); close(served) }()
@@ -529,10 +519,9 @@ func readInOrder(svc *dataservice.Service, sess *dataservice.Session, c *committ
 	default:
 		return 0, fmt.Errorf("the first message after the hello is %s, want the bootstrap reply", mt)
 	}
-	asked := make(chan error, 1) // the queries' one send never blocks
-	ops, reports, target := 0, 0, uint64(0)
+	ops, target := 0, uint64(0)
 	for {
-		if reports == queries && ops >= 2*opsPerLeg {
+		if ops >= run {
 			if target == 0 {
 				// A commit that passed the gate may still land; the
 				// history holds it for the next round's resume.
@@ -557,41 +546,94 @@ func readInOrder(svc *dataservice.Service, sess *dataservice.Session, c *committ
 				return 0, fmt.Errorf("the op for version %d follows version %d", version, prev)
 			}
 			prev = version
-			if ops++; ops == opsPerLeg {
-				// Sent beside the reads: the service may be writing to
-				// this socket, and a net.Pipe write waits for its reader.
-				go func() {
-					for i := 0; i < queries; i++ {
-						if err := conn.Send(transport.MsgVersionQuery, nil); err != nil {
-							asked <- err
-							return
-						}
-					}
-					asked <- nil
-				}()
-			}
-		case transport.MsgVersionReport:
-			var vr transport.VersionReport
-			if err := transport.DecodeJSON(payload, &vr); err != nil {
-				return 0, err
-			}
-			if vr.Version != prev {
-				return 0, fmt.Errorf("version %d reported after the op for version %d", vr.Version, prev)
-			}
-			reports++
+			ops++
 		case transport.MsgSceneSnapshot, transport.MsgResumeOK:
 			return 0, fmt.Errorf("a second bootstrap reply, %s", mt)
 		}
 	}
-	return prev, <-asked
+	return prev, nil
 }
 
-// TestProbingReplicaTakesOneSnapshot: a render service probes the data
-// service's version every millisecond over TCP loopback while two
-// goroutines commit as fast as they can. Each report follows the ops it
-// counts, so none is ahead of the replica: the subscription takes its
-// bootstrap snapshot and never redials.
-func TestProbingReplicaTakesOneSnapshot(t *testing.T) {
+// killAfter is the data-service end of a net.Pipe whose writes fail
+// once n have gone through, the way a socket's do once the host at its
+// far end is gone. The failing write runs behind first, which queues a
+// delivery behind it. It counts the writes tried after the failure and
+// notes its close.
+type killAfter struct {
+	net.Conn
+	behind func()
+	mu     sync.Mutex
+	n      int           // writes left before the failure; -1 after it
+	late   int           // writes tried after the failure
+	failed chan struct{} // closed at the failure
+	closed bool
+}
+
+var errKilled = errors.New("pipe killed")
+
+func (k *killAfter) Write(b []byte) (int, error) {
+	k.mu.Lock()
+	switch {
+	case k.n > 0:
+		k.n--
+		k.mu.Unlock()
+		return k.Conn.Write(b)
+	case k.n == 0:
+		k.n = -1
+		close(k.failed)
+		k.mu.Unlock()
+		k.behind()
+		return 0, errKilled
+	}
+	k.late++
+	k.mu.Unlock()
+	return 0, errKilled
+}
+
+func (k *killAfter) Close() error {
+	k.mu.Lock()
+	k.closed = true
+	k.mu.Unlock()
+	return k.Conn.Close()
+}
+
+// sceneCopy is a follow.Target holding a bare scene.
+type sceneCopy struct {
+	mu sync.Mutex
+	sc *scene.Scene
+}
+
+func (c *sceneCopy) Version() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.sc == nil {
+		return 0
+	}
+	return c.sc.Version
+}
+
+func (c *sceneCopy) Install(sc *scene.Scene) error {
+	c.mu.Lock()
+	c.sc = sc
+	c.mu.Unlock()
+	return nil
+}
+
+func (c *sceneCopy) Apply(op scene.Op) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sc.ApplyOp(op)
+}
+
+func (c *sceneCopy) SetCamera(transport.CameraState) error { return nil }
+
+// TestFailedDeliveryCutsSubscriber: a subscriber's socket fails a write
+// while two goroutines commit. The first failed delivery cuts the
+// subscriber: the deliveries behind it return its error with no write,
+// and the socket is closed, so the follower reads the end of its stream,
+// redials and resumes gap-only from the history ring, and its copy ends
+// equal to the authority's at the same version.
+func TestFailedDeliveryCutsSubscriber(t *testing.T) {
 	svc := dataservice.New(dataservice.Config{Name: "data"})
 	sess, err := svc.CreateSessionFromMesh("s", "mesh", genmodel.Sphere(mathx.Vec3{}, 1, 16, 12))
 	if err != nil {
@@ -599,55 +641,150 @@ func TestProbingReplicaTakesOneSnapshot(t *testing.T) {
 	}
 	var id scene.NodeID
 	sess.Scene(func(sc *scene.Scene) { id = sc.PayloadIDs()[0] })
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+
+	killed := &killAfter{n: 50, failed: make(chan struct{})}
+	var (
+		mu    sync.Mutex
+		dials int
+		last  net.Conn // the follower's end of the newest pipe
+	)
+	dial := func() (io.ReadWriteCloser, error) {
+		dsEnd, subEnd := net.Pipe()
+		var served io.ReadWriteCloser = dsEnd
+		mu.Lock()
+		if dials++; dials == 1 {
+			killed.Conn, served = dsEnd, killed
+		}
+		last = subEnd
+		mu.Unlock()
+		go svc.ServeConn(served)
+		return subEnd, nil
+	}
+	cp := &sceneCopy{}
+	firstEnd := make(chan error, 1) // how the first stream ended; later ends are not read
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- follow.Redial(ctx, vclock.Real{}, retry.Policy{MaxAttempts: 50, BaseDelay: time.Millisecond}, dial,
+			func(rw io.ReadWriter) (bool, error) {
+				st := &follow.Stream{Conn: transport.NewConn(rw), Target: cp,
+					Hello: transport.Hello{Role: "render-service", Name: "copy", Session: "s"}}
+				bootstrapped, err := st.Run(ctx)
+				select {
+				case firstEnd <- err:
+				default:
+				}
+				return bootstrapped, err
+			})
+	}()
+	defer func() {
+		cancel()
+		mu.Lock()
+		last.Close()
+		mu.Unlock()
+		<-done
+	}()
+	for deadline := time.Now().Add(10 * time.Second); cp.Version() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("never bootstrapped")
+		}
+	}
+
+	// 401 ops: the history ring's 512 reach back past the cut.
+	var (
+		wg     sync.WaitGroup
+		missMu sync.Mutex
+		misses []error
+	)
+	commit := func(x, y float64) {
+		err := sess.ApplyUpdate(&scene.SetTransformOp{ID: id, Transform: mathx.Translate(mathx.V3(x, y, 0))}, "")
+		var miss *dataservice.FanoutError
+		switch {
+		case errors.As(err, &miss):
+			missMu.Lock()
+			misses = append(misses, miss.Err)
+			missMu.Unlock()
+		case err != nil:
+			t.Error(err)
+		}
+	}
+	// The failing write holds the flusher until one more commit has
+	// queued behind it.
+	killed.behind = func() {
+		v := sess.Version()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			commit(-1, -1)
+		}()
+		for deadline := time.Now().Add(10 * time.Second); sess.Version() == v && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				commit(float64(i), float64(g))
+			}
+		}()
+	}
+	select {
+	case <-killed.failed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the pipe never failed a write")
+	}
+	wg.Wait()
+	killed.mu.Lock()
+	closed, late := killed.closed, killed.late
+	killed.mu.Unlock()
+	if !closed || late != 0 {
+		t.Errorf("after the failed write the socket was closed: %t, and %d more writes were tried; want closed and none", closed, late)
+	}
+	missMu.Lock()
+	if len(misses) < 2 {
+		t.Errorf("%d deliveries missed, want the failed one and those behind it", len(misses))
+	}
+	for _, err := range misses {
+		if !errors.Is(err, errKilled) {
+			t.Errorf("a missed delivery returned %v, want the failed write's error", err)
+		}
+	}
+	missMu.Unlock()
+
+	select {
+	case err := <-firstEnd:
+		if !errors.Is(err, follow.ErrLost) || !strings.Contains(err.Error(), "stream closed") {
+			t.Fatalf("the first stream ended with %v, want the end of the stream", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the follower never saw its stream end: the failed socket was left open")
+	}
+
+	for deadline := time.Now().Add(10 * time.Second); cp.Version() != sess.Version(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("copy stuck at version %d, authority at %d", cp.Version(), sess.Version())
+		}
+	}
+	cp.mu.Lock()
+	got, err := marshal.AppendScene(nil, cp.sc)
+	cp.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() { svc.ServeConn(c); c.Close() }()
-		}
-	}()
-	var dials atomic.Int32
-	dial := func() (io.ReadWriteCloser, error) {
-		dials.Add(1)
-		return net.Dial("tcp", ln.Addr().String())
+	want, err := marshal.AppendScene(nil, sess.Snapshot())
+	if err != nil {
+		t.Fatal(err)
 	}
-	rs := renderservice.New(renderservice.Config{Name: "rs", Device: device.CentrinoLaptop, Workers: 1})
-	ready := make(chan struct{}, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1) // the subscription's one send never blocks
-	go func() {
-		done <- rs.SubscribeToDataResilient(ctx, dial, "s", renderservice.SubscribeOpts{ProbeInterval: time.Millisecond},
-			func(*renderservice.Session) {
-				select {
-				case ready <- struct{}{}:
-				default:
-				}
-			})
-	}()
-	select {
-	case <-ready:
-	case err := <-done:
-		t.Fatalf("subscription ended before its bootstrap: %v", err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("never bootstrapped")
-	}
-	c := startCommitters(sess, id, 2)
-	time.Sleep(500 * time.Millisecond)
-	c.halt()
-	cancel() // the next report wakes the stream to see it
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Errorf("subscription ended with %v, want it cancelled", err)
+	if !bytes.Equal(got, want) {
+		t.Error("the copy differs from the authority at the same version")
 	}
 	snapshots, resumes := sess.BootstrapStats()
-	if snapshots != 1 || resumes != 0 || dials.Load() != 1 {
-		t.Errorf("%d snapshots and %d resumes over %d dials, want the bootstrap snapshot over one", snapshots, resumes, dials.Load())
+	mu.Lock()
+	t.Logf("%d misses; %d dials, %d resumed, %d refused as already attached", len(misses), dials, resumes, uint64(dials)-snapshots-resumes)
+	mu.Unlock()
+	if snapshots != 1 || resumes == 0 {
+		t.Errorf("%d snapshots and %d resumes served, want the bootstrap snapshot and a gap-only resume", snapshots, resumes)
 	}
 }

@@ -306,7 +306,7 @@ func TestSentBootstrapIsReleased(t *testing.T) {
 	defer near.Close()
 	defer far.Close()
 	go io.Copy(io.Discard, far)
-	ob := &outbox{name: "r", sub: &connSubscriber{transport.NewConn(near)}, socket: true}
+	ob := &outbox{name: "r", sub: &connSubscriber{transport.NewConn(near)}, socket: near}
 	defer runtime.KeepAlive(ob) // the subscription stays attached
 	sent, _, err := sess.queueBase(ob, 0)
 	if err != nil {

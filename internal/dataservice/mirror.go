@@ -115,8 +115,9 @@ func (m *Mirror) sendBase(b *base) error {
 
 // SendUpdate implements Subscriber: replicate the op onto the backup in
 // version order. An interest-filtered stream cannot be ordered against
-// the copy, so it is refused. A failure is sticky — the copy can no
-// longer be trusted to converge (see AckedVersion).
+// the copy, so it is refused. A failure cuts the mirror's outbox, so no
+// op follows it, and it is kept: the copy can no longer be trusted to
+// converge (see AckedVersion).
 func (m *Mirror) SendUpdate(u Update) error {
 	if u.Filtered {
 		return fmt.Errorf("dataservice: mirror follows the versioned op stream only")
@@ -126,15 +127,16 @@ func (m *Mirror) SendUpdate(u Update) error {
 	if m.promoted {
 		return fmt.Errorf("dataservice: mirror already promoted")
 	}
-	if m.applyErr == nil {
-		m.applyErr = m.seq.Offer(u.Version, u.Op)
-	}
+	m.applyErr = m.seq.Offer(u.Version, u.Op)
 	return m.applyErr
 }
 
-// SendCamera implements Subscriber.
+// SendCamera implements Subscriber. The camera is set on the backup; a
+// miss by one of the backup's own subscribers is theirs, counted there,
+// and does not cut the mirror.
 func (m *Mirror) SendCamera(cam transport.CameraState) error {
-	return m.backup.SetCamera(cam)
+	_ = m.backup.SetCamera(cam)
+	return nil
 }
 
 // Lag returns how many versions the backup trails the primary (0 when

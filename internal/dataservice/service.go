@@ -571,10 +571,10 @@ func (sess *Session) queueBase(ob *outbox, since uint64) (sent []*delivery, resu
 		b.scene, served = sess.scene.Clone(), &sess.snapshotsServed
 		sess.noteBootstrapBytes(int64(marshal.SceneSize(b.scene)), ob.region)
 	}
-	if ob.socket {
+	if ob.socket != nil {
 		*served++
 	}
-	encoding := ob.socket && !resumed
+	encoding := ob.socket != nil && !resumed
 	sent = append(sent, ob.push(delivery{base: b, encoding: encoding}))
 	for _, h := range tail { // an attaching subscriber has no interest set yet
 		sent = append(sent, ob.push(delivery{u: Update{Op: h.op, Version: h.version}}))
@@ -657,34 +657,37 @@ func (sess *Session) SubscriberNames() []string {
 }
 
 // outbox is one attached subscriber's stream. Everything the session
-// sends it — its bootstrap, the ops after it, camera changes, version
-// reports — is queued under the session lock, so the queue is in commit
-// order, and sent once the lock is gone by one flusher at a time, so
-// the stream is too. Whoever queues a delivery waits for it, which keeps
-// a slow subscriber's backpressure on the commits that feed it, unless
-// it is queued behind a snapshot still being encoded.
+// sends it — its bootstrap, the ops after it, camera changes — is queued
+// under the session lock, so the queue is in commit order, and sent once
+// the lock is gone by one flusher at a time, so the stream is too.
+// Whoever queues a delivery waits for it, which keeps a slow
+// subscriber's backpressure on the commits that feed it, unless it is
+// queued behind a snapshot still being encoded. The first delivery that
+// fails cuts the subscriber: a stream with a hole in it is no stream, so
+// its socket is closed and nothing more is written to it.
 type outbox struct {
 	name string
 	sub  Subscriber
-	// region is where bootstrap bytes are charged. A socket's snapshots
-	// are encoded, and its bootstraps count in BootstrapStats (a
-	// mirror's are not a client's).
+	// region is where bootstrap bytes are charged.
 	region string
-	socket bool
+	// socket is the subscriber's connection, which a cut closes; nil in
+	// process. A socket's snapshots are encoded, and its bootstraps
+	// count in BootstrapStats (a mirror's are not a client's).
+	socket io.Closer
 
 	mu      sync.Mutex // guards queue and each queued delivery's encoding
 	queue   []*delivery
 	sending sync.Mutex // held by the one flusher: it serializes this stream's writes
+	err     error      // the first failed delivery's, every later one's; guarded by sending
 }
 
-// delivery is one queued message: an op, a camera change (cam set), a
-// base (base set) or a socket's version report (report set).
+// delivery is one queued message: an op, a camera change (cam set) or a
+// base (base set).
 type delivery struct {
-	ob     *outbox
-	u      Update
-	cam    *transport.CameraState
-	base   *base
-	report *transport.VersionReport
+	ob   *outbox
+	u    Update
+	cam  *transport.CameraState
+	base *base
 	// encoding marks a snapshot base whose bytes are not ready yet;
 	// nothing from it on is sent until they are.
 	encoding bool
@@ -720,7 +723,9 @@ func (ob *outbox) push(d delivery) *delivery {
 
 // wait sends what d's outbox has queued, in order, up to a snapshot
 // still being encoded, and returns how sending d went: at once, nil,
-// when d is queued behind such a snapshot, whose encoder sends it.
+// when d is queued behind such a snapshot, whose encoder sends it. Once
+// a delivery has failed, the outbox is cut: its socket is closed, and
+// every delivery after it returns that error unsent.
 func (d *delivery) wait() error {
 	ob := d.ob
 	ob.sending.Lock()
@@ -736,15 +741,20 @@ func (d *delivery) wait() error {
 	ob.queue = append([]*delivery(nil), ob.queue[n:]...)
 	ob.mu.Unlock()
 	for _, q := range batch {
+		if ob.err != nil {
+			q.err = ob.err
+			continue
+		}
 		switch {
 		case q.base != nil:
 			q.err = ob.sub.(baseSender).sendBase(q.base)
 		case q.cam != nil:
 			q.err = ob.sub.SendCamera(*q.cam)
-		case q.report != nil:
-			q.err = ob.sub.(*connSubscriber).sendReport(*q.report)
 		default:
 			q.err = ob.sub.SendUpdate(q.u)
+		}
+		if ob.err = q.err; ob.err != nil && ob.socket != nil {
+			ob.socket.Close()
 		}
 	}
 	return d.err
@@ -801,19 +811,14 @@ func (c *connSubscriber) sendBase(b *base) error {
 	return c.conn.Send(transport.MsgSceneSnapshot, b.wire)
 }
 
-// sendReport answers the socket's version query.
-func (c *connSubscriber) sendReport(vr transport.VersionReport) error {
-	return c.conn.SendJSON(transport.MsgVersionReport, vr)
-}
-
 // ServeConn runs the data-service side of a direct-socket subscription:
 // hello, then the subscriber's stream — the bootstrap reply (a snapshot,
 // or resume-ok and the ops the subscriber's copy missed), the ops
-// committed after it, camera changes and version reports, all in commit
-// order through the subscriber's outbox — while a receive loop applies
-// the peer's own updates and answers its requests. Returns when the peer
-// says Bye or the socket fails.
-func (s *Service) ServeConn(rw io.ReadWriter) error {
+// committed after it and camera changes, all in commit order through the
+// subscriber's outbox — while a receive loop applies the peer's own
+// updates and answers its requests. Returns when the peer says Bye or
+// the socket fails; a delivery the socket fails closes it (see outbox).
+func (s *Service) ServeConn(rw io.ReadWriteCloser) error {
 	conn, hello, err := transport.Accept(rw)
 	if err != nil {
 		return err
@@ -825,7 +830,7 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 		return fmt.Errorf("dataservice: %w", err)
 	}
 
-	ob := &outbox{name: hello.Name, sub: &connSubscriber{conn}, region: hello.Region, socket: true}
+	ob := &outbox{name: hello.Name, sub: &connSubscriber{conn}, region: hello.Region, socket: rw}
 	sent, _, err := sess.queueBase(ob, hello.SinceVersion)
 	if err != nil {
 		conn.Refuse(err)
@@ -884,15 +889,6 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 				return err
 			}
 			sess.handleLoadReport(lr)
-		case transport.MsgVersionQuery:
-			// Queued behind the ops it counts, so a report ahead of the
-			// subscriber's copy means an op was lost.
-			sess.mu.Lock()
-			d := ob.push(delivery{report: &transport.VersionReport{Version: sess.scene.Version}})
-			sess.mu.Unlock()
-			if err := d.wait(); err != nil {
-				return err
-			}
 		case transport.MsgStandbyAck:
 			var vr transport.VersionReport
 			if err := transport.DecodeJSON(payload, &vr); err != nil {

@@ -87,22 +87,22 @@ func (q *Sequencer) Install(sc *scene.Scene) error {
 func (q *Sequencer) Resume() { q.based = true }
 
 // ErrLost reports a stream that ended without an explicit Bye: the peer
-// died, the link dropped or stalled past the idle timeout, a frame
-// arrived damaged, or an op or version report showed one lost. Over TCP a killed process still produces a bare EOF,
-// so only Bye is a clean shutdown; everything else is a reconnect
-// signal. The cause is wrapped alongside.
+// died or cut the stream at a delivery it failed, the link dropped or
+// stalled past the idle timeout, a frame arrived damaged, or an op showed
+// one lost. Over TCP a killed process still produces a bare EOF, so only
+// Bye is a clean shutdown; everything else is a reconnect signal. The
+// cause is wrapped alongside.
 var ErrLost = errors.New("op stream lost without bye")
 
 // Stream is the subscriber side of one data-service subscription socket
 // (DESIGN.md "Op-stream follower" tabulates who sends what): hello with
 // the copy's version, the bootstrap reply (snapshot, resume-ok or
-// refusal), then versioned ops, camera updates and version reports,
-// until Bye. The authority writes all of it in commit order, so nothing
-// overtakes the bootstrap reply and a version report counts the ops
-// before it: an op or a report ahead of the copy means an op was lost,
-// and the stream ends as ErrLost for a redial to resume at the copy.
-// Anything else on the socket belongs to the follower's role and goes
-// to Hook.
+// refusal), then versioned ops and camera updates, until Bye. The
+// authority writes all of it in commit order and closes the socket at
+// the first delivery it fails, so nothing overtakes the bootstrap reply
+// and a lost op is a closed stream; an op ahead of the copy ends the
+// stream as ErrLost too, for a redial to resume at the copy. Anything
+// else on the socket belongs to the follower's role and goes to Hook.
 type Stream struct {
 	Conn *transport.Conn
 	// Hello opens the subscription; Run fills in SinceVersion.
@@ -228,18 +228,6 @@ func (s *Stream) handle(t transport.MsgType, payload []byte, bootstrapped bool) 
 			return false, err
 		}
 		return false, s.Target.SetCamera(cam)
-	case transport.MsgVersionReport:
-		// The answer to a role's own MsgVersionQuery probe, queued behind
-		// the ops it counts: ahead of the copy, an op was lost, which a
-		// quiet stream shows no other way.
-		var vr transport.VersionReport
-		if err := transport.DecodeJSON(payload, &vr); err != nil {
-			return false, err
-		}
-		if cur := s.Target.Version(); vr.Version > cur {
-			return false, fmt.Errorf("%w: version %d reported to a copy at %d", ErrLost, vr.Version, cur)
-		}
-		return false, nil
 	}
 	if s.Hook != nil {
 		return false, s.Hook(t, payload)

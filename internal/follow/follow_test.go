@@ -182,18 +182,15 @@ func resume(v uint64) frame {
 	return frame{transport.MsgResumeOK, []byte(fmt.Sprintf(`{"version":%d}`, v))}
 }
 
-func report(v uint64) frame {
-	return frame{transport.MsgVersionReport, []byte(fmt.Sprintf(`{"version":%d}`, v))}
-}
-
 func raw(t transport.MsgType, payload string) frame { return frame{t, []byte(payload)} }
 
 var bye = raw(transport.MsgBye, "")
 
 // seedScripts are the connections of the conformance table's socket
 // scripts (internal/dataservice TestFollowerConformance) up to where the
-// follower ends them, then two bootstrap replies after the bootstrap,
-// then frames no well-behaved primary sends.
+// follower ends them, then two streams the authority cut at a failed
+// delivery, then two bootstrap replies after the bootstrap, then frames
+// no well-behaved primary sends.
 func seedScripts() []*scripted {
 	var plainOp bytes.Buffer
 	if err := marshal.WriteOp(&plainOp, &scene.SetTransformOp{ID: scene.RootID, Transform: mathx.Identity()}); err != nil {
@@ -208,9 +205,9 @@ func seedScripts() []*scripted {
 		script(snap(5), op(7), op(6)),
 		script(snap(5), op(7), op(8), op(9), op(10)),
 		script(snap(5), op(7), op(9), snap(8), op(9), op(10)),
-		script(snap(5), report(7), op(6), op(7), op(8), snap(7), op(8)),
-		script(snap(5), op(6), report(6), op(7), bye),
-		script(snap(5), op(6), report(7), op(7)),
+		script(snap(5), op(7), op(6), op(7), op(8), snap(7), op(8)),
+		script(snap(5), op(6), op(7)),
+		script(resume(7), op(8)),
 		script(snap(5), op(6), snap(6)),
 		script(snap(5), resume(7)),
 		script(snap(5), raw(transport.MsgCameraUpdate, `{"eye":[1,2,3],"fov_y":0.7}`),
@@ -219,15 +216,15 @@ func seedScripts() []*scripted {
 		script(raw(transport.MsgOK, ""), snap(5)),
 		script(snap(5), raw(transport.MsgSceneOpVer, "short"), op(6)),
 		script(snap(5), raw(transport.MsgSceneSnapshot, "garbage")),
-		script(snap(5), raw(transport.MsgVersionReport, `{"version":9}`), raw(transport.MsgVersionReport, `{"version":9}`),
-			op(9), raw(transport.MsgVersionReport, `{"version":5}`), op(12), resume(3), op(4)),
+		script(snap(5), raw(transport.MsgResumeOK, `{"version":9}`), op(9), op(12), resume(3), op(4)),
 	}
 }
 
 // TestStreamScripts pins what the follower makes of the well-formed
 // seeds: the conformance table's versions, and where and how each
-// connection ends — at Bye, or at the frame that shows an op lost, or at
-// a second bootstrap reply, which is a protocol error.
+// connection ends — at Bye, at the frame that shows an op lost, at a
+// stream the authority closed, which keeps the copy it reached, or at a
+// second bootstrap reply, which is a protocol error.
 func TestStreamScripts(t *testing.T) {
 	const clean, lost, protocol = 0, 1, 2
 	want := []struct {
@@ -235,8 +232,8 @@ func TestStreamScripts(t *testing.T) {
 		read, end      int
 	}{
 		{0, 7, 4, clean}, {0, 7, 6, clean}, {6, 8, 4, clean}, {5, 5, 2, lost}, {0, 0, 1, lost},
-		{0, 5, 2, lost}, {0, 5, 2, lost}, {0, 5, 2, lost}, {0, 5, 2, lost}, {0, 7, 5, clean},
-		{0, 6, 3, lost}, {0, 6, 3, protocol}, {0, 5, 2, protocol},
+		{0, 5, 2, lost}, {0, 5, 2, lost}, {0, 5, 2, lost}, {0, 5, 2, lost}, {0, 7, 3, lost},
+		{7, 8, 2, lost}, {0, 6, 3, protocol}, {0, 5, 2, protocol},
 	}
 	for i, p := range seedScripts()[:len(want)] {
 		version, read, err := play(t, p, want[i].start)

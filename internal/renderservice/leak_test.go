@@ -14,8 +14,8 @@ import (
 )
 
 // These tests are the shutdown-path audit for the goroutine a
-// subscription spawns alongside its read loop: heartbeat (version probes
-// + load reports). It must exit promptly in each of its two termination
+// subscription spawns alongside its read loop: heartbeat (load
+// reports). It must exit promptly in each of its two termination
 // modes — the stop channel closing (the subscribe read loop returned and
 // ran `defer close(stop)`) and the connection dying abruptly under it
 // (the next Send fails). The dangerous shape is a goroutine parked in a
@@ -52,8 +52,7 @@ func drainUntilClosed(c net.Conn) {
 }
 
 // TestHeartbeatExitsOnStop proves closing the stop channel ends the
-// heartbeat even with probe and report timers pending on the virtual
-// clock.
+// heartbeat even with its report timer pending on the virtual clock.
 func TestHeartbeatExitsOnStop(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(1000, 0))
 	svc := New(Config{Name: "rs", Device: device.CentrinoLaptop, Clock: clk})
@@ -65,14 +64,12 @@ func TestHeartbeatExitsOnStop(t *testing.T) {
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		svc.heartbeat(transport.NewConn(client), SubscribeOpts{
-			ProbeInterval: 50 * time.Millisecond, ReportInterval: 70 * time.Millisecond,
-		}, stop)
+		svc.heartbeat(transport.NewConn(client), 50*time.Millisecond, stop)
 		close(done)
 	}()
 
-	// Let it arm its timers and fire at least one probe, then stop it.
-	waitWaiters(t, clk, 2)
+	// Let it arm its timer and send at least one report, then stop it.
+	waitWaiters(t, clk, 1)
 	clk.Advance(60 * time.Millisecond)
 	close(stop)
 	select {
@@ -94,13 +91,11 @@ func TestHeartbeatExitsOnAbruptClose(t *testing.T) {
 	defer close(stop)
 	done := make(chan struct{})
 	go func() {
-		svc.heartbeat(transport.NewConn(client), SubscribeOpts{
-			ProbeInterval: 50 * time.Millisecond,
-		}, stop)
+		svc.heartbeat(transport.NewConn(client), 50*time.Millisecond, stop)
 		close(done)
 	}()
 
-	// Kill the peer before the first probe fires: the send must error
+	// Kill the peer before the first report goes out: the send must error
 	// and the goroutine must exit without anyone closing stop.
 	waitWaiters(t, clk, 1)
 	server.Close()
@@ -112,9 +107,8 @@ func TestHeartbeatExitsOnAbruptClose(t *testing.T) {
 	}
 }
 
-// TestLoadReportingExitsOnStop proves a report-only heartbeat (what
-// raverender -probe-interval 0 runs) returns nil when stopped, even with
-// its report timer pending.
+// TestLoadReportingExitsOnStop proves the heartbeat returns nil when
+// stopped, even with its report timer pending.
 func TestLoadReportingExitsOnStop(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(1000, 0))
 	svc := New(Config{Name: "rs", Device: device.CentrinoLaptop, Clock: clk})
@@ -126,7 +120,7 @@ func TestLoadReportingExitsOnStop(t *testing.T) {
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- svc.heartbeat(transport.NewConn(client), SubscribeOpts{ReportInterval: 50 * time.Millisecond}, stop)
+		done <- svc.heartbeat(transport.NewConn(client), 50*time.Millisecond, stop)
 	}()
 	waitWaiters(t, clk, 1)
 	clk.Advance(60 * time.Millisecond) // one report goes out
@@ -142,8 +136,8 @@ func TestLoadReportingExitsOnStop(t *testing.T) {
 }
 
 // TestLoadReportingExitsOnAbruptClose proves a dead connection surfaces
-// as an error from a report-only heartbeat at its next report instead of
-// a wedged goroutine.
+// as an error from the heartbeat at its next report instead of a wedged
+// goroutine.
 func TestLoadReportingExitsOnAbruptClose(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(1000, 0))
 	svc := New(Config{Name: "rs", Device: device.CentrinoLaptop, Clock: clk})
@@ -154,7 +148,7 @@ func TestLoadReportingExitsOnAbruptClose(t *testing.T) {
 	defer close(stop)
 	done := make(chan error, 1)
 	go func() {
-		done <- svc.heartbeat(transport.NewConn(client), SubscribeOpts{ReportInterval: 50 * time.Millisecond}, stop)
+		done <- svc.heartbeat(transport.NewConn(client), 50*time.Millisecond, stop)
 	}()
 	waitWaiters(t, clk, 1)
 	server.Close()
@@ -183,7 +177,7 @@ func TestSubscribeStopsHeartbeatWithReadLoop(t *testing.T) {
 	subDone := make(chan error, 1)
 	go func() {
 		_, err := svc.subscribe(context.Background(), transport.NewConn(client), "s", SubscribeOpts{
-			ProbeInterval: 50 * time.Millisecond, ReportInterval: 70 * time.Millisecond,
+			ReportInterval: 70 * time.Millisecond,
 		}, nil)
 		subDone <- err
 	}()

@@ -749,19 +749,16 @@ func (v *viewer) replyPeer(frame *Frame) error {
 }
 
 // SubscribeOpts tunes the subscription loop's failure handling. The zero
-// value disables every timer: no idle watchdog, no version probing, no
-// load reporting, and (for the resilient variant) default retry pacing.
+// value disables every timer: no idle watchdog, no load reporting, and
+// (for the resilient variant) default retry pacing.
 type SubscribeOpts struct {
 	// Retry paces reconnection attempts in SubscribeToDataResilient.
 	Retry retry.Policy
-	// IdleTimeout declares the connection dead when no message (op,
-	// camera, or probe reply) arrives within it. Requires the underlying
-	// stream to support read deadlines; zero disables the watchdog.
+	// IdleTimeout declares the connection dead when no message (op or
+	// camera) arrives within it: a half-open link that neither delivers
+	// nor closes. Requires the underlying stream to support read
+	// deadlines; zero disables the watchdog.
 	IdleTimeout time.Duration
-	// ProbeInterval is how often to send MsgVersionQuery. The report
-	// follows the ops it counts, so one ahead of the replica reveals a
-	// lost op even on a quiet stream, and the subscription redials.
-	ProbeInterval time.Duration
 	// ReportInterval is how often to send load reports over the
 	// subscription socket (the §3.2.7 migration signal).
 	ReportInterval time.Duration
@@ -782,28 +779,15 @@ func (s *Service) SubscribeToData(rw io.ReadWriter, sessionName string, onReady 
 	return err
 }
 
-// heartbeat periodically sends version probes and load reports over the
-// subscription socket until stop closes (nil) or a send fails (the
-// error; the read loop surfaces the broken connection too).
-func (s *Service) heartbeat(conn *transport.Conn, opts SubscribeOpts, stop <-chan struct{}) error {
-	var probeCh, reportCh <-chan time.Time
+// heartbeat sends a load report over the subscription socket every
+// interval until stop closes (nil) or a send fails (the error; the read
+// loop surfaces the broken connection too).
+func (s *Service) heartbeat(conn *transport.Conn, every time.Duration, stop <-chan struct{}) error {
 	for {
-		if opts.ProbeInterval > 0 && probeCh == nil {
-			probeCh = s.cfg.Clock.After(opts.ProbeInterval)
-		}
-		if opts.ReportInterval > 0 && reportCh == nil {
-			reportCh = s.cfg.Clock.After(opts.ReportInterval)
-		}
 		select {
 		case <-stop:
 			return nil
-		case <-probeCh:
-			probeCh = nil
-			if err := conn.Send(transport.MsgVersionQuery, nil); err != nil {
-				return err
-			}
-		case <-reportCh:
-			reportCh = nil
+		case <-s.cfg.Clock.After(every):
 			if err := conn.SendJSON(transport.MsgLoadReport, s.LoadReport()); err != nil {
 				return err
 			}
@@ -848,9 +832,8 @@ func (r *replica) SetCamera(cs transport.CameraState) error {
 // the hello ask to resume at its version: if the data service's op
 // history covers the gap, only the missed ops are replayed. The render
 // service's own part of the socket: after the bootstrap it starts the
-// heartbeat, whose version probes end the stream when a report shows the
-// replica missed an op, and capacity and telemetry interrogations are
-// answered in-line.
+// heartbeat of load reports, and capacity and telemetry interrogations
+// are answered in-line.
 func (s *Service) subscribe(ctx context.Context, conn *transport.Conn, sessionName string, opts SubscribeOpts, onReady func(*Session)) (bootstrapped bool, err error) {
 	rep := &replica{svc: s, name: sessionName}
 	rep.sess, _ = s.OpenSession(sessionName, nil, raster.DefaultCamera()) // fails when there is none to resume from
@@ -872,8 +855,8 @@ func (s *Service) subscribe(ctx context.Context, conn *transport.Conn, sessionNa
 		if onReady != nil {
 			onReady(rep.sess)
 		}
-		if opts.ProbeInterval > 0 || opts.ReportInterval > 0 {
-			go s.heartbeat(conn, opts, stop) // its error is the read loop's too
+		if opts.ReportInterval > 0 {
+			go s.heartbeat(conn, opts.ReportInterval, stop) // its error is the read loop's too
 		}
 		return nil
 	}

@@ -66,11 +66,8 @@ const (
 	// authoritative scene version it produced (PackVersioned framing), so
 	// replicas detect a dropped update and redial.
 	MsgSceneOpVer
-	// MsgVersionQuery asks the data service for the session's current
-	// scene version; payload empty.
-	MsgVersionQuery
-	// MsgVersionReport answers with a VersionReport (JSON).
-	MsgVersionReport
+	_ // 19: the version query; a failed delivery now closes the stream
+	_ // 20: the version report that answered it
 	_ // 21: the resync request; a lost op now ends the stream
 	// MsgStandbyAck is a hot-standby replica's acknowledgement that it
 	// has durably applied the op stream up to a version (JSON
@@ -120,9 +117,8 @@ func (t MsgType) String() string {
 		MsgCapacityQuery: "capacity-query", MsgCapacityReport: "capacity-report",
 		MsgLoadReport: "load-report",
 		MsgBye:        "bye", MsgSetInterest: "set-interest",
-		MsgSceneOpVer: "scene-op-ver", MsgVersionQuery: "version-query",
-		MsgVersionReport: "version-report",
-		MsgStandbyAck:    "standby-ack", MsgResumeOK: "resume-ok",
+		MsgSceneOpVer: "scene-op-ver",
+		MsgStandbyAck: "standby-ack", MsgResumeOK: "resume-ok",
 		MsgDeclined:        "declined",
 		MsgTelemetryQuery:  "telemetry-query",
 		MsgTelemetryReport: "telemetry-report",
@@ -578,11 +574,8 @@ type LoadReport struct {
 	TextureUsed int64   `json:"texture_used"`
 }
 
-// VersionReport answers a MsgVersionQuery with the session's version
-// where the report stands in the subscriber's stream, behind the ops it
-// counts: a replica behind it has missed one. It is also the
-// MsgStandbyAck payload, where
-// Version is the highest op version the standby has applied.
+// VersionReport is the MsgStandbyAck payload: Version is the highest op
+// version the standby has applied.
 type VersionReport struct {
 	Version uint64 `json:"version"`
 }
