@@ -53,10 +53,14 @@ transport-unaliased:
 # side) and internal/transport (the wire), so a render replica, standby
 # or mirror that grows its own version rule or resume handling again
 # fails here. bench/ reads the raw stream to time it and is the harness,
-# not the system.
+# not the system. Every op the authority sends is versioned, so the bare
+# op message is named only by the wire and service.go's arm that takes a
+# subscriber's submitted op: a second, unversioned stream fails here too.
 one-follower: transport-unaliased
-	@out="$$(grep -rlE 'transport\.(MsgSceneOpVer|MsgResumeOK)' --include='*.go' --exclude='*_test.go' . \
-		| grep -vE '^\./(bench/|internal/transport/|internal/follow/|internal/dataservice/service\.go$$)')"; \
+	@out="$$( { grep -rlE 'transport\.(MsgSceneOpVer|MsgResumeOK)' --include='*.go' --exclude='*_test.go' . \
+		| grep -vE '^\./(bench/|internal/transport/|internal/follow/|internal/dataservice/service\.go$$)'; \
+		grep -rlE 'transport\.MsgSceneOp\b' --include='*.go' --exclude='*_test.go' . \
+		| grep -vE '^\./(internal/transport/|internal/dataservice/service\.go$$)'; } )"; \
 	if [ -n "$$out" ]; then echo "op-stream follower logic outside internal/follow:"; echo "$$out"; exit 1; fi
 
 # one-reply keeps "request → answer or typed refusal" written once: how a
@@ -209,14 +213,17 @@ chaos:
 # and 8 and once under the race detector: the follower conformance table;
 # TestSubscribeWhileCommitting, whose wire-order input checks that a
 # subscriber's stream is in commit order across subscribes and resumes
-# while three goroutines commit; and TestFailedDeliveryCutsSubscriber,
-# a socket that fails a write beside two committers, which must be closed
-# with nothing more written to it and resumed gap-only. An ordering race
-# shows only on some interleavings, and how many goroutines run at once
-# changes which.
+# while three goroutines commit; TestFailedDeliveryCutsSubscriber, a
+# socket that fails a write beside two committers, which must leave the
+# fan-out and be closed with nothing more written to it and resumed
+# gap-only; and TestFilteredRedialConverges, an interest-filtered copy
+# whose link dies while a node it covers is removed, which must redial
+# to a snapshot and end equal to the authority on its subtree. An
+# ordering race shows only on some interleavings, and how many
+# goroutines run at once changes which.
 order:
-	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test ./internal/dataservice -run '^(TestFollowerConformance|TestSubscribeWhileCommitting|TestFailedDeliveryCutsSubscriber)$$' -count=20 || exit 1; done
-	$(GO) test ./internal/dataservice -race -run '^(TestFollowerConformance|TestSubscribeWhileCommitting|TestFailedDeliveryCutsSubscriber)$$'
+	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test ./internal/dataservice -run '^(TestFollowerConformance|TestSubscribeWhileCommitting|TestFailedDeliveryCutsSubscriber|TestFilteredRedialConverges)$$' -count=20 || exit 1; done
+	$(GO) test ./internal/dataservice -race -run '^(TestFollowerConformance|TestSubscribeWhileCommitting|TestFailedDeliveryCutsSubscriber|TestFilteredRedialConverges)$$'
 
 # scale runs the reduced deterministic raveload scenario — 100 sessions
 # on 4 nodes with a mid-run node kill — and fails on any acceptance

@@ -22,6 +22,7 @@ import (
 	"repro/internal/renderservice"
 	"repro/internal/retry"
 	"repro/internal/scene"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/vclock"
 )
@@ -597,6 +598,63 @@ func (k *killAfter) Close() error {
 	return k.Conn.Close()
 }
 
+// killedFollower is a follow.Redial follower whose first connection's
+// data-service end is a killAfter.
+type killedFollower struct {
+	cp       *sceneCopy
+	firstEnd chan error // how the first stream ended; later ends are not read
+	mu       sync.Mutex
+	dials    int
+	last     net.Conn // the follower's end of the newest pipe
+}
+
+// followKilled starts a killedFollower of svc saying hello; the test's
+// cleanup stops it.
+func followKilled(t *testing.T, svc *dataservice.Service, killed *killAfter, hello transport.Hello) *killedFollower {
+	f := &killedFollower{cp: &sceneCopy{}, firstEnd: make(chan error, 1)}
+	dial := func() (io.ReadWriteCloser, error) {
+		dsEnd, subEnd := net.Pipe()
+		var served io.ReadWriteCloser = dsEnd
+		f.mu.Lock()
+		if f.dials++; f.dials == 1 {
+			killed.Conn, served = dsEnd, killed
+		}
+		f.last = subEnd
+		f.mu.Unlock()
+		go svc.ServeConn(served)
+		return subEnd, nil
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- follow.Redial(ctx, vclock.Real{}, retry.Policy{MaxAttempts: 50, BaseDelay: time.Millisecond}, dial,
+			func(rw io.ReadWriter) (bool, error) {
+				st := &follow.Stream{Conn: transport.NewConn(rw), Target: f.cp, Hello: hello}
+				bootstrapped, err := st.Run(ctx)
+				select {
+				case f.firstEnd <- err:
+				default:
+				}
+				return bootstrapped, err
+			})
+	}()
+	t.Cleanup(func() {
+		cancel()
+		f.mu.Lock()
+		f.last.Close()
+		f.mu.Unlock()
+		<-done
+	})
+	return f
+}
+
+// dialled returns how many connections the follower has dialled.
+func (f *killedFollower) dialled() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.dials
+}
+
 // sceneCopy is a follow.Target holding a bare scene.
 type sceneCopy struct {
 	mu sync.Mutex
@@ -629,12 +687,16 @@ func (c *sceneCopy) SetCamera(transport.CameraState) error { return nil }
 
 // TestFailedDeliveryCutsSubscriber: a subscriber's socket fails a write
 // while two goroutines commit. The first failed delivery cuts the
-// subscriber: the deliveries behind it return its error with no write,
-// and the socket is closed, so the follower reads the end of its stream,
-// redials and resumes gap-only from the history ring, and its copy ends
-// equal to the authority's at the same version.
+// subscriber: it leaves the fan-out, the deliveries already queued behind
+// it return its error with no write, and the socket is closed, so the
+// follower reads the end of its stream, redials and resumes gap-only from
+// the history ring, and its copy ends equal to the authority's at the
+// same version. No commit after the cut is queued for the cut outbox, so
+// at most one miss is counted per committing goroutine: the two
+// committers and the one the failing write holds for.
 func TestFailedDeliveryCutsSubscriber(t *testing.T) {
-	svc := dataservice.New(dataservice.Config{Name: "data"})
+	met := telemetry.NewRegistry(vclock.Real{})
+	svc := dataservice.New(dataservice.Config{Name: "data", Metrics: met})
 	sess, err := svc.CreateSessionFromMesh("s", "mesh", genmodel.Sphere(mathx.Vec3{}, 1, 16, 12))
 	if err != nil {
 		t.Fatal(err)
@@ -643,52 +705,9 @@ func TestFailedDeliveryCutsSubscriber(t *testing.T) {
 	sess.Scene(func(sc *scene.Scene) { id = sc.PayloadIDs()[0] })
 
 	killed := &killAfter{n: 50, failed: make(chan struct{})}
-	var (
-		mu    sync.Mutex
-		dials int
-		last  net.Conn // the follower's end of the newest pipe
-	)
-	dial := func() (io.ReadWriteCloser, error) {
-		dsEnd, subEnd := net.Pipe()
-		var served io.ReadWriteCloser = dsEnd
-		mu.Lock()
-		if dials++; dials == 1 {
-			killed.Conn, served = dsEnd, killed
-		}
-		last = subEnd
-		mu.Unlock()
-		go svc.ServeConn(served)
-		return subEnd, nil
-	}
-	cp := &sceneCopy{}
-	firstEnd := make(chan error, 1) // how the first stream ended; later ends are not read
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		done <- follow.Redial(ctx, vclock.Real{}, retry.Policy{MaxAttempts: 50, BaseDelay: time.Millisecond}, dial,
-			func(rw io.ReadWriter) (bool, error) {
-				st := &follow.Stream{Conn: transport.NewConn(rw), Target: cp,
-					Hello: transport.Hello{Role: "render-service", Name: "copy", Session: "s"}}
-				bootstrapped, err := st.Run(ctx)
-				select {
-				case firstEnd <- err:
-				default:
-				}
-				return bootstrapped, err
-			})
-	}()
-	defer func() {
-		cancel()
-		mu.Lock()
-		last.Close()
-		mu.Unlock()
-		<-done
-	}()
-	for deadline := time.Now().Add(10 * time.Second); cp.Version() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("never bootstrapped")
-		}
-	}
+	f := followKilled(t, svc, killed, transport.Hello{Role: "render-service", Name: "copy", Session: "s"})
+	cp := f.cp
+	waitVersion(t, cp, sess)
 
 	// 401 ops: the history ring's 512 reach back past the cut.
 	var (
@@ -752,9 +771,13 @@ func TestFailedDeliveryCutsSubscriber(t *testing.T) {
 		}
 	}
 	missMu.Unlock()
+	counted := met.Snapshot().CounterValue("data", "fanout_errors_total", telemetry.PeerLabel("copy"))
+	if counted < 2 || counted > 3 {
+		t.Errorf("fanout_errors_total{copy} = %d, want the failed delivery and at most two queued behind it", counted)
+	}
 
 	select {
-	case err := <-firstEnd:
+	case err := <-f.firstEnd:
 		if !errors.Is(err, follow.ErrLost) || !strings.Contains(err.Error(), "stream closed") {
 			t.Fatalf("the first stream ended with %v, want the end of the stream", err)
 		}
@@ -781,9 +804,8 @@ func TestFailedDeliveryCutsSubscriber(t *testing.T) {
 		t.Error("the copy differs from the authority at the same version")
 	}
 	snapshots, resumes := sess.BootstrapStats()
-	mu.Lock()
-	t.Logf("%d misses; %d dials, %d resumed, %d refused as already attached", len(misses), dials, resumes, uint64(dials)-snapshots-resumes)
-	mu.Unlock()
+	dials := f.dialled()
+	t.Logf("%d misses, %d counted; %d dials, %d resumed, %d refused as already attached", len(misses), counted, dials, resumes, uint64(dials)-snapshots-resumes)
 	if snapshots != 1 || resumes == 0 {
 		t.Errorf("%d snapshots and %d resumes served, want the bootstrap snapshot and a gap-only resume", snapshots, resumes)
 	}

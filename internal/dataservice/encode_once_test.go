@@ -50,18 +50,21 @@ func (p *socketProbe) SendUpdate(u Update) error {
 // marshals its op one time. The in-process subscribers are handed one
 // backing array, the journal record and the audit record end in those
 // bytes, the versioned sockets send one backing array holding them
-// behind the version, and an interest-filtered socket sends them bare.
-// A socket's SendUpdate allocates nothing beyond the Send it makes, so
-// it cannot be packing a copy of its own.
+// behind the version, and a socket whose interest the ops are outside
+// sends each as a skip record, the version alone. A socket's SendUpdate
+// allocates nothing beyond the Send it makes, so it cannot be packing a
+// copy of its own.
 func TestCommitEncodesOnce(t *testing.T) {
 	svc := New(Config{Name: "data"})
 	sess, err := svc.CreateSession("s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := sess.AllocID()
-	if err := sess.ApplyUpdate(&scene.AddNodeOp{Parent: scene.RootID, ID: id, Transform: mathx.Identity()}, ""); err != nil {
-		t.Fatal(err)
+	id, other := sess.AllocID(), sess.AllocID()
+	for _, node := range []scene.NodeID{id, other} {
+		if err := sess.ApplyUpdate(&scene.AddNodeOp{Parent: scene.RootID, ID: node, Transform: mathx.Identity()}, ""); err != nil {
+			t.Fatal(err)
+		}
 	}
 	store := wal.NewMemStore()
 	if err := sess.StartJournal(store, 0); err != nil {
@@ -77,7 +80,8 @@ func TestCommitEncodesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Three sockets, one of them interest-filtered, read by goroutines.
+	// Three sockets read by goroutines, one of them with an interest the
+	// ops are outside; its bootstrap is not what this test reads.
 	type message struct {
 		t       transport.MsgType
 		payload []byte
@@ -88,15 +92,6 @@ func TestCommitEncodesOnce(t *testing.T) {
 		near, far := net.Pipe()
 		defer near.Close()
 		defer far.Close()
-		socket := &connSubscriber{conn: transport.NewConn(near)}
-		var sub Subscriber = socket
-		if name != "filtered" {
-			probes[name] = &socketProbe{connSubscriber: socket}
-			sub = probes[name]
-		}
-		if _, err := sess.Subscribe(name, sub); err != nil {
-			t.Fatal(err)
-		}
 		go func() {
 			conn := transport.NewConn(far)
 			for {
@@ -104,12 +99,26 @@ func TestCommitEncodesOnce(t *testing.T) {
 				if err != nil {
 					return
 				}
-				ch <- message{mt, payload}
+				if mt == transport.MsgSceneOpVer {
+					ch <- message{mt, payload}
+				}
 			}
 		}()
-	}
-	if err := sess.SetInterest("filtered", []scene.NodeID{id}); err != nil {
-		t.Fatal(err)
+		socket := &connSubscriber{conn: transport.NewConn(near)}
+		if name == "filtered" {
+			sent, _, err := sess.queueBase(&outbox{name: name, sub: socket, socket: near}, 0, []uint64{uint64(other)})
+			if err == nil {
+				err = waitAll(sent)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		probes[name] = &socketProbe{connSubscriber: socket}
+		if _, err := sess.Subscribe(name, probes[name]); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	ops := []scene.Op{
@@ -150,8 +159,8 @@ func TestCommitEncodesOnce(t *testing.T) {
 		if &probes["versioned-1"].sent[i][0] != &probes["versioned-2"].sent[i][0] {
 			t.Errorf("op %d: the versioned sockets were sent different arrays", i)
 		}
-		if m := <-received["filtered"]; m.t != transport.MsgSceneOp || !bytes.Equal(m.payload, want) {
-			t.Errorf("op %d: the filtered socket received %s, %d bytes", i, m.t, len(m.payload))
+		if m := <-received["filtered"]; !bytes.Equal(m.payload, transport.PackVersioned(sess.Version(), nil)) {
+			t.Errorf("op %d: the filtered socket received %d bytes, want the 8-byte skip record", i, len(m.payload))
 		}
 	}
 	if err := sess.StopJournal(); err != nil {
@@ -308,7 +317,7 @@ func TestSentBootstrapIsReleased(t *testing.T) {
 	go io.Copy(io.Discard, far)
 	ob := &outbox{name: "r", sub: &connSubscriber{transport.NewConn(near)}, socket: near}
 	defer runtime.KeepAlive(ob) // the subscription stays attached
-	sent, _, err := sess.queueBase(ob, 0)
+	sent, _, err := sess.queueBase(ob, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package dataservice
 
 import (
-	"fmt"
-
 	"repro/internal/scene"
 )
 
@@ -10,11 +8,12 @@ import (
 // server requires sections of the dataset to be marked as being of
 // interest to a render service — this render service must be updated if
 // the data service receives any changes to this subset of the data."
-// A subscriber with a registered interest set receives only ops touching
-// its subset (or the ancestors whose transforms orient that subset in
-// the world); everyone else's traffic is filtered out.
+// A subscriber whose hello names an interest set receives only the ops
+// touching its subset (or the ancestors whose transforms orient that
+// subset in the world); every other op reaches it as a skip record, so
+// its copy's version still counts the authority's.
 
-// interestSet tracks which nodes matter to one subscriber.
+// interestSet tracks which nodes matter to one subscriber's outbox.
 type interestSet struct {
 	// covers holds the interesting nodes and their descendants; it grows
 	// as children are added beneath covered nodes.
@@ -25,81 +24,50 @@ type interestSet struct {
 	ancestors map[scene.NodeID]bool
 }
 
-// SetInterest registers (or with nil, clears) a subscriber's interest
-// set.
-func (sess *Session) SetInterest(subscriber string, nodeIDs []scene.NodeID) error {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if _, ok := sess.subscribers[subscriber]; !ok {
-		return fmt.Errorf("dataservice: subscriber %q not attached", subscriber)
-	}
-	if nodeIDs == nil {
-		delete(sess.interests, subscriber)
-		return nil
-	}
+// newInterest builds the interest set of ids on sc. An ID not in the
+// scene covers nothing: a redialling copy's node may have been removed
+// while its link was down.
+func newInterest(sc *scene.Scene, ids []uint64) *interestSet {
 	set := &interestSet{
 		covers:    map[scene.NodeID]bool{},
 		ancestors: map[scene.NodeID]bool{},
 	}
-	for _, id := range nodeIDs {
-		n := sess.scene.Node(id)
-		if n == nil {
-			return fmt.Errorf("dataservice: interest node %d not in scene", id)
+	var cover func(n *scene.Node)
+	cover = func(n *scene.Node) {
+		set.covers[n.ID] = true
+		for _, c := range n.Children {
+			cover(c)
 		}
-		for cur := sess.scene.Parent(id); cur != 0; cur = sess.scene.Parent(cur) {
+	}
+	for _, raw := range ids {
+		id := scene.NodeID(raw)
+		n := sc.Node(id)
+		if n == nil {
+			continue
+		}
+		for cur := sc.Parent(id); cur != 0; cur = sc.Parent(cur) {
 			set.ancestors[cur] = true
 			if cur == scene.RootID {
 				break
 			}
 		}
-		var rec func(n *scene.Node)
-		rec = func(n *scene.Node) {
-			set.covers[n.ID] = true
-			for _, c := range n.Children {
-				rec(c)
-			}
-		}
-		rec(n)
+		cover(n)
 	}
-	sess.interests[subscriber] = set
-	return nil
+	return set
 }
 
-// Interest returns the covered node IDs of a subscriber's interest set
-// (nil when the subscriber receives everything).
-func (sess *Session) Interest(subscriber string) []scene.NodeID {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	set, ok := sess.interests[subscriber]
-	if !ok {
-		return nil
-	}
-	out := make([]scene.NodeID, 0, len(set.covers))
-	for id := range set.covers {
-		out = append(out, id)
-	}
-	return out
-}
-
-// wantsOp reports whether a subscriber should receive an op. Callers
-// hold sess.mu. Subscribers without an interest set receive everything.
-// AddNode ops are delivered (and extend the covered set) when the parent
-// is covered; other ops are delivered when they touch a covered node or
-// an orienting ancestor.
-func (sess *Session) wantsOp(subscriber string, op scene.Op) bool {
-	set, ok := sess.interests[subscriber]
-	if !ok {
-		return true
-	}
-	switch o := op.(type) {
-	case *scene.AddNodeOp:
+// wants reports whether the subscriber should receive op; callers hold
+// the session lock. AddNode ops are delivered (and extend the covered
+// set) when the parent is covered; other ops are delivered when they
+// touch a covered node or an orienting ancestor.
+func (set *interestSet) wants(op scene.Op) bool {
+	if o, ok := op.(*scene.AddNodeOp); ok {
 		if set.covers[o.Parent] {
 			set.covers[o.ID] = true
 			return true
 		}
 		return false
-	default:
-		id := op.Touches()
-		return set.covers[id] || set.ancestors[id]
 	}
+	id := op.Touches()
+	return set.covers[id] || set.ancestors[id]
 }

@@ -26,6 +26,7 @@ import (
 type Mirror struct {
 	primary *Session
 	backup  backupCopy
+	ob      *outbox // its outbox on the primary
 
 	mu       sync.Mutex
 	seq      *follow.Sequencer
@@ -78,12 +79,13 @@ func MirrorSessionSince(primary *Session, backupSvc *Service) (m *Mirror, resume
 	if adopted {
 		since = backup.Version()
 	}
-	sent, resumed, err := primary.queueBase(&outbox{name: m.backup.subName, sub: m, region: backupSvc.Region()}, since)
+	m.ob = &outbox{name: m.backup.subName, sub: m, region: backupSvc.Region()}
+	sent, resumed, err := primary.queueBase(m.ob, since, nil)
 	if err != nil {
 		return nil, false, err
 	}
 	if err := waitAll(sent); err != nil {
-		primary.Unsubscribe(m.backup.subName)
+		primary.leave(m.ob)
 		return nil, false, fmt.Errorf("dataservice: mirror bootstrap: %w", err)
 	}
 	return m, resumed, nil
@@ -114,14 +116,10 @@ func (m *Mirror) sendBase(b *base) error {
 }
 
 // SendUpdate implements Subscriber: replicate the op onto the backup in
-// version order. An interest-filtered stream cannot be ordered against
-// the copy, so it is refused. A failure cuts the mirror's outbox, so no
-// op follows it, and it is kept: the copy can no longer be trusted to
-// converge (see AckedVersion).
+// version order. A failure cuts the mirror's outbox, so no op follows
+// it, and it is kept: the copy can no longer be trusted to converge (see
+// AckedVersion).
 func (m *Mirror) SendUpdate(u Update) error {
-	if u.Filtered {
-		return fmt.Errorf("dataservice: mirror follows the versioned op stream only")
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.promoted {
@@ -185,7 +183,7 @@ func (m *Mirror) Promote() (*Session, error) {
 	}
 	m.promoted = true
 	m.mu.Unlock()
-	m.primary.Unsubscribe(m.backup.subName)
+	m.primary.leave(m.ob)
 	return m.backup.sess, nil
 }
 
@@ -196,5 +194,5 @@ func (m *Mirror) Detach() {
 	m.mu.Lock()
 	m.promoted = true
 	m.mu.Unlock()
-	m.primary.Unsubscribe(m.backup.subName)
+	m.primary.leave(m.ob)
 }

@@ -40,16 +40,13 @@ type Subscriber interface {
 // Update is one committed op on its way to a subscriber: the op for a
 // follower in this process, and for a socket the op's wire bytes, which
 // the commit encoded once for its journal and every subscriber alike
-// (nil for an op replayed from the history, which keeps ops only).
+// (nil for an op replayed from the history, which keeps ops only). An
+// op outside the subscriber's interest goes as a skip: a scene.SkipOp
+// whose Wire is empty, so a socket sends the version alone.
 type Update struct {
 	Op scene.Op
 	// Version is the authoritative scene version the op produced.
 	Version uint64
-	// Filtered marks delivery to an interest-filtered subscriber. Such a
-	// stream misses ops by design, so it carries no version tags (a gap
-	// there is not a fault) and cannot feed a follower that orders by
-	// version.
-	Filtered bool
 	// Wire is Op's marshal encoding, shared with the commit's other
 	// consumers: read-only.
 	Wire []byte
@@ -132,7 +129,6 @@ type Session struct {
 	scene       *scene.Scene
 	camera      transport.CameraState
 	subscribers map[string]*outbox
-	interests   map[string]*interestSet
 	recorder    *recorder
 	journal     *journalSink
 	distributor *Distributor
@@ -269,7 +265,6 @@ func (s *Service) CreateSession(name string) (*Session, error) {
 		svc:         s,
 		scene:       scene.New(),
 		subscribers: map[string]*outbox{},
-		interests:   map[string]*interestSet{},
 		standbyAcks: map[string]uint64{},
 	}
 	cam := raster.DefaultCamera()
@@ -462,7 +457,8 @@ func (sess *Session) fanOut(sent []*delivery) (miss *delivery) {
 
 // commit is applyUpdate's locked half: apply, audit, journal (rec is the
 // op's encoding behind wal.RecordRoom), history, and the op queued on
-// every outbox it goes to, to be sent once the lock is gone.
+// every outbox but origin's, as a skip where it is outside the outbox's
+// interest, to be sent once the lock is gone.
 func (sess *Session) commit(op scene.Op, rec []byte, origin string, replicated bool) (version uint64, sent []*delivery, err error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -489,8 +485,11 @@ func (sess *Session) commit(op scene.Op, rec []byte, origin string, replicated b
 	sess.history.push(version, op)
 	u := Update{Op: op, Version: version, Wire: rec[wal.RecordRoom:], packed: new(packedOp)}
 	for name, ob := range sess.subscribers {
-		if name != origin && sess.wantsOp(name, op) {
-			u.Filtered = sess.interests[name] != nil
+		switch {
+		case name == origin: // it applied the op itself
+		case ob.interest != nil && !ob.interest.wants(op):
+			sent = append(sent, ob.push(delivery{u: Update{Op: scene.SkipOp{}, Version: version, Wire: []byte{}}}))
+		default:
 			sent = append(sent, ob.push(delivery{u: u}))
 		}
 	}
@@ -543,27 +542,44 @@ func (sess *Session) join(ob *outbox) error {
 	if _, dup := sess.subscribers[ob.name]; dup {
 		return fmt.Errorf("dataservice: subscriber %q already attached", ob.name)
 	}
+	ob.sess = sess
 	sess.subscribers[ob.name] = ob
 	return nil
 }
 
+// leave takes ob out of the fan-out, unless a successor under its name
+// has taken its place there.
+func (sess *Session) leave(ob *outbox) {
+	sess.mu.Lock()
+	if sess.subscribers[ob.name] == ob {
+		delete(sess.subscribers, ob.name)
+	}
+	sess.mu.Unlock()
+}
+
 // queueBase joins ob, whose subscriber takes its bootstrap in its outbox
-// (a baseSender), to the fan-out, and in the same step queues on it the
-// base its copy continues from and the shared camera; it returns what it
-// queued. The base resumes a copy at since when the op history reaches
-// back to it, the ops the copy missed queued after it, and is a snapshot
-// otherwise. A socket's snapshot is cloned under the lock but encoded
-// outside it: it holds its place in ob's queue, the ops committed
-// meanwhile queue behind it, and no commit waits for the encoding.
-func (sess *Session) queueBase(ob *outbox, since uint64) (sent []*delivery, resumed bool, err error) {
+// (a baseSender), to the fan-out, and in the same step sets its interest
+// (none when empty) and queues on it the base its copy continues from and
+// the shared camera; it returns what it queued. The base resumes a copy
+// at since when the op history reaches back to it and the copy follows
+// everything, the ops the copy missed queued after it, and is a snapshot
+// otherwise: the history cannot be filtered by the interest set as it
+// stood at since, only as it stands now. A socket's snapshot is cloned
+// under the lock but encoded outside it: it holds its place in ob's
+// queue, the ops committed meanwhile queue behind it, and no commit
+// waits for the encoding.
+func (sess *Session) queueBase(ob *outbox, since uint64, interest []uint64) (sent []*delivery, resumed bool, err error) {
 	sess.mu.Lock()
 	if err := sess.join(ob); err != nil {
 		sess.mu.Unlock()
 		return nil, false, err
 	}
+	if len(interest) > 0 {
+		ob.interest = newInterest(sess.scene, interest)
+	}
 	b := &base{since: since, version: sess.scene.Version}
 	var tail []histOp
-	if since > 0 && since <= b.version {
+	if since > 0 && since <= b.version && ob.interest == nil {
 		tail, resumed = sess.history.since(since, b.version)
 	}
 	served := &sess.resumesServed
@@ -576,7 +592,7 @@ func (sess *Session) queueBase(ob *outbox, since uint64) (sent []*delivery, resu
 	}
 	encoding := ob.socket != nil && !resumed
 	sent = append(sent, ob.push(delivery{base: b, encoding: encoding}))
-	for _, h := range tail { // an attaching subscriber has no interest set yet
+	for _, h := range tail {
 		sent = append(sent, ob.push(delivery{u: Update{Op: h.op, Version: h.version}}))
 	}
 	cam := sess.camera
@@ -636,14 +652,6 @@ func (sess *Session) StandbyAcks() map[string]uint64 {
 	return out
 }
 
-// Unsubscribe removes a subscriber.
-func (sess *Session) Unsubscribe(name string) {
-	sess.mu.Lock()
-	delete(sess.subscribers, name)
-	delete(sess.interests, name)
-	sess.mu.Unlock()
-}
-
 // SubscriberNames lists attached subscribers, sorted.
 func (sess *Session) SubscriberNames() []string {
 	sess.mu.Lock()
@@ -664,10 +672,15 @@ func (sess *Session) SubscriberNames() []string {
 // subscriber's backpressure on the commits that feed it, unless it is
 // queued behind a snapshot still being encoded. The first delivery that
 // fails cuts the subscriber: a stream with a hole in it is no stream, so
-// its socket is closed and nothing more is written to it.
+// it leaves the fan-out, its socket is closed and nothing more is written
+// to it.
 type outbox struct {
 	name string
 	sub  Subscriber
+	sess *Session // the session it joined
+	// interest filters its ops (nil: it follows everything); set when it
+	// joins and guarded by the session lock.
+	interest *interestSet
 	// region is where bootstrap bytes are charged.
 	region string
 	// socket is the subscriber's connection, which a cut closes; nil in
@@ -724,8 +737,9 @@ func (ob *outbox) push(d delivery) *delivery {
 // wait sends what d's outbox has queued, in order, up to a snapshot
 // still being encoded, and returns how sending d went: at once, nil,
 // when d is queued behind such a snapshot, whose encoder sends it. Once
-// a delivery has failed, the outbox is cut: its socket is closed, and
-// every delivery after it returns that error unsent.
+// a delivery has failed, the outbox is cut: it leaves the fan-out, its
+// socket is closed, and every delivery after it returns that error
+// unsent.
 func (d *delivery) wait() error {
 	ob := d.ob
 	ob.sending.Lock()
@@ -753,8 +767,11 @@ func (d *delivery) wait() error {
 		default:
 			q.err = ob.sub.SendUpdate(q.u)
 		}
-		if ob.err = q.err; ob.err != nil && ob.socket != nil {
-			ob.socket.Close()
+		if ob.err = q.err; ob.err != nil {
+			ob.sess.leave(ob)
+			if ob.socket != nil {
+				ob.socket.Close()
+			}
 		}
 	}
 	return d.err
@@ -780,7 +797,7 @@ type connSubscriber struct {
 // SendUpdate implements Subscriber: the op travels as MsgSceneOpVer with
 // the authoritative version prefixed, so the replica can detect missed
 // updates on a lossy or recovering link; the commit packs those bytes
-// once for all its sockets. An interest-filtered stream gets the bare op.
+// once for all its sockets. A skip travels as the version alone.
 func (c *connSubscriber) SendUpdate(u Update) error {
 	if u.Wire == nil {
 		wire, err := marshal.AppendOp(nil, u.Op)
@@ -788,9 +805,6 @@ func (c *connSubscriber) SendUpdate(u Update) error {
 			return err
 		}
 		u.Wire = wire
-	}
-	if u.Filtered {
-		return c.conn.Send(transport.MsgSceneOp, u.Wire)
 	}
 	return c.conn.Send(transport.MsgSceneOpVer, u.versioned())
 }
@@ -818,6 +832,7 @@ func (c *connSubscriber) sendBase(b *base) error {
 // subscriber's outbox — while a receive loop applies the peer's own
 // updates and answers its requests. Returns when the peer says Bye or
 // the socket fails; a delivery the socket fails closes it (see outbox).
+// A hello's interest holds for the connection's life.
 func (s *Service) ServeConn(rw io.ReadWriteCloser) error {
 	conn, hello, err := transport.Accept(rw)
 	if err != nil {
@@ -831,12 +846,12 @@ func (s *Service) ServeConn(rw io.ReadWriteCloser) error {
 	}
 
 	ob := &outbox{name: hello.Name, sub: &connSubscriber{conn}, region: hello.Region, socket: rw}
-	sent, _, err := sess.queueBase(ob, hello.SinceVersion)
+	sent, _, err := sess.queueBase(ob, hello.SinceVersion, hello.Interest)
 	if err != nil {
 		conn.Refuse(err)
 		return err
 	}
-	defer sess.Unsubscribe(hello.Name)
+	defer sess.leave(ob)
 	if err := waitAll(sent); err != nil {
 		return err
 	}
@@ -869,20 +884,6 @@ func (s *Service) ServeConn(rw io.ReadWriteCloser) error {
 				return err
 			}
 			_ = sess.SetCamera(cs, hello.Name) // a miss is the other subscriber's, and counted
-		case transport.MsgSetInterest:
-			var si transport.SetInterest
-			if err := transport.DecodeJSON(payload, &si); err != nil {
-				return err
-			}
-			var ids []scene.NodeID
-			for _, id := range si.NodeIDs {
-				ids = append(ids, scene.NodeID(id))
-			}
-			if err := sess.SetInterest(hello.Name, ids); err != nil {
-				if serr := conn.Refuse(err); serr != nil {
-					return serr
-				}
-			}
 		case transport.MsgLoadReport:
 			var lr transport.LoadReport
 			if err := transport.DecodeJSON(payload, &lr); err != nil {

@@ -166,7 +166,7 @@ func TestApplyUpdateFanOutExcludesOrigin(t *testing.T) {
 		t.Error("healthy subscriber starved by failing one")
 	}
 
-	sess.Unsubscribe("a")
+	// The failed delivery cut the failing subscriber out of the fan-out.
 	if names := sess.SubscriberNames(); len(names) != 1 || names[0] != "b" {
 		t.Errorf("subscribers: %v", names)
 	}
@@ -651,14 +651,17 @@ func TestServeConnSubscriptionFlow(t *testing.T) {
 	if err := <-queried; err != nil {
 		t.Fatal(err)
 	}
+	// The miss cut the watcher out of the fan-out.
+	if subs := sess.SubscriberNames(); len(subs) != 1 || subs[0] != "rs" {
+		t.Errorf("after the watcher's miss the subscribers are %v, want rs alone", subs)
+	}
 
 	if err := conn.Send(transport.MsgBye, nil); err != nil {
 		t.Fatal(err)
 	}
 	// After bye, the subscriber is detached (poll: detach races with bye).
 	for {
-		subs := sess.SubscriberNames()
-		if len(subs) == 1 && subs[0] == "watcher" {
+		if len(sess.SubscriberNames()) == 0 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -38,7 +38,8 @@ type Target interface {
 // Sequencer applies an authority's op stream to a Target. The authority
 // sends each follower its bootstrap reply, then the ops after it, in
 // commit order, so an op out of turn means one was lost, and the stream
-// with it:
+// with it. A skip record, an op outside the copy's interest, is offered
+// as a scene.SkipOp and obeys the same rules:
 //
 //	before the bootstrap         ErrLost
 //	stale  (version <= copy)     dropped
@@ -97,12 +98,14 @@ var ErrLost = errors.New("op stream lost without bye")
 // Stream is the subscriber side of one data-service subscription socket
 // (DESIGN.md "Op-stream follower" tabulates who sends what): hello with
 // the copy's version, the bootstrap reply (snapshot, resume-ok or
-// refusal), then versioned ops and camera updates, until Bye. The
-// authority writes all of it in commit order and closes the socket at
-// the first delivery it fails, so nothing overtakes the bootstrap reply
-// and a lost op is a closed stream; an op ahead of the copy ends the
-// stream as ErrLost too, for a redial to resume at the copy. Anything
-// else on the socket belongs to the follower's role and goes to Hook.
+// refusal), then versioned ops and skip records and camera updates,
+// until Bye. The authority writes all of it in commit order and closes
+// the socket at the first delivery it fails, so nothing overtakes the
+// bootstrap reply and a lost op is a closed stream; an op ahead of the
+// copy ends the stream as ErrLost too, for a redial to resume at the
+// copy. A bare op, which only a subscriber sends, ends it with an error.
+// Anything else on the socket belongs to the follower's role and goes to
+// Hook.
 type Stream struct {
 	Conn *transport.Conn
 	// Hello opens the subscription; Run fills in SinceVersion.
@@ -201,9 +204,11 @@ func (s *Stream) handle(t transport.MsgType, payload []byte, bootstrapped bool) 
 		if err != nil {
 			return false, err
 		}
-		op, err := marshal.DecodeOp(body)
-		if err != nil {
-			return false, err
+		var op scene.Op = scene.SkipOp{} // an empty body is a skip record
+		if len(body) > 0 {
+			if op, err = marshal.DecodeOp(body); err != nil {
+				return false, err
+			}
 		}
 		return false, s.seq.Offer(version, op)
 	}
@@ -213,23 +218,16 @@ func (s *Stream) handle(t transport.MsgType, payload []byte, bootstrapped bool) 
 		}
 		return false, fmt.Errorf("follow: expected snapshot or resume-ok, got %s", t)
 	}
-	switch t {
-	case transport.MsgSceneOp:
-		// Interest-filtered streams skip ops by design and so carry no
-		// versions: nothing to order, apply as it comes.
-		op, err := marshal.DecodeOp(payload)
-		if err != nil {
-			return false, err
-		}
-		return false, s.Target.Apply(op)
-	case transport.MsgCameraUpdate:
+	switch {
+	case t == transport.MsgCameraUpdate:
 		var cam transport.CameraState
 		if err := transport.DecodeJSON(payload, &cam); err != nil {
 			return false, err
 		}
 		return false, s.Target.SetCamera(cam)
-	}
-	if s.Hook != nil {
+	case t.Submitted():
+		return false, fmt.Errorf("follow: %s from the authority, which versions every op it sends", t)
+	case s.Hook != nil:
 		return false, s.Hook(t, payload)
 	}
 	return false, nil

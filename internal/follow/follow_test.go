@@ -178,6 +178,10 @@ func op(v uint64) frame {
 	return frame{transport.MsgSceneOpVer, transport.PackVersioned(v, buf.Bytes())}
 }
 
+// skip is the skip record for version v: the op that produced it is
+// outside the follower's interest.
+func skip(v uint64) frame { return frame{transport.MsgSceneOpVer, transport.PackVersioned(v, nil)} }
+
 func resume(v uint64) frame {
 	return frame{transport.MsgResumeOK, []byte(fmt.Sprintf(`{"version":%d}`, v))}
 }
@@ -189,8 +193,10 @@ var bye = raw(transport.MsgBye, "")
 // seedScripts are the connections of the conformance table's socket
 // scripts (internal/dataservice TestFollowerConformance) up to where the
 // follower ends them, then two streams the authority cut at a failed
-// delivery, then two bootstrap replies after the bootstrap, then frames
-// no well-behaved primary sends.
+// delivery, then two bootstrap replies after the bootstrap, then skip
+// records under each row of the version rule, a skip record's prefix cut
+// short and a bare op, which only a subscriber sends, then frames no
+// well-behaved primary sends.
 func seedScripts() []*scripted {
 	var plainOp bytes.Buffer
 	if err := marshal.WriteOp(&plainOp, &scene.SetTransformOp{ID: scene.RootID, Transform: mathx.Identity()}); err != nil {
@@ -210,8 +216,13 @@ func seedScripts() []*scripted {
 		script(resume(7), op(8)),
 		script(snap(5), op(6), snap(6)),
 		script(snap(5), resume(7)),
+		script(snap(5), skip(6), op(7), bye),
+		script(snap(5), op(6), skip(6), op(7), bye),
+		script(snap(5), skip(7), op(8)),
+		script(skip(6), snap(5)),
+		script(snap(5), raw(transport.MsgSceneOpVer, "\x00\x00\x00\x00\x00\x00\x06"), op(6)),
 		script(snap(5), raw(transport.MsgCameraUpdate, `{"eye":[1,2,3],"fov_y":0.7}`),
-			raw(transport.MsgSceneOp, plainOp.String()), op(7), bye),
+			raw(transport.MsgSceneOp, plainOp.String()), op(6), bye),
 		script(raw(transport.MsgError, `{"message":"no such session"}`)),
 		script(raw(transport.MsgOK, ""), snap(5)),
 		script(snap(5), raw(transport.MsgSceneOpVer, "short"), op(6)),
@@ -221,10 +232,12 @@ func seedScripts() []*scripted {
 }
 
 // TestStreamScripts pins what the follower makes of the well-formed
-// seeds: the conformance table's versions, and where and how each
-// connection ends — at Bye, at the frame that shows an op lost, at a
-// stream the authority closed, which keeps the copy it reached, or at a
-// second bootstrap reply, which is a protocol error.
+// seeds and the skip records: the conformance table's versions, and
+// where and how each connection ends — at Bye, at the frame that shows
+// an op lost, at a stream the authority closed, which keeps the copy it
+// reached, or at a protocol error: a second bootstrap reply, a short
+// version prefix or a bare op. A skip record moves the copy's version as
+// an op does.
 func TestStreamScripts(t *testing.T) {
 	const clean, lost, protocol = 0, 1, 2
 	want := []struct {
@@ -234,6 +247,8 @@ func TestStreamScripts(t *testing.T) {
 		{0, 7, 4, clean}, {0, 7, 6, clean}, {6, 8, 4, clean}, {5, 5, 2, lost}, {0, 0, 1, lost},
 		{0, 5, 2, lost}, {0, 5, 2, lost}, {0, 5, 2, lost}, {0, 5, 2, lost}, {0, 7, 3, lost},
 		{7, 8, 2, lost}, {0, 6, 3, protocol}, {0, 5, 2, protocol},
+		{0, 7, 4, clean}, {0, 7, 5, clean}, {0, 5, 2, lost}, {0, 0, 1, lost}, {0, 5, 2, protocol},
+		{0, 5, 3, protocol},
 	}
 	for i, p := range seedScripts()[:len(want)] {
 		version, read, err := play(t, p, want[i].start)

@@ -84,7 +84,7 @@ func TestSubscribeBadOpTerminates(t *testing.T) {
 		// fatal, not silent).
 		var op bytes.Buffer
 		marshal.WriteOp(&op, &scene.RemoveNodeOp{ID: 9999})
-		conn.Send(transport.MsgSceneOp, op.Bytes())
+		conn.Send(transport.MsgSceneOpVer, transport.PackVersioned(sc.Version+1, op.Bytes()))
 	})
 	ready := false
 	err := rs.SubscribeToData(conn, "s", func(*Session) { ready = true })

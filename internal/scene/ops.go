@@ -52,6 +52,20 @@ func (s *Scene) ApplyOp(op Op) error {
 	return nil
 }
 
+// SkipOp changes nothing but the version: it stands in a copy's stream
+// for an op the authority committed outside the copy's interest
+// (§3.2.5), so the copy's version still counts the authority's. It has
+// no wire form of its own; the skip record is the version alone.
+type SkipOp struct{}
+
+// Kind implements Op: no kind, so marshal refuses to encode it.
+func (SkipOp) Kind() OpKind { return 0 }
+
+// Touches implements Op.
+func (SkipOp) Touches() NodeID { return 0 }
+
+func (SkipOp) apply(*Scene) error { return nil }
+
 // AddNodeOp inserts a new node. The ID is allocated by the authoritative
 // scene so replicas agree.
 type AddNodeOp struct {

@@ -34,7 +34,9 @@ const (
 	MsgError
 	// MsgSceneSnapshot carries a full marshalled scene.
 	MsgSceneSnapshot
-	// MsgSceneOp carries one marshalled scene update op.
+	// MsgSceneOp carries one marshalled scene op a subscriber submits to
+	// its authority for commit. The authority's own stream carries every op
+	// versioned (MsgSceneOpVer), so this one only ever travels upstream.
 	MsgSceneOp
 	// MsgCameraUpdate carries a CameraState (JSON).
 	MsgCameraUpdate
@@ -59,12 +61,12 @@ const (
 	_ // 15: the subset assignment, now MsgRender
 	// MsgBye closes the session cleanly.
 	MsgBye
-	// MsgSetInterest registers a subscriber's dataset-distribution
-	// interest set with the data service (JSON SetInterest).
-	MsgSetInterest
+	_ // 17: the interest registration; interest now rides the hello
 	// MsgSceneOpVer carries one marshalled scene op prefixed with the
 	// authoritative scene version it produced (PackVersioned framing), so
-	// replicas detect a dropped update and redial.
+	// replicas detect a dropped update and redial. An empty body is a skip
+	// record: the op that produced the version is outside the subscriber's
+	// interest (Hello.Interest), and the copy only counts it.
 	MsgSceneOpVer
 	_ // 19: the version query; a failed delivery now closes the stream
 	_ // 20: the version report that answered it
@@ -107,6 +109,11 @@ const (
 	MsgRender
 )
 
+// Submitted reports whether t is an op a subscriber submits to its
+// authority (MsgSceneOp): a follower that reads one on the authority's
+// stream ends it.
+func (t MsgType) Submitted() bool { return t == MsgSceneOp }
+
 // String names the message type.
 func (t MsgType) String() string {
 	names := map[MsgType]string{
@@ -116,7 +123,7 @@ func (t MsgType) String() string {
 		MsgFrame:        "frame", MsgFrameDepth: "frame-depth",
 		MsgCapacityQuery: "capacity-query", MsgCapacityReport: "capacity-report",
 		MsgLoadReport: "load-report",
-		MsgBye:        "bye", MsgSetInterest: "set-interest",
+		MsgBye:        "bye",
 		MsgSceneOpVer: "scene-op-ver",
 		MsgStandbyAck: "standby-ack", MsgResumeOK: "resume-ok",
 		MsgDeclined:        "declined",
@@ -483,6 +490,12 @@ type Hello struct {
 	// letting the service classify bootstrap traffic as in-region or
 	// cross-region. Empty means unknown and is treated as local.
 	Region string `json:"region,omitempty"`
+	// Interest, when set, marks the scene nodes this copy renders
+	// (§3.2.5): an op outside them and their ancestors reaches it as a
+	// skip record. It holds for the connection's life, and a filtered
+	// hello that resumes is answered with a snapshot. A node not in the
+	// scene covers nothing.
+	Interest []uint64 `json:"interest,omitempty"`
 }
 
 // errorInfo is MsgError's wire form and Refusal its Go form — e.g. the
@@ -588,13 +601,6 @@ type ResumeInfo struct {
 	Version uint64 `json:"version"`
 	// Since echoes the subscriber's resume point.
 	Since uint64 `json:"since"`
-}
-
-// SetInterest marks scene nodes as being of interest to the sending
-// subscriber (§3.2.5); the data service then filters its update stream.
-// An empty NodeIDs clears the filter.
-type SetInterest struct {
-	NodeIDs []uint64 `json:"node_ids"`
 }
 
 // declined is MsgDeclined's wire form and Decline its Go form.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -47,7 +48,7 @@ func TestEmptyPayload(t *testing.T) {
 func TestJSONRoundTrip(t *testing.T) {
 	ca, cb, closeFn := pipeConns()
 	defer closeFn()
-	hello := Hello{Role: "thin-client", Name: "zaurus", Session: "skull"}
+	hello := Hello{Role: "render-service", Name: "zaurus", Session: "skull", Interest: []uint64{3, 7}}
 	go func() {
 		if err := ca.SendJSON(MsgHello, hello); err != nil {
 			t.Error(err)
@@ -64,7 +65,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := DecodeJSON(payload, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got != hello {
+	if !reflect.DeepEqual(got, hello) {
 		t.Errorf("got %+v", got)
 	}
 }
