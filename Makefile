@@ -216,14 +216,16 @@ chaos:
 # while three goroutines commit; TestFailedDeliveryCutsSubscriber, a
 # socket that fails a write beside two committers, which must leave the
 # fan-out and be closed with nothing more written to it and resumed
-# gap-only; and TestFilteredRedialConverges, an interest-filtered copy
+# gap-only; TestFilteredRedialConverges, an interest-filtered copy
 # whose link dies while a node it covers is removed, which must redial
-# to a snapshot and end equal to the authority on its subtree. An
-# ordering race shows only on some interleavings, and how many
-# goroutines run at once changes which.
+# to a snapshot and end equal to the authority on its subtree; and
+# TestSubmittedOpComesBack, a follower that submits an op over its own
+# subscription, which must get it back in its stream in commit order and
+# end equal to the authority. An ordering race shows only on some
+# interleavings, and how many goroutines run at once changes which.
 order:
-	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test ./internal/dataservice -run '^(TestFollowerConformance|TestSubscribeWhileCommitting|TestFailedDeliveryCutsSubscriber|TestFilteredRedialConverges)$$' -count=20 || exit 1; done
-	$(GO) test ./internal/dataservice -race -run '^(TestFollowerConformance|TestSubscribeWhileCommitting|TestFailedDeliveryCutsSubscriber|TestFilteredRedialConverges)$$'
+	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test ./internal/dataservice -run '^(TestFollowerConformance|TestSubscribeWhileCommitting|TestFailedDeliveryCutsSubscriber|TestFilteredRedialConverges|TestSubmittedOpComesBack)$$' -count=20 || exit 1; done
+	$(GO) test ./internal/dataservice -race -run '^(TestFollowerConformance|TestSubscribeWhileCommitting|TestFailedDeliveryCutsSubscriber|TestFilteredRedialConverges|TestSubmittedOpComesBack)$$'
 
 # scale runs the reduced deterministic raveload scenario — 100 sessions
 # on 4 nodes with a mid-run node kill — and fails on any acceptance

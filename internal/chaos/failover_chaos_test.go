@@ -119,7 +119,8 @@ func TestPrimaryDeathFailsOverToStandby(t *testing.T) {
 	stErr := make(chan error, 1)
 	go func() { stErr <- st.Run(stCtx, repB) }()
 	waitFor(t, clk, "standby bootstrap", func() bool {
-		return st.Session() != nil && st.Applied() == sessA.Version()
+		_, ok := st.Service.Session(st.SessionName)
+		return ok && st.Applied() == sessA.Version()
 	})
 
 	mon := &failover.Monitor{
@@ -355,8 +356,8 @@ func TestKillPrimaryMidMigrationStandbyRestarts(t *testing.T) {
 	stErr := make(chan error, 1)
 	go func() { stErr <- st.Run(stCtx, repB) }()
 	waitFor(t, clk, "standby caught up", func() bool {
-		s := st.Session()
-		return s != nil && st.Applied() == sess.Version() && s.Camera() == sess.Camera()
+		s, ok := svcB.Session("dist")
+		return ok && st.Applied() == sess.Version() && s.Camera() == sess.Camera()
 	})
 
 	// Greedy packing put the whole dataset on the Onyx; its overload

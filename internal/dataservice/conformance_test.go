@@ -142,7 +142,7 @@ var conformance = []conformanceRow{
 // other; since delivers the SinceVersion of the follower's hello once the
 // pipe is closed. net.Pipe is unbuffered, so a frame is sent only once
 // the follower has read the one before: the follower sees the script in
-// order, however its own acks interleave.
+// order.
 func scriptedPrimary(script []frame, last bool) (follower net.Conn, since <-chan uint64) {
 	server, client := net.Pipe()
 	conn := transport.NewConn(server)
@@ -808,5 +808,70 @@ func TestFailedDeliveryCutsSubscriber(t *testing.T) {
 	t.Logf("%d misses, %d counted; %d dials, %d resumed, %d refused as already attached", len(misses), counted, dials, resumes, uint64(dials)-snapshots-resumes)
 	if snapshots != 1 || resumes == 0 {
 		t.Errorf("%d snapshots and %d resumes served, want the bootstrap snapshot and a gap-only resume", snapshots, resumes)
+	}
+}
+
+// TestSubmittedOpComesBack: a follower that submits an op over its own
+// subscription gets it back in its stream, versioned and in commit order,
+// so the commit after it is the next op, not one ahead of the copy, and
+// the copy ends equal to the authority.
+func TestSubmittedOpComesBack(t *testing.T) {
+	svc := dataservice.New(dataservice.Config{Name: "data"})
+	sess, err := svc.CreateSessionFromMesh("s", "mesh", genmodel.Sphere(mathx.Vec3{}, 1, 16, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsEnd, subEnd := net.Pipe()
+	t.Cleanup(func() { dsEnd.Close(); subEnd.Close() })
+	go svc.ServeConn(dsEnd)
+	cp := &sceneCopy{}
+	conn := transport.NewConn(subEnd)
+	st := &follow.Stream{Conn: conn, Target: cp, Hello: transport.Hello{Role: "render-service", Name: "author", Session: "s"}}
+	ended := make(chan error, 1)
+	go func() { _, err := st.Run(context.Background()); ended <- err }()
+	converge := func() {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); cp.Version() != sess.Version(); time.Sleep(time.Millisecond) {
+			select {
+			case err := <-ended:
+				t.Fatalf("the stream ended at copy version %d: %v", cp.Version(), err)
+			default:
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("copy stuck at version %d, authority at %d", cp.Version(), sess.Version())
+			}
+		}
+	}
+	converge()
+
+	wire, err := marshal.AppendOp(nil, &scene.SetNameOp{ID: scene.RootID, Name: "submitted"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted := sess.Version() + 1
+	if err := conn.Send(transport.MsgSceneOp, wire); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); sess.Version() < submitted; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the submitted op was never committed")
+		}
+	}
+	if err := sess.ApplyUpdate(&scene.SetNameOp{ID: scene.RootID, Name: "after"}, ""); err != nil {
+		t.Fatal(err)
+	}
+	converge()
+	cp.mu.Lock()
+	got, err := marshal.AppendScene(nil, cp.sc)
+	cp.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := marshal.AppendScene(nil, sess.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("the copy differs from the authority at the same version")
 	}
 }

@@ -178,7 +178,6 @@ func (s *Service) RecoverSessionOrBootstrap(name string, store wal.Store, compac
 			corrupt = fmt.Errorf("%w; promote bootstrap from %q: %v", corrupt, src.Name, perr)
 			continue
 		}
-		boot.SetReadOnly(false)
 		if jerr := boot.StartJournal(store, compactEvery); jerr != nil {
 			return nil, "", fmt.Errorf("dataservice: restart journal after bootstrap from %q: %w", src.Name, jerr)
 		}

@@ -122,7 +122,7 @@ func TestJournalReadOnlyNotJournaled(t *testing.T) {
 		t.Errorf("refused op reached the journal: version %d, want %d", v, version)
 	}
 	// Replication still lands (the standby path) and is journaled.
-	if err := sess.ApplyReplicated(op, "primary"); err != nil {
+	if err := sess.ApplyReplicated(op); err != nil {
 		t.Fatal(err)
 	}
 	if v := sess.JournalVersion(); v != version+1 {

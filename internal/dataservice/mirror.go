@@ -1,6 +1,7 @@
 package dataservice
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -21,38 +22,17 @@ import (
 //
 // The mirror is the in-process transport of the op-stream follower: its
 // outbox on the primary carries the bootstrap first and every op after it
-// in commit order, and a follow.Sequencer (under mu) applies them. The
-// fan-out loses nothing, so there is no redial: a gap is a sticky error.
+// in commit order, and a follow.Sequencer (under mu) applies them to a
+// Backup. The fan-out loses nothing, so there is no redial: a gap is a
+// sticky error.
 type Mirror struct {
 	primary *Session
-	backup  backupCopy
+	backup  *Backup
 	ob      *outbox // its outbox on the primary
 
 	mu       sync.Mutex
 	seq      *follow.Sequencer
-	promoted bool
 	applyErr error
-}
-
-// backupCopy is the follow.Target of a mirror: the backup service's
-// session, written through the replication path (which a read-only
-// standby session still accepts) under the mirror's subscriber name.
-type backupCopy struct {
-	sess    *Session
-	subName string
-}
-
-func (c backupCopy) Version() uint64 { return c.sess.Version() }
-
-func (c backupCopy) Install(sc *scene.Scene) error {
-	c.sess.InstallScene(sc)
-	return nil
-}
-
-func (c backupCopy) Apply(op scene.Op) error { return c.sess.ApplyReplicated(op, c.subName) }
-
-func (c backupCopy) SetCamera(cam transport.CameraState) error {
-	return c.sess.SetCamera(cam, c.subName)
 }
 
 // MirrorSessionSince attaches backup service's session as a mirror of
@@ -66,26 +46,17 @@ func MirrorSessionSince(primary *Session, backupSvc *Service) (m *Mirror, resume
 	if primary == nil || backupSvc == nil {
 		return nil, false, fmt.Errorf("dataservice: mirror needs a primary session and a backup service")
 	}
-	backup, adopted := backupSvc.Session(primary.Name)
-	if !adopted {
-		backup, err = backupSvc.CreateSession(primary.Name)
-		if err != nil {
-			return nil, false, fmt.Errorf("dataservice: backup session: %w", err)
-		}
+	if backupSvc == primary.svc {
+		return nil, false, fmt.Errorf("dataservice: session %q cannot mirror onto its own service", primary.Name)
 	}
-	m = &Mirror{primary: primary, backup: backupCopy{backup, "mirror:" + backupSvc.Name()}}
+	m = &Mirror{primary: primary, backup: NewBackup(backupSvc, primary.Name)}
 	m.seq = follow.NewSequencer(m.backup)
-	since := uint64(0)
-	if adopted {
-		since = backup.Version()
-	}
-	m.ob = &outbox{name: m.backup.subName, sub: m, region: backupSvc.Region()}
-	sent, resumed, err := primary.queueBase(m.ob, since, nil)
+	m.ob = &outbox{name: "mirror:" + backupSvc.Name(), sub: m, region: backupSvc.Region()}
+	sent, resumed, err := primary.queueBase(m.ob, m.backup.Version(), nil)
 	if err != nil {
 		return nil, false, err
 	}
 	if err := waitAll(sent); err != nil {
-		primary.leave(m.ob)
 		return nil, false, fmt.Errorf("dataservice: mirror bootstrap: %w", err)
 	}
 	return m, resumed, nil
@@ -122,31 +93,12 @@ func (m *Mirror) sendBase(b *base) error {
 func (m *Mirror) SendUpdate(u Update) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.promoted {
-		return fmt.Errorf("dataservice: mirror already promoted")
-	}
 	m.applyErr = m.seq.Offer(u.Version, u.Op)
 	return m.applyErr
 }
 
-// SendCamera implements Subscriber. The camera is set on the backup; a
-// miss by one of the backup's own subscribers is theirs, counted there,
-// and does not cut the mirror.
-func (m *Mirror) SendCamera(cam transport.CameraState) error {
-	_ = m.backup.SetCamera(cam)
-	return nil
-}
-
-// Lag returns how many versions the backup trails the primary (0 when
-// fully caught up).
-func (m *Mirror) Lag() uint64 {
-	p := m.primary.Version()
-	b := m.backup.Version()
-	if b >= p {
-		return 0
-	}
-	return p - b
-}
+// SendCamera implements Subscriber.
+func (m *Mirror) SendCamera(cam transport.CameraState) error { return m.backup.SetCamera(cam) }
 
 // AckedVersion returns the version the backup has applied through. A
 // mirror with a replication failure reports 0: its copy can no longer
@@ -170,29 +122,140 @@ func (m *Mirror) Err() error {
 
 // Backup exposes the standby session (e.g. to attach standby render
 // services before a failover).
-func (m *Mirror) Backup() *Session { return m.backup.sess }
+func (m *Mirror) Backup() *Session { return m.backup.Session() }
 
 // Promote detaches from the primary and returns the backup session as
 // the new authority. Safe to call after the primary has died — the
-// unsubscribe is local state on the (possibly defunct) primary.
+// detach is local state on the (possibly defunct) primary.
 func (m *Mirror) Promote() (*Session, error) {
-	m.mu.Lock()
-	if m.promoted {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("dataservice: mirror already promoted")
+	sess, err := m.backup.Promote()
+	if err != nil {
+		return nil, err
 	}
-	m.promoted = true
-	m.mu.Unlock()
-	m.primary.leave(m.ob)
-	return m.backup.sess, nil
+	m.Detach()
+	return sess, nil
 }
 
 // Detach stops following the primary without promoting: the backup
-// keeps its (now frozen) copy, which a later MirrorSessionSince can
-// resume gap-only. Idempotent with Promote — whichever runs first wins.
+// keeps its copy, read-only and frozen once Detach returns, which a
+// later MirrorSessionSince can resume gap-only. A no-op after Promote.
 func (m *Mirror) Detach() {
-	m.mu.Lock()
-	m.promoted = true
-	m.mu.Unlock()
-	m.primary.leave(m.ob)
+	m.ob.sending.Lock()
+	m.ob.cut(errDetached)
+	m.ob.sending.Unlock()
+}
+
+// errDetached cuts a detached mirror's outbox.
+var errDetached = errors.New("dataservice: mirror detached")
+
+// Backup is a backup copy of a session (§6: "data servers could mirror
+// each other"): the session of that name on the backup's own data
+// service, kept by an op-stream follower and read-only until promoted.
+// It is the follow.Target of both replication transports — a Mirror in
+// process, failover.Standby over a socket — so one rule holds for both:
+// the copy installs snapshots, applies ops through ApplyReplicated and
+// sets the camera; a delivery the backup's own subscribers miss is
+// theirs, counted on the backup service's fanout_errors_total{peer}, and
+// neither fails the write nor ends the replication; and once promoted,
+// the copy takes nothing more from its primary.
+type Backup struct {
+	svc  *Service
+	name string
+
+	mu       sync.Mutex
+	sess     *Session
+	promoted bool
+}
+
+// NewBackup returns the backup copy of session name on svc, adopting the
+// session svc already holds (made read-only) or, when it holds none,
+// creating one at the first Install.
+func NewBackup(svc *Service, name string) *Backup {
+	b := &Backup{svc: svc, name: name}
+	if sess, ok := svc.Session(name); ok {
+		sess.SetReadOnly(true)
+		b.sess = sess
+	}
+	return b
+}
+
+// Session returns the copy; nil before the first install.
+func (b *Backup) Session() *Session {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.sess
+}
+
+// Promoted reports whether Promote has run.
+func (b *Backup) Promoted() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.promoted
+}
+
+// Version returns the copy's scene version; 0 with no copy.
+func (b *Backup) Version() uint64 {
+	if sess := b.Session(); sess != nil {
+		return sess.Version()
+	}
+	return 0
+}
+
+// Install makes sc the copy, creating the session read-only if there is
+// none.
+func (b *Backup) Install(sc *scene.Scene) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.promoted {
+		return b.errPromoted()
+	}
+	if b.sess == nil {
+		sess, err := b.svc.CreateSession(b.name)
+		if err != nil {
+			return fmt.Errorf("dataservice: backup session: %w", err)
+		}
+		sess.SetReadOnly(true)
+		b.sess = sess
+	}
+	b.sess.InstallScene(sc)
+	return nil
+}
+
+// Apply applies the next op. Once promoted the session is writable and
+// ApplyReplicated refuses it.
+func (b *Backup) Apply(op scene.Op) error {
+	err := b.Session().ApplyReplicated(op)
+	if errors.As(err, new(*FanoutError)) {
+		return nil // committed; the miss is the backup's subscriber's
+	}
+	return err
+}
+
+// SetCamera sets the copy's camera; a subscriber's miss is its own.
+func (b *Backup) SetCamera(cam transport.CameraState) error {
+	if b.Promoted() {
+		return b.errPromoted()
+	}
+	_ = b.Session().SetCamera(cam, "")
+	return nil
+}
+
+// Promote makes the copy the authority: writable at exactly the version
+// it replicated, and deaf to the primary it replaces.
+func (b *Backup) Promote() (*Session, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch {
+	case b.promoted:
+		return nil, b.errPromoted()
+	case b.sess == nil:
+		return nil, fmt.Errorf("dataservice: no backup copy of %q to promote", b.name)
+	}
+	b.promoted = true
+	b.sess.SetReadOnly(false)
+	return b.sess, nil
+}
+
+func (b *Backup) errPromoted() error {
+	return fmt.Errorf("dataservice: backup copy of %q already promoted", b.name)
 }

@@ -1,7 +1,10 @@
 package dataservice
 
 import (
+	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/geom/genmodel"
 	"repro/internal/mathx"
@@ -20,8 +23,8 @@ func TestMirrorReplicatesUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Snapshot installed: identical version and cost.
-	if m.Lag() != 0 {
-		t.Fatalf("fresh mirror lag: %d", m.Lag())
+	if m.AckedVersion() != sess.Version() {
+		t.Fatalf("fresh mirror acked %d, primary at %d", m.AckedVersion(), sess.Version())
 	}
 	if m.Backup().Snapshot().TotalCost() != sess.Snapshot().TotalCost() {
 		t.Fatal("backup snapshot differs")
@@ -34,8 +37,8 @@ func TestMirrorReplicatesUpdates(t *testing.T) {
 	}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if m.Lag() != 0 {
-		t.Errorf("lag after update: %d", m.Lag())
+	if m.AckedVersion() != sess.Version() {
+		t.Errorf("after an update the mirror acked %d, primary at %d", m.AckedVersion(), sess.Version())
 	}
 	var found bool
 	m.Backup().Scene(func(sc *scene.Scene) { found = sc.Node(id) != nil })
@@ -78,6 +81,94 @@ func TestMirrorBackupServesItsOwnSubscribers(t *testing.T) {
 	}
 	if n, _ := watcher.counts(); n != 1 {
 		t.Errorf("standby client got %d ops", n)
+	}
+}
+
+// TestMirrorBackupReadOnlyUntilPromoted: a mirror's backup takes writes
+// only from its primary until it is promoted; a detached backup keeps
+// refusing them.
+func TestMirrorBackupReadOnlyUntilPromoted(t *testing.T) {
+	primarySvc := New(Config{Name: "primary"})
+	sess, err := primarySvc.CreateSessionFromMesh("s", "m", genmodel.Galleon(500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(backup *Session) error {
+		return backup.ApplyUpdate(&scene.SetNameOp{ID: scene.RootID, Name: "direct"}, "")
+	}
+	m, _, err := MirrorSessionSince(sess, New(Config{Name: "backup"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := write(m.Backup()); !errors.Is(err, ErrReadOnly) {
+		t.Errorf("write to an unpromoted backup = %v, want ErrReadOnly", err)
+	}
+	promoted, err := m.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := write(promoted); err != nil {
+		t.Errorf("write to the promoted backup = %v", err)
+	}
+
+	detached, _, err := MirrorSessionSince(sess, New(Config{Name: "other"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	detached.Detach()
+	if err := write(detached.Backup()); !errors.Is(err, ErrReadOnly) {
+		t.Errorf("write to a detached backup = %v, want ErrReadOnly", err)
+	}
+}
+
+// TestPromoteWhileCommitting: an op the primary commits while its mirror
+// is promoted lands on the backup before Promote returns or not at all.
+func TestPromoteWhileCommitting(t *testing.T) {
+	sess, err := New(Config{Name: "primary"}).CreateSession("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := MirrorSessionSince(sess, New(Config{Name: "backup"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reach := func(v uint64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); sess.Version() < v; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("primary stuck at version %d, want %d", sess.Version(), v)
+			}
+		}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// After the promotion the mirror's miss is this commit's
+				// FanoutError; the op is committed on the primary all the same.
+				_ = sess.ApplyUpdate(&scene.SetNameOp{ID: scene.RootID, Name: "x"}, "")
+			}
+		}()
+	}
+	reach(50)
+	promoted, err := m.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := promoted.Version()
+	reach(at + 50)
+	close(stop)
+	wg.Wait()
+	if v := promoted.Version(); v != at {
+		t.Errorf("the promoted backup moved from version %d to %d with no write of its own", at, v)
 	}
 }
 

@@ -137,12 +137,9 @@ type Session struct {
 	// interrupted subscriber can resume at its last applied version and
 	// resync only the gap instead of re-bootstrapping the whole scene.
 	history opHistory
-	// readOnly marks a hot-standby session: external updates are
-	// refused until promotion, but the replication path still applies.
+	// readOnly marks a backup copy (see Backup): external updates are
+	// refused until promotion, and only the replication path applies.
 	readOnly bool
-	// standbyAcks tracks, per standby replica, the highest op version it
-	// acknowledged as applied (replication lag observability).
-	standbyAcks map[string]uint64
 	// snapshotsServed / resumesServed count bootstrap paths taken, so
 	// tests can assert a reconnect resynced only the gap.
 	snapshotsServed uint64
@@ -265,7 +262,6 @@ func (s *Service) CreateSession(name string) (*Session, error) {
 		svc:         s,
 		scene:       scene.New(),
 		subscribers: map[string]*outbox{},
-		standbyAcks: map[string]uint64{},
 	}
 	cam := raster.DefaultCamera()
 	sess.camera = cameraState(cam)
@@ -406,23 +402,26 @@ func (sess *Session) Version() uint64 {
 
 // ApplyUpdate applies an op to the authoritative scene, records it in
 // the audit trail and the durable journal, and fans it out to every
-// subscriber except origin (which already applied it locally). On a
-// read-only standby session it refuses with ErrReadOnly; the
-// replication path uses ApplyReplicated instead. A *FanoutError means
-// the op is committed and one subscriber missed it; any other error
-// means it is not.
+// subscriber. origin names the op's author; it no longer filters the
+// fan-out: an author that subscribes gets its op back in its own stream,
+// in commit order, like every other subscriber. On a read-only backup
+// session it refuses with ErrReadOnly; the replication path uses
+// ApplyReplicated instead. A *FanoutError means the op is committed and
+// one subscriber missed it; any other error means it is not.
 func (sess *Session) ApplyUpdate(op scene.Op, origin string) error {
-	return sess.applyUpdate(op, origin, false)
+	return sess.applyUpdate(op, false)
 }
 
 // ApplyReplicated applies an op arriving over the replication stream
-// from the primary. It bypasses the read-only guard — a standby must
-// keep following its primary right up until promotion.
-func (sess *Session) ApplyReplicated(op scene.Op, origin string) error {
-	return sess.applyUpdate(op, origin, true)
+// from the primary, to a read-only backup copy only: it bypasses the
+// read-only guard, since a backup follows its primary right up until
+// promotion, and a writable session — one promoted, or a primary —
+// refuses it, so no op from a deposed primary lands after a promotion.
+func (sess *Session) ApplyReplicated(op scene.Op) error {
+	return sess.applyUpdate(op, true)
 }
 
-func (sess *Session) applyUpdate(op scene.Op, origin string, replicated bool) error {
+func (sess *Session) applyUpdate(op scene.Op, replicated bool) error {
 	// The op is encoded once, before the lock, behind room for the
 	// journal's record header: the audit trail, the journal and every
 	// subscriber are handed these bytes, and the versioned sockets one
@@ -431,7 +430,7 @@ func (sess *Session) applyUpdate(op scene.Op, origin string, replicated bool) er
 	if err != nil {
 		return err
 	}
-	version, sent, err := sess.commit(op, rec, origin, replicated)
+	version, sent, err := sess.commit(op, rec, replicated)
 	if err != nil {
 		return err
 	}
@@ -457,13 +456,16 @@ func (sess *Session) fanOut(sent []*delivery) (miss *delivery) {
 
 // commit is applyUpdate's locked half: apply, audit, journal (rec is the
 // op's encoding behind wal.RecordRoom), history, and the op queued on
-// every outbox but origin's, as a skip where it is outside the outbox's
-// interest, to be sent once the lock is gone.
-func (sess *Session) commit(op scene.Op, rec []byte, origin string, replicated bool) (version uint64, sent []*delivery, err error) {
+// every outbox, as a skip where it is outside the outbox's interest, to
+// be sent once the lock is gone.
+func (sess *Session) commit(op scene.Op, rec []byte, replicated bool) (version uint64, sent []*delivery, err error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if sess.readOnly && !replicated {
+	switch {
+	case sess.readOnly && !replicated:
 		return 0, nil, fmt.Errorf("%w: session %q", ErrReadOnly, sess.Name)
+	case replicated && !sess.readOnly:
+		return 0, nil, fmt.Errorf("dataservice: session %q is writable and takes no replicated op", sess.Name)
 	}
 	if err := sess.scene.ApplyOp(op); err != nil {
 		return 0, nil, err
@@ -484,12 +486,10 @@ func (sess *Session) commit(op scene.Op, rec []byte, origin string, replicated b
 	version = sess.scene.Version
 	sess.history.push(version, op)
 	u := Update{Op: op, Version: version, Wire: rec[wal.RecordRoom:], packed: new(packedOp)}
-	for name, ob := range sess.subscribers {
-		switch {
-		case name == origin: // it applied the op itself
-		case ob.interest != nil && !ob.interest.wants(op):
+	for _, ob := range sess.subscribers {
+		if ob.interest != nil && !ob.interest.wants(op) {
 			sent = append(sent, ob.push(delivery{u: Update{Op: scene.SkipOp{}, Version: version, Wire: []byte{}}}))
-		default:
+		} else {
 			sent = append(sent, ob.push(delivery{u: u}))
 		}
 	}
@@ -615,7 +615,7 @@ func (sess *Session) BootstrapStats() (snapshots, resumes uint64) {
 	return sess.snapshotsServed, sess.resumesServed
 }
 
-// SetReadOnly marks or unmarks the session as a standby: while set,
+// SetReadOnly marks or unmarks the session as a backup copy: while set,
 // ApplyUpdate refuses external writes with ErrReadOnly and only the
 // replication stream (ApplyReplicated) may change the scene.
 func (sess *Session) SetReadOnly(ro bool) {
@@ -629,27 +629,6 @@ func (sess *Session) IsReadOnly() bool {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	return sess.readOnly
-}
-
-// RecordStandbyAck notes that standby name has applied the op stream
-// through version.
-func (sess *Session) RecordStandbyAck(name string, version uint64) {
-	sess.mu.Lock()
-	if version > sess.standbyAcks[name] {
-		sess.standbyAcks[name] = version
-	}
-	sess.mu.Unlock()
-}
-
-// StandbyAcks returns the highest acknowledged version per standby.
-func (sess *Session) StandbyAcks() map[string]uint64 {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	out := make(map[string]uint64, len(sess.standbyAcks))
-	for k, v := range sess.standbyAcks {
-		out[k] = v
-	}
-	return out
 }
 
 // SubscriberNames lists attached subscribers, sorted.
@@ -691,7 +670,7 @@ type outbox struct {
 	mu      sync.Mutex // guards queue and each queued delivery's encoding
 	queue   []*delivery
 	sending sync.Mutex // held by the one flusher: it serializes this stream's writes
-	err     error      // the first failed delivery's, every later one's; guarded by sending
+	err     error      // the cut's: the first failed delivery's, or a detach; guarded by sending
 }
 
 // delivery is one queued message: an op, a camera change (cam set) or a
@@ -767,14 +746,25 @@ func (d *delivery) wait() error {
 		default:
 			q.err = ob.sub.SendUpdate(q.u)
 		}
-		if ob.err = q.err; ob.err != nil {
-			ob.sess.leave(ob)
-			if ob.socket != nil {
-				ob.socket.Close()
-			}
+		if q.err != nil {
+			ob.cut(q.err)
 		}
 	}
 	return d.err
+}
+
+// cut stops ob at err, unless it is cut already: it leaves the fan-out,
+// its socket is closed, and every delivery not yet sent returns err
+// unsent. Callers hold ob.sending, so no delivery is being sent.
+func (ob *outbox) cut(err error) {
+	if ob.err != nil {
+		return
+	}
+	ob.err = err
+	ob.sess.leave(ob)
+	if ob.socket != nil {
+		ob.socket.Close()
+	}
 }
 
 // waitAll waits for deliveries queued on one outbox and returns the
@@ -872,7 +862,8 @@ func (s *Service) ServeConn(rw io.ReadWriteCloser) error {
 			if err != nil {
 				return err
 			}
-			// A fan-out miss is not the author's failure: the op is committed.
+			// The author's op comes back in its own stream. A fan-out miss
+			// is not the author's failure: the op is committed.
 			if err := sess.ApplyUpdate(op, hello.Name); err != nil && !errors.As(err, new(*FanoutError)) {
 				if serr := conn.Refuse(err); serr != nil {
 					return serr
@@ -890,12 +881,6 @@ func (s *Service) ServeConn(rw io.ReadWriteCloser) error {
 				return err
 			}
 			sess.handleLoadReport(lr)
-		case transport.MsgStandbyAck:
-			var vr transport.VersionReport
-			if err := transport.DecodeJSON(payload, &vr); err != nil {
-				return err
-			}
-			sess.RecordStandbyAck(hello.Name, vr.Version)
 		case transport.MsgTelemetryQuery:
 			if err := conn.SendJSON(transport.MsgTelemetryReport, s.cfg.Metrics.Snapshot()); err != nil {
 				return err

@@ -113,7 +113,9 @@ func TestCreateSessionFromOBJ(t *testing.T) {
 	}
 }
 
-func TestApplyUpdateFanOutExcludesOrigin(t *testing.T) {
+// TestApplyUpdateFanOutReachesOrigin: every subscriber gets every
+// committed op, its author included, so the author's stream has no hole.
+func TestApplyUpdateFanOutReachesOrigin(t *testing.T) {
 	svc := New(Config{Name: "data"})
 	sess, _ := svc.CreateSession("s")
 	a, b := &recordingSub{}, &recordingSub{}
@@ -136,8 +138,8 @@ func TestApplyUpdateFanOutExcludesOrigin(t *testing.T) {
 	}
 	aOps, _ := a.counts()
 	bOps, _ := b.counts()
-	if aOps != 0 {
-		t.Error("origin received its own op")
+	if aOps != 1 {
+		t.Errorf("origin got %d of its own ops, want 1", aOps)
 	}
 	if bOps != 1 {
 		t.Errorf("other subscriber got %d ops", bOps)
@@ -586,27 +588,34 @@ func TestServeConnSubscriptionFlow(t *testing.T) {
 		t.Fatalf("camera: %v %v", typ, err)
 	}
 
-	// Push an op from the subscriber; authoritative scene changes.
+	// Push an op from the subscriber; authoritative scene changes, and the
+	// op comes back in the subscriber's own stream at the version it made.
+	// net.Pipe is unbuffered and the commit waits for that delivery, so
+	// each submit is followed by reading its echo.
+	submit := func(op scene.Op) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := marshal.WriteOp(&buf, op); err != nil {
+			t.Fatal(err)
+		}
+		want := sess.Version() + 1
+		if err := conn.Send(transport.MsgSceneOp, buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := conn.Receive()
+		if err != nil || typ != transport.MsgSceneOpVer {
+			t.Fatalf("echo: %v %v", typ, err)
+		}
+		if v, _, err := transport.UnpackVersioned(payload); err != nil || v != want {
+			t.Fatalf("echo at version %d (err %v), want %d", v, err, want)
+		}
+	}
 	id := sess.AllocID()
-	op := &scene.AddNodeOp{Parent: scene.RootID, ID: id, Name: "added", Transform: mathx.Identity()}
-	var opBuf bytes.Buffer
-	if err := marshal.WriteOp(&opBuf, op); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.Send(transport.MsgSceneOp, opBuf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		var found bool
-		sess.Scene(func(sc *scene.Scene) { found = sc.Node(id) != nil })
-		if found {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("op never applied")
-		}
-		time.Sleep(time.Millisecond)
+	submit(&scene.AddNodeOp{Parent: scene.RootID, ID: id, Name: "added", Transform: mathx.Identity()})
+	var found bool
+	sess.Scene(func(sc *scene.Scene) { found = sc.Node(id) != nil })
+	if !found {
+		t.Fatal("op never applied")
 	}
 
 	// A second subscriber sees the update stream.
@@ -614,13 +623,8 @@ func TestServeConnSubscriptionFlow(t *testing.T) {
 	if _, err := sess.Subscribe("watcher", other); err != nil {
 		t.Fatal(err)
 	}
-	var opBuf2 bytes.Buffer
-	if err := marshal.WriteOp(&opBuf2, &scene.SetNameOp{ID: id, Name: "renamed"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.Send(transport.MsgSceneOp, opBuf2.Bytes()); err != nil {
-		t.Fatal(err)
-	}
+	submit(&scene.SetNameOp{ID: id, Name: "renamed"})
+	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if n, _ := other.counts(); n == 1 {
 			break
@@ -632,17 +636,12 @@ func TestServeConnSubscriptionFlow(t *testing.T) {
 	}
 
 	// An op the other subscriber cannot be told about is still committed:
-	// its author gets no error, so the next reply is the one it asked for.
+	// its author gets no error, so after its echo the next reply is the one
+	// it asked for.
 	other.mu.Lock()
 	other.fail = true
 	other.mu.Unlock()
-	var opBuf3 bytes.Buffer
-	if err := marshal.WriteOp(&opBuf3, &scene.SetNameOp{ID: id, Name: "again"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.Send(transport.MsgSceneOp, opBuf3.Bytes()); err != nil {
-		t.Fatal(err)
-	}
+	submit(&scene.SetNameOp{ID: id, Name: "again"})
 	queried := make(chan error, 1)
 	go func() { queried <- conn.Send(transport.MsgTelemetryQuery, nil) }() // the pipe is unbuffered
 	if typ, payload, err := conn.Receive(); err != nil || typ != transport.MsgTelemetryReport {

@@ -151,21 +151,21 @@ func TestHelloSaidOnceAcceptedOnce(t *testing.T) {
 }
 
 // TestWireValuesKept: retiring a message leaves a gap; no surviving type
-// was renumbered. 7, 10, 11, 15, 17 and 19–21 are retired and stay
+// was renumbered. 7, 10, 11, 15, 17 and 19–22 are retired and stay
 // reserved.
 func TestWireValuesKept(t *testing.T) {
 	for mt, want := range map[MsgType]uint16{
 		MsgHello: 1, MsgOK: 2, MsgError: 3, MsgSceneSnapshot: 4, MsgSceneOp: 5, MsgCameraUpdate: 6,
 		MsgFrame: 8, MsgFrameDepth: 9, MsgCapacityQuery: 12, MsgCapacityReport: 13, MsgLoadReport: 14,
 		MsgBye: 16, MsgSceneOpVer: 18,
-		MsgStandbyAck: 22, MsgResumeOK: 23, MsgDeclined: 24, MsgTelemetryQuery: 25,
+		MsgResumeOK: 23, MsgDeclined: 24, MsgTelemetryQuery: 25,
 		MsgTelemetryReport: 26, MsgRouteQuery: 27, MsgRouteReport: 28, MsgRender: 29,
 	} {
 		if uint16(mt) != want {
 			t.Errorf("%s is %d on the wire, want %d", mt, uint16(mt), want)
 		}
 	}
-	for _, gap := range []MsgType{7, 10, 11, 15, 17, 19, 20, 21} {
+	for _, gap := range []MsgType{7, 10, 11, 15, 17, 19, 20, 21, 22} {
 		if name := gap.String(); name != fmt.Sprintf("msg(%d)", uint16(gap)) {
 			t.Errorf("retired number %d is in use by %s", uint16(gap), name)
 		}

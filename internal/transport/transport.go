@@ -36,7 +36,8 @@ const (
 	MsgSceneSnapshot
 	// MsgSceneOp carries one marshalled scene op a subscriber submits to
 	// its authority for commit. The authority's own stream carries every op
-	// versioned (MsgSceneOpVer), so this one only ever travels upstream.
+	// versioned (MsgSceneOpVer), the author's own among them, so this one
+	// only ever travels upstream.
 	MsgSceneOp
 	// MsgCameraUpdate carries a CameraState (JSON).
 	MsgCameraUpdate
@@ -71,11 +72,7 @@ const (
 	_ // 19: the version query; a failed delivery now closes the stream
 	_ // 20: the version report that answered it
 	_ // 21: the resync request; a lost op now ends the stream
-	// MsgStandbyAck is a hot-standby replica's acknowledgement that it
-	// has durably applied the op stream up to a version (JSON
-	// VersionReport). The primary tracks acks per standby so operators
-	// can see replication lag before deciding a failover is safe.
-	MsgStandbyAck
+	_ // 22: the standby's ack; a standby sends nothing after its hello
 	// MsgResumeOK accepts a resume-at-version subscription (Hello with
 	// SinceVersion set): the service's op history covers the gap, so
 	// instead of a full MsgSceneSnapshot it replies with a ResumeInfo
@@ -124,8 +121,7 @@ func (t MsgType) String() string {
 		MsgCapacityQuery: "capacity-query", MsgCapacityReport: "capacity-report",
 		MsgLoadReport: "load-report",
 		MsgBye:        "bye",
-		MsgSceneOpVer: "scene-op-ver",
-		MsgStandbyAck: "standby-ack", MsgResumeOK: "resume-ok",
+		MsgSceneOpVer: "scene-op-ver", MsgResumeOK: "resume-ok",
 		MsgDeclined:        "declined",
 		MsgTelemetryQuery:  "telemetry-query",
 		MsgTelemetryReport: "telemetry-report",
@@ -468,13 +464,13 @@ func UnpackVersioned(payload []byte) (version uint64, body []byte, err error) {
 
 // Hello opens a session on a direct socket, and its Role says what the
 // sender gets there. Of a data service, "render-service" and "standby"
-// get the session's op stream (a standby acks what it applies). Of a
-// render service, "thin-client" is a viewer — the session must be held,
-// a MsgRender is interactive, hides the viewer's own avatar and is
-// answered with MsgFrame in the codec asked for — and "peer" is another
-// service asking for help: it may say hello before the replica lands, a
-// MsgRender is an assist under the background admission cap, and the
-// answer is MsgFrameDepth for compositing.
+// get the session's op stream (a standby sends nothing after its
+// hello). Of a render service, "thin-client" is a viewer — the session
+// must be held, a MsgRender is interactive, hides the viewer's own
+// avatar and is answered with MsgFrame in the codec asked for — and
+// "peer" is another service asking for help: it may say hello before
+// the replica lands, a MsgRender is an assist under the background
+// admission cap, and the answer is MsgFrameDepth for compositing.
 type Hello struct {
 	Role     string `json:"role"`
 	Name     string `json:"name"`
@@ -585,12 +581,6 @@ type LoadReport struct {
 	FPS         float64 `json:"fps"`
 	WorkPerSec  float64 `json:"work_per_sec"`
 	TextureUsed int64   `json:"texture_used"`
-}
-
-// VersionReport is the MsgStandbyAck payload: Version is the highest op
-// version the standby has applied.
-type VersionReport struct {
-	Version uint64 `json:"version"`
 }
 
 // ResumeInfo answers a resume-at-version Hello (MsgResumeOK): the
