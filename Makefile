@@ -201,13 +201,15 @@ bench-smoke:
 # chaos runs the kill-and-recover suite twice under the race detector:
 # failover and recovery schedules are goroutine-heavy, and a second run
 # shakes out order-dependent flakes the first can mask. Every scenario
-# runs on the driven clock (vclock's Drive), so the suite and the fleet
-# harness's own runs (internal/loadgen) are then run at GOMAXPROCS 1, 2
-# and 8: a deadline a part misses or a lease a monitor claims must not
-# depend on how many goroutines run beside it.
+# runs on the driven clock (vclock's Drive), so the suite, the fleet
+# harness's own runs (internal/loadgen) and the gateway's placement,
+# promotion and evacuation tests (internal/gateway) are then run at
+# GOMAXPROCS 1, 2 and 8: a deadline a part misses, a lease a monitor
+# claims or the replica a promotion picks must not depend on how many
+# goroutines run beside it.
 chaos:
 	$(GO) test ./internal/chaos/ -race -count=2
-	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test ./internal/chaos/ ./internal/loadgen/ -count=3 || exit 1; done
+	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test ./internal/chaos/ ./internal/loadgen/ ./internal/gateway/ -count=3 || exit 1; done
 
 # order runs the ordered-stream tests twenty times at GOMAXPROCS 1, 2
 # and 8 and once under the race detector: the follower conformance table;

@@ -123,11 +123,11 @@ func TestRecoverSessionOrBootstrap(t *testing.T) {
 
 	// A replica on node-b followed the session the whole time.
 	svcB := New(Config{Name: "node-b", Clock: clk, Region: "eu", Metrics: metrics})
-	rs := NewReplicaSet(prim)
-	if _, err := rs.Attach("node-b", "eu", svcB); err != nil {
+	m, _, err := MirrorSessionSince(prim, svcB)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rs.Acked()["node-b"]; got != version {
+	if got := m.AckedVersion(); got != version {
 		t.Fatalf("replica acked %d, want %d", got, version)
 	}
 

@@ -2,6 +2,7 @@ package dataservice
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,8 @@ import (
 	"repro/internal/geom/genmodel"
 	"repro/internal/mathx"
 	"repro/internal/scene"
+	"repro/internal/telemetry"
+	"repro/internal/vclock"
 )
 
 func TestMirrorReplicatesUpdates(t *testing.T) {
@@ -232,5 +235,142 @@ func TestMirrorErrors(t *testing.T) {
 	// session name.
 	if _, _, err := MirrorSessionSince(sess, backupSvc); err == nil {
 		t.Error("duplicate mirror accepted")
+	}
+}
+
+// newReplicaFixture builds a primary session with some scene content
+// plus n backup services tagged with the given regions, all sharing one
+// metrics registry.
+func newReplicaFixture(t *testing.T, primaryRegion string, regions ...string) (*Session, []*Service, *telemetry.Registry) {
+	t.Helper()
+	clk := vclock.NewVirtual(time.Unix(0, 0))
+	metrics := telemetry.NewRegistry(clk)
+	prim := New(Config{Name: "ds-prim", Clock: clk, Region: primaryRegion, Metrics: metrics})
+	sess, err := prim.CreateSession("skull")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		addNode(t, sess, fmt.Sprintf("n%d", i))
+	}
+	var backups []*Service
+	for i, region := range regions {
+		backups = append(backups, New(Config{
+			Name: fmt.Sprintf("ds-bk%d", i), Clock: clk, Region: region, Metrics: metrics,
+		}))
+	}
+	return sess, backups, metrics
+}
+
+// addNode commits one AddNodeOp on sess.
+func addNode(t *testing.T, sess *Session, name string) {
+	t.Helper()
+	if err := sess.ApplyUpdate(&scene.AddNodeOp{
+		Parent: scene.RootID, ID: sess.AllocID(), Name: name, Transform: mathx.Identity(),
+	}, ""); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMirrorAttachDetachResume: the first mirror of a session onto a
+// backup bootstraps from a snapshot, ops reach every mirror, a detached
+// copy freezes, and mirroring it again resumes gap-only — none of it
+// counted in the client-visible bootstrap stats.
+func TestMirrorAttachDetachResume(t *testing.T) {
+	sess, backups, _ := newReplicaFixture(t, "eu", "eu", "us")
+	var mirrors []*Mirror
+	for i, svc := range backups {
+		m, resumed, err := MirrorSessionSince(sess, svc)
+		if err != nil {
+			t.Fatalf("mirror onto backup %d: %v", i, err)
+		}
+		if resumed {
+			t.Errorf("first mirror onto backup %d must be a snapshot bootstrap", i)
+		}
+		mirrors = append(mirrors, m)
+	}
+
+	// Ops fan out to every mirror.
+	addNode(t, sess, "x")
+	want := sess.Version()
+	for i, m := range mirrors {
+		if ver := m.AckedVersion(); ver != want {
+			t.Errorf("mirror %d acked %d, want %d", i, ver, want)
+		}
+	}
+
+	mirrors[0].Detach()
+	// A detached copy stops following but keeps its frozen state.
+	frozen, _ := backups[0].Session("skull")
+	addNode(t, sess, "y")
+	if frozen.Version() != want {
+		t.Errorf("detached copy moved to %d, want frozen at %d", frozen.Version(), want)
+	}
+	if ver := mirrors[1].AckedVersion(); ver != sess.Version() {
+		t.Errorf("attached mirror acked %d, want %d", ver, sess.Version())
+	}
+
+	// Mirroring again resumes gap-only: the primary history covers the gap.
+	_, resumed, err := MirrorSessionSince(sess, backups[0])
+	if err != nil {
+		t.Fatalf("re-mirror: %v", err)
+	}
+	if !resumed {
+		t.Fatalf("re-mirror with contiguous history must resume gap-only")
+	}
+	if frozen.Version() != sess.Version() {
+		t.Errorf("resumed copy at %d, want %d", frozen.Version(), sess.Version())
+	}
+	// Mirror traffic stays out of the client-visible bootstrap stats.
+	if snaps, resumes := sess.BootstrapStats(); snaps != 0 || resumes != 0 {
+		t.Errorf("mirror bootstraps leaked into BootstrapStats: %d snapshots, %d resumes", snaps, resumes)
+	}
+}
+
+// TestMirrorConcurrentOpsDuringAttach: the race MirrorSessionSince must
+// survive — ops committed while the bootstrap is taken. They follow the
+// bootstrap in the mirror's outbox, so the copy converges on the
+// primary's exact version.
+func TestMirrorConcurrentOpsDuringAttach(t *testing.T) {
+	sess, backups, _ := newReplicaFixture(t, "eu", "eu")
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			_ = sess.ApplyUpdate(&scene.AddNodeOp{
+				Parent: scene.RootID, ID: sess.AllocID(),
+				Name: fmt.Sprintf("c%d", i), Transform: mathx.Identity(),
+			}, "")
+		}
+	}()
+	m, _, err := MirrorSessionSince(sess, backups[0])
+	if err != nil {
+		t.Fatalf("mirror under write load: %v", err)
+	}
+	wg.Wait()
+	copySess, _ := backups[0].Session("skull")
+	if copySess.Version() != sess.Version() {
+		t.Fatalf("copy at %d, primary at %d — op lost during bootstrap", copySess.Version(), sess.Version())
+	}
+	if acked := m.AckedVersion(); acked != sess.Version() {
+		t.Fatalf("acked %d, want %d", acked, sess.Version())
+	}
+}
+
+func TestBootstrapBytesLabelling(t *testing.T) {
+	sess, backups, metrics := newReplicaFixture(t, "eu/a", "eu/b", "us/a")
+	for _, svc := range backups {
+		if _, _, err := MirrorSessionSince(sess, svc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	local := metrics.Counter("ds-prim", "bootstrap_bytes_total", "local").Value()
+	cross := metrics.Counter("ds-prim", "bootstrap_bytes_total", "cross").Value()
+	if local == 0 {
+		t.Errorf("eu/a→eu/b bootstrap must count as local (same region)")
+	}
+	if cross == 0 {
+		t.Errorf("eu/a→us/a bootstrap must count as cross-region")
 	}
 }

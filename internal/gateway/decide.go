@@ -39,6 +39,53 @@ func (f nodeFacts) placeable() bool { return f.servable() && !f.degraded }
 // nothing clears those two facts.
 func (f nodeFacts) ringMember() bool { return f.placeable() && !f.drained }
 
+// replicaFacts is what the gateway knows about one attached replica: the
+// node holding it, the version it has applied through, and whether its
+// replication stream failed (a failed copy cannot be trusted to be the
+// prefix it reports).
+type replicaFacts struct {
+	holder nodeFacts
+	acked  uint64
+	failed bool
+}
+
+// bestReplica picks the promotion target among copies, in attach order,
+// whose holder ok accepts: the most caught-up copy wins, a holder in the
+// prefer region breaks version ties, and attach order breaks the rest —
+// so a flat fleet promotes its first-attached (ring successor) replica.
+// A failed copy is never picked. "" when no copy qualifies.
+func bestReplica(prefer string, copies []replicaFacts, ok func(nodeFacts) bool) string {
+	best, bestVer, bestMatch := "", uint64(0), false
+	for _, c := range copies {
+		if c.failed || !ok(c.holder) {
+			continue
+		}
+		match := !netsim.CrossRegion(prefer, c.holder.region)
+		if best == "" || c.acked > bestVer || c.acked == bestVer && match && !bestMatch {
+			best, bestVer, bestMatch = c.holder.name, c.acked, match
+		}
+	}
+	return best
+}
+
+// desiredOwner decides who should own a session whose ring owner is
+// ring and whose recorded owner is owner: the ring owner, unless the
+// recorded owner is not servable and one of its copies sits on a
+// placeable node — then the best such copy, the lost owner's region
+// breaking ties. Placeable, not merely servable: a sick-disk holder can
+// donate its copy but must not become primary for new writes. On a flat
+// fleet the two answers coincide, because replicas sit at ring
+// successors and stay caught up.
+func desiredOwner(ring string, owner nodeFacts, copies []replicaFacts) string {
+	if owner.servable() {
+		return ring
+	}
+	if best := bestReplica(owner.region, copies, nodeFacts.placeable); best != "" {
+		return best
+	}
+	return ring
+}
+
 // handoffSource decides where a session moving to node `to` takes its
 // state from. hasReplica says the target already holds one of the
 // session's replicas; survivor names the best replica on a servable

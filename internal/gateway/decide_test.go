@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// The three decision tables of DESIGN.md "Gateway & sharding", row for
+// The five decision tables of DESIGN.md "Gateway & sharding", row for
 // row: no fleet, no clock, no lock.
 
 func up(name, region string) nodeFacts {
@@ -98,6 +98,76 @@ func TestReplicaTargetsTable(t *testing.T) {
 	} {
 		if got := replicaTargets(tc.factor, tc.owner, tc.walk); !slices.Equal(got, tc.want) {
 			t.Errorf("%s: targets %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+func TestBestReplicaTable(t *testing.T) {
+	at := func(holder nodeFacts, acked uint64) replicaFacts { return replicaFacts{holder: holder, acked: acked} }
+	failed := at(up("eu2", "eu"), 9)
+	failed.failed = true
+	sick := up("eu1", "eu")
+	sick.degraded = true
+	for _, tc := range []struct {
+		name   string
+		prefer string
+		copies []replicaFacts
+		ok     func(nodeFacts) bool
+		want   string
+	}{
+		{"a lagging in-region copy loses to a caught-up cross-region copy", "eu",
+			[]replicaFacts{at(up("eu1", "eu"), 4), at(up("us1", "us"), 5)}, nodeFacts.servable, "us1"},
+		{"a version tie goes to the preferred region", "eu",
+			[]replicaFacts{at(up("us1", "us"), 5), at(up("eu1", "eu"), 5), at(up("eu2", "eu"), 5)}, nodeFacts.servable, "eu1"},
+		{"a version tie in one region goes to attach order", "us",
+			[]replicaFacts{at(up("us2", "us"), 5), at(up("us1", "us"), 5)}, nodeFacts.servable, "us2"},
+		{"flat fleet: the first-attached copy", "",
+			[]replicaFacts{at(up("b", ""), 5), at(up("c", ""), 5)}, nodeFacts.servable, "b"},
+		{"a failed copy is skipped, even when it reads ahead", "eu",
+			[]replicaFacts{failed, at(up("us1", "us"), 5)}, nodeFacts.servable, "us1"},
+		{"placeable: a degraded holder is never picked", "eu",
+			[]replicaFacts{at(sick, 5), at(up("us1", "us"), 4)}, nodeFacts.placeable, "us1"},
+		{"servable: a degraded holder can still donate", "eu",
+			[]replicaFacts{at(sick, 5), at(up("us1", "us"), 4)}, nodeFacts.servable, "eu1"},
+		{"a dead holder is skipped", "eu",
+			[]replicaFacts{at(nodeFacts{name: "eu1", region: "eu"}, 5), at(up("us1", "us"), 4)}, nodeFacts.servable, "us1"},
+		{"no eligible copy", "eu",
+			[]replicaFacts{failed, at(sick, 5)}, nodeFacts.placeable, ""},
+		{"no copies at all", "eu", nil, nodeFacts.servable, ""},
+	} {
+		if got := bestReplica(tc.prefer, tc.copies, tc.ok); got != tc.want {
+			t.Errorf("%s: best %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+func TestDesiredOwnerTable(t *testing.T) {
+	at := func(holder nodeFacts, acked uint64) replicaFacts { return replicaFacts{holder: holder, acked: acked} }
+	dead := nodeFacts{name: "old", region: "eu"}
+	sick := up("old", "eu")
+	sick.degraded = true
+	sickCopy := up("eu1", "eu")
+	sickCopy.degraded = true
+	for _, tc := range []struct {
+		name   string
+		owner  nodeFacts
+		copies []replicaFacts
+		want   string
+	}{
+		{"a servable owner keeps the ring owner", up("old", "eu"),
+			[]replicaFacts{at(up("eu1", "eu"), 5)}, "ring"},
+		{"a servable but degraded owner keeps the ring owner too", sick,
+			[]replicaFacts{at(up("eu1", "eu"), 5)}, "ring"},
+		{"a dead owner hands off to its best placeable copy", dead,
+			[]replicaFacts{at(up("us1", "us"), 5), at(up("eu1", "eu"), 5)}, "eu1"},
+		{"a partitioned owner is dead here", nodeFacts{name: "old", region: "eu", alive: true},
+			[]replicaFacts{at(up("us1", "us"), 5)}, "us1"},
+		{"a dead owner's degraded copy never becomes the owner", dead,
+			[]replicaFacts{at(sickCopy, 5)}, "ring"},
+		{"a dead owner with no copy falls back to the ring owner", dead, nil, "ring"},
+	} {
+		if got := desiredOwner("ring", tc.owner, tc.copies); got != tc.want {
+			t.Errorf("%s: desired %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }

@@ -103,17 +103,52 @@ type Result struct {
 }
 
 // placement is one session's routing entry: the owning node, the lease
-// epoch that ownership is stamped with, and the session's replica set —
-// N mirrors at region-spread ring successors.
+// epoch that ownership is stamped with, and the session's replicas — N
+// mirrors of primary at region-spread ring successors, in attach order
+// (bestReplica's final tiebreak). Every field changes only under g.mu.
 type placement struct {
 	session  string
 	owner    string
 	epoch    uint64
-	replicas *dataservice.ReplicaSet
-	// seeded flips once the replica set first reaches the target
-	// factor; attaches after that are re-replication (replacing a lost
-	// copy) and counted as such.
+	primary  *dataservice.Session // what the replicas follow; nil before the first attach
+	replicas []replica
+	// seeded flips once the replicas first reach the target factor;
+	// attaches after that are re-replication (replacing a lost copy)
+	// and counted as such.
 	seeded bool
+}
+
+// replica is one attached copy of a session: the node holding it and
+// the mirror that feeds it.
+type replica struct {
+	name   string
+	mirror *dataservice.Mirror
+}
+
+// replicaIndex returns the position of the named holder's copy, or -1.
+func (p *placement) replicaIndex(name string) int {
+	return slices.IndexFunc(p.replicas, func(r replica) bool { return r.name == name })
+}
+
+// take removes the named holder's copy and returns its mirror, still
+// attached: the promotion path, where the caller promotes it.
+func (p *placement) take(name string) *dataservice.Mirror {
+	i := p.replicaIndex(name)
+	if i < 0 {
+		return nil
+	}
+	m := p.replicas[i].mirror
+	p.replicas = slices.Delete(p.replicas, i, i+1)
+	return m
+}
+
+// detachAll stops every copy following the primary; each backup keeps
+// its frozen copy for a later gap-only re-attach.
+func (p *placement) detachAll() {
+	for _, r := range p.replicas {
+		r.mirror.Detach()
+	}
+	p.replicas = nil
 }
 
 // Gateway is the session-sharded front door: thin clients address
@@ -338,8 +373,8 @@ func (g *Gateway) Placement(session string) (owner string, replicas []string, ep
 	if !ok {
 		return "", nil, 0, false
 	}
-	if p.replicas != nil {
-		replicas = p.replicas.Names()
+	for _, r := range p.replicas {
+		replicas = append(replicas, r.name)
 	}
 	return p.owner, replicas, p.epoch, true
 }
@@ -349,15 +384,19 @@ func (g *Gateway) Placement(session string) (owner string, replicas []string, ep
 func (g *Gateway) ReplicaAcks(session string) map[string]uint64 {
 	g.mu.Lock()
 	p, ok := g.placements[session]
-	var rs *dataservice.ReplicaSet
+	var replicas []replica
 	if ok {
-		rs = p.replicas
+		replicas = slices.Clone(p.replicas)
 	}
 	g.mu.Unlock()
-	if rs == nil {
+	if len(replicas) == 0 {
 		return nil
 	}
-	return rs.Acked()
+	out := make(map[string]uint64, len(replicas))
+	for _, r := range replicas {
+		out[r.name] = r.mirror.AckedVersion()
+	}
+	return out
 }
 
 // Placements returns the owner of every open session (for balance
@@ -477,15 +516,10 @@ func (g *Gateway) Dispatch(ctx context.Context, req Request) (Result, error) {
 }
 
 // rebalanceLocked is what every membership event comes down to once the
-// fact behind it has changed: sync the ring, then re-derive every
-// session's desired owner and move the strays — lease transfer first
-// (epoch bump), then state handoff.
-// When a session's owner is dead or unreachable, the desired owner is
-// not the bare ring successor but the *most-caught-up servable replica*
-// (in-region preferred) — on a flat single-region fleet the two
-// coincide, because replicas sit at ring successors and stay fully
-// caught up. Returns how many sessions moved off each previous owner.
-// Callers hold g.mu.
+// fact behind it has changed: sync the ring, then ask desiredOwner for
+// every session's owner and move the strays — lease transfer first
+// (epoch bump), then state handoff. Returns how many sessions moved off
+// each previous owner. Callers hold g.mu.
 func (g *Gateway) rebalanceLocked() map[string]int {
 	g.syncRingLocked()
 	sessions := make([]string, 0, len(g.placements))
@@ -496,20 +530,11 @@ func (g *Gateway) rebalanceLocked() map[string]int {
 	moved, total := map[string]int{}, 0
 	for _, s := range sessions {
 		p := g.placements[s]
-		desired, ok := g.ring.Owner(s)
+		ringOwner, ok := g.ring.Owner(s)
 		if !ok {
 			continue // no members: placements freeze until a node joins
 		}
-		if owner := g.factsLocked(p.owner); !owner.servable() && p.replicas != nil {
-			// The next owner must be placeable, not merely servable: a
-			// sick-disk replica holder can donate its copy but must not
-			// become primary for new writes.
-			if best, bok := p.replicas.Best(owner.region, func(name string) bool {
-				return g.factsLocked(name).placeable()
-			}); bok {
-				desired = best
-			}
-		}
+		desired := desiredOwner(ringOwner, g.factsLocked(p.owner), g.replicaFactsLocked(p))
 		if prev := p.owner; desired != prev {
 			if err := g.movePlacementLocked(p, desired); err != nil {
 				// A failed hand-off can be news (a target found sick latches
@@ -526,9 +551,10 @@ func (g *Gateway) rebalanceLocked() map[string]int {
 	if total > 0 {
 		g.cfg.Metrics.Counter(serviceName, "sessions_rebalanced_total", "").Add(int64(total))
 	}
-	owned := g.ownedLocked()
+	owned, lag := g.ownedLocked(), g.lagLocked()
 	for name := range g.nodes {
 		g.cfg.Metrics.Gauge(serviceName, "sessions_owned", telemetry.PeerLabel(name)).Set(int64(owned[name]))
+		g.cfg.Metrics.Gauge(serviceName, "replication_lag", telemetry.PeerLabel(name)).Set(lag[name])
 	}
 	return moved
 }
@@ -540,6 +566,21 @@ func (g *Gateway) ownedLocked() map[string]int {
 		owned[p.owner]++
 	}
 	return owned
+}
+
+// lagLocked is each node's replication lag: the most versions any copy
+// it holds is behind that copy's primary (a failed copy acks 0, so it is
+// its primary's whole version behind). Callers hold g.mu.
+func (g *Gateway) lagLocked() map[string]int64 {
+	lag := make(map[string]int64, len(g.nodes))
+	for _, p := range g.placements {
+		for _, r := range p.replicas {
+			if version, acked := p.primary.Version(), r.mirror.AckedVersion(); version > acked {
+				lag[r.name] = max(lag[r.name], int64(version-acked))
+			}
+		}
+	}
+	return lag
 }
 
 // movePlacementLocked transfers one session to a new owner. Order
@@ -560,21 +601,14 @@ func (g *Gateway) movePlacementLocked(p *placement, to string) error {
 		return fmt.Errorf("gateway: lease transfer %q -> %q: %w", p.session, to, err)
 	}
 	prev, oldNode := g.factsLocked(p.owner), g.nodes[p.owner]
-	hasReplica, survivor := false, ""
-	if p.replicas != nil {
-		hasReplica = p.replicas.Has(to)
-		// A donor only needs to be servable — a sick-disk holder's memory
-		// is a valid acked prefix even though it can never own again.
-		survivor, _ = p.replicas.Best(target.region, func(name string) bool {
-			return g.factsLocked(name).servable()
-		})
-	}
-	from, mirror := handoffSource(to, hasReplica, prev, survivor)
+	// A donor only needs to be servable — a sick-disk holder's memory is
+	// a valid acked prefix even though it can never own again.
+	survivor := bestReplica(target.region, g.replicaFactsLocked(p), nodeFacts.servable)
+	from, mirror := handoffSource(to, p.replicaIndex(to) >= 0, prev, survivor)
 	var src *dataservice.Session
 	switch {
 	case mirror:
-		m, _ := p.replicas.Take(from)
-		if src, err = m.Promote(); err != nil {
+		if src, err = p.take(from).Promote(); err != nil {
 			return err
 		}
 		g.cfg.Metrics.Counter(serviceName, "promotions_total", "").Inc()
@@ -591,13 +625,12 @@ func (g *Gateway) movePlacementLocked(p *placement, to string) error {
 			return err
 		}
 	}
-	if from != prev.name && p.replicas != nil {
-		// The owner is deposed and the remaining members still follow
+	if from != prev.name {
+		// The owner is deposed and the remaining replicas still follow
 		// it; detach them (their copies freeze) and let ensureReplicas
 		// re-attach them to the new primary gap-only.
-		p.replicas.DetachAll()
-		p.replicas = nil
-		p.seeded = false
+		p.detachAll()
+		p.primary, p.seeded = nil, false
 	}
 	if from != "" && from != to {
 		m, _, merr := dataservice.MirrorSessionSince(src, newNode.svc)
@@ -649,11 +682,21 @@ func (g *Gateway) replicaTargetsLocked(p *placement) []string {
 	return replicaTargets(g.cfg.ReplicationFactor, g.factsLocked(p.owner), walk)
 }
 
-// ensureReplicasLocked converges the session's replica set on its
-// desired targets: detach members that died, dropped off the reachable
-// side, or are no longer wanted; attach the missing ones, resuming
+// replicaFactsLocked gathers what bestReplica reads about each of the
+// session's replicas, in attach order. Callers hold g.mu.
+func (g *Gateway) replicaFactsLocked(p *placement) []replicaFacts {
+	copies := make([]replicaFacts, len(p.replicas))
+	for i, r := range p.replicas {
+		copies[i] = replicaFacts{holder: g.factsLocked(r.name), acked: r.mirror.AckedVersion(), failed: r.mirror.Err() != nil}
+	}
+	return copies
+}
+
+// ensureReplicasLocked converges the session's replicas on its desired
+// targets: detach copies whose holder died, dropped off the reachable
+// side, or is no longer wanted; attach the missing ones, resuming
 // gap-only from any copy the target still holds. Attaches after the
-// set first reached full strength count as re-replication. Callers
+// replicas first reached full strength count as re-replication. Callers
 // hold g.mu.
 func (g *Gateway) ensureReplicasLocked(p *placement) {
 	if !g.factsLocked(p.owner).servable() {
@@ -663,28 +706,29 @@ func (g *Gateway) ensureReplicasLocked(p *placement) {
 	if !ok {
 		return
 	}
-	if p.replicas == nil || p.replicas.Primary() != primary {
-		if p.replicas != nil {
-			p.replicas.DetachAll()
-		}
-		p.replicas = dataservice.NewReplicaSet(primary)
-		p.seeded = false
+	if p.primary != primary {
+		p.detachAll()
+		p.primary, p.seeded = primary, false
 	}
 	targets := g.replicaTargetsLocked(p)
-	for _, name := range p.replicas.Names() {
-		if !slices.Contains(targets, name) || !g.factsLocked(name).servable() {
-			p.replicas.Detach(name)
+	p.replicas = slices.DeleteFunc(p.replicas, func(r replica) bool {
+		if slices.Contains(targets, r.name) && g.factsLocked(r.name).servable() {
+			return false
 		}
-	}
+		r.mirror.Detach()
+		return true
+	})
 	for _, tgt := range targets {
-		if p.replicas.Has(tgt) {
+		if p.replicaIndex(tgt) >= 0 {
 			continue
 		}
 		node := g.nodes[tgt]
-		if _, err := p.replicas.Attach(tgt, node.Region(), node.svc); err != nil {
+		m, _, err := dataservice.MirrorSessionSince(primary, node.svc)
+		if err != nil {
 			g.cfg.Metrics.Counter(serviceName, "mirror_errors_total", "").Inc()
 			continue
 		}
+		p.replicas = append(p.replicas, replica{name: tgt, mirror: m})
 		// A rejoining node may still carry an epoch stamp from a
 		// primaryship it held before a partition; clear it so only the
 		// current owner can serve dispatches for the session.
@@ -694,17 +738,7 @@ func (g *Gateway) ensureReplicasLocked(p *placement) {
 			g.cfg.Metrics.Counter(serviceName, "rereplications_total", "").Inc()
 		}
 	}
-	if !p.seeded && p.replicas.Size() >= len(targets) && len(targets) > 0 {
+	if !p.seeded && len(p.replicas) >= len(targets) && len(targets) > 0 {
 		p.seeded = true
-	}
-	// Each replica's version delta behind the primary is the per-node
-	// replication-lag gauge.
-	version := primary.Version()
-	for name, acked := range p.replicas.Acked() {
-		lag := int64(0)
-		if version > acked {
-			lag = int64(version - acked)
-		}
-		g.cfg.Metrics.Gauge(serviceName, "replication_lag", telemetry.PeerLabel(name)).Set(lag)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/scene"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/uddi"
@@ -490,5 +491,53 @@ func TestEpochFencesDeposedNode(t *testing.T) {
 	}
 	if _, err := nn.ApplyLoadOp("s", newEpoch); err != nil {
 		t.Errorf("new owner refused current epoch: %v", err)
+	}
+}
+
+// TestReplicationLagIsEachNodesWorstCopy: a node's replication_lag gauge
+// reads the largest lag among the copies it holds, not the lag of
+// whichever of its sessions the rebalance pass visited last.
+func TestReplicationLagIsEachNodesWorstCopy(t *testing.T) {
+	gw, _, _ := testFleet(t, 2, NodeConfig{})
+	// Two nodes at factor 1: each session's one copy is on the node that
+	// does not own it. Open sessions until two share an owner, so their
+	// copies share a holder.
+	byOwner := map[string]string{}
+	var first, second string
+	for i := 0; second == ""; i++ {
+		s := fmt.Sprintf("s%d", i)
+		if err := gw.OpenSession("t", s); err != nil {
+			t.Fatal(err)
+		}
+		owner, _, _, _ := gw.Placement(s)
+		if prior, ok := byOwner[owner]; ok {
+			first, second = prior, s
+		}
+		byOwner[owner] = s
+	}
+	owner, replicas, _, _ := gw.Placement(first)
+	holder := replicas[0]
+	// Fail the copy of the session the rebalance visits first (sessions
+	// are visited in name order): a writable backup refuses what its
+	// primary replicates.
+	hn, _ := gw.Node(holder)
+	copyOf, _ := hn.Service().Session(first)
+	copyOf.SetReadOnly(false)
+	on, _ := gw.Node(owner)
+	primary, _ := on.Service().Session(first)
+	_ = primary.ApplyUpdate(&scene.SetNameOp{ID: scene.RootID, Name: "renamed"}, "")
+	if acked := gw.ReplicaAcks(first)[holder]; acked != 0 {
+		t.Fatalf("copy of %s on %s acks %d, want a failed copy's 0", first, holder, acked)
+	}
+	caughtUp, _ := on.Service().Session(second)
+	if acked := gw.ReplicaAcks(second)[holder]; acked != caughtUp.Version() {
+		t.Fatalf("copy of %s on %s acks %d, want the caught-up %d", second, holder, acked, caughtUp.Version())
+	}
+
+	gw.TopologyChanged()
+	m, ok := gw.Telemetry().Snapshot().Get("gw", "replication_lag", telemetry.PeerLabel(holder))
+	if !ok || m.Value != int64(primary.Version()) {
+		t.Errorf("replication_lag{%s} = %d (ok=%v), want %d: %s's failed copy, not %s's caught-up one",
+			holder, m.Value, ok, primary.Version(), first, second)
 	}
 }
