@@ -206,10 +206,15 @@ bench-smoke:
 # promotion and evacuation tests (internal/gateway) are then run at
 # GOMAXPROCS 1, 2 and 8: a deadline a part misses, a lease a monitor
 # claims or the replica a promotion picks must not depend on how many
-# goroutines run beside it.
+# goroutines run beside it. The data-service daemon's own fail-over and
+# corrupt-journal tests (internal/core, TestDataNode*, on loopback TCP and
+# the wall clock) run in the same loop.
 chaos:
 	$(GO) test ./internal/chaos/ -race -count=2
-	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test ./internal/chaos/ ./internal/loadgen/ ./internal/gateway/ -count=3 || exit 1; done
+	for p in 1 2 8; do \
+		GOMAXPROCS=$$p $(GO) test ./internal/chaos/ ./internal/loadgen/ ./internal/gateway/ -count=3 || exit 1; \
+		GOMAXPROCS=$$p $(GO) test ./internal/core/ -run '^TestDataNode' -count=3 || exit 1; \
+	done
 
 # order runs the ordered-stream tests twenty times at GOMAXPROCS 1, 2
 # and 8 and once under the race detector: the follower conformance table;

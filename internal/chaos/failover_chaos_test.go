@@ -50,6 +50,30 @@ func waitFor(t *testing.T, clk *vclock.Virtual, what string, cond func() bool) {
 	}
 }
 
+// applyDoomed commits the doomed op on sess, whose service "data-a"
+// counts on met, with every one of peers' sockets under a kill plan. The
+// op is committed, so it returns nil; the kill plan fired on it when each
+// peer's fanout_errors_total rose by one.
+func applyDoomed(t *testing.T, met *telemetry.Registry, sess *dataservice.Session, peers ...string) {
+	t.Helper()
+	missed := func(peer string) int64 {
+		return met.Snapshot().CounterValue("data-a", "fanout_errors_total", telemetry.PeerLabel(peer))
+	}
+	before := make([]int64, len(peers))
+	for i, peer := range peers {
+		before[i] = missed(peer)
+	}
+	doomed := &scene.AddNodeOp{Parent: scene.RootID, ID: sess.AllocID(), Name: "doomed", Transform: mathx.Identity()}
+	if err := sess.ApplyUpdate(doomed, ""); err != nil {
+		t.Fatalf("the doomed op: %v, want it committed", err)
+	}
+	for i, peer := range peers {
+		if d := missed(peer) - before[i]; d != 1 {
+			t.Fatalf("fanout_errors_total{%s} rose by %d on the doomed op, want 1: the kill plan did not fire", peer, d)
+		}
+	}
+}
+
 // TestPrimaryDeathFailsOverToStandby is the headline failover scenario.
 // Timeline (all virtual time, on a driven clock, which moves only when
 // every goroutine is blocked, so the schedule is exact):
@@ -82,7 +106,8 @@ func TestPrimaryDeathFailsOverToStandby(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	svcA := dataservice.New(dataservice.Config{Name: "data-a", Clock: clk})
+	met := telemetry.NewRegistry(clk)
+	svcA := dataservice.New(dataservice.Config{Name: "data-a", Clock: clk, Metrics: met})
 	sessA, err := svcA.CreateSessionFromMesh("skull", "skull", genmodel.Galleon(1200))
 	if err != nil {
 		t.Fatal(err)
@@ -233,10 +258,7 @@ func TestPrimaryDeathFailsOverToStandby(t *testing.T) {
 	if err := <-keeperErr; !errors.Is(err, context.Canceled) {
 		t.Fatalf("keeper exit: %v", err)
 	}
-	doomed := &scene.AddNodeOp{Parent: scene.RootID, ID: sessA.AllocID(), Name: "doomed", Transform: mathx.Identity()}
-	if err := sessA.ApplyUpdate(doomed, ""); err == nil {
-		t.Fatal("fan-out of the doomed op survived the kill plan")
-	}
+	applyDoomed(t, met, sessA, "data-b", "rs")
 	select {
 	case err := <-stErr:
 		if !errors.Is(err, failover.ErrReplicationLost) {
@@ -326,7 +348,8 @@ func TestKillPrimaryMidMigrationStandbyRestarts(t *testing.T) {
 	// link, so the clock must be moving for the bootstrap to deliver.
 	stop := clk.Drive()
 	defer stop()
-	svcA := dataservice.New(dataservice.Config{Name: "data-a", Clock: clk})
+	met := telemetry.NewRegistry(clk)
+	svcA := dataservice.New(dataservice.Config{Name: "data-a", Clock: clk, Metrics: met})
 	sess := distSession(t, svcA, 12000, 6)
 
 	th := balance.DefaultThresholds()
@@ -375,10 +398,7 @@ func TestKillPrimaryMidMigrationStandbyRestarts(t *testing.T) {
 
 	preKill := sess.Version()
 	repA.InjectFaults(netsim.NewFaults(53).KillAtByte(16))
-	doomed := &scene.AddNodeOp{Parent: scene.RootID, ID: sess.AllocID(), Name: "doomed", Transform: mathx.Identity()}
-	if err := sess.ApplyUpdate(doomed, ""); err == nil {
-		t.Fatal("fan-out of the doomed op survived the kill plan")
-	}
+	applyDoomed(t, met, sess, "data-b")
 	select {
 	case err := <-stErr:
 		if !errors.Is(err, failover.ErrReplicationLost) {
@@ -454,7 +474,8 @@ func TestJournaledPrimaryCrashRecoveryResumesSubscribers(t *testing.T) {
 	// The subscriber's redial backoff runs on the virtual clock.
 	stop := clk.Drive()
 	defer stop()
-	svcA := dataservice.New(dataservice.Config{Name: "data-a", Clock: clk})
+	met := telemetry.NewRegistry(clk)
+	svcA := dataservice.New(dataservice.Config{Name: "data-a", Clock: clk, Metrics: met})
 	sessA, err := svcA.CreateSessionFromMesh("skull", "skull", genmodel.Galleon(800))
 	if err != nil {
 		t.Fatal(err)
@@ -526,10 +547,7 @@ func TestJournaledPrimaryCrashRecoveryResumesSubscribers(t *testing.T) {
 	current = nil
 	primaryConn.InjectFaults(netsim.NewFaults(61).KillAtByte(16))
 	svcMu.Unlock()
-	doomed := &scene.AddNodeOp{Parent: scene.RootID, ID: sessA.AllocID(), Name: "doomed", Transform: mathx.Identity()}
-	if err := sessA.ApplyUpdate(doomed, ""); err == nil {
-		t.Fatal("fan-out of the doomed op survived the kill plan")
-	}
+	applyDoomed(t, met, sessA, "rs")
 
 	// Recover from the synced prefix of the journal — what a real crash
 	// leaves on disk — into a fresh service process.

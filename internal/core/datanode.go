@@ -270,9 +270,10 @@ func (n *DataNode) open() (*dataservice.Session, error) {
 // survivable (the damage is after the last synced op) and is discarded
 // with a note; mid-log corruption is not — replaying the prefix would
 // silently serve a version older than what was acked, so the segment is
-// never trusted. When the replica index is reachable (a registry and a
-// region) the corrupt segment is quarantined and errQuarantined returned;
-// otherwise the error carries the quarantine instructions.
+// never trusted: it is counted on wal_corrupt_total, and when the replica
+// index is reachable (a registry and a region) it is quarantined and
+// errQuarantined returned; otherwise the error carries the quarantine
+// instructions.
 func (n *DataNode) recoverJournal(store *wal.OSStore) (*dataservice.Session, error) {
 	sess, rec, err := n.svc.RecoverSession(n.Session, store, n.CompactEvery)
 	switch {
@@ -286,7 +287,9 @@ func (n *DataNode) recoverJournal(store *wal.OSStore) (*dataservice.Session, err
 		return sess, nil
 	case !errors.Is(err, wal.ErrLogCorrupt):
 		return nil, fmt.Errorf("journal recovery: %w", err)
-	case n.Registry == "" || n.Region == "":
+	}
+	n.metrics.Counter(n.Name, "wal_corrupt_total", "").Inc()
+	if n.Registry == "" || n.Region == "" {
 		return nil, fmt.Errorf("journal recovery: %w\n"+
 			"%s is damaged mid-log; replaying it would serve a stale prefix of the acked session, refusing.\n"+
 			"restart with -registry and -region to quarantine the segment and bootstrap from a replica, or move the file aside to reimport from the model", err, n.Journal)

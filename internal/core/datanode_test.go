@@ -38,6 +38,50 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// runNode starts node on loopback the way cmd/ravedata's main does, its
+// log lines in the test's; the returned stop cancels it and waits for
+// everything it started.
+func runNode(t *testing.T, node *DataNode) (stop func()) {
+	t.Helper()
+	node.Info = log.New(testLog{t}, node.Name+": ", 0)
+	node.Warn = log.New(testLog{t}, node.Name+": WARN ", 0)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- node.Run(ctx, ln) }()
+	return sync.OnceFunc(func() {
+		cancel()
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Errorf("%s stopped with %v", node.Name, err)
+		}
+	})
+}
+
+// nodeSession waits for node to hold its session and returns it.
+func nodeSession(t *testing.T, node *DataNode) *dataservice.Session {
+	t.Helper()
+	var sess *dataservice.Session
+	waitFor(t, node.Name+"'s copy of the session", func() (ok bool) {
+		sess, ok = node.Service().Session(node.Session)
+		return ok
+	})
+	return sess
+}
+
+// commit applies n ops to sess.
+func commit(t *testing.T, sess *dataservice.Session, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		op := &scene.AddNodeOp{Parent: scene.RootID, ID: sess.AllocID(), Name: "n", Transform: mathx.Identity()}
+		if err := sess.ApplyUpdate(op, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestDataNodeFailoverFollowedThroughRegistry runs what the daemons run,
 // in one process on loopback TCP and the wall clock: a registry, a
 // ravedata primary and a ravedata standby (DataNode.Run on the settings
@@ -52,43 +96,11 @@ func TestDataNodeFailoverFollowedThroughRegistry(t *testing.T) {
 	defer registry.Close()
 	const renew = 40 * time.Millisecond
 
-	// run starts node the way cmd/ravedata's main does; the returned stop
-	// cancels it and waits for everything it started.
 	run := func(node *DataNode) (stop func()) {
 		node.Session, node.Registry, node.Renew, node.CompactEvery = "skull", registry.URL, renew, 256
-		node.Info = log.New(testLog{t}, node.Name+": ", 0)
-		node.Warn = log.New(testLog{t}, node.Name+": WARN ", 0)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() { done <- node.Run(ctx, ln) }()
-		return sync.OnceFunc(func() {
-			cancel()
-			if err := <-done; !errors.Is(err, context.Canceled) {
-				t.Errorf("%s stopped with %v", node.Name, err)
-			}
-		})
+		return runNode(t, node)
 	}
-	session := func(node *DataNode) *dataservice.Session {
-		var sess *dataservice.Session
-		waitFor(t, node.Name+"'s copy of the session", func() (ok bool) {
-			sess, ok = node.Service().Session("skull")
-			return ok
-		})
-		return sess
-	}
-	commit := func(sess *dataservice.Session, n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			op := &scene.AddNodeOp{Parent: scene.RootID, ID: sess.AllocID(), Name: "n", Transform: mathx.Identity()}
-			if err := sess.ApplyUpdate(op, ""); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	session := func(node *DataNode) *dataservice.Session { return nodeSession(t, node) }
 
 	primary := &DataNode{Name: "prim", Model: "galleon", Triangles: 600, Region: "eu", Lease: true, Replicas: 1}
 	stopPrimary := run(primary)
@@ -124,7 +136,7 @@ func TestDataNodeFailoverFollowedThroughRegistry(t *testing.T) {
 	}
 
 	onPrimary := session(primary)
-	commit(onPrimary, 3)
+	commit(t, onPrimary, 3)
 	onStandby := session(standby)
 	waitFor(t, "standby and render replica to catch up", func() bool {
 		return onStandby.Version() == onPrimary.Version() && replica.Version() == onPrimary.Version()
@@ -142,7 +154,7 @@ func TestDataNodeFailoverFollowedThroughRegistry(t *testing.T) {
 	})
 
 	before := replica.Version()
-	commit(onStandby, 4)
+	commit(t, onStandby, 4)
 	waitFor(t, "render replica to follow the promoted standby", func() bool {
 		return replica.Version() == onStandby.Version()
 	})

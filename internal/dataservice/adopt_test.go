@@ -29,11 +29,13 @@ func TestAdoptedPayloadsRenderWhileCommitting(t *testing.T) {
 	}
 	var id scene.NodeID
 	sess.Scene(func(sc *scene.Scene) { id = sc.PayloadIDs()[0] })
-	mirror, _, err := MirrorSessionSince(sess, New(Config{Name: "backup"}))
+	backupSvc := New(Config{Name: "backup"})
+	mirror, _, err := MirrorSessionSince(sess, backupSvc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mirror.Detach()
+	backupSess, _ := backupSvc.Session("s")
 
 	dsEnd, rsEnd := net.Pipe()
 	served := make(chan struct{})
@@ -83,7 +85,7 @@ func TestAdoptedPayloadsRenderWhileCommitting(t *testing.T) {
 	// the mirror; each is drawn under its own session's lock, so a write
 	// to a held payload from either draw would race the other.
 	cam := raster.DefaultCamera().FitToBounds(mathx.AABB{Min: mathx.V3(-2, -2, -2), Max: mathx.V3(2, 2, 2)}, mathx.V3(0.3, 0.2, 1))
-	for _, held := range []*Session{sess, mirror.Backup()} {
+	for _, held := range []*Session{sess, backupSess} {
 		loop(func() (err error) {
 			held.Scene(func(sc *scene.Scene) { _, _, err = rs.RenderSceneOnce(sc, cam, 48, 48) })
 			return err
@@ -114,7 +116,7 @@ func TestAdoptedPayloadsRenderWhileCommitting(t *testing.T) {
 
 	var primary, backup scene.Payload
 	sess.Scene(func(sc *scene.Scene) { primary = sc.Node(id).Payload })
-	mirror.Backup().Scene(func(sc *scene.Scene) { backup = sc.Node(id).Payload })
+	backupSess.Scene(func(sc *scene.Scene) { backup = sc.Node(id).Payload })
 	if backup != primary {
 		t.Error("the mirror's backup holds a payload other than the one the primary adopted")
 	}

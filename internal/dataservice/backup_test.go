@@ -38,7 +38,8 @@ func TestBackupSubscriberMissKeepsReplicating(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return m.Backup(), func() {
+			backup, _ := backupSvc.Session(primary.Name)
+			return backup, func() {
 				if got, want := m.AckedVersion(), primary.Version(); got != want {
 					t.Errorf("mirror acked version %d, primary at %d (err %v)", got, want, m.Err())
 				}

@@ -61,10 +61,10 @@ func TestJournalFaultTyped(t *testing.T) {
 	_ = healthyVersion
 }
 
-// corruptedJournal journals count ops through a FaultStore that flips
-// bits in a mid-log record, returning the inner store (as a crash would
-// leave it) and the last acked version.
-func corruptedJournal(t *testing.T, svc *Service) (*wal.MemStore, *Session, uint64) {
+// corruptedJournal journals four ops through a FaultStore that flips
+// bits in a mid-log record, returning the inner store as a crash would
+// leave it.
+func corruptedJournal(t *testing.T, svc *Service) *wal.MemStore {
 	t.Helper()
 	sess, err := svc.CreateSession("victim")
 	if err != nil {
@@ -92,7 +92,7 @@ func corruptedJournal(t *testing.T, svc *Service) (*wal.MemStore, *Session, uint
 			t.Fatal(err)
 		}
 	}
-	return mem, sess, sess.Version()
+	return mem
 }
 
 // TestRecoverSessionRefusesCorrupt: mid-log corruption must never
@@ -101,7 +101,7 @@ func corruptedJournal(t *testing.T, svc *Service) (*wal.MemStore, *Session, uint
 func TestRecoverSessionRefusesCorrupt(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
 	svcA := New(Config{Name: "node-a", Clock: clk})
-	mem, _, _ := corruptedJournal(t, svcA)
+	mem := corruptedJournal(t, svcA)
 
 	reborn := New(Config{Name: "node-a2", Clock: clk})
 	_, _, err := reborn.RecoverSession("victim", mem, 0)
@@ -110,95 +110,5 @@ func TestRecoverSessionRefusesCorrupt(t *testing.T) {
 	}
 	if _, ok := reborn.Session("victim"); ok {
 		t.Fatal("refused recovery left a half-built session behind")
-	}
-}
-
-// TestRecoverSessionOrBootstrap: the full choreography — local recovery
-// when the journal is trustworthy, replica bootstrap when it is not.
-func TestRecoverSessionOrBootstrap(t *testing.T) {
-	clk := vclock.NewVirtual(time.Unix(0, 0))
-	metrics := telemetry.NewRegistry(clk)
-	svcA := New(Config{Name: "node-a", Clock: clk, Metrics: metrics})
-	mem, prim, version := corruptedJournal(t, svcA)
-
-	// A replica on node-b followed the session the whole time.
-	svcB := New(Config{Name: "node-b", Clock: clk, Region: "eu", Metrics: metrics})
-	m, _, err := MirrorSessionSince(prim, svcB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.AckedVersion(); got != version {
-		t.Fatalf("replica acked %d, want %d", got, version)
-	}
-
-	// node-a crashes and comes back: local recovery is refused (the
-	// corruption), so it bootstraps from the replica instead.
-	reborn := New(Config{Name: "node-a2", Clock: clk, Metrics: metrics})
-	sources := func() []BootstrapSource {
-		return []BootstrapSource{{Name: "node-b", Svc: svcB}}
-	}
-	crashed := mem.Crashed()
-	sess, from, err := reborn.RecoverSessionOrBootstrap("victim", crashed, 0, sources)
-	if err != nil {
-		t.Fatalf("bootstrap failed: %v", err)
-	}
-	if from != "node-b" {
-		t.Fatalf("bootstrapped from %q, want node-b", from)
-	}
-	if sess.Version() != version {
-		t.Fatalf("bootstrapped to version %d, want the replica's %d", sess.Version(), version)
-	}
-	// The fresh journal took over the store: new ops commit durably and
-	// a plain local recovery now works.
-	op := &scene.SetTransformOp{ID: 2, Transform: mathx.Translate(mathx.V3(9, 9, 9))}
-	if err := sess.ApplyUpdate(op, "after"); err != nil {
-		t.Fatalf("post-bootstrap update: %v", err)
-	}
-	reread := New(Config{Name: "node-a3", Clock: clk})
-	again, rec, err := reread.RecoverSession("victim", crashed, 0)
-	if err != nil {
-		t.Fatalf("recovery after bootstrap rewrite: %v", err)
-	}
-	if rec.Torn != nil || again.Version() != version+1 {
-		t.Errorf("re-recovery at %d (torn %v), want clean %d", again.Version(), rec.Torn, version+1)
-	}
-
-	// A healthy journal never consults the sources.
-	healthy := New(Config{Name: "node-c", Clock: clk})
-	hs, herr := healthy.CreateSession("fine")
-	if herr != nil {
-		t.Fatal(herr)
-	}
-	hstore := wal.NewMemStore()
-	if err := hs.StartJournal(hstore, 0); err != nil {
-		t.Fatal(err)
-	}
-	id := hs.AllocID()
-	if err := hs.ApplyUpdate(&scene.AddNodeOp{Parent: scene.RootID, ID: id, Name: "n", Transform: mathx.Identity()}, "c"); err != nil {
-		t.Fatal(err)
-	}
-	reborn2 := New(Config{Name: "node-c2", Clock: clk})
-	_, from2, err := reborn2.RecoverSessionOrBootstrap("fine", hstore.Crashed(), 0, func() []BootstrapSource {
-		t.Fatal("healthy recovery consulted replica sources")
-		return nil
-	})
-	if err != nil || from2 != "" {
-		t.Fatalf("local recovery: from=%q err=%v", from2, err)
-	}
-}
-
-// TestRecoverSessionOrBootstrapNoSources: corruption with no replicas
-// configured is a hard, explicit failure — never a stale recovery.
-func TestRecoverSessionOrBootstrapNoSources(t *testing.T) {
-	clk := vclock.NewVirtual(time.Unix(0, 0))
-	svcA := New(Config{Name: "node-a", Clock: clk})
-	mem, _, _ := corruptedJournal(t, svcA)
-	reborn := New(Config{Name: "node-a2", Clock: clk})
-	if _, _, err := reborn.RecoverSessionOrBootstrap("victim", mem, 0, nil); !errors.Is(err, wal.ErrLogCorrupt) {
-		t.Fatalf("err = %v, want ErrLogCorrupt", err)
-	}
-	empty := func() []BootstrapSource { return nil }
-	if _, _, err := reborn.RecoverSessionOrBootstrap("victim", mem, 0, empty); !errors.Is(err, wal.ErrLogCorrupt) {
-		t.Fatalf("empty sources: err = %v, want ErrLogCorrupt", err)
 	}
 }

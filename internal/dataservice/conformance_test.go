@@ -260,7 +260,8 @@ func mirrorFollower(t *testing.T, row conformanceRow) (uint64, error) {
 		}
 		m.Detach()
 	}
-	return m.Backup().Version(), m.Err()
+	backup, _ := backupSvc.Session("s")
+	return backup.Version(), m.Err()
 }
 
 func TestFollowerConformance(t *testing.T) {
@@ -686,9 +687,9 @@ func (c *sceneCopy) Apply(op scene.Op) error {
 func (c *sceneCopy) SetCamera(transport.CameraState) error { return nil }
 
 // TestFailedDeliveryCutsSubscriber: a subscriber's socket fails a write
-// while two goroutines commit. The first failed delivery cuts the
-// subscriber: it leaves the fan-out, the deliveries already queued behind
-// it return its error with no write, and the socket is closed, so the
+// while two goroutines commit. Every commit succeeds. The first failed
+// delivery cuts the subscriber: it leaves the fan-out, the deliveries
+// already queued behind it fail with no write, and the socket is closed, so the
 // follower reads the end of its stream, redials and resumes gap-only from
 // the history ring, and its copy ends equal to the authority's at the
 // same version. No commit after the cut is queued for the cut outbox, so
@@ -709,22 +710,12 @@ func TestFailedDeliveryCutsSubscriber(t *testing.T) {
 	cp := f.cp
 	waitVersion(t, cp, sess)
 
-	// 401 ops: the history ring's 512 reach back past the cut.
-	var (
-		wg     sync.WaitGroup
-		missMu sync.Mutex
-		misses []error
-	)
+	// 401 ops: the history ring's 512 reach back past the cut. Each is
+	// committed, so each returns nil whatever the subscriber missed.
+	var wg sync.WaitGroup
 	commit := func(x, y float64) {
-		err := sess.ApplyUpdate(&scene.SetTransformOp{ID: id, Transform: mathx.Translate(mathx.V3(x, y, 0))}, "")
-		var miss *dataservice.FanoutError
-		switch {
-		case errors.As(err, &miss):
-			missMu.Lock()
-			misses = append(misses, miss.Err)
-			missMu.Unlock()
-		case err != nil:
-			t.Error(err)
+		if err := sess.ApplyUpdate(&scene.SetTransformOp{ID: id, Transform: mathx.Translate(mathx.V3(x, y, 0))}, ""); err != nil {
+			t.Errorf("a commit returned %v, want nil: a subscriber's miss is not the author's", err)
 		}
 	}
 	// The failing write holds the flusher until one more commit has
@@ -761,16 +752,6 @@ func TestFailedDeliveryCutsSubscriber(t *testing.T) {
 	if !closed || late != 0 {
 		t.Errorf("after the failed write the socket was closed: %t, and %d more writes were tried; want closed and none", closed, late)
 	}
-	missMu.Lock()
-	if len(misses) < 2 {
-		t.Errorf("%d deliveries missed, want the failed one and those behind it", len(misses))
-	}
-	for _, err := range misses {
-		if !errors.Is(err, errKilled) {
-			t.Errorf("a missed delivery returned %v, want the failed write's error", err)
-		}
-	}
-	missMu.Unlock()
 	counted := met.Snapshot().CounterValue("data", "fanout_errors_total", telemetry.PeerLabel("copy"))
 	if counted < 2 || counted > 3 {
 		t.Errorf("fanout_errors_total{copy} = %d, want the failed delivery and at most two queued behind it", counted)
@@ -805,7 +786,7 @@ func TestFailedDeliveryCutsSubscriber(t *testing.T) {
 	}
 	snapshots, resumes := sess.BootstrapStats()
 	dials := f.dialled()
-	t.Logf("%d misses, %d counted; %d dials, %d resumed, %d refused as already attached", len(misses), counted, dials, resumes, uint64(dials)-snapshots-resumes)
+	t.Logf("%d misses counted; %d dials, %d resumed, %d refused as already attached", counted, dials, resumes, uint64(dials)-snapshots-resumes)
 	if snapshots != 1 || resumes == 0 {
 		t.Errorf("%d snapshots and %d resumes served, want the bootstrap snapshot and a gap-only resume", snapshots, resumes)
 	}

@@ -136,7 +136,7 @@ func TestFilteredRedialConverges(t *testing.T) {
 
 	var wg sync.WaitGroup
 	commit := func(op scene.Op) {
-		if err := sess.ApplyUpdate(op, ""); err != nil && !errors.As(err, new(*dataservice.FanoutError)) {
+		if err := sess.ApplyUpdate(op, ""); err != nil {
 			t.Error(err)
 		}
 	}

@@ -1,7 +1,6 @@
 package dataservice
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/dataservice/wal"
@@ -124,65 +123,4 @@ func (s *Service) RecoverSession(name string, store wal.Store, compactEvery int)
 		return nil, nil, err
 	}
 	return sess, rec, nil
-}
-
-// BootstrapSource is one candidate replica holding a copy of a session
-// whose local journal cannot be trusted — typically built from the
-// UDDI replica index, nearest first.
-type BootstrapSource struct {
-	// Name identifies the node holding the copy (telemetry and logs).
-	Name string
-	// Svc is that node's data service.
-	Svc *Service
-}
-
-// RecoverSessionOrBootstrap rebuilds a session from its local journal
-// when the journal is trustworthy, and from the nearest replica when it
-// is not. Torn tails recover locally as always; a journal that fails
-// with wal.ErrLogCorrupt — damage that proves the log lies about
-// history — must never be replayed, because serving its stale prefix as
-// current silently forks the session. Instead the candidates from
-// sources are tried in order: the first whose service still holds the
-// session seeds a mirror, the mirror is promoted into this service, and
-// a fresh journal checkpoint overwrites the corrupt segment (callers
-// wanting a post-mortem quarantine the segment first). from names the
-// replica used, or "" when recovery was local.
-func (s *Service) RecoverSessionOrBootstrap(name string, store wal.Store, compactEvery int, sources func() []BootstrapSource) (sess *Session, from string, err error) {
-	sess, _, err = s.RecoverSession(name, store, compactEvery)
-	if err == nil {
-		return sess, "", nil
-	}
-	if !errors.Is(err, wal.ErrLogCorrupt) {
-		return nil, "", err
-	}
-	s.cfg.Metrics.Counter(s.cfg.Name, "wal_corrupt_total", "").Inc()
-	if sources == nil {
-		return nil, "", fmt.Errorf("dataservice: session %q: %w (and no replica sources to bootstrap from)", name, err)
-	}
-	corrupt := err
-	for _, src := range sources() {
-		if src.Svc == nil || src.Svc == s {
-			continue
-		}
-		srcSess, ok := src.Svc.Session(name)
-		if !ok {
-			continue
-		}
-		m, _, merr := MirrorSessionSince(srcSess, s)
-		if merr != nil {
-			corrupt = fmt.Errorf("%w; bootstrap from %q: %v", corrupt, src.Name, merr)
-			continue
-		}
-		boot, perr := m.Promote()
-		if perr != nil {
-			corrupt = fmt.Errorf("%w; promote bootstrap from %q: %v", corrupt, src.Name, perr)
-			continue
-		}
-		if jerr := boot.StartJournal(store, compactEvery); jerr != nil {
-			return nil, "", fmt.Errorf("dataservice: restart journal after bootstrap from %q: %w", src.Name, jerr)
-		}
-		s.cfg.Metrics.Counter(s.cfg.Name, "sessions_bootstrapped_total", "replica").Inc()
-		return boot, src.Name, nil
-	}
-	return nil, "", fmt.Errorf("dataservice: session %q: no replica could bootstrap: %w", name, corrupt)
 }

@@ -120,10 +120,6 @@ func (m *Mirror) Err() error {
 	return m.applyErr
 }
 
-// Backup exposes the standby session (e.g. to attach standby render
-// services before a failover).
-func (m *Mirror) Backup() *Session { return m.backup.Session() }
-
 // Promote detaches from the primary and returns the backup session as
 // the new authority. Safe to call after the primary has died — the
 // detach is local state on the (possibly defunct) primary.
@@ -155,9 +151,10 @@ var errDetached = errors.New("dataservice: mirror detached")
 // process, failover.Standby over a socket — so one rule holds for both:
 // the copy installs snapshots, applies ops through ApplyReplicated and
 // sets the camera; a delivery the backup's own subscribers miss is
-// theirs, counted on the backup service's fanout_errors_total{peer}, and
-// neither fails the write nor ends the replication; and once promoted,
-// the copy takes nothing more from its primary.
+// theirs, counted on the backup service's fanout_errors_total{peer} like
+// any session's miss, so it neither fails the write nor ends the
+// replication; and once promoted, the copy takes nothing more from its
+// primary.
 type Backup struct {
 	svc  *Service
 	name string
@@ -221,14 +218,10 @@ func (b *Backup) Install(sc *scene.Scene) error {
 	return nil
 }
 
-// Apply applies the next op. Once promoted the session is writable and
-// ApplyReplicated refuses it.
+// Apply applies the next op; an error means the copy did not commit it.
+// Once promoted the session is writable and ApplyReplicated refuses it.
 func (b *Backup) Apply(op scene.Op) error {
-	err := b.Session().ApplyReplicated(op)
-	if errors.As(err, new(*FanoutError)) {
-		return nil // committed; the miss is the backup's subscriber's
-	}
-	return err
+	return b.Session().ApplyReplicated(op)
 }
 
 // SetCamera sets the copy's camera; a subscriber's miss is its own.

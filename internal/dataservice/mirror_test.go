@@ -25,11 +25,12 @@ func TestMirrorReplicatesUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	backup, _ := backupSvc.Session("skull")
 	// Snapshot installed: identical version and cost.
 	if m.AckedVersion() != sess.Version() {
 		t.Fatalf("fresh mirror acked %d, primary at %d", m.AckedVersion(), sess.Version())
 	}
-	if m.Backup().Snapshot().TotalCost() != sess.Snapshot().TotalCost() {
+	if backup.Snapshot().TotalCost() != sess.Snapshot().TotalCost() {
 		t.Fatal("backup snapshot differs")
 	}
 
@@ -44,7 +45,7 @@ func TestMirrorReplicatesUpdates(t *testing.T) {
 		t.Errorf("after an update the mirror acked %d, primary at %d", m.AckedVersion(), sess.Version())
 	}
 	var found bool
-	m.Backup().Scene(func(sc *scene.Scene) { found = sc.Node(id) != nil })
+	backup.Scene(func(sc *scene.Scene) { found = sc.Node(id) != nil })
 	if !found {
 		t.Fatal("update not replicated")
 	}
@@ -55,7 +56,7 @@ func TestMirrorReplicatesUpdates(t *testing.T) {
 	if err := sess.SetCamera(cam, ""); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Backup().Camera().Eye; got != cam.Eye {
+	if got := backup.Camera().Eye; got != cam.Eye {
 		t.Errorf("camera not mirrored: %v", got)
 	}
 	if m.Err() != nil {
@@ -70,13 +71,13 @@ func TestMirrorBackupServesItsOwnSubscribers(t *testing.T) {
 		t.Fatal(err)
 	}
 	backupSvc := New(Config{Name: "backup"})
-	m, _, err := MirrorSessionSince(sess, backupSvc)
-	if err != nil {
+	if _, _, err := MirrorSessionSince(sess, backupSvc); err != nil {
 		t.Fatal(err)
 	}
 	// A client attached to the standby sees primary-originated updates.
 	watcher := &recordingSub{}
-	if _, err := m.Backup().Subscribe("standby-client", watcher); err != nil {
+	backup, _ := backupSvc.Session("s")
+	if _, err := backup.Subscribe("standby-client", watcher); err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.ApplyUpdate(&scene.SetNameOp{ID: scene.RootID, Name: "renamed"}, ""); err != nil {
@@ -99,11 +100,13 @@ func TestMirrorBackupReadOnlyUntilPromoted(t *testing.T) {
 	write := func(backup *Session) error {
 		return backup.ApplyUpdate(&scene.SetNameOp{ID: scene.RootID, Name: "direct"}, "")
 	}
-	m, _, err := MirrorSessionSince(sess, New(Config{Name: "backup"}))
+	backupSvc := New(Config{Name: "backup"})
+	m, _, err := MirrorSessionSince(sess, backupSvc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := write(m.Backup()); !errors.Is(err, ErrReadOnly) {
+	backup, _ := backupSvc.Session("s")
+	if err := write(backup); !errors.Is(err, ErrReadOnly) {
 		t.Errorf("write to an unpromoted backup = %v, want ErrReadOnly", err)
 	}
 	promoted, err := m.Promote()
@@ -114,12 +117,14 @@ func TestMirrorBackupReadOnlyUntilPromoted(t *testing.T) {
 		t.Errorf("write to the promoted backup = %v", err)
 	}
 
-	detached, _, err := MirrorSessionSince(sess, New(Config{Name: "other"}))
+	otherSvc := New(Config{Name: "other"})
+	detached, _, err := MirrorSessionSince(sess, otherSvc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	detached.Detach()
-	if err := write(detached.Backup()); !errors.Is(err, ErrReadOnly) {
+	backup, _ = otherSvc.Session("s")
+	if err := write(backup); !errors.Is(err, ErrReadOnly) {
 		t.Errorf("write to a detached backup = %v, want ErrReadOnly", err)
 	}
 }
@@ -155,9 +160,12 @@ func TestPromoteWhileCommitting(t *testing.T) {
 					return
 				default:
 				}
-				// After the promotion the mirror's miss is this commit's
-				// FanoutError; the op is committed on the primary all the same.
-				_ = sess.ApplyUpdate(&scene.SetNameOp{ID: scene.RootID, Name: "x"}, "")
+				// After the promotion the mirror misses every op; each is
+				// committed on the primary all the same.
+				if err := sess.ApplyUpdate(&scene.SetNameOp{ID: scene.RootID, Name: "x"}, ""); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}()
 	}

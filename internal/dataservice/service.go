@@ -159,24 +159,6 @@ var ErrReadOnly = errors.New("dataservice: session is a read-only standby")
 // replicas, preferring replica copies over the phantom-op scene.
 var ErrJournalFault = errors.New("dataservice: journal fault")
 
-// FanoutError reports that an update was committed — applied, journalled
-// and given Version — but could not be delivered to a subscriber. The
-// op's author has nothing to retry: the subscriber's own follower redials
-// and resumes from the history ring. ApplyUpdate returns the first one
-// per op; every one it waits for is counted on fanout_errors_total{peer}
-// (not an op queued behind a snapshot still being encoded).
-type FanoutError struct {
-	Version    uint64
-	Subscriber string
-	Err        error
-}
-
-func (e *FanoutError) Error() string {
-	return fmt.Sprintf("dataservice: fan-out of version %d to %s: %v", e.Version, e.Subscriber, e.Err)
-}
-
-func (e *FanoutError) Unwrap() error { return e.Err }
-
 // historyCap bounds the per-session resume ring. 512 ops of lag is far
 // beyond any reconnect window the chaos suite exercises; beyond it a
 // returning subscriber falls back to a full snapshot.
@@ -330,18 +312,6 @@ func (s *Service) Session(name string) (*Session, bool) {
 	return sess, ok
 }
 
-// SessionNames lists hosted sessions, sorted.
-func (s *Service) SessionNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for n := range s.sessions {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // AddMesh attaches a mesh node under the root and fans out the update.
 func (sess *Session) AddMesh(name string, mesh *geom.Mesh, tr mathx.Mat4) (scene.NodeID, error) {
 	sess.mu.Lock()
@@ -406,8 +376,10 @@ func (sess *Session) Version() uint64 {
 // fan-out: an author that subscribes gets its op back in its own stream,
 // in commit order, like every other subscriber. On a read-only backup
 // session it refuses with ErrReadOnly; the replication path uses
-// ApplyReplicated instead. A *FanoutError means the op is committed and
-// one subscriber missed it; any other error means it is not.
+// ApplyReplicated instead. An error means the op is not committed. A
+// subscriber that misses a committed op is no error of the author's: the
+// miss is counted on fanout_errors_total{peer} and cuts that subscriber,
+// whose follower redials and resumes from the history ring.
 func (sess *Session) ApplyUpdate(op scene.Op, origin string) error {
 	return sess.applyUpdate(op, false)
 }
@@ -430,13 +402,11 @@ func (sess *Session) applyUpdate(op scene.Op, replicated bool) error {
 	if err != nil {
 		return err
 	}
-	version, sent, err := sess.commit(op, rec, replicated)
+	sent, err := sess.commit(op, rec, replicated)
 	if err != nil {
 		return err
 	}
-	if miss := sess.fanOut(sent); miss != nil {
-		return &FanoutError{Version: version, Subscriber: miss.ob.name, Err: miss.err}
-	}
+	sess.fanOut(sent)
 	return nil
 }
 
@@ -458,32 +428,32 @@ func (sess *Session) fanOut(sent []*delivery) (miss *delivery) {
 // op's encoding behind wal.RecordRoom), history, and the op queued on
 // every outbox, as a skip where it is outside the outbox's interest, to
 // be sent once the lock is gone.
-func (sess *Session) commit(op scene.Op, rec []byte, replicated bool) (version uint64, sent []*delivery, err error) {
+func (sess *Session) commit(op scene.Op, rec []byte, replicated bool) (sent []*delivery, err error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	switch {
 	case sess.readOnly && !replicated:
-		return 0, nil, fmt.Errorf("%w: session %q", ErrReadOnly, sess.Name)
+		return nil, fmt.Errorf("%w: session %q", ErrReadOnly, sess.Name)
 	case replicated && !sess.readOnly:
-		return 0, nil, fmt.Errorf("dataservice: session %q is writable and takes no replicated op", sess.Name)
+		return nil, fmt.Errorf("dataservice: session %q is writable and takes no replicated op", sess.Name)
 	}
 	if err := sess.scene.ApplyOp(op); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	if r := sess.recorder; r != nil {
 		if r.err == nil {
 			r.err = wal.WriteOp(r.w, rec, sess.scene.Version, sess.svc.cfg.Clock.Now())
 		}
 		if r.err != nil {
-			return 0, nil, fmt.Errorf("dataservice: audit append: %w", r.err)
+			return nil, fmt.Errorf("dataservice: audit append: %w", r.err)
 		}
 	}
 	if sess.journal != nil {
 		if err := sess.journal.append(sess, rec); err != nil {
-			return 0, nil, fmt.Errorf("%w: append: %w", ErrJournalFault, err)
+			return nil, fmt.Errorf("%w: append: %w", ErrJournalFault, err)
 		}
 	}
-	version = sess.scene.Version
+	version := sess.scene.Version
 	sess.history.push(version, op)
 	u := Update{Op: op, Version: version, Wire: rec[wal.RecordRoom:], packed: new(packedOp)}
 	for _, ob := range sess.subscribers {
@@ -493,7 +463,7 @@ func (sess *Session) commit(op scene.Op, rec []byte, replicated bool) (version u
 			sent = append(sent, ob.push(delivery{u: u}))
 		}
 	}
-	return version, sent, nil
+	return sent, nil
 }
 
 // SetCamera updates the shared camera and fans it out (collaborating
@@ -820,9 +790,12 @@ func (c *connSubscriber) sendBase(b *base) error {
 // or resume-ok and the ops the subscriber's copy missed), the ops
 // committed after it and camera changes, all in commit order through the
 // subscriber's outbox — while a receive loop applies the peer's own
-// updates and answers its requests. Returns when the peer says Bye or
-// the socket fails; a delivery the socket fails closes it (see outbox).
-// A hello's interest holds for the connection's life.
+// updates and answers its requests. An op the peer submits that does not
+// commit is answered with MsgError; one that commits is answered by its
+// own copy in the peer's stream, whatever other subscribers missed.
+// Returns when the peer says Bye or the socket fails; a delivery the
+// socket fails closes it (see outbox). A hello's interest holds for the
+// connection's life.
 func (s *Service) ServeConn(rw io.ReadWriteCloser) error {
 	conn, hello, err := transport.Accept(rw)
 	if err != nil {
@@ -862,9 +835,9 @@ func (s *Service) ServeConn(rw io.ReadWriteCloser) error {
 			if err != nil {
 				return err
 			}
-			// The author's op comes back in its own stream. A fan-out miss
-			// is not the author's failure: the op is committed.
-			if err := sess.ApplyUpdate(op, hello.Name); err != nil && !errors.As(err, new(*FanoutError)) {
+			// The author's op comes back in its own stream; an error here
+			// means it is not committed, and the author is told so.
+			if err := sess.ApplyUpdate(op, hello.Name); err != nil {
 				if serr := conn.Refuse(err); serr != nil {
 					return serr
 				}

@@ -81,8 +81,8 @@ func TestCreateSessionLifecycle(t *testing.T) {
 	if _, ok := svc.Session("nope"); ok {
 		t.Error("found missing session")
 	}
-	if names := svc.SessionNames(); len(names) != 1 || names[0] != "skull" {
-		t.Errorf("names: %v", names)
+	if _, ok := svc.Session(""); ok {
+		t.Error("the refused empty name left a session")
 	}
 }
 
@@ -116,7 +116,8 @@ func TestCreateSessionFromOBJ(t *testing.T) {
 // TestApplyUpdateFanOutReachesOrigin: every subscriber gets every
 // committed op, its author included, so the author's stream has no hole.
 func TestApplyUpdateFanOutReachesOrigin(t *testing.T) {
-	svc := New(Config{Name: "data"})
+	met := telemetry.NewRegistry(vclock.Real{})
+	svc := New(Config{Name: "data", Metrics: met})
 	sess, _ := svc.CreateSession("s")
 	a, b := &recordingSub{}, &recordingSub{}
 	if _, err := sess.Subscribe("a", a); err != nil {
@@ -157,12 +158,15 @@ func TestApplyUpdateFanOutReachesOrigin(t *testing.T) {
 		t.Error("failed op fanned out")
 	}
 
-	// Subscriber failure reported but does not prevent others.
+	// A subscriber's failure is counted, not the author's error, and
+	// does not prevent others.
 	a.fail = true
 	op2 := &scene.SetNameOp{ID: op.ID, Name: "renamed"}
-	err := sess.ApplyUpdate(op2, "")
-	if err == nil {
-		t.Error("fan-out failure not reported")
+	if err := sess.ApplyUpdate(op2, ""); err != nil {
+		t.Errorf("a subscriber's miss failed the commit: %v", err)
+	}
+	if n := met.Snapshot().CounterValue("data", "fanout_errors_total", telemetry.PeerLabel("a")); n != 1 {
+		t.Errorf("fanout_errors_total{a} = %d, want 1", n)
 	}
 	if got, _ := b.counts(); got != 2 {
 		t.Error("healthy subscriber starved by failing one")

@@ -114,8 +114,10 @@ func (b *Bridge) stepInto(sess Session, dt time.Duration) error {
 
 // RunClock steps the simulation every period on clock until stop is
 // closed; vclock.Real paces a live feed, a vclock.Virtual paces it
-// deterministically in tests and replays. Errors stop the loop and are
-// available via Err.
+// deterministically in tests and replays. A source or commit error stops
+// the loop and is available via Err. A subscriber's miss is not a feed
+// error: the op is committed, and the data service counts the miss and
+// cuts that subscriber.
 func (b *Bridge) RunClock(clock vclock.Clock, period time.Duration, stop <-chan struct{}) {
 	for {
 		select {

@@ -1,6 +1,7 @@
 package feed
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/dataservice"
 	"repro/internal/mathx"
 	"repro/internal/scene"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/vclock"
 )
@@ -171,6 +173,63 @@ func TestBridgeRunLoop(t *testing.T) {
 	}
 }
 
+// TestViewerMissDoesNotStopFeed: a viewer whose every delivery fails
+// neither tears a simulation step nor stops the feed. Every op of the
+// step lands, the miss is counted on the viewer and cuts it, and the run
+// loop keeps stepping.
+func TestViewerMissDoesNotStopFeed(t *testing.T) {
+	met := telemetry.NewRegistry(vclock.Real{})
+	svc := dataservice.New(dataservice.Config{Name: "feed-data", Metrics: met})
+	sess, err := svc.CreateSession("sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mol := NewWaterlikeMolecule()
+	bridge, err := NewBridge(sess, mol, "simulator")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Subscribe("viewer", deafSub{}); err != nil {
+		t.Fatal(err)
+	}
+	// A force on every atom moves each, so the step is one op per atom.
+	for i := 0; i < mol.AtomCount(); i++ {
+		if err := mol.ApplyForce(i, mathx.V3(0, 40, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := sess.Version()
+	if err := bridge.Step(20 * time.Millisecond); err != nil {
+		t.Fatalf("a viewer's miss failed the step: %v", err)
+	}
+	if got, want := sess.Version(), before+uint64(mol.AtomCount()); got != want {
+		t.Errorf("session at version %d after the step, want %d: the step was torn", got, want)
+	}
+	if bridge.Steps() != 1 || bridge.Err() != nil {
+		t.Errorf("Steps() = %d, Err() = %v; want 1 and nil", bridge.Steps(), bridge.Err())
+	}
+	if n := met.Snapshot().CounterValue("feed-data", "fanout_errors_total", telemetry.PeerLabel("viewer")); n != 1 {
+		t.Errorf("fanout_errors_total{viewer} = %d, want 1: the first miss cuts the viewer", n)
+	}
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		bridge.RunClock(vclock.Real{}, 2*time.Millisecond, stop)
+		close(done)
+	}()
+	for deadline := time.Now().Add(3 * time.Second); bridge.Steps() < 5; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("run loop stopped at %d steps: %v", bridge.Steps(), bridge.Err())
+		}
+	}
+	close(stop)
+	<-done
+	if bridge.Err() != nil {
+		t.Errorf("run loop error: %v", bridge.Err())
+	}
+}
+
 func TestStepValidation(t *testing.T) {
 	mol := NewWaterlikeMolecule()
 	// Not attached.
@@ -208,3 +267,9 @@ func (c *countingSub) SendCamera(transport.CameraState) error {
 	c.cams++
 	return nil
 }
+
+// deafSub fails every delivery, the way a viewer's dead socket does.
+type deafSub struct{}
+
+func (deafSub) SendUpdate(dataservice.Update) error    { return errors.New("closed pipe") }
+func (deafSub) SendCamera(transport.CameraState) error { return errors.New("closed pipe") }

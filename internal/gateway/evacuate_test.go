@@ -260,12 +260,12 @@ type deafSubscriber struct{}
 func (deafSubscriber) SendUpdate(dataservice.Update) error    { return errors.New("closed pipe") }
 func (deafSubscriber) SendCamera(transport.CameraState) error { return nil }
 
-// TestApplyLoadOpCommittedDespiteFanoutError: an op that is applied,
+// TestApplyLoadOpCommittedDespiteSubscriberMiss: an op that is applied,
 // journalled and versioned is a success for its author even when a
 // subscriber could not be told — the subscriber's follower resumes on
 // its own — and the miss is counted per peer. A journal fault, where
 // the op is not committed, still surfaces.
-func TestApplyLoadOpCommittedDespiteFanoutError(t *testing.T) {
+func TestApplyLoadOpCommittedDespiteSubscriberMiss(t *testing.T) {
 	met := telemetry.NewRegistry(vclock.Real{})
 	plan := wal.NewStoreFaults(1)
 	node := NewNode(NodeConfig{Name: "ds-0", Metrics: met, OpCost: time.Nanosecond})

@@ -199,9 +199,6 @@ func New(cfg Config) (*Gateway, error) {
 	}, nil
 }
 
-// Telemetry returns the gateway's metrics registry.
-func (g *Gateway) Telemetry() *telemetry.Registry { return g.cfg.Metrics }
-
 // leaseService maps a session name to its UDDI lease row.
 func leaseService(session string) string { return LeaseServicePrefix + session }
 

@@ -98,7 +98,7 @@ func TestDispatchMutateAndFrame(t *testing.T) {
 	if res.Version != 3 {
 		t.Errorf("frame observed version %d, want 3", res.Version)
 	}
-	snap := gw.Telemetry().Snapshot()
+	snap := gw.cfg.Metrics.Snapshot()
 	if got := snap.CounterValue("gw", "requests_total", "mutate"); got != 3 {
 		t.Errorf("requests_total{mutate} = %d", got)
 	}
@@ -254,7 +254,7 @@ func TestAdmissionSeries(t *testing.T) {
 	if _, err := gw.Dispatch(context.Background(), Request{Tenant: "t", Session: "s", Deadline: clk.Now()}); err == nil {
 		t.Fatal("expired dispatch admitted")
 	}
-	snap := gw.Telemetry().Snapshot()
+	snap := gw.cfg.Metrics.Snapshot()
 	for _, s := range []struct{ name, label string }{
 		{"admission_admitted_total", ""},
 		{"admission_declined_total", admission.ReasonExpired},
@@ -339,7 +339,7 @@ func TestKillPromotesStandby(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("victim owned no sessions; test proves nothing")
 	}
-	snap := gw.Telemetry().Snapshot()
+	snap := gw.cfg.Metrics.Snapshot()
 	if got := snap.CounterValue("gw", "promotions_total", ""); got < int64(moved) {
 		t.Errorf("promotions_total = %d, want >= %d", got, moved)
 	}
@@ -427,7 +427,7 @@ func TestAddNodeRebalances(t *testing.T) {
 		s := fmt.Sprintf("sess-%02d", i)
 		preOwner[s], _, _, _ = gw.Placement(s)
 	}
-	joiner := NewNode(NodeConfig{Name: "ds-new", Clock: clk, Metrics: gw.Telemetry()})
+	joiner := NewNode(NodeConfig{Name: "ds-new", Clock: clk, Metrics: gw.cfg.Metrics})
 	if err := gw.AddNode(joiner); err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +535,7 @@ func TestReplicationLagIsEachNodesWorstCopy(t *testing.T) {
 	}
 
 	gw.TopologyChanged()
-	m, ok := gw.Telemetry().Snapshot().Get("gw", "replication_lag", telemetry.PeerLabel(holder))
+	m, ok := gw.cfg.Metrics.Snapshot().Get("gw", "replication_lag", telemetry.PeerLabel(holder))
 	if !ok || m.Value != int64(primary.Version()) {
 		t.Errorf("replication_lag{%s} = %d (ok=%v), want %d: %s's failed copy, not %s's caught-up one",
 			holder, m.Value, ok, primary.Version(), first, second)

@@ -291,12 +291,6 @@ func (n *Node) ApplyLoadOp(session string, epoch uint64) (version uint64, err er
 	}
 	op := &scene.AddNodeOp{Parent: scene.RootID, ID: sess.AllocID(), Name: "load", Transform: mathx.Identity()}
 	if err := sess.ApplyUpdate(op, ""); err != nil {
-		var fanout *dataservice.FanoutError
-		if errors.As(err, &fanout) {
-			// Committed here; a subscriber missed it and its follower
-			// redials and resumes. Nothing for the op's author to retry.
-			return fanout.Version, nil
-		}
 		if errors.Is(err, dataservice.ErrJournalFault) {
 			// First contact with the sick disk: the op reached this
 			// node's memory but was never acked, journaled, or fanned

@@ -48,7 +48,7 @@ func regionFleet(t *testing.T, n int) (*Gateway, *uddi.Registry, *vclock.Virtual
 
 // crossSeedBytes sums the fleet's cross-region bootstrap-byte counters.
 func crossSeedBytes(gw *Gateway, n int) int64 {
-	snap := gw.Telemetry().Snapshot()
+	snap := gw.cfg.Metrics.Snapshot()
 	var total int64
 	for i := 0; i < n; i++ {
 		total += snap.CounterValue(fmt.Sprintf("ds-%d", i), "bootstrap_bytes_total", "cross")
@@ -188,7 +188,7 @@ func TestPartitionFailsOverAndFencesDeposedPrimaries(t *testing.T) {
 	if cut == 0 {
 		t.Fatal("no session was owned in the cut region; test proves nothing")
 	}
-	snap := gw.Telemetry().Snapshot()
+	snap := gw.cfg.Metrics.Snapshot()
 	if lost := snap.CounterValue("gw", "sessions_lost_total", ""); lost != 0 {
 		t.Errorf("sessions_lost_total = %d during partition, want 0", lost)
 	}
@@ -269,7 +269,7 @@ func TestHealReattachesStrandedCopiesGapOnly(t *testing.T) {
 			crossBaseline, got)
 	}
 	mutateAll("healed") // and the restored fleet still serves everywhere
-	snap := gw.Telemetry().Snapshot()
+	snap := gw.cfg.Metrics.Snapshot()
 	if lost := snap.CounterValue("gw", "sessions_lost_total", ""); lost != 0 {
 		t.Errorf("sessions_lost_total = %d across cut and heal, want 0", lost)
 	}

@@ -116,13 +116,6 @@ func (r *Ring) Members() []string {
 	return out
 }
 
-// Size returns the member count.
-func (r *Ring) Size() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.members)
-}
-
 // rebuildLocked regenerates the sorted vnode points. Callers hold r.mu.
 func (r *Ring) rebuildLocked() {
 	r.points = r.points[:0]
